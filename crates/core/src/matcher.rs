@@ -589,6 +589,7 @@ impl<'a> Matcher<'a> {
             touched_shapes,
             seen_stamp,
             cover,
+            index,
             reported,
             ranked,
             score_buf,
@@ -664,7 +665,7 @@ impl<'a> Matcher<'a> {
             *iter_clock += 1;
             let istamp = *iter_clock;
             reported.clear();
-            base.report_triangles(cover, reported);
+            base.report_triangles_with(index, cover, reported);
             outcome.stats.vertices_reported += reported.len();
             for &vid in reported.iter() {
                 if seen_stamp[vid as usize] == istamp {

@@ -11,6 +11,7 @@
 //! a single integer increment. Per-query work stays O(touched), and after a
 //! warm-up pass the whole retrieval touches the heap zero times.
 
+use geosir_geom::rangesearch::IndexScratch;
 use geosir_geom::{Polyline, Triangle};
 
 use crate::shapebase::ShapeBase;
@@ -53,6 +54,8 @@ pub struct MatcherScratch {
 
     // --- reusable buffers ---
     pub(crate) cover: Vec<Triangle>,
+    /// The range-search descent's stacks and per-triangle constants.
+    pub(crate) index: IndexScratch,
     pub(crate) reported: Vec<u32>,
     pub(crate) ranked: Vec<(u32, f64, u32)>,
     pub(crate) score_buf: Vec<f64>,

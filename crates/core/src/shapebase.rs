@@ -1,7 +1,7 @@
 //! The shape base (§2.4): every shape's normalized copies, the pooled
 //! vertex set, and the simplex range-search index over it.
 
-use geosir_geom::rangesearch::{Backend, DynSimplexIndex};
+use geosir_geom::rangesearch::{Backend, DynSimplexIndex, IndexScratch};
 use geosir_geom::{Point, Polyline, Similarity, Triangle};
 
 use crate::ids::{CopyId, ImageId, ShapeId};
@@ -209,9 +209,10 @@ impl ShapeBase {
 
     /// Report pooled-vertex ids inside **any** triangle of `tris`
     /// (boundary inclusive), without duplicates — one index traversal for
-    /// a whole ring cover instead of one per sliver.
-    pub fn report_triangles(&self, tris: &[Triangle], out: &mut Vec<u32>) {
-        self.index.report_union(tris, out);
+    /// a whole ring cover instead of one per sliver, through the caller's
+    /// scratch so a warm query allocates nothing.
+    pub fn report_triangles_with(&self, scratch: &mut IndexScratch, tris: &[Triangle], out: &mut Vec<u32>) {
+        self.index.report_union_with(scratch, tris, out);
     }
 }
 

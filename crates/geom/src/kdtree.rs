@@ -19,7 +19,10 @@
 
 use crate::bbox::Aabb;
 use crate::point::Point;
+use crate::rangesearch::IndexScratch;
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
 use crate::simd;
+use crate::simd::TriPre;
 use crate::triangle::Triangle;
 
 /// Leaf bucket capacity: big enough that descent cost amortizes, small
@@ -109,29 +112,34 @@ impl KdTree {
         self.nearest_rec(second, q, best);
     }
 
-    /// Append the ids of all points inside the triangle (boundary inclusive)
-    /// to `out`.
+    /// Append the ids of all points inside the triangle (bounding box and
+    /// boundary inclusive) to `out`.
     pub fn report_triangle(&self, tri: &Triangle, out: &mut Vec<u32>) {
         self.report_union(std::slice::from_ref(tri), out);
     }
 
-    /// Append the ids of all points inside **any** of `tris` (boundary
-    /// inclusive) to `out`, without duplicates: one tree descent carries
-    /// the list of triangles still intersecting the current subtree, so a
-    /// cover of many overlapping slivers costs one walk, not one per
-    /// triangle.
+    /// [`KdTree::report_union_with`] on a scratch of its own.
     pub fn report_union(&self, tris: &[Triangle], out: &mut Vec<u32>) {
+        self.report_union_with(&mut IndexScratch::default(), tris, out);
+    }
+
+    /// Append the ids of all points inside **any** of `tris` (bounding box
+    /// and boundary inclusive) to `out`, without duplicates: one tree
+    /// descent carries the list of triangles still intersecting the
+    /// current subtree, so a cover of many overlapping slivers costs one
+    /// walk, not one per triangle. Allocation-free once `scratch` is warm.
+    pub fn report_union_with(&self, scratch: &mut IndexScratch, tris: &[Triangle], out: &mut Vec<u32>) {
         let Some(root) = self.root else { return };
         if tris.is_empty() {
             return;
         }
-        // Precompute edge constants once per call; empty when the AVX2
-        // leaf kernel is compiled out or unavailable at run time.
-        let pre: Vec<simd::TriPre> =
-            if simd::tri_kernel_available() { tris.iter().map(simd::TriPre::of).collect() } else { Vec::new() };
-        let mut active: Vec<u32> = (0..tris.len() as u32).collect();
+        let IndexScratch { pre, active, .. } = scratch;
+        pre.clear();
+        pre.extend(tris.iter().map(TriPre::of));
+        active.clear();
+        active.extend(0..tris.len() as u32);
         let n = active.len();
-        self.union_rec(root, tris, &pre, &mut active, 0, n, out);
+        self.union_rec(root, tris, pre, active, 0, n, out);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -139,7 +147,7 @@ impl KdTree {
         &self,
         v: u32,
         tris: &[Triangle],
-        pre: &[simd::TriPre],
+        pre: &[TriPre],
         active: &mut Vec<u32>,
         lo: usize,
         hi: usize,
@@ -155,7 +163,12 @@ impl KdTree {
             if !t.intersects_box(&node.bbox) {
                 continue;
             }
-            if t.contains_box(&node.bbox) {
+            let p = &pre[active[k] as usize];
+            if p.admits(node.bbox.min.x, node.bbox.min.y)
+                && p.admits(node.bbox.max.x, node.bbox.max.y)
+                && p.admits(node.bbox.min.x, node.bbox.max.y)
+                && p.admits(node.bbox.max.x, node.bbox.min.y)
+            {
                 out.extend_from_slice(&self.ids[node.start as usize..node.end as usize]);
                 active.truncate(base);
                 return;
@@ -168,7 +181,7 @@ impl KdTree {
         }
         if node.left == NONE {
             let (s, e) = (node.start as usize, node.end as usize);
-            self.leaf_filter(s, e, tris, pre, &active[nlo..nhi], out);
+            self.leaf_filter(s, e, pre, &active[nlo..nhi], out);
         } else {
             self.union_rec(node.left, tris, pre, active, nlo, nhi, out);
             self.union_rec(node.right, tris, pre, active, nlo, nhi, out);
@@ -177,19 +190,13 @@ impl KdTree {
     }
 
     /// Exact per-point membership over one leaf's columns: a point is
-    /// reported when any active triangle contains it.
-    fn leaf_filter(
-        &self,
-        s: usize,
-        e: usize,
-        tris: &[Triangle],
-        pre: &[simd::TriPre],
-        active: &[u32],
-        out: &mut Vec<u32>,
-    ) {
+    /// reported when any active triangle admits it.
+    fn leaf_filter(&self, s: usize, e: usize, pre: &[TriPre], active: &[u32], out: &mut Vec<u32>) {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if !pre.is_empty() {
-            // SAFETY: `pre` is only populated after `avx2_available()`.
+        if simd::avx2_available() {
+            // SAFETY: AVX2 was just detected; the three columns are slices
+            // of equal length `e - s`; `active` holds indices below
+            // `tris.len() == pre.len()` (`report_union_with` fills both).
             unsafe {
                 simd::avx2::tri_union_filter(
                     &self.xs[s..e],
@@ -202,10 +209,8 @@ impl KdTree {
             }
             return;
         }
-        let _ = pre;
         for i in s..e {
-            let p = Point::new(self.xs[i], self.ys[i]);
-            if active.iter().any(|&k| tris[k as usize].contains(p)) {
+            if active.iter().any(|&k| pre[k as usize].admits(self.xs[i], self.ys[i])) {
                 out.push(self.ids[i]);
             }
         }
@@ -256,13 +261,15 @@ fn build_rec(pts: &[Point], ids: &mut [u32], depth: usize, tree: &mut KdTree) ->
     }
     let axis = (depth % 2) as u8;
     let mid = ids.len() / 2;
+    // `total_cmp`, so a non-finite coordinate cannot panic a build.
     ids.select_nth_unstable_by(mid, |&a, &b| {
         let (pa, pb) = (pts[a as usize], pts[b as usize]);
-        if axis == 0 {
-            pa.x.partial_cmp(&pb.x).unwrap().then(pa.y.partial_cmp(&pb.y).unwrap())
+        let by_axis = if axis == 0 {
+            pa.x.total_cmp(&pb.x).then(pa.y.total_cmp(&pb.y))
         } else {
-            pa.y.partial_cmp(&pb.y).unwrap().then(pa.x.partial_cmp(&pb.x).unwrap())
-        }
+            pa.y.total_cmp(&pb.y).then(pa.x.total_cmp(&pb.x))
+        };
+        by_axis.then(a.cmp(&b))
     });
     let slot = tree.nodes.len();
     tree.nodes.push(KdNode { bbox, left: NONE, right: NONE, start: 0, end: 0 });

@@ -1,46 +1,70 @@
 //! Simplex (triangle) range searching over the shape-base vertex pool
 //! (§2.5, step 2).
 //!
-//! The matcher needs, per iteration, the shape-base vertices falling in each
-//! triangle of the envelope-ring cover. All backends implement
-//! [`SimplexIndex`]; the matcher is generic over it so the backends can be
-//! benchmarked against each other:
+//! The matcher needs, per iteration, the shape-base vertices falling in
+//! the triangles of the envelope-ring cover. All backends implement
+//! [`SimplexIndex`] and report the same set — every point `p` with
+//! `bbox(t).contains(p) && t.contains(p)` for some triangle `t` of the
+//! query, each once:
 //!
-//! - [`RangeTreeIndex`] — the paper's polylog structure: a layered range
-//!   tree **with fractional cascading** answers the triangle's bounding box
-//!   in `O(log n + k_box)`, then an exact point-in-triangle filter trims the
-//!   report. `O(n log n)` space.
-//! - [`KdTreeIndex`] — kd-tree descent with exact triangle/box pruning,
-//!   `O(n)` space, `O(√n + k)` typical query.
-//! - [`BruteForceIndex`] — the oracle the property tests compare against.
+//! - [`RangeTreeIndex`] — the paper's polylog structure: a level-array
+//!   layered range tree whose **fractional-cascading** bridges carry each
+//!   triangle's y-range down one x-slab descent for the whole cover, with
+//!   the exact predicate at the bottom ([`crate::rangetree`]).
+//!   `O(n log n)` space, 8 B per vertex per level.
+//! - [`KdTreeIndex`] — kd-tree descent with triangle/box pruning, `O(n)`
+//!   space, `O(√n + k)` typical query; also one descent per cover.
+//! - [`BruteForceIndex`] — the oracle the property tests compare against:
+//!   a linear scan per triangle, then a sort-dedup.
+//!
+//! Both tree backends answer [`SimplexIndex::report_union_with`] without
+//! touching the heap once the caller's [`IndexScratch`] is warm, and a
+//! single-triangle [`SimplexIndex::report`] is the same descent over a
+//! one-element cover.
 
 use crate::kdtree::KdTree;
 use crate::point::Point;
-use crate::rangetree::RangeTree;
+use crate::rangetree::{Clip, Live, RangeTree};
+use crate::simd::TriPre;
 use crate::triangle::Triangle;
 
-/// A static index over a point set answering "which points lie in this
-/// triangle?" Point identities are indices into the construction slice.
+/// Reusable buffers of a union report: per-triangle constants and the
+/// descent's stacks. One scratch serves one thread and any index; it only
+/// ever grows, so a steady-state query allocates nothing.
+#[derive(Debug, Default)]
+pub struct IndexScratch {
+    /// Reporting-predicate constants, one per query triangle.
+    pub(crate) pre: Vec<TriPre>,
+    /// kd-tree: stack of active-triangle lists.
+    pub(crate) active: Vec<u32>,
+    /// Range tree: slab-clip constants, one per query triangle.
+    pub(crate) clips: Vec<Clip>,
+    /// Range tree: stack of live-triangle frames.
+    pub(crate) live: Vec<Live>,
+}
+
+/// A static index over a point set answering "which points lie in these
+/// triangles?" Point identities are indices into the construction slice.
 pub trait SimplexIndex {
     /// Build the index. Points are borrowed only during construction.
     fn build(points: &[Point]) -> Self
     where
         Self: Sized;
 
-    /// Append the ids of all points inside `tri` (boundary inclusive).
-    fn report(&self, tri: &Triangle, out: &mut Vec<u32>);
-
     /// Append the ids of all points inside **any** triangle of `tris`
-    /// (boundary inclusive), without duplicates. The matcher's ring
-    /// covers are dozens of slivers tiling one annulus; backends that can
-    /// answer the whole set in one traversal override this (the kd-tree
-    /// descends once with a shrinking active-triangle list).
+    /// (bounding box and boundary inclusive), without duplicates. The
+    /// matcher's ring covers are dozens of slivers tiling one annulus;
+    /// the tree backends answer the whole set in one traversal.
+    fn report_union_with(&self, scratch: &mut IndexScratch, tris: &[Triangle], out: &mut Vec<u32>);
+
+    /// [`SimplexIndex::report_union_with`] on a scratch of its own.
     fn report_union(&self, tris: &[Triangle], out: &mut Vec<u32>) {
-        let start = out.len();
-        for tri in tris {
-            self.report(tri, out);
-        }
-        dedup_from(out, start);
+        self.report_union_with(&mut IndexScratch::default(), tris, out);
+    }
+
+    /// Append the ids of all points inside `tri`.
+    fn report(&self, tri: &Triangle, out: &mut Vec<u32>) {
+        self.report_union(std::slice::from_ref(tri), out);
     }
 
     /// Number of indexed points.
@@ -49,102 +73,24 @@ pub trait SimplexIndex {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Number of points inside `tri`. Backends with fast counting override.
-    fn count(&self, tri: &Triangle) -> usize {
-        let mut out = Vec::new();
-        self.report(tri, &mut out);
-        out.len()
-    }
 }
 
-/// Sort-and-dedup the tail of `out` starting at `start`, in place.
-fn dedup_from(out: &mut Vec<u32>, start: usize) {
-    out[start..].sort_unstable();
-    let mut w = start;
-    let mut last = None;
-    for r in start..out.len() {
-        let id = out[r];
-        if Some(id) != last {
-            out[w] = id;
-            w += 1;
-            last = Some(id);
-        }
-    }
-    out.truncate(w);
-}
-
-/// Fractional-cascading range tree + exact triangle filter.
+/// Fractional-cascading range tree with the exact triangle predicate.
 pub struct RangeTreeIndex {
     tree: RangeTree,
-    pts: Vec<Point>,
 }
 
 impl SimplexIndex for RangeTreeIndex {
     fn build(points: &[Point]) -> Self {
-        RangeTreeIndex { tree: RangeTree::build(points), pts: points.to_vec() }
+        RangeTreeIndex { tree: RangeTree::build(points) }
     }
 
-    fn report(&self, tri: &Triangle, out: &mut Vec<u32>) {
-        // The envelope rings hand us long *diagonal* slivers whose single
-        // bounding box can cover thousands of points the exact filter then
-        // discards. Splitting the sliver along its longest edge shrinks
-        // the total box area roughly by half per level, so a few levels
-        // make the orthogonal phase output-sensitive again.
-        let start = out.len();
-        self.report_split(tri, 12, out);
-        // Sub-triangles share edges, so a point exactly on a shared edge
-        // can be reported twice — dedup within this query's output.
-        dedup_from(out, start);
+    fn report_union_with(&self, scratch: &mut IndexScratch, tris: &[Triangle], out: &mut Vec<u32>) {
+        self.tree.report_union_with(scratch, tris, out);
     }
 
     fn len(&self) -> usize {
-        self.pts.len()
-    }
-}
-
-impl RangeTreeIndex {
-    fn report_split(&self, tri: &Triangle, depth: u32, out: &mut Vec<u32>) {
-        let bb = tri.bbox();
-        // Stop splitting when the box is already cheap: fat triangles
-        // (filter discards little), or boxes holding few points — the
-        // O(log n) fractional-cascading *count* makes that test nearly
-        // free and keeps the whole query output-sensitive.
-        let box_area = bb.width() * bb.height();
-        if depth == 0
-            || tri.area() >= 0.4 * box_area
-            || box_area < 1e-12
-            || self.tree.count(&bb) <= 64
-        {
-            let start = out.len();
-            self.tree.report(&bb, out);
-            // exact filter, in place
-            let mut w = start;
-            for r in start..out.len() {
-                let id = out[r];
-                if tri.contains(self.pts[id as usize]) {
-                    out[w] = id;
-                    w += 1;
-                }
-            }
-            out.truncate(w);
-            return;
-        }
-        // split at the midpoint of the longest edge
-        let (a, b, c) = (tri.a, tri.b, tri.c);
-        let (ab, bc, ca) = (a.dist_sq(b), b.dist_sq(c), c.dist_sq(a));
-        let (t1, t2) = if ab >= bc && ab >= ca {
-            let m = a.midpoint(b);
-            (Triangle::new(a, m, c), Triangle::new(m, b, c))
-        } else if bc >= ca {
-            let m = b.midpoint(c);
-            (Triangle::new(a, b, m), Triangle::new(a, m, c))
-        } else {
-            let m = c.midpoint(a);
-            (Triangle::new(a, b, m), Triangle::new(b, c, m))
-        };
-        self.report_split(&t1, depth - 1, out);
-        self.report_split(&t2, depth - 1, out);
+        self.tree.len()
     }
 }
 
@@ -158,13 +104,8 @@ impl SimplexIndex for KdTreeIndex {
         KdTreeIndex { tree: KdTree::build(points) }
     }
 
-    fn report(&self, tri: &Triangle, out: &mut Vec<u32>) {
-        self.tree.report_triangle(tri, out);
-    }
-
-    fn report_union(&self, tris: &[Triangle], out: &mut Vec<u32>) {
-        // one descent for the whole cover; duplicate-free by construction
-        self.tree.report_union(tris, out);
+    fn report_union_with(&self, scratch: &mut IndexScratch, tris: &[Triangle], out: &mut Vec<u32>) {
+        self.tree.report_union_with(scratch, tris, out);
     }
 
     fn len(&self) -> usize {
@@ -182,15 +123,28 @@ impl SimplexIndex for BruteForceIndex {
         BruteForceIndex { pts: points.to_vec() }
     }
 
-    fn report(&self, tri: &Triangle, out: &mut Vec<u32>) {
-        let bb = tri.bbox();
-        out.extend(
-            self.pts
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| bb.contains(**p) && tri.contains(**p))
-                .map(|(i, _)| i as u32),
-        );
+    fn report_union_with(&self, _scratch: &mut IndexScratch, tris: &[Triangle], out: &mut Vec<u32>) {
+        let start = out.len();
+        for tri in tris {
+            let bb = tri.bbox();
+            out.extend(
+                self.pts
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, p)| bb.contains(**p) && tri.contains(**p))
+                    .map(|(i, _)| i as u32),
+            );
+        }
+        // Triangles of a cover overlap: sort and dedup this call's tail.
+        out[start..].sort_unstable();
+        let mut w = start;
+        for r in start..out.len() {
+            if w == start || out[w - 1] != out[r] {
+                out[w] = out[r];
+                w += 1;
+            }
+        }
+        out.truncate(w);
     }
 
     fn len(&self) -> usize {
@@ -227,29 +181,30 @@ impl DynSimplexIndex {
         }
     }
 
-    pub fn report(&self, tri: &Triangle, out: &mut Vec<u32>) {
+    fn index(&self) -> &dyn SimplexIndex {
         match self {
-            DynSimplexIndex::RangeTree(i) => i.report(tri, out),
-            DynSimplexIndex::KdTree(i) => i.report(tri, out),
-            DynSimplexIndex::BruteForce(i) => i.report(tri, out),
+            DynSimplexIndex::RangeTree(i) => i,
+            DynSimplexIndex::KdTree(i) => i,
+            DynSimplexIndex::BruteForce(i) => i,
         }
+    }
+
+    pub fn report(&self, tri: &Triangle, out: &mut Vec<u32>) {
+        self.index().report(tri, out);
     }
 
     /// Duplicate-free union report over a whole triangle cover.
     pub fn report_union(&self, tris: &[Triangle], out: &mut Vec<u32>) {
-        match self {
-            DynSimplexIndex::RangeTree(i) => i.report_union(tris, out),
-            DynSimplexIndex::KdTree(i) => i.report_union(tris, out),
-            DynSimplexIndex::BruteForce(i) => i.report_union(tris, out),
-        }
+        self.index().report_union(tris, out);
+    }
+
+    /// [`DynSimplexIndex::report_union`] through caller-owned scratch.
+    pub fn report_union_with(&self, scratch: &mut IndexScratch, tris: &[Triangle], out: &mut Vec<u32>) {
+        self.index().report_union_with(scratch, tris, out);
     }
 
     pub fn len(&self) -> usize {
-        match self {
-            DynSimplexIndex::RangeTree(i) => i.len(),
-            DynSimplexIndex::KdTree(i) => i.len(),
-            DynSimplexIndex::BruteForce(i) => i.len(),
-        }
+        self.index().len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -295,7 +250,6 @@ mod tests {
             let want = sorted_report(&bf, &tri);
             assert_eq!(sorted_report(&rt, &tri), want, "range tree disagrees");
             assert_eq!(sorted_report(&kd, &tri), want, "kd-tree disagrees");
-            assert_eq!(rt.count(&tri), want.len());
         }
     }
 

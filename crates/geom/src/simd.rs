@@ -73,16 +73,18 @@ impl SegColumns {
     }
 }
 
-/// Per-triangle constants for the point-in-triangle leaf kernel: the
-/// three edge origins and deltas of [`Triangle::contains`]'s `cross3`
-/// calls, plus its tolerance — precomputed once per triangle so the
-/// per-point work is three (sub, sub, mul, mul, sub) chains.
-///
-/// Defined unconditionally (the kd-tree passes an empty slice when the
-/// kernel is compiled out), but only populated after
-/// [`tri_kernel_available`] returns true.
+/// Per-triangle constants of the reporting predicate every range-search
+/// backend shares — `bbox(t).contains(p) && t.contains(p)`: the bounding
+/// box, the three edge origins and deltas of [`Triangle::contains`]'s
+/// `cross3` calls, and its tolerance — precomputed once per triangle so
+/// the per-point work is four compares and three (sub, sub, mul, mul, sub)
+/// chains.
 #[derive(Debug, Clone)]
 pub(crate) struct TriPre {
+    pub min_x: f64,
+    pub min_y: f64,
+    pub max_x: f64,
+    pub max_y: f64,
     pub ox: [f64; 3],
     pub oy: [f64; 3],
     pub ex: [f64; 3],
@@ -93,7 +95,18 @@ pub(crate) struct TriPre {
 impl TriPre {
     pub fn of(t: &Triangle) -> TriPre {
         let v = [t.a, t.b, t.c];
-        let mut pre = TriPre { ox: [0.0; 3], oy: [0.0; 3], ex: [0.0; 3], ey: [0.0; 3], tol: 0.0 };
+        let bb = t.bbox();
+        let mut pre = TriPre {
+            min_x: bb.min.x,
+            min_y: bb.min.y,
+            max_x: bb.max.x,
+            max_y: bb.max.y,
+            ox: [0.0; 3],
+            oy: [0.0; 3],
+            ex: [0.0; 3],
+            ey: [0.0; 3],
+            tol: 0.0,
+        };
         for k in 0..3 {
             let (o, n) = (v[k], v[(k + 1) % 3]);
             pre.ox[k] = o.x;
@@ -108,11 +121,14 @@ impl TriPre {
         pre
     }
 
-    /// Scalar replica of [`Triangle::contains`] over the precomputed
-    /// constants — the tail-loop identity the AVX2 lanes reproduce.
-    #[cfg_attr(not(all(feature = "simd", target_arch = "x86_64")), allow(dead_code))]
+    /// `bbox(t).contains(p) && t.contains(p)` over the precomputed
+    /// constants, bit-identical to the two calls — the identity the AVX2
+    /// lanes reproduce.
     #[inline]
-    pub fn contains_xy(&self, x: f64, y: f64) -> bool {
+    pub fn admits(&self, x: f64, y: f64) -> bool {
+        if !(x >= self.min_x && x <= self.max_x && y >= self.min_y && y <= self.max_y) {
+            return false;
+        }
         let mut neg = false;
         let mut pos = false;
         for k in 0..3 {
@@ -122,21 +138,6 @@ impl TriPre {
             pos |= d > self.tol;
         }
         !(neg && pos)
-    }
-}
-
-/// Is the vectorized point-in-triangle leaf kernel usable on this build
-/// and host? Always false when the `simd` feature is off or the target
-/// is not x86_64.
-#[inline]
-pub(crate) fn tri_kernel_available() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        avx2_available()
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        false
     }
 }
 
@@ -240,11 +241,12 @@ pub(crate) mod avx2 {
     }
 
     /// 4-wide point-in-triangle-union filter over one kd-tree leaf's
-    /// columns: appends `ids[i]` for every point contained (boundary
-    /// inclusive) in **any** of the `active` triangles. Each lane
-    /// replicates [`crate::triangle::Triangle::contains`] exactly — three
-    /// `cross3` sign tests against the precomputed tolerance, no FMA — so
-    /// the report matches the scalar filter bit-for-bit.
+    /// columns: appends `ids[i]` for every point admitted (bounding box
+    /// and boundary inclusive) by **any** of the `active` triangles. Each
+    /// lane replicates [`super::TriPre::admits`] exactly — four box
+    /// compares, then three `cross3` sign tests against the precomputed
+    /// tolerance, no FMA — so the report matches the scalar filter
+    /// bit-for-bit.
     ///
     /// # Safety
     /// Caller must have verified AVX2 support ([`super::avx2_available`]).
@@ -260,16 +262,30 @@ pub(crate) mod avx2 {
         out: &mut Vec<u32>,
     ) {
         let n = xs.len();
-        debug_assert_eq!(ys.len(), n);
-        debug_assert_eq!(ids.len(), n);
+        assert!(ys.len() == n && ids.len() == n, "leaf columns of unequal length");
         let all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
         let mut i = 0usize;
         while i + 4 <= n {
+            // SAFETY: i + 4 <= n = xs.len() = ys.len(), asserted above.
             let px = _mm256_loadu_pd(xs.as_ptr().add(i));
             let py = _mm256_loadu_pd(ys.as_ptr().add(i));
             let mut inside = _mm256_setzero_pd();
             for &k in active {
+                // SAFETY: the caller guarantees `k` is in bounds for `pre`.
                 let t = pre.get_unchecked(k as usize);
+                let in_box = _mm256_and_pd(
+                    _mm256_and_pd(
+                        _mm256_cmp_pd(px, _mm256_set1_pd(t.min_x), _CMP_GE_OQ),
+                        _mm256_cmp_pd(px, _mm256_set1_pd(t.max_x), _CMP_LE_OQ),
+                    ),
+                    _mm256_and_pd(
+                        _mm256_cmp_pd(py, _mm256_set1_pd(t.min_y), _CMP_GE_OQ),
+                        _mm256_cmp_pd(py, _mm256_set1_pd(t.max_y), _CMP_LE_OQ),
+                    ),
+                );
+                if _mm256_movemask_pd(in_box) == 0 {
+                    continue;
+                }
                 let ntol = _mm256_set1_pd(-t.tol);
                 let ptol = _mm256_set1_pd(t.tol);
                 let mut neg = _mm256_setzero_pd();
@@ -286,8 +302,9 @@ pub(crate) mod avx2 {
                     neg = _mm256_or_pd(neg, _mm256_cmp_pd(d, ntol, _CMP_LT_OQ));
                     pos = _mm256_or_pd(pos, _mm256_cmp_pd(d, ptol, _CMP_GT_OQ));
                 }
-                // contains = !(has_neg && has_pos)
-                inside = _mm256_or_pd(inside, _mm256_andnot_pd(_mm256_and_pd(neg, pos), all));
+                // admits = in_box && !(has_neg && has_pos)
+                let contains = _mm256_andnot_pd(_mm256_and_pd(neg, pos), all);
+                inside = _mm256_or_pd(inside, _mm256_and_pd(in_box, contains));
                 if _mm256_movemask_pd(inside) == 0xF {
                     break; // all four lanes already in the union
                 }
@@ -295,7 +312,7 @@ pub(crate) mod avx2 {
             let m = _mm256_movemask_pd(inside);
             for l in 0..4 {
                 if m & (1 << l) != 0 {
-                    out.push(*ids.get_unchecked(i + l));
+                    out.push(ids[i + l]);
                 }
             }
             i += 4;
@@ -303,7 +320,8 @@ pub(crate) mod avx2 {
         // Scalar tail over the same precomputed constants.
         for j in i..n {
             let (x, y) = (xs[j], ys[j]);
-            if active.iter().any(|&k| pre.get_unchecked(k as usize).contains_xy(x, y)) {
+            // SAFETY: the caller guarantees `k` is in bounds for `pre`.
+            if active.iter().any(|&k| pre.get_unchecked(k as usize).admits(x, y)) {
                 out.push(ids[j]);
             }
         }
@@ -399,16 +417,20 @@ mod parity_tests {
             let want: Vec<u32> = (0..xs.len())
                 .filter(|&i| {
                     let p = Point::new(xs[i], ys[i]);
-                    tris.iter().any(|t| t.contains(p))
+                    tris.iter().any(|t| t.bbox().contains(p) && t.contains(p))
                 })
                 .map(|i| i as u32)
                 .collect();
             assert_eq!(got, want, "round {round}: filter diverged (n={}, tris={ntris})", xs.len());
-            // the TriPre scalar replica must match Triangle::contains too
+            // the TriPre scalar replica must match the two calls too
             for i in 0..xs.len() {
                 let p = Point::new(xs[i], ys[i]);
                 for (t, tp) in tris.iter().zip(&pre) {
-                    assert_eq!(t.contains(p), tp.contains_xy(p.x, p.y), "round {round}: scalar replica diverged");
+                    assert_eq!(
+                        t.bbox().contains(p) && t.contains(p),
+                        tp.admits(p.x, p.y),
+                        "round {round}: scalar replica diverged"
+                    );
                 }
             }
         }

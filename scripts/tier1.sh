@@ -7,6 +7,14 @@ cargo build --release
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The canonical benchmark's contract: `benchmark/` is a workspace of its
+# own compiled against these crates' public API and the CLI's
+# `BaseTemplate`, so build it and run its unit tests here (one of them
+# fails when `src/server_cmd.rs` / `src/cluster_cmd.rs` drift from the
+# twin's copy). Shares this workspace's target directory, as
+# `benchmark/run.sh` does; CI's `benchmark` job adds the smoke run.
+(cd benchmark && CARGO_TARGET_DIR="$PWD/../target" cargo test -q --offline)
+
 # SIMD parity: the feature-gated AVX2 kernels (segment scan, triangle
 # leaf filter) must stay bit-identical to the scalar paths — the geom
 # and core suites contain explicit parity asserts and re-run the shared

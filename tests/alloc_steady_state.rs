@@ -1,6 +1,7 @@
 //! The zero-allocation claim, enforced: after a warm-up pass over the
 //! query set, `Matcher::retrieve_with` through a reused scratch and
-//! out-parameter must not touch the heap at all. A counting global
+//! out-parameter must not touch the heap at all, on a range-tree base and
+//! on a kd-tree base (the two backends that serve). A counting global
 //! allocator wraps the system one; the steady-state pass asserts the
 //! counter does not move.
 //!
@@ -46,7 +47,7 @@ use rand::rngs::StdRng;
 #[test]
 fn retrieve_with_steady_state_makes_zero_allocations() {
     let mut rng = StdRng::seed_from_u64(17);
-    let mut b = ShapeBaseBuilder::new();
+    let mut shapes: Vec<Polyline> = Vec::new();
     let mut queries: Vec<Polyline> = Vec::new();
     for i in 0..50 {
         let n = rng.random_range(6..16);
@@ -54,33 +55,39 @@ fn retrieve_with_steady_state_makes_zero_allocations() {
         if i % 4 == 0 {
             queries.push(perturb(&shape, &mut rng, 0.01));
         }
-        b.add_shape(ImageId(i as u32), shape);
+        shapes.push(shape);
     }
-    let base = b.build(0.1, Backend::RangeTree);
-    let matcher = Matcher::new(&base, MatchConfig { k: 3, beta: 0.25, ..Default::default() });
+    for backend in [Backend::RangeTree, Backend::KdTree] {
+        let mut b = ShapeBaseBuilder::new();
+        for (i, shape) in shapes.iter().enumerate() {
+            b.add_shape(ImageId(i as u32), shape.clone());
+        }
+        let base = b.build(0.1, backend);
+        let matcher = Matcher::new(&base, MatchConfig { k: 3, beta: 0.25, ..Default::default() });
 
-    let mut scratch = MatcherScratch::for_base(&base);
-    let mut out = MatchOutcome::default();
-    // warm-up: every buffer reaches the high-water capacity this query set
-    // needs (two passes, in case a first-pass growth pattern differs)
-    for _ in 0..2 {
+        let mut scratch = MatcherScratch::for_base(&base);
+        let mut out = MatchOutcome::default();
+        // warm-up: every buffer reaches the high-water capacity this query
+        // set needs (two passes, in case a first-pass growth pattern differs)
+        for _ in 0..2 {
+            for q in &queries {
+                matcher.retrieve_with(&mut scratch, q, &mut out);
+            }
+        }
+        assert!(out.best().is_some(), "warm-up produced no matches");
+
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
         for q in &queries {
             matcher.retrieve_with(&mut scratch, q, &mut out);
         }
+        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        assert_eq!(
+            after - before,
+            0,
+            "{backend:?}: steady-state retrieve_with allocated {} time(s) across {} queries",
+            after - before,
+            queries.len()
+        );
+        assert!(out.best().is_some());
     }
-    assert!(out.best().is_some(), "warm-up produced no matches");
-
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for q in &queries {
-        matcher.retrieve_with(&mut scratch, q, &mut out);
-    }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state retrieve_with allocated {} time(s) across {} queries",
-        after - before,
-        queries.len()
-    );
-    assert!(out.best().is_some());
 }
