@@ -725,13 +725,6 @@ impl PipelinedClient {
     ) -> Result<PipelinedClient, WireError> {
         let addrs: Vec<SocketAddr> = addr.to_socket_addrs().map_err(WireError::Io)?.collect();
         let stream = connect_stream(&addrs, &cfg)?;
-        PipelinedClient::from_stream(stream)
-    }
-
-    /// Wrap an already-connected stream (the router dials backends with
-    /// its own connect timeout and hands the socket over here).
-    pub fn from_stream(stream: TcpStream) -> Result<PipelinedClient, WireError> {
-        stream.set_nodelay(true).map_err(WireError::Io)?;
         let reader = stream.try_clone().map_err(WireError::Io)?;
         Ok(PipelinedClient {
             reader,
@@ -779,14 +772,6 @@ impl PipelinedClient {
     /// Push all buffered request bytes to the socket.
     pub fn flush(&mut self) -> Result<(), WireError> {
         self.writer.flush().map_err(WireError::Io)
-    }
-
-    /// Re-arm the blocking read deadline for subsequent `recv_*` calls.
-    /// The scatter-gather router shortens this to its per-shard
-    /// deadline; note that a timeout mid-frame leaves the stream
-    /// desynced, so the connection must be discarded after one fires.
-    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> Result<(), WireError> {
-        self.reader.set_read_timeout(timeout).map_err(WireError::Io)
     }
 
     /// Requests submitted whose replies have not been returned yet

@@ -9,32 +9,64 @@
 //!
 //! ## Routing
 //!
+//! The router is a role of the connection engine (`engine.rs`, the
+//! same readiness loop a node serves from): **one thread** owns
+//! every client socket and **one persistent pipelined connection per
+//! backend, shared by all clients**. A routed request is an entry in an
+//! in-flight table — client connection token, correlation id, wire
+//! version, per-shard state — and everything below is a state
+//! transition on it, driven by socket readiness and by timers (the
+//! `epoll_wait` timeout is the nearest pending hedge, deadline or
+//! backoff instant). Nothing blocks and nothing spawns: a client that
+//! pipelines 16 requests has 16 scatters in progress, replies complete
+//! out of order in the request's own wire version (a pre-v5 connection
+//! stays strictly serial), and a router whose table is full answers
+//! `Busy` like a node whose queue is.
+//!
 //! - **Inserts** hash their payload onto the ring and go to the owning
 //!   shard's *primary* (replicas are read-only by convention: the
 //!   replication applier is their only writer). The router retries
 //!   through `Busy` load-shed with decorrelated-jitter backoff
-//!   ([`crate::client::Backoff`]) but never fails a write over to a
-//!   replica — a forked replica is worse than a refused insert.
+//!   ([`crate::client::Backoff`]) and once more after a lost
+//!   connection (it mints an idempotency key when the client sent
+//!   none), but never fails a write over to a replica — a forked
+//!   replica is worse than a refused insert.
 //! - **Ids** returned to clients are shard-tagged: the top
 //!   [`SHARD_ID_BITS`] bits carry the shard index, the rest the shard's
 //!   local id ([`tag_id`]/[`untag_id`]). **Deletes** decode the tag and
 //!   go straight to the owning primary; match results are retagged the
 //!   same way so every id a client ever sees is routable back.
-//! - **Queries** (exact, approx, batch) scatter to every shard and
-//!   merge: submit to all shards first (they compute in parallel), then
-//!   gather each with a per-shard deadline. A shard that misses its
-//!   hedge window gets one **hedged retry** against a replica; a shard
+//! - **Queries** (exact, approx, batch) scatter to every shard — each
+//!   sub-request to the first candidate whose breaker admits it,
+//!   primary first — and merge when the last shard settles. A shard
+//!   whose first backend stays silent past the hedge window gets a
+//!   **hedged retry** against the next untried candidate (and, if every
+//!   other candidate is dead, one last re-submit to the first); a shard
 //!   whose every backend fails is *dropped from the result* rather than
 //!   failing the query — the v6 [`ShardInfo`] (`shards_ok/shards_total`)
 //!   on the reply tells the client the answer is partial.
+//!
+//! Three rules keep a deep window honest. **Clocks start at the
+//! write**: a backend holds at most a bounded window of written
+//! sub-requests, the rest wait router-side, and the hedge window, the
+//! deadline and the latency histogram all count from the moment a
+//! sub-request left — queueing never reads as a slow shard. **A late
+//! reply is dropped, a dead connection is one event**: an abandoned
+//! correlation id just stops being waited for (framing is intact; only
+//! an I/O error, EOF or a malformed frame kills a backend connection),
+//! and when a connection does die every sub-request on it moves on
+//! together under a single breaker strike. **Ordering is by
+//! acknowledgement**, as on a single node: a request may overtake an
+//! earlier un-acked one, but once `Inserted`/`Deleted` came back the
+//! write is visible to every later read on that shard's primary.
 //!
 //! ## Failure handling
 //!
 //! Every backend (primary or replica) has a circuit breaker:
 //! `Closed` → (N strikes) → `Open` → (cooldown) → `HalfOpen` → one
-//! probe decides. Broken backends are skipped at candidate-selection
-//! time, so a dead replica costs one hedge window once per cooldown,
-//! not per query. `Busy { retry_after_ms }` replies are honored as a
+//! probe decides. Broken backends are skipped when a sub-request
+//! chooses its candidate, so a dead replica costs one hedge window
+//! once per cooldown, not per query. `Busy { retry_after_ms }` replies are honored as a
 //! floor under the jittered backoff. All of it is observable:
 //! per-shard `geosir_router_*` counters plus the replication-lag gauges
 //! the repl threads publish into the same registry.
@@ -53,7 +85,7 @@
 //!   replication lag) ride along from the router's own registry.
 //! - **Cross-shard traces.** Routed reads carry a cluster-wide trace id
 //!   (client-minted, or minted here when the client sent zero) into
-//!   every shard sub-request; the gather loop records a per-shard
+//!   every shard sub-request; the router records a per-shard
 //!   timeline — submit failovers, hedges, router-clock gather time, and
 //!   the shard's own stage timings echoed in the v6 reply trailer —
 //!   into the router's trace log and flight recorder
@@ -63,24 +95,18 @@
 //! - **`geosir top`** renders the federated endpoint as a live terminal
 //!   dashboard (`src/top_cmd.rs` in the CLI crate).
 
-use std::collections::HashMap;
 use std::io;
-use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use geosir_obs as obs;
 
-use crate::client::{Backoff, PipelinedClient};
 use crate::durable::{BaseTemplate, DurabilityConfig, RecoveryReport};
 use crate::server::{serve, serve_durable, ServeConfig, ServerHandle};
-use crate::wire::{
-    error_code, Frame, ServerStats, ShardInfo, StageTrailer, WireError, WireMatch,
-    WireShardStatus,
-};
+use crate::wire::{error_code, Frame, StageTrailer, WireMatch, WireShape, WireShardStatus};
 
 /// Bits of a routed id that carry the shard index.
 pub const SHARD_ID_BITS: u32 = 16;
@@ -114,15 +140,48 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-fn fnv1a64(chunks: &[&[u8]]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for chunk in chunks {
-        for &b in *chunk {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// FNV-1a over a byte stream fed in pieces (the hash of the
+/// concatenation, whatever the piece boundaries).
+struct Fnv1a64(u64);
+
+impl Fnv1a64 {
+    fn new() -> Fnv1a64 {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
-    h
+}
+
+fn fnv1a64(chunks: &[&[u8]]) -> u64 {
+    let mut h = Fnv1a64::new();
+    for chunk in chunks {
+        h.write(chunk);
+    }
+    h.0
+}
+
+/// Ring key of an insert: a hash of its payload, so a client retry
+/// (same key, same shape) lands on the same shard. The byte stream —
+/// image, closed flag, coordinate bits, then the idempotency key if the
+/// client sent one — decides where existing data directories keep
+/// their shapes: it must never change (pinned by a unit test).
+fn placement_key(image: u32, key: u64, shape: &WireShape) -> u64 {
+    let mut h = Fnv1a64::new();
+    h.write(&image.to_le_bytes());
+    h.write(&[shape.closed as u8]);
+    for (x, y) in &shape.points {
+        h.write(&x.to_bits().to_le_bytes());
+        h.write(&y.to_bits().to_le_bytes());
+    }
+    if key != 0 {
+        h.write(&key.to_le_bytes());
+    }
+    h.0
 }
 
 /// One shard's backends: the write primary and its read replicas.
@@ -223,8 +282,11 @@ enum BreakerState {
 }
 
 /// Per-backend circuit breaker; see the module docs for the state
-/// machine. `allow` is called at candidate-selection time, `record`
-/// after every attempt.
+/// machine. `allow` is called when a sub-request is about to be routed
+/// to the backend, `record` with the outcome: an accepted reply, or one
+/// strike per failure *event* (a dead connection, a connect that never
+/// finished, a tick's worth of silent timeouts) however many
+/// sub-requests the event took down.
 struct Breaker {
     state: Mutex<BreakerState>,
     /// Journal context (registry + backend address) when owned by a
@@ -274,6 +336,17 @@ impl Breaker {
                 }
             }
             // a probe is already in flight; stay out of its way
+            BreakerState::HalfOpen => false,
+        }
+    }
+
+    /// [`Self::allow`] without its side effect: would a request be
+    /// admitted right now? (Deciding whether a hedge has anywhere to go
+    /// must not use up the half-open probe.)
+    fn would_allow(&self) -> bool {
+        match *self.state.lock().unwrap() {
+            BreakerState::Closed { .. } => true,
+            BreakerState::Open { until } => Instant::now() >= until,
             BreakerState::HalfOpen => false,
         }
     }
@@ -330,22 +403,44 @@ struct RouterSlowLog {
     writer: Mutex<geosir_storage::slowlog::RotatingJsonl>,
 }
 
+/// What one gathered scatter produced, per shard in shard order: the
+/// backend whose reply was accepted and that reply, or nothing when the
+/// shard was dropped.
+type Outcomes = Vec<(Option<SocketAddr>, Option<Frame>)>;
+
+/// A scatter requested from outside the loop (the HTTP plane's scrape
+/// and readiness probe): the loop runs it like a routed read and sends
+/// the per-shard outcomes back instead of a wire reply.
+struct Job {
+    frame: Frame,
+    reply: mpsc::Sender<Outcomes>,
+}
+
+/// Everything the router thread shares with its handle and its HTTP
+/// plane. The in-flight table, the backend connections and the timers
+/// belong to the loop alone (`route::RouterLoop`).
 struct RouterState {
-    /// Our own listen address — the Shutdown path self-connects to wake
-    /// the accept loop out of its blocking `accept()`.
     addr: SocketAddr,
     /// Bound address of the HTTP observability listener, when enabled;
-    /// shutdown wakes its accept loop the same self-connect way.
+    /// the router thread self-connects to it on exit to wake its
+    /// blocking `accept()`.
     metrics_addr: Option<SocketAddr>,
     shards: Vec<ShardSpec>,
+    /// Backends as one flat list, shard by shard, primary first:
+    /// shard `s` owns `base[s]..base[s + 1]`.
+    backend_addrs: Vec<SocketAddr>,
+    base: Vec<usize>,
+    /// One breaker per backend, same indexing as `backend_addrs`.
+    breakers: Vec<Breaker>,
     ring: Ring,
     cfg: RouterConfig,
     registry: Arc<obs::Registry>,
-    breakers: HashMap<SocketAddr, Breaker>,
     per_shard: Vec<ShardMetrics>,
     partial_replies: Arc<obs::Counter>,
     inserts: Arc<obs::Counter>,
     deletes: Arc<obs::Counter>,
+    /// Routed requests currently in the loop's in-flight table.
+    in_flight: Arc<obs::Gauge>,
     /// Federated-scrape telemetry: completed scrapes, shards that
     /// answered no `MetricsDump`, and end-to-end scrape latency.
     scrapes: Arc<obs::Counter>,
@@ -356,32 +451,37 @@ struct RouterState {
     slow_log: Option<RouterSlowLog>,
     key_mint: AtomicU64,
     stop: AtomicBool,
+    /// Scatters posted by other threads; `None` once the loop is gone
+    /// (a late poster must not wait for an answer nobody will send).
+    jobs: Mutex<Option<Vec<Job>>>,
+    #[cfg(target_os = "linux")]
+    io: crate::engine::Shared,
 }
 
 impl RouterState {
-    fn breaker(&self, addr: SocketAddr) -> &Breaker {
-        self.breakers.get(&addr).expect("every backend has a breaker")
+    fn backends_of(&self, shard: usize) -> std::ops::Range<usize> {
+        self.base[shard]..self.base[shard + 1]
     }
 
-    /// Backends to try for a *read* on `shard`, primary first, broken
-    /// ones skipped. Never empty: if every breaker is open the primary
-    /// is tried anyway — a query with nowhere to go should at least
-    /// probe rather than silently drop the shard forever.
-    fn read_candidates(&self, shard: usize) -> Vec<SocketAddr> {
-        let spec = &self.shards[shard];
-        let mut out = Vec::with_capacity(1 + spec.replicas.len());
-        if self.breaker(spec.primary).allow() {
-            out.push(spec.primary);
+    fn mint(&self) -> u64 {
+        self.key_mint.fetch_add(KEY_MINT_STEP, Ordering::Relaxed) | 1
+    }
+
+    fn wake(&self) {
+        #[cfg(target_os = "linux")]
+        self.io.wake();
+    }
+
+    /// Run `frame` as a scatter inside the loop and wait for every
+    /// shard's outcome. All-dropped when the router is stopping.
+    fn gather(&self, frame: Frame) -> Outcomes {
+        let (tx, rx) = mpsc::channel();
+        match self.jobs.lock().unwrap().as_mut() {
+            Some(q) => q.push(Job { frame, reply: tx }),
+            None => drop(tx),
         }
-        for &r in &spec.replicas {
-            if self.breaker(r).allow() {
-                out.push(r);
-            }
-        }
-        if out.is_empty() {
-            out.push(spec.primary);
-        }
-        out
+        self.wake();
+        rx.recv().unwrap_or_else(|_| self.shards.iter().map(|_| (None, None)).collect())
     }
 }
 
@@ -410,16 +510,10 @@ impl RouterHandle {
         self.state.metrics_addr
     }
 
-    pub fn shutdown(mut self) {
+    pub fn shutdown(self) {
         self.state.stop.store(true, Ordering::SeqCst);
-        // wake the accept loops
-        let _ = TcpStream::connect(self.addr);
-        if let Some(m) = self.state.metrics_addr {
-            let _ = TcpStream::connect(m);
-        }
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+        self.state.wake();
+        self.join();
     }
 
     /// Block until the router stops on its own — a client sends a wire
@@ -437,6 +531,22 @@ impl RouterHandle {
 pub struct Router;
 
 impl Router {
+    /// The router is a role of the epoll connection engine; there is no
+    /// second serve path for other platforms.
+    #[cfg(not(target_os = "linux"))]
+    pub fn start(
+        _addr: &str,
+        _shards: Vec<ShardSpec>,
+        _cfg: RouterConfig,
+        _registry: Arc<obs::Registry>,
+    ) -> io::Result<RouterHandle> {
+        Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "the router runs on the epoll connection engine (Linux only)",
+        ))
+    }
+
+    #[cfg(target_os = "linux")]
     pub fn start(
         addr: &str,
         shards: Vec<ShardSpec>,
@@ -445,6 +555,10 @@ impl Router {
     ) -> io::Result<RouterHandle> {
         assert!(!shards.is_empty(), "a router needs at least one shard");
         assert!(shards.len() < (1usize << SHARD_ID_BITS), "shard index must fit the id tag");
+        assert!(
+            shards.iter().all(|s| s.replicas.len() < 32),
+            "a shard's backends must fit the tried-candidates mask"
+        );
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         // Bind the observability listener before building the state so
@@ -470,13 +584,15 @@ impl Router {
             }),
             None => None,
         };
-        let mut breakers = HashMap::new();
+        let mut backend_addrs = Vec::new();
+        let mut base = vec![0];
         for spec in &shards {
-            breakers.insert(spec.primary, Breaker::with_journal(registry.clone(), spec.primary));
-            for &r in &spec.replicas {
-                breakers.insert(r, Breaker::with_journal(registry.clone(), r));
-            }
+            backend_addrs.push(spec.primary);
+            backend_addrs.extend_from_slice(&spec.replicas);
+            base.push(backend_addrs.len());
         }
+        let breakers =
+            backend_addrs.iter().map(|&a| Breaker::with_journal(registry.clone(), a)).collect();
         let per_shard = (0..shards.len())
             .map(|s| {
                 let l = s.to_string();
@@ -495,19 +611,26 @@ impl Router {
             addr: local,
             metrics_addr,
             ring: Ring::new(shards.len() as u16),
+            backend_addrs,
+            base,
             breakers,
             per_shard,
             partial_replies: registry.counter("geosir_router_partial_replies_total", &[]),
             inserts: registry.counter("geosir_router_inserts_total", &[]),
             deletes: registry.counter("geosir_router_deletes_total", &[]),
+            in_flight: registry.gauge("geosir_router_in_flight", &[]),
             scrapes: registry.counter("geosir_router_scrapes_total", &[]),
             scrape_misses: registry.counter("geosir_router_scrape_misses_total", &[]),
             scrape_us: registry.histogram("geosir_router_scrape_us", &[]),
             slow_queries: registry.counter("geosir_router_slow_queries_total", &[]),
             slow_log_errors: registry.counter("geosir_router_slow_log_errors_total", &[]),
             slow_log,
-            key_mint: AtomicU64::new(fnv1a64(&[addr.as_bytes(), &std::process::id().to_le_bytes()]) | 1),
+            key_mint: AtomicU64::new(
+                fnv1a64(&[addr.as_bytes(), &std::process::id().to_le_bytes()]) | 1,
+            ),
             stop: AtomicBool::new(false),
+            jobs: Mutex::new(Some(Vec::new())),
+            io: crate::engine::Shared::new()?,
             shards,
             cfg,
             registry,
@@ -528,11 +651,10 @@ impl Router {
             });
             crate::server::install_panic_flight_dump();
         }
-        let accept_state = state.clone();
-        let accept = std::thread::Builder::new()
-            .name("geosir-router-accept".into())
-            .spawn(move || accept_loop(listener, accept_state))?;
-        let mut threads = vec![accept];
+        let loop_state = state.clone();
+        let mut threads = vec![std::thread::Builder::new()
+            .name("geosir-router".into())
+            .spawn(move || route::run(listener, loop_state))?];
         if let Some(obs_listener) = obs_listener {
             let obs_state = state.clone();
             threads.push(
@@ -545,139 +667,20 @@ impl Router {
     }
 }
 
-fn accept_loop(listener: TcpListener, state: Arc<RouterState>) {
-    let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if state.stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let st = state.clone();
-                if let Ok(t) = std::thread::Builder::new()
-                    .name("geosir-router-conn".into())
-                    .spawn(move || connection(stream, st))
-                {
-                    conns.push(t);
-                }
-                conns.retain(|t| !t.is_finished());
-            }
-            Err(_) => {
-                if state.stop.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-        }
-    }
-    for t in conns {
-        let _ = t.join();
-    }
-}
-
-/// Lazily-connected backend clients, one set per router connection so
-/// concurrent client connections never share (or lock) a backend
-/// socket. A backend that errors is dropped and re-dialed on next use —
-/// after a recv timeout the stream may hold half a frame, so the only
-/// safe move is a fresh connection.
-struct Conns {
-    map: HashMap<SocketAddr, PipelinedClient>,
-    connect_timeout: Duration,
-}
-
-impl Conns {
-    fn get(&mut self, addr: SocketAddr) -> Result<&mut PipelinedClient, WireError> {
-        use std::collections::hash_map::Entry;
-        match self.map.entry(addr) {
-            Entry::Occupied(e) => Ok(e.into_mut()),
-            Entry::Vacant(e) => {
-                let stream = TcpStream::connect_timeout(&addr, self.connect_timeout)
-                    .map_err(WireError::Io)?;
-                Ok(e.insert(PipelinedClient::from_stream(stream)?))
-            }
-        }
-    }
-
-    fn poison(&mut self, addr: SocketAddr) {
-        self.map.remove(&addr);
-    }
-}
-
-fn connection(stream: TcpStream, state: Arc<RouterState>) {
-    let _ = stream.set_nodelay(true);
-    // bounded reads so the thread notices shutdown between frames
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let mut write = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut read = stream;
-    let mut conns = Conns { map: HashMap::new(), connect_timeout: state.cfg.connect_timeout };
-    loop {
-        if state.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let (frame, corr, version) = match Frame::read_from_versioned(&mut read) {
-            Ok(x) => x,
-            Err(WireError::Io(e))
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => break,
-        };
-        let shutdown = matches!(frame, Frame::Shutdown);
-        let reply = dispatch(&state, &mut conns, frame);
-        // answer in the version the request arrived in — a pre-v5 client
-        // expects no correlation id and pre-v6 layouts; every reply type
-        // the dispatcher can produce for a vN request exists in vN
-        let mut buf = Vec::with_capacity(64);
-        reply.encode_versioned(version, corr, &mut buf);
-        if write.write_all(&buf).is_err() {
-            break;
-        }
-        if shutdown {
-            state.stop.store(true, Ordering::SeqCst);
-            // wake the accept loops so a joiner is not stuck behind a
-            // blocking accept() that never fires again
-            let _ = TcpStream::connect(state.addr);
-            if let Some(m) = state.metrics_addr {
-                let _ = TcpStream::connect(m);
-            }
-            break;
-        }
-    }
-}
-
-/// One shard's contribution to a scattered query.
-#[allow(clippy::large_enum_variant)] // Down is rare and short-lived
-enum ShardReply {
-    Ok(Frame),
-    Down,
-}
-
 /// One shard's timeline inside a routed query, on the router's clock.
-/// The gather loop drains shards in index order, so `gather_us` for a
-/// later shard overlaps earlier shards' waits — it measures when *this*
-/// shard's answer became available to the merge, not its compute time;
-/// the server-side view is in `server`.
 #[derive(Debug, Clone, Copy)]
 struct ShardSpan {
     /// Backend that produced the accepted reply; `None` if the shard
     /// was dropped from the result.
     addr: Option<SocketAddr>,
-    /// Gather wait for this shard (submit-all → accepted reply), µs.
+    /// Request admitted → this shard's reply accepted (or given up on),
+    /// µs: when the shard stopped holding the merge up.
     gather_us: u64,
     hedged: bool,
     /// Submit-time plus hedge-time failovers for this shard.
     failovers: u32,
     /// The shard's own stage timings, echoed in the v6 reply trailer.
     server: Option<StageTrailer>,
-}
-
-impl ShardSpan {
-    fn down() -> ShardSpan {
-        ShardSpan { addr: None, gather_us: 0, hedged: false, failovers: 0, server: None }
-    }
 }
 
 /// Server-side timings of a reply frame, if the backend echoed them.
@@ -688,271 +691,60 @@ fn reply_trailer(f: &Frame) -> Option<StageTrailer> {
     }
 }
 
-/// Submit `frame` to `addr` and wait up to `window` for the reply,
-/// absorbing `Busy` with jittered waits while `deadline` allows.
-/// On any error the backend connection is poisoned (it may hold a torn
-/// frame) and its breaker takes a strike.
-fn try_backend(
-    state: &RouterState,
-    conns: &mut Conns,
-    shard: usize,
-    addr: SocketAddr,
-    frame: &Frame,
-    window: Duration,
-    deadline: Instant,
-) -> Result<Frame, ()> {
-    let m = &state.per_shard[shard];
-    let mut backoff = Backoff::new(
-        state.cfg.busy_base,
-        state.cfg.busy_cap,
-        deadline.saturating_duration_since(Instant::now()),
-        state.key_mint.fetch_add(KEY_MINT_STEP, Ordering::Relaxed),
-    );
-    loop {
-        let client = match conns.get(addr) {
-            Ok(c) => c,
-            Err(_) => {
-                state.breaker(addr).record(false, &state.cfg);
-                return Err(());
-            }
-        };
-        let io_step = (|| {
-            let win = window.min(deadline.saturating_duration_since(Instant::now()));
-            client.set_read_timeout(Some(win.max(Duration::from_millis(1))))?;
-            let corr = client.submit(frame)?;
-            client.flush()?;
-            client.recv(corr)
-        })();
-        match io_step {
-            Ok(Frame::Busy { retry_after_ms }) => {
-                m.busy_retries.inc();
-                let hint = Duration::from_millis(retry_after_ms as u64);
-                match backoff.next_delay(hint) {
-                    Some(d) if Instant::now() + d < deadline => std::thread::sleep(d),
-                    _ => {
-                        // out of time: Busy is load-shed, not death — no strike
-                        return Err(());
-                    }
-                }
-            }
-            Ok(reply) => {
-                state.breaker(addr).record(true, &state.cfg);
-                return Ok(reply);
-            }
-            Err(_) => {
-                conns.poison(addr);
-                state.breaker(addr).record(false, &state.cfg);
-                return Err(());
-            }
-        }
-    }
+/// The single-node result order: ascending score, ties broken by image
+/// id then shape id.
+fn match_order(a: &WireMatch, b: &WireMatch) -> std::cmp::Ordering {
+    a.score
+        .partial_cmp(&b.score)
+        .unwrap_or(std::cmp::Ordering::Equal)
+        .then(a.image.cmp(&b.image))
+        .then(a.shape.cmp(&b.shape))
 }
 
-/// Scatter `frame` to every shard and gather the replies. Submission
-/// happens to all shards up front so they compute in parallel; the
-/// gather loop then drains each shard under its own deadline, hedging
-/// to the next candidate after `hedge_after`. Alongside each reply a
-/// [`ShardSpan`] records the shard's slice of the routed timeline for
-/// the trace log, flight recorder, and slow-query log.
-fn scatter(
-    state: &RouterState,
-    conns: &mut Conns,
-    frame: &Frame,
-) -> (Vec<ShardReply>, Vec<ShardSpan>) {
-    struct Pending {
-        addr: SocketAddr,
-        corr: u64,
-        tried: Vec<SocketAddr>,
+/// K-way merge of per-shard top-k lists into `out` (cleared first),
+/// retagging ids with their shard. Shard lists arrive in
+/// [`match_order`] already — the single-node retrieval contract — so the
+/// merge only ever compares list heads; `cursors` is its scratch. A
+/// list that breaks the contract demotes the call to sorting the
+/// union: wrong input order must never become wrong output order.
+fn merge_sorted<'a, I>(k: usize, lists: I, cursors: &mut Vec<usize>, out: &mut Vec<WireMatch>)
+where
+    I: Iterator<Item = (u16, &'a [WireMatch])> + Clone,
+{
+    let tagged = |shard: u16, m: &WireMatch| WireMatch {
+        shape: tag_id(shard, m.shape),
+        image: m.image,
+        score: m.score,
+    };
+    out.clear();
+    // within one list the shard tag is constant, so local order is
+    // routed order
+    let sorted = lists
+        .clone()
+        .all(|(_, l)| l.windows(2).all(|w| match_order(&w[0], &w[1]).is_le()));
+    if !sorted {
+        for (shard, l) in lists {
+            out.extend(l.iter().map(|m| tagged(shard, m)));
+        }
+        out.sort_by(match_order);
+        out.truncate(k);
+        return;
     }
-    let start = Instant::now();
-    let deadline = start + state.cfg.shard_deadline;
-    let n = state.shards.len();
-    let mut pending: Vec<Option<Pending>> = Vec::with_capacity(n);
-    let mut out: Vec<ShardReply> = Vec::with_capacity(n);
-    let mut spans: Vec<ShardSpan> = Vec::with_capacity(n);
-    // Phase 1: one submit per shard, first healthy candidate.
-    for shard in 0..n {
-        state.per_shard[shard].queries.inc();
-        let mut sent = None;
-        let mut tried = Vec::new();
-        let mut span = ShardSpan::down();
-        for addr in state.read_candidates(shard) {
-            tried.push(addr);
-            let ok = conns.get(addr).and_then(|c| {
-                let corr = c.submit(frame)?;
-                c.flush()?;
-                Ok(corr)
-            });
-            match ok {
-                Ok(corr) => {
-                    sent = Some(Pending { addr, corr, tried: tried.clone() });
-                    break;
-                }
-                Err(_) => {
-                    conns.poison(addr);
-                    state.breaker(addr).record(false, &state.cfg);
-                    state.per_shard[shard].failovers.inc();
-                    span.failovers += 1;
+    cursors.clear();
+    cursors.resize(lists.clone().count(), 0);
+    while out.len() < k {
+        let mut best: Option<(usize, WireMatch)> = None;
+        for (i, (shard, l)) in lists.clone().enumerate() {
+            if let Some(m) = l.get(cursors[i]) {
+                let m = tagged(shard, m);
+                if best.as_ref().is_none_or(|(_, b)| match_order(&m, b).is_lt()) {
+                    best = Some((i, m));
                 }
             }
         }
-        pending.push(sent);
-        out.push(ShardReply::Down);
-        spans.push(span);
-    }
-    // Phase 2: gather with hedge + failover.
-    for shard in 0..n {
-        let Some(p) = pending[shard].take() else {
-            state.per_shard[shard].dropped.inc();
-            continue;
-        };
-        let m = &state.per_shard[shard];
-        let span = &mut spans[shard];
-        let shard_start = Instant::now();
-        // Wait for the submitted reply; the window is short when a
-        // fallback exists (hedge), the full deadline otherwise.
-        let candidates = state.read_candidates(shard);
-        let has_fallback = candidates.iter().any(|a| !p.tried.contains(a));
-        let window = if has_fallback { state.cfg.hedge_after } else { state.cfg.shard_deadline };
-        let first = wait_reply(state, conns, shard, p.addr, p.corr, frame, window, deadline);
-        let got = match first {
-            Some(reply) => {
-                span.addr = Some(p.addr);
-                Some(reply)
-            }
-            None => {
-                // hedged retry: fresh submit to the next untried candidate
-                let mut got = None;
-                for addr in candidates {
-                    if p.tried.contains(&addr) {
-                        continue;
-                    }
-                    m.hedges.inc();
-                    span.hedged = true;
-                    if let Ok(reply) = try_backend(
-                        state,
-                        conns,
-                        shard,
-                        addr,
-                        frame,
-                        deadline.saturating_duration_since(Instant::now()),
-                        deadline,
-                    ) {
-                        span.addr = Some(addr);
-                        got = Some(reply);
-                        break;
-                    }
-                    m.failovers.inc();
-                    span.failovers += 1;
-                }
-                if got.is_none() && !deadline.saturating_duration_since(Instant::now()).is_zero()
-                {
-                    // Every hedge target was dead, but the original
-                    // backend may have been merely slow — its first
-                    // reply was abandoned with the poisoned connection,
-                    // so give it one fresh submit with whatever deadline
-                    // remains. Scatter only carries idempotent reads, so
-                    // re-running the query is safe.
-                    m.hedges.inc();
-                    span.hedged = true;
-                    got = try_backend(
-                        state,
-                        conns,
-                        shard,
-                        p.addr,
-                        frame,
-                        deadline.saturating_duration_since(Instant::now()),
-                        deadline,
-                    )
-                    .ok();
-                    if got.is_some() {
-                        span.addr = Some(p.addr);
-                    }
-                }
-                got
-            }
-        };
-        m.latency_us.record(shard_start.elapsed().as_micros() as u64);
-        span.gather_us = start.elapsed().as_micros() as u64;
-        match got {
-            Some(reply) => {
-                span.server = reply_trailer(&reply);
-                out[shard] = ShardReply::Ok(reply);
-            }
-            None => {
-                span.addr = None;
-                m.dropped.inc();
-            }
-        }
-    }
-    (out, spans)
-}
-
-/// Drain the pipelined connection for `corr`, absorbing `Busy` retries,
-/// within `window`. `None` poisons the connection (torn frame risk).
-#[allow(clippy::too_many_arguments)]
-fn wait_reply(
-    state: &RouterState,
-    conns: &mut Conns,
-    shard: usize,
-    addr: SocketAddr,
-    corr: u64,
-    frame: &Frame,
-    window: Duration,
-    deadline: Instant,
-) -> Option<Frame> {
-    let m = &state.per_shard[shard];
-    let until = (Instant::now() + window).min(deadline);
-    let mut corr = corr;
-    let mut backoff = Backoff::new(
-        state.cfg.busy_base,
-        state.cfg.busy_cap,
-        window,
-        state.key_mint.fetch_add(KEY_MINT_STEP, Ordering::Relaxed),
-    );
-    loop {
-        let client = match conns.get(addr) {
-            Ok(c) => c,
-            Err(_) => return None,
-        };
-        let win = until.saturating_duration_since(Instant::now());
-        if win.is_zero() {
-            conns.poison(addr);
-            state.breaker(addr).record(false, &state.cfg);
-            return None;
-        }
-        let step = (|| {
-            client.set_read_timeout(Some(win))?;
-            client.recv(corr)
-        })();
-        match step {
-            Ok(Frame::Busy { retry_after_ms }) => {
-                m.busy_retries.inc();
-                let hint = Duration::from_millis(retry_after_ms as u64);
-                match backoff.next_delay(hint) {
-                    Some(d) if Instant::now() + d < until => std::thread::sleep(d),
-                    _ => return None,
-                }
-                let resub = conns.get(addr).and_then(|c| {
-                    let corr = c.submit(frame)?;
-                    c.flush()?;
-                    Ok(corr)
-                });
-                match resub {
-                    Ok(c) => corr = c,
-                    Err(_) => return None,
-                }
-            }
-            Ok(reply) => {
-                state.breaker(addr).record(true, &state.cfg);
-                return Some(reply);
-            }
-            Err(_) => {
-                conns.poison(addr);
-                state.breaker(addr).record(false, &state.cfg);
-                return None;
-            }
-        }
+        let Some((i, m)) = best else { break };
+        cursors[i] += 1;
+        out.push(m);
     }
 }
 
@@ -962,238 +754,736 @@ fn wait_reply(
 /// routed shape id — so on distinct scores a router merge is
 /// bit-identical to a single node holding the union base.
 pub fn merge_topk(k: usize, per_shard: &[(u16, Vec<WireMatch>)]) -> Vec<WireMatch> {
-    let mut all: Vec<WireMatch> = Vec::new();
-    for (shard, matches) in per_shard {
-        all.extend(matches.iter().map(|m| WireMatch {
-            shape: tag_id(*shard, m.shape),
-            image: m.image,
-            score: m.score,
-        }));
-    }
-    all.sort_by(|a, b| {
-        a.score
-            .partial_cmp(&b.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.image.cmp(&b.image))
-            .then(a.shape.cmp(&b.shape))
-    });
-    all.truncate(k);
-    all
+    let mut out = Vec::new();
+    merge_sorted(k, per_shard.iter().map(|(s, l)| (*s, l.as_slice())), &mut Vec::new(), &mut out);
+    out
 }
 
-fn dispatch(state: &RouterState, conns: &mut Conns, mut frame: Frame) -> Frame {
-    // Routed reads get a cluster-wide trace id before the scatter, so
-    // the same key shows up in every shard's server-side trace log, the
-    // router's flight recorder, and the router's slow log. Client ids
-    // pass through untouched; zero means "none", and the router mints
-    // from its key mint so ids never collide across restarts.
-    let trace_id = match &mut frame {
-        Frame::Query { trace, .. } | Frame::QueryApprox { trace, .. } => {
-            if *trace == 0 {
-                *trace = state.key_mint.fetch_add(KEY_MINT_STEP, Ordering::Relaxed) | 1;
-            }
-            *trace
-        }
-        // batch requests carry no trace field on the wire; the router
-        // still records a timeline under a router-minted id
-        Frame::QueryBatch { .. } => state.key_mint.fetch_add(KEY_MINT_STEP, Ordering::Relaxed) | 1,
-        _ => 0,
+fn unavailable(msg: &str) -> Frame {
+    Frame::Error { code: error_code::UNAVAILABLE, message: msg.into() }
+}
+
+/// The router as a role of the connection engine (see the *Routing*
+/// section of the module doc): the in-flight table, the shared backend
+/// connections, the timers, and every state transition between them.
+#[cfg(target_os = "linux")]
+mod route {
+    use std::cmp::Reverse;
+    use std::collections::{BinaryHeap, HashMap, VecDeque};
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::atomic::Ordering;
+    use std::sync::{mpsc, Arc};
+    use std::time::{Duration, Instant};
+
+    use super::{
+        federate, merge_sorted, placement_key, record_routed, reply_trailer, tag_id, topology,
+        unavailable, untag_id, Outcomes, RouterState, ShardSpan,
     };
-    match &frame {
-        Frame::Query { k, .. } => {
-            let k = *k;
-            let started = Instant::now();
-            let (replies, spans) = scatter(state, conns, &frame);
-            let total = state.shards.len() as u16;
-            let mut per_shard = Vec::new();
-            let mut epoch = 0u64;
-            let mut ok = 0u16;
-            for (shard, r) in replies.into_iter().enumerate() {
-                if let ShardReply::Ok(Frame::Matches { epoch: e, matches, .. }) = r {
-                    ok += 1;
-                    epoch = epoch.max(e);
-                    per_shard.push((shard as u16, matches));
+    use crate::client::Backoff;
+    use crate::engine::{self, Admit, Ctx, Slab};
+    use crate::server::ServeConfig;
+    use crate::wire::{error_code, Frame, ServerStats, ShardInfo, WireMatch};
+
+    /// Most sub-requests written to one backend and not yet answered;
+    /// the rest wait router-side, clocks not yet started. Twice the
+    /// node's `coalesce_max`, so a shard worker finishing one coalesced
+    /// batch always finds the next one already queued, while a full
+    /// window of ≈ 0.6 ms queries still drains well inside
+    /// `hedge_after` — queueing inside a shard must never read as a
+    /// slow shard. Measured on `cluster_mixed` (DESIGN §12.3): nothing
+    /// between 16 and 128 is distinguishable from it.
+    const BACKEND_WINDOW: usize = 32;
+    /// Most routed requests in the table; beyond it clients get `Busy`.
+    const MAX_ROUTED: usize = 1024;
+
+    /// Where a finished request's answer goes.
+    enum ReplyTo {
+        /// A client connection of the engine, in its wire version.
+        Client { token: u64, corr: u64, version: u8 },
+        /// Another thread waiting on the raw per-shard outcomes.
+        Chan(mpsc::Sender<Outcomes>),
+    }
+
+    enum SubState {
+        /// In a backend's queue: connection not up yet, or window full.
+        Queued,
+        /// Written; the reply will carry `corr`.
+        Sent { corr: u64 },
+        /// Backend said `Busy`; a retry timer is pending.
+        Backoff,
+        Done,
+    }
+
+    /// One shard's part of a routed request.
+    struct Sub {
+        shard: u16,
+        state: SubState,
+        /// Bumps whenever the sub leaves an attempt; queue entries and
+        /// attempt timers carry the value they were made under.
+        epoch: u32,
+        /// Backends of this shard already attempted (bit = index within
+        /// the shard).
+        tried: u32,
+        /// The current attempt's backend.
+        backend: usize,
+        /// First backend a request was actually written to: the target
+        /// of the last-resort re-submit.
+        first: Option<usize>,
+        /// The first written attempt was lost or slow; every attempt
+        /// since is a hedge.
+        hedging: bool,
+        resubmitted: bool,
+        /// Attempts that failed (writes: the retry budget).
+        failed: u8,
+        /// When the first sub-request left for a backend. Latency, the
+        /// hedge window and the deadline all count from here, never
+        /// from admission: time spent queued router-side is the
+        /// router's, not the shard's.
+        written_at: Option<Instant>,
+        hedge_until: Option<Instant>,
+        deadline: Instant,
+        backoff: Option<Backoff>,
+        span: ShardSpan,
+        reply: Option<Frame>,
+    }
+
+    /// One routed request: an entry of the in-flight table.
+    struct Routed {
+        reply: ReplyTo,
+        /// What every sub-request carries (reads: the request itself
+        /// with its trace id; writes: key minted / id untagged).
+        frame: Frame,
+        /// Primary only, retried, never failed over.
+        write: bool,
+        trace_id: u64,
+        started: Instant,
+        subs: Vec<Sub>,
+        /// Subs not yet `Done`.
+        open: usize,
+    }
+
+    /// The router's single connection to one backend, shared by every
+    /// client.
+    struct Backend {
+        /// Engine token of the connection, while one exists.
+        peer: Option<u64>,
+        up: bool,
+        /// Distinguishes this connect attempt's timeout timer.
+        conn_epoch: u32,
+        next_corr: u64,
+        /// Written and unanswered: correlation id → (request, sub). An
+        /// abandoned attempt is removed, so its late reply finds
+        /// nothing here and is dropped.
+        sent: HashMap<u64, (u64, u16)>,
+        /// Waiting for the connection or for window room.
+        queue: VecDeque<(u64, u16, u32)>,
+        /// A timeout already struck the breaker this tick: a stall that
+        /// expires a whole window at once is one event.
+        struck: bool,
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    enum TimerKind {
+        /// `id` = backend: connect did not finish in `connect_timeout`.
+        Connect,
+        /// `id` = request: the first attempt outlived `hedge_after`.
+        Hedge,
+        /// `id` = request: the sub outlived `shard_deadline`.
+        Deadline,
+        /// `id` = request: a `Busy` backoff elapsed.
+        Retry,
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    struct Timer {
+        at: Instant,
+        kind: TimerKind,
+        id: u64,
+        sub: u16,
+        epoch: u32,
+    }
+
+    pub(super) struct RouterLoop {
+        st: Arc<RouterState>,
+        backends: Vec<Backend>,
+        /// The in-flight table. Request tokens are generation-checked,
+        /// so timers and queue entries of a finished request resolve
+        /// to nothing.
+        table: Slab<Routed>,
+        /// Min-heap of pending clocks; stale entries are skipped lazily.
+        timers: BinaryHeap<Reverse<Timer>>,
+        /// Backends with queued work to look at.
+        dirty: Vec<usize>,
+        /// Requests whose last sub just finished.
+        finished: Vec<u64>,
+        client_window: u32,
+        /// Recycled merge output and k-way cursors.
+        merge_buf: Vec<WireMatch>,
+        cursors: Vec<usize>,
+    }
+
+    /// Whether a backend-queue entry still stands for a waiting sub: the
+    /// request may have finished, or the sub moved on, while it waited.
+    fn still_queued(table: &mut Slab<Routed>, &(req, si, epoch): &(u64, u16, u32)) -> bool {
+        table.get_mut(req).is_some_and(|e| {
+            let s = &e.subs[si as usize];
+            s.epoch == epoch && matches!(s.state, SubState::Queued)
+        })
+    }
+
+    /// Serve until stopped, then release everyone who might be waiting
+    /// on this thread.
+    pub(super) fn run(listener: TcpListener, st: Arc<RouterState>) {
+        let mut handler = RouterLoop::new(st.clone());
+        engine::run(listener, &st.io, &mut handler);
+        // senders still queued or held by table entries drop here, so a
+        // thread blocked in `gather` wakes with an all-dropped outcome
+        *st.jobs.lock().unwrap() = None;
+        drop(handler);
+        st.stop.store(true, Ordering::SeqCst);
+        if let Some(m) = st.metrics_addr {
+            let _ = TcpStream::connect(m); // wake the HTTP accept loop
+        }
+    }
+
+    impl RouterLoop {
+        fn new(st: Arc<RouterState>) -> RouterLoop {
+            let backends = st
+                .backend_addrs
+                .iter()
+                .map(|_| Backend {
+                    peer: None,
+                    up: false,
+                    conn_epoch: 0,
+                    next_corr: 1, // 0 means "no correlation id" on the wire
+                    sent: HashMap::new(),
+                    queue: VecDeque::new(),
+                    struck: false,
+                })
+                .collect();
+            RouterLoop {
+                st,
+                backends,
+                table: Slab::new(0),
+                timers: BinaryHeap::new(),
+                dirty: Vec::new(),
+                finished: Vec::new(),
+                client_window: ServeConfig::default().max_in_flight,
+                merge_buf: Vec::new(),
+                cursors: Vec::new(),
+            }
+        }
+
+        fn sub(&mut self, req: u64, si: u16) -> Option<&mut Sub> {
+            self.table.get_mut(req).map(|e| &mut e.subs[si as usize])
+        }
+
+        /// Admit a request into the table and set every sub on its way:
+        /// one sub per shard, or the one shard a write belongs to.
+        fn start(
+            &mut self,
+            cx: &mut Ctx<'_>,
+            reply: ReplyTo,
+            frame: Frame,
+            trace_id: u64,
+            write_to: Option<u16>,
+        ) {
+            let now = Instant::now();
+            let shards = match write_to {
+                Some(s) => s..s + 1,
+                None => 0..self.st.shards.len() as u16,
+            };
+            let new_sub = |shard| Sub {
+                shard,
+                state: SubState::Queued,
+                epoch: 0,
+                tried: 0,
+                backend: 0,
+                first: None,
+                hedging: false,
+                resubmitted: false,
+                failed: 0,
+                written_at: None,
+                hedge_until: None,
+                deadline: now,
+                backoff: None,
+                span: ShardSpan { addr: None, gather_us: 0, hedged: false, failovers: 0, server: None },
+                reply: None,
+            };
+            let subs: Vec<Sub> = shards.map(new_sub).collect();
+            let n = subs.len();
+            let write = write_to.is_some();
+            let req = self.table.insert(Routed {
+                reply,
+                frame,
+                write,
+                trace_id,
+                started: now,
+                subs,
+                open: n,
+            });
+            self.st.in_flight.set(self.table.len() as i64);
+            for si in 0..n as u16 {
+                self.first_attempt(req, si);
+            }
+            self.settle(cx);
+        }
+
+        /// Put the sub in `backend`'s queue under its current epoch.
+        fn enqueue(&mut self, req: u64, si: u16, backend: usize) {
+            let entry = self.table.get_mut(req).expect("caller holds a live sub");
+            let sub = &mut entry.subs[si as usize];
+            sub.tried |= 1 << (backend - self.st.base[sub.shard as usize]);
+            sub.backend = backend;
+            sub.state = SubState::Queued;
+            self.backends[backend].queue.push_back((req, si, sub.epoch));
+            self.dirty.push(backend);
+        }
+
+        /// First untried backend of `shard` whose breaker admits a
+        /// request, primary first.
+        fn pick(&self, shard: u16, tried: u32) -> Option<usize> {
+            let range = self.st.backends_of(shard as usize);
+            let base = range.start;
+            range.into_iter().find(|&b| tried & (1 << (b - base)) == 0 && self.st.breakers[b].allow())
+        }
+
+        fn first_attempt(&mut self, req: u64, si: u16) {
+            let entry = self.table.get_mut(req).expect("just admitted");
+            let shard = entry.subs[si as usize].shard;
+            let primary = self.st.base[shard as usize];
+            let backend = if entry.write {
+                primary // a forked replica is worse than a refused write
+            } else {
+                self.st.per_shard[shard as usize].queries.inc();
+                // every breaker refusing is no reason to drop the shard
+                // silently forever: probe the primary
+                self.pick(shard, 0).unwrap_or(primary)
+            };
+            self.enqueue(req, si, backend);
+        }
+
+        /// The sub's current attempt is over without an accepted reply
+        /// (its correlation id, if any, is already forgotten). Move on:
+        /// retry a write on its primary, fail a read over or hedge it
+        /// to the next candidate, re-submit to the first backend as a
+        /// last resort, or give the shard up.
+        fn attempt_failed(&mut self, req: u64, si: u16, written: bool) {
+            let now = Instant::now();
+            let Some(entry) = self.table.get_mut(req) else { return };
+            let write = entry.write;
+            let retry_write = matches!(entry.frame, Frame::Insert { .. });
+            let sub = &mut entry.subs[si as usize];
+            if matches!(sub.state, SubState::Done) {
+                return;
+            }
+            sub.epoch = sub.epoch.wrapping_add(1);
+            sub.failed += 1;
+            sub.backoff = None;
+            let in_time = sub.written_at.is_none() || now < sub.deadline;
+            if write {
+                // writes retry the primary once (the router-minted key
+                // makes a re-sent Insert idempotent), never a replica
+                let backend = sub.backend;
+                if retry_write && sub.failed < 2 && in_time {
+                    self.enqueue(req, si, backend);
+                } else {
+                    self.sub_done(req, si, now);
+                }
+                return;
+            }
+            let m = &self.st.per_shard[sub.shard as usize];
+            if sub.hedging || !written {
+                // a hedge target failed, or the request never left:
+                // plain failover
+                m.failovers.inc();
+                sub.span.failovers += 1;
+            } else {
+                sub.hedging = true;
+            }
+            let (shard, tried, hedging) = (sub.shard, sub.tried, sub.hedging);
+            let next = self.pick(shard, tried).or_else(|| {
+                // Every other candidate is dead, but the first backend
+                // may have been merely slow and its reply abandoned:
+                // one fresh submit with whatever deadline remains.
+                // Scatter only carries idempotent reads.
+                let sub = self.sub(req, si)?;
+                let again = sub.first.filter(|_| hedging && !sub.resubmitted && in_time);
+                sub.resubmitted |= again.is_some();
+                again
+            });
+            match next {
+                Some(backend) => {
+                    if hedging {
+                        self.st.per_shard[shard as usize].hedges.inc();
+                        self.sub(req, si).expect("checked above").span.hedged = true;
+                    }
+                    self.enqueue(req, si, backend);
+                }
+                None => self.sub_done(req, si, now),
+            }
+        }
+
+        /// The sub is settled — `reply` holds the accepted answer, or
+        /// nothing when the shard is dropped from the result.
+        fn sub_done(&mut self, req: u64, si: u16, now: Instant) {
+            let Some(entry) = self.table.get_mut(req) else { return };
+            let (write, started) = (entry.write, entry.started);
+            let sub = &mut entry.subs[si as usize];
+            sub.state = SubState::Done;
+            if !write {
+                let m = &self.st.per_shard[sub.shard as usize];
+                // write → accepted reply (or give-up), this shard's own
+                // stopwatch: see DESIGN §12.5 on why not gather order
+                if let Some(t) = sub.written_at {
+                    m.latency_us.record(now.duration_since(t).as_micros() as u64);
+                }
+                sub.span.gather_us = now.duration_since(started).as_micros() as u64;
+                if sub.reply.is_none() {
+                    sub.span.addr = None;
+                    m.dropped.inc();
                 }
             }
-            let reply = if ok == 0 {
-                unavailable("no shard answered the query")
-            } else {
-                if ok < total {
-                    state.partial_replies.inc();
-                }
-                Frame::Matches {
-                    epoch,
-                    shards: ShardInfo { ok, total },
-                    trailer: None,
-                    matches: merge_topk(k as usize, &per_shard),
-                }
-            };
-            record_routed(state, trace_id, "routed_query", started, &spans, ok, epoch);
-            reply
+            entry.open -= 1;
+            if entry.open == 0 {
+                self.finished.push(req);
+            }
         }
-        Frame::QueryApprox { k, .. } => {
-            let k = *k;
-            let started = Instant::now();
-            let (replies, spans) = scatter(state, conns, &frame);
-            let total = state.shards.len() as u16;
-            let mut per_shard = Vec::new();
-            let (mut epoch, mut ok) = (0u64, 0u16);
-            let (mut tier, mut radius) = (0u8, 0u16);
-            let (mut probed, mut cands, mut copies, mut rr) = (0u64, 0u64, 0u64, 0u64);
-            for (shard, r) in replies.into_iter().enumerate() {
-                if let ShardReply::Ok(Frame::ApproxMatches {
-                    epoch: e,
-                    tier: t,
-                    radius: rad,
-                    buckets_probed,
-                    candidates,
-                    corpus_copies,
-                    reranked,
-                    matches,
-                    ..
-                }) = r
-                {
-                    ok += 1;
-                    epoch = epoch.max(e);
-                    tier = tier.max(t);
-                    radius = radius.max(rad);
-                    probed += buckets_probed;
-                    cands += candidates;
-                    copies += corpus_copies;
-                    rr += reranked;
-                    per_shard.push((shard as u16, matches));
+
+        /// Forget the sub's written attempt, if it has one: the window
+        /// slot frees now, and the reply — should it still come — is
+        /// dropped on arrival. The silence is the backend's strike.
+        fn abandon(&mut self, req: u64, si: u16) {
+            let Some(sub) = self.sub(req, si) else { return };
+            let SubState::Sent { corr } = sub.state else { return };
+            let b = sub.backend;
+            let be = &mut self.backends[b];
+            be.sent.remove(&corr);
+            self.dirty.push(b);
+            if !be.struck {
+                be.struck = true;
+                self.st.breakers[b].record(false, &self.st.cfg);
+            }
+        }
+
+        /// Run queued work to quiescence: write what the windows allow,
+        /// answer what finished. Failures inside only ever append to the
+        /// two work lists, so this is the one loop that drains them.
+        fn settle(&mut self, cx: &mut Ctx<'_>) {
+            loop {
+                if let Some(b) = self.dirty.pop() {
+                    self.pump(cx, b);
+                } else if let Some(req) = self.finished.pop() {
+                    self.finish(cx, req);
+                } else {
+                    break;
                 }
             }
-            let reply = if ok == 0 {
-                unavailable("no shard answered the query")
-            } else {
-                if ok < total {
-                    state.partial_replies.inc();
-                }
-                Frame::ApproxMatches {
-                    epoch,
-                    tier,
-                    radius,
-                    buckets_probed: probed,
-                    candidates: cands,
-                    corpus_copies: copies,
-                    reranked: rr,
-                    shards: ShardInfo { ok, total },
-                    trailer: None,
-                    matches: merge_topk(k as usize, &per_shard),
-                }
-            };
-            record_routed(state, trace_id, "routed_query_approx", started, &spans, ok, epoch);
-            reply
         }
-        Frame::QueryBatch { k, shapes } => {
-            let (k, nq) = (*k, shapes.len());
-            let started = Instant::now();
-            let (replies, spans) = scatter(state, conns, &frame);
-            let mut epoch = 0u64;
-            let mut ok = 0u16;
-            let mut per_query: Vec<Vec<(u16, Vec<WireMatch>)>> = vec![Vec::new(); nq];
-            for (shard, r) in replies.into_iter().enumerate() {
-                if let ShardReply::Ok(Frame::BatchMatches { epoch: e, results }) = r {
-                    ok += 1;
-                    epoch = epoch.max(e);
-                    for (qi, matches) in results.into_iter().enumerate().take(nq) {
-                        per_query[qi].push((shard as u16, matches));
+
+        /// Move backend `b` forward: dial it if work waits and no
+        /// connection exists, write queued sub-requests while the
+        /// window has room.
+        fn pump(&mut self, cx: &mut Ctx<'_>, b: usize) {
+            let RouterLoop { st, backends, table, timers, .. } = self;
+            let be = &mut backends[b];
+            let Some(peer) = be.peer else {
+                be.queue.retain(|item| still_queued(table, item));
+                if be.queue.is_empty() {
+                    return;
+                }
+                match cx.connect(st.backend_addrs[b]) {
+                    Ok(peer) => {
+                        be.peer = Some(peer);
+                        be.conn_epoch = be.conn_epoch.wrapping_add(1);
+                        timers.push(Reverse(Timer {
+                            at: Instant::now() + st.cfg.connect_timeout,
+                            kind: TimerKind::Connect,
+                            id: b as u64,
+                            sub: 0,
+                            epoch: be.conn_epoch,
+                        }));
+                    }
+                    Err(_) => self.backend_down(cx, b),
+                }
+                return;
+            };
+            if !be.up {
+                return;
+            }
+            while be.sent.len() < BACKEND_WINDOW {
+                let Some(item) = be.queue.pop_front() else { break };
+                if !still_queued(table, &item) {
+                    continue; // the request moved on while this waited
+                }
+                let (req, si, epoch) = item;
+                let entry = table.get_mut(req).expect("still_queued() found it");
+                let corr = be.next_corr;
+                be.next_corr = be.next_corr.wrapping_add(1).max(1);
+                if cx.send(peer, &entry.frame, corr).is_err() {
+                    be.queue.push_front(item);
+                    self.backend_down(cx, b);
+                    return;
+                }
+                be.sent.insert(corr, (req, si));
+                let sub = &mut entry.subs[si as usize];
+                sub.state = SubState::Sent { corr };
+                if sub.written_at.is_some() {
+                    continue; // a later attempt runs on the first one's clocks
+                }
+                let now = Instant::now();
+                sub.written_at = Some(now);
+                sub.first = Some(b);
+                sub.deadline = now + st.cfg.shard_deadline;
+                let timer = |at, kind| Reverse(Timer { at, kind, id: req, sub: si, epoch });
+                timers.push(timer(sub.deadline, TimerKind::Deadline));
+                // hedge only when there is somewhere to hedge to;
+                // otherwise the first backend keeps the whole deadline
+                let range = st.backends_of(sub.shard as usize);
+                let base = range.start;
+                let fallback = !entry.write
+                    && range.into_iter().any(|o| {
+                        sub.tried & (1 << (o - base)) == 0 && st.breakers[o].would_allow()
+                    });
+                if fallback {
+                    let at = now + st.cfg.hedge_after;
+                    sub.hedge_until = Some(at);
+                    timers.push(timer(at, TimerKind::Hedge));
+                }
+            }
+        }
+
+        /// Backend `b`'s connection is gone or never came up: one event,
+        /// one breaker strike, and every sub-request written to it or
+        /// queued for it moves on together.
+        fn backend_down(&mut self, cx: &mut Ctx<'_>, b: usize) {
+            let be = &mut self.backends[b];
+            if let Some(peer) = be.peer.take() {
+                cx.close(peer);
+            }
+            be.up = false;
+            self.st.breakers[b].record(false, &self.st.cfg);
+            let sent: Vec<(u64, u16)> = be.sent.drain().map(|(_, v)| v).collect();
+            let queue: Vec<(u64, u16, u32)> = be.queue.drain(..).collect();
+            for (req, si) in sent {
+                self.attempt_failed(req, si, true);
+            }
+            for item in queue {
+                if still_queued(&mut self.table, &item) {
+                    self.attempt_failed(item.0, item.1, false);
+                }
+            }
+        }
+
+        fn backend_of(&self, peer: u64) -> Option<usize> {
+            self.backends.iter().position(|be| be.peer == Some(peer))
+        }
+
+        /// `Busy` is load-shed, not death: wait out the jittered
+        /// backoff (the server's hint is its floor) and re-send to the
+        /// same backend, as long as the wait fits the attempt's window.
+        fn on_busy(&mut self, req: u64, si: u16, retry_after_ms: u32) {
+            let now = Instant::now();
+            let (base, cap, seed) = (self.st.cfg.busy_base, self.st.cfg.busy_cap, self.st.mint());
+            let Some(sub) = self.sub(req, si) else { return };
+            let limit = sub.hedge_until.filter(|_| !sub.hedging).unwrap_or(sub.deadline);
+            let backoff = sub.backoff.get_or_insert_with(|| {
+                Backoff::new(base, cap, limit.saturating_duration_since(now), seed)
+            });
+            let (shard, epoch) = (sub.shard, sub.epoch);
+            match backoff.next_delay(Duration::from_millis(retry_after_ms as u64)) {
+                Some(d) if now + d < limit => {
+                    sub.state = SubState::Backoff;
+                    let t = Timer { at: now + d, kind: TimerKind::Retry, id: req, sub: si, epoch };
+                    self.timers.push(Reverse(t));
+                }
+                // out of time on this backend — no strike
+                _ => self.attempt_failed(req, si, true),
+            }
+            self.st.per_shard[shard as usize].busy_retries.inc();
+        }
+
+        /// Whether `t` still means anything: its request is in the
+        /// table and the sub (or connect attempt) has not moved on.
+        fn timer_live(&mut self, t: &Timer) -> bool {
+            if t.kind == TimerKind::Connect {
+                let be = &self.backends[t.id as usize];
+                return be.peer.is_some() && !be.up && be.conn_epoch == t.epoch;
+            }
+            let Some(sub) = self.sub(t.id, t.sub) else { return false };
+            match (t.kind, &sub.state) {
+                (_, SubState::Done) => false,
+                (TimerKind::Deadline, _) => true,
+                (TimerKind::Hedge, _) => sub.epoch == t.epoch,
+                (TimerKind::Retry, SubState::Backoff) => sub.epoch == t.epoch,
+                (TimerKind::Retry | TimerKind::Connect, _) => false,
+            }
+        }
+
+        fn fire(&mut self, cx: &mut Ctx<'_>, t: Timer, now: Instant) {
+            if !self.timer_live(&t) {
+                return;
+            }
+            match t.kind {
+                TimerKind::Connect => self.backend_down(cx, t.id as usize),
+                TimerKind::Hedge => {
+                    self.abandon(t.id, t.sub);
+                    self.attempt_failed(t.id, t.sub, true);
+                }
+                TimerKind::Deadline => {
+                    self.abandon(t.id, t.sub);
+                    self.sub_done(t.id, t.sub, now);
+                }
+                TimerKind::Retry => {
+                    let backend = self.sub(t.id, t.sub).expect("timer_live found it").backend;
+                    self.enqueue(t.id, t.sub, backend);
+                }
+            }
+        }
+
+        /// Every sub is settled: take the entry out of the table and
+        /// answer whoever asked.
+        fn finish(&mut self, cx: &mut Ctx<'_>, req: u64) {
+            let Some(mut entry) = self.table.remove(req) else { return };
+            self.st.in_flight.set(self.table.len() as i64);
+            match entry.reply {
+                ReplyTo::Chan(ref tx) => {
+                    let _ = tx.send(entry.subs.drain(..).map(|s| (s.span.addr, s.reply)).collect());
+                }
+                ReplyTo::Client { token, corr, version } => {
+                    let reply = self.merged_reply(&entry);
+                    cx.reply(token, corr, version, &reply);
+                    if let Frame::Matches { matches, .. } | Frame::ApproxMatches { matches, .. } = reply
+                    {
+                        self.merge_buf = matches;
                     }
                 }
             }
-            let reply = if ok == 0 {
-                unavailable("no shard answered the batch")
-            } else {
-                if (ok as usize) < state.shards.len() {
-                    state.partial_replies.inc();
-                }
-                Frame::BatchMatches {
-                    epoch,
-                    results: per_query.iter().map(|ps| merge_topk(k as usize, ps)).collect(),
-                }
-            };
-            record_routed(state, trace_id, "routed_batch", started, &spans, ok, epoch);
-            reply
         }
-        Frame::Insert { image, key, trace, shape } => {
-            let (image, key, trace) = (*image, *key, *trace);
-            state.inserts.inc();
-            // placement: hash the payload so client retries (same key,
-            // same shape) land on the same shard
-            let mut bytes = Vec::with_capacity(shape.points.len() * 16 + 16);
-            bytes.extend_from_slice(&image.to_le_bytes());
-            bytes.extend_from_slice(&[shape.closed as u8]);
-            for (x, y) in &shape.points {
-                bytes.extend_from_slice(&x.to_bits().to_le_bytes());
-                bytes.extend_from_slice(&y.to_bits().to_le_bytes());
-            }
-            if key != 0 {
-                bytes.extend_from_slice(&key.to_le_bytes());
-            }
-            let shard = state.ring.route(fnv1a64(&[&bytes]));
-            // mint an idempotency key when the client sent none, so the
-            // router's own hedge/retry can never double-insert
-            let key = if key != 0 {
-                key
-            } else {
-                state.key_mint.fetch_add(KEY_MINT_STEP, Ordering::Relaxed) | 1
+
+        /// Fold the per-shard replies of a finished request into the one
+        /// reply its client gets.
+        fn merged_reply(&mut self, entry: &Routed) -> Frame {
+            let st = &*self.st;
+            let subs = &entry.subs;
+            let kind = match &entry.frame {
+                Frame::Query { .. } => "routed_query",
+                Frame::QueryApprox { .. } => "routed_query_approx",
+                Frame::QueryBatch { .. } => "routed_batch",
+                _ => return forwarded_reply(st, entry),
             };
-            let routed = Frame::Insert { image, key, trace, shape: shape.clone() };
-            let primary = state.shards[shard as usize].primary;
-            let deadline = Instant::now() + state.cfg.shard_deadline;
-            // writes go to the primary only — retry, never fail over
-            for _attempt in 0..2 {
-                match try_backend(
-                    state,
-                    conns,
-                    shard as usize,
-                    primary,
-                    &routed,
-                    state.cfg.shard_deadline,
-                    deadline,
-                ) {
-                    Ok(Frame::Inserted { epoch, id }) => {
-                        return Frame::Inserted { epoch, id: tag_id(shard, id) };
+            let epochs = subs.iter().filter_map(|s| match &s.reply {
+                Some(
+                    Frame::Matches { epoch, .. }
+                    | Frame::ApproxMatches { epoch, .. }
+                    | Frame::BatchMatches { epoch, .. },
+                ) => Some(*epoch),
+                _ => None,
+            });
+            let ok = epochs.clone().count() as u16;
+            let epoch = epochs.max().unwrap_or(0);
+            let spans = subs.iter().map(|s| &s.span);
+            record_routed(st, entry.trace_id, kind, entry.started, spans, ok, epoch);
+            if ok == 0 {
+                return unavailable("no shard answered the query");
+            }
+            let shards = ShardInfo { ok, total: st.shards.len() as u16 };
+            if shards.is_partial() {
+                st.partial_replies.inc();
+            }
+            let lists = subs.iter().filter_map(|s| match &s.reply {
+                Some(Frame::Matches { matches, .. } | Frame::ApproxMatches { matches, .. }) => {
+                    Some((s.shard, matches.as_slice()))
+                }
+                _ => None,
+            });
+            let mut matches = std::mem::take(&mut self.merge_buf);
+            match &entry.frame {
+                Frame::Query { k, .. } => {
+                    merge_sorted(*k as usize, lists, &mut self.cursors, &mut matches);
+                    Frame::Matches { epoch, shards, trailer: None, matches }
+                }
+                Frame::QueryApprox { k, .. } => {
+                    merge_sorted(*k as usize, lists, &mut self.cursors, &mut matches);
+                    // the funnel of the whole cluster: work sums, the
+                    // deepest tier and widest radius any shard needed
+                    let (mut tier, mut radius) = (0u8, 0u16);
+                    let (mut probed, mut cands, mut copies, mut rr) = (0u64, 0u64, 0u64, 0u64);
+                    for s in subs {
+                        if let Some(Frame::ApproxMatches {
+                            tier: t,
+                            radius: r,
+                            buckets_probed,
+                            candidates,
+                            corpus_copies,
+                            reranked,
+                            ..
+                        }) = &s.reply
+                        {
+                            tier = tier.max(*t);
+                            radius = radius.max(*r);
+                            probed += buckets_probed;
+                            cands += candidates;
+                            copies += corpus_copies;
+                            rr += reranked;
+                        }
                     }
-                    Ok(other) => return other,
-                    Err(()) if Instant::now() < deadline => continue,
-                    Err(()) => break,
+                    Frame::ApproxMatches {
+                        epoch,
+                        tier,
+                        radius,
+                        buckets_probed: probed,
+                        candidates: cands,
+                        corpus_copies: copies,
+                        reranked: rr,
+                        shards,
+                        trailer: None,
+                        matches,
+                    }
                 }
-            }
-            unavailable("owning shard primary is unreachable")
-        }
-        Frame::Delete { id } => {
-            let id = *id;
-            state.deletes.inc();
-            let (shard, local) = untag_id(id);
-            if shard as usize >= state.shards.len() {
-                return Frame::Error {
-                    code: error_code::MALFORMED,
-                    message: format!("id {id:#x} tags unknown shard {shard}"),
-                };
-            }
-            let primary = state.shards[shard as usize].primary;
-            let deadline = Instant::now() + state.cfg.shard_deadline;
-            match try_backend(
-                state,
-                conns,
-                shard as usize,
-                primary,
-                &Frame::Delete { id: local },
-                state.cfg.shard_deadline,
-                deadline,
-            ) {
-                Ok(reply) => reply,
-                Err(()) => unavailable("owning shard primary is unreachable"),
+                Frame::QueryBatch { k, shapes } => {
+                    self.merge_buf = matches; // each batch result owns its list
+                    let results = (0..shapes.len())
+                        .map(|qi| {
+                            let lists = subs.iter().filter_map(|s| match &s.reply {
+                                Some(Frame::BatchMatches { results, .. }) => {
+                                    results.get(qi).map(|l| (s.shard, l.as_slice()))
+                                }
+                                _ => None,
+                            });
+                            let mut out = Vec::new();
+                            merge_sorted(*k as usize, lists, &mut self.cursors, &mut out);
+                            out
+                        })
+                        .collect();
+                    Frame::BatchMatches { epoch, results }
+                }
+                _ => unreachable!("kind matched a read above"),
             }
         }
-        Frame::Stats => {
-            let (replies, _spans) = scatter(state, conns, &Frame::Stats);
-            let mut agg = ServerStats::default();
-            let mut any = false;
-            for r in replies {
-                if let ShardReply::Ok(Frame::StatsReport(s)) = r {
+    }
+
+    /// The reply to a finished write (the primary's own answer, its id
+    /// retagged) or admin scatter (the shards' answers folded together).
+    fn forwarded_reply(st: &RouterState, entry: &Routed) -> Frame {
+        let subs = &entry.subs;
+        match &entry.frame {
+            Frame::Insert { .. } => match &subs[0].reply {
+                Some(Frame::Inserted { epoch, id }) => {
+                    Frame::Inserted { epoch: *epoch, id: tag_id(subs[0].shard, *id) }
+                }
+                Some(other) => other.clone(),
+                None => unavailable("owning shard primary is unreachable"),
+            },
+            Frame::Delete { .. } => match &subs[0].reply {
+                Some(reply) => reply.clone(),
+                None => unavailable("owning shard primary is unreachable"),
+            },
+            Frame::Stats => {
+                let mut agg = ServerStats::default();
+                let mut any = false;
+                for sub in subs {
+                    let Some(Frame::StatsReport(s)) = &sub.reply else { continue };
                     any = true;
                     agg.epoch = agg.epoch.max(s.epoch);
                     agg.live_shapes += s.live_shapes;
@@ -1221,32 +1511,190 @@ fn dispatch(state: &RouterState, conns: &mut Conns, mut frame: Frame) -> Frame {
                     agg.last_recovery_us = agg.last_recovery_us.max(s.last_recovery_us);
                     agg.io_errors += s.io_errors;
                 }
+                if any {
+                    Frame::StatsReport(agg)
+                } else {
+                    unavailable("no shard answered stats")
+                }
             }
-            if !any {
-                return unavailable("no shard answered stats");
+            Frame::MetricsDump => {
+                let mut bytes = Vec::with_capacity(4096);
+                federate(st, entry.started, subs.iter().map(|s| s.reply.as_ref()))
+                    .encode(&mut bytes);
+                Frame::MetricsReport { snapshot: bytes }
             }
-            Frame::StatsReport(agg)
+            _ => unreachable!("only routable frames enter the table"),
         }
-        Frame::MetricsDump => {
-            let mut bytes = Vec::with_capacity(4096);
-            federated_snapshot(state, conns).encode(&mut bytes);
-            Frame::MetricsReport { snapshot: bytes }
-        }
-        Frame::Topology => Frame::TopologyReport { shards: topology(state) },
-        Frame::Explain { .. } => Frame::Error {
-            code: error_code::UNAVAILABLE,
-            message: "EXPLAIN is not routable; run it against a shard directly".into(),
-        },
-        Frame::Shutdown => Frame::Bye,
-        _ => Frame::Error {
-            code: error_code::UNEXPECTED_FRAME,
-            message: "response frame sent as a request".into(),
-        },
     }
-}
 
-fn unavailable(msg: &str) -> Frame {
-    Frame::Error { code: error_code::UNAVAILABLE, message: msg.into() }
+    impl engine::Handler for RouterLoop {
+        fn max_in_flight(&self) -> u32 {
+            self.client_window
+        }
+
+        fn on_request(
+            &mut self,
+            cx: &mut Ctx<'_>,
+            token: u64,
+            mut frame: Frame,
+            corr: u64,
+            version: u8,
+        ) -> Admit {
+            let st = &*self.st;
+            let mut trace_id = 0;
+            let write_to = match &mut frame {
+                // Routed reads get a cluster-wide trace id before the
+                // scatter, so the same key shows up in every shard's
+                // server-side trace log, the router's flight recorder,
+                // and the router's slow log. Client ids pass through
+                // untouched; zero means "none", and the router mints
+                // from its key mint so ids never collide across restarts.
+                Frame::Query { trace, .. } | Frame::QueryApprox { trace, .. } => {
+                    if *trace == 0 {
+                        *trace = st.mint();
+                    }
+                    trace_id = *trace;
+                    None
+                }
+                // batch requests carry no trace field on the wire; the
+                // router still records a timeline under a minted id
+                Frame::QueryBatch { .. } => {
+                    trace_id = st.mint();
+                    None
+                }
+                Frame::Stats | Frame::MetricsDump => None,
+                Frame::Insert { image, key, shape, .. } => {
+                    // placement: hash the payload so client retries
+                    // (same key, same shape) land on the same shard
+                    let shard = st.ring.route(placement_key(*image, *key, shape));
+                    // mint an idempotency key when the client sent
+                    // none, so the router's own retry can never
+                    // double-insert
+                    if *key == 0 {
+                        *key = st.mint();
+                    }
+                    Some(shard)
+                }
+                Frame::Delete { id } => {
+                    let (shard, local) = untag_id(*id);
+                    if shard as usize >= st.shards.len() {
+                        return Admit::Reply(Frame::Error {
+                            code: error_code::MALFORMED,
+                            message: format!("id {id:#x} tags unknown shard {shard}"),
+                        });
+                    }
+                    *id = local;
+                    Some(shard)
+                }
+                Frame::Topology => {
+                    return Admit::Reply(Frame::TopologyReport { shards: topology(st) })
+                }
+                Frame::Explain { .. } => {
+                    return Admit::Reply(Frame::Error {
+                        code: error_code::UNAVAILABLE,
+                        message: "EXPLAIN is not routable; run it against a shard directly".into(),
+                    })
+                }
+                Frame::Shutdown => {
+                    st.stop.store(true, Ordering::SeqCst);
+                    return Admit::Close(Frame::Bye);
+                }
+                _ => {
+                    return Admit::Reply(Frame::Error {
+                        code: error_code::UNEXPECTED_FRAME,
+                        message: "response frame sent as a request".into(),
+                    })
+                }
+            };
+            if self.table.len() >= MAX_ROUTED {
+                // shed at the edge like a node with a full queue
+                let retry_after_ms = st.cfg.busy_cap.as_millis().clamp(1, 10_000) as u32;
+                return Admit::Reply(Frame::Busy { retry_after_ms });
+            }
+            match frame {
+                Frame::Insert { .. } => st.inserts.inc(),
+                Frame::Delete { .. } => st.deletes.inc(),
+                _ => {}
+            }
+            self.start(cx, ReplyTo::Client { token, corr, version }, frame, trace_id, write_to);
+            Admit::Pending
+        }
+
+        fn shutting_down(&self) -> bool {
+            self.st.stop.load(Ordering::SeqCst)
+        }
+
+        fn exit_ready(&self) -> bool {
+            self.shutting_down()
+        }
+
+        fn on_tick(&mut self, cx: &mut Ctx<'_>) {
+            let jobs = match self.st.jobs.lock().unwrap().as_mut() {
+                Some(q) if !q.is_empty() => std::mem::take(q),
+                _ => Vec::new(),
+            };
+            for job in jobs {
+                self.start(cx, ReplyTo::Chan(job.reply), job.frame, 0, None);
+            }
+            let now = Instant::now();
+            let mut fired = false;
+            while self.timers.peek().is_some_and(|t| t.0.at <= now) {
+                let Reverse(t) = self.timers.pop().expect("peeked");
+                self.fire(cx, t, now);
+                fired = true;
+            }
+            if fired {
+                for be in &mut self.backends {
+                    be.struck = false;
+                }
+                self.settle(cx);
+            }
+        }
+
+        fn next_deadline(&mut self) -> Option<Instant> {
+            while let Some(Reverse(t)) = self.timers.peek().copied() {
+                if self.timer_live(&t) {
+                    return Some(t.at);
+                }
+                self.timers.pop();
+            }
+            None
+        }
+
+        fn on_peer_up(&mut self, cx: &mut Ctx<'_>, peer: u64) {
+            let Some(b) = self.backend_of(peer) else { return };
+            self.backends[b].up = true;
+            self.dirty.push(b);
+            self.settle(cx);
+        }
+
+        fn on_peer_frame(&mut self, cx: &mut Ctx<'_>, peer: u64, frame: Frame, corr: u64) {
+            let Some(b) = self.backend_of(peer) else { return };
+            // a reply nobody waits for any more (its hedge fired, its
+            // deadline passed): framing is intact, so drop the frame
+            // and keep the connection
+            let Some((req, si)) = self.backends[b].sent.remove(&corr) else { return };
+            self.dirty.push(b); // a window slot freed
+            self.st.breakers[b].record(true, &self.st.cfg);
+            let addr = self.st.backend_addrs[b];
+            if let Frame::Busy { retry_after_ms } = frame {
+                self.on_busy(req, si, retry_after_ms);
+            } else if let Some(sub) = self.sub(req, si) {
+                sub.span.addr = Some(addr);
+                sub.span.server = reply_trailer(&frame);
+                sub.reply = Some(frame);
+                self.sub_done(req, si, Instant::now());
+            }
+            self.settle(cx);
+        }
+
+        fn on_peer_down(&mut self, cx: &mut Ctx<'_>, peer: u64) {
+            let Some(b) = self.backend_of(peer) else { return };
+            self.backends[b].peer = None; // the engine already closed it
+            self.backend_down(cx, b);
+            self.settle(cx);
+        }
+    }
 }
 
 /// `TraceEvent` stage names are `&'static str` by design (zero
@@ -1272,32 +1720,33 @@ static SHARD_SRV_NOTES: [&str; 8] = [
 /// threshold. This is the router-side half of cross-shard trace
 /// assembly: the shard-side half lives in each server's own trace log
 /// under the same `trace_id`.
-fn record_routed(
+fn record_routed<'a>(
     state: &RouterState,
     trace_id: u64,
     kind: &'static str,
     started: Instant,
-    spans: &[ShardSpan],
+    spans: impl Iterator<Item = &'a ShardSpan> + Clone,
     shards_ok: u16,
     epoch: u64,
 ) {
     let total_us = started.elapsed().as_micros() as u64;
-    let hedges = spans.iter().filter(|s| s.hedged).count() as u32;
-    let failovers: u32 = spans.iter().map(|s| s.failovers).sum();
+    let shards_total = spans.clone().count();
+    let hedges = spans.clone().filter(|s| s.hedged).count() as u32;
+    let failovers: u32 = spans.clone().map(|s| s.failovers).sum();
     // Downstream queueing attribution: the worst queue wait any shard
     // reported for this query.
-    let queue_us = spans.iter().filter_map(|s| s.server.map(|t| t.queue_us)).max().unwrap_or(0);
+    let queue_us = spans.clone().filter_map(|s| s.server.map(|t| t.queue_us)).max().unwrap_or(0);
 
     let mut ev = obs::TraceEvent::new(trace_id, kind);
     ev.total_us = total_us;
-    for (i, span) in spans.iter().enumerate() {
+    for (i, span) in spans.clone().enumerate() {
         ev.stage(SHARD_STAGES[i.min(SHARD_STAGES.len() - 1)], span.gather_us);
         if let Some(t) = span.server {
             ev.note(SHARD_SRV_NOTES[i.min(SHARD_SRV_NOTES.len() - 1)], t.total_us);
         }
     }
     ev.note("shards_ok", shards_ok as u64)
-        .note("shards_total", spans.len() as u64)
+        .note("shards_total", shards_total as u64)
         .note("hedges", hedges as u64)
         .note("failovers", failovers as u64);
     state.registry.traces().push(ev);
@@ -1309,7 +1758,7 @@ fn record_routed(
         queue_us,
         rings: hedges,
         levels: shards_ok as u32,
-        candidates: spans.len() as u64,
+        candidates: shards_total as u64,
         scored: failovers,
         epoch,
         termination: 0,
@@ -1322,14 +1771,13 @@ fn record_routed(
     state.slow_queries.inc();
     // Hand-rolled JSON like the shard slow log: socket addresses are
     // the only strings and contain no characters needing escapes.
-    let mut line = String::with_capacity(160 + spans.len() * 120);
+    let mut line = String::with_capacity(160 + shards_total * 120);
     line.push_str(&format!(
         "{{\"trace_id\":{trace_id},\"kind\":\"{kind}\",\"total_us\":{total_us},\
-         \"shards_ok\":{shards_ok},\"shards_total\":{},\"hedges\":{hedges},\
-         \"failovers\":{failovers},\"epoch\":{epoch},\"shards\":[",
-        spans.len()
+         \"shards_ok\":{shards_ok},\"shards_total\":{shards_total},\"hedges\":{hedges},\
+         \"failovers\":{failovers},\"epoch\":{epoch},\"shards\":["
     ));
-    for (i, span) in spans.iter().enumerate() {
+    for (i, span) in spans.enumerate() {
         if i > 0 {
             line.push(',');
         }
@@ -1356,38 +1804,27 @@ fn record_routed(
     }
 }
 
-/// Pull every backend's metrics over the wire and merge them with the
-/// router's own registry into one cluster view. Each shard contributes
-/// twice: once relabeled `shard="N"` (per-shard series) and once
-/// unlabeled (cluster totals — counters and histogram buckets sum,
-/// gauges follow their declared [`obs::GaugePolicy`]). The first
-/// healthy backend per shard wins; a shard with no reachable backend
-/// is skipped and counted in `geosir_router_scrape_misses_total`, so
-/// merged totals can undercount during an outage — the per-shard
-/// series make the gap visible.
-fn federated_snapshot(state: &RouterState, conns: &mut Conns) -> obs::Snapshot {
-    let scrape_start = Instant::now();
+/// Merge every shard's `MetricsDump` reply (`replies`, in shard order;
+/// `None` = the shard was dropped) with the router's own registry into
+/// one cluster view. Each shard contributes twice: once relabeled
+/// `shard="N"` (per-shard series) and once unlabeled (cluster totals —
+/// counters and histogram buckets sum, gauges follow their declared
+/// [`obs::GaugePolicy`]). A shard with no usable reply is skipped and
+/// counted in `geosir_router_scrape_misses_total`, so merged totals can
+/// undercount during an outage — the per-shard series make the gap
+/// visible.
+fn federate<'a>(
+    state: &RouterState,
+    scrape_start: Instant,
+    replies: impl Iterator<Item = Option<&'a Frame>>,
+) -> obs::Snapshot {
     let mut out = state.registry.snapshot();
-    for shard in 0..state.shards.len() {
-        let deadline = Instant::now() + state.cfg.shard_deadline;
-        let mut got = None;
-        for addr in state.read_candidates(shard) {
-            if let Ok(Frame::MetricsReport { snapshot }) = try_backend(
-                state,
-                conns,
-                shard,
-                addr,
-                &Frame::MetricsDump,
-                state.cfg.shard_deadline,
-                deadline,
-            ) {
-                if let Some(snap) = obs::Snapshot::decode(&snapshot) {
-                    got = Some(snap);
-                    break;
-                }
-            }
-        }
-        match got {
+    for (shard, reply) in replies.enumerate() {
+        let snap = match reply {
+            Some(Frame::MetricsReport { snapshot }) => obs::Snapshot::decode(snapshot),
+            _ => None,
+        };
+        match snap {
             Some(snap) => {
                 out.merge(&snap.relabeled("shard", &shard.to_string()));
                 out.merge(&snap);
@@ -1407,38 +1844,41 @@ fn federated_snapshot(state: &RouterState, conns: &mut Conns) -> obs::Snapshot {
 }
 
 /// Accept loop for the router's HTTP observability plane. Scrapes are
-/// rare next to queries, so one thread with its own backend
-/// connections is plenty — and it keeps scrape traffic off the query
-/// path's sockets entirely.
+/// rare next to queries, so one thread is plenty; whatever needs the
+/// shards ([`RouterState::gather`]) runs as a scatter inside the router
+/// loop, on the same backend connections queries use, and only the
+/// merging and rendering happen here.
 fn obs_loop(listener: TcpListener, state: Arc<RouterState>) {
-    let mut conns = Conns { map: HashMap::new(), connect_timeout: state.cfg.connect_timeout };
     for stream in listener.incoming() {
         if state.stop.load(Ordering::SeqCst) {
             break;
         }
         if let Ok(mut stream) = stream {
-            let _ = serve_obs(&mut stream, &state, &mut conns);
+            let _ = serve_obs(&mut stream, &state);
         }
     }
 }
 
-fn serve_obs(stream: &mut TcpStream, state: &RouterState, conns: &mut Conns) -> io::Result<()> {
+fn serve_obs(stream: &mut TcpStream, state: &RouterState) -> io::Result<()> {
     use obs::expo::{read_request_path, respond};
     let Some(path) = read_request_path(stream)? else {
         return Ok(());
     };
     match path.as_str() {
         "/metrics" => {
-            let body = obs::expo::render_prometheus(&federated_snapshot(state, conns));
+            let start = Instant::now();
+            let outcomes = state.gather(Frame::MetricsDump);
+            let snap = federate(state, start, outcomes.iter().map(|(_, f)| f.as_ref()));
+            let body = obs::expo::render_prometheus(&snap);
             respond(stream, 200, "text/plain; version=0.0.4", &body)
         }
         "/healthz" => {
             // The router's liveness is the obs loop itself: answering at
-            // all proves the accept loop and its backend plumbing run.
+            // all proves the accept loop runs.
             respond(stream, 200, "application/json", "{\"status\":\"ok\",\"role\":\"router\"}")
         }
         "/readyz" => {
-            let (status, body) = router_readyz(state, conns);
+            let (status, body) = router_readyz(state);
             respond(stream, status, "application/json", &body)
         }
         "/debug/cluster" => respond(stream, 200, "application/json", &cluster_json(state)),
@@ -1465,32 +1905,21 @@ fn serve_obs(stream: &mut TcpStream, state: &RouterState, conns: &mut Conns) -> 
 /// ready when some backend answered, its own watchdog published
 /// `geosir_ready=1` (absent = health plane disabled = trusted), and the
 /// primary's breaker is not open (reads may fail over, writes cannot).
-fn router_readyz(state: &RouterState, conns: &mut Conns) -> (u16, String) {
+fn router_readyz(state: &RouterState) -> (u16, String) {
     const COMPONENTS: [&str; 4] = ["wal_writer", "event_loop", "queues", "slo"];
+    let outcomes = state.gather(Frame::MetricsDump);
     let local = state.registry.snapshot();
     let mut all_ready = true;
     let mut out = String::with_capacity(128 + state.shards.len() * 256);
     out.push_str("\"shards\":[");
-    for (shard, spec) in state.shards.iter().enumerate() {
-        let deadline = Instant::now() + state.cfg.shard_deadline;
-        let mut got = None;
-        for addr in state.read_candidates(shard) {
-            if let Ok(Frame::MetricsReport { snapshot }) = try_backend(
-                state,
-                conns,
-                shard,
-                addr,
-                &Frame::MetricsDump,
-                state.cfg.shard_deadline,
-                deadline,
-            ) {
-                if let Some(snap) = obs::Snapshot::decode(&snapshot) {
-                    got = Some((addr, snap));
-                    break;
-                }
+    for (shard, (source, reply)) in outcomes.iter().enumerate() {
+        let got = match (source, reply) {
+            (Some(addr), Some(Frame::MetricsReport { snapshot })) => {
+                obs::Snapshot::decode(snapshot).map(|snap| (addr, snap))
             }
-        }
-        let breaker = state.breaker(spec.primary).code();
+            _ => None,
+        };
+        let breaker = state.breakers[state.base[shard]].code();
         let lbl = shard.to_string();
         let lag_records = local.gauge("geosir_replication_lag_records", &[("shard", &lbl)]);
         let lag_ms = local.gauge("geosir_replication_lag_ms", &[("shard", &lbl)]);
@@ -1606,11 +2035,12 @@ fn topology(state: &RouterState) -> Vec<WireShardStatus> {
             WireShardStatus {
                 shard: i as u16,
                 primary: spec.primary.to_string(),
-                primary_state: state.breaker(spec.primary).code(),
+                primary_state: state.breakers[state.base[i]].code(),
                 replicas: spec
                     .replicas
                     .iter()
-                    .map(|r| (r.to_string(), state.breaker(*r).code()))
+                    .zip(&state.breakers[state.base[i] + 1..])
+                    .map(|(r, b)| (r.to_string(), b.code()))
                     .collect(),
                 lag_records: snap.gauge("geosir_replication_lag_records", lbl).max(0) as u64,
                 lag_ms: snap.gauge("geosir_replication_lag_ms", lbl).max(0) as u64,
@@ -1841,6 +2271,42 @@ mod tests {
             // 64 vnodes/shard keeps imbalance well under 2x
             assert!(c > 4_000 && c < 20_000, "badly skewed ring: {counts:?}");
         }
+    }
+
+    /// Placement decides which shard directory holds a shape: the
+    /// streamed hash must keep producing what the byte-buffer version
+    /// did, or existing data directories stop matching their ring.
+    #[test]
+    fn placement_of_known_payloads_is_pinned() {
+        let shape = |closed, points: &[(f64, f64)]| WireShape { closed, points: points.to_vec() };
+        let cases = [
+            (7, 0, shape(true, &[(0.0, 0.0), (3.0, 0.2), (1.5, 2.0)]), 0x78da_944a_a22b_de2d, [0, 2, 6]),
+            (31, 0xDEAD_BEEF, shape(false, &[(-1.25, 4.5), (2.0, -0.5)]), 0x36b2_2601_d1e3_b782, [0, 0, 0]),
+            (
+                0,
+                1,
+                shape(true, &[(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]),
+                0xc081_57c1_2d0f_a8bd,
+                [1, 2, 2],
+            ),
+        ];
+        for (image, key, shape, hash, owners) in cases {
+            let got = placement_key(image, key, &shape);
+            assert_eq!(got, hash, "payload hash of image {image} drifted");
+            for (shards, owner) in [2u16, 4, 7].into_iter().zip(owners) {
+                assert_eq!(Ring::new(shards).route(got), owner, "image {image} on {shards} shards");
+            }
+        }
+    }
+
+    #[test]
+    fn merge_falls_back_to_sorting_when_a_shard_breaks_the_order() {
+        let m = |shape, score| WireMatch { shape, image: 0, score };
+        let unsorted = vec![m(1, 0.9), m(2, 0.1)];
+        let sorted = vec![m(3, 0.5)];
+        let merged = merge_topk(2, &[(0, unsorted), (1, sorted)]);
+        let scores: Vec<f64> = merged.iter().map(|m| m.score).collect();
+        assert_eq!(scores, [0.1, 0.5]);
     }
 
     #[test]

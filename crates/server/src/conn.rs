@@ -1,6 +1,9 @@
-//! Per-connection state for the readiness-driven serve path: an arena
-//! receive buffer frames are decoded straight out of (no per-frame
-//! read allocation), and an outbox that survives partial writes.
+//! Per-connection state for the connection engine: an arena receive
+//! buffer frames are decoded straight out of (no per-frame read
+//! allocation), and an outbox that survives partial writes. The same
+//! type serves an accepted client socket and an outbound connection the
+//! engine dialed (the router's backends) — only who sends requests and
+//! who sends replies differs.
 //!
 //! The event loop owns every [`Conn`] and drives it strictly from
 //! readiness edges: on a readable edge, [`Conn::fill`] pulls bytes until
@@ -100,7 +103,7 @@ pub(crate) enum FillOutcome {
 pub(crate) struct Conn {
     pub(crate) stream: TcpStream,
     pub(crate) recv: FrameBuf,
-    /// Encoded reply frames awaiting the socket, oldest first.
+    /// Encoded frames awaiting the socket, oldest first.
     outbox: VecDeque<Vec<u8>>,
     /// Bytes of `outbox[0]` already written (partial-write resume).
     out_off: usize,
@@ -120,6 +123,9 @@ pub(crate) struct Conn {
     /// correlation id: the pipelining window collapses to one so reply
     /// order matches request order.
     pub(crate) serial: bool,
+    /// Outbound connection whose handshake has not finished: the first
+    /// `EPOLLOUT` edge (or an error edge) settles it.
+    pub(crate) connecting: bool,
 }
 
 impl Conn {
@@ -134,6 +140,7 @@ impl Conn {
             want_write: false,
             read_eof: false,
             serial: false,
+            connecting: false,
         }
     }
 
@@ -153,10 +160,10 @@ impl Conn {
         }
     }
 
-    /// Queue an encoded reply and opportunistically flush: replies to
+    /// Queue an encoded frame and opportunistically flush: replies to
     /// fast requests usually leave in the same loop iteration they were
     /// produced in, with no extra epoll round trip.
-    pub(crate) fn push_reply(&mut self, bytes: Vec<u8>, pool: &mut Vec<Vec<u8>>) -> io::Result<()> {
+    pub(crate) fn enqueue(&mut self, bytes: Vec<u8>, pool: &mut Vec<Vec<u8>>) -> io::Result<()> {
         self.outbox.push_back(bytes);
         self.flush(pool)
     }

@@ -1,9 +1,12 @@
 //! # geosir-serve — concurrent retrieval server
 //!
 //! A standalone TCP service exposing the GeoSIR dynamic shape base over
-//! a length-prefixed binary protocol, built on `std::net` threads:
+//! a length-prefixed binary protocol, built on `std::net`:
 //!
 //! - [`wire`] — versioned, checksummed frame codec ([`wire::Frame`]).
+//! - `engine` (private, Linux) — the epoll connection engine: one
+//!   readiness loop parameterised by a frame handler, which the node
+//!   and the cluster router both serve from.
 //! - [`server`] — listener / worker-pool / single-writer architecture
 //!   with snapshot-isolated queries and bounded-queue backpressure
 //!   ([`server::serve`]), plus the durable variant
@@ -36,6 +39,8 @@ pub mod cluster;
 #[cfg(target_os = "linux")]
 mod conn;
 pub mod durable;
+#[cfg(target_os = "linux")]
+mod engine;
 pub mod health;
 pub mod metrics;
 #[cfg(target_os = "linux")]

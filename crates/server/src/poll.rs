@@ -1,18 +1,21 @@
 //! Minimal epoll + eventfd bindings over raw syscalls — std-only, no
 //! libc crate (the workspace builds offline with no new dependencies).
 //!
-//! The event loop in [`crate::server`] drives every connection from one
+//! The event loop in [`crate::engine`] drives every connection from one
 //! thread with edge-triggered readiness: [`Poller::wait`] parks until a
 //! socket changes state (or [`Waker::wake`] fires from a worker thread
 //! posting a completion), and the loop then reads/writes until
-//! `WouldBlock`. Only epoll and eventfd need raw syscalls; sockets stay
-//! ordinary nonblocking `std::net` types.
+//! `WouldBlock`. Only epoll, eventfd and the non-blocking outbound
+//! connect ([`connect_nonblocking`] — `std::net` can only dial
+//! blocking) need raw syscalls; sockets stay ordinary nonblocking
+//! `std::net` types.
 //!
 //! Linux-only by construction (`target_os = "linux"` gate in `lib.rs`);
-//! other platforms keep the thread-per-connection serve path.
+//! other platforms keep the node's thread-per-connection serve path.
 
 use std::io;
-use std::os::fd::RawFd;
+use std::net::{SocketAddr, TcpStream};
+use std::os::fd::{FromRawFd, RawFd};
 
 /// Readiness flags (uapi `epoll.h`).
 pub const EPOLLIN: u32 = 0x1;
@@ -48,6 +51,8 @@ mod sys {
     const SYS_READ: usize = 0;
     const SYS_WRITE: usize = 1;
     const SYS_CLOSE: usize = 3;
+    const SYS_SOCKET: usize = 41;
+    const SYS_CONNECT: usize = 42;
     const SYS_EPOLL_WAIT: usize = 232;
     const SYS_EPOLL_CTL: usize = 233;
     const SYS_EVENTFD2: usize = 290;
@@ -93,6 +98,12 @@ mod sys {
     pub unsafe fn close(fd: usize) -> isize {
         syscall4(SYS_CLOSE, fd, 0, 0, 0)
     }
+    pub unsafe fn socket(family: usize, kind: usize) -> isize {
+        syscall4(SYS_SOCKET, family, kind, 0, 0)
+    }
+    pub unsafe fn connect(fd: usize, addr: usize, len: usize) -> isize {
+        syscall4(SYS_CONNECT, fd, addr, len, 0)
+    }
 }
 
 #[cfg(target_arch = "aarch64")]
@@ -104,6 +115,8 @@ mod sys {
     const SYS_CLOSE: usize = 57;
     const SYS_READ: usize = 63;
     const SYS_WRITE: usize = 64;
+    const SYS_SOCKET: usize = 198;
+    const SYS_CONNECT: usize = 203;
 
     /// aarch64 syscall ABI: nr in x8, args in x0..x5, result in x0.
     #[inline]
@@ -154,10 +167,17 @@ mod sys {
     pub unsafe fn close(fd: usize) -> isize {
         syscall6(SYS_CLOSE, fd, 0, 0, 0, 0, 0)
     }
+    pub unsafe fn socket(family: usize, kind: usize) -> isize {
+        syscall6(SYS_SOCKET, family, kind, 0, 0, 0, 0)
+    }
+    pub unsafe fn connect(fd: usize, addr: usize, len: usize) -> isize {
+        syscall6(SYS_CONNECT, fd, addr, len, 0, 0, 0)
+    }
 }
 
 const EINTR: i32 = 4;
 const EAGAIN: i32 = 11;
+const EINPROGRESS: i32 = 115;
 
 fn check(ret: isize) -> io::Result<usize> {
     if ret < 0 {
@@ -291,6 +311,51 @@ impl Drop for Waker {
 unsafe impl Send for Waker {}
 unsafe impl Sync for Waker {}
 
+/// Start a TCP connect without waiting for it: the returned stream is
+/// non-blocking and (usually) still in `SYN_SENT`. Register it with the
+/// poller; the first `EPOLLOUT` edge means the handshake finished and
+/// [`TcpStream::take_error`] says how, `EPOLLERR`/`EPOLLHUP` mean it
+/// failed. The router dials its backends through this so a dead shard
+/// never parks the loop for a connect timeout.
+pub fn connect_nonblocking(addr: &SocketAddr) -> io::Result<TcpStream> {
+    const AF_INET: u16 = 2;
+    const AF_INET6: u16 = 10;
+    const SOCK_STREAM: usize = 1;
+    const SOCK_NONBLOCK: usize = 0o4000;
+    const SOCK_CLOEXEC: usize = 0o2000000;
+    // `sockaddr_in` (16 bytes) / `sockaddr_in6` (28 bytes): family in
+    // host order, port and address in network order.
+    let mut sa = [0u8; 28];
+    let (family, len) = match addr {
+        SocketAddr::V4(a) => {
+            sa[4..8].copy_from_slice(&a.ip().octets());
+            (AF_INET, 16)
+        }
+        SocketAddr::V6(a) => {
+            sa[4..8].copy_from_slice(&a.flowinfo().to_ne_bytes());
+            sa[8..24].copy_from_slice(&a.ip().octets());
+            sa[24..28].copy_from_slice(&a.scope_id().to_ne_bytes());
+            (AF_INET6, 28)
+        }
+    };
+    sa[0..2].copy_from_slice(&family.to_ne_bytes());
+    sa[2..4].copy_from_slice(&addr.port().to_be_bytes());
+    // SAFETY: socket(2) takes no pointers.
+    let fd = check(unsafe {
+        sys::socket(family as usize, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC)
+    })? as RawFd;
+    // SAFETY: `fd` was just created and nothing else owns it; the
+    // stream closes it on drop, including on the error path below.
+    let stream = unsafe { TcpStream::from_raw_fd(fd) };
+    // SAFETY: `sa` outlives the call and `len` never exceeds its size.
+    match check(unsafe { sys::connect(fd as usize, sa.as_ptr() as usize, len) }) {
+        Ok(_) => Ok(stream),
+        // the handshake continues in the kernel either way
+        Err(e) if matches!(e.raw_os_error(), Some(EINPROGRESS) | Some(EINTR)) => Ok(stream),
+        Err(e) => Err(e),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,6 +426,31 @@ mod tests {
         }));
 
         poller.delete(server_side.as_raw_fd()).unwrap();
+    }
+
+    #[test]
+    fn nonblocking_connect_reports_success_and_refusal() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let poller = Poller::new().unwrap();
+        let mut events = [EpollEvent::default(); 4];
+
+        let ok = connect_nonblocking(&addr).unwrap();
+        poller.add(ok.as_raw_fd(), 1).unwrap();
+        let n = poller.wait(&mut events, 1000).unwrap();
+        assert!((0..n).any(|i| events[i].data == 1 && events[i].events & EPOLLOUT != 0));
+        assert!(ok.take_error().unwrap().is_none(), "handshake completed");
+        assert_eq!(ok.peer_addr().unwrap(), addr);
+        poller.delete(ok.as_raw_fd()).unwrap();
+
+        // nobody listens there any more: the failure arrives as an event
+        drop(listener);
+        let refused = connect_nonblocking(&addr).unwrap();
+        poller.add(refused.as_raw_fd(), 2).unwrap();
+        let n = poller.wait(&mut events, 1000).unwrap();
+        assert!((0..n).any(|i| {
+            events[i].data == 2 && events[i].events & (EPOLLERR | EPOLLHUP) != 0
+        }));
     }
 
     #[test]

@@ -22,10 +22,12 @@
 //! ```
 //!
 //! **Readiness-driven I/O (Linux).** One event-loop thread owns every
-//! connection: an edge-triggered epoll poller (raw syscalls, no libc —
-//! see [`crate::poll`]) reports readiness, and the loop reads each
-//! ready socket to `WouldBlock` into a per-connection arena, peels off
-//! complete frames ([`crate::conn`]), and submits them to the worker
+//! connection. The loop itself is the crate's connection engine
+//! (`engine.rs`, shared with the cluster router; the node is the
+//! `NodeHandler` role below): an edge-triggered epoll poller (raw
+//! syscalls, no libc — `poll.rs`) reports readiness, and the loop reads
+//! each ready socket to `WouldBlock` into a per-connection arena, peels
+//! off complete frames (`conn.rs`), and submits them to the worker
 //! queues without ever blocking. Workers reply by encoding into pooled
 //! buffers, posting them on a completion list, and waking the loop
 //! through an eventfd; the loop matches completions to live connections
@@ -86,7 +88,7 @@ use crate::health::{
 };
 use crate::metrics::{Metrics, ReqKind};
 use crate::wire::{
-    error_code, Frame, ServerStats, StageTrailer, WireError, WireMatch, PROTOCOL_VERSION,
+    error_code, Frame, ServerStats, StageTrailer, WireError, WireMatch,
 };
 
 /// Server tuning knobs.
@@ -389,7 +391,7 @@ enum ReplyTo {
     Chan(mpsc::Sender<Frame>),
     /// Event-loop connection: post encoded bytes + wake the poller.
     #[cfg(target_os = "linux")]
-    Conn { io: Arc<IoShared>, token: u64, corr: u64, version: u8 },
+    Conn { io: Arc<crate::engine::Shared>, token: u64, corr: u64, version: u8 },
 }
 
 impl ReplyTo {
@@ -399,12 +401,7 @@ impl ReplyTo {
                 let _ = tx.send(frame);
             }
             #[cfg(target_os = "linux")]
-            ReplyTo::Conn { io, token, corr, version } => {
-                let mut buf = io.pool.lock().unwrap().pop().unwrap_or_default();
-                frame.encode_versioned(*version, *corr, &mut buf);
-                io.completions.lock().unwrap().push((*token, buf));
-                io.waker.wake();
-            }
+            ReplyTo::Conn { io, token, corr, version } => io.complete(*token, *corr, *version, &frame),
         }
     }
 }
@@ -1300,31 +1297,32 @@ fn spawn_serve_path(
     core: Vec<std::thread::JoinHandle<()>>,
     shared: &Arc<Shared>,
 ) -> std::io::Result<Vec<std::thread::JoinHandle<()>>> {
-    let io = match IoShared::new() {
+    let io = match crate::engine::Shared::new() {
         Ok(io) => Arc::new(io),
         Err(_) => return spawn_threaded_path(listener, core, shared),
     };
+    let io_exit = Arc::new(AtomicBool::new(false));
     let mut threads = Vec::new();
-    let io2 = io.clone();
+    let (io2, exit2) = (io.clone(), io_exit.clone());
     threads.push(
         std::thread::Builder::new().name("geosir-reaper".into()).spawn(move || {
             for t in core {
                 let _ = t.join();
             }
-            io2.io_exit.store(true, Ordering::SeqCst);
-            io2.waker.wake();
+            exit2.store(true, Ordering::SeqCst);
+            io2.wake();
         })?,
     );
     // Hand the watchdog a handle to the loop's eventfd: an otherwise
     // idle loop (epoll timeout -1) is pinged each watchdog interval so a
     // fresh tick stamp proves it can still run.
     let io3 = io.clone();
-    shared.health.set_waker(Box::new(move || io3.waker.wake()));
-    let shared = shared.clone();
+    shared.health.set_waker(Box::new(move || io3.wake()));
+    let mut handler = NodeHandler { shared: shared.clone(), io: io.clone(), io_exit };
     threads.push(
         std::thread::Builder::new()
             .name("geosir-io".into())
-            .spawn(move || io_loop(listener, io, &shared))?,
+            .spawn(move || crate::engine::run(listener, &io, &mut handler))?,
     );
     Ok(threads)
 }
@@ -1354,364 +1352,86 @@ fn spawn_threaded_path(
     Ok(core)
 }
 
-/// State shared between the event loop and the workers completing its
-/// requests: the poller itself, the eventfd that wakes it, finished
-/// replies, and the recycled encode buffers.
+/// The node as a role of the connection engine: requests are admitted
+/// to the worker queues (or refused on the spot), replies come back
+/// from the workers through [`crate::engine::Shared::complete`].
 #[cfg(target_os = "linux")]
-struct IoShared {
-    poller: crate::poll::Poller,
-    waker: crate::poll::Waker,
-    /// Finished replies awaiting delivery: (connection token, bytes).
-    completions: Mutex<Vec<(u64, Vec<u8>)>>,
-    /// Recycled reply buffers (bounded; see [`crate::conn::recycle`]).
-    pool: Mutex<Vec<Vec<u8>>>,
+struct NodeHandler {
+    shared: Arc<Shared>,
+    io: Arc<crate::engine::Shared>,
     /// Set by the reaper once every worker and the writer have exited:
     /// all completions are posted, the loop flushes and leaves.
-    io_exit: AtomicBool,
+    io_exit: Arc<AtomicBool>,
 }
 
 #[cfg(target_os = "linux")]
-impl IoShared {
-    fn new() -> std::io::Result<IoShared> {
-        Ok(IoShared {
-            poller: crate::poll::Poller::new()?,
-            waker: crate::poll::Waker::new()?,
-            completions: Mutex::new(Vec::new()),
-            pool: Mutex::new(Vec::new()),
-            io_exit: AtomicBool::new(false),
-        })
-    }
-}
-
-/// The readiness-driven serve path: every connection multiplexed on one
-/// thread, edge-triggered. See the module doc for the full picture.
-#[cfg(target_os = "linux")]
-fn io_loop(listener: TcpListener, io: Arc<IoShared>, shared: &Arc<Shared>) {
-    use crate::conn::{self, Conn, FillOutcome};
-    use crate::poll;
-    use std::os::fd::AsRawFd;
-
-    const LISTENER_TOKEN: u64 = u64::MAX;
-    const WAKER_TOKEN: u64 = u64::MAX - 1;
-    /// How long the exit path keeps flushing unsent replies.
-    const EXIT_GRACE: Duration = Duration::from_millis(250);
-
-    if listener.set_nonblocking(true).is_err()
-        || io.poller.add_read_level(listener.as_raw_fd(), LISTENER_TOKEN).is_err()
-        || io.poller.add_read_level(io.waker.fd(), WAKER_TOKEN).is_err()
-    {
-        shared.metrics.io_errors.inc();
-        return;
+impl crate::engine::Handler for NodeHandler {
+    fn max_in_flight(&self) -> u32 {
+        self.shared.cfg.max_in_flight
     }
 
-    // Connection slab: tokens are (generation << 32) | slot, so a
-    // completion addressed to a connection that died and whose slot was
-    // reused cannot be misdelivered.
-    let mut slots: Vec<Option<Conn>> = Vec::new();
-    let mut gens: Vec<u32> = Vec::new();
-    let mut free: Vec<usize> = Vec::new();
-
-    let mut events = vec![poll::EpollEvent::default(); 1024];
-    let mut pool: Vec<Vec<u8>> = Vec::new(); // local recycle staging
-    let mut comps: Vec<(u64, Vec<u8>)> = Vec::new();
-    let mut touched: Vec<usize> = Vec::new(); // conns to pump this round
-    let mut dead: Vec<usize> = Vec::new();
-    let mut exit_deadline: Option<Instant> = None;
-
-    loop {
-        let timeout = if exit_deadline.is_some() { 10 } else { -1 };
-        let n = match io.poller.wait(&mut events, timeout) {
-            Ok(n) => n,
-            Err(_) => {
-                shared.metrics.io_errors.inc();
-                break;
-            }
-        };
-        shared.metrics.poll_wakeups.inc();
-        shared.metrics.poll_events.record(n as u64);
-        shared.health.stamp_loop_tick();
-
-        touched.clear();
-        dead.clear();
-        let mut accept_wake = false;
-        for ev in &events[..n] {
-            let token = ev.data;
-            if token == LISTENER_TOKEN {
-                accept_wake = true;
-                continue;
-            }
-            if token == WAKER_TOKEN {
-                io.waker.drain();
-                continue;
-            }
-            let idx = (token & 0xFFFF_FFFF) as usize;
-            let generation = (token >> 32) as u32;
-            if idx >= slots.len() || gens[idx] != generation {
-                continue; // stale event for a recycled slot
-            }
-            let Some(c) = slots[idx].as_mut() else { continue };
-            let flags = ev.events;
-            if flags & (poll::EPOLLERR | poll::EPOLLHUP) != 0 {
-                dead.push(idx);
-                continue;
-            }
-            if flags & poll::EPOLLOUT != 0 && c.want_write && c.flush(&mut pool).is_err() {
-                dead.push(idx);
-                continue;
-            }
-            if flags & (poll::EPOLLIN | poll::EPOLLRDHUP) != 0 {
-                match c.fill() {
-                    FillOutcome::Drained => touched.push(idx),
-                    FillOutcome::Eof => {
-                        // half-close: parse and answer what's buffered,
-                        // deliver outstanding replies, then close
-                        c.read_eof = true;
-                        touched.push(idx);
-                    }
-                    FillOutcome::Err => dead.push(idx),
-                }
-            }
-        }
-
-        // Deliver completions posted by workers. Swap keeps the worker-
-        // facing lock window tiny.
-        {
-            let mut guard = io.completions.lock().unwrap();
-            std::mem::swap(&mut comps, &mut *guard);
-        }
-        for (token, buf) in comps.drain(..) {
-            let idx = (token & 0xFFFF_FFFF) as usize;
-            let generation = (token >> 32) as u32;
-            let live = idx < slots.len()
-                && gens[idx] == generation
-                && slots[idx].is_some()
-                && !dead.contains(&idx);
-            if !live {
-                conn::recycle(buf, &mut pool);
-                continue;
-            }
-            let c = slots[idx].as_mut().unwrap();
-            c.in_flight = c.in_flight.saturating_sub(1);
-            if c.push_reply(buf, &mut pool).is_err() {
-                dead.push(idx);
-            } else {
-                // the freed in-flight slot may unblock buffered frames
-                touched.push(idx);
-            }
-        }
-
-        // Accept sweep (level-triggered: whatever backlog remains fires
-        // the next wait).
-        if accept_wake {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        if shared.is_shutdown() {
-                            continue; // the wake-up self-connect, or a late client
-                        }
-                        let _ = stream.set_nodelay(true);
-                        if stream.set_nonblocking(true).is_err() {
-                            continue;
-                        }
-                        let idx = free.pop().unwrap_or_else(|| {
-                            slots.push(None);
-                            gens.push(0);
-                            slots.len() - 1
-                        });
-                        let token = ((gens[idx] as u64) << 32) | idx as u64;
-                        if io.poller.add(stream.as_raw_fd(), token).is_err() {
-                            free.push(idx);
-                            continue;
-                        }
-                        slots[idx] = Some(Conn::new(stream));
-                        shared.metrics.conns_open.add(1);
-                        // read anything that raced ahead of registration
-                        let c = slots[idx].as_mut().unwrap();
-                        match c.fill() {
-                            FillOutcome::Drained => touched.push(idx),
-                            FillOutcome::Eof => {
-                                c.read_eof = true;
-                                touched.push(idx);
-                            }
-                            FillOutcome::Err => dead.push(idx),
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) => {
-                        if shared.is_shutdown() {
-                            break;
-                        }
-                        if !is_transient_accept_error(e.kind()) {
-                            shared.metrics.io_errors.inc();
-                            break; // back off; level-trigger retries us
-                        }
-                    }
-                }
-            }
-        }
-
-        // Pump: extract and dispatch buffered frames per touched conn.
-        touched.sort_unstable();
-        touched.dedup();
-        for &idx in touched.iter() {
-            if dead.contains(&idx) {
-                continue;
-            }
-            let Some(c) = slots[idx].as_mut() else { continue };
-            let token = ((gens[idx] as u64) << 32) | idx as u64;
-            if !pump_conn(c, token, shared, &io, &mut pool) {
-                dead.push(idx);
-            }
-        }
-
-        // Close sweep. Cheap path: only conns we touched this round;
-        // full sweep once shutdown or exit is in progress (idle conns
-        // must notice).
-        let shutting = shared.is_shutdown();
-        let exiting = exit_deadline.is_some();
-        let sweep_all = shutting || exiting;
-        let candidates: Vec<usize> = if sweep_all {
-            (0..slots.len()).collect()
-        } else {
-            touched.clone()
-        };
-        for idx in candidates {
-            if dead.contains(&idx) {
-                continue;
-            }
-            let Some(c) = slots[idx].as_mut() else { continue };
-            let drained = c.in_flight == 0 && c.outbox_empty();
-            let done = (c.closing && c.outbox_empty())
-                || (c.read_eof && drained)
-                || (shutting && drained)
-                || (exiting && c.outbox_empty());
-            if done {
-                dead.push(idx);
-            }
-        }
-        for &idx in dead.iter() {
-            if let Some(mut c) = slots[idx].take() {
-                let _ = io.poller.delete(c.stream.as_raw_fd());
-                c.recycle_outbox(&mut pool);
-                gens[idx] = gens[idx].wrapping_add(1);
-                free.push(idx);
-                shared.metrics.conns_open.add(-1);
-            }
-        }
-
-        // Hand recycled buffers back to the workers' pool.
-        if !pool.is_empty() {
-            let mut sp = io.pool.lock().unwrap();
-            sp.append(&mut pool);
-            sp.truncate(256);
-        }
-
-        // Exit: the reaper saw every worker and the writer out, so all
-        // completions are posted. Flush what remains, briefly.
-        if io.io_exit.load(Ordering::SeqCst) {
-            let deadline = *exit_deadline.get_or_insert_with(|| Instant::now() + EXIT_GRACE);
-            let unflushed = slots.iter().flatten().any(|c| !c.outbox_empty());
-            if !unflushed || Instant::now() >= deadline {
-                break;
-            }
-        }
-    }
-}
-
-/// Extract every complete frame the connection's pipelining window
-/// allows and dispatch it; returns `false` when the connection must
-/// close (write failure). Inline refusals (Busy, shutdown, unexpected
-/// frame) are answered directly from the loop; admitted requests bump
-/// `in_flight` and are answered by worker completions.
-#[cfg(target_os = "linux")]
-fn pump_conn(
-    c: &mut crate::conn::Conn,
-    token: u64,
-    shared: &Arc<Shared>,
-    io: &Arc<IoShared>,
-    pool: &mut Vec<Vec<u8>>,
-) -> bool {
-    loop {
-        if c.closing {
-            return true;
-        }
-        let cap = if c.serial { 1 } else { shared.cfg.max_in_flight.max(1) };
-        if c.in_flight >= cap {
-            return true; // resumes when a completion frees the window
-        }
-        let (frame, corr, version) = match c.recv.next_frame() {
-            Ok(Some(f)) => f,
-            Ok(None) => return true,
-            Err(e) => {
-                // protocol violation: answer once, then hang up
-                shared.metrics.protocol_errors.inc();
-                let ok = inline_reply(
-                    c,
-                    Frame::Error { code: error_code::MALFORMED, message: e.to_string() },
-                    PROTOCOL_VERSION,
-                    0,
-                    pool,
-                );
-                c.closing = true;
-                return ok;
-            }
-        };
-        // pre-v5 replies carry no correlation id: the connection must
-        // stay strictly serial so they arrive in request order
-        c.serial = version < 5;
-        let reply_to = ReplyTo::Conn { io: io.clone(), token, corr, version };
-        let outcome = match frame {
+    fn on_request(
+        &mut self,
+        _cx: &mut crate::engine::Ctx<'_>,
+        token: u64,
+        frame: Frame,
+        corr: u64,
+        version: u8,
+    ) -> crate::engine::Admit {
+        use crate::engine::Admit;
+        let shared = &self.shared;
+        let queue = match frame {
             Frame::Query { .. }
             | Frame::Explain { .. }
             | Frame::QueryApprox { .. }
             | Frame::QueryBatch { .. }
             | Frame::Stats
             | Frame::MetricsDump
-            | Frame::Topology => submit(
-                &shared.read_queue,
-                shared,
-                Job { frame, reply: reply_to, enqueued: Instant::now() },
-            ),
-            Frame::Insert { .. } | Frame::Delete { .. } => submit(
-                &shared.write_queue,
-                shared,
-                Job { frame, reply: reply_to, enqueued: Instant::now() },
-            ),
+            | Frame::Topology => &shared.read_queue,
+            Frame::Insert { .. } | Frame::Delete { .. } => &shared.write_queue,
             Frame::Shutdown => {
                 shared.begin_shutdown();
-                let ok = inline_reply(c, Frame::Bye, version, corr, pool);
-                c.closing = true;
-                return ok;
+                return Admit::Close(Frame::Bye);
             }
-            _ => Err(Frame::Error {
-                code: error_code::UNEXPECTED_FRAME,
-                message: "response frame sent as request".into(),
-            }),
+            _ => {
+                return Admit::Reply(Frame::Error {
+                    code: error_code::UNEXPECTED_FRAME,
+                    message: "response frame sent as request".into(),
+                })
+            }
         };
-        match outcome {
-            Ok(()) => c.in_flight += 1,
-            Err(immediate) => {
-                if !inline_reply(c, immediate, version, corr, pool) {
-                    return false;
-                }
-            }
+        let reply = ReplyTo::Conn { io: self.io.clone(), token, corr, version };
+        match submit(queue, shared, Job { frame, reply, enqueued: Instant::now() }) {
+            Ok(()) => Admit::Pending,
+            Err(immediate) => Admit::Reply(immediate),
         }
     }
-}
 
-/// Encode a loop-side reply (refusal, Bye, protocol error) in the
-/// request's own version and queue it on the connection.
-#[cfg(target_os = "linux")]
-fn inline_reply(
-    c: &mut crate::conn::Conn,
-    frame: Frame,
-    version: u8,
-    corr: u64,
-    pool: &mut Vec<Vec<u8>>,
-) -> bool {
-    let mut buf = pool.pop().unwrap_or_default();
-    frame.encode_versioned(version, corr, &mut buf);
-    c.push_reply(buf, pool).is_ok()
+    fn shutting_down(&self) -> bool {
+        self.shared.is_shutdown()
+    }
+
+    fn exit_ready(&self) -> bool {
+        self.io_exit.load(Ordering::SeqCst)
+    }
+
+    fn on_wakeup(&mut self, events: usize) {
+        self.shared.metrics.poll_wakeups.inc();
+        self.shared.metrics.poll_events.record(events as u64);
+        self.shared.health.stamp_loop_tick();
+    }
+
+    fn on_conns_changed(&mut self, delta: i64) {
+        self.shared.metrics.conns_open.add(delta);
+    }
+
+    fn on_io_error(&mut self) {
+        self.shared.metrics.io_errors.inc();
+    }
+
+    fn on_protocol_error(&mut self) {
+        self.shared.metrics.protocol_errors.inc();
+    }
 }
 
 fn listener_loop(listener: TcpListener, shared: &Arc<Shared>) {
@@ -1752,7 +1472,7 @@ fn listener_loop(listener: TcpListener, shared: &Arc<Shared>) {
 /// Accept/poll errors that mean "try again now", not "the socket is
 /// sick": a connection that died between SYN and accept, a poll tick, or
 /// an interrupted syscall. Everything else is backed off and counted.
-fn is_transient_accept_error(kind: std::io::ErrorKind) -> bool {
+pub(crate) fn is_transient_accept_error(kind: std::io::ErrorKind) -> bool {
     matches!(
         kind,
         std::io::ErrorKind::WouldBlock

@@ -34,6 +34,15 @@ cargo test -q -p geosir-core hashing
 cargo test -q -p geosir-core approx
 cargo test -q --test alloc_approx
 
+# Router: the pipelined scatter-gather state machine and the cluster
+# suites it must keep green, by name for the same reason (the
+# failpoints pass below runs the whole server crate, these included).
+# router_pipeline covers the window/version rules, Busy on a full
+# table, the pipelining differential, the thread count under 512 idle
+# connections, one breaker strike per dead connection, late replies,
+# and the per-shard latency stopwatch.
+cargo test -q -p geosir-serve --test router_pipeline --test cluster_integration --test cluster_obs
+
 # Durability hooks: crash-recovery harness (abort-at-failpoint children)
 # plus the full server suite with the fault hooks compiled in. Budget:
 # the crash tests must stay under 30 s wall — they are child-process
