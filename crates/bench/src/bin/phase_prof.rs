@@ -3,20 +3,187 @@
 //! isolation (query preparation, envelope/ring cover generation,
 //! simplex-index reporting, candidate scoring) against the full
 //! `retrieve_with` wall time on the same corpus, so kernel-level
-//! optimisations can be aimed at the phase that dominates.
+//! optimisations can be aimed at the phase that dominates. The last two
+//! lines put the served exact path (`Snapshot`, seeded: hash-tier probe →
+//! one `Threshold(τ)` envelope → resolve) beside the unseeded incremental
+//! top-k loop, phase by phase: seed / cover / report / per-vertex /
+//! resolve; after them, the DESIGN §12.5 probe (k = 1 self-queries
+//! against the half-corpus shard that holds the copies and the one that
+//! does not).
 //!
 //! ```sh
 //! cargo run --release -p geosir-bench --bin phase_prof [--features simd] [-- n_shapes]
 //! ```
 
 use geosir_bench::scaling_corpus;
-use geosir_core::matcher::{MatchConfig, MatchOutcome, Matcher};
+use geosir_core::dynamic::{DynamicBase, RetrieveStats};
+use geosir_core::matcher::{MatchConfig, MatchOutcome, Matcher, RingExplain};
+use geosir_core::normalize::normalize_about_diameter;
 use geosir_core::scratch::MatcherScratch;
-use geosir_core::shapebase::ShapeBaseBuilder;
-use geosir_core::similarity::{prepare_into, score, ScoreKind};
-use geosir_geom::envelope::envelope_cover_into;
-use geosir_geom::Triangle;
+use geosir_core::shapebase::{ShapeBase, ShapeBaseBuilder};
+use geosir_core::similarity::{prepare_into, score, score_bounded_with, PreparedShape, ScoreKind};
+use geosir_core::{ApproxOptions, ApproxScratch, ApproxStats};
+use geosir_geom::envelope::{envelope_cover_into, ring_cover_into};
+use geosir_geom::rangesearch::IndexScratch;
+use geosir_geom::{Polyline, Triangle};
+use geosir_imaging::synth::{generate, CorpusConfig};
 use std::time::Instant;
+
+const K: usize = 10;
+
+/// One exact path's per-query phase times (µs) and work counts, summed
+/// over a query set by [`Phases::add_run`] from what each run recorded:
+/// its rings (EXPLAIN capture), the triangles it submitted and the copies
+/// it scored.
+#[derive(Default)]
+struct Phases {
+    total: f64,
+    seed: f64,
+    cover: f64,
+    report: f64,
+    per_vertex: f64,
+    resolve: f64,
+    rings: usize,
+    reported: usize,
+    scored: usize,
+    /// Σ over seeded queries of `true k-th ÷ τ` (0 for the unseeded path).
+    tightness: f64,
+}
+
+impl Phases {
+    /// Re-run the phases of one finished matcher run in isolation.
+    /// `cutoff` bounds the scorings the way the run bounded them
+    /// (`INFINITY` for the incremental loop's full scorings).
+    fn add_run(&mut self, base: &ShapeBase, query: &Polyline, run: &MatchOutcome, cutoff: f64) {
+        let Some((primary, _)) = normalize_about_diameter(query) else { return };
+        let prepared = PreparedShape::new(primary.shape);
+        let (mut cover, mut reported) = (Vec::<Triangle>::new(), Vec::<u32>::new());
+        let mut index = IndexScratch::default();
+        let mut inner = 0.0;
+        let mut tris = run.triangle_trace.as_slice();
+        for &RingExplain { eps, triangles, .. } in &run.explain.rings {
+            let t0 = Instant::now();
+            if inner == 0.0 {
+                envelope_cover_into(prepared.shape(), eps, &mut cover);
+            } else {
+                ring_cover_into(prepared.shape(), inner, eps, &mut cover);
+            }
+            self.cover += t0.elapsed().as_secs_f64() * 1e6;
+            inner = eps;
+            let (ring_tris, rest) = tris.split_at(triangles as usize);
+            tris = rest;
+            let t0 = Instant::now();
+            reported.clear();
+            base.report_triangles_with(&mut index, ring_tris, &mut reported);
+            self.report += t0.elapsed().as_secs_f64() * 1e6;
+            let t0 = Instant::now();
+            let mut sink = 0.0;
+            for &vid in &reported {
+                sink += prepared.dist(base.vertex_point(vid)) + base.vertex_owner(vid).0 as f64;
+            }
+            std::hint::black_box(sink);
+            self.per_vertex += t0.elapsed().as_secs_f64() * 1e6;
+            self.reported += reported.len();
+        }
+        self.rings += run.explain.rings.len();
+        // the trace ends with one fetch per reported match; the rest are scorings
+        let scored = &run.access_trace[..run.stats.candidates_scored];
+        let mut back = None;
+        let t0 = Instant::now();
+        let mut sink = 0.0;
+        for &cid in scored {
+            let s = score_bounded_with(
+                ScoreKind::DiscreteSymmetric,
+                &base.copy(cid).normalized,
+                &prepared,
+                &mut back,
+                cutoff,
+            );
+            sink += if s.is_finite() { s } else { 0.0 };
+        }
+        std::hint::black_box(sink);
+        self.resolve += t0.elapsed().as_secs_f64() * 1e6;
+        self.scored += scored.len();
+    }
+
+    fn print(&self, label: &str, queries: usize) {
+        let n = queries as f64;
+        println!(
+            "{label} total {:7.1} | seed {:6.1}  cover {:6.1}  report {:7.1}  per-vertex {:7.1}  \
+             resolve {:6.1} µs/query  (rings {:.1}, reported {:.0}, scored {:.0}, k-th/τ {:.3})",
+            self.total / n,
+            self.seed / n,
+            self.cover / n,
+            self.report / n,
+            self.per_vertex / n,
+            self.resolve / n,
+            self.rings as f64 / n,
+            self.reported as f64 / n,
+            self.scored as f64 / n,
+            self.tightness / n,
+        );
+    }
+}
+
+/// The served exact path against the unseeded top-k loop on the canonical
+/// benchmark's `exact_sketch` world (`small(200, 1)`, its 100 sketches,
+/// k = [`K`]): wall time per query plus each phase re-timed in isolation.
+fn exact_path_phases() {
+    let corpus = generate(&CorpusConfig::small(200, 1));
+    let queries = corpus.queries(100, 0.02, 1);
+    let backend = geosir_geom::rangesearch::Backend::RangeTree;
+    let base = &corpus.build_base(0.0, backend);
+    let cfg = MatchConfig { beta: 0.2, k: K, ..Default::default() };
+    // one bulk-loaded level = the same copies, in the same order, as `base`
+    let mut dynamic = DynamicBase::new(0.0, backend, cfg.clone(), 512);
+    dynamic.bulk_load(corpus.shapes.iter().map(|(image, _, s)| (*image, s.clone())));
+    let snap = dynamic.snapshot();
+    let matcher = Matcher::new(base, cfg);
+    let mut scratch = MatcherScratch::new();
+    let mut tmp = MatchOutcome::default();
+    let mut ax = ApproxScratch::new();
+    let (mut hits, mut stats, mut astats) =
+        (Vec::new(), RetrieveStats::default(), ApproxStats::default());
+    let mut explain = geosir_core::dynamic::QueryExplain::default();
+    let (mut seeded, mut unseeded) = (Phases::default(), Phases::default());
+    let opts = ApproxOptions { k: K, ..ApproxOptions::default() };
+    // each path timed over the whole query set on its own (warm-up pass
+    // first), so one path's working set never evicts another's
+    let time = |f: &mut dyn FnMut(&Polyline)| {
+        queries.iter().for_each(&mut *f);
+        let t0 = Instant::now();
+        queries.iter().for_each(&mut *f);
+        t0.elapsed().as_secs_f64() * 1e6
+    };
+    seeded.total =
+        time(&mut |q| snap.retrieve_with_stats(&mut scratch, &mut tmp, q, K, &mut hits, &mut stats));
+    seeded.seed = time(&mut |q| {
+        snap.similar_approx_with(&mut scratch, &mut tmp, &mut ax, q, &opts, &mut hits, &mut astats)
+    });
+    unseeded.total = time(&mut |q| matcher.retrieve_with(&mut scratch, q, &mut tmp));
+    // then each run once more with capture on: `tmp` keeps the (one)
+    // level's triangles, rings and scored copies for the phase replay
+    for q in &queries {
+        tmp.explain.enabled = true;
+        matcher.retrieve_with(&mut scratch, q, &mut tmp);
+        tmp.explain.enabled = false;
+        unseeded.add_run(base, q, &tmp, f64::INFINITY);
+        snap.explain_with_stats(&mut scratch, &mut tmp, q, K, &mut hits, &mut stats, &mut explain);
+        let kth = hits.last().map_or(f64::INFINITY, |m| m.score);
+        seeded.add_run(base, q, &tmp, kth);
+        // a seeded level's one envelope sits at τ / f_u
+        let level = &explain.levels[0];
+        seeded.tightness += kth / (level.final_eps * level.bound_factor);
+    }
+    println!(
+        "exact path, canonical corpus ({} shapes, {} sketches, k = {K}; phases re-timed in \
+         isolation, total is the real call):",
+        corpus.shapes.len(),
+        queries.len()
+    );
+    seeded.print("  seeded   (Snapshot):    ", queries.len());
+    unseeded.print("  unseeded (Matcher TopK):", queries.len());
+}
 
 fn main() {
     let n_shapes: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(4000);
@@ -152,4 +319,50 @@ fn main() {
         score_us / (avg_scored.max(1e-9)));
     println!("  kd-tree report: {kd_us:8.1} µs/query (same covers)");
     println!("(sinks: tris {tri_sink}, verts {vert_sink}, kd {kd_sink}, score {score_sink:.3}, scored {scored})");
+    exact_path_phases();
+    no_near_match_probe();
+}
+
+/// DESIGN §12.5's probe: `serve_loadgen --cluster` asks k = 1 for
+/// verbatim copies of corpus shapes, so in a 2-shard cluster one shard
+/// holds each copy and the other has nothing close. Split the 1 200-shape
+/// loadgen corpus in two by parity (every query shape has an even index)
+/// and time the same ten queries against the whole and against each half.
+fn no_near_match_probe() {
+    let (shapes, queries) = scaling_corpus(1200);
+    let cfg = MatchConfig { beta: 0.2, ..Default::default() };
+    println!("§12.5 probe, k = 1 self-queries on the 1 200-shape loadgen corpus:");
+    for (modulus, parity, label) in [
+        (1, 0, "one node, whole corpus       "),
+        (2, 0, "half-corpus shard with copies"),
+        (2, 1, "half-corpus shard without    "),
+    ] {
+        let mut shard =
+            DynamicBase::new(0.0, geosir_geom::rangesearch::Backend::RangeTree, cfg.clone(), 512);
+        for (i, (image, shape)) in shapes.iter().enumerate() {
+            if i % modulus == parity {
+                shard.insert(*image, shape.clone());
+            }
+        }
+        let snap = shard.snapshot();
+        let (mut scratch, mut tmp) = (MatcherScratch::new(), MatchOutcome::default());
+        let (mut hits, mut stats) = (Vec::new(), RetrieveStats::default());
+        let (mut best_us, mut rings, mut reported) = (f64::INFINITY, 0, 0);
+        for _ in 0..5 {
+            (rings, reported) = (0, 0);
+            let t0 = Instant::now();
+            for q in &queries {
+                snap.retrieve_with_stats(&mut scratch, &mut tmp, q, 1, &mut hits, &mut stats);
+                rings += stats.rings;
+                reported += stats.vertices_reported;
+            }
+            best_us = best_us.min(t0.elapsed().as_secs_f64() * 1e6 / queries.len() as f64);
+        }
+        println!(
+            "  {label}: {best_us:8.1} µs/query  (rings {:.1}, reported {:.0}, best score {:.4})",
+            rings as f64 / queries.len() as f64,
+            reported as f64 / queries.len() as f64,
+            hits.first().map_or(f64::NAN, |m| m.score),
+        );
+    }
 }

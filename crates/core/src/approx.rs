@@ -155,7 +155,7 @@ pub enum ProbeCursor {
 pub(crate) type QuarterVals = [Vec<(u16, u16)>; 4];
 
 /// Probe state + scan list for one signature index, reused across queries.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub(crate) struct IndexProbe {
     pub cursor: ProbeCursor,
     pub scan: Vec<(u16, u32)>,
@@ -163,7 +163,7 @@ pub(crate) struct IndexProbe {
 
 /// Reusable scratch for the probe + rerank path. Holding one per worker
 /// makes the steady-state approximate query allocation-free.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct ApproxScratch {
     /// Quarter buckets for query signature computation.
     pub(crate) quarters: [Vec<Point>; 4],
@@ -175,8 +175,6 @@ pub struct ApproxScratch {
     pub(crate) ring: Vec<CopyId>,
     /// All candidates collected this query.
     pub(crate) cands: Vec<CandRef>,
-    /// Prepared query (forward direction of the rerank).
-    pub(crate) prepared: Option<PreparedShape>,
     /// Prepared candidate (reverse direction), rebuilt per survivor.
     pub(crate) back: Option<PreparedShape>,
     /// shape → index of its current best score in the output vector.

@@ -11,6 +11,12 @@
 //! [`ShapeBase`] + [`Matcher`], so all §2.5 guarantees carry over
 //! per-sub-base and the merge preserves them.
 //!
+//! An exact query is *seed-and-verify* (`View::retrieve`): the hash tier
+//! (§3, [`crate::approx`]) is probed first, and the k-th best of the true
+//! scores it returns bounds what any sub-base still has to report — one
+//! envelope per level instead of a fattening schedule, exact on all k
+//! ranks (DESIGN.md §11.6).
+//!
 //! ## Snapshots
 //!
 //! Levels are immutable between cascades and held behind `Arc`, so
@@ -36,10 +42,11 @@ use crate::approx::{
 use crate::hashing::{signature_of, signature_of_with, CurveFamily, Signature};
 use crate::ids::{CopyId, ImageId, ShapeId};
 use crate::matcher::{
-    Match, MatchConfig, MatchOutcome, Matcher, MatcherPlan, RingExplain, Termination,
+    Match, MatchConfig, MatchOutcome, Matcher, MatcherPlan, RingExplain, RunMode, Termination,
 };
 use crate::scratch::MatcherScratch;
 use crate::shapebase::{ShapeBase, ShapeBaseBuilder};
+use crate::similarity::{score_bounded_with, score_prepared_bounded, PreparedShape};
 
 /// A shape registered with the dynamic base (stable across rebuilds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -58,9 +65,8 @@ pub struct DynamicBase {
     buffer: Vec<BufferedShape>,
     buffer_cap: usize,
     /// Binary-carry slots; slot i holds a static base of capacity
-    /// `buffer_cap · 2^i` (or is empty). `Arc` so snapshots share levels
-    /// instead of copying them.
-    levels: Vec<Option<Arc<Level>>>,
+    /// `buffer_cap · 2^i` (or is empty).
+    levels: Vec<Option<Slot>>,
     deleted: HashSet<GlobalShapeId>,
     next_id: u64,
     /// Mutation counter: bumped by every applied insert and delete, so
@@ -92,6 +98,23 @@ struct BufferedShape {
     /// also computed writer-side — the approximate tier probes the
     /// buffer by these without hashing anything at query time.
     sigs: Arc<Vec<Signature>>,
+}
+
+/// One occupied carry slot. `Arc` so snapshots share the level instead
+/// of copying it; the tombstone count rides beside it (bumped by
+/// [`DynamicBase::delete`], gone with the slot when a cascade consumes
+/// it), so no query ever recounts it from `ids`.
+#[derive(Clone)]
+struct Slot {
+    level: Arc<Level>,
+    /// Shapes of `level` currently in the tombstone set.
+    dead: usize,
+}
+
+impl Slot {
+    fn new(level: Level) -> Slot {
+        Slot { level: Arc::new(level), dead: 0 }
+    }
 }
 
 struct Level {
@@ -211,6 +234,14 @@ struct DynMetrics {
     buffer_scored: Arc<obs::Counter>,
     pool_hits: Arc<obs::Counter>,
     pool_misses: Arc<obs::Counter>,
+    /// Exact queries whose envelope the hash tier's k-th score set, and
+    /// those that fell back to the top-k chain (fewer than k seeds).
+    seeded: Arc<obs::Counter>,
+    unseeded: Arc<obs::Counter>,
+    seed_reranked: Arc<obs::Counter>,
+    /// `true k-th ÷ τ` in permille: how tight the seed was (1000 = the
+    /// hash tier already had the answer).
+    seed_tightness: Arc<obs::Histogram>,
 }
 
 impl DynMetrics {
@@ -222,6 +253,10 @@ impl DynMetrics {
             buffer_scored: reg.counter("geosir_dynamic_buffer_scored_total", &[]),
             pool_hits: reg.counter("geosir_dynamic_scratch_pool_hits_total", &[]),
             pool_misses: reg.counter("geosir_dynamic_scratch_pool_misses_total", &[]),
+            seeded: reg.counter("geosir_exact_queries_total", &[("seeded", "true")]),
+            unseeded: reg.counter("geosir_exact_queries_total", &[("seeded", "false")]),
+            seed_reranked: reg.counter("geosir_exact_seed_reranked_total", &[]),
+            seed_tightness: reg.histogram("geosir_exact_seed_tightness_permille", &[]),
         }
     }
 }
@@ -260,7 +295,7 @@ impl DynamicBase {
     /// Number of live (non-deleted) shapes.
     pub fn len(&self) -> usize {
         let total = self.buffer.len()
-            + self.levels.iter().flatten().map(|l| l.ids.len()).sum::<usize>();
+            + self.levels.iter().flatten().map(|s| s.level.ids.len()).sum::<usize>();
         total - self.deleted.len()
     }
 
@@ -365,7 +400,7 @@ impl DynamicBase {
     pub fn contains(&self, id: GlobalShapeId) -> bool {
         !self.deleted.contains(&id)
             && (self.buffer.iter().any(|b| b.id == id)
-                || self.levels.iter().flatten().any(|l| l.ids.contains(&id)))
+                || self.levels.iter().flatten().any(|s| s.level.ids.contains(&id)))
     }
 
     /// Place `pool` (pre-assigned ids) into the smallest free slot that
@@ -389,7 +424,7 @@ impl DynamicBase {
         }
         self.shapes_rebuilt += pool.len() as u64;
         self.levels[slot] =
-            Some(Arc::new(Level::build(pool, self.alpha, self.backend, &self.config, &self.family)));
+            Some(Slot::new(Level::build(pool, self.alpha, self.backend, &self.config, &self.family)));
     }
 
     /// Delete a shape (tombstone; storage is reclaimed at the next rebuild
@@ -407,12 +442,14 @@ impl DynamicBase {
             self.epoch += 1;
             return true;
         }
-        if self.levels.iter().flatten().any(|l| l.ids.contains(&id)) {
-            self.deleted.insert(id);
-            self.epoch += 1;
-            true
-        } else {
-            false
+        match self.levels.iter_mut().flatten().find(|s| s.level.ids.contains(&id)) {
+            Some(slot) => {
+                slot.dead += 1;
+                self.deleted.insert(id);
+                self.epoch += 1;
+                true
+            }
+            None => false,
         }
     }
 
@@ -433,7 +470,7 @@ impl DynamicBase {
             }
             match self.levels[slot].take() {
                 None => break,
-                Some(level) => {
+                Some(Slot { level, .. }) => {
                     // Snapshots may still hold this Arc; clone the level's
                     // contents out rather than unwrapping, so live readers
                     // keep a consistent view while we rebuild.
@@ -458,7 +495,7 @@ impl DynamicBase {
         self.shapes_rebuilt += pool.len() as u64;
         let rebuilt = pool.len();
         self.levels[slot] =
-            Some(Arc::new(Level::build(pool, self.alpha, self.backend, &self.config, &self.family)));
+            Some(Slot::new(Level::build(pool, self.alpha, self.backend, &self.config, &self.family)));
         // Lifecycle journal: large carries (high slots) are the rebuilds
         // worth explaining when someone asks why a write spiked.
         obs::with_current(|r| {
@@ -476,7 +513,7 @@ impl DynamicBase {
     /// an internal bounded pool, so a query loop pays dense-array setup
     /// once, not per query (and never once per level per query).
     pub fn retrieve(&self, query: &Polyline) -> Vec<DynMatch> {
-        // Warm/cold accounting happens inside `retrieve_levels_into`
+        // Warm/cold accounting happens inside `View::retrieve`
         // (a warm scratch — pooled here or per-worker on the serve
         // path — counts as a hit), so no recording at the pool itself.
         let pooled = self.scratch_pool.lock().unwrap().pop();
@@ -491,11 +528,9 @@ impl DynamicBase {
     }
 
     /// [`Self::retrieve`] through caller-owned scratch, intermediate
-    /// outcome, and out-parameter: the zero-allocation hot path for level
-    /// queries. After a warm-up query, level retrieval touches the heap
-    /// zero times; only the brute-force scoring of a **non-empty insert
-    /// buffer** still allocates (it normalizes and indexes the query once
-    /// per call — buffered shapes carry copies prepared at insert time).
+    /// outcome, and out-parameter: the zero-allocation hot path. After a
+    /// warm-up query, retrieval — seed probe, level runs and buffer scan
+    /// alike — touches the heap zero times.
     pub fn retrieve_with(
         &self,
         scratch: &mut MatcherScratch,
@@ -503,13 +538,7 @@ impl DynamicBase {
         query: &Polyline,
         out: &mut Vec<DynMatch>,
     ) {
-        retrieve_levels_into(
-            // largest level first: its certified k-th best becomes the
-            // Threshold cutoff that keeps the smaller levels cheap
-            self.levels.iter().flatten().map(Arc::as_ref).rev(),
-            &self.buffer,
-            &self.deleted,
-            &self.config,
+        self.view().retrieve(
             self.config.k,
             scratch,
             tmp,
@@ -520,6 +549,16 @@ impl DynamicBase {
         );
     }
 
+    fn view(&self) -> View<'_> {
+        View {
+            config: &self.config,
+            family: &self.family,
+            levels: &self.levels,
+            buffer: &self.buffer,
+            deleted: &self.deleted,
+        }
+    }
+
     /// Capture the queryable state — levels, buffer, tombstones, epoch —
     /// as an immutable, independently-queryable [`Snapshot`]. O(buffer +
     /// levels + tombstones): level indexes are shared, not copied.
@@ -528,7 +567,7 @@ impl DynamicBase {
             .levels
             .iter()
             .flatten()
-            .map(|l| l.base.num_copies())
+            .map(|s| s.level.base.num_copies())
             .sum::<usize>()
             + self.buffer.iter().map(|b| b.copies.len()).sum::<usize>();
         Snapshot {
@@ -536,7 +575,7 @@ impl DynamicBase {
             next_id: self.next_id,
             config: self.config.clone(),
             family: self.family.clone(),
-            levels: self.levels.iter().flatten().cloned().collect(),
+            levels: self.levels.clone(),
             buffer: self.buffer.clone(),
             deleted: self.deleted.clone(),
             live: self.len(),
@@ -583,7 +622,9 @@ pub struct Snapshot {
     next_id: u64,
     config: MatchConfig,
     family: Arc<CurveFamily>,
-    levels: Vec<Arc<Level>>,
+    /// The base's carry slots as captured (empty ones included, so a
+    /// slot index means the same level here and there).
+    levels: Vec<Option<Slot>>,
     buffer: Vec<BufferedShape>,
     deleted: HashSet<GlobalShapeId>,
     live: usize,
@@ -611,7 +652,7 @@ impl Snapshot {
     /// accepts it directly.
     pub fn live_shapes(&self) -> Vec<(GlobalShapeId, ImageId, Polyline)> {
         let mut out = Vec::with_capacity(self.live);
-        for level in &self.levels {
+        for Slot { level, .. } in self.levels.iter().flatten() {
             for ((gid, image), shape) in level.ids.iter().zip(&level.images).zip(&level.shapes) {
                 if !self.deleted.contains(gid) {
                     out.push((*gid, *image, shape.clone()));
@@ -637,7 +678,7 @@ impl Snapshot {
 
     /// Occupied levels captured.
     pub fn num_levels(&self) -> usize {
-        self.levels.len()
+        self.levels.iter().flatten().count()
     }
 
     /// The retrieval configuration captured from the base.
@@ -681,19 +722,7 @@ impl Snapshot {
         stats: &mut RetrieveStats,
     ) {
         let k = if k == 0 { self.config.k } else { k };
-        retrieve_levels_into(
-            self.levels.iter().map(Arc::as_ref).rev(),
-            &self.buffer,
-            &self.deleted,
-            &self.config,
-            k,
-            scratch,
-            tmp,
-            query,
-            out,
-            stats,
-            None,
-        );
+        self.view().retrieve(k, scratch, tmp, query, out, stats, None);
     }
 
     /// Coalesced retrieval: answer a batch of `(query, k)` pairs against
@@ -701,10 +730,10 @@ impl Snapshot {
     /// batch. This is what the server's event loop feeds with
     /// concurrently-arrived queries — the per-query costs it amortizes
     /// (snapshot pin, queue pop, scratch warm-up) are paid once per
-    /// batch instead of once per query. `out` and `stats` are cleared
-    /// and refilled with exactly one entry per query, in order; each
-    /// query's results and stats are identical to what a lone
-    /// [`Self::retrieve_with_stats`] call would have produced.
+    /// batch instead of once per query. `out` and `stats` are refilled
+    /// with exactly one entry per query, in order (`out`'s inner vectors
+    /// are reused); each query's results and stats are identical to what
+    /// a lone [`Self::retrieve_with_stats`] call would have produced.
     pub fn retrieve_many(
         &self,
         scratch: &mut MatcherScratch,
@@ -713,14 +742,11 @@ impl Snapshot {
         out: &mut Vec<Vec<DynMatch>>,
         stats: &mut Vec<RetrieveStats>,
     ) {
-        out.clear();
+        out.resize_with(queries.len(), Vec::new);
         stats.clear();
-        for &(query, k) in queries {
-            let mut hits = Vec::new();
-            let mut st = RetrieveStats::default();
-            self.retrieve_with_stats(scratch, tmp, query, k, &mut hits, &mut st);
-            out.push(hits);
-            stats.push(st);
+        stats.resize(queries.len(), RetrieveStats::default());
+        for ((&(query, k), hits), st) in queries.iter().zip(out.iter_mut()).zip(stats.iter_mut()) {
+            self.retrieve_with_stats(scratch, tmp, query, k, hits, st);
         }
     }
 
@@ -741,21 +767,19 @@ impl Snapshot {
     ) {
         let k = if k == 0 { self.config.k } else { k };
         explain.clear();
-        retrieve_levels_into(
-            self.levels.iter().map(Arc::as_ref).rev(),
-            &self.buffer,
-            &self.deleted,
-            &self.config,
-            k,
-            scratch,
-            tmp,
-            query,
-            out,
-            stats,
-            Some(explain),
-        );
+        self.view().retrieve(k, scratch, tmp, query, out, stats, Some(explain));
         explain.buffer_scored = stats.buffer_scored;
         explain.stats = *stats;
+    }
+
+    fn view(&self) -> View<'_> {
+        View {
+            config: &self.config,
+            family: &self.family,
+            levels: &self.levels,
+            buffer: &self.buffer,
+            deleted: &self.deleted,
+        }
     }
 
     /// Normalized copies captured by this snapshot (levels + buffer,
@@ -767,7 +791,7 @@ impl Snapshot {
 
     /// Occupied signature buckets across all level indexes.
     pub fn approx_num_buckets(&self) -> usize {
-        self.levels.iter().map(|l| l.buckets.num_buckets()).sum()
+        self.levels.iter().flatten().map(|s| s.level.buckets.num_buckets()).sum()
     }
 
     /// Average copies per occupied signature bucket across levels
@@ -777,7 +801,8 @@ impl Snapshot {
         if buckets == 0 {
             return 0.0;
         }
-        let copies: usize = self.levels.iter().map(|l| l.buckets.total_copies()).sum();
+        let copies: usize =
+            self.levels.iter().flatten().map(|s| s.level.buckets.total_copies()).sum();
         copies as f64 / buckets as f64
     }
 
@@ -806,11 +831,11 @@ impl Snapshot {
     }
 
     /// [`Self::similar_approx`] through caller-owned scratch. The query
-    /// is diameter-normalized here (one allocation, same as the exact
-    /// buffer path); everything after runs on warm scratch. A query with
-    /// degenerate geometry — or one whose cascade collects nothing —
-    /// falls through to the exact tier ([`Self::retrieve_with_stats`]),
-    /// reported as [`AnswerTier::Exact`] in `stats`.
+    /// is diameter-normalized here (one allocation); everything after
+    /// runs on warm scratch. A query with degenerate geometry — or one
+    /// whose cascade collects nothing — falls through to the exact tier
+    /// ([`Self::retrieve_with_stats`]), reported as [`AnswerTier::Exact`]
+    /// in `stats`.
     #[allow(clippy::too_many_arguments)]
     pub fn similar_approx_with(
         &self,
@@ -828,27 +853,17 @@ impl Snapshot {
                 self.similar_approx_prepared(scratch, tmp, ax, query, &shape, opts, out, stats);
             }
             None => {
-                out.clear();
-                *stats = ApproxStats {
-                    tier: AnswerTier::Exact,
-                    corpus_copies: self.copies as u64,
-                    ..ApproxStats::default()
-                };
-                self.retrieve_with_stats(scratch, tmp, query, opts.k, out, &mut RetrieveStats::default());
-                record_query_metrics(stats);
+                *stats = ApproxStats { corpus_copies: self.copies as u64, ..ApproxStats::default() };
+                self.exact_fallback(scratch, tmp, query, opts, out, stats);
             }
         }
     }
 
-    /// The probe + rerank core, taking the already-normalized query —
-    /// allocation-free in steady state with warm scratches (`query` is
-    /// still needed for the exact-fallback tier, which normalizes
-    /// internally).
-    ///
-    /// Probing uses only the primary normalized copy: the base stores
-    /// *both* orientations of every shape per α-diameter, so a stored
-    /// copy in the query's orientation exists whenever the shape is
-    /// similar at all.
+    /// The approximate tier for an already-normalized query —
+    /// allocation-free in steady state with warm scratches: the shared
+    /// probe + rerank core ([`View::probe_rerank`], which the exact
+    /// tier's seed step also runs), then the exact-fallback tier when the
+    /// cascade collected nothing (`query` is only needed for that).
     #[allow(clippy::too_many_arguments)]
     pub fn similar_approx_prepared(
         &self,
@@ -861,16 +876,92 @@ impl Snapshot {
         out: &mut Vec<DynMatch>,
         stats: &mut ApproxStats,
     ) {
-        out.clear();
         *stats = ApproxStats { corpus_copies: self.copies as u64, ..ApproxStats::default() };
+        scratch.prepare_normalized_query(normalized);
+        let qprep = scratch.query.as_ref().expect("prepared above");
+        self.view().probe_rerank(ax, qprep, opts, out, stats);
+        if stats.candidates == 0 {
+            self.exact_fallback(scratch, tmp, query, opts, out, stats);
+        } else {
+            record_query_metrics(stats);
+        }
+    }
+
+    /// The approximate tier's last resort: the exact tier answers.
+    fn exact_fallback(
+        &self,
+        scratch: &mut MatcherScratch,
+        tmp: &mut MatchOutcome,
+        query: &Polyline,
+        opts: &ApproxOptions,
+        out: &mut Vec<DynMatch>,
+        stats: &mut ApproxStats,
+    ) {
+        stats.tier = AnswerTier::Exact;
+        self.retrieve_with_stats(scratch, tmp, query, opts.k, out, &mut RetrieveStats::default());
+        record_query_metrics(stats);
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Tombstone-set lookups made by queries on this thread (test probe:
+    /// per-query tombstone work must not grow with the level size).
+    static TOMBSTONE_PROBES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// The queryable state a [`DynamicBase`] and a [`Snapshot`] both hold,
+/// borrowed: the two retrieval tiers are written once, against this.
+struct View<'a> {
+    config: &'a MatchConfig,
+    family: &'a CurveFamily,
+    levels: &'a [Option<Slot>],
+    buffer: &'a [BufferedShape],
+    deleted: &'a HashSet<GlobalShapeId>,
+}
+
+impl View<'_> {
+    fn is_dead(&self, id: &GlobalShapeId) -> bool {
+        #[cfg(test)]
+        TOMBSTONE_PROBES.with(|c| c.set(c.get() + 1));
+        self.deleted.contains(id)
+    }
+
+    /// Occupied slots with their index, smallest (most recent) first.
+    fn slots(&self) -> impl DoubleEndedIterator<Item = (usize, &Slot)> {
+        self.levels.iter().enumerate().filter_map(|(i, s)| s.as_ref().map(|s| (i, s)))
+    }
+
+    /// The hash tier's probe + bounded rerank: collect candidate copies
+    /// in rings of increasing curve distance around the query's
+    /// signature, score them with the early-abandoning `h_avg` against a
+    /// running k-th-best cutoff, and leave the k best live shapes in
+    /// `out` (true scores, ascending). Fills the funnel fields of
+    /// `stats`; `stats.candidates == 0` means the cascade found nothing.
+    /// Calls no other tier — [`Snapshot::similar_approx_prepared`] wraps
+    /// it with the exact fallback, [`View::retrieve`] uses it as its seed.
+    ///
+    /// Probing uses only the primary normalized copy: the base stores
+    /// *both* orientations of every shape per α-diameter, so a stored
+    /// copy in the query's orientation exists whenever the shape is
+    /// similar at all.
+    fn probe_rerank(
+        &self,
+        ax: &mut ApproxScratch,
+        qprep: &PreparedShape,
+        opts: &ApproxOptions,
+        out: &mut Vec<DynMatch>,
+        stats: &mut ApproxStats,
+    ) {
+        out.clear();
         let k = if opts.k == 0 { self.config.k } else { opts.k };
-        let family = &*self.family;
+        let family = self.family;
         let kf = family.k() as u16;
         let max_radius = opts.max_radius.min(kf);
         let max_cand = opts.max_candidates.max(1);
         ax.begin(self.levels.len());
-        let crate::approx::ApproxScratch { quarters, vals, probes, ring, cands, .. } = &mut *ax;
-        let qsig = signature_of_with(family, normalized, quarters);
+        let ApproxScratch { quarters, vals, probes, ring, cands, back, best, ktmp, .. } = ax;
+        let qsig = signature_of_with(family, qprep.shape(), quarters);
         let mut probed = 0u64;
         // The cascade: rings of increasing curve distance over every
         // level index plus the buffer signatures. Stops at the end of
@@ -880,7 +971,7 @@ impl Snapshot {
         // whenever live shapes exist.
         for r in 0..=kf {
             stats.radius = r;
-            for (li, level) in self.levels.iter().enumerate() {
+            for (li, Slot { level, .. }) in self.slots() {
                 ring.clear();
                 level.buckets.collect_ring(kf, &qsig, r, &mut probes[li], vals, ring, &mut probed);
                 cands.extend(
@@ -888,7 +979,7 @@ impl Snapshot {
                 );
             }
             for (bi, b) in self.buffer.iter().enumerate() {
-                if self.deleted.contains(&b.id) {
+                if self.is_dead(&b.id) {
                     continue;
                 }
                 for (ci, s) in b.sigs.iter().enumerate() {
@@ -903,25 +994,16 @@ impl Snapshot {
         }
         stats.buckets_probed = probed;
         stats.candidates = cands.len() as u64;
-        if cands.is_empty() {
-            stats.tier = AnswerTier::Exact;
-            self.retrieve_with_stats(scratch, tmp, query, k, out, &mut RetrieveStats::default());
-            record_query_metrics(stats);
-            return;
-        }
-        stats.tier = AnswerTier::Approx;
 
         // Exact rerank with a running cutoff: the k-th smallest
         // *per-shape best* score on the board. Per-shape (not per-copy):
         // a copy-level top-k could prune the only copy of a shape whose
         // best score still belongs in the answer.
-        let crate::approx::ApproxScratch { cands, prepared, back, best, ktmp, .. } = &mut *ax;
-        let qprep = crate::similarity::prepare_into(prepared, normalized);
         let mut cutoff = f64::INFINITY;
         for &c in cands.iter() {
             let (gid, image, score) = if c.level == BUFFER_LEVEL {
                 let b = &self.buffer[c.a as usize];
-                let s = crate::similarity::score_prepared_bounded(
+                let s = score_prepared_bounded(
                     self.config.score,
                     &b.copies[c.b as usize],
                     qprep,
@@ -929,19 +1011,14 @@ impl Snapshot {
                 );
                 (b.id, b.image, s)
             } else {
-                let level = &self.levels[c.level as usize];
+                let level = &self.levels[c.level as usize].as_ref().expect("probed slot").level;
                 let copy = level.base.copy(CopyId(c.a));
                 let gid = level.ids[copy.shape_id.index()];
-                if self.deleted.contains(&gid) {
+                if self.is_dead(&gid) {
                     continue;
                 }
-                let s = crate::similarity::score_bounded_with(
-                    self.config.score,
-                    &copy.normalized,
-                    qprep,
-                    back,
-                    cutoff,
-                );
+                let s =
+                    score_bounded_with(self.config.score, &copy.normalized, qprep, back, cutoff);
                 (gid, level.images[copy.shape_id.index()], s)
             };
             stats.reranked += 1;
@@ -974,7 +1051,156 @@ impl Snapshot {
             a.score.partial_cmp(&b.score).unwrap().then(a.shape.cmp(&b.shape))
         });
         out.truncate(k);
-        record_query_metrics(stats);
+    }
+
+    /// Exact retrieval, seed-and-verify: the hash tier's k-th best score
+    /// is a true score of a live stored shape, hence an upper bound τ on
+    /// the true k-th best — so every level only has to report what scores
+    /// ≤ τ (one envelope each, [`RunMode::Threshold`]), the buffer scan
+    /// is bounded by τ, tombstones are filtered, and the merge truncated
+    /// to k is the exact top-k on all k ranks. With fewer than k seeds
+    /// the largest level runs a full top-k certification instead and its
+    /// k-th best becomes the cutoff of the smaller ones. Either way the
+    /// cutoff tightens to the running k-th best as levels report.
+    /// Allocation-free in steady state.
+    #[allow(clippy::too_many_arguments)]
+    fn retrieve(
+        &self,
+        k: usize,
+        scratch: &mut MatcherScratch,
+        tmp: &mut MatchOutcome,
+        query: &Polyline,
+        out: &mut Vec<DynMatch>,
+        stats: &mut RetrieveStats,
+        mut explain: Option<&mut QueryExplain>,
+    ) {
+        out.clear();
+        *stats = RetrieveStats::default();
+        // Warm-scratch detection for the hit/miss metrics below: a query
+        // that finishes without growing any dense array reused a warm
+        // scratch (pooled, or the per-worker one on the serve path).
+        let grows_before = scratch.grow_events;
+        let mut seed_stats = ApproxStats::default();
+        let mut tau = f64::INFINITY;
+        // degenerate geometry normalizes to nothing and matches nothing
+        if scratch.prepare_query(query) {
+            let MatcherScratch { seed, seeds, query: qprep, .. } = &mut *scratch;
+            let qprep = qprep.as_ref().expect("prepared above");
+            let opts = ApproxOptions { k, ..ApproxOptions::default() };
+            self.probe_rerank(seed, qprep, &opts, seeds, &mut seed_stats);
+            tau = kth_best_score(seeds, k);
+
+            tmp.explain.enabled = explain.is_some();
+            // largest level first: unseeded, its certified k-th best is
+            // what keeps the smaller levels cheap
+            for (_, Slot { level, dead }) in self.slots().rev() {
+                let cutoff = tau.min(kth_best_score(out, k));
+                let mode =
+                    if cutoff.is_finite() { RunMode::Threshold(cutoff) } else { RunMode::TopK };
+                // A top-k run ranks over the level's full base, tombstones
+                // included, and truncates at k — so it asks for k plus the
+                // level's tombstone count, or live shapes ranked right
+                // below deleted ones would be cut before the filter below
+                // runs. (A threshold run reports everything ≤ τ anyway.)
+                let level_config = MatchConfig { k: k + dead, ..self.config.clone() };
+                let matcher = Matcher::with_plan(&level.base, level_config, level.plan.clone());
+                tmp.clear();
+                matcher.run(scratch, mode, tmp);
+                stats.levels += 1;
+                stats.rings += tmp.stats.iterations as u64;
+                stats.vertices_reported += tmp.stats.vertices_reported as u64;
+                stats.vertices_processed += tmp.stats.vertices_processed as u64;
+                stats.candidates_scored += tmp.stats.candidates_scored as u64;
+                stats.triangles_queried += tmp.stats.triangles_queried as u64;
+                stats.last_termination = tmp.stats.termination;
+                if tmp.stats.exhausted {
+                    stats.exhausted_levels += 1;
+                }
+                if tmp.stats.eps_cap > 0.0 {
+                    stats.max_eps_fraction =
+                        stats.max_eps_fraction.max(tmp.stats.final_eps / tmp.stats.eps_cap);
+                }
+                if let Some(ex) = explain.as_deref_mut() {
+                    ex.levels.push(LevelExplain {
+                        shapes: level.ids.len() as u64,
+                        rings: tmp.explain.rings.clone(),
+                        termination: tmp.stats.termination,
+                        final_eps: tmp.stats.final_eps,
+                        eps_cap: tmp.stats.eps_cap,
+                        bound_factor: tmp.explain.bound_factor,
+                        vertices_reported: tmp.stats.vertices_reported as u64,
+                        vertices_processed: tmp.stats.vertices_processed as u64,
+                        candidates_scored: tmp.stats.candidates_scored as u64,
+                        credit_scored: tmp.explain.credit_scored,
+                        exhausted: tmp.stats.exhausted,
+                    });
+                }
+                for &Match { shape, score, .. } in &tmp.matches {
+                    let gid = level.ids[shape.index()];
+                    if !self.is_dead(&gid) {
+                        out.push(DynMatch { shape: gid, image: level.images[shape.index()], score });
+                    }
+                }
+            }
+            tmp.explain.enabled = false;
+
+            // Buffered shapes: scored directly against the copies prepared
+            // at insert time (the buffer is small by design; candidate
+            // indexes were built by the writer, so symmetric scoring does
+            // zero per-call index work). The level pass is complete, so
+            // the cutoff bounds what a buffered shape must beat to enter
+            // the final ranking — candidates the bounded scorer proves
+            // worse would be truncated below.
+            if !self.buffer.is_empty() {
+                let qprep = scratch.query.as_ref().expect("prepared above");
+                let cutoff = tau.min(kth_best_score(out, k));
+                for b in self.buffer {
+                    if self.is_dead(&b.id) {
+                        continue;
+                    }
+                    let best = b
+                        .copies
+                        .iter()
+                        .map(|c| score_prepared_bounded(self.config.score, c, qprep, cutoff))
+                        .fold(f64::INFINITY, f64::min);
+                    stats.buffer_scored += 1;
+                    if best.is_finite() {
+                        out.push(DynMatch { shape: b.id, image: b.image, score: best });
+                    }
+                }
+            }
+            out.sort_unstable_by(|a, b| {
+                a.score.partial_cmp(&b.score).unwrap().then(a.shape.cmp(&b.shape))
+            });
+            out.truncate(k);
+        }
+        obs::with_metrics(DynMetrics::build, |m| {
+            m.queries.inc();
+            m.rings_per_query.record(stats.rings);
+            m.candidates_per_query.record(stats.vertices_reported);
+            m.buffer_scored.add(stats.buffer_scored);
+            // The seed is exact-tier work, counted here — never under the
+            // approximate tier's `QueryApprox` series.
+            m.seed_reranked.add(seed_stats.reranked);
+            if tau.is_finite() {
+                m.seeded.inc();
+                if let Some(kth) = out.get(k - 1) {
+                    let tight = if tau > 0.0 { kth.score / tau * 1000.0 } else { 1000.0 };
+                    m.seed_tightness.record(tight.round() as u64);
+                }
+            } else {
+                m.unseeded.inc();
+            }
+            // Scratch reuse: a query that never grew a dense array ran
+            // entirely on warm scratch (from the internal pool *or* a
+            // long-lived per-worker scratch — the serve path used to
+            // bypass this accounting and both counters sat at 0 forever).
+            if scratch.grow_events == grows_before {
+                m.pool_hits.inc();
+            } else {
+                m.pool_misses.inc();
+            }
+        });
     }
 }
 
@@ -982,165 +1208,14 @@ impl Snapshot {
 /// than `k` entries): the exact pruning cutoff for later levels and
 /// the buffer scan. Sorts `out` in place (same order the final merge
 /// uses) rather than allocating a scratch score vector — the retrieval
-/// path is zero-alloc in steady state and `out` stays tiny (≤ k per
-/// level queried so far).
+/// path is zero-alloc in steady state and `out` stays tiny (the shapes
+/// within the cutoff so far).
 fn kth_best_score(out: &mut [DynMatch], k: usize) -> f64 {
     if k == 0 || out.len() < k {
         return f64::INFINITY;
     }
     out.sort_unstable_by(|a, b| a.score.partial_cmp(&b.score).unwrap().then(a.shape.cmp(&b.shape)));
     out[k - 1].score
-}
-
-/// The shared retrieval merge: query every level through the
-/// scratch-reusing matcher path, brute-force the insert buffer, filter
-/// tombstones, rank globally, truncate to k. Allocation-free in steady
-/// state except for the buffer path (documented at the callers).
-///
-/// Callers pass `levels` **largest first**: the first level runs a full
-/// top-k certification, and its k-th best score then caps every smaller
-/// level via a Threshold run — without this, a freshly cascaded level
-/// whose shapes resemble no query forces the full ε-growth schedule on
-/// every retrieval (the 256-connection insert-storm pathology).
-#[allow(clippy::too_many_arguments)]
-fn retrieve_levels_into<'l>(
-    levels: impl Iterator<Item = &'l Level>,
-    buffer: &[BufferedShape],
-    deleted: &HashSet<GlobalShapeId>,
-    config: &MatchConfig,
-    k: usize,
-    scratch: &mut MatcherScratch,
-    tmp: &mut MatchOutcome,
-    query: &Polyline,
-    out: &mut Vec<DynMatch>,
-    stats: &mut RetrieveStats,
-    mut explain: Option<&mut QueryExplain>,
-) {
-    out.clear();
-    *stats = RetrieveStats::default();
-    // Warm-scratch detection for the hit/miss metrics below: a query
-    // that finishes without growing any dense array reused a warm
-    // scratch (pooled, or the per-worker one on the serve path).
-    let grows_before = scratch.grow_events;
-    tmp.explain.enabled = explain.is_some();
-    for level in levels {
-        let mut level_config = config.clone();
-        // The matcher ranks over the level's full base, tombstones
-        // included, and truncates at k — so ask for k plus this level's
-        // tombstone count, or live shapes ranked right below deleted
-        // ones would be truncated away before the filter below runs.
-        let dead_here = if deleted.is_empty() {
-            0
-        } else {
-            level.ids.iter().filter(|g| deleted.contains(g)).count()
-        };
-        level_config.k = k + dead_here;
-        let matcher = Matcher::with_plan(&level.base, level_config, level.plan.clone());
-        // Cross-level cutoff: once k candidates are on the board, later
-        // (smaller) levels only need to prove nothing better than the
-        // running k-th best exists — a Threshold run terminates as soon
-        // as bound_factor·ε reaches that score, instead of paying the
-        // full ε-growth schedule certifying a top-k it cannot improve.
-        // Exact: Threshold(τ) reports every copy scoring ≤ τ, and any
-        // copy scoring > τ would be truncated from the merged top-k
-        // anyway (ties at τ are kept and break by id as before).
-        let cutoff = kth_best_score(out, k);
-        if cutoff.is_finite() {
-            matcher.retrieve_within_with(scratch, query, cutoff, tmp);
-        } else {
-            matcher.retrieve_with(scratch, query, tmp);
-        }
-        stats.levels += 1;
-        stats.rings += tmp.stats.iterations as u64;
-        stats.vertices_reported += tmp.stats.vertices_reported as u64;
-        stats.vertices_processed += tmp.stats.vertices_processed as u64;
-        stats.candidates_scored += tmp.stats.candidates_scored as u64;
-        stats.triangles_queried += tmp.stats.triangles_queried as u64;
-        stats.last_termination = tmp.stats.termination;
-        if tmp.stats.exhausted {
-            stats.exhausted_levels += 1;
-        }
-        if tmp.stats.eps_cap > 0.0 {
-            stats.max_eps_fraction =
-                stats.max_eps_fraction.max(tmp.stats.final_eps / tmp.stats.eps_cap);
-        }
-        if let Some(ex) = explain.as_deref_mut() {
-            ex.levels.push(LevelExplain {
-                shapes: level.ids.len() as u64,
-                rings: tmp.explain.rings.clone(),
-                termination: tmp.stats.termination,
-                final_eps: tmp.stats.final_eps,
-                eps_cap: tmp.stats.eps_cap,
-                bound_factor: tmp.explain.bound_factor,
-                vertices_reported: tmp.stats.vertices_reported as u64,
-                vertices_processed: tmp.stats.vertices_processed as u64,
-                candidates_scored: tmp.stats.candidates_scored as u64,
-                credit_scored: tmp.explain.credit_scored,
-                exhausted: tmp.stats.exhausted,
-            });
-        }
-        for &Match { shape, score, .. } in &tmp.matches {
-            let gid = level.ids[shape.index()];
-            if !deleted.contains(&gid) {
-                out.push(DynMatch { shape: gid, image: level.images[shape.index()], score });
-            }
-        }
-    }
-    tmp.explain.enabled = false;
-    // buffered shapes: scored directly against the copies prepared at
-    // insert time (the buffer is small by design; only the query is
-    // normalized and indexed here — candidate indexes were built by the
-    // writer, so symmetric scoring does zero per-call index work)
-    if !buffer.is_empty() {
-        if let Some((qn, _)) = crate::normalize::normalize_about_diameter(query) {
-            let prepared = crate::similarity::PreparedShape::new(qn.shape);
-            // Exact top-k pruning: the level pass is complete, so the
-            // k-th best level score bounds what a buffered shape must
-            // strictly beat to enter the final ranking — candidates the
-            // bounded scorer proves worse would be truncated below.
-            let cutoff = kth_best_score(out, k);
-            for b in buffer {
-                if deleted.contains(&b.id) {
-                    continue;
-                }
-                let best = b
-                    .copies
-                    .iter()
-                    .map(|c| {
-                        crate::similarity::score_prepared_bounded(
-                            config.score,
-                            c,
-                            &prepared,
-                            cutoff,
-                        )
-                    })
-                    .fold(f64::INFINITY, f64::min);
-                stats.buffer_scored += 1;
-                if best.is_finite() {
-                    out.push(DynMatch { shape: b.id, image: b.image, score: best });
-                }
-            }
-        }
-    }
-    out.sort_unstable_by(|a, b| {
-        a.score.partial_cmp(&b.score).unwrap().then(a.shape.cmp(&b.shape))
-    });
-    out.truncate(k);
-    obs::with_metrics(DynMetrics::build, |m| {
-        m.queries.inc();
-        m.rings_per_query.record(stats.rings);
-        m.candidates_per_query.record(stats.vertices_reported);
-        m.buffer_scored.add(stats.buffer_scored);
-        // Scratch reuse: a query that never grew a dense array ran
-        // entirely on warm scratch (from the internal pool *or* a
-        // long-lived per-worker scratch — the serve path used to
-        // bypass this accounting and both counters sat at 0 forever).
-        if scratch.grow_events == grows_before {
-            m.pool_hits.inc();
-        } else {
-            m.pool_misses.inc();
-        }
-    });
 }
 
 #[cfg(test)]
@@ -1314,6 +1389,61 @@ mod tests {
             "survivors must be the next-ranked live shapes, in order"
         );
         let _ = ids;
+    }
+
+    #[test]
+    fn tombstone_count_is_kept_per_level_not_recounted_per_query() {
+        // one 1 000-shape level, 300 tombstones
+        let mut db = DynamicBase::new(
+            0.0,
+            Backend::RangeTree,
+            MatchConfig { k: 10, beta: 0.2, ..Default::default() },
+            64,
+        );
+        let shapes: Vec<Polyline> = (0..1000).map(|i| shape(9000 + i)).collect();
+        let ids = db.bulk_load(shapes.iter().enumerate().map(|(i, s)| (ImageId(i as u32), s.clone())));
+        assert_eq!(db.num_levels(), 1);
+        for id in ids.iter().step_by(3).take(300) {
+            assert!(db.delete(*id));
+        }
+        let slot = db.levels.iter().flatten().next().unwrap();
+        assert_eq!(slot.dead, 300);
+        assert_eq!(slot.dead, slot.level.ids.iter().filter(|g| db.deleted.contains(g)).count());
+
+        let snap = db.snapshot();
+        let mut scratch = MatcherScratch::new();
+        let mut tmp = MatchOutcome::default();
+        let mut out = Vec::new();
+        for qi in [1usize, 3, 300, 897, 998] {
+            // a deleted shape (3, 300, 897) as the query makes its own
+            // tombstoned copy the would-be best match
+            let q = &shapes[qi];
+            let (qn, _) = crate::normalize::normalize_about_diameter(q).unwrap();
+            let prep = PreparedShape::new(qn.shape);
+            let mut oracle: Vec<(GlobalShapeId, f64)> = shapes
+                .iter()
+                .zip(&ids)
+                .filter(|(_, id)| !db.deleted.contains(id))
+                .map(|(s, id)| {
+                    let best = crate::normalize::normalized_copies(s, 0.0)
+                        .into_iter()
+                        .map(|c| crate::similarity::score(db.config.score, &c.shape, &prep))
+                        .fold(f64::INFINITY, f64::min);
+                    (*id, best)
+                })
+                .collect();
+            oracle.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
+            oracle.truncate(10);
+
+            let before = TOMBSTONE_PROBES.with(|c| c.get());
+            snap.retrieve_with(&mut scratch, &mut tmp, q, 0, &mut out);
+            let probes = TOMBSTONE_PROBES.with(|c| c.get()) - before;
+            let got: Vec<(GlobalShapeId, f64)> = out.iter().map(|m| (m.shape, m.score)).collect();
+            assert_eq!(got, oracle, "query {qi}");
+            // lookups follow the seed's candidates and the reported
+            // matches, never the level's 1 000 ids
+            assert!(probes < 1000, "query {qi} made {probes} tombstone lookups");
+        }
     }
 
     #[test]

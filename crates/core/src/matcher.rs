@@ -5,27 +5,46 @@
 //! with a triangle cover of the ring between consecutive envelopes, updates
 //! per-copy counters of vertices seen, scores copies that became
 //! *candidates* (≥ 1−β of their vertices inside the current envelope), and
-//! stops as soon as the k-th best score provably beats every unseen copy or
-//! ε reaches the paper's cap `(A / (2 p l_Q)) · log³ n`.
+//! stops as soon as the certified score provably beats every copy not yet
+//! scored or ε reaches the paper's cap `(A / (2 p l_Q)) · log³ n`.
 //!
-//! Termination bound: a copy that is **not** a candidate at level ε has
-//! more than a β fraction (and at least one) of its vertices at
-//! distance > ε from Q, so its discrete directed `h_avg` exceeds `factor · ε` where
-//! `factor = min_C (out_min(C) / n_C)` (computed exactly per base). The
-//! "provably best" guarantee therefore holds for
-//! [`ScoreKind::DiscreteDirected`] and [`ScoreKind::DiscreteSymmetric`]
-//! (whose max dominates the forward discrete term); the continuous kinds
-//! reuse the same stopping rule as a well-behaved heuristic (DESIGN.md).
+//! Termination certificate: after the ring at ε, a copy C with `n_C`
+//! vertices, `credit_C` of them anchors, and `in(C)` pooled vertices
+//! processed so far with exact distances summing to `S_in(C)` satisfies
+//!
+//! ```text
+//! h_avg(C → Q) ≥ (S_in(C) + (n_C − credit_C − in(C)) · ε) / n_C
+//! ```
+//!
+//! because (1) a processed vertex contributes its exact `dist(v, Q)`,
+//! (2) an unprocessed pooled vertex lies outside the envelope — the cover
+//! is a superset of it and ring membership is checked exactly — so it
+//! contributes more than ε, and (3) an anchor contributes at least 0. A
+//! copy no ring has touched therefore scores above `f_u · ε` with
+//! `f_u = min_C (n_C − credit_C) / n_C` (computed exactly per base, over
+//! the copies not scored up front), and a touched one is either excluded
+//! by its own bound or *resolved* — scored with the early-abandoning
+//! scorer against the cutoff. One run is done once `f_u · ε ≥ cutoff`
+//! (τ in threshold mode, the certify rank's score in top-k mode) and the
+//! touched copies are resolved. β only decides which copies the
+//! incremental top-k loop scores *early*; it is not part of the bound.
+//! A threshold run knows its cutoff up front, so it takes a single
+//! envelope at `ε = τ / f_u`.
+//!
+//! The guarantee holds for [`ScoreKind::DiscreteDirected`] and
+//! [`ScoreKind::DiscreteSymmetric`] (whose max dominates the forward
+//! discrete term); the continuous kinds reuse the same stopping rule as a
+//! well-behaved heuristic (DESIGN.md).
 
 use geosir_geom::envelope::{envelope_cover_into, ring_cover_into};
-use geosir_geom::{Polyline, Similarity};
+use geosir_geom::Polyline;
 use geosir_obs as obs;
 
 use crate::ids::{CopyId, ImageId, ShapeId};
 use crate::normalize::LUNE_AREA;
 use crate::scratch::MatcherScratch;
 use crate::shapebase::ShapeBase;
-use crate::similarity::{prepare_into, score_with, ScoreKind};
+use crate::similarity::{score_bounded_with, PreparedShape, ScoreKind};
 
 /// How ε grows between iterations.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,9 +80,10 @@ pub struct MatchConfig {
     /// Top-k stopping rule. `false` (default, the paper's §2.5 rule: "the
     /// algorithm stops whenever the best match has been found"): stop once
     /// at least k shapes are scored and the **best** is certified against
-    /// every unseen copy; ranks 2..k are best-effort. `true`: keep growing
-    /// ε until the k-th best is certified too — exact top-k, at a steep
-    /// cost when the k-th neighbor is distant.
+    /// every untouched copy; ranks 2..k are exact among the copies the
+    /// envelope touched. `true`: keep growing ε until the k-th best is
+    /// certified too — exact top-k, at a steep cost when the k-th
+    /// neighbor is distant.
     pub certify_all: bool,
 }
 
@@ -94,6 +114,7 @@ struct MatcherMetrics {
     processed: std::sync::Arc<obs::Counter>,
     scores: std::sync::Arc<obs::Counter>,
     promotions: std::sync::Arc<obs::Counter>,
+    resolves: std::sync::Arc<obs::Counter>,
     exhausted: std::sync::Arc<obs::Counter>,
     final_eps_permille: std::sync::Arc<obs::Histogram>,
     pool_hits: std::sync::Arc<obs::Counter>,
@@ -110,6 +131,7 @@ impl MatcherMetrics {
             processed: reg.counter("geosir_matcher_vertices_processed_total", &[]),
             scores: reg.counter("geosir_matcher_havg_evals_total", &[]),
             promotions: reg.counter("geosir_matcher_counter_promotions_total", &[]),
+            resolves: reg.counter("geosir_matcher_resolves_total", &[]),
             exhausted: reg.counter("geosir_matcher_exhausted_total", &[]),
             final_eps_permille: reg.histogram("geosir_matcher_final_eps_permille", &[]),
             pool_hits: reg.counter("geosir_matcher_scratch_pool_hits_total", &[]),
@@ -136,10 +158,11 @@ pub enum Termination {
     #[default]
     None,
     /// Bound-based: the certified rank's score provably beats every
-    /// unseen copy (`kth ≤ bound_factor · ε`).
+    /// untouched copy (`kth ≤ f_u · ε`) and every touched one was
+    /// excluded by its partial-sum bound or resolved.
     Certified,
-    /// Threshold mode: `bound_factor · ε ≥ τ`, so every unseen copy
-    /// scores worse than the threshold.
+    /// Threshold mode: `f_u · ε ≥ τ`, so every untouched copy scores
+    /// worse than the threshold, and every touched one was resolved.
     Threshold,
     /// The ε-cap `(A / (2 p l_Q)) · log^ρ n` was reached without a
     /// certified answer; results are best-effort.
@@ -204,8 +227,9 @@ pub struct RingExplain {
     pub vertices_reported: u32,
     /// Ring vertices processed after exact-distance filtering.
     pub vertices_processed: u32,
-    /// Copies promoted to an `h_avg` evaluation by their counters
-    /// crossing the candidacy threshold during this ring.
+    /// Copies scored during this ring: counters crossing the candidacy
+    /// threshold, plus — on the final ring — the certificate's resolve
+    /// scorings.
     pub promotions: u32,
 }
 
@@ -223,9 +247,9 @@ pub struct MatchExplain {
     pub rings: Vec<RingExplain>,
     /// Candidates scored on anchor credit alone, before ring 1.
     pub credit_scored: u32,
-    /// The plan's termination bound factor `min_C out_min(C)/n_C`;
-    /// `bound_factor · final_eps` is the score every unseen copy
-    /// provably exceeds at exit.
+    /// The plan's termination bound factor `f_u = min_C (n_C −
+    /// credit_C)/n_C`; `bound_factor · final_eps` is the score every
+    /// untouched copy provably exceeds at exit.
     pub bound_factor: f64,
 }
 
@@ -296,10 +320,10 @@ impl MatchOutcome {
 
 /// Which stopping rule a run uses.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum RunMode {
+pub(crate) enum RunMode {
     /// Stop once the k best shapes are certified.
     TopK,
-    /// Stop once every shape scoring ≤ τ is certified found.
+    /// Report every shape scoring ≤ τ: one envelope at `τ / f_u`.
     Threshold(f64),
 }
 
@@ -316,7 +340,7 @@ enum RunMode {
 /// [`MatchConfig`] knobs can vary freely across matchers sharing one plan.
 #[derive(Debug, Clone)]
 pub struct MatcherPlan {
-    /// `min_C out_min(C)/n_C` — see module docs.
+    /// `f_u = min_C (n_C − credit_C)/n_C` — see module docs.
     bound_factor: f64,
     /// Per-copy candidacy thresholds `ceil((1−β)·n_C)` **net of anchor
     /// credit** (the copy's anchor vertices count as inside every envelope
@@ -341,12 +365,13 @@ impl MatcherPlan {
             let net = need.saturating_sub(copy.anchor_credit);
             net_thresholds.push(net);
             if net == 0 {
+                // scored up front by every run, so it needs no bound (and
+                // an all-anchor copy would drag the factor to 0)
                 credit_candidates.push(cid);
+            } else {
+                // an untouched copy has all its pooled vertices outside
+                bound_factor = bound_factor.min((n_c - copy.anchor_credit) as f64 / n_c as f64);
             }
-            // A non-candidate has at most need−1 vertices inside, hence at
-            // least n_c − need + 1 outside.
-            let out_min = n_c - need + 1;
-            bound_factor = bound_factor.min(out_min as f64 / n_c as f64);
         }
         MatcherPlan { bound_factor, net_thresholds, credit_candidates, beta: config.beta }
     }
@@ -463,12 +488,15 @@ impl<'a> Matcher<'a> {
     }
 
     /// All shapes whose score is at most `tau` — the `shape_similar(Q)`
-    /// set of §5. Runs the same fattening loop, but termination requires
-    /// `bound_factor · ε ≥ tau` (then every unseen copy provably scores
-    /// worse than `tau`), and every scored shape within `tau` is reported.
+    /// set of §5 (ties at `tau` included). One envelope at
+    /// `ε = tau / f_u`: every copy it does not touch provably scores worse
+    /// than `tau`, and every copy it touches is excluded by its
+    /// partial-sum bound or scored against `tau` (module docs).
     ///
-    /// The ε-cap still applies: when `tau / bound_factor` exceeds the cap,
-    /// the result is best-effort (`stats.exhausted` is set).
+    /// The ε-cap still applies: when `tau / f_u` exceeds it the envelope
+    /// stops at the cap and the result is best-effort (`stats.exhausted`
+    /// is set) — complete among the copies reached, and every score it
+    /// reports is the true score of a stored copy.
     pub fn retrieve_within(&self, query: &Polyline, tau: f64) -> MatchOutcome {
         let mut scratch = self.pooled_scratch();
         let mut out = MatchOutcome::default();
@@ -497,7 +525,7 @@ impl<'a> Matcher<'a> {
         out: &mut MatchOutcome,
     ) {
         out.clear();
-        if self.normalize_into(query, scratch) {
+        if scratch.prepare_query(query) {
             self.run(scratch, RunMode::TopK, out);
         }
     }
@@ -511,7 +539,7 @@ impl<'a> Matcher<'a> {
         out: &mut MatchOutcome,
     ) {
         out.clear();
-        if self.normalize_into(query, scratch) {
+        if scratch.prepare_query(query) {
             self.run(scratch, RunMode::Threshold(tau), out);
         }
     }
@@ -524,43 +552,15 @@ impl<'a> Matcher<'a> {
         out: &mut MatchOutcome,
     ) {
         out.clear();
-        match &mut scratch.norm_query {
-            Some(nq) => nq.copy_from(query),
-            None => scratch.norm_query = Some(query.clone()),
-        }
+        scratch.prepare_normalized_query(query);
         self.run(scratch, RunMode::TopK, out);
     }
 
-    /// Write the diameter-normalized query into `scratch.norm_query`.
-    /// Allocation-free replacement for `normalize_about_diameter`: the
-    /// farthest vertex pair is found by the same lexicographic-first rule
-    /// `alpha_diameters(pts, 0.0)` resolves ties with, so the chosen frame
-    /// is identical to the fresh-allocation path's.
-    fn normalize_into(&self, query: &Polyline, scratch: &mut MatcherScratch) -> bool {
-        let pts = query.points();
-        let (mut bi, mut bj, mut bd) = (0usize, 0usize, -1.0f64);
-        for i in 0..pts.len() {
-            for j in (i + 1)..pts.len() {
-                let d = pts[i].dist(pts[j]);
-                if d > bd {
-                    (bi, bj, bd) = (i, j, d);
-                }
-            }
-        }
-        if bd <= 0.0 {
-            return false;
-        }
-        let Some(fwd) = Similarity::normalizing(pts[bi], pts[bj]) else {
-            return false;
-        };
-        match &mut scratch.norm_query {
-            Some(nq) => nq.copy_mapped_from(query, |p| fwd.apply(p)),
-            None => scratch.norm_query = Some(fwd.apply_polyline(query)),
-        }
-        true
-    }
-
-    fn run(&self, scratch: &mut MatcherScratch, mode: RunMode, outcome: &mut MatchOutcome) {
+    /// The fattening loop over the query already normalized and indexed in
+    /// `scratch` ([`MatcherScratch::prepare_query`]) — the dynamic layer
+    /// prepares once and runs every level through here. `outcome` must be
+    /// cleared by the caller.
+    pub(crate) fn run(&self, scratch: &mut MatcherScratch, mode: RunMode, outcome: &mut MatchOutcome) {
         let base = self.base;
         if base.num_copies() == 0 {
             outcome.stats.termination = Termination::EmptyBase;
@@ -571,9 +571,10 @@ impl<'a> Matcher<'a> {
         // sites below, so a dashboard watching a long-running query sees
         // them move ring by ring instead of jumping at the end.
         let metrics = obs::with_metrics(MatcherMetrics::build, |m| m.clone());
+        let f_u = self.plan.bound_factor;
         let explain_on = outcome.explain.enabled;
         if explain_on {
-            outcome.explain.bound_factor = self.plan.bound_factor;
+            outcome.explain.bound_factor = f_u;
             outcome.explain.credit_scored = self.plan.credit_candidates.len() as u32;
         }
         scratch.ensure(base);
@@ -582,7 +583,9 @@ impl<'a> Matcher<'a> {
             iter_clock,
             counter_stamp,
             counters,
+            dist_sums,
             scored_stamp,
+            touched_copies,
             best_stamp,
             best_score,
             best_copy,
@@ -593,13 +596,12 @@ impl<'a> Matcher<'a> {
             reported,
             ranked,
             score_buf,
-            norm_query,
             query: qslot,
             back,
             ..
         } = scratch;
-        let query: &Polyline = norm_query.as_ref().expect("normalized query set by entry point");
-        let prepared = prepare_into(qslot, query);
+        let prepared: &PreparedShape = qslot.as_ref().expect("query prepared by the entry point");
+        let query = prepared.shape();
         let mut best =
             BestTable { qstamp, stamp: best_stamp, score: best_score, copy: best_copy, touched: touched_shapes };
 
@@ -614,6 +616,14 @@ impl<'a> Matcher<'a> {
         let eps_cap = eps_base * log_n.powi(self.config.log_power);
         outcome.stats.eps_cap = eps_cap;
 
+        // The incremental top-k loop scores a copy in full as soon as β
+        // says it is a candidate; a threshold run knows its cutoff and
+        // leaves every scoring to the (bounded) resolve step.
+        let (promote, tau) = match mode {
+            RunMode::TopK => (true, f64::INFINITY),
+            RunMode::Threshold(tau) => (false, tau),
+        };
+
         // Per-copy state stays *sparse* despite the dense arrays: entries
         // are live only under this query's stamp, so no O(p) clear happens
         // (DESIGN.md §5 — dense per-query initialization once turned the
@@ -624,13 +634,15 @@ impl<'a> Matcher<'a> {
         // credit alone; score them up front so they are never lost.
         for &cid in &self.plan.credit_candidates {
             scored_stamp[cid.index()] = qstamp;
-            self.score_candidate(cid, prepared, back, &mut best, outcome);
+            self.score_candidate(cid, tau, prepared, back, &mut best, outcome);
         }
 
         let mut prev_eps = 0.0;
-        let mut eps = eps_base;
+        // τ is known up front in threshold mode: one envelope at τ / f_u
+        // certifies it, there is nothing to discover ring by ring.
+        let mut eps = if promote { eps_base } else { (tau / f_u).min(eps_cap).max(eps_base) };
 
-        for iter in 1..=self.config.max_iterations {
+        for iter in 1usize.. {
             outcome.stats.iterations = iter;
             outcome.stats.final_eps = eps;
             metrics.rings.inc();
@@ -686,13 +698,56 @@ impl<'a> Matcher<'a> {
                 if counter_stamp[oi] != qstamp {
                     counter_stamp[oi] = qstamp;
                     counters[oi] = 0;
+                    dist_sums[oi] = 0.0;
+                    touched_copies.push(owner.0);
                 }
                 counters[oi] += 1;
-                if counters[oi] >= self.plan.net_thresholds[oi] && scored_stamp[oi] != qstamp {
+                dist_sums[oi] += d;
+                if promote && counters[oi] >= self.plan.net_thresholds[oi] && scored_stamp[oi] != qstamp {
                     scored_stamp[oi] = qstamp;
                     metrics.promotions.inc();
-                    self.score_candidate(owner, prepared, back, &mut best, outcome);
+                    self.score_candidate(owner, f64::INFINITY, prepared, back, &mut best, outcome);
                 }
+            }
+
+            // Certify: every copy no ring has touched scores above f_u·ε
+            // (compared as ε against cutoff / f_u, so a threshold run's
+            // ε = τ / f_u passes exactly).
+            let certify_cutoff = match mode {
+                RunMode::TopK if best.len() < self.config.k => None,
+                RunMode::TopK => {
+                    let rank = if self.config.certify_all { self.config.k } else { 1 };
+                    best.kth(rank, score_buf)
+                }
+                RunMode::Threshold(tau) => Some(tau),
+            };
+            let certified = certify_cutoff.is_some_and(|c| eps >= c / f_u);
+
+            let next_eps = match self.config.schedule {
+                EpsSchedule::Geometric(g) => eps * g,
+                EpsSchedule::Linear => eps + eps_base,
+            };
+            // one final iteration exactly at the cap, then the schedule
+            // is spent
+            let next_eps = if next_eps <= eps_cap {
+                Some(next_eps)
+            } else if eps < eps_cap {
+                Some(eps_cap)
+            } else {
+                None
+            };
+            let last = certified || next_eps.is_none() || iter >= self.config.max_iterations;
+            if last {
+                // ...and every touched copy is excluded by its own bound
+                // or resolved. Also done on an uncertified exit, so what
+                // a best-effort answer reports is exact among the copies
+                // the envelope reached.
+                let before = outcome.stats.candidates_scored;
+                self.resolve(
+                    mode, eps, qstamp, touched_copies, counters, dist_sums, scored_stamp,
+                    prepared, back, &mut best, score_buf, outcome,
+                );
+                metrics.resolves.add((outcome.stats.candidates_scored - before) as u64);
             }
 
             if explain_on {
@@ -706,65 +761,93 @@ impl<'a> Matcher<'a> {
                 });
             }
 
-            // Provable-termination check: every unseen copy scores worse
-            // than bound_factor · ε.
-            let done = match mode {
-                RunMode::TopK => {
-                    // need k shapes on the board, plus certification of the
-                    // best (paper rule) or of the k-th (certify_all)
-                    let certify_rank = if self.config.certify_all { self.config.k } else { 1 };
-                    best.len() >= self.config.k
-                        && best
-                            .kth(certify_rank, score_buf)
-                            .is_some_and(|kth| kth <= self.plan.bound_factor * eps)
-                }
-                RunMode::Threshold(tau) => self.plan.bound_factor * eps >= tau,
-            };
-            if done {
-                outcome.stats.termination = match mode {
-                    RunMode::TopK => Termination::Certified,
-                    RunMode::Threshold(_) => Termination::Threshold,
+            if last {
+                outcome.stats.termination = match (certified, mode) {
+                    (true, RunMode::TopK) => Termination::Certified,
+                    (true, RunMode::Threshold(_)) => Termination::Threshold,
+                    (false, _) if next_eps.is_none() => Termination::EpsCap,
+                    (false, _) => Termination::MaxIterations,
                 };
-                self.finish(&best, ranked, mode, outcome, false, &metrics);
+                // Cap (or the iteration valve) reached without a
+                // certificate ⇒ the caller is told the answer is
+                // best-effort.
+                outcome.stats.exhausted = !certified;
+                self.finish(&best, ranked, mode, outcome, &metrics);
                 return;
             }
-
             prev_eps = eps;
-            eps = match self.config.schedule {
-                EpsSchedule::Geometric(g) => eps * g,
-                EpsSchedule::Linear => eps + eps_base,
-            };
-            if eps > eps_cap {
-                if prev_eps < eps_cap {
-                    eps = eps_cap; // one final iteration exactly at the cap
-                } else {
-                    outcome.stats.termination = Termination::EpsCap;
-                    break;
-                }
-            }
+            eps = next_eps.expect("not the last ring");
         }
-
-        if outcome.stats.termination == Termination::None {
-            // fell out of the loop without hitting the cap: the
-            // max_iterations safety valve fired
-            outcome.stats.termination = Termination::MaxIterations;
-        }
-        self.finish(&best, ranked, mode, outcome, true, &metrics);
     }
 
+    /// Score `copy_id` against the query, abandoning early once the score
+    /// provably exceeds `cutoff`, and put a finite result on the board.
+    /// Returns the score (`INFINITY` when abandoned).
     fn score_candidate(
         &self,
         copy_id: CopyId,
-        prepared: &crate::similarity::PreparedShape,
-        back: &mut Option<crate::similarity::PreparedShape>,
+        cutoff: f64,
+        prepared: &PreparedShape,
+        back: &mut Option<PreparedShape>,
         best: &mut BestTable<'_>,
         outcome: &mut MatchOutcome,
-    ) {
+    ) -> f64 {
         let copy = self.base.copy(copy_id);
         outcome.access_trace.push(copy_id); // record fetch
         outcome.stats.candidates_scored += 1;
-        let s = score_with(self.config.score, &copy.normalized, prepared, back);
-        best.record(copy.shape_id, s, copy_id);
+        let s = score_bounded_with(self.config.score, &copy.normalized, prepared, back, cutoff);
+        if s.is_finite() {
+            best.record(copy.shape_id, s, copy_id);
+        }
+        s
+    }
+
+    /// The certificate's second half: walk the copies the envelope
+    /// touched but β never promoted, skip those whose partial-sum bound
+    /// (module docs) already exceeds the cutoff, and score the rest
+    /// against it — τ in threshold mode, the running k-th best on the
+    /// board in top-k mode (everything while the board is short of k).
+    #[allow(clippy::too_many_arguments)]
+    fn resolve(
+        &self,
+        mode: RunMode,
+        eps: f64,
+        qstamp: u64,
+        touched_copies: &[u32],
+        counters: &[u32],
+        dist_sums: &[f64],
+        scored_stamp: &mut [u64],
+        prepared: &PreparedShape,
+        back: &mut Option<PreparedShape>,
+        best: &mut BestTable<'_>,
+        score_buf: &mut Vec<f64>,
+        outcome: &mut MatchOutcome,
+    ) {
+        let k = self.config.k;
+        let mut cutoff = match mode {
+            RunMode::TopK => best.kth(k, score_buf).unwrap_or(f64::INFINITY),
+            RunMode::Threshold(tau) => tau,
+        };
+        for &ci in touched_copies {
+            let ci = ci as usize;
+            if scored_stamp[ci] == qstamp {
+                continue;
+            }
+            let copy = self.base.copy(CopyId(ci as u32));
+            let n_c = copy.normalized.num_vertices() as u32;
+            let outside = n_c - copy.anchor_credit - counters[ci];
+            let bound = partial_sum_bound(dist_sums[ci], outside, eps, n_c);
+            // same relative slack as the abandoning scorer: rounding in
+            // the partial sum must never exclude a tie at the cutoff
+            if bound > cutoff + cutoff.abs() * 1e-9 {
+                continue;
+            }
+            scored_stamp[ci] = qstamp;
+            let s = self.score_candidate(CopyId(ci as u32), cutoff, prepared, back, best, outcome);
+            if mode == RunMode::TopK && s < cutoff {
+                cutoff = best.kth(k, score_buf).unwrap_or(f64::INFINITY);
+            }
+        }
     }
 
     fn finish(
@@ -773,7 +856,6 @@ impl<'a> Matcher<'a> {
         ranked: &mut Vec<(u32, f64, u32)>,
         mode: RunMode,
         outcome: &mut MatchOutcome,
-        exhausted: bool,
         metrics: &MatcherMetrics,
     ) {
         ranked.clear();
@@ -798,29 +880,9 @@ impl<'a> Matcher<'a> {
                 score: s,
             });
         }
-        // Cap reached ⇒ results are best-effort unless the bound already
-        // certifies them.
-        outcome.stats.exhausted = exhausted
-            && match mode {
-                RunMode::TopK => {
-                    let rank = if self.config.certify_all { self.config.k } else { 1 };
-                    let certified_score = outcome
-                        .matches
-                        .get(rank - 1)
-                        .map(|m| m.score)
-                        .unwrap_or(f64::INFINITY);
-                    outcome.matches.len() < self.config.k
-                        || certified_score > self.plan.bound_factor * outcome.stats.final_eps
-                }
-                RunMode::Threshold(tau) => {
-                    self.plan.bound_factor * outcome.stats.final_eps < tau
-                }
-            };
         let stats = &outcome.stats;
-        // Rings and counter promotions were already counted at their
-        // event sites in `run` (once per ring, once per promotion —
-        // they used to be per-run aggregate adds here, which left the
-        // counters frozen mid-query); the rest are per-run totals.
+        // Rings, counter promotions and resolves were already counted at
+        // their event sites in `run`; the rest are per-run totals.
         metrics.runs.inc();
         metrics.triangles.add(stats.triangles_queried as u64);
         metrics.reported.add(stats.vertices_reported as u64);
@@ -834,6 +896,16 @@ impl<'a> Matcher<'a> {
             metrics.final_eps_permille.record(permille.clamp(0.0, 1000.0) as u64);
         }
     }
+}
+
+/// The certificate's per-copy lower bound on the discrete directed
+/// `h_avg(C → Q)` once the envelope has reached `eps` (module docs):
+/// `dist_sum` is the exact distance total of the copy's vertices inside
+/// the envelope, `outside` counts its pooled vertices beyond it (each
+/// more than `eps` away), and its anchors (the rest of its `n_c`
+/// vertices) contribute at least 0.
+pub fn partial_sum_bound(dist_sum: f64, outside: u32, eps: f64, n_c: u32) -> f64 {
+    (dist_sum + outside as f64 * eps) / n_c as f64
 }
 
 /// Per-shape best-(score, copy) table over the scratch's stamped dense
@@ -1234,9 +1306,10 @@ mod tests {
         assert_eq!(rings, (multi.stats.iterations + exact.stats.iterations) as u64);
         assert!(rings > runs, "multi-ring run must push rings_total past runs_total");
         // this base has no credit candidates, so every h_avg eval was a
-        // counter promotion
+        // counter promotion or one of the certificate's resolve scorings
+        let resolves = snap.counter("geosir_matcher_resolves_total", &[]);
         assert_eq!(
-            promotions,
+            promotions + resolves,
             (multi.stats.candidates_scored + exact.stats.candidates_scored) as u64
         );
         assert!(promotions >= 1, "the exact query must have promoted its source shape");

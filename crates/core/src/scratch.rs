@@ -12,10 +12,12 @@
 //! warm-up pass the whole retrieval touches the heap zero times.
 
 use geosir_geom::rangesearch::IndexScratch;
-use geosir_geom::{Polyline, Triangle};
+use geosir_geom::{Polyline, Similarity, Triangle};
 
+use crate::approx::ApproxScratch;
+use crate::dynamic::DynMatch;
 use crate::shapebase::ShapeBase;
-use crate::similarity::PreparedShape;
+use crate::similarity::{prepare_into, PreparedShape};
 
 /// Arena of reusable buffers for [`crate::matcher::Matcher::retrieve_with`].
 ///
@@ -38,7 +40,14 @@ pub struct MatcherScratch {
     // --- per-copy dense state, indexed by CopyId ---
     pub(crate) counter_stamp: Vec<u64>,
     pub(crate) counters: Vec<u32>,
+    /// Σ exact `dist(v, Q)` over the copy's processed vertices — the
+    /// known part of the certificate's partial-sum bound. Live under
+    /// `counter_stamp`, like `counters`.
+    pub(crate) dist_sums: Vec<f64>,
     pub(crate) scored_stamp: Vec<u64>,
+    /// Copies with at least one processed vertex this query, in
+    /// first-touch order — what the certificate's resolve step walks.
+    pub(crate) touched_copies: Vec<u32>,
 
     // --- per-shape dense state, indexed by ShapeId ---
     pub(crate) best_stamp: Vec<u64>,
@@ -59,13 +68,17 @@ pub struct MatcherScratch {
     pub(crate) reported: Vec<u32>,
     pub(crate) ranked: Vec<(u32, f64, u32)>,
     pub(crate) score_buf: Vec<f64>,
-    /// The normalized query geometry.
-    pub(crate) norm_query: Option<Polyline>,
-    /// Index over the normalized query (forward h_avg direction).
+    /// The normalized query and the index over it (forward h_avg
+    /// direction): set once per query by [`Self::prepare_query`], read by
+    /// every level's matcher run, the seed probe and the buffer scan.
     pub(crate) query: Option<PreparedShape>,
     /// Index over the current candidate (reverse direction, symmetric
     /// kinds).
     pub(crate) back: Option<PreparedShape>,
+
+    // --- the dynamic layer's seed step (hash-tier probe + rerank) ---
+    pub(crate) seed: ApproxScratch,
+    pub(crate) seeds: Vec<DynMatch>,
 }
 
 impl MatcherScratch {
@@ -90,6 +103,7 @@ impl MatcherScratch {
         if self.counter_stamp.len() < copies {
             self.counter_stamp.resize(copies, 0);
             self.counters.resize(copies, 0);
+            self.dist_sums.resize(copies, 0.0);
             self.scored_stamp.resize(copies, 0);
             grew = true;
         }
@@ -119,7 +133,42 @@ impl MatcherScratch {
     pub(crate) fn begin_query(&mut self) -> u64 {
         self.query_clock += 1;
         self.touched_shapes.clear();
+        self.touched_copies.clear();
         self.query_clock
     }
 
+    /// Normalize `query` about its diameter and index it, in place.
+    /// Returns `false` for degenerate geometry (nothing to retrieve).
+    /// Allocation-free replacement for `normalize_about_diameter`: the
+    /// farthest vertex pair is found by the same lexicographic-first rule
+    /// `alpha_diameters(pts, 0.0)` resolves ties with, so the chosen frame
+    /// is identical to the fresh-allocation path's.
+    pub(crate) fn prepare_query(&mut self, query: &Polyline) -> bool {
+        let pts = query.points();
+        let (mut bi, mut bj, mut bd) = (0usize, 0usize, -1.0f64);
+        for i in 0..pts.len() {
+            for j in (i + 1)..pts.len() {
+                let d = pts[i].dist(pts[j]);
+                if d > bd {
+                    (bi, bj, bd) = (i, j, d);
+                }
+            }
+        }
+        if bd <= 0.0 {
+            return false;
+        }
+        let Some(fwd) = Similarity::normalizing(pts[bi], pts[bj]) else {
+            return false;
+        };
+        match &mut self.query {
+            Some(q) => q.rebuild_mapped_from(query, |p| fwd.apply(p)),
+            None => self.query = Some(PreparedShape::new(fwd.apply_polyline(query))),
+        }
+        true
+    }
+
+    /// Index an already-normalized query (diameter on the unit segment).
+    pub(crate) fn prepare_normalized_query(&mut self, query: &Polyline) {
+        prepare_into(&mut self.query, query);
+    }
 }

@@ -55,6 +55,13 @@ impl PreparedShape {
         self.index.rebuild_of_polyline(&self.shape);
     }
 
+    /// [`Self::rebuild_from`] for `shape` mapped point-wise through `f`
+    /// (the scratch path normalizes the query straight into its index).
+    pub fn rebuild_mapped_from(&mut self, shape: &Polyline, f: impl FnMut(geosir_geom::Point) -> geosir_geom::Point) {
+        self.shape.copy_mapped_from(shape, f);
+        self.index.rebuild_of_polyline(&self.shape);
+    }
+
     pub fn shape(&self) -> &Polyline {
         &self.shape
     }

@@ -1,0 +1,407 @@
+//! Differential and property tests for seed-and-verify exact retrieval.
+//!
+//! Three answers to the same question must coincide as `(id, score)`
+//! lists: the served path (`Snapshot::retrieve_with_stats` — hash-tier
+//! seed, one `Threshold(τ)` envelope per level, bounded buffer scan), the
+//! unseeded incremental top-k loop with every rank certified
+//! (`certify_all: true`), and a brute-force `min over copies` symmetric
+//! discrete `h_avg` scan that touches no index at all. Then the same on
+//! bases built to stress the certificate's corners.
+
+use geosir_core::dynamic::{DynamicBase, GlobalShapeId, RetrieveStats, Snapshot};
+use geosir_core::ids::ImageId;
+use geosir_core::matcher::{partial_sum_bound, MatchConfig, MatchOutcome, Matcher};
+use geosir_core::normalize::{normalize_about_diameter, normalized_copies};
+use geosir_core::scratch::MatcherScratch;
+use geosir_core::shapebase::ShapeBaseBuilder;
+use geosir_core::similarity::{h_avg_discrete, score_prepared, PreparedShape, ScoreKind};
+use geosir_geom::rangesearch::Backend;
+use geosir_geom::{Point, Polyline};
+use geosir_imaging::synth::{generate, perturb, random_simple_polygon, CorpusConfig};
+use proptest::prelude::*;
+use rand::prelude::*;
+use rand::rngs::StdRng;
+
+const KIND: ScoreKind = ScoreKind::DiscreteSymmetric;
+
+/// What `geosir serve` ships (`src/server_cmd.rs`), at a given α.
+fn shipped(alpha: f64, buffer_cap: usize) -> DynamicBase {
+    DynamicBase::new(
+        alpha,
+        Backend::RangeTree,
+        MatchConfig { beta: 0.2, ..Default::default() },
+        buffer_cap,
+    )
+}
+
+/// The served world under test plus what the oracle needs to know of it.
+struct World {
+    base: DynamicBase,
+    alpha: f64,
+    /// Every shape ever inserted, by id, with its stored copies indexed
+    /// for the oracle; `None` once deleted.
+    shapes: Vec<Option<(Polyline, Vec<PreparedShape>)>>,
+}
+
+impl World {
+    fn new(alpha: f64, buffer_cap: usize) -> World {
+        World { base: shipped(alpha, buffer_cap), alpha, shapes: Vec::new() }
+    }
+
+    fn insert(&mut self, shape: Polyline) -> GlobalShapeId {
+        let id = self.base.insert(ImageId(self.shapes.len() as u32), shape.clone());
+        assert_eq!(id.0 as usize, self.shapes.len());
+        let copies = normalized_copies(&shape, self.alpha)
+            .into_iter()
+            .map(|c| PreparedShape::new(c.shape))
+            .collect();
+        self.shapes.push(Some((shape, copies)));
+        id
+    }
+
+    fn delete(&mut self, id: GlobalShapeId) {
+        assert!(self.base.delete(id));
+        self.shapes[id.0 as usize] = None;
+    }
+
+    fn shape(&self, id: usize) -> &Polyline {
+        &self.shapes[id].as_ref().expect("live").0
+    }
+
+    /// Brute force over the live shapes: min over stored copies of the
+    /// symmetric discrete `h_avg` against the query's primary normalized
+    /// copy, ranked by `(score, id)`.
+    fn oracle(&self, query: &Polyline) -> Vec<(u64, f64)> {
+        let (primary, _) = normalize_about_diameter(query).expect("query has extent");
+        let q = PreparedShape::new(primary.shape);
+        let mut all: Vec<(u64, f64)> = self
+            .shapes
+            .iter()
+            .enumerate()
+            .filter_map(|(id, s)| Some((id as u64, &s.as_ref()?.1)))
+            .map(|(id, copies)| {
+                let best =
+                    copies.iter().map(|c| score_prepared(KIND, c, &q)).fold(f64::INFINITY, f64::min);
+                (id, best)
+            })
+            .collect();
+        all.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
+        all
+    }
+}
+
+/// The served answer and its stats.
+fn served(snap: &Snapshot, query: &Polyline, k: usize) -> (Vec<(u64, f64)>, RetrieveStats) {
+    let mut scratch = MatcherScratch::new();
+    let mut tmp = MatchOutcome::default();
+    let mut out = Vec::new();
+    let mut stats = RetrieveStats::default();
+    snap.retrieve_with_stats(&mut scratch, &mut tmp, query, k, &mut out, &mut stats);
+    (out.iter().map(|m| (m.shape.0, m.score)).collect(), stats)
+}
+
+/// `served` must be the oracle's first k, bit for bit, with no level
+/// short of its certificate.
+fn assert_exact(world: &World, query: &Polyline, k: usize, what: &str) {
+    let (got, stats) = served(&world.base.snapshot(), query, k);
+    let mut want = world.oracle(query);
+    want.truncate(k);
+    assert_eq!(stats.exhausted_levels, 0, "{what}: a level hit the ε-cap");
+    assert_eq!(got, want, "{what}: served top-{k} differs from brute force");
+}
+
+fn p(x: f64, y: f64) -> Point {
+    Point::new(x, y)
+}
+
+fn polygon(rng: &mut StdRng, n: usize) -> Polyline {
+    random_simple_polygon(rng, n, 0.35)
+}
+
+#[test]
+fn canonical_corpus_three_way() {
+    // the benchmark's `exact_sketch` world: small(200, 1), its 100
+    // sketches, k = 10, inserted one at a time as the driver does (one
+    // 1 024-shape level plus a part-filled buffer)
+    let corpus = generate(&CorpusConfig::small(200, 1));
+    let sketches = corpus.queries(100, 0.02, 1);
+    let mut world = World::new(0.0, 512);
+    let mut builder = ShapeBaseBuilder::new();
+    for (image, _, shape) in &corpus.shapes {
+        world.insert(shape.clone());
+        builder.add_shape(*image, shape.clone());
+    }
+    let snap = world.base.snapshot();
+    assert!(snap.num_levels() >= 1);
+
+    // the unseeded leg: the incremental top-k loop over one static base
+    // of the same shapes (ShapeId i ↔ GlobalShapeId i), every rank
+    // certified, the ε-cap out of the way
+    let statics = builder.build(0.0, Backend::RangeTree);
+    let unseeded = Matcher::new(
+        &statics,
+        MatchConfig { beta: 0.2, k: 10, certify_all: true, log_power: 30, ..Default::default() },
+    );
+    let mut scratch = MatcherScratch::new();
+    let mut out = MatchOutcome::default();
+
+    for (i, q) in sketches.iter().enumerate() {
+        let mut want = world.oracle(q);
+        want.truncate(10);
+        let (got, stats) = served(&snap, q, 10);
+        assert_eq!(stats.exhausted_levels, 0, "sketch {i}");
+        assert_eq!(got, want, "sketch {i}: seeded vs brute force");
+        // seeded: every level is one Threshold envelope
+        assert_eq!(stats.rings, stats.levels, "sketch {i}: a seeded level took more than one ring");
+
+        unseeded.retrieve_with(&mut scratch, q, &mut out);
+        assert!(!out.stats.exhausted, "sketch {i}");
+        let chain: Vec<(u64, f64)> =
+            out.matches.iter().map(|m| (m.shape.0 as u64, m.score)).collect();
+        assert_eq!(chain, want, "sketch {i}: unseeded certify_all vs brute force");
+    }
+}
+
+#[test]
+fn triangles_and_quads_have_the_smallest_bound_factors() {
+    // a triangle keeps 1 of 3 vertices in the pool (f_u = 1/3), a 4-gon
+    // 2 of 4: the loosest untouched-copy bound the certificate ever uses
+    let mut rng = StdRng::seed_from_u64(41);
+    let mut world = World::new(0.0, 16);
+    let mut queries = Vec::new();
+    for i in 0..120 {
+        let shape = polygon(&mut rng, 3 + i % 2);
+        if i % 9 == 0 {
+            queries.push(perturb(&shape, &mut rng, 0.02));
+        }
+        world.insert(shape);
+    }
+    assert!(world.base.num_levels() >= 2);
+    for (i, q) in queries.iter().enumerate() {
+        assert_exact(&world, q, 5, &format!("3/4-gon query {i}"));
+    }
+}
+
+#[test]
+fn duplicates_of_the_query_make_tau_zero() {
+    let mut rng = StdRng::seed_from_u64(43);
+    let needle = polygon(&mut rng, 9);
+    let mut world = World::new(0.0, 8);
+    for i in 0..40 {
+        if i % 6 == 0 {
+            world.insert(needle.clone()); // 7 verbatim copies ≥ k = 5
+        } else {
+            world.insert(polygon(&mut rng, 8 + i % 5));
+        }
+    }
+    let (got, _) = served(&world.base.snapshot(), &needle, 5);
+    assert!(got.iter().all(|&(_, s)| s == 0.0), "the seeds were exact hits: τ = 0");
+    assert_exact(&world, &needle, 5, "duplicates");
+}
+
+#[test]
+fn fewer_live_shapes_than_k() {
+    let mut rng = StdRng::seed_from_u64(47);
+    let mut world = World::new(0.0, 4);
+    for _ in 0..6 {
+        world.insert(polygon(&mut rng, 10));
+    }
+    world.delete(GlobalShapeId(1));
+    let q = perturb(world.shape(3), &mut rng, 0.02);
+    // 5 live shapes, k = 10: no τ to seed with; the top-k chain runs to
+    // the cap and reports what exists, exactly ranked
+    let (got, _) = served(&world.base.snapshot(), &q, 10);
+    assert_eq!(got, world.oracle(&q), "all five live shapes, in oracle order");
+}
+
+#[test]
+fn every_seed_tombstoned() {
+    let mut rng = StdRng::seed_from_u64(53);
+    let mut world = World::new(0.0, 16);
+    let proto = polygon(&mut rng, 12);
+    // a tight family around the query, drowned in unrelated shapes
+    for i in 0..96 {
+        if i % 8 == 0 {
+            world.insert(perturb(&proto, &mut rng, 0.01));
+        } else {
+            world.insert(polygon(&mut rng, 7 + i % 9));
+        }
+    }
+    let q = perturb(&proto, &mut rng, 0.01);
+    // delete everything the hash tier would have seeded with
+    let family: Vec<u64> = world.oracle(&q).iter().take(12).map(|&(id, _)| id).collect();
+    for id in family {
+        world.delete(GlobalShapeId(id));
+    }
+    assert_exact(&world, &q, 5, "seeds tombstoned");
+}
+
+#[test]
+fn buffer_only_base() {
+    let mut rng = StdRng::seed_from_u64(59);
+    let mut world = World::new(0.0, 64);
+    for i in 0..40 {
+        world.insert(polygon(&mut rng, 6 + i % 10));
+    }
+    assert_eq!(world.base.num_levels(), 0);
+    let q = perturb(world.shape(17), &mut rng, 0.02);
+    assert_exact(&world, &q, 5, "buffer only");
+}
+
+#[test]
+fn three_levels_with_tombstones_straddling_them() {
+    let mut rng = StdRng::seed_from_u64(61);
+    let mut world = World::new(0.0, 8);
+    let proto = polygon(&mut rng, 11);
+    // 8·(4 + 2 + 1) = 56 shapes fill carry slots 2, 1 and 0; 3 more stay
+    // buffered. Family members land in every level and the buffer.
+    let mut family = Vec::new();
+    for i in 0..59 {
+        if i % 5 == 0 {
+            family.push(world.insert(perturb(&proto, &mut rng, 0.015)));
+        } else {
+            world.insert(polygon(&mut rng, 7 + i % 8));
+        }
+    }
+    assert_eq!(world.base.num_levels(), 3);
+    // tombstone every other family member: some in each level
+    for id in family.iter().step_by(2) {
+        world.delete(*id);
+    }
+    let q = perturb(&proto, &mut rng, 0.01);
+    assert_exact(&world, &q, 4, "three levels");
+    assert_exact(&world, &q, 10, "three levels, k past the family");
+}
+
+#[test]
+fn alpha_copies_several_per_shape() {
+    let mut rng = StdRng::seed_from_u64(67);
+    let mut world = World::new(0.15, 16);
+    let mut queries = Vec::new();
+    for i in 0..80 {
+        let shape = polygon(&mut rng, 6 + i % 9);
+        if i % 10 == 0 {
+            queries.push(perturb(&shape, &mut rng, 0.03));
+        }
+        world.insert(shape);
+    }
+    for (i, q) in queries.iter().enumerate() {
+        assert_exact(&world, q, 6, &format!("α = 0.15 query {i}"));
+    }
+}
+
+#[test]
+fn tau_beyond_the_cap_is_flagged_and_never_wrong() {
+    // log_power = 0 pins the cap at ε₁: τ / f_u is always beyond it
+    let mut rng = StdRng::seed_from_u64(71);
+    let mut world = World::new(0.0, 16);
+    world.base = DynamicBase::new(
+        0.0,
+        Backend::RangeTree,
+        MatchConfig { beta: 0.2, log_power: 0, ..Default::default() },
+        16,
+    );
+    for i in 0..64 {
+        world.insert(polygon(&mut rng, 8 + i % 7));
+    }
+    let q = perturb(world.shape(20), &mut rng, 0.05);
+    let (got, stats) = served(&world.base.snapshot(), &q, 5);
+    assert!(stats.exhausted_levels > 0, "the cap must be reported");
+    assert!(!got.is_empty());
+    for w in got.windows(2) {
+        assert!(w[0].1 <= w[1].1);
+    }
+    // best-effort means possibly incomplete, never invented: each score
+    // is the true score of one of that shape's stored copies
+    let (primary, _) = normalize_about_diameter(&q).unwrap();
+    let qprep = PreparedShape::new(primary.shape);
+    for (id, score) in got {
+        let copies = &world.shapes[id as usize].as_ref().expect("live").1;
+        assert!(
+            copies.iter().any(|c| score_prepared(KIND, c, &qprep) == score),
+            "shape {id} reported with a score none of its copies has"
+        );
+    }
+}
+
+/// A random copy/query pair in normalized position.
+fn normalized_pair(seed: u64) -> (Polyline, PreparedShape) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n_copy = rng.random_range(3..16);
+    let copy = normalize_about_diameter(&polygon(&mut rng, n_copy)).unwrap().0.shape;
+    let n_query = rng.random_range(3..16);
+    let query = normalize_about_diameter(&polygon(&mut rng, n_query)).unwrap().0.shape;
+    (copy, PreparedShape::new(query))
+}
+
+proptest! {
+    /// The certificate's soundness: with the vertices inside the
+    /// ε-envelope contributing their exact distance, those outside ε
+    /// each, and the anchors nothing, the bound never exceeds the true
+    /// discrete directed `h_avg`.
+    #[test]
+    fn partial_sum_bound_never_exceeds_directed_havg(seed in 0u64..1_000_000, eps in 0.0005..0.6f64) {
+        let (copy, query) = normalized_pair(seed);
+        let (mut sum, mut outside, mut anchors) = (0.0, 0u32, 0u32);
+        for &v in copy.points() {
+            if v.dist(Point::ORIGIN) <= 1e-9 || v.dist(p(1.0, 0.0)) <= 1e-9 {
+                anchors += 1; // what the shape base credits instead of pooling
+                continue;
+            }
+            let d = query.dist(v);
+            if d <= eps {
+                sum += d;
+            } else {
+                outside += 1;
+            }
+        }
+        prop_assert!(anchors >= 2);
+        let n_c = copy.num_vertices() as u32;
+        let bound = partial_sum_bound(sum, outside, eps, n_c);
+        let truth = h_avg_discrete(&copy, &query);
+        prop_assert!(bound <= truth * (1.0 + 1e-12) + 1e-15, "bound {bound} > h_avg {truth}");
+        // and an untouched copy clears f_u·ε for its own f = pooled / n
+        let untouched = partial_sum_bound(0.0, n_c - anchors, eps, n_c);
+        if outside == n_c - anchors {
+            prop_assert!(untouched <= truth);
+        }
+    }
+
+    /// `retrieve_within(τ)` is exactly the brute-force `{score ≤ τ}` set,
+    /// with a shape scoring exactly τ kept.
+    #[test]
+    fn retrieve_within_is_the_brute_force_set(seed in 0u64..1_000_000, pick in 0usize..24, slack in 0.0..0.5f64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let shapes: Vec<Polyline> = (0..24).map(|i| polygon(&mut rng, 3 + (i * 5 + seed as usize) % 11)).collect();
+        let mut builder = ShapeBaseBuilder::new();
+        for (i, s) in shapes.iter().enumerate() {
+            builder.add_shape(ImageId(i as u32), s.clone());
+        }
+        let base = builder.build(0.1, Backend::RangeTree);
+        // log_power 30: the cap never binds, so the set must be complete
+        let matcher = Matcher::new(&base, MatchConfig { beta: 0.2, log_power: 30, ..Default::default() });
+        let query = perturb(&shapes[pick], &mut rng, 0.05);
+        let q = PreparedShape::new(normalize_about_diameter(&query).unwrap().0.shape);
+        let mut truth: Vec<(u32, f64)> = (0..shapes.len() as u32)
+            .map(|sid| {
+                let best = base
+                    .copies()
+                    .filter(|(_, c)| c.shape_id.0 == sid)
+                    .map(|(_, c)| score_prepared(KIND, &PreparedShape::new(c.normalized.clone()), &q))
+                    .fold(f64::INFINITY, f64::min);
+                (sid, best)
+            })
+            .collect();
+        truth.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
+        // τ: with `slack` 0 ≈ a tie at the pick-th score, else strictly between two
+        let at = pick.min(truth.len() - 1);
+        let tau = if slack < 0.25 { truth[at].1 } else { truth[at].1 * (1.0 + slack) };
+        let out = matcher.retrieve_within(&query, tau);
+        prop_assert!(!out.stats.exhausted);
+        prop_assert_eq!(out.stats.iterations, 1, "a threshold run is one envelope");
+        let got: Vec<(u32, f64)> = out.matches.iter().map(|m| (m.shape.0, m.score)).collect();
+        let want: Vec<(u32, f64)> = truth.into_iter().filter(|&(_, s)| s <= tau).collect();
+        prop_assert!(want.len() > at, "the tie at τ belongs to the set");
+        prop_assert_eq!(got, want);
+    }
+}

@@ -235,7 +235,7 @@ mod tests {
     fn template() -> BaseTemplate {
         BaseTemplate {
             alpha: 0.0,
-            backend: Backend::KdTree,
+            backend: Backend::RangeTree,
             config: MatchConfig::default(),
             buffer_cap: 4,
         }

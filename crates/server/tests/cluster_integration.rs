@@ -25,7 +25,7 @@ fn tmpdir(name: &str) -> PathBuf {
 fn template() -> BaseTemplate {
     BaseTemplate {
         alpha: 0.0,
-        backend: Backend::KdTree,
+        backend: Backend::RangeTree,
         // certify_all: exact top-k — the union-oracle test compares the
         // sharded merge bit-for-bit, and the default best-effort rule for
         // ranks 2..k is not partition-independent

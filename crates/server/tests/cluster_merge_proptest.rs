@@ -114,7 +114,7 @@ fn base(buffer_cap: usize) -> DynamicBase {
     // cap admits shapes on a small shard that the union base rejects.
     DynamicBase::new(
         0.0,
-        Backend::KdTree,
+        Backend::RangeTree,
         MatchConfig { k: 64, beta: 0.2, certify_all: true, log_power: 30, ..Default::default() },
         buffer_cap,
     )

@@ -34,7 +34,7 @@ fn tmpdir(name: &str) -> PathBuf {
 fn template() -> BaseTemplate {
     BaseTemplate {
         alpha: 0.0,
-        backend: Backend::KdTree,
+        backend: Backend::RangeTree,
         config: MatchConfig { beta: 0.2, ..Default::default() },
         buffer_cap: 8,
     }

@@ -24,7 +24,7 @@ fn tmpdir(name: &str) -> PathBuf {
 fn template() -> BaseTemplate {
     BaseTemplate {
         alpha: 0.0,
-        backend: Backend::KdTree,
+        backend: Backend::RangeTree,
         config: MatchConfig { beta: 0.2, ..Default::default() },
         buffer_cap: 8,
     }
@@ -98,10 +98,12 @@ fn explain_report_reconciles_with_registry_deltas() {
         .flat_map(|l| l.rings.iter())
         .map(|r| u64::from(r.promotions))
         .sum();
+    // a ring's `promotions` are its scorings: counter promotions plus,
+    // on a run's last ring, the certificate's resolve scorings
     assert_eq!(
-        delta("geosir_matcher_counter_promotions_total"),
+        delta("geosir_matcher_counter_promotions_total") + delta("geosir_matcher_resolves_total"),
         report_promotions,
-        "promotion counter must move once per promotion event"
+        "promotion/resolve counters must move once per scoring event"
     );
     assert_eq!(delta("geosir_matcher_runs_total"), report.levels.len() as u64);
     // The serve path must feed the scratch-pool counters (satellite:

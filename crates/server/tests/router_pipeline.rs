@@ -45,7 +45,7 @@ fn tmpdir(name: &str) -> PathBuf {
 fn template() -> BaseTemplate {
     BaseTemplate {
         alpha: 0.0,
-        backend: Backend::KdTree,
+        backend: Backend::RangeTree,
         // exact top-k: the differential compares replies to the bit
         config: MatchConfig { beta: 0.2, certify_all: true, ..Default::default() },
         buffer_cap: 8,

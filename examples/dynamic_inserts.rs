@@ -18,7 +18,7 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(7);
     let mut db = DynamicBase::new(
         0.05,
-        Backend::KdTree,
+        Backend::RangeTree,
         MatchConfig { k: 2, beta: 0.3, ..Default::default() },
         32,
     );

@@ -76,6 +76,10 @@ for i in $(seq 1 50); do
 done
 "$BIN" stats "127.0.0.1:$PORT" >/dev/null
 "$BIN" stats "127.0.0.1:$PORT" >/dev/null
+# One exact query (an Explain frame answers it through the same entry a
+# Query does), so the exact tier's own series exist. Node only: the
+# router does not route EXPLAIN.
+[ "$MODE" = single ] && "$BIN" explain "127.0.0.1:$PORT" >/dev/null
 
 BODY=$(http_get /metrics)
 case "$BODY" in
@@ -204,6 +208,19 @@ require_nonzero 'geosir_request_latency_us_count{type="stats"}'
 require_present 'geosir_snapshot_epoch '
 require_present 'geosir_queue_depth{queue="read"}'
 require_present 'geosir_queue_depth{queue="write"}'
+# The exact tier's seed step reports under its own names, not as approx
+# traffic: the query above found an empty base (no seeds), and it was
+# not a QueryApprox.
+require_nonzero 'geosir_exact_queries_total{seeded="false"}'
+require_present 'geosir_exact_queries_total{seeded="true"}'
+require_present 'geosir_exact_seed_reranked_total'
+require_present 'geosir_exact_seed_tightness_permille'
+case "$BODY" in
+    *geosir_approx_queries_total*)
+        echo "metrics_scrape: an exact query was counted as approx traffic" >&2
+        exit 1
+        ;;
+esac
 
 TRACES=$(http_get /debug/last_queries)
 case "$TRACES" in

@@ -34,6 +34,15 @@ cargo test -q -p geosir-core hashing
 cargo test -q -p geosir-core approx
 cargo test -q --test alloc_approx
 
+# Exact tier: the seed-and-verify differential suite by name, plain and
+# through the AVX2 kernels — served top-k = unseeded certify_all top-k =
+# brute-force h_avg scan as (id, score) lists on the benchmark corpus
+# and on the certificate's adversarial bases, plus the soundness
+# proptests (partial-sum bound ≤ true h_avg; retrieve_within(τ) = the
+# brute-force set). Any miss here is a wrong answer, not noise.
+cargo test -q -p geosir-core --test seeded_exact
+cargo test -q -p geosir-core --features simd --test seeded_exact
+
 # Router: the pipelined scatter-gather state machine and the cluster
 # suites it must keep green, by name for the same reason (the
 # failpoints pass below runs the whole server crate, these included).

@@ -1,11 +1,12 @@
 //! The zero-allocation claim extended to the dynamic base: after warm-up,
 //! `Snapshot::retrieve_with` (the path every server worker runs) through a
-//! reused scratch must not touch the heap while the insert buffer is
-//! empty. A counting global allocator wraps the system one.
+//! reused scratch must not touch the heap — not in the seed probe, not in
+//! the level runs, not in the buffer scan. A counting global allocator
+//! wraps the system one.
 //!
-//! The insert buffer is kept empty by inserting an exact multiple of
-//! `buffer_cap` — the buffered brute-force fallback is documented as
-//! allocating, and this test pins down that the *leveled* path does not.
+//! First with an exact multiple of `buffer_cap` inserted (empty buffer),
+//! then with three levels and a part-filled buffer, where the query used
+//! to be re-normalized and re-indexed on the heap once per call.
 //!
 //! Own test binary (one `#[test]`), so no concurrent test can allocate
 //! while the steady-state window is open.
@@ -98,6 +99,39 @@ fn dynamic_retrieve_with_steady_state_makes_zero_allocations() {
         queries.len()
     );
     assert!(!out.is_empty());
+
+    // three more inserts: the same levels (≥ 2) plus a non-empty buffer,
+    // through the coalesced entry point too (`out`'s inner vectors are
+    // reused from batch to batch)
+    for _ in 0..3 {
+        let n = rng.random_range(6..16);
+        base.insert(ImageId(1000), random_simple_polygon(&mut rng, n, 0.35));
+    }
+    let snapshot = base.snapshot();
+    assert!(snapshot.num_levels() >= 2, "test needs at least two levels");
+    let batch: Vec<(&Polyline, usize)> = queries.iter().map(|q| (q, 0)).collect();
+    let mut outs: Vec<Vec<DynMatch>> = Vec::new();
+    let mut stats = Vec::new();
+    for _ in 0..2 {
+        for q in &queries {
+            snapshot.retrieve_with(&mut scratch, &mut tmp, q, 0, &mut out);
+        }
+        snapshot.retrieve_many(&mut scratch, &mut tmp, &batch, &mut outs, &mut stats);
+    }
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for q in &queries {
+        snapshot.retrieve_with(&mut scratch, &mut tmp, q, 0, &mut out);
+    }
+    snapshot.retrieve_many(&mut scratch, &mut tmp, &batch, &mut outs, &mut stats);
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state retrieval over levels + a non-empty buffer allocated {} time(s)",
+        after - before
+    );
+    assert_eq!(outs.len(), queries.len());
+    assert!(outs.iter().all(|hits| !hits.is_empty()));
 
     // the DynamicBase-owned path (internal scratch pool) must also be
     // allocation-free once its pool is warm
