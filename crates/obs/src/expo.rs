@@ -1,13 +1,15 @@
-//! Text exposition: Prometheus-format rendering and a minimal HTTP
-//! responder for `/metrics` and `/debug/last_queries`.
+//! Text exposition: Prometheus-format rendering and the workspace's one
+//! HTTP server.
 //!
 //! There is no HTTP library in the tree, so this speaks just enough
 //! HTTP/1.1 for `curl` and a Prometheus scraper: read the request head,
-//! match the path, write one `Connection: close` response. The accept
-//! loop itself lives with the caller (the server already owns listener
-//! threads and a shutdown protocol); [`handle_connection`] does the
-//! per-connection work, and [`MetricsServer`] wraps a standalone
-//! listener for programs without their own.
+//! match the path exactly against a route table, write one
+//! `Connection: close` response. [`Routes`] is that table — the stock
+//! `/metrics`, `/debug/last_queries`, `/debug/flight` and
+//! `/debug/journal` of a registry, plus whatever the embedding program
+//! registers (the retrieval node adds its health probes, the cluster
+//! router its federated view) — and [`MetricsServer`] is the accept
+//! loop and the thread it runs on.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -99,46 +101,68 @@ fn push_series(out: &mut String, name: &str, labels: &[(String, String)], le: Op
     }
 }
 
-/// Serve one HTTP connection against `registry`: `GET /metrics` →
-/// Prometheus text, `GET /debug/last_queries` → JSON trace log,
-/// anything else → 404. Closes the connection after one response.
-pub fn handle_connection(stream: &mut TcpStream, registry: &Registry) -> io::Result<()> {
-    let Some(path) = read_request_path(stream)? else {
-        return Ok(());
-    };
-    match path.as_str() {
-        "/metrics" => {
-            let body = render_prometheus(&registry.snapshot());
-            respond(stream, 200, "text/plain; version=0.0.4", &body)
+/// What a route answers: status, content type, body.
+pub type Reply = (u16, &'static str, String);
+
+/// The content type of every route here but `/metrics`.
+pub const JSON: &str = "application/json";
+
+/// A 200 carrying `snap` in Prometheus text exposition format.
+pub fn metrics_reply(snap: &Snapshot) -> Reply {
+    (200, "text/plain; version=0.0.4", render_prometheus(snap))
+}
+
+type Handler = Box<dyn Fn() -> Reply + Send>;
+
+/// The exact-path route table of a [`MetricsServer`].
+pub struct Routes {
+    table: Vec<(&'static str, Handler)>,
+}
+
+impl Routes {
+    /// The stock plane of `registry`: `/metrics`, `/debug/last_queries`,
+    /// `/debug/flight`, `/debug/journal`.
+    pub fn new(registry: Arc<Registry>) -> Routes {
+        let (metrics, traces, flight, journal) =
+            (registry.clone(), registry.clone(), registry.clone(), registry);
+        Routes { table: Vec::new() }
+            .route("/metrics", move || metrics_reply(&metrics.snapshot()))
+            .route("/debug/last_queries", move || (200, JSON, traces.traces().to_json()))
+            .route("/debug/flight", move || (200, JSON, flight.flight().to_json()))
+            .route("/debug/journal", move || (200, JSON, journal.journal().to_json()))
+    }
+
+    /// Answer `GET path` with `handler`, replacing whatever answered
+    /// that path before (a stock route included).
+    pub fn route(
+        mut self,
+        path: &'static str,
+        handler: impl Fn() -> Reply + Send + 'static,
+    ) -> Routes {
+        let handler: Handler = Box::new(handler);
+        match self.table.iter_mut().find(|(p, _)| *p == path) {
+            Some(slot) => slot.1 = handler,
+            None => self.table.push((path, handler)),
         }
-        "/debug/last_queries" => {
-            let body = registry.traces().to_json();
-            respond(stream, 200, "application/json", &body)
+        self
+    }
+
+    /// The answer to `GET path`: its route's, or a 404 listing the table.
+    fn dispatch(&self, path: &str) -> Reply {
+        match self.table.iter().find(|(p, _)| *p == path) {
+            Some((_, handler)) => handler(),
+            None => {
+                let paths: Vec<&str> = self.table.iter().map(|(p, _)| *p).collect();
+                (404, "text/plain", format!("not found; try {}", paths.join(", ")))
+            }
         }
-        "/debug/flight" => {
-            let body = registry.flight().to_json();
-            respond(stream, 200, "application/json", &body)
-        }
-        "/debug/journal" => {
-            let body = registry.journal().to_json();
-            respond(stream, 200, "application/json", &body)
-        }
-        _ => respond(
-            stream,
-            404,
-            "text/plain",
-            "not found; try /metrics, /debug/last_queries, /debug/flight, or /debug/journal",
-        ),
     }
 }
 
 /// Read one HTTP request head from `stream` and return its query-less
 /// path, or `None` when the request was already answered (bad method,
-/// oversized head) or the peer hung up. Callers that serve paths the
-/// stock [`handle_connection`] does not know about (the cluster router's
-/// federated plane) build their own dispatch on top of this and
-/// [`respond`].
-pub fn read_request_path(stream: &mut TcpStream) -> io::Result<Option<String>> {
+/// oversized head) or the peer hung up.
+fn read_request_path(stream: &mut TcpStream) -> io::Result<Option<String>> {
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
     stream.set_write_timeout(Some(Duration::from_secs(5)))?;
     let mut head = Vec::with_capacity(512);
@@ -168,12 +192,13 @@ pub fn read_request_path(stream: &mut TcpStream) -> io::Result<Option<String>> {
 }
 
 /// Write one `Connection: close` HTTP/1.1 response and flush.
-pub fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) -> io::Result<()> {
+fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) -> io::Result<()> {
     let reason = match status {
         200 => "OK",
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        503 => "Service Unavailable",
         _ => "Error",
     };
     let head = format!(
@@ -185,9 +210,23 @@ pub fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &s
     stream.flush()
 }
 
-/// A standalone exposition listener for programs that do not have their
-/// own accept loop (the retrieval server wires [`handle_connection`]
-/// into its existing shutdown machinery instead).
+/// Accept errors that mean "try again now", not "the socket is sick": a
+/// connection that died between SYN and accept, a poll tick, or an
+/// interrupted syscall. Everything else (EMFILE, ENOBUFS, …) persists,
+/// and a loop that retried it at once would spin: back off instead.
+pub fn is_transient_accept_error(kind: io::ErrorKind) -> bool {
+    matches!(
+        kind,
+        io::ErrorKind::WouldBlock
+            | io::ErrorKind::TimedOut
+            | io::ErrorKind::Interrupted
+            | io::ErrorKind::ConnectionAborted
+            | io::ErrorKind::ConnectionReset
+    )
+}
+
+/// The HTTP plane: one listener, one thread, requests served inline one
+/// at a time (scrapes are rare and cheap).
 #[derive(Debug)]
 pub struct MetricsServer {
     addr: SocketAddr,
@@ -196,25 +235,30 @@ pub struct MetricsServer {
 }
 
 impl MetricsServer {
-    /// Bind `addr` (use port 0 for an ephemeral port) and serve
-    /// `registry` until [`MetricsServer::shutdown`] or drop.
-    pub fn bind(addr: &str, registry: Arc<Registry>) -> io::Result<MetricsServer> {
+    /// Bind `addr` (use port 0 for an ephemeral port) and serve `routes`
+    /// until [`MetricsServer::shutdown`] or drop.
+    pub fn bind(addr: &str, routes: Routes) -> io::Result<MetricsServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = stop.clone();
-        let thread = std::thread::Builder::new()
-            .name("geosir-metrics".into())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if stop2.load(Ordering::Acquire) {
-                        break;
-                    }
-                    if let Ok(mut stream) = stream {
-                        let _ = handle_connection(&mut stream, &registry);
+        let thread = std::thread::Builder::new().name("geosir-metrics".into()).spawn(move || loop {
+            let accepted = listener.accept();
+            if stop2.load(Ordering::Acquire) {
+                break;
+            }
+            match accepted {
+                Ok((mut stream, _)) => {
+                    // one request, one response, close
+                    if let Ok(Some(path)) = read_request_path(&mut stream) {
+                        let (status, content_type, body) = routes.dispatch(&path);
+                        let _ = respond(&mut stream, status, content_type, &body);
                     }
                 }
-            })?;
+                Err(e) if is_transient_accept_error(e.kind()) => {}
+                Err(_) => std::thread::sleep(Duration::from_millis(10)),
+            }
+        })?;
         Ok(MetricsServer { addr, stop, thread: Some(thread) })
     }
 
@@ -225,12 +269,11 @@ impl MetricsServer {
 
     /// Stop the accept loop and join the thread.
     pub fn shutdown(&mut self) {
+        let Some(thread) = self.thread.take() else { return };
         self.stop.store(true, Ordering::Release);
         // Wake the blocking accept with a no-op connection.
         let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+        let _ = thread.join();
     }
 }
 
@@ -284,12 +327,24 @@ mod tests {
             ..Default::default()
         });
 
-        let mut server = MetricsServer::bind("127.0.0.1:0", reg).unwrap();
+        let routes = Routes::new(reg.clone())
+            .route("/down", || (503, "application/json", "{\"ready\":false}".into()))
+            .route("/metrics", move || {
+                // an override may do work first, as the node's gauge refresh does
+                reg.gauge("geosir_test_fresh", &[]).set(1);
+                metrics_reply(&reg.snapshot())
+            });
+        let mut server = MetricsServer::bind("127.0.0.1:0", routes).unwrap();
         let addr = server.addr();
 
         let metrics = http_get(addr, "/metrics");
         assert!(metrics.starts_with("HTTP/1.1 200"), "{metrics}");
         assert!(metrics.contains("geosir_test_total 9"), "{metrics}");
+        assert!(metrics.contains("geosir_test_fresh 1"), "the override answered: {metrics}");
+
+        let down = http_get(addr, "/down");
+        assert!(down.starts_with("HTTP/1.1 503 Service Unavailable\r\n"), "{down}");
+        assert!(down.ends_with("{\"ready\":false}"), "{down}");
 
         let traces = http_get(addr, "/debug/last_queries");
         assert!(traces.contains("\"trace_id\":77"), "{traces}");
@@ -299,8 +354,41 @@ mod tests {
         assert!(flight.contains("\"trace_id\":91"), "{flight}");
 
         let missing = http_get(addr, "/nope");
-        assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
+        assert!(missing.starts_with("HTTP/1.1 404 Not Found\r\n"), "{missing}");
+        assert!(
+            missing.ends_with(
+                "not found; try /metrics, /debug/last_queries, /debug/flight, /debug/journal, /down"
+            ),
+            "the 404 lists every route once, overridden ones in place: {missing}"
+        );
 
         server.shutdown();
+    }
+
+    #[test]
+    fn accept_error_classifier_separates_transient_from_fatal() {
+        use std::io::ErrorKind;
+        // "try again" conditions: a dead connection in the backlog, a
+        // poll tick, an interrupted syscall
+        for k in [
+            ErrorKind::WouldBlock,
+            ErrorKind::TimedOut,
+            ErrorKind::Interrupted,
+            ErrorKind::ConnectionAborted,
+            ErrorKind::ConnectionReset,
+        ] {
+            assert!(is_transient_accept_error(k), "{k:?} must be transient");
+        }
+        // resource exhaustion and misconfiguration are real trouble:
+        // the loop must back off and count them, not spin
+        for k in [
+            ErrorKind::OutOfMemory,
+            ErrorKind::PermissionDenied,
+            ErrorKind::InvalidInput,
+            ErrorKind::NotConnected,
+            ErrorKind::Other,
+        ] {
+            assert!(!is_transient_accept_error(k), "{k:?} must not be transient");
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! geosir-obs: self-contained observability for the retrieval pipeline.
 //!
-//! Three pieces, all std-only:
+//! Four pieces, all std-only:
 //!
 //! 1. **Metrics registry** ([`registry`]) — atomic counters, gauges,
 //!    and log-linear histograms behind named, labeled series; lock-free
@@ -13,8 +13,10 @@
 //!    of the last N compact [`QueryProfile`]s, cheap enough to run
 //!    unconditionally and dumped to disk on a crash.
 //! 4. **Exposition** ([`expo`]) — Prometheus text format on
-//!    `/metrics`, a JSON trace log on `/debug/last_queries`, and the
-//!    flight-recorder ring on `/debug/flight`.
+//!    `/metrics`, a JSON trace log on `/debug/last_queries`, the
+//!    flight-recorder ring on `/debug/flight` and the journal on
+//!    `/debug/journal`, served by the workspace's one HTTP server, whose
+//!    route table the embedding program extends.
 //!
 //! # Registry resolution
 //!

@@ -163,13 +163,13 @@ pub struct QueryReply {
     /// Trace id this query carried — look it up in the server's
     /// `/debug/last_queries` for per-stage timings.
     pub trace: u64,
-    /// Shards that contributed to the reply vs shards asked (v6).
+    /// Shards that contributed to the reply vs shards asked.
     /// `1/1` from a single-node server; `ok < total` marks a partial
     /// answer assembled while some shard was entirely down.
     pub shards_ok: u16,
     pub shards_total: u16,
-    /// Server-side stage timings when the server reported them (v6
-    /// trailer): total enqueue→reply and the queue-wait slice of it.
+    /// Server-side stage timings when the server reported them (the
+    /// optional trailer): total enqueue→reply and the queue-wait slice.
     pub server_timings: Option<StageTrailer>,
 }
 
@@ -240,11 +240,11 @@ pub struct ApproxReply {
     pub rejected: bool,
     /// Server's retry-after hint when shed, milliseconds (0 = none).
     pub retry_after_ms: u32,
-    /// Shards that contributed vs shards asked (v6); see
+    /// Shards that contributed vs shards asked; see
     /// [`QueryReply::shards_ok`].
     pub shards_ok: u16,
     pub shards_total: u16,
-    /// Server-side stage timings when reported (v6 trailer).
+    /// Server-side stage timings when reported (the optional trailer).
     pub server_timings: Option<StageTrailer>,
 }
 
@@ -692,7 +692,7 @@ impl Client {
 }
 
 /// A pipelined connection: many requests in flight at once, each
-/// tagged with a client-minted correlation id (protocol v5), replies
+/// tagged with a client-minted correlation id, replies
 /// matched by id in whatever order the server finishes them.
 ///
 /// The workflow is `submit_*` (returns the correlation id without

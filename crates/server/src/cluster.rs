@@ -13,15 +13,14 @@
 //! same readiness loop a node serves from): **one thread** owns
 //! every client socket and **one persistent pipelined connection per
 //! backend, shared by all clients**. A routed request is an entry in an
-//! in-flight table — client connection token, correlation id, wire
-//! version, per-shard state — and everything below is a state
+//! in-flight table — client connection token, correlation id,
+//! per-shard state — and everything below is a state
 //! transition on it, driven by socket readiness and by timers (the
 //! `epoll_wait` timeout is the nearest pending hedge, deadline or
 //! backoff instant). Nothing blocks and nothing spawns: a client that
 //! pipelines 16 requests has 16 scatters in progress, replies complete
-//! out of order in the request's own wire version (a pre-v5 connection
-//! stays strictly serial), and a router whose table is full answers
-//! `Busy` like a node whose queue is.
+//! out of order, and a router whose table is full answers `Busy` like a
+//! node whose queue is.
 //!
 //! - **Inserts** hash their payload onto the ring and go to the owning
 //!   shard's *primary* (replicas are read-only by convention: the
@@ -43,7 +42,7 @@
 //!   **hedged retry** against the next untried candidate (and, if every
 //!   other candidate is dead, one last re-submit to the first); a shard
 //!   whose every backend fails is *dropped from the result* rather than
-//!   failing the query — the v6 [`ShardInfo`] (`shards_ok/shards_total`)
+//!   failing the query — the [`ShardInfo`] (`shards_ok/shards_total`)
 //!   on the reply tells the client the answer is partial.
 //!
 //! Three rules keep a deep window honest. **Clocks start at the
@@ -87,7 +86,7 @@
 //!   (client-minted, or minted here when the client sent zero) into
 //!   every shard sub-request; the router records a per-shard
 //!   timeline — submit failovers, hedges, router-clock gather time, and
-//!   the shard's own stage timings echoed in the v6 reply trailer —
+//!   the shard's own stage timings echoed in the reply trailer —
 //!   into the router's trace log and flight recorder
 //!   (`/debug/last_queries`, `/debug/flight`, dumped on panic), plus a
 //!   rotating slow-query JSONL when the routed total crosses the
@@ -96,7 +95,7 @@
 //!   dashboard (`src/top_cmd.rs` in the CLI crate).
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -421,10 +420,6 @@ struct Job {
 /// belong to the loop alone (`route::RouterLoop`).
 struct RouterState {
     addr: SocketAddr,
-    /// Bound address of the HTTP observability listener, when enabled;
-    /// the router thread self-connects to it on exit to wake its
-    /// blocking `accept()`.
-    metrics_addr: Option<SocketAddr>,
     shards: Vec<ShardSpec>,
     /// Backends as one flat list, shard by shard, primary first:
     /// shard `s` owns `base[s]..base[s + 1]`.
@@ -441,6 +436,9 @@ struct RouterState {
     deletes: Arc<obs::Counter>,
     /// Routed requests currently in the loop's in-flight table.
     in_flight: Arc<obs::Gauge>,
+    /// Client connections dropped over a bad frame (same series a node
+    /// counts its own under).
+    protocol_errors: Arc<obs::Counter>,
     /// Federated-scrape telemetry: completed scrapes, shards that
     /// answered no `MetricsDump`, and end-to-end scrape latency.
     scrapes: Arc<obs::Counter>,
@@ -491,6 +489,8 @@ pub struct RouterHandle {
     addr: SocketAddr,
     state: Arc<RouterState>,
     threads: Vec<std::thread::JoinHandle<()>>,
+    /// The HTTP plane; stops when the handle is joined or dropped.
+    http: Option<obs::expo::MetricsServer>,
 }
 
 impl RouterHandle {
@@ -507,7 +507,7 @@ impl RouterHandle {
     /// Bound address of the HTTP observability plane, when
     /// [`RouterConfig::metrics_addr`] was set (resolves port 0).
     pub fn metrics_addr(&self) -> Option<SocketAddr> {
-        self.state.metrics_addr
+        self.http.as_ref().map(|h| h.addr())
     }
 
     pub fn shutdown(self) {
@@ -527,7 +527,7 @@ impl RouterHandle {
 }
 
 /// The scatter-gather router. [`Router::start`] binds `addr` and serves
-/// the full v6 protocol over the given shard layout.
+/// the full wire protocol over the given shard layout.
 pub struct Router;
 
 impl Router {
@@ -561,16 +561,6 @@ impl Router {
         );
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        // Bind the observability listener before building the state so
-        // its resolved address is a plain field, not a lock.
-        let obs_listener = match &cfg.metrics_addr {
-            Some(a) => Some(TcpListener::bind(a.as_str())?),
-            None => None,
-        };
-        let metrics_addr = match &obs_listener {
-            Some(l) => Some(l.local_addr()?),
-            None => None,
-        };
         let slow_log = match &cfg.slow_query_log {
             Some(dir) => Some(RouterSlowLog {
                 threshold_us: cfg.slow_query_us,
@@ -609,7 +599,6 @@ impl Router {
             .collect();
         let state = Arc::new(RouterState {
             addr: local,
-            metrics_addr,
             ring: Ring::new(shards.len() as u16),
             backend_addrs,
             base,
@@ -619,6 +608,7 @@ impl Router {
             inserts: registry.counter("geosir_router_inserts_total", &[]),
             deletes: registry.counter("geosir_router_deletes_total", &[]),
             in_flight: registry.gauge("geosir_router_in_flight", &[]),
+            protocol_errors: registry.counter("geosir_protocol_errors_total", &[]),
             scrapes: registry.counter("geosir_router_scrapes_total", &[]),
             scrape_misses: registry.counter("geosir_router_scrape_misses_total", &[]),
             scrape_us: registry.histogram("geosir_router_scrape_us", &[]),
@@ -651,19 +641,15 @@ impl Router {
             });
             crate::server::install_panic_flight_dump();
         }
+        let http = match &state.cfg.metrics_addr {
+            Some(a) => Some(obs::expo::MetricsServer::bind(a, http_routes(&state))?),
+            None => None,
+        };
         let loop_state = state.clone();
-        let mut threads = vec![std::thread::Builder::new()
+        let threads = vec![std::thread::Builder::new()
             .name("geosir-router".into())
             .spawn(move || route::run(listener, loop_state))?];
-        if let Some(obs_listener) = obs_listener {
-            let obs_state = state.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("geosir-router-obs".into())
-                    .spawn(move || obs_loop(obs_listener, obs_state))?,
-            );
-        }
-        Ok(RouterHandle { addr: local, state, threads })
+        Ok(RouterHandle { addr: local, state, threads, http })
     }
 }
 
@@ -679,7 +665,7 @@ struct ShardSpan {
     hedged: bool,
     /// Submit-time plus hedge-time failovers for this shard.
     failovers: u32,
-    /// The shard's own stage timings, echoed in the v6 reply trailer.
+    /// The shard's own stage timings, echoed in the reply trailer.
     server: Option<StageTrailer>,
 }
 
@@ -770,7 +756,7 @@ fn unavailable(msg: &str) -> Frame {
 mod route {
     use std::cmp::Reverse;
     use std::collections::{BinaryHeap, HashMap, VecDeque};
-    use std::net::{TcpListener, TcpStream};
+    use std::net::TcpListener;
     use std::sync::atomic::Ordering;
     use std::sync::{mpsc, Arc};
     use std::time::{Duration, Instant};
@@ -798,8 +784,8 @@ mod route {
 
     /// Where a finished request's answer goes.
     enum ReplyTo {
-        /// A client connection of the engine, in its wire version.
-        Client { token: u64, corr: u64, version: u8 },
+        /// A client connection of the engine.
+        Client { token: u64, corr: u64 },
         /// Another thread waiting on the raw per-shard outcomes.
         Chan(mpsc::Sender<Outcomes>),
     }
@@ -939,11 +925,6 @@ mod route {
         // senders still queued or held by table entries drop here, so a
         // thread blocked in `gather` wakes with an all-dropped outcome
         *st.jobs.lock().unwrap() = None;
-        drop(handler);
-        st.stop.store(true, Ordering::SeqCst);
-        if let Some(m) = st.metrics_addr {
-            let _ = TcpStream::connect(m); // wake the HTTP accept loop
-        }
     }
 
     impl RouterLoop {
@@ -1220,6 +1201,9 @@ mod route {
                 let entry = table.get_mut(req).expect("still_queued() found it");
                 let corr = be.next_corr;
                 be.next_corr = be.next_corr.wrapping_add(1).max(1);
+                // read before the write: once the bytes are out the
+                // backend may run, and answer, before this thread does
+                let now = Instant::now();
                 if cx.send(peer, &entry.frame, corr).is_err() {
                     be.queue.push_front(item);
                     self.backend_down(cx, b);
@@ -1231,7 +1215,6 @@ mod route {
                 if sub.written_at.is_some() {
                     continue; // a later attempt runs on the first one's clocks
                 }
-                let now = Instant::now();
                 sub.written_at = Some(now);
                 sub.first = Some(b);
                 sub.deadline = now + st.cfg.shard_deadline;
@@ -1350,9 +1333,9 @@ mod route {
                 ReplyTo::Chan(ref tx) => {
                     let _ = tx.send(entry.subs.drain(..).map(|s| (s.span.addr, s.reply)).collect());
                 }
-                ReplyTo::Client { token, corr, version } => {
+                ReplyTo::Client { token, corr } => {
                     let reply = self.merged_reply(&entry);
-                    cx.reply(token, corr, version, &reply);
+                    cx.reply(token, corr, &reply);
                     if let Frame::Matches { matches, .. } | Frame::ApproxMatches { matches, .. } = reply
                     {
                         self.merge_buf = matches;
@@ -1538,7 +1521,6 @@ mod route {
             token: u64,
             mut frame: Frame,
             corr: u64,
-            version: u8,
         ) -> Admit {
             let st = &*self.st;
             let mut trace_id = 0;
@@ -1616,7 +1598,7 @@ mod route {
                 Frame::Delete { .. } => st.deletes.inc(),
                 _ => {}
             }
-            self.start(cx, ReplyTo::Client { token, corr, version }, frame, trace_id, write_to);
+            self.start(cx, ReplyTo::Client { token, corr }, frame, trace_id, write_to);
             Admit::Pending
         }
 
@@ -1626,6 +1608,10 @@ mod route {
 
         fn exit_ready(&self) -> bool {
             self.shutting_down()
+        }
+
+        fn on_protocol_error(&mut self) {
+            self.st.protocol_errors.inc();
         }
 
         fn on_tick(&mut self, cx: &mut Ctx<'_>) {
@@ -1843,61 +1829,29 @@ fn federate<'a>(
     out
 }
 
-/// Accept loop for the router's HTTP observability plane. Scrapes are
-/// rare next to queries, so one thread is plenty; whatever needs the
+/// What the router adds to the stock HTTP plane of `geosir-obs` (whose
+/// `/debug/*` routes serve the router's own registry): the federated
+/// `/metrics`, its probes, and `/debug/cluster`. Scrapes are rare next
+/// to queries, so the plane's one thread is plenty; whatever needs the
 /// shards ([`RouterState::gather`]) runs as a scatter inside the router
 /// loop, on the same backend connections queries use, and only the
 /// merging and rendering happen here.
-fn obs_loop(listener: TcpListener, state: Arc<RouterState>) {
-    for stream in listener.incoming() {
-        if state.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        if let Ok(mut stream) = stream {
-            let _ = serve_obs(&mut stream, &state);
-        }
-    }
-}
-
-fn serve_obs(stream: &mut TcpStream, state: &RouterState) -> io::Result<()> {
-    use obs::expo::{read_request_path, respond};
-    let Some(path) = read_request_path(stream)? else {
-        return Ok(());
-    };
-    match path.as_str() {
-        "/metrics" => {
+fn http_routes(state: &Arc<RouterState>) -> obs::expo::Routes {
+    let (metrics, readyz, cluster) = (state.clone(), state.clone(), state.clone());
+    obs::expo::Routes::new(state.registry.clone())
+        .route("/metrics", move || {
             let start = Instant::now();
-            let outcomes = state.gather(Frame::MetricsDump);
-            let snap = federate(state, start, outcomes.iter().map(|(_, f)| f.as_ref()));
-            let body = obs::expo::render_prometheus(&snap);
-            respond(stream, 200, "text/plain; version=0.0.4", &body)
-        }
-        "/healthz" => {
-            // The router's liveness is the obs loop itself: answering at
-            // all proves the accept loop runs.
-            respond(stream, 200, "application/json", "{\"status\":\"ok\",\"role\":\"router\"}")
-        }
-        "/readyz" => {
-            let (status, body) = router_readyz(state);
-            respond(stream, status, "application/json", &body)
-        }
-        "/debug/cluster" => respond(stream, 200, "application/json", &cluster_json(state)),
-        "/debug/flight" => {
-            respond(stream, 200, "application/json", &state.registry.flight().to_json())
-        }
-        "/debug/last_queries" => {
-            respond(stream, 200, "application/json", &state.registry.traces().to_json())
-        }
-        "/debug/journal" => {
-            respond(stream, 200, "application/json", &state.registry.journal().to_json())
-        }
-        _ => respond(
-            stream,
-            404,
-            "text/plain",
-            "not found; try /metrics, /healthz, /readyz, /debug/cluster, /debug/flight, /debug/last_queries, or /debug/journal",
-        ),
-    }
+            let outcomes = metrics.gather(Frame::MetricsDump);
+            let snap = federate(&metrics, start, outcomes.iter().map(|(_, f)| f.as_ref()));
+            obs::expo::metrics_reply(&snap)
+        })
+        // The router's liveness is the plane itself: answering at all
+        // proves its accept loop runs.
+        .route("/healthz", || {
+            (200, obs::expo::JSON, "{\"status\":\"ok\",\"role\":\"router\"}".into())
+        })
+        .route("/readyz", move || router_readyz(&readyz))
+        .route("/debug/cluster", move || (200, obs::expo::JSON, cluster_json(&cluster)))
 }
 
 /// Cluster-wide readiness: scatter a `MetricsDump` to every shard and
@@ -1905,7 +1859,7 @@ fn serve_obs(stream: &mut TcpStream, state: &RouterState) -> io::Result<()> {
 /// ready when some backend answered, its own watchdog published
 /// `geosir_ready=1` (absent = health plane disabled = trusted), and the
 /// primary's breaker is not open (reads may fail over, writes cannot).
-fn router_readyz(state: &RouterState) -> (u16, String) {
+fn router_readyz(state: &RouterState) -> obs::expo::Reply {
     const COMPONENTS: [&str; 4] = ["wal_writer", "event_loop", "queues", "slo"];
     let outcomes = state.gather(Frame::MetricsDump);
     let local = state.registry.snapshot();
@@ -1975,7 +1929,7 @@ fn router_readyz(state: &RouterState) -> (u16, String) {
     }
     out.push(']');
     let body = format!("{{\"ready\":{all_ready},{out}}}");
-    (if all_ready { 200 } else { 503 }, body)
+    (if all_ready { 200 } else { 503 }, obs::expo::JSON, body)
 }
 
 fn breaker_name(code: u8) -> &'static str {

@@ -65,21 +65,19 @@ impl FrameBuf {
     }
 
     /// Extract the next complete frame, or `Ok(None)` when more bytes
-    /// are needed. Errors are protocol violations (bad version/type,
-    /// oversized, checksum, malformed payload) — the connection must
-    /// answer once and close.
-    pub(crate) fn next_frame(&mut self) -> Result<Option<(Frame, u64, u8)>, WireError> {
-        let pending = &self.buf[self.start..self.filled];
-        let header = match crate::wire::peek_header(pending)? {
-            Some(h) => h,
-            None => return Ok(None), // not even a full header yet
-        };
-        if pending.len() < header.frame_len() {
-            return Ok(None); // header fine, body still in flight
+    /// are needed, with its correlation id. Errors are protocol
+    /// violations (bad version/type, oversized, checksum, malformed
+    /// payload) — the connection must answer once and close.
+    pub(crate) fn next_frame(&mut self) -> Result<Option<(Frame, u64)>, WireError> {
+        match Frame::decode_corr(&self.buf[self.start..self.filled]) {
+            Ok((frame, corr, used)) => {
+                self.start += used;
+                Ok(Some((frame, corr)))
+            }
+            // header fine as far as it goes, the rest still in flight
+            Err(WireError::Io(_)) => Ok(None),
+            Err(e) => Err(e),
         }
-        let (frame, corr, version, used) = Frame::decode_corr(pending)?;
-        self.start += used;
-        Ok(Some((frame, corr, version)))
     }
 
     /// Unparsed bytes currently buffered.
@@ -119,10 +117,6 @@ pub(crate) struct Conn {
     /// Peer closed its write side (half-close): buffered frames are
     /// still answered, then the connection drains and closes.
     pub(crate) read_eof: bool,
-    /// The last frame spoke a pre-v5 protocol, whose replies carry no
-    /// correlation id: the pipelining window collapses to one so reply
-    /// order matches request order.
-    pub(crate) serial: bool,
     /// Outbound connection whose handshake has not finished: the first
     /// `EPOLLOUT` edge (or an error edge) settles it.
     pub(crate) connecting: bool,
@@ -139,7 +133,6 @@ impl Conn {
             closing: false,
             want_write: false,
             read_eof: false,
-            serial: false,
             connecting: false,
         }
     }
@@ -246,8 +239,7 @@ mod tests {
         let mut got = Vec::new();
         for (i, b) in wire.iter().enumerate() {
             fb.push_bytes(std::slice::from_ref(b));
-            while let Some((frame, corr, version)) = fb.next_frame().unwrap() {
-                assert_eq!(version, PROTOCOL_VERSION);
+            while let Some((frame, corr)) = fb.next_frame().unwrap() {
                 got.push((frame, corr, i));
             }
         }
@@ -271,35 +263,11 @@ mod tests {
         let mut fb = FrameBuf::default();
         fb.push_bytes(&wire);
         let mut got = Vec::new();
-        while let Some((frame, corr, _)) = fb.next_frame().unwrap() {
-            got.push((frame, corr));
+        while let Some(f) = fb.next_frame().unwrap() {
+            got.push(f);
         }
         assert_eq!(got, frames);
         assert_eq!(fb.pending(), 0);
-    }
-
-    /// Mixed protocol versions interleaved on one connection parse with
-    /// their own layouts.
-    #[test]
-    fn mixed_versions_interleave() {
-        let mut wire = Vec::new();
-        Frame::Delete { id: 1 }.encode_versioned(1, 0, &mut wire);
-        Frame::Delete { id: 2 }.encode_versioned(5, 42, &mut wire);
-        Frame::Delete { id: 3 }.encode_versioned(3, 0, &mut wire);
-        let mut fb = FrameBuf::default();
-        fb.push_bytes(&wire);
-        let mut got = Vec::new();
-        while let Some((frame, corr, version)) = fb.next_frame().unwrap() {
-            got.push((frame, corr, version));
-        }
-        assert_eq!(
-            got,
-            vec![
-                (Frame::Delete { id: 1 }, 0, 1),
-                (Frame::Delete { id: 2 }, 42, 5),
-                (Frame::Delete { id: 3 }, 0, 3),
-            ]
-        );
     }
 
     #[test]

@@ -20,9 +20,13 @@
 //! that died — and whose slot was reused — is dropped, never
 //! misdelivered; a per-connection in-flight window
 //! ([`Handler::max_in_flight`]) beyond which the connection's receive
-//! buffer is simply not drained; pre-v5 connections held strictly serial
-//! (their replies carry no correlation id); exactly one completion
-//! consumed per admitted request; recycled encode buffers.
+//! buffer is simply not drained; a protocol violation (a version byte
+//! other than [`PROTOCOL_VERSION`] included) answered with exactly one
+//! `Error{MALFORMED}`, then the connection closed; exactly one
+//! completion consumed per admitted request; recycled encode buffers.
+//!
+//! There is no second serve path: off Linux this module is not built
+//! and both roles refuse to start with `Unsupported`.
 //!
 //! The handler is a type parameter: each role gets its own
 //! monomorphised loop, and the hooks a role leaves at their defaults
@@ -34,9 +38,10 @@ use std::os::fd::AsRawFd;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use geosir_obs::expo::is_transient_accept_error;
+
 use crate::conn::{self, Conn, FillOutcome};
 use crate::poll::{self, Poller, Waker};
-use crate::server::is_transient_accept_error;
 use crate::wire::{error_code, Frame, PROTOCOL_VERSION};
 
 const LISTENER_TOKEN: u64 = u64::MAX;
@@ -75,11 +80,11 @@ impl Shared {
     }
 
     /// Answer an admitted request from outside the loop: encode `frame`
-    /// in the request's own version into a pooled buffer, post it for
-    /// the client connection `token`, wake the loop.
-    pub(crate) fn complete(&self, token: u64, corr: u64, version: u8, frame: &Frame) {
+    /// into a pooled buffer, post it for the client connection `token`,
+    /// wake the loop.
+    pub(crate) fn complete(&self, token: u64, corr: u64, frame: &Frame) {
         let mut buf = self.pool.lock().unwrap().pop().unwrap_or_default();
-        frame.encode_versioned(version, corr, &mut buf);
+        frame.encode_versioned(PROTOCOL_VERSION, corr, &mut buf);
         self.completions.lock().unwrap().push((token, buf));
         self.waker.wake();
     }
@@ -100,17 +105,10 @@ pub(crate) enum Admit {
 /// A role served by the engine. The first four methods are the whole
 /// contract of a node; outbound connections and timers are opt-in.
 pub(crate) trait Handler {
-    /// Most admitted-but-unanswered requests per v5+ client connection.
+    /// Most admitted-but-unanswered requests per client connection.
     fn max_in_flight(&self) -> u32;
     /// A complete request frame arrived on client connection `token`.
-    fn on_request(
-        &mut self,
-        cx: &mut Ctx<'_>,
-        token: u64,
-        frame: Frame,
-        corr: u64,
-        version: u8,
-    ) -> Admit;
+    fn on_request(&mut self, cx: &mut Ctx<'_>, token: u64, frame: Frame, corr: u64) -> Admit;
     /// Stop accepting; close connections as they drain.
     fn shutting_down(&self) -> bool;
     /// No further completion can arrive: flush briefly and leave.
@@ -240,8 +238,8 @@ impl Ctx<'_> {
         self.peers.register(&self.io.poller, conn)
     }
 
-    /// Write `frame` (current protocol version, correlation id `corr`)
-    /// to an established outbound connection. An error means the
+    /// Write `frame` (correlation id `corr`) to an established
+    /// outbound connection. An error means the
     /// connection is unusable; the caller closes it.
     pub(crate) fn send(&mut self, peer: u64, frame: &Frame, corr: u64) -> io::Result<()> {
         let Some(c) = self.peers.get_mut(peer) else {
@@ -257,12 +255,11 @@ impl Ctx<'_> {
         self.peers.close(&self.io.poller, peer, &mut self.pool);
     }
 
-    /// Answer an admitted request from inside the loop, in the
-    /// request's own version. A token whose connection is gone is fine:
-    /// the reply is recycled at delivery.
-    pub(crate) fn reply(&mut self, token: u64, corr: u64, version: u8, frame: &Frame) {
+    /// Answer an admitted request from inside the loop. A token whose
+    /// connection is gone is fine: the reply is recycled at delivery.
+    pub(crate) fn reply(&mut self, token: u64, corr: u64, frame: &Frame) {
         let mut buf = self.pool.pop().unwrap_or_default();
-        frame.encode_versioned(version, corr, &mut buf);
+        frame.encode_versioned(PROTOCOL_VERSION, corr, &mut buf);
         self.done.push((token, buf));
     }
 }
@@ -522,7 +519,7 @@ fn pump_peer<H: Handler>(cx: &mut Ctx<'_>, handler: &mut H, token: u64) -> bool 
         // re-resolved every frame: a hook may have closed the connection
         let Some(c) = cx.peers.get_mut(token) else { return true };
         match c.recv.next_frame() {
-            Ok(Some((frame, corr, _version))) => handler.on_peer_frame(cx, token, frame, corr),
+            Ok(Some((frame, corr))) => handler.on_peer_frame(cx, token, frame, corr),
             Ok(None) => break,
             Err(_) => return false,
         }
@@ -540,11 +537,10 @@ fn pump_conn<H: Handler>(c: &mut Conn, token: u64, handler: &mut H, cx: &mut Ctx
         if c.closing {
             return true;
         }
-        let cap = if c.serial { 1 } else { handler.max_in_flight().max(1) };
-        if c.in_flight >= cap {
+        if c.in_flight >= handler.max_in_flight().max(1) {
             return true; // resumes when a completion frees the window
         }
-        let (frame, corr, version) = match c.recv.next_frame() {
+        let (frame, corr) = match c.recv.next_frame() {
             Ok(Some(f)) => f,
             Ok(None) => return true,
             Err(e) => {
@@ -552,31 +548,27 @@ fn pump_conn<H: Handler>(c: &mut Conn, token: u64, handler: &mut H, cx: &mut Ctx
                 handler.on_protocol_error();
                 c.closing = true;
                 let refusal = Frame::Error { code: error_code::MALFORMED, message: e.to_string() };
-                return inline_reply(c, &refusal, PROTOCOL_VERSION, 0, cx);
+                return inline_reply(c, &refusal, 0, cx);
             }
         };
-        // pre-v5 replies carry no correlation id: the connection must
-        // stay strictly serial so they arrive in request order
-        c.serial = version < 5;
-        match handler.on_request(cx, token, frame, corr, version) {
+        match handler.on_request(cx, token, frame, corr) {
             Admit::Pending => c.in_flight += 1,
             Admit::Reply(frame) => {
-                if !inline_reply(c, &frame, version, corr, cx) {
+                if !inline_reply(c, &frame, corr, cx) {
                     return false;
                 }
             }
             Admit::Close(frame) => {
                 c.closing = true;
-                return inline_reply(c, &frame, version, corr, cx);
+                return inline_reply(c, &frame, corr, cx);
             }
         }
     }
 }
 
-/// Encode a loop-side reply in the request's own version and queue it
-/// on the connection.
-fn inline_reply(c: &mut Conn, frame: &Frame, version: u8, corr: u64, cx: &mut Ctx<'_>) -> bool {
+/// Encode a loop-side reply and queue it on the connection.
+fn inline_reply(c: &mut Conn, frame: &Frame, corr: u64, cx: &mut Ctx<'_>) -> bool {
     let mut buf = cx.pool.pop().unwrap_or_default();
-    frame.encode_versioned(version, corr, &mut buf);
+    frame.encode_versioned(PROTOCOL_VERSION, corr, &mut buf);
     c.enqueue(buf, &mut cx.pool).is_ok()
 }

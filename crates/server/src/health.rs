@@ -6,9 +6,11 @@
 //!
 //! - **Probes** are passive stamps written by the hot loops: the WAL
 //!   writer marks when its current batch began (and clears the mark
-//!   when it finishes), the epoll loop stamps every wakeup. Stamping
-//!   is one relaxed atomic store — nothing on the hot path waits on
-//!   the health plane.
+//!   when it finishes), the event loop stamps every wakeup — every
+//!   node has one, so the `event_loop` component is always probed, and
+//!   a loop that never starts ages from boot like one that stopped.
+//!   Stamping is one relaxed atomic store — nothing on the hot path
+//!   waits on the health plane.
 //! - **The watchdog thread** (in `server.rs`) wakes every
 //!   [`HealthConfig::interval`], pings the event loop's waker (an idle
 //!   loop must still prove liveness), reads the probes, samples queue
@@ -18,7 +20,8 @@
 //!   and publishes a [`Verdict`].
 //! - **`/healthz`** is liveness: 200 while the watchdog itself is
 //!   ticking. **`/readyz`** is readiness: the last verdict, 200 only
-//!   when recovered, not read-only, and every component clean.
+//!   when recovered, not read-only, and every component clean. Both
+//!   are routes the node registers on `geosir_obs::expo`'s HTTP server.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -138,20 +141,17 @@ impl HealthConfig {
     }
 }
 
-/// Sentinel for "the epoll loop never stamped" (threaded fallback
-/// path, or the loop has not started yet).
-pub const LOOP_TICK_NONE: u64 = u64::MAX;
-
 /// Probe state shared between the hot loops, the watchdog, and the
 /// HTTP handlers. All times are milliseconds since `start`.
 pub struct HealthState {
     start: Instant,
     /// When the WAL writer began its in-flight batch; 0 = idle.
     wal_busy_since_ms: AtomicU64,
-    /// The event loop's last wakeup; [`LOOP_TICK_NONE`] until stamped.
+    /// The event loop's last wakeup; 0 (creation counts as one) until
+    /// stamped, so a loop that never starts reads as stalled.
     loop_tick_ms: AtomicU64,
-    /// The watchdog's last completed evaluation; [`LOOP_TICK_NONE`]
-    /// until its first tick.
+    /// The watchdog's last completed evaluation; 0 until its first,
+    /// likewise.
     watchdog_tick_ms: AtomicU64,
     /// Wakes the epoll loop so an idle loop still stamps its tick.
     waker: Mutex<Option<Box<dyn Fn() + Send>>>,
@@ -178,8 +178,8 @@ impl HealthState {
         HealthState {
             start: Instant::now(),
             wal_busy_since_ms: AtomicU64::new(0),
-            loop_tick_ms: AtomicU64::new(LOOP_TICK_NONE),
-            watchdog_tick_ms: AtomicU64::new(LOOP_TICK_NONE),
+            loop_tick_ms: AtomicU64::new(0),
+            watchdog_tick_ms: AtomicU64::new(0),
             waker: Mutex::new(None),
             verdict: Mutex::new(Verdict::default()),
         }
@@ -215,25 +215,22 @@ impl HealthState {
         self.loop_tick_ms.store(self.now_ms(), Ordering::Relaxed);
     }
 
-    /// Age of the event loop's last wakeup; `None` when the epoll path
-    /// never stamped (threaded fallback — not probed).
-    pub fn loop_tick_age(&self) -> Option<Duration> {
-        match self.loop_tick_ms.load(Ordering::Relaxed) {
-            LOOP_TICK_NONE => None,
-            t => Some(Duration::from_millis(self.now_ms().saturating_sub(t))),
-        }
+    /// Age of the event loop's last wakeup (of this state's creation,
+    /// before the first).
+    pub fn loop_tick_age(&self) -> Duration {
+        let t = self.loop_tick_ms.load(Ordering::Relaxed);
+        Duration::from_millis(self.now_ms().saturating_sub(t))
     }
 
     pub fn stamp_watchdog_tick(&self) {
         self.watchdog_tick_ms.store(self.now_ms(), Ordering::Relaxed);
     }
 
-    /// Age of the watchdog's last tick; `None` before its first.
-    pub fn watchdog_age(&self) -> Option<Duration> {
-        match self.watchdog_tick_ms.load(Ordering::Relaxed) {
-            LOOP_TICK_NONE => None,
-            t => Some(Duration::from_millis(self.now_ms().saturating_sub(t))),
-        }
+    /// Age of the watchdog's last tick (of this state's creation,
+    /// before the first).
+    pub fn watchdog_age(&self) -> Duration {
+        let t = self.watchdog_tick_ms.load(Ordering::Relaxed);
+        Duration::from_millis(self.now_ms().saturating_sub(t))
     }
 
     /// Install the event-loop waker the watchdog pings each tick.
@@ -387,9 +384,13 @@ mod tests {
         h.wal_end();
         assert!(h.wal_busy_for().is_none());
 
-        assert!(h.loop_tick_age().is_none(), "unstamped loop reads as not probed");
+        // an unstamped loop ages from creation, so one that never
+        // starts goes stale like one that stopped
+        std::thread::sleep(Duration::from_millis(5));
+        let unstamped = h.loop_tick_age();
+        assert!(unstamped >= Duration::from_millis(4), "{unstamped:?}");
         h.stamp_loop_tick();
-        assert!(h.loop_tick_age().unwrap() < Duration::from_secs(1));
+        assert!(h.loop_tick_age() < unstamped);
     }
 
     #[test]

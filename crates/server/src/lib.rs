@@ -3,10 +3,13 @@
 //! A standalone TCP service exposing the GeoSIR dynamic shape base over
 //! a length-prefixed binary protocol, built on `std::net`:
 //!
-//! - [`wire`] — versioned, checksummed frame codec ([`wire::Frame`]).
+//! - [`wire`] — checksummed frame codec ([`wire::Frame`]): one layout,
+//!   every frame tagged with a correlation id.
 //! - `engine` (private, Linux) — the epoll connection engine: one
-//!   readiness loop parameterised by a frame handler, which the node
-//!   and the cluster router both serve from.
+//!   readiness loop parameterised by a frame handler. The node and the
+//!   cluster router both serve from it and from nothing else; off Linux
+//!   [`server::serve`] and [`cluster::Router::start`] answer
+//!   `Unsupported`.
 //! - [`server`] — listener / worker-pool / single-writer architecture
 //!   with snapshot-isolated queries and bounded-queue backpressure
 //!   ([`server::serve`]), plus the durable variant
@@ -20,10 +23,11 @@
 //! - [`metrics`] — per-server handles into a [`geosir_obs::Registry`]:
 //!   counters, gauges, and log-linear histograms surfaced through the
 //!   `Stats` frame, the `MetricsDump` frame, and (with
-//!   [`server::ServeConfig::metrics_addr`]) an HTTP endpoint serving
-//!   Prometheus text at `/metrics` and the per-query trace ring at
-//!   `/debug/last_queries`.
-//! - [`cluster`] — sharded scale-out (v6): the consistent-hash ring,
+//!   [`server::ServeConfig::metrics_addr`]) the HTTP plane of
+//!   [`geosir_obs::expo`] — Prometheus text at `/metrics`, the
+//!   per-query trace ring at `/debug/last_queries` — to which the node
+//!   adds `/healthz` and `/readyz`, the router its federated view.
+//! - [`cluster`] — sharded scale-out: the consistent-hash ring,
 //!   the fault-tolerant scatter-gather [`cluster::Router`] with hedged
 //!   retries, circuit breakers, and partial results, and the
 //!   [`cluster::start_cluster`] boot helper.

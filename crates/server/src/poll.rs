@@ -11,7 +11,8 @@
 //! `std::net` types.
 //!
 //! Linux-only by construction (`target_os = "linux"` gate in `lib.rs`);
-//! other platforms keep the node's thread-per-connection serve path.
+//! there is no serve path for other platforms: node and router both
+//! refuse to start there with `Unsupported`.
 
 use std::io;
 use std::net::{SocketAddr, TcpStream};

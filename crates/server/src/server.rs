@@ -21,7 +21,7 @@
 //!                           └────────── completions ──────────┴──────────────┘
 //! ```
 //!
-//! **Readiness-driven I/O (Linux).** One event-loop thread owns every
+//! **Readiness-driven I/O.** One event-loop thread owns every
 //! connection. The loop itself is the crate's connection engine
 //! (`engine.rs`, shared with the cluster router; the node is the
 //! `NodeHandler` role below): an edge-triggered epoll poller (raw
@@ -32,13 +32,13 @@
 //! buffers, posting them on a completion list, and waking the loop
 //! through an eventfd; the loop matches completions to live connections
 //! by generation-checked tokens and writes them out, resuming partial
-//! writes on the next `EPOLLOUT` edge. Pipelined clients (protocol v5)
-//! keep up to [`ServeConfig::max_in_flight`] requests outstanding per
-//! connection, each tagged with its correlation id, and completions are
-//! delivered in whatever order the workers finish — pre-v5 connections
-//! are implicitly serial (window of 1) so their untagged replies stay
-//! ordered. On non-Linux platforms (or if epoll setup fails) the server
-//! falls back to the previous thread-per-connection loop.
+//! writes on the next `EPOLLOUT` edge. A client keeps up to
+//! [`ServeConfig::max_in_flight`] requests outstanding per connection,
+//! each tagged with its correlation id, and completions are delivered
+//! in whatever order the workers finish. This is the only serve path:
+//! where the engine cannot be set up (off Linux, or no descriptors left
+//! for epoll + eventfd) [`serve`] and [`serve_durable`] return the
+//! error instead of starting.
 //!
 //! **Snapshot isolation.** Queries never touch the [`DynamicBase`]: each
 //! worker clones the published `Arc<Snapshot>` (a pointer bump) and runs
@@ -50,7 +50,7 @@
 //! client that saw `Inserted{epoch}` is guaranteed every later query
 //! observes `epoch` or newer: read-your-writes across connections.
 //!
-//! **Backpressure.** Both queues are bounded. A connection thread uses
+//! **Backpressure.** Both queues are bounded. The event loop uses
 //! `try_push`; when the queue is full the client gets [`Frame::Busy`]
 //! immediately instead of the request queueing unboundedly — load is shed
 //! at the edge, and an overloaded server stays responsive. Shed requests
@@ -59,16 +59,15 @@
 //! **Graceful shutdown.** A `Shutdown` frame (or
 //! [`ServerHandle::shutdown`]) closes both queues: pushes start failing,
 //! but workers and the writer drain every already-admitted job and reply
-//! before exiting — no accepted request is dropped. The listener is woken
-//! by a self-connection and joins the connection threads, which notice
-//! the flag at their next poll tick.
+//! before exiting — no accepted request is dropped. A reaper thread joins
+//! them and wakes the event loop through its eventfd; the loop flushes
+//! the last replies, closes every connection and leaves. The HTTP plane
+//! keeps answering until the handle is joined or dropped.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -87,9 +86,7 @@ use crate::health::{
     self, ComponentHealth, HealthConfig, HealthState, TransitionTracker, Verdict,
 };
 use crate::metrics::{Metrics, ReqKind};
-use crate::wire::{
-    error_code, Frame, ServerStats, StageTrailer, WireError, WireMatch,
-};
+use crate::wire::{error_code, Frame, ServerStats, StageTrailer, WireMatch};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -100,16 +97,17 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Bounded write-queue capacity; beyond it, inserts/deletes get `Busy`.
     pub write_queue_cap: usize,
-    /// Idle-poll granularity for connection threads (how quickly they
-    /// notice shutdown; not a request timeout).
+    /// The background checkpointer's tick: how often it looks at the
+    /// count of WAL records since the last checkpoint, and how quickly
+    /// it notices shutdown.
     pub poll_interval: Duration,
     /// Fallback retry-after hint for `Busy` load-shed replies, used
     /// until a drain rate has been observed — the live hint is derived
     /// from queue depth and recent drain rate ([`retry_hint_ms`]).
     pub retry_after_ms: u32,
-    /// Bind address for the HTTP metrics endpoint (`/metrics`
-    /// Prometheus text, `/debug/last_queries` JSON, `/debug/flight`);
-    /// `None` disables it.
+    /// Bind address for the HTTP plane (`/metrics` Prometheus text,
+    /// `/healthz`, `/readyz`, `/debug/last_queries`, `/debug/flight`,
+    /// `/debug/journal`); `None` disables it.
     pub metrics_addr: Option<String>,
     /// Directory for the structured slow-query log (JSONL segments,
     /// size-rotated); `None` disables slow-query capture entirely —
@@ -131,9 +129,7 @@ pub struct ServeConfig {
     pub coalesce_max: usize,
     /// Most pipelined requests one connection may keep outstanding
     /// before the event loop stops draining its receive buffer. Bounds
-    /// per-connection memory under a firehose client. Pre-v5
-    /// connections are always capped at 1 (their replies carry no
-    /// correlation id, so they must stay ordered).
+    /// per-connection memory under a firehose client.
     pub max_in_flight: u32,
     /// Watchdog deadlines and SLO objectives behind `/healthz`,
     /// `/readyz`, and the `geosir_health_status` gauges.
@@ -378,38 +374,30 @@ impl<T> BoundedQueue<T> {
     }
 }
 
-/// Where a finished request's reply goes.
-///
-/// The event loop admits requests with `Conn`: the worker encodes the
-/// reply in the request's own protocol version with its correlation id,
-/// posts the bytes on the shared completion list, and wakes the loop,
-/// which routes them to the connection by token (generation-checked —
-/// a completion for a connection that died in the meantime is quietly
-/// recycled). The thread-per-connection fallback path uses `Chan`.
-enum ReplyTo {
-    /// Blocking connection thread waiting on a channel.
-    Chan(mpsc::Sender<Frame>),
-    /// Event-loop connection: post encoded bytes + wake the poller.
+/// Where a finished request's reply goes: a client connection of the
+/// event loop. The worker encodes the reply with the request's
+/// correlation id, posts the bytes on the engine's completion list and
+/// wakes the loop, which routes them to the connection by token
+/// (generation-checked — a completion for a connection that died in the
+/// meantime is quietly recycled).
+struct Conn {
     #[cfg(target_os = "linux")]
-    Conn { io: Arc<crate::engine::Shared>, token: u64, corr: u64, version: u8 },
+    io: Arc<crate::engine::Shared>,
+    token: u64,
+    corr: u64,
 }
 
-impl ReplyTo {
+impl Conn {
     fn send(&self, frame: Frame) {
-        match self {
-            ReplyTo::Chan(tx) => {
-                let _ = tx.send(frame);
-            }
-            #[cfg(target_os = "linux")]
-            ReplyTo::Conn { io, token, corr, version } => io.complete(*token, *corr, *version, &frame),
-        }
+        #[cfg(target_os = "linux")]
+        self.io.complete(self.token, self.corr, &frame);
     }
 }
 
 /// One admitted request: the decoded frame plus where its reply goes.
 struct Job {
     frame: Frame,
-    reply: ReplyTo,
+    reply: Conn,
     enqueued: Instant,
 }
 
@@ -481,9 +469,6 @@ struct Shared {
     metrics: Metrics,
     shutdown: AtomicBool,
     addr: SocketAddr,
-    /// Bound address of the HTTP metrics endpoint, when enabled (used
-    /// to wake its accept loop at shutdown).
-    metrics_addr: Mutex<Option<SocketAddr>>,
     cfg: ServeConfig,
     durable: Option<DurableState>,
     slow_log: Option<SlowLog>,
@@ -503,13 +488,10 @@ impl Shared {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return; // already under way
         }
+        // workers and the writer drain what was admitted and exit; the
+        // reaper that joins them wakes the event loop
         self.read_queue.close();
         self.write_queue.close();
-        // wake the listener (and the metrics endpoint) out of accept()
-        let _ = TcpStream::connect(self.addr);
-        if let Some(maddr) = *self.metrics_addr.lock().unwrap() {
-            let _ = TcpStream::connect(maddr);
-        }
     }
 
     fn current_snapshot(&self) -> Arc<Snapshot> {
@@ -575,6 +557,8 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     threads: Vec<std::thread::JoinHandle<()>>,
+    /// The HTTP plane; stops when the handle is joined or dropped.
+    http: Option<obs::expo::MetricsServer>,
 }
 
 impl ServerHandle {
@@ -586,7 +570,7 @@ impl ServerHandle {
     /// Bound address of the HTTP metrics endpoint, when
     /// [`ServeConfig::metrics_addr`] was set (useful with port 0).
     pub fn metrics_addr(&self) -> Option<SocketAddr> {
-        *self.shared.metrics_addr.lock().unwrap()
+        self.http.as_ref().map(|h| h.addr())
     }
 
     /// The server's metrics registry — every series the worker, writer,
@@ -724,7 +708,6 @@ fn serve_inner(
         metrics,
         shutdown: AtomicBool::new(false),
         addr: local,
-        metrics_addr: Mutex::new(None),
         cfg: cfg.clone(),
         durable,
         slow_log,
@@ -796,10 +779,10 @@ fn serve_inner(
         install_panic_flight_dump();
     }
 
-    // Workers and the writer produce reply completions; the serve path
+    // Workers and the writer produce reply completions; the event loop
     // spawned below consumes them, so it must know when the last one
-    // has been posted — the event loop gets that signal from a reaper
-    // thread that joins exactly this set.
+    // has been posted — it gets that signal from a reaper thread that
+    // joins exactly this set.
     let mut core = Vec::new();
     for i in 0..workers {
         let shared = shared.clone();
@@ -827,7 +810,9 @@ fn serve_inner(
                 .spawn(move || checkpointer_loop(&shared))?,
         );
     }
-    threads.extend(spawn_serve_path(listener, core, &shared)?);
+    // without an engine, release the threads already started
+    let io_threads = spawn_serve_path(listener, core, &shared);
+    threads.extend(io_threads.inspect_err(|_| shared.begin_shutdown())?);
     if cfg.health.enabled {
         let shared = shared.clone();
         threads.push(
@@ -836,17 +821,11 @@ fn serve_inner(
                 .spawn(move || watchdog_loop(&shared))?,
         );
     }
-    if let Some(maddr) = &cfg.metrics_addr {
-        let expo = TcpListener::bind(maddr.as_str())?;
-        *shared.metrics_addr.lock().unwrap() = Some(expo.local_addr()?);
-        let shared = shared.clone();
-        threads.push(
-            std::thread::Builder::new()
-                .name("geosir-metrics".into())
-                .spawn(move || metrics_loop(expo, &shared))?,
-        );
-    }
-    Ok(ServerHandle { addr: local, shared, threads })
+    let http = match &cfg.metrics_addr {
+        Some(maddr) => Some(obs::expo::MetricsServer::bind(maddr, http_routes(&shared))?),
+        None => None,
+    };
+    Ok(ServerHandle { addr: local, shared, threads, http })
 }
 
 /// Chain the flight-recorder dump into the process panic hook, once per
@@ -991,101 +970,50 @@ impl Shared {
     }
 }
 
-/// Accept loop for the HTTP metrics endpoint: refresh the passive
-/// gauges, then dispatch — `/healthz` and `/readyz` are answered from
-/// the watchdog's state, everything else (`/metrics`,
-/// `/debug/last_queries`, `/debug/flight`, `/debug/journal`) by the
-/// stock `geosir-obs` responder. Scrapes are served inline — they are
-/// rare, cheap, and must not compete with workers for queue slots.
-fn metrics_loop(listener: TcpListener, shared: &Arc<Shared>) {
-    loop {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                if shared.is_shutdown() {
-                    break;
-                }
-                shared.refresh_gauges();
-                let _ = serve_http(&mut stream, shared);
-            }
-            Err(e) => {
-                if shared.is_shutdown() {
-                    break;
-                }
-                if !is_transient_accept_error(e.kind()) {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-            }
-        }
-    }
-}
-
-/// One HTTP connection on the metrics plane.
-fn serve_http(stream: &mut TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
-    use obs::expo::{read_request_path, respond};
-    let Some(path) = read_request_path(stream)? else {
-        return Ok(());
-    };
-    let registry = &shared.metrics.registry;
-    match path.as_str() {
-        "/healthz" => {
-            let (status, body) = healthz_reply(shared);
-            respond(stream, status, "application/json", &body)
-        }
-        "/readyz" => {
-            let (status, body) = readyz_reply(shared);
-            respond(stream, status, "application/json", &body)
-        }
-        "/metrics" => {
-            let body = obs::expo::render_prometheus(&registry.snapshot());
-            respond(stream, 200, "text/plain; version=0.0.4", &body)
-        }
-        "/debug/last_queries" => respond(stream, 200, "application/json", &registry.traces().to_json()),
-        "/debug/flight" => respond(stream, 200, "application/json", &registry.flight().to_json()),
-        "/debug/journal" => respond(stream, 200, "application/json", &registry.journal().to_json()),
-        _ => respond(
-            stream,
-            404,
-            "text/plain",
-            "not found; try /metrics, /healthz, /readyz, /debug/last_queries, /debug/flight, or /debug/journal",
-        ),
-    }
+/// What the node adds to the stock HTTP plane of `geosir-obs`:
+/// `/healthz` and `/readyz` answered from the watchdog's state, and a
+/// `/metrics` that brings the passive gauges up to date first. Scrapes
+/// are served on the plane's own thread — they are rare, cheap, and
+/// must not compete with workers for queue slots.
+fn http_routes(shared: &Arc<Shared>) -> obs::expo::Routes {
+    let (metrics, healthz, readyz) = (shared.clone(), shared.clone(), shared.clone());
+    obs::expo::Routes::new(shared.metrics.registry.clone())
+        .route("/metrics", move || {
+            metrics.refresh_gauges();
+            obs::expo::metrics_reply(&metrics.metrics.registry.snapshot())
+        })
+        .route("/healthz", move || healthz_reply(&healthz))
+        .route("/readyz", move || readyz_reply(&readyz))
 }
 
 /// `/healthz`: liveness. 200 while the watchdog thread is ticking (or
 /// the health plane is disabled); 503 once its own heartbeat goes
 /// stale — a server whose watchdog died cannot vouch for anything.
-fn healthz_reply(shared: &Arc<Shared>) -> (u16, String) {
+fn healthz_reply(shared: &Shared) -> obs::expo::Reply {
     let hc = &shared.cfg.health;
     if !hc.enabled {
-        return (200, "{\"status\":\"ok\",\"health\":\"disabled\"}".to_string());
+        return (200, obs::expo::JSON, "{\"status\":\"ok\",\"health\":\"disabled\"}".to_string());
     }
     let age = shared.health.watchdog_age();
-    let stale = match age {
-        Some(age) => age > hc.watchdog_deadline(),
-        None => shared.health.now_ms() > hc.watchdog_deadline().as_millis() as u64,
-    };
+    let stale = age > hc.watchdog_deadline();
     let body = format!(
         "{{\"status\":\"{}\",\"uptime_ms\":{},\"watchdog_age_ms\":{}}}",
         if stale { "watchdog_stalled" } else { "ok" },
         shared.health.now_ms(),
-        age.map(|a| a.as_millis() as u64).unwrap_or(0),
+        age.as_millis(),
     );
-    (if stale { 503 } else { 200 }, body)
+    (if stale { 503 } else { 200 }, obs::expo::JSON, body)
 }
 
 /// `/readyz`: the watchdog's last verdict, with a staleness guard — a
 /// wedged watchdog fails readiness rather than serving a frozen "ok".
-fn readyz_reply(shared: &Arc<Shared>) -> (u16, String) {
+fn readyz_reply(shared: &Shared) -> obs::expo::Reply {
     let hc = &shared.cfg.health;
     if !hc.enabled {
-        return (200, "{\"ready\":true,\"health\":\"disabled\"}".to_string());
+        return (200, obs::expo::JSON, "{\"ready\":true,\"health\":\"disabled\"}".to_string());
     }
     let mut verdict = shared.health.verdict();
-    let stale = match shared.health.watchdog_age() {
-        Some(age) => age > hc.watchdog_deadline(),
-        None => shared.health.now_ms() > hc.watchdog_deadline().as_millis() as u64,
-    };
-    if stale {
+    if shared.health.watchdog_age() > hc.watchdog_deadline() {
         verdict.ready = false;
         verdict.status = health::STATUS_UNHEALTHY;
         verdict.components.push(ComponentHealth {
@@ -1100,7 +1028,7 @@ fn readyz_reply(shared: &Arc<Shared>) -> (u16, String) {
         verdict.ready = false;
         verdict.read_only = true;
     }
-    (if verdict.ready { 200 } else { 503 }, verdict.to_json())
+    (if verdict.ready { 200 } else { 503 }, obs::expo::JSON, verdict.to_json())
 }
 
 /// The watchdog: every `health.interval`, ping the event loop's waker
@@ -1172,13 +1100,10 @@ fn watchdog_tick(
 
     // Event-loop lag: the waker ping above forces a wakeup even on an
     // idle server, so a stale stamp means the loop truly cannot run.
-    let (loop_status, loop_detail) = match shared.health.loop_tick_age() {
-        Some(age) if age > hc.effective_loop_lag() => {
-            (health::STATUS_UNHEALTHY, format!("last wakeup {}ms ago", age.as_millis()))
-        }
-        Some(age) => (health::STATUS_OK, format!("last wakeup {}ms ago", age.as_millis())),
-        None => (health::STATUS_OK, "not probed (threaded serve path)".to_string()),
-    };
+    let loop_age = shared.health.loop_tick_age();
+    let loop_status =
+        if loop_age > hc.effective_loop_lag() { health::STATUS_UNHEALTHY } else { health::STATUS_OK };
+    let loop_detail = format!("last wakeup {}ms ago", loop_age.as_millis());
     components.push(ComponentHealth {
         component: "event_loop",
         status: loop_status,
@@ -1286,21 +1211,16 @@ fn watchdog_tick(
     shared.health.stamp_watchdog_tick();
 }
 
-/// Spawn the I/O side of the server. On Linux this is the epoll event
-/// loop plus a reaper thread that joins the worker/writer set and then
-/// tells the loop no further completions can arrive; if the poller
-/// cannot be created (exotic kernel, fd exhaustion) the thread-per-
-/// connection path takes over at runtime.
+/// Spawn the I/O side of the server: the epoll event loop plus a reaper
+/// thread that joins the worker/writer set and then tells the loop no
+/// further completions can arrive.
 #[cfg(target_os = "linux")]
 fn spawn_serve_path(
     listener: TcpListener,
     core: Vec<std::thread::JoinHandle<()>>,
     shared: &Arc<Shared>,
 ) -> std::io::Result<Vec<std::thread::JoinHandle<()>>> {
-    let io = match crate::engine::Shared::new() {
-        Ok(io) => Arc::new(io),
-        Err(_) => return spawn_threaded_path(listener, core, shared),
-    };
+    let io = Arc::new(crate::engine::Shared::new()?);
     let io_exit = Arc::new(AtomicBool::new(false));
     let mut threads = Vec::new();
     let (io2, exit2) = (io.clone(), io_exit.clone());
@@ -1327,29 +1247,18 @@ fn spawn_serve_path(
     Ok(threads)
 }
 
+/// The node is a role of the epoll connection engine; there is no
+/// second serve path for other platforms.
 #[cfg(not(target_os = "linux"))]
 fn spawn_serve_path(
-    listener: TcpListener,
-    core: Vec<std::thread::JoinHandle<()>>,
-    shared: &Arc<Shared>,
+    _listener: TcpListener,
+    _core: Vec<std::thread::JoinHandle<()>>,
+    _shared: &Arc<Shared>,
 ) -> std::io::Result<Vec<std::thread::JoinHandle<()>>> {
-    spawn_threaded_path(listener, core, shared)
-}
-
-/// Thread-per-connection serve path: the non-Linux default and the
-/// runtime fallback when epoll setup fails.
-fn spawn_threaded_path(
-    listener: TcpListener,
-    mut core: Vec<std::thread::JoinHandle<()>>,
-    shared: &Arc<Shared>,
-) -> std::io::Result<Vec<std::thread::JoinHandle<()>>> {
-    let shared = shared.clone();
-    core.push(
-        std::thread::Builder::new()
-            .name("geosir-listener".into())
-            .spawn(move || listener_loop(listener, &shared))?,
-    );
-    Ok(core)
+    Err(std::io::Error::new(
+        std::io::ErrorKind::Unsupported,
+        "the node runs on the epoll connection engine (Linux only)",
+    ))
 }
 
 /// The node as a role of the connection engine: requests are admitted
@@ -1376,7 +1285,6 @@ impl crate::engine::Handler for NodeHandler {
         token: u64,
         frame: Frame,
         corr: u64,
-        version: u8,
     ) -> crate::engine::Admit {
         use crate::engine::Admit;
         let shared = &self.shared;
@@ -1400,7 +1308,7 @@ impl crate::engine::Handler for NodeHandler {
                 })
             }
         };
-        let reply = ReplyTo::Conn { io: self.io.clone(), token, corr, version };
+        let reply = Conn { io: self.io.clone(), token, corr };
         match submit(queue, shared, Job { frame, reply, enqueued: Instant::now() }) {
             Ok(()) => Admit::Pending,
             Err(immediate) => Admit::Reply(immediate),
@@ -1434,55 +1342,6 @@ impl crate::engine::Handler for NodeHandler {
     }
 }
 
-fn listener_loop(listener: TcpListener, shared: &Arc<Shared>) {
-    let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if shared.is_shutdown() {
-                    break; // the wake-up self-connection (or a late client)
-                }
-                let shared = shared.clone();
-                if let Ok(handle) = std::thread::Builder::new()
-                    .name("geosir-conn".into())
-                    .spawn(move || connection_loop(stream, &shared))
-                {
-                    conns.push(handle);
-                }
-            }
-            Err(e) => {
-                if shared.is_shutdown() {
-                    break;
-                }
-                if !is_transient_accept_error(e.kind()) {
-                    // real socket trouble (EMFILE, ENOBUFS, …): count it
-                    // and back off instead of hot-spinning the accept loop
-                    shared.metrics.io_errors.inc();
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-            }
-        }
-        conns.retain(|h| !h.is_finished());
-    }
-    for h in conns {
-        let _ = h.join();
-    }
-}
-
-/// Accept/poll errors that mean "try again now", not "the socket is
-/// sick": a connection that died between SYN and accept, a poll tick, or
-/// an interrupted syscall. Everything else is backed off and counted.
-pub(crate) fn is_transient_accept_error(kind: std::io::ErrorKind) -> bool {
-    matches!(
-        kind,
-        std::io::ErrorKind::WouldBlock
-            | std::io::ErrorKind::TimedOut
-            | std::io::ErrorKind::Interrupted
-            | std::io::ErrorKind::ConnectionAborted
-            | std::io::ErrorKind::ConnectionReset
-    )
-}
-
 /// Submit to a queue, translating refusal into the shed/shutdown reply.
 /// The `Err` frame is cold (shed/shutdown only), so its size is fine.
 #[allow(clippy::result_large_err)]
@@ -1499,80 +1358,6 @@ fn submit(queue: &BoundedQueue<Job>, shared: &Shared, job: Job) -> Result<(), Fr
             code: error_code::SHUTTING_DOWN,
             message: "server is shutting down".into(),
         }),
-    }
-}
-
-fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
-    let mut stream = stream;
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.cfg.poll_interval));
-    let (reply_tx, reply_rx) = mpsc::channel::<Frame>();
-    let mut peek = [0u8; 1];
-    loop {
-        // idle-poll for the first byte so a quiet connection notices
-        // shutdown within one poll interval
-        match stream.peek(&mut peek) {
-            Ok(0) => break, // EOF
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shared.is_shutdown() {
-                    break;
-                }
-                continue;
-            }
-            Err(_) => break,
-        }
-        let frame = match Frame::read_from(&mut stream) {
-            Ok(f) => f,
-            Err(WireError::Io(_)) => break,
-            Err(e) => {
-                // protocol violation: answer once, then hang up
-                shared.metrics.protocol_errors.inc();
-                let _ = Frame::Error { code: error_code::MALFORMED, message: e.to_string() }
-                    .write_to(&mut stream);
-                break;
-            }
-        };
-        let outcome = match frame {
-            Frame::Query { .. } | Frame::Explain { .. } | Frame::QueryApprox { .. }
-            | Frame::QueryBatch { .. } | Frame::Stats | Frame::MetricsDump | Frame::Topology => {
-                submit(
-                    &shared.read_queue,
-                    shared,
-                    Job { frame, reply: ReplyTo::Chan(reply_tx.clone()), enqueued: Instant::now() },
-                )
-            }
-            Frame::Insert { .. } | Frame::Delete { .. } => submit(
-                &shared.write_queue,
-                shared,
-                Job { frame, reply: ReplyTo::Chan(reply_tx.clone()), enqueued: Instant::now() },
-            ),
-            Frame::Shutdown => {
-                shared.begin_shutdown();
-                let _ = Frame::Bye.write_to(&mut stream);
-                break;
-            }
-            _ => Err(Frame::Error {
-                code: error_code::UNEXPECTED_FRAME,
-                message: "response frame sent as request".into(),
-            }),
-        };
-        let reply = match outcome {
-            // admitted: a worker or the writer will reply exactly once
-            Ok(()) => match reply_rx.recv() {
-                Ok(r) => r,
-                Err(_) => break,
-            },
-            // refused: answer immediately (Busy / Error)
-            Err(immediate) => immediate,
-        };
-        if reply.write_to(&mut stream).is_err() {
-            break;
-        }
-        let _ = stream.flush();
     }
 }
 
@@ -2443,33 +2228,6 @@ mod tests {
         let q: BoundedQueue<u32> = BoundedQueue::new(0);
         assert!(q.try_push(1).is_ok());
         assert!(matches!(q.try_push(2), Err(PushError::Full(_))));
-    }
-
-    #[test]
-    fn accept_error_classifier_separates_transient_from_fatal() {
-        use std::io::ErrorKind;
-        // "try again" conditions: a dead connection in the backlog, a
-        // poll tick, an interrupted syscall
-        for k in [
-            ErrorKind::WouldBlock,
-            ErrorKind::TimedOut,
-            ErrorKind::Interrupted,
-            ErrorKind::ConnectionAborted,
-            ErrorKind::ConnectionReset,
-        ] {
-            assert!(is_transient_accept_error(k), "{k:?} must be transient");
-        }
-        // resource exhaustion and misconfiguration are real trouble:
-        // the loop must back off and count them, not spin
-        for k in [
-            ErrorKind::OutOfMemory,
-            ErrorKind::PermissionDenied,
-            ErrorKind::InvalidInput,
-            ErrorKind::NotConnected,
-            ErrorKind::Other,
-        ] {
-            assert!(!is_transient_accept_error(k), "{k:?} must not be transient");
-        }
     }
 
     #[test]

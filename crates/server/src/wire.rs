@@ -5,32 +5,30 @@
 //! metadata. Every frame travels as
 //!
 //! ```text
-//! version   u8   (MIN_VERSION ..= PROTOCOL_VERSION)
+//! version   u8   PROTOCOL_VERSION
 //! type      u8   frame discriminant
 //! length    u32  payload byte count (≤ MAX_PAYLOAD)
-//! corr      u64  correlation id — v5 frames only (see below)
-//! payload   length bytes (layout gated on `version`)
+//! corr      u64  correlation id
+//! payload   length bytes
 //! checksum  u32  FNV-1a over every preceding byte of the frame
 //! ```
 //!
-//! The server accepts every protocol version it ever spoke (v1–v5) and
-//! answers each frame in the version it arrived in; payload layouts that
-//! changed across versions decode through per-version gates below. The
-//! `corr` field is the pipelining handle: a v5 client stamps each request
-//! with a client-minted correlation id (by convention its trace id) and the
-//! server echoes it verbatim on the matching response, so many requests can
-//! be in flight on one connection and responses may complete out of order.
-//! v1–v4 frames have no `corr`; connections speaking them are implicitly
-//! serial (one in-flight request), which is exactly how those clients
-//! always behaved.
+//! There is one layout. The version byte is kept for the future; a frame
+//! carrying any other value is refused with [`WireError::BadVersion`]
+//! before a payload byte is read. The `corr` field is the pipelining
+//! handle: a client stamps each request with a correlation id of its
+//! choosing (by convention its trace id) and the server echoes it
+//! verbatim on the matching response, so many requests can be in flight
+//! on one connection and responses may complete out of order.
 //!
 //! The checksum closes the gap TCP's checksum leaves open (stack bugs,
 //! proxies, in-flight truncation at process kill): a reader either gets a
 //! frame whose every byte was vouched for, or a clean [`WireError`] — never
-//! a silently corrupt query. Decoding never panics on adversarial input;
-//! the malformed-input tests in `tests/` drive truncations, bad versions,
-//! bad checksums, and oversized length prefixes through both the slice and
-//! stream entry points.
+//! a silently corrupt query. Decoding never panics on adversarial input,
+//! a valid checksum over a hostile payload included; the tests in
+//! `tests/wire_proptest.rs` drive truncations, mutations, bad versions,
+//! bad checksums, and oversized length prefixes through both the slice
+//! and stream entry points, and pin the layout byte for byte.
 
 use bytes::{Buf, BufMut};
 use geosir_core::dynamic::{LevelExplain, QueryExplain};
@@ -38,45 +36,16 @@ use geosir_core::matcher::{RingExplain, Termination};
 use geosir_geom::Polyline;
 use std::io::{Read, Write};
 
-/// Newest protocol version this build speaks. Versions [`MIN_VERSION`]
-/// through this one are accepted; anything newer gets
-/// [`WireError::BadVersion`] instead of a garbled decode.
+/// The protocol version this build speaks — the only one it accepts.
 ///
-/// v2: `Insert` carries a client idempotency key, `Busy` carries a
-/// retry-after hint, stats report durability counters, and servers may
-/// answer writes with [`error_code::READ_ONLY`] in degraded mode.
-///
-/// v3: `Query` and `Insert` carry a client-chosen trace id (0 = none)
-/// that the server threads through its stage timings and surfaces in
-/// `/debug/last_queries`; `MetricsDump` / `MetricsReport` fetch a full
-/// [`geosir_obs::Snapshot`] of the server's metrics registry.
-///
-/// v4: `Explain` runs a query with per-ring/per-level introspection and
-/// answers with `ExplainReport` — the matches plus the full
-/// [`QueryExplain`] (EXPLAIN ANALYZE for the §2.5 fattening loop) and
-/// server-side timings.
-///
-/// v5: every frame carries a `corr` correlation id between header and
-/// payload, echoed by the server on the response — the handle that makes
-/// the protocol pipelined (many in-flight frames per connection,
-/// out-of-order completion). Payload layouts are unchanged from v4.
-///
-/// v6: `Matches` and `ApproxMatches` carry a [`ShardInfo`]
-/// (`shards_ok`/`shards_total`) so a scatter-gather router can flag a
-/// degraded, partial answer instead of erroring the whole query;
-/// `Topology` / `TopologyReport` expose the cluster layout and
-/// replication lag; [`error_code::UNAVAILABLE`] reports a request the
-/// router cannot serve from any shard. Single-node servers answer with
-/// the trivial `1/1` shard info. `Matches` / `ApproxMatches` may also
-/// carry an *optional* [`StageTrailer`] after the match list (a flag
-/// byte then server-side `total_us`/`queue_us`) so a router can attribute a
-/// slow cluster query to the shard that actually burned the time; a
-/// reply without the trailer is byte-identical to the original v6
-/// layout, so pre-trailer peers interoperate unchanged.
+/// It is the sixth layout the protocol has had. What earlier ones added
+/// is all still here — idempotency keys and `Busy` hints, trace ids and
+/// `MetricsDump`, `Explain`, the correlation id and `QueryApprox`,
+/// [`ShardInfo`] / `Topology` / the optional [`StageTrailer`] — but the
+/// decoders for the layouts that lacked them are not: no client of
+/// those was ever deployed. The next field goes into this layout as an
+/// optional trailer, the way [`StageTrailer`] did, not into a seventh.
 pub const PROTOCOL_VERSION: u8 = 6;
-
-/// Oldest protocol version still accepted on the wire.
-pub const MIN_VERSION: u8 = 1;
 
 /// Ceiling on a frame's payload size. A length prefix above this is
 /// rejected *before* any allocation, so a hostile 4 GiB prefix cannot OOM
@@ -86,7 +55,7 @@ pub const MAX_PAYLOAD: usize = 16 << 20;
 /// Frame header bytes preceding the payload (version, type, length).
 pub const HEADER_LEN: usize = 6;
 
-/// Correlation-id bytes between header and payload (v5 frames only).
+/// Correlation-id bytes between header and payload.
 pub const CORR_LEN: usize = 8;
 
 /// Trailing checksum bytes.
@@ -107,11 +76,11 @@ pub mod error_code {
     pub const READ_ONLY: u16 = 5;
     /// No shard (primary or replica) could serve the request — every
     /// backend for the owning shard is down or the frame type is not
-    /// routable (v6).
+    /// routable.
     pub const UNAVAILABLE: u16 = 6;
 }
 
-/// Degraded-result accounting on v6 replies: how many shards answered
+/// Degraded-result accounting on query replies: how many shards answered
 /// vs how many were asked. A single-node server always reports `1/1`;
 /// a scatter-gather router reports `ok < total` when a whole shard
 /// (primary and replicas) failed inside the query deadline and the
@@ -135,12 +104,11 @@ impl ShardInfo {
     }
 }
 
-/// Optional per-stage server timings on v6 `Matches` / `ApproxMatches`
+/// Optional per-stage server timings on `Matches` / `ApproxMatches`
 /// replies: `total_us` is enqueue → reply built, `queue_us` the slice of
 /// that spent waiting for a worker. Encoded as a trailer *after* the
 /// match list — absent entirely (zero bytes) when the server does not
-/// report timings, so the frame stays byte-identical to the pre-trailer
-/// v6 layout. A scatter-gather router reads it to attribute a slow
+/// report timings. A scatter-gather router reads it to attribute a slow
 /// cluster query to the shard that was actually slow (vs the network or
 /// the router's own gather).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -282,13 +250,13 @@ pub enum Frame {
     /// rides the same read queue and sees the same snapshot a plain
     /// query would.
     Explain { k: u32, trace: u64, shape: WireShape },
-    /// Approximate retrieval (v5): probe the signature index in rings of
+    /// Approximate retrieval: probe the signature index in rings of
     /// increasing curve distance, rerank candidates with the exact
     /// early-abandoning `h_avg`. `max_radius` is the soft ring
     /// preference, `max_candidates` the collection budget (0 = server
     /// default for either). Pipelinable and coalesced like `Query`.
     QueryApprox { k: u32, trace: u64, max_radius: u16, max_candidates: u32, shape: WireShape },
-    /// Fetch the cluster topology (v6): shard layout, backend health
+    /// Fetch the cluster topology: shard layout, backend health
     /// states, and replication lag. A single-node server answers with a
     /// one-shard report naming itself primary.
     Topology,
@@ -296,9 +264,9 @@ pub enum Frame {
     /// exits.
     Shutdown,
 
-    /// Reply to `Query`. `shards` is the v6 partial-result flag
+    /// Reply to `Query`. `shards` is the partial-result flag
     /// ([`ShardInfo`]; trivially `1/1` from a single-node server);
-    /// `trailer` the optional v6 server-side stage timings.
+    /// `trailer` the optional server-side stage timings.
     Matches { epoch: u64, shards: ShardInfo, trailer: Option<StageTrailer>, matches: Vec<WireMatch> },
     /// Reply to `QueryBatch`, one result list per query, in order.
     BatchMatches { epoch: u64, results: Vec<Vec<WireMatch>> },
@@ -324,7 +292,7 @@ pub enum Frame {
         matches: Vec<WireMatch>,
         report: QueryExplain,
     },
-    /// Reply to `QueryApprox` (v5): the reranked matches plus the tier
+    /// Reply to `QueryApprox`: the reranked matches plus the tier
     /// report — which tier answered (`tier`: 0 = approx, 1 = exact
     /// fallback, the `AnswerTier` codes), the final probe radius,
     /// buckets probed, candidates collected vs
@@ -342,7 +310,7 @@ pub enum Frame {
         trailer: Option<StageTrailer>,
         matches: Vec<WireMatch>,
     },
-    /// Reply to `Topology` (v6): one status entry per shard.
+    /// Reply to `Topology`: one status entry per shard.
     TopologyReport { shards: Vec<WireShardStatus> },
     /// Load shed: the bounded request queue was full. Retry after the
     /// hinted delay (0 = client's choice).
@@ -378,20 +346,9 @@ mod frame_type {
     pub const APPROX_MATCHES: u8 = 74;
     pub const TOPOLOGY_REPORT: u8 = 75;
 
-    /// Is `t` an assigned discriminant *in protocol version `v`*? Frame
-    /// types introduced later must read as [`super::WireError::BadType`]
-    /// to an older peer, exactly as the older build would have answered.
-    pub fn known_in(v: u8, t: u8) -> bool {
-        match t {
-            QUERY | QUERY_BATCH | INSERT | DELETE | STATS | SHUTDOWN => true,
-            MATCHES | BATCH_MATCHES | INSERTED | DELETED | STATS_REPORT => true,
-            BUSY | BYE | ERROR => true,
-            METRICS_DUMP | METRICS_REPORT => v >= 3,
-            EXPLAIN | EXPLAIN_REPORT => v >= 4,
-            QUERY_APPROX | APPROX_MATCHES => v >= 5,
-            TOPOLOGY | TOPOLOGY_REPORT => v >= 6,
-            _ => false,
-        }
+    /// Is `t` an assigned discriminant?
+    pub fn assigned(t: u8) -> bool {
+        matches!(t, QUERY..=TOPOLOGY | MATCHES..=TOPOLOGY_REPORT)
     }
 }
 
@@ -400,52 +357,41 @@ mod frame_type {
 /// how many bytes the full frame needs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameHeader {
-    pub version: u8,
     pub type_byte: u8,
     pub payload_len: usize,
 }
 
 impl FrameHeader {
-    /// Bytes of correlation id between header and payload (v5: 8, else 0).
-    #[inline]
-    pub fn corr_len(&self) -> usize {
-        if self.version >= 5 {
-            CORR_LEN
-        } else {
-            0
-        }
-    }
-
     /// Total frame size on the wire, header through checksum.
     #[inline]
     pub fn frame_len(&self) -> usize {
-        HEADER_LEN + self.corr_len() + self.payload_len + CHECKSUM_LEN
+        HEADER_LEN + CORR_LEN + self.payload_len + CHECKSUM_LEN
     }
 }
 
 /// Validate and decode a frame header from the front of `buf`.
 ///
 /// `Ok(None)` means "not enough bytes yet" (fewer than [`HEADER_LEN`]) —
-/// keep reading. Errors are terminal for the connection: bad version,
-/// unassigned type for that version, or an oversized length prefix, all
-/// detected *before* buffering or allocating for the payload.
+/// keep reading. Errors are terminal for the connection: a version other
+/// than [`PROTOCOL_VERSION`], an unassigned type, or an oversized length
+/// prefix, all detected *before* buffering or allocating for the payload.
 pub fn peek_header(buf: &[u8]) -> Result<Option<FrameHeader>, WireError> {
     if buf.len() < HEADER_LEN {
         return Ok(None);
     }
     let version = buf[0];
-    if !(MIN_VERSION..=PROTOCOL_VERSION).contains(&version) {
+    if version != PROTOCOL_VERSION {
         return Err(WireError::BadVersion(version));
     }
     let type_byte = buf[1];
-    if !frame_type::known_in(version, type_byte) {
+    if !frame_type::assigned(type_byte) {
         return Err(WireError::BadType(type_byte));
     }
     let len = u32::from_le_bytes(buf[2..6].try_into().unwrap());
     if len as usize > MAX_PAYLOAD {
         return Err(WireError::Oversized(len));
     }
-    Ok(Some(FrameHeader { version, type_byte, payload_len: len as usize }))
+    Ok(Some(FrameHeader { type_byte, payload_len: len as usize }))
 }
 
 /// Decode / transport failures. Every variant leaves the connection in a
@@ -453,7 +399,7 @@ pub fn peek_header(buf: &[u8]) -> Result<Option<FrameHeader>, WireError> {
 #[derive(Debug)]
 pub enum WireError {
     Io(std::io::Error),
-    /// First header byte is outside [`MIN_VERSION`]..=[`PROTOCOL_VERSION`].
+    /// First header byte is not [`PROTOCOL_VERSION`].
     BadVersion(u8),
     /// Unknown frame discriminant.
     BadType(u8),
@@ -473,7 +419,7 @@ impl std::fmt::Display for WireError {
         match self {
             WireError::Io(e) => write!(f, "i/o: {e}"),
             WireError::BadVersion(v) => {
-                write!(f, "bad protocol version {v} (want {MIN_VERSION}..={PROTOCOL_VERSION})")
+                write!(f, "bad protocol version {v} (want {PROTOCOL_VERSION})")
             }
             WireError::BadType(t) => write!(f, "unknown frame type {t}"),
             WireError::Oversized(n) => {
@@ -498,13 +444,11 @@ impl From<std::io::Error> for WireError {
 
 /// FNV-1a over the frame bytes — cheap, dependency-free, and adequate for
 /// integrity (not authenticity) checking.
-fn fnv1a(chunks: &[&[u8]]) -> u32 {
+fn fnv1a(bytes: &[u8]) -> u32 {
     let mut h: u32 = 0x811c_9dc5;
-    for chunk in chunks {
-        for &b in *chunk {
-            h ^= b as u32;
-            h = h.wrapping_mul(0x0100_0193);
-        }
+    for &b in bytes {
+        h ^= b as u32;
+        h = h.wrapping_mul(0x0100_0193);
     }
     h
 }
@@ -580,23 +524,16 @@ fn get_string(buf: &mut &[u8]) -> Result<String, WireError> {
     Ok(s)
 }
 
-fn get_shard_info(version: u8, buf: &mut &[u8]) -> Result<ShardInfo, WireError> {
-    if version < 6 {
-        return Ok(ShardInfo::default());
-    }
+fn get_shard_info(buf: &mut &[u8]) -> Result<ShardInfo, WireError> {
     if buf.len() < 4 {
         return Err(WireError::Malformed);
     }
     Ok(ShardInfo { ok: buf.get_u16_le(), total: buf.get_u16_le() })
 }
 
-/// v6-only optional stage-timing trailer after the match list: zero
-/// bytes when absent (the pre-trailer layout), else a presence flag and
-/// the two timing words.
-fn put_stage_trailer(version: u8, out: &mut Vec<u8>, t: &Option<StageTrailer>) {
-    if version < 6 {
-        return;
-    }
+/// Optional stage-timing trailer after the match list: zero bytes when
+/// absent, else a presence flag and the two timing words.
+fn put_stage_trailer(out: &mut Vec<u8>, t: &Option<StageTrailer>) {
     if let Some(t) = t {
         out.put_u8(1);
         out.put_u64_le(t.total_us);
@@ -604,8 +541,8 @@ fn put_stage_trailer(version: u8, out: &mut Vec<u8>, t: &Option<StageTrailer>) {
     }
 }
 
-fn get_stage_trailer(version: u8, buf: &mut &[u8]) -> Result<Option<StageTrailer>, WireError> {
-    if version < 6 || buf.is_empty() {
+fn get_stage_trailer(buf: &mut &[u8]) -> Result<Option<StageTrailer>, WireError> {
+    if buf.is_empty() {
         return Ok(None);
     }
     match buf.get_u8() {
@@ -679,12 +616,16 @@ fn get_explain(buf: &mut &[u8]) -> Result<QueryExplain, WireError> {
     e.stats.exhausted_levels = buf.get_u64_le();
     e.stats.last_termination = get_termination(buf)?;
     let levels = buf.get_u32_le() as usize;
-    // ≥ 62 bytes per level: cheap pre-check against hostile counts
-    if buf.len() < levels * 62 {
+    // 62 fixed bytes per level plus its ring count
+    const LEVEL_MIN: usize = 62 + 4;
+    // cheap pre-check against hostile counts
+    if buf.len() < levels * LEVEL_MIN {
         return Err(WireError::Malformed);
     }
     for _ in 0..levels {
-        if buf.len() < 62 {
+        // the pre-check does not cover a level whose rings ate the
+        // bytes counted for the next one
+        if buf.len() < LEVEL_MIN {
             return Err(WireError::Malformed);
         }
         let mut level = LevelExplain {
@@ -752,17 +693,11 @@ impl Frame {
         }
     }
 
-    /// Encode the payload in `version`'s layout. Fields a version predates
-    /// are dropped (an old peer could never have seen them); callers only
-    /// pass frame types the version knows ([`frame_type::known_in`]).
-    fn encode_payload(&self, version: u8, out: &mut Vec<u8>) {
-        debug_assert!(frame_type::known_in(version, self.type_byte()));
+    fn encode_payload(&self, out: &mut Vec<u8>) {
         match self {
             Frame::Query { k, trace, shape } | Frame::Explain { k, trace, shape } => {
                 out.put_u32_le(*k);
-                if version >= 3 {
-                    out.put_u64_le(*trace);
-                }
+                out.put_u64_le(*trace);
                 put_shape(out, shape);
             }
             Frame::QueryApprox { k, trace, max_radius, max_candidates, shape } => {
@@ -781,21 +716,12 @@ impl Frame {
             }
             Frame::Insert { image, key, trace, shape } => {
                 out.put_u32_le(*image);
-                if version >= 2 {
-                    out.put_u64_le(*key);
-                }
-                if version >= 3 {
-                    out.put_u64_le(*trace);
-                }
+                out.put_u64_le(*key);
+                out.put_u64_le(*trace);
                 put_shape(out, shape);
             }
             Frame::Delete { id } => out.put_u64_le(*id),
-            Frame::Busy { retry_after_ms } => {
-                // v1 Busy had no hint payload
-                if version >= 2 {
-                    out.put_u32_le(*retry_after_ms);
-                }
-            }
+            Frame::Busy { retry_after_ms } => out.put_u32_le(*retry_after_ms),
             Frame::Stats | Frame::MetricsDump | Frame::Topology | Frame::Shutdown | Frame::Bye => {}
             Frame::MetricsReport { snapshot } => {
                 out.put_u32_le(snapshot.len() as u32);
@@ -803,12 +729,10 @@ impl Frame {
             }
             Frame::Matches { epoch, shards, trailer, matches } => {
                 out.put_u64_le(*epoch);
-                if version >= 6 {
-                    out.put_u16_le(shards.ok);
-                    out.put_u16_le(shards.total);
-                }
+                out.put_u16_le(shards.ok);
+                out.put_u16_le(shards.total);
                 put_matches(out, matches);
-                put_stage_trailer(version, out, trailer);
+                put_stage_trailer(out, trailer);
             }
             Frame::ExplainReport { epoch, trace, total_us, queue_us, matches, report } => {
                 out.put_u64_le(*epoch);
@@ -837,12 +761,10 @@ impl Frame {
                 out.put_u64_le(*candidates);
                 out.put_u64_le(*corpus_copies);
                 out.put_u64_le(*reranked);
-                if version >= 6 {
-                    out.put_u16_le(shards.ok);
-                    out.put_u16_le(shards.total);
-                }
+                out.put_u16_le(shards.ok);
+                out.put_u16_le(shards.total);
                 put_matches(out, matches);
-                put_stage_trailer(version, out, trailer);
+                put_stage_trailer(out, trailer);
             }
             Frame::TopologyReport { shards } => {
                 out.put_u32_le(shards.len() as u32);
@@ -904,10 +826,8 @@ impl Frame {
                     s.last_recovery_us,
                     s.io_errors,
                 ];
-                // v1 reported only the first 16 counters (through queue_depth)
-                let take = if version >= 2 { words.len() } else { 16 };
-                for v in &words[..take] {
-                    out.put_u64_le(*v);
+                for v in words {
+                    out.put_u64_le(v);
                 }
             }
             Frame::Error { code, message } => {
@@ -918,19 +838,15 @@ impl Frame {
         }
     }
 
-    /// Decode a payload laid out by protocol `version`. Types the version
-    /// does not know were already rejected by [`peek_header`]; fields it
-    /// predates default to 0 (the "absent" value every later layer treats
-    /// as "none").
-    fn decode_payload(version: u8, type_byte: u8, mut buf: &[u8]) -> Result<Frame, WireError> {
+    fn decode_payload(type_byte: u8, mut buf: &[u8]) -> Result<Frame, WireError> {
         let buf = &mut buf;
         let frame = match type_byte {
             frame_type::QUERY => {
-                if buf.len() < if version >= 3 { 12 } else { 4 } {
+                if buf.len() < 12 {
                     return Err(WireError::Malformed);
                 }
                 let k = buf.get_u32_le();
-                let trace = if version >= 3 { buf.get_u64_le() } else { 0 };
+                let trace = buf.get_u64_le();
                 Frame::Query { k, trace, shape: get_shape(buf)? }
             }
             frame_type::QUERY_BATCH => {
@@ -950,13 +866,12 @@ impl Frame {
                 Frame::QueryBatch { k, shapes }
             }
             frame_type::INSERT => {
-                let need = 4 + if version >= 2 { 8 } else { 0 } + if version >= 3 { 8 } else { 0 };
-                if buf.len() < need {
+                if buf.len() < 20 {
                     return Err(WireError::Malformed);
                 }
                 let image = buf.get_u32_le();
-                let key = if version >= 2 { buf.get_u64_le() } else { 0 };
-                let trace = if version >= 3 { buf.get_u64_le() } else { 0 };
+                let key = buf.get_u64_le();
+                let trace = buf.get_u64_le();
                 Frame::Insert { image, key, trace, shape: get_shape(buf)? }
             }
             frame_type::DELETE => {
@@ -991,9 +906,9 @@ impl Frame {
                     return Err(WireError::Malformed);
                 }
                 let epoch = buf.get_u64_le();
-                let shards = get_shard_info(version, buf)?;
+                let shards = get_shard_info(buf)?;
                 let matches = get_matches(buf)?;
-                let trailer = get_stage_trailer(version, buf)?;
+                let trailer = get_stage_trailer(buf)?;
                 Frame::Matches { epoch, shards, trailer, matches }
             }
             frame_type::EXPLAIN_REPORT => {
@@ -1019,9 +934,9 @@ impl Frame {
                 let candidates = buf.get_u64_le();
                 let corpus_copies = buf.get_u64_le();
                 let reranked = buf.get_u64_le();
-                let shards = get_shard_info(version, buf)?;
+                let shards = get_shard_info(buf)?;
                 let matches = get_matches(buf)?;
-                let trailer = get_stage_trailer(version, buf)?;
+                let trailer = get_stage_trailer(buf)?;
                 Frame::ApproxMatches {
                     epoch,
                     tier,
@@ -1121,12 +1036,11 @@ impl Frame {
                 Frame::Deleted { epoch, existed }
             }
             frame_type::STATS_REPORT => {
-                let words = if version >= 2 { 25 } else { 16 };
-                if buf.len() < words * 8 {
+                let mut v = [0u64; 25];
+                if buf.len() < v.len() * 8 {
                     return Err(WireError::Malformed);
                 }
-                let mut v = [0u64; 25];
-                for slot in v.iter_mut().take(words) {
+                for slot in v.iter_mut() {
                     *slot = buf.get_u64_le();
                 }
                 Frame::StatsReport(ServerStats {
@@ -1158,15 +1072,10 @@ impl Frame {
                 })
             }
             frame_type::BUSY => {
-                if version < 2 {
-                    // v1 Busy: no payload, no hint
-                    Frame::Busy { retry_after_ms: 0 }
-                } else {
-                    if buf.len() < 4 {
-                        return Err(WireError::Malformed);
-                    }
-                    Frame::Busy { retry_after_ms: buf.get_u32_le() }
+                if buf.len() < 4 {
+                    return Err(WireError::Malformed);
                 }
+                Frame::Busy { retry_after_ms: buf.get_u32_le() }
             }
             frame_type::BYE => Frame::Bye,
             frame_type::METRICS_REPORT => {
@@ -1204,47 +1113,42 @@ impl Frame {
         Ok(frame)
     }
 
-    /// Append the complete framed encoding (header, payload, checksum) at
-    /// the current protocol version with correlation id 0.
+    /// Append the complete framed encoding (header, payload, checksum)
+    /// with correlation id 0.
     pub fn encode(&self, out: &mut Vec<u8>) {
         self.encode_versioned(PROTOCOL_VERSION, 0, out);
     }
 
-    /// Append the complete framed encoding in `version`'s layout. `corr`
-    /// travels only on v5 frames (older versions have no correlation
-    /// field). `version` must be in [`MIN_VERSION`]..=[`PROTOCOL_VERSION`]
-    /// and must know this frame type — the server always answers in the
-    /// version the request arrived in, which satisfies both by
-    /// construction.
+    /// Append the complete framed encoding with correlation id `corr`.
+    /// `version` must be [`PROTOCOL_VERSION`], the only layout there is;
+    /// the parameter stays because the benchmark driver is compiled
+    /// against this signature on both sides of an A/B.
     pub fn encode_versioned(&self, version: u8, corr: u64, out: &mut Vec<u8>) {
-        debug_assert!((MIN_VERSION..=PROTOCOL_VERSION).contains(&version));
+        debug_assert_eq!(version, PROTOCOL_VERSION);
         let header_at = out.len();
-        out.put_u8(version);
+        out.put_u8(PROTOCOL_VERSION);
         out.put_u8(self.type_byte());
         out.put_u32_le(0); // payload length backpatched below
-        if version >= 5 {
-            out.put_u64_le(corr);
-        }
+        out.put_u64_le(corr);
         let payload_at = out.len();
-        self.encode_payload(version, out);
+        self.encode_payload(out);
         let payload_len = (out.len() - payload_at) as u32;
         out[header_at + 2..header_at + HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
-        let sum = fnv1a(&[&out[header_at..]]);
+        let sum = fnv1a(&out[header_at..]);
         out.put_u32_le(sum);
     }
 
     /// Decode one frame from the start of `buf`; returns the frame and the
     /// total bytes consumed.
     pub fn decode(buf: &[u8]) -> Result<(Frame, usize), WireError> {
-        Frame::decode_corr(buf).map(|(frame, _, _, used)| (frame, used))
+        Frame::decode_corr(buf).map(|(frame, _, used)| (frame, used))
     }
 
-    /// [`Frame::decode`] with full wire context: the frame, its
-    /// correlation id (0 for pre-v5 frames), the version it arrived in,
-    /// and the bytes consumed. This is the nonblocking decoder's entry
-    /// point: headers are validated before payload bytes are needed, and
-    /// an incomplete buffer reports as a clean `Io(UnexpectedEof)`.
-    pub fn decode_corr(buf: &[u8]) -> Result<(Frame, u64, u8, usize), WireError> {
+    /// [`Frame::decode`] with the frame's correlation id: the frame, its
+    /// id, and the bytes consumed. The header is validated before payload
+    /// bytes are needed, and an incomplete buffer reports as a clean
+    /// `Io(UnexpectedEof)`.
+    pub fn decode_corr(buf: &[u8]) -> Result<(Frame, u64, usize), WireError> {
         let header = match peek_header(buf)? {
             Some(h) => h,
             None => return Err(WireError::Io(std::io::ErrorKind::UnexpectedEof.into())),
@@ -1253,24 +1157,19 @@ impl Frame {
         if buf.len() < total {
             return Err(WireError::Io(std::io::ErrorKind::UnexpectedEof.into()));
         }
-        let body_start = HEADER_LEN + header.corr_len();
+        let body_start = HEADER_LEN + CORR_LEN;
         let body_end = body_start + header.payload_len;
         let stored = u32::from_le_bytes(buf[body_end..total].try_into().unwrap());
-        if fnv1a(&[&buf[..body_end]]) != stored {
+        if fnv1a(&buf[..body_end]) != stored {
             return Err(WireError::BadChecksum);
         }
-        let corr = if header.corr_len() > 0 {
-            u64::from_le_bytes(buf[HEADER_LEN..body_start].try_into().unwrap())
-        } else {
-            0
-        };
-        let frame =
-            Frame::decode_payload(header.version, header.type_byte, &buf[body_start..body_end])?;
-        Ok((frame, corr, header.version, total))
+        let corr = u64::from_le_bytes(buf[HEADER_LEN..body_start].try_into().unwrap());
+        let frame = Frame::decode_payload(header.type_byte, &buf[body_start..body_end])?;
+        Ok((frame, corr, total))
     }
 
-    /// Write the framed encoding to a stream (single `write_all`) at the
-    /// current version, correlation id 0.
+    /// Write the framed encoding to a stream (single `write_all`),
+    /// correlation id 0.
     pub fn write_to<W: Write>(&self, w: &mut W) -> Result<(), WireError> {
         self.write_to_corr(w, 0)
     }
@@ -1284,7 +1183,7 @@ impl Frame {
         Ok(())
     }
 
-    /// Read exactly one frame from a stream (any accepted version).
+    /// Read exactly one frame from a stream.
     ///
     /// Validates the header (version, type, length cap) before allocating
     /// or reading the payload, so a hostile peer cannot force an oversized
@@ -1293,37 +1192,17 @@ impl Frame {
         Frame::read_from_corr(r).map(|(frame, _)| frame)
     }
 
-    /// [`Frame::read_from`] returning the correlation id as well (0 for
-    /// pre-v5 frames) — the pipelined client's receive path.
+    /// [`Frame::read_from`] returning the correlation id as well — the
+    /// pipelined client's receive path. Only the reading differs from
+    /// the slice decoder; checksum, correlation id and payload go
+    /// through [`Frame::decode_corr`].
     pub fn read_from_corr<R: Read>(r: &mut R) -> Result<(Frame, u64), WireError> {
-        Frame::read_from_versioned(r).map(|(frame, corr, _)| (frame, corr))
-    }
-
-    /// [`Frame::read_from_corr`] returning the frame's protocol version
-    /// too — for servers that must answer in the version the request
-    /// arrived in (the router's connection loop).
-    pub fn read_from_versioned<R: Read>(r: &mut R) -> Result<(Frame, u64, u8), WireError> {
-        let mut header_bytes = [0u8; HEADER_LEN];
-        r.read_exact(&mut header_bytes)?;
-        let header = peek_header(&header_bytes)?.expect("full header buffered");
-        let rest_len = header.corr_len() + header.payload_len + CHECKSUM_LEN;
-        let mut rest = vec![0u8; rest_len];
-        r.read_exact(&mut rest)?;
-        let body_end = header.corr_len() + header.payload_len;
-        let stored = u32::from_le_bytes(rest[body_end..].try_into().unwrap());
-        if fnv1a(&[&header_bytes, &rest[..body_end]]) != stored {
-            return Err(WireError::BadChecksum);
-        }
-        let corr = if header.corr_len() > 0 {
-            u64::from_le_bytes(rest[..CORR_LEN].try_into().unwrap())
-        } else {
-            0
-        };
-        let frame = Frame::decode_payload(
-            header.version,
-            header.type_byte,
-            &rest[header.corr_len()..body_end],
-        )?;
-        Ok((frame, corr, header.version))
+        let mut head = [0u8; HEADER_LEN];
+        r.read_exact(&mut head)?;
+        let header = peek_header(&head)?.expect("full header buffered");
+        let mut buf = vec![0u8; header.frame_len()];
+        buf[..HEADER_LEN].copy_from_slice(&head);
+        r.read_exact(&mut buf[HEADER_LEN..])?;
+        Frame::decode_corr(&buf).map(|(frame, corr, _)| (frame, corr))
     }
 }

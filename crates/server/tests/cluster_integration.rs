@@ -366,55 +366,3 @@ fn wire_shutdown_unblocks_cluster_join() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
-
-/// The router must answer in the protocol version the request arrived
-/// in, like the single-node server does: a v2 frame gets a v2 reply
-/// (no correlation-id bytes, pre-v6 payload layout). A raw old client
-/// that byte-parses replies desyncs on anything newer.
-#[test]
-fn router_answers_in_the_request_version() {
-    use geosir_serve::wire::{Frame, WireShape};
-    use std::io::{Read, Write};
-
-    let dir = tmpdir("router-version-echo");
-    let cluster = start_cluster("127.0.0.1:0", &template(), cluster_cfg(&dir, 2, 0)).unwrap();
-
-    let mut rng = StdRng::seed_from_u64(77);
-    let shape = polygon(&mut rng);
-    let insert = Frame::Insert {
-        image: 31,
-        key: 0,
-        trace: 0,
-        shape: WireShape::from_polyline(&shape),
-    };
-    let mut stream = std::net::TcpStream::connect(cluster.addr()).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    let mut buf = Vec::new();
-    insert.encode_versioned(2, 0, &mut buf);
-    stream.write_all(&buf).unwrap();
-
-    // first reply byte is the version; v2 replies carry no corr field,
-    // so read_from must consume the frame exactly (a v6-framed reply
-    // here would leave its 8 corr bytes to desync the next read)
-    let mut version = [0u8; 1];
-    stream.read_exact(&mut version).unwrap();
-    assert_eq!(version[0], 2, "reply version must echo the request version");
-    let mut rest = std::io::Cursor::new(version.to_vec()).chain(&stream);
-    let reply = Frame::read_from(&mut rest).unwrap();
-    assert!(matches!(reply, Frame::Inserted { .. }), "got {reply:?}");
-
-    // nothing may trail the frame — stray corr bytes would land here
-    stream.set_read_timeout(Some(Duration::from_millis(200))).unwrap();
-    let mut stray = [0u8; 1];
-    match stream.read(&mut stray) {
-        Ok(0) => {} // server closed: also no stray bytes
-        Ok(n) => panic!("{n} stray byte(s) after the v2 reply: {stray:?}"),
-        Err(e) => assert!(
-            matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut),
-            "unexpected read error: {e}"
-        ),
-    }
-
-    cluster.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
-}

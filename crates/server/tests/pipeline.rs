@@ -1,10 +1,12 @@
 //! Socket-level tests for the readiness-driven serve path: fragmented
 //! frame delivery (one-byte dribble, many-frames-in-one-write),
 //! pipelining with out-of-order reply matching by correlation id,
-//! cross-version clients against a live server, and the `Busy` hint on
-//! the batch path.
+//! hostile frames against a live server, and the `Busy` hint on the
+//! batch path.
 
-use std::io::{Read as _, Write as _};
+mod common;
+
+use std::io::Write as _;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -202,52 +204,27 @@ fn recv_any_accounts_for_every_reply() {
     handle.join();
 }
 
-/// All prior protocol versions keep working against the live server:
-/// the reply comes back framed in the request's own version.
+/// There is one layout, and no payload a checksum vouches for can take
+/// the loop thread down: another version byte (the one before, the one
+/// after) or a payload the decoder must refuse each get one
+/// `Error{MALFORMED}` and a close, are counted, and leave the server
+/// serving pipelined traffic on the next connection.
 #[test]
-fn prior_protocol_versions_are_served() {
+fn hostile_frames_get_one_malformed_error_then_close() {
     let (base, shapes) = base_with(8, 8, 105);
     let handle = serve("127.0.0.1:0", base, ServeConfig::default()).unwrap();
 
-    for version in 1..=PROTOCOL_VERSION {
-        let mut sock = TcpStream::connect(handle.addr()).unwrap();
-        sock.set_nodelay(true).unwrap();
-        let mut wire = Vec::new();
-        Frame::Query { k: 1, trace: 0, shape: WireShape::from_polyline(&shapes[2]) }
-            .encode_versioned(version, 7, &mut wire);
-        sock.write_all(&wire).unwrap();
-        // raw reply bytes: first byte is the protocol version
-        let mut first = [0u8; 1];
-        sock.read_exact(&mut first).unwrap();
-        assert_eq!(first[0], version, "reply must be framed in the request's version");
-        // reparse the whole reply through the standard reader
-        let mut buf = first.to_vec();
-        let mut rest = Vec::new();
-        // one request, one reply, then we close: read to EOF-ish via a
-        // second framed read on the concatenated bytes
-        sock.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        loop {
-            let mut chunk = [0u8; 4096];
-            match sock.read(&mut chunk) {
-                Ok(0) => break,
-                Ok(n) => {
-                    rest.extend_from_slice(&chunk[..n]);
-                    buf.extend_from_slice(&chunk[..n]);
-                    if let Ok((frame, used)) = Frame::decode(&buf) {
-                        assert!(used <= buf.len());
-                        match frame {
-                            Frame::Matches { matches, .. } => {
-                                assert_eq!(matches[0].image, 2);
-                            }
-                            other => panic!("v{version}: expected Matches, got {other:?}"),
-                        }
-                        break;
-                    }
-                }
-                Err(e) => panic!("v{version}: read failed: {e}"),
-            }
+    common::three_hostile_connections(handle.addr());
+    assert_eq!(handle.stats().protocol_errors, 3);
+    assert_eq!(client_metrics(handle.addr()).counter("geosir_protocol_errors_total", &[]), 3);
+
+    let mut client = PipelinedClient::connect(handle.addr()).unwrap();
+    let corrs: Vec<u64> = shapes.iter().map(|s| client.submit_query(s, 1).unwrap()).collect();
+    for (i, corr) in corrs.iter().enumerate() {
+        match client.recv(*corr).unwrap() {
+            Frame::Matches { matches, .. } => assert_eq!(matches[0].image, i as u32),
+            other => panic!("expected Matches, got {other:?}"),
         }
-        let _ = rest;
     }
     handle.shutdown();
     handle.join();

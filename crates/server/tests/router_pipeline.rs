@@ -1,6 +1,6 @@
 //! The router as a pipelined scatter-gather state machine, over real
 //! TCP loopback: what differs between a 16-deep window and a 1-deep
-//! one. Window and version rules, backpressure, out-of-order
+//! one. The window rule, hostile frames, backpressure, out-of-order
 //! completion against a one-at-a-time oracle, thread count under many
 //! connections, one breaker strike per connection death, late replies
 //! dropped without losing the connection, and the per-shard latency
@@ -14,8 +14,10 @@
 //! `Unsupported` elsewhere).
 #![cfg(target_os = "linux")]
 
+mod common;
+
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -26,11 +28,11 @@ use geosir_core::matcher::MatchConfig;
 use geosir_geom::rangesearch::Backend;
 use geosir_geom::{Point, Polyline};
 use geosir_serve::cluster::{
-    start_cluster, tag_id, ClusterConfig, Router, RouterConfig, RouterHandle, ShardSpec,
+    start_cluster, ClusterConfig, Router, RouterConfig, RouterHandle, ShardSpec,
 };
 use geosir_serve::{
     serve, BaseTemplate, Client, Frame, PipelinedClient, ServeConfig, ServerHandle, WireMatch,
-    WireShape,
+    WireShape, PROTOCOL_VERSION,
 };
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -150,7 +152,7 @@ fn stub_backend(
             let script = script.clone();
             std::thread::spawn(move || {
                 for req in 0.. {
-                    let Ok((_frame, corr, version)) = Frame::read_from_versioned(&mut s) else {
+                    let Ok((_frame, corr)) = Frame::read_from_corr(&mut s) else {
                         return;
                     };
                     match script(conn, req) {
@@ -163,7 +165,7 @@ fn stub_backend(
                                 matches: Vec::new(),
                             };
                             let mut buf = Vec::new();
-                            reply.encode_versioned(version, corr, &mut buf);
+                            reply.encode_versioned(PROTOCOL_VERSION, corr, &mut buf);
                             if s.write_all(&buf).is_err() {
                                 return;
                             }
@@ -212,41 +214,28 @@ fn client_window_is_the_nodes_default_max_in_flight() {
     r.shutdown();
 }
 
-/// A pre-v5 connection carries no correlation ids, so it stays strictly
-/// serial: a slow scatter followed by a request the router can refuse
-/// on the spot must still be answered in request order.
+/// The router's client side is the node's: another version byte or a
+/// checksum-valid payload the decoder must refuse gets one
+/// `Error{MALFORMED}` and a close, is counted, and leaves the router
+/// thread serving pipelined traffic on the next connection.
 #[test]
-fn pre_v5_connection_stays_serial_and_ordered() {
-    let healthy = node();
-    let replica = node();
-    let r = router(
-        // shard 1's primary never answers: every read waits out the hedge
-        vec![
-            solo(healthy.addr()),
-            ShardSpec { primary: black_hole(), replicas: vec![replica.addr()] },
-        ],
-        RouterConfig { hedge_after: Duration::from_millis(80), ..RouterConfig::default() },
-    );
+fn hostile_frames_get_one_malformed_error_then_close() {
+    let shard = node();
+    let r = router(vec![solo(shard.addr())], RouterConfig::default());
+
+    common::three_hostile_connections(r.addr());
+    assert_eq!(r.registry().snapshot().counter("geosir_protocol_errors_total", &[]), 3);
+
     let mut rng = StdRng::seed_from_u64(5);
-    let mut wire = Vec::new();
-    query_frame(&polygon(&mut rng), 3).encode_versioned(2, 0, &mut wire);
-    // an id tagged with a shard that does not exist: refused inline
-    Frame::Delete { id: tag_id(999, 1) }.encode_versioned(2, 0, &mut wire);
-    Frame::Stats.encode_versioned(2, 0, &mut wire);
-    let mut s = TcpStream::connect(r.addr()).unwrap();
-    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    s.write_all(&wire).unwrap();
-    let t = Instant::now();
-    let first = Frame::read_from(&mut s).unwrap();
-    assert!(matches!(first, Frame::Matches { .. }), "got {first:?}");
-    assert!(t.elapsed() >= Duration::from_millis(80), "the read did wait for its hedge");
-    let second = Frame::read_from(&mut s).unwrap();
-    assert!(matches!(second, Frame::Error { .. }), "got {second:?}");
-    let third = Frame::read_from(&mut s).unwrap();
-    assert!(matches!(third, Frame::StatsReport(_)), "got {third:?}");
+    let mut c = PipelinedClient::connect(r.addr()).unwrap();
+    let corrs: Vec<u64> =
+        (0..8).map(|_| c.submit(&query_frame(&polygon(&mut rng), 3)).unwrap()).collect();
+    for corr in corrs {
+        let reply = c.recv(corr).unwrap();
+        assert_eq!(shards_of(&reply), (1, 1), "got {reply:?}");
+    }
     r.shutdown();
-    healthy.shutdown();
-    replica.shutdown();
+    shard.shutdown();
 }
 
 /// A router whose in-flight table is full sheds with `Busy` instead of
@@ -657,19 +646,4 @@ fn shard_latency_is_each_shards_own() {
     replica.shutdown();
     fast.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Nothing may trail a reply: stray bytes would desync the next frame.
-#[test]
-fn inline_answers_keep_the_request_version() {
-    let r = router(vec![solo(black_hole())], RouterConfig::default());
-    let mut s = TcpStream::connect(r.addr()).unwrap();
-    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    let mut wire = Vec::new();
-    Frame::Delete { id: tag_id(7, 1) }.encode_versioned(3, 0, &mut wire);
-    s.write_all(&wire).unwrap();
-    let mut version = [0u8; 1];
-    s.read_exact(&mut version).unwrap();
-    assert_eq!(version[0], 3, "an inline refusal is encoded in the request's version too");
-    r.shutdown();
 }

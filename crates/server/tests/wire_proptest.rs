@@ -2,6 +2,9 @@
 //! plus malformed-input handling. The codec must reject garbage with a
 //! clean [`WireError`] — never panic, never over-allocate.
 
+mod common;
+
+use common::{fnv1a_ref, reframe, PAYLOAD_AT};
 use proptest::prelude::*;
 use rand::prelude::*;
 
@@ -297,16 +300,6 @@ fn unknown_frame_type_is_rejected() {
     assert!(matches!(Frame::decode(&buf), Err(WireError::BadType(200))));
 }
 
-/// Reference FNV-1a, mirroring the codec's checksum.
-fn fnv1a_ref(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
-}
-
 #[test]
 fn corrupted_checksum_is_rejected() {
     let mut buf = Vec::new();
@@ -350,7 +343,7 @@ fn trailing_garbage_inside_declared_payload_is_malformed() {
     // checksum is valid: decode must flag Malformed, not silently ignore
     let mut buf = vec![PROTOCOL_VERSION, 5 /* STATS */];
     buf.extend_from_slice(&1u32.to_le_bytes());
-    buf.extend_from_slice(&0u64.to_le_bytes()); // v5 correlation id
+    buf.extend_from_slice(&0u64.to_le_bytes()); // correlation id
     buf.push(0xAB);
     let sum = fnv1a_ref(&buf);
     buf.extend_from_slice(&sum.to_le_bytes());
@@ -389,227 +382,316 @@ fn non_finite_shape_survives_the_wire_but_fails_polyline_conversion() {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-version compatibility: every layout v1..=v5 must still parse, and
-// the fields a version doesn't carry must come back zeroed.
+// Hostile payloads under a valid checksum. The truncation and corruption
+// properties above stop at the short-buffer and checksum checks; these
+// `reframe` the damaged payload so it reaches the payload decoder, which
+// any client of a node or a router can do.
 // ---------------------------------------------------------------------------
 
-#[test]
-fn v5_correlation_id_round_trips() {
-    let mut buf = Vec::new();
-    Frame::Query { k: 3, trace: 0xDEAD, shape: WireShape { closed: false, points: vec![] } }
-        .encode_versioned(5, 0xC0FFEE, &mut buf);
-    let (frame, corr, version, used) = Frame::decode_corr(&buf).unwrap();
-    assert_eq!(corr, 0xC0FFEE);
-    assert_eq!(version, 5);
-    assert_eq!(used, buf.len());
-    assert!(matches!(frame, Frame::Query { k: 3, trace: 0xDEAD, .. }));
+/// Every frame kind over 40 seeds, encoded.
+fn every_kind_encoded() -> impl Iterator<Item = Vec<u8>> {
+    (0u8..22).flat_map(|pick| {
+        (0u64..40).map(move |seed| {
+            let mut buf = Vec::new();
+            rand_frame(pick, &mut StdRng::seed_from_u64(seed)).encode(&mut buf);
+            buf
+        })
+    })
 }
 
+/// A payload cut at any offset is refused, never a panic. The one
+/// prefix that is itself a payload — `Matches` / `ApproxMatches` cut
+/// where the optional stage trailer begins — must decode to exactly
+/// the reply those bytes encode.
 #[test]
-fn v1_query_has_no_trace_or_corr() {
-    let mut buf = Vec::new();
-    Frame::Query { k: 2, trace: 99, shape: WireShape { closed: true, points: vec![(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)] } }
-        .encode_versioned(1, 77, &mut buf);
-    // v1 layout: 6-byte header, no corr word, payload is just k + shape
-    assert_eq!(buf[0], 1);
-    let (frame, corr, version, _) = Frame::decode_corr(&buf).unwrap();
-    assert_eq!((corr, version), (0, 1), "v1 frames carry no correlation id");
-    match frame {
-        Frame::Query { k, trace, shape } => {
-            assert_eq!((k, trace), (2, 0), "trace is a v3 field, zeroed on v1");
-            assert_eq!(shape.points.len(), 3);
+fn payload_truncation_with_valid_checksum_errors_cleanly() {
+    for buf in every_kind_encoded() {
+        let payload = &buf[PAYLOAD_AT..buf.len() - 4];
+        for cut in 0..payload.len() {
+            let hostile = reframe(&buf, &payload[..cut]);
+            if let Ok((frame, used)) = Frame::decode(&hostile) {
+                let mut canonical = Vec::new();
+                frame.encode(&mut canonical);
+                assert_eq!(
+                    (used, &canonical),
+                    (hostile.len(), &hostile),
+                    "type {} cut at {cut}/{} decoded to something else: {frame:?}",
+                    buf[1],
+                    payload.len()
+                );
+            }
         }
-        other => panic!("wrong frame {other:?}"),
     }
 }
 
+/// One to three payload bytes changed: any error, or a decode (a bit
+/// flipped inside a score is still a score) — never a panic.
 #[test]
-fn v1_insert_drops_key_and_trace_v2_keeps_key() {
-    let shape = WireShape { closed: false, points: vec![(1.0, 2.0)] };
-    let frame = Frame::Insert { image: 9, key: 41, trace: 8, shape };
-    let mut v1 = Vec::new();
-    frame.encode_versioned(1, 0, &mut v1);
-    match Frame::decode(&v1).unwrap().0 {
-        Frame::Insert { image, key, trace, .. } => assert_eq!((image, key, trace), (9, 0, 0)),
-        other => panic!("wrong frame {other:?}"),
-    }
-    let mut v2 = Vec::new();
-    frame.encode_versioned(2, 0, &mut v2);
-    match Frame::decode(&v2).unwrap().0 {
-        Frame::Insert { image, key, trace, .. } => assert_eq!((image, key, trace), (9, 41, 0)),
-        other => panic!("wrong frame {other:?}"),
-    }
-}
-
-#[test]
-fn v1_busy_has_no_hint_payload() {
-    let mut buf = Vec::new();
-    Frame::Busy { retry_after_ms: 250 }.encode_versioned(1, 0, &mut buf);
-    // v1 Busy is payloadless; the hint is a v2 addition
-    assert_eq!(u32::from_le_bytes(buf[2..6].try_into().unwrap()), 0);
-    match Frame::decode(&buf).unwrap().0 {
-        Frame::Busy { retry_after_ms } => assert_eq!(retry_after_ms, 0),
-        other => panic!("wrong frame {other:?}"),
-    }
-    let mut v2 = Vec::new();
-    Frame::Busy { retry_after_ms: 250 }.encode_versioned(2, 0, &mut v2);
-    match Frame::decode(&v2).unwrap().0 {
-        Frame::Busy { retry_after_ms } => assert_eq!(retry_after_ms, 250),
-        other => panic!("wrong frame {other:?}"),
-    }
-}
-
-#[test]
-fn v1_stats_report_is_sixteen_words() {
-    let mut rng = StdRng::seed_from_u64(42);
-    let stats = rand_stats(&mut rng);
-    let mut buf = Vec::new();
-    Frame::StatsReport(stats).encode_versioned(1, 0, &mut buf);
-    assert_eq!(u32::from_le_bytes(buf[2..6].try_into().unwrap()), 16 * 8);
-    match Frame::decode(&buf).unwrap().0 {
-        Frame::StatsReport(got) => {
-            assert_eq!(got.epoch, stats.epoch);
-            assert_eq!(got.queue_depth, stats.queue_depth);
-            // words 16..25 are the v2 durability block, zeroed on v1
-            assert_eq!(got.read_only, 0);
-            assert_eq!(got.wal_appends, 0);
-            assert_eq!(got.last_recovery_us, 0);
+fn payload_mutation_with_valid_checksum_never_panics() {
+    let mut rng = StdRng::seed_from_u64(0xBAD);
+    for buf in every_kind_encoded() {
+        let original = &buf[PAYLOAD_AT..buf.len() - 4];
+        if original.is_empty() {
+            continue;
         }
-        other => panic!("wrong frame {other:?}"),
+        for _ in 0..70 {
+            let mut payload = original.to_vec();
+            for _ in 0..rng.random_range(1..=3) {
+                let at = rng.random_range(0..payload.len());
+                payload[at] = rng.random();
+            }
+            let _ = Frame::decode(&reframe(&buf, &payload));
+        }
     }
 }
 
-#[test]
-fn frame_types_are_gated_by_version() {
-    // MetricsDump needs v3, Explain needs v4: encoding them into an older
-    // layout must be rejected at decode as an unknown type for that version.
-    let mut buf = Vec::new();
-    Frame::MetricsDump.encode_versioned(3, 0, &mut buf);
-    buf[0] = 2; // masquerade as v2
-    // checksum now fails first? No: header validation runs before checksum.
-    match Frame::decode(&buf) {
-        Err(WireError::BadType(7)) => {}
-        other => panic!("want BadType(7) on v2 METRICS_DUMP, got {other:?}"),
-    }
-    let mut exp = Vec::new();
-    Frame::Explain { k: 1, trace: 0, shape: WireShape { closed: false, points: vec![] } }
-        .encode_versioned(4, 0, &mut exp);
-    exp[0] = 3;
-    match Frame::decode(&exp) {
-        Err(WireError::BadType(8)) => {}
-        other => panic!("want BadType(8) on v3 EXPLAIN, got {other:?}"),
-    }
-    // QueryApprox is a v5 frame: a v4 peer must see an unknown type.
-    let mut qa = Vec::new();
-    Frame::QueryApprox {
-        k: 1,
-        trace: 0,
-        max_radius: 2,
-        max_candidates: 64,
-        shape: WireShape { closed: false, points: vec![] },
-    }
-    .encode_versioned(5, 0, &mut qa);
-    qa[0] = 4;
-    match Frame::decode(&qa) {
-        Err(WireError::BadType(9)) => {}
-        other => panic!("want BadType(9) on v4 QUERY_APPROX, got {other:?}"),
-    }
-}
+// ---------------------------------------------------------------------------
+// The one layout, pinned byte for byte.
+// ---------------------------------------------------------------------------
 
-#[test]
-fn v5_matches_drop_shard_info_v6_keeps_it() {
-    // ShardInfo is a v6 addition: encoding at v5 loses it, decode fills
-    // the single-node default 1/1 back in.
-    let frame = Frame::Matches {
-        epoch: 4,
-        shards: ShardInfo { ok: 2, total: 3 },
-        trailer: Some(StageTrailer { total_us: 1234, queue_us: 56 }),
-        matches: vec![WireMatch { shape: 1, image: 2, score: 0.5 }],
+/// One fixed instance of every frame kind (`Matches` / `ApproxMatches`
+/// with and without the optional stage trailer).
+fn golden_frames() -> Vec<(&'static str, Frame)> {
+    use geosir_core::dynamic::{LevelExplain, QueryExplain};
+    use geosir_core::matcher::{RingExplain, Termination};
+    let shape = || WireShape { closed: true, points: vec![(0.0, 0.5), (3.0, 0.25), (1.5, -2.0)] };
+    let open = || WireShape { closed: false, points: vec![(1.0, 2.0), (-4.5, 8.0)] };
+    let matches = || {
+        vec![
+            WireMatch { shape: 0x0001_0000_0000_0007, image: 3, score: 0.125 },
+            WireMatch { shape: 9, image: 0xFFFF_FFFF, score: 2.5 },
+        ]
     };
-    let mut v5 = Vec::new();
-    frame.encode_versioned(5, 0, &mut v5);
-    match Frame::decode(&v5).unwrap().0 {
-        Frame::Matches { shards, trailer, matches, .. } => {
-            assert_eq!(shards, ShardInfo::default());
-            assert!(!shards.is_partial());
-            assert_eq!(trailer, None, "the stage trailer is a v6 field");
-            assert_eq!(matches.len(), 1);
+    let trailer = Some(StageTrailer { total_us: 1234, queue_us: 56 });
+    let mut report = QueryExplain { buffer_scored: 11, ..Default::default() };
+    report.stats.levels = 1;
+    report.stats.rings = 2;
+    report.stats.vertices_reported = 300;
+    report.stats.vertices_processed = 280;
+    report.stats.candidates_scored = 40;
+    report.stats.triangles_queried = 24;
+    report.stats.buffer_scored = 11;
+    report.stats.max_eps_fraction = 0.75;
+    report.stats.exhausted_levels = 0;
+    report.stats.last_termination = Termination::Threshold;
+    report.levels.push(LevelExplain {
+        shapes: 1000,
+        termination: Termination::Certified,
+        final_eps: 0.5,
+        eps_cap: 4.0,
+        bound_factor: 0.8125,
+        vertices_reported: 300,
+        vertices_processed: 280,
+        candidates_scored: 40,
+        credit_scored: 5,
+        exhausted: false,
+        rings: vec![
+            RingExplain {
+                ring: 1,
+                eps: 0.25,
+                triangles: 12,
+                vertices_reported: 100,
+                vertices_processed: 90,
+                promotions: 7,
+            },
+            RingExplain {
+                ring: 2,
+                eps: 0.5,
+                triangles: 12,
+                vertices_reported: 200,
+                vertices_processed: 190,
+                promotions: 33,
+            },
+        ],
+    });
+    let stats = {
+        let mut w = [0u64; 25];
+        for (i, slot) in w.iter_mut().enumerate() {
+            *slot = 0x0101_0101_0101_0101 * (i as u64 + 1);
         }
-        other => panic!("wrong frame {other:?}"),
-    }
-    let mut v6 = Vec::new();
-    frame.encode_versioned(6, 0, &mut v6);
-    match Frame::decode(&v6).unwrap().0 {
-        Frame::Matches { shards, trailer, .. } => {
-            assert_eq!(shards, ShardInfo { ok: 2, total: 3 });
-            assert!(shards.is_partial());
-            assert_eq!(trailer, Some(StageTrailer { total_us: 1234, queue_us: 56 }));
+        ServerStats {
+            epoch: w[0],
+            live_shapes: w[1],
+            levels: w[2],
+            requests: w[3],
+            queries: w[4],
+            inserts: w[5],
+            deletes: w[6],
+            busy_rejects: w[7],
+            protocol_errors: w[8],
+            latency_p50_us: w[9],
+            latency_p99_us: w[10],
+            snapshots_published: w[11],
+            publish_p50_us: w[12],
+            publish_p99_us: w[13],
+            snapshot_age_us: w[14],
+            queue_depth: w[15],
+            read_only: w[16],
+            wal_appends: w[17],
+            wal_syncs: w[18],
+            fsync_p50_us: w[19],
+            fsync_p99_us: w[20],
+            checkpoints: w[21],
+            checkpoint_failures: w[22],
+            last_recovery_us: w[23],
+            io_errors: w[24],
         }
-        other => panic!("wrong frame {other:?}"),
-    }
+    };
+    vec![
+        ("query", Frame::Query { k: 10, trace: 0xA1, shape: shape() }),
+        ("query_batch", Frame::QueryBatch { k: 4, shapes: vec![shape(), open()] }),
+        ("insert", Frame::Insert { image: 7, key: 0xBEEF, trace: 0xA2, shape: open() }),
+        ("delete", Frame::Delete { id: 0x0001_0000_0000_002A }),
+        ("stats", Frame::Stats),
+        ("metrics_dump", Frame::MetricsDump),
+        ("explain", Frame::Explain { k: 3, trace: 0xA3, shape: shape() }),
+        (
+            "query_approx",
+            Frame::QueryApprox { k: 10, trace: 0xA4, max_radius: 2, max_candidates: 512, shape: shape() },
+        ),
+        ("topology", Frame::Topology),
+        ("shutdown", Frame::Shutdown),
+        (
+            "matches",
+            Frame::Matches { epoch: 17, shards: ShardInfo { ok: 1, total: 2 }, trailer: None, matches: matches() },
+        ),
+        (
+            "matches+trailer",
+            Frame::Matches { epoch: 17, shards: ShardInfo::default(), trailer, matches: matches() },
+        ),
+        ("batch_matches", Frame::BatchMatches { epoch: 18, results: vec![matches(), vec![]] }),
+        ("inserted", Frame::Inserted { epoch: 19, id: 0x0001_0000_0000_002B }),
+        ("deleted", Frame::Deleted { epoch: 20, existed: true }),
+        ("stats_report", Frame::StatsReport(stats)),
+        ("metrics_report", Frame::MetricsReport { snapshot: (0u8..40).collect() }),
+        (
+            "explain_report",
+            Frame::ExplainReport {
+                epoch: 21,
+                trace: 0xA5,
+                total_us: 900,
+                queue_us: 30,
+                matches: matches(),
+                report,
+            },
+        ),
+        (
+            "approx_matches",
+            Frame::ApproxMatches {
+                epoch: 22,
+                tier: 1,
+                radius: 3,
+                buckets_probed: 40,
+                candidates: 500,
+                corpus_copies: 26_000,
+                reranked: 120,
+                shards: ShardInfo { ok: 2, total: 2 },
+                trailer: None,
+                matches: matches(),
+            },
+        ),
+        (
+            "approx_matches+trailer",
+            Frame::ApproxMatches {
+                epoch: 22,
+                tier: 0,
+                radius: 3,
+                buckets_probed: 40,
+                candidates: 500,
+                corpus_copies: 26_000,
+                reranked: 120,
+                shards: ShardInfo::default(),
+                trailer,
+                matches: matches(),
+            },
+        ),
+        (
+            "topology_report",
+            Frame::TopologyReport {
+                shards: vec![WireShardStatus {
+                    shard: 1,
+                    primary: "127.0.0.1:7001".into(),
+                    primary_state: 0,
+                    replicas: vec![("127.0.0.1:7002".into(), 2)],
+                    lag_records: 5,
+                    lag_ms: 40,
+                }],
+            },
+        ),
+        ("busy", Frame::Busy { retry_after_ms: 250 }),
+        ("bye", Frame::Bye),
+        ("error", Frame::Error { code: 6, message: "no shard answered".into() }),
+    ]
 }
+
+fn fnv1a64_ref(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// `(name, frame length, FNV-1a-64 of the whole frame)` for
+/// [`golden_frames`], frame `i` encoded with correlation id
+/// `0x1122_3344_5566_7700 + i`. Captured from the last build that still
+/// spoke v1–v6, before its version ladders were removed: a byte that
+/// moves here is a wire break, not a refactor.
+const GOLDEN: [(&str, usize, u64); 24] = [
+    ("query", 83, 0xc6946f8f1589f3c2),
+    ("query_batch", 116, 0x6c463f712b2854e1),
+    ("insert", 75, 0x3793f57a1ee64c05),
+    ("delete", 26, 0xb14b5fd84d440c3e),
+    ("stats", 18, 0x2ed9bfbc9132b0f1),
+    ("metrics_dump", 18, 0x7e8cd75c68055678),
+    ("explain", 83, 0x3f71635e07143498),
+    ("query_approx", 89, 0x37fde51adde4ceb7),
+    ("topology", 18, 0x0dd9c33120470151),
+    ("shutdown", 18, 0xfefe626570281b24),
+    ("matches", 74, 0x4a9a4f35b30b04b4),
+    ("matches+trailer", 91, 0x3cbd2ddf250d0ea3),
+    ("batch_matches", 78, 0x6f2a571d5b418274),
+    ("inserted", 34, 0x9a4f9e3e5a54957b),
+    ("deleted", 27, 0x05796c2e4cd92976),
+    ("stats_report", 218, 0x78aad9bc3f073029),
+    ("metrics_report", 62, 0x22cae84ffa808884),
+    ("explain_report", 301, 0x6591b498749f65ad),
+    ("approx_matches", 109, 0xe8e8a626bc742fab),
+    ("approx_matches+trailer", 126, 0x470447a52a8cb43e),
+    ("topology_report", 82, 0x94e410dabe10d9d6),
+    ("busy", 22, 0xae48c37f764ceb38),
+    ("bye", 18, 0xcc9236915039583d),
+    ("error", 41, 0xa6edfcafad5a1474),
+];
 
 #[test]
-fn trailerless_v6_matches_stay_byte_identical_and_decode_as_none() {
-    // A server that reports no stage timings must emit exactly the
-    // pre-trailer v6 byte layout — old captures and old peers agree.
-    let frame = Frame::Matches {
-        epoch: 9,
-        shards: ShardInfo { ok: 1, total: 1 },
-        trailer: None,
-        matches: vec![WireMatch { shape: 7, image: 3, score: 1.5 }],
-    };
-    let mut buf = Vec::new();
-    frame.encode(&mut buf);
-    match Frame::decode(&buf).unwrap().0 {
-        Frame::Matches { trailer, .. } => assert_eq!(trailer, None),
-        other => panic!("wrong frame {other:?}"),
-    }
-    // With a trailer the frame grows by exactly flag + 2×u64.
-    let with = Frame::Matches {
-        epoch: 9,
-        shards: ShardInfo { ok: 1, total: 1 },
-        trailer: Some(StageTrailer { total_us: 1, queue_us: 1 }),
-        matches: vec![WireMatch { shape: 7, image: 3, score: 1.5 }],
-    };
-    let mut buf2 = Vec::new();
-    with.encode(&mut buf2);
-    assert_eq!(buf2.len(), buf.len() + 17);
-}
-
-#[test]
-fn topology_frames_are_v6_gated() {
-    let mut buf = Vec::new();
-    Frame::Topology.encode_versioned(6, 0, &mut buf);
-    buf[0] = 5; // masquerade as v5
-    match Frame::decode(&buf) {
-        Err(WireError::BadType(10)) => {}
-        other => panic!("want BadType(10) on v5 TOPOLOGY, got {other:?}"),
-    }
-}
-
-proptest! {
-    /// Any frame valid at every version round-trips through each historical
-    /// layout; version-gated fields are zeroed, everything else survives.
-    #[test]
-    fn historical_layouts_round_trip(seed in 0u64..64, version in 1u8..=5) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let frame = Frame::Delete { id: rng.random() };
+fn v6_golden_bytes() {
+    let frames = golden_frames();
+    assert_eq!(frames.len(), GOLDEN.len());
+    for (i, ((name, frame), (want_name, want_len, want_digest))) in
+        frames.iter().zip(GOLDEN).enumerate()
+    {
+        assert_eq!(*name, want_name);
+        let corr = 0x1122_3344_5566_7700 + i as u64;
         let mut buf = Vec::new();
-        frame.encode_versioned(version, rng.random(), &mut buf);
-        let (got, _, v, used) = Frame::decode_corr(&buf).unwrap();
-        prop_assert_eq!(v, version);
-        prop_assert_eq!(used, buf.len());
-        prop_assert_eq!(got, frame);
-
-        let stats = rand_stats(&mut rng);
-        let mut sb = Vec::new();
-        Frame::StatsReport(stats).encode_versioned(version, 0, &mut sb);
-        let (sgot, _, _, sused) = Frame::decode_corr(&sb).unwrap();
-        prop_assert_eq!(sused, sb.len());
-        // re-encoding the decoded stats at the same version is canonical
-        let mut sb2 = Vec::new();
-        sgot.encode_versioned(version, 0, &mut sb2);
-        prop_assert_eq!(sb, sb2);
+        frame.encode_versioned(PROTOCOL_VERSION, corr, &mut buf);
+        assert_eq!(
+            (buf.len(), fnv1a64_ref(&buf)),
+            (want_len, want_digest),
+            "{name} moved on the wire: {}",
+            hex(&buf)
+        );
+        let (decoded, got_corr, used) = Frame::decode_corr(&buf).unwrap();
+        assert_eq!((&decoded, got_corr, used), (frame, corr, buf.len()), "{name}");
     }
+    // one frame spelled out, so the header order is readable here:
+    // version, type, payload length, correlation id, payload, checksum
+    let mut delete = Vec::new();
+    frames[3].1.encode_versioned(PROTOCOL_VERSION, 0x1122_3344_5566_7703, &mut delete);
+    assert_eq!(hex(&delete), "06040800000003776655443322112a00000000000100affcb7f3");
 }

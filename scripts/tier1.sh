@@ -46,11 +46,19 @@ cargo test -q -p geosir-core --features simd --test seeded_exact
 # Router: the pipelined scatter-gather state machine and the cluster
 # suites it must keep green, by name for the same reason (the
 # failpoints pass below runs the whole server crate, these included).
-# router_pipeline covers the window/version rules, Busy on a full
-# table, the pipelining differential, the thread count under 512 idle
-# connections, one breaker strike per dead connection, late replies,
-# and the per-shard latency stopwatch.
+# router_pipeline covers the window rule, hostile frames, Busy on a
+# full table, the pipelining differential, the thread count under 512
+# idle connections, one breaker strike per dead connection, late
+# replies, and the per-shard latency stopwatch.
 cargo test -q -p geosir-serve --test router_pipeline --test cluster_integration --test cluster_obs
+
+# Wire: the codec suite by name too — the golden bytes of the one
+# layout, and the hostile-payload properties (every frame kind cut at
+# every payload offset, or with a few payload bytes changed, under a
+# recomputed checksum) that are the only tests reaching the payload
+# decoder with bad input. A decoder panic is remotely triggerable, so a
+# filter must not be able to drop these silently.
+cargo test -q -p geosir-serve --test wire_proptest
 
 # Durability hooks: crash-recovery harness (abort-at-failpoint children)
 # plus the full server suite with the fault hooks compiled in. Budget:
