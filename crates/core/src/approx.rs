@@ -133,6 +133,11 @@ pub(crate) struct CandRef {
     pub level: u32,
     pub a: u32,
     pub b: u32,
+    /// What the rerank found: the copy's exact score, `INFINITY` when the
+    /// bounded scorer abandoned it (it scores above the rerank's cutoff
+    /// at that point, hence above the final k-th best), NaN while — or
+    /// if never — scored (tombstoned shape).
+    pub verdict: f64,
 }
 
 pub(crate) const BUFFER_LEVEL: u32 = u32::MAX;
@@ -158,7 +163,12 @@ pub(crate) type QuarterVals = [Vec<(u16, u16)>; 4];
 #[derive(Debug, Default)]
 pub(crate) struct IndexProbe {
     pub cursor: ProbeCursor,
+    /// `(distance, bucket)` in ascending order.
     pub scan: Vec<(u16, u32)>,
+    /// Counting-sort scratch of [`SigBuckets::build_scan`]: the pairs in
+    /// bucket order, and per distance the next free slot of `scan`.
+    unsorted: Vec<(u16, u32)>,
+    slots: Vec<u32>,
 }
 
 /// Reusable scratch for the probe + rerank path. Holding one per worker
@@ -333,7 +343,7 @@ impl SigBuckets {
             // start. Stored-side 0s are fine — the enumeration probes
             // value 0 in every quarter.
             probe.cursor = if qsig.0.contains(&0) {
-                self.build_scan(&mut probe.scan, qsig, r, probed);
+                self.build_scan(probe, qsig, r, probed);
                 ProbeCursor::Scan { pos: 0 }
             } else {
                 ProbeCursor::Enumerate
@@ -345,7 +355,7 @@ impl SigBuckets {
             // buckets by distance once and walk them ring by ring.
             let box_probes = (2u64 * r as u64 + 2).pow(4);
             if box_probes > self.sigs.len() as u64 {
-                self.build_scan(&mut probe.scan, qsig, r, probed);
+                self.build_scan(probe, qsig, r, probed);
                 probe.cursor = ProbeCursor::Scan { pos: 0 };
             } else {
                 self.enumerate_shell(family_k, qsig, r, vals, out, probed);
@@ -362,23 +372,38 @@ impl SigBuckets {
 
     /// Build the distance-sorted scan list of every bucket at distance
     /// ≥ `min_dist` from `qsig` (rings below were already emitted by the
-    /// enumeration strategy).
-    fn build_scan(
-        &self,
-        scan: &mut Vec<(u16, u32)>,
-        qsig: &Signature,
-        min_dist: u16,
-        probed: &mut u64,
-    ) {
-        scan.clear();
+    /// enumeration strategy). One pass over the table, then a counting
+    /// sort by distance — a curve distance is below the family's k, and
+    /// placing the pairs in bucket order within each distance is exactly
+    /// the ascending `(distance, bucket)` order.
+    fn build_scan(&self, probe: &mut IndexProbe, qsig: &Signature, min_dist: u16, probed: &mut u64) {
+        let IndexProbe { scan, unsorted, slots, .. } = probe;
+        unsorted.clear();
+        slots.clear();
         for (i, s) in self.sigs.iter().enumerate() {
             let d = qsig.curve_distance(s);
             if d >= min_dist {
-                scan.push((d, i as u32));
+                unsorted.push((d, i as u32));
+                if slots.len() <= d as usize {
+                    slots.resize(d as usize + 1, 0);
+                }
+                slots[d as usize] += 1;
             }
         }
         *probed += self.sigs.len() as u64;
-        scan.sort_unstable();
+        // counts → first slot of each distance
+        let mut next = 0;
+        for slot in slots.iter_mut() {
+            let count = *slot;
+            *slot = next;
+            next += count;
+        }
+        scan.clear();
+        scan.resize(unsorted.len(), (0, 0));
+        for &(d, i) in unsorted.iter() {
+            scan[slots[d as usize] as usize] = (d, i);
+            slots[d as usize] += 1;
+        }
     }
 
     /// Enumeration strategy: probe exactly the signatures at curve

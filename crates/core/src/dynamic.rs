@@ -546,6 +546,7 @@ impl DynamicBase {
             out,
             &mut RetrieveStats::default(),
             None,
+            true,
         );
     }
 
@@ -722,7 +723,7 @@ impl Snapshot {
         stats: &mut RetrieveStats,
     ) {
         let k = if k == 0 { self.config.k } else { k };
-        self.view().retrieve(k, scratch, tmp, query, out, stats, None);
+        self.view().retrieve(k, scratch, tmp, query, out, stats, None, true);
     }
 
     /// Coalesced retrieval: answer a batch of `(query, k)` pairs against
@@ -767,7 +768,7 @@ impl Snapshot {
     ) {
         let k = if k == 0 { self.config.k } else { k };
         explain.clear();
-        self.view().retrieve(k, scratch, tmp, query, out, stats, Some(explain));
+        self.view().retrieve(k, scratch, tmp, query, out, stats, Some(explain), true);
         explain.buffer_scored = stats.buffer_scored;
         explain.stats = *stats;
     }
@@ -830,12 +831,14 @@ impl Snapshot {
         (out, stats)
     }
 
-    /// [`Self::similar_approx`] through caller-owned scratch. The query
-    /// is diameter-normalized here (one allocation); everything after
-    /// runs on warm scratch. A query with degenerate geometry — or one
-    /// whose cascade collects nothing — falls through to the exact tier
-    /// ([`Self::retrieve_with_stats`]), reported as [`AnswerTier::Exact`]
-    /// in `stats`.
+    /// [`Self::similar_approx`] through caller-owned scratch —
+    /// allocation-free in steady state: the query is diameter-normalized
+    /// and indexed in place by the exact tier's own routine
+    /// (`MatcherScratch::prepare_query`: same diameter, same frame),
+    /// then probed and reranked. A query with degenerate geometry — or
+    /// one whose cascade collects nothing — falls through to the exact
+    /// tier ([`Self::retrieve_with_stats`]), reported as
+    /// [`AnswerTier::Exact`] in `stats`.
     #[allow(clippy::too_many_arguments)]
     pub fn similar_approx_with(
         &self,
@@ -847,23 +850,17 @@ impl Snapshot {
         out: &mut Vec<DynMatch>,
         stats: &mut ApproxStats,
     ) {
-        match crate::normalize::normalize_about_diameter(query) {
-            Some((qn, _)) => {
-                let shape = qn.shape;
-                self.similar_approx_prepared(scratch, tmp, ax, query, &shape, opts, out, stats);
-            }
-            None => {
-                *stats = ApproxStats { corpus_copies: self.copies as u64, ..ApproxStats::default() };
-                self.exact_fallback(scratch, tmp, query, opts, out, stats);
-            }
+        if scratch.prepare_query(query) {
+            self.approx_prepared(scratch, tmp, ax, query, opts, out, stats);
+        } else {
+            *stats = ApproxStats { corpus_copies: self.copies as u64, ..ApproxStats::default() };
+            self.exact_fallback(scratch, tmp, query, opts, out, stats);
         }
     }
 
-    /// The approximate tier for an already-normalized query —
-    /// allocation-free in steady state with warm scratches: the shared
-    /// probe + rerank core ([`View::probe_rerank`], which the exact
-    /// tier's seed step also runs), then the exact-fallback tier when the
-    /// cascade collected nothing (`query` is only needed for that).
+    /// [`Self::similar_approx_with`] for a caller that already holds the
+    /// query's primary normalized copy (`query` is only needed for the
+    /// exact fallback).
     #[allow(clippy::too_many_arguments)]
     pub fn similar_approx_prepared(
         &self,
@@ -876,9 +873,27 @@ impl Snapshot {
         out: &mut Vec<DynMatch>,
         stats: &mut ApproxStats,
     ) {
-        *stats = ApproxStats { corpus_copies: self.copies as u64, ..ApproxStats::default() };
         scratch.prepare_normalized_query(normalized);
-        let qprep = scratch.query.as_ref().expect("prepared above");
+        self.approx_prepared(scratch, tmp, ax, query, opts, out, stats);
+    }
+
+    /// The approximate tier over the query prepared in `scratch`: the
+    /// shared probe + rerank core ([`View::probe_rerank`], which the exact
+    /// tier's seed step also runs), then the exact-fallback tier when the
+    /// cascade collected nothing.
+    #[allow(clippy::too_many_arguments)]
+    fn approx_prepared(
+        &self,
+        scratch: &mut MatcherScratch,
+        tmp: &mut MatchOutcome,
+        ax: &mut ApproxScratch,
+        query: &Polyline,
+        opts: &ApproxOptions,
+        out: &mut Vec<DynMatch>,
+        stats: &mut ApproxStats,
+    ) {
+        *stats = ApproxStats { corpus_copies: self.copies as u64, ..ApproxStats::default() };
+        let qprep = scratch.query.as_ref().expect("prepared by the entry point");
         self.view().probe_rerank(ax, qprep, opts, out, stats);
         if stats.candidates == 0 {
             self.exact_fallback(scratch, tmp, query, opts, out, stats);
@@ -974,9 +989,12 @@ impl View<'_> {
             for (li, Slot { level, .. }) in self.slots() {
                 ring.clear();
                 level.buckets.collect_ring(kf, &qsig, r, &mut probes[li], vals, ring, &mut probed);
-                cands.extend(
-                    ring.iter().map(|c| CandRef { level: li as u32, a: c.0, b: 0 }),
-                );
+                cands.extend(ring.iter().map(|c| CandRef {
+                    level: li as u32,
+                    a: c.0,
+                    b: 0,
+                    verdict: f64::NAN,
+                }));
             }
             for (bi, b) in self.buffer.iter().enumerate() {
                 if self.is_dead(&b.id) {
@@ -984,7 +1002,12 @@ impl View<'_> {
                 }
                 for (ci, s) in b.sigs.iter().enumerate() {
                     if qsig.curve_distance(s) == r {
-                        cands.push(CandRef { level: BUFFER_LEVEL, a: bi as u32, b: ci as u32 });
+                        cands.push(CandRef {
+                            level: BUFFER_LEVEL,
+                            a: bi as u32,
+                            b: ci as u32,
+                            verdict: f64::NAN,
+                        });
                     }
                 }
             }
@@ -1000,7 +1023,7 @@ impl View<'_> {
         // a copy-level top-k could prune the only copy of a shape whose
         // best score still belongs in the answer.
         let mut cutoff = f64::INFINITY;
-        for &c in cands.iter() {
+        for c in cands.iter_mut() {
             let (gid, image, score) = if c.level == BUFFER_LEVEL {
                 let b = &self.buffer[c.a as usize];
                 let s = score_prepared_bounded(
@@ -1022,6 +1045,7 @@ impl View<'_> {
                 (gid, level.images[copy.shape_id.index()], s)
             };
             stats.reranked += 1;
+            c.verdict = score;
             if !score.is_finite() {
                 stats.abandoned += 1;
                 continue;
@@ -1062,7 +1086,9 @@ impl View<'_> {
     /// the largest level runs a full top-k certification instead and its
     /// k-th best becomes the cutoff of the smaller ones. Either way the
     /// cutoff tightens to the running k-th best as levels report.
-    /// Allocation-free in steady state.
+    /// Allocation-free in steady state. Every caller passes `handoff`;
+    /// without it the level runs score the seed's copies over again (the
+    /// differential test's other leg: same answer, more scorings).
     #[allow(clippy::too_many_arguments)]
     fn retrieve(
         &self,
@@ -1073,6 +1099,7 @@ impl View<'_> {
         out: &mut Vec<DynMatch>,
         stats: &mut RetrieveStats,
         mut explain: Option<&mut QueryExplain>,
+        handoff: bool,
     ) {
         out.clear();
         *stats = RetrieveStats::default();
@@ -1093,7 +1120,7 @@ impl View<'_> {
             tmp.explain.enabled = explain.is_some();
             // largest level first: unseeded, its certified k-th best is
             // what keeps the smaller levels cheap
-            for (_, Slot { level, dead }) in self.slots().rev() {
+            for (li, Slot { level, dead }) in self.slots().rev() {
                 let cutoff = tau.min(kth_best_score(out, k));
                 let mode =
                     if cutoff.is_finite() { RunMode::Threshold(cutoff) } else { RunMode::TopK };
@@ -1105,6 +1132,19 @@ impl View<'_> {
                 let level_config = MatchConfig { k: k + dead, ..self.config.clone() };
                 let matcher = Matcher::with_plan(&level.base, level_config, level.plan.clone());
                 tmp.clear();
+                // No copy is scored twice: what the seed's rerank found
+                // out about this level's copies rides into the run (which
+                // drains it).
+                if handoff {
+                    scratch.verdicts.extend(
+                        scratch
+                            .seed
+                            .cands
+                            .iter()
+                            .filter(|c| c.level == li as u32 && !c.verdict.is_nan())
+                            .map(|c| (c.a, c.verdict)),
+                    );
+                }
                 matcher.run(scratch, mode, tmp);
                 stats.levels += 1;
                 stats.rings += tmp.stats.iterations as u64;
@@ -1988,6 +2028,91 @@ mod tests {
             }
             assert_eq!(fresh_stats.candidates, stats.candidates, "query {i}");
             assert_eq!(fresh_stats.radius, stats.radius, "query {i}");
+        }
+    }
+
+    /// What `geosir serve` ships, fed one insert at a time as the
+    /// benchmark driver does.
+    fn shipped(buffer_cap: usize, shapes: impl IntoIterator<Item = Polyline>) -> DynamicBase {
+        let config = MatchConfig { beta: 0.2, ..Default::default() };
+        let mut db = DynamicBase::new(0.0, Backend::RangeTree, config, buffer_cap);
+        for (i, s) in shapes.into_iter().enumerate() {
+            db.insert(ImageId(i as u32), s);
+        }
+        db
+    }
+
+    fn id_bits(hits: &[DynMatch]) -> Vec<(u64, u64)> {
+        hits.iter().map(|m| (m.shape.0, m.score.to_bits())).collect()
+    }
+
+    #[test]
+    fn seed_verdicts_change_no_answer() {
+        use geosir_imaging::synth::{perturb, random_simple_polygon};
+        // three levels + a part-filled buffer, a family of near matches
+        // spread over all of them, every other member tombstoned
+        let mut rng = StdRng::seed_from_u64(61);
+        let proto = random_simple_polygon(&mut rng, 11, 0.35);
+        let shapes: Vec<Polyline> = (0..59)
+            .map(|i| {
+                if i % 5 == 0 {
+                    perturb(&proto, &mut rng, 0.015)
+                } else {
+                    random_simple_polygon(&mut rng, 7 + i % 8, 0.35)
+                }
+            })
+            .collect();
+        let mut db = shipped(8, shapes.iter().cloned());
+        assert_eq!(db.num_levels(), 3);
+        for i in (0..59).step_by(10) {
+            assert!(db.delete(GlobalShapeId(i)));
+        }
+        let snap = db.snapshot();
+        let mut scratch = MatcherScratch::new();
+        let mut tmp = MatchOutcome::default();
+        let (mut on, mut off) = (Vec::new(), Vec::new());
+        let (mut on_stats, mut off_stats) = (RetrieveStats::default(), RetrieveStats::default());
+        let (mut scored_on, mut scored_off) = (0, 0);
+        for (i, shape) in shapes.iter().enumerate().take(24) {
+            let q = perturb(if i % 2 == 0 { &proto } else { shape }, &mut rng, 0.01);
+            for k in [1, 4, 10] {
+                snap.retrieve_with_stats(&mut scratch, &mut tmp, &q, k, &mut on, &mut on_stats);
+                let view = snap.view();
+                view.retrieve(k, &mut scratch, &mut tmp, &q, &mut off, &mut off_stats, None, false);
+                assert_eq!(id_bits(&on), id_bits(&off), "query {i}, k = {k}");
+                assert_eq!(on_stats.vertices_processed, off_stats.vertices_processed);
+                scored_on += on_stats.candidates_scored;
+                scored_off += off_stats.candidates_scored;
+            }
+        }
+        assert!(scored_on < scored_off, "the hand-off saved no scoring: {scored_on} vs {scored_off}");
+        // a verdict never outlives the run it was handed to
+        assert!(scratch.verdicts.is_empty());
+    }
+
+    #[test]
+    fn approx_entries_agree_on_the_canonical_corpus() {
+        // `similar_approx_with` normalizes in place (the exact tier's
+        // routine), `similar_approx_prepared` takes the allocating
+        // normalizer's copy: same frame, so the same bits
+        use geosir_imaging::synth::{generate, CorpusConfig};
+        let corpus = generate(&CorpusConfig::small(200, 1));
+        let snap = shipped(512, corpus.shapes.iter().map(|(_, _, s)| s.clone())).snapshot();
+        let opts = ApproxOptions { k: 10, ..ApproxOptions::default() };
+        let mut scratch = MatcherScratch::new();
+        let mut tmp = MatchOutcome::default();
+        let mut ax = ApproxScratch::new();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        let (mut a_stats, mut b_stats) = (ApproxStats::default(), ApproxStats::default());
+        for (i, q) in corpus.queries(100, 0.02, 1).iter().enumerate() {
+            let normalized = crate::normalize::normalize_about_diameter(q).unwrap().0.shape;
+            snap.similar_approx_with(&mut scratch, &mut tmp, &mut ax, q, &opts, &mut a, &mut a_stats);
+            snap.similar_approx_prepared(
+                &mut scratch, &mut tmp, &mut ax, q, &normalized, &opts, &mut b, &mut b_stats,
+            );
+            assert_eq!(a.len(), 10, "sketch {i}");
+            assert_eq!(id_bits(&a), id_bits(&b), "sketch {i}");
+            assert_eq!(a_stats, b_stats, "sketch {i}");
         }
     }
 }

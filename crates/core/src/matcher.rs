@@ -563,6 +563,7 @@ impl<'a> Matcher<'a> {
     pub(crate) fn run(&self, scratch: &mut MatcherScratch, mode: RunMode, outcome: &mut MatchOutcome) {
         let base = self.base;
         if base.num_copies() == 0 {
+            scratch.verdicts.clear();
             outcome.stats.termination = Termination::EmptyBase;
             return;
         }
@@ -573,10 +574,6 @@ impl<'a> Matcher<'a> {
         let metrics = obs::with_metrics(MatcherMetrics::build, |m| m.clone());
         let f_u = self.plan.bound_factor;
         let explain_on = outcome.explain.enabled;
-        if explain_on {
-            outcome.explain.bound_factor = f_u;
-            outcome.explain.credit_scored = self.plan.credit_candidates.len() as u32;
-        }
         scratch.ensure(base);
         let qstamp = scratch.begin_query();
         let MatcherScratch {
@@ -598,6 +595,7 @@ impl<'a> Matcher<'a> {
             score_buf,
             query: qslot,
             back,
+            verdicts,
             ..
         } = scratch;
         let prepared: &PreparedShape = qslot.as_ref().expect("query prepared by the entry point");
@@ -630,11 +628,28 @@ impl<'a> Matcher<'a> {
         // polylog work into linear time). Counters count ring vertices
         // beyond the anchor credit (already folded into `net_thresholds`).
         //
+        // Copies the caller already scored against this query (the seed
+        // step of the dynamic layer) are not scored again: an exact score
+        // *is* what any scoring below would compute and goes on the board,
+        // an abandoned copy scores above the seed's k-th best, which is at
+        // least this run's cutoff — either way the copy is settled.
+        for (ci, verdict) in verdicts.drain(..) {
+            scored_stamp[ci as usize] = qstamp;
+            if verdict.is_finite() {
+                best.record(base.copy(CopyId(ci)).shape_id, verdict, CopyId(ci));
+            }
+        }
         // Degenerate copies (e.g. two-vertex segments) are candidates on
         // credit alone; score them up front so they are never lost.
         for &cid in &self.plan.credit_candidates {
-            scored_stamp[cid.index()] = qstamp;
-            self.score_candidate(cid, tau, prepared, back, &mut best, outcome);
+            if scored_stamp[cid.index()] != qstamp {
+                scored_stamp[cid.index()] = qstamp;
+                self.score_candidate(cid, tau, prepared, back, &mut best, outcome);
+            }
+        }
+        if explain_on {
+            outcome.explain.bound_factor = f_u;
+            outcome.explain.credit_scored = outcome.stats.candidates_scored as u32;
         }
 
         let mut prev_eps = 0.0;

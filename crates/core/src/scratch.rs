@@ -79,6 +79,12 @@ pub struct MatcherScratch {
     // --- the dynamic layer's seed step (hash-tier probe + rerank) ---
     pub(crate) seed: ApproxScratch,
     pub(crate) seeds: Vec<DynMatch>,
+    /// `(copy, verdict)` of the copies of the base about to be run that
+    /// the seed step already scored against this query — the exact score,
+    /// or `INFINITY` for "above the run's cutoff". Filled by the dynamic
+    /// layer right before a level's [`crate::matcher::Matcher::run`],
+    /// which drains it, so no run ever sees another's.
+    pub(crate) verdicts: Vec<(u32, f64)>,
 }
 
 impl MatcherScratch {
@@ -164,11 +170,24 @@ impl MatcherScratch {
             Some(q) => q.rebuild_mapped_from(query, |p| fwd.apply(p)),
             None => self.query = Some(PreparedShape::new(fwd.apply_polyline(query))),
         }
+        self.grid_query();
         true
     }
 
     /// Index an already-normalized query (diameter on the unit segment).
     pub(crate) fn prepare_normalized_query(&mut self, query: &Polyline) {
         prepare_into(&mut self.query, query);
+        self.grid_query();
+    }
+
+    /// Every distance of the query about to run — ring membership,
+    /// resolve, seed rerank, buffer scan — is measured against
+    /// `self.query`: thousands of lookups, so it alone gets the
+    /// nearest-edge grid (§2.5's Voronoi lookup). Built unconditionally
+    /// (≈ 15 µs for a query of ≤ 64 edges, nothing above that): a gain
+    /// from a few hundred lookups up, which every measured base gives;
+    /// unmeasured on a base too small for that (DESIGN §11.6).
+    fn grid_query(&mut self) {
+        self.query.as_mut().expect("just prepared").build_grid();
     }
 }

@@ -62,6 +62,15 @@ impl PreparedShape {
         self.index.rebuild_of_polyline(&self.shape);
     }
 
+    /// Put the nearest-edge grid in front of this shape's index
+    /// ([`SegmentIndex::build_grid`]) — for the one shape of a query that
+    /// every distance is measured against, not for stored copies or the
+    /// reverse-direction candidate, which are probed a few dozen times
+    /// each. Distances are unchanged bit for bit; any `rebuild_*` drops it.
+    pub fn build_grid(&mut self) {
+        self.index.build_grid();
+    }
+
     pub fn shape(&self) -> &Polyline {
         &self.shape
     }

@@ -141,14 +141,20 @@ impl TriPre {
     }
 }
 
-/// Scalar flat scan: strict `<` keeps the first (lowest-index) minimum.
-/// Returns `(segment index, squared distance)`; `segs` must be non-empty.
-pub(crate) fn scan_scalar(segs: &[Segment], q: Point) -> (u32, f64) {
+/// Scalar scan over `(index, segment)` pairs in ascending index order —
+/// the whole set, or a nearest-edge grid cell's list of it: strict `<`
+/// keeps the first (lowest-index) minimum. Returns `(segment index,
+/// squared distance)`, `(0, ∞)` when nothing compares below ∞.
+#[inline]
+pub(crate) fn scan_scalar<'a>(
+    edges: impl IntoIterator<Item = (u32, &'a Segment)>,
+    q: Point,
+) -> (u32, f64) {
     let mut best = (0u32, f64::INFINITY);
-    for (i, s) in segs.iter().enumerate() {
+    for (i, s) in edges {
         let d2 = s.dist_sq_to_point(q);
         if d2 < best.1 {
-            best = (i as u32, d2);
+            best = (i, d2);
         }
     }
     best
@@ -366,7 +372,7 @@ mod parity_tests {
             cols.fill(&segs);
             for _ in 0..8 {
                 let q = Point::new(rng.random_range(-8.0..8.0), rng.random_range(-8.0..8.0));
-                let (si, sd2) = scan_scalar(&segs, q);
+                let (si, sd2) = scan_scalar((0..).zip(&segs), q);
                 let (vi, vd2) = unsafe { avx2::scan(&cols, &segs, q) };
                 assert_eq!(
                     sd2.to_bits(),
@@ -462,7 +468,7 @@ mod parity_tests {
             Point::new(1.0, 1.0),   // equidistant from all four sides
             Point::new(-1.0, -1.0), // exactly the degenerate segment
         ] {
-            let (si, sd2) = scan_scalar(&segs, q);
+            let (si, sd2) = scan_scalar((0..).zip(&segs), q);
             let (vi, vd2) = unsafe { avx2::scan(&cols, &segs, q) };
             assert_eq!(sd2.to_bits(), vd2.to_bits(), "q={q}");
             assert_eq!(si, vi, "q={q}");

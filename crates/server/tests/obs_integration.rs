@@ -81,18 +81,36 @@ fn live_metrics_and_trace_ids_under_mixed_load() {
         assert_ne!(reply.trace, 0, "client must mint a trace id");
         last_trace = reply.trace;
     }
+    // A sketch with no near match among the triangles: its seed's k-th
+    // best is a loose cutoff, so the level run's envelope takes in copies
+    // the hash tier's rings never reached and has to score them itself
+    // (the triangle queries above are settled by the seed alone).
+    let quad = Polyline::closed(vec![
+        Point::new(0.0, 0.0),
+        Point::new(3.0, 0.2),
+        Point::new(2.6, 2.0),
+        Point::new(1.0, 2.4),
+    ])
+    .unwrap();
+    let reply = c.query(&quad, 8).unwrap();
+    assert!(!reply.rejected);
+    assert_eq!(reply.matches.len(), 8);
 
     // --- /metrics: core series exist and moved ---
     let resp = http_get(maddr, "/metrics");
     assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
     let body = resp.split("\r\n\r\n").nth(1).unwrap_or("");
     for (series, at_least) in [
-        ("geosir_requests_total", 28.0),
-        ("geosir_queries_total", 12.0),
+        ("geosir_requests_total", 29.0),
+        ("geosir_queries_total", 13.0),
         ("geosir_inserts_total", 16.0),
         ("geosir_snapshot_publishes_total", 1.0),
         ("geosir_matcher_runs_total", 12.0),
         ("geosir_matcher_rings_total", 1.0),
+        // an exact query's `h_avg` scorings happen in its seed step or in
+        // the level runs (a copy the seed settled is not scored again):
+        // both counters must move under this load
+        ("geosir_exact_seed_reranked_total", 12.0),
         ("geosir_matcher_havg_evals_total", 1.0),
         ("geosir_wal_appends_total", 16.0),
         ("geosir_wal_fsync_us_count", 1.0),

@@ -42,6 +42,14 @@ cargo test -q --test alloc_approx
 # brute-force set). Any miss here is a wrong answer, not noise.
 cargo test -q -p geosir-core --test seeded_exact
 cargo test -q -p geosir-core --features simd --test seeded_exact
+# ...and beside it the nearest-edge grid's own parity suite (`grid_*` in
+# segindex.rs): `nearest` with the query's grid ≡ without, as (index,
+# distance bits), on cell borders, ties, degenerate boxes, NaN/∞ and
+# after a rebuild. seeded_exact above is its end-to-end twin — the
+# served side looks distances up through the grid, the brute-force side
+# (`PreparedShape::new`) never builds one.
+cargo test -q -p geosir-geom --lib segindex::tests::grid_
+cargo test -q -p geosir-geom --features simd --lib segindex::tests::grid_
 
 # Router: the pipelined scatter-gather state machine and the cluster
 # suites it must keep green, by name for the same reason (the

@@ -1,9 +1,10 @@
 //! The zero-allocation claim for the approximate tier: after warm-up,
-//! `Snapshot::similar_approx_prepared` — the signature probe + exact
-//! rerank the server worker runs per `QueryApprox` — through reused
-//! scratches must not touch the heap. Normalization of the query is
-//! done once outside the measured window (the server normalizes per
-//! request; that cost is the polyline decode's peer, not the probe's).
+//! `Snapshot::similar_approx_with` — what the server worker runs per
+//! `QueryApprox`: in-place normalization, the nearest-edge grid over the
+//! query, the signature probe and the exact rerank — through reused
+//! scratches must not touch the heap, and neither must
+//! `similar_approx_prepared`, the entry for a caller that normalized the
+//! query itself (outside the measured window).
 //!
 //! Own test binary (one `#[test]`), so no concurrent test can allocate
 //! while the steady-state window is open.
@@ -125,6 +126,26 @@ fn approx_probe_and_rerank_steady_state_makes_zero_allocations() {
         "steady-state similar_approx_prepared allocated {} time(s) across {} queries",
         after - before,
         queries.len()
+    );
+    assert!(!out.is_empty());
+
+    // the served entry: raw queries (6–15 edges each), normalized and
+    // gridded in place inside the window
+    let mut served = |out: &mut Vec<DynMatch>| {
+        for q in &raw_queries {
+            snapshot.similar_approx_with(&mut scratch, &mut tmp, &mut ax, q, &opts, out, &mut stats);
+        }
+    };
+    served(&mut out);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    served(&mut out);
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state similar_approx_with allocated {} time(s) across {} queries",
+        after - before,
+        raw_queries.len()
     );
     assert!(!out.is_empty());
 }
