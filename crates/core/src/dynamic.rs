@@ -726,31 +726,6 @@ impl Snapshot {
         self.view().retrieve(k, scratch, tmp, query, out, stats, None, true);
     }
 
-    /// Coalesced retrieval: answer a batch of `(query, k)` pairs against
-    /// this one snapshot, reusing a single scratch across the whole
-    /// batch. This is what the server's event loop feeds with
-    /// concurrently-arrived queries — the per-query costs it amortizes
-    /// (snapshot pin, queue pop, scratch warm-up) are paid once per
-    /// batch instead of once per query. `out` and `stats` are refilled
-    /// with exactly one entry per query, in order (`out`'s inner vectors
-    /// are reused); each query's results and stats are identical to what
-    /// a lone [`Self::retrieve_with_stats`] call would have produced.
-    pub fn retrieve_many(
-        &self,
-        scratch: &mut MatcherScratch,
-        tmp: &mut MatchOutcome,
-        queries: &[(&Polyline, usize)],
-        out: &mut Vec<Vec<DynMatch>>,
-        stats: &mut Vec<RetrieveStats>,
-    ) {
-        out.resize_with(queries.len(), Vec::new);
-        stats.clear();
-        stats.resize(queries.len(), RetrieveStats::default());
-        for ((&(query, k), hits), st) in queries.iter().zip(out.iter_mut()).zip(stats.iter_mut()) {
-            self.retrieve_with_stats(scratch, tmp, query, k, hits, st);
-        }
-    }
-
     /// [`Self::retrieve_with_stats`] that additionally captures a full
     /// per-level, per-ring [`QueryExplain`] — the EXPLAIN ANALYZE
     /// entry point. Identical retrieval semantics and stats; the only
@@ -835,9 +810,11 @@ impl Snapshot {
     /// allocation-free in steady state: the query is diameter-normalized
     /// and indexed in place by the exact tier's own routine
     /// (`MatcherScratch::prepare_query`: same diameter, same frame),
-    /// then probed and reranked. A query with degenerate geometry — or
-    /// one whose cascade collects nothing — falls through to the exact
-    /// tier ([`Self::retrieve_with_stats`]), reported as
+    /// then probed and reranked by the shared core
+    /// ([`View::probe_rerank`], which the exact tier's seed step also
+    /// runs). A query with degenerate geometry — or one whose cascade
+    /// collects nothing — falls through to the exact tier
+    /// ([`Self::retrieve_with_stats`]), reported as
     /// [`AnswerTier::Exact`] in `stats`.
     #[allow(clippy::too_many_arguments)]
     pub fn similar_approx_with(
@@ -850,70 +827,15 @@ impl Snapshot {
         out: &mut Vec<DynMatch>,
         stats: &mut ApproxStats,
     ) {
-        if scratch.prepare_query(query) {
-            self.approx_prepared(scratch, tmp, ax, query, opts, out, stats);
-        } else {
-            *stats = ApproxStats { corpus_copies: self.copies as u64, ..ApproxStats::default() };
-            self.exact_fallback(scratch, tmp, query, opts, out, stats);
-        }
-    }
-
-    /// [`Self::similar_approx_with`] for a caller that already holds the
-    /// query's primary normalized copy (`query` is only needed for the
-    /// exact fallback).
-    #[allow(clippy::too_many_arguments)]
-    pub fn similar_approx_prepared(
-        &self,
-        scratch: &mut MatcherScratch,
-        tmp: &mut MatchOutcome,
-        ax: &mut ApproxScratch,
-        query: &Polyline,
-        normalized: &Polyline,
-        opts: &ApproxOptions,
-        out: &mut Vec<DynMatch>,
-        stats: &mut ApproxStats,
-    ) {
-        scratch.prepare_normalized_query(normalized);
-        self.approx_prepared(scratch, tmp, ax, query, opts, out, stats);
-    }
-
-    /// The approximate tier over the query prepared in `scratch`: the
-    /// shared probe + rerank core ([`View::probe_rerank`], which the exact
-    /// tier's seed step also runs), then the exact-fallback tier when the
-    /// cascade collected nothing.
-    #[allow(clippy::too_many_arguments)]
-    fn approx_prepared(
-        &self,
-        scratch: &mut MatcherScratch,
-        tmp: &mut MatchOutcome,
-        ax: &mut ApproxScratch,
-        query: &Polyline,
-        opts: &ApproxOptions,
-        out: &mut Vec<DynMatch>,
-        stats: &mut ApproxStats,
-    ) {
         *stats = ApproxStats { corpus_copies: self.copies as u64, ..ApproxStats::default() };
-        let qprep = scratch.query.as_ref().expect("prepared by the entry point");
-        self.view().probe_rerank(ax, qprep, opts, out, stats);
-        if stats.candidates == 0 {
-            self.exact_fallback(scratch, tmp, query, opts, out, stats);
-        } else {
-            record_query_metrics(stats);
+        if scratch.prepare_query(query) {
+            let qprep = scratch.query.as_ref().expect("prepared above");
+            self.view().probe_rerank(ax, qprep, opts, out, stats);
         }
-    }
-
-    /// The approximate tier's last resort: the exact tier answers.
-    fn exact_fallback(
-        &self,
-        scratch: &mut MatcherScratch,
-        tmp: &mut MatchOutcome,
-        query: &Polyline,
-        opts: &ApproxOptions,
-        out: &mut Vec<DynMatch>,
-        stats: &mut ApproxStats,
-    ) {
-        stats.tier = AnswerTier::Exact;
-        self.retrieve_with_stats(scratch, tmp, query, opts.k, out, &mut RetrieveStats::default());
+        if stats.candidates == 0 {
+            stats.tier = AnswerTier::Exact;
+            self.retrieve_with_stats(scratch, tmp, query, opts.k, out, &mut RetrieveStats::default());
+        }
         record_query_metrics(stats);
     }
 }
@@ -953,8 +875,8 @@ impl View<'_> {
     /// running k-th-best cutoff, and leave the k best live shapes in
     /// `out` (true scores, ascending). Fills the funnel fields of
     /// `stats`; `stats.candidates == 0` means the cascade found nothing.
-    /// Calls no other tier — [`Snapshot::similar_approx_prepared`] wraps
-    /// it with the exact fallback, [`View::retrieve`] uses it as its seed.
+    /// Calls no other tier — [`Snapshot::similar_approx_with`] wraps it
+    /// with the exact fallback, [`View::retrieve`] uses it as its seed.
     ///
     /// Probing uses only the primary normalized copy: the base stores
     /// *both* orientations of every shape per α-diameter, so a stored
@@ -2088,31 +2010,5 @@ mod tests {
         assert!(scored_on < scored_off, "the hand-off saved no scoring: {scored_on} vs {scored_off}");
         // a verdict never outlives the run it was handed to
         assert!(scratch.verdicts.is_empty());
-    }
-
-    #[test]
-    fn approx_entries_agree_on_the_canonical_corpus() {
-        // `similar_approx_with` normalizes in place (the exact tier's
-        // routine), `similar_approx_prepared` takes the allocating
-        // normalizer's copy: same frame, so the same bits
-        use geosir_imaging::synth::{generate, CorpusConfig};
-        let corpus = generate(&CorpusConfig::small(200, 1));
-        let snap = shipped(512, corpus.shapes.iter().map(|(_, _, s)| s.clone())).snapshot();
-        let opts = ApproxOptions { k: 10, ..ApproxOptions::default() };
-        let mut scratch = MatcherScratch::new();
-        let mut tmp = MatchOutcome::default();
-        let mut ax = ApproxScratch::new();
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        let (mut a_stats, mut b_stats) = (ApproxStats::default(), ApproxStats::default());
-        for (i, q) in corpus.queries(100, 0.02, 1).iter().enumerate() {
-            let normalized = crate::normalize::normalize_about_diameter(q).unwrap().0.shape;
-            snap.similar_approx_with(&mut scratch, &mut tmp, &mut ax, q, &opts, &mut a, &mut a_stats);
-            snap.similar_approx_prepared(
-                &mut scratch, &mut tmp, &mut ax, q, &normalized, &opts, &mut b, &mut b_stats,
-            );
-            assert_eq!(a.len(), 10, "sketch {i}");
-            assert_eq!(id_bits(&a), id_bits(&b), "sketch {i}");
-            assert_eq!(a_stats, b_stats, "sketch {i}");
-        }
     }
 }

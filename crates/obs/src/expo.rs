@@ -319,7 +319,7 @@ mod tests {
         reg.counter("geosir_test_total", &[]).add(9);
         let mut ev = TraceEvent::new(77, "query");
         ev.total_us = 10;
-        ev.stage("retrieve", 8);
+        ev.stages.push(("retrieve", 8));
         reg.traces().push(ev);
         reg.flight().push(&crate::flight::QueryProfile {
             trace_id: 91,

@@ -39,6 +39,9 @@ pub const KIND_EXPLAIN: u8 = 4;
 /// `rings` = hedges, `levels` = shards answered, `candidates` = shards
 /// asked, `scored` = failovers.
 pub const KIND_ROUTED: u8 = 5;
+/// A hash-tier query. Its funnel rides in the count fields:
+/// `candidates` = copies the probe collected, `scored` = copies reranked.
+pub const KIND_QUERY_APPROX: u8 = 6;
 
 /// Human name for a [`QueryProfile::kind`] code.
 pub fn kind_name(code: u8) -> &'static str {
@@ -49,6 +52,7 @@ pub fn kind_name(code: u8) -> &'static str {
         KIND_DELETE => "delete",
         KIND_EXPLAIN => "explain",
         KIND_ROUTED => "routed",
+        KIND_QUERY_APPROX => "query_approx",
         _ => "other",
     }
 }

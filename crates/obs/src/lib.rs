@@ -12,6 +12,10 @@
 //! 3. **Flight recorder** ([`flight`]) — an always-on lock-free ring
 //!    of the last N compact [`QueryProfile`]s, cheap enough to run
 //!    unconditionally and dumped to disk on a crash.
+//!
+//!    Both rings are fed from one place: whoever answers a request
+//!    describes it once in a [`RequestRecord`] and calls
+//!    [`Registry::record_request`] ([`request`]).
 //! 4. **Exposition** ([`expo`]) — Prometheus text format on
 //!    `/metrics`, a JSON trace log on `/debug/last_queries`, the
 //!    flight-recorder ring on `/debug/flight` and the journal on
@@ -38,6 +42,7 @@ pub mod expo;
 pub mod flight;
 pub mod journal;
 pub mod registry;
+pub mod request;
 pub mod slo;
 pub mod span;
 pub mod trace;
@@ -48,6 +53,7 @@ pub use registry::{
     bucket_index, bucket_upper_bound, merged_quantile, Counter, Gauge, GaugePolicy, Histogram,
     Registry, SnapEntry, SnapHistogram, SnapValue, Snapshot, HISTOGRAM_BUCKETS,
 };
+pub use request::{RequestKind, RequestRecord, Work};
 pub use slo::{alerting, BurnRate, Objective, ObjectiveKind, SloEngine};
 pub use span::SpanGuard;
 pub use trace::{TraceEvent, TraceLog};

@@ -1,12 +1,13 @@
 //! Per-query trace events and the ring buffer behind `/debug/last_queries`.
 //!
 //! A trace id is minted by the client, travels inside the wire frame,
-//! and every stage that touches the request (worker queue wait,
-//! retrieval, WAL append/fsync, snapshot publish) appends its duration
-//! to the event recorded here. The log is a fixed-capacity ring — old
-//! queries fall off the back — guarded by a plain mutex: pushes happen
-//! once per request, not per sample, so the lock is not on the metric
-//! record path.
+//! and whoever answers the request lists the stages it went through
+//! (worker queue wait, retrieval, WAL append/fsync, snapshot publish)
+//! in its [`crate::RequestRecord`], which
+//! [`crate::Registry::record_request`] copies into the event kept here.
+//! The log is a fixed-capacity ring — old queries fall off the back —
+//! guarded by a plain mutex: pushes happen once per request, not per
+//! sample, so the lock is not on the metric record path.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -17,7 +18,7 @@ use std::sync::Mutex;
 pub struct TraceEvent {
     /// Client-minted id (or server-assigned when the client sent 0).
     pub trace_id: u64,
-    /// Request kind: `"query"`, `"batch"`, `"insert"`, `"delete"`.
+    /// Request kind: a [`crate::RequestKind`] name.
     pub kind: &'static str,
     /// Admission → reply, µs.
     pub total_us: u64,
@@ -30,16 +31,6 @@ pub struct TraceEvent {
 impl TraceEvent {
     pub fn new(trace_id: u64, kind: &'static str) -> Self {
         Self { trace_id, kind, total_us: 0, stages: Vec::new(), detail: Vec::new() }
-    }
-
-    pub fn stage(&mut self, name: &'static str, us: u64) -> &mut Self {
-        self.stages.push((name, us));
-        self
-    }
-
-    pub fn note(&mut self, name: &'static str, value: u64) -> &mut Self {
-        self.detail.push((name, value));
-        self
     }
 
     /// Render as a JSON object (hand-rolled; names are static
@@ -83,7 +74,7 @@ impl TraceLog {
     }
 
     /// Server-side fallback id for requests that arrived without one.
-    pub fn assign_id(&self) -> u64 {
+    pub(crate) fn assign_id(&self) -> u64 {
         self.next_id.fetch_add(1, Ordering::Relaxed)
     }
 
@@ -138,8 +129,8 @@ mod tests {
         let log = TraceLog::new(4);
         let mut ev = TraceEvent::new(42, "query");
         ev.total_us = 120;
-        ev.stage("queue", 20).stage("retrieve", 100);
-        ev.note("rings", 3);
+        ev.stages = vec![("queue", 20), ("retrieve", 100)];
+        ev.detail = vec![("rings", 3)];
         log.push(ev);
         let json = log.to_json();
         assert!(json.contains("\"trace_id\":42"), "{json}");

@@ -1,9 +1,11 @@
 //! The zero-allocation claim for the metric record path: once a series
 //! exists and the per-thread handle cache is warm, recording — counter
 //! incs, gauge stores, histogram samples, cached-set access through
-//! `with_metrics`, and span enter/exit — must not touch the heap. A
-//! counting global allocator wraps the system one, mirroring the
-//! workspace-level `tests/alloc_dynamic.rs`.
+//! `with_metrics`, and span enter/exit — must not touch the heap, and
+//! describing a finished request (`Registry::record_request`) costs the
+//! two lists the trace ring keeps and nothing else. A counting global
+//! allocator wraps the system one, mirroring the workspace-level
+//! `tests/alloc_dynamic.rs`.
 //!
 //! Own test binary (one `#[test]`), so no concurrent test can allocate
 //! while the measurement window is open.
@@ -36,6 +38,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 use geosir_obs::{set_thread_registry, with_metrics, Counter, Gauge, Histogram, Registry, SpanGuard};
+use geosir_obs::{RequestKind, RequestRecord, Work};
 
 /// The kind of cached metric set hot server code builds once per thread.
 #[derive(Clone)]
@@ -116,4 +119,34 @@ fn record_path_makes_zero_allocations_once_warm() {
         .histogram("geosir_stage_duration_us", &[("stage", "alloc_test_stage")])
         .unwrap();
     assert_eq!(stage.count(), 1 + ROUNDS);
+
+    // One finished request: refilling a reused record costs nothing, and
+    // handing it to both rings costs the trace event's two lists — what
+    // a hand-built `TraceEvent` always cost — and not one allocation more.
+    let mut rec = RequestRecord::default();
+    let mut describe = |trace_id: u64| {
+        rec.begin(RequestKind::Query, trace_id)
+            .stage("queue_wait", 20)
+            .stage("retrieve", 100)
+            .note("rings", 1)
+            .note("hits", 10);
+        (rec.total_us, rec.queue_us, rec.epoch) = (120, 20, 7);
+        rec.work = Work { rings: 1, levels: 2, candidates: 40, scored: 3, termination: 1 };
+        reg.record_request(&rec)
+    };
+    // warm-up: the record's lists grown, the trace ring full
+    for trace_id in 1..=200 {
+        assert_eq!(describe(trace_id), trace_id);
+    }
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..ROUNDS {
+        describe(0);
+    }
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert!(
+        after - before <= 2 * ROUNDS,
+        "record_request allocated {} time(s) across {ROUNDS} requests",
+        after - before
+    );
+    assert_eq!(reg.flight().pushed(), 200 + ROUNDS);
 }

@@ -762,7 +762,7 @@ mod route {
     use std::time::{Duration, Instant};
 
     use super::{
-        federate, merge_sorted, placement_key, record_routed, reply_trailer, tag_id, topology,
+        federate, merge_sorted, obs, placement_key, record_routed, reply_trailer, tag_id, topology,
         unavailable, untag_id, Outcomes, RouterState, ShardSpan,
     };
     use crate::client::Backoff;
@@ -1350,9 +1350,9 @@ mod route {
             let st = &*self.st;
             let subs = &entry.subs;
             let kind = match &entry.frame {
-                Frame::Query { .. } => "routed_query",
-                Frame::QueryApprox { .. } => "routed_query_approx",
-                Frame::QueryBatch { .. } => "routed_batch",
+                Frame::Query { .. } => obs::RequestKind::RoutedQuery,
+                Frame::QueryApprox { .. } => obs::RequestKind::RoutedQueryApprox,
+                Frame::QueryBatch { .. } => obs::RequestKind::RoutedBatch,
                 _ => return forwarded_reply(st, entry),
             };
             let epochs = subs.iter().filter_map(|s| match &s.reply {
@@ -1683,11 +1683,11 @@ mod route {
     }
 }
 
-/// `TraceEvent` stage names are `&'static str` by design (zero
-/// allocation on the hot path), so per-shard stages draw from fixed
-/// tables; clusters wider than the tables pool the overflow into the
-/// last name. `*_srv_us` notes carry each shard's own reply-trailer
-/// total next to the router-clock gather stage of the same index.
+/// Stage and note names are `&'static str` by design (zero allocation
+/// on the hot path), so per-shard stages draw from fixed tables;
+/// clusters wider than the tables pool the overflow into the last name.
+/// `*_srv_us` notes carry each shard's own reply-trailer total next to
+/// the router-clock gather stage of the same index.
 static SHARD_STAGES: [&str; 8] =
     ["shard0", "shard1", "shard2", "shard3", "shard4", "shard5", "shard6", "shard7"];
 static SHARD_SRV_NOTES: [&str; 8] = [
@@ -1701,15 +1701,15 @@ static SHARD_SRV_NOTES: [&str; 8] = [
     "shard7_srv_us",
 ];
 
-/// Record one routed read into the router's trace log and flight
-/// recorder, and into the slow-query log when it crossed the
-/// threshold. This is the router-side half of cross-shard trace
-/// assembly: the shard-side half lives in each server's own trace log
-/// under the same `trace_id`.
+/// Describe one routed read once and hand the record to the router's
+/// trace log and flight recorder, and to the slow-query log when it
+/// crossed the threshold. This is the router-side half of cross-shard
+/// trace assembly: the shard-side half lives in each server's own trace
+/// log under the same `trace_id`.
 fn record_routed<'a>(
     state: &RouterState,
     trace_id: u64,
-    kind: &'static str,
+    kind: obs::RequestKind,
     started: Instant,
     spans: impl Iterator<Item = &'a ShardSpan> + Clone,
     shards_ok: u16,
@@ -1723,32 +1723,27 @@ fn record_routed<'a>(
     // reported for this query.
     let queue_us = spans.clone().filter_map(|s| s.server.map(|t| t.queue_us)).max().unwrap_or(0);
 
-    let mut ev = obs::TraceEvent::new(trace_id, kind);
-    ev.total_us = total_us;
+    let mut rec =
+        obs::RequestRecord { trace_id, kind, total_us, queue_us, epoch, ..Default::default() };
     for (i, span) in spans.clone().enumerate() {
-        ev.stage(SHARD_STAGES[i.min(SHARD_STAGES.len() - 1)], span.gather_us);
+        rec.stage(SHARD_STAGES[i.min(SHARD_STAGES.len() - 1)], span.gather_us);
         if let Some(t) = span.server {
-            ev.note(SHARD_SRV_NOTES[i.min(SHARD_SRV_NOTES.len() - 1)], t.total_us);
+            rec.note(SHARD_SRV_NOTES[i.min(SHARD_SRV_NOTES.len() - 1)], t.total_us);
         }
     }
-    ev.note("shards_ok", shards_ok as u64)
+    rec.note("shards_ok", shards_ok as u64)
         .note("shards_total", shards_total as u64)
         .note("hedges", hedges as u64)
         .note("failovers", failovers as u64);
-    state.registry.traces().push(ev);
-
-    state.registry.flight().push(&obs::flight::QueryProfile {
-        trace_id,
-        kind: obs::flight::KIND_ROUTED,
-        total_us,
-        queue_us,
+    // the routed profile's use of the count fields: `flight::KIND_ROUTED`
+    rec.work = obs::Work {
         rings: hedges,
         levels: shards_ok as u32,
         candidates: shards_total as u64,
         scored: failovers,
-        epoch,
         termination: 0,
-    });
+    };
+    state.registry.record_request(&rec);
 
     let Some(sl) = &state.slow_log else { return };
     if total_us < sl.threshold_us {
@@ -1759,9 +1754,10 @@ fn record_routed<'a>(
     // the only strings and contain no characters needing escapes.
     let mut line = String::with_capacity(160 + shards_total * 120);
     line.push_str(&format!(
-        "{{\"trace_id\":{trace_id},\"kind\":\"{kind}\",\"total_us\":{total_us},\
+        "{{\"trace_id\":{trace_id},\"kind\":\"{}\",\"total_us\":{total_us},\
          \"shards_ok\":{shards_ok},\"shards_total\":{shards_total},\"hedges\":{hedges},\
-         \"failovers\":{failovers},\"epoch\":{epoch},\"shards\":["
+         \"failovers\":{failovers},\"epoch\":{epoch},\"shards\":[",
+        kind.name()
     ));
     for (i, span) in spans.enumerate() {
         if i > 0 {

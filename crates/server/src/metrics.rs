@@ -21,7 +21,7 @@
 //! | `geosir_inserts_total` / `geosir_deletes_total` | counter | write frames seen |
 //! | `geosir_busy_rejects_total` | counter | requests shed with `Busy` |
 //! | `geosir_protocol_errors_total` | counter | connections dropped on bad frames |
-//! | `geosir_request_latency_us{type=…}` | histogram | admission → reply, per request type |
+//! | `geosir_request_latency_us{type=…}` | histogram | admission → reply per request type: the `total_us` of the request's record, the number its reply trailer carries |
 //! | `geosir_snapshot_publishes_total` | counter | snapshot swaps |
 //! | `geosir_snapshot_publish_us` | histogram | snapshot build + swap time |
 //! | `geosir_snapshot_age_us` | gauge | age of the published snapshot |
@@ -35,7 +35,7 @@
 //! | `geosir_poll_wakeups_total` | counter | event-loop epoll returns |
 //! | `geosir_poll_events_per_wake` | histogram | readiness events delivered per wakeup |
 //! | `geosir_conns_open` | gauge | connections currently registered with the event loop |
-//! | `geosir_coalesced_batch` | histogram | read-queue jobs coalesced per worker pop |
+//! | `geosir_coalesced_batch` | histogram | read-queue jobs per worker pop (answered one by one; a trace's `coalesced` note is its pop's size) |
 //! | `geosir_approx_buckets` | gauge | occupied signature buckets across level indexes |
 //! | `geosir_approx_avg_bucket_size_x1000` | gauge | mean copies per occupied bucket, ×1000 |
 //!
@@ -47,14 +47,6 @@
 use std::sync::Arc;
 
 use geosir_obs as obs;
-
-/// Which latency series a finished request records into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReqKind {
-    Query,
-    Write,
-    Stats,
-}
 
 /// Handles into the server's registry, resolved once at startup so the
 /// hot path is plain relaxed atomics — no name lookups, no locks.
@@ -74,6 +66,7 @@ pub struct Metrics {
     pub protocol_errors: Arc<obs::Counter>,
     pub io_errors: Arc<obs::Counter>,
 
+    /// Admission → reply by request type (`stats`: every admin read).
     pub latency_query: Arc<obs::Histogram>,
     pub latency_write: Arc<obs::Histogram>,
     pub latency_stats: Arc<obs::Histogram>,
@@ -200,15 +193,6 @@ impl Metrics {
         }
     }
 
-    /// The latency histogram for one request type.
-    pub fn latency(&self, kind: ReqKind) -> &obs::Histogram {
-        match kind {
-            ReqKind::Query => &self.latency_query,
-            ReqKind::Write => &self.latency_write,
-            ReqKind::Stats => &self.latency_stats,
-        }
-    }
-
     /// Quantile over *all* request types merged — what `ServerStats`
     /// reports as overall request latency.
     pub fn latency_quantile(&self, q: f64) -> u64 {
@@ -232,10 +216,10 @@ mod tests {
     fn latency_series_split_by_type_and_merge_for_overall_quantile() {
         let m = Metrics::default();
         for _ in 0..99 {
-            m.latency(ReqKind::Query).record(100);
+            m.latency_query.record(100);
         }
-        m.latency(ReqKind::Write).record(8_000);
-        assert!(m.latency(ReqKind::Query).quantile(0.99) < 150);
+        m.latency_write.record(8_000);
+        assert!(m.latency_query.quantile(0.99) < 150);
         // the single slow write dominates the merged tail
         assert!(m.latency_quantile(0.999) >= 8_000);
         // and the registry sees both labeled series
@@ -257,10 +241,10 @@ mod tests {
         // keep p50 and p99 clearly apart
         let m = Metrics::default();
         for _ in 0..90 {
-            m.latency(ReqKind::Query).record(310);
+            m.latency_query.record(310);
         }
         for _ in 0..10 {
-            m.latency(ReqKind::Query).record(950);
+            m.latency_query.record(950);
         }
         let p50 = m.latency_quantile(0.5);
         let p99 = m.latency_quantile(0.99);

@@ -50,6 +50,16 @@
 //! client that saw `Inserted{epoch}` is guaranteed every later query
 //! observes `epoch` or newer: read-your-writes across connections.
 //!
+//! **One body per read, one record per request.** A worker pops up to
+//! [`ServeConfig::coalesce_max`] queued jobs at once, pins one snapshot
+//! for the pop and answers the jobs one by one, each reply leaving the
+//! moment it is ready (`run_read_job`). Whoever finishes a request —
+//! worker or writer — describes it once in an [`obs::RequestRecord`]:
+//! `Registry::record_request` feeds the trace and flight rings from it,
+//! and the reply's stage trailer, the `geosir_request_latency_us` sample
+//! and the slow-query decision are read off the same record, so what a
+//! reply says it took is what its client waited.
+//!
 //! **Backpressure.** Both queues are bounded. The event loop uses
 //! `try_push`; when the queue is full the client gets [`Frame::Busy`]
 //! immediately instead of the request queueing unboundedly — load is shed
@@ -85,7 +95,7 @@ use crate::durable::{self, BaseTemplate, DurabilityConfig, RecoveryReport, Recov
 use crate::health::{
     self, ComponentHealth, HealthConfig, HealthState, TransitionTracker, Verdict,
 };
-use crate::metrics::{Metrics, ReqKind};
+use crate::metrics::Metrics;
 use crate::wire::{error_code, Frame, ServerStats, StageTrailer, WireMatch};
 
 /// Server tuning knobs.
@@ -122,10 +132,10 @@ pub struct ServeConfig {
     pub slow_query_log_max_bytes: u64,
     /// Rotated slow-query segments to keep.
     pub slow_query_log_keep: usize,
-    /// Most read-queue jobs a worker coalesces into one pop: queries
-    /// that arrived concurrently run against a single snapshot with one
-    /// warm scratch ([`Snapshot::retrieve_many`]). 1 disables
-    /// coalescing (each job pops alone).
+    /// Most read-queue jobs a worker coalesces into one pop: jobs that
+    /// arrived concurrently cost one queue lock and one snapshot pin,
+    /// then are answered one by one. 1 disables coalescing (each job
+    /// pops alone).
     pub coalesce_max: usize,
     /// Most pipelined requests one connection may keep outstanding
     /// before the event loop stops draining its receive buffer. Bounds
@@ -849,14 +859,10 @@ pub(crate) fn install_panic_flight_dump() {
 /// then the full per-level/per-ring EXPLAIN breakdown. Hand-rolled like
 /// the trace log's JSON — every value is numeric or a static
 /// identifier, so no escaping is needed.
-#[allow(clippy::too_many_arguments)]
 fn slow_query_json(
     out: &mut String,
     trace_id: u64,
-    kind: &str,
-    total_us: u64,
-    queue_us: u64,
-    epoch: u64,
+    rec: &obs::RequestRecord,
     hits: usize,
     explain: &QueryExplain,
 ) {
@@ -864,12 +870,16 @@ fn slow_query_json(
     let s = &explain.stats;
     let _ = write!(
         out,
-        "{{\"trace_id\":{trace_id},\"kind\":\"{kind}\",\"total_us\":{total_us},\
-         \"queue_us\":{queue_us},\"epoch\":{epoch},\"hits\":{hits},\
+        "{{\"trace_id\":{trace_id},\"kind\":\"{}\",\"total_us\":{},\
+         \"queue_us\":{},\"epoch\":{},\"hits\":{hits},\
          \"termination\":\"{}\",\"levels\":{},\"rings\":{},\
          \"vertices_reported\":{},\"vertices_processed\":{},\
          \"candidates_scored\":{},\"triangles_queried\":{},\
          \"buffer_scored\":{},\"exhausted_levels\":{},\"per_level\":[",
+        rec.kind.name(),
+        rec.total_us,
+        rec.queue_us,
+        rec.epoch,
         s.last_termination.as_str(),
         s.levels,
         s.rings,
@@ -919,54 +929,30 @@ fn slow_query_json(
 }
 
 impl Shared {
-    /// Append one over-threshold query to the slow-query log. Failures
-    /// are counted, never retried, and never block the query path —
+    /// The slow-query decision, read off a finished read's record: with
+    /// a log armed (only then does `explain` hold the plan), an exact
+    /// query that met the threshold is appended to it. Failures are
+    /// counted, never retried, and never block the query path —
     /// telemetry must not stall retrievals even on a dead disk.
-    #[allow(clippy::too_many_arguments)]
     fn log_slow_query(
         &self,
         trace_id: u64,
-        kind: &str,
-        total_us: u64,
-        queue_us: u64,
-        epoch: u64,
+        rec: &obs::RequestRecord,
         hits: usize,
         explain: &QueryExplain,
     ) {
         let Some(slow) = &self.slow_log else { return };
+        let planned = matches!(rec.kind, obs::RequestKind::Query | obs::RequestKind::Explain);
+        if !planned || rec.total_us < slow.threshold_us {
+            return;
+        }
         let mut line = String::with_capacity(512);
-        slow_query_json(&mut line, trace_id, kind, total_us, queue_us, epoch, hits, explain);
+        slow_query_json(&mut line, trace_id, rec, hits, explain);
         let result = slow.writer.lock().unwrap().append_line(&line);
         match result {
             Ok(()) => self.metrics.slow_queries.inc(),
             Err(_) => self.metrics.slow_log_errors.inc(),
         }
-    }
-
-    /// Record one finished read-path request in the always-on flight
-    /// recorder: a handful of relaxed stores, no locks, no allocation.
-    #[allow(clippy::too_many_arguments)]
-    fn record_flight(
-        &self,
-        trace_id: u64,
-        kind: u8,
-        total_us: u64,
-        queue_us: u64,
-        epoch: u64,
-        stats: &RetrieveStats,
-    ) {
-        self.metrics.registry.flight().push(&obs::QueryProfile {
-            trace_id,
-            kind,
-            total_us,
-            queue_us,
-            rings: stats.rings.min(u32::MAX as u64) as u32,
-            levels: stats.levels.min(u32::MAX as u64) as u32,
-            candidates: stats.vertices_reported,
-            scored: stats.candidates_scored.min(u32::MAX as u64) as u32,
-            epoch,
-            termination: stats.last_termination.flight_code(),
-        });
     }
 }
 
@@ -1361,6 +1347,21 @@ fn submit(queue: &BoundedQueue<Job>, shared: &Shared, job: Job) -> Result<(), Fr
     }
 }
 
+/// A worker's long-lived scratch set: after warm-up, answering and
+/// describing a read touches the heap only for the reply frame and the
+/// trace ring's copy of the record.
+#[derive(Default)]
+struct ReadScratch {
+    matcher: MatcherScratch,
+    tmp: MatchOutcome,
+    ax: ApproxScratch,
+    astats: ApproxStats,
+    hits: Vec<DynMatch>,
+    rstats: RetrieveStats,
+    qx: QueryExplain,
+    rec: obs::RequestRecord,
+}
+
 fn worker_loop(worker: usize, shared: &Arc<Shared>) {
     // Route the matcher/dynamic-base instrumentation recorded deep in
     // geosir-core to this server's registry for the thread's lifetime.
@@ -1370,446 +1371,195 @@ fn worker_loop(worker: usize, shared: &Arc<Shared>) {
         .metrics
         .registry
         .counter("geosir_worker_busy_us_total", &[("worker", worker_label.as_str())]);
-    // Long-lived per-worker scratch: after warm-up, the per-query
-    // retrieval path touches the heap only for the reply frame.
-    let mut scratch = MatcherScratch::new();
-    let mut tmp = MatchOutcome::default();
-    let mut ax = ApproxScratch::new();
-    let mut astats = ApproxStats::default();
-    let mut hits = Vec::new();
-    let mut rstats = RetrieveStats::default();
-    let mut qx = QueryExplain::default();
-    // With a slow-query log configured, every query runs with explain
-    // capture on — the report must already exist by the time the query
-    // turns out to be slow. Without one, queries take the plain
-    // zero-capture path. Capture also disables coalescing: each query
-    // needs its own timed EXPLAIN run.
-    let capture = shared.slow_log.is_some();
-    let coalesce = if capture { 1 } else { shared.cfg.coalesce_max.max(1) };
+    let mut ws = ReadScratch::default();
     let mut jobs: Vec<Job> = Vec::new();
-    let mut run_out: Vec<Vec<DynMatch>> = Vec::new();
-    let mut run_stats: Vec<RetrieveStats> = Vec::new();
-    loop {
-        jobs.clear();
-        if !shared.read_queue.pop_batch(coalesce, &mut jobs) {
-            break;
-        }
-        shared.metrics.coalesced_batch.record(jobs.len() as u64);
-        // Runs of plain Query jobs that arrived together execute as one
-        // coalesced retrieval against a single snapshot; QueryApprox
-        // runs likewise share one snapshot pin per run; everything
-        // else (Explain, Stats, batches, …) runs job-by-job.
-        let mut i = 0;
-        while i < jobs.len() {
-            let mut j = i;
-            while j < jobs.len() && matches!(jobs[j].frame, Frame::Query { .. }) {
-                j += 1;
-            }
-            if j > i + 1 {
-                run_query_run(
-                    shared,
-                    &jobs[i..j],
-                    &mut scratch,
-                    &mut tmp,
-                    &mut run_out,
-                    &mut run_stats,
-                    &busy_us,
-                );
-                i = j;
-                continue;
-            }
-            let mut ja = i;
-            while ja < jobs.len() && matches!(jobs[ja].frame, Frame::QueryApprox { .. }) {
-                ja += 1;
-            }
-            if ja > i {
-                run_approx_run(
-                    shared,
-                    &jobs[i..ja],
-                    &mut scratch,
-                    &mut tmp,
-                    &mut ax,
-                    &mut astats,
-                    &mut hits,
-                    &busy_us,
-                );
-                i = ja;
-            } else {
-                run_read_job(
-                    shared,
-                    &jobs[i],
-                    &mut scratch,
-                    &mut tmp,
-                    &mut hits,
-                    &mut rstats,
-                    &mut qx,
-                    capture,
-                    &busy_us,
-                );
-                i += 1;
-            }
+    while shared.read_queue.pop_batch(shared.cfg.coalesce_max, &mut jobs) {
+        let coalesced = jobs.len() as u64;
+        shared.metrics.coalesced_batch.record(coalesced);
+        // Everything one pop took runs against one snapshot pin, job by
+        // job, each answered the moment it is done. The pin postdates
+        // every job's admission, so read-your-writes holds for all.
+        let snap = shared.current_snapshot();
+        for job in jobs.drain(..) {
+            let started = Instant::now();
+            run_read_job(shared, &snap, &job, coalesced, &mut ws);
+            busy_us.add(started.elapsed().as_micros() as u64);
         }
     }
 }
 
-/// Execute a coalesced run of plain `Query` jobs as one retrieval batch
-/// against a single snapshot ([`Snapshot::retrieve_many`]), then fan
-/// the replies — with per-query trace events and flight records — back
-/// out to their connections.
-#[allow(clippy::too_many_arguments)]
-fn run_query_run(
-    shared: &Arc<Shared>,
-    jobs: &[Job],
-    scratch: &mut MatcherScratch,
-    tmp: &mut MatchOutcome,
-    out: &mut Vec<Vec<DynMatch>>,
-    stats: &mut Vec<RetrieveStats>,
-    busy_us: &obs::Counter,
-) {
-    let started = Instant::now();
-    let waits: Vec<u64> = jobs.iter().map(|j| j.enqueued.elapsed().as_micros() as u64).collect();
-    let traces = shared.metrics.registry.traces();
-    let snap = shared.current_snapshot();
-    let polys: Vec<Option<Polyline>> = jobs
-        .iter()
-        .map(|job| match &job.frame {
-            Frame::Query { shape, .. } => shape.to_polyline(),
-            _ => None,
-        })
-        .collect();
-    let mut queries: Vec<(&Polyline, usize)> = Vec::with_capacity(jobs.len());
-    for (job, poly) in jobs.iter().zip(&polys) {
-        if let (Frame::Query { k, .. }, Some(p)) = (&job.frame, poly) {
-            queries.push((p, *k as usize));
-        }
-    }
-    let span = obs::SpanGuard::enter("retrieve");
-    snap.retrieve_many(scratch, tmp, &queries, out, stats);
-    let run_us = span.elapsed_us();
-    drop(span);
-    // the run executed as one unit; attribute an equal share to each
-    let per_query_us = run_us / queries.len().max(1) as u64;
-    let mut ri = 0;
-    for ((job, poly), queue_wait_us) in jobs.iter().zip(&polys).zip(waits) {
-        let Frame::Query { trace, .. } = &job.frame else { continue };
-        let reply = match poly {
-            Some(_) => {
-                shared.metrics.queries.inc();
-                let hits = &out[ri];
-                let rs = &stats[ri];
-                ri += 1;
-                let trace_id = if *trace != 0 { *trace } else { traces.assign_id() };
-                let mut ev = obs::TraceEvent::new(trace_id, "query");
-                ev.total_us = queue_wait_us + per_query_us;
-                ev.stage("queue_wait", queue_wait_us)
-                    .stage("retrieve", per_query_us)
-                    .note("epoch", snap.epoch())
-                    .note("rings", rs.rings)
-                    .note("candidates", rs.vertices_reported)
-                    .note("scored", rs.candidates_scored)
-                    .note("coalesced", jobs.len() as u64)
-                    .note("hits", hits.len() as u64);
-                traces.push(ev);
-                shared.record_flight(
-                    trace_id,
-                    obs::flight::KIND_QUERY,
-                    queue_wait_us + per_query_us,
-                    queue_wait_us,
-                    snap.epoch(),
-                    rs,
-                );
-                Frame::Matches {
-                    epoch: snap.epoch(),
-                    shards: Default::default(),
-                    trailer: Some(StageTrailer {
-                        total_us: queue_wait_us + per_query_us,
-                        queue_us: queue_wait_us,
-                    }),
-                    matches: to_wire(hits),
-                }
-            }
-            None => bad_shape(),
-        };
-        shared.metrics.requests.inc();
-        shared.metrics.latency(ReqKind::Query).record(job.enqueued.elapsed().as_micros() as u64);
-        job.reply.send(reply);
-    }
-    busy_us.add(started.elapsed().as_micros() as u64);
-}
-
-/// Execute a run of `QueryApprox` jobs against a single snapshot pin.
-/// Each query probes the signature index and reranks its own candidate
-/// set (there is no cross-query batching to exploit — the win is the
-/// shared snapshot clone and the per-worker scratch reuse), and the
-/// reply carries the tier report the client renders.
-#[allow(clippy::too_many_arguments)]
-fn run_approx_run(
-    shared: &Arc<Shared>,
-    jobs: &[Job],
-    scratch: &mut MatcherScratch,
-    tmp: &mut MatchOutcome,
-    ax: &mut ApproxScratch,
-    astats: &mut ApproxStats,
-    hits: &mut Vec<DynMatch>,
-    busy_us: &obs::Counter,
-) {
-    let started = Instant::now();
-    let traces = shared.metrics.registry.traces();
-    let snap = shared.current_snapshot();
-    for job in jobs {
-        let queue_wait_us = job.enqueued.elapsed().as_micros() as u64;
-        let Frame::QueryApprox { k, trace, max_radius, max_candidates, shape } = &job.frame else {
-            continue;
-        };
-        let reply = match shape.to_polyline() {
-            Some(query) => {
-                shared.metrics.queries.inc();
-                let mut opts = ApproxOptions { k: *k as usize, ..ApproxOptions::default() };
-                if *max_radius != 0 {
-                    opts.max_radius = *max_radius;
-                }
-                if *max_candidates != 0 {
-                    opts.max_candidates = *max_candidates as usize;
-                }
-                let span = obs::SpanGuard::enter("similar_approx");
-                snap.similar_approx_with(scratch, tmp, ax, &query, &opts, hits, astats);
-                let probe_us = span.elapsed_us();
-                drop(span);
-                let trace_id = if *trace != 0 { *trace } else { traces.assign_id() };
-                let mut ev = obs::TraceEvent::new(trace_id, "query_approx");
-                ev.total_us = queue_wait_us + probe_us;
-                ev.stage("queue_wait", queue_wait_us)
-                    .stage("probe_rerank", probe_us)
-                    .note("epoch", snap.epoch())
-                    .note("tier", astats.tier.code() as u64)
-                    .note("radius", astats.radius as u64)
-                    .note("buckets_probed", astats.buckets_probed)
-                    .note("candidates", astats.candidates)
-                    .note("reranked", astats.reranked)
-                    .note("reduction_x100", (astats.reduction() * 100.0) as u64)
-                    .note("hits", hits.len() as u64);
-                traces.push(ev);
-                shared.record_flight(
-                    trace_id,
-                    obs::flight::KIND_QUERY,
-                    queue_wait_us + probe_us,
-                    queue_wait_us,
-                    snap.epoch(),
-                    &RetrieveStats::default(),
-                );
-                Frame::ApproxMatches {
-                    epoch: snap.epoch(),
-                    tier: astats.tier.code(),
-                    radius: astats.radius,
-                    buckets_probed: astats.buckets_probed,
-                    candidates: astats.candidates,
-                    corpus_copies: astats.corpus_copies,
-                    reranked: astats.reranked,
-                    shards: Default::default(),
-                    trailer: Some(StageTrailer {
-                        total_us: queue_wait_us + probe_us,
-                        queue_us: queue_wait_us,
-                    }),
-                    matches: to_wire(hits),
-                }
-            }
-            None => bad_shape(),
-        };
-        shared.metrics.requests.inc();
-        shared.metrics.latency(ReqKind::Query).record(job.enqueued.elapsed().as_micros() as u64);
-        job.reply.send(reply);
-    }
-    busy_us.add(started.elapsed().as_micros() as u64);
-}
-
-/// Execute one read-queue job (the non-coalesced path) and reply.
-#[allow(clippy::too_many_arguments)]
-fn run_read_job(
-    shared: &Arc<Shared>,
-    job: &Job,
-    scratch: &mut MatcherScratch,
-    tmp: &mut MatchOutcome,
-    hits: &mut Vec<DynMatch>,
-    rstats: &mut RetrieveStats,
-    qx: &mut QueryExplain,
-    capture: bool,
-    busy_us: &obs::Counter,
-) {
-    {
-        let queue_wait_us = job.enqueued.elapsed().as_micros() as u64;
-        let started = Instant::now();
-        let traces = shared.metrics.registry.traces();
-        let reply = match &job.frame {
-            Frame::Query { k, trace, shape } => match shape.to_polyline() {
+/// The one body of a read: answer `job` against `snap`, describe the
+/// finished request once in `ws.rec`, hand that record to every sink —
+/// rings, latency series, slow-query log, the reply's own timing fields
+/// — and send the reply.
+fn run_read_job(shared: &Shared, snap: &Snapshot, job: &Job, coalesced: u64, ws: &mut ReadScratch) {
+    let queue_us = job.enqueued.elapsed().as_micros() as u64;
+    let ReadScratch { matcher, tmp, ax, astats, hits, rstats, qx, rec } = ws;
+    let m = &shared.metrics;
+    // `described`: the arm answered a query and began its record.
+    let (described, mut reply) = match &job.frame {
+        Frame::Query { k, shape, .. } | Frame::Explain { k, shape, .. } => {
+            match shape.to_polyline() {
                 Some(query) => {
-                    shared.metrics.queries.inc();
-                    let snap = shared.current_snapshot();
+                    let explain = matches!(job.frame, Frame::Explain { .. });
+                    if explain { &m.explains } else { &m.queries }.inc();
                     let span = obs::SpanGuard::enter("retrieve");
-                    if capture {
-                        snap.explain_with_stats(scratch, tmp, &query, *k as usize, hits, rstats, qx);
+                    // With a slow-query log armed every query captures
+                    // its plan: the report must already exist by the
+                    // time the query turns out to be slow.
+                    let k = *k as usize;
+                    if explain || shared.slow_log.is_some() {
+                        snap.explain_with_stats(matcher, tmp, &query, k, hits, rstats, qx);
                     } else {
-                        snap.retrieve_with_stats(scratch, tmp, &query, *k as usize, hits, rstats);
+                        snap.retrieve_with_stats(matcher, tmp, &query, k, hits, rstats);
                     }
                     let retrieve_us = span.elapsed_us();
                     drop(span);
-                    let trace_id = if *trace != 0 { *trace } else { traces.assign_id() };
-                    let mut ev = obs::TraceEvent::new(trace_id, "query");
-                    ev.total_us = queue_wait_us + retrieve_us;
-                    ev.stage("queue_wait", queue_wait_us)
+                    let kind =
+                        if explain { obs::RequestKind::Explain } else { obs::RequestKind::Query };
+                    rec.begin(kind, job.trace())
+                        .stage("queue_wait", queue_us)
                         .stage("retrieve", retrieve_us)
                         .note("epoch", snap.epoch())
                         .note("rings", rstats.rings)
                         .note("candidates", rstats.vertices_reported)
                         .note("scored", rstats.candidates_scored)
+                        .note("coalesced", coalesced)
                         .note("hits", hits.len() as u64);
-                    traces.push(ev);
-                    let total_us = queue_wait_us + retrieve_us;
-                    if capture
-                        && shared.slow_log.as_ref().is_some_and(|s| total_us >= s.threshold_us)
-                    {
-                        shared.log_slow_query(
-                            trace_id,
-                            "query",
-                            total_us,
-                            queue_wait_us,
-                            snap.epoch(),
-                            hits.len(),
-                            qx,
-                        );
-                    }
-                    shared.record_flight(
-                        trace_id,
-                        obs::flight::KIND_QUERY,
-                        total_us,
-                        queue_wait_us,
-                        snap.epoch(),
-                        rstats,
-                    );
-                    Frame::Matches {
-                        epoch: snap.epoch(),
-                        shards: Default::default(),
-                        trailer: Some(StageTrailer { total_us, queue_us: queue_wait_us }),
-                        matches: to_wire(hits),
-                    }
+                    rec.work = obs::Work {
+                        rings: rstats.rings.min(u32::MAX as u64) as u32,
+                        levels: rstats.levels.min(u32::MAX as u64) as u32,
+                        candidates: rstats.vertices_reported,
+                        scored: rstats.candidates_scored.min(u32::MAX as u64) as u32,
+                        termination: rstats.last_termination.flight_code(),
+                    };
+                    let (epoch, matches) = (snap.epoch(), to_wire(hits));
+                    // a reply's trace id and timings are read off the record, below
+                    let reply = if explain {
+                        let (trace, total_us, report) = (0, 0, qx.clone());
+                        Frame::ExplainReport { epoch, trace, total_us, queue_us: 0, matches, report }
+                    } else {
+                        Frame::Matches { epoch, shards: Default::default(), trailer: None, matches }
+                    };
+                    (true, reply)
                 }
-                None => bad_shape(),
-            },
-            Frame::Explain { k, trace, shape } => match shape.to_polyline() {
+                None => (false, bad_shape()),
+            }
+        }
+        Frame::QueryApprox { k, max_radius, max_candidates, shape, .. } => {
+            match shape.to_polyline() {
                 Some(query) => {
-                    shared.metrics.explains.inc();
-                    let snap = shared.current_snapshot();
-                    let span = obs::SpanGuard::enter("retrieve");
-                    snap.explain_with_stats(scratch, tmp, &query, *k as usize, hits, rstats, qx);
-                    let retrieve_us = span.elapsed_us();
+                    m.queries.inc();
+                    let mut opts = ApproxOptions { k: *k as usize, ..ApproxOptions::default() };
+                    if *max_radius != 0 {
+                        opts.max_radius = *max_radius;
+                    }
+                    if *max_candidates != 0 {
+                        opts.max_candidates = *max_candidates as usize;
+                    }
+                    let span = obs::SpanGuard::enter("similar_approx");
+                    snap.similar_approx_with(matcher, tmp, ax, &query, &opts, hits, astats);
+                    let probe_us = span.elapsed_us();
                     drop(span);
-                    let trace_id = if *trace != 0 { *trace } else { traces.assign_id() };
-                    let mut ev = obs::TraceEvent::new(trace_id, "explain");
-                    ev.total_us = queue_wait_us + retrieve_us;
-                    ev.stage("queue_wait", queue_wait_us)
-                        .stage("retrieve", retrieve_us)
+                    rec.begin(obs::RequestKind::QueryApprox, job.trace())
+                        .stage("queue_wait", queue_us)
+                        .stage("probe_rerank", probe_us)
                         .note("epoch", snap.epoch())
-                        .note("rings", rstats.rings)
+                        .note("tier", astats.tier.code() as u64)
+                        .note("radius", astats.radius as u64)
+                        .note("buckets_probed", astats.buckets_probed)
+                        .note("candidates", astats.candidates)
+                        .note("reranked", astats.reranked)
+                        .note("reduction_x100", (astats.reduction() * 100.0) as u64)
                         .note("hits", hits.len() as u64);
-                    traces.push(ev);
-                    let total_us = queue_wait_us + retrieve_us;
-                    if shared.slow_log.as_ref().is_some_and(|s| total_us >= s.threshold_us) {
-                        shared.log_slow_query(
-                            trace_id,
-                            "explain",
-                            total_us,
-                            queue_wait_us,
-                            snap.epoch(),
-                            hits.len(),
-                            qx,
-                        );
-                    }
-                    shared.record_flight(
-                        trace_id,
-                        obs::flight::KIND_EXPLAIN,
-                        total_us,
-                        queue_wait_us,
-                        snap.epoch(),
-                        rstats,
-                    );
-                    Frame::ExplainReport {
+                    rec.work = obs::Work {
+                        candidates: astats.candidates,
+                        scored: astats.reranked.min(u32::MAX as u64) as u32,
+                        ..obs::Work::default()
+                    };
+                    let reply = Frame::ApproxMatches {
                         epoch: snap.epoch(),
-                        trace: trace_id,
-                        total_us,
-                        queue_us: queue_wait_us,
+                        tier: astats.tier.code(),
+                        radius: astats.radius,
+                        buckets_probed: astats.buckets_probed,
+                        candidates: astats.candidates,
+                        corpus_copies: astats.corpus_copies,
+                        reranked: astats.reranked,
+                        shards: Default::default(),
+                        trailer: None,
                         matches: to_wire(hits),
-                        report: qx.clone(),
-                    }
+                    };
+                    (true, reply)
                 }
-                None => bad_shape(),
-            },
-            Frame::QueryBatch { k, shapes } => {
-                let snap = shared.current_snapshot();
-                let span = obs::SpanGuard::enter("retrieve_batch");
-                let mut results = Vec::with_capacity(shapes.len());
-                for shape in shapes {
-                    match shape.to_polyline() {
-                        Some(query) => {
-                            shared.metrics.queries.inc();
-                            snap.retrieve_with(scratch, tmp, &query, *k as usize, hits);
-                            results.push(to_wire(hits));
-                        }
-                        None => results.push(Vec::new()),
+                None => (false, bad_shape()),
+            }
+        }
+        Frame::QueryBatch { k, shapes } => {
+            let span = obs::SpanGuard::enter("retrieve_batch");
+            let mut results = Vec::with_capacity(shapes.len());
+            for shape in shapes {
+                match shape.to_polyline() {
+                    Some(query) => {
+                        m.queries.inc();
+                        snap.retrieve_with(matcher, tmp, &query, *k as usize, hits);
+                        results.push(to_wire(hits));
                     }
+                    None => results.push(Vec::new()),
                 }
-                let batch_us = span.elapsed_us();
-                drop(span);
-                let batch_trace = traces.assign_id();
-                let mut ev = obs::TraceEvent::new(batch_trace, "batch");
-                ev.total_us = queue_wait_us + batch_us;
-                ev.stage("queue_wait", queue_wait_us)
-                    .stage("retrieve", batch_us)
-                    .note("queries", shapes.len() as u64);
-                traces.push(ev);
-                shared.record_flight(
-                    batch_trace,
-                    obs::flight::KIND_BATCH,
-                    queue_wait_us + batch_us,
-                    queue_wait_us,
-                    snap.epoch(),
-                    &RetrieveStats::default(),
-                );
-                Frame::BatchMatches { epoch: snap.epoch(), results }
             }
-            Frame::Stats => Frame::StatsReport(shared.stats()),
-            Frame::MetricsDump => {
-                shared.refresh_gauges();
-                let mut bytes = Vec::with_capacity(4096);
-                shared.metrics.registry.snapshot().encode(&mut bytes);
-                Frame::MetricsReport { snapshot: bytes }
-            }
-            // A single-node server is a trivial one-shard cluster: itself
-            // as primary, healthy, no replicas, no lag.
-            Frame::Topology => Frame::TopologyReport {
-                shards: vec![crate::wire::WireShardStatus {
-                    shard: 0,
-                    primary: shared.addr.to_string(),
-                    primary_state: 0,
-                    replicas: Vec::new(),
-                    lag_records: 0,
-                    lag_ms: 0,
-                }],
-            },
-            _ => Frame::Error {
-                code: error_code::UNEXPECTED_FRAME,
-                message: "write frame on read queue".into(),
-            },
-        };
-        let kind =
-            if matches!(job.frame, Frame::Stats | Frame::MetricsDump | Frame::Topology) {
-                ReqKind::Stats
-            } else {
-                ReqKind::Query
+            let batch_us = span.elapsed_us();
+            drop(span);
+            rec.begin(obs::RequestKind::Batch, 0)
+                .stage("queue_wait", queue_us)
+                .stage("retrieve", batch_us)
+                .note("queries", shapes.len() as u64);
+            (true, Frame::BatchMatches { epoch: snap.epoch(), results })
+        }
+        Frame::Stats => (false, Frame::StatsReport(shared.stats())),
+        Frame::MetricsDump => {
+            shared.refresh_gauges();
+            let mut bytes = Vec::with_capacity(4096);
+            m.registry.snapshot().encode(&mut bytes);
+            (false, Frame::MetricsReport { snapshot: bytes })
+        }
+        // A single-node server is a trivial one-shard cluster: itself
+        // as primary, healthy, no replicas, no lag.
+        Frame::Topology => {
+            let me = crate::wire::WireShardStatus {
+                shard: 0,
+                primary: shared.addr.to_string(),
+                primary_state: 0,
+                replicas: Vec::new(),
+                lag_records: 0,
+                lag_ms: 0,
             };
-        shared.metrics.requests.inc();
-        shared.metrics.latency(kind).record(job.enqueued.elapsed().as_micros() as u64);
-        busy_us.add(started.elapsed().as_micros() as u64);
-        job.reply.send(reply);
+            (false, Frame::TopologyReport { shards: vec![me] })
+        }
+        _ => {
+            let message = "write frame on read queue".into();
+            (false, Frame::Error { code: error_code::UNEXPECTED_FRAME, message })
+        }
+    };
+    // One stopwatch reading is what the client waited, for every sink.
+    let total_us = job.enqueued.elapsed().as_micros() as u64;
+    if described {
+        (rec.total_us, rec.queue_us, rec.epoch) = (total_us, queue_us, snap.epoch());
+        let trace_id = m.registry.record_request(rec);
+        match &mut reply {
+            Frame::Matches { trailer, .. } | Frame::ApproxMatches { trailer, .. } => {
+                *trailer = Some(StageTrailer { total_us, queue_us });
+            }
+            Frame::ExplainReport { trace, total_us: total, queue_us: queue, .. } => {
+                (*trace, *total, *queue) = (trace_id, total_us, queue_us);
+            }
+            _ => {}
+        }
+        shared.log_slow_query(trace_id, rec, hits.len(), qx);
     }
+    let admin = matches!(job.frame, Frame::Stats | Frame::MetricsDump | Frame::Topology);
+    if admin { &m.latency_stats } else { &m.latency_query }.record(total_us);
+    m.requests.inc();
+    job.reply.send(reply);
 }
 
 /// Writer-thread state beyond the base itself.
@@ -1940,6 +1690,7 @@ fn writer_loop(mut base: DynamicBase, mut ctx: WriterCtx, shared: &Arc<Shared>) 
     // this server's registry for the thread's lifetime.
     obs::set_thread_registry(Some(shared.metrics.registry.clone()));
     const MAX_BATCH: usize = 64;
+    let mut rec = obs::RequestRecord::default();
     while let Some(first) = shared.write_queue.pop() {
         // batch whatever else is already queued (bounded), log, apply,
         // publish once, then reply — so replies always describe durable,
@@ -2063,42 +1814,26 @@ fn writer_loop(mut base: DynamicBase, mut ctx: WriterCtx, shared: &Arc<Shared>) 
             shared.metrics.publish.record(publish_us);
             shared.metrics.snapshots_published.inc();
         }
-        let traces = shared.metrics.registry.traces();
         let batch_len = batch.len() as u64;
         for (job, reply) in batch.into_iter().zip(replies) {
-            shared.metrics.requests.inc();
-            shared.metrics.latency(ReqKind::Write).record(job.enqueued.elapsed().as_micros() as u64);
-            let kind = match &job.frame {
-                Frame::Insert { .. } => "insert",
-                Frame::Delete { .. } => "delete",
-                _ => "write",
+            let kind = if matches!(job.frame, Frame::Insert { .. }) {
+                obs::RequestKind::Insert
+            } else {
+                obs::RequestKind::Delete
             };
-            let trace = job.trace();
-            let trace_id = if trace != 0 { trace } else { traces.assign_id() };
-            let mut ev = obs::TraceEvent::new(trace_id, kind);
-            ev.total_us = job.enqueued.elapsed().as_micros() as u64;
+            rec.begin(kind, job.trace());
+            rec.total_us = job.enqueued.elapsed().as_micros() as u64;
+            rec.queue_us = batch_started.duration_since(job.enqueued).as_micros() as u64;
+            rec.epoch = base.epoch();
             // queue_wait is per job; wal and publish are shared by the
             // whole batch (that is what the client actually waited on)
-            ev.stage(
-                "queue_wait",
-                batch_started.duration_since(job.enqueued).as_micros() as u64,
-            )
-            .stage("wal", wal_us)
-            .stage("publish", publish_us)
-            .note("batch", batch_len);
-            traces.push(ev);
-            let flight_kind = match &job.frame {
-                Frame::Insert { .. } => obs::flight::KIND_INSERT,
-                _ => obs::flight::KIND_DELETE,
-            };
-            shared.metrics.registry.flight().push(&obs::QueryProfile {
-                trace_id,
-                kind: flight_kind,
-                total_us: job.enqueued.elapsed().as_micros() as u64,
-                queue_us: batch_started.duration_since(job.enqueued).as_micros() as u64,
-                epoch: base.epoch(),
-                ..Default::default()
-            });
+            rec.stage("queue_wait", rec.queue_us)
+                .stage("wal", wal_us)
+                .stage("publish", publish_us)
+                .note("batch", batch_len);
+            shared.metrics.registry.record_request(&rec);
+            shared.metrics.requests.inc();
+            shared.metrics.latency_write.record(rec.total_us);
             job.reply.send(reply);
         }
         shared.health.wal_end();

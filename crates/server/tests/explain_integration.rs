@@ -13,6 +13,7 @@ use geosir_core::matcher::MatchConfig;
 use geosir_geom::rangesearch::Backend;
 use geosir_geom::{Point, Polyline};
 use geosir_serve::{serve_durable, BaseTemplate, Client, DurabilityConfig, ServeConfig};
+use geosir_serve::{Frame, PipelinedClient, WireShape};
 
 fn tmpdir(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -190,6 +191,72 @@ fn threshold_zero_logs_every_query_with_its_trace_id() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Arming the slow-query log changes neither how the worker pops nor
+/// what it answers: a pipelined burst at one worker still rides
+/// coalesced pops, every query of it is journaled under its trace id
+/// with its plan, and the `(id, score)` lists equal those of a server
+/// without the log.
+#[test]
+fn armed_slow_log_keeps_coalescing_and_changes_no_answer() {
+    let burst = |name: &str, armed: bool| {
+        let dir = tmpdir(name);
+        let log_dir = dir.join("slow-queries");
+        let cfg = ServeConfig {
+            workers: 1,
+            slow_query_log: armed.then(|| log_dir.clone()),
+            slow_query_us: 0,
+            ..Default::default()
+        };
+        let (handle, _) =
+            serve_durable("127.0.0.1:0", &template(), DurabilityConfig::new(&dir), cfg).unwrap();
+        let mut c = Client::connect(handle.addr()).unwrap();
+        for i in 0..20u64 {
+            c.insert_retrying(i as u32, &tri(i)).unwrap();
+        }
+        let mut pc = PipelinedClient::connect(handle.addr()).unwrap();
+        let sent: Vec<(u64, u64)> = (0..16u64)
+            .map(|i| {
+                let trace = 7_000 + i;
+                let shape = WireShape::from_polyline(&tri(i));
+                (pc.submit(&Frame::Query { k: 3, trace, shape }).unwrap(), trace)
+            })
+            .collect();
+        let answers: Vec<Vec<(u64, u64)>> = sent
+            .iter()
+            .map(|(corr, _)| match pc.recv(*corr).unwrap() {
+                Frame::Matches { matches, .. } => {
+                    matches.iter().map(|m| (m.shape, m.score.to_bits())).collect()
+                }
+                other => panic!("expected Matches, got {other:?}"),
+            })
+            .collect();
+        let pops = handle.registry().histogram("geosir_coalesced_batch", &[]);
+        handle.shutdown();
+        handle.join();
+        let mut journal = String::new();
+        if armed {
+            for entry in std::fs::read_dir(&log_dir).expect("slow-query log dir must exist") {
+                journal.push_str(&std::fs::read_to_string(entry.unwrap().path()).unwrap());
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        (answers, pops.sum() > pops.count(), sent, journal)
+    };
+    let (plain, plain_coalesced, _, _) = burst("burst-plain", false);
+    let (logged, logged_coalesced, sent, journal) = burst("burst-logged", true);
+    assert!(plain_coalesced, "16 frames in one write must back the queue up");
+    assert!(logged_coalesced, "an armed slow-query log must not force pops of one");
+    assert!(plain.iter().all(|hits| hits.len() == 3));
+    assert_eq!(plain, logged);
+    for (_, trace) in sent {
+        let line = journal
+            .lines()
+            .find(|l| l.contains(&format!("\"trace_id\":{trace},")))
+            .unwrap_or_else(|| panic!("trace {trace} missing from the slow-query log:\n{journal}"));
+        assert!(line.contains("\"kind\":\"query\"") && line.contains("\"per_level\":[{"), "{line}");
+    }
+}
+
 /// The always-on flight recorder: reads and writes both show up at
 /// `/debug/flight` keyed by trace id, without any explain/slow-log
 /// configuration.
@@ -209,17 +276,26 @@ fn flight_recorder_serves_recent_requests() {
         c.insert_retrying(i as u32, &tri(i)).unwrap();
     }
     let reply = c.query(&tri(2), 2).unwrap();
+    let approx = c.similar_approx(&tri(2), 2, 0, 0).unwrap();
 
     let resp = http_get(maddr, "/debug/flight");
     assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
     let json = resp.split("\r\n\r\n").nth(1).unwrap_or("");
-    let needle = format!("\"trace_id\":{}", reply.trace);
-    let at = json
-        .find(&needle)
-        .unwrap_or_else(|| panic!("query trace {} not in flight ring:\n{json}", reply.trace));
-    let profile = &json[at..json[at..].find('}').map(|e| at + e + 1).unwrap_or(json.len())];
+    let profile_of = |trace: u64| {
+        let at = json
+            .find(&format!("\"trace_id\":{trace}"))
+            .unwrap_or_else(|| panic!("trace {trace} not in flight ring:\n{json}"));
+        &json[at..json[at..].find('}').map(|e| at + e + 1).unwrap_or(json.len())]
+    };
+    let profile = profile_of(reply.trace);
     assert!(profile.contains("\"kind\":\"query\""), "{profile}");
     assert!(profile.contains("\"termination\":"), "{profile}");
+    // a hash-tier query is its own kind and carries its funnel
+    let profile = profile_of(approx.trace);
+    assert!(approx.candidates > 0 && approx.reranked > 0);
+    assert!(profile.contains("\"kind\":\"query_approx\""), "{profile}");
+    assert!(profile.contains(&format!("\"candidates\":{}", approx.candidates)), "{profile}");
+    assert!(profile.contains(&format!("\"scored\":{}", approx.reranked)), "{profile}");
     // writes are recorded too
     assert!(json.contains("\"kind\":\"insert\""), "{json}");
 

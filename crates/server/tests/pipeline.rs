@@ -311,6 +311,94 @@ fn coalesced_queries_answer_correctly() {
     handle.join();
 }
 
+/// One read body, one record: what a reply's trailer says reconciles
+/// with what its client saw. A burst of 16 exact queries at one worker
+/// is answered one by one — each reply's `total_us` is its client's own
+/// stopwatch less the transport, the last one waited for everybody's
+/// service, and the latency series is fed the very number the trailer
+/// carries. (The coalesced run this replaces held all 16 replies to the
+/// end and reported an equal share of the run: ≈ 2 of 30 ms.)
+#[test]
+fn burst_trailers_reconcile_with_the_clients_stopwatch() {
+    let (base, shapes) = base_with(1500, 1500, 108);
+    let cfg = ServeConfig { workers: 1, ..Default::default() };
+    let handle = serve("127.0.0.1:0", base, cfg).unwrap();
+
+    let mut client = PipelinedClient::connect(handle.addr()).unwrap();
+    let burst = 16usize;
+    for shape in shapes.iter().take(burst) {
+        client.submit_query(shape, 10).unwrap();
+    }
+    // the 16 frames leave in one write, so one instant starts them all
+    let sent = Instant::now();
+    client.flush().unwrap();
+    let mut seen = Vec::new(); // (client µs, trailer), in arrival order
+    while client.in_flight() > 0 {
+        match client.recv_any().unwrap().1 {
+            Frame::Matches { trailer, .. } => {
+                let t = trailer.expect("a node's reply carries its stage trailer");
+                seen.push((sent.elapsed().as_micros() as u64, t));
+            }
+            other => panic!("expected Matches, got {other:?}"),
+        }
+    }
+    assert_eq!(seen.len(), burst);
+
+    let wall_us = seen.last().unwrap().0;
+    for (i, (client_us, t)) in seen.iter().enumerate() {
+        assert!(t.queue_us <= t.total_us && t.total_us <= *client_us, "reply {i}: {t:?}");
+        assert!(
+            client_us - t.total_us <= wall_us / 4,
+            "reply {i} reached its client at {client_us} µs saying it took {} µs ({wall_us} µs burst)",
+            t.total_us
+        );
+    }
+    let service_us: u64 = seen.iter().map(|(_, t)| t.total_us - t.queue_us).sum();
+    let last = seen.iter().map(|(_, t)| t.total_us).max().unwrap();
+    assert!(
+        2 * last >= service_us,
+        "the last reply waited for the whole burst's service: {last} µs vs Σ {service_us} µs"
+    );
+    let trailers_us: u64 = seen.iter().map(|(_, t)| t.total_us).sum();
+    let latency = handle.registry().histogram("geosir_request_latency_us", &[("type", "query")]);
+    assert_eq!((latency.count(), latency.sum()), (burst as u64, trailers_us));
+    handle.shutdown();
+    handle.join();
+}
+
+/// Popping jobs together changes no answer: the same 24-query burst
+/// against `coalesce_max` 1 and 16 returns identical `(id, score bits)`
+/// lists per correlation id.
+#[test]
+fn coalesced_pops_change_no_answer() {
+    let answers = |coalesce_max: usize| {
+        let (base, shapes) = base_with(64, 16, 109);
+        let cfg = ServeConfig { workers: 1, coalesce_max, ..Default::default() };
+        let handle = serve("127.0.0.1:0", base, cfg).unwrap();
+        let mut client = PipelinedClient::connect(handle.addr()).unwrap();
+        let corrs: Vec<u64> =
+            shapes.iter().take(24).map(|s| client.submit_query(s, 5).unwrap()).collect();
+        let lists: Vec<(u64, Vec<(u64, u64)>)> = corrs
+            .into_iter()
+            .map(|corr| match client.recv(corr).unwrap() {
+                Frame::Matches { matches, .. } => {
+                    (corr, matches.iter().map(|m| (m.shape, m.score.to_bits())).collect())
+                }
+                other => panic!("expected Matches, got {other:?}"),
+            })
+            .collect();
+        let pops = handle.registry().histogram("geosir_coalesced_batch", &[]);
+        handle.shutdown();
+        handle.join();
+        (lists, pops.sum() > pops.count())
+    };
+    let (alone, alone_coalesced) = answers(1);
+    let (together, coalesced) = answers(16);
+    assert!(!alone_coalesced && coalesced, "the two legs must differ in their pops");
+    assert!(alone.iter().all(|(_, hits)| hits.len() == 5));
+    assert_eq!(alone, together);
+}
+
 fn client_metrics(addr: std::net::SocketAddr) -> geosir_serve::obs::Snapshot {
     let mut c = Client::connect(addr).unwrap();
     c.metrics().unwrap()

@@ -68,6 +68,14 @@ cargo test -q -p geosir-serve --test router_pipeline --test cluster_integration 
 # filter must not be able to drop these silently.
 cargo test -q -p geosir-serve --test wire_proptest
 
+# Observability crate: the registry, both rings and the request record
+# every answerer feeds them through (`Registry::record_request`). The
+# root `cargo test` above does not reach it, and the server suites only
+# see it from outside. Unit tests plus alloc_obs (zero-allocation record
+# path; describing a request costs the trace event's two lists, no
+# more), quantile_merge_proptest and registry_concurrent; ≈ 7 s.
+cargo test -q -p geosir-obs
+
 # Durability hooks: crash-recovery harness (abort-at-failpoint children)
 # plus the full server suite with the fault hooks compiled in. Budget:
 # the crash tests must stay under 30 s wall — they are child-process

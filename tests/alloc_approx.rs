@@ -2,9 +2,7 @@
 //! `Snapshot::similar_approx_with` — what the server worker runs per
 //! `QueryApprox`: in-place normalization, the nearest-edge grid over the
 //! query, the signature probe and the exact rerank — through reused
-//! scratches must not touch the heap, and neither must
-//! `similar_approx_prepared`, the entry for a caller that normalized the
-//! query itself (outside the measured window).
+//! scratches must not touch the heap.
 //!
 //! Own test binary (one `#[test]`), so no concurrent test can allocate
 //! while the steady-state window is open.
@@ -72,63 +70,12 @@ fn approx_probe_and_rerank_steady_state_makes_zero_allocations() {
     let snapshot = base.snapshot();
     assert!(snapshot.num_levels() >= 1, "inserts never formed a level");
 
-    // normalize once, outside the measured window — the probe consumes
-    // the normalized copy
-    let queries: Vec<(Polyline, Polyline)> = raw_queries
-        .iter()
-        .filter_map(|q| {
-            geosir::core::normalize::normalize_about_diameter(q)
-                .map(|(c0, _)| (q.clone(), c0.shape))
-        })
-        .collect();
-    assert!(!queries.is_empty());
-
     let opts = ApproxOptions::default();
     let mut scratch = MatcherScratch::new();
     let mut tmp = MatchOutcome::default();
     let mut ax = ApproxScratch::new();
     let mut stats = ApproxStats::default();
     let mut out: Vec<DynMatch> = Vec::new();
-    // warm-up: grow every probe/rerank buffer to its high-water mark
-    for _ in 0..2 {
-        for (q, n) in &queries {
-            snapshot.similar_approx_prepared(
-                &mut scratch,
-                &mut tmp,
-                &mut ax,
-                q,
-                n,
-                &opts,
-                &mut out,
-                &mut stats,
-            );
-        }
-    }
-    assert!(!out.is_empty(), "warm-up produced no matches");
-
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for (q, n) in &queries {
-        snapshot.similar_approx_prepared(
-            &mut scratch,
-            &mut tmp,
-            &mut ax,
-            q,
-            n,
-            &opts,
-            &mut out,
-            &mut stats,
-        );
-    }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state similar_approx_prepared allocated {} time(s) across {} queries",
-        after - before,
-        queries.len()
-    );
-    assert!(!out.is_empty());
-
     // the served entry: raw queries (6–15 edges each), normalized and
     // gridded in place inside the window
     let mut served = |out: &mut Vec<DynMatch>| {
@@ -136,7 +83,11 @@ fn approx_probe_and_rerank_steady_state_makes_zero_allocations() {
             snapshot.similar_approx_with(&mut scratch, &mut tmp, &mut ax, q, &opts, out, &mut stats);
         }
     };
-    served(&mut out);
+    // warm-up: grow every probe/rerank buffer to its high-water mark
+    for _ in 0..2 {
+        served(&mut out);
+    }
+    assert!(!out.is_empty(), "warm-up produced no matches");
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     served(&mut out);
     let after = ALLOCATIONS.load(Ordering::Relaxed);

@@ -100,29 +100,23 @@ fn dynamic_retrieve_with_steady_state_makes_zero_allocations() {
     );
     assert!(!out.is_empty());
 
-    // three more inserts: the same levels (≥ 2) plus a non-empty buffer,
-    // through the coalesced entry point too (`out`'s inner vectors are
-    // reused from batch to batch)
+    // three more inserts: the same levels (≥ 2) plus a non-empty buffer
     for _ in 0..3 {
         let n = rng.random_range(6..16);
         base.insert(ImageId(1000), random_simple_polygon(&mut rng, n, 0.35));
     }
     let snapshot = base.snapshot();
     assert!(snapshot.num_levels() >= 2, "test needs at least two levels");
-    let batch: Vec<(&Polyline, usize)> = queries.iter().map(|q| (q, 0)).collect();
-    let mut outs: Vec<Vec<DynMatch>> = Vec::new();
-    let mut stats = Vec::new();
     for _ in 0..2 {
         for q in &queries {
             snapshot.retrieve_with(&mut scratch, &mut tmp, q, 0, &mut out);
         }
-        snapshot.retrieve_many(&mut scratch, &mut tmp, &batch, &mut outs, &mut stats);
     }
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for q in &queries {
         snapshot.retrieve_with(&mut scratch, &mut tmp, q, 0, &mut out);
+        assert!(!out.is_empty());
     }
-    snapshot.retrieve_many(&mut scratch, &mut tmp, &batch, &mut outs, &mut stats);
     let after = ALLOCATIONS.load(Ordering::Relaxed);
     assert_eq!(
         after - before,
@@ -130,8 +124,6 @@ fn dynamic_retrieve_with_steady_state_makes_zero_allocations() {
         "steady-state retrieval over levels + a non-empty buffer allocated {} time(s)",
         after - before
     );
-    assert_eq!(outs.len(), queries.len());
-    assert!(outs.iter().all(|hits| !hits.is_empty()));
 
     // the DynamicBase-owned path (internal scratch pool) must also be
     // allocation-free once its pool is warm
