@@ -1,9 +1,11 @@
 //! Approximate-tier quality gate: recall@k and candidate-set reduction
 //! of the `similar_approx` cascade against an exhaustive symmetric
 //! `h_avg` oracle on a large synthetic corpus, swept over the candidate
-//! budget. Writes `BENCH_7.json` with the recall-vs-speedup curve and
-//! the headline operating point `scripts/bench_compare.sh` gates on
-//! (reduction ≥ 10×, recall@10 ≥ 0.95).
+//! budget. Prints the recall-vs-speedup curve (one run is stored as
+//! `results/approx_recall.txt`) and exits non-zero when the headline
+//! operating point — the highest-recall sweep point that still reduces
+//! the candidate set ≥ 10× — has recall@10 below 0.95, or when no point
+//! reduces that far.
 //!
 //! ```sh
 //! cargo run --release -p geosir-bench --bin approx_recall -- --images 19000
@@ -48,8 +50,8 @@ fn main() {
     base.bulk_load(shapes.iter().cloned());
     let snap = base.snapshot();
     let n_copies = snap.total_copies();
-    eprintln!(
-        "corpus: {} images, {} shapes, {} copies, {} buckets (avg {:.2}/bucket) [{:.1}s]",
+    println!(
+        "# corpus: {} images, {} shapes, {} copies, {} buckets (avg {:.2}/bucket) [{:.1}s]",
         images,
         n_shapes,
         n_copies,
@@ -109,7 +111,7 @@ fn main() {
         oracle_topk.push(ranked.iter().take(K).map(|&(_, i)| i as u64).collect());
     }
     let exact_us = exact_us_total / queries.len() as u64;
-    eprintln!("oracle: exhaustive scan {} µs/query over {} copies", exact_us, n_copies);
+    println!("# oracle: exhaustive scan {} µs/query over {} copies", exact_us, n_copies);
 
     let mut scratch = MatcherScratch::new();
     let mut tmp = MatchOutcome::default();
@@ -118,17 +120,19 @@ fn main() {
     let mut out: Vec<DynMatch> = Vec::new();
 
     println!("# approximate tier: recall@{K} / candidate reduction vs candidate budget");
-    let widths = [10, 8, 11, 12, 12, 11, 10];
+    let widths = [10, 8, 11, 12, 12, 11, 10, 11];
     println!(
         "{}",
         row(
-            &["max_cand", "radius", "recall@10", "candidates", "reduction", "µs/query", "speedup"]
-                .map(String::from),
+            &[
+                "max_cand", "radius", "recall@10", "candidates", "reduction", "µs/query", "speedup",
+                "fallbacks",
+            ]
+            .map(String::from),
             &widths
         )
     );
 
-    let mut sweep_rows = Vec::new();
     let mut headline: Option<(f64, f64)> = None;
     // probe depth × candidate budget, shallow-and-cheap to deep-and-full.
     // Budgets on the deeper points are sized so the cascade, not the cap,
@@ -180,39 +184,25 @@ fn main() {
                     format!("{avg_red:.1}x"),
                     format!("{approx_us}"),
                     format!("{speedup:.1}x"),
+                    format!("{fallbacks}"),
                 ],
                 &widths
             )
         );
-        sweep_rows.push(format!(
-            "    {{ \"max_candidates\": {max_cand}, \"max_radius\": {}, \"recall_at_10\": {recall:.4}, \
-             \"avg_candidates\": {avg_cand:.1}, \"avg_reduction\": {avg_red:.2}, \
-             \"approx_us_per_query\": {approx_us}, \"speedup_vs_scan\": {speedup:.2}, \
-             \"exact_fallbacks\": {fallbacks} }}",
-            opts.max_radius
-        ));
         // headline operating point: the highest-recall sweep point that
-        // still reduces the candidate set ≥ 10× — the point the quality
-        // gates (reduction ≥ 10×, recall@10 ≥ 0.95) are checked against
+        // still reduces the candidate set ≥ 10×
         if avg_red >= 10.0 && headline.is_none_or(|(r, _)| recall > r) {
             headline = Some((recall, avg_red));
         }
     }
 
-    let (h_recall, h_reduction) = headline.expect("sweep must not be empty");
-    let json = format!(
-        "{{\n  \"bench\": \"approx_recall\",\n  \"corpus\": \"synth_small\",\n  \
-         \"images\": {images},\n  \"n_shapes\": {n_shapes},\n  \"n_copies\": {n_copies},\n  \
-         \"queries\": {},\n  \"k\": {K},\n  \"hash_curves\": {},\n  \
-         \"exact_scan_us_per_query\": {exact_us},\n  \
-         \"headline_recall_at_10\": {h_recall:.4},\n  \
-         \"headline_reduction\": {h_reduction:.2},\n  \"sweep\": [\n{}\n  ]\n}}\n",
-        queries.len(),
-        geosir_core::DEFAULT_HASH_CURVES,
-        sweep_rows.join(",\n")
-    );
-    std::fs::write("BENCH_7.json", &json).expect("write BENCH_7.json");
-    println!(
-        "wrote BENCH_7.json (headline: recall@10 {h_recall:.3}, reduction {h_reduction:.1}x)"
-    );
+    let Some((h_recall, h_reduction)) = headline else {
+        println!("FAIL: no sweep point reduces the candidate set 10x");
+        std::process::exit(1);
+    };
+    println!("headline: recall@{K} {h_recall:.4} at {h_reduction:.2}x reduction (gate: >= 0.95)");
+    if h_recall < 0.95 {
+        println!("FAIL: headline recall@{K} {h_recall:.4} < 0.95");
+        std::process::exit(1);
+    }
 }

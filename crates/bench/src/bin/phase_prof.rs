@@ -541,15 +541,15 @@ fn distance_census() {
     );
 }
 
-/// DESIGN §12.5's probe: `serve_loadgen --cluster` asks k = 1 for
-/// verbatim copies of corpus shapes, so in a 2-shard cluster one shard
-/// holds each copy and the other has nothing close. Split the 1 200-shape
-/// loadgen corpus in two by parity (every query shape has an even index)
-/// and time the same ten queries against the whole and against each half.
+/// DESIGN §12.5's probe: a k = 1 query for a verbatim copy of a corpus
+/// shape finds, in a 2-shard cluster, one shard holding the copy and the
+/// other with nothing close. Split the 1 200-shape `scaling_corpus` in
+/// two by parity (every query shape has an even index) and time the same
+/// ten queries against the whole and against each half.
 fn no_near_match_probe() {
     let (shapes, queries) = scaling_corpus(1200);
     let cfg = MatchConfig { beta: 0.2, ..Default::default() };
-    println!("§12.5 probe, k = 1 self-queries on the 1 200-shape loadgen corpus:");
+    println!("§12.5 probe, k = 1 self-queries on the 1 200-shape scaling corpus:");
     for (modulus, parity, label) in [
         (1, 0, "one node, whole corpus       "),
         (2, 0, "half-corpus shard with copies"),

@@ -15,11 +15,9 @@ use geosir_storage::{BufferPool, LayoutPolicy, ShapeStore};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
-/// The `scaling_polylog` corpus shared by the `throughput` and
-/// `serve_loadgen` harnesses: deterministic (seed 5) simple polygons of
-/// 10–30 vertices with varied aspect ratio; every `n/10`-th shape doubles
-/// as a near-exact query. Both benches MUST draw from this one stream so
-/// their QPS numbers are comparable.
+/// The `scaling_polylog` corpus `phase_prof` profiles on: deterministic
+/// (seed 5) simple polygons of 10–30 vertices with varied aspect ratio;
+/// every `n/10`-th shape doubles as a near-exact query.
 pub fn scaling_corpus(n_shapes: usize) -> (Vec<(ImageId, Polyline)>, Vec<Polyline>) {
     let mut rng = StdRng::seed_from_u64(5);
     let mut shapes = Vec::with_capacity(n_shapes);
@@ -35,17 +33,6 @@ pub fn scaling_corpus(n_shapes: usize) -> (Vec<(ImageId, Polyline)>, Vec<Polylin
         shapes.push((ImageId(i as u32), shape));
     }
     (shapes, queries)
-}
-
-/// Exact latency percentile over raw samples (µs): nearest-rank on a
-/// sorted copy. `q` in (0, 1].
-pub fn percentile_us(samples: &mut [u64], q: f64) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    samples.sort_unstable();
-    let rank = ((q * samples.len() as f64).ceil() as usize).clamp(1, samples.len());
-    samples[rank - 1]
 }
 
 /// The standard experiment world: corpus, shape base, hash signatures.

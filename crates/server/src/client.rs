@@ -700,7 +700,7 @@ impl Client {
 /// [`PipelinedClient::recv`] to collect replies. Replies that arrive
 /// while waiting for a specific id are buffered, never dropped. The
 /// server bounds the number of outstanding requests per connection
-/// ([`crate::ServeConfig::max_in_flight`]); beyond it, it simply stops
+/// (`MAX_IN_FLIGHT`, 128); beyond it, it simply stops
 /// reading this connection's socket until replies drain — submission
 /// then blocks in the kernel, not in the server's memory.
 pub struct PipelinedClient {

@@ -198,15 +198,10 @@ pub struct RouterConfig {
     /// How long to wait on the first-choice backend before the hedged
     /// retry goes to the next candidate.
     pub hedge_after: Duration,
-    /// Decorrelated-jitter base/cap for `Busy` retries.
-    pub busy_base: Duration,
-    pub busy_cap: Duration,
     /// Consecutive failures that trip a backend's breaker open.
     pub breaker_threshold: u32,
     /// How long an open breaker rejects before allowing a half-open probe.
     pub breaker_cooldown: Duration,
-    /// TCP connect timeout for backend connections.
-    pub connect_timeout: Duration,
     /// Bind address for the router's HTTP observability plane
     /// (`/metrics` federated over all shards, `/debug/cluster`,
     /// `/debug/flight`, `/debug/last_queries`). `None` disables it.
@@ -218,9 +213,6 @@ pub struct RouterConfig {
     /// written to the slow log. Higher than the single-node default:
     /// a routed query crosses the network and gathers every shard.
     pub slow_query_us: u64,
-    /// Rotation size/retention for the slow-query log.
-    pub slow_query_log_max_bytes: u64,
-    pub slow_query_log_keep: usize,
     /// Where the router's flight recorder is dumped when the process
     /// panics or an armed crash point fires. `None` disables the hook.
     pub flight_dump_path: Option<PathBuf>,
@@ -231,16 +223,11 @@ impl Default for RouterConfig {
         RouterConfig {
             shard_deadline: Duration::from_millis(500),
             hedge_after: Duration::from_millis(60),
-            busy_base: Duration::from_millis(2),
-            busy_cap: Duration::from_millis(50),
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_millis(500),
-            connect_timeout: Duration::from_millis(200),
             metrics_addr: None,
             slow_query_log: None,
             slow_query_us: 100_000,
-            slow_query_log_max_bytes: 1 << 20,
-            slow_query_log_keep: 4,
             flight_dump_path: None,
         }
     }
@@ -567,8 +554,8 @@ impl Router {
                 writer: Mutex::new(geosir_storage::slowlog::RotatingJsonl::open(
                     dir,
                     "router-slow",
-                    cfg.slow_query_log_max_bytes,
-                    cfg.slow_query_log_keep,
+                    crate::server::LOG_SEGMENT_BYTES,
+                    crate::server::LOG_SEGMENTS_KEPT,
                     Box::new(geosir_storage::faults::FileFactory),
                 )?),
             }),
@@ -767,7 +754,6 @@ mod route {
     };
     use crate::client::Backoff;
     use crate::engine::{self, Admit, Ctx, Slab};
-    use crate::server::ServeConfig;
     use crate::wire::{error_code, Frame, ServerStats, ShardInfo, WireMatch};
 
     /// Most sub-requests written to one backend and not yet answered;
@@ -781,6 +767,13 @@ mod route {
     const BACKEND_WINDOW: usize = 32;
     /// Most routed requests in the table; beyond it clients get `Busy`.
     const MAX_ROUTED: usize = 1024;
+    /// Decorrelated-jitter base and cap of the wait before a sub-request
+    /// a backend answered `Busy` is sent again; the cap doubles as the
+    /// hint on the router's own `Busy`.
+    const BUSY_BASE: Duration = Duration::from_millis(2);
+    const BUSY_CAP: Duration = Duration::from_millis(50);
+    /// How long a backend connection may take to come up.
+    const CONNECT_TIMEOUT: Duration = Duration::from_millis(200);
 
     /// Where a finished request's answer goes.
     enum ReplyTo {
@@ -870,7 +863,7 @@ mod route {
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
     enum TimerKind {
-        /// `id` = backend: connect did not finish in `connect_timeout`.
+        /// `id` = backend: connect did not finish in [`CONNECT_TIMEOUT`].
         Connect,
         /// `id` = request: the first attempt outlived `hedge_after`.
         Hedge,
@@ -902,7 +895,6 @@ mod route {
         dirty: Vec<usize>,
         /// Requests whose last sub just finished.
         finished: Vec<u64>,
-        client_window: u32,
         /// Recycled merge output and k-way cursors.
         merge_buf: Vec<WireMatch>,
         cursors: Vec<usize>,
@@ -949,7 +941,6 @@ mod route {
                 timers: BinaryHeap::new(),
                 dirty: Vec::new(),
                 finished: Vec::new(),
-                client_window: ServeConfig::default().max_in_flight,
                 merge_buf: Vec::new(),
                 cursors: Vec::new(),
             }
@@ -1178,7 +1169,7 @@ mod route {
                         be.peer = Some(peer);
                         be.conn_epoch = be.conn_epoch.wrapping_add(1);
                         timers.push(Reverse(Timer {
-                            at: Instant::now() + st.cfg.connect_timeout,
+                            at: Instant::now() + CONNECT_TIMEOUT,
                             kind: TimerKind::Connect,
                             id: b as u64,
                             sub: 0,
@@ -1267,11 +1258,11 @@ mod route {
         /// same backend, as long as the wait fits the attempt's window.
         fn on_busy(&mut self, req: u64, si: u16, retry_after_ms: u32) {
             let now = Instant::now();
-            let (base, cap, seed) = (self.st.cfg.busy_base, self.st.cfg.busy_cap, self.st.mint());
+            let seed = self.st.mint();
             let Some(sub) = self.sub(req, si) else { return };
             let limit = sub.hedge_until.filter(|_| !sub.hedging).unwrap_or(sub.deadline);
             let backoff = sub.backoff.get_or_insert_with(|| {
-                Backoff::new(base, cap, limit.saturating_duration_since(now), seed)
+                Backoff::new(BUSY_BASE, BUSY_CAP, limit.saturating_duration_since(now), seed)
             });
             let (shard, epoch) = (sub.shard, sub.epoch);
             match backoff.next_delay(Duration::from_millis(retry_after_ms as u64)) {
@@ -1511,10 +1502,6 @@ mod route {
     }
 
     impl engine::Handler for RouterLoop {
-        fn max_in_flight(&self) -> u32 {
-            self.client_window
-        }
-
         fn on_request(
             &mut self,
             cx: &mut Ctx<'_>,
@@ -1590,8 +1577,7 @@ mod route {
             };
             if self.table.len() >= MAX_ROUTED {
                 // shed at the edge like a node with a full queue
-                let retry_after_ms = st.cfg.busy_cap.as_millis().clamp(1, 10_000) as u32;
-                return Admit::Reply(Frame::Busy { retry_after_ms });
+                return Admit::Reply(Frame::Busy { retry_after_ms: BUSY_CAP.as_millis() as u32 });
             }
             match frame {
                 Frame::Insert { .. } => st.inserts.inc(),
@@ -2072,8 +2058,8 @@ impl Cluster {
         self.router.metrics_addr()
     }
 
-    /// Gracefully stop replica `r` of shard `s` (bench "kill" hook; the
-    /// chaos harness SIGKILLs real processes instead).
+    /// Gracefully stop replica `r` of shard `s` (the failover tests' kill
+    /// switch; the chaos harness SIGKILLs real processes instead).
     pub fn stop_replica(&mut self, s: usize, r: usize) {
         if let Some((server, repl)) = self.replicas[s][r].take() {
             repl.stop();

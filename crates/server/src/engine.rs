@@ -19,7 +19,7 @@
 //! per socket kind, so a completion or event addressed to a connection
 //! that died — and whose slot was reused — is dropped, never
 //! misdelivered; a per-connection in-flight window
-//! ([`Handler::max_in_flight`]) beyond which the connection's receive
+//! ([`MAX_IN_FLIGHT`]) beyond which the connection's receive
 //! buffer is simply not drained; a protocol violation (a version byte
 //! other than [`PROTOCOL_VERSION`] included) answered with exactly one
 //! `Error{MALFORMED}`, then the connection closed; exactly one
@@ -102,11 +102,15 @@ pub(crate) enum Admit {
     Close(Frame),
 }
 
-/// A role served by the engine. The first four methods are the whole
+/// Most admitted-but-unanswered requests one client connection may keep
+/// outstanding, on a node and on the router alike; past it the loop
+/// stops draining that connection's receive buffer, which bounds
+/// per-connection memory under a firehose client.
+pub const MAX_IN_FLIGHT: u32 = 128;
+
+/// A role served by the engine. The first three methods are the whole
 /// contract of a node; outbound connections and timers are opt-in.
 pub(crate) trait Handler {
-    /// Most admitted-but-unanswered requests per client connection.
-    fn max_in_flight(&self) -> u32;
     /// A complete request frame arrived on client connection `token`.
     fn on_request(&mut self, cx: &mut Ctx<'_>, token: u64, frame: Frame, corr: u64) -> Admit;
     /// Stop accepting; close connections as they drain.
@@ -537,7 +541,7 @@ fn pump_conn<H: Handler>(c: &mut Conn, token: u64, handler: &mut H, cx: &mut Ctx
         if c.closing {
             return true;
         }
-        if c.in_flight >= handler.max_in_flight().max(1) {
+        if c.in_flight >= MAX_IN_FLIGHT {
             return true; // resumes when a completion frees the window
         }
         let (frame, corr) = match c.recv.next_frame() {

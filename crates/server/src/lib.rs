@@ -62,6 +62,8 @@ pub use cluster::{
     RouterHandle, ShardSpec,
 };
 pub use durable::{BaseTemplate, DurabilityConfig, RecoveryReport};
+#[cfg(target_os = "linux")]
+pub use engine::MAX_IN_FLIGHT;
 pub use geosir_obs as obs;
 pub use health::{HealthConfig, Verdict};
 pub use repl::{start_replication, ReplHandle, ReplSpec};

@@ -33,7 +33,7 @@
 //! through an eventfd; the loop matches completions to live connections
 //! by generation-checked tokens and writes them out, resuming partial
 //! writes on the next `EPOLLOUT` edge. A client keeps up to
-//! [`ServeConfig::max_in_flight`] requests outstanding per connection,
+//! [`crate::MAX_IN_FLIGHT`] requests outstanding per connection,
 //! each tagged with its correlation id, and completions are delivered
 //! in whatever order the workers finish. This is the only serve path:
 //! where the engine cannot be set up (off Linux, or no descriptors left
@@ -105,16 +105,10 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Bounded read-queue capacity; beyond it, queries get `Busy`.
     pub queue_cap: usize,
-    /// Bounded write-queue capacity; beyond it, inserts/deletes get `Busy`.
-    pub write_queue_cap: usize,
     /// The background checkpointer's tick: how often it looks at the
     /// count of WAL records since the last checkpoint, and how quickly
     /// it notices shutdown.
     pub poll_interval: Duration,
-    /// Fallback retry-after hint for `Busy` load-shed replies, used
-    /// until a drain rate has been observed — the live hint is derived
-    /// from queue depth and recent drain rate ([`retry_hint_ms`]).
-    pub retry_after_ms: u32,
     /// Bind address for the HTTP plane (`/metrics` Prometheus text,
     /// `/healthz`, `/readyz`, `/debug/last_queries`, `/debug/flight`,
     /// `/debug/journal`); `None` disables it.
@@ -128,19 +122,11 @@ pub struct ServeConfig {
     /// EXPLAIN report. 0 logs every query (useful for tests and
     /// short traffic captures).
     pub slow_query_us: u64,
-    /// Rotate a slow-query segment when it would exceed this many bytes.
-    pub slow_query_log_max_bytes: u64,
-    /// Rotated slow-query segments to keep.
-    pub slow_query_log_keep: usize,
     /// Most read-queue jobs a worker coalesces into one pop: jobs that
     /// arrived concurrently cost one queue lock and one snapshot pin,
     /// then are answered one by one. 1 disables coalescing (each job
     /// pops alone).
     pub coalesce_max: usize,
-    /// Most pipelined requests one connection may keep outstanding
-    /// before the event loop stops draining its receive buffer. Bounds
-    /// per-connection memory under a firehose client.
-    pub max_in_flight: u32,
     /// Watchdog deadlines and SLO objectives behind `/healthz`,
     /// `/readyz`, and the `geosir_health_status` gauges.
     pub health: HealthConfig,
@@ -151,16 +137,11 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 0,
             queue_cap: 128,
-            write_queue_cap: 256,
             poll_interval: Duration::from_millis(50),
-            retry_after_ms: 50,
             metrics_addr: None,
             slow_query_log: None,
             slow_query_us: 10_000,
-            slow_query_log_max_bytes: 1 << 20,
-            slow_query_log_keep: 4,
             coalesce_max: 16,
-            max_in_flight: 128,
             health: HealthConfig::default(),
         }
     }
@@ -191,6 +172,9 @@ struct DrainTracker {
 
 /// How much history the drain-rate estimate looks at.
 const DRAIN_WINDOW_US: u64 = 200_000;
+
+/// The `Busy` retry-after hint until a drain rate has been observed.
+const RETRY_FALLBACK_MS: u32 = 50;
 
 impl DrainTracker {
     fn new() -> Self {
@@ -241,7 +225,7 @@ impl DrainTracker {
 /// Derive the `Busy{retry_after_ms}` hint from observed queue state:
 /// the estimated wall time for `depth` queued items to drain at the
 /// recently measured rate (`drained` items over `window_us`). Without
-/// an observed rate the configured fallback applies. Clamped to
+/// an observed rate the fallback applies. Clamped to
 /// [1 ms, 10 s] so a cold or stalled window cannot produce a zero or
 /// an absurd hint. As the queue drains, `depth` falls and the hint
 /// shrinks with it.
@@ -252,6 +236,9 @@ fn retry_hint_ms(depth: usize, drained: u64, window_us: u64, fallback_ms: u32) -
     let est_us = (depth as u128 + 1) * window_us as u128 / drained as u128;
     (est_us / 1000).clamp(1, 10_000) as u32
 }
+
+/// Write-queue capacity; beyond it, inserts/deletes get `Busy`.
+const WRITE_QUEUE_CAP: usize = 256;
 
 /// Bounded MPMC queue: `try_push` (never blocks) + blocking `pop` that
 /// drains remaining items after close and only then returns `None`.
@@ -378,9 +365,9 @@ impl<T> BoundedQueue<T> {
     }
 
     /// The live retry hint for this queue right now.
-    fn retry_hint(&self, fallback_ms: u32) -> u32 {
+    fn retry_hint(&self) -> u32 {
         let (drained, window_us) = self.drain.recent_rate();
-        retry_hint_ms(self.depth(), drained, window_us, fallback_ms)
+        retry_hint_ms(self.depth(), drained, window_us, RETRY_FALLBACK_MS)
     }
 }
 
@@ -423,6 +410,12 @@ impl Job {
         }
     }
 }
+
+/// Rotation of every JSONL log this crate writes — the node's and the
+/// router's slow-query logs, the lifecycle journal: a segment rolls over
+/// at this size, and this many rolled segments are kept.
+pub(crate) const LOG_SEGMENT_BYTES: u64 = 1 << 20;
+pub(crate) const LOG_SEGMENTS_KEPT: usize = 4;
 
 /// Slow-query capture state: the threshold plus the rotating JSONL
 /// writer behind a mutex (appends are rare — only over-threshold
@@ -703,8 +696,8 @@ fn serve_inner(
             writer: Mutex::new(geosir_storage::slowlog::RotatingJsonl::open(
                 dir,
                 "slow",
-                cfg.slow_query_log_max_bytes,
-                cfg.slow_query_log_keep,
+                LOG_SEGMENT_BYTES,
+                LOG_SEGMENTS_KEPT,
                 Box::new(geosir_storage::faults::FileFactory),
             )?),
         }),
@@ -714,7 +707,7 @@ fn serve_inner(
         published: RwLock::new(Published { snap: snap0, wal_lsn: applied_lsn }),
         last_publish: Mutex::new(Instant::now()),
         read_queue: BoundedQueue::new(cfg.queue_cap).with_gauge(read_gauge),
-        write_queue: BoundedQueue::new(cfg.write_queue_cap).with_gauge(write_gauge),
+        write_queue: BoundedQueue::new(WRITE_QUEUE_CAP).with_gauge(write_gauge),
         metrics,
         shutdown: AtomicBool::new(false),
         addr: local,
@@ -736,8 +729,8 @@ fn serve_inner(
         let mut writer = geosir_storage::slowlog::RotatingJsonl::open(
             &d.data_dir.join("journal"),
             "journal",
-            1 << 20,
-            4,
+            LOG_SEGMENT_BYTES,
+            LOG_SEGMENTS_KEPT,
             factory,
         )?;
         // Recovery ran before this sink existed, so its events
@@ -1108,8 +1101,7 @@ fn watchdog_tick(
         }
     };
     let read_sat = sat(shared.read_queue.depth(), shared.cfg.queue_cap.max(1), read_sat_since);
-    let write_sat =
-        sat(shared.write_queue.depth(), shared.cfg.write_queue_cap.max(1), write_sat_since);
+    let write_sat = sat(shared.write_queue.depth(), WRITE_QUEUE_CAP, write_sat_since);
     let worst_sat = read_sat.into_iter().chain(write_sat).max();
     let (queue_status, queue_detail) = match worst_sat {
         Some(d) if d > hc.queue_sat => {
@@ -1261,10 +1253,6 @@ struct NodeHandler {
 
 #[cfg(target_os = "linux")]
 impl crate::engine::Handler for NodeHandler {
-    fn max_in_flight(&self) -> u32 {
-        self.shared.cfg.max_in_flight
-    }
-
     fn on_request(
         &mut self,
         _cx: &mut crate::engine::Ctx<'_>,
@@ -1338,7 +1326,7 @@ fn submit(queue: &BoundedQueue<Job>, shared: &Shared, job: Job) -> Result<(), Fr
             shared.metrics.busy_rejects.inc();
             // hint derived from live queue depth + observed drain rate,
             // so a draining queue hands out ever-shorter waits
-            Err(Frame::Busy { retry_after_ms: queue.retry_hint(shared.cfg.retry_after_ms) })
+            Err(Frame::Busy { retry_after_ms: queue.retry_hint() })
         }
         Err(PushError::Closed(_)) => Err(Frame::Error {
             code: error_code::SHUTTING_DOWN,

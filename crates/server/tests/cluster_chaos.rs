@@ -34,6 +34,10 @@
 //!    the load stops and the stall drains, readiness flips back with
 //!    no restart.
 
+mod common;
+
+use common::{http_get, poll_until, serve_cfg, template, tmpdir};
+
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
@@ -41,11 +45,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use geosir_core::matcher::MatchConfig;
-use geosir_geom::rangesearch::Backend;
 use geosir_geom::{Point, Polyline};
 use geosir_serve::cluster::{start_cluster, untag_id, ClusterConfig, Router, RouterConfig, ShardSpec};
-use geosir_serve::{serve_durable, BaseTemplate, Client, DurabilityConfig, HealthConfig, ServeConfig};
+use geosir_serve::{serve_durable, Client, DurabilityConfig, HealthConfig, ServeConfig};
 use geosir_storage::faults::{FaultKind, FaultPlan, FaultyFactory};
 use geosir_storage::wal::FsyncPolicy;
 
@@ -53,26 +55,6 @@ const CHILD_DIR_ENV: &str = "GEOSIR_CHAOS_DIR";
 
 fn chaos_enabled() -> bool {
     std::env::var("GEOSIR_CHAOS").ok().as_deref() == Some("1")
-}
-
-fn tmpdir(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("geosir-chaos-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&p);
-    p
-}
-
-fn template() -> BaseTemplate {
-    BaseTemplate {
-        alpha: 0.0,
-        backend: Backend::RangeTree,
-        config: MatchConfig { beta: 0.2, ..Default::default() },
-        buffer_cap: 8,
-    }
-}
-
-fn serve_cfg() -> ServeConfig {
-    ServeConfig { workers: 1, poll_interval: Duration::from_millis(5), ..Default::default() }
 }
 
 fn shape(i: u64) -> Polyline {
@@ -85,31 +67,6 @@ fn shape(i: u64) -> Polyline {
         })
         .collect();
     Polyline::closed(pts).expect("star polygon is simple")
-}
-
-fn poll_until(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let start = Instant::now();
-    while start.elapsed() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    false
-}
-
-/// Raw GET against an HTTP observability plane; non-200 is data, not
-/// an error.
-fn http_get(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
-    use std::io::Read as _;
-    let mut s = std::net::TcpStream::connect(addr).expect("connect http plane");
-    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    write!(s, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-    let mut out = String::new();
-    s.read_to_string(&mut out).expect("read http response");
-    let status: u16 = out.split_whitespace().nth(1).and_then(|v| v.parse().ok()).unwrap_or(0);
-    let body = out.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
-    (status, body)
 }
 
 /// The victim shard. A no-op unless re-executed with [`CHILD_DIR_ENV`]

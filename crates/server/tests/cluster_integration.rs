@@ -4,39 +4,18 @@
 //! when a whole shard pair is down, and replica failover through the
 //! circuit breaker.
 
+mod common;
+
+use common::{exact_template, poll_until, polygon, serve_cfg, tmpdir};
+
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use geosir_core::matcher::MatchConfig;
-use geosir_geom::rangesearch::Backend;
-use geosir_geom::{Point, Polyline};
+use geosir_geom::Polyline;
 use geosir_serve::cluster::{start_cluster, untag_id, ClusterConfig, RouterConfig};
-use geosir_serve::{serve, BaseTemplate, Client, ServeConfig};
+use geosir_serve::{serve, Client};
 use rand::prelude::*;
 use rand::rngs::StdRng;
-
-fn tmpdir(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("geosir-cluster-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&p);
-    p
-}
-
-fn template() -> BaseTemplate {
-    BaseTemplate {
-        alpha: 0.0,
-        backend: Backend::RangeTree,
-        // certify_all: exact top-k — the union-oracle test compares the
-        // sharded merge bit-for-bit, and the default best-effort rule for
-        // ranks 2..k is not partition-independent
-        config: MatchConfig { beta: 0.2, certify_all: true, ..Default::default() },
-        buffer_cap: 8,
-    }
-}
-
-fn serve_cfg() -> ServeConfig {
-    ServeConfig { workers: 1, poll_interval: Duration::from_millis(5), ..Default::default() }
-}
 
 fn cluster_cfg(dir: &PathBuf, shards: usize, replicas: usize) -> ClusterConfig {
     ClusterConfig {
@@ -53,30 +32,6 @@ fn cluster_cfg(dir: &PathBuf, shards: usize, replicas: usize) -> ClusterConfig {
     }
 }
 
-/// Jittered regular polygon — simple by construction (star-shaped).
-fn polygon(rng: &mut StdRng) -> Polyline {
-    let n = 12;
-    let pts: Vec<Point> = (0..n)
-        .map(|i| {
-            let t = i as f64 / n as f64 * std::f64::consts::TAU;
-            let r = rng.random_range(0.6..1.0);
-            Point::new(r * t.cos(), r * t.sin())
-        })
-        .collect();
-    Polyline::closed(pts).expect("star-shaped polygon is simple")
-}
-
-fn poll_until(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let start = Instant::now();
-    while start.elapsed() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    false
-}
-
 /// Inserts through the router land on shards, queries come back merged
 /// with shard-tagged ids, and those ids route deletes back to the
 /// owning shard.
@@ -84,7 +39,7 @@ fn poll_until(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
 fn insert_query_delete_round_trip_through_router() {
     let dir = tmpdir("roundtrip");
     let cluster =
-        start_cluster("127.0.0.1:0", &template(), cluster_cfg(&dir, 3, 0)).unwrap();
+        start_cluster("127.0.0.1:0", &exact_template(), cluster_cfg(&dir, 3, 0)).unwrap();
     let mut client = Client::connect(cluster.addr()).unwrap();
     let mut rng = StdRng::seed_from_u64(7);
     let shapes: Vec<Polyline> = (0..24).map(|_| polygon(&mut rng)).collect();
@@ -153,10 +108,10 @@ fn insert_query_delete_round_trip_through_router() {
 fn router_merge_matches_single_node_union_oracle() {
     let dir = tmpdir("oracle");
     let cluster =
-        start_cluster("127.0.0.1:0", &template(), cluster_cfg(&dir, 3, 0)).unwrap();
+        start_cluster("127.0.0.1:0", &exact_template(), cluster_cfg(&dir, 3, 0)).unwrap();
     let mut router = Client::connect(cluster.addr()).unwrap();
     // oracle: one plain server with every shape
-    let union = serve("127.0.0.1:0", template().empty_base(), serve_cfg()).unwrap();
+    let union = serve("127.0.0.1:0", exact_template().empty_base(), serve_cfg()).unwrap();
     let mut oracle = Client::connect(union.addr()).unwrap();
     let mut rng = StdRng::seed_from_u64(21);
     let shapes: Vec<Polyline> = (0..30).map(|_| polygon(&mut rng)).collect();
@@ -194,7 +149,7 @@ fn router_merge_matches_single_node_union_oracle() {
 fn replica_catches_up_with_id_parity() {
     let dir = tmpdir("parity");
     let cluster =
-        start_cluster("127.0.0.1:0", &template(), cluster_cfg(&dir, 1, 1)).unwrap();
+        start_cluster("127.0.0.1:0", &exact_template(), cluster_cfg(&dir, 1, 1)).unwrap();
     let mut client = Client::connect(cluster.addr()).unwrap();
     let mut rng = StdRng::seed_from_u64(3);
     let shapes: Vec<Polyline> = (0..20).map(|_| polygon(&mut rng)).collect();
@@ -248,7 +203,7 @@ fn replica_catches_up_with_id_parity() {
 fn failover_and_partial_results() {
     let dir = tmpdir("failover");
     let mut cluster =
-        start_cluster("127.0.0.1:0", &template(), cluster_cfg(&dir, 2, 1)).unwrap();
+        start_cluster("127.0.0.1:0", &exact_template(), cluster_cfg(&dir, 2, 1)).unwrap();
     let mut client = Client::connect(cluster.addr()).unwrap();
     let mut rng = StdRng::seed_from_u64(11);
     let shapes: Vec<Polyline> = (0..16).map(|_| polygon(&mut rng)).collect();
@@ -330,7 +285,7 @@ fn failover_and_partial_results() {
 fn topology_reports_all_backends() {
     let dir = tmpdir("topo");
     let cluster =
-        start_cluster("127.0.0.1:0", &template(), cluster_cfg(&dir, 2, 2)).unwrap();
+        start_cluster("127.0.0.1:0", &exact_template(), cluster_cfg(&dir, 2, 2)).unwrap();
     let mut client = Client::connect(cluster.addr()).unwrap();
     let report = client.topology().unwrap();
     assert_eq!(report.len(), 2);
@@ -351,7 +306,7 @@ fn topology_reports_all_backends() {
 #[test]
 fn wire_shutdown_unblocks_cluster_join() {
     let dir = tmpdir("joinstop");
-    let cluster = start_cluster("127.0.0.1:0", &template(), cluster_cfg(&dir, 2, 1)).unwrap();
+    let cluster = start_cluster("127.0.0.1:0", &exact_template(), cluster_cfg(&dir, 2, 1)).unwrap();
     let addr = cluster.addr();
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {

@@ -14,10 +14,14 @@
 //!    the same deterministic kernel the union base uses, so sharding
 //!    may only change *which node* computes a score, never its value.
 
+mod common;
+
+use common::polygon;
+
 use geosir_core::matcher::MatchConfig;
 use geosir_core::{ApproxOptions, DynamicBase, ImageId};
 use geosir_geom::rangesearch::Backend;
-use geosir_geom::{Point, Polyline};
+use geosir_geom::Polyline;
 use geosir_serve::cluster::{merge_topk, tag_id, untag_id};
 use geosir_serve::wire::WireMatch;
 use proptest::prelude::*;
@@ -90,20 +94,6 @@ proptest! {
             prop_assert!(shard < max_shard);
         }
     }
-}
-
-/// Jittered star polygon; scores between distinct seeds are distinct
-/// with probability 1, so ordering ambiguity never trips the oracle.
-fn polygon(rng: &mut StdRng) -> Polyline {
-    let n = 10;
-    let pts: Vec<Point> = (0..n)
-        .map(|i| {
-            let t = i as f64 / n as f64 * std::f64::consts::TAU;
-            let r = rng.random_range(0.6..1.0);
-            Point::new(r * t.cos(), r * t.sin())
-        })
-        .collect();
-    Polyline::closed(pts).expect("star polygon is simple")
 }
 
 fn base(buffer_cap: usize) -> DynamicBase {

@@ -4,85 +4,19 @@
 //! JSONL under the client's trace id), and hedge attribution to the
 //! shard that actually went silent. See DESIGN §13.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+mod common;
 
-use geosir_core::matcher::MatchConfig;
-use geosir_geom::rangesearch::Backend;
-use geosir_geom::{Point, Polyline};
+use common::{http_get, poll_until, polygon, serve_cfg, slow_log_text, template, tmpdir};
+
+use std::net::{SocketAddr, TcpListener};
+use std::sync::Arc;
+use std::time::Duration;
+
+use geosir_geom::Polyline;
 use geosir_serve::cluster::{start_cluster, ClusterConfig, Router, RouterConfig, ShardSpec};
-use geosir_serve::{serve, BaseTemplate, Client, ServeConfig};
+use geosir_serve::{serve, Client};
 use rand::prelude::*;
 use rand::rngs::StdRng;
-
-fn tmpdir(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("geosir-clobs-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&p);
-    p
-}
-
-fn template() -> BaseTemplate {
-    BaseTemplate {
-        alpha: 0.0,
-        backend: Backend::RangeTree,
-        config: MatchConfig { beta: 0.2, ..Default::default() },
-        buffer_cap: 8,
-    }
-}
-
-fn serve_cfg() -> ServeConfig {
-    ServeConfig { workers: 1, poll_interval: Duration::from_millis(5), ..Default::default() }
-}
-
-fn polygon(rng: &mut StdRng) -> Polyline {
-    let n = 12;
-    let pts: Vec<Point> = (0..n)
-        .map(|i| {
-            let t = i as f64 / n as f64 * std::f64::consts::TAU;
-            let r = rng.random_range(0.6..1.0);
-            Point::new(r * t.cos(), r * t.sin())
-        })
-        .collect();
-    Polyline::closed(pts).expect("star-shaped polygon is simple")
-}
-
-fn poll_until(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let start = Instant::now();
-    while start.elapsed() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    false
-}
-
-fn http_get(addr: SocketAddr, path: &str) -> String {
-    let mut s = TcpStream::connect(addr).unwrap();
-    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    write!(s, "GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n").unwrap();
-    let mut out = String::new();
-    s.read_to_string(&mut out).unwrap();
-    out
-}
-
-/// Concatenate every rotating-JSONL segment in `dir` (the router slow
-/// log may have rotated mid-test).
-fn slow_log_text(dir: &Path) -> String {
-    let mut out = String::new();
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for e in entries.flatten() {
-            if let Ok(text) = std::fs::read_to_string(e.path()) {
-                out.push_str(&text);
-            }
-        }
-    }
-    out
-}
 
 /// A backend that accepts connections and swallows every byte without
 /// ever replying: the shape of a wedged-but-listening shard, which is
@@ -158,21 +92,21 @@ fn federated_metrics_merge_totals_and_label_shards() {
 
     // HTTP federation: one curl against the router answers for the
     // whole cluster.
-    let body = http_get(maddr, "/metrics");
-    assert!(body.starts_with("HTTP/1.1 200"), "{body}");
+    let (status, body) = http_get(maddr, "/metrics");
+    assert_eq!(status, 200, "{body}");
     assert!(body.contains("geosir_queries_total{shard=\"0\"}"), "shard-labeled series");
     assert!(body.contains("geosir_queries_total{shard=\"1\"}"), "shard-labeled series");
     assert!(body.contains("\ngeosir_queries_total "), "merged unlabeled total");
     assert!(body.contains("geosir_replication_lag_records{shard="), "lag series");
     assert!(body.contains("geosir_router_scrapes_total"), "scrape telemetry");
 
-    let topo = http_get(maddr, "/debug/cluster");
+    let (_, topo) = http_get(maddr, "/debug/cluster");
     assert!(topo.contains("\"shard\":0") && topo.contains("\"shard\":1"), "{topo}");
     assert!(topo.contains("\"state\":\"closed\""), "healthy breakers: {topo}");
     assert!(topo.contains("\"lag_records\":"), "{topo}");
 
-    let missing = http_get(maddr, "/nope");
-    assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
+    let (status, missing) = http_get(maddr, "/nope");
+    assert_eq!(status, 404, "{missing}");
 
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

@@ -11,53 +11,25 @@
 
 #![cfg(feature = "failpoints")]
 
+mod common;
+
+use common::{serve_cfg, template, tmpdir, tri};
+
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-use geosir_core::matcher::MatchConfig;
-use geosir_geom::rangesearch::Backend;
-use geosir_geom::{Point, Polyline};
-use geosir_serve::{serve_durable, BaseTemplate, Client, DurabilityConfig, ServeConfig};
+use geosir_serve::{serve_durable, Client, DurabilityConfig};
 use geosir_storage::wal::FsyncPolicy;
 
 const CHILD_DIR_ENV: &str = "GEOSIR_CRASH_DIR";
-
-fn tmpdir(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("geosir-crash-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&p);
-    p
-}
-
-fn template() -> BaseTemplate {
-    BaseTemplate {
-        alpha: 0.0,
-        backend: Backend::RangeTree,
-        config: MatchConfig { beta: 0.2, ..Default::default() },
-        buffer_cap: 8,
-    }
-}
-
-fn tri(i: u64) -> Polyline {
-    Polyline::closed(vec![
-        Point::new(0.0, 0.0),
-        Point::new(3.0 + i as f64 * 0.01, 0.2),
-        Point::new(1.5, 2.0 + (i % 5) as f64 * 0.1),
-    ])
-    .unwrap()
-}
 
 fn durability(dir: &PathBuf) -> DurabilityConfig {
     let mut d = DurabilityConfig::new(dir);
     d.fsync = FsyncPolicy::Always;
     d.checkpoint_every = 16;
     d
-}
-
-fn serve_cfg() -> ServeConfig {
-    ServeConfig { workers: 1, poll_interval: Duration::from_millis(5), ..Default::default() }
 }
 
 /// The crashing workload. A no-op unless spawned by a parent test with

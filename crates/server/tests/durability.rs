@@ -3,53 +3,17 @@
 //! idempotency keys deduplicate resent inserts, and a dead disk flips
 //! the server into advertised read-only mode instead of killing it.
 
-use std::path::PathBuf;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+mod common;
 
-use geosir_core::matcher::MatchConfig;
-use geosir_geom::rangesearch::Backend;
-use geosir_geom::{Point, Polyline};
+use common::{poll_until, template, tmpdir, tri};
+
+use std::sync::Arc;
+use std::time::Duration;
+
 use geosir_serve::wire::{error_code, Frame, WireError, WireShape};
-use geosir_serve::{serve_durable, BaseTemplate, Client, DurabilityConfig, ServeConfig};
+use geosir_serve::{serve_durable, Client, DurabilityConfig, ServeConfig};
 use geosir_storage::faults::{FaultKind, FaultPlan, FaultyFactory};
 use geosir_storage::wal::FsyncPolicy;
-
-fn tmpdir(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("geosir-durab-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&p);
-    p
-}
-
-fn template() -> BaseTemplate {
-    BaseTemplate {
-        alpha: 0.0,
-        backend: Backend::RangeTree,
-        config: MatchConfig { beta: 0.2, ..Default::default() },
-        buffer_cap: 8,
-    }
-}
-
-fn tri(i: u64) -> Polyline {
-    Polyline::closed(vec![
-        Point::new(0.0, 0.0),
-        Point::new(3.0 + i as f64 * 0.01, 0.2),
-        Point::new(1.5, 2.0 + (i % 5) as f64 * 0.1),
-    ])
-    .unwrap()
-}
-
-fn poll_until(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let start = Instant::now();
-    while start.elapsed() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    false
-}
 
 /// Acked writes survive shutdown + restart purely via WAL replay, and a
 /// later restart goes through a checkpoint once enough records accrue.

@@ -5,48 +5,12 @@
 //! client-minted trace id, and the flight recorder must surface recent
 //! requests at `/debug/flight`.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+mod common;
 
-use geosir_core::matcher::MatchConfig;
-use geosir_geom::rangesearch::Backend;
-use geosir_geom::{Point, Polyline};
-use geosir_serve::{serve_durable, BaseTemplate, Client, DurabilityConfig, ServeConfig};
+use common::{http_get, template, tmpdir, tri};
+
+use geosir_serve::{serve_durable, Client, DurabilityConfig, ServeConfig};
 use geosir_serve::{Frame, PipelinedClient, WireShape};
-
-fn tmpdir(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("geosir-explain-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&p);
-    p
-}
-
-fn template() -> BaseTemplate {
-    BaseTemplate {
-        alpha: 0.0,
-        backend: Backend::RangeTree,
-        config: MatchConfig { beta: 0.2, ..Default::default() },
-        buffer_cap: 8,
-    }
-}
-
-fn tri(i: u64) -> Polyline {
-    Polyline::closed(vec![
-        Point::new(0.0, 0.0),
-        Point::new(3.0 + i as f64 * 0.01, 0.2),
-        Point::new(1.5, 2.0 + (i % 5) as f64 * 0.1),
-    ])
-    .unwrap()
-}
-
-fn http_get(addr: SocketAddr, path: &str) -> String {
-    let mut s = TcpStream::connect(addr).expect("connect metrics endpoint");
-    write!(s, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-    let mut out = String::new();
-    s.read_to_string(&mut out).expect("read response");
-    out
-}
 
 /// The explain report must describe the same work the registry counted:
 /// between two `MetricsDump` snapshots bracketing a single `Explain`,
@@ -278,9 +242,8 @@ fn flight_recorder_serves_recent_requests() {
     let reply = c.query(&tri(2), 2).unwrap();
     let approx = c.similar_approx(&tri(2), 2, 0, 0).unwrap();
 
-    let resp = http_get(maddr, "/debug/flight");
-    assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
-    let json = resp.split("\r\n\r\n").nth(1).unwrap_or("");
+    let (status, json) = http_get(maddr, "/debug/flight");
+    assert_eq!(status, 200, "{json}");
     let profile_of = |trace: u64| {
         let at = json
             .find(&format!("\"trace_id\":{trace}"))

@@ -3,65 +3,14 @@
 //! readiness (and flipping it back without a restart), and the journal
 //! surviving a dead journal disk by counting-and-dropping.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
-use std::time::{Duration, Instant};
+mod common;
 
-use geosir_core::matcher::MatchConfig;
-use geosir_geom::rangesearch::Backend;
-use geosir_geom::{Point, Polyline};
-use geosir_serve::{serve_durable, BaseTemplate, Client, DurabilityConfig, HealthConfig, ServeConfig};
+use common::{http_get, poll_until, series_value, template, tmpdir, tri};
+
+use std::time::Duration;
+
+use geosir_serve::{serve_durable, Client, DurabilityConfig, HealthConfig, ServeConfig};
 use geosir_storage::faults::{FaultKind, FaultPlan, FaultyFactory};
-
-fn tmpdir(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("geosir-health-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&p);
-    p
-}
-
-fn template() -> BaseTemplate {
-    BaseTemplate {
-        alpha: 0.0,
-        backend: Backend::RangeTree,
-        config: MatchConfig { beta: 0.2, ..Default::default() },
-        buffer_cap: 8,
-    }
-}
-
-fn tri(i: u64) -> Polyline {
-    Polyline::closed(vec![
-        Point::new(0.0, 0.0),
-        Point::new(3.0 + i as f64 * 0.01, 0.2),
-        Point::new(1.5, 2.0 + (i % 5) as f64 * 0.1),
-    ])
-    .unwrap()
-}
-
-/// Raw GET returning (status, body); non-200 is a result, not an error.
-fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
-    let mut s = TcpStream::connect(addr).expect("connect metrics endpoint");
-    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    write!(s, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-    let mut out = String::new();
-    s.read_to_string(&mut out).expect("read response");
-    let status: u16 =
-        out.split_whitespace().nth(1).and_then(|v| v.parse().ok()).unwrap_or(0);
-    let body = out.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
-    (status, body)
-}
-
-fn poll_until(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let start = Instant::now();
-    while start.elapsed() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    false
-}
 
 fn fast_health() -> HealthConfig {
     HealthConfig {
@@ -249,10 +198,3 @@ fn journal_disk_failure_is_counted_and_dropped_never_panics() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Value of a Prometheus series whose line starts with `prefix`.
-fn series_value(text: &str, prefix: &str) -> Option<f64> {
-    text.lines().find_map(|line| {
-        let rest = line.strip_prefix(prefix)?;
-        rest.strip_prefix(' ')?.trim().parse().ok()
-    })
-}

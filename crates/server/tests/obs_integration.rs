@@ -5,56 +5,12 @@
 //! with non-zero stage durations, and the same registry arrives intact
 //! over the wire through `MetricsDump`.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+mod common;
 
-use geosir_core::matcher::MatchConfig;
-use geosir_geom::rangesearch::Backend;
+use common::{http_get, series_value, template, tmpdir, tri};
+
 use geosir_geom::{Point, Polyline};
-use geosir_serve::{serve_durable, BaseTemplate, Client, DurabilityConfig, ServeConfig};
-
-fn tmpdir(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("geosir-obs-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&p);
-    p
-}
-
-fn template() -> BaseTemplate {
-    BaseTemplate {
-        alpha: 0.0,
-        backend: Backend::RangeTree,
-        config: MatchConfig { beta: 0.2, ..Default::default() },
-        buffer_cap: 8,
-    }
-}
-
-fn tri(i: u64) -> Polyline {
-    Polyline::closed(vec![
-        Point::new(0.0, 0.0),
-        Point::new(3.0 + i as f64 * 0.01, 0.2),
-        Point::new(1.5, 2.0 + (i % 5) as f64 * 0.1),
-    ])
-    .unwrap()
-}
-
-fn http_get(addr: SocketAddr, path: &str) -> String {
-    let mut s = TcpStream::connect(addr).expect("connect metrics endpoint");
-    write!(s, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-    let mut out = String::new();
-    s.read_to_string(&mut out).expect("read response");
-    out
-}
-
-/// Value of a Prometheus series whose line starts with `prefix` (the
-/// full name including any label set), or None when absent.
-fn series_value(text: &str, prefix: &str) -> Option<f64> {
-    text.lines().find_map(|line| {
-        let rest = line.strip_prefix(prefix)?;
-        rest.strip_prefix(' ')?.trim().parse().ok()
-    })
-}
+use geosir_serve::{serve_durable, Client, DurabilityConfig, ServeConfig};
 
 #[test]
 fn live_metrics_and_trace_ids_under_mixed_load() {
@@ -97,9 +53,8 @@ fn live_metrics_and_trace_ids_under_mixed_load() {
     assert_eq!(reply.matches.len(), 8);
 
     // --- /metrics: core series exist and moved ---
-    let resp = http_get(maddr, "/metrics");
-    assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
-    let body = resp.split("\r\n\r\n").nth(1).unwrap_or("");
+    let (status, body) = http_get(maddr, "/metrics");
+    assert_eq!(status, 200, "{body}");
     for (series, at_least) in [
         ("geosir_requests_total", 29.0),
         ("geosir_queries_total", 13.0),
@@ -122,7 +77,7 @@ fn live_metrics_and_trace_ids_under_mixed_load() {
         ("geosir_stage_duration_us_count{stage=\"wal\"}", 1.0),
         ("geosir_stage_duration_us_count{stage=\"publish\"}", 1.0),
     ] {
-        let v = series_value(body, series)
+        let v = series_value(&body, series)
             .unwrap_or_else(|| panic!("series `{series}` missing from /metrics:\n{body}"));
         assert!(v >= at_least, "series `{series}` = {v}, want >= {at_least}");
     }
@@ -132,9 +87,8 @@ fn live_metrics_and_trace_ids_under_mixed_load() {
 
     // --- /debug/last_queries: the trace id we just got back, with
     // non-zero stage durations ---
-    let resp = http_get(maddr, "/debug/last_queries");
-    assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
-    let json = resp.split("\r\n\r\n").nth(1).unwrap_or("");
+    let (status, json) = http_get(maddr, "/debug/last_queries");
+    assert_eq!(status, 200, "{json}");
     let needle = format!("\"trace_id\":{last_trace}");
     let at = json.find(&needle).unwrap_or_else(|| {
         panic!("trace id {last_trace} not in /debug/last_queries:\n{json}")

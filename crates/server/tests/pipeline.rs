@@ -6,6 +6,8 @@
 
 mod common;
 
+use common::{poll_until, polygon};
+
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -14,24 +16,11 @@ use geosir_core::dynamic::DynamicBase;
 use geosir_core::ids::ImageId;
 use geosir_core::matcher::MatchConfig;
 use geosir_geom::rangesearch::Backend;
-use geosir_geom::{Point, Polyline};
+use geosir_geom::Polyline;
 use geosir_serve::{serve, Client, ClientConfig, PipelinedClient, ServeConfig};
 use geosir_serve::{Frame, WireShape, PROTOCOL_VERSION};
 use rand::prelude::*;
 use rand::rngs::StdRng;
-
-/// Jittered regular polygon — simple by construction (star-shaped).
-fn polygon(rng: &mut StdRng) -> Polyline {
-    let n = 12;
-    let pts: Vec<Point> = (0..n)
-        .map(|i| {
-            let t = i as f64 / n as f64 * std::f64::consts::TAU;
-            let r = rng.random_range(0.6..1.0);
-            Point::new(r * t.cos(), r * t.sin())
-        })
-        .collect();
-    Polyline::closed(pts).expect("star-shaped polygon is simple")
-}
 
 fn base_with(n: usize, buffer_cap: usize, seed: u64) -> (DynamicBase, Vec<Polyline>) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -44,17 +33,6 @@ fn base_with(n: usize, buffer_cap: usize, seed: u64) -> (DynamicBase, Vec<Polyli
     );
     base.bulk_load(shapes.iter().enumerate().map(|(i, s)| (ImageId(i as u32), s.clone())));
     (base, shapes)
-}
-
-fn poll_until(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let start = Instant::now();
-    while start.elapsed() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    false
 }
 
 /// Satellite: a pipelined request stream dribbled one byte at a time

@@ -16,63 +16,28 @@
 
 mod common;
 
+use common::{exact_template, poll_until, polygon, serve_cfg, slow_log_text, tmpdir};
+
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use geosir_core::matcher::MatchConfig;
-use geosir_geom::rangesearch::Backend;
 use geosir_geom::{Point, Polyline};
 use geosir_serve::cluster::{
     start_cluster, ClusterConfig, Router, RouterConfig, RouterHandle, ShardSpec,
 };
 use geosir_serve::{
-    serve, BaseTemplate, Client, Frame, PipelinedClient, ServeConfig, ServerHandle, WireMatch,
-    WireShape, PROTOCOL_VERSION,
+    serve, Client, Frame, PipelinedClient, ServerHandle, WireMatch, WireShape, MAX_IN_FLIGHT,
+    PROTOCOL_VERSION,
 };
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
-fn tmpdir(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("geosir-rpipe-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&p);
-    p
-}
-
-fn template() -> BaseTemplate {
-    BaseTemplate {
-        alpha: 0.0,
-        backend: Backend::RangeTree,
-        // exact top-k: the differential compares replies to the bit
-        config: MatchConfig { beta: 0.2, certify_all: true, ..Default::default() },
-        buffer_cap: 8,
-    }
-}
-
-fn serve_cfg() -> ServeConfig {
-    ServeConfig { workers: 1, poll_interval: Duration::from_millis(5), ..Default::default() }
-}
-
 fn node() -> ServerHandle {
-    serve("127.0.0.1:0", template().empty_base(), serve_cfg()).unwrap()
-}
-
-/// Jittered regular polygon — simple by construction (star-shaped).
-fn polygon(rng: &mut StdRng) -> Polyline {
-    let n = 12;
-    let pts: Vec<Point> = (0..n)
-        .map(|i| {
-            let t = i as f64 / n as f64 * std::f64::consts::TAU;
-            let r = rng.random_range(0.6..1.0);
-            Point::new(r * t.cos(), r * t.sin())
-        })
-        .collect();
-    Polyline::closed(pts).expect("star-shaped polygon is simple")
+    serve("127.0.0.1:0", exact_template().empty_base(), serve_cfg()).unwrap()
 }
 
 /// A sliver nothing like a [`polygon`]: never in any polygon's top-k.
@@ -80,17 +45,6 @@ fn sliver(i: u32) -> Polyline {
     let h = 0.01 + 0.001 * i as f64;
     Polyline::closed(vec![Point::new(0.0, 0.0), Point::new(9.0, h), Point::new(4.0, 3.0 * h)])
         .expect("a triangle is simple")
-}
-
-fn poll_until(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let start = Instant::now();
-    while start.elapsed() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    false
 }
 
 fn router(specs: Vec<ShardSpec>, cfg: RouterConfig) -> RouterHandle {
@@ -193,12 +147,12 @@ fn shards_of(reply: &Frame) -> (u16, u16) {
     }
 }
 
-/// The per-client-connection window is the node's default
-/// `max_in_flight`: a client that pipelines more finds the rest left
+/// The per-client-connection window is the engine's, the node's own
+/// (`MAX_IN_FLIGHT`): a client that pipelines more finds the rest left
 /// unread in its socket, not buffered in the router.
 #[test]
 fn client_window_is_the_nodes_default_max_in_flight() {
-    let window = ServeConfig::default().max_in_flight as i64;
+    let window = MAX_IN_FLIGHT as i64;
     let r = router(
         vec![solo(black_hole())],
         RouterConfig { shard_deadline: Duration::from_secs(60), ..RouterConfig::default() },
@@ -246,7 +200,7 @@ fn full_in_flight_table_answers_busy() {
         vec![solo(black_hole())],
         RouterConfig { shard_deadline: Duration::from_secs(60), ..RouterConfig::default() },
     );
-    let window = ServeConfig::default().max_in_flight as usize;
+    let window = MAX_IN_FLIGHT as usize;
     // fill the table one full client window at a time, until a
     // connection's requests stop being admitted
     let mut held = Vec::new();
@@ -343,7 +297,7 @@ fn pipelined_mix_matches_one_at_a_time() {
         },
         ..ClusterConfig::new(&dir)
     };
-    let cluster = start_cluster("127.0.0.1:0", &template(), cfg).unwrap();
+    let cluster = start_cluster("127.0.0.1:0", &exact_template(), cfg).unwrap();
     let mut loader = Client::connect(cluster.addr()).unwrap();
     let mut rng = StdRng::seed_from_u64(64);
     let shapes: Vec<Polyline> = (0..40).map(|_| polygon(&mut rng)).collect();
@@ -566,15 +520,6 @@ fn late_reply_is_dropped_and_the_connection_kept() {
     assert_eq!(hedges(), 1, "the primary answered the second query itself");
     assert_eq!(accepted.load(Ordering::SeqCst), 1, "on the connection the late reply came in on");
     r.shutdown();
-}
-
-/// Concatenate every rotating-JSONL segment in `dir`.
-fn slow_log_text(dir: &Path) -> String {
-    let mut out = String::new();
-    for e in std::fs::read_dir(dir).into_iter().flatten().flatten() {
-        out.push_str(&std::fs::read_to_string(e.path()).unwrap_or_default());
-    }
-    out
 }
 
 /// `geosir_router_shard_latency_us` is each shard's own sub-request
