@@ -3,22 +3,28 @@
 //! isolation (query preparation, envelope/ring cover generation,
 //! simplex-index reporting, candidate scoring) against the full
 //! `retrieve_with` wall time on the same corpus, so kernel-level
-//! optimisations can be aimed at the phase that dominates. The last two
-//! lines put the served exact path (`Snapshot`, seeded: hash-tier probe →
-//! one `Threshold(τ)` envelope → resolve) beside the unseeded incremental
-//! top-k loop, phase by phase: seed / cover / report / per-vertex /
-//! resolve; after them, the distance census the nearest-edge grid is
-//! judged by (`dist` calls against the prepared query by site, edges
-//! evaluated per call and time per call with the grid off and on — under
-//! `--features simd` "off" is the AVX2 flat scan — the grid's build cost,
-//! and a digest of all top-10 lists to compare builds by; its seed replay
-//! duplicates `View::probe_rerank` — see `distance_census`), and the DESIGN
+//! optimisations can be aimed at the phase that dominates. Then the
+//! served exact path (`Snapshot`: hash-tier seed → bounded scan of every
+//! level → buffer → merge) phase by phase, beside the unseeded
+//! incremental top-k loop (cover / report / per-vertex / resolve); the
+//! distance census the nearest-edge grid is judged by (`dist` calls
+//! against the prepared query by site, edges evaluated per call and time
+//! per call with the grid off and on — under `--features simd` "off" is
+//! the AVX2 flat scan — the grid's build cost, and a digest of all top-10
+//! lists to compare builds by; its replay duplicates `View::retrieve`'s
+//! loop — see `distance_census`); the plan sweep (`plan_sweep`: the
+//! paper's index as a verifier, one `retrieve_within(τ)` envelope,
+//! against the scan, by level size, k and query kind, and which of the
+//! two the served path picked); and the DESIGN
 //! §12.5 probe (k = 1 self-queries against the half-corpus shard that
 //! holds the copies and the one that does not).
 //!
 //! ```sh
-//! cargo run --release -p geosir-bench --bin phase_prof [--features simd] [-- n_shapes]
+//! cargo run --release -p geosir-bench --bin phase_prof [--features simd] [-- n_shapes [large]]
 //! ```
+//!
+//! `large` adds the sweep's 19 000-image row (≈ 105k shapes in one
+//! level, ≈ 75 s and over a GB resident).
 
 use geosir_bench::scaling_corpus;
 use geosir_core::approx::SigBuckets;
@@ -28,25 +34,29 @@ use geosir_core::matcher::{MatchConfig, MatchOutcome, Matcher, RingExplain};
 use geosir_core::normalize::{normalize_about_diameter, normalized_copies};
 use geosir_core::scratch::MatcherScratch;
 use geosir_core::shapebase::{ShapeBase, ShapeBaseBuilder};
-use geosir_core::similarity::{prepare_into, score, score_bounded_with, PreparedShape, ScoreKind};
+use geosir_core::similarity::{
+    prepare_into, score, score_bounded_with, score_prepared_bounded, PreparedShape, ScoreKind,
+};
 use geosir_core::{ApproxOptions, ApproxScratch, ApproxStats};
 use geosir_geom::envelope::{envelope_cover_into, ring_cover_into};
 use geosir_geom::rangesearch::IndexScratch;
 use geosir_geom::{Point, Polyline, Triangle};
-use geosir_imaging::synth::{generate, CorpusConfig};
+use geosir_geom::rangesearch::Backend;
+use geosir_imaging::synth::{generate, Corpus, CorpusConfig};
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::time::Instant;
 
 const K: usize = 10;
+/// What the server scores with.
+const KIND: ScoreKind = ScoreKind::DiscreteSymmetric;
 
-/// One exact path's per-query phase times (µs) and work counts, summed
-/// over a query set by [`Phases::add_run`] from what each run recorded:
-/// its rings (EXPLAIN capture), the triangles it submitted and the copies
-/// it scored.
+/// The matcher's per-query phase times (µs) and work counts, summed over
+/// a query set by [`Phases::add_run`] from what each run recorded: its
+/// rings (EXPLAIN capture), the triangles it submitted and the copies it
+/// scored.
 #[derive(Default)]
 struct Phases {
     total: f64,
-    seed: f64,
     cover: f64,
     report: f64,
     per_vertex: f64,
@@ -54,8 +64,6 @@ struct Phases {
     rings: usize,
     reported: usize,
     scored: usize,
-    /// Σ over seeded queries of `true k-th ÷ τ` (0 for the unseeded path).
-    tightness: f64,
 }
 
 impl Phases {
@@ -103,7 +111,7 @@ impl Phases {
         let mut sink = 0.0;
         for &cid in scored {
             let s = score_bounded_with(
-                ScoreKind::DiscreteSymmetric,
+                KIND,
                 &base.copy(cid).normalized,
                 &prepared,
                 &mut back,
@@ -119,10 +127,9 @@ impl Phases {
     fn print(&self, label: &str, queries: usize) {
         let n = queries as f64;
         println!(
-            "{label} total {:7.1} | seed {:6.1}  cover {:6.1}  report {:7.1}  per-vertex {:7.1}  \
-             resolve {:6.1} µs/query  (rings {:.1}, reported {:.0}, scored {:.0}, k-th/τ {:.3})",
+            "{label} total {:7.1} | cover {:6.1}  report {:7.1}  per-vertex {:7.1}  resolve {:6.1} \
+             µs/query  (rings {:.1}, reported {:.0}, scored {:.0})",
             self.total / n,
-            self.seed / n,
             self.cover / n,
             self.report / n,
             self.per_vertex / n,
@@ -130,60 +137,106 @@ impl Phases {
             self.rings as f64 / n,
             self.reported as f64 / n,
             self.scored as f64 / n,
-            self.tightness / n,
         );
     }
 }
 
-/// The served exact path against the unseeded top-k loop on the canonical
-/// benchmark's `exact_sketch` world (`small(200, 1)`, its 100 sketches,
-/// k = [`K`]): wall time per query plus each phase re-timed in isolation.
-fn exact_path_phases() {
+/// The benchmark's `exact_sketch` world as the driver leaves it: the
+/// first 1 024 shapes of `small(200, 1)` in one level, the rest in the
+/// insert buffer; its 100 sketches.
+fn canonical_world(cfg: &MatchConfig) -> (Corpus, Vec<Polyline>, DynamicBase) {
     let corpus = generate(&CorpusConfig::small(200, 1));
     let queries = corpus.queries(100, 0.02, 1);
-    let backend = geosir_geom::rangesearch::Backend::RangeTree;
-    let base = &corpus.build_base(0.0, backend);
+    let mut dynamic = DynamicBase::new(0.0, Backend::RangeTree, cfg.clone(), 512);
+    let (levelled, buffered) = corpus.shapes.split_at(1024);
+    dynamic.bulk_load(levelled.iter().map(|(image, _, s)| (*image, s.clone())));
+    for (image, _, s) in buffered {
+        dynamic.insert(*image, s.clone());
+    }
+    (corpus, queries, dynamic)
+}
+
+/// Wall time of `f` over `queries`, µs in all, after one warm-up pass.
+fn timed(queries: &[Polyline], f: &mut dyn FnMut(usize, &Polyline)) -> f64 {
+    queries.iter().enumerate().for_each(|(i, q)| f(i, q));
+    let t0 = Instant::now();
+    queries.iter().enumerate().for_each(|(i, q)| f(i, q));
+    t0.elapsed().as_secs_f64() * 1e6
+}
+
+/// The served exact path on the canonical benchmark's `exact_sketch`
+/// world (k = [`K`]) beside the unseeded top-k loop over one static base
+/// of the same shapes: wall time per query, and the phases re-timed in
+/// isolation — for the served path the seed (the hash tier's own call),
+/// the buffer (its prepared copies against the final k-th score) and the
+/// merge (a sort of the board, which by then is little more than the
+/// answer); the scan is what is left of the total.
+fn exact_path_phases() {
     let cfg = MatchConfig { beta: 0.2, k: K, ..Default::default() };
-    // one bulk-loaded level = the same copies, in the same order, as `base`
-    let mut dynamic = DynamicBase::new(0.0, backend, cfg.clone(), 512);
-    dynamic.bulk_load(corpus.shapes.iter().map(|(image, _, s)| (*image, s.clone())));
+    let (corpus, queries, dynamic) = canonical_world(&cfg);
     let snap = dynamic.snapshot();
+    let base = &corpus.build_base(0.0, Backend::RangeTree);
     let matcher = Matcher::new(base, cfg);
+    let buffer: Vec<PreparedShape> = corpus.shapes[1024..]
+        .iter()
+        .flat_map(|(_, _, s)| normalized_copies(s, 0.0))
+        .map(|c| PreparedShape::new(c.shape))
+        .collect();
     let mut scratch = MatcherScratch::new();
     let mut tmp = MatchOutcome::default();
     let mut ax = ApproxScratch::new();
     let (mut hits, mut stats, mut astats) =
         (Vec::new(), RetrieveStats::default(), ApproxStats::default());
-    let mut explain = geosir_core::dynamic::QueryExplain::default();
-    let (mut seeded, mut unseeded) = (Phases::default(), Phases::default());
     let opts = ApproxOptions { k: K, ..ApproxOptions::default() };
-    // each path timed over the whole query set on its own (warm-up pass
-    // first), so one path's working set never evicts another's
-    let time = |f: &mut dyn FnMut(&Polyline)| {
-        queries.iter().for_each(&mut *f);
-        let t0 = Instant::now();
-        queries.iter().for_each(&mut *f);
-        t0.elapsed().as_secs_f64() * 1e6
-    };
-    seeded.total =
-        time(&mut |q| snap.retrieve_with_stats(&mut scratch, &mut tmp, q, K, &mut hits, &mut stats));
-    seeded.seed = time(&mut |q| {
+    let n = queries.len() as f64;
+    // each path timed over the whole query set on its own, so one path's
+    // working set never evicts another's
+    let total = timed(&queries, &mut |_, q| {
+        snap.retrieve_with_stats(&mut scratch, &mut tmp, q, K, &mut hits, &mut stats)
+    });
+    let (mut copies, mut survivors, mut tightness) = (0, 0, 0.0);
+    // what each query's buffer pass and merge worked on
+    let mut finals: Vec<(PreparedShape, f64, Vec<DynMatch>)> = Vec::new();
+    for q in &queries {
+        snap.similar_approx_with(&mut scratch, &mut tmp, &mut ax, q, &opts, &mut hits, &mut astats);
+        let tau = hits.get(K - 1).map_or(f64::INFINITY, |m| m.score);
+        snap.retrieve_with_stats(&mut scratch, &mut tmp, q, K, &mut hits, &mut stats);
+        copies += stats.scan_copies;
+        survivors += stats.scan_survivors;
+        let kth = hits.last().map_or(f64::INFINITY, |m| m.score);
+        tightness += kth / tau;
+        let mut prepared = PreparedShape::new(normalize_about_diameter(q).unwrap().0.shape);
+        prepared.build_grid();
+        finals.push((prepared, kth, hits.clone()));
+    }
+    let seed = timed(&queries, &mut |_, q| {
         snap.similar_approx_with(&mut scratch, &mut tmp, &mut ax, q, &opts, &mut hits, &mut astats)
     });
-    unseeded.total = time(&mut |q| matcher.retrieve_with(&mut scratch, q, &mut tmp));
-    // then each run once more with capture on: `tmp` keeps the (one)
-    // level's triangles, rings and scored copies for the phase replay
+    let buffered = timed(&queries, &mut |i, _| {
+        let (prepared, kth, _) = &finals[i];
+        let sum: f64 = buffer
+            .iter()
+            .map(|c| score_prepared_bounded(KIND, c, prepared, *kth).min(9.0))
+            .sum();
+        std::hint::black_box(sum);
+    });
+    let merge = timed(&queries, &mut |i, _| {
+        let mut board = finals[i].2.clone();
+        board.sort_unstable_by(|a, b| a.score.partial_cmp(&b.score).unwrap().then(a.shape.cmp(&b.shape)));
+        board.truncate(K);
+        std::hint::black_box(board);
+    });
+    let mut unseeded = Phases {
+        total: timed(&queries, &mut |_, q| matcher.retrieve_with(&mut scratch, q, &mut tmp)),
+        ..Phases::default()
+    };
+    // then each run once more with capture on: `tmp` keeps the triangles,
+    // rings and scored copies for the phase replay
     for q in &queries {
         tmp.explain.enabled = true;
         matcher.retrieve_with(&mut scratch, q, &mut tmp);
         tmp.explain.enabled = false;
         unseeded.add_run(base, q, &tmp, f64::INFINITY);
-        snap.explain_with_stats(&mut scratch, &mut tmp, q, K, &mut hits, &mut stats, &mut explain);
-        let kth = hits.last().map_or(f64::INFINITY, |m| m.score);
-        seeded.add_run(base, q, &tmp, kth);
-        // a seeded level's one envelope sits at τ / f_u
-        let level = &explain.levels[0];
-        seeded.tightness += kth / (level.final_eps * level.bound_factor);
     }
     println!(
         "exact path, canonical corpus ({} shapes, {} sketches, k = {K}; phases re-timed in \
@@ -191,12 +244,25 @@ fn exact_path_phases() {
         corpus.shapes.len(),
         queries.len()
     );
-    seeded.print("  seeded   (Snapshot):    ", queries.len());
+    println!(
+        "  served   (Snapshot):     total {:7.1} | seed {:6.1}  scan {:6.1}  buffer {:6.1}  merge \
+         {:4.1} µs/query  (scan = total − the rest; copies scored {:.0}, survivors {:.1}, k-th/τ \
+         {:.3})",
+        total / n,
+        seed / n,
+        (total - seed - buffered - merge) / n,
+        buffered / n,
+        merge / n,
+        copies as f64 / n,
+        survivors as f64 / n,
+        tightness / n,
+    );
     unseeded.print("  unseeded (Matcher TopK):", queries.len());
 }
 
 fn main() {
     let n_shapes: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(4000);
+    let large = std::env::args().any(|a| a == "large");
     let (shapes, queries) = scaling_corpus(n_shapes);
     let mut builder = ShapeBaseBuilder::new();
     let polys: Vec<_> = shapes.iter().map(|(_, s)| s.clone()).collect();
@@ -276,7 +342,7 @@ fn main() {
         let prepared = prepare_into(&mut slot, q);
         for c in 0..*nscored {
             let cand = &polys[(qi * 31 + c * 7) % polys.len()];
-            score_sink += score(ScoreKind::DiscreteSymmetric, cand, prepared);
+            score_sink += score(KIND, cand, prepared);
             scored += 1;
         }
     }
@@ -332,6 +398,7 @@ fn main() {
     println!("(sinks: tris {tri_sink}, verts {vert_sink}, kd {kd_sink}, score {score_sink:.3}, scored {scored})");
     exact_path_phases();
     distance_census();
+    plan_sweep(large);
     no_near_match_probe();
 }
 
@@ -360,59 +427,55 @@ fn digest(hasher: &mut DefaultHasher, hits: &[DynMatch]) {
 
 /// Where the point-to-query distances of a served exact query are asked
 /// for, and what each costs with the query's nearest-edge grid off and
-/// on. The world is the benchmark's `exact_sketch` one — a 1 024-shape
-/// level and the rest of `small(200, 1)` in the insert buffer — with a
-/// static twin of the level (same copies, same ids), so each site can be
-/// replayed through the public API from what the real run recorded; the
-/// replays are checked against the run's own counts.
+/// on. The world is the benchmark's `exact_sketch` one
+/// ([`canonical_world`]) with a static twin of the level (same copies,
+/// same ids), so each site can be replayed through the public API; the
+/// replay is checked against the run's own counts and answer.
 ///
-/// The seed replay below is a second copy of `View::probe_rerank`'s
-/// cascade (ring-by-ring collection, per-shape k-th-best cutoff, buffer
-/// rings) and [`forward_calls`] one of `h_avg_discrete_abandoning`: they
-/// track the library by hand, and the asserts only catch drift by
-/// panicking. If the census outlives the decision it was written for,
-/// replace the replay with a per-call hook in the library (widen
+/// The replay below is a second copy of `View::retrieve` — the cascade
+/// (ring-by-ring collection, buffer rings), then one bounded-scoring loop
+/// over the seed's candidates, the level's remaining copies and the
+/// buffer's, against the per-shape k-th-best cutoff — and
+/// [`forward_calls`] one of `h_avg_discrete_abandoning`: they track the
+/// library by hand, and the asserts only catch drift by panicking. If
+/// the census outlives the decision it was written for, replace the
+/// replay with a per-call hook in the library (widen
 /// `SegmentIndex::probe_cost`) instead of growing it.
 fn distance_census() {
-    const SITES: [&str; 4] = ["ring test", "seed", "resolve", "buffer"];
-    const KIND: ScoreKind = ScoreKind::DiscreteSymmetric;
-    let corpus = generate(&CorpusConfig::small(200, 1));
-    let queries = corpus.queries(100, 0.02, 1);
-    let backend = geosir_geom::rangesearch::Backend::RangeTree;
+    const SITES: [&str; 3] = ["seed", "scan", "buffer"];
     let cfg = MatchConfig { beta: 0.2, k: K, ..Default::default() };
+    let (corpus, queries, dynamic) = canonical_world(&cfg);
     let (levelled, buffered) = corpus.shapes.split_at(1024);
-    let mut dynamic = DynamicBase::new(0.0, backend, cfg, 512);
-    dynamic.bulk_load(levelled.iter().map(|(image, _, s)| (*image, s.clone())));
     let mut builder = ShapeBaseBuilder::new();
     for (image, _, s) in levelled {
         builder.add_shape(*image, s.clone());
     }
-    let twin = builder.build(0.0, backend);
-    let snap_family = dynamic.snapshot();
-    let family = snap_family.hash_family();
+    let twin = builder.build(0.0, Backend::RangeTree);
+    let snap = dynamic.snapshot();
+    let family = snap.hash_family();
     let buckets = SigBuckets::build(family, &twin);
-    // a buffered shape as the base holds it: id, prepared copies, signatures
+    // a buffered shape as the base holds it: id (the level took 0..1024),
+    // prepared copies, signatures
     let buffer: Vec<_> = buffered
         .iter()
-        .map(|(image, _, s)| {
+        .enumerate()
+        .map(|(i, (_, _, s))| {
             let copies: Vec<PreparedShape> =
                 normalized_copies(s, 0.0).into_iter().map(|c| PreparedShape::new(c.shape)).collect();
             let sigs: Vec<_> = copies.iter().map(|c| signature_of(family, c.shape())).collect();
-            (dynamic.insert(*image, s.clone()).0, copies, sigs)
+            (1024 + i as u64, copies, sigs)
         })
         .collect();
-    let snap = dynamic.snapshot();
 
     let (mut scratch, mut tmp, mut ax) =
         (MatcherScratch::new(), MatchOutcome::default(), ApproxScratch::new());
     let (mut hits, mut seeds) = (Vec::new(), Vec::new());
     let (mut stats, mut astats) = (RetrieveStats::default(), ApproxStats::default());
-    let mut explain = geosir_core::dynamic::QueryExplain::default();
     let opts = ApproxOptions { k: K, ..ApproxOptions::default() };
-    let (mut index, mut reported, mut back) = (IndexScratch::default(), Vec::new(), None);
-    let mut sites: [Vec<Point>; 4] = Default::default();
-    let (mut calls, mut edges_off, mut edges_on, mut answered) = ([0usize; 4], 0, 0, 0);
-    let mut scored = 0;
+    let mut back = None;
+    let mut sites: [Vec<Point>; 3] = Default::default();
+    let (mut calls, mut edges_off, mut edges_on, mut answered) = ([0usize; 3], 0, 0, 0);
+    let mut scanned = 0;
     let (mut ns_off, mut ns_on, mut build_us) = (0.0, 0.0, 0.0);
     // (fixed keys: equal lists give equal digests across runs and builds
     // of one toolchain)
@@ -430,30 +493,41 @@ fn distance_census() {
         let mut grid = PreparedShape::new(primary);
         build_us += best_of(20, &mut || grid.build_grid()) * 1e6;
         snap.similar_approx_with(&mut scratch, &mut tmp, &mut ax, q, &opts, &mut seeds, &mut astats);
-        snap.explain_with_stats(&mut scratch, &mut tmp, q, K, &mut hits, &mut stats, &mut explain);
+        snap.retrieve_with_stats(&mut scratch, &mut tmp, q, K, &mut hits, &mut stats);
         digest(&mut approx_digest, &seeds);
         digest(&mut exact_digest, &hits);
-        scored += stats.candidates_scored;
-        // the seed's k-th score is the level's threshold; `tmp` keeps the
-        // level's run (triangles, scored copies, everything within τ)
-        let tau = seeds.get(K - 1).expect("every sketch is seeded").score;
+        scanned += stats.scan_copies;
         sites.iter_mut().for_each(Vec::clear);
 
-        reported.clear();
-        twin.report_triangles_with(&mut index, &tmp.triangle_trace, &mut reported);
-        assert_eq!(reported.len() as u64, stats.vertices_reported);
-        sites[0].extend(reported.iter().map(|&v| twin.vertex_point(v)));
-
+        // the one loop: score against the board's cutoff, keep the
+        // per-shape best, re-derive the k-th; returns "not abandoned"
+        let mut board = std::collections::HashMap::new();
+        let mut cutoff = f64::INFINITY;
+        let mut offer = |id: u64, cand: &Polyline, site: &mut Vec<Point>| {
+            forward_calls(cand, &grid, cutoff, site);
+            let score = score_bounded_with(KIND, cand, &grid, &mut back, cutoff);
+            if score <= cutoff {
+                let kept = board.entry(id).or_insert(f64::INFINITY);
+                *kept = score.min(*kept);
+                if board.len() >= K {
+                    let mut scores: Vec<f64> = board.values().copied().collect();
+                    scores.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                    cutoff = scores[K - 1];
+                }
+            }
+            score.is_finite()
+        };
         // the seed: the cascade's candidates ring by ring (level, then
-        // buffer), reranked against the running per-shape k-th best
+        // buffer)
         let qsig = signature_of(family, grid.shape());
         let (mut within, mut emitted) = (Vec::new(), 0);
-        let mut best = std::collections::HashMap::new();
-        let (mut cutoff, mut reranked, mut abandoned) = (f64::INFINITY, 0, 0);
+        let mut judged = vec![false; twin.num_copies()];
+        let (mut reranked, mut abandoned) = (0, 0);
         for r in 0..=astats.radius {
             within.clear();
             buckets.collect_within(family.k() as u16, &qsig, r, &mut within);
             let level_ring = within[emitted..].iter().map(|&c| {
+                judged[c.index()] = true;
                 let copy = twin.copy(c);
                 (copy.shape_id.0 as u64, &copy.normalized)
             });
@@ -462,33 +536,28 @@ fn distance_census() {
                 copies.iter().zip(sigs).filter(move |(_, s)| at_r(s)).map(|(c, _)| (*id, c.shape()))
             });
             for (id, cand) in level_ring.chain(buffer_ring) {
-                forward_calls(cand, &grid, cutoff, &mut sites[1]);
-                let score = score_bounded_with(KIND, cand, &grid, &mut back, cutoff);
                 reranked += 1;
-                if !score.is_finite() {
-                    abandoned += 1;
-                    continue;
-                }
-                let kept = best.entry(id).or_insert(f64::INFINITY);
-                *kept = score.min(*kept);
-                if best.len() >= K {
-                    let mut scores: Vec<f64> = best.values().copied().collect();
-                    scores.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                    cutoff = scores[K - 1];
-                }
+                abandoned += !offer(id, cand, &mut sites[0]) as u64;
             }
             emitted = within.len();
         }
         assert_eq!((reranked, abandoned), (astats.reranked, astats.abandoned), "seed replay diverged");
-
-        for &cid in &tmp.access_trace[..tmp.stats.candidates_scored] {
-            forward_calls(&twin.copy(cid).normalized, &grid, tau, &mut sites[2]);
+        // the scan: every copy of the level the seed did not judge
+        let (mut copies, mut survivors) = (0, 0);
+        for (_, copy) in twin.copies().filter(|(cid, _)| !judged[cid.index()]) {
+            copies += 1;
+            survivors += offer(copy.shape_id.0 as u64, &copy.normalized, &mut sites[1]) as u64;
         }
-        let buffer_cutoff = tau.min(tmp.matches.get(K - 1).map_or(f64::INFINITY, |m| m.score));
+        assert_eq!((copies, survivors), (stats.scan_copies, stats.scan_survivors), "scan replay diverged");
         assert_eq!(buffer.len() as u64, stats.buffer_scored);
-        for copy in buffer.iter().flat_map(|(_, copies, _)| copies) {
-            forward_calls(copy.shape(), &grid, buffer_cutoff, &mut sites[3]);
+        for (id, copy) in buffer.iter().flat_map(|(id, copies, _)| copies.iter().map(move |c| (*id, c))) {
+            offer(id, copy.shape(), &mut sites[2]);
         }
+        let mut replayed: Vec<(f64, u64)> = board.iter().map(|(&id, &s)| (s, id)).collect();
+        replayed.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        replayed.truncate(K);
+        let served: Vec<(f64, u64)> = hits.iter().map(|m| (m.score, m.shape.0)).collect();
+        assert_eq!(replayed, served, "the replay's answer diverged");
 
         let all: Vec<Point> = sites.concat();
         for (count, site) in calls.iter_mut().zip(&sites) {
@@ -520,7 +589,7 @@ fn distance_census() {
     for (site, count) in SITES.iter().zip(calls) {
         print!(" {site} {:.0} ", count as f64 / n);
     }
-    println!("), {:.1} bounded scorings in the level", scored as f64 / n);
+    println!("), {:.1} copies scored by the level scan", scanned as f64 / n);
     println!(
         "  grid off: {:5.2} edges per call, {:5.1} ns per call",
         edges_off as f64 / total as f64,
@@ -539,6 +608,128 @@ fn distance_census() {
         exact_digest.finish(),
         approx_digest.finish(),
     );
+}
+
+/// The two verifiers of a level with a cutoff, side by side, and which
+/// one `View::retrieve` picked: `small(images, 1)` bulk-loaded into one
+/// level, 100 queries a row — stored shapes verbatim (`self`: τ = 0, the
+/// smallest envelope there is) or sketches of family prototypes at the
+/// given distortion — the hash tier's k-th score as τ. `envelope` is one
+/// `retrieve_within(τ)` run (cover + simplex report + certificate) on a
+/// static twin of the level, `scan` every copy of the twin through
+/// `score_bounded_with` at cutoff τ; neither has the seed's verdicts
+/// handed to it, which the served run (`Snapshot::retrieve_with_stats`,
+/// seed included) does. Every row asserts that the served answer and the
+/// envelope's agree bit for bit. `dynamic.rs::envelope_beats_scan`'s two
+/// constants are read off this table.
+fn plan_sweep(large: bool) {
+    println!(
+        "plan sweep, one level, 100 queries a row (µs/query; served = seed + the plan \
+         View::retrieve picked):"
+    );
+    println!(
+        "  {:>7} {:>7} {:>3} {:>5} | {:>7} {:>9} {:>8} | {:>9} {:>8} | {:>7} {:>8} {:>9}",
+        "shapes", "copies", "k", "query", "seed", "envelope", "scan", "served", "plan", "τ mean",
+        "reported", "survivors",
+    );
+    let cfg = MatchConfig { beta: 0.2, k: K, ..Default::default() };
+    for images in [200, 700, 2000, 6000].into_iter().chain(large.then_some(19_000)) {
+        let corpus = generate(&CorpusConfig::small(images, 1));
+        let twin = corpus.build_base(0.0, Backend::RangeTree);
+        let mut dynamic = DynamicBase::new(0.0, Backend::RangeTree, cfg.clone(), 512);
+        dynamic.bulk_load(corpus.shapes.iter().map(|(image, _, s)| (*image, s.clone())));
+        let snap = dynamic.snapshot();
+        let matcher = Matcher::new(&twin, cfg.clone());
+        let (mut scratch, mut tmp, mut ax) =
+            (MatcherScratch::new(), MatchOutcome::default(), ApproxScratch::new());
+        let (mut hits, mut stats, mut astats) =
+            (Vec::new(), RetrieveStats::default(), ApproxStats::default());
+        let mut back = None;
+        for (k, distortion) in
+            [(1, None), (1, Some(0.0)), (1, Some(0.02)), (K, Some(0.0)), (K, Some(0.02))]
+        {
+            let opts = ApproxOptions { k, ..ApproxOptions::default() };
+            let mut queries = match distortion {
+                Some(d) => corpus.queries(100, d, 1),
+                None => {
+                    let step = corpus.shapes.len() / 100;
+                    corpus.shapes.iter().step_by(step).take(100).map(|(_, _, s)| s.clone()).collect()
+                }
+            };
+            // τ per query; one the hash tier cannot seed has no τ to hand
+            // either verifier
+            let mut taus = Vec::new();
+            queries.retain(|q| {
+                snap.similar_approx_with(&mut scratch, &mut tmp, &mut ax, q, &opts, &mut hits, &mut astats);
+                hits.get(k - 1).map(|m| taus.push(m.score)).is_some()
+            });
+            let prepared: Vec<PreparedShape> = queries
+                .iter()
+                .map(|q| {
+                    let mut p = PreparedShape::new(normalize_about_diameter(q).unwrap().0.shape);
+                    p.build_grid();
+                    p
+                })
+                .collect();
+            let n = queries.len() as f64;
+            let seed = timed(&queries, &mut |_, q| {
+                snap.similar_approx_with(&mut scratch, &mut tmp, &mut ax, q, &opts, &mut hits, &mut astats)
+            });
+            let envelope = timed(&queries, &mut |i, q| {
+                matcher.retrieve_within_with(&mut scratch, q, taus[i], &mut tmp)
+            });
+            let mut survivors = 0;
+            let scan = timed(&queries, &mut |i, _| {
+                survivors += twin
+                    .copies()
+                    .filter(|(_, copy)| {
+                        score_bounded_with(KIND, &copy.normalized, &prepared[i], &mut back, taus[i]).is_finite()
+                    })
+                    .count();
+            });
+            let served = timed(&queries, &mut |_, q| {
+                snap.retrieve_with_stats(&mut scratch, &mut tmp, q, k, &mut hits, &mut stats)
+            });
+            let (mut reported, mut by_envelope, mut capped) = (0, 0, 0);
+            for (q, &tau) in queries.iter().zip(&taus) {
+                snap.retrieve_with_stats(&mut scratch, &mut tmp, q, k, &mut hits, &mut stats);
+                by_envelope += (stats.rings > 0) as usize;
+                matcher.retrieve_within_with(&mut scratch, q, tau, &mut tmp);
+                reported += tmp.stats.vertices_reported;
+                if tmp.stats.exhausted {
+                    capped += 1; // τ / f_u past the ε-cap: the envelope's set may be short
+                    continue;
+                }
+                // bulk load: level ShapeId i is GlobalShapeId i
+                let want: Vec<_> = hits.iter().map(|m| (m.shape.0, m.score.to_bits())).collect();
+                let got: Vec<_> =
+                    tmp.matches[..k].iter().map(|m| (m.shape.0 as u64, m.score.to_bits())).collect();
+                assert_eq!(got, want, "the two verifiers disagree");
+            }
+            let plan = match by_envelope {
+                0 => "scan".to_string(),
+                e if e == queries.len() => "envelope".to_string(),
+                e => format!("env {e}/{}", queries.len()),
+            };
+            println!(
+                "  {:7} {:7} {:3} {:>5} | {:7.1} {:9.1} {:8.1} | {:9.1} {:>8} | {:7.4} {:7.1}% {:9.1}{}",
+                corpus.shapes.len(),
+                twin.num_copies(),
+                k,
+                distortion.map_or("self".into(), |d| format!("{d:.2}")),
+                seed / n,
+                envelope / n,
+                scan / n,
+                served / n,
+                plan,
+                taus.iter().sum::<f64>() / n,
+                100.0 * reported as f64 / (n * twin.total_vertices() as f64),
+                // (two timed passes)
+                survivors as f64 / (2.0 * n),
+                if capped > 0 { format!("  ({capped} envelopes stopped at the ε-cap)") } else { String::new() },
+            );
+        }
+    }
 }
 
 /// DESIGN §12.5's probe: a k = 1 query for a verbatim copy of a corpus
@@ -565,21 +756,22 @@ fn no_near_match_probe() {
         let snap = shard.snapshot();
         let (mut scratch, mut tmp) = (MatcherScratch::new(), MatchOutcome::default());
         let (mut hits, mut stats) = (Vec::new(), RetrieveStats::default());
-        let (mut best_us, mut rings, mut reported) = (f64::INFINITY, 0, 0);
+        let (mut best_us, mut scanned, mut survivors) = (f64::INFINITY, 0, 0);
         for _ in 0..5 {
-            (rings, reported) = (0, 0);
+            (scanned, survivors) = (0, 0);
             let t0 = Instant::now();
             for q in &queries {
                 snap.retrieve_with_stats(&mut scratch, &mut tmp, q, 1, &mut hits, &mut stats);
-                rings += stats.rings;
-                reported += stats.vertices_reported;
+                scanned += stats.scan_copies;
+                survivors += stats.scan_survivors;
             }
             best_us = best_us.min(t0.elapsed().as_secs_f64() * 1e6 / queries.len() as f64);
         }
         println!(
-            "  {label}: {best_us:8.1} µs/query  (rings {:.1}, reported {:.0}, best score {:.4})",
-            rings as f64 / queries.len() as f64,
-            reported as f64 / queries.len() as f64,
+            "  {label}: {best_us:8.1} µs/query  (copies scanned {:.0}, survivors {:.1}, best score \
+             {:.4})",
+            scanned as f64 / queries.len() as f64,
+            survivors as f64 / queries.len() as f64,
             hits.first().map_or(f64::NAN, |m| m.score),
         );
     }

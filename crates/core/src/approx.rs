@@ -26,7 +26,7 @@ use std::collections::HashMap;
 use geosir_geom::Point;
 use geosir_obs as obs;
 
-use crate::dynamic::GlobalShapeId;
+use crate::dynamic::{DynMatch, GlobalShapeId};
 use crate::hashing::{signature_of_with, CurveFamily, Signature};
 use crate::ids::CopyId;
 use crate::shapebase::ShapeBase;
@@ -187,7 +187,10 @@ pub struct ApproxScratch {
     pub(crate) cands: Vec<CandRef>,
     /// Prepared candidate (reverse direction), rebuilt per survivor.
     pub(crate) back: Option<PreparedShape>,
-    /// shape → index of its current best score in the output vector.
+    /// The query's per-shape board: one row per scored live shape with
+    /// its best score so far (the answer is its k best, copied out).
+    pub(crate) rows: Vec<DynMatch>,
+    /// shape → index of its row.
     pub(crate) best: HashMap<GlobalShapeId, u32>,
     /// Score scratch for the running kth-best cutoff.
     pub(crate) ktmp: Vec<f64>,
@@ -210,6 +213,7 @@ impl ApproxScratch {
         }
         self.ring.clear();
         self.cands.clear();
+        self.rows.clear();
         self.best.clear();
         self.ktmp.clear();
     }

@@ -13,9 +13,12 @@
 //!
 //! An exact query is *seed-and-verify* (`View::retrieve`): the hash tier
 //! (§3, [`crate::approx`]) is probed first, and the k-th best of the true
-//! scores it returns bounds what any sub-base still has to report — one
-//! envelope per level instead of a fattening schedule, exact on all k
-//! ranks (DESIGN.md §11.6).
+//! scores it returns bounds what any sub-base can still contribute — so
+//! each level is scanned, copy by copy, with the early-abandoning `h_avg`
+//! against that cutoff, exact on all k ranks (DESIGN.md §11.6). A level's
+//! [`Matcher`] runs only while no cutoff exists yet (fewer than k seeds),
+//! or where the cutoff is so tight that one envelope of a large level is
+//! the cheaper verifier (`envelope_beats_scan`).
 //!
 //! ## Snapshots
 //!
@@ -28,7 +31,8 @@
 //! threads retrieve against earlier snapshots. This is the foundation of
 //! `geosir-serve`'s snapshot-isolated live updates.
 
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use geosir_geom::rangesearch::Backend;
@@ -42,11 +46,13 @@ use crate::approx::{
 use crate::hashing::{signature_of, signature_of_with, CurveFamily, Signature};
 use crate::ids::{CopyId, ImageId, ShapeId};
 use crate::matcher::{
-    Match, MatchConfig, MatchOutcome, Matcher, MatcherPlan, RingExplain, RunMode, Termination,
+    Match, MatchConfig, MatchOutcome, Matcher, MatcherMetrics, MatcherPlan, RingExplain, RunMode,
+    Termination,
 };
+use crate::normalize::LUNE_AREA;
 use crate::scratch::MatcherScratch;
 use crate::shapebase::{ShapeBase, ShapeBaseBuilder};
-use crate::similarity::{score_bounded_with, score_prepared_bounded, PreparedShape};
+use crate::similarity::{score_bounded_with, score_prepared_bounded, PreparedShape, ScoreKind};
 
 /// A shape registered with the dynamic base (stable across rebuilds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -147,14 +153,21 @@ pub struct DynMatch {
 pub struct RetrieveStats {
     /// Levels queried.
     pub levels: u64,
-    /// Envelope iterations summed over levels.
+    /// Envelope iterations summed over the levels that ran the matcher
+    /// (a scanned level has none).
     pub rings: u64,
     /// Vertices the range-search index reported (pre-filter).
     pub vertices_reported: u64,
     /// Ring vertices processed after exact-distance filtering.
     pub vertices_processed: u64,
-    /// `h_avg` evaluations (credit + counter promotions).
+    /// `h_avg` evaluations in the levels: every copy a scan scored, plus
+    /// a top-k run's credit, promotion and resolve scorings.
     pub candidates_scored: u64,
+    /// Of those, the copies the level scans scored (a level's copies
+    /// minus what the seed had settled), and how many of them the cutoff
+    /// did not cut short.
+    pub scan_copies: u64,
+    pub scan_survivors: u64,
     /// Triangles submitted to the range-search index.
     pub triangles_queried: u64,
     /// Buffered shapes scored brute force.
@@ -171,7 +184,13 @@ pub struct RetrieveStats {
 }
 
 /// One level's share of an EXPLAIN'd query: the matcher's per-ring
-/// breakdown plus the level-local totals it sums to.
+/// breakdown plus the level-local totals it sums to. A scanned level
+/// ([`Termination::Scan`]) has no rings, vertices or ε-cap: its
+/// `candidates_scored` are the copies the scan scored, `credit_scored`
+/// the copies the seed had already settled (the two sum to the level's
+/// copies), and its cutoff τ reads `final_eps` with `bound_factor` 1 —
+/// `bound_factor · final_eps` is the level's score cutoff under either
+/// plan.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LevelExplain {
     /// Shapes indexed in this level.
@@ -239,6 +258,10 @@ struct DynMetrics {
     seeded: Arc<obs::Counter>,
     unseeded: Arc<obs::Counter>,
     seed_reranked: Arc<obs::Counter>,
+    /// Copies the level scans scored, and those the cutoff did not cut
+    /// short.
+    scan_copies: Arc<obs::Counter>,
+    scan_survivors: Arc<obs::Counter>,
     /// `true k-th ÷ τ` in permille: how tight the seed was (1000 = the
     /// hash tier already had the answer).
     seed_tightness: Arc<obs::Histogram>,
@@ -246,6 +269,9 @@ struct DynMetrics {
 
 impl DynMetrics {
     fn build(reg: &obs::Registry) -> DynMetrics {
+        // A seeded query never runs a level's matcher; its series stay
+        // exposed all the same (reading 0, not absent, to a scraper).
+        MatcherMetrics::build(reg);
         DynMetrics {
             queries: reg.counter("geosir_dynamic_queries_total", &[]),
             rings_per_query: reg.histogram("geosir_matcher_rings_per_query", &[]),
@@ -256,6 +282,8 @@ impl DynMetrics {
             seeded: reg.counter("geosir_exact_queries_total", &[("seeded", "true")]),
             unseeded: reg.counter("geosir_exact_queries_total", &[("seeded", "false")]),
             seed_reranked: reg.counter("geosir_exact_seed_reranked_total", &[]),
+            scan_copies: reg.counter("geosir_exact_scan_copies_total", &[]),
+            scan_survivors: reg.counter("geosir_exact_scan_survivors_total", &[]),
             seed_tightness: reg.histogram("geosir_exact_seed_tightness_permille", &[]),
         }
     }
@@ -871,17 +899,14 @@ impl View<'_> {
 
     /// The hash tier's probe + bounded rerank: collect candidate copies
     /// in rings of increasing curve distance around the query's
-    /// signature, score them with the early-abandoning `h_avg` against a
-    /// running k-th-best cutoff, and leave the k best live shapes in
-    /// `out` (true scores, ascending). Fills the funnel fields of
-    /// `stats`; `stats.candidates == 0` means the cascade found nothing.
-    /// Calls no other tier — [`Snapshot::similar_approx_with`] wraps it
-    /// with the exact fallback, [`View::retrieve`] uses it as its seed.
-    ///
-    /// Probing uses only the primary normalized copy: the base stores
-    /// *both* orientations of every shape per α-diameter, so a stored
-    /// copy in the query's orientation exists whenever the shape is
-    /// similar at all.
+    /// signature ([`Self::probe`]), score them with the early-abandoning
+    /// `h_avg` against the board's running k-th best ([`score_onto`]),
+    /// and leave the k best live shapes in `out` (true scores,
+    /// ascending). Fills the funnel fields of `stats`;
+    /// `stats.candidates == 0` means the cascade found nothing. Calls no
+    /// other tier — [`Snapshot::similar_approx_with`] wraps it with the
+    /// exact fallback, [`View::retrieve`] runs the same two steps as its
+    /// seed and keeps the board.
     fn probe_rerank(
         &self,
         ax: &mut ApproxScratch,
@@ -892,20 +917,39 @@ impl View<'_> {
     ) {
         out.clear();
         let k = if opts.k == 0 { self.config.k } else { opts.k };
+        self.probe(ax, qprep, opts, stats);
+        let ApproxScratch { cands, back, rows, best, ktmp, .. } = ax;
+        let mut board = Board { k, cutoff: f64::INFINITY, rows, slot: best, ktmp };
+        self.rerank(cands, qprep, back, &mut board, stats);
+        board.finish(out);
+    }
+
+    /// The cascade: rings of increasing curve distance over every level
+    /// index plus the buffer signatures, into `ax.cands`. Stops at the
+    /// end of the first ring that fills the candidate budget;
+    /// `max_radius` is a soft preference — expansion continues past it
+    /// while the candidate set is still empty, so the tier returns
+    /// *something* whenever live shapes exist.
+    ///
+    /// Probing uses only the primary normalized copy: the base stores
+    /// *both* orientations of every shape per α-diameter, so a stored
+    /// copy in the query's orientation exists whenever the shape is
+    /// similar at all.
+    fn probe(
+        &self,
+        ax: &mut ApproxScratch,
+        qprep: &PreparedShape,
+        opts: &ApproxOptions,
+        stats: &mut ApproxStats,
+    ) {
         let family = self.family;
         let kf = family.k() as u16;
         let max_radius = opts.max_radius.min(kf);
         let max_cand = opts.max_candidates.max(1);
         ax.begin(self.levels.len());
-        let ApproxScratch { quarters, vals, probes, ring, cands, back, best, ktmp, .. } = ax;
+        let ApproxScratch { quarters, vals, probes, ring, cands, .. } = ax;
         let qsig = signature_of_with(family, qprep.shape(), quarters);
         let mut probed = 0u64;
-        // The cascade: rings of increasing curve distance over every
-        // level index plus the buffer signatures. Stops at the end of
-        // the first ring that fills the candidate budget; `max_radius`
-        // is a soft preference — expansion continues past it while the
-        // candidate set is still empty, so the tier returns *something*
-        // whenever live shapes exist.
         for r in 0..=kf {
             stats.radius = r;
             for (li, Slot { level, .. }) in self.slots() {
@@ -939,77 +983,61 @@ impl View<'_> {
         }
         stats.buckets_probed = probed;
         stats.candidates = cands.len() as u64;
-
-        // Exact rerank with a running cutoff: the k-th smallest
-        // *per-shape best* score on the board. Per-shape (not per-copy):
-        // a copy-level top-k could prune the only copy of a shape whose
-        // best score still belongs in the answer.
-        let mut cutoff = f64::INFINITY;
-        for c in cands.iter_mut() {
-            let (gid, image, score) = if c.level == BUFFER_LEVEL {
-                let b = &self.buffer[c.a as usize];
-                let s = score_prepared_bounded(
-                    self.config.score,
-                    &b.copies[c.b as usize],
-                    qprep,
-                    cutoff,
-                );
-                (b.id, b.image, s)
-            } else {
-                let level = &self.levels[c.level as usize].as_ref().expect("probed slot").level;
-                let copy = level.base.copy(CopyId(c.a));
-                let gid = level.ids[copy.shape_id.index()];
-                if self.is_dead(&gid) {
-                    continue;
-                }
-                let s =
-                    score_bounded_with(self.config.score, &copy.normalized, qprep, back, cutoff);
-                (gid, level.images[copy.shape_id.index()], s)
-            };
-            stats.reranked += 1;
-            c.verdict = score;
-            if !score.is_finite() {
-                stats.abandoned += 1;
-                continue;
-            }
-            match best.entry(gid) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    let i = *e.get() as usize;
-                    if score >= out[i].score {
-                        continue;
-                    }
-                    out[i].score = score;
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(out.len() as u32);
-                    out.push(DynMatch { shape: gid, image, score });
-                }
-            }
-            if out.len() >= k {
-                ktmp.clear();
-                ktmp.extend(out.iter().map(|m| m.score));
-                let (_, kth, _) =
-                    ktmp.select_nth_unstable_by(k - 1, |a, b| a.partial_cmp(b).unwrap());
-                cutoff = *kth;
-            }
-        }
-        out.sort_unstable_by(|a, b| {
-            a.score.partial_cmp(&b.score).unwrap().then(a.shape.cmp(&b.shape))
-        });
-        out.truncate(k);
     }
 
-    /// Exact retrieval, seed-and-verify: the hash tier's k-th best score
-    /// is a true score of a live stored shape, hence an upper bound τ on
-    /// the true k-th best — so every level only has to report what scores
-    /// ≤ τ (one envelope each, [`RunMode::Threshold`]), the buffer scan
-    /// is bounded by τ, tombstones are filtered, and the merge truncated
-    /// to k is the exact top-k on all k ranks. With fewer than k seeds
-    /// the largest level runs a full top-k certification instead and its
-    /// k-th best becomes the cutoff of the smaller ones. Either way the
-    /// cutoff tightens to the running k-th best as levels report.
+    /// Score the probe's candidates onto `board` in ring order, leaving
+    /// each one's verdict beside it for the exact tier's hand-off. A
+    /// level candidate of a tombstoned shape is dropped unscored (its
+    /// verdict stays NaN); the probe already left dead buffer entries
+    /// out.
+    fn rerank(
+        &self,
+        cands: &mut [CandRef],
+        qprep: &PreparedShape,
+        back: &mut Option<PreparedShape>,
+        board: &mut Board<'_>,
+        stats: &mut ApproxStats,
+    ) {
+        let offers = cands.iter_mut().filter_map(|c| {
+            if c.level == BUFFER_LEVEL {
+                let b = &self.buffer[c.a as usize];
+                let geom = CopyGeom::Indexed(&b.copies[c.b as usize]);
+                return Some(Offer { shape: b.id, image: b.image, geom, verdict: Some(&mut c.verdict) });
+            }
+            let level = &self.levels[c.level as usize].as_ref().expect("probed slot").level;
+            let copy = level.base.copy(CopyId(c.a));
+            let shape = level.ids[copy.shape_id.index()];
+            (!self.is_dead(&shape)).then_some(Offer {
+                shape,
+                image: copy.image,
+                geom: CopyGeom::Stored(&copy.normalized),
+                verdict: Some(&mut c.verdict),
+            })
+        });
+        let done = score_onto(self.config.score, qprep, back, board, offers, |_| false);
+        stats.reranked += done.scored;
+        stats.abandoned += done.abandoned;
+    }
+
+    /// Exact retrieval, seed → bounded scan per level → buffer → merge:
+    /// the hash tier's probe is reranked onto the board first, and its
+    /// k-th best — a true score of a live stored shape, hence an upper
+    /// bound τ on the true k-th best — is the cutoff every remaining copy
+    /// is then scored against by the same loop ([`score_onto`]): each
+    /// level's copies in storage order, then the buffer's. A copy the
+    /// bounded scorer abandons is provably above the cutoff, a tie is
+    /// scored exactly, the cutoff only tightens (to the board's per-shape
+    /// k-th best), tombstones are looked up for the survivors alone — so
+    /// the board sorted by `(score, id)` and truncated to k is the exact
+    /// top-k on all k ranks, with no ε-cap to run into. A level runs the
+    /// paper's matcher instead in two cases, and what it reports joins
+    /// the board: while the board is short of k shapes (fewer than k
+    /// seeds) there is no cutoff to scan against, so the next (largest
+    /// remaining) level runs the certified top-k loop; and a large level
+    /// whose cutoff is nearly 0 is verified by one `Threshold` envelope
+    /// within its cap ([`envelope_beats_scan`]).
     /// Allocation-free in steady state. Every caller passes `handoff`;
-    /// without it the level runs score the seed's copies over again (the
+    /// without it the levels score the seed's copies over again (the
     /// differential test's other leg: same answer, more scorings).
     #[allow(clippy::too_many_arguments)]
     fn retrieve(
@@ -1033,19 +1061,26 @@ impl View<'_> {
         let mut tau = f64::INFINITY;
         // degenerate geometry normalizes to nothing and matches nothing
         if scratch.prepare_query(query) {
-            let MatcherScratch { seed, seeds, query: qprep, .. } = &mut *scratch;
-            let qprep = qprep.as_ref().expect("prepared above");
+            // The seed scratch holds the candidates' verdicts and the
+            // board; it is taken out while the query runs so that a
+            // level's `Matcher::run` can have all of `scratch`.
+            let mut seed = std::mem::take(&mut scratch.seed);
             let opts = ApproxOptions { k, ..ApproxOptions::default() };
-            self.probe_rerank(seed, qprep, &opts, seeds, &mut seed_stats);
-            tau = kth_best_score(seeds, k);
+            let qprep = scratch.query.as_ref().expect("prepared above");
+            self.probe(&mut seed, qprep, &opts, &mut seed_stats);
+            let ApproxScratch { cands, back, rows, best, ktmp, .. } = &mut seed;
+            let mut board = Board { k, cutoff: f64::INFINITY, rows, slot: best, ktmp };
+            self.rerank(cands, qprep, back, &mut board, &mut seed_stats);
+            tau = board.cutoff;
 
             tmp.explain.enabled = explain.is_some();
+            let l_q = qprep.shape().perimeter();
             // largest level first: unseeded, its certified k-th best is
-            // what keeps the smaller levels cheap
+            // what lets the smaller levels be scanned
             for (li, Slot { level, dead }) in self.slots().rev() {
-                let cutoff = tau.min(kth_best_score(out, k));
-                let mode =
-                    if cutoff.is_finite() { RunMode::Threshold(cutoff) } else { RunMode::TopK };
+                let judged =
+                    cands.iter().filter(|c| handoff && c.level == li as u32 && !c.verdict.is_nan());
+                stats.levels += 1;
                 // A top-k run ranks over the level's full base, tombstones
                 // included, and truncates at k — so it asks for k plus the
                 // level's tombstone count, or live shapes ranked right
@@ -1053,22 +1088,59 @@ impl View<'_> {
                 // runs. (A threshold run reports everything ≤ τ anyway.)
                 let level_config = MatchConfig { k: k + dead, ..self.config.clone() };
                 let matcher = Matcher::with_plan(&level.base, level_config, level.plan.clone());
+                // the paper's matcher where there is no cutoff to scan
+                // against yet, or where one envelope certifies τ for less
+                let run = if !board.cutoff.is_finite() {
+                    Some(RunMode::TopK)
+                } else if envelope_beats_scan(&matcher, board.cutoff, l_q) {
+                    Some(RunMode::Threshold(board.cutoff))
+                } else {
+                    None
+                };
+                let Some(mode) = run else {
+                    // No copy is scored twice: a finite verdict of the
+                    // seed's is on the board already, an abandoned copy
+                    // scored above a cutoff no lower than this one.
+                    scratch.ensure(&level.base);
+                    let stamp = scratch.begin_query();
+                    let settled = &mut scratch.scored_stamp;
+                    let credit = judged.map(|c| settled[c.a as usize] = stamp).count();
+                    let within = board.cutoff;
+                    let offers = level
+                        .base
+                        .copies()
+                        .filter(|(cid, _)| settled[cid.index()] != stamp)
+                        .map(|(_, copy)| Offer {
+                            shape: level.ids[copy.shape_id.index()],
+                            image: copy.image,
+                            geom: CopyGeom::Stored(&copy.normalized),
+                            verdict: None,
+                        });
+                    let qprep = scratch.query.as_ref().expect("prepared above");
+                    let done =
+                        score_onto(self.config.score, qprep, back, &mut board, offers, |g| self.is_dead(g));
+                    stats.candidates_scored += done.scored;
+                    stats.scan_copies += done.scored;
+                    stats.scan_survivors += done.scored - done.abandoned;
+                    stats.last_termination = Termination::Scan;
+                    if let Some(ex) = explain.as_deref_mut() {
+                        ex.levels.push(LevelExplain {
+                            shapes: level.ids.len() as u64,
+                            termination: Termination::Scan,
+                            final_eps: within,
+                            bound_factor: 1.0,
+                            candidates_scored: done.scored,
+                            credit_scored: credit as u32,
+                            ..LevelExplain::default()
+                        });
+                    }
+                    continue;
+                };
                 tmp.clear();
-                // No copy is scored twice: what the seed's rerank found
-                // out about this level's copies rides into the run (which
-                // drains it).
-                if handoff {
-                    scratch.verdicts.extend(
-                        scratch
-                            .seed
-                            .cands
-                            .iter()
-                            .filter(|c| c.level == li as u32 && !c.verdict.is_nan())
-                            .map(|c| (c.a, c.verdict)),
-                    );
-                }
+                // what the seed found out about this level's copies rides
+                // into the run (which drains it)
+                scratch.verdicts.extend(judged.map(|c| (c.a, c.verdict)));
                 matcher.run(scratch, mode, tmp);
-                stats.levels += 1;
                 stats.rings += tmp.stats.iterations as u64;
                 stats.vertices_reported += tmp.stats.vertices_reported as u64;
                 stats.vertices_processed += tmp.stats.vertices_processed as u64;
@@ -1100,41 +1172,28 @@ impl View<'_> {
                 for &Match { shape, score, .. } in &tmp.matches {
                     let gid = level.ids[shape.index()];
                     if !self.is_dead(&gid) {
-                        out.push(DynMatch { shape: gid, image: level.images[shape.index()], score });
+                        board.offer(gid, level.images[shape.index()], score);
                     }
                 }
             }
             tmp.explain.enabled = false;
 
-            // Buffered shapes: scored directly against the copies prepared
-            // at insert time (the buffer is small by design; candidate
-            // indexes were built by the writer, so symmetric scoring does
-            // zero per-call index work). The level pass is complete, so
-            // the cutoff bounds what a buffered shape must beat to enter
-            // the final ranking — candidates the bounded scorer proves
-            // worse would be truncated below.
-            if !self.buffer.is_empty() {
-                let qprep = scratch.query.as_ref().expect("prepared above");
-                let cutoff = tau.min(kth_best_score(out, k));
-                for b in self.buffer {
-                    if self.is_dead(&b.id) {
-                        continue;
-                    }
-                    let best = b
-                        .copies
-                        .iter()
-                        .map(|c| score_prepared_bounded(self.config.score, c, qprep, cutoff))
-                        .fold(f64::INFINITY, f64::min);
-                    stats.buffer_scored += 1;
-                    if best.is_finite() {
-                        out.push(DynMatch { shape: b.id, image: b.image, score: best });
-                    }
-                }
-            }
-            out.sort_unstable_by(|a, b| {
-                a.score.partial_cmp(&b.score).unwrap().then(a.shape.cmp(&b.shape))
+            // Buffered shapes: the copies prepared — indexed — at insert
+            // time, through the same loop (the buffer is small by design,
+            // and symmetric scoring does zero per-call index work).
+            let qprep = scratch.query.as_ref().expect("prepared above");
+            let offers = self.buffer.iter().flat_map(|b| {
+                b.copies.iter().map(|c| Offer {
+                    shape: b.id,
+                    image: b.image,
+                    geom: CopyGeom::Indexed(c),
+                    verdict: None,
+                })
             });
-            out.truncate(k);
+            score_onto(self.config.score, qprep, back, &mut board, offers, |g| self.is_dead(g));
+            stats.buffer_scored = self.buffer.len() as u64;
+            board.finish(out);
+            scratch.seed = seed;
         }
         obs::with_metrics(DynMetrics::build, |m| {
             m.queries.inc();
@@ -1144,6 +1203,8 @@ impl View<'_> {
             // The seed is exact-tier work, counted here — never under the
             // approximate tier's `QueryApprox` series.
             m.seed_reranked.add(seed_stats.reranked);
+            m.scan_copies.add(stats.scan_copies);
+            m.scan_survivors.add(stats.scan_survivors);
             if tau.is_finite() {
                 m.seeded.inc();
                 if let Some(kth) = out.get(k - 1) {
@@ -1166,18 +1227,142 @@ impl View<'_> {
     }
 }
 
-/// The k-th smallest score in `out` (`INFINITY` when there are fewer
-/// than `k` entries): the exact pruning cutoff for later levels and
-/// the buffer scan. Sorts `out` in place (same order the final merge
-/// uses) rather than allocating a scratch score vector — the retrieval
-/// path is zero-alloc in steady state and `out` stays tiny (the shapes
-/// within the cutoff so far).
-fn kth_best_score(out: &mut [DynMatch], k: usize) -> f64 {
-    if k == 0 || out.len() < k {
-        return f64::INFINITY;
+/// A level of fewer copies than this is always scanned: streaming it
+/// through the abandoning scorer costs less than any envelope's cover,
+/// report and certificate (it fits in cache: ≈ 20–40 ns a copy).
+const ENVELOPE_MIN_COPIES: usize = 16_384;
+/// ...and a larger one unless the envelope certifying τ covers at most
+/// this share of the lune — the share of the vertex pool it is expected
+/// to report.
+const ENVELOPE_MAX_LUNE_SHARE: f64 = 1.0 / 256.0;
+
+/// Whether one `Threshold(tau)` envelope is a cheaper verifier of the
+/// matcher's level than a scan of it. Both are exact; at the served
+/// corpora's τ the scan wins everywhere (the envelope reports 1–11 % of
+/// the pool at ≈ 370 ns a vertex, resolve included, against ≈ 100–200 ns
+/// a *copy*), but for a query that is (nearly) a stored shape, τ ≈ 0, the
+/// envelope holds next to nothing and a √n descent beats streaming a
+/// large level: 1.2–1.4× at 22k copies, 1.2–2.2× at 66k, 1.8–3.5× at 209k,
+/// while the scan still wins 1.4–1.9× below 8k and ties at 1.1 % of the pool
+/// (`results/exact_plan_sweep.txt`, the `self` rows). Never past the
+/// ε-cap, so a level with a cutoff is never "exhausted".
+fn envelope_beats_scan(matcher: &Matcher<'_>, tau: f64, l_q: f64) -> bool {
+    let (eps_unit, eps_cap) = matcher.eps_unit_and_cap(l_q);
+    let eps = (tau / matcher.bound_factor()).max(eps_unit);
+    matcher.base().num_copies() >= ENVELOPE_MIN_COPIES
+        && eps <= eps_cap
+        && 2.0 * eps * l_q <= ENVELOPE_MAX_LUNE_SHARE * LUNE_AREA
+}
+
+/// A copy's geometry as its store keeps it: a level holds the normalized
+/// polyline (the reverse index is rebuilt per survivor), the insert
+/// buffer a copy indexed once at insert time.
+enum CopyGeom<'c> {
+    Stored(&'c Polyline),
+    Indexed(&'c PreparedShape),
+}
+
+/// One stored copy handed to [`score_onto`].
+struct Offer<'c> {
+    shape: GlobalShapeId,
+    image: ImageId,
+    geom: CopyGeom<'c>,
+    /// Where the caller wants the copy's verdict kept: its exact score,
+    /// or `INFINITY` when the bounded scorer abandoned it.
+    verdict: Option<&'c mut f64>,
+}
+
+/// What one [`score_onto`] pass did.
+struct Scored {
+    scored: u64,
+    /// Scorings the cutoff cut short.
+    abandoned: u64,
+}
+
+/// The per-shape board of one query: every scored live shape's best
+/// score so far, and the k-th smallest of them — the cutoff the next
+/// scoring is bounded by. Per shape, not per copy: a copy-level top-k
+/// could prune the only copy of a shape whose best score still belongs
+/// in the answer. Borrowed from the query's [`ApproxScratch`], so filling
+/// it allocates nothing once warm.
+struct Board<'a> {
+    k: usize,
+    /// `INFINITY` until k shapes are on the board.
+    cutoff: f64,
+    rows: &'a mut Vec<DynMatch>,
+    /// shape → its row.
+    slot: &'a mut HashMap<GlobalShapeId, u32>,
+    /// Score scratch for re-deriving the cutoff.
+    ktmp: &'a mut Vec<f64>,
+}
+
+impl Board<'_> {
+    /// Put a live shape's copy score on the board; a new per-shape best
+    /// re-derives the cutoff.
+    fn offer(&mut self, shape: GlobalShapeId, image: ImageId, score: f64) {
+        match self.slot.entry(shape) {
+            Entry::Occupied(e) => {
+                let row = &mut self.rows[*e.get() as usize];
+                if score >= row.score {
+                    return;
+                }
+                row.score = score;
+            }
+            Entry::Vacant(e) => {
+                e.insert(self.rows.len() as u32);
+                self.rows.push(DynMatch { shape, image, score });
+            }
+        }
+        if self.rows.len() >= self.k {
+            self.ktmp.clear();
+            self.ktmp.extend(self.rows.iter().map(|m| m.score));
+            let (_, kth, _) =
+                self.ktmp.select_nth_unstable_by(self.k - 1, |a, b| a.partial_cmp(b).unwrap());
+            self.cutoff = *kth;
+        }
     }
-    out.sort_unstable_by(|a, b| a.score.partial_cmp(&b.score).unwrap().then(a.shape.cmp(&b.shape)));
-    out[k - 1].score
+
+    /// Rank the rows by `(score, id)`; the k best are the answer.
+    fn finish(self, out: &mut Vec<DynMatch>) {
+        self.rows.sort_unstable_by(|a, b| {
+            a.score.partial_cmp(&b.score).unwrap().then(a.shape.cmp(&b.shape))
+        });
+        out.extend_from_slice(&self.rows[..self.k.min(self.rows.len())]);
+    }
+}
+
+/// The one bounded-scoring loop — the hash tier's rerank, the exact
+/// tier's level scans and its buffer scan are this, over three sources
+/// of copies: score each against the board's cutoff, drop what the
+/// scorer abandons or what lands past the cutoff anyway (the continuous
+/// kinds never abandon), look the survivor's shape up among the
+/// tombstones (`is_dead`; a source that filtered already passes
+/// `|_| false`), and offer it to the board.
+fn score_onto<'c>(
+    kind: ScoreKind,
+    qprep: &PreparedShape,
+    back: &mut Option<PreparedShape>,
+    board: &mut Board<'_>,
+    offers: impl Iterator<Item = Offer<'c>>,
+    is_dead: impl Fn(&GlobalShapeId) -> bool,
+) -> Scored {
+    let mut done = Scored { scored: 0, abandoned: 0 };
+    for Offer { shape, image, geom, verdict } in offers {
+        let score = match geom {
+            CopyGeom::Stored(copy) => score_bounded_with(kind, copy, qprep, back, board.cutoff),
+            CopyGeom::Indexed(copy) => score_prepared_bounded(kind, copy, qprep, board.cutoff),
+        };
+        done.scored += 1;
+        if let Some(verdict) = verdict {
+            *verdict = score;
+        }
+        if !score.is_finite() {
+            done.abandoned += 1;
+        } else if score <= board.cutoff && !is_dead(&shape) {
+            board.offer(shape, image, score);
+        }
+    }
+    done
 }
 
 #[cfg(test)]
@@ -1648,59 +1833,110 @@ mod tests {
         for i in 0..14 {
             db.insert(ImageId(i), shape(i as u64 + 500));
         }
-        assert!(db.num_levels() >= 1);
+        assert_eq!(db.num_levels(), 2);
         let snap = db.snapshot();
+        let level_copies: Vec<u64> =
+            snap.view().slots().rev().map(|(_, s)| s.level.base.num_copies() as u64).collect();
 
         let mut scratch = MatcherScratch::new();
         let mut tmp = MatchOutcome::default();
         let q = shape(505);
 
-        let mut plain = Vec::new();
-        let mut plain_stats = RetrieveStats::default();
-        snap.retrieve_with_stats(&mut scratch, &mut tmp, &q, 0, &mut plain, &mut plain_stats);
+        // k = 3 is seeded (both levels scanned); k = 20 > 14 live shapes
+        // leaves the board short of k, so every level runs the matcher
+        for (k, scanned) in [(3, true), (20, false)] {
+            let mut plain = Vec::new();
+            let mut plain_stats = RetrieveStats::default();
+            snap.retrieve_with_stats(&mut scratch, &mut tmp, &q, k, &mut plain, &mut plain_stats);
 
-        let mut explained = Vec::new();
-        let mut ex_stats = RetrieveStats::default();
-        let mut explain = QueryExplain::default();
-        snap.explain_with_stats(
-            &mut scratch,
-            &mut tmp,
-            &q,
-            0,
-            &mut explained,
-            &mut ex_stats,
-            &mut explain,
-        );
+            let mut explained = Vec::new();
+            let mut ex_stats = RetrieveStats::default();
+            let mut explain = QueryExplain::default();
+            snap.explain_with_stats(
+                &mut scratch,
+                &mut tmp,
+                &q,
+                k,
+                &mut explained,
+                &mut ex_stats,
+                &mut explain,
+            );
 
-        // identical results and stats with and without capture
-        assert_eq!(plain, explained);
-        assert_eq!(plain_stats, ex_stats);
-        assert_eq!(explain.stats, ex_stats);
+            // identical results and stats with and without capture
+            assert_eq!(plain, explained);
+            assert_eq!(plain_stats, ex_stats);
+            assert_eq!(explain.stats, ex_stats);
 
-        // per-level records reconcile with the aggregate stats
-        assert_eq!(explain.levels.len() as u64, ex_stats.levels);
-        let rings: u64 = explain.levels.iter().map(|l| l.rings.len() as u64).sum();
-        assert_eq!(rings, ex_stats.rings);
-        let reported: u64 = explain.levels.iter().map(|l| l.vertices_reported).sum();
-        assert_eq!(reported, ex_stats.vertices_reported);
-        let scored: u64 = explain.levels.iter().map(|l| l.candidates_scored).sum();
-        assert_eq!(scored, ex_stats.candidates_scored);
-        assert_eq!(explain.buffer_scored, ex_stats.buffer_scored);
-        assert!(explain.buffer_scored >= 2, "buffered shapes must be brute-force scored");
-        for level in &explain.levels {
-            assert_ne!(level.termination, Termination::None);
-            // ring deltas sum to the level totals
-            let lv: u64 = level.rings.iter().map(|r| r.vertices_processed as u64).sum();
-            assert_eq!(lv, level.vertices_processed);
-            let lp: u64 = level.rings.iter().map(|r| r.promotions as u64).sum();
-            assert_eq!(lp + level.credit_scored as u64, level.candidates_scored);
+            // per-level records reconcile with the aggregate stats
+            assert_eq!(explain.levels.len() as u64, ex_stats.levels);
+            let rings: u64 = explain.levels.iter().map(|l| l.rings.len() as u64).sum();
+            assert_eq!(rings, ex_stats.rings);
+            let reported: u64 = explain.levels.iter().map(|l| l.vertices_reported).sum();
+            assert_eq!(reported, ex_stats.vertices_reported);
+            let scored: u64 = explain.levels.iter().map(|l| l.candidates_scored).sum();
+            assert_eq!(scored, ex_stats.candidates_scored);
+            assert_eq!(ex_stats.scan_copies, if scanned { scored } else { 0 });
+            assert!(ex_stats.scan_survivors <= ex_stats.scan_copies);
+            assert_eq!(explain.buffer_scored, ex_stats.buffer_scored);
+            assert_eq!(explain.buffer_scored, 2, "buffered shapes must be brute-force scored");
+            for (level, copies) in explain.levels.iter().zip(&level_copies) {
+                assert_eq!(level.termination == Termination::Scan, scanned, "k = {k}");
+                assert_ne!(level.termination, Termination::None);
+                if scanned {
+                    // no envelope: the copies split into scored and
+                    // settled by the seed, the cutoff is on record
+                    assert!(level.rings.is_empty() && !level.exhausted);
+                    assert_eq!((level.vertices_reported, level.vertices_processed), (0, 0));
+                    assert_eq!(level.candidates_scored + level.credit_scored as u64, *copies);
+                    assert!(level.final_eps.is_finite() && level.bound_factor == 1.0);
+                    continue;
+                }
+                // ring deltas sum to the level totals
+                let lv: u64 = level.rings.iter().map(|r| r.vertices_processed as u64).sum();
+                assert_eq!(lv, level.vertices_processed);
+                let lp: u64 = level.rings.iter().map(|r| r.promotions as u64).sum();
+                assert_eq!(lp + level.credit_scored as u64, level.candidates_scored);
+            }
+            assert_ne!(ex_stats.last_termination, Termination::None);
+
+            // a later plain retrieval through the same outcome captures
+            // nothing (enabled was reset)
+            snap.retrieve_with_stats(&mut scratch, &mut tmp, &q, k, &mut plain, &mut plain_stats);
+            assert!(tmp.explain.rings.is_empty());
         }
-        assert_ne!(ex_stats.last_termination, Termination::None);
+    }
 
-        // a later plain retrieval through the same outcome captures
-        // nothing (enabled was reset)
-        snap.retrieve_with_stats(&mut scratch, &mut tmp, &q, 0, &mut plain, &mut plain_stats);
-        assert!(tmp.explain.rings.is_empty());
+    #[test]
+    fn a_scan_scores_every_level_copy_the_seed_did_not() {
+        use geosir_imaging::synth::random_simple_polygon;
+        // two levels (32 + 8 shapes), nothing buffered, nothing deleted:
+        // every copy is either judged by the seed or scored by a scan
+        let mut rng = StdRng::seed_from_u64(97);
+        let shapes: Vec<Polyline> =
+            (0..40).map(|i| random_simple_polygon(&mut rng, 7 + i % 8, 0.35)).collect();
+        let db = shipped(8, shapes.iter().cloned());
+        assert_eq!(db.num_levels(), 2);
+        let snap = db.snapshot();
+        let reg = std::sync::Arc::new(obs::Registry::new());
+        obs::set_thread_registry(Some(reg.clone()));
+        let queries = 6;
+        for q in shapes.iter().take(queries) {
+            // k = 1: the probe always finds a seed while live shapes exist
+            assert_eq!(snap.retrieve(q, 1).len(), 1);
+        }
+        obs::set_thread_registry(None);
+        let m = reg.snapshot();
+        let counter = |name: &str| m.counter(name, &[]);
+        assert_eq!(m.counter("geosir_exact_queries_total", &[("seeded", "true")]), queries as u64);
+        assert_eq!(
+            counter("geosir_exact_scan_copies_total") + counter("geosir_exact_seed_reranked_total"),
+            (queries * snap.total_copies()) as u64,
+        );
+        let survivors = counter("geosir_exact_scan_survivors_total");
+        assert!(survivors <= counter("geosir_exact_scan_copies_total"));
+        // the matcher never ran, and its series say so instead of vanishing
+        assert_eq!(counter("geosir_matcher_runs_total"), 0);
+        assert!(m.get("geosir_matcher_runs_total", &[]).is_some(), "series must stay exposed");
     }
 
     #[test]

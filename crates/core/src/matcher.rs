@@ -106,7 +106,7 @@ impl Default for MatchConfig {
 /// map hit plus a handful of relaxed atomic adds per retrieval, so the
 /// instrumentation stays invisible next to the retrieval itself.
 #[derive(Clone)]
-struct MatcherMetrics {
+pub(crate) struct MatcherMetrics {
     runs: std::sync::Arc<obs::Counter>,
     rings: std::sync::Arc<obs::Counter>,
     triangles: std::sync::Arc<obs::Counter>,
@@ -122,7 +122,7 @@ struct MatcherMetrics {
 }
 
 impl MatcherMetrics {
-    fn build(reg: &obs::Registry) -> MatcherMetrics {
+    pub(crate) fn build(reg: &obs::Registry) -> MatcherMetrics {
         MatcherMetrics {
             runs: reg.counter("geosir_matcher_runs_total", &[]),
             rings: reg.counter("geosir_matcher_rings_total", &[]),
@@ -171,6 +171,10 @@ pub enum Termination {
     MaxIterations,
     /// The base had no copies; nothing to retrieve.
     EmptyBase,
+    /// No envelope at all: a dynamic-base level whose cutoff τ was known
+    /// up front, every copy scored against it by the early-abandoning
+    /// `h_avg` (exact, and no ε-cap to exhaust).
+    Scan,
 }
 
 impl Termination {
@@ -182,6 +186,7 @@ impl Termination {
             Termination::EpsCap => "eps_cap",
             Termination::MaxIterations => "max_iterations",
             Termination::EmptyBase => "empty_base",
+            Termination::Scan => "scan",
         }
     }
 
@@ -195,6 +200,7 @@ impl Termination {
             Termination::EpsCap => obs::flight::TERM_EPS_CAP,
             Termination::MaxIterations => obs::flight::TERM_MAX_ITERS,
             Termination::EmptyBase => obs::flight::TERM_EMPTY,
+            Termination::Scan => obs::flight::TERM_SCAN,
         }
     }
 
@@ -208,6 +214,7 @@ impl Termination {
             obs::flight::TERM_EPS_CAP => Termination::EpsCap,
             obs::flight::TERM_MAX_ITERS => Termination::MaxIterations,
             obs::flight::TERM_EMPTY => Termination::EmptyBase,
+            obs::flight::TERM_SCAN => Termination::Scan,
             _ => return None,
         })
     }
@@ -458,6 +465,23 @@ impl<'a> Matcher<'a> {
         self.base
     }
 
+    /// `(ε₁, ε-cap)` for a query of perimeter `l_q`. ε₁ is the ε unit:
+    /// envelope area `2·ε·l_Q` equals the per-copy share of the lune, so
+    /// the ε₁-envelope is expected to contain ≥ 1 copy; the cap is the
+    /// paper's `(A / (2 p l_Q)) · log^ρ n`.
+    pub(crate) fn eps_unit_and_cap(&self, l_q: f64) -> (f64, f64) {
+        let p = self.base.num_copies() as f64;
+        let n = self.base.total_vertices() as f64;
+        let eps_base = LUNE_AREA / (2.0 * p * l_q);
+        (eps_base, eps_base * n.log2().max(2.0).powi(self.config.log_power))
+    }
+
+    /// `f_u`: an envelope at ε proves every copy it does not touch scores
+    /// above `f_u · ε` (module docs).
+    pub(crate) fn bound_factor(&self) -> f64 {
+        self.plan.bound_factor
+    }
+
     fn pooled_scratch(&self) -> MatcherScratch {
         let pooled = self.scratch_pool.lock().unwrap().pop();
         obs::with_metrics(MatcherMetrics::build, |m| {
@@ -603,15 +627,8 @@ impl<'a> Matcher<'a> {
         let mut best =
             BestTable { qstamp, stamp: best_stamp, score: best_score, copy: best_copy, touched: touched_shapes };
 
-        let p = base.num_copies() as f64;
-        let n = base.total_vertices() as f64;
         let l_q = query.perimeter();
-
-        // ε unit: envelope area 2·ε·l_Q equals the per-copy share of the
-        // lune, so the ε₁-envelope is expected to contain ≥ 1 copy.
-        let eps_base = LUNE_AREA / (2.0 * p * l_q);
-        let log_n = n.log2().max(2.0);
-        let eps_cap = eps_base * log_n.powi(self.config.log_power);
+        let (eps_base, eps_cap) = self.eps_unit_and_cap(l_q);
         outcome.stats.eps_cap = eps_cap;
 
         // The incremental top-k loop scores a copy in full as soon as β

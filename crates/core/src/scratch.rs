@@ -15,7 +15,6 @@ use geosir_geom::rangesearch::IndexScratch;
 use geosir_geom::{Polyline, Similarity, Triangle};
 
 use crate::approx::ApproxScratch;
-use crate::dynamic::DynMatch;
 use crate::shapebase::ShapeBase;
 use crate::similarity::{prepare_into, PreparedShape};
 
@@ -77,13 +76,16 @@ pub struct MatcherScratch {
     pub(crate) back: Option<PreparedShape>,
 
     // --- the dynamic layer's seed step (hash-tier probe + rerank) ---
+    /// Its candidates with their verdicts, and the per-shape board the
+    /// whole exact query fills.
     pub(crate) seed: ApproxScratch,
-    pub(crate) seeds: Vec<DynMatch>,
     /// `(copy, verdict)` of the copies of the base about to be run that
     /// the seed step already scored against this query — the exact score,
     /// or `INFINITY` for "above the run's cutoff". Filled by the dynamic
-    /// layer right before a level's [`crate::matcher::Matcher::run`],
-    /// which drains it, so no run ever sees another's.
+    /// layer right before a level's [`crate::matcher::Matcher::run`]
+    /// (the few levels that are not scanned), which drains it, so no run
+    /// ever sees another's. (A scan marks the same copies in
+    /// `scored_stamp` instead.)
     pub(crate) verdicts: Vec<(u32, f64)>,
 }
 

@@ -2,11 +2,13 @@
 //!
 //! Three answers to the same question must coincide as `(id, score)`
 //! lists: the served path (`Snapshot::retrieve_with_stats` — hash-tier
-//! seed, one `Threshold(τ)` envelope per level, bounded buffer scan), the
-//! unseeded incremental top-k loop with every rank certified
-//! (`certify_all: true`), and a brute-force `min over copies` symmetric
-//! discrete `h_avg` scan that touches no index at all. Then the same on
-//! bases built to stress the certificate's corners.
+//! seed, then every level and the buffer scanned copy by copy against
+//! the seed's k-th score τ), the unseeded incremental top-k loop with
+//! every rank certified (`certify_all: true`), and a brute-force `min
+//! over copies` symmetric discrete `h_avg` scan that touches no index at
+//! all. Then the same on bases built to stress the corners — where the
+//! paper's index (`Matcher::retrieve_within(τ)`, one envelope per level)
+//! is the scan's second oracle.
 
 use geosir_core::dynamic::{DynamicBase, GlobalShapeId, RetrieveStats, Snapshot};
 use geosir_core::ids::ImageId;
@@ -51,12 +53,29 @@ impl World {
     fn insert(&mut self, shape: Polyline) -> GlobalShapeId {
         let id = self.base.insert(ImageId(self.shapes.len() as u32), shape.clone());
         assert_eq!(id.0 as usize, self.shapes.len());
-        let copies = normalized_copies(&shape, self.alpha)
-            .into_iter()
-            .map(|c| PreparedShape::new(c.shape))
-            .collect();
+        let copies = self.oracle_copies(&shape);
         self.shapes.push(Some((shape, copies)));
         id
+    }
+
+    /// A shape's stored copies, indexed for the oracle.
+    fn oracle_copies(&self, shape: &Polyline) -> Vec<PreparedShape> {
+        normalized_copies(shape, self.alpha).into_iter().map(|c| PreparedShape::new(c.shape)).collect()
+    }
+
+    /// Load `shapes` as one level of their own (a bulk load never merges
+    /// into an occupied slot); returns their ids.
+    fn bulk(&mut self, shapes: &[Polyline]) -> std::ops::Range<usize> {
+        let first = self.shapes.len();
+        let ids = self.base.bulk_load(
+            shapes.iter().enumerate().map(|(i, s)| (ImageId((first + i) as u32), s.clone())),
+        );
+        assert_eq!(ids.first().map(|g| g.0 as usize), Some(first));
+        for shape in shapes {
+            let copies = self.oracle_copies(shape);
+            self.shapes.push(Some((shape.clone(), copies)));
+        }
+        first..self.shapes.len()
     }
 
     fn delete(&mut self, id: GlobalShapeId) {
@@ -151,8 +170,8 @@ fn canonical_corpus_three_way() {
         let (got, stats) = served(&snap, q, 10);
         assert_eq!(stats.exhausted_levels, 0, "sketch {i}");
         assert_eq!(got, want, "sketch {i}: seeded vs brute force");
-        // seeded: every level is one Threshold envelope
-        assert_eq!(stats.rings, stats.levels, "sketch {i}: a seeded level took more than one ring");
+        // seeded: a level is scanned — no envelope, no ring, no cap
+        assert_eq!(stats.rings, 0, "sketch {i}: a seeded level ran the matcher");
 
         unseeded.retrieve_with(&mut scratch, q, &mut out);
         assert!(!out.stats.exhausted, "sketch {i}");
@@ -291,8 +310,9 @@ fn alpha_copies_several_per_shape() {
 }
 
 #[test]
-fn tau_beyond_the_cap_is_flagged_and_never_wrong() {
-    // log_power = 0 pins the cap at ε₁: τ / f_u is always beyond it
+fn tau_beyond_the_cap_is_still_exact() {
+    // log_power = 0 pins the cap at ε₁, so τ / f_u is always beyond it:
+    // an envelope would stop short and flag its answer; a scan has no cap
     let mut rng = StdRng::seed_from_u64(71);
     let mut world = World::new(0.0, 16);
     world.base = DynamicBase::new(
@@ -305,23 +325,35 @@ fn tau_beyond_the_cap_is_flagged_and_never_wrong() {
         world.insert(polygon(&mut rng, 8 + i % 7));
     }
     let q = perturb(world.shape(20), &mut rng, 0.05);
-    let (got, stats) = served(&world.base.snapshot(), &q, 5);
-    assert!(stats.exhausted_levels > 0, "the cap must be reported");
-    assert!(!got.is_empty());
-    for w in got.windows(2) {
-        assert!(w[0].1 <= w[1].1);
+    assert_exact(&world, &q, 5, "cap at ε₁");
+}
+
+#[test]
+fn a_stored_shape_on_a_large_level_is_verified_by_one_envelope() {
+    // 8 400 shapes, ≥ 16 800 copies in one level — past the size below
+    // which a level is always scanned
+    let mut rng = StdRng::seed_from_u64(73);
+    let mut world = World::new(0.0, 512);
+    let shapes: Vec<Polyline> = (0..8400).map(|i| polygon(&mut rng, 6 + i % 14)).collect();
+    world.bulk(&shapes);
+    let snap = world.base.snapshot();
+    // a stored shape verbatim: τ = 0, and the envelope that certifies it
+    // (ε₁) holds next to nothing — the one case the index is cheaper
+    for id in [17, 4242] {
+        let q = world.shape(id).clone();
+        let (got, stats) = served(&snap, &q, 1);
+        assert_eq!(got, [(id as u64, 0.0)]);
+        assert_eq!(got[..], world.oracle(&q)[..1]);
+        assert_eq!((stats.rings, stats.scan_copies, stats.exhausted_levels), (1, 0, 0));
     }
-    // best-effort means possibly incomplete, never invented: each score
-    // is the true score of one of that shape's stored copies
-    let (primary, _) = normalize_about_diameter(&q).unwrap();
-    let qprep = PreparedShape::new(primary.shape);
-    for (id, score) in got {
-        let copies = &world.shapes[id as usize].as_ref().expect("live").1;
-        assert!(
-            copies.iter().any(|c| score_prepared(KIND, c, &qprep) == score),
-            "shape {id} reported with a score none of its copies has"
-        );
-    }
+    // a sketch with nothing that near: its τ's envelope is no longer a
+    // sliver of the lune, and the level is scanned
+    let q = perturb(world.shape(99), &mut rng, 0.03);
+    let (got, stats) = served(&snap, &q, 5);
+    assert_eq!(got[..], world.oracle(&q)[..5]);
+    assert_eq!((stats.rings, stats.exhausted_levels), (0, 0));
+    // (all but what the seed's ≤ 2 048-candidate rings had judged)
+    assert!(stats.scan_copies > 12_000, "scanned {}", stats.scan_copies);
 }
 
 /// A random copy/query pair in normalized position.
@@ -404,4 +436,104 @@ proptest! {
         prop_assert!(want.len() > at, "the tie at τ belongs to the set");
         prop_assert_eq!(got, want);
     }
+
+    /// The scan against both its oracles, on worlds with every corner at
+    /// once: α = 0 or 0.15 (2–8 copies a shape), up to three levels of
+    /// known membership plus a part-filled buffer (or the buffer alone),
+    /// verbatim duplicates of the query (τ = 0), two identical shapes in
+    /// different levels (an exact tie, with k chosen to cut between
+    /// them), tombstones in every level — in one variant on the whole top
+    /// of the ranking, so every seed is dead — and k past the live
+    /// shapes. The served list must be the brute-force list, and must be
+    /// what one `retrieve_within(τ)` envelope per level (static twin, cap
+    /// out of the way) plus the buffer's brute-force set merge to. Three
+    /// worlds a case: 288 in all (the vendored runner draws 96 cases).
+    #[test]
+    fn scan_equals_index_equals_brute_force(seed in 0u64..1_000_000) {
+        for round in 0..3 {
+            scan_world(seed * 3 + round)?;
+        }
+    }
+}
+
+fn scan_world(seed: u64) -> Result<(), TestCaseError> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let alpha = if rng.random_bool(0.5) { 0.15 } else { 0.0 };
+    let levels = rng.random_range(0..4usize);
+    let variant = rng.random_range(0..4u8);
+    let mut world = World::new(alpha, 8);
+    let proto = polygon(&mut rng, 9);
+    let query = perturb(&proto, &mut rng, 0.01);
+    let twin = perturb(&proto, &mut rng, 0.02);
+    let member = |rng: &mut StdRng, i: usize| match i % 4 {
+        0 => perturb(&proto, rng, 0.015),
+        1 if variant == 1 => query.clone(),
+        _ => polygon(rng, 5 + i % 9),
+    };
+    // level sizes shrink, so each batch finds a free slot of its own
+    let mut batches = Vec::new();
+    for size in [rng.random_range(17..30), rng.random_range(9..16), rng.random_range(3..8)]
+        .into_iter()
+        .take(levels)
+    {
+        let mut shapes: Vec<Polyline> = (0..size).map(|i| member(&mut rng, i)).collect();
+        shapes[1] = twin.clone(); // one verbatim in every level
+        batches.push((world.bulk(&shapes), shapes));
+    }
+    prop_assert_eq!(world.base.num_levels(), levels);
+    for i in 0..rng.random_range(if levels == 0 { 2..8 } else { 0..8 }) {
+        let shape = if i == 1 { twin.clone() } else { member(&mut rng, i) };
+        world.insert(shape);
+    }
+    // tombstones: a sprinkle over every level, or the top of the ranking
+    let doomed: Vec<u64> = if variant == 2 {
+        world.oracle(&query).iter().take(6).map(|&(id, _)| id).collect()
+    } else {
+        (0..world.shapes.len() as u64).filter(|_| rng.random_bool(0.15)).collect()
+    };
+    for id in doomed {
+        world.delete(GlobalShapeId(id));
+    }
+    let want = world.oracle(&query);
+    // variant 3 cuts between the first two exactly tied shapes
+    let tie = want.windows(2).position(|w| w[0].1 == w[1].1);
+    let k = match tie {
+        Some(at) if variant == 3 => at + 1,
+        _ => rng.random_range(1..13),
+    };
+
+    let (got, stats) = served(&world.base.snapshot(), &query, k);
+    prop_assert_eq!(&got[..], &want[..k.min(want.len())], "world {}: served vs brute force", seed);
+    if got.len() < k {
+        return Ok(()); // fewer live shapes than k: no τ to hand the index
+    }
+    // (an unseeded level of fewer than k shapes runs the top-k loop to its
+    // cap and says so; a scanned one has no cap to hit)
+    prop_assert!(stats.exhausted_levels == 0 || stats.rings > 0, "world {}: a scan exhausted", seed);
+    let tau = got[k - 1].1;
+    let mut merged: Vec<(u64, f64)> = Vec::new();
+    for (ids, shapes) in &batches {
+        // the level as stored: tombstoned shapes stay until a carry
+        let mut builder = ShapeBaseBuilder::new();
+        for (id, shape) in ids.clone().zip(shapes) {
+            builder.add_shape(ImageId(id as u32), shape.clone());
+        }
+        let statics = builder.build(alpha, Backend::RangeTree);
+        let cfg = MatchConfig { beta: 0.2, log_power: 30, ..Default::default() };
+        let out = Matcher::new(&statics, cfg).retrieve_within(&query, tau);
+        prop_assert!(!out.stats.exhausted, "world {}: the oracle's envelope hit its cap", seed);
+        merged.extend(
+            out.matches
+                .iter()
+                .map(|m| ((ids.start + m.shape.index()) as u64, m.score))
+                .filter(|&(id, _)| world.shapes[id as usize].is_some()),
+        );
+    }
+    let levelled = batches.last().map_or(0, |(ids, _)| ids.end as u64);
+    merged.extend(want.iter().filter(|&&(id, s)| id >= levelled && s <= tau));
+    merged.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
+    prop_assert!(merged.len() >= k, "world {}: everything within τ, ties included", seed);
+    merged.truncate(k);
+    prop_assert_eq!(got, merged, "world {}: served vs one envelope per level", seed);
+    Ok(())
 }

@@ -66,6 +66,7 @@ pub const TERM_THRESHOLD: u8 = 2;
 pub const TERM_EPS_CAP: u8 = 3;
 pub const TERM_MAX_ITERS: u8 = 4;
 pub const TERM_EMPTY: u8 = 5;
+pub const TERM_SCAN: u8 = 6;
 
 /// Human name for a [`QueryProfile::termination`] code.
 pub fn termination_name(code: u8) -> &'static str {
@@ -76,6 +77,7 @@ pub fn termination_name(code: u8) -> &'static str {
         TERM_EPS_CAP => "eps_cap",
         TERM_MAX_ITERS => "max_iterations",
         TERM_EMPTY => "empty_base",
+        TERM_SCAN => "scan",
         _ => "other",
     }
 }

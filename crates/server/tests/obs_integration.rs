@@ -1,6 +1,6 @@
 //! End-to-end observability over a live durable server: under a mixed
 //! read/write load the `/metrics` endpoint serves non-zero per-stage
-//! series (matcher work, request latency, WAL fsync, queue gauges), a
+//! series (exact-tier work, request latency, WAL fsync, queue gauges), a
 //! query's client-minted trace id shows up in `/debug/last_queries`
 //! with non-zero stage durations, and the same registry arrives intact
 //! over the wire through `MetricsDump`.
@@ -37,10 +37,9 @@ fn live_metrics_and_trace_ids_under_mixed_load() {
         assert_ne!(reply.trace, 0, "client must mint a trace id");
         last_trace = reply.trace;
     }
-    // A sketch with no near match among the triangles: its seed's k-th
-    // best is a loose cutoff, so the level run's envelope takes in copies
-    // the hash tier's rings never reached and has to score them itself
-    // (the triangle queries above are settled by the seed alone).
+    // A sketch with no near match among the triangles: its seed's rings
+    // stop short of some copies, which the level scan then has to score
+    // itself (the triangle queries above are settled by the seed alone).
     let quad = Polyline::closed(vec![
         Point::new(0.0, 0.0),
         Point::new(3.0, 0.2),
@@ -60,13 +59,15 @@ fn live_metrics_and_trace_ids_under_mixed_load() {
         ("geosir_queries_total", 13.0),
         ("geosir_inserts_total", 16.0),
         ("geosir_snapshot_publishes_total", 1.0),
-        ("geosir_matcher_runs_total", 12.0),
-        ("geosir_matcher_rings_total", 1.0),
         // an exact query's `h_avg` scorings happen in its seed step or in
-        // the level runs (a copy the seed settled is not scored again):
+        // the level scans (a copy the seed settled is not scored again):
         // both counters must move under this load
         ("geosir_exact_seed_reranked_total", 12.0),
-        ("geosir_matcher_havg_evals_total", 1.0),
+        ("geosir_exact_scan_copies_total", 1.0),
+        // every query here is seeded, so no level ran the paper's
+        // matcher: its series read 0 — exposed, not absent
+        ("geosir_matcher_runs_total", 0.0),
+        ("geosir_matcher_rings_total", 0.0),
         ("geosir_wal_appends_total", 16.0),
         ("geosir_wal_fsync_us_count", 1.0),
         ("geosir_fsync_wait_us_count", 1.0),
@@ -109,7 +110,7 @@ fn live_metrics_and_trace_ids_under_mixed_load() {
     // --- the same registry over the wire: MetricsDump ---
     let snap = c.metrics().expect("metrics dump");
     assert!(snap.counter("geosir_requests_total", &[]) >= 28);
-    assert!(snap.counter("geosir_matcher_runs_total", &[]) >= 12);
+    assert!(snap.counter("geosir_exact_queries_total", &[("seeded", "true")]) >= 12);
     let lat = snap
         .histogram("geosir_request_latency_us", &[("type", "query")])
         .expect("latency histogram over the wire");

@@ -100,7 +100,7 @@ fn rand_explain(rng: &mut StdRng) -> geosir_core::dynamic::QueryExplain {
     use geosir_core::dynamic::{LevelExplain, QueryExplain};
     use geosir_core::matcher::{RingExplain, Termination};
     let rand_term = |rng: &mut StdRng| {
-        Termination::from_flight_code(rng.random_range(0..6u8)).unwrap()
+        Termination::from_flight_code(rng.random_range(0..7u8)).unwrap()
     };
     let mut e = QueryExplain { buffer_scored: rng.random(), ..Default::default() };
     e.stats.levels = rng.random();
@@ -504,6 +504,22 @@ fn golden_frames() -> Vec<(&'static str, Frame)> {
             },
         ],
     });
+    // the same query answered by a scan: a new value of the termination
+    // byte, no ring, τ where the envelope's ε was — same layout
+    let mut scanned = QueryExplain { buffer_scored: 11, ..Default::default() };
+    scanned.stats.levels = 1;
+    scanned.stats.candidates_scored = 1950;
+    scanned.stats.buffer_scored = 11;
+    scanned.stats.last_termination = Termination::Scan;
+    scanned.levels.push(LevelExplain {
+        shapes: 1000,
+        termination: Termination::Scan,
+        final_eps: 0.0625,
+        bound_factor: 1.0,
+        candidates_scored: 1950,
+        credit_scored: 50,
+        ..Default::default()
+    });
     let stats = {
         let mut w = [0u64; 25];
         for (i, slot) in w.iter_mut().enumerate() {
@@ -621,6 +637,17 @@ fn golden_frames() -> Vec<(&'static str, Frame)> {
         ("busy", Frame::Busy { retry_after_ms: 250 }),
         ("bye", Frame::Bye),
         ("error", Frame::Error { code: 6, message: "no shard answered".into() }),
+        (
+            "explain_report+scan",
+            Frame::ExplainReport {
+                epoch: 21,
+                trace: 0xA5,
+                total_us: 400,
+                queue_us: 30,
+                matches: matches(),
+                report: scanned,
+            },
+        ),
     ]
 }
 
@@ -641,8 +668,9 @@ fn hex(bytes: &[u8]) -> String {
 /// [`golden_frames`], frame `i` encoded with correlation id
 /// `0x1122_3344_5566_7700 + i`. Captured from the last build that still
 /// spoke v1–v6, before its version ladders were removed: a byte that
-/// moves here is a wire break, not a refactor.
-const GOLDEN: [(&str, usize, u64); 24] = [
+/// moves here is a wire break, not a refactor. (The last row came later:
+/// a scanned level's report — a new termination code in the same bytes.)
+const GOLDEN: [(&str, usize, u64); 25] = [
     ("query", 83, 0xc6946f8f1589f3c2),
     ("query_batch", 116, 0x6c463f712b2854e1),
     ("insert", 75, 0x3793f57a1ee64c05),
@@ -667,6 +695,7 @@ const GOLDEN: [(&str, usize, u64); 24] = [
     ("busy", 22, 0xae48c37f764ceb38),
     ("bye", 18, 0xcc9236915039583d),
     ("error", 41, 0xa6edfcafad5a1474),
+    ("explain_report+scan", 245, 0x59060fcb78adaaea),
 ];
 
 #[test]

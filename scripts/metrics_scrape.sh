@@ -215,6 +215,13 @@ require_nonzero 'geosir_exact_queries_total{seeded="false"}'
 require_present 'geosir_exact_queries_total{seeded="true"}'
 require_present 'geosir_exact_seed_reranked_total'
 require_present 'geosir_exact_seed_tightness_permille'
+# ...and so does the level scan (an empty base has no copy to scan, so
+# presence; `dynamic.rs::a_scan_scores_every_level_copy_the_seed_did_not`
+# pins the value), beside the matcher's series, which a seeded query
+# leaves at 0 rather than absent.
+require_present 'geosir_exact_scan_copies_total'
+require_present 'geosir_exact_scan_survivors_total'
+require_present 'geosir_matcher_runs_total'
 case "$BODY" in
     *geosir_approx_queries_total*)
         echo "metrics_scrape: an exact query was counted as approx traffic" >&2

@@ -37,7 +37,7 @@
 
 use geosir_core::dynamic::DynamicBase;
 use geosir_core::ids::ImageId;
-use geosir_core::matcher::MatchConfig;
+use geosir_core::matcher::{MatchConfig, Termination};
 use geosir_geom::rangesearch::Backend;
 use geosir_geom::{Point, Polyline};
 use geosir_imaging::synth::random_simple_polygon;
@@ -264,6 +264,18 @@ fn print_explain(addr: &str, k: u32, seed: u64, verts: usize, reply: &geosir_ser
         s.exhausted_levels
     );
     for (i, level) in r.levels.iter().enumerate() {
+        if level.termination == Termination::Scan {
+            // no envelope to describe: the seed settled `credit_scored`
+            // copies, the scan scored the rest against τ
+            println!(
+                "level {i}: {} shapes  plan=scan copies={} scored={} within τ={:.4}",
+                level.shapes,
+                level.candidates_scored + level.credit_scored as u64,
+                level.candidates_scored,
+                level.final_eps * level.bound_factor,
+            );
+            continue;
+        }
         println!(
             "level {i}: {} shapes  term={}{}  final ε={:.4} (cap {:.4}, bound ×{:.2})  \
              verts {}/{}  scored {} (+{} credit)",
