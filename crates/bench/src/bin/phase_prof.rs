@@ -14,8 +14,7 @@
 //! lists to compare builds by; its replay duplicates `View::retrieve`'s
 //! loop — see `distance_census`); the plan sweep (`plan_sweep`: the
 //! paper's index as a verifier, one `retrieve_within(τ)` envelope,
-//! against the scan, by level size, k and query kind, and which of the
-//! two the served path picked); and the DESIGN
+//! against the scan, by level size, k and query kind); and the DESIGN
 //! §12.5 probe (k = 1 self-queries against the half-corpus shard that
 //! holds the copies and the one that does not).
 //!
@@ -610,27 +609,26 @@ fn distance_census() {
     );
 }
 
-/// The two verifiers of a level with a cutoff, side by side, and which
-/// one `View::retrieve` picked: `small(images, 1)` bulk-loaded into one
-/// level, 100 queries a row — stored shapes verbatim (`self`: τ = 0, the
-/// smallest envelope there is) or sketches of family prototypes at the
-/// given distortion — the hash tier's k-th score as τ. `envelope` is one
-/// `retrieve_within(τ)` run (cover + simplex report + certificate) on a
-/// static twin of the level, `scan` every copy of the twin through
-/// `score_bounded_with` at cutoff τ; neither has the seed's verdicts
-/// handed to it, which the served run (`Snapshot::retrieve_with_stats`,
-/// seed included) does. Every row asserts that the served answer and the
-/// envelope's agree bit for bit. `dynamic.rs::envelope_beats_scan`'s two
-/// constants are read off this table.
+/// The two verifiers of a level with a cutoff, side by side:
+/// `small(images, 1)` bulk-loaded into one level, 100 queries a row —
+/// stored shapes verbatim (`self`: τ = 0, the smallest envelope there is)
+/// or sketches of family prototypes at the given distortion — the hash
+/// tier's k-th score as τ. `envelope` is one `retrieve_within(τ)` run
+/// (cover + simplex report + certificate) on a static twin of the level,
+/// `scan` every copy of the twin through `score_bounded_with` at cutoff
+/// τ; neither has the seed's verdicts handed to it, which the served run
+/// (`Snapshot::retrieve_with_stats`: seed, then the scan `View::retrieve`
+/// does) has. Every row asserts that the served answer and the
+/// envelope's agree bit for bit.
 fn plan_sweep(large: bool) {
     println!(
-        "plan sweep, one level, 100 queries a row (µs/query; served = seed + the plan \
-         View::retrieve picked):"
+        "plan sweep, one level, 100 queries a row (µs/query; served = the real call: seed + \
+         scan with the seed's verdicts handed over):"
     );
     println!(
-        "  {:>7} {:>7} {:>3} {:>5} | {:>7} {:>9} {:>8} | {:>9} {:>8} | {:>7} {:>8} {:>9}",
-        "shapes", "copies", "k", "query", "seed", "envelope", "scan", "served", "plan", "τ mean",
-        "reported", "survivors",
+        "  {:>7} {:>7} {:>3} {:>5} | {:>7} {:>9} {:>8} | {:>9} | {:>7} {:>8} {:>9}",
+        "shapes", "copies", "k", "query", "seed", "envelope", "scan", "served", "τ mean", "reported",
+        "survivors",
     );
     let cfg = MatchConfig { beta: 0.2, k: K, ..Default::default() };
     for images in [200, 700, 2000, 6000].into_iter().chain(large.then_some(19_000)) {
@@ -690,10 +688,10 @@ fn plan_sweep(large: bool) {
             let served = timed(&queries, &mut |_, q| {
                 snap.retrieve_with_stats(&mut scratch, &mut tmp, q, k, &mut hits, &mut stats)
             });
-            let (mut reported, mut by_envelope, mut capped) = (0, 0, 0);
+            let (mut reported, mut capped) = (0, 0);
             for (q, &tau) in queries.iter().zip(&taus) {
                 snap.retrieve_with_stats(&mut scratch, &mut tmp, q, k, &mut hits, &mut stats);
-                by_envelope += (stats.rings > 0) as usize;
+                assert_eq!(stats.rings, 0, "a level with a cutoff is scanned");
                 matcher.retrieve_within_with(&mut scratch, q, tau, &mut tmp);
                 reported += tmp.stats.vertices_reported;
                 if tmp.stats.exhausted {
@@ -706,13 +704,8 @@ fn plan_sweep(large: bool) {
                     tmp.matches[..k].iter().map(|m| (m.shape.0 as u64, m.score.to_bits())).collect();
                 assert_eq!(got, want, "the two verifiers disagree");
             }
-            let plan = match by_envelope {
-                0 => "scan".to_string(),
-                e if e == queries.len() => "envelope".to_string(),
-                e => format!("env {e}/{}", queries.len()),
-            };
             println!(
-                "  {:7} {:7} {:3} {:>5} | {:7.1} {:9.1} {:8.1} | {:9.1} {:>8} | {:7.4} {:7.1}% {:9.1}{}",
+                "  {:7} {:7} {:3} {:>5} | {:7.1} {:9.1} {:8.1} | {:9.1} | {:7.4} {:7.1}% {:9.1}{}",
                 corpus.shapes.len(),
                 twin.num_copies(),
                 k,
@@ -721,7 +714,6 @@ fn plan_sweep(large: bool) {
                 envelope / n,
                 scan / n,
                 served / n,
-                plan,
                 taus.iter().sum::<f64>() / n,
                 100.0 * reported as f64 / (n * twin.total_vertices() as f64),
                 // (two timed passes)

@@ -16,9 +16,7 @@
 //! scores it returns bounds what any sub-base can still contribute — so
 //! each level is scanned, copy by copy, with the early-abandoning `h_avg`
 //! against that cutoff, exact on all k ranks (DESIGN.md §11.6). A level's
-//! [`Matcher`] runs only while no cutoff exists yet (fewer than k seeds),
-//! or where the cutoff is so tight that one envelope of a large level is
-//! the cheaper verifier (`envelope_beats_scan`).
+//! [`Matcher`] runs only while no cutoff exists yet (fewer than k seeds).
 //!
 //! ## Snapshots
 //!
@@ -49,7 +47,6 @@ use crate::matcher::{
     Match, MatchConfig, MatchOutcome, Matcher, MatcherMetrics, MatcherPlan, RingExplain, RunMode,
     Termination,
 };
-use crate::normalize::LUNE_AREA;
 use crate::scratch::MatcherScratch;
 use crate::shapebase::{ShapeBase, ShapeBaseBuilder};
 use crate::similarity::{score_bounded_with, score_prepared_bounded, PreparedShape, ScoreKind};
@@ -165,7 +162,10 @@ pub struct RetrieveStats {
     pub candidates_scored: u64,
     /// Of those, the copies the level scans scored (a level's copies
     /// minus what the seed had settled), and how many of them the cutoff
-    /// did not cut short.
+    /// did not cut short. In-process only: the EXPLAIN wire encoding does
+    /// not carry the two, so a remote report's `stats` reads 0 for both —
+    /// there, `scan_copies` is the sum of `candidates_scored` over the
+    /// levels whose termination is [`Termination::Scan`].
     pub scan_copies: u64,
     pub scan_survivors: u64,
     /// Triangles submitted to the range-search index.
@@ -253,7 +253,7 @@ struct DynMetrics {
     buffer_scored: Arc<obs::Counter>,
     pool_hits: Arc<obs::Counter>,
     pool_misses: Arc<obs::Counter>,
-    /// Exact queries whose envelope the hash tier's k-th score set, and
+    /// Exact queries whose cutoff the hash tier's k-th score set, and
     /// those that fell back to the top-k chain (fewer than k seeds).
     seeded: Arc<obs::Counter>,
     unseeded: Arc<obs::Counter>,
@@ -1029,13 +1029,11 @@ impl View<'_> {
     /// scored exactly, the cutoff only tightens (to the board's per-shape
     /// k-th best), tombstones are looked up for the survivors alone — so
     /// the board sorted by `(score, id)` and truncated to k is the exact
-    /// top-k on all k ranks, with no ε-cap to run into. A level runs the
-    /// paper's matcher instead in two cases, and what it reports joins
-    /// the board: while the board is short of k shapes (fewer than k
-    /// seeds) there is no cutoff to scan against, so the next (largest
-    /// remaining) level runs the certified top-k loop; and a large level
-    /// whose cutoff is nearly 0 is verified by one `Threshold` envelope
-    /// within its cap ([`envelope_beats_scan`]).
+    /// top-k on all k ranks, with no ε-cap to run into. While the board
+    /// is short of k shapes (fewer than k seeds) there is no cutoff to
+    /// scan against, so the next (largest remaining) level runs the
+    /// paper's certified top-k loop instead and what it reports joins
+    /// the board.
     /// Allocation-free in steady state. Every caller passes `handoff`;
     /// without it the levels score the seed's copies over again (the
     /// differential test's other leg: same answer, more scorings).
@@ -1074,30 +1072,13 @@ impl View<'_> {
             tau = board.cutoff;
 
             tmp.explain.enabled = explain.is_some();
-            let l_q = qprep.shape().perimeter();
             // largest level first: unseeded, its certified k-th best is
             // what lets the smaller levels be scanned
             for (li, Slot { level, dead }) in self.slots().rev() {
                 let judged =
                     cands.iter().filter(|c| handoff && c.level == li as u32 && !c.verdict.is_nan());
                 stats.levels += 1;
-                // A top-k run ranks over the level's full base, tombstones
-                // included, and truncates at k — so it asks for k plus the
-                // level's tombstone count, or live shapes ranked right
-                // below deleted ones would be cut before the filter below
-                // runs. (A threshold run reports everything ≤ τ anyway.)
-                let level_config = MatchConfig { k: k + dead, ..self.config.clone() };
-                let matcher = Matcher::with_plan(&level.base, level_config, level.plan.clone());
-                // the paper's matcher where there is no cutoff to scan
-                // against yet, or where one envelope certifies τ for less
-                let run = if !board.cutoff.is_finite() {
-                    Some(RunMode::TopK)
-                } else if envelope_beats_scan(&matcher, board.cutoff, l_q) {
-                    Some(RunMode::Threshold(board.cutoff))
-                } else {
-                    None
-                };
-                let Some(mode) = run else {
+                if board.cutoff.is_finite() {
                     // No copy is scored twice: a finite verdict of the
                     // seed's is on the board already, an abandoned copy
                     // scored above a cutoff no lower than this one.
@@ -1135,12 +1116,20 @@ impl View<'_> {
                         });
                     }
                     continue;
-                };
+                }
+                // No cutoff to scan against yet (fewer than k seeds): the
+                // paper's certified top-k loop. It ranks over the level's
+                // full base, tombstones included, and truncates at k — so
+                // it asks for k plus the level's tombstone count, or live
+                // shapes ranked right below deleted ones would be cut
+                // before the filter below runs.
+                let level_config = MatchConfig { k: k + dead, ..self.config.clone() };
+                let matcher = Matcher::with_plan(&level.base, level_config, level.plan.clone());
                 tmp.clear();
                 // what the seed found out about this level's copies rides
                 // into the run (which drains it)
                 scratch.verdicts.extend(judged.map(|c| (c.a, c.verdict)));
-                matcher.run(scratch, mode, tmp);
+                matcher.run(scratch, RunMode::TopK, tmp);
                 stats.rings += tmp.stats.iterations as u64;
                 stats.vertices_reported += tmp.stats.vertices_reported as u64;
                 stats.vertices_processed += tmp.stats.vertices_processed as u64;
@@ -1182,7 +1171,8 @@ impl View<'_> {
             // time, through the same loop (the buffer is small by design,
             // and symmetric scoring does zero per-call index work).
             let qprep = scratch.query.as_ref().expect("prepared above");
-            let offers = self.buffer.iter().flat_map(|b| {
+            let live = self.buffer.iter().filter(|b| !self.is_dead(&b.id));
+            let offers = live.inspect(|_| stats.buffer_scored += 1).flat_map(|b| {
                 b.copies.iter().map(|c| Offer {
                     shape: b.id,
                     image: b.image,
@@ -1190,8 +1180,7 @@ impl View<'_> {
                     verdict: None,
                 })
             });
-            score_onto(self.config.score, qprep, back, &mut board, offers, |g| self.is_dead(g));
-            stats.buffer_scored = self.buffer.len() as u64;
+            score_onto(self.config.score, qprep, back, &mut board, offers, |_| false);
             board.finish(out);
             scratch.seed = seed;
         }
@@ -1225,33 +1214,6 @@ impl View<'_> {
             }
         });
     }
-}
-
-/// A level of fewer copies than this is always scanned: streaming it
-/// through the abandoning scorer costs less than any envelope's cover,
-/// report and certificate (it fits in cache: ≈ 20–40 ns a copy).
-const ENVELOPE_MIN_COPIES: usize = 16_384;
-/// ...and a larger one unless the envelope certifying τ covers at most
-/// this share of the lune — the share of the vertex pool it is expected
-/// to report.
-const ENVELOPE_MAX_LUNE_SHARE: f64 = 1.0 / 256.0;
-
-/// Whether one `Threshold(tau)` envelope is a cheaper verifier of the
-/// matcher's level than a scan of it. Both are exact; at the served
-/// corpora's τ the scan wins everywhere (the envelope reports 1–11 % of
-/// the pool at ≈ 370 ns a vertex, resolve included, against ≈ 100–200 ns
-/// a *copy*), but for a query that is (nearly) a stored shape, τ ≈ 0, the
-/// envelope holds next to nothing and a √n descent beats streaming a
-/// large level: 1.2–1.4× at 22k copies, 1.2–2.2× at 66k, 1.8–3.5× at 209k,
-/// while the scan still wins 1.4–1.9× below 8k and ties at 1.1 % of the pool
-/// (`results/exact_plan_sweep.txt`, the `self` rows). Never past the
-/// ε-cap, so a level with a cutoff is never "exhausted".
-fn envelope_beats_scan(matcher: &Matcher<'_>, tau: f64, l_q: f64) -> bool {
-    let (eps_unit, eps_cap) = matcher.eps_unit_and_cap(l_q);
-    let eps = (tau / matcher.bound_factor()).max(eps_unit);
-    matcher.base().num_copies() >= ENVELOPE_MIN_COPIES
-        && eps <= eps_cap
-        && 2.0 * eps * l_q <= ENVELOPE_MAX_LUNE_SHARE * LUNE_AREA
 }
 
 /// A copy's geometry as its store keeps it: a level holds the normalized
@@ -1464,7 +1426,7 @@ mod tests {
     fn best_match_in_smaller_later_level_survives_cutoff() {
         // Build a base where the big (first-queried) level holds only
         // mediocre matches and the exact match sits in a *smaller* level
-        // queried afterwards under the Threshold cutoff: the cutoff pass
+        // queried afterwards under the running cutoff: the cutoff pass
         // must still surface it, and with a better (smaller) score than
         // anything the big level certified.
         let mut db = dynbase(4);

@@ -465,23 +465,6 @@ impl<'a> Matcher<'a> {
         self.base
     }
 
-    /// `(ε₁, ε-cap)` for a query of perimeter `l_q`. ε₁ is the ε unit:
-    /// envelope area `2·ε·l_Q` equals the per-copy share of the lune, so
-    /// the ε₁-envelope is expected to contain ≥ 1 copy; the cap is the
-    /// paper's `(A / (2 p l_Q)) · log^ρ n`.
-    pub(crate) fn eps_unit_and_cap(&self, l_q: f64) -> (f64, f64) {
-        let p = self.base.num_copies() as f64;
-        let n = self.base.total_vertices() as f64;
-        let eps_base = LUNE_AREA / (2.0 * p * l_q);
-        (eps_base, eps_base * n.log2().max(2.0).powi(self.config.log_power))
-    }
-
-    /// `f_u`: an envelope at ε proves every copy it does not touch scores
-    /// above `f_u · ε` (module docs).
-    pub(crate) fn bound_factor(&self) -> f64 {
-        self.plan.bound_factor
-    }
-
     fn pooled_scratch(&self) -> MatcherScratch {
         let pooled = self.scratch_pool.lock().unwrap().pop();
         obs::with_metrics(MatcherMetrics::build, |m| {
@@ -627,8 +610,15 @@ impl<'a> Matcher<'a> {
         let mut best =
             BestTable { qstamp, stamp: best_stamp, score: best_score, copy: best_copy, touched: touched_shapes };
 
+        let p = base.num_copies() as f64;
+        let n = base.total_vertices() as f64;
         let l_q = query.perimeter();
-        let (eps_base, eps_cap) = self.eps_unit_and_cap(l_q);
+
+        // ε unit: envelope area 2·ε·l_Q equals the per-copy share of the
+        // lune, so the ε₁-envelope is expected to contain ≥ 1 copy.
+        let eps_base = LUNE_AREA / (2.0 * p * l_q);
+        let log_n = n.log2().max(2.0);
+        let eps_cap = eps_base * log_n.powi(self.config.log_power);
         outcome.stats.eps_cap = eps_cap;
 
         // The incremental top-k loop scores a copy in full as soon as β

@@ -83,7 +83,7 @@ pub struct MatcherScratch {
     /// the seed step already scored against this query — the exact score,
     /// or `INFINITY` for "above the run's cutoff". Filled by the dynamic
     /// layer right before a level's [`crate::matcher::Matcher::run`]
-    /// (the few levels that are not scanned), which drains it, so no run
+    /// (an unseeded level's top-k run), which drains it, so no run
     /// ever sees another's. (A scan marks the same copies in
     /// `scored_stamp` instead.)
     pub(crate) verdicts: Vec<(u32, f64)>,

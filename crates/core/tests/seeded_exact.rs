@@ -328,34 +328,6 @@ fn tau_beyond_the_cap_is_still_exact() {
     assert_exact(&world, &q, 5, "cap at ε₁");
 }
 
-#[test]
-fn a_stored_shape_on_a_large_level_is_verified_by_one_envelope() {
-    // 8 400 shapes, ≥ 16 800 copies in one level — past the size below
-    // which a level is always scanned
-    let mut rng = StdRng::seed_from_u64(73);
-    let mut world = World::new(0.0, 512);
-    let shapes: Vec<Polyline> = (0..8400).map(|i| polygon(&mut rng, 6 + i % 14)).collect();
-    world.bulk(&shapes);
-    let snap = world.base.snapshot();
-    // a stored shape verbatim: τ = 0, and the envelope that certifies it
-    // (ε₁) holds next to nothing — the one case the index is cheaper
-    for id in [17, 4242] {
-        let q = world.shape(id).clone();
-        let (got, stats) = served(&snap, &q, 1);
-        assert_eq!(got, [(id as u64, 0.0)]);
-        assert_eq!(got[..], world.oracle(&q)[..1]);
-        assert_eq!((stats.rings, stats.scan_copies, stats.exhausted_levels), (1, 0, 0));
-    }
-    // a sketch with nothing that near: its τ's envelope is no longer a
-    // sliver of the lune, and the level is scanned
-    let q = perturb(world.shape(99), &mut rng, 0.03);
-    let (got, stats) = served(&snap, &q, 5);
-    assert_eq!(got[..], world.oracle(&q)[..5]);
-    assert_eq!((stats.rings, stats.exhausted_levels), (0, 0));
-    // (all but what the seed's ≤ 2 048-candidate rings had judged)
-    assert!(stats.scan_copies > 12_000, "scanned {}", stats.scan_copies);
-}
-
 /// A random copy/query pair in normalized position.
 fn normalized_pair(seed: u64) -> (Polyline, PreparedShape) {
     let mut rng = StdRng::seed_from_u64(seed);

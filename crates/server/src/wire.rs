@@ -559,7 +559,8 @@ fn get_stage_trailer(buf: &mut &[u8]) -> Result<Option<StageTrailer>, WireError>
 
 fn put_explain(out: &mut Vec<u8>, e: &QueryExplain) {
     out.put_u64_le(e.buffer_scored);
-    // aggregate RetrieveStats
+    // aggregate RetrieveStats (`scan_copies` / `scan_survivors` stay
+    // in-process: the per-level records below carry what a scan scored)
     out.put_u64_le(e.stats.levels);
     out.put_u64_le(e.stats.rings);
     out.put_u64_le(e.stats.vertices_reported);
