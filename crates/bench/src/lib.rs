@@ -122,19 +122,6 @@ impl World {
     pub fn store(&self, policy: LayoutPolicy) -> ShapeStore {
         ShapeStore::build(&self.base, &self.signatures, policy)
     }
-
-    /// Convenience wrapper: average I/Os per query for one (policy, k).
-    pub fn avg_io_per_query(
-        &self,
-        policy: LayoutPolicy,
-        buffer_blocks: usize,
-        k: usize,
-        queries: &[Polyline],
-    ) -> f64 {
-        let store = self.store(policy);
-        let traces = self.traces(k, queries);
-        self.replay_avg_io(&store, buffer_blocks, &traces)
-    }
 }
 
 /// Parse `--images N` / `--seed N` style flags from `std::env::args`.
@@ -168,7 +155,8 @@ mod tests {
         assert_eq!(world.signatures.len(), world.base.num_copies());
         let queries = world.query_set();
         assert_eq!(queries.len(), 15);
-        let io = world.avg_io_per_query(LayoutPolicy::MeanCurve, 10, 1, &queries[..3]);
+        let traces = world.traces(1, &queries[..3]);
+        let io = world.replay_avg_io(&world.store(LayoutPolicy::MeanCurve), 10, &traces);
         assert!(io > 0.0);
     }
 

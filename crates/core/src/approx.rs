@@ -234,49 +234,12 @@ pub struct SigBuckets {
 }
 
 impl SigBuckets {
-    /// Hash every copy of `base` serially.
+    /// Hash every copy of `base`.
     pub fn build(family: &CurveFamily, base: &ShapeBase) -> SigBuckets {
         let mut quarters: [Vec<Point>; 4] = Default::default();
         Self::from_sigs(
             base.copies().map(|(_, copy)| signature_of_with(family, &copy.normalized, &mut quarters)),
         )
-    }
-
-    /// Hash every copy of `base` with up to `threads` workers (0 = one
-    /// per CPU). The signatures — the expensive part, a ternary search
-    /// per occupied quarter — are computed in parallel over contiguous
-    /// chunks; grouping then runs serially in `CopyId` order, so the
-    /// result is identical to [`SigBuckets::build`].
-    pub fn build_with_threads(family: &CurveFamily, base: &ShapeBase, threads: usize) -> SigBuckets {
-        let n = base.num_copies();
-        let threads = crate::parallel::resolve_threads(threads).min(n.max(1));
-        if threads <= 1 {
-            return Self::build(family, base);
-        }
-        let mut sigs: Vec<Option<Signature>> = (0..n).map(|_| None).collect();
-        let slots = crate::parallel::SharedSlots::new(&mut sigs);
-        let chunk = (n / (threads * 4)).clamp(1, 256);
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| {
-                    let mut quarters: [Vec<Point>; 4] = Default::default();
-                    loop {
-                        let start = next.fetch_add(chunk, std::sync::atomic::Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        for i in start..(start + chunk).min(n) {
-                            let copy = base.copy(CopyId(i as u32));
-                            let sig = signature_of_with(family, &copy.normalized, &mut quarters);
-                            // SAFETY: the cursor hands each chunk to one worker.
-                            unsafe { slots.write(i, sig) };
-                        }
-                    }
-                });
-            }
-        });
-        Self::from_sigs(sigs.into_iter().map(|s| s.expect("every slot filled")))
     }
 
     /// Group `(CopyId(i), sig)` pairs (i = iteration order) into buckets.
@@ -566,19 +529,6 @@ mod tests {
         }
         want.sort();
         want
-    }
-
-    #[test]
-    fn parallel_build_matches_serial() {
-        let base = world(300, 21);
-        let family = CurveFamily::new(50);
-        let serial = SigBuckets::build(&family, &base);
-        for threads in [2usize, 4, 0] {
-            let par = SigBuckets::build_with_threads(&family, &base, threads);
-            assert_eq!(par.num_buckets(), serial.num_buckets(), "threads = {threads}");
-            assert_eq!(par.sigs, serial.sigs, "bucket order differs, threads = {threads}");
-            assert_eq!(par.copies, serial.copies, "bucket contents differ, threads = {threads}");
-        }
     }
 
     #[test]

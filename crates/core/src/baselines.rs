@@ -5,15 +5,13 @@
 //!   farthest point;
 //! - the **generalized k-th Hausdorff** distance of Huttenlocher &
 //!   Rucklidge (the k-th largest min-distance instead of the max);
-//! - **nonlinear elastic matching** (Fagin & Stockmeyer-style relaxed
-//!   metric), `O(n_A · n_B)` dynamic programming over vertex sequences;
 //! - the **Mehrotra–Gary feature index**: every shape is normalized about
 //!   *each edge* and stored as a fixed-dimension boundary-sample vector;
 //!   retrieval is nearest-vector search. Its weaknesses (storage blow-up,
 //!   noise sensitivity, bias toward equal vertex counts) are what Figure 2
 //!   and §2.3 argue against.
 
-use geosir_geom::{Point, Polyline, Similarity};
+use geosir_geom::{Polyline, Similarity};
 
 use crate::ids::ShapeId;
 use crate::similarity::PreparedShape;
@@ -34,7 +32,7 @@ pub fn hausdorff(a: &Polyline, b: &Polyline) -> f64 {
 /// Generalized directed Hausdorff: the k-th largest of the min-distances
 /// (`k = 1` reproduces the classical directed Hausdorff). The paper's §2.1
 /// notes it is mainly used with `k = m/2`.
-pub fn kth_hausdorff_directed(a: &Polyline, b: &PreparedShape, k: usize) -> f64 {
+fn kth_hausdorff_directed(a: &Polyline, b: &PreparedShape, k: usize) -> f64 {
     let mut d: Vec<f64> = a.points().iter().map(|&p| b.dist(p)).collect();
     assert!(k >= 1 && k <= d.len(), "k must be in 1..=|A|");
     d.sort_by(|x, y| y.partial_cmp(x).unwrap()); // descending
@@ -44,69 +42,6 @@ pub fn kth_hausdorff_directed(a: &Polyline, b: &PreparedShape, k: usize) -> f64 
 /// Half-rank generalized Hausdorff (`k = ⌈m/2⌉`), the common instantiation.
 pub fn median_hausdorff_directed(a: &Polyline, b: &PreparedShape) -> f64 {
     kth_hausdorff_directed(a, b, a.num_vertices().div_ceil(2))
-}
-
-/// Nonlinear elastic matching cost between two vertex sequences:
-/// monotone alignment (DTW over point distances) normalized by the
-/// alignment length. For closed shapes every cyclic rotation of `a` is
-/// tried (`O(n_A² · n_B)`), as the measure needs "certain starting matching
-/// points" — exactly the per-query work the paper's §2.1 objects to.
-pub fn elastic_matching(a: &Polyline, b: &Polyline) -> f64 {
-    let bp = b.points();
-    if !a.is_closed() {
-        return dtw_cost(a.points(), bp);
-    }
-    let n = a.num_vertices();
-    let mut best = f64::INFINITY;
-    let mut rotated: Vec<Point> = a.points().to_vec();
-    for _ in 0..n {
-        best = best.min(dtw_cost(&rotated, bp));
-        rotated.rotate_left(1);
-    }
-    best
-}
-
-/// Monotone-alignment DP: average pointwise distance along the cheapest
-/// alignment path (both sequences fully consumed, steps advance either or
-/// both indices).
-fn dtw_cost(a: &[Point], b: &[Point]) -> f64 {
-    let (n, m) = (a.len(), b.len());
-    // dp[i][j] = (total cost, path length) best alignment of a[..=i], b[..=j]
-    let mut cost = vec![f64::INFINITY; n * m];
-    let mut len = vec![0u32; n * m];
-    let idx = |i: usize, j: usize| i * m + j;
-    for i in 0..n {
-        for j in 0..m {
-            let d = a[i].dist(b[j]);
-            if i == 0 && j == 0 {
-                cost[idx(i, j)] = d;
-                len[idx(i, j)] = 1;
-                continue;
-            }
-            let mut best = (f64::INFINITY, 0u32);
-            let mut consider = |ci: usize, cj: usize| {
-                let c = cost[idx(ci, cj)];
-                let l = len[idx(ci, cj)];
-                // compare by average cost of the extended path
-                let avg = (c + d) / (l + 1) as f64;
-                if avg < best.0 {
-                    best = (avg, l + 1);
-                }
-            };
-            if i > 0 {
-                consider(i - 1, j);
-            }
-            if j > 0 {
-                consider(i, j - 1);
-            }
-            if i > 0 && j > 0 {
-                consider(i - 1, j - 1);
-            }
-            cost[idx(i, j)] = best.0 * best.1 as f64;
-            len[idx(i, j)] = best.1;
-        }
-    }
-    cost[idx(n - 1, m - 1)] / len[idx(n - 1, m - 1)] as f64
 }
 
 /// The Mehrotra–Gary edge-normalized feature index (§1, [16, 15, 21]).
@@ -199,6 +134,7 @@ fn euclid(a: &[f64], b: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use crate::similarity::h_avg_discrete;
+    use geosir_geom::Point;
     use proptest::prelude::*;
 
     fn p(x: f64, y: f64) -> Point {
@@ -267,38 +203,6 @@ mod tests {
         let a = square(0.0, 0.0, 1.0);
         let pa = PreparedShape::new(a.clone());
         let _ = kth_hausdorff_directed(&a, &pa, 9);
-    }
-
-    #[test]
-    fn elastic_matching_identity_and_discrimination() {
-        let a = square(0.0, 0.0, 1.0);
-        assert!(elastic_matching(&a, &a) < 1e-12);
-        let near = square(0.05, 0.0, 1.0);
-        let far = square(3.0, 3.0, 0.4);
-        assert!(elastic_matching(&near, &a) < elastic_matching(&far, &a));
-    }
-
-    #[test]
-    fn elastic_matching_handles_different_vertex_counts() {
-        let a = square(0.0, 0.0, 1.0);
-        // same square, one side subdivided
-        let b = Polyline::closed(vec![
-            p(-1.0, -1.0),
-            p(0.0, -1.0),
-            p(1.0, -1.0),
-            p(1.0, 1.0),
-            p(-1.0, 1.0),
-        ])
-        .unwrap();
-        // the extra flat vertex costs a little (sparse vertex sequences),
-        // but far less than matching a genuinely different shape
-        let same = elastic_matching(&a, &b);
-        let different = elastic_matching(
-            &a,
-            &Polyline::closed(vec![p(0.0, 0.0), p(6.0, 0.0), p(3.0, 0.8)]).unwrap(),
-        );
-        assert!(same < 0.3, "cost {same}");
-        assert!(same < 0.5 * different, "same {same} vs different {different}");
     }
 
     #[test]
@@ -375,16 +279,6 @@ mod tests {
                 prop_assert!(kth_hausdorff_directed(&b, &pa, k1)
                     >= kth_hausdorff_directed(&b, &pa, k2) - 1e-12);
             }
-        }
-
-        #[test]
-        fn elastic_matching_symmetric_enough(dx in -1.0..1.0f64) {
-            // not a metric, but A→B and B→A should stay within a factor
-            let a = square(0.0, 0.0, 1.0);
-            let b = square(dx, 0.2, 0.9);
-            let ab = elastic_matching(&a, &b);
-            let ba = elastic_matching(&b, &a);
-            prop_assert!((ab - ba).abs() <= 0.5 * (ab + ba) + 1e-9);
         }
     }
 }

@@ -42,8 +42,6 @@ pub enum Quarter {
 }
 
 impl Quarter {
-    pub const ALL: [Quarter; 4] = [Quarter::Q1, Quarter::Q2, Quarter::Q3, Quarter::Q4];
-
     pub fn of(p: Point) -> Quarter {
         match (p.x < 0.5, p.y >= 0.0) {
             (true, true) => Quarter::Q1,
@@ -56,7 +54,7 @@ impl Quarter {
     /// Map a point of this quarter into q₁ coordinates (the symmetry the
     /// paper exploits: x → 1−x for the right half, y → −y for the lower
     /// half).
-    pub fn to_q1(self, p: Point) -> Point {
+    fn to_q1(self, p: Point) -> Point {
         match self {
             Quarter::Q1 => p,
             Quarter::Q2 => Point::new(1.0 - p.x, p.y),
@@ -144,22 +142,15 @@ impl CurveFamily {
     }
 
     /// Average distance of `pts` (q₁ coordinates) to curve `i`.
-    pub fn avg_dist(&self, i: u16, pts: &[Point]) -> f64 {
+    fn avg_dist(&self, i: u16, pts: &[Point]) -> f64 {
         pts.iter().map(|&p| self.dist(i, p)).sum::<f64>() / pts.len() as f64
-    }
-
-    /// Characteristic curve of a vertex set by exact linear scan.
-    pub fn characteristic_linear(&self, pts: &[Point]) -> u16 {
-        (1..=self.k() as u16)
-            .min_by(|&a, &b| self.avg_dist(a, pts).partial_cmp(&self.avg_dist(b, pts)).unwrap())
-            .expect("k >= 1")
     }
 
     /// Characteristic curve by ternary search, exploiting the unimodality
     /// of the average distance in the continuous curve parameter (§3). The
     /// discrete argmin can sit one step off a plateau; we polish with a
     /// small neighborhood check.
-    pub fn characteristic_ternary(&self, pts: &[Point]) -> u16 {
+    fn characteristic_ternary(&self, pts: &[Point]) -> u16 {
         let (mut lo, mut hi) = (1i64, self.k() as i64);
         while hi - lo > 2 {
             let m1 = lo + (hi - lo) / 3;
@@ -188,7 +179,7 @@ impl CurveFamily {
 /// Clamp a normalized vertex into the lune; §3: vertices of α-diameter
 /// copies that fall outside are "treated as if they are located on the
 /// boundary of the lune".
-pub fn clamp_to_lune(mut p: Point) -> Point {
+fn clamp_to_lune(mut p: Point) -> Point {
     let c0 = Point::ORIGIN;
     let c1 = Point::new(1.0, 0.0);
     for _ in 0..4 {
@@ -280,14 +271,6 @@ impl GeometricHash {
     pub fn build(base: &ShapeBase, k: usize) -> Self {
         let family = CurveFamily::new(k);
         let buckets = SigBuckets::build(&family, base);
-        GeometricHash { family, buckets }
-    }
-
-    /// [`GeometricHash::build`] with up to `threads` workers (0 = one per
-    /// CPU) computing signatures in parallel. Produces identical buckets.
-    pub fn build_with_threads(base: &ShapeBase, k: usize, threads: usize) -> Self {
-        let family = CurveFamily::new(k);
-        let buckets = SigBuckets::build_with_threads(&family, base, threads);
         GeometricHash { family, buckets }
     }
 
@@ -453,6 +436,14 @@ mod tests {
         Point::new(x, y)
     }
 
+    /// Characteristic curve of a vertex set by exact linear scan — the
+    /// oracle `characteristic_ternary` is checked against.
+    fn characteristic_linear(fam: &CurveFamily, pts: &[Point]) -> u16 {
+        (1..=fam.k() as u16)
+            .min_by(|&a, &b| fam.avg_dist(a, pts).partial_cmp(&fam.avg_dist(b, pts)).unwrap())
+            .expect("k >= 1")
+    }
+
     #[test]
     fn e_endpoints_and_monotonicity() {
         assert!(lune_e(0.0).abs() < 1e-12);
@@ -523,7 +514,7 @@ mod tests {
         assert_eq!(Quarter::of(p(0.8, 0.3)), Quarter::Q2);
         assert_eq!(Quarter::of(p(0.2, -0.3)), Quarter::Q3);
         assert_eq!(Quarter::of(p(0.8, -0.3)), Quarter::Q4);
-        for q in Quarter::ALL {
+        for q in [Quarter::Q1, Quarter::Q2, Quarter::Q3, Quarter::Q4] {
             let folded = q.to_q1(match q {
                 Quarter::Q1 => p(0.2, 0.3),
                 Quarter::Q2 => p(0.8, 0.3),
@@ -559,7 +550,7 @@ mod tests {
                     ))
                 })
                 .collect();
-            let lin = fam.characteristic_linear(&pts);
+            let lin = characteristic_linear(&fam, &pts);
             let ter = fam.characteristic_ternary(&pts);
             // allow a tie within numerical noise
             let dl = fam.avg_dist(lin, &pts);
@@ -660,33 +651,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_matches_serial() {
-        let mut b = ShapeBaseBuilder::new();
-        let mut rng = StdRng::seed_from_u64(29);
-        for i in 0..120u32 {
-            let n = rng.random_range(5..10);
-            let pts: Vec<Point> = (0..n)
-                .map(|j| {
-                    let t = 2.0 * std::f64::consts::PI * j as f64 / n as f64;
-                    let r = rng.random_range(0.4..1.0);
-                    p(r * t.cos(), r * t.sin())
-                })
-                .collect();
-            b.add_shape(ImageId(i), Polyline::closed(pts).unwrap());
-        }
-        let base = b.build(0.05, Backend::KdTree);
-        let serial = GeometricHash::build(&base, 50);
-        for threads in [2usize, 4, 0] {
-            let par = GeometricHash::build_with_threads(&base, 50, threads);
-            let mut a: Vec<_> = serial.buckets().map(|(s, c)| (*s, c.to_vec())).collect();
-            let mut b: Vec<_> = par.buckets().map(|(s, c)| (*s, c.to_vec())).collect();
-            a.sort_by_key(|(s, _)| s.0);
-            b.sort_by_key(|(s, _)| s.0);
-            assert_eq!(a, b, "threads = {threads}");
-        }
-    }
-
-    #[test]
     fn scratch_reuse_is_equivalent_to_fresh_calls() {
         let base = demo_base();
         let gh = GeometricHash::build(&base, 50);
@@ -722,7 +686,7 @@ mod tests {
                     Quarter::of(q).to_q1(q)
                 })
                 .collect();
-            let lin = fam.characteristic_linear(&pts);
+            let lin = characteristic_linear(&fam, &pts);
             let ter = fam.characteristic_ternary(&pts);
             let dl = fam.avg_dist(lin, &pts);
             let dt = fam.avg_dist(ter, &pts);

@@ -456,10 +456,6 @@ impl<'a> Matcher<'a> {
         self.plan.clone()
     }
 
-    pub fn config(&self) -> &MatchConfig {
-        &self.config
-    }
-
     /// The base this matcher retrieves from.
     pub fn base(&self) -> &'a ShapeBase {
         self.base
@@ -512,16 +508,6 @@ impl<'a> Matcher<'a> {
         out
     }
 
-    /// Retrieve for an already-normalized query (diameter on the unit
-    /// segment).
-    pub fn retrieve_normalized(&self, query: &Polyline) -> MatchOutcome {
-        let mut scratch = self.pooled_scratch();
-        let mut out = MatchOutcome::default();
-        self.retrieve_normalized_with(&mut scratch, query, &mut out);
-        self.return_scratch(scratch);
-        out
-    }
-
     /// [`Matcher::retrieve`] through caller-owned scratch and out-parameter:
     /// the zero-allocation hot path. After a warm-up query on comparable
     /// input sizes, a call touches the heap zero times.
@@ -549,18 +535,6 @@ impl<'a> Matcher<'a> {
         if scratch.prepare_query(query) {
             self.run(scratch, RunMode::Threshold(tau), out);
         }
-    }
-
-    /// [`Matcher::retrieve_normalized`] through caller-owned scratch.
-    pub fn retrieve_normalized_with(
-        &self,
-        scratch: &mut MatcherScratch,
-        query: &Polyline,
-        out: &mut MatchOutcome,
-    ) {
-        out.clear();
-        scratch.prepare_normalized_query(query);
-        self.run(scratch, RunMode::TopK, out);
     }
 
     /// The fattening loop over the query already normalized and indexed in

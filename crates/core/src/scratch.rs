@@ -16,7 +16,7 @@ use geosir_geom::{Polyline, Similarity, Triangle};
 
 use crate::approx::ApproxScratch;
 use crate::shapebase::ShapeBase;
-use crate::similarity::{prepare_into, PreparedShape};
+use crate::similarity::PreparedShape;
 
 /// Arena of reusable buffers for [`crate::matcher::Matcher::retrieve_with`].
 ///
@@ -174,12 +174,6 @@ impl MatcherScratch {
         }
         self.grid_query();
         true
-    }
-
-    /// Index an already-normalized query (diameter on the unit segment).
-    pub(crate) fn prepare_normalized_query(&mut self, query: &Polyline) {
-        prepare_into(&mut self.query, query);
-        self.grid_query();
     }
 
     /// Every distance of the query about to run — ring membership,

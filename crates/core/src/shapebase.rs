@@ -168,12 +168,6 @@ impl ShapeBase {
         self.vertex_points.len()
     }
 
-    /// Largest vertex count of any copy (the matcher's termination bound
-    /// uses it when β = 0).
-    pub fn max_copy_vertices(&self) -> usize {
-        self.copies.iter().map(|c| c.normalized.num_vertices()).max().unwrap_or(0)
-    }
-
     pub fn copy(&self, id: CopyId) -> &CopyRecord {
         &self.copies[id.index()]
     }
@@ -264,7 +258,6 @@ mod tests {
         for (_, c) in base.copies() {
             assert_eq!(c.anchor_credit, 2);
         }
-        assert_eq!(base.max_copy_vertices(), 3);
     }
 
     #[test]

@@ -50,7 +50,7 @@ impl PreparedShape {
     /// Re-prepare for `shape` in place, reusing the vertex buffer and the
     /// AABB tree's allocations (the matcher's scratch path re-prepares one
     /// candidate after another without touching the heap).
-    pub fn rebuild_from(&mut self, shape: &Polyline) {
+    fn rebuild_from(&mut self, shape: &Polyline) {
         self.shape.copy_from(shape);
         self.index.rebuild_of_polyline(&self.shape);
     }
@@ -86,45 +86,6 @@ impl PreparedShape {
     }
 }
 
-/// A shape's vertex set prepared for point-set distance queries through
-/// the Voronoi structure of §2.5 ("we use the Voronoi diagram of the query
-/// shape Q"): nearest-vertex lookups walk the Delaunay graph. Degenerate
-/// vertex sets (collinear, < 3 distinct) fall back to a linear scan.
-pub struct VertexSet {
-    pts: Vec<geosir_geom::Point>,
-    delaunay: Option<geosir_geom::delaunay::Delaunay>,
-}
-
-impl VertexSet {
-    pub fn new(shape: &Polyline) -> Self {
-        let pts = shape.points().to_vec();
-        let delaunay = geosir_geom::delaunay::Delaunay::build(&pts);
-        VertexSet { pts, delaunay }
-    }
-
-    /// Distance from `p` to the nearest vertex.
-    pub fn dist(&self, p: geosir_geom::Point) -> f64 {
-        match &self.delaunay {
-            Some(d) => d.nearest(p, 0).1,
-            None => self
-                .pts
-                .iter()
-                .map(|q| q.dist(p))
-                .fold(f64::INFINITY, f64::min),
-        }
-    }
-}
-
-/// Pure point-set directed `h_avg`: mean over A's vertices of the distance
-/// to B's nearest **vertex** (both shapes as point sets — the reading of
-/// §2.2's `min_{b∈B} d(a,b)` for discrete B). The boundary-based
-/// [`h_avg_discrete`] is what the matcher uses; this variant serves
-/// point-cloud-style comparisons and the Voronoi-path benchmarks.
-pub fn h_avg_pointset(a: &Polyline, b: &VertexSet) -> f64 {
-    let pts = a.points();
-    pts.iter().map(|&p| b.dist(p)).sum::<f64>() / pts.len() as f64
-}
-
 /// Discrete directed `h_avg`: mean over A's **vertices** of the distance to
 /// B.
 pub fn h_avg_discrete(a: &Polyline, b: &PreparedShape) -> f64 {
@@ -132,33 +93,11 @@ pub fn h_avg_discrete(a: &Polyline, b: &PreparedShape) -> f64 {
     pts.iter().map(|&p| b.dist(p)).sum::<f64>() / pts.len() as f64
 }
 
-/// Median variant mentioned in §2.2 for discrete averages.
-pub fn h_median_discrete(a: &Polyline, b: &PreparedShape) -> f64 {
-    h_median_discrete_with(a, b, &mut Vec::new())
-}
-
-/// [`h_median_discrete`] over a caller-provided distance buffer, selecting
-/// the order statistics in O(n) instead of fully sorting.
-pub fn h_median_discrete_with(a: &Polyline, b: &PreparedShape, d: &mut Vec<f64>) -> f64 {
-    d.clear();
-    d.extend(a.points().iter().map(|&p| b.dist(p)));
-    let n = d.len();
-    let cmp = |x: &f64, y: &f64| x.partial_cmp(y).unwrap();
-    let (lo, mid, _) = d.select_nth_unstable_by(n / 2, cmp);
-    if n % 2 == 1 {
-        *mid
-    } else {
-        // the (n/2 − 1)-th statistic is the maximum of the lower partition
-        let below = lo.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        0.5 * (below + *mid)
-    }
-}
-
 /// Continuous directed `h_avg`: `(1 / |A|) ∫_A min_b d(a, b) da`, the
 /// integral running along A's edges by arclength. Adaptive Simpson per
 /// edge; `tol` is the absolute tolerance on the final average (default
 /// callers use [`h_avg_continuous`]).
-pub fn h_avg_continuous_tol(a: &Polyline, b: &PreparedShape, tol: f64) -> f64 {
+fn h_avg_continuous_tol(a: &Polyline, b: &PreparedShape, tol: f64) -> f64 {
     let perimeter = a.perimeter();
     let mut acc = 0.0;
     for e in a.edges() {
@@ -348,7 +287,6 @@ mod tests {
         let prepared = PreparedShape::new(sq.clone());
         assert!(h_avg_discrete(&sq, &prepared) < 1e-12);
         assert!(h_avg_continuous(&sq, &prepared) < 1e-6);
-        assert!(h_median_discrete(&sq, &prepared) < 1e-12);
     }
 
     #[test]
@@ -435,44 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn pointset_variant_matches_brute_force() {
-        use rand::prelude::*;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        for _ in 0..20 {
-            let n = rng.random_range(3..20);
-            let pts: Vec<Point> = (0..n)
-                .map(|i| {
-                    let t = 2.0 * std::f64::consts::PI * i as f64 / n as f64;
-                    let r = rng.random_range(0.5..1.0);
-                    p(r * t.cos(), r * t.sin())
-                })
-                .collect();
-            let b_shape = Polyline::closed(pts).unwrap();
-            let vs = VertexSet::new(&b_shape);
-            let a = square(rng.random_range(-1.0..1.0), rng.random_range(-1.0..1.0), 0.7);
-            let brute: f64 = a
-                .points()
-                .iter()
-                .map(|&q| {
-                    b_shape.points().iter().map(|r| r.dist(q)).fold(f64::INFINITY, f64::min)
-                })
-                .sum::<f64>()
-                / a.num_vertices() as f64;
-            assert!((h_avg_pointset(&a, &vs) - brute).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn pointset_degenerate_fallback() {
-        // collinear vertex set: no Delaunay; linear fallback must serve
-        let line = Polyline::open(vec![p(0.0, 0.0), p(1.0, 0.0), p(2.0, 0.0)]).unwrap();
-        let vs = VertexSet::new(&line);
-        assert!((vs.dist(p(1.0, 1.0)) - 1.0).abs() < 1e-12);
-        let a = square(0.0, 2.0, 0.5);
-        assert!(h_avg_pointset(&a, &vs) > 0.0);
-    }
-
-    #[test]
     fn bounded_score_exact_below_cutoff_pruned_above() {
         use rand::prelude::*;
         let mut rng = StdRng::seed_from_u64(0x5eed);
@@ -503,16 +403,6 @@ mod tests {
                 assert_eq!(score_prepared_bounded(kind, &pa, &pb, f64::INFINITY), exact);
             }
         }
-    }
-
-    #[test]
-    fn pointset_dominates_boundary_variant() {
-        // distance to the vertex set ≥ distance to the full boundary
-        let b = square(0.0, 0.0, 1.0);
-        let vs = VertexSet::new(&b);
-        let pb = PreparedShape::new(b);
-        let a = square(0.4, 0.2, 0.8);
-        assert!(h_avg_pointset(&a, &vs) >= h_avg_discrete(&a, &pb) - 1e-12);
     }
 
     proptest! {

@@ -33,7 +33,7 @@ impl Aabb {
         self.min.x > self.max.x || self.min.y > self.max.y
     }
 
-    pub fn expand(&mut self, p: Point) {
+    fn expand(&mut self, p: Point) {
         self.min.x = self.min.x.min(p.x);
         self.min.y = self.min.y.min(p.y);
         self.max.x = self.max.x.max(p.x);
@@ -66,10 +66,6 @@ impl Aabb {
             min: Point::new(self.min.x - r, self.min.y - r),
             max: Point::new(self.max.x + r, self.max.y + r),
         }
-    }
-
-    pub fn center(&self) -> Point {
-        self.min.midpoint(self.max)
     }
 
     pub fn width(&self) -> f64 {

@@ -20,32 +20,13 @@ use crate::polyline::Polyline;
 use crate::triangle::Triangle;
 use crate::EPS;
 
-/// The triangle cover of the ring between two envelopes of `poly`.
-#[derive(Debug, Clone)]
-pub struct RingCover {
-    pub inner: f64,
-    pub outer: f64,
-    pub triangles: Vec<Triangle>,
-}
-
-/// Is `p` inside the ε-envelope of `poly`? (Exact: distance test.)
-pub fn envelope_contains(poly: &Polyline, p: Point, eps: f64) -> bool {
-    poly.dist_to_point(p) <= eps
-}
-
 /// Build the triangle cover of `{p : inner < dist(p, poly) ≤ outer}`.
 ///
 /// Guarantees: every point of the ring lies in at least one triangle; the
 /// number of triangles is at most `12·m` for `m` edges. Panics if
-/// `inner < 0`, `outer ≤ inner` or either is non-finite.
-pub fn ring_cover(poly: &Polyline, inner: f64, outer: f64) -> RingCover {
-    let mut triangles = Vec::with_capacity(12 * poly.num_edges());
-    ring_cover_into(poly, inner, outer, &mut triangles);
-    RingCover { inner, outer, triangles }
-}
-
-/// [`ring_cover`] writing into a caller-provided buffer (cleared first), so
-/// the matcher's iteration loop allocates nothing once the buffer is warm.
+/// `inner < 0`, `outer ≤ inner` or either is non-finite. Writes into a
+/// caller-provided buffer (cleared first), so the matcher's iteration loop
+/// allocates nothing once the buffer is warm.
 pub fn ring_cover_into(poly: &Polyline, inner: f64, outer: f64, triangles: &mut Vec<Triangle>) {
     assert!(inner >= 0.0 && outer.is_finite() && inner.is_finite(), "bad ring radii");
     assert!(outer > inner, "ring must have positive width: {inner}..{outer}");
@@ -70,14 +51,8 @@ pub fn ring_cover_into(poly: &Polyline, inner: f64, outer: f64, triangles: &mut 
     }
 }
 
-/// Cover of the full ε-envelope (ring with `inner = 0`).
-pub fn envelope_cover(poly: &Polyline, eps: f64) -> RingCover {
-    let mut triangles = Vec::with_capacity(6 * poly.num_edges());
-    envelope_cover_into(poly, eps, &mut triangles);
-    RingCover { inner: 0.0, outer: eps, triangles }
-}
-
-/// [`envelope_cover`] writing into a caller-provided buffer (cleared first).
+/// Cover of the full ε-envelope (ring with `inner = 0`), at most `6·m`
+/// triangles, into a caller-provided buffer (cleared first).
 pub fn envelope_cover_into(poly: &Polyline, eps: f64, triangles: &mut Vec<Triangle>) {
     assert!(eps > 0.0, "envelope width must be positive");
     triangles.clear();
@@ -167,14 +142,6 @@ fn push_square_annulus(out: &mut Vec<Triangle>, v: Point, inner_half: f64, outer
     );
 }
 
-impl RingCover {
-    /// Does any cover triangle contain `p`? (Used by tests; the matcher
-    /// feeds the triangles to the range-search index instead.)
-    pub fn covers(&self, p: Point) -> bool {
-        self.triangles.iter().any(|t| t.contains(p))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,22 +156,29 @@ mod tests {
         Polyline::closed(vec![p(0.0, 0.0), p(1.0, 0.0), p(1.0, 1.0), p(0.0, 1.0)]).unwrap()
     }
 
-    #[test]
-    fn envelope_contains_matches_distance() {
-        let sq = square();
-        assert!(envelope_contains(&sq, p(1.1, 0.5), 0.2));
-        assert!(!envelope_contains(&sq, p(1.3, 0.5), 0.2));
-        assert!(envelope_contains(&sq, p(0.5, 0.5), 0.5)); // center
-        assert!(!envelope_contains(&sq, p(0.5, 0.5), 0.4));
+    fn ring_cover(poly: &Polyline, inner: f64, outer: f64) -> Vec<Triangle> {
+        let mut triangles = Vec::new();
+        ring_cover_into(poly, inner, outer, &mut triangles);
+        triangles
+    }
+
+    fn envelope_cover(poly: &Polyline, eps: f64) -> Vec<Triangle> {
+        let mut triangles = Vec::new();
+        envelope_cover_into(poly, eps, &mut triangles);
+        triangles
+    }
+
+    fn covers(triangles: &[Triangle], q: Point) -> bool {
+        triangles.iter().any(|t| t.contains(q))
     }
 
     #[test]
     fn cover_size_linear_in_edges() {
         let sq = square();
         let rc = ring_cover(&sq, 0.1, 0.2);
-        assert!(rc.triangles.len() <= 12 * sq.num_edges());
+        assert!(rc.len() <= 12 * sq.num_edges());
         let ec = envelope_cover(&sq, 0.2);
-        assert!(ec.triangles.len() <= 6 * sq.num_edges());
+        assert!(ec.len() <= 6 * sq.num_edges());
     }
 
     #[test]
@@ -219,7 +193,7 @@ mod tests {
         let rc = ring_cover(&pl, 0.05, 0.3);
         // point near the free endpoint, in the ring
         let q = p(-0.2, 0.0);
-        assert!(rc.covers(q));
+        assert!(covers(&rc, q));
     }
 
     #[test]
@@ -229,8 +203,8 @@ mod tests {
         // no triangle.
         let sq = square();
         let rc = ring_cover(&sq, 0.1, 0.2);
-        assert!(!rc.covers(p(5.0, 5.0)));
-        assert!(!rc.covers(p(0.5, 0.5))); // center: distance 0.5 > outer 0.2
+        assert!(!covers(&rc, p(5.0, 5.0)));
+        assert!(!covers(&rc, p(0.5, 0.5))); // center: distance 0.5 > outer 0.2
     }
 
     proptest! {
@@ -246,7 +220,7 @@ mod tests {
                 let q = p(rng.random_range(-1.0..2.0), rng.random_range(-1.0..2.0));
                 let d = sq.dist_to_point(q);
                 if d > inner + 1e-9 && d <= outer - 1e-9 {
-                    prop_assert!(rc.covers(q), "ring point {q} (dist {d}) uncovered");
+                    prop_assert!(covers(&rc, q), "ring point {q} (dist {d}) uncovered");
                 }
             }
         }
@@ -260,7 +234,7 @@ mod tests {
             for _ in 0..50 {
                 let q = p(rng.random_range(-1.0..2.0), rng.random_range(-1.0..2.0));
                 if sq.dist_to_point(q) <= eps - 1e-9 {
-                    prop_assert!(ec.covers(q), "envelope point {q} uncovered");
+                    prop_assert!(covers(&ec, q), "envelope point {q} uncovered");
                 }
             }
         }
@@ -268,7 +242,7 @@ mod tests {
         #[test]
         fn far_points_never_covered(x in 3.0..10.0f64, y in 3.0..10.0f64) {
             let rc = ring_cover(&square(), 0.1, 0.2);
-            prop_assert!(!rc.covers(p(x, y)));
+            prop_assert!(!covers(&rc, p(x, y)));
         }
     }
 }

@@ -40,25 +40,6 @@ pub fn convex_hull(points: &[Point]) -> Vec<Point> {
     hull
 }
 
-/// Is `q` inside (or on the boundary of) the convex polygon `hull`
-/// (CCW order, as produced by [`convex_hull`])?
-pub fn hull_contains(hull: &[Point], q: Point) -> bool {
-    if hull.len() < 3 {
-        return match hull {
-            [a] => a.almost_eq(q),
-            [a, b] => crate::segment::Segment::new(*a, *b).contains_point(q),
-            _ => false,
-        };
-    }
-    let n = hull.len();
-    for i in 0..n {
-        if cross3(hull[i], hull[(i + 1) % n], q) < -EPS {
-            return false;
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,6 +48,25 @@ mod tests {
 
     fn p(x: f64, y: f64) -> Point {
         Point::new(x, y)
+    }
+
+    /// Is `q` inside (or on the boundary of) the convex polygon `hull`
+    /// (CCW order, as produced by [`convex_hull`])?
+    fn hull_contains(hull: &[Point], q: Point) -> bool {
+        if hull.len() < 3 {
+            return match hull {
+                [a] => a.almost_eq(q),
+                [a, b] => crate::segment::Segment::new(*a, *b).contains_point(q),
+                _ => false,
+            };
+        }
+        let n = hull.len();
+        for i in 0..n {
+            if cross3(hull[i], hull[(i + 1) % n], q) < -EPS {
+                return false;
+            }
+        }
+        true
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! A 2D bucketed kd-tree over points: nearest-neighbor queries and
-//! triangle reporting with linear space.
+//! A 2D bucketed kd-tree over points: triangle reporting with linear
+//! space.
 //!
 //! This is the O(n)-space alternative to the fractional-cascading range tree
 //! for the matcher's simplex queries (DESIGN.md: backends are ablated
@@ -78,38 +78,6 @@ impl KdTree {
 
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
-    }
-
-    /// Index and distance of the point nearest to `q`, or `None` if empty.
-    pub fn nearest(&self, q: Point) -> Option<(u32, f64)> {
-        let root = self.root?;
-        let mut best = (NONE, f64::INFINITY);
-        self.nearest_rec(root, q, &mut best);
-        Some((best.0, best.1.sqrt()))
-    }
-
-    fn nearest_rec(&self, v: u32, q: Point, best: &mut (u32, f64)) {
-        let node = &self.nodes[v as usize];
-        if node.bbox.dist_sq(q) >= best.1 {
-            return;
-        }
-        if node.left == NONE {
-            for i in node.start as usize..node.end as usize {
-                let dx = self.xs[i] - q.x;
-                let dy = self.ys[i] - q.y;
-                let d2 = dx * dx + dy * dy;
-                if d2 < best.1 {
-                    *best = (self.ids[i], d2);
-                }
-            }
-            return;
-        }
-        // nearer child first, so the far side prunes on its bbox bound
-        let dl = self.nodes[node.left as usize].bbox.dist_sq(q);
-        let dr = self.nodes[node.right as usize].bbox.dist_sq(q);
-        let (first, second) = if dl <= dr { (node.left, node.right) } else { (node.right, node.left) };
-        self.nearest_rec(first, q, best);
-        self.nearest_rec(second, q, best);
     }
 
     /// Append the ids of all points inside the triangle (bounding box and
@@ -215,34 +183,6 @@ impl KdTree {
             }
         }
     }
-
-    /// Append the ids of all points inside the closed box to `out`.
-    pub fn report_box(&self, bb: &Aabb, out: &mut Vec<u32>) {
-        if let Some(root) = self.root {
-            self.box_rec(root, bb, out);
-        }
-    }
-
-    fn box_rec(&self, v: u32, bb: &Aabb, out: &mut Vec<u32>) {
-        let node = &self.nodes[v as usize];
-        if !bb.intersects(&node.bbox) {
-            return;
-        }
-        if bb.contains(node.bbox.min) && bb.contains(node.bbox.max) {
-            out.extend_from_slice(&self.ids[node.start as usize..node.end as usize]);
-            return;
-        }
-        if node.left == NONE {
-            for i in node.start as usize..node.end as usize {
-                if bb.contains(Point::new(self.xs[i], self.ys[i])) {
-                    out.push(self.ids[i]);
-                }
-            }
-            return;
-        }
-        self.box_rec(node.left, bb, out);
-        self.box_rec(node.right, bb, out);
-    }
 }
 
 fn build_rec(pts: &[Point], ids: &mut [u32], depth: usize, tree: &mut KdTree) -> u32 {
@@ -298,25 +238,16 @@ mod tests {
 
     #[test]
     fn empty_and_singleton() {
+        let big = Triangle::new(Point::new(-9.0, -9.0), Point::new(9.0, -9.0), Point::new(0.0, 9.0));
+        let mut got = Vec::new();
         let t = KdTree::build(&[]);
-        assert!(t.nearest(Point::ORIGIN).is_none());
+        assert!(t.is_empty());
+        t.report_triangle(&big, &mut got);
+        assert!(got.is_empty());
         let t = KdTree::build(&[Point::new(1.0, 2.0)]);
-        let (id, d) = t.nearest(Point::ORIGIN).unwrap();
-        assert_eq!(id, 0);
-        assert!((d - 5f64.sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn nearest_matches_brute_force() {
-        let pts = random_points(11, 400);
-        let t = KdTree::build(&pts);
-        let queries = random_points(12, 100);
-        for q in queries {
-            let (id, d) = t.nearest(q).unwrap();
-            let brute = pts.iter().map(|p| p.dist(q)).fold(f64::INFINITY, f64::min);
-            assert!((d - brute).abs() < 1e-12, "kd {d} vs brute {brute}");
-            assert!((pts[id as usize].dist(q) - d).abs() < 1e-12);
-        }
+        assert_eq!(t.len(), 1);
+        t.report_triangle(&big, &mut got);
+        assert_eq!(got, vec![0]);
     }
 
     #[test]
@@ -379,28 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn box_report_matches_brute_force() {
-        let pts = random_points(21, 500);
-        let t = KdTree::build(&pts);
-        let mut rng = StdRng::seed_from_u64(77);
-        for _ in 0..100 {
-            let c = Point::new(rng.random_range(-1.0..1.0), rng.random_range(-1.0..1.0));
-            let bb = Aabb::of_points([c]).inflated(rng.random_range(0.0..0.8));
-            let mut got = Vec::new();
-            t.report_box(&bb, &mut got);
-            got.sort_unstable();
-            let mut want: Vec<u32> = pts
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| bb.contains(**p))
-                .map(|(i, _)| i as u32)
-                .collect();
-            want.sort_unstable();
-            assert_eq!(got, want);
-        }
-    }
-
-    #[test]
     fn duplicate_points_all_reported() {
         let pts = vec![Point::new(0.0, 0.0); 9];
         let t = KdTree::build(&pts);
@@ -413,17 +322,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn nearest_never_worse_than_sample(seed in 0u64..200, qx in -2.0..2.0f64, qy in -2.0..2.0f64) {
-            let pts = random_points(seed, 50);
-            let t = KdTree::build(&pts);
-            let q = Point::new(qx, qy);
-            let (_, d) = t.nearest(q).unwrap();
-            for p in &pts {
-                prop_assert!(d <= p.dist(q) + 1e-12);
-            }
-        }
-
         #[test]
         fn union_never_misses(seed in 0u64..100) {
             let pts = random_points(seed, 300);

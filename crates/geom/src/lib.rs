@@ -4,19 +4,17 @@
 //! here: 2D primitives with orientation predicates, polylines and polygons,
 //! convex hulls and rotating-calipers diameters, α-diameter enumeration,
 //! similarity transforms, ε-envelopes and their ring decompositions,
-//! ear-clipping triangulation, simplex (triangle) range searching with a
-//! fractional-cascading layered range tree and a kd-tree backend, a
-//! nearest-segment AABB tree, a nearest-vertex kd-tree, and the
-//! contain/overlap/disjoint topology predicates of §5.
+//! simplex (triangle) range searching with a fractional-cascading layered
+//! range tree and a kd-tree backend, a nearest-segment AABB tree with the
+//! query's nearest-edge grid, and the contain/overlap/disjoint topology
+//! predicates of §5.
 
 pub mod bbox;
-pub mod delaunay;
 pub mod diameter;
 pub mod envelope;
 pub mod hull;
 pub mod kdtree;
 pub mod numeric;
-pub mod offset;
 pub mod point;
 pub mod polyline;
 pub mod rangesearch;
@@ -28,7 +26,6 @@ pub mod sweep;
 pub mod topology;
 pub mod transform;
 pub mod triangle;
-pub mod triangulate;
 
 pub use bbox::Aabb;
 pub use point::{Point, Vec2};

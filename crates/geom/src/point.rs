@@ -131,17 +131,6 @@ impl Vec2 {
     pub fn angle_to(self, other: Vec2) -> f64 {
         self.cross(other).atan2(self.dot(other))
     }
-
-    /// Rotate counter-clockwise by `theta` radians.
-    pub fn rotated(self, theta: f64) -> Vec2 {
-        let (s, c) = theta.sin_cos();
-        Vec2::new(c * self.x - s * self.y, s * self.x + c * self.y)
-    }
-
-    #[inline]
-    pub fn to_point(self) -> Point {
-        Point { x: self.x, y: self.y }
-    }
 }
 
 /// Orientation of the ordered triple `(a, b, c)`.
@@ -302,12 +291,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn rotation_preserves_norm(x in -1e3..1e3f64, y in -1e3..1e3f64, t in -10.0..10.0f64) {
-            let v = Vec2::new(x, y);
-            prop_assert!((v.rotated(t).norm() - v.norm()).abs() < 1e-6);
-        }
-
         #[test]
         fn orientation_antisymmetry(ax in -100.0..100.0f64, ay in -100.0..100.0f64,
                                     bx in -100.0..100.0f64, by in -100.0..100.0f64,

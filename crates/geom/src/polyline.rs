@@ -5,7 +5,7 @@
 //! via the `closed` flag.
 
 use crate::bbox::Aabb;
-use crate::point::{cross3, Point};
+use crate::point::Point;
 use crate::segment::Segment;
 use crate::EPS;
 
@@ -125,7 +125,7 @@ impl Polyline {
     }
 
     /// Signed area (closed shapes; positive for CCW vertex order).
-    pub fn signed_area(&self) -> f64 {
+    fn signed_area(&self) -> f64 {
         debug_assert!(self.closed, "signed_area on open polyline");
         0.5 * self.edges().map(|e| e.shoelace()).sum::<f64>()
     }
@@ -212,26 +212,6 @@ impl Polyline {
         true
     }
 
-    /// Is the (closed) polygon convex?
-    pub fn is_convex(&self) -> bool {
-        debug_assert!(self.closed, "is_convex on open polyline");
-        let n = self.pts.len();
-        let mut sign = 0i8;
-        for i in 0..n {
-            let c = cross3(self.pts[i], self.pts[(i + 1) % n], self.pts[(i + 2) % n]);
-            if c.abs() <= EPS {
-                continue;
-            }
-            let s = if c > 0.0 { 1 } else { -1 };
-            if sign == 0 {
-                sign = s;
-            } else if sign != s {
-                return false;
-            }
-        }
-        true
-    }
-
     /// `count` points spread uniformly by arclength along the chain
     /// (used by tests and the discrete similarity variants).
     pub fn sample_by_arclength(&self, count: usize) -> Vec<Point> {
@@ -258,13 +238,6 @@ impl Polyline {
             out.push(cur.at(t));
         }
         out
-    }
-
-    /// The chain with vertex order reversed (same point set, same edges).
-    pub fn reversed(&self) -> Polyline {
-        let mut pts = self.pts.clone();
-        pts.reverse();
-        Polyline { pts, closed: self.closed }
     }
 
     /// Apply `f` to every vertex.
@@ -329,9 +302,7 @@ mod tests {
         assert_eq!(sq.num_edges(), 4);
         assert!((sq.perimeter() - 4.0).abs() < 1e-12);
         assert!((sq.signed_area() - 1.0).abs() < 1e-12);
-        assert!((sq.reversed().signed_area() + 1.0).abs() < 1e-12);
         assert!(sq.vertex_centroid().almost_eq(p(0.5, 0.5)));
-        assert!(sq.is_convex());
         assert!(sq.is_simple());
     }
 
@@ -363,7 +334,6 @@ mod tests {
             p(0.0, 2.0),
         ])
         .unwrap();
-        assert!(!l.is_convex());
         assert!(l.contains_point(p(0.5, 1.5)));
         assert!(l.contains_point(p(1.5, 0.5)));
         assert!(!l.contains_point(p(1.5, 1.5)));
@@ -413,7 +383,6 @@ mod tests {
             let poly = Polyline::closed(pts).unwrap();
             let expected = 0.5 * n as f64 * (2.0 * std::f64::consts::PI / n as f64).sin();
             prop_assert!((poly.area() - expected).abs() < 1e-9);
-            prop_assert!(poly.is_convex());
             prop_assert!(poly.is_simple());
         }
 

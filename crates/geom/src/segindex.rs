@@ -139,7 +139,7 @@ impl SegmentIndex {
     /// allocation (node pool, segment store, columns, permutation scratch).
     /// Small sets take the flat-scan layout; larger ones build the tree.
     /// Drops the nearest-edge grid of the previous set.
-    pub fn rebuild(&mut self, segments: impl IntoIterator<Item = Segment>) {
+    fn rebuild(&mut self, segments: impl IntoIterator<Item = Segment>) {
         self.grid.cells.clear();
         self.segs.clear();
         self.segs.extend(segments);

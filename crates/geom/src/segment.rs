@@ -13,7 +13,7 @@ pub struct Segment {
 
 /// Result of intersecting two segments.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SegIntersection {
+enum SegIntersection {
     /// No common point.
     None,
     /// Exactly one common point (includes endpoint touches and crossings).
@@ -51,7 +51,7 @@ impl Segment {
     }
 
     /// Parameter `t ∈ [0,1]` of the point on the segment closest to `p`.
-    pub fn project_clamped(&self, p: Point) -> f64 {
+    fn project_clamped(&self, p: Point) -> f64 {
         let d = self.dir();
         let l2 = d.norm_sq();
         if l2 <= EPS * EPS {
@@ -61,7 +61,7 @@ impl Segment {
     }
 
     /// Closest point of the segment to `p`.
-    pub fn closest_point(&self, p: Point) -> Point {
+    fn closest_point(&self, p: Point) -> Point {
         self.at(self.project_clamped(p))
     }
 
@@ -78,17 +78,6 @@ impl Segment {
     /// True if `p` lies on the segment (within tolerance).
     pub fn contains_point(&self, p: Point) -> bool {
         self.dist_to_point(p) <= EPS * (1.0 + self.len())
-    }
-
-    /// Minimum distance between two segments.
-    pub fn dist_to_segment(&self, other: &Segment) -> f64 {
-        if self.intersects(other) {
-            return 0.0;
-        }
-        self.dist_to_point(other.a)
-            .min(self.dist_to_point(other.b))
-            .min(other.dist_to_point(self.a))
-            .min(other.dist_to_point(self.b))
     }
 
     /// Do the two segments share at least one point?
@@ -112,7 +101,7 @@ impl Segment {
     }
 
     /// Full segment-segment intersection, handling collinear overlap.
-    pub fn intersect(&self, other: &Segment) -> SegIntersection {
+    fn intersect(&self, other: &Segment) -> SegIntersection {
         let r = self.dir();
         let s = other.dir();
         let denom = r.cross(s);
@@ -163,35 +152,6 @@ impl Segment {
     /// accumulating polygon areas.
     pub fn shoelace(&self) -> f64 {
         self.a.x * self.b.y - self.b.x * self.a.y
-    }
-
-    /// Integral of the distance from points of this segment to a fixed point
-    /// `p`, divided by the segment length (i.e. the *average* distance of the
-    /// segment's continuum of points to `p`). Closed form.
-    ///
-    /// This is the building block of the continuous `h_avg` of §2.2 when the
-    /// nearest feature of the other shape is (locally) a single point.
-    pub fn avg_dist_to_point(&self, p: Point) -> f64 {
-        let l = self.len();
-        if l <= EPS {
-            return self.a.dist(p);
-        }
-        // Parametrize by arclength s ∈ [0, l]; the foot of the perpendicular
-        // from p is at s0, at height h. ∫√((s-s0)² + h²) ds has closed form.
-        let d = self.dir() / l;
-        let s0 = (p - self.a).dot(d);
-        let foot = self.a + d * s0;
-        let h = foot.dist(p);
-        let f = |s: f64| {
-            let u = s - s0;
-            let r = (u * u + h * h).sqrt();
-            if h <= EPS {
-                0.5 * u * u.abs() // ∫|u| du = u|u|/2
-            } else {
-                0.5 * (u * r + h * h * ((u + r).max(EPS * h)).ln())
-            }
-        };
-        (f(l) - f(0.0)) / l
     }
 }
 
@@ -276,42 +236,9 @@ mod tests {
         let s1 = s(0.0, 0.0, 1.0, 0.0);
         let s2 = s(0.0, 1.0, 1.0, 1.0);
         assert_eq!(s1.intersect(&s2), SegIntersection::None);
-        assert_eq!(s1.dist_to_segment(&s2), 1.0);
-    }
-
-    #[test]
-    fn avg_dist_matches_numeric_integration() {
-        let seg = s(0.0, 0.0, 2.0, 0.0);
-        for q in [p(1.0, 1.0), p(-3.0, 2.0), p(0.5, 0.0), p(10.0, -4.0)] {
-            let n = 20_000;
-            let mut acc = 0.0;
-            for i in 0..n {
-                let t = (i as f64 + 0.5) / n as f64;
-                acc += seg.at(t).dist(q);
-            }
-            let numeric = acc / n as f64;
-            let closed = seg.avg_dist_to_point(q);
-            assert!(
-                (closed - numeric).abs() < 1e-4,
-                "closed={closed} numeric={numeric} for {q}"
-            );
-        }
     }
 
     proptest! {
-        #[test]
-        fn dist_symmetric_between_segments(ax in -5.0..5.0f64, ay in -5.0..5.0f64,
-                                           bx in -5.0..5.0f64, by in -5.0..5.0f64,
-                                           cx in -5.0..5.0f64, cy in -5.0..5.0f64,
-                                           dx in -5.0..5.0f64, dy in -5.0..5.0f64) {
-            let s1 = Segment::new(p(ax, ay), p(bx, by));
-            let s2 = Segment::new(p(cx, cy), p(dx, dy));
-            let d12 = s1.dist_to_segment(&s2);
-            let d21 = s2.dist_to_segment(&s1);
-            prop_assert!((d12 - d21).abs() < 1e-9);
-            prop_assert!(d12 >= 0.0);
-        }
-
         #[test]
         fn closest_point_is_on_segment(ax in -5.0..5.0f64, ay in -5.0..5.0f64,
                                        bx in -5.0..5.0f64, by in -5.0..5.0f64,
@@ -324,17 +251,6 @@ mod tests {
                 let q = seg.at(i as f64 / 20.0);
                 prop_assert!(c.dist(p(px, py)) <= q.dist(p(px, py)) + 1e-9);
             }
-        }
-
-        #[test]
-        fn avg_dist_bounded_by_extremes(px in -5.0..5.0f64, py in -5.0..5.0f64) {
-            let seg = s(-1.0, 0.0, 1.0, 0.0);
-            let q = p(px, py);
-            let avg = seg.avg_dist_to_point(q);
-            let dmin = seg.dist_to_point(q);
-            let dmax = seg.a.dist(q).max(seg.b.dist(q));
-            prop_assert!(avg >= dmin - 1e-9);
-            prop_assert!(avg <= dmax + 1e-9);
         }
     }
 }

@@ -1,10 +1,9 @@
 //! Batch segment intersection by sweep-and-prune.
 //!
 //! The §6 front end feeds arbitrary traced polylines into simplicity
-//! checks and self-intersection decomposition; both need all intersecting
-//! segment pairs. The brute-force `O(e²)` scan is right for ~20-edge
-//! shapes, but traced boundaries before simplification carry hundreds of
-//! edges. This sweep sorts endpoints by x and tests only pairs whose
+//! checks, which need all intersecting segment pairs. The brute-force
+//! `O(e²)` scan is right for ~20-edge shapes, but traced boundaries
+//! before simplification carry hundreds of edges. This sweep sorts endpoints by x and tests only pairs whose
 //! x-intervals overlap (pruned further by y-interval), giving
 //! `O(n log n + c)` where `c` counts x-overlapping candidate pairs —
 //! output-sensitive on everything the pipeline produces.
@@ -14,7 +13,7 @@ use crate::segment::Segment;
 
 /// All unordered index pairs `(i, j)`, `i < j`, whose segments intersect
 /// (touching endpoints count, matching [`Segment::intersects`]).
-pub fn intersecting_pairs(segs: &[Segment]) -> Vec<(u32, u32)> {
+fn intersecting_pairs(segs: &[Segment]) -> Vec<(u32, u32)> {
     let n = segs.len();
     let boxes: Vec<Aabb> = segs.iter().map(Segment::bbox).collect();
     // events: (x, is_end, index) — starts before ends at equal x so that

@@ -23,7 +23,7 @@ pub enum Relation {
 
 /// Do any two edges of the shapes intersect? `O(e_a · e_b)` — shapes carry
 /// ~20 vertices in the corpus, so the quadratic scan is the fast path.
-pub fn boundaries_intersect(a: &Polyline, b: &Polyline) -> bool {
+fn boundaries_intersect(a: &Polyline, b: &Polyline) -> bool {
     // Cheap reject: disjoint bounding boxes cannot intersect.
     if !a.bbox().intersects(&b.bbox()) {
         return false;

@@ -21,8 +21,6 @@ pub struct Similarity {
 }
 
 impl Similarity {
-    pub const IDENTITY: Similarity = Similarity { a: 1.0, b: 0.0, tx: 0.0, ty: 0.0 };
-
     /// Build from scale, rotation angle and translation.
     pub fn from_parts(scale: f64, theta: f64, t: Vec2) -> Self {
         let (s, c) = theta.sin_cos();
@@ -31,7 +29,7 @@ impl Similarity {
 
     /// The unique direct similarity mapping `src0 ↦ dst0` and `src1 ↦ dst1`.
     /// Returns `None` when `src0` and `src1` (nearly) coincide.
-    pub fn mapping(src0: Point, src1: Point, dst0: Point, dst1: Point) -> Option<Self> {
+    fn mapping(src0: Point, src1: Point, dst0: Point, dst1: Point) -> Option<Self> {
         let u = src1 - src0;
         let v = dst1 - dst0;
         let d = u.norm_sq();
@@ -57,12 +55,6 @@ impl Similarity {
         Point::new(self.a * p.x - self.b * p.y + self.tx, self.b * p.x + self.a * p.y + self.ty)
     }
 
-    /// Apply to a direction (ignores translation).
-    #[inline]
-    pub fn apply_vec(&self, v: Vec2) -> Vec2 {
-        Vec2::new(self.a * v.x - self.b * v.y, self.b * v.x + self.a * v.y)
-    }
-
     pub fn apply_polyline(&self, pl: &Polyline) -> Polyline {
         pl.map_points(|p| self.apply(p))
     }
@@ -70,15 +62,6 @@ impl Similarity {
     /// The uniform scale factor.
     pub fn scale(&self) -> f64 {
         (self.a * self.a + self.b * self.b).sqrt()
-    }
-
-    /// The rotation angle in `(-π, π]`.
-    pub fn rotation(&self) -> f64 {
-        self.b.atan2(self.a)
-    }
-
-    pub fn translation(&self) -> Vec2 {
-        Vec2::new(self.tx, self.ty)
     }
 
     /// Composition: `(self ∘ other)(p) = self(other(p))`.
@@ -134,8 +117,8 @@ mod tests {
     fn parts_round_trip() {
         let t = Similarity::from_parts(2.0, 0.7, Vec2::new(3.0, -1.0));
         assert!((t.scale() - 2.0).abs() < 1e-12);
-        assert!((t.rotation() - 0.7).abs() < 1e-12);
-        assert!((t.translation().x - 3.0).abs() < 1e-12);
+        assert!((t.b.atan2(t.a) - 0.7).abs() < 1e-12);
+        assert!((t.tx - 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use geosir_geom::{Point, Polyline, Segment};
 
 /// Simplify an open chain of points with Douglas–Peucker.
-pub fn simplify_open(points: &[Point], tolerance: f64) -> Vec<Point> {
+fn simplify_open(points: &[Point], tolerance: f64) -> Vec<Point> {
     assert!(tolerance >= 0.0);
     if points.len() <= 2 {
         return points.to_vec();

@@ -1,18 +1,14 @@
 //! The GeoSIR imaging front end (§6) and the synthetic corpus generators.
 //!
-//! GeoSIR extracts shapes from raster images: edge/boundary detection,
-//! segment approximation of boundaries, detection of polyline clusters and
-//! decomposition into non-self-intersecting polylines. The paper used the
-//! `ipp` package on real images; we implement the equivalent pipeline on
-//! synthetic rasters so the full add-an-image path is exercised end to end
+//! GeoSIR extracts shapes from raster images: boundary detection and
+//! segment approximation of boundaries. The paper used the `ipp` package
+//! on real images; we implement the equivalent pipeline on synthetic
+//! rasters so the full add-an-image path is exercised end to end
 //! (DESIGN.md, substitutions):
 //!
 //! - [`raster`] — grayscale images and polygon rasterization;
-//! - [`edges`] — Sobel gradients and thresholded edge maps;
 //! - [`trace`] — connected components and Moore boundary tracing;
 //! - [`approx`] — Douglas–Peucker segment approximation;
-//! - [`cluster`] — polyline cluster detection (shared vertices) and the
-//!   decomposition of self-intersecting polylines into simple ones;
 //! - [`synth`] — the corpus generators behind every experiment: shape
 //!   families, noise/distortion models, scene composition with planted
 //!   topological relations, and paper-scale corpus statistics;
@@ -20,11 +16,7 @@
 //!   for the shape base.
 
 pub mod approx;
-pub mod cluster;
-pub mod edges;
-pub mod morphology;
 pub mod pipeline;
 pub mod raster;
 pub mod synth;
 pub mod trace;
-pub mod video;

@@ -1,6 +1,6 @@
 //! Grayscale rasters and polygon rasterization.
 
-use geosir_geom::{Point, Polyline};
+use geosir_geom::Polyline;
 
 /// A row-major 8-bit grayscale image.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,16 +26,6 @@ impl Raster {
     #[inline]
     pub fn get(&self, x: usize, y: usize) -> u8 {
         self.data[y * self.width + x]
-    }
-
-    /// Out-of-bounds reads return 0 (background).
-    #[inline]
-    pub fn get_clamped(&self, x: isize, y: isize) -> u8 {
-        if x < 0 || y < 0 || x as usize >= self.width || y as usize >= self.height {
-            0
-        } else {
-            self.get(x as usize, y as usize)
-        }
     }
 
     #[inline]
@@ -84,50 +74,12 @@ impl Raster {
             }
         }
     }
-
-    /// Draw the polyline outline with `value` using Bresenham lines.
-    pub fn draw_polyline(&mut self, poly: &Polyline, value: u8) {
-        for e in poly.edges() {
-            self.draw_line(e.a, e.b, value);
-        }
-    }
-
-    fn draw_line(&mut self, a: Point, b: Point, value: u8) {
-        let (mut x0, mut y0) = (a.x.round() as isize, a.y.round() as isize);
-        let (x1, y1) = (b.x.round() as isize, b.y.round() as isize);
-        let dx = (x1 - x0).abs();
-        let dy = -(y1 - y0).abs();
-        let sx = if x0 < x1 { 1 } else { -1 };
-        let sy = if y0 < y1 { 1 } else { -1 };
-        let mut err = dx + dy;
-        loop {
-            if x0 >= 0 && y0 >= 0 && (x0 as usize) < self.width && (y0 as usize) < self.height {
-                self.set(x0 as usize, y0 as usize, value);
-            }
-            if x0 == x1 && y0 == y1 {
-                break;
-            }
-            let e2 = 2 * err;
-            if e2 >= dy {
-                err += dy;
-                x0 += sx;
-            }
-            if e2 <= dx {
-                err += dx;
-                y0 += sy;
-            }
-        }
-    }
-
-    /// Count pixels with exactly this value.
-    pub fn count_value(&self, value: u8) -> usize {
-        self.data.iter().filter(|&&v| v == value).count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geosir_geom::Point;
 
     fn p(x: f64, y: f64) -> Point {
         Point::new(x, y)
@@ -147,7 +99,7 @@ mod tests {
     fn fill_square_area() {
         let mut r = Raster::new(64, 64);
         r.fill_polygon(&square(32.0, 32.0, 10.0), 200);
-        let filled = r.count_value(200);
+        let filled = r.pixels().iter().filter(|&&v| v == 200).count();
         // a 20×20 square ⇒ ~400 pixels (scanline sampling gives ±1 rows)
         assert!((filled as i64 - 400).abs() <= 40, "filled {filled}");
         assert_eq!(r.get(32, 32), 200);
@@ -158,7 +110,7 @@ mod tests {
     fn fill_clips_to_bounds() {
         let mut r = Raster::new(16, 16);
         r.fill_polygon(&square(0.0, 0.0, 10.0), 99); // mostly off-image
-        assert!(r.count_value(99) > 0);
+        assert!(r.pixels().contains(&99));
         assert_eq!(r.get(15, 15), 0);
     }
 
@@ -180,27 +132,5 @@ mod tests {
         assert_eq!(r.get(20, 8), 77);
         assert_eq!(r.get(8, 20), 77);
         assert_eq!(r.get(22, 22), 0, "notch must stay empty");
-    }
-
-    #[test]
-    fn draw_line_endpoints_and_connectivity() {
-        let mut r = Raster::new(32, 32);
-        r.draw_line(p(2.0, 2.0), p(29.0, 17.0), 255);
-        assert_eq!(r.get(2, 2), 255);
-        assert_eq!(r.get(29, 17), 255);
-        // every column between endpoints has at least one lit pixel
-        for x in 2..=29usize {
-            assert!((0..32).any(|y| r.get(x, y) == 255), "gap at column {x}");
-        }
-    }
-
-    #[test]
-    fn outline_touches_all_corners() {
-        let mut r = Raster::new(64, 64);
-        let sq = square(30.0, 30.0, 12.0);
-        r.draw_polyline(&sq, 255);
-        for q in sq.points() {
-            assert_eq!(r.get(q.x as usize, q.y as usize), 255);
-        }
     }
 }

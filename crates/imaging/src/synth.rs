@@ -53,11 +53,6 @@ impl CorpusConfig {
             seed,
         }
     }
-
-    /// The paper's full scale: 10,000 images.
-    pub fn paper(seed: u64) -> Self {
-        Self::small(10_000, seed)
-    }
 }
 
 /// A generated corpus.
@@ -206,7 +201,7 @@ pub fn place_free(shape: &Polyline, rng: &mut StdRng) -> Polyline {
 /// centered near the host's centroid). The construction guarantees
 /// containment for star-shaped hosts; callers treat the actual relation as
 /// ground truth via the topology predicates anyway.
-pub fn place_inside(shape: &Polyline, host: &Polyline, rng: &mut StdRng) -> Polyline {
+fn place_inside(shape: &Polyline, host: &Polyline, rng: &mut StdRng) -> Polyline {
     let hb = host.bbox();
     let size = 0.25 * hb.width().min(hb.height());
     let c = host.vertex_centroid();
@@ -215,7 +210,7 @@ pub fn place_inside(shape: &Polyline, host: &Polyline, rng: &mut StdRng) -> Poly
 }
 
 /// Pose `shape` so that it straddles `host`'s boundary.
-pub fn place_overlapping(shape: &Polyline, host: &Polyline, rng: &mut StdRng) -> Polyline {
+fn place_overlapping(shape: &Polyline, host: &Polyline, rng: &mut StdRng) -> Polyline {
     let hb = host.bbox();
     let size = 0.8 * hb.width().min(hb.height()).max(20.0);
     // center on a boundary vertex of the host

@@ -69,7 +69,7 @@ pub const TERM_EMPTY: u8 = 5;
 pub const TERM_SCAN: u8 = 6;
 
 /// Human name for a [`QueryProfile::termination`] code.
-pub fn termination_name(code: u8) -> &'static str {
+fn termination_name(code: u8) -> &'static str {
     match code {
         TERM_NONE => "none",
         TERM_CERTIFIED => "certified",

@@ -167,11 +167,6 @@ impl Journal {
         self.cap
     }
 
-    /// Total events emitted over the journal's lifetime.
-    pub fn emitted(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
-    }
-
     /// Install (or with `None`, remove) the durable line sink.
     pub fn set_sink(&self, sink: Option<Arc<JournalSink>>) {
         *self.sink.write().unwrap() = sink;
@@ -248,7 +243,7 @@ mod tests {
         assert_eq!(recent.len(), 3);
         assert_eq!(recent[0].fields[0].1, "4");
         assert_eq!(recent[2].fields[0].1, "2");
-        assert_eq!(j.emitted(), 5);
+        assert_eq!(j.head.load(Ordering::Relaxed), 5);
     }
 
     #[test]
@@ -323,7 +318,7 @@ mod tests {
                 }
             });
         });
-        assert_eq!(j.emitted(), 800);
+        assert_eq!(j.head.load(Ordering::Relaxed), 800);
         assert_eq!(j.recent().len(), 16);
     }
 }

@@ -67,7 +67,7 @@ static GLOBAL: OnceLock<Arc<Registry>> = OnceLock::new();
 
 /// The process-wide registry: the default sink when no thread-local
 /// registry is installed.
-pub fn global() -> &'static Arc<Registry> {
+fn global() -> &'static Arc<Registry> {
     GLOBAL.get_or_init(|| Arc::new(Registry::new()))
 }
 

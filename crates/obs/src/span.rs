@@ -14,7 +14,7 @@ use std::time::Instant;
 use crate::registry::Histogram;
 
 /// Histogram fed by every [`SpanGuard`]; labeled by stage.
-pub const STAGE_HISTOGRAM: &str = "geosir_stage_duration_us";
+const STAGE_HISTOGRAM: &str = "geosir_stage_duration_us";
 
 /// RAII timer; records elapsed µs into the stage histogram on drop.
 #[derive(Debug)]

@@ -171,30 +171,14 @@ impl<'a> QueryEngine<'a> {
         &self.estimator
     }
 
-    pub fn graphs(&self) -> &ImageGraphStore {
-        &self.graphs
-    }
-
-    pub fn num_images(&self) -> usize {
-        self.all_images.len()
-    }
-
     /// `shape_similar(Q)` (§5.2): all shapes scoring within τ, via the
     /// envelope-fattening matcher. Feeds the selectivity estimator.
-    pub fn shape_similar(&mut self, query: &Polyline) -> HashSet<ShapeId> {
+    fn shape_similar(&mut self, query: &Polyline) -> HashSet<ShapeId> {
         let out = self.matcher.retrieve_within(query, self.config.tau);
         self.stats.similar_evaluated += 1;
         let vs = significant_vertices(query);
         self.estimator.observe(vs, out.matches.len());
         out.matches.iter().map(|m| m.shape).collect()
-    }
-
-    /// `similar(Q)` (§5.1): the images containing a similar shape.
-    pub fn similar(&mut self, query: &Polyline) -> HashSet<ImageId> {
-        self.shape_similar(query)
-            .into_iter()
-            .map(|sid| self.base.source(sid).image)
-            .collect()
     }
 
     /// Parse and execute a text query against `bindings`
@@ -236,49 +220,6 @@ impl<'a> QueryEngine<'a> {
             })
             .collect();
         Ok(Plan { conjuncts })
-    }
-
-    /// Reference evaluator: direct structural recursion with plain set
-    /// semantics — no DNF rewrite, no selectivity ordering, no early
-    /// exits. Exists to validate [`QueryEngine::execute`] (the planner
-    /// must compute exactly this set) and as the semantics definition.
-    pub fn execute_naive(
-        &mut self,
-        expr: &Expr,
-        bindings: &HashMap<String, Polyline>,
-    ) -> Result<HashSet<ImageId>, QueryError> {
-        for name in expr.shape_names() {
-            if !bindings.contains_key(&name) {
-                return Err(QueryError::UnboundShape(name));
-            }
-        }
-        let mut cache = HashMap::new();
-        Ok(self.naive_rec(expr, bindings, &mut cache))
-    }
-
-    fn naive_rec(
-        &mut self,
-        expr: &Expr,
-        bindings: &HashMap<String, Polyline>,
-        cache: &mut HashMap<String, SimilarResult>,
-    ) -> HashSet<ImageId> {
-        match expr {
-            Expr::Op(op) => self.eval_op(op, bindings, cache),
-            Expr::And(a, b) => {
-                let (x, y) =
-                    (self.naive_rec(a, bindings, cache), self.naive_rec(b, bindings, cache));
-                x.intersection(&y).copied().collect()
-            }
-            Expr::Or(a, b) => {
-                let mut x = self.naive_rec(a, bindings, cache);
-                x.extend(self.naive_rec(b, bindings, cache));
-                x
-            }
-            Expr::Not(e) => {
-                let x = self.naive_rec(e, bindings, cache);
-                self.all_images.difference(&x).copied().collect()
-            }
-        }
     }
 
     /// Execute a query expression: DNF rewrite, then selectivity-ordered
@@ -584,6 +525,51 @@ mod tests {
 
     fn triangle(cx: f64, cy: f64, s: f64) -> Polyline {
         Polyline::closed(vec![p(cx, cy), p(cx + 4.0 * s, cy), p(cx, cy + 3.0 * s)]).unwrap()
+    }
+
+    impl QueryEngine<'_> {
+        /// Reference evaluator: direct structural recursion with plain set
+        /// semantics — no DNF rewrite, no selectivity ordering, no early
+        /// exits. Exists to validate [`QueryEngine::execute`] (the planner
+        /// must compute exactly this set) and as the semantics definition.
+        fn execute_naive(
+            &mut self,
+            expr: &Expr,
+            bindings: &HashMap<String, Polyline>,
+        ) -> Result<HashSet<ImageId>, QueryError> {
+            for name in expr.shape_names() {
+                if !bindings.contains_key(&name) {
+                    return Err(QueryError::UnboundShape(name));
+                }
+            }
+            let mut cache = HashMap::new();
+            Ok(self.naive_rec(expr, bindings, &mut cache))
+        }
+
+        fn naive_rec(
+            &mut self,
+            expr: &Expr,
+            bindings: &HashMap<String, Polyline>,
+            cache: &mut HashMap<String, SimilarResult>,
+        ) -> HashSet<ImageId> {
+            match expr {
+                Expr::Op(op) => self.eval_op(op, bindings, cache),
+                Expr::And(a, b) => {
+                    let (x, y) =
+                        (self.naive_rec(a, bindings, cache), self.naive_rec(b, bindings, cache));
+                    x.intersection(&y).copied().collect()
+                }
+                Expr::Or(a, b) => {
+                    let mut x = self.naive_rec(a, bindings, cache);
+                    x.extend(self.naive_rec(b, bindings, cache));
+                    x
+                }
+                Expr::Not(e) => {
+                    let x = self.naive_rec(e, bindings, cache);
+                    self.all_images.difference(&x).copied().collect()
+                }
+            }
+        }
     }
 
     /// World:

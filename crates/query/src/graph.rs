@@ -43,11 +43,6 @@ pub struct ImageGraph {
 }
 
 impl ImageGraph {
-    /// Edges leaving or entering `s` (topological operators scan these).
-    pub fn edges_of(&self, s: ShapeId) -> impl Iterator<Item = &Edge> {
-        self.edges.iter().filter(move |e| e.from == s || e.to == s)
-    }
-
     /// Is there any edge between the (unordered) pair?
     pub fn connected(&self, a: ShapeId, b: ShapeId) -> bool {
         self.edges
@@ -121,10 +116,6 @@ impl ImageGraphStore {
         self.graphs.get(&image)
     }
 
-    pub fn images(&self) -> impl Iterator<Item = ImageId> + '_ {
-        self.graphs.keys().copied()
-    }
-
     pub fn num_images(&self) -> usize {
         self.graphs.len()
     }
@@ -194,14 +185,6 @@ mod tests {
             g1.edges.iter().filter(|e| e.label == EdgeLabel::Overlap).collect();
         assert_eq!(overlaps.len(), 2, "overlap stored in both directions");
         assert!(g1.connected(s[3], s[4]));
-    }
-
-    #[test]
-    fn edges_of_scans_both_endpoints() {
-        let (_, graphs, s) = build();
-        let g0 = graphs.graph(ImageId(0)).unwrap();
-        assert_eq!(g0.edges_of(s[1]).count(), 1);
-        assert_eq!(g0.edges_of(s[2]).count(), 0);
     }
 
     #[test]

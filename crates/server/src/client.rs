@@ -98,7 +98,7 @@ impl Backoff {
     }
 
     /// Schedule from a [`ClientConfig`]'s retry knobs.
-    pub fn from_config(cfg: &ClientConfig) -> Backoff {
+    fn from_config(cfg: &ClientConfig) -> Backoff {
         Backoff::new(cfg.retry_base, cfg.retry_cap, cfg.retry_deadline, key_seed())
     }
 

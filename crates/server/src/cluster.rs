@@ -108,13 +108,13 @@ use crate::server::{serve, serve_durable, ServeConfig, ServerHandle};
 use crate::wire::{error_code, Frame, StageTrailer, WireMatch, WireShape, WireShardStatus};
 
 /// Bits of a routed id that carry the shard index.
-pub const SHARD_ID_BITS: u32 = 16;
+const SHARD_ID_BITS: u32 = 16;
 /// Bits left for the shard-local id.
-pub const LOCAL_ID_BITS: u32 = 64 - SHARD_ID_BITS;
+const LOCAL_ID_BITS: u32 = 64 - SHARD_ID_BITS;
 const LOCAL_ID_MASK: u64 = (1u64 << LOCAL_ID_BITS) - 1;
 
 /// Virtual nodes per shard on the consistent-hash ring.
-pub const VNODES_PER_SHARD: usize = 64;
+const VNODES_PER_SHARD: usize = 64;
 
 /// Tag a shard-local id with its shard index for the outside world.
 #[inline]

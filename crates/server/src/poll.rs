@@ -24,7 +24,7 @@ pub const EPOLLOUT: u32 = 0x4;
 pub const EPOLLERR: u32 = 0x8;
 pub const EPOLLHUP: u32 = 0x10;
 pub const EPOLLRDHUP: u32 = 0x2000;
-pub const EPOLLET: u32 = 1 << 31;
+const EPOLLET: u32 = 1 << 31;
 
 const EPOLL_CTL_ADD: usize = 1;
 const EPOLL_CTL_DEL: usize = 2;
@@ -78,31 +78,31 @@ mod sys {
         ret
     }
 
-    pub unsafe fn epoll_create1() -> isize {
+    pub(super) unsafe fn epoll_create1() -> isize {
         syscall4(SYS_EPOLL_CREATE1, super::EPOLL_CLOEXEC, 0, 0, 0)
     }
-    pub unsafe fn epoll_ctl(epfd: usize, op: usize, fd: usize, ev: usize) -> isize {
+    pub(super) unsafe fn epoll_ctl(epfd: usize, op: usize, fd: usize, ev: usize) -> isize {
         syscall4(SYS_EPOLL_CTL, epfd, op, fd, ev)
     }
-    pub unsafe fn epoll_wait(epfd: usize, events: usize, max: usize, timeout_ms: isize) -> isize {
+    pub(super) unsafe fn epoll_wait(epfd: usize, events: usize, max: usize, timeout_ms: isize) -> isize {
         syscall4(SYS_EPOLL_WAIT, epfd, events, max, timeout_ms as usize)
     }
-    pub unsafe fn eventfd2(initval: usize, flags: usize) -> isize {
+    pub(super) unsafe fn eventfd2(initval: usize, flags: usize) -> isize {
         syscall4(SYS_EVENTFD2, initval, flags, 0, 0)
     }
-    pub unsafe fn read(fd: usize, buf: usize, len: usize) -> isize {
+    pub(super) unsafe fn read(fd: usize, buf: usize, len: usize) -> isize {
         syscall4(SYS_READ, fd, buf, len, 0)
     }
-    pub unsafe fn write(fd: usize, buf: usize, len: usize) -> isize {
+    pub(super) unsafe fn write(fd: usize, buf: usize, len: usize) -> isize {
         syscall4(SYS_WRITE, fd, buf, len, 0)
     }
-    pub unsafe fn close(fd: usize) -> isize {
+    pub(super) unsafe fn close(fd: usize) -> isize {
         syscall4(SYS_CLOSE, fd, 0, 0, 0)
     }
-    pub unsafe fn socket(family: usize, kind: usize) -> isize {
+    pub(super) unsafe fn socket(family: usize, kind: usize) -> isize {
         syscall4(SYS_SOCKET, family, kind, 0, 0)
     }
-    pub unsafe fn connect(fd: usize, addr: usize, len: usize) -> isize {
+    pub(super) unsafe fn connect(fd: usize, addr: usize, len: usize) -> isize {
         syscall4(SYS_CONNECT, fd, addr, len, 0)
     }
 }
@@ -145,33 +145,33 @@ mod sys {
         ret
     }
 
-    pub unsafe fn epoll_create1() -> isize {
+    pub(super) unsafe fn epoll_create1() -> isize {
         syscall6(SYS_EPOLL_CREATE1, super::EPOLL_CLOEXEC, 0, 0, 0, 0, 0)
     }
-    pub unsafe fn epoll_ctl(epfd: usize, op: usize, fd: usize, ev: usize) -> isize {
+    pub(super) unsafe fn epoll_ctl(epfd: usize, op: usize, fd: usize, ev: usize) -> isize {
         syscall6(SYS_EPOLL_CTL, epfd, op, fd, ev, 0, 0)
     }
     /// aarch64 has no plain `epoll_wait`; `epoll_pwait` with a null
     /// sigmask is identical.
-    pub unsafe fn epoll_wait(epfd: usize, events: usize, max: usize, timeout_ms: isize) -> isize {
+    pub(super) unsafe fn epoll_wait(epfd: usize, events: usize, max: usize, timeout_ms: isize) -> isize {
         syscall6(SYS_EPOLL_PWAIT, epfd, events, max, timeout_ms as usize, 0, 8)
     }
-    pub unsafe fn eventfd2(initval: usize, flags: usize) -> isize {
+    pub(super) unsafe fn eventfd2(initval: usize, flags: usize) -> isize {
         syscall6(SYS_EVENTFD2, initval, flags, 0, 0, 0, 0)
     }
-    pub unsafe fn read(fd: usize, buf: usize, len: usize) -> isize {
+    pub(super) unsafe fn read(fd: usize, buf: usize, len: usize) -> isize {
         syscall6(SYS_READ, fd, buf, len, 0, 0, 0)
     }
-    pub unsafe fn write(fd: usize, buf: usize, len: usize) -> isize {
+    pub(super) unsafe fn write(fd: usize, buf: usize, len: usize) -> isize {
         syscall6(SYS_WRITE, fd, buf, len, 0, 0, 0)
     }
-    pub unsafe fn close(fd: usize) -> isize {
+    pub(super) unsafe fn close(fd: usize) -> isize {
         syscall6(SYS_CLOSE, fd, 0, 0, 0, 0, 0)
     }
-    pub unsafe fn socket(family: usize, kind: usize) -> isize {
+    pub(super) unsafe fn socket(family: usize, kind: usize) -> isize {
         syscall6(SYS_SOCKET, family, kind, 0, 0, 0, 0)
     }
-    pub unsafe fn connect(fd: usize, addr: usize, len: usize) -> isize {
+    pub(super) unsafe fn connect(fd: usize, addr: usize, len: usize) -> isize {
         syscall6(SYS_CONNECT, fd, addr, len, 0, 0, 0)
     }
 }

@@ -30,7 +30,7 @@
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -62,16 +62,10 @@ pub struct ReplSpec {
 /// A running replication thread.
 pub struct ReplHandle {
     stop: Arc<AtomicBool>,
-    applied: Arc<AtomicU64>,
     join: Option<std::thread::JoinHandle<()>>,
 }
 
 impl ReplHandle {
-    /// Highest LSN applied into the replica so far.
-    pub fn applied(&self) -> u64 {
-        self.applied.load(Ordering::SeqCst)
-    }
-
     /// Signal the thread to exit and wait for it.
     pub fn stop(mut self) {
         self.stop.store(true, Ordering::SeqCst);
@@ -103,13 +97,12 @@ impl IoFactory for SharedFactory {
 /// Spawn the replication thread for one replica.
 pub fn start_replication(spec: ReplSpec) -> ReplHandle {
     let stop = Arc::new(AtomicBool::new(false));
-    let applied = Arc::new(AtomicU64::new(0));
-    let (stop2, applied2) = (stop.clone(), applied.clone());
+    let stop2 = stop.clone();
     let join = std::thread::Builder::new()
         .name(format!("geosir-repl-{}", spec.shard))
-        .spawn(move || repl_loop(spec, stop2, applied2))
+        .spawn(move || repl_loop(spec, stop2))
         .expect("spawn replication thread");
-    ReplHandle { stop, applied, join: Some(join) }
+    ReplHandle { stop, join: Some(join) }
 }
 
 struct ReplMetrics {
@@ -143,7 +136,7 @@ impl ReplMetrics {
     }
 }
 
-fn repl_loop(spec: ReplSpec, stop: Arc<AtomicBool>, applied: Arc<AtomicU64>) {
+fn repl_loop(spec: ReplSpec, stop: Arc<AtomicBool>) {
     obs::set_thread_registry(Some(spec.registry.clone()));
     let m = ReplMetrics::build(&spec.registry, spec.shard);
     let mut shipper = match &spec.ship_factory {
@@ -160,20 +153,21 @@ fn repl_loop(spec: ReplSpec, stop: Arc<AtomicBool>, applied: Arc<AtomicU64>) {
     // journaled as stuck; catching back up journals the resume.
     let stuck_after = Duration::from_secs(2).max(spec.interval * 4);
     let mut stuck_reported = false;
+    // highest LSN applied into the replica so far
+    let mut applied = 0u64;
     while !stop.load(Ordering::SeqCst) {
         if let Err(_e) = shipper.ship_once() {
             m.ship_errors.inc();
             // a torn shipped tail is fine — replay below tolerates it,
             // the next pass resumes from the destination's true length
         }
-        let cursor = applied.load(Ordering::SeqCst);
-        if let Ok((records, _report)) = wal::replay(&spec.ship_dir, cursor) {
+        if let Ok((records, _report)) = wal::replay(&spec.ship_dir, applied) {
             for (lsn, record) in records {
                 if stop.load(Ordering::SeqCst) {
                     break;
                 }
                 if apply_record(&spec, &mut client, &m, &record) {
-                    applied.store(lsn, Ordering::SeqCst);
+                    applied = lsn;
                     m.applied_records.inc();
                 } else {
                     // leave the cursor: the record re-applies next tick
@@ -185,7 +179,7 @@ fn repl_loop(spec: ReplSpec, stop: Arc<AtomicBool>, applied: Arc<AtomicU64>) {
         }
         // lag: how far the primary's log tip is past our cursor
         let tip = wal::last_lsn(&spec.src_wal_dir).ok().flatten().unwrap_or(0);
-        let lag = tip.saturating_sub(applied.load(Ordering::SeqCst));
+        let lag = tip.saturating_sub(applied);
         m.lag_records.set(lag as i64);
         if lag == 0 {
             behind_since = None;

@@ -766,7 +766,7 @@ fn serve_inner(
 
     // The flight recorder must survive to disk when the process dies
     // abnormally. Two death paths converge on the same dump: armed
-    // fail_point! crashes abort without unwinding (their hook runs just
+    // crash-point crashes abort without unwinding (their hook runs just
     // before the abort), and real panics reach the same hooks through a
     // process-wide chained panic hook. The hook holds only a Weak — a
     // shut-down server's registry can be freed, and test processes that
@@ -1761,7 +1761,7 @@ fn writer_loop(mut base: DynamicBase, mut ctx: WriterCtx, shared: &Arc<Shared>) 
                 }
                 // acked writes are on the log (fsynced per policy) past
                 // this point; a crash here must lose nothing acked
-                geosir_storage::fail_point!("wal.post-append");
+                geosir_storage::faults::crash_if_armed("wal.post-append");
             }
         }
 

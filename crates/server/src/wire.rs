@@ -50,16 +50,16 @@ pub const PROTOCOL_VERSION: u8 = 6;
 /// Ceiling on a frame's payload size. A length prefix above this is
 /// rejected *before* any allocation, so a hostile 4 GiB prefix cannot OOM
 /// the server.
-pub const MAX_PAYLOAD: usize = 16 << 20;
+const MAX_PAYLOAD: usize = 16 << 20;
 
 /// Frame header bytes preceding the payload (version, type, length).
 pub const HEADER_LEN: usize = 6;
 
 /// Correlation-id bytes between header and payload.
-pub const CORR_LEN: usize = 8;
+const CORR_LEN: usize = 8;
 
 /// Trailing checksum bytes.
-pub const CHECKSUM_LEN: usize = 4;
+const CHECKSUM_LEN: usize = 4;
 
 /// Error codes carried by [`Frame::Error`].
 pub mod error_code {
@@ -323,31 +323,31 @@ pub enum Frame {
 
 /// Frame type discriminants (requests low, responses high).
 mod frame_type {
-    pub const QUERY: u8 = 1;
-    pub const QUERY_BATCH: u8 = 2;
-    pub const INSERT: u8 = 3;
-    pub const DELETE: u8 = 4;
-    pub const STATS: u8 = 5;
-    pub const SHUTDOWN: u8 = 6;
-    pub const METRICS_DUMP: u8 = 7;
-    pub const EXPLAIN: u8 = 8;
-    pub const QUERY_APPROX: u8 = 9;
-    pub const TOPOLOGY: u8 = 10;
-    pub const MATCHES: u8 = 64;
-    pub const BATCH_MATCHES: u8 = 65;
-    pub const INSERTED: u8 = 66;
-    pub const DELETED: u8 = 67;
-    pub const STATS_REPORT: u8 = 68;
-    pub const BUSY: u8 = 69;
-    pub const BYE: u8 = 70;
-    pub const ERROR: u8 = 71;
-    pub const METRICS_REPORT: u8 = 72;
-    pub const EXPLAIN_REPORT: u8 = 73;
-    pub const APPROX_MATCHES: u8 = 74;
-    pub const TOPOLOGY_REPORT: u8 = 75;
+    pub(super) const QUERY: u8 = 1;
+    pub(super) const QUERY_BATCH: u8 = 2;
+    pub(super) const INSERT: u8 = 3;
+    pub(super) const DELETE: u8 = 4;
+    pub(super) const STATS: u8 = 5;
+    pub(super) const SHUTDOWN: u8 = 6;
+    pub(super) const METRICS_DUMP: u8 = 7;
+    pub(super) const EXPLAIN: u8 = 8;
+    pub(super) const QUERY_APPROX: u8 = 9;
+    pub(super) const TOPOLOGY: u8 = 10;
+    pub(super) const MATCHES: u8 = 64;
+    pub(super) const BATCH_MATCHES: u8 = 65;
+    pub(super) const INSERTED: u8 = 66;
+    pub(super) const DELETED: u8 = 67;
+    pub(super) const STATS_REPORT: u8 = 68;
+    pub(super) const BUSY: u8 = 69;
+    pub(super) const BYE: u8 = 70;
+    pub(super) const ERROR: u8 = 71;
+    pub(super) const METRICS_REPORT: u8 = 72;
+    pub(super) const EXPLAIN_REPORT: u8 = 73;
+    pub(super) const APPROX_MATCHES: u8 = 74;
+    pub(super) const TOPOLOGY_REPORT: u8 = 75;
 
     /// Is `t` an assigned discriminant?
-    pub fn assigned(t: u8) -> bool {
+    pub(super) fn assigned(t: u8) -> bool {
         matches!(t, QUERY..=TOPOLOGY | MATCHES..=TOPOLOGY_REPORT)
     }
 }
@@ -356,15 +356,15 @@ mod frame_type {
 /// touching payload bytes. The streaming decoder peeks this first to learn
 /// how many bytes the full frame needs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameHeader {
-    pub type_byte: u8,
-    pub payload_len: usize,
+struct FrameHeader {
+    type_byte: u8,
+    payload_len: usize,
 }
 
 impl FrameHeader {
     /// Total frame size on the wire, header through checksum.
     #[inline]
-    pub fn frame_len(&self) -> usize {
+    fn frame_len(&self) -> usize {
         HEADER_LEN + CORR_LEN + self.payload_len + CHECKSUM_LEN
     }
 }
@@ -375,7 +375,7 @@ impl FrameHeader {
 /// keep reading. Errors are terminal for the connection: a version other
 /// than [`PROTOCOL_VERSION`], an unassigned type, or an oversized length
 /// prefix, all detected *before* buffering or allocating for the payload.
-pub fn peek_header(buf: &[u8]) -> Result<Option<FrameHeader>, WireError> {
+fn peek_header(buf: &[u8]) -> Result<Option<FrameHeader>, WireError> {
     if buf.len() < HEADER_LEN {
         return Ok(None);
     }

@@ -17,19 +17,6 @@ pub struct PoolStats {
     pub misses: u64,
 }
 
-impl PoolStats {
-    pub fn accesses(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    pub fn hit_rate(&self) -> f64 {
-        if self.accesses() == 0 {
-            return 0.0;
-        }
-        self.hits as f64 / self.accesses() as f64
-    }
-}
-
 /// A fixed-capacity LRU cache of disk blocks.
 ///
 /// The LRU list is intrusive over frame indices (`prev`/`next` arrays), so
@@ -67,24 +54,8 @@ impl BufferPool {
         }
     }
 
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    pub fn len(&self) -> usize {
-        self.frames.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
-    }
-
     pub fn stats(&self) -> PoolStats {
         self.stats
-    }
-
-    pub fn reset_stats(&mut self) {
-        self.stats = PoolStats::default();
     }
 
     /// Drop all cached blocks (keeps statistics).

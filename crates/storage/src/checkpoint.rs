@@ -127,7 +127,7 @@ pub fn write(path: &Path, data: &CheckpointData) -> Result<(), PersistError> {
     }
     let tmp = path.with_extension("tmp");
     file_disk::dump(&disk, &tmp)?;
-    crate::fail_point!("checkpoint.mid");
+    crate::faults::crash_if_armed("checkpoint.mid");
     std::fs::rename(&tmp, path)?;
     if let Some(dir) = path.parent() {
         sync_dir(dir);

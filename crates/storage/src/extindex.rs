@@ -30,7 +30,6 @@ pub struct ExternalVertexIndex {
     disk: DiskSim,
     nodes: Vec<ExtNode>,
     root: Option<u32>,
-    num_points: usize,
 }
 
 impl ExternalVertexIndex {
@@ -49,29 +48,12 @@ impl ExternalVertexIndex {
             disk.write(i, l);
         }
         disk.reset_stats();
-        ExternalVertexIndex { disk, nodes, root, num_points: points.len() }
-    }
-
-    pub fn len(&self) -> usize {
-        self.num_points
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.num_points == 0
+        ExternalVertexIndex { disk, nodes, root }
     }
 
     /// Leaf blocks on disk.
     pub fn num_blocks(&self) -> usize {
         self.disk.num_blocks()
-    }
-
-    /// In-memory directory size (nodes).
-    pub fn directory_len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    pub fn disk(&self) -> &DiskSim {
-        &self.disk
     }
 
     /// Report the ids of points inside `tri`, reading leaf blocks through
@@ -206,7 +188,7 @@ mod tests {
         let expect_leaves = 20_000usize.div_ceil(LEAF_CAPACITY);
         assert!(idx.num_blocks() >= expect_leaves);
         assert!(idx.num_blocks() <= 4 * expect_leaves);
-        assert!(idx.directory_len() <= 8 * expect_leaves);
+        assert!(idx.nodes.len() <= 8 * expect_leaves);
     }
 
     #[test]
@@ -264,7 +246,7 @@ mod tests {
         );
         assert_eq!(io, 0);
         assert!(out.is_empty());
-        assert!(idx.is_empty());
+        assert!(idx.root.is_none());
     }
 
     proptest! {

@@ -8,7 +8,7 @@
 //!   every operation from the Nth on, for "the disk died" scenarios).
 //!   This is how the read-only degraded-mode tests starve the server of
 //!   its log without touching the real filesystem error paths.
-//! - **[`fail_point!`] crash hooks** — named points compiled in only
+//! - **[`crash_if_armed`] crash hooks** — named points compiled in only
 //!   under the `failpoints` feature. Arming one via the environment
 //!   (`GEOSIR_CRASHPOINT=name` or `name:skip`) makes the process
 //!   `abort()` — a faithful stand-in for `kill -9` — the `skip+1`-th
@@ -173,7 +173,7 @@ impl IoFactory for FaultyFactory {
 
 /// Last-gasp hooks run just before the process dies abnormally.
 ///
-/// `fail_point!` crashes go through `std::process::abort()` — a faithful
+/// [`crash_if_armed`] crashes go through `std::process::abort()` — a faithful
 /// `kill -9` stand-in — which means **panic hooks and `Drop` impls never
 /// run**. Anything that must survive a simulated crash (the flight
 /// recorder's dump, for one) registers here instead; [`crash_if_armed`]
@@ -237,16 +237,6 @@ pub fn crash_if_armed(name: &str) {
 #[cfg(not(feature = "failpoints"))]
 #[inline(always)]
 pub fn crash_if_armed(_name: &str) {}
-
-/// `fail_point!("wal.post-append")` — a named crash hook. See
-/// [`crash_if_armed`]; a no-op unless built with `--features failpoints`
-/// *and* armed through the environment.
-#[macro_export]
-macro_rules! fail_point {
-    ($name:expr) => {
-        $crate::faults::crash_if_armed($name)
-    };
-}
 
 #[cfg(test)]
 mod tests {

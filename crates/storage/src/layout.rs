@@ -40,14 +40,14 @@ impl LayoutPolicy {
 }
 
 /// §4.1 method (i) key: `round((c1+c2+c3+c4)/4)`.
-pub fn mean_curve(sig: &Signature) -> u16 {
+fn mean_curve(sig: &Signature) -> u16 {
     let s: u32 = sig.0.iter().map(|&c| c as u32).sum();
     ((s as f64) / 4.0).round() as u16
 }
 
 /// §4.1 method (iii) key: sort the quadruple, take the two medians, pick
 /// the one closest to the mean of all four.
-pub fn median_curve(sig: &Signature) -> u16 {
+fn median_curve(sig: &Signature) -> u16 {
     let mut s = sig.0;
     s.sort_unstable();
     let mean = s.iter().map(|&c| c as f64).sum::<f64>() / 4.0;

@@ -24,7 +24,7 @@
 //!   1 KB pages, installed by atomic rename;
 //! - [`manifest`] — the crash-safe pointer tying a checkpoint to the
 //!   WAL position replay resumes from;
-//! - [`faults`] — I/O fault injection and `fail_point!` crash hooks
+//! - [`faults`] — I/O fault injection and `crash_if_armed` crash hooks
 //!   (the latter compiled under `--features failpoints`) for the
 //!   crash-recovery and degraded-mode tests.
 

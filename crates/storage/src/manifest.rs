@@ -26,7 +26,7 @@ use crate::wal::{crc32, sync_dir, Lsn};
 const MAGIC: [u8; 6] = *b"GSMF\x00\x01";
 
 /// File name of the manifest inside a data directory.
-pub const MANIFEST_FILE: &str = "MANIFEST";
+const MANIFEST_FILE: &str = "MANIFEST";
 
 /// The recovery root: everything restart needs to find its state.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -16,7 +16,7 @@
 use bytes::{Buf, BufMut};
 use geosir_core::hashing::Signature;
 use geosir_core::ids::{CopyId, ImageId, ShapeId};
-use geosir_geom::{Point, Polyline, Similarity};
+use geosir_geom::{Point, Similarity};
 
 /// Decoded shape record (f32 precision — what survives a disk round trip).
 #[derive(Debug, Clone, PartialEq)]
@@ -135,15 +135,6 @@ impl ShapeRecord {
         }
         Ok(ShapeRecord { copy_id, shape_id, image, closed, signature: Signature(signature), inverse, points })
     }
-
-    /// Reconstruct the normalized geometry (f32-rounded).
-    pub fn to_polyline(&self) -> Option<Polyline> {
-        if self.closed {
-            Polyline::closed(self.points.clone()).ok()
-        } else {
-            Polyline::open(self.points.clone()).ok()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -207,14 +198,6 @@ mod tests {
         r.encode(&mut buf);
         buf[13] = 0; // vertex count
         assert_eq!(ShapeRecord::decode(&buf), Err(CodecError::Malformed));
-    }
-
-    #[test]
-    fn polyline_reconstruction() {
-        let r = sample(6);
-        let pl = r.to_polyline().unwrap();
-        assert!(pl.is_closed());
-        assert_eq!(pl.num_vertices(), 6);
     }
 
     proptest! {

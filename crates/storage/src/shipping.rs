@@ -68,11 +68,6 @@ impl Shipper {
         Shipper { src: src.to_path_buf(), dst: dst.to_path_buf(), factory, open: HashMap::new() }
     }
 
-    /// The follower directory this shipper writes into.
-    pub fn dst(&self) -> &Path {
-        &self.dst
-    }
-
     /// Copy every byte present at the source but not yet at the
     /// destination, in segment order. Errors abort the pass *between*
     /// byte writes — after [`Shipper::ship_once`] returns (Ok or Err)

@@ -31,7 +31,6 @@ pub struct RotatingJsonl {
     seq: u64,
     /// Segment paths currently on disk, oldest first.
     segments: VecDeque<PathBuf>,
-    lines_written: u64,
 }
 
 impl RotatingJsonl {
@@ -70,20 +69,9 @@ impl RotatingJsonl {
             current_bytes: 0,
             seq,
             segments,
-            lines_written: 0,
         };
         log.rotate()?;
         Ok(log)
-    }
-
-    /// Path of the segment currently being written.
-    pub fn current_path(&self) -> PathBuf {
-        segment_path(&self.dir, &self.prefix, self.seq)
-    }
-
-    /// Lines successfully appended over this writer's lifetime.
-    pub fn lines_written(&self) -> u64 {
-        self.lines_written
     }
 
     /// Append one line (a `\n` is added; `line` itself must not contain
@@ -104,7 +92,6 @@ impl RotatingJsonl {
         io.append(line.as_bytes())?;
         io.append(b"\n")?;
         self.current_bytes += len;
-        self.lines_written += 1;
         Ok(())
     }
 
@@ -138,7 +125,7 @@ impl RotatingJsonl {
 
     /// Advance to the next segment on the next append. Exposed so tests
     /// can exercise rotation deterministically.
-    pub fn force_rotate(&mut self) -> io::Result<()> {
+    fn force_rotate(&mut self) -> io::Result<()> {
         self.seq += 1;
         self.rotate()
     }
@@ -186,11 +173,10 @@ mod tests {
         for _ in 0..5 {
             log.append_line(&line).unwrap();
         }
-        assert_eq!(log.lines_written(), 5);
         let names = segment_names(&dir);
         assert_eq!(names.len(), 2, "keep=2 must prune older segments: {names:?}");
         // Newest segment holds the most recent line(s), each terminated.
-        let data = std::fs::read_to_string(log.current_path()).unwrap();
+        let data = std::fs::read_to_string(segment_path(&log.dir, &log.prefix, log.seq)).unwrap();
         assert!(data.ends_with('\n'));
         assert!(data.lines().all(|l| l == line));
         let _ = std::fs::remove_dir_all(&dir);
@@ -205,11 +191,7 @@ mod tests {
             log.append_line("{\"a\":1}").unwrap();
         }
         let log2 = RotatingJsonl::open(&dir, "slow", 1024, 4, Box::new(FileFactory)).unwrap();
-        assert!(
-            log2.current_path().to_string_lossy().contains("slow.000001"),
-            "second open must not clobber the first segment: {:?}",
-            log2.current_path()
-        );
+        assert_eq!(log2.seq, 1, "second open must not clobber the first segment");
         assert_eq!(segment_names(&dir).len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -224,7 +206,6 @@ mod tests {
         assert!(log.append_line("{\"ok\":2}").is_err(), "op 2 is sabotaged");
         assert!(log.append_line("{\"ok\":3}").is_ok(), "writer must keep going");
         assert_eq!(plan.fired(), 1);
-        assert_eq!(log.lines_written(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

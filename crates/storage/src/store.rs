@@ -67,25 +67,19 @@ impl ShapeStore {
         self.num_blocks
     }
 
-    /// Total bytes on disk.
-    pub fn size_bytes(&self) -> usize {
-        self.num_blocks * BLOCK_SIZE
-    }
-
     pub fn disk(&self) -> &DiskSim {
         &self.disk
     }
 
     /// Fetch one record through the buffer pool. Panics on a corrupt
-    /// block — use [`ShapeStore::try_fetch`] when the disk image came from
-    /// an untrusted restart.
+    /// block.
     pub fn fetch(&self, pool: &mut BufferPool, copy: CopyId) -> ShapeRecord {
         self.try_fetch(pool, copy).expect("store wrote a valid record")
     }
 
     /// Fallible fetch: surfaces codec errors (torn or bit-rotted blocks)
     /// instead of panicking.
-    pub fn try_fetch(
+    fn try_fetch(
         &self,
         pool: &mut BufferPool,
         copy: CopyId,
@@ -94,11 +88,6 @@ impl ShapeStore {
         let block = pool.read(&self.disk, slot.block as usize);
         let data = &block[slot.offset as usize..(slot.offset + slot.len) as usize];
         ShapeRecord::decode(data)
-    }
-
-    /// Test/ops hook: overwrite one raw block (fault injection).
-    pub fn corrupt_block_for_test(&mut self, block: usize, junk: &[u8]) {
-        self.disk.write(block, junk);
     }
 
     /// Replay a matcher access trace through a fresh view of `pool`,
@@ -212,7 +201,7 @@ mod tests {
             assert!(store.try_fetch(&mut pool, cid).is_ok());
         }
         // zero out block 0: its residents decode to Malformed/Truncated
-        store.corrupt_block_for_test(0, &[0u8; 64]);
+        store.disk.write(0, &[0u8; 64]);
         pool.clear();
         let broken = base
             .copies()

@@ -84,7 +84,7 @@ const SEG_MAGIC: [u8; 8] = *b"GSWAL\x00\x00\x01";
 
 /// Ceiling on one record's payload — a garbage length prefix must not
 /// provoke a giant allocation during replay.
-pub const MAX_RECORD: usize = 16 << 20;
+const MAX_RECORD: usize = 16 << 20;
 
 /// When appended records are forced to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -403,7 +403,7 @@ impl Wal {
     pub fn rotate(&mut self) -> io::Result<()> {
         self.seg.sync()?;
         self.syncs += 1;
-        crate::fail_point!("wal.mid-rotation");
+        crate::faults::crash_if_armed("wal.mid-rotation");
         let seg = create_segment(self.factory.as_ref(), &self.dir, self.next_lsn)?;
         self.seg = seg;
         self.seg_first_lsn = self.next_lsn;

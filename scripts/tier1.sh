@@ -6,6 +6,10 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
+# `pub` means somebody else uses it: a pub fn/const/static whose name no
+# other .rs file mentions loses its `pub` — and the clippy line above
+# then says whether it lives (dead_code stops at `pub`).
+bash scripts/pub_census.sh
 
 # The canonical benchmark's contract: `benchmark/` is a workspace of its
 # own compiled against these crates' public API and the CLI's
@@ -27,9 +31,9 @@ cargo clippy -p geosir-geom -p geosir-core -p geosir-serve --features simd --all
 # Approximate tier: the geometric-hash and signature-cascade suites by
 # name, so a filter typo or module rename cannot silently drop them from
 # the gate (the full `cargo test` above already ran them once). Covers
-# the hashing proptests (clamp/curve-distance/ternary-vs-linear), the
-# sharded-vs-serial build parity test, signature index parity across
-# cascade merges, and the zero-allocation probe/rerank test.
+# the hashing proptests (clamp/curve-distance/ternary-vs-linear),
+# signature index parity across cascade merges, and the zero-allocation
+# probe/rerank test.
 cargo test -q -p geosir-core hashing
 cargo test -q -p geosir-core approx
 cargo test -q --test alloc_approx
