@@ -43,7 +43,6 @@ fn main() {
 
     let mut base = DynamicBase::new(
         ALPHA,
-        Backend::KdTree,
         MatchConfig { k: K, beta: 0.25, ..Default::default() },
         512,
     );

@@ -14,20 +14,24 @@
 //! lists to compare builds by; its replay duplicates `View::retrieve`'s
 //! loop — see `distance_census`); the plan sweep (`plan_sweep`: the
 //! paper's index as a verifier, one `retrieve_within(τ)` envelope,
-//! against the scan, by level size, k and query kind); and the DESIGN
+//! against the scan, by level size, k and query kind); the DESIGN
 //! §12.5 probe (k = 1 self-queries against the half-corpus shard that
-//! holds the copies and the one that does not).
+//! holds the copies and the one that does not); and what a write costs
+//! (`carry_cost`: `churn_durable`'s world and op mix in process — per-op
+//! means, every Bentley–Saxe carry by cost — and the odd queries the
+//! hash tier cannot seed).
 //!
 //! ```sh
-//! cargo run --release -p geosir-bench --bin phase_prof [--features simd] [-- n_shapes [large]]
+//! cargo run --release -p geosir-bench --bin phase_prof [--features simd] [-- n_shapes [large|carry]]
 //! ```
 //!
 //! `large` adds the sweep's 19 000-image row (≈ 105k shapes in one
-//! level, ≈ 75 s and over a GB resident).
+//! level, ≈ 75 s and over a GB resident); `carry` runs the `carry_cost`
+//! section alone (≈ 10 s).
 
 use geosir_bench::scaling_corpus;
 use geosir_core::approx::SigBuckets;
-use geosir_core::dynamic::{DynMatch, DynamicBase, RetrieveStats};
+use geosir_core::dynamic::{DynMatch, DynamicBase, GlobalShapeId, QueryExplain, RetrieveStats};
 use geosir_core::hashing::signature_of;
 use geosir_core::matcher::{MatchConfig, MatchOutcome, Matcher, RingExplain};
 use geosir_core::normalize::{normalize_about_diameter, normalized_copies};
@@ -41,7 +45,8 @@ use geosir_geom::envelope::{envelope_cover_into, ring_cover_into};
 use geosir_geom::rangesearch::IndexScratch;
 use geosir_geom::{Point, Polyline, Triangle};
 use geosir_geom::rangesearch::Backend;
-use geosir_imaging::synth::{generate, Corpus, CorpusConfig};
+use geosir_imaging::synth::{generate, perturb, Corpus, CorpusConfig};
+use rand::prelude::*;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::time::Instant;
 
@@ -146,7 +151,7 @@ impl Phases {
 fn canonical_world(cfg: &MatchConfig) -> (Corpus, Vec<Polyline>, DynamicBase) {
     let corpus = generate(&CorpusConfig::small(200, 1));
     let queries = corpus.queries(100, 0.02, 1);
-    let mut dynamic = DynamicBase::new(0.0, Backend::RangeTree, cfg.clone(), 512);
+    let mut dynamic = DynamicBase::new(0.0, cfg.clone(), 512);
     let (levelled, buffered) = corpus.shapes.split_at(1024);
     dynamic.bulk_load(levelled.iter().map(|(image, _, s)| (*image, s.clone())));
     for (image, _, s) in buffered {
@@ -262,6 +267,9 @@ fn exact_path_phases() {
 fn main() {
     let n_shapes: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(4000);
     let large = std::env::args().any(|a| a == "large");
+    if std::env::args().any(|a| a == "carry") {
+        return carry_cost();
+    }
     let (shapes, queries) = scaling_corpus(n_shapes);
     let mut builder = ShapeBaseBuilder::new();
     let polys: Vec<_> = shapes.iter().map(|(_, s)| s.clone()).collect();
@@ -399,6 +407,7 @@ fn main() {
     distance_census();
     plan_sweep(large);
     no_near_match_probe();
+    carry_cost();
 }
 
 /// The vertices of `cand` whose distance to `query` the early-abandoning
@@ -634,7 +643,7 @@ fn plan_sweep(large: bool) {
     for images in [200, 700, 2000, 6000].into_iter().chain(large.then_some(19_000)) {
         let corpus = generate(&CorpusConfig::small(images, 1));
         let twin = corpus.build_base(0.0, Backend::RangeTree);
-        let mut dynamic = DynamicBase::new(0.0, Backend::RangeTree, cfg.clone(), 512);
+        let mut dynamic = DynamicBase::new(0.0, cfg.clone(), 512);
         dynamic.bulk_load(corpus.shapes.iter().map(|(image, _, s)| (*image, s.clone())));
         let snap = dynamic.snapshot();
         let matcher = Matcher::new(&twin, cfg.clone());
@@ -738,8 +747,7 @@ fn no_near_match_probe() {
         (2, 0, "half-corpus shard with copies"),
         (2, 1, "half-corpus shard without    "),
     ] {
-        let mut shard =
-            DynamicBase::new(0.0, geosir_geom::rangesearch::Backend::RangeTree, cfg.clone(), 512);
+        let mut shard = DynamicBase::new(0.0, cfg.clone(), 512);
         for (i, (image, shape)) in shapes.iter().enumerate() {
             if i % modulus == parity {
                 shard.insert(*image, shape.clone());
@@ -767,4 +775,148 @@ fn no_near_match_probe() {
             hits.first().map_or(f64::NAN, |m| m.score),
         );
     }
+}
+
+/// A star whose vertices alternate between a long and a short radius —
+/// like nothing a polygon corpus stores, so the hash tier often finds
+/// fewer than k live shapes near it and the exact query runs unseeded.
+fn spiky_star(rng: &mut StdRng, n: usize) -> Polyline {
+    let pts = (0..n).map(|i| {
+        let t = 2.0 * std::f64::consts::PI * i as f64 / n as f64;
+        let r = if i % 2 == 0 { rng.random_range(0.7..1.0) } else { rng.random_range(0.05..0.3) };
+        Point::new(r * t.cos(), r * t.sin())
+    });
+    Polyline::closed(pts.collect()).expect("a star is simple")
+}
+
+/// What a write costs, in process: `churn_durable`'s world (`small(700,
+/// 1)`, 3 841 shapes, preloaded one `insert` at a time as the driver
+/// does) under its op mix — 45 % insert / 45 % delete / 10 %
+/// `similar_approx_with`, a `snapshot()` after every write as the
+/// server's publish takes one — with every insert that carried listed by
+/// cost. Before the churn, on the same base: 400 odd queries (spiky
+/// stars of 3–80 vertices), of which those the hash tier cannot seed
+/// have every level answered from a cutoff of ∞.
+fn carry_cost() {
+    const OPS: usize = 50_000;
+    let cfg = MatchConfig { beta: 0.2, k: K, ..Default::default() };
+    let corpus = generate(&CorpusConfig::small(700, 1));
+    let sketches = corpus.queries(100, 0.02, 1);
+    let mut rng = StdRng::seed_from_u64(1);
+    let us = |t0: Instant| t0.elapsed().as_secs_f64() * 1e6;
+
+    let t0 = Instant::now();
+    let mut bulk = DynamicBase::new(0.0, cfg.clone(), 512);
+    bulk.bulk_load(corpus.shapes.iter().map(|(image, _, s)| (*image, s.clone())));
+    let bulk_ms = us(t0) / 1e3;
+    drop(bulk);
+    let t0 = Instant::now();
+    let mut base = DynamicBase::new(0.0, cfg, 512);
+    let mut live: Vec<GlobalShapeId> =
+        corpus.shapes.iter().map(|(image, _, s)| base.insert(*image, s.clone())).collect();
+    let preload_ms = us(t0) / 1e3;
+    println!(
+        "carry cost, churn_durable's world ({} shapes; bulk_load {bulk_ms:.1} ms, preload by insert \
+         {preload_ms:.1} ms, {} shapes carried so far):",
+        live.len(),
+        base.shapes_rebuilt,
+    );
+
+    let (mut scratch, mut tmp, mut ax) =
+        (MatcherScratch::new(), MatchOutcome::default(), ApproxScratch::new());
+    let (mut hits, mut stats, mut astats) =
+        (Vec::new(), RetrieveStats::default(), ApproxStats::default());
+    let mut snap = base.snapshot();
+
+    let stars: Vec<Polyline> = (0..400).map(|_| {
+        let n = rng.random_range(3..=80);
+        spiky_star(&mut rng, n)
+    }).collect();
+    println!("  400 odd queries (spiky stars, 3–80 vertices), exact, on the preloaded base:");
+    let mut explain = QueryExplain::default();
+    for k in [10, 50] {
+        let (mut lists, mut unseeded) = (DefaultHasher::new(), 0);
+        for q in &stars {
+            snap.explain_with_stats(&mut scratch, &mut tmp, q, k, &mut hits, &mut stats, &mut explain);
+            digest(&mut lists, &hits);
+            // a scan that started from ∞: the seed found fewer than k
+            unseeded += explain.levels.iter().any(|l| l.final_eps.is_infinite()) as usize;
+        }
+        let best = (0..3).fold(f64::INFINITY, |best, _| {
+            let t0 = Instant::now();
+            for q in &stars {
+                snap.retrieve_with_stats(&mut scratch, &mut tmp, q, k, &mut hits, &mut stats);
+            }
+            best.min(us(t0) / stars.len() as f64)
+        });
+        println!(
+            "    k = {k:2}: {unseeded:3} unseeded, mean {:8.1} µs/query over all 400 (best of 3 \
+             passes), digest {:016x}",
+            best,
+            lists.finish(),
+        );
+    }
+
+    // (sum µs, count, worst µs) per op kind
+    let mut cost = [(0.0f64, 0usize, 0.0f64); 4];
+    let mut note = |kind: usize, t: f64| {
+        let (sum, count, worst) = &mut cost[kind];
+        *sum += t;
+        *count += 1;
+        *worst = worst.max(t);
+    };
+    let mut carries: Vec<(f64, u64)> = Vec::new();
+    let opts = ApproxOptions { k: K, ..ApproxOptions::default() };
+    for i in 0..OPS {
+        let roll = rng.random_range(0..100);
+        if roll < 90 {
+            if roll < 45 || live.is_empty() {
+                let (image, _, proto) = &corpus.shapes[rng.random_range(0..corpus.shapes.len())];
+                let shape = perturb(proto, &mut rng, 0.02);
+                let rebuilt = base.shapes_rebuilt;
+                let t0 = Instant::now();
+                live.push(base.insert(*image, shape));
+                let t = us(t0);
+                note(0, t);
+                if base.shapes_rebuilt > rebuilt {
+                    carries.push((t, base.shapes_rebuilt - rebuilt));
+                }
+            } else {
+                let id = live.swap_remove(rng.random_range(0..live.len()));
+                let t0 = Instant::now();
+                assert!(base.delete(id));
+                note(1, us(t0));
+            }
+            let t0 = Instant::now();
+            snap = base.snapshot();
+            note(2, us(t0));
+        } else {
+            let q = &sketches[i % sketches.len()];
+            let t0 = Instant::now();
+            snap.similar_approx_with(&mut scratch, &mut tmp, &mut ax, q, &opts, &mut hits, &mut astats);
+            note(3, us(t0));
+        }
+    }
+    println!("  {OPS} ops, 45 % insert / 45 % delete / 10 % approx, a snapshot per write:");
+    for (name, (sum, count, worst)) in ["insert", "delete", "snapshot", "approx"].iter().zip(cost) {
+        println!(
+            "    {name:8} {count:6} ops  mean {:7.2} µs  worst {:9.1} µs",
+            sum / count.max(1) as f64,
+            worst,
+        );
+    }
+    carries.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
+    let total: f64 = carries.iter().map(|c| c.0).sum();
+    println!(
+        "    {} carries, {:.1} ms in all ({:.1} % of insert time), shapes_rebuilt {} ({} live at \
+         the end); the ten dearest (ms, shapes):",
+        carries.len(),
+        total / 1e3,
+        100.0 * total / cost[0].0,
+        base.shapes_rebuilt,
+        base.len(),
+    );
+    let dearest: Vec<String> =
+        carries.iter().take(10).map(|(t, shapes)| format!("{:.2} / {shapes}", t / 1e3)).collect();
+    println!("      {}", dearest.join(", "));
 }

@@ -98,44 +98,50 @@ fn main() {
 /// sketches at 2 % distortion, k = 10, β = 0.2): clustered families and
 /// distorted queries, so the final envelope holds a large share of the
 /// pool — the regime where cost per *reported* vertex decides, not
-/// pruning. Two paths per backend: the static matcher's incremental
-/// top-k loop (rank 1 certified), and the served path (`Snapshot`: the
-/// hash tier's k-th score seeds one `Threshold` envelope, all k ranks
-/// exact). Warm scratch, best of four passes.
+/// pruning. The static matcher's incremental top-k loop (rank 1
+/// certified) per backend, then the served path once (`Snapshot`: the
+/// hash tier's k-th score is the cutoff every copy is scanned against,
+/// all k ranks exact — no index, so no backend). Warm scratch, best of
+/// four passes.
 fn canonical_corpus() {
     println!("# canonical exact_sketch corpus (k = 10, 100 sketches, warm scratch)");
     let corpus = generate(&CorpusConfig::small(200, 1));
     let sketches = corpus.queries(100, 0.02, 1);
+    let config = MatchConfig { k: 10, beta: 0.2, ..Default::default() };
+    let mut scratch = MatcherScratch::new();
+    let mut out = MatchOutcome::default();
+    // (best ms/query, `run`'s count per query)
+    let best_of_four = |run: &mut dyn FnMut(&Polyline) -> usize| {
+        let (mut best_ms, mut count) = (f64::INFINITY, 0usize);
+        for _ in 0..4 {
+            let start = Instant::now();
+            count = sketches.iter().map(&mut *run).sum();
+            best_ms = best_ms.min(start.elapsed().as_secs_f64() * 1e3 / sketches.len() as f64);
+        }
+        (best_ms, count / sketches.len())
+    };
     for backend in [Backend::RangeTree, Backend::KdTree] {
-        let config = MatchConfig { k: 10, beta: 0.2, ..Default::default() };
         let base = corpus.build_base(0.0, backend);
         let matcher = Matcher::new(&base, config.clone());
-        let mut dynamic = DynamicBase::new(0.0, backend, config, 512);
-        dynamic.bulk_load(corpus.shapes.iter().map(|(image, _, s)| (*image, s.clone())));
-        let snapshot = dynamic.snapshot();
-        let mut scratch = MatcherScratch::for_base(&base);
-        let mut out = MatchOutcome::default();
-        let (mut hits, mut stats) = (Vec::new(), RetrieveStats::default());
-        let best_of_four = |path: &str, run: &mut dyn FnMut(&Polyline) -> usize| {
-            let (mut best_ms, mut reported) = (f64::INFINITY, 0usize);
-            for _ in 0..4 {
-                let start = Instant::now();
-                reported = sketches.iter().map(&mut *run).sum();
-                best_ms = best_ms.min(start.elapsed().as_secs_f64() * 1e3 / sketches.len() as f64);
-            }
-            println!(
-                "{:>9} vertices  {:>6} reported/query  {best_ms:>7.2} ms/query  {backend:?}  {path}",
-                base.total_vertices(),
-                reported / sketches.len()
-            );
-        };
-        best_of_four("Matcher top-k", &mut |q| {
+        let (ms, reported) = best_of_four(&mut |q| {
             matcher.retrieve_with(&mut scratch, q, &mut out);
             out.stats.vertices_reported
         });
-        best_of_four("Snapshot seeded", &mut |q| {
-            snapshot.retrieve_with_stats(&mut scratch, &mut out, q, 10, &mut hits, &mut stats);
-            stats.vertices_reported as usize
-        });
+        println!(
+            "{:>9} vertices  {reported:>6} reported/query  {ms:>7.2} ms/query  {backend:?}  Matcher top-k",
+            base.total_vertices(),
+        );
     }
+    let mut dynamic = DynamicBase::new(0.0, config, 512);
+    dynamic.bulk_load(corpus.shapes.iter().map(|(image, _, s)| (*image, s.clone())));
+    let snapshot = dynamic.snapshot();
+    let (mut hits, mut stats) = (Vec::new(), RetrieveStats::default());
+    let (ms, scanned) = best_of_four(&mut |q| {
+        snapshot.retrieve_with_stats(&mut scratch, &mut out, q, 10, &mut hits, &mut stats);
+        stats.scan_copies as usize
+    });
+    println!(
+        "{:>9} copies    {scanned:>6} scanned/query   {ms:>7.2} ms/query  Snapshot seeded (no index)",
+        snapshot.total_copies(),
+    );
 }

@@ -243,7 +243,7 @@ impl SigBuckets {
     }
 
     /// Group `(CopyId(i), sig)` pairs (i = iteration order) into buckets.
-    fn from_sigs(sigs: impl Iterator<Item = Signature>) -> SigBuckets {
+    pub(crate) fn from_sigs(sigs: impl Iterator<Item = Signature>) -> SigBuckets {
         let mut b = SigBuckets::default();
         for (i, sig) in sigs.enumerate() {
             let cid = CopyId(i as u32);

@@ -5,18 +5,22 @@
 //! the territory of [5, 7]; GeoSIR's own structures are static. This
 //! module closes that gap with the classic Bentley–Saxe decomposition:
 //! the base is a set of static sub-bases with sizes following a binary
-//! carry pattern, inserts go to a buffer that cascades into rebuilds of
+//! carry pattern, inserts go to a buffer that cascades into carries of
 //! amortized O(log N) frequency, deletes are tombstones, and a query runs
-//! on every live sub-base with results merged. Every sub-base is a plain
-//! [`ShapeBase`] + [`Matcher`], so all §2.5 guarantees carry over
-//! per-sub-base and the merge preserves them.
+//! on every live sub-base with results merged. A sub-base (`Level`) is
+//! the normalized copies of its shapes, their hash signatures bucketed
+//! for the approximate tier, and an id table — no vertex pool and no
+//! range-search index: a level is scanned, never range-searched. A shape
+//! is normalized and hashed once, when it is inserted (or bulk-loaded); a
+//! carry only merges what its inputs hold (`Level::merge`).
 //!
 //! An exact query is *seed-and-verify* (`View::retrieve`): the hash tier
 //! (§3, [`crate::approx`]) is probed first, and the k-th best of the true
 //! scores it returns bounds what any sub-base can still contribute — so
 //! each level is scanned, copy by copy, with the early-abandoning `h_avg`
-//! against that cutoff, exact on all k ranks (DESIGN.md §11.6). A level's
-//! [`Matcher`] runs only while no cutoff exists yet (fewer than k seeds).
+//! against that cutoff, exact on all k ranks (DESIGN.md §11.6). With
+//! fewer than k seeds the cutoff starts at ∞ and the same scan fills the
+//! board.
 //!
 //! ## Snapshots
 //!
@@ -33,8 +37,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use geosir_geom::rangesearch::Backend;
-use geosir_geom::Polyline;
+use geosir_geom::{Polyline, Similarity};
 use geosir_obs as obs;
 
 use crate::approx::{
@@ -42,13 +45,10 @@ use crate::approx::{
     SigBuckets, BUFFER_LEVEL, DEFAULT_HASH_CURVES,
 };
 use crate::hashing::{signature_of, signature_of_with, CurveFamily, Signature};
-use crate::ids::{CopyId, ImageId, ShapeId};
-use crate::matcher::{
-    Match, MatchConfig, MatchOutcome, Matcher, MatcherMetrics, MatcherPlan, RingExplain, RunMode,
-    Termination,
-};
+use crate::ids::{ImageId, ShapeId};
+use crate::matcher::{MatchConfig, MatchOutcome, MatcherMetrics, RingExplain, Termination};
 use crate::scratch::MatcherScratch;
-use crate::shapebase::{ShapeBase, ShapeBaseBuilder};
+use crate::shapebase::{normalize_all, CopyRecord};
 use crate::similarity::{score_bounded_with, score_prepared_bounded, PreparedShape, ScoreKind};
 
 /// A shape registered with the dynamic base (stable across rebuilds).
@@ -58,18 +58,18 @@ pub struct GlobalShapeId(pub u64);
 /// Growable, deletable shape base built from static levels.
 pub struct DynamicBase {
     alpha: f64,
-    backend: Backend,
     config: MatchConfig,
     /// The k-curve hash family shared by every level's signature buckets
     /// and all insert-time signatures (§3; k = [`DEFAULT_HASH_CURVES`]).
     family: Arc<CurveFamily>,
     /// Insert buffer: shapes not yet in any level (scored brute force
     /// against normalized copies prepared — indexed — at insert time).
-    buffer: Vec<BufferedShape>,
+    buffer: Vec<Arc<BufferedShape>>,
     buffer_cap: usize,
-    /// Binary-carry slots; slot i holds a static base of capacity
-    /// `buffer_cap · 2^i` (or is empty).
-    levels: Vec<Option<Slot>>,
+    /// Binary-carry slots; slot i holds a level of capacity
+    /// `buffer_cap · 2^i` (or is empty). `Arc` so snapshots share a level
+    /// instead of copying it.
+    levels: Vec<Option<Arc<Level>>>,
     deleted: HashSet<GlobalShapeId>,
     next_id: u64,
     /// Mutation counter: bumped by every applied insert and delete, so
@@ -77,61 +77,56 @@ pub struct DynamicBase {
     epoch: u64,
     /// Rebuild accounting (for tests and ops visibility).
     pub shapes_rebuilt: u64,
-    /// Warm (scratch, outcome) pairs for the scratchless [`Self::retrieve`]
-    /// entry point, so a query loop pays dense-array setup once. Bounded
-    /// like the matcher's pool.
-    scratch_pool: std::sync::Mutex<Vec<(MatcherScratch, MatchOutcome)>>,
+    /// Warm scratches for the scratchless [`Self::retrieve`] entry point,
+    /// so a query loop pays dense-array setup once. Bounded like the
+    /// matcher's pool.
+    scratch_pool: std::sync::Mutex<Vec<MatcherScratch>>,
 }
 
 /// One not-yet-leveled insert. The normalized copies are derived — and
 /// their segment indexes built — once at insert time (writer-side), so
 /// brute-force scoring during queries does no index construction at all:
 /// re-deriving copies and re-indexing candidates per query per buffered
-/// shape used to dominate mixed read/write workloads. `Arc` so snapshot
-/// captures clone a pointer, not the indexes.
-#[derive(Clone)]
+/// shape used to dominate mixed read/write workloads. The buffer holds
+/// each entry behind one `Arc`, so a snapshot capture clones a pointer
+/// per shape and no geometry.
 struct BufferedShape {
     id: GlobalShapeId,
     image: ImageId,
     shape: Polyline,
     /// Empty only for degenerate geometry, which then simply never
-    /// matches until the next rebuild compacts it.
-    copies: Arc<Vec<crate::similarity::PreparedShape>>,
-    /// Geometric-hash signature of each copy (aligned with `copies`),
-    /// also computed writer-side — the approximate tier probes the
-    /// buffer by these without hashing anything at query time.
-    sigs: Arc<Vec<Signature>>,
+    /// matches.
+    copies: Vec<PreparedShape>,
+    /// Normalized → original-pose transform of each copy, and its
+    /// geometric-hash signature (both aligned with `copies`), also
+    /// computed writer-side: the approximate tier probes the buffer by
+    /// the signatures without hashing anything at query time, and a carry
+    /// moves all three into the level as they are.
+    inverses: Vec<Similarity>,
+    sigs: Vec<Signature>,
 }
 
-/// One occupied carry slot. `Arc` so snapshots share the level instead
-/// of copying it; the tombstone count rides beside it (bumped by
-/// [`DynamicBase::delete`], gone with the slot when a cascade consumes
-/// it), so no query ever recounts it from `ids`.
-#[derive(Clone)]
-struct Slot {
-    level: Arc<Level>,
-    /// Shapes of `level` currently in the tombstone set.
-    dead: usize,
-}
-
-impl Slot {
-    fn new(level: Level) -> Slot {
-        Slot { level: Arc::new(level), dead: 0 }
-    }
-}
-
+/// One static sub-base: what its shapes' inserts (or one bulk load)
+/// computed, laid out for the scan and the hash tier. Immutable once
+/// built; a carry that consumes it copies out what is still live.
+#[derive(Default)]
 struct Level {
-    base: ShapeBase,
-    /// Query-independent matcher precomputation, built once per level.
-    plan: Arc<MatcherPlan>,
-    /// Signature buckets over `base`'s copies — the approximate tier's
-    /// index slice for this level. Rebuilt with the level on every
-    /// cascade/bulk load, so recovery restores it for free.
+    /// Every normalized copy, shape by shape in `ids` order; `shape_id`
+    /// is level-local (an index into `ids` / `images` / `shapes`).
+    copies: Vec<CopyRecord>,
+    /// Hash signature of each copy (aligned with `copies`): what the next
+    /// carry re-buckets instead of re-hashing.
+    sigs: Vec<Signature>,
+    /// `sigs` grouped — the approximate tier's index slice for this
+    /// level.
     buckets: SigBuckets,
     /// Level-local ShapeId → global id.
     ids: Vec<GlobalShapeId>,
     images: Vec<ImageId>,
     shapes: Vec<Polyline>,
+    /// `ids` sorted: membership (deletes, WAL replay) is a binary search,
+    /// not a walk of `ids`.
+    sorted_ids: Vec<GlobalShapeId>,
 }
 
 /// A match from the dynamic base.
@@ -150,15 +145,13 @@ pub struct DynMatch {
 pub struct RetrieveStats {
     /// Levels queried.
     pub levels: u64,
-    /// Envelope iterations summed over the levels that ran the matcher
-    /// (a scanned level has none).
+    /// Envelope iterations, index reports and ring vertices: always 0 —
+    /// a level is scanned, there is no envelope (the wire layout and the
+    /// trace records still carry the three).
     pub rings: u64,
-    /// Vertices the range-search index reported (pre-filter).
     pub vertices_reported: u64,
-    /// Ring vertices processed after exact-distance filtering.
     pub vertices_processed: u64,
-    /// `h_avg` evaluations in the levels: every copy a scan scored, plus
-    /// a top-k run's credit, promotion and resolve scorings.
+    /// `h_avg` evaluations in the levels: every copy a scan scored.
     pub candidates_scored: u64,
     /// Of those, the copies the level scans scored (a level's copies
     /// minus what the seed had settled), and how many of them the cutoff
@@ -168,29 +161,26 @@ pub struct RetrieveStats {
     /// levels whose termination is [`Termination::Scan`].
     pub scan_copies: u64,
     pub scan_survivors: u64,
-    /// Triangles submitted to the range-search index.
+    /// Always 0, like `rings`.
     pub triangles_queried: u64,
     /// Buffered shapes scored brute force.
     pub buffer_scored: u64,
-    /// Largest termination ε across levels, as a fraction of that
-    /// level's cap (0 when no level was queried).
+    /// Always 0: a scan has no ε-cap to approach or exhaust.
     pub max_eps_fraction: f64,
-    /// Levels that hit the ε-cap without certifying their answer.
     pub exhausted_levels: u64,
-    /// Termination reason of the last level queried (the largest, most
-    /// recently built one) — what the flight recorder attributes the
-    /// query to. `None` when no level was queried.
+    /// [`Termination::Scan`] once a level was queried, `None` otherwise —
+    /// what the flight recorder attributes the query to.
     pub last_termination: Termination,
 }
 
-/// One level's share of an EXPLAIN'd query: the matcher's per-ring
-/// breakdown plus the level-local totals it sums to. A scanned level
-/// ([`Termination::Scan`]) has no rings, vertices or ε-cap: its
+/// One level's share of an EXPLAIN'd query, in the layout the wire
+/// carries (it predates the scan and has room for an envelope run). Every
+/// level is scanned ([`Termination::Scan`]): no rings, vertices or ε-cap;
 /// `candidates_scored` are the copies the scan scored, `credit_scored`
 /// the copies the seed had already settled (the two sum to the level's
-/// copies), and its cutoff τ reads `final_eps` with `bound_factor` 1 —
-/// `bound_factor · final_eps` is the level's score cutoff under either
-/// plan.
+/// copies), and the cutoff τ the scan started from reads `final_eps`
+/// with `bound_factor` 1 — `INFINITY` when the seed left the board short
+/// of k shapes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LevelExplain {
     /// Shapes indexed in this level.
@@ -254,7 +244,7 @@ struct DynMetrics {
     pool_hits: Arc<obs::Counter>,
     pool_misses: Arc<obs::Counter>,
     /// Exact queries whose cutoff the hash tier's k-th score set, and
-    /// those that fell back to the top-k chain (fewer than k seeds).
+    /// those whose scans started from ∞ (fewer than k seeds).
     seeded: Arc<obs::Counter>,
     unseeded: Arc<obs::Counter>,
     seed_reranked: Arc<obs::Counter>,
@@ -269,8 +259,8 @@ struct DynMetrics {
 
 impl DynMetrics {
     fn build(reg: &obs::Registry) -> DynMetrics {
-        // A seeded query never runs a level's matcher; its series stay
-        // exposed all the same (reading 0, not absent, to a scraper).
+        // No level runs the matcher; its series stay exposed all the
+        // same (reading 0, not absent, to a scraper).
         MatcherMetrics::build(reg);
         DynMetrics {
             queries: reg.counter("geosir_dynamic_queries_total", &[]),
@@ -292,11 +282,10 @@ impl DynMetrics {
 impl DynamicBase {
     /// `buffer_cap` controls the smallest level size (and hence rebuild
     /// granularity); 32–256 is reasonable.
-    pub fn new(alpha: f64, backend: Backend, config: MatchConfig, buffer_cap: usize) -> Self {
+    pub fn new(alpha: f64, config: MatchConfig, buffer_cap: usize) -> Self {
         assert!(buffer_cap >= 1);
         DynamicBase {
             alpha,
-            backend,
             config,
             family: Arc::new(CurveFamily::new(DEFAULT_HASH_CURVES)),
             buffer: Vec::new(),
@@ -322,8 +311,8 @@ impl DynamicBase {
 
     /// Number of live (non-deleted) shapes.
     pub fn len(&self) -> usize {
-        let total = self.buffer.len()
-            + self.levels.iter().flatten().map(|s| s.level.ids.len()).sum::<usize>();
+        let total =
+            self.buffer.len() + self.levels.iter().flatten().map(|l| l.ids.len()).sum::<usize>();
         total - self.deleted.len()
     }
 
@@ -336,38 +325,39 @@ impl DynamicBase {
         self.levels.iter().flatten().count()
     }
 
-    /// Insert a shape; amortized O(polylog) index work per insert. The
-    /// shape's normalized copies are computed — and indexed — here, once,
-    /// so every query that brute-forces the buffer only scores (writer
-    /// pays, readers don't).
+    /// Insert a shape. Its normalized copies and their signatures are
+    /// computed — and the copies indexed — here, once: every query that
+    /// brute-forces the buffer only scores, and every carry the shape
+    /// later takes part in only moves them (writer pays, readers and
+    /// carries don't).
     pub fn insert(&mut self, image: ImageId, shape: Polyline) -> GlobalShapeId {
         let id = GlobalShapeId(self.next_id);
         self.next_id += 1;
         self.epoch += 1;
-        let entry = self.buffered_entry(id, image, shape);
-        self.buffer.push(entry);
-        if self.buffer.len() >= self.buffer_cap {
-            self.cascade();
-        }
+        self.buffer_insert(id, image, shape);
         id
     }
 
-    /// Derive everything a buffered shape carries — prepared copies and
-    /// their hash signatures — once, writer-side.
-    fn buffered_entry(&self, id: GlobalShapeId, image: ImageId, shape: Polyline) -> BufferedShape {
-        let copies: Vec<_> = crate::normalize::normalized_copies(&shape, self.alpha)
-            .into_iter()
-            .map(|c| crate::similarity::PreparedShape::new(c.shape))
-            .collect();
-        let sigs: Vec<Signature> =
-            copies.iter().map(|c| signature_of(&self.family, c.shape())).collect();
-        BufferedShape { id, image, shape, copies: Arc::new(copies), sigs: Arc::new(sigs) }
+    /// Derive everything a buffered shape carries — prepared copies, their
+    /// inverse transforms and hash signatures — once, writer-side; carry
+    /// when the buffer is full.
+    fn buffer_insert(&mut self, id: GlobalShapeId, image: ImageId, shape: Polyline) {
+        let (mut copies, mut inverses, mut sigs) = (Vec::new(), Vec::new(), Vec::new());
+        for c in crate::normalize::normalized_copies(&shape, self.alpha) {
+            sigs.push(signature_of(&self.family, &c.shape));
+            inverses.push(c.inverse);
+            copies.push(PreparedShape::new(c.shape));
+        }
+        self.buffer.push(Arc::new(BufferedShape { id, image, shape, copies, inverses, sigs }));
+        if self.buffer.len() >= self.buffer_cap {
+            self.cascade();
+        }
     }
 
     /// Bulk-load a batch of shapes into a single level, bypassing the
-    /// cascade: one build instead of O(n/cap) incremental rebuilds. The
-    /// natural way to open a server on an existing corpus; subsequent
-    /// [`Self::insert`]s trickle in through the buffer as usual.
+    /// cascade: one parallel build instead of n inserts and O(n/cap)
+    /// carries. The natural way to open a server on an existing corpus;
+    /// subsequent [`Self::insert`]s trickle in through the buffer as usual.
     pub fn bulk_load(
         &mut self,
         shapes: impl IntoIterator<Item = (ImageId, Polyline)>,
@@ -391,14 +381,13 @@ impl DynamicBase {
     /// replayed on top via [`Self::insert_with_id`] / [`Self::delete`].
     pub fn restore(
         alpha: f64,
-        backend: Backend,
         config: MatchConfig,
         buffer_cap: usize,
         shapes: Vec<(GlobalShapeId, ImageId, Polyline)>,
         next_id: u64,
         epoch: u64,
     ) -> Self {
-        let mut base = DynamicBase::new(alpha, backend, config, buffer_cap);
+        let mut base = DynamicBase::new(alpha, config, buffer_cap);
         let max_id = shapes.iter().map(|(g, _, _)| g.0 + 1).max().unwrap_or(0);
         base.bulk_load_level(shapes);
         base.next_id = next_id.max(max_id);
@@ -415,20 +404,16 @@ impl DynamicBase {
         }
         self.next_id = self.next_id.max(id.0 + 1);
         self.epoch += 1;
-        let entry = self.buffered_entry(id, image, shape);
-        self.buffer.push(entry);
-        if self.buffer.len() >= self.buffer_cap {
-            self.cascade();
-        }
+        self.buffer_insert(id, image, shape);
         true
     }
 
-    /// Whether `id` is live (inserted, not tombstoned). A scan — meant
-    /// for replay and tests, not the query path.
+    /// Whether `id` is live (inserted, not tombstoned): a walk of the
+    /// buffer, then a binary search per level.
     pub fn contains(&self, id: GlobalShapeId) -> bool {
         !self.deleted.contains(&id)
             && (self.buffer.iter().any(|b| b.id == id)
-                || self.levels.iter().flatten().any(|s| s.level.ids.contains(&id)))
+                || self.levels.iter().flatten().any(|l| l.holds(id)))
     }
 
     /// Place `pool` (pre-assigned ids) into the smallest free slot that
@@ -451,8 +436,7 @@ impl DynamicBase {
             self.levels.push(None);
         }
         self.shapes_rebuilt += pool.len() as u64;
-        self.levels[slot] =
-            Some(Slot::new(Level::build(pool, self.alpha, self.backend, &self.config, &self.family)));
+        self.levels[slot] = Some(Arc::new(Level::build(pool, self.alpha, &self.family)));
     }
 
     /// Delete a shape (tombstone; storage is reclaimed at the next rebuild
@@ -470,27 +454,24 @@ impl DynamicBase {
             self.epoch += 1;
             return true;
         }
-        match self.levels.iter_mut().flatten().find(|s| s.level.ids.contains(&id)) {
-            Some(slot) => {
-                slot.dead += 1;
-                self.deleted.insert(id);
-                self.epoch += 1;
-                true
-            }
-            None => false,
+        let leveled = self.levels.iter().flatten().any(|l| l.holds(id));
+        if leveled {
+            self.deleted.insert(id);
+            self.epoch += 1;
         }
+        leveled
     }
 
     /// Binary-carry cascade (Bentley–Saxe): the buffer becomes a block of
-    /// rank 0; while the target slot is occupied, its level is merged into
-    /// the block and the carry moves up one slot. Each shape therefore
-    /// participates in at most `log₂(N / cap)` rebuilds. Tombstoned shapes
-    /// are dropped during merges, so deletes are eventually compacted.
+    /// rank 0; while the target slot is occupied, its level joins the
+    /// block and the carry moves up one slot. Each shape therefore takes
+    /// part in at most `log₂(N / cap)` carries — and a carry is a merge
+    /// ([`Level::merge`]): nothing is normalized or hashed again.
+    /// Tombstoned shapes are dropped on the way, so deletes are
+    /// eventually compacted.
     fn cascade(&mut self) {
-        let mut pool: Vec<(GlobalShapeId, ImageId, Polyline)> = std::mem::take(&mut self.buffer)
-            .into_iter()
-            .map(|b| (b.id, b.image, b.shape))
-            .collect();
+        let buffer = std::mem::take(&mut self.buffer);
+        let mut carried = Vec::new();
         let mut slot = 0usize;
         loop {
             if slot >= self.levels.len() {
@@ -498,33 +479,20 @@ impl DynamicBase {
             }
             match self.levels[slot].take() {
                 None => break,
-                Some(Slot { level, .. }) => {
-                    // Snapshots may still hold this Arc; clone the level's
-                    // contents out rather than unwrapping, so live readers
-                    // keep a consistent view while we rebuild.
-                    for ((gid, image), shape) in
-                        level.ids.iter().zip(&level.images).zip(&level.shapes)
-                    {
-                        pool.push((*gid, *image, shape.clone()));
-                    }
+                Some(level) => {
+                    carried.push(level);
                     slot += 1;
                 }
             }
         }
-        // compact: a tombstoned shape leaves the pool AND sheds its
-        // tombstone here (its level is being rebuilt without it); keeping
-        // the tombstone would make `len()` subtract a shape that no level
-        // holds anymore
-        let deleted = &mut self.deleted;
-        pool.retain(|(g, _, _)| !deleted.remove(g));
-        if pool.is_empty() {
+        let merged = Level::merge(&buffer, &carried, &mut self.deleted);
+        let rebuilt = merged.ids.len();
+        if rebuilt == 0 {
             return;
         }
-        self.shapes_rebuilt += pool.len() as u64;
-        let rebuilt = pool.len();
-        self.levels[slot] =
-            Some(Slot::new(Level::build(pool, self.alpha, self.backend, &self.config, &self.family)));
-        // Lifecycle journal: large carries (high slots) are the rebuilds
+        self.shapes_rebuilt += rebuilt as u64;
+        self.levels[slot] = Some(Arc::new(merged));
+        // Lifecycle journal: large carries (high slots) are the ones
         // worth explaining when someone asks why a write spiked.
         obs::with_current(|r| {
             r.journal().emit(
@@ -544,32 +512,34 @@ impl DynamicBase {
         // Warm/cold accounting happens inside `View::retrieve`
         // (a warm scratch — pooled here or per-worker on the serve
         // path — counts as a hit), so no recording at the pool itself.
-        let pooled = self.scratch_pool.lock().unwrap().pop();
-        let (mut scratch, mut tmp) = pooled.unwrap_or_default();
+        let pooled = self.scratch_pool.lock().expect("no query panics holding the pool").pop();
+        let mut scratch = pooled.unwrap_or_default();
         let mut all = Vec::new();
-        self.retrieve_with(&mut scratch, &mut tmp, query, &mut all);
+        self.retrieve_with(&mut scratch, &mut MatchOutcome::default(), query, &mut all);
         let mut pool = self.scratch_pool.lock().unwrap();
         if pool.len() < 4 {
-            pool.push((scratch, tmp));
+            pool.push(scratch);
         }
         all
     }
 
-    /// [`Self::retrieve`] through caller-owned scratch, intermediate
-    /// outcome, and out-parameter: the zero-allocation hot path. After a
-    /// warm-up query, retrieval — seed probe, level runs and buffer scan
-    /// alike — touches the heap zero times.
+    /// [`Self::retrieve`] through caller-owned scratch and out-parameter:
+    /// the zero-allocation hot path. After a warm-up query, retrieval —
+    /// seed probe, level scans and buffer scan alike — touches the heap
+    /// zero times. `_tmp` is unused (no level runs a matcher that would
+    /// fill it); the parameter stays because `benchmark/` compiles
+    /// against the `Snapshot` entries that mirror this one (ROADMAP 5(c)
+    /// folds them).
     pub fn retrieve_with(
         &self,
         scratch: &mut MatcherScratch,
-        tmp: &mut MatchOutcome,
+        _tmp: &mut MatchOutcome,
         query: &Polyline,
         out: &mut Vec<DynMatch>,
     ) {
         self.view().retrieve(
             self.config.k,
             scratch,
-            tmp,
             query,
             out,
             &mut RetrieveStats::default(),
@@ -590,14 +560,10 @@ impl DynamicBase {
 
     /// Capture the queryable state — levels, buffer, tombstones, epoch —
     /// as an immutable, independently-queryable [`Snapshot`]. O(buffer +
-    /// levels + tombstones): level indexes are shared, not copied.
+    /// levels + tombstones) pointer copies: levels and buffered shapes
+    /// are shared, no geometry is cloned.
     pub fn snapshot(&self) -> Snapshot {
-        let copies = self
-            .levels
-            .iter()
-            .flatten()
-            .map(|s| s.level.base.num_copies())
-            .sum::<usize>()
+        let copies = self.levels.iter().flatten().map(|l| l.copies.len()).sum::<usize>()
             + self.buffer.iter().map(|b| b.copies.len()).sum::<usize>();
         Snapshot {
             epoch: self.epoch,
@@ -613,29 +579,97 @@ impl DynamicBase {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Id comparisons made by [`Level::holds`] on this thread (test
+    /// probe: a delete must not walk a level's ids).
+    static ID_PROBES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 impl Level {
-    fn build(
-        pool: Vec<(GlobalShapeId, ImageId, Polyline)>,
-        alpha: f64,
-        backend: Backend,
-        config: &MatchConfig,
-        family: &CurveFamily,
-    ) -> Level {
-        let mut builder = ShapeBaseBuilder::new();
-        let mut ids = Vec::with_capacity(pool.len());
-        let mut images = Vec::with_capacity(pool.len());
-        let mut shapes = Vec::with_capacity(pool.len());
-        for (local, (gid, image, shape)) in pool.into_iter().enumerate() {
-            let assigned = builder.add_shape(image, shape.clone());
-            debug_assert_eq!(assigned, ShapeId(local as u32));
-            ids.push(gid);
-            images.push(image);
-            shapes.push(shape);
+    /// Normalize and hash `pool` in bulk — the bulk-load / restore path,
+    /// the only one besides [`DynamicBase::insert`] that does either.
+    fn build(pool: Vec<(GlobalShapeId, ImageId, Polyline)>, alpha: f64, family: &CurveFamily) -> Level {
+        let normalized = normalize_all(&pool, |(_, _, shape)| shape, alpha, 0);
+        let mut level = Level::default();
+        let mut quarters = Default::default();
+        for ((gid, image, shape), copies) in pool.into_iter().zip(normalized) {
+            let local = level.push_shape(gid, image, shape);
+            for c in copies {
+                let sig = signature_of_with(family, &c.shape, &mut quarters);
+                level.push_copy(CopyRecord::new(local, image, c.shape, c.inverse), sig);
+            }
         }
-        let base = builder.build(alpha, backend);
-        let plan = Arc::new(MatcherPlan::new(&base, config));
-        let buckets = SigBuckets::build(family, &base);
-        Level { base, plan, buckets, ids, images, shapes }
+        level.finish()
+    }
+
+    /// What a carry leaves in its target slot: the live shapes of
+    /// `buffer`, then of `levels` in slot order, each with the copies and
+    /// signatures it already has — the level [`Level::build`] would make
+    /// of the same shapes in the same order, copy for copy, with nothing
+    /// normalized or hashed. A tombstoned shape stays behind AND sheds
+    /// its tombstone (keeping it would make `len()` subtract a shape no
+    /// level holds any more).
+    fn merge(
+        buffer: &[Arc<BufferedShape>],
+        levels: &[Arc<Level>],
+        deleted: &mut HashSet<GlobalShapeId>,
+    ) -> Level {
+        let mut out = Level::default();
+        for b in buffer.iter().filter(|b| !deleted.remove(&b.id)) {
+            let local = out.push_shape(b.id, b.image, b.shape.clone());
+            for ((copy, inverse), sig) in b.copies.iter().zip(&b.inverses).zip(&b.sigs) {
+                out.push_copy(CopyRecord::new(local, b.image, copy.shape().clone(), *inverse), *sig);
+            }
+        }
+        // Snapshots may still hold these levels: their contents are
+        // cloned out, never moved.
+        let mut remap: Vec<Option<ShapeId>> = Vec::new();
+        for level in levels {
+            // level-local id → id in `out`, `None` for a tombstoned shape
+            remap.clear();
+            for ((gid, image), shape) in level.ids.iter().zip(&level.images).zip(&level.shapes) {
+                remap.push((!deleted.remove(gid)).then(|| out.push_shape(*gid, *image, shape.clone())));
+            }
+            for (copy, sig) in level.copies.iter().zip(&level.sigs) {
+                if let Some(local) = remap[copy.shape_id.index()] {
+                    out.push_copy(CopyRecord { shape_id: local, ..copy.clone() }, *sig);
+                }
+            }
+        }
+        out.finish()
+    }
+
+    fn push_shape(&mut self, id: GlobalShapeId, image: ImageId, shape: Polyline) -> ShapeId {
+        self.ids.push(id);
+        self.images.push(image);
+        self.shapes.push(shape);
+        ShapeId(self.ids.len() as u32 - 1)
+    }
+
+    fn push_copy(&mut self, copy: CopyRecord, sig: Signature) {
+        self.copies.push(copy);
+        self.sigs.push(sig);
+    }
+
+    /// Bucket the signatures and sort the id table.
+    fn finish(mut self) -> Level {
+        self.buckets = SigBuckets::from_sigs(self.sigs.iter().copied());
+        self.sorted_ids = self.ids.clone();
+        // stable sort: `ids` is one ascending run per buffer that ever fed
+        // the level, which it merges rather than re-sorts
+        self.sorted_ids.sort();
+        self
+    }
+
+    /// Whether this level holds `id` (live or tombstoned).
+    fn holds(&self, id: GlobalShapeId) -> bool {
+        let at = self.sorted_ids.binary_search_by(|held| {
+            #[cfg(test)]
+            ID_PROBES.with(|c| c.set(c.get() + 1));
+            held.cmp(&id)
+        });
+        at.is_ok()
     }
 }
 
@@ -653,8 +687,8 @@ pub struct Snapshot {
     family: Arc<CurveFamily>,
     /// The base's carry slots as captured (empty ones included, so a
     /// slot index means the same level here and there).
-    levels: Vec<Option<Slot>>,
-    buffer: Vec<BufferedShape>,
+    levels: Vec<Option<Arc<Level>>>,
+    buffer: Vec<Arc<BufferedShape>>,
     deleted: HashSet<GlobalShapeId>,
     live: usize,
     /// Normalized copies captured (levels + buffer, tombstones included)
@@ -681,7 +715,7 @@ impl Snapshot {
     /// accepts it directly.
     pub fn live_shapes(&self) -> Vec<(GlobalShapeId, ImageId, Polyline)> {
         let mut out = Vec::with_capacity(self.live);
-        for Slot { level, .. } in self.levels.iter().flatten() {
+        for level in self.levels.iter().flatten() {
             for ((gid, image), shape) in level.ids.iter().zip(&level.images).zip(&level.shapes) {
                 if !self.deleted.contains(gid) {
                     out.push((*gid, *image, shape.clone()));
@@ -726,7 +760,8 @@ impl Snapshot {
     }
 
     /// [`Self::retrieve`] through caller-owned scratch — the entry point
-    /// server workers drive with long-lived per-worker scratches.
+    /// server workers drive with long-lived per-worker scratches (`tmp`
+    /// is unused: see [`DynamicBase::retrieve_with`]).
     pub fn retrieve_with(
         &self,
         scratch: &mut MatcherScratch,
@@ -739,30 +774,30 @@ impl Snapshot {
     }
 
     /// [`Self::retrieve_with`] that also reports the query's aggregated
-    /// matcher work in `stats` — what the server attaches to the query's
-    /// trace. Same hot path, no extra allocation.
+    /// work in `stats` — what the server attaches to the query's trace.
+    /// Same hot path, no extra allocation.
     pub fn retrieve_with_stats(
         &self,
         scratch: &mut MatcherScratch,
-        tmp: &mut MatchOutcome,
+        _tmp: &mut MatchOutcome,
         query: &Polyline,
         k: usize,
         out: &mut Vec<DynMatch>,
         stats: &mut RetrieveStats,
     ) {
         let k = if k == 0 { self.config.k } else { k };
-        self.view().retrieve(k, scratch, tmp, query, out, stats, None, true);
+        self.view().retrieve(k, scratch, query, out, stats, None, true);
     }
 
     /// [`Self::retrieve_with_stats`] that additionally captures a full
-    /// per-level, per-ring [`QueryExplain`] — the EXPLAIN ANALYZE
-    /// entry point. Identical retrieval semantics and stats; the only
-    /// extra cost is the capture itself, paid only on this path.
+    /// per-level [`QueryExplain`] — the EXPLAIN ANALYZE entry point.
+    /// Identical retrieval semantics and stats; the only extra cost is
+    /// the capture itself, paid only on this path.
     #[allow(clippy::too_many_arguments)]
     pub fn explain_with_stats(
         &self,
         scratch: &mut MatcherScratch,
-        tmp: &mut MatchOutcome,
+        _tmp: &mut MatchOutcome,
         query: &Polyline,
         k: usize,
         out: &mut Vec<DynMatch>,
@@ -771,7 +806,7 @@ impl Snapshot {
     ) {
         let k = if k == 0 { self.config.k } else { k };
         explain.clear();
-        self.view().retrieve(k, scratch, tmp, query, out, stats, Some(explain), true);
+        self.view().retrieve(k, scratch, query, out, stats, Some(explain), true);
         explain.buffer_scored = stats.buffer_scored;
         explain.stats = *stats;
     }
@@ -795,7 +830,7 @@ impl Snapshot {
 
     /// Occupied signature buckets across all level indexes.
     pub fn approx_num_buckets(&self) -> usize {
-        self.levels.iter().flatten().map(|s| s.level.buckets.num_buckets()).sum()
+        self.levels.iter().flatten().map(|l| l.buckets.num_buckets()).sum()
     }
 
     /// Average copies per occupied signature bucket across levels
@@ -806,7 +841,7 @@ impl Snapshot {
             return 0.0;
         }
         let copies: usize =
-            self.levels.iter().flatten().map(|s| s.level.buckets.total_copies()).sum();
+            self.levels.iter().flatten().map(|l| l.buckets.total_copies()).sum();
         copies as f64 / buckets as f64
     }
 
@@ -880,8 +915,8 @@ thread_local! {
 struct View<'a> {
     config: &'a MatchConfig,
     family: &'a CurveFamily,
-    levels: &'a [Option<Slot>],
-    buffer: &'a [BufferedShape],
+    levels: &'a [Option<Arc<Level>>],
+    buffer: &'a [Arc<BufferedShape>],
     deleted: &'a HashSet<GlobalShapeId>,
 }
 
@@ -893,8 +928,8 @@ impl View<'_> {
     }
 
     /// Occupied slots with their index, smallest (most recent) first.
-    fn slots(&self) -> impl DoubleEndedIterator<Item = (usize, &Slot)> {
-        self.levels.iter().enumerate().filter_map(|(i, s)| s.as_ref().map(|s| (i, s)))
+    fn slots(&self) -> impl DoubleEndedIterator<Item = (usize, &Level)> {
+        self.levels.iter().enumerate().filter_map(|(i, l)| l.as_deref().map(|l| (i, l)))
     }
 
     /// The hash tier's probe + bounded rerank: collect candidate copies
@@ -952,7 +987,7 @@ impl View<'_> {
         let mut probed = 0u64;
         for r in 0..=kf {
             stats.radius = r;
-            for (li, Slot { level, .. }) in self.slots() {
+            for (li, level) in self.slots() {
                 ring.clear();
                 level.buckets.collect_ring(kf, &qsig, r, &mut probes[li], vals, ring, &mut probed);
                 cands.extend(ring.iter().map(|c| CandRef {
@@ -1004,8 +1039,8 @@ impl View<'_> {
                 let geom = CopyGeom::Indexed(&b.copies[c.b as usize]);
                 return Some(Offer { shape: b.id, image: b.image, geom, verdict: Some(&mut c.verdict) });
             }
-            let level = &self.levels[c.level as usize].as_ref().expect("probed slot").level;
-            let copy = level.base.copy(CopyId(c.a));
+            let level = self.levels[c.level as usize].as_ref().expect("probed slot");
+            let copy = &level.copies[c.a as usize];
             let shape = level.ids[copy.shape_id.index()];
             (!self.is_dead(&shape)).then_some(Offer {
                 shape,
@@ -1030,10 +1065,9 @@ impl View<'_> {
     /// k-th best), tombstones are looked up for the survivors alone — so
     /// the board sorted by `(score, id)` and truncated to k is the exact
     /// top-k on all k ranks, with no ε-cap to run into. While the board
-    /// is short of k shapes (fewer than k seeds) there is no cutoff to
-    /// scan against, so the next (largest remaining) level runs the
-    /// paper's certified top-k loop instead and what it reports joins
-    /// the board.
+    /// is short of k shapes (fewer than k seeds) the cutoff is ∞: the
+    /// scan scores what it meets in full until k live shapes are on the
+    /// board, and tightens from there — the same plan, not another one.
     /// Allocation-free in steady state. Every caller passes `handoff`;
     /// without it the levels score the seed's copies over again (the
     /// differential test's other leg: same answer, more scorings).
@@ -1042,7 +1076,6 @@ impl View<'_> {
         &self,
         k: usize,
         scratch: &mut MatcherScratch,
-        tmp: &mut MatchOutcome,
         query: &Polyline,
         out: &mut Vec<DynMatch>,
         stats: &mut RetrieveStats,
@@ -1060,8 +1093,8 @@ impl View<'_> {
         // degenerate geometry normalizes to nothing and matches nothing
         if scratch.prepare_query(query) {
             // The seed scratch holds the candidates' verdicts and the
-            // board; it is taken out while the query runs so that a
-            // level's `Matcher::run` can have all of `scratch`.
+            // board; it is taken out while the query runs so that the
+            // scans can stamp copies in the rest of `scratch`.
             let mut seed = std::mem::take(&mut scratch.seed);
             let opts = ApproxOptions { k, ..ApproxOptions::default() };
             let qprep = scratch.query.as_ref().expect("prepared above");
@@ -1071,101 +1104,45 @@ impl View<'_> {
             self.rerank(cands, qprep, back, &mut board, &mut seed_stats);
             tau = board.cutoff;
 
-            tmp.explain.enabled = explain.is_some();
-            // largest level first: unseeded, its certified k-th best is
-            // what lets the smaller levels be scanned
-            for (li, Slot { level, dead }) in self.slots().rev() {
+            // largest level first
+            for (li, level) in self.slots().rev() {
                 let judged =
                     cands.iter().filter(|c| handoff && c.level == li as u32 && !c.verdict.is_nan());
                 stats.levels += 1;
-                if board.cutoff.is_finite() {
-                    // No copy is scored twice: a finite verdict of the
-                    // seed's is on the board already, an abandoned copy
-                    // scored above a cutoff no lower than this one.
-                    scratch.ensure(&level.base);
-                    let stamp = scratch.begin_query();
-                    let settled = &mut scratch.scored_stamp;
-                    let credit = judged.map(|c| settled[c.a as usize] = stamp).count();
-                    let within = board.cutoff;
-                    let offers = level
-                        .base
-                        .copies()
-                        .filter(|(cid, _)| settled[cid.index()] != stamp)
-                        .map(|(_, copy)| Offer {
-                            shape: level.ids[copy.shape_id.index()],
-                            image: copy.image,
-                            geom: CopyGeom::Stored(&copy.normalized),
-                            verdict: None,
-                        });
-                    let qprep = scratch.query.as_ref().expect("prepared above");
-                    let done =
-                        score_onto(self.config.score, qprep, back, &mut board, offers, |g| self.is_dead(g));
-                    stats.candidates_scored += done.scored;
-                    stats.scan_copies += done.scored;
-                    stats.scan_survivors += done.scored - done.abandoned;
-                    stats.last_termination = Termination::Scan;
-                    if let Some(ex) = explain.as_deref_mut() {
-                        ex.levels.push(LevelExplain {
-                            shapes: level.ids.len() as u64,
-                            termination: Termination::Scan,
-                            final_eps: within,
-                            bound_factor: 1.0,
-                            candidates_scored: done.scored,
-                            credit_scored: credit as u32,
-                            ..LevelExplain::default()
-                        });
-                    }
-                    continue;
-                }
-                // No cutoff to scan against yet (fewer than k seeds): the
-                // paper's certified top-k loop. It ranks over the level's
-                // full base, tombstones included, and truncates at k — so
-                // it asks for k plus the level's tombstone count, or live
-                // shapes ranked right below deleted ones would be cut
-                // before the filter below runs.
-                let level_config = MatchConfig { k: k + dead, ..self.config.clone() };
-                let matcher = Matcher::with_plan(&level.base, level_config, level.plan.clone());
-                tmp.clear();
-                // what the seed found out about this level's copies rides
-                // into the run (which drains it)
-                scratch.verdicts.extend(judged.map(|c| (c.a, c.verdict)));
-                matcher.run(scratch, RunMode::TopK, tmp);
-                stats.rings += tmp.stats.iterations as u64;
-                stats.vertices_reported += tmp.stats.vertices_reported as u64;
-                stats.vertices_processed += tmp.stats.vertices_processed as u64;
-                stats.candidates_scored += tmp.stats.candidates_scored as u64;
-                stats.triangles_queried += tmp.stats.triangles_queried as u64;
-                stats.last_termination = tmp.stats.termination;
-                if tmp.stats.exhausted {
-                    stats.exhausted_levels += 1;
-                }
-                if tmp.stats.eps_cap > 0.0 {
-                    stats.max_eps_fraction =
-                        stats.max_eps_fraction.max(tmp.stats.final_eps / tmp.stats.eps_cap);
-                }
+                // No copy is scored twice: a finite verdict of the seed's
+                // is on the board already, an abandoned copy scored above
+                // a cutoff no lower than this one.
+                scratch.ensure_copies(level.copies.len());
+                let stamp = scratch.begin_query();
+                let settled = &mut scratch.scored_stamp;
+                let credit = judged.map(|c| settled[c.a as usize] = stamp).count();
+                let within = board.cutoff;
+                let unsettled = level.copies.iter().zip(&*settled).filter(|(_, at)| **at != stamp);
+                let offers = unsettled.map(|(copy, _)| Offer {
+                    shape: level.ids[copy.shape_id.index()],
+                    image: copy.image,
+                    geom: CopyGeom::Stored(&copy.normalized),
+                    verdict: None,
+                });
+                let qprep = scratch.query.as_ref().expect("prepared above");
+                let done =
+                    score_onto(self.config.score, qprep, back, &mut board, offers, |g| self.is_dead(g));
+                stats.candidates_scored += done.scored;
+                stats.scan_copies += done.scored;
+                stats.scan_survivors += done.scored - done.abandoned;
+                stats.last_termination = Termination::Scan;
                 if let Some(ex) = explain.as_deref_mut() {
                     ex.levels.push(LevelExplain {
                         shapes: level.ids.len() as u64,
-                        rings: tmp.explain.rings.clone(),
-                        termination: tmp.stats.termination,
-                        final_eps: tmp.stats.final_eps,
-                        eps_cap: tmp.stats.eps_cap,
-                        bound_factor: tmp.explain.bound_factor,
-                        vertices_reported: tmp.stats.vertices_reported as u64,
-                        vertices_processed: tmp.stats.vertices_processed as u64,
-                        candidates_scored: tmp.stats.candidates_scored as u64,
-                        credit_scored: tmp.explain.credit_scored,
-                        exhausted: tmp.stats.exhausted,
+                        termination: Termination::Scan,
+                        final_eps: within,
+                        bound_factor: 1.0,
+                        candidates_scored: done.scored,
+                        credit_scored: credit as u32,
+                        ..LevelExplain::default()
                     });
                 }
-                for &Match { shape, score, .. } in &tmp.matches {
-                    let gid = level.ids[shape.index()];
-                    if !self.is_dead(&gid) {
-                        board.offer(gid, level.images[shape.index()], score);
-                    }
-                }
             }
-            tmp.explain.enabled = false;
 
             // Buffered shapes: the copies prepared — indexed — at insert
             // time, through the same loop (the buffer is small by design,
@@ -1330,7 +1307,10 @@ fn score_onto<'c>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shapebase::ShapeBaseBuilder;
+    use geosir_geom::rangesearch::Backend;
     use geosir_geom::Point;
+    use proptest::prelude::*;
     use rand::prelude::*;
 
     fn p(x: f64, y: f64) -> Point {
@@ -1351,12 +1331,7 @@ mod tests {
     }
 
     fn dynbase(buffer_cap: usize) -> DynamicBase {
-        DynamicBase::new(
-            0.05,
-            Backend::KdTree,
-            MatchConfig { k: 3, beta: 0.3, ..Default::default() },
-            buffer_cap,
-        )
+        DynamicBase::new(0.05, MatchConfig { k: 3, beta: 0.3, ..Default::default() }, buffer_cap)
     }
 
     #[test]
@@ -1467,18 +1442,10 @@ mod tests {
     #[test]
     fn tombstones_do_not_truncate_live_topk() {
         // all shapes end up in one level; delete a batch and ask for a
-        // top-k smaller than the tombstone count. The per-level matcher
-        // ranks over the full level (tombstones included), so unless the
-        // ask is widened by the tombstone count, live shapes ranked just
-        // below deleted ones vanish from the results.
-        // certified exact top-k (and an unbinding ε-cap) so the expected
-        // ordering is well-defined all the way down the ranking
-        let mut db = DynamicBase::new(
-            0.05,
-            Backend::KdTree,
-            MatchConfig { k: 3, beta: 0.3, certify_all: true, log_power: 30, ..Default::default() },
-            4,
-        );
+        // top-k smaller than the tombstone count: a tombstoned copy may
+        // tighten no cutoff and take no rank, or live shapes ranked just
+        // below deleted ones vanish from the results
+        let mut db = dynbase(4);
         let ids: Vec<_> = (0..16).map(|i| db.insert(ImageId(i), shape(i as u64))).collect();
         let probe = shape(3);
         let full: Vec<_> = db.snapshot().retrieve(&probe, 16).iter().map(|m| m.shape).collect();
@@ -1501,23 +1468,16 @@ mod tests {
     }
 
     #[test]
-    fn tombstone_count_is_kept_per_level_not_recounted_per_query() {
+    fn tombstone_lookups_do_not_grow_with_the_level() {
         // one 1 000-shape level, 300 tombstones
-        let mut db = DynamicBase::new(
-            0.0,
-            Backend::RangeTree,
-            MatchConfig { k: 10, beta: 0.2, ..Default::default() },
-            64,
-        );
+        let mut db = DynamicBase::new(0.0, MatchConfig { k: 10, beta: 0.2, ..Default::default() }, 64);
         let shapes: Vec<Polyline> = (0..1000).map(|i| shape(9000 + i)).collect();
         let ids = db.bulk_load(shapes.iter().enumerate().map(|(i, s)| (ImageId(i as u32), s.clone())));
         assert_eq!(db.num_levels(), 1);
         for id in ids.iter().step_by(3).take(300) {
             assert!(db.delete(*id));
         }
-        let slot = db.levels.iter().flatten().next().unwrap();
-        assert_eq!(slot.dead, 300);
-        assert_eq!(slot.dead, slot.level.ids.iter().filter(|g| db.deleted.contains(g)).count());
+        assert_eq!(db.deleted.len(), 300);
 
         let snap = db.snapshot();
         let mut scratch = MatcherScratch::new();
@@ -1549,8 +1509,8 @@ mod tests {
             let probes = TOMBSTONE_PROBES.with(|c| c.get()) - before;
             let got: Vec<(GlobalShapeId, f64)> = out.iter().map(|m| (m.shape, m.score)).collect();
             assert_eq!(got, oracle, "query {qi}");
-            // lookups follow the seed's candidates and the reported
-            // matches, never the level's 1 000 ids
+            // lookups follow the seed's candidates and the scan's
+            // survivors, never the level's 1 000 ids
             assert!(probes < 1000, "query {qi} made {probes} tombstone lookups");
         }
     }
@@ -1735,7 +1695,6 @@ mod tests {
 
         let restored = DynamicBase::restore(
             0.05,
-            Backend::KdTree,
             MatchConfig { k: 3, beta: 0.3, ..Default::default() },
             4,
             live,
@@ -1798,15 +1757,15 @@ mod tests {
         assert_eq!(db.num_levels(), 2);
         let snap = db.snapshot();
         let level_copies: Vec<u64> =
-            snap.view().slots().rev().map(|(_, s)| s.level.base.num_copies() as u64).collect();
+            snap.view().slots().rev().map(|(_, l)| l.copies.len() as u64).collect();
 
         let mut scratch = MatcherScratch::new();
         let mut tmp = MatchOutcome::default();
         let q = shape(505);
 
-        // k = 3 is seeded (both levels scanned); k = 20 > 14 live shapes
-        // leaves the board short of k, so every level runs the matcher
-        for (k, scanned) in [(3, true), (20, false)] {
+        // k = 3 is seeded; k = 20 > 14 live shapes leaves the board short
+        // of k, so every level is scanned from a cutoff of ∞
+        for (k, seeded) in [(3, true), (20, false)] {
             let mut plain = Vec::new();
             let mut plain_stats = RetrieveStats::default();
             snap.retrieve_with_stats(&mut scratch, &mut tmp, &q, k, &mut plain, &mut plain_stats);
@@ -1831,40 +1790,25 @@ mod tests {
 
             // per-level records reconcile with the aggregate stats
             assert_eq!(explain.levels.len() as u64, ex_stats.levels);
-            let rings: u64 = explain.levels.iter().map(|l| l.rings.len() as u64).sum();
-            assert_eq!(rings, ex_stats.rings);
-            let reported: u64 = explain.levels.iter().map(|l| l.vertices_reported).sum();
-            assert_eq!(reported, ex_stats.vertices_reported);
             let scored: u64 = explain.levels.iter().map(|l| l.candidates_scored).sum();
             assert_eq!(scored, ex_stats.candidates_scored);
-            assert_eq!(ex_stats.scan_copies, if scanned { scored } else { 0 });
+            assert_eq!(ex_stats.scan_copies, scored);
             assert!(ex_stats.scan_survivors <= ex_stats.scan_copies);
+            assert_eq!((ex_stats.rings, ex_stats.vertices_reported, ex_stats.exhausted_levels), (0, 0, 0));
             assert_eq!(explain.buffer_scored, ex_stats.buffer_scored);
             assert_eq!(explain.buffer_scored, 2, "buffered shapes must be brute-force scored");
             for (level, copies) in explain.levels.iter().zip(&level_copies) {
-                assert_eq!(level.termination == Termination::Scan, scanned, "k = {k}");
-                assert_ne!(level.termination, Termination::None);
-                if scanned {
-                    // no envelope: the copies split into scored and
-                    // settled by the seed, the cutoff is on record
-                    assert!(level.rings.is_empty() && !level.exhausted);
-                    assert_eq!((level.vertices_reported, level.vertices_processed), (0, 0));
-                    assert_eq!(level.candidates_scored + level.credit_scored as u64, *copies);
-                    assert!(level.final_eps.is_finite() && level.bound_factor == 1.0);
-                    continue;
-                }
-                // ring deltas sum to the level totals
-                let lv: u64 = level.rings.iter().map(|r| r.vertices_processed as u64).sum();
-                assert_eq!(lv, level.vertices_processed);
-                let lp: u64 = level.rings.iter().map(|r| r.promotions as u64).sum();
-                assert_eq!(lp + level.credit_scored as u64, level.candidates_scored);
+                // no envelope: the copies split into scored and settled
+                // by the seed, the cutoff the scan started from is on
+                // record
+                assert_eq!(level.termination, Termination::Scan, "k = {k}");
+                assert!(level.rings.is_empty() && !level.exhausted);
+                assert_eq!((level.vertices_reported, level.vertices_processed), (0, 0));
+                assert_eq!(level.candidates_scored + level.credit_scored as u64, *copies);
+                assert_eq!(level.final_eps.is_finite(), seeded, "k = {k}");
+                assert_eq!(level.bound_factor, 1.0);
             }
-            assert_ne!(ex_stats.last_termination, Termination::None);
-
-            // a later plain retrieval through the same outcome captures
-            // nothing (enabled was reset)
-            snap.retrieve_with_stats(&mut scratch, &mut tmp, &q, k, &mut plain, &mut plain_stats);
-            assert!(tmp.explain.rings.is_empty());
+            assert_eq!(ex_stats.last_termination, Termination::Scan);
         }
     }
 
@@ -1992,7 +1936,7 @@ mod tests {
         }
         let snap = db.snapshot();
         // identically-ordered static base for the oracle scan
-        let mut b = crate::shapebase::ShapeBaseBuilder::new();
+        let mut b = ShapeBaseBuilder::new();
         for (i, s) in shapes.iter().enumerate() {
             b.add_shape(ImageId(i as u32), s.clone());
         }
@@ -2100,7 +2044,6 @@ mod tests {
         let snap = db.snapshot();
         let restored = DynamicBase::restore(
             0.05,
-            Backend::KdTree,
             MatchConfig { k: 3, beta: 0.3, ..Default::default() },
             8,
             snap.live_shapes(),
@@ -2155,7 +2098,7 @@ mod tests {
     /// benchmark driver does.
     fn shipped(buffer_cap: usize, shapes: impl IntoIterator<Item = Polyline>) -> DynamicBase {
         let config = MatchConfig { beta: 0.2, ..Default::default() };
-        let mut db = DynamicBase::new(0.0, Backend::RangeTree, config, buffer_cap);
+        let mut db = DynamicBase::new(0.0, config, buffer_cap);
         for (i, s) in shapes.into_iter().enumerate() {
             db.insert(ImageId(i as u32), s);
         }
@@ -2197,16 +2140,115 @@ mod tests {
             let q = perturb(if i % 2 == 0 { &proto } else { shape }, &mut rng, 0.01);
             for k in [1, 4, 10] {
                 snap.retrieve_with_stats(&mut scratch, &mut tmp, &q, k, &mut on, &mut on_stats);
-                let view = snap.view();
-                view.retrieve(k, &mut scratch, &mut tmp, &q, &mut off, &mut off_stats, None, false);
+                snap.view().retrieve(k, &mut scratch, &q, &mut off, &mut off_stats, None, false);
                 assert_eq!(id_bits(&on), id_bits(&off), "query {i}, k = {k}");
-                assert_eq!(on_stats.vertices_processed, off_stats.vertices_processed);
                 scored_on += on_stats.candidates_scored;
                 scored_off += off_stats.candidates_scored;
             }
         }
         assert!(scored_on < scored_off, "the hand-off saved no scoring: {scored_on} vs {scored_off}");
-        // a verdict never outlives the run it was handed to
-        assert!(scratch.verdicts.is_empty());
+    }
+    #[test]
+    fn delete_and_contains_binary_search_a_level() {
+        // one 1 000-shape level (plus two small ones): a delete, and the
+        // membership test WAL replay makes per insert, compare against a
+        // handful of ids, not the level's thousand
+        let mut db = dynbase(8);
+        let ids = db.bulk_load((0..1000).map(|i| (ImageId(i), shape(i as u64))));
+        for i in 1000..1024 {
+            db.insert(ImageId(i), shape(i as u64));
+        }
+        assert_eq!(db.num_levels(), 3);
+        let before = ID_PROBES.with(|c| c.get());
+        assert!(db.contains(ids[500]));
+        assert!(db.delete(ids[500]));
+        assert!(!db.contains(ids[500]) && !db.delete(ids[500]), "tombstoned");
+        assert!(!db.contains(GlobalShapeId(5000)) && !db.delete(GlobalShapeId(5000)), "never held");
+        let probes = ID_PROBES.with(|c| c.get()) - before;
+        // four of the six calls reach the levels: ≈ 11 + 5 + 4 steps each
+        assert!((4..100).contains(&probes), "{probes} id comparisons");
+        assert_eq!(db.len(), 1023);
+    }
+
+    /// Every field of two levels, geometry compared bit for bit.
+    fn assert_same_level(got: &Level, want: &Level, what: &str) {
+        fn bits(p: &Polyline) -> Vec<(u64, u64)> {
+            p.points().iter().map(|q| (q.x.to_bits(), q.y.to_bits())).collect()
+        }
+        assert_eq!(got.ids, want.ids, "{what}: ids");
+        assert_eq!(got.images, want.images, "{what}: images");
+        assert_eq!(got.sorted_ids, want.sorted_ids, "{what}: id table");
+        assert!(got.sorted_ids.windows(2).all(|w| w[0] < w[1]), "{what}: id table order");
+        for (g, w) in got.shapes.iter().zip(&want.shapes) {
+            assert_eq!((bits(g), g.is_closed()), (bits(w), w.is_closed()), "{what}: source shape");
+        }
+        assert_eq!(got.copies.len(), want.copies.len(), "{what}: copy count");
+        for (i, (g, w)) in got.copies.iter().zip(&want.copies).enumerate() {
+            assert_eq!((g.shape_id, g.image), (w.shape_id, w.image), "{what}: copy {i} owner");
+            assert_eq!(bits(&g.normalized), bits(&w.normalized), "{what}: copy {i} geometry");
+            let inv = |c: &CopyRecord| [c.inverse.a, c.inverse.b, c.inverse.tx, c.inverse.ty].map(f64::to_bits);
+            assert_eq!(inv(g), inv(w), "{what}: copy {i} inverse");
+            assert_eq!(g.anchor_credit, w.anchor_credit, "{what}: copy {i} anchors");
+        }
+        assert_eq!(got.sigs, want.sigs, "{what}: signatures");
+        let buckets = |l: &Level| l.buckets.iter().map(|(s, c)| (*s, c.to_vec())).collect::<Vec<_>>();
+        assert_eq!(buckets(got), buckets(want), "{what}: bucket membership");
+    }
+
+    proptest! {
+        /// A carry is a merge, and the merge is the rebuild: over random
+        /// insert / delete schedules, every level the base holds equals
+        /// [`Level::build`] of what the old cascade would have pooled —
+        /// the buffer, then the consumed slots in ascending order, minus
+        /// the tombstones — kept here as a model beside the base.
+        #[test]
+        fn merge_equals_rebuild(seed in 0u64..1_000_000) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let cap = rng.random_range(2..=16usize);
+            let alpha = if rng.random_bool(0.5) { 0.1 } else { 0.0 };
+            let mut db = DynamicBase::new(alpha, MatchConfig::default(), cap);
+            type Pool = Vec<(GlobalShapeId, ImageId, Polyline)>;
+            let (mut buffer, mut slots): (Pool, Vec<Option<Pool>>) = (Vec::new(), Vec::new());
+            let mut dead: HashSet<GlobalShapeId> = HashSet::new();
+            for step in 0..rng.random_range(40..160u32) {
+                if buffer.is_empty() && slots.is_empty() || rng.random_bool(0.7) {
+                    let (image, s) = (ImageId(step), shape(rng.random()));
+                    buffer.push((db.insert(image, s.clone()), image, s));
+                    if buffer.len() < cap {
+                        continue;
+                    }
+                    // the carry, as the rebuild pooled it
+                    let mut pool = std::mem::take(&mut buffer);
+                    let mut slot = 0;
+                    while let Some(level) = slots.get_mut(slot).and_then(Option::take) {
+                        pool.extend(level);
+                        slot += 1;
+                    }
+                    pool.retain(|(g, _, _)| !dead.remove(g));
+                    slots.resize(slots.len().max(slot + 1), None);
+                    slots[slot] = (!pool.is_empty()).then_some(pool);
+                } else {
+                    let id = GlobalShapeId(rng.random_range(0..db.next_id));
+                    let buffered = buffer.iter().position(|(g, _, _)| *g == id);
+                    let leveled = slots.iter().flatten().any(|l| l.iter().any(|(g, _, _)| *g == id));
+                    let held = buffered.is_some() || (leveled && !dead.contains(&id));
+                    prop_assert_eq!(db.delete(id), held, "step {}: delete {:?}", step, id);
+                    match buffered {
+                        Some(at) => drop(buffer.remove(at)),
+                        None if held => drop(dead.insert(id)),
+                        None => {}
+                    }
+                }
+                prop_assert_eq!(&db.deleted, &dead, "step {}: tombstones", step);
+                prop_assert_eq!(db.levels.len(), slots.len());
+                for (i, (level, model)) in db.levels.iter().zip(&slots).enumerate() {
+                    prop_assert_eq!(level.is_some(), model.is_some(), "step {}: slot {}", step, i);
+                    if let (Some(level), Some(model)) = (level, model) {
+                        let rebuilt = Level::build(model.clone(), alpha, &db.family);
+                        assert_same_level(level, &rebuilt, &format!("seed {seed} step {step} slot {i}"));
+                    }
+                }
+            }
+        }
     }
 }

@@ -32,6 +32,6 @@ pub mod similarity;
 pub use approx::{AnswerTier, ApproxOptions, ApproxScratch, ApproxStats, DEFAULT_HASH_CURVES};
 pub use dynamic::{DynMatch, DynamicBase, GlobalShapeId, Snapshot};
 pub use ids::{CopyId, ImageId, ShapeId};
-pub use matcher::{MatchConfig, MatchOutcome, Matcher, MatcherPlan};
+pub use matcher::{MatchConfig, MatchOutcome, Matcher};
 pub use scratch::MatcherScratch;
 pub use shapebase::{ShapeBase, ShapeBaseBuilder};

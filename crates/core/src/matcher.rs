@@ -327,26 +327,18 @@ impl MatchOutcome {
 
 /// Which stopping rule a run uses.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum RunMode {
+enum RunMode {
     /// Stop once the k best shapes are certified.
     TopK,
     /// Report every shape scoring ≤ τ: one envelope at `τ / f_u`.
     Threshold(f64),
 }
 
-/// Query-independent precomputation over one base: the termination bound
-/// factor and per-copy candidacy thresholds the fattening loop consults.
-///
-/// Computing these is O(total copies), which is negligible next to one
-/// retrieval but *not* next to constructing a [`Matcher`] per level per
-/// query (the pattern dynamic bases and snapshot servers use). A plan is
-/// therefore computed once per built base, shared via `Arc`, and handed to
-/// [`Matcher::with_plan`] for O(1) matcher construction.
-///
-/// A plan depends on the base and on `beta` only; all other
-/// [`MatchConfig`] knobs can vary freely across matchers sharing one plan.
-#[derive(Debug, Clone)]
-pub struct MatcherPlan {
+/// Query-independent precomputation over one base, O(total copies), done
+/// once per [`Matcher`]: the termination bound factor and per-copy
+/// candidacy thresholds the fattening loop consults. Depends on the base
+/// and on `beta` only.
+struct MatcherPlan {
     /// `f_u = min_C (n_C − credit_C)/n_C` — see module docs.
     bound_factor: f64,
     /// Per-copy candidacy thresholds `ceil((1−β)·n_C)` **net of anchor
@@ -356,13 +348,10 @@ pub struct MatcherPlan {
     /// Copies whose anchor credit alone meets the threshold (degenerate
     /// two-vertex shapes): candidates of every query, scored up front.
     credit_candidates: Vec<CopyId>,
-    /// The β the thresholds were computed for (guards `with_plan` misuse).
-    beta: f64,
 }
 
 impl MatcherPlan {
-    pub fn new(base: &ShapeBase, config: &MatchConfig) -> Self {
-        assert!((0.0..1.0).contains(&config.beta), "beta must be in [0, 1)");
+    fn new(base: &ShapeBase, config: &MatchConfig) -> Self {
         let mut bound_factor: f64 = 1.0;
         let mut net_thresholds = Vec::with_capacity(base.num_copies());
         let mut credit_candidates = Vec::new();
@@ -380,7 +369,7 @@ impl MatcherPlan {
                 bound_factor = bound_factor.min((n_c - copy.anchor_credit) as f64 / n_c as f64);
             }
         }
-        MatcherPlan { bound_factor, net_thresholds, credit_candidates, beta: config.beta }
+        MatcherPlan { bound_factor, net_thresholds, credit_candidates }
     }
 }
 
@@ -416,7 +405,7 @@ const SCRATCH_POOL_CAP: usize = 4;
 pub struct Matcher<'a> {
     base: &'a ShapeBase,
     config: MatchConfig,
-    plan: std::sync::Arc<MatcherPlan>,
+    plan: MatcherPlan,
     /// Warm scratches for the scratchless entry points, so `retrieve()` in
     /// a loop pays the dense-array setup once, not per query. Bounded at
     /// [`SCRATCH_POOL_CAP`].
@@ -425,35 +414,13 @@ pub struct Matcher<'a> {
 
 impl<'a> Matcher<'a> {
     pub fn new(base: &'a ShapeBase, config: MatchConfig) -> Self {
-        let plan = std::sync::Arc::new(MatcherPlan::new(base, &config));
-        Self::with_plan(base, config, plan)
-    }
-
-    /// Construct from a precomputed, shared [`MatcherPlan`] — O(1), no
-    /// allocation. The plan must have been computed for `base` and for
-    /// `config.beta` (checked).
-    pub fn with_plan(
-        base: &'a ShapeBase,
-        config: MatchConfig,
-        plan: std::sync::Arc<MatcherPlan>,
-    ) -> Self {
         assert!((0.0..1.0).contains(&config.beta), "beta must be in [0, 1)");
         assert!(config.k >= 1, "k must be at least 1");
         if let EpsSchedule::Geometric(g) = config.schedule {
             assert!(g > 1.0, "geometric growth must exceed 1");
         }
-        assert_eq!(
-            plan.net_thresholds.len(),
-            base.num_copies(),
-            "plan was computed for a different base"
-        );
-        assert!(plan.beta == config.beta, "plan was computed for a different beta");
+        let plan = MatcherPlan::new(base, &config);
         Matcher { base, config, plan, scratch_pool: std::sync::Mutex::new(Vec::new()) }
-    }
-
-    /// The shared plan (for reuse via [`Matcher::with_plan`]).
-    pub fn plan(&self) -> std::sync::Arc<MatcherPlan> {
-        self.plan.clone()
     }
 
     /// The base this matcher retrieves from.
@@ -538,13 +505,11 @@ impl<'a> Matcher<'a> {
     }
 
     /// The fattening loop over the query already normalized and indexed in
-    /// `scratch` ([`MatcherScratch::prepare_query`]) — the dynamic layer
-    /// prepares once and runs every level through here. `outcome` must be
+    /// `scratch` ([`MatcherScratch::prepare_query`]). `outcome` must be
     /// cleared by the caller.
-    pub(crate) fn run(&self, scratch: &mut MatcherScratch, mode: RunMode, outcome: &mut MatchOutcome) {
+    fn run(&self, scratch: &mut MatcherScratch, mode: RunMode, outcome: &mut MatchOutcome) {
         let base = self.base;
         if base.num_copies() == 0 {
-            scratch.verdicts.clear();
             outcome.stats.termination = Termination::EmptyBase;
             return;
         }
@@ -576,7 +541,6 @@ impl<'a> Matcher<'a> {
             score_buf,
             query: qslot,
             back,
-            verdicts,
             ..
         } = scratch;
         let prepared: &PreparedShape = qslot.as_ref().expect("query prepared by the entry point");
@@ -609,24 +573,11 @@ impl<'a> Matcher<'a> {
         // polylog work into linear time). Counters count ring vertices
         // beyond the anchor credit (already folded into `net_thresholds`).
         //
-        // Copies the caller already scored against this query (the seed
-        // step of the dynamic layer) are not scored again: an exact score
-        // *is* what any scoring below would compute and goes on the board,
-        // an abandoned copy scores above the seed's k-th best, which is at
-        // least this run's cutoff — either way the copy is settled.
-        for (ci, verdict) in verdicts.drain(..) {
-            scored_stamp[ci as usize] = qstamp;
-            if verdict.is_finite() {
-                best.record(base.copy(CopyId(ci)).shape_id, verdict, CopyId(ci));
-            }
-        }
         // Degenerate copies (e.g. two-vertex segments) are candidates on
         // credit alone; score them up front so they are never lost.
         for &cid in &self.plan.credit_candidates {
-            if scored_stamp[cid.index()] != qstamp {
-                scored_stamp[cid.index()] = qstamp;
-                self.score_candidate(cid, tau, prepared, back, &mut best, outcome);
-            }
+            scored_stamp[cid.index()] = qstamp;
+            self.score_candidate(cid, tau, prepared, back, &mut best, outcome);
         }
         if explain_on {
             outcome.explain.bound_factor = f_u;
@@ -1222,36 +1173,6 @@ mod tests {
         // the bounded pool still serves the scratchless entry points
         assert!(matcher.retrieve(&gallery()[0]).best().is_some());
         assert!(matcher.scratch_pool.lock().unwrap().len() <= SCRATCH_POOL_CAP);
-    }
-
-    #[test]
-    fn with_plan_matches_fresh_construction() {
-        let shapes = gallery();
-        let base = build_base(&shapes, 0.0);
-        let config = MatchConfig { k: 2, beta: 0.2, ..Default::default() };
-        let fresh = Matcher::new(&base, config.clone());
-        let shared = Matcher::with_plan(&base, config, fresh.plan());
-        for q in &shapes {
-            let a = fresh.retrieve(q);
-            let b = shared.retrieve(q);
-            assert_eq!(a.matches.len(), b.matches.len());
-            for (x, y) in a.matches.iter().zip(&b.matches) {
-                assert_eq!(x.shape, y.shape);
-                assert_eq!(x.score, y.score);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "different beta")]
-    fn with_plan_rejects_mismatched_beta() {
-        let base = build_base(&gallery(), 0.0);
-        let fresh = Matcher::new(&base, MatchConfig { beta: 0.1, ..Default::default() });
-        let _ = Matcher::with_plan(
-            &base,
-            MatchConfig { beta: 0.3, ..Default::default() },
-            fresh.plan(),
-        );
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub struct MatcherScratch {
     pub(crate) score_buf: Vec<f64>,
     /// The normalized query and the index over it (forward h_avg
     /// direction): set once per query by [`Self::prepare_query`], read by
-    /// every level's matcher run, the seed probe and the buffer scan.
+    /// a matcher run, or by the dynamic layer's seed probe and scans.
     pub(crate) query: Option<PreparedShape>,
     /// Index over the current candidate (reverse direction, symmetric
     /// kinds).
@@ -77,16 +77,9 @@ pub struct MatcherScratch {
 
     // --- the dynamic layer's seed step (hash-tier probe + rerank) ---
     /// Its candidates with their verdicts, and the per-shape board the
-    /// whole exact query fills.
+    /// whole exact query fills. (A level scan marks the copies the seed
+    /// settled in `scored_stamp`.)
     pub(crate) seed: ApproxScratch,
-    /// `(copy, verdict)` of the copies of the base about to be run that
-    /// the seed step already scored against this query — the exact score,
-    /// or `INFINITY` for "above the run's cutoff". Filled by the dynamic
-    /// layer right before a level's [`crate::matcher::Matcher::run`]
-    /// (an unseeded level's top-k run), which drains it, so no run
-    /// ever sees another's. (A scan marks the same copies in
-    /// `scored_stamp` instead.)
-    pub(crate) verdicts: Vec<(u32, f64)>,
 }
 
 impl MatcherScratch {
@@ -104,9 +97,16 @@ impl MatcherScratch {
     /// Size the dense arrays for `base`. Growth keeps existing stamps —
     /// they belong to past queries and can never equal a future stamp.
     pub(crate) fn ensure(&mut self, base: &ShapeBase) {
-        let copies = base.num_copies();
-        let shapes = base.num_shapes();
-        let vertices = base.total_vertices();
+        self.ensure_sized(base.num_copies(), base.num_shapes(), base.total_vertices());
+    }
+
+    /// [`Self::ensure`] for a dynamic-base level, whose scan stamps
+    /// copies and keeps no per-shape or per-vertex state.
+    pub(crate) fn ensure_copies(&mut self, copies: usize) {
+        self.ensure_sized(copies, 0, 0);
+    }
+
+    fn ensure_sized(&mut self, copies: usize, shapes: usize, vertices: usize) {
         let mut grew = false;
         if self.counter_stamp.len() < copies {
             self.counter_stamp.resize(copies, 0);

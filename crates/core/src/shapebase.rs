@@ -72,69 +72,79 @@ impl ShapeBaseBuilder {
     /// [`ShapeBaseBuilder::build`] with an explicit worker count
     /// (0 = one per available CPU).
     ///
-    /// The per-shape normalization (α-diameter enumeration is quadratic in
-    /// the shape's vertex count) dominates build time and is embarrassingly
-    /// parallel, so workers claim shapes from an atomic cursor and drop
-    /// each shape's copies into its own slot. The merge then runs in shape
-    /// order, so the resulting base — copy order, pooled-vertex order, and
-    /// therefore the index built over them — is byte-identical no matter
-    /// how many threads ran.
+    /// Normalization runs on the workers ([`normalize_all`]); the merge
+    /// then runs in shape order, so the resulting base — copy order,
+    /// pooled-vertex order, and therefore the index built over them — is
+    /// byte-identical no matter how many threads ran.
     pub fn build_with_threads(self, alpha: f64, backend: Backend, threads: usize) -> ShapeBase {
-        let threads = resolve_threads(threads).min(self.shapes.len().max(1));
-        let mut per_shape: Vec<Option<Vec<NormalizedCopy>>> =
-            (0..self.shapes.len()).map(|_| None).collect();
-        if threads <= 1 {
-            for (slot, src) in per_shape.iter_mut().zip(&self.shapes) {
-                *slot = Some(normalized_copies(&src.shape, alpha));
-            }
-        } else {
-            let slots = SharedSlots::new(&mut per_shape);
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let shapes = &self.shapes;
-            std::thread::scope(|s| {
-                for _ in 0..threads {
-                    s.spawn(|| loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= shapes.len() {
-                            break;
-                        }
-                        // SAFETY: the cursor hands each index to one worker.
-                        unsafe { slots.write(i, normalized_copies(&shapes[i].shape, alpha)) };
-                    });
-                }
-            });
-        }
-
+        let per_shape = normalize_all(&self.shapes, |s| &s.shape, alpha, threads);
         let mut copies = Vec::new();
         let mut vertex_points: Vec<Point> = Vec::new();
         let mut vertex_copy: Vec<u32> = Vec::new();
-        let anchor0 = Point::ORIGIN;
-        let anchor1 = Point::new(1.0, 0.0);
-        const ANCHOR_TOL: f64 = 1e-9;
-        for (sid, (src, slot)) in self.shapes.iter().zip(per_shape.iter_mut()).enumerate() {
-            for nc in slot.take().expect("every shape normalized") {
+        for (sid, (src, normalized)) in self.shapes.iter().zip(per_shape).enumerate() {
+            for nc in normalized {
                 let copy_idx = copies.len() as u32;
-                let mut anchor_credit = 0u32;
-                for &p in nc.shape.points() {
-                    if p.dist(anchor0) <= ANCHOR_TOL || p.dist(anchor1) <= ANCHOR_TOL {
-                        anchor_credit += 1;
-                        continue;
-                    }
+                for &p in nc.shape.points().iter().filter(|&&p| !is_anchor(p)) {
                     vertex_points.push(p);
                     vertex_copy.push(copy_idx);
                 }
-                copies.push(CopyRecord {
-                    shape_id: ShapeId(sid as u32),
-                    image: src.image,
-                    normalized: nc.shape,
-                    inverse: nc.inverse,
-                    anchor_credit,
-                });
+                copies.push(CopyRecord::new(ShapeId(sid as u32), src.image, nc.shape, nc.inverse));
             }
         }
         let index = DynSimplexIndex::build(backend, &vertex_points);
         ShapeBase { alpha, shapes: self.shapes, copies, vertex_points, vertex_copy, index }
     }
+}
+
+/// Whether `p` sits on a normalization anchor, (0,0) or (1,0).
+fn is_anchor(p: Point) -> bool {
+    const ANCHOR_TOL: f64 = 1e-9;
+    p.dist(Point::ORIGIN) <= ANCHOR_TOL || p.dist(Point::new(1.0, 0.0)) <= ANCHOR_TOL
+}
+
+impl CopyRecord {
+    /// A copy of `shape_id` with its anchor vertices counted.
+    pub(crate) fn new(shape_id: ShapeId, image: ImageId, normalized: Polyline, inverse: Similarity) -> Self {
+        let anchor_credit = normalized.points().iter().filter(|&&p| is_anchor(p)).count() as u32;
+        CopyRecord { shape_id, image, normalized, inverse, anchor_credit }
+    }
+}
+
+/// [`normalized_copies`] of every item of `shapes`, in order, on `threads`
+/// workers (0 = one per available CPU) — what a bulk build normalizes
+/// with, whether or not it goes on to index the vertices.
+///
+/// The per-shape normalization (α-diameter enumeration is quadratic in
+/// the shape's vertex count) dominates build time and is embarrassingly
+/// parallel, so workers claim shapes from an atomic cursor and drop
+/// each shape's copies into its own slot: the result is identical no
+/// matter how many threads ran.
+pub(crate) fn normalize_all<T: Sync>(
+    shapes: &[T],
+    polyline: impl Fn(&T) -> &Polyline + Sync,
+    alpha: f64,
+    threads: usize,
+) -> Vec<Vec<NormalizedCopy>> {
+    let threads = resolve_threads(threads).min(shapes.len().max(1));
+    if threads <= 1 {
+        return shapes.iter().map(|s| normalized_copies(polyline(s), alpha)).collect();
+    }
+    let mut per_shape: Vec<Option<Vec<NormalizedCopy>>> = (0..shapes.len()).map(|_| None).collect();
+    let slots = SharedSlots::new(&mut per_shape);
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                if i >= shapes.len() {
+                    break;
+                }
+                // SAFETY: the cursor hands each index to one worker.
+                unsafe { slots.write(i, normalized_copies(polyline(&shapes[i]), alpha)) };
+            });
+        }
+    });
+    per_shape.into_iter().map(|slot| slot.expect("every shape normalized")).collect()
 }
 
 /// The built shape base: immutable, query-ready.

@@ -3,16 +3,17 @@
 //! Three answers to the same question must coincide as `(id, score)`
 //! lists: the served path (`Snapshot::retrieve_with_stats` — hash-tier
 //! seed, then every level and the buffer scanned copy by copy against
-//! the seed's k-th score τ), the unseeded incremental top-k loop with
-//! every rank certified (`certify_all: true`), and a brute-force `min
-//! over copies` symmetric discrete `h_avg` scan that touches no index at
-//! all. Then the same on bases built to stress the corners — where the
-//! paper's index (`Matcher::retrieve_within(τ)`, one envelope per level)
-//! is the scan's second oracle.
+//! the seed's k-th score τ, or from ∞ when the seed came up short), the
+//! paper's incremental top-k loop over a static base with every rank
+//! certified (`certify_all: true`), and a brute-force `min over copies`
+//! symmetric discrete `h_avg` scan that touches no index at all. Then
+//! the same on bases built to stress the corners — where the paper's
+//! index (`Matcher::retrieve_within(τ)`, one envelope per level of a
+//! static twin) is the scan's second oracle.
 
-use geosir_core::dynamic::{DynamicBase, GlobalShapeId, RetrieveStats, Snapshot};
+use geosir_core::dynamic::{DynamicBase, GlobalShapeId, QueryExplain, RetrieveStats, Snapshot};
 use geosir_core::ids::ImageId;
-use geosir_core::matcher::{partial_sum_bound, MatchConfig, MatchOutcome, Matcher};
+use geosir_core::matcher::{partial_sum_bound, MatchConfig, MatchOutcome, Matcher, Termination};
 use geosir_core::normalize::{normalize_about_diameter, normalized_copies};
 use geosir_core::scratch::MatcherScratch;
 use geosir_core::shapebase::ShapeBaseBuilder;
@@ -28,12 +29,7 @@ const KIND: ScoreKind = ScoreKind::DiscreteSymmetric;
 
 /// What `geosir serve` ships (`src/server_cmd.rs`), at a given α.
 fn shipped(alpha: f64, buffer_cap: usize) -> DynamicBase {
-    DynamicBase::new(
-        alpha,
-        Backend::RangeTree,
-        MatchConfig { beta: 0.2, ..Default::default() },
-        buffer_cap,
-    )
+    DynamicBase::new(alpha, MatchConfig { beta: 0.2, ..Default::default() }, buffer_cap)
 }
 
 /// The served world under test plus what the oracle needs to know of it.
@@ -109,14 +105,32 @@ impl World {
     }
 }
 
-/// The served answer and its stats.
+/// The served answer and its stats — and, checked on the way, its plan:
+/// every level scanned, seeded or not, no ring anywhere.
 fn served(snap: &Snapshot, query: &Polyline, k: usize) -> (Vec<(u64, f64)>, RetrieveStats) {
+    let (answer, stats, _) = served_explained(snap, query, k);
+    (answer, stats)
+}
+
+/// [`served`] plus the cutoff each level's scan started from, largest
+/// level first (∞ = the seed left the board short of k).
+fn served_explained(snap: &Snapshot, query: &Polyline, k: usize) -> (Vec<(u64, f64)>, RetrieveStats, Vec<f64>) {
     let mut scratch = MatcherScratch::new();
     let mut tmp = MatchOutcome::default();
-    let mut out = Vec::new();
-    let mut stats = RetrieveStats::default();
+    let (mut out, mut explained) = (Vec::new(), Vec::new());
+    let (mut stats, mut ex_stats) = (RetrieveStats::default(), RetrieveStats::default());
+    let mut explain = QueryExplain::default();
     snap.retrieve_with_stats(&mut scratch, &mut tmp, query, k, &mut out, &mut stats);
-    (out.iter().map(|m| (m.shape.0, m.score)).collect(), stats)
+    snap.explain_with_stats(&mut scratch, &mut tmp, query, k, &mut explained, &mut ex_stats, &mut explain);
+    assert_eq!(out, explained, "EXPLAIN changed the answer");
+    assert_eq!((stats.rings, stats.exhausted_levels), (0, 0), "a level ran an envelope");
+    assert_eq!(explain.levels.len(), snap.num_levels());
+    for level in &explain.levels {
+        assert_eq!(level.termination, Termination::Scan);
+        assert!(level.rings.is_empty() && !level.exhausted);
+    }
+    let cutoffs = explain.levels.iter().map(|l| l.final_eps).collect();
+    (out.iter().map(|m| (m.shape.0, m.score)).collect(), stats, cutoffs)
 }
 
 /// `served` must be the oracle's first k, bit for bit, with no level
@@ -153,7 +167,7 @@ fn canonical_corpus_three_way() {
     let snap = world.base.snapshot();
     assert!(snap.num_levels() >= 1);
 
-    // the unseeded leg: the incremental top-k loop over one static base
+    // the paper's leg: the incremental top-k loop over one static base
     // of the same shapes (ShapeId i ↔ GlobalShapeId i), every rank
     // certified, the ε-cap out of the way
     let statics = builder.build(0.0, Backend::RangeTree);
@@ -170,8 +184,8 @@ fn canonical_corpus_three_way() {
         let (got, stats) = served(&snap, q, 10);
         assert_eq!(stats.exhausted_levels, 0, "sketch {i}");
         assert_eq!(got, want, "sketch {i}: seeded vs brute force");
-        // seeded: a level is scanned — no envelope, no ring, no cap
-        assert_eq!(stats.rings, 0, "sketch {i}: a seeded level ran the matcher");
+        // a level is scanned — no envelope, no ring, no cap
+        assert_eq!(stats.rings, 0, "sketch {i}: a level ran the matcher");
 
         unseeded.retrieve_with(&mut scratch, q, &mut out);
         assert!(!out.stats.exhausted, "sketch {i}");
@@ -227,10 +241,11 @@ fn fewer_live_shapes_than_k() {
     }
     world.delete(GlobalShapeId(1));
     let q = perturb(world.shape(3), &mut rng, 0.02);
-    // 5 live shapes, k = 10: no τ to seed with; the top-k chain runs to
-    // the cap and reports what exists, exactly ranked
-    let (got, _) = served(&world.base.snapshot(), &q, 10);
+    // 5 live shapes, k = 10: no τ to seed with; every level is scanned
+    // from ∞ and what exists is reported, exactly ranked
+    let (got, _, cutoffs) = served_explained(&world.base.snapshot(), &q, 10);
     assert_eq!(got, world.oracle(&q), "all five live shapes, in oracle order");
+    assert!(cutoffs.iter().all(|c| c.is_infinite()), "the board never filled: {cutoffs:?}");
 }
 
 #[test]
@@ -315,12 +330,7 @@ fn tau_beyond_the_cap_is_still_exact() {
     // an envelope would stop short and flag its answer; a scan has no cap
     let mut rng = StdRng::seed_from_u64(71);
     let mut world = World::new(0.0, 16);
-    world.base = DynamicBase::new(
-        0.0,
-        Backend::RangeTree,
-        MatchConfig { beta: 0.2, log_power: 0, ..Default::default() },
-        16,
-    );
+    world.base = DynamicBase::new(0.0, MatchConfig { beta: 0.2, log_power: 0, ..Default::default() }, 16);
     for i in 0..64 {
         world.insert(polygon(&mut rng, 8 + i % 7));
     }
@@ -479,21 +489,36 @@ fn scan_world(seed: u64) -> Result<(), TestCaseError> {
     if got.len() < k {
         return Ok(()); // fewer live shapes than k: no τ to hand the index
     }
-    // (an unseeded level of fewer than k shapes runs the top-k loop to its
-    // cap and says so; a scanned one has no cap to hit)
-    prop_assert!(stats.exhausted_levels == 0 || stats.rings > 0, "world {}: a scan exhausted", seed);
+    // (`served` checked the plan: every level `Termination::Scan`)
+    prop_assert_eq!((stats.rings, stats.exhausted_levels), (0, 0), "world {}: an envelope ran", seed);
     let tau = got[k - 1].1;
+    let mut merged = envelope_per_level(&world, &batches, &query, tau);
+    prop_assert!(merged.len() >= k, "world {}: everything within τ, ties included", seed);
+    merged.truncate(k);
+    prop_assert_eq!(got, merged, "world {}: served vs one envelope per level", seed);
+    Ok(())
+}
+
+/// The scan's second oracle: everything live within `tau`, found by one
+/// `retrieve_within(τ)` envelope per bulk-loaded level (a static twin of
+/// the level as stored — tombstoned shapes stay until a carry — with the
+/// cap out of the way) plus the buffer's brute-force set, ranked.
+fn envelope_per_level(
+    world: &World,
+    batches: &[(std::ops::Range<usize>, Vec<Polyline>)],
+    query: &Polyline,
+    tau: f64,
+) -> Vec<(u64, f64)> {
     let mut merged: Vec<(u64, f64)> = Vec::new();
-    for (ids, shapes) in &batches {
-        // the level as stored: tombstoned shapes stay until a carry
+    for (ids, shapes) in batches {
         let mut builder = ShapeBaseBuilder::new();
         for (id, shape) in ids.clone().zip(shapes) {
             builder.add_shape(ImageId(id as u32), shape.clone());
         }
-        let statics = builder.build(alpha, Backend::RangeTree);
+        let statics = builder.build(world.alpha, Backend::RangeTree);
         let cfg = MatchConfig { beta: 0.2, log_power: 30, ..Default::default() };
-        let out = Matcher::new(&statics, cfg).retrieve_within(&query, tau);
-        prop_assert!(!out.stats.exhausted, "world {}: the oracle's envelope hit its cap", seed);
+        let out = Matcher::new(&statics, cfg).retrieve_within(query, tau);
+        assert!(!out.stats.exhausted, "the oracle's envelope hit its cap");
         merged.extend(
             out.matches
                 .iter()
@@ -502,10 +527,61 @@ fn scan_world(seed: u64) -> Result<(), TestCaseError> {
         );
     }
     let levelled = batches.last().map_or(0, |(ids, _)| ids.end as u64);
-    merged.extend(want.iter().filter(|&&(id, s)| id >= levelled && s <= tau));
+    merged.extend(world.oracle(query).into_iter().filter(|&(id, s)| id >= levelled && s <= tau));
     merged.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
-    prop_assert!(merged.len() >= k, "world {}: everything within τ, ties included", seed);
-    merged.truncate(k);
-    prop_assert_eq!(got, merged, "world {}: served vs one envelope per level", seed);
-    Ok(())
+    merged
+}
+
+/// A star whose vertices alternate between a long and a short radius:
+/// 3–80 of them, like nothing a polygon corpus stores.
+fn spiky_star(rng: &mut StdRng, n: usize) -> Polyline {
+    let pts = (0..n).map(|i| {
+        let t = 2.0 * std::f64::consts::PI * i as f64 / n as f64;
+        let r = if i % 2 == 0 { rng.random_range(0.7..1.0) } else { rng.random_range(0.05..0.3) };
+        p(r * t.cos(), r * t.sin())
+    });
+    Polyline::closed(pts.collect()).unwrap()
+}
+
+#[test]
+fn unseeded_scan_is_the_brute_force_top_k() {
+    // Odd queries the hash tier finds few or no neighbours for, against
+    // three levels + a buffer with tombstones in each: short of k seeds
+    // the scans start from a cutoff of ∞, and the answer must still be
+    // the brute-force list and what the paper's index finds within its
+    // k-th score.
+    for (alpha, seed) in [(0.0, 83), (0.15, 89)] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut world = World::new(alpha, 8);
+        let mut batches = Vec::new();
+        for size in [40, 14, 6] {
+            let shapes: Vec<Polyline> = (0..size).map(|i| polygon(&mut rng, 5 + i % 9)).collect();
+            batches.push((world.bulk(&shapes), shapes));
+        }
+        for i in 0..5 {
+            world.insert(polygon(&mut rng, 6 + i));
+        }
+        assert_eq!(world.base.num_levels(), 3);
+        for id in (0..world.shapes.len() as u64).filter(|id| id % 7 == 3) {
+            world.delete(GlobalShapeId(id));
+        }
+        let snap = world.base.snapshot();
+        let mut unseeded = [0usize; 3];
+        for qi in 0..40 {
+            let query = spiky_star(&mut rng, [3, 4, 5, 7, 12, 23, 41, 80][qi % 8]);
+            let want = world.oracle(&query);
+            for (ki, k) in [1, 10, 50].into_iter().enumerate() {
+                let (got, _, cutoffs) = served_explained(&snap, &query, k);
+                assert_eq!(got[..], want[..k.min(want.len())], "α {alpha} query {qi} k {k}: vs brute force");
+                unseeded[ki] += cutoffs[0].is_infinite() as usize;
+                let tau = got.last().expect("live shapes exist").1;
+                let merged = envelope_per_level(&world, &batches, &query, tau);
+                assert_eq!(got[..], merged[..got.len()], "α {alpha} query {qi} k {k}: vs one envelope per level");
+            }
+        }
+        // the family does what it is for: most of these queries leave the
+        // probe (radius 3) short of 10 live shapes, let alone 50
+        println!("α {alpha}: unseeded of 40, k = 1 / 10 / 50: {unseeded:?}");
+        assert!(unseeded[1] >= 10 && unseeded[2] >= 10, "α {alpha}: unseeded by k: {unseeded:?}");
+    }
 }

@@ -89,6 +89,10 @@ impl DurabilityConfig {
 #[derive(Debug, Clone)]
 pub struct BaseTemplate {
     pub alpha: f64,
+    /// Read by nothing in the product — a dynamic level has no
+    /// range-search index to pick a backend for. It stays because
+    /// `benchmark/` builds this struct and reads the field for its own
+    /// static twin; ROADMAP 1(d) + 5(b) remove it.
     pub backend: Backend,
     pub config: MatchConfig,
     pub buffer_cap: usize,
@@ -96,7 +100,7 @@ pub struct BaseTemplate {
 
 impl BaseTemplate {
     pub fn empty_base(&self) -> DynamicBase {
-        DynamicBase::new(self.alpha, self.backend, self.config.clone(), self.buffer_cap)
+        DynamicBase::new(self.alpha, self.config.clone(), self.buffer_cap)
     }
 }
 
@@ -153,7 +157,6 @@ pub(crate) fn recover(template: &BaseTemplate, cfg: &DurabilityConfig) -> io::Re
             report.checkpoint_shapes = data.shapes.len();
             let base = DynamicBase::restore(
                 template.alpha,
-                template.backend,
                 template.config.clone(),
                 template.buffer_cap,
                 data.shapes,

@@ -887,6 +887,9 @@ fn slow_query_json(
         if i > 0 {
             out.push(',');
         }
+        // an unseeded scan starts from a cutoff of ∞, which JSON cannot spell
+        let final_eps =
+            if level.final_eps.is_finite() { level.final_eps.to_string() } else { "null".to_string() };
         let _ = write!(
             out,
             "{{\"shapes\":{},\"termination\":\"{}\",\"final_eps\":{},\
@@ -895,7 +898,7 @@ fn slow_query_json(
              \"credit_scored\":{},\"exhausted\":{},\"rings\":[",
             level.shapes,
             level.termination.as_str(),
-            level.final_eps,
+            final_eps,
             level.eps_cap,
             level.bound_factor,
             level.vertices_reported,

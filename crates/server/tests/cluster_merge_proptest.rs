@@ -20,7 +20,6 @@ use common::polygon;
 
 use geosir_core::matcher::MatchConfig;
 use geosir_core::{ApproxOptions, DynamicBase, ImageId};
-use geosir_geom::rangesearch::Backend;
 use geosir_geom::Polyline;
 use geosir_serve::cluster::{merge_topk, tag_id, untag_id};
 use geosir_serve::wire::WireMatch;
@@ -104,7 +103,6 @@ fn base(buffer_cap: usize) -> DynamicBase {
     // cap admits shapes on a small shard that the union base rejects.
     DynamicBase::new(
         0.0,
-        Backend::RangeTree,
         MatchConfig { k: 64, beta: 0.2, certify_all: true, log_power: 30, ..Default::default() },
         buffer_cap,
     )

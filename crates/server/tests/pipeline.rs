@@ -15,7 +15,6 @@ use std::time::{Duration, Instant};
 use geosir_core::dynamic::DynamicBase;
 use geosir_core::ids::ImageId;
 use geosir_core::matcher::MatchConfig;
-use geosir_geom::rangesearch::Backend;
 use geosir_geom::Polyline;
 use geosir_serve::{serve, Client, ClientConfig, PipelinedClient, ServeConfig};
 use geosir_serve::{Frame, WireShape, PROTOCOL_VERSION};
@@ -27,7 +26,6 @@ fn base_with(n: usize, buffer_cap: usize, seed: u64) -> (DynamicBase, Vec<Polyli
     let shapes: Vec<Polyline> = (0..n).map(|_| polygon(&mut rng)).collect();
     let mut base = DynamicBase::new(
         0.0,
-        Backend::RangeTree,
         MatchConfig { beta: 0.2, ..Default::default() },
         buffer_cap,
     );

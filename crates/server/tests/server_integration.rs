@@ -12,7 +12,6 @@ use std::time::{Duration, Instant};
 use geosir_core::dynamic::DynamicBase;
 use geosir_core::ids::ImageId;
 use geosir_core::matcher::MatchConfig;
-use geosir_geom::rangesearch::Backend;
 use geosir_geom::Polyline;
 use geosir_serve::{serve, Client, ServeConfig};
 use rand::prelude::*;
@@ -23,7 +22,6 @@ fn base_with(n: usize, buffer_cap: usize, seed: u64) -> (DynamicBase, Vec<Polyli
     let shapes: Vec<Polyline> = (0..n).map(|_| polygon(&mut rng)).collect();
     let mut base = DynamicBase::new(
         0.0,
-        Backend::RangeTree,
         MatchConfig { beta: 0.2, ..Default::default() },
         buffer_cap,
     );
@@ -264,7 +262,6 @@ fn query_approx_round_trip_reports_tier_and_funnel() {
 fn query_approx_on_empty_base_reports_exact_tier() {
     let base = DynamicBase::new(
         0.0,
-        Backend::RangeTree,
         MatchConfig { beta: 0.2, ..Default::default() },
         8,
     );

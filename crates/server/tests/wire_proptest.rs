@@ -117,7 +117,8 @@ fn rand_explain(rng: &mut StdRng) -> geosir_core::dynamic::QueryExplain {
         e.levels.push(LevelExplain {
             shapes: rng.random(),
             termination: rand_term(rng),
-            final_eps: rng.random_range(0.0..10.0),
+            // ∞ is what an unseeded scan reports as its starting cutoff
+            final_eps: if rng.random_bool(0.2) { f64::INFINITY } else { rng.random_range(0.0..10.0) },
             eps_cap: rng.random_range(0.0..10.0),
             bound_factor: rng.random_range(0.0..10.0),
             vertices_reported: rng.random(),

@@ -9,7 +9,6 @@
 use geosir::core::dynamic::DynamicBase;
 use geosir::core::ids::ImageId;
 use geosir::core::matcher::MatchConfig;
-use geosir::geom::rangesearch::Backend;
 use geosir::imaging::synth::{perturb, random_simple_polygon};
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -18,7 +17,6 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(7);
     let mut db = DynamicBase::new(
         0.05,
-        Backend::RangeTree,
         MatchConfig { k: 2, beta: 0.3, ..Default::default() },
         32,
     );

@@ -40,12 +40,13 @@ cargo test -q --test alloc_approx
 
 # Exact tier: the seed-and-scan differential suite by name, plain and
 # through the AVX2 kernels — served top-k (hash-tier seed, then every
-# level scanned against τ) = unseeded certify_all top-k = brute-force
-# h_avg scan as (id, score) lists on the benchmark corpus and on the
-# adversarial bases (τ = 0, ties at the cutoff, dead seeds, τ past the
-# ε-cap), the 288-world proptest where the paper's index is the scan's
-# oracle (served = one retrieve_within(τ) envelope per level, merged),
-# plus the index's own soundness proptests (partial-sum bound ≤ true
+# level scanned against τ, or from ∞ without a seed) = the static
+# matcher's certify_all top-k = brute-force h_avg scan as (id, score)
+# lists on the benchmark corpus and on the adversarial bases (τ = 0,
+# ties at the cutoff, dead seeds, odd queries no seed exists for), the
+# 288-world proptest where the paper's index is the scan's oracle
+# (served = one retrieve_within(τ) envelope per level, merged), plus
+# the index's own soundness proptests (partial-sum bound ≤ true
 # h_avg; retrieve_within(τ) = the brute-force set). Any miss here is a
 # wrong answer, not noise.
 cargo test -q -p geosir-core --test seeded_exact

@@ -35,7 +35,6 @@
 //! and prints the per-level, per-ring retrieval plan. See `DESIGN.md`
 //! §7–§9 and the `README.md` quickstart.
 
-use geosir_core::dynamic::DynamicBase;
 use geosir_core::ids::ImageId;
 use geosir_core::matcher::{MatchConfig, Termination};
 use geosir_geom::rangesearch::Backend;
@@ -138,8 +137,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         }
         handle.join();
     } else {
-        let mut base =
-            DynamicBase::new(template.alpha, template.backend, template.config, template.buffer_cap);
+        let mut base = template.empty_base();
         if shapes > 0 {
             base.bulk_load(synthetic_corpus(shapes));
             println!("loaded {shapes} synthetic shapes (epoch {})", base.epoch());
@@ -266,13 +264,15 @@ fn print_explain(addr: &str, k: u32, seed: u64, verts: usize, reply: &geosir_ser
     for (i, level) in r.levels.iter().enumerate() {
         if level.termination == Termination::Scan {
             // no envelope to describe: the seed settled `credit_scored`
-            // copies, the scan scored the rest against τ
+            // copies, the scan scored the rest against τ — ∞ when the
+            // seed found fewer than k live shapes
+            let tau = level.final_eps * level.bound_factor;
             println!(
-                "level {i}: {} shapes  plan=scan copies={} scored={} within τ={:.4}",
+                "level {i}: {} shapes  plan=scan copies={} scored={} within τ={}",
                 level.shapes,
                 level.candidates_scored + level.credit_scored as u64,
                 level.candidates_scored,
-                level.final_eps * level.bound_factor,
+                if tau.is_finite() { format!("{tau:.4}") } else { "∞ (no seed)".to_string() },
             );
             continue;
         }

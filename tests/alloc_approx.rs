@@ -38,7 +38,6 @@ use geosir::core::ids::ImageId;
 use geosir::core::matcher::{MatchConfig, MatchOutcome};
 use geosir::core::scratch::MatcherScratch;
 use geosir::core::{ApproxOptions, ApproxScratch, ApproxStats};
-use geosir::geom::rangesearch::Backend;
 use geosir::geom::Polyline;
 use geosir::imaging::synth::{perturb, random_simple_polygon};
 use rand::prelude::*;
@@ -50,7 +49,6 @@ fn approx_probe_and_rerank_steady_state_makes_zero_allocations() {
     let mut rng = StdRng::seed_from_u64(29);
     let mut base = DynamicBase::new(
         0.1,
-        Backend::RangeTree,
         MatchConfig { k: 3, beta: 0.25, ..Default::default() },
         BUFFER_CAP,
     );

@@ -41,7 +41,6 @@ use geosir::core::dynamic::{DynMatch, DynamicBase};
 use geosir::core::ids::ImageId;
 use geosir::core::matcher::{MatchConfig, MatchOutcome};
 use geosir::core::scratch::MatcherScratch;
-use geosir::geom::rangesearch::Backend;
 use geosir::geom::Polyline;
 use geosir::imaging::synth::{perturb, random_simple_polygon};
 use rand::prelude::*;
@@ -53,7 +52,6 @@ fn dynamic_retrieve_with_steady_state_makes_zero_allocations() {
     let mut rng = StdRng::seed_from_u64(23);
     let mut base = DynamicBase::new(
         0.1,
-        Backend::RangeTree,
         MatchConfig { k: 3, beta: 0.25, ..Default::default() },
         BUFFER_CAP,
     );
