@@ -798,7 +798,7 @@ fn spiky_star(rng: &mut StdRng, n: usize) -> Polyline {
 /// stars of 3–80 vertices), of which those the hash tier cannot seed
 /// have every level answered from a cutoff of ∞.
 fn carry_cost() {
-    const OPS: usize = 50_000;
+    const OPS: usize = 60_000;
     let cfg = MatchConfig { beta: 0.2, k: K, ..Default::default() };
     let corpus = generate(&CorpusConfig::small(700, 1));
     let sketches = corpus.queries(100, 0.02, 1);
@@ -866,7 +866,10 @@ fn carry_cost() {
         *worst = worst.max(t);
     };
     let mut carries: Vec<(f64, u64)> = Vec::new();
+    // deletes that rebuilt their level without its dead, and what they took
+    let (mut compacting, mut compact_us, mut worst_delete) = (0usize, 0.0f64, 0.0f64);
     let opts = ApproxOptions { k: K, ..ApproxOptions::default() };
+    println!("  churn census (shapes; copies: of the live shapes / as stored, dead included):");
     for i in 0..OPS {
         let roll = rng.random_range(0..100);
         if roll < 90 {
@@ -883,9 +886,16 @@ fn carry_cost() {
                 }
             } else {
                 let id = live.swap_remove(rng.random_range(0..live.len()));
+                let compactions = base.compactions;
                 let t0 = Instant::now();
                 assert!(base.delete(id));
-                note(1, us(t0));
+                let t = us(t0);
+                note(1, t);
+                worst_delete = worst_delete.max(t);
+                if base.compactions > compactions {
+                    compacting += 1;
+                    compact_us += t;
+                }
             }
             let t0 = Instant::now();
             snap = base.snapshot();
@@ -895,6 +905,21 @@ fn carry_cost() {
             let t0 = Instant::now();
             snap.similar_approx_with(&mut scratch, &mut tmp, &mut ax, q, &opts, &mut hits, &mut astats);
             note(3, us(t0));
+        }
+        if (i + 1) % 10_000 == 0 {
+            let (live_copies, stored) = (snap.total_copies(), snap.stored_copies());
+            println!(
+                "    {:5} ops: {:4} live + {:4} dead in {} levels; copies {live_copies:5} / {stored:5} \
+                 ({:.2} ×); {compacting:3} compactions, {:5.1} ms; worst delete {:6.1} µs",
+                i + 1,
+                snap.len(),
+                snap.dead_shapes(),
+                snap.num_levels(),
+                stored as f64 / live_copies as f64,
+                compact_us / 1e3,
+                worst_delete,
+            );
+            assert!(stored <= 2 * live_copies, "more dead than alive");
         }
     }
     println!("  {OPS} ops, 45 % insert / 45 % delete / 10 % approx, a snapshot per write:");
@@ -919,4 +944,55 @@ fn carry_cost() {
     let dearest: Vec<String> =
         carries.iter().take(10).map(|(t, shapes)| format!("{:.2} / {shapes}", t / 1e3)).collect();
     println!("      {}", dearest.join(", "));
+
+    // What the delete history costs a query: the churned base against
+    // one restored from its live shapes (one level, nothing dead).
+    let fresh = DynamicBase::restore(
+        0.0,
+        snap.config().clone(),
+        512,
+        snap.live_shapes(),
+        snap.next_id(),
+        snap.epoch(),
+    )
+    .snapshot();
+    println!("  the churned base beside a fresh one of its {} live shapes (per query):", fresh.len());
+    for (name, base) in [("churned", &snap), ("fresh", &fresh)] {
+        let mut lists = DefaultHasher::new();
+        let (mut scan, mut exact_us) = (0u64, 0.0);
+        for q in &stars {
+            let t0 = Instant::now();
+            base.retrieve_with_stats(&mut scratch, &mut tmp, q, 10, &mut hits, &mut stats);
+            exact_us += us(t0);
+            scan += stats.scan_copies;
+            digest(&mut lists, &hits);
+        }
+        let (mut probed, mut cands, mut reranked, mut approx_us) = (0, 0, 0, 0.0);
+        let mut alists = DefaultHasher::new();
+        for q in &sketches {
+            let t0 = Instant::now();
+            base.similar_approx_with(&mut scratch, &mut tmp, &mut ax, q, &opts, &mut hits, &mut astats);
+            approx_us += us(t0);
+            probed += astats.buckets_probed;
+            cands += astats.candidates;
+            reranked += astats.reranked;
+            digest(&mut alists, &hits);
+        }
+        let (nq, ns) = (stars.len() as f64, sketches.len() as f64);
+        println!(
+            "    {name:8} 400 odd queries, exact k = 10: scan_copies {:7.0}, {:7.1} µs, digest {:016x}",
+            scan as f64 / nq,
+            exact_us / nq,
+            lists.finish(),
+        );
+        println!(
+            "    {name:8} 100 sketches, approx: buckets_probed {:6.0}, candidates {:6.0}, live ones \
+             reranked {:6.0}, {:6.1} µs, digest {:016x}",
+            probed as f64 / ns,
+            cands as f64 / ns,
+            reranked as f64 / ns,
+            approx_us / ns,
+            alists.finish(),
+        );
+    }
 }

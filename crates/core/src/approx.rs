@@ -107,7 +107,8 @@ pub struct ApproxStats {
     pub radius: u16,
     /// Signature buckets examined (hash probes or table-scan entries).
     pub buckets_probed: u64,
-    /// Candidate copies collected by the cascade.
+    /// Candidate copies collected by the cascade (of live shapes: a
+    /// tombstoned shape's copy is never collected).
     pub candidates: u64,
     /// Live copies in the snapshot — the denominator of the reduction.
     pub corpus_copies: u64,
@@ -135,8 +136,7 @@ pub(crate) struct CandRef {
     pub b: u32,
     /// What the rerank found: the copy's exact score, `INFINITY` when the
     /// bounded scorer abandoned it (it scores above the rerank's cutoff
-    /// at that point, hence above the final k-th best), NaN while — or
-    /// if never — scored (tombstoned shape).
+    /// at that point, hence above the final k-th best), NaN until then.
     pub verdict: f64,
 }
 
@@ -183,6 +183,9 @@ pub struct ApproxScratch {
     pub(crate) probes: Vec<IndexProbe>,
     /// Per-(level, ring) copy output, drained into `cands`.
     pub(crate) ring: Vec<CopyId>,
+    /// The insert buffer's copies as `(ring, buffer slot, copy index)`,
+    /// sorted: each is measured against the query once, not once a ring.
+    pub(crate) buffered: Vec<(u16, u32, u32)>,
     /// All candidates collected this query.
     pub(crate) cands: Vec<CandRef>,
     /// Prepared candidate (reverse direction), rebuilt per survivor.
@@ -212,6 +215,7 @@ impl ApproxScratch {
             p.scan.clear();
         }
         self.ring.clear();
+        self.buffered.clear();
         self.cands.clear();
         self.rows.clear();
         self.best.clear();

@@ -6,10 +6,12 @@
 //! module closes that gap with the classic Bentley–Saxe decomposition:
 //! the base is a set of static sub-bases with sizes following a binary
 //! carry pattern, inserts go to a buffer that cascades into carries of
-//! amortized O(log N) frequency, deletes are tombstones, and a query runs
-//! on every live sub-base with results merged. A sub-base (`Level`) is
-//! the normalized copies of its shapes, their hash signatures bucketed
-//! for the approximate tier, and an id table — no vertex pool and no
+//! amortized O(log N) frequency, deletes are tombstones — one bit per
+//! shape of a level, and a level that is more dead than alive is rebuilt
+//! without its dead (`MAX_DEAD_PER_LIVE`) — and a query runs on every
+//! live sub-base with results merged. A sub-base (`Level`) is the
+//! normalized copies of its shapes, their hash signatures bucketed for
+//! the approximate tier, and an id table — no vertex pool and no
 //! range-search index: a level is scanned, never range-searched. A shape
 //! is normalized and hashed once, when it is inserted (or bulk-loaded); a
 //! carry only merges what its inputs hold (`Level::merge`).
@@ -26,15 +28,16 @@
 //!
 //! Levels are immutable between cascades and held behind `Arc`, so
 //! [`DynamicBase::snapshot`] can capture the entire queryable state —
-//! levels, insert buffer, tombstones, epoch — in O(buffer + levels) time
-//! without copying any index. A [`Snapshot`] answers queries with no
-//! access to the `DynamicBase` it came from: one writer can keep
-//! inserting (mutating levels via cascades) while any number of reader
-//! threads retrieve against earlier snapshots. This is the foundation of
-//! `geosir-serve`'s snapshot-isolated live updates.
+//! levels with their tombstone bitmaps, insert buffer, epoch — in
+//! O(buffer + levels) pointer copies, without copying any index. A
+//! [`Snapshot`] answers queries with no access to the `DynamicBase` it
+//! came from: one writer can keep inserting (mutating levels via
+//! cascades) while any number of reader threads retrieve against earlier
+//! snapshots. This is the foundation of `geosir-serve`'s
+//! snapshot-isolated live updates.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use geosir_geom::{Polyline, Similarity};
@@ -67,16 +70,17 @@ pub struct DynamicBase {
     buffer: Vec<Arc<BufferedShape>>,
     buffer_cap: usize,
     /// Binary-carry slots; slot i holds a level of capacity
-    /// `buffer_cap · 2^i` (or is empty). `Arc` so snapshots share a level
-    /// instead of copying it.
-    levels: Vec<Option<Arc<Level>>>,
-    deleted: HashSet<GlobalShapeId>,
+    /// `buffer_cap · 2^i` (or is empty).
+    levels: Vec<Option<Slot>>,
     next_id: u64,
     /// Mutation counter: bumped by every applied insert and delete, so
     /// snapshots are totally ordered.
     epoch: u64,
-    /// Rebuild accounting (for tests and ops visibility).
+    /// Rebuild accounting (for tests and ops visibility): shapes moved
+    /// into a level by bulk loads, carries and compactions, and how many
+    /// compactions (`MAX_DEAD_PER_LIVE`) there were.
     pub shapes_rebuilt: u64,
+    pub compactions: u64,
     /// Warm scratches for the scratchless [`Self::retrieve`] entry point,
     /// so a query loop pays dense-array setup once. Bounded like the
     /// matcher's pool.
@@ -124,9 +128,82 @@ struct Level {
     ids: Vec<GlobalShapeId>,
     images: Vec<ImageId>,
     shapes: Vec<Polyline>,
-    /// `ids` sorted: membership (deletes, WAL replay) is a binary search,
-    /// not a walk of `ids`.
-    sorted_ids: Vec<GlobalShapeId>,
+    /// Copies each shape has (aligned with `ids`): what a delete takes
+    /// off the live-copy count.
+    copies_of: Vec<u32>,
+    /// `ids` sorted, each with its level-local id: membership (WAL
+    /// replay) and the bit a delete sets are a binary search, not a walk
+    /// of `ids`.
+    sorted_ids: Vec<(GlobalShapeId, ShapeId)>,
+}
+
+/// Dead shapes a level may hold per live one; one more and
+/// [`DynamicBase::delete`] rebuilds it without its dead (global
+/// rebuilding of a weak-delete structure, Overmars: rebuild when half is
+/// deleted). A level starts with no dead shape — a carry, a bulk load
+/// and a rebuild all shed them — and every delete tombstones one, so a
+/// rebuild that moves `live` survivors follows more than `live` deletes
+/// on that level: under one shape-move per delete, amortised, paid
+/// inline in a stall no longer than the carry that built the level.
+/// Between rebuilds the dead of a level never outnumber its live shapes,
+/// so what is stored, scanned and probed stays within 2 × the live set
+/// at every instant.
+const MAX_DEAD_PER_LIVE: usize = 1;
+
+/// Tombstones of one level: bit `ShapeId` set = deleted. Copied on write
+/// by [`DynamicBase::delete`] when a snapshot shares it (8 bytes per 64
+/// shapes).
+#[derive(Clone, Default)]
+struct DeadBits {
+    words: Vec<u64>,
+    /// Set bits, and the copies their shapes have in the level.
+    shapes: usize,
+    copies: usize,
+}
+
+impl DeadBits {
+    fn get(&self, local: ShapeId) -> bool {
+        self.words[local.index() / 64] >> (local.index() % 64) & 1 == 1
+    }
+
+    /// Tombstone a live shape that has `copies` copies in the level.
+    fn set(&mut self, local: ShapeId, copies: u32) {
+        self.words[local.index() / 64] |= 1 << (local.index() % 64);
+        self.shapes += 1;
+        self.copies += copies as usize;
+    }
+}
+
+/// One occupied carry slot: the immutable level and its tombstones, each
+/// behind an `Arc` so a snapshot shares both instead of copying either.
+#[derive(Clone)]
+struct Slot {
+    level: Arc<Level>,
+    dead: Arc<DeadBits>,
+}
+
+impl Slot {
+    fn new(level: Level) -> Slot {
+        let dead = DeadBits { words: vec![0; level.ids.len().div_ceil(64)], shapes: 0, copies: 0 };
+        Slot { level: Arc::new(level), dead: Arc::new(dead) }
+    }
+
+    fn live_shapes(&self) -> usize {
+        self.level.ids.len() - self.dead.shapes
+    }
+
+    fn live_copies(&self) -> usize {
+        self.level.copies.len() - self.dead.copies
+    }
+
+    /// The live shapes' table rows, in level order.
+    fn live(&self) -> impl Iterator<Item = (ShapeId, GlobalShapeId, ImageId, &Polyline)> {
+        let level = &*self.level;
+        (0..level.ids.len() as u32)
+            .map(ShapeId)
+            .filter(|local| !self.dead.get(*local))
+            .map(|l| (l, level.ids[l.index()], level.images[l.index()], &level.shapes[l.index()]))
+    }
 }
 
 /// A match from the dynamic base.
@@ -153,12 +230,13 @@ pub struct RetrieveStats {
     pub vertices_processed: u64,
     /// `h_avg` evaluations in the levels: every copy a scan scored.
     pub candidates_scored: u64,
-    /// Of those, the copies the level scans scored (a level's copies
-    /// minus what the seed had settled), and how many of them the cutoff
-    /// did not cut short. In-process only: the EXPLAIN wire encoding does
-    /// not carry the two, so a remote report's `stats` reads 0 for both —
-    /// there, `scan_copies` is the sum of `candidates_scored` over the
-    /// levels whose termination is [`Termination::Scan`].
+    /// Of those, the copies the level scans scored (a level's live
+    /// copies minus what the seed had settled), and how many of them the
+    /// cutoff did not cut short. In-process only: the EXPLAIN wire
+    /// encoding does not carry the two, so a remote report's `stats`
+    /// reads 0 for both — there, `scan_copies` is the sum of
+    /// `candidates_scored` over the levels whose termination is
+    /// [`Termination::Scan`].
     pub scan_copies: u64,
     pub scan_survivors: u64,
     /// Always 0, like `rings`.
@@ -178,12 +256,12 @@ pub struct RetrieveStats {
 /// level is scanned ([`Termination::Scan`]): no rings, vertices or ε-cap;
 /// `candidates_scored` are the copies the scan scored, `credit_scored`
 /// the copies the seed had already settled (the two sum to the level's
-/// copies), and the cutoff τ the scan started from reads `final_eps`
+/// live copies), and the cutoff τ the scan started from reads `final_eps`
 /// with `bound_factor` 1 — `INFINITY` when the seed left the board short
 /// of k shapes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LevelExplain {
-    /// Shapes indexed in this level.
+    /// Live shapes in this level.
     pub shapes: u64,
     /// Per-envelope-iteration records, in order.
     pub rings: Vec<RingExplain>,
@@ -252,6 +330,8 @@ struct DynMetrics {
     /// short.
     scan_copies: Arc<obs::Counter>,
     scan_survivors: Arc<obs::Counter>,
+    /// Levels [`DynamicBase::delete`] rebuilt without their dead.
+    compactions: Arc<obs::Counter>,
     /// `true k-th ÷ τ` in permille: how tight the seed was (1000 = the
     /// hash tier already had the answer).
     seed_tightness: Arc<obs::Histogram>,
@@ -274,6 +354,7 @@ impl DynMetrics {
             seed_reranked: reg.counter("geosir_exact_seed_reranked_total", &[]),
             scan_copies: reg.counter("geosir_exact_scan_copies_total", &[]),
             scan_survivors: reg.counter("geosir_exact_scan_survivors_total", &[]),
+            compactions: reg.counter("geosir_dynamic_compactions_total", &[]),
             seed_tightness: reg.histogram("geosir_exact_seed_tightness_permille", &[]),
         }
     }
@@ -291,10 +372,10 @@ impl DynamicBase {
             buffer: Vec::new(),
             buffer_cap,
             levels: Vec::new(),
-            deleted: HashSet::new(),
             next_id: 0,
             epoch: 0,
             shapes_rebuilt: 0,
+            compactions: 0,
             scratch_pool: std::sync::Mutex::new(Vec::new()),
         }
     }
@@ -311,9 +392,7 @@ impl DynamicBase {
 
     /// Number of live (non-deleted) shapes.
     pub fn len(&self) -> usize {
-        let total =
-            self.buffer.len() + self.levels.iter().flatten().map(|l| l.ids.len()).sum::<usize>();
-        total - self.deleted.len()
+        self.buffer.len() + self.levels.iter().flatten().map(Slot::live_shapes).sum::<usize>()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -411,9 +490,16 @@ impl DynamicBase {
     /// Whether `id` is live (inserted, not tombstoned): a walk of the
     /// buffer, then a binary search per level.
     pub fn contains(&self, id: GlobalShapeId) -> bool {
-        !self.deleted.contains(&id)
-            && (self.buffer.iter().any(|b| b.id == id)
-                || self.levels.iter().flatten().any(|l| l.holds(id)))
+        self.buffer.iter().any(|b| b.id == id) || self.find_live(id).is_some()
+    }
+
+    /// The slot holding `id` live, and its level-local id there.
+    fn find_live(&self, id: GlobalShapeId) -> Option<(usize, ShapeId)> {
+        self.levels.iter().enumerate().find_map(|(at, slot)| {
+            let slot = slot.as_ref()?;
+            let local = slot.level.find(id)?;
+            (!slot.dead.get(local)).then_some((at, local))
+        })
     }
 
     /// Place `pool` (pre-assigned ids) into the smallest free slot that
@@ -436,30 +522,54 @@ impl DynamicBase {
             self.levels.push(None);
         }
         self.shapes_rebuilt += pool.len() as u64;
-        self.levels[slot] = Some(Arc::new(Level::build(pool, self.alpha, &self.family)));
+        self.levels[slot] = Some(Slot::new(Level::build(pool, self.alpha, &self.family)));
     }
 
-    /// Delete a shape (tombstone; storage is reclaimed at the next rebuild
-    /// that touches its level).
+    /// Delete a shape. A buffered one drops eagerly — it lives nowhere
+    /// else and needs no tombstone; a leveled one gets its bit set in the
+    /// level's tombstones (copied first if a snapshot shares them), and
+    /// once the level's dead outnumber its live shapes
+    /// (`MAX_DEAD_PER_LIVE`) the level is rebuilt without them, here.
     pub fn delete(&mut self, id: GlobalShapeId) -> bool {
-        if self.deleted.contains(&id) {
-            return false;
-        }
-        // buffer entries drop eagerly and need no tombstone — the shape
-        // lives nowhere else, and a stray tombstone would double-count
-        // against `len()` (buffer loses the entry AND `deleted` grows)
         let before = self.buffer.len();
         self.buffer.retain(|b| b.id != id);
         if self.buffer.len() < before {
             self.epoch += 1;
             return true;
         }
-        let leveled = self.levels.iter().flatten().any(|l| l.holds(id));
-        if leveled {
-            self.deleted.insert(id);
-            self.epoch += 1;
+        let Some((at, local)) = self.find_live(id) else {
+            return false;
+        };
+        let slot = self.levels[at].as_mut().expect("found there");
+        Arc::make_mut(&mut slot.dead).set(local, slot.level.copies_of[local.index()]);
+        self.epoch += 1;
+        if slot.dead.shapes > MAX_DEAD_PER_LIVE * slot.live_shapes() {
+            self.compact(at);
         }
-        leveled
+        true
+    }
+
+    /// Replace the level in slot `at` by the merge of its live shapes —
+    /// the merge a carry runs, on one input — and drop its tombstones
+    /// with it; a level with no live shape frees the slot.
+    fn compact(&mut self, at: usize) {
+        let old = self.levels[at].take().expect("compacting an occupied slot");
+        let merged = Level::merge(&[], std::slice::from_ref(&old));
+        let shapes = merged.ids.len();
+        self.shapes_rebuilt += shapes as u64;
+        self.compactions += 1;
+        if shapes > 0 {
+            self.levels[at] = Some(Slot::new(merged));
+        }
+        obs::with_metrics(DynMetrics::build, |m| m.compactions.inc());
+        obs::with_current(|r| {
+            r.journal().emit(
+                obs::JournalEvent::new(obs::Severity::Info, "compact.level")
+                    .with("slot", at)
+                    .with("shapes", shapes)
+                    .with("shed", old.dead.shapes),
+            );
+        });
     }
 
     /// Binary-carry cascade (Bentley–Saxe): the buffer becomes a block of
@@ -467,8 +577,8 @@ impl DynamicBase {
     /// block and the carry moves up one slot. Each shape therefore takes
     /// part in at most `log₂(N / cap)` carries — and a carry is a merge
     /// ([`Level::merge`]): nothing is normalized or hashed again.
-    /// Tombstoned shapes are dropped on the way, so deletes are
-    /// eventually compacted.
+    /// Tombstoned shapes are dropped on the way, their tombstones with
+    /// the slots that held them.
     fn cascade(&mut self) {
         let buffer = std::mem::take(&mut self.buffer);
         let mut carried = Vec::new();
@@ -485,13 +595,11 @@ impl DynamicBase {
                 }
             }
         }
-        let merged = Level::merge(&buffer, &carried, &mut self.deleted);
+        // never empty: the buffer is, and holds no dead shape
+        let merged = Level::merge(&buffer, &carried);
         let rebuilt = merged.ids.len();
-        if rebuilt == 0 {
-            return;
-        }
         self.shapes_rebuilt += rebuilt as u64;
-        self.levels[slot] = Some(Arc::new(merged));
+        self.levels[slot] = Some(Slot::new(merged));
         // Lifecycle journal: large carries (high slots) are the ones
         // worth explaining when someone asks why a write spiked.
         obs::with_current(|r| {
@@ -554,16 +662,15 @@ impl DynamicBase {
             family: &self.family,
             levels: &self.levels,
             buffer: &self.buffer,
-            deleted: &self.deleted,
         }
     }
 
-    /// Capture the queryable state — levels, buffer, tombstones, epoch —
+    /// Capture the queryable state — levels, tombstones, buffer, epoch —
     /// as an immutable, independently-queryable [`Snapshot`]. O(buffer +
-    /// levels + tombstones) pointer copies: levels and buffered shapes
-    /// are shared, no geometry is cloned.
+    /// levels) pointer copies: levels, their tombstone bitmaps and
+    /// buffered shapes are shared, nothing is cloned.
     pub fn snapshot(&self) -> Snapshot {
-        let copies = self.levels.iter().flatten().map(|l| l.copies.len()).sum::<usize>()
+        let copies = self.levels.iter().flatten().map(Slot::live_copies).sum::<usize>()
             + self.buffer.iter().map(|b| b.copies.len()).sum::<usize>();
         Snapshot {
             epoch: self.epoch,
@@ -572,7 +679,6 @@ impl DynamicBase {
             family: self.family.clone(),
             levels: self.levels.clone(),
             buffer: self.buffer.clone(),
-            deleted: self.deleted.clone(),
             live: self.len(),
             copies,
         }
@@ -581,7 +687,7 @@ impl DynamicBase {
 
 #[cfg(test)]
 thread_local! {
-    /// Id comparisons made by [`Level::holds`] on this thread (test
+    /// Id comparisons made by [`Level::find`] on this thread (test
     /// probe: a delete must not walk a level's ids).
     static ID_PROBES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
@@ -603,20 +709,15 @@ impl Level {
         level.finish()
     }
 
-    /// What a carry leaves in its target slot: the live shapes of
-    /// `buffer`, then of `levels` in slot order, each with the copies and
-    /// signatures it already has — the level [`Level::build`] would make
-    /// of the same shapes in the same order, copy for copy, with nothing
-    /// normalized or hashed. A tombstoned shape stays behind AND sheds
-    /// its tombstone (keeping it would make `len()` subtract a shape no
-    /// level holds any more).
-    fn merge(
-        buffer: &[Arc<BufferedShape>],
-        levels: &[Arc<Level>],
-        deleted: &mut HashSet<GlobalShapeId>,
-    ) -> Level {
+    /// What a carry leaves in its target slot: the shapes of `buffer`,
+    /// then the live shapes of `slots` in slot order, each with the
+    /// copies and signatures it already has — the level [`Level::build`]
+    /// would make of the same shapes in the same order, copy for copy,
+    /// with nothing normalized or hashed. A tombstoned shape stays
+    /// behind, and its tombstone with the slot that held it.
+    fn merge(buffer: &[Arc<BufferedShape>], slots: &[Slot]) -> Level {
         let mut out = Level::default();
-        for b in buffer.iter().filter(|b| !deleted.remove(&b.id)) {
+        for b in buffer {
             let local = out.push_shape(b.id, b.image, b.shape.clone());
             for ((copy, inverse), sig) in b.copies.iter().zip(&b.inverses).zip(&b.sigs) {
                 out.push_copy(CopyRecord::new(local, b.image, copy.shape().clone(), *inverse), *sig);
@@ -625,13 +726,14 @@ impl Level {
         // Snapshots may still hold these levels: their contents are
         // cloned out, never moved.
         let mut remap: Vec<Option<ShapeId>> = Vec::new();
-        for level in levels {
+        for slot in slots {
             // level-local id → id in `out`, `None` for a tombstoned shape
             remap.clear();
-            for ((gid, image), shape) in level.ids.iter().zip(&level.images).zip(&level.shapes) {
-                remap.push((!deleted.remove(gid)).then(|| out.push_shape(*gid, *image, shape.clone())));
+            remap.resize(slot.level.ids.len(), None);
+            for (local, gid, image, shape) in slot.live() {
+                remap[local.index()] = Some(out.push_shape(gid, image, shape.clone()));
             }
-            for (copy, sig) in level.copies.iter().zip(&level.sigs) {
+            for (copy, sig) in slot.level.copies.iter().zip(&slot.level.sigs) {
                 if let Some(local) = remap[copy.shape_id.index()] {
                     out.push_copy(CopyRecord { shape_id: local, ..copy.clone() }, *sig);
                 }
@@ -644,10 +746,12 @@ impl Level {
         self.ids.push(id);
         self.images.push(image);
         self.shapes.push(shape);
+        self.copies_of.push(0);
         ShapeId(self.ids.len() as u32 - 1)
     }
 
     fn push_copy(&mut self, copy: CopyRecord, sig: Signature) {
+        self.copies_of[copy.shape_id.index()] += 1;
         self.copies.push(copy);
         self.sigs.push(sig);
     }
@@ -655,21 +759,22 @@ impl Level {
     /// Bucket the signatures and sort the id table.
     fn finish(mut self) -> Level {
         self.buckets = SigBuckets::from_sigs(self.sigs.iter().copied());
-        self.sorted_ids = self.ids.clone();
+        self.sorted_ids = self.ids.iter().copied().zip((0..).map(ShapeId)).collect();
         // stable sort: `ids` is one ascending run per buffer that ever fed
         // the level, which it merges rather than re-sorts
         self.sorted_ids.sort();
         self
     }
 
-    /// Whether this level holds `id` (live or tombstoned).
-    fn holds(&self, id: GlobalShapeId) -> bool {
-        let at = self.sorted_ids.binary_search_by(|held| {
+    /// The level-local id under which this level holds `id` (live or
+    /// tombstoned).
+    fn find(&self, id: GlobalShapeId) -> Option<ShapeId> {
+        let at = self.sorted_ids.binary_search_by(|(held, _)| {
             #[cfg(test)]
             ID_PROBES.with(|c| c.set(c.get() + 1));
             held.cmp(&id)
         });
-        at.is_ok()
+        at.ok().map(|at| self.sorted_ids[at].1)
     }
 }
 
@@ -687,12 +792,11 @@ pub struct Snapshot {
     family: Arc<CurveFamily>,
     /// The base's carry slots as captured (empty ones included, so a
     /// slot index means the same level here and there).
-    levels: Vec<Option<Arc<Level>>>,
+    levels: Vec<Option<Slot>>,
     buffer: Vec<Arc<BufferedShape>>,
-    deleted: HashSet<GlobalShapeId>,
     live: usize,
-    /// Normalized copies captured (levels + buffer, tombstones included)
-    /// — the denominator of the approximate tier's reduction ratio.
+    /// Normalized copies of the live shapes captured (levels + buffer) —
+    /// the denominator of the approximate tier's reduction ratio.
     copies: usize,
 }
 
@@ -715,18 +819,10 @@ impl Snapshot {
     /// accepts it directly.
     pub fn live_shapes(&self) -> Vec<(GlobalShapeId, ImageId, Polyline)> {
         let mut out = Vec::with_capacity(self.live);
-        for level in self.levels.iter().flatten() {
-            for ((gid, image), shape) in level.ids.iter().zip(&level.images).zip(&level.shapes) {
-                if !self.deleted.contains(gid) {
-                    out.push((*gid, *image, shape.clone()));
-                }
-            }
+        for slot in self.levels.iter().flatten() {
+            out.extend(slot.live().map(|(_, gid, image, shape)| (gid, image, shape.clone())));
         }
-        for b in &self.buffer {
-            if !self.deleted.contains(&b.id) {
-                out.push((b.id, b.image, b.shape.clone()));
-            }
-        }
+        out.extend(self.buffer.iter().map(|b| (b.id, b.image, b.shape.clone())));
         out
     }
 
@@ -737,6 +833,12 @@ impl Snapshot {
 
     pub fn is_empty(&self) -> bool {
         self.live == 0
+    }
+
+    /// Tombstoned shapes the levels still hold — at most one per live
+    /// shape of each level (`MAX_DEAD_PER_LIVE`).
+    pub fn dead_shapes(&self) -> usize {
+        self.levels.iter().flatten().map(|s| s.dead.shapes).sum()
     }
 
     /// Occupied levels captured.
@@ -817,20 +919,26 @@ impl Snapshot {
             family: &self.family,
             levels: &self.levels,
             buffer: &self.buffer,
-            deleted: &self.deleted,
         }
     }
 
-    /// Normalized copies captured by this snapshot (levels + buffer,
-    /// tombstones included) — what an exhaustive approximate scan would
-    /// have to score.
+    /// Normalized copies of the live shapes captured by this snapshot
+    /// (levels + buffer) — what an exhaustive approximate scan would have
+    /// to score.
     pub fn total_copies(&self) -> usize {
         self.copies
     }
 
+    /// Copies the levels and the buffer hold, tombstoned shapes' included:
+    /// what memory and bucket sizes track ([`Self::total_copies`] is the
+    /// live share of it, never under half).
+    pub fn stored_copies(&self) -> usize {
+        self.copies + self.levels.iter().flatten().map(|s| s.dead.copies).sum::<usize>()
+    }
+
     /// Occupied signature buckets across all level indexes.
     pub fn approx_num_buckets(&self) -> usize {
-        self.levels.iter().flatten().map(|l| l.buckets.num_buckets()).sum()
+        self.levels.iter().flatten().map(|s| s.level.buckets.num_buckets()).sum()
     }
 
     /// Average copies per occupied signature bucket across levels
@@ -841,7 +949,7 @@ impl Snapshot {
             return 0.0;
         }
         let copies: usize =
-            self.levels.iter().flatten().map(|l| l.buckets.total_copies()).sum();
+            self.levels.iter().flatten().map(|s| s.level.buckets.total_copies()).sum();
         copies as f64 / buckets as f64
     }
 
@@ -903,33 +1011,19 @@ impl Snapshot {
     }
 }
 
-#[cfg(test)]
-thread_local! {
-    /// Tombstone-set lookups made by queries on this thread (test probe:
-    /// per-query tombstone work must not grow with the level size).
-    static TOMBSTONE_PROBES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
 /// The queryable state a [`DynamicBase`] and a [`Snapshot`] both hold,
 /// borrowed: the two retrieval tiers are written once, against this.
 struct View<'a> {
     config: &'a MatchConfig,
     family: &'a CurveFamily,
-    levels: &'a [Option<Arc<Level>>],
+    levels: &'a [Option<Slot>],
     buffer: &'a [Arc<BufferedShape>],
-    deleted: &'a HashSet<GlobalShapeId>,
 }
 
 impl View<'_> {
-    fn is_dead(&self, id: &GlobalShapeId) -> bool {
-        #[cfg(test)]
-        TOMBSTONE_PROBES.with(|c| c.set(c.get() + 1));
-        self.deleted.contains(id)
-    }
-
     /// Occupied slots with their index, smallest (most recent) first.
-    fn slots(&self) -> impl DoubleEndedIterator<Item = (usize, &Level)> {
-        self.levels.iter().enumerate().filter_map(|(i, l)| l.as_deref().map(|l| (i, l)))
+    fn slots(&self) -> impl DoubleEndedIterator<Item = (usize, &Slot)> {
+        self.levels.iter().enumerate().filter_map(|(i, s)| s.as_ref().map(|s| (i, s)))
     }
 
     /// The hash tier's probe + bounded rerank: collect candidate copies
@@ -960,11 +1054,13 @@ impl View<'_> {
     }
 
     /// The cascade: rings of increasing curve distance over every level
-    /// index plus the buffer signatures, into `ax.cands`. Stops at the
-    /// end of the first ring that fills the candidate budget;
-    /// `max_radius` is a soft preference — expansion continues past it
-    /// while the candidate set is still empty, so the tier returns
-    /// *something* whenever live shapes exist.
+    /// index plus the buffer signatures, into `ax.cands` — live copies
+    /// only: a tombstoned shape's copy is dropped as its bucket is read,
+    /// before it counts against the budget. Stops at the end of the first
+    /// ring that fills the candidate budget; `max_radius` is a soft
+    /// preference — expansion continues past it while the candidate set
+    /// is still empty, so the tier returns *something* whenever live
+    /// shapes exist.
     ///
     /// Probing uses only the primary normalized copy: the base stores
     /// *both* orientations of every shape per α-diameter, so a stored
@@ -982,35 +1078,32 @@ impl View<'_> {
         let max_radius = opts.max_radius.min(kf);
         let max_cand = opts.max_candidates.max(1);
         ax.begin(self.levels.len());
-        let ApproxScratch { quarters, vals, probes, ring, cands, .. } = ax;
+        let ApproxScratch { quarters, vals, probes, ring, buffered, cands, .. } = ax;
         let qsig = signature_of_with(family, qprep.shape(), quarters);
+        // every buffered copy's ring, computed once; sorted, a ring is one
+        // run of it in (shape, copy) order
+        for (bi, b) in self.buffer.iter().enumerate() {
+            let ringed = b.sigs.iter().enumerate();
+            buffered.extend(ringed.map(|(ci, s)| (qsig.curve_distance(s), bi as u32, ci as u32)));
+        }
+        buffered.sort_unstable();
+        let mut by_ring = buffered.iter().peekable();
         let mut probed = 0u64;
         for r in 0..=kf {
             stats.radius = r;
-            for (li, level) in self.slots() {
+            for (li, Slot { level, dead }) in self.slots() {
                 ring.clear();
                 level.buckets.collect_ring(kf, &qsig, r, &mut probes[li], vals, ring, &mut probed);
-                cands.extend(ring.iter().map(|c| CandRef {
+                let live = ring.iter().filter(|c| !dead.get(level.copies[c.index()].shape_id));
+                cands.extend(live.map(|c| CandRef {
                     level: li as u32,
                     a: c.0,
                     b: 0,
                     verdict: f64::NAN,
                 }));
             }
-            for (bi, b) in self.buffer.iter().enumerate() {
-                if self.is_dead(&b.id) {
-                    continue;
-                }
-                for (ci, s) in b.sigs.iter().enumerate() {
-                    if qsig.curve_distance(s) == r {
-                        cands.push(CandRef {
-                            level: BUFFER_LEVEL,
-                            a: bi as u32,
-                            b: ci as u32,
-                            verdict: f64::NAN,
-                        });
-                    }
-                }
+            while let Some(&(_, a, b)) = by_ring.next_if(|at| at.0 == r) {
+                cands.push(CandRef { level: BUFFER_LEVEL, a, b, verdict: f64::NAN });
             }
             if cands.len() >= max_cand || (r >= max_radius && !cands.is_empty()) {
                 break;
@@ -1021,10 +1114,7 @@ impl View<'_> {
     }
 
     /// Score the probe's candidates onto `board` in ring order, leaving
-    /// each one's verdict beside it for the exact tier's hand-off. A
-    /// level candidate of a tombstoned shape is dropped unscored (its
-    /// verdict stays NaN); the probe already left dead buffer entries
-    /// out.
+    /// each one's verdict beside it for the exact tier's hand-off.
     fn rerank(
         &self,
         cands: &mut [CandRef],
@@ -1033,23 +1123,22 @@ impl View<'_> {
         board: &mut Board<'_>,
         stats: &mut ApproxStats,
     ) {
-        let offers = cands.iter_mut().filter_map(|c| {
+        let offers = cands.iter_mut().map(|c| {
             if c.level == BUFFER_LEVEL {
                 let b = &self.buffer[c.a as usize];
                 let geom = CopyGeom::Indexed(&b.copies[c.b as usize]);
-                return Some(Offer { shape: b.id, image: b.image, geom, verdict: Some(&mut c.verdict) });
+                return Offer { shape: b.id, image: b.image, geom, verdict: Some(&mut c.verdict) };
             }
-            let level = self.levels[c.level as usize].as_ref().expect("probed slot");
+            let level = &self.levels[c.level as usize].as_ref().expect("probed slot").level;
             let copy = &level.copies[c.a as usize];
-            let shape = level.ids[copy.shape_id.index()];
-            (!self.is_dead(&shape)).then_some(Offer {
-                shape,
+            Offer {
+                shape: level.ids[copy.shape_id.index()],
                 image: copy.image,
                 geom: CopyGeom::Stored(&copy.normalized),
                 verdict: Some(&mut c.verdict),
-            })
+            }
         });
-        let done = score_onto(self.config.score, qprep, back, board, offers, |_| false);
+        let done = score_onto(self.config.score, qprep, back, board, offers);
         stats.reranked += done.scored;
         stats.abandoned += done.abandoned;
     }
@@ -1057,17 +1146,18 @@ impl View<'_> {
     /// Exact retrieval, seed → bounded scan per level → buffer → merge:
     /// the hash tier's probe is reranked onto the board first, and its
     /// k-th best — a true score of a live stored shape, hence an upper
-    /// bound τ on the true k-th best — is the cutoff every remaining copy
-    /// is then scored against by the same loop ([`score_onto`]): each
-    /// level's copies in storage order, then the buffer's. A copy the
+    /// bound τ on the true k-th best — is the cutoff every remaining live
+    /// copy is then scored against by the same loop ([`score_onto`]):
+    /// each level's copies in storage order — a tombstoned shape's
+    /// skipped on its bit, unscored — then the buffer's. A copy the
     /// bounded scorer abandons is provably above the cutoff, a tie is
     /// scored exactly, the cutoff only tightens (to the board's per-shape
-    /// k-th best), tombstones are looked up for the survivors alone — so
-    /// the board sorted by `(score, id)` and truncated to k is the exact
-    /// top-k on all k ranks, with no ε-cap to run into. While the board
-    /// is short of k shapes (fewer than k seeds) the cutoff is ∞: the
-    /// scan scores what it meets in full until k live shapes are on the
-    /// board, and tightens from there — the same plan, not another one.
+    /// k-th best) — so the board sorted by `(score, id)` and truncated to
+    /// k is the exact top-k on all k ranks, with no ε-cap to run into.
+    /// While the board is short of k shapes (fewer than k seeds) the
+    /// cutoff is ∞: the scan scores what it meets in full until k live
+    /// shapes are on the board, and tightens from there — the same plan,
+    /// not another one.
     /// Allocation-free in steady state. Every caller passes `handoff`;
     /// without it the levels score the seed's copies over again (the
     /// differential test's other leg: same answer, more scorings).
@@ -1105,9 +1195,8 @@ impl View<'_> {
             tau = board.cutoff;
 
             // largest level first
-            for (li, level) in self.slots().rev() {
-                let judged =
-                    cands.iter().filter(|c| handoff && c.level == li as u32 && !c.verdict.is_nan());
+            for (li, slot @ Slot { level, dead }) in self.slots().rev() {
+                let judged = cands.iter().filter(|c| handoff && c.level == li as u32);
                 stats.levels += 1;
                 // No copy is scored twice: a finite verdict of the seed's
                 // is on the board already, an abandoned copy scored above
@@ -1118,22 +1207,22 @@ impl View<'_> {
                 let credit = judged.map(|c| settled[c.a as usize] = stamp).count();
                 let within = board.cutoff;
                 let unsettled = level.copies.iter().zip(&*settled).filter(|(_, at)| **at != stamp);
-                let offers = unsettled.map(|(copy, _)| Offer {
+                let live = unsettled.filter(|(copy, _)| !dead.get(copy.shape_id));
+                let offers = live.map(|(copy, _)| Offer {
                     shape: level.ids[copy.shape_id.index()],
                     image: copy.image,
                     geom: CopyGeom::Stored(&copy.normalized),
                     verdict: None,
                 });
                 let qprep = scratch.query.as_ref().expect("prepared above");
-                let done =
-                    score_onto(self.config.score, qprep, back, &mut board, offers, |g| self.is_dead(g));
+                let done = score_onto(self.config.score, qprep, back, &mut board, offers);
                 stats.candidates_scored += done.scored;
                 stats.scan_copies += done.scored;
                 stats.scan_survivors += done.scored - done.abandoned;
                 stats.last_termination = Termination::Scan;
                 if let Some(ex) = explain.as_deref_mut() {
                     ex.levels.push(LevelExplain {
-                        shapes: level.ids.len() as u64,
+                        shapes: slot.live_shapes() as u64,
                         termination: Termination::Scan,
                         final_eps: within,
                         bound_factor: 1.0,
@@ -1148,8 +1237,7 @@ impl View<'_> {
             // time, through the same loop (the buffer is small by design,
             // and symmetric scoring does zero per-call index work).
             let qprep = scratch.query.as_ref().expect("prepared above");
-            let live = self.buffer.iter().filter(|b| !self.is_dead(&b.id));
-            let offers = live.inspect(|_| stats.buffer_scored += 1).flat_map(|b| {
+            let offers = self.buffer.iter().inspect(|_| stats.buffer_scored += 1).flat_map(|b| {
                 b.copies.iter().map(|c| Offer {
                     shape: b.id,
                     image: b.image,
@@ -1157,7 +1245,7 @@ impl View<'_> {
                     verdict: None,
                 })
             });
-            score_onto(self.config.score, qprep, back, &mut board, offers, |_| false);
+            score_onto(self.config.score, qprep, back, &mut board, offers);
             board.finish(out);
             scratch.seed = seed;
         }
@@ -1272,18 +1360,16 @@ impl Board<'_> {
 
 /// The one bounded-scoring loop — the hash tier's rerank, the exact
 /// tier's level scans and its buffer scan are this, over three sources
-/// of copies: score each against the board's cutoff, drop what the
-/// scorer abandons or what lands past the cutoff anyway (the continuous
-/// kinds never abandon), look the survivor's shape up among the
-/// tombstones (`is_dead`; a source that filtered already passes
-/// `|_| false`), and offer it to the board.
+/// of live copies (each source leaves a tombstoned shape's out): score
+/// each against the board's cutoff, drop what the scorer abandons or what
+/// lands past the cutoff anyway (the continuous kinds never abandon), and
+/// offer the survivor to the board.
 fn score_onto<'c>(
     kind: ScoreKind,
     qprep: &PreparedShape,
     back: &mut Option<PreparedShape>,
     board: &mut Board<'_>,
     offers: impl Iterator<Item = Offer<'c>>,
-    is_dead: impl Fn(&GlobalShapeId) -> bool,
 ) -> Scored {
     let mut done = Scored { scored: 0, abandoned: 0 };
     for Offer { shape, image, geom, verdict } in offers {
@@ -1297,7 +1383,7 @@ fn score_onto<'c>(
         }
         if !score.is_finite() {
             done.abandoned += 1;
-        } else if score <= board.cutoff && !is_dead(&shape) {
+        } else if score <= board.cutoff {
             board.offer(shape, image, score);
         }
     }
@@ -1312,6 +1398,7 @@ mod tests {
     use geosir_geom::Point;
     use proptest::prelude::*;
     use rand::prelude::*;
+    use std::collections::HashSet;
 
     fn p(x: f64, y: f64) -> Point {
         Point::new(x, y)
@@ -1468,8 +1555,8 @@ mod tests {
     }
 
     #[test]
-    fn tombstone_lookups_do_not_grow_with_the_level() {
-        // one 1 000-shape level, 300 tombstones
+    fn dead_copies_are_never_scored() {
+        // one 1 000-shape level, 300 tombstones: under half, so they stay
         let mut db = DynamicBase::new(0.0, MatchConfig { k: 10, beta: 0.2, ..Default::default() }, 64);
         let shapes: Vec<Polyline> = (0..1000).map(|i| shape(9000 + i)).collect();
         let ids = db.bulk_load(shapes.iter().enumerate().map(|(i, s)| (ImageId(i as u32), s.clone())));
@@ -1477,13 +1564,18 @@ mod tests {
         for id in ids.iter().step_by(3).take(300) {
             assert!(db.delete(*id));
         }
-        assert_eq!(db.deleted.len(), 300);
+        assert_eq!((db.len(), db.compactions), (700, 0));
 
         let snap = db.snapshot();
+        // α = 0: two copies a shape, and only the live ones are counted
+        assert_eq!((snap.dead_shapes(), snap.total_copies()), (300, 1400));
+        let reg = std::sync::Arc::new(obs::Registry::new());
+        obs::set_thread_registry(Some(reg.clone()));
         let mut scratch = MatcherScratch::new();
         let mut tmp = MatchOutcome::default();
         let mut out = Vec::new();
-        for qi in [1usize, 3, 300, 897, 998] {
+        let queries = [1usize, 3, 300, 897, 998];
+        for qi in queries {
             // a deleted shape (3, 300, 897) as the query makes its own
             // tombstoned copy the would-be best match
             let q = &shapes[qi];
@@ -1492,7 +1584,7 @@ mod tests {
             let mut oracle: Vec<(GlobalShapeId, f64)> = shapes
                 .iter()
                 .zip(&ids)
-                .filter(|(_, id)| !db.deleted.contains(id))
+                .filter(|(_, id)| db.contains(**id))
                 .map(|(s, id)| {
                     let best = crate::normalize::normalized_copies(s, 0.0)
                         .into_iter()
@@ -1504,15 +1596,19 @@ mod tests {
             oracle.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
             oracle.truncate(10);
 
-            let before = TOMBSTONE_PROBES.with(|c| c.get());
             snap.retrieve_with(&mut scratch, &mut tmp, q, 0, &mut out);
-            let probes = TOMBSTONE_PROBES.with(|c| c.get()) - before;
             let got: Vec<(GlobalShapeId, f64)> = out.iter().map(|m| (m.shape, m.score)).collect();
             assert_eq!(got, oracle, "query {qi}");
-            // lookups follow the seed's candidates and the scan's
-            // survivors, never the level's 1 000 ids
-            assert!(probes < 1000, "query {qi} made {probes} tombstone lookups");
         }
+        obs::set_thread_registry(None);
+        // every live copy is scored once, by the seed or by the scan, and
+        // no dead one by either
+        let m = reg.snapshot();
+        assert_eq!(
+            m.counter("geosir_exact_scan_copies_total", &[])
+                + m.counter("geosir_exact_seed_reranked_total", &[]),
+            (queries.len() * snap.total_copies()) as u64,
+        );
     }
 
     #[test]
@@ -1757,7 +1853,7 @@ mod tests {
         assert_eq!(db.num_levels(), 2);
         let snap = db.snapshot();
         let level_copies: Vec<u64> =
-            snap.view().slots().rev().map(|(_, l)| l.copies.len() as u64).collect();
+            snap.view().slots().rev().map(|(_, s)| s.level.copies.len() as u64).collect();
 
         let mut scratch = MatcherScratch::new();
         let mut tmp = MatchOutcome::default();
@@ -2148,6 +2244,79 @@ mod tests {
         }
         assert!(scored_on < scored_off, "the hand-off saved no scoring: {scored_on} vs {scored_off}");
     }
+
+    #[test]
+    fn churned_base_equals_a_fresh_one() {
+        use geosir_imaging::synth::{perturb, random_simple_polygon};
+        // What a base answers depends on its live shapes alone, not on
+        // the deletes it has seen: a churned base (tombstones in at least
+        // three levels, a compacted level, a buffer that lost entries)
+        // against `restore(live_shapes())` — one level, nothing dead.
+        for seed in 0..6u64 {
+            let mut rng = StdRng::seed_from_u64(700 + seed);
+            let proto = random_simple_polygon(&mut rng, 10, 0.35);
+            let mut db = shipped(4, std::iter::empty());
+            let mut live = Vec::new();
+            let steps = rng.random_range(150..260u32);
+            for step in 0..steps + 10 {
+                if step == steps {
+                    // a level loses its majority, once for certain
+                    let occupied: Vec<&Slot> = db.levels.iter().flatten().collect();
+                    let doomed: Vec<_> = occupied[occupied.len() / 2].live().map(|(_, g, _, _)| g).collect();
+                    for id in doomed {
+                        if db.compactions == 0 {
+                            assert!(db.delete(id));
+                            live.retain(|l| *l != id);
+                        }
+                    }
+                }
+                if live.len() < 8 || rng.random_bool(0.7) {
+                    let s = match step % 4 {
+                        0 => perturb(&proto, &mut rng, 0.02),
+                        _ => random_simple_polygon(&mut rng, 6 + step as usize % 9, 0.35),
+                    };
+                    live.push(db.insert(ImageId(step), s));
+                } else {
+                    assert!(db.delete(live.swap_remove(rng.random_range(0..live.len()))));
+                }
+            }
+            // something buffered, and a tombstone in every level the
+            // schedule left without
+            if db.buffer.is_empty() {
+                db.insert(ImageId(0), perturb(&proto, &mut rng, 0.02));
+            }
+            let spared = db.levels.iter().flatten().filter(|s| s.dead.shapes == 0 && s.live_shapes() > 2);
+            for id in spared.map(|s| s.level.ids[0]).collect::<Vec<_>>() {
+                assert!(db.delete(id));
+            }
+            let tombstoned = db.levels.iter().flatten().filter(|s| s.dead.shapes > 0).count();
+            assert!(tombstoned >= 3 && db.compactions >= 1, "seed {seed}: {tombstoned} levels, {} compactions", db.compactions);
+            let churned = db.snapshot();
+            assert!(!churned.buffer.is_empty() && churned.dead_shapes() > 0, "seed {seed}");
+            let fresh = DynamicBase::restore(0.0, db.config.clone(), 4, churned.live_shapes(), churned.next_id(), churned.epoch()).snapshot();
+            assert_eq!((fresh.num_levels(), fresh.dead_shapes()), (1, 0));
+            assert_eq!((churned.len(), churned.total_copies()), (fresh.len(), fresh.total_copies()), "seed {seed}");
+
+            for (qi, (_, _, stored)) in churned.live_shapes().iter().enumerate().take(12) {
+                let q = perturb(if qi % 2 == 0 { &proto } else { stored }, &mut rng, 0.01);
+                for k in [1, 10, 50] {
+                    assert_eq!(id_bits(&churned.retrieve(&q, k)), id_bits(&fresh.retrieve(&q, k)), "seed {seed} query {qi} k {k}: exact");
+                    // a budget that binds (rings are cut short) and one
+                    // that does not
+                    for max_candidates in [24, 2048] {
+                        let opts = ApproxOptions { k, max_candidates, ..ApproxOptions::default() };
+                        let (a, sa) = churned.similar_approx(&q, &opts);
+                        let (b, sb) = fresh.similar_approx(&q, &opts);
+                        let what = format!("seed {seed} query {qi} k {k} budget {max_candidates}");
+                        assert_eq!(id_bits(&a), id_bits(&b), "{what}: approximate answer");
+                        assert_eq!((sa.candidates, sa.reranked, sa.radius), (sb.candidates, sb.reranked, sb.radius), "{what}");
+                        assert_eq!(sa.corpus_copies, sb.corpus_copies, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn delete_and_contains_binary_search_a_level() {
         // one 1 000-shape level (plus two small ones): a delete, and the
@@ -2165,8 +2334,8 @@ mod tests {
         assert!(!db.contains(ids[500]) && !db.delete(ids[500]), "tombstoned");
         assert!(!db.contains(GlobalShapeId(5000)) && !db.delete(GlobalShapeId(5000)), "never held");
         let probes = ID_PROBES.with(|c| c.get()) - before;
-        // four of the six calls reach the levels: ≈ 11 + 5 + 4 steps each
-        assert!((4..100).contains(&probes), "{probes} id comparisons");
+        // each of the six calls searches the levels: ≈ 11 + 5 + 4 steps
+        assert!((6..150).contains(&probes), "{probes} id comparisons");
         assert_eq!(db.len(), 1023);
     }
 
@@ -2177,8 +2346,10 @@ mod tests {
         }
         assert_eq!(got.ids, want.ids, "{what}: ids");
         assert_eq!(got.images, want.images, "{what}: images");
+        assert_eq!(got.copies_of, want.copies_of, "{what}: copies per shape");
         assert_eq!(got.sorted_ids, want.sorted_ids, "{what}: id table");
-        assert!(got.sorted_ids.windows(2).all(|w| w[0] < w[1]), "{what}: id table order");
+        assert!(got.sorted_ids.windows(2).all(|w| w[0].0 < w[1].0), "{what}: id table order");
+        assert!(got.sorted_ids.iter().all(|(g, l)| got.ids[l.index()] == *g), "{what}: id table rows");
         for (g, w) in got.shapes.iter().zip(&want.shapes) {
             assert_eq!((bits(g), g.is_closed()), (bits(w), w.is_closed()), "{what}: source shape");
         }
@@ -2200,7 +2371,9 @@ mod tests {
         /// insert / delete schedules, every level the base holds equals
         /// [`Level::build`] of what the old cascade would have pooled —
         /// the buffer, then the consumed slots in ascending order, minus
-        /// the tombstones — kept here as a model beside the base.
+        /// the tombstones — kept here as a model beside the base. So is a
+        /// compaction: the model drops a pool's dead, in place, the
+        /// moment they outnumber its live shapes.
         #[test]
         fn merge_equals_rebuild(seed in 0u64..1_000_000) {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -2210,6 +2383,7 @@ mod tests {
             type Pool = Vec<(GlobalShapeId, ImageId, Polyline)>;
             let (mut buffer, mut slots): (Pool, Vec<Option<Pool>>) = (Vec::new(), Vec::new());
             let mut dead: HashSet<GlobalShapeId> = HashSet::new();
+            let mut compactions = 0;
             for step in 0..rng.random_range(40..160u32) {
                 if buffer.is_empty() && slots.is_empty() || rng.random_bool(0.7) {
                     let (image, s) = (ImageId(step), shape(rng.random()));
@@ -2235,17 +2409,44 @@ mod tests {
                     prop_assert_eq!(db.delete(id), held, "step {}: delete {:?}", step, id);
                     match buffered {
                         Some(at) => drop(buffer.remove(at)),
-                        None if held => drop(dead.insert(id)),
+                        None if held => {
+                            dead.insert(id);
+                            // the rule, on the one pool that holds `id`
+                            let slot = slots.iter_mut().find(|s| s.iter().flatten().any(|(g, _, _)| *g == id));
+                            let slot = slot.expect("leveled");
+                            let pool = slot.as_mut().expect("found there");
+                            let gone = pool.iter().filter(|(g, _, _)| dead.contains(g)).count();
+                            if gone > pool.len() - gone {
+                                pool.retain(|(g, _, _)| !dead.remove(g));
+                                compactions += 1;
+                                if pool.is_empty() {
+                                    *slot = None;
+                                }
+                            }
+                        }
                         None => {}
                     }
                 }
-                prop_assert_eq!(&db.deleted, &dead, "step {}: tombstones", step);
+                prop_assert_eq!(db.compactions, compactions, "step {}: compactions", step);
+                let live = buffer.len() + slots.iter().flatten().map(Vec::len).sum::<usize>() - dead.len();
+                prop_assert_eq!((db.len(), db.snapshot().len()), (live, live), "step {}: len", step);
                 prop_assert_eq!(db.levels.len(), slots.len());
-                for (i, (level, model)) in db.levels.iter().zip(&slots).enumerate() {
-                    prop_assert_eq!(level.is_some(), model.is_some(), "step {}: slot {}", step, i);
-                    if let (Some(level), Some(model)) = (level, model) {
+                for (i, (slot, model)) in db.levels.iter().zip(&slots).enumerate() {
+                    prop_assert_eq!(slot.is_some(), model.is_some(), "step {}: slot {}", step, i);
+                    if let (Some(slot), Some(model)) = (slot, model) {
+                        let what = format!("seed {seed} step {step} slot {i}");
                         let rebuilt = Level::build(model.clone(), alpha, &db.family);
-                        assert_same_level(level, &rebuilt, &format!("seed {seed} step {step} slot {i}"));
+                        assert_same_level(&slot.level, &rebuilt, &what);
+                        // the bits are the model's tombstones, and never
+                        // the majority
+                        let held: Vec<_> = model.iter().map(|(g, _, _)| *g).collect();
+                        let want: Vec<_> = held.iter().filter(|g| dead.contains(g)).collect();
+                        let got: Vec<_> = held.iter().filter(|g| !slot.live().any(|(_, l, _, _)| l == **g)).collect();
+                        prop_assert_eq!(&got, &want, "{}: tombstones", what);
+                        prop_assert_eq!(slot.dead.shapes, want.len(), "{}: dead count", what);
+                        prop_assert!(slot.dead.shapes <= slot.live_shapes(), "{}: more dead than alive", what);
+                        let live_copies = slot.level.copies.iter().filter(|c| !slot.dead.get(c.shape_id)).count();
+                        prop_assert_eq!(slot.live_copies(), live_copies, "{}: live copies", what);
                     }
                 }
             }

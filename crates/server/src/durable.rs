@@ -354,6 +354,45 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Delete the majority of a level, die without a checkpoint, recover:
+    /// same shapes, same answers. A compaction is derived state — it
+    /// writes nothing to the WAL, the log holds the 16 inserts and the 9
+    /// deletes and no more, and replaying them compacts the level again
+    /// at the same delete.
+    #[test]
+    fn compacted_level_recovers_from_the_wal_alone() {
+        let dir = tmpdir("compact");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut wal = Wal::open(&dir, FsyncPolicy::Always, 1).unwrap();
+        let mut base = template().empty_base();
+        // buffer_cap 4: the 16 shapes carry into one level
+        for i in 0..16 {
+            wal.append(&insert_rec(i)).unwrap();
+            assert!(base.insert_with_id(GlobalShapeId(i), ImageId(i as u32), tri(i)));
+        }
+        for i in (0..16).filter(|i| i % 2 == 0).chain([15]) {
+            wal.append(&WalRecord::Delete { id: i }).unwrap();
+            assert!(base.delete(GlobalShapeId(i)));
+        }
+        wal.sync().unwrap();
+        assert_eq!((base.num_levels(), base.len(), base.compactions), (1, 7, 1));
+        // the kill: no checkpoint, no shutdown, the log as it stands
+        drop(wal);
+
+        let r = recover(&template(), &DurabilityConfig::new(&dir)).unwrap();
+        assert_eq!((r.report.checkpoint_shapes, r.report.replayed), (0, 25));
+        assert_eq!((r.base.num_levels(), r.base.len(), r.base.compactions), (1, 7, 1));
+        assert_eq!(r.base.snapshot().dead_shapes(), 0);
+        for i in 0..16 {
+            let answer = |b: &DynamicBase| -> Vec<(u64, u64)> {
+                b.retrieve(&tri(i)).iter().map(|m| (m.shape.0, m.score.to_bits())).collect()
+            };
+            assert_eq!(answer(&r.base), answer(&base), "query {i}");
+            assert_eq!(r.base.contains(GlobalShapeId(i)), i % 2 == 1 && i != 15);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// A CRC-valid WAL insert whose geometry fails shape validation is
     /// corruption (the writer only logs validated shapes): recovery must
     /// refuse to start, not silently drop the acked record while seeding

@@ -88,6 +88,8 @@ pub struct Metrics {
     pub read_only: Arc<obs::Gauge>,
     pub epoch: Arc<obs::Gauge>,
     pub live_shapes: Arc<obs::Gauge>,
+    /// Tombstoned shapes the published snapshot's levels still hold.
+    pub dead_shapes: Arc<obs::Gauge>,
 
     pub poll_wakeups: Arc<obs::Counter>,
     pub poll_events: Arc<obs::Histogram>,
@@ -156,6 +158,7 @@ impl Metrics {
             read_only: r.gauge_with_policy("geosir_read_only", &[], obs::GaugePolicy::Max),
             epoch: r.gauge_with_policy("geosir_snapshot_epoch", &[], obs::GaugePolicy::Max),
             live_shapes: r.gauge("geosir_live_shapes", &[]),
+            dead_shapes: r.gauge("geosir_dead_shapes", &[]),
             poll_wakeups: r.counter("geosir_poll_wakeups_total", &[]),
             poll_events: r.histogram("geosir_poll_events_per_wake", &[]),
             conns_open: r.gauge("geosir_conns_open", &[]),

@@ -515,6 +515,7 @@ impl Shared {
         let snap = self.current_snapshot();
         m.epoch.set(snap.epoch() as i64);
         m.live_shapes.set(snap.len() as i64);
+        m.dead_shapes.set(snap.dead_shapes() as i64);
         m.approx_buckets.set(snap.approx_num_buckets() as i64);
         m.approx_avg_bucket_size_x1000.set((snap.approx_avg_bucket_size() * 1000.0) as i64);
     }

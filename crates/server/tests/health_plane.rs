@@ -58,16 +58,28 @@ fn healthy_server_reports_ready_and_journals_lifecycle() {
         assert!(body.contains(needle), "missing {needle} in readyz: {body}");
     }
 
-    // Write enough to cascade — the lifecycle journal picks it up.
+    // Write enough to cascade — the lifecycle journal picks it up — then
+    // delete the 16-shape level's majority: half of it stays tombstoned,
+    // one more and the level is rebuilt without its dead.
     let mut c = Client::connect(handle.addr()).unwrap();
-    for i in 0..16u64 {
-        c.insert_retrying(i as u32, &tri(i)).unwrap();
+    let ids: Vec<u64> =
+        (0..16u64).map(|i| c.insert_retrying(i as u32, &tri(i)).unwrap().1).collect();
+    for id in &ids[..8] {
+        assert_eq!(c.delete(*id).unwrap().map(|(_, existed)| existed), Some(true));
     }
+    let (_, metrics) = http_get(maddr, "/metrics");
+    assert_eq!(series_value(&metrics, "geosir_dead_shapes"), Some(8.0), "{metrics}");
+    assert_eq!(c.delete(ids[8]).unwrap().map(|(_, existed)| existed), Some(true));
+    let (_, metrics) = http_get(maddr, "/metrics");
+    assert_eq!(series_value(&metrics, "geosir_dead_shapes"), Some(0.0), "{metrics}");
+    assert_eq!(series_value(&metrics, "geosir_live_shapes"), Some(7.0), "{metrics}");
+    assert_eq!(series_value(&metrics, "geosir_dynamic_compactions_total"), Some(1.0), "{metrics}");
     let (status, journal) = http_get(maddr, "/debug/journal");
     assert_eq!(status, 200);
-    for code in ["recovery.start", "recovery.done", "cascade.level"] {
+    for code in ["recovery.start", "recovery.done", "cascade.level", "compact.level"] {
         assert!(journal.contains(code), "journal missing {code}: {journal}");
     }
+    assert!(journal.contains(r#""shapes":"7","shed":"9""#), "{journal}");
 
     // Health gauges and SLO burn rates are on the scrape plane.
     let (status, metrics) = http_get(maddr, "/metrics");

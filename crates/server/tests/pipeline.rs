@@ -10,6 +10,8 @@ use common::{poll_until, polygon};
 
 use std::io::Write as _;
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use geosir_core::dynamic::DynamicBase;
@@ -216,28 +218,48 @@ fn query_batch_surfaces_busy_hint_and_retries() {
     let handle = serve("127.0.0.1:0", base, cfg).unwrap();
     let addr = handle.addr();
 
-    // pin the single worker on a long batch
-    let pin_batch: Vec<Polyline> = shapes.iter().cycle().take(250).cloned().collect();
-    let pin = std::thread::spawn(move || {
-        let mut client = Client::connect(addr).unwrap();
-        client.query_batch(&pin_batch, 1).unwrap()
-    });
-    assert!(poll_until(Duration::from_secs(30), || handle.stats().queries >= 1));
-
-    // park one more to fill the size-1 queue
-    let park_batch: Vec<Polyline> = shapes.iter().take(4).cloned().collect();
-    let parked = std::thread::spawn(move || {
-        let mut client = Client::connect(addr).unwrap();
-        client.query_batch(&park_batch, 1).unwrap()
-    });
+    // Pin the single worker and fill its size-1 queue for as long as the
+    // probe needs them so: two clients, a batch each, over and over —
+    // however fast this build answers one (a pin of any fixed length is
+    // over before the queue is looked at, in a release build).
+    let load: Vec<Polyline> = shapes.iter().cycle().take(100).cloned().collect();
+    let shed_seen = Arc::new(AtomicBool::new(false));
+    let loaders: Vec<_> = (0..2)
+        .map(|_| {
+            let (load, shed_seen) = (load.clone(), shed_seen.clone());
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                let mut served = 0;
+                while !shed_seen.load(Ordering::SeqCst) {
+                    let reply = client.query_batch(&load, 1).unwrap();
+                    if reply.rejected {
+                        std::thread::sleep(Duration::from_millis(1));
+                    } else {
+                        assert_eq!(reply.results.len(), load.len());
+                        served += 1;
+                    }
+                }
+                served
+            })
+        })
+        .collect();
     assert!(poll_until(Duration::from_secs(30), || handle.stats().queue_depth >= 1));
 
     // full queue: the batch reply carries the shed flag and a hint
     let mut c = Client::connect(addr).unwrap();
     let probe: Vec<Polyline> = shapes.iter().take(2).cloned().collect();
-    let reply = c.query_batch(&probe, 1).unwrap();
-    assert!(reply.rejected, "expected Busy on the batch path");
-    assert!(reply.retry_after_ms > 0, "shed batch must carry the retry-after hint");
+    let mut hint = 0;
+    assert!(
+        poll_until(Duration::from_secs(30), || {
+            let reply = c.query_batch(&probe, 1).unwrap();
+            hint = reply.retry_after_ms;
+            reply.rejected
+        }),
+        "expected Busy on the batch path"
+    );
+    assert!(hint > 0, "shed batch must carry the retry-after hint");
+    // one batch is still being answered and one still queued
+    shed_seen.store(true, Ordering::SeqCst);
 
     // the retrying variant waits the hint out and eventually lands
     let cfg = ClientConfig {
@@ -251,8 +273,8 @@ fn query_batch_surfaces_busy_hint_and_retries() {
     assert!(!served.rejected);
     assert_eq!(served.results.len(), 2);
 
-    assert_eq!(pin.join().unwrap().results.len(), 250);
-    assert!(!parked.join().unwrap().rejected);
+    let served: u32 = loaders.into_iter().map(|l| l.join().unwrap()).sum();
+    assert!(served >= 2, "the load itself was served: {served} batches");
     handle.shutdown();
     handle.join();
 }

@@ -222,6 +222,10 @@ require_present 'geosir_exact_seed_tightness_permille'
 require_present 'geosir_exact_scan_copies_total'
 require_present 'geosir_exact_scan_survivors_total'
 require_present 'geosir_matcher_runs_total'
+# What deletes leave behind and what reclaiming it cost: 0 on a base
+# nothing was deleted from, but exposed (`health_plane.rs` pins values).
+require_present 'geosir_dead_shapes '
+require_present 'geosir_dynamic_compactions_total'
 case "$BODY" in
     *geosir_approx_queries_total*)
         echo "metrics_scrape: an exact query was counted as approx traffic" >&2
