@@ -700,7 +700,6 @@ fn plan_sweep(large: bool) {
             let (mut reported, mut capped) = (0, 0);
             for (q, &tau) in queries.iter().zip(&taus) {
                 snap.retrieve_with_stats(&mut scratch, &mut tmp, q, k, &mut hits, &mut stats);
-                assert_eq!(stats.rings, 0, "a level with a cutoff is scanned");
                 matcher.retrieve_within_with(&mut scratch, q, tau, &mut tmp);
                 reported += tmp.stats.vertices_reported;
                 if tmp.stats.exhausted {
@@ -840,7 +839,7 @@ fn carry_cost() {
             snap.explain_with_stats(&mut scratch, &mut tmp, q, k, &mut hits, &mut stats, &mut explain);
             digest(&mut lists, &hits);
             // a scan that started from ∞: the seed found fewer than k
-            unseeded += explain.levels.iter().any(|l| l.final_eps.is_infinite()) as usize;
+            unseeded += explain.levels.iter().any(|l| l.cutoff.is_infinite()) as usize;
         }
         let best = (0..3).fold(f64::INFINITY, |best, _| {
             let t0 = Instant::now();

@@ -16,13 +16,13 @@
 //! is normalized and hashed once, when it is inserted (or bulk-loaded); a
 //! carry only merges what its inputs hold (`Level::merge`).
 //!
-//! An exact query is *seed-and-verify* (`View::retrieve`): the hash tier
-//! (§3, [`crate::approx`]) is probed first, and the k-th best of the true
-//! scores it returns bounds what any sub-base can still contribute — so
-//! each level is scanned, copy by copy, with the early-abandoning `h_avg`
-//! against that cutoff, exact on all k ranks (DESIGN.md §11.6). With
-//! fewer than k seeds the cutoff starts at ∞ and the same scan fills the
-//! board.
+//! An exact query is *seed-and-verify* (`Snapshot::seed_and_scan`): the
+//! hash tier (§3, [`crate::approx`]) is probed first, and the k-th best of
+//! the true scores it returns bounds what any sub-base can still
+//! contribute — so each level is scanned, copy by copy, with the
+//! early-abandoning `h_avg` against that cutoff, exact on all k ranks
+//! (DESIGN.md §11.6). With fewer than k seeds the cutoff starts at ∞ and
+//! the same scan fills the board.
 //!
 //! ## Snapshots
 //!
@@ -49,7 +49,7 @@ use crate::approx::{
 };
 use crate::hashing::{signature_of, signature_of_with, CurveFamily, Signature};
 use crate::ids::{ImageId, ShapeId};
-use crate::matcher::{MatchConfig, MatchOutcome, MatcherMetrics, RingExplain, Termination};
+use crate::matcher::{MatchConfig, MatchOutcome, MatcherMetrics};
 use crate::scratch::MatcherScratch;
 use crate::shapebase::{normalize_all, CopyRecord};
 use crate::similarity::{score_bounded_with, score_prepared_bounded, PreparedShape, ScoreKind};
@@ -81,10 +81,6 @@ pub struct DynamicBase {
     /// compactions (`MAX_DEAD_PER_LIVE`) there were.
     pub shapes_rebuilt: u64,
     pub compactions: u64,
-    /// Warm scratches for the scratchless [`Self::retrieve`] entry point,
-    /// so a query loop pays dense-array setup once. Bounded like the
-    /// matcher's pool.
-    scratch_pool: std::sync::Mutex<Vec<MatcherScratch>>,
 }
 
 /// One not-yet-leveled insert. The normalized copies are derived — and
@@ -214,72 +210,37 @@ pub struct DynMatch {
     pub score: f64,
 }
 
-/// Per-query totals aggregated across every level (the per-level
-/// [`crate::matcher::MatchStats`] in the shared outcome is overwritten
-/// level by level). The server worker feeds these into the per-query
-/// trace it publishes at `/debug/last_queries`.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// Per-query totals of one exact retrieval, summed over the levels it
+/// scanned. The server worker feeds these into the query's trace event
+/// and flight profile.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetrieveStats {
-    /// Levels queried.
+    /// Levels scanned.
     pub levels: u64,
-    /// Envelope iterations, index reports and ring vertices: always 0 —
-    /// a level is scanned, there is no envelope (the wire layout and the
-    /// trace records still carry the three).
-    pub rings: u64,
-    pub vertices_reported: u64,
-    pub vertices_processed: u64,
-    /// `h_avg` evaluations in the levels: every copy a scan scored.
-    pub candidates_scored: u64,
-    /// Of those, the copies the level scans scored (a level's live
-    /// copies minus what the seed had settled), and how many of them the
-    /// cutoff did not cut short. In-process only: the EXPLAIN wire
-    /// encoding does not carry the two, so a remote report's `stats`
-    /// reads 0 for both — there, `scan_copies` is the sum of
-    /// `candidates_scored` over the levels whose termination is
-    /// [`Termination::Scan`].
+    /// Level copies the scans scored (a level's live copies minus what
+    /// the seed had settled), and how many of them the cutoff did not cut
+    /// short. `scan_survivors` is in-process only: the EXPLAIN wire
+    /// encoding does not carry it, so a remote report reads 0 there.
     pub scan_copies: u64,
     pub scan_survivors: u64,
-    /// Always 0, like `rings`.
-    pub triangles_queried: u64,
     /// Buffered shapes scored brute force.
     pub buffer_scored: u64,
-    /// Always 0: a scan has no ε-cap to approach or exhaust.
-    pub max_eps_fraction: f64,
-    pub exhausted_levels: u64,
-    /// [`Termination::Scan`] once a level was queried, `None` otherwise —
-    /// what the flight recorder attributes the query to.
-    pub last_termination: Termination,
 }
 
-/// One level's share of an EXPLAIN'd query, in the layout the wire
-/// carries (it predates the scan and has room for an envelope run). Every
-/// level is scanned ([`Termination::Scan`]): no rings, vertices or ε-cap;
-/// `candidates_scored` are the copies the scan scored, `credit_scored`
-/// the copies the seed had already settled (the two sum to the level's
-/// live copies), and the cutoff τ the scan started from reads `final_eps`
-/// with `bound_factor` 1 — `INFINITY` when the seed left the board short
-/// of k shapes.
+/// One level's share of an EXPLAIN'd query: its live copies split into
+/// those the seed had already settled and those the scan scored against
+/// the cutoff it started from.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LevelExplain {
     /// Live shapes in this level.
     pub shapes: u64,
-    /// Per-envelope-iteration records, in order.
-    pub rings: Vec<RingExplain>,
-    /// Why this level's fattening loop stopped.
-    pub termination: Termination,
-    /// ε at exit, and the cap that was in force.
-    pub final_eps: f64,
-    pub eps_cap: f64,
-    /// The level plan's termination bound factor.
-    pub bound_factor: f64,
-    /// Level totals (the ring deltas sum to these).
-    pub vertices_reported: u64,
-    pub vertices_processed: u64,
-    pub candidates_scored: u64,
-    /// Candidates scored on anchor credit alone.
-    pub credit_scored: u32,
-    /// Cap hit without a certified answer.
-    pub exhausted: bool,
+    /// τ the scan started from — `INFINITY` when the seed left the board
+    /// short of k shapes.
+    pub cutoff: f64,
+    /// Copies the scan scored, and those the seed had settled (the two
+    /// sum to the level's live copies).
+    pub scored: u64,
+    pub settled: u32,
 }
 
 /// A full query EXPLAIN: per-level breakdowns plus the aggregate
@@ -290,8 +251,6 @@ pub struct LevelExplain {
 pub struct QueryExplain {
     /// One entry per level, in query order (largest/oldest first).
     pub levels: Vec<LevelExplain>,
-    /// Buffered shapes scored brute force.
-    pub buffer_scored: u64,
     /// The same aggregate stats a plain retrieval reports.
     pub stats: RetrieveStats,
 }
@@ -300,7 +259,6 @@ impl QueryExplain {
     /// Reset for reuse, keeping allocated capacity where possible.
     pub fn clear(&mut self) {
         self.levels.clear();
-        self.buffer_scored = 0;
         self.stats = RetrieveStats::default();
     }
 }
@@ -309,15 +267,12 @@ impl QueryExplain {
 /// cached per thread, recorded once per query.
 ///
 /// `pool_hits`/`pool_misses` count warm-scratch reuse per query: a hit
-/// is a query that completed without growing any scratch array —
-/// whether the scratch came from the internal pool or is a long-lived
-/// per-worker one (the serve path). A miss is a cold or outgrown
-/// scratch paying dense-array (re)allocation.
+/// is a query that completed without growing any scratch array (a
+/// worker's long-lived one, on the serve path). A miss is a cold or
+/// outgrown scratch paying dense-array (re)allocation.
 #[derive(Clone)]
 struct DynMetrics {
     queries: Arc<obs::Counter>,
-    rings_per_query: Arc<obs::Histogram>,
-    candidates_per_query: Arc<obs::Histogram>,
     buffer_scored: Arc<obs::Counter>,
     pool_hits: Arc<obs::Counter>,
     pool_misses: Arc<obs::Counter>,
@@ -344,8 +299,6 @@ impl DynMetrics {
         MatcherMetrics::build(reg);
         DynMetrics {
             queries: reg.counter("geosir_dynamic_queries_total", &[]),
-            rings_per_query: reg.histogram("geosir_matcher_rings_per_query", &[]),
-            candidates_per_query: reg.histogram("geosir_matcher_candidates_per_query", &[]),
             buffer_scored: reg.counter("geosir_dynamic_buffer_scored_total", &[]),
             pool_hits: reg.counter("geosir_dynamic_scratch_pool_hits_total", &[]),
             pool_misses: reg.counter("geosir_dynamic_scratch_pool_misses_total", &[]),
@@ -376,7 +329,6 @@ impl DynamicBase {
             epoch: 0,
             shapes_rebuilt: 0,
             compactions: 0,
-            scratch_pool: std::sync::Mutex::new(Vec::new()),
         }
     }
 
@@ -611,60 +563,6 @@ impl DynamicBase {
         });
     }
 
-    /// k best live shapes across all levels and the buffer.
-    ///
-    /// Routed through the scratch-reusing [`Self::retrieve_with`] path via
-    /// an internal bounded pool, so a query loop pays dense-array setup
-    /// once, not per query (and never once per level per query).
-    pub fn retrieve(&self, query: &Polyline) -> Vec<DynMatch> {
-        // Warm/cold accounting happens inside `View::retrieve`
-        // (a warm scratch — pooled here or per-worker on the serve
-        // path — counts as a hit), so no recording at the pool itself.
-        let pooled = self.scratch_pool.lock().expect("no query panics holding the pool").pop();
-        let mut scratch = pooled.unwrap_or_default();
-        let mut all = Vec::new();
-        self.retrieve_with(&mut scratch, &mut MatchOutcome::default(), query, &mut all);
-        let mut pool = self.scratch_pool.lock().unwrap();
-        if pool.len() < 4 {
-            pool.push(scratch);
-        }
-        all
-    }
-
-    /// [`Self::retrieve`] through caller-owned scratch and out-parameter:
-    /// the zero-allocation hot path. After a warm-up query, retrieval —
-    /// seed probe, level scans and buffer scan alike — touches the heap
-    /// zero times. `_tmp` is unused (no level runs a matcher that would
-    /// fill it); the parameter stays because `benchmark/` compiles
-    /// against the `Snapshot` entries that mirror this one (ROADMAP 5(c)
-    /// folds them).
-    pub fn retrieve_with(
-        &self,
-        scratch: &mut MatcherScratch,
-        _tmp: &mut MatchOutcome,
-        query: &Polyline,
-        out: &mut Vec<DynMatch>,
-    ) {
-        self.view().retrieve(
-            self.config.k,
-            scratch,
-            query,
-            out,
-            &mut RetrieveStats::default(),
-            None,
-            true,
-        );
-    }
-
-    fn view(&self) -> View<'_> {
-        View {
-            config: &self.config,
-            family: &self.family,
-            levels: &self.levels,
-            buffer: &self.buffer,
-        }
-    }
-
     /// Capture the queryable state — levels, tombstones, buffer, epoch —
     /// as an immutable, independently-queryable [`Snapshot`]. O(buffer +
     /// levels) pointer copies: levels, their tombstone bitmaps and
@@ -852,32 +750,21 @@ impl Snapshot {
     }
 
     /// k best live shapes at this snapshot's epoch (`k = 0` means the
-    /// base's configured k).
+    /// base's configured k). Convenience wrapper on fresh scratch; loops
+    /// should hold one and call [`Self::retrieve_with_stats`].
     pub fn retrieve(&self, query: &Polyline, k: usize) -> Vec<DynMatch> {
-        let mut scratch = MatcherScratch::new();
-        let mut tmp = MatchOutcome::default();
-        let mut out = Vec::new();
-        self.retrieve_with(&mut scratch, &mut tmp, query, k, &mut out);
+        let (mut scratch, mut tmp) = (MatcherScratch::new(), MatchOutcome::default());
+        let (mut out, mut stats) = (Vec::new(), RetrieveStats::default());
+        self.retrieve_with_stats(&mut scratch, &mut tmp, query, k, &mut out, &mut stats);
         out
     }
 
-    /// [`Self::retrieve`] through caller-owned scratch — the entry point
-    /// server workers drive with long-lived per-worker scratches (`tmp`
-    /// is unused: see [`DynamicBase::retrieve_with`]).
-    pub fn retrieve_with(
-        &self,
-        scratch: &mut MatcherScratch,
-        tmp: &mut MatchOutcome,
-        query: &Polyline,
-        k: usize,
-        out: &mut Vec<DynMatch>,
-    ) {
-        self.retrieve_with_stats(scratch, tmp, query, k, out, &mut RetrieveStats::default());
-    }
-
-    /// [`Self::retrieve_with`] that also reports the query's aggregated
-    /// work in `stats` — what the server attaches to the query's trace.
-    /// Same hot path, no extra allocation.
+    /// [`Self::retrieve`] through caller-owned scratch, reporting the
+    /// query's work in `stats` — the path server workers run with their
+    /// long-lived scratches: after a warm-up query the seed probe, level
+    /// scans and buffer scan touch the heap zero times. `_tmp` is unused
+    /// (no level runs a matcher that would fill it); it stays because
+    /// `benchmark/` compiles against this signature (ROADMAP 5(c)).
     pub fn retrieve_with_stats(
         &self,
         scratch: &mut MatcherScratch,
@@ -888,7 +775,7 @@ impl Snapshot {
         stats: &mut RetrieveStats,
     ) {
         let k = if k == 0 { self.config.k } else { k };
-        self.view().retrieve(k, scratch, query, out, stats, None, true);
+        self.seed_and_scan(k, scratch, query, out, stats, None, true);
     }
 
     /// [`Self::retrieve_with_stats`] that additionally captures a full
@@ -908,18 +795,8 @@ impl Snapshot {
     ) {
         let k = if k == 0 { self.config.k } else { k };
         explain.clear();
-        self.view().retrieve(k, scratch, query, out, stats, Some(explain), true);
-        explain.buffer_scored = stats.buffer_scored;
+        self.seed_and_scan(k, scratch, query, out, stats, Some(explain), true);
         explain.stats = *stats;
-    }
-
-    fn view(&self) -> View<'_> {
-        View {
-            config: &self.config,
-            family: &self.family,
-            levels: &self.levels,
-            buffer: &self.buffer,
-        }
     }
 
     /// Normalized copies of the live shapes captured by this snapshot
@@ -982,7 +859,7 @@ impl Snapshot {
     /// and indexed in place by the exact tier's own routine
     /// (`MatcherScratch::prepare_query`: same diameter, same frame),
     /// then probed and reranked by the shared core
-    /// ([`View::probe_rerank`], which the exact tier's seed step also
+    /// ([`Self::probe_rerank`], which the exact tier's seed step also
     /// runs). A query with degenerate geometry — or one whose cascade
     /// collects nothing — falls through to the exact tier
     /// ([`Self::retrieve_with_stats`]), reported as
@@ -1001,7 +878,7 @@ impl Snapshot {
         *stats = ApproxStats { corpus_copies: self.copies as u64, ..ApproxStats::default() };
         if scratch.prepare_query(query) {
             let qprep = scratch.query.as_ref().expect("prepared above");
-            self.view().probe_rerank(ax, qprep, opts, out, stats);
+            self.probe_rerank(ax, qprep, opts, out, stats);
         }
         if stats.candidates == 0 {
             stats.tier = AnswerTier::Exact;
@@ -1009,18 +886,7 @@ impl Snapshot {
         }
         record_query_metrics(stats);
     }
-}
 
-/// The queryable state a [`DynamicBase`] and a [`Snapshot`] both hold,
-/// borrowed: the two retrieval tiers are written once, against this.
-struct View<'a> {
-    config: &'a MatchConfig,
-    family: &'a CurveFamily,
-    levels: &'a [Option<Slot>],
-    buffer: &'a [Arc<BufferedShape>],
-}
-
-impl View<'_> {
     /// Occupied slots with their index, smallest (most recent) first.
     fn slots(&self) -> impl DoubleEndedIterator<Item = (usize, &Slot)> {
         self.levels.iter().enumerate().filter_map(|(i, s)| s.as_ref().map(|s| (i, s)))
@@ -1033,9 +899,9 @@ impl View<'_> {
     /// and leave the k best live shapes in `out` (true scores,
     /// ascending). Fills the funnel fields of `stats`;
     /// `stats.candidates == 0` means the cascade found nothing. Calls no
-    /// other tier — [`Snapshot::similar_approx_with`] wraps it with the
-    /// exact fallback, [`View::retrieve`] runs the same two steps as its
-    /// seed and keeps the board.
+    /// other tier — [`Self::similar_approx_with`] wraps it with the
+    /// exact fallback, [`Self::seed_and_scan`] runs the same two steps as
+    /// its seed and keeps the board.
     fn probe_rerank(
         &self,
         ax: &mut ApproxScratch,
@@ -1073,7 +939,7 @@ impl View<'_> {
         opts: &ApproxOptions,
         stats: &mut ApproxStats,
     ) {
-        let family = self.family;
+        let family = &*self.family;
         let kf = family.k() as u16;
         let max_radius = opts.max_radius.min(kf);
         let max_cand = opts.max_candidates.max(1);
@@ -1162,7 +1028,7 @@ impl View<'_> {
     /// without it the levels score the seed's copies over again (the
     /// differential test's other leg: same answer, more scorings).
     #[allow(clippy::too_many_arguments)]
-    fn retrieve(
+    fn seed_and_scan(
         &self,
         k: usize,
         scratch: &mut MatcherScratch,
@@ -1176,7 +1042,7 @@ impl View<'_> {
         *stats = RetrieveStats::default();
         // Warm-scratch detection for the hit/miss metrics below: a query
         // that finishes without growing any dense array reused a warm
-        // scratch (pooled, or the per-worker one on the serve path).
+        // scratch.
         let grows_before = scratch.grow_events;
         let mut seed_stats = ApproxStats::default();
         let mut tau = f64::INFINITY;
@@ -1216,19 +1082,14 @@ impl View<'_> {
                 });
                 let qprep = scratch.query.as_ref().expect("prepared above");
                 let done = score_onto(self.config.score, qprep, back, &mut board, offers);
-                stats.candidates_scored += done.scored;
                 stats.scan_copies += done.scored;
                 stats.scan_survivors += done.scored - done.abandoned;
-                stats.last_termination = Termination::Scan;
                 if let Some(ex) = explain.as_deref_mut() {
                     ex.levels.push(LevelExplain {
                         shapes: slot.live_shapes() as u64,
-                        termination: Termination::Scan,
-                        final_eps: within,
-                        bound_factor: 1.0,
-                        candidates_scored: done.scored,
-                        credit_scored: credit as u32,
-                        ..LevelExplain::default()
+                        cutoff: within,
+                        scored: done.scored,
+                        settled: credit as u32,
                     });
                 }
             }
@@ -1251,8 +1112,6 @@ impl View<'_> {
         }
         obs::with_metrics(DynMetrics::build, |m| {
             m.queries.inc();
-            m.rings_per_query.record(stats.rings);
-            m.candidates_per_query.record(stats.vertices_reported);
             m.buffer_scored.add(stats.buffer_scored);
             // The seed is exact-tier work, counted here — never under the
             // approximate tier's `QueryApprox` series.
@@ -1269,9 +1128,7 @@ impl View<'_> {
                 m.unseeded.inc();
             }
             // Scratch reuse: a query that never grew a dense array ran
-            // entirely on warm scratch (from the internal pool *or* a
-            // long-lived per-worker scratch — the serve path used to
-            // bypass this accounting and both counters sat at 0 forever).
+            // entirely on warm scratch.
             if scratch.grow_events == grows_before {
                 m.pool_hits.inc();
             } else {
@@ -1429,7 +1286,7 @@ mod tests {
         assert_eq!(db.len(), 1);
         // still in the buffer (cap 8) — brute-force path must find it
         assert_eq!(db.num_levels(), 0);
-        let hits = db.retrieve(&s);
+        let hits = db.snapshot().retrieve(&s, 0);
         assert_eq!(hits.first().map(|m| m.shape), Some(id));
         assert!(hits[0].score < 1e-9);
     }
@@ -1447,7 +1304,7 @@ mod tests {
         // every shape still retrievable
         for i in 0..16u64 {
             let s = shape(i);
-            let hits = db.retrieve(&s);
+            let hits = db.snapshot().retrieve(&s, 0);
             assert!(hits.iter().any(|m| m.score < 1e-9), "shape {i} lost after cascades");
         }
     }
@@ -1470,7 +1327,7 @@ mod tests {
             MatchConfig { k: 3, beta: 0.3, ..Default::default() },
         );
         for q in shapes.iter().take(6) {
-            let dyn_hits = db.retrieve(q);
+            let dyn_hits = db.snapshot().retrieve(q, 0);
             let stat_hits = matcher.retrieve(q);
             assert_eq!(
                 dyn_hits.first().map(|m| m.image),
@@ -1504,7 +1361,7 @@ mod tests {
             db.insert(ImageId(i), shape(i as u64 + 500));
         }
         assert!(db.num_levels() >= 2, "test needs a multi-level base");
-        let hits = db.retrieve(&needle);
+        let hits = db.snapshot().retrieve(&needle, 0);
         assert_eq!(hits.first().map(|m| m.shape), Some(needle_id), "needle lost to cutoff");
         assert!(hits[0].score < 1e-9, "needle score should be ~0");
         // and the ranking must match a from-scratch static base
@@ -1596,7 +1453,7 @@ mod tests {
             oracle.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
             oracle.truncate(10);
 
-            snap.retrieve_with(&mut scratch, &mut tmp, q, 0, &mut out);
+            snap.retrieve_with_stats(&mut scratch, &mut tmp, q, 0, &mut out, &mut RetrieveStats::default());
             let got: Vec<(GlobalShapeId, f64)> = out.iter().map(|m| (m.shape, m.score)).collect();
             assert_eq!(got, oracle, "query {qi}");
         }
@@ -1619,16 +1476,16 @@ mod tests {
         for i in 1..10 {
             db.insert(ImageId(i), shape(i as u64 + 50));
         }
-        assert!(db.retrieve(&s).iter().any(|m| m.shape == id));
+        assert!(db.snapshot().retrieve(&s, 0).iter().any(|m| m.shape == id));
         assert!(db.delete(id));
         assert!(!db.delete(id), "double delete must report false");
-        assert!(!db.retrieve(&s).iter().any(|m| m.shape == id));
+        assert!(!db.snapshot().retrieve(&s, 0).iter().any(|m| m.shape == id));
         assert_eq!(db.len(), 9);
         // after more inserts force rebuilds, the tombstone is compacted
         for i in 10..30 {
             db.insert(ImageId(i), shape(i as u64 + 50));
         }
-        assert!(!db.retrieve(&s).iter().any(|m| m.shape == id));
+        assert!(!db.snapshot().retrieve(&s, 0).iter().any(|m| m.shape == id));
     }
 
     #[test]
@@ -1695,25 +1552,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_matches_base_retrieval() {
-        let mut db = dynbase(4);
-        for i in 0..21 {
-            db.insert(ImageId(i), shape(i as u64 + 200));
-        }
-        let snap = db.snapshot();
-        for i in 0..21u64 {
-            let q = shape(i + 200);
-            let from_base = db.retrieve(&q);
-            let from_snap = snap.retrieve(&q, 0);
-            assert_eq!(from_base.len(), from_snap.len());
-            for (a, b) in from_base.iter().zip(&from_snap) {
-                assert_eq!(a.shape, b.shape);
-                assert_eq!(a.score, b.score);
-            }
-        }
-    }
-
-    #[test]
     fn bulk_load_matches_incremental_inserts() {
         let shapes: Vec<Polyline> = (0..20).map(|i| shape(i as u64 + 400)).collect();
         let mut incremental = dynbase(4);
@@ -1728,15 +1566,15 @@ mod tests {
         assert_eq!(bulk.num_levels(), 1, "bulk load must build exactly one level");
         assert_eq!(bulk.epoch(), 20);
         for q in shapes.iter().take(8) {
-            let a = incremental.retrieve(q);
-            let b = bulk.retrieve(q);
+            let a = incremental.snapshot().retrieve(q, 0);
+            let b = bulk.snapshot().retrieve(q, 0);
             assert_eq!(a.first().map(|m| m.image), b.first().map(|m| m.image));
             assert!((a[0].score - b[0].score).abs() < 1e-9);
         }
         // live updates keep working after a bulk load
         let extra = shape(999);
         let id = bulk.insert(ImageId(99), extra.clone());
-        assert_eq!(bulk.retrieve(&extra).first().map(|m| m.shape), Some(id));
+        assert_eq!(bulk.snapshot().retrieve(&extra, 0).first().map(|m| m.shape), Some(id));
         assert!(bulk.delete(id));
     }
 
@@ -1746,13 +1584,14 @@ mod tests {
         for i in 0..18 {
             db.insert(ImageId(i), shape(i as u64 + 300));
         }
+        let snap = db.snapshot();
         let mut scratch = crate::scratch::MatcherScratch::new();
         let mut tmp = MatchOutcome::default();
         let mut out = Vec::new();
         for i in 0..18u64 {
             let q = shape(i + 300);
-            db.retrieve_with(&mut scratch, &mut tmp, &q, &mut out);
-            let fresh = db.retrieve(&q);
+            snap.retrieve_with_stats(&mut scratch, &mut tmp, &q, 0, &mut out, &mut RetrieveStats::default());
+            let fresh = snap.retrieve(&q, 0);
             assert_eq!(out.len(), fresh.len());
             for (a, b) in out.iter().zip(&fresh) {
                 assert_eq!(a.shape, b.shape);
@@ -1803,8 +1642,8 @@ mod tests {
         // original; deeper ranks may differ across level decompositions
         for i in 0..14u64 {
             let q = shape(i + 700);
-            let a = db.retrieve(&q);
-            let b = restored.retrieve(&q);
+            let a = db.snapshot().retrieve(&q, 0);
+            let b = restored.snapshot().retrieve(&q, 0);
             assert_eq!(
                 a.first().map(|m| m.shape),
                 b.first().map(|m| m.shape),
@@ -1853,7 +1692,7 @@ mod tests {
         assert_eq!(db.num_levels(), 2);
         let snap = db.snapshot();
         let level_copies: Vec<u64> =
-            snap.view().slots().rev().map(|(_, s)| s.level.copies.len() as u64).collect();
+            snap.slots().rev().map(|(_, s)| s.level.copies.len() as u64).collect();
 
         let mut scratch = MatcherScratch::new();
         let mut tmp = MatchOutcome::default();
@@ -1886,25 +1725,16 @@ mod tests {
 
             // per-level records reconcile with the aggregate stats
             assert_eq!(explain.levels.len() as u64, ex_stats.levels);
-            let scored: u64 = explain.levels.iter().map(|l| l.candidates_scored).sum();
-            assert_eq!(scored, ex_stats.candidates_scored);
+            let scored: u64 = explain.levels.iter().map(|l| l.scored).sum();
             assert_eq!(ex_stats.scan_copies, scored);
             assert!(ex_stats.scan_survivors <= ex_stats.scan_copies);
-            assert_eq!((ex_stats.rings, ex_stats.vertices_reported, ex_stats.exhausted_levels), (0, 0, 0));
-            assert_eq!(explain.buffer_scored, ex_stats.buffer_scored);
-            assert_eq!(explain.buffer_scored, 2, "buffered shapes must be brute-force scored");
+            assert_eq!(ex_stats.buffer_scored, 2, "buffered shapes must be brute-force scored");
             for (level, copies) in explain.levels.iter().zip(&level_copies) {
-                // no envelope: the copies split into scored and settled
-                // by the seed, the cutoff the scan started from is on
-                // record
-                assert_eq!(level.termination, Termination::Scan, "k = {k}");
-                assert!(level.rings.is_empty() && !level.exhausted);
-                assert_eq!((level.vertices_reported, level.vertices_processed), (0, 0));
-                assert_eq!(level.candidates_scored + level.credit_scored as u64, *copies);
-                assert_eq!(level.final_eps.is_finite(), seeded, "k = {k}");
-                assert_eq!(level.bound_factor, 1.0);
+                // the copies split into scored and settled by the seed,
+                // the cutoff the scan started from is on record
+                assert_eq!(level.scored + level.settled as u64, *copies);
+                assert_eq!(level.cutoff.is_finite(), seeded, "k = {k}");
             }
-            assert_eq!(ex_stats.last_termination, Termination::Scan);
         }
     }
 
@@ -2236,10 +2066,10 @@ mod tests {
             let q = perturb(if i % 2 == 0 { &proto } else { shape }, &mut rng, 0.01);
             for k in [1, 4, 10] {
                 snap.retrieve_with_stats(&mut scratch, &mut tmp, &q, k, &mut on, &mut on_stats);
-                snap.view().retrieve(k, &mut scratch, &q, &mut off, &mut off_stats, None, false);
+                snap.seed_and_scan(k, &mut scratch, &q, &mut off, &mut off_stats, None, false);
                 assert_eq!(id_bits(&on), id_bits(&off), "query {i}, k = {k}");
-                scored_on += on_stats.candidates_scored;
-                scored_off += off_stats.candidates_scored;
+                scored_on += on_stats.scan_copies;
+                scored_off += off_stats.scan_copies;
             }
         }
         assert!(scored_on < scored_off, "the hand-off saved no scoring: {scored_on} vs {scored_off}");

@@ -150,8 +150,7 @@ pub struct Match {
     pub score: f64,
 }
 
-/// Why the fattening loop stopped — the §2.5 exit conditions, recorded
-/// for EXPLAIN output and the flight recorder.
+/// Why the fattening loop stopped — the §2.5 exit conditions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Termination {
     /// Not run (outcome never produced by a retrieval).
@@ -171,53 +170,6 @@ pub enum Termination {
     MaxIterations,
     /// The base had no copies; nothing to retrieve.
     EmptyBase,
-    /// No envelope at all: a dynamic-base level whose cutoff τ was known
-    /// up front, every copy scored against it by the early-abandoning
-    /// `h_avg` (exact, and no ε-cap to exhaust).
-    Scan,
-}
-
-impl Termination {
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Termination::None => "none",
-            Termination::Certified => "certified",
-            Termination::Threshold => "threshold",
-            Termination::EpsCap => "eps_cap",
-            Termination::MaxIterations => "max_iterations",
-            Termination::EmptyBase => "empty_base",
-            Termination::Scan => "scan",
-        }
-    }
-
-    /// The flight-recorder code for this reason
-    /// ([`obs::flight::termination_name`] inverts it).
-    pub fn flight_code(&self) -> u8 {
-        match self {
-            Termination::None => obs::flight::TERM_NONE,
-            Termination::Certified => obs::flight::TERM_CERTIFIED,
-            Termination::Threshold => obs::flight::TERM_THRESHOLD,
-            Termination::EpsCap => obs::flight::TERM_EPS_CAP,
-            Termination::MaxIterations => obs::flight::TERM_MAX_ITERS,
-            Termination::EmptyBase => obs::flight::TERM_EMPTY,
-            Termination::Scan => obs::flight::TERM_SCAN,
-        }
-    }
-
-    /// Inverse of [`Termination::flight_code`]; `None` for bytes no
-    /// reason maps to (a malformed wire frame, a newer peer).
-    pub fn from_flight_code(code: u8) -> Option<Termination> {
-        Some(match code {
-            obs::flight::TERM_NONE => Termination::None,
-            obs::flight::TERM_CERTIFIED => Termination::Certified,
-            obs::flight::TERM_THRESHOLD => Termination::Threshold,
-            obs::flight::TERM_EPS_CAP => Termination::EpsCap,
-            obs::flight::TERM_MAX_ITERS => Termination::MaxIterations,
-            obs::flight::TERM_EMPTY => Termination::EmptyBase,
-            obs::flight::TERM_SCAN => Termination::Scan,
-            _ => return None,
-        })
-    }
 }
 
 /// One envelope iteration's work, as recorded by an EXPLAIN run: the

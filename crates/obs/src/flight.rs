@@ -28,11 +28,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Fixed per-slot payload words; bump when [`QueryProfile`] grows.
 const FIELDS: usize = 10;
 
-/// Request kinds, as stored in [`QueryProfile::kind`].
+// Request kinds, as stored in `QueryProfile::kind`.
+/// An exact query. Its scan rides in the count fields: `levels` = levels
+/// scanned, `candidates` = copies the level scans scored, `scored` = those
+/// the cutoff did not cut short, `rings` = 0; `termination` is
+/// `TERM_SCAN`, or `TERM_NONE` when no level was scanned.
 pub const KIND_QUERY: u8 = 0;
 pub const KIND_BATCH: u8 = 1;
 pub const KIND_INSERT: u8 = 2;
 pub const KIND_DELETE: u8 = 3;
+/// An exact query answered with its plan: counted as [`KIND_QUERY`].
 pub const KIND_EXPLAIN: u8 = 4;
 /// A scatter-gathered query recorded by a router rather than a shard.
 /// Router profiles reuse the count fields for cluster accounting:
@@ -57,26 +62,18 @@ pub fn kind_name(code: u8) -> &'static str {
     }
 }
 
-/// Termination codes, as stored in [`QueryProfile::termination`].
-/// The matcher's richer termination enum maps onto these for the
-/// recorder; `TERM_NONE` marks non-query profiles.
+/// Termination codes, as stored in [`QueryProfile::termination`]: an
+/// exact query that scanned a level reads `TERM_SCAN`, every other
+/// profile `TERM_NONE`. The values are those of the EXPLAIN wire's
+/// termination byte, where 1–5 named the exits of the envelope plan the
+/// scan replaced.
 pub const TERM_NONE: u8 = 0;
-pub const TERM_CERTIFIED: u8 = 1;
-pub const TERM_THRESHOLD: u8 = 2;
-pub const TERM_EPS_CAP: u8 = 3;
-pub const TERM_MAX_ITERS: u8 = 4;
-pub const TERM_EMPTY: u8 = 5;
 pub const TERM_SCAN: u8 = 6;
 
 /// Human name for a [`QueryProfile::termination`] code.
 fn termination_name(code: u8) -> &'static str {
     match code {
         TERM_NONE => "none",
-        TERM_CERTIFIED => "certified",
-        TERM_THRESHOLD => "threshold",
-        TERM_EPS_CAP => "eps_cap",
-        TERM_MAX_ITERS => "max_iterations",
-        TERM_EMPTY => "empty_base",
         TERM_SCAN => "scan",
         _ => "other",
     }
@@ -95,17 +92,15 @@ pub struct QueryProfile {
     pub total_us: u64,
     /// Time spent queued before a worker picked the request up, µs.
     pub queue_us: u64,
-    /// ε-envelope rings expanded across all levels.
+    /// Work counts; what each counts depends on `kind` (see the `KIND_*`
+    /// codes).
     pub rings: u32,
-    /// `DynamicBase` levels consulted.
     pub levels: u32,
-    /// Candidate vertices reported by range queries.
     pub candidates: u64,
-    /// Candidates promoted to an `h_avg` evaluation.
     pub scored: u32,
     /// Snapshot epoch the request ran against.
     pub epoch: u64,
-    /// Termination code (`TERM_*`) of the final level's matcher run.
+    /// Termination code (`TERM_*`).
     pub termination: u8,
 }
 
@@ -283,7 +278,7 @@ mod tests {
             candidates: 40,
             scored: 3,
             epoch: 7,
-            termination: TERM_CERTIFIED,
+            termination: TERM_SCAN,
         }
     }
 
@@ -333,7 +328,7 @@ mod tests {
         assert!(json.starts_with('[') && json.ends_with(']'), "{json}");
         assert!(json.contains("\"trace_id\":5"), "{json}");
         assert!(json.contains("\"kind\":\"query\""), "{json}");
-        assert!(json.contains("\"termination\":\"certified\""), "{json}");
+        assert!(json.contains("\"termination\":\"scan\""), "{json}");
     }
 
     #[test]

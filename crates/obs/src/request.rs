@@ -80,7 +80,7 @@ pub struct RequestRecord {
     pub epoch: u64,
     /// `(stage name, duration µs)` in pipeline order.
     pub stages: Vec<(&'static str, u64)>,
-    /// `(counter name, value)` — e.g. matcher rings, candidates.
+    /// `(counter name, value)` — e.g. levels scanned, candidates.
     pub notes: Vec<(&'static str, u64)>,
     pub work: Work,
 }

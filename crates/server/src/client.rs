@@ -187,8 +187,8 @@ pub struct BatchReply {
 }
 
 /// What an EXPLAIN round trip produced: the matches a plain query
-/// would have returned, plus the server's per-level/per-ring breakdown
-/// and timings.
+/// would have returned, plus the server's per-level breakdown and
+/// timings.
 #[derive(Debug, Clone)]
 pub struct ExplainReply {
     /// Snapshot epoch the query ran against.
@@ -203,7 +203,7 @@ pub struct ExplainReply {
     pub queue_us: u64,
     /// Hits, best score first — identical to a plain query's.
     pub matches: Vec<WireMatch>,
-    /// The captured per-level/per-ring EXPLAIN breakdown.
+    /// The captured per-level EXPLAIN breakdown.
     pub report: geosir_core::dynamic::QueryExplain,
     /// True when the server shed the request under load (`Busy`).
     pub rejected: bool,
@@ -372,8 +372,7 @@ impl Client {
 
     /// Run a query with EXPLAIN/ANALYZE-style introspection: same
     /// matches a plain [`Client::query`] would return, plus the
-    /// server's per-level/per-ring breakdown of how the §2.5 fattening
-    /// loop spent its time.
+    /// server's per-level breakdown of the scan that answered it.
     pub fn explain(&mut self, query: &Polyline, k: u32) -> Result<ExplainReply, WireError> {
         let trace = self.fresh_trace();
         let reply =

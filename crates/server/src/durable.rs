@@ -385,7 +385,7 @@ mod tests {
         assert_eq!(r.base.snapshot().dead_shapes(), 0);
         for i in 0..16 {
             let answer = |b: &DynamicBase| -> Vec<(u64, u64)> {
-                b.retrieve(&tri(i)).iter().map(|m| (m.shape.0, m.score.to_bits())).collect()
+                b.snapshot().retrieve(&tri(i), 0).iter().map(|m| (m.shape.0, m.score.to_bits())).collect()
             };
             assert_eq!(answer(&r.base), answer(&base), "query {i}");
             assert_eq!(r.base.contains(GlobalShapeId(i)), i % 2 == 1 && i != 15);

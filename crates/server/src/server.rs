@@ -96,7 +96,7 @@ use crate::health::{
     self, ComponentHealth, HealthConfig, HealthState, TransitionTracker, Verdict,
 };
 use crate::metrics::Metrics;
-use crate::wire::{error_code, Frame, ServerStats, StageTrailer, WireMatch};
+use crate::wire::{error_code, scan_termination, Frame, ServerStats, StageTrailer, WireMatch};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -850,9 +850,10 @@ pub(crate) fn install_panic_flight_dump() {
 
 /// Serialize one slow-query record as a single JSON line: identity and
 /// timing up front (join keys for the trace log and flight recorder),
-/// then the full per-level/per-ring EXPLAIN breakdown. Hand-rolled like
-/// the trace log's JSON — every value is numeric or a static
-/// identifier, so no escaping is needed.
+/// then the query's scan, in total and level by level, under the field
+/// names of `RetrieveStats` / `LevelExplain`. Hand-rolled like the trace
+/// log's JSON — every value is numeric or a static identifier, so no
+/// escaping is needed.
 fn slow_query_json(
     out: &mut String,
     trace_id: u64,
@@ -865,62 +866,29 @@ fn slow_query_json(
     let _ = write!(
         out,
         "{{\"trace_id\":{trace_id},\"kind\":\"{}\",\"total_us\":{},\
-         \"queue_us\":{},\"epoch\":{},\"hits\":{hits},\
-         \"termination\":\"{}\",\"levels\":{},\"rings\":{},\
-         \"vertices_reported\":{},\"vertices_processed\":{},\
-         \"candidates_scored\":{},\"triangles_queried\":{},\
-         \"buffer_scored\":{},\"exhausted_levels\":{},\"per_level\":[",
+         \"queue_us\":{},\"epoch\":{},\"hits\":{hits},\"levels\":{},\
+         \"scan_copies\":{},\"scan_survivors\":{},\"buffer_scored\":{},\"per_level\":[",
         rec.kind.name(),
         rec.total_us,
         rec.queue_us,
         rec.epoch,
-        s.last_termination.as_str(),
         s.levels,
-        s.rings,
-        s.vertices_reported,
-        s.vertices_processed,
-        s.candidates_scored,
-        s.triangles_queried,
-        explain.buffer_scored,
-        s.exhausted_levels,
+        s.scan_copies,
+        s.scan_survivors,
+        s.buffer_scored,
     );
     for (i, level) in explain.levels.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         // an unseeded scan starts from a cutoff of ∞, which JSON cannot spell
-        let final_eps =
-            if level.final_eps.is_finite() { level.final_eps.to_string() } else { "null".to_string() };
+        let cutoff =
+            if level.cutoff.is_finite() { level.cutoff.to_string() } else { "null".to_string() };
         let _ = write!(
             out,
-            "{{\"shapes\":{},\"termination\":\"{}\",\"final_eps\":{},\
-             \"eps_cap\":{},\"bound_factor\":{},\"vertices_reported\":{},\
-             \"vertices_processed\":{},\"candidates_scored\":{},\
-             \"credit_scored\":{},\"exhausted\":{},\"rings\":[",
-            level.shapes,
-            level.termination.as_str(),
-            final_eps,
-            level.eps_cap,
-            level.bound_factor,
-            level.vertices_reported,
-            level.vertices_processed,
-            level.candidates_scored,
-            level.credit_scored,
-            level.exhausted,
+            "{{\"shapes\":{},\"cutoff\":{cutoff},\"scored\":{},\"settled\":{}}}",
+            level.shapes, level.scored, level.settled,
         );
-        for (j, r) in level.rings.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"ring\":{},\"eps\":{},\"triangles\":{},\
-                 \"vertices_reported\":{},\"vertices_processed\":{},\
-                 \"promotions\":{}}}",
-                r.ring, r.eps, r.triangles, r.vertices_reported, r.vertices_processed, r.promotions,
-            );
-        }
-        out.push_str("]}");
     }
     out.push_str("]}");
 }
@@ -1413,17 +1381,17 @@ fn run_read_job(shared: &Shared, snap: &Snapshot, job: &Job, coalesced: u64, ws:
                         .stage("queue_wait", queue_us)
                         .stage("retrieve", retrieve_us)
                         .note("epoch", snap.epoch())
-                        .note("rings", rstats.rings)
-                        .note("candidates", rstats.vertices_reported)
-                        .note("scored", rstats.candidates_scored)
+                        .note("levels", rstats.levels)
+                        .note("candidates", rstats.scan_copies)
+                        .note("scored", rstats.scan_survivors)
                         .note("coalesced", coalesced)
                         .note("hits", hits.len() as u64);
                     rec.work = obs::Work {
-                        rings: rstats.rings.min(u32::MAX as u64) as u32,
                         levels: rstats.levels.min(u32::MAX as u64) as u32,
-                        candidates: rstats.vertices_reported,
-                        scored: rstats.candidates_scored.min(u32::MAX as u64) as u32,
-                        termination: rstats.last_termination.flight_code(),
+                        candidates: rstats.scan_copies,
+                        scored: rstats.scan_survivors.min(u32::MAX as u64) as u32,
+                        termination: scan_termination(rstats.levels),
+                        ..obs::Work::default()
                     };
                     let (epoch, matches) = (snap.epoch(), to_wire(hits));
                     // a reply's trace id and timings are read off the record, below
@@ -1493,7 +1461,7 @@ fn run_read_job(shared: &Shared, snap: &Snapshot, job: &Job, coalesced: u64, ws:
                 match shape.to_polyline() {
                     Some(query) => {
                         m.queries.inc();
-                        snap.retrieve_with(matcher, tmp, &query, *k as usize, hits);
+                        snap.retrieve_with_stats(matcher, tmp, &query, *k as usize, hits, rstats);
                         results.push(to_wire(hits));
                     }
                     None => results.push(Vec::new()),

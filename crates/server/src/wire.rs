@@ -32,8 +32,8 @@
 
 use bytes::{Buf, BufMut};
 use geosir_core::dynamic::{LevelExplain, QueryExplain};
-use geosir_core::matcher::{RingExplain, Termination};
 use geosir_geom::Polyline;
+use geosir_obs::flight::{TERM_NONE, TERM_SCAN};
 use std::io::{Read, Write};
 
 /// The protocol version this build speaks — the only one it accepts.
@@ -245,7 +245,7 @@ pub enum Frame {
     /// Fetch the full metrics-registry snapshot ([`geosir_obs::Snapshot`]
     /// bytes come back in [`Frame::MetricsReport`]).
     MetricsDump,
-    /// Run `Query` with per-ring/per-level introspection enabled and
+    /// Run `Query` with per-level introspection enabled and
     /// reply with [`Frame::ExplainReport`]. Same payload as `Query`;
     /// rides the same read queue and sees the same snapshot a plain
     /// query would.
@@ -557,111 +557,84 @@ fn get_stage_trailer(buf: &mut &[u8]) -> Result<Option<StageTrailer>, WireError>
     }
 }
 
+// `ExplainReport` keeps the v6 layout, which has room for the envelope
+// plan the scan replaced (DESIGN §9.5): each of its words a scan cannot
+// set is written as the constant every server has sent since the scan,
+// and a decoder refuses any other value in it, so an accepted report
+// re-encodes to the bytes it arrived in.
 fn put_explain(out: &mut Vec<u8>, e: &QueryExplain) {
-    out.put_u64_le(e.buffer_scored);
-    // aggregate RetrieveStats (`scan_copies` / `scan_survivors` stay
-    // in-process: the per-level records below carry what a scan scored)
-    out.put_u64_le(e.stats.levels);
-    out.put_u64_le(e.stats.rings);
-    out.put_u64_le(e.stats.vertices_reported);
-    out.put_u64_le(e.stats.vertices_processed);
-    out.put_u64_le(e.stats.candidates_scored);
-    out.put_u64_le(e.stats.triangles_queried);
-    out.put_u64_le(e.stats.buffer_scored);
-    out.put_f64_le(e.stats.max_eps_fraction);
-    out.put_u64_le(e.stats.exhausted_levels);
-    out.put_u8(e.stats.last_termination.flight_code());
-    // per-level breakdowns
+    let s = &e.stats;
+    out.put_u64_le(s.buffer_scored);
+    out.put_u64_le(s.levels);
+    out.put_slice(&[0; 24]); // rings, vertices reported / processed
+    out.put_u64_le(s.scan_copies);
+    out.put_slice(&[0; 8]); // triangles queried
+    out.put_u64_le(s.buffer_scored); // its second copy
+    out.put_slice(&[0; 16]); // max ε fraction, exhausted levels
+    out.put_u8(scan_termination(s.levels));
     out.put_u32_le(e.levels.len() as u32);
     for level in &e.levels {
         out.put_u64_le(level.shapes);
-        out.put_u8(level.termination.flight_code());
-        out.put_f64_le(level.final_eps);
-        out.put_f64_le(level.eps_cap);
-        out.put_f64_le(level.bound_factor);
-        out.put_u64_le(level.vertices_reported);
-        out.put_u64_le(level.vertices_processed);
-        out.put_u64_le(level.candidates_scored);
-        out.put_u32_le(level.credit_scored);
-        out.put_u8(level.exhausted as u8);
-        out.put_u32_le(level.rings.len() as u32);
-        for r in &level.rings {
-            out.put_u32_le(r.ring);
-            out.put_f64_le(r.eps);
-            out.put_u32_le(r.triangles);
-            out.put_u32_le(r.vertices_reported);
-            out.put_u32_le(r.vertices_processed);
-            out.put_u32_le(r.promotions);
-        }
+        out.put_u8(TERM_SCAN);
+        out.put_f64_le(level.cutoff);
+        out.put_slice(&[0; 8]); // ε-cap
+        out.put_f64_le(1.0); // bound factor
+        out.put_slice(&[0; 16]); // vertices reported / processed
+        out.put_u64_le(level.scored);
+        out.put_u32_le(level.settled);
+        out.put_slice(&[0; 5]); // not exhausted, no rings
     }
 }
 
-fn get_termination(buf: &mut &[u8]) -> Result<Termination, WireError> {
-    Termination::from_flight_code(buf.get_u8()).ok_or(WireError::Malformed)
+/// The flight / EXPLAIN termination code of an exact query that scanned
+/// `levels` levels: a scan once there was one.
+pub(crate) fn scan_termination(levels: u64) -> u8 {
+    if levels > 0 {
+        TERM_SCAN
+    } else {
+        TERM_NONE
+    }
+}
+
+/// Take the retired word `want` off the front of `buf`, or refuse.
+fn expect(buf: &mut &[u8], want: &[u8]) -> Result<(), WireError> {
+    if !buf.starts_with(want) {
+        return Err(WireError::Malformed);
+    }
+    buf.advance(want.len());
+    Ok(())
 }
 
 fn get_explain(buf: &mut &[u8]) -> Result<QueryExplain, WireError> {
-    // fixed prefix: buffer_scored + 9 stats words + termination byte
-    if buf.len() < 8 + 9 * 8 + 1 + 4 {
+    // fixed prefix: 10 words, the termination byte, the level count
+    if buf.len() < 10 * 8 + 1 + 4 {
         return Err(WireError::Malformed);
     }
-    let mut e = QueryExplain { buffer_scored: buf.get_u64_le(), ..Default::default() };
-    e.stats.levels = buf.get_u64_le();
-    e.stats.rings = buf.get_u64_le();
-    e.stats.vertices_reported = buf.get_u64_le();
-    e.stats.vertices_processed = buf.get_u64_le();
-    e.stats.candidates_scored = buf.get_u64_le();
-    e.stats.triangles_queried = buf.get_u64_le();
-    e.stats.buffer_scored = buf.get_u64_le();
-    e.stats.max_eps_fraction = buf.get_f64_le();
-    e.stats.exhausted_levels = buf.get_u64_le();
-    e.stats.last_termination = get_termination(buf)?;
+    let mut e = QueryExplain::default();
+    let s = &mut e.stats;
+    s.buffer_scored = buf.get_u64_le();
+    s.levels = buf.get_u64_le();
+    expect(buf, &[0; 24])?;
+    s.scan_copies = buf.get_u64_le();
+    expect(buf, &[0; 8])?;
+    expect(buf, &s.buffer_scored.to_le_bytes())?;
+    expect(buf, &[0; 16])?;
+    expect(buf, &[scan_termination(s.levels)])?;
     let levels = buf.get_u32_le() as usize;
-    // 62 fixed bytes per level plus its ring count
-    const LEVEL_MIN: usize = 62 + 4;
-    // cheap pre-check against hostile counts
-    if buf.len() < levels * LEVEL_MIN {
+    // 62 fixed bytes per level plus its ring count, which must be 0
+    if buf.len() < levels * (62 + 4) {
         return Err(WireError::Malformed);
     }
     for _ in 0..levels {
-        // the pre-check does not cover a level whose rings ate the
-        // bytes counted for the next one
-        if buf.len() < LEVEL_MIN {
-            return Err(WireError::Malformed);
-        }
-        let mut level = LevelExplain {
-            shapes: buf.get_u64_le(),
-            termination: get_termination(buf)?,
-            final_eps: buf.get_f64_le(),
-            eps_cap: buf.get_f64_le(),
-            bound_factor: buf.get_f64_le(),
-            vertices_reported: buf.get_u64_le(),
-            vertices_processed: buf.get_u64_le(),
-            candidates_scored: buf.get_u64_le(),
-            credit_scored: buf.get_u32_le(),
-            exhausted: match buf.get_u8() {
-                0 => false,
-                1 => true,
-                _ => return Err(WireError::Malformed),
-            },
-            rings: Vec::new(),
-        };
-        let rings = buf.get_u32_le() as usize;
-        if buf.len() < rings * 28 {
-            return Err(WireError::Malformed);
-        }
-        level.rings.reserve(rings);
-        for _ in 0..rings {
-            level.rings.push(RingExplain {
-                ring: buf.get_u32_le(),
-                eps: buf.get_f64_le(),
-                triangles: buf.get_u32_le(),
-                vertices_reported: buf.get_u32_le(),
-                vertices_processed: buf.get_u32_le(),
-                promotions: buf.get_u32_le(),
-            });
-        }
-        e.levels.push(level);
+        let shapes = buf.get_u64_le();
+        expect(buf, &[TERM_SCAN])?;
+        let cutoff = buf.get_f64_le();
+        expect(buf, &[0; 8])?;
+        expect(buf, &1f64.to_le_bytes())?;
+        expect(buf, &[0; 16])?;
+        let (scored, settled) = (buf.get_u64_le(), buf.get_u32_le());
+        expect(buf, &[0; 5])?;
+        e.levels.push(LevelExplain { shapes, cutoff, scored, settled });
     }
     Ok(e)
 }

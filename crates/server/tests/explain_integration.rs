@@ -9,7 +9,7 @@ mod common;
 
 use common::{http_get, template, tmpdir, tri};
 
-use geosir_core::matcher::Termination;
+use geosir_geom::{Point, Polyline};
 use geosir_serve::{serve_durable, Client, DurabilityConfig, ServeConfig};
 use geosir_serve::{Frame, PipelinedClient, WireShape};
 
@@ -45,14 +45,10 @@ fn explain_report_reconciles_with_registry_deltas() {
 
         let report = &reply.report;
         assert!(!report.levels.is_empty(), "12 inserts must have built at least one level");
-        assert!(report.buffer_scored > 0, "4 buffered shapes must be brute-force scored");
+        assert!(report.stats.buffer_scored > 0, "4 buffered shapes must be brute-force scored");
         for level in &report.levels {
-            assert_eq!(level.termination, Termination::Scan, "k = {k}: {:?}", report.levels);
-            assert_eq!(level.final_eps.is_finite(), seeded, "k = {k}: {:?}", report.levels);
-            assert!(level.rings.is_empty() && !level.exhausted);
+            assert_eq!(level.cutoff.is_finite(), seeded, "k = {k}: {:?}", report.levels);
         }
-        assert_eq!(report.stats.last_termination, Termination::Scan);
-        assert_eq!(report.stats.rings, 0);
 
         // Registry deltas == report sums. The explain ran between the two
         // dumps on the only worker, so the deltas are exactly its work.
@@ -62,9 +58,10 @@ fn explain_report_reconciles_with_registry_deltas() {
         assert_eq!(delta("geosir_explains_total"), 1);
         assert_eq!(
             delta("geosir_exact_scan_copies_total"),
-            report.levels.iter().map(|l| l.candidates_scored).sum::<u64>(),
+            report.levels.iter().map(|l| l.scored).sum::<u64>(),
             "the scan counter must move once per copy a scan scored"
         );
+        assert_eq!(delta("geosir_exact_scan_copies_total"), report.stats.scan_copies);
         for series in [
             "geosir_matcher_runs_total",
             "geosir_matcher_rings_total",
@@ -149,7 +146,7 @@ fn threshold_zero_logs_every_query_with_its_trace_id() {
     }
     for line in body.lines() {
         assert!(line.starts_with('{') && line.ends_with('}'), "not one-object-per-line: {line}");
-        assert!(line.contains("\"termination\":"), "{line}");
+        assert!(line.contains("\"scan_copies\":"), "{line}");
         assert!(line.contains("\"per_level\":["), "{line}");
     }
     assert!(body.contains("\"kind\":\"query\""), "{body}");
@@ -226,7 +223,7 @@ fn armed_slow_log_keeps_coalescing_and_changes_no_answer() {
 
 /// The always-on flight recorder: reads and writes both show up at
 /// `/debug/flight` keyed by trace id, without any explain/slow-log
-/// configuration.
+/// configuration, and an exact query's profile counts its scan.
 #[test]
 fn flight_recorder_serves_recent_requests() {
     let dir = tmpdir("flight");
@@ -239,11 +236,28 @@ fn flight_recorder_serves_recent_requests() {
         serve_durable("127.0.0.1:0", &template(), DurabilityConfig::new(&dir), cfg).unwrap();
     let maddr = handle.metrics_addr().unwrap();
     let mut c = Client::connect(handle.addr()).unwrap();
-    for i in 0..8u64 {
+    for i in 0..16u64 {
         c.insert_retrying(i as u32, &tri(i)).unwrap();
     }
     let reply = c.query(&tri(2), 2).unwrap();
     let approx = c.similar_approx(&tri(2), 2, 0, 0).unwrap();
+    // a sketch with no near match among the triangles: the seed stops
+    // short of some copies, which the level scan then scores itself
+    let quad = Polyline::closed(vec![
+        Point::new(0.0, 0.0),
+        Point::new(3.0, 0.2),
+        Point::new(2.6, 2.0),
+        Point::new(1.0, 2.4),
+    ])
+    .unwrap();
+    let before = c.metrics().unwrap();
+    let explained = c.explain(&quad, 8).unwrap();
+    let after = c.metrics().unwrap();
+    let delta = |name: &str| after.counter(name, &[]) - before.counter(name, &[]);
+    let (copies, survivors) =
+        (delta("geosir_exact_scan_copies_total"), delta("geosir_exact_scan_survivors_total"));
+    assert!(copies > 0, "the quad's seed settled every copy: nothing to scan");
+    assert_eq!(explained.report.stats.scan_copies, copies);
 
     let (status, json) = http_get(maddr, "/debug/flight");
     assert_eq!(status, 200, "{json}");
@@ -262,6 +276,11 @@ fn flight_recorder_serves_recent_requests() {
     assert!(profile.contains("\"kind\":\"query_approx\""), "{profile}");
     assert!(profile.contains(&format!("\"candidates\":{}", approx.candidates)), "{profile}");
     assert!(profile.contains(&format!("\"scored\":{}", approx.reranked)), "{profile}");
+    // an exact one counts the copies its scan scored, and the survivors
+    let profile = profile_of(explained.trace);
+    assert!(profile.contains("\"kind\":\"explain\"") && profile.contains("\"levels\":1,"), "{profile}");
+    assert!(profile.contains(&format!("\"candidates\":{copies},\"scored\":{survivors},")), "{profile}");
+    assert!(profile.contains("\"termination\":\"scan\""), "{profile}");
     // writes are recorded too
     assert!(json.contains("\"kind\":\"insert\""), "{json}");
 

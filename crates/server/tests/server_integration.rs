@@ -13,7 +13,7 @@ use geosir_core::dynamic::DynamicBase;
 use geosir_core::ids::ImageId;
 use geosir_core::matcher::MatchConfig;
 use geosir_geom::Polyline;
-use geosir_serve::{serve, Client, ServeConfig};
+use geosir_serve::{serve, Client, Frame, PipelinedClient, ServeConfig, WireShape};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -161,32 +161,44 @@ fn graceful_shutdown_drains_admitted_requests() {
     let handle = serve("127.0.0.1:0", base, cfg).unwrap();
     let addr = handle.addr();
 
-    // pin the worker so the parked query is still queued when Shutdown lands
-    let batch: Vec<Polyline> = shapes.iter().cycle().take(300).cloned().collect();
-    let pin = std::thread::spawn(move || {
-        let mut client = Client::connect(addr).unwrap();
-        client.query_batch(&batch, 1).unwrap()
-    });
-    assert!(poll_until(Duration::from_secs(30), || handle.stats().queries >= 1));
-
-    let probe = shapes[0].clone();
-    let parked = std::thread::spawn(move || {
-        let mut client = Client::connect(addr).unwrap();
-        client.query(&probe, 1).unwrap()
-    });
-    assert!(poll_until(Duration::from_secs(30), || handle.stats().queue_depth >= 1));
+    // On one connection: two batches to pin the worker, the parked query,
+    // and a write as a fence — the writer answers it at once, and its
+    // reply proves the three reads before it admitted. The queue is FIFO,
+    // so while it holds anything it holds the last read admitted, the
+    // parked query. Pin again until it is seen so (a pin of any fixed
+    // length can be over first, in a release build).
+    let batch: Vec<WireShape> = shapes.iter().cycle().take(300).map(WireShape::from_polyline).collect();
+    let mut c = PipelinedClient::connect(addr).unwrap();
+    let (pins, parked) = loop {
+        let pin = || Frame::QueryBatch { k: 1, shapes: batch.clone() };
+        let pins = [c.submit(&pin()).unwrap(), c.submit(&pin()).unwrap()];
+        let parked = c.submit_query(&shapes[0], 1).unwrap();
+        let fence = c.submit(&Frame::Delete { id: u64::MAX }).unwrap();
+        assert!(matches!(c.recv(fence).unwrap(), Frame::Deleted { existed: false, .. }));
+        if handle.stats().queue_depth >= 1 {
+            break (pins, parked);
+        }
+        for corr in pins.into_iter().chain([parked]) {
+            c.recv(corr).unwrap();
+        }
+    };
 
     // shutdown over the wire: Bye acknowledges it
     let mut killer = Client::connect(addr).unwrap();
     killer.shutdown().unwrap();
     assert!(handle.is_shutting_down());
 
-    // both admitted requests drain to real replies
-    let results = pin.join().unwrap().results;
-    assert_eq!(results.len(), 300);
-    let parked_reply = parked.join().unwrap();
-    assert!(!parked_reply.rejected, "admitted request was dropped during drain");
-    assert!(!parked_reply.matches.is_empty());
+    // every admitted request drains to its real reply
+    for pin in pins {
+        match c.recv(pin).unwrap() {
+            Frame::BatchMatches { results, .. } => assert_eq!(results.len(), 300),
+            other => panic!("admitted batch was dropped during drain: {other:?}"),
+        }
+    }
+    match c.recv(parked).unwrap() {
+        Frame::Matches { matches, .. } => assert!(!matches.is_empty()),
+        other => panic!("admitted request was dropped during drain: {other:?}"),
+    }
 
     // every thread exits
     handle.join();

@@ -98,44 +98,18 @@ fn rand_stats(rng: &mut StdRng) -> ServerStats {
 
 fn rand_explain(rng: &mut StdRng) -> geosir_core::dynamic::QueryExplain {
     use geosir_core::dynamic::{LevelExplain, QueryExplain};
-    use geosir_core::matcher::{RingExplain, Termination};
-    let rand_term = |rng: &mut StdRng| {
-        Termination::from_flight_code(rng.random_range(0..7u8)).unwrap()
-    };
-    let mut e = QueryExplain { buffer_scored: rng.random(), ..Default::default() };
+    let mut e = QueryExplain::default();
+    // `scan_survivors` stays in-process: the wire has no word for it
     e.stats.levels = rng.random();
-    e.stats.rings = rng.random();
-    e.stats.vertices_reported = rng.random();
-    e.stats.vertices_processed = rng.random();
-    e.stats.candidates_scored = rng.random();
-    e.stats.triangles_queried = rng.random();
+    e.stats.scan_copies = rng.random();
     e.stats.buffer_scored = rng.random();
-    e.stats.max_eps_fraction = rng.random_range(0.0..1.0);
-    e.stats.exhausted_levels = rng.random();
-    e.stats.last_termination = rand_term(rng);
     for _ in 0..rng.random_range(0..4usize) {
         e.levels.push(LevelExplain {
             shapes: rng.random(),
-            termination: rand_term(rng),
             // ∞ is what an unseeded scan reports as its starting cutoff
-            final_eps: if rng.random_bool(0.2) { f64::INFINITY } else { rng.random_range(0.0..10.0) },
-            eps_cap: rng.random_range(0.0..10.0),
-            bound_factor: rng.random_range(0.0..10.0),
-            vertices_reported: rng.random(),
-            vertices_processed: rng.random(),
-            candidates_scored: rng.random(),
-            credit_scored: rng.random(),
-            exhausted: rng.random(),
-            rings: (0..rng.random_range(0..5usize))
-                .map(|i| RingExplain {
-                    ring: i as u32 + 1,
-                    eps: rng.random_range(0.0..10.0),
-                    triangles: rng.random(),
-                    vertices_reported: rng.random(),
-                    vertices_processed: rng.random(),
-                    promotions: rng.random(),
-                })
-                .collect(),
+            cutoff: if rng.random_bool(0.2) { f64::INFINITY } else { rng.random_range(0.0..10.0) },
+            scored: rng.random(),
+            settled: rng.random(),
         });
     }
     e
@@ -425,6 +399,16 @@ fn payload_truncation_with_valid_checksum_errors_cleanly() {
     }
 }
 
+/// `original` with one to three bytes changed.
+fn mutated(rng: &mut StdRng, original: &[u8]) -> Vec<u8> {
+    let mut payload = original.to_vec();
+    for _ in 0..rng.random_range(1..=3) {
+        let at = rng.random_range(0..payload.len());
+        payload[at] = rng.random();
+    }
+    payload
+}
+
 /// One to three payload bytes changed: any error, or a decode (a bit
 /// flipped inside a score is still a score) — never a panic.
 #[test]
@@ -436,14 +420,42 @@ fn payload_mutation_with_valid_checksum_never_panics() {
             continue;
         }
         for _ in 0..70 {
-            let mut payload = original.to_vec();
-            for _ in 0..rng.random_range(1..=3) {
-                let at = rng.random_range(0..payload.len());
-                payload[at] = rng.random();
-            }
-            let _ = Frame::decode(&reframe(&buf, &payload));
+            let _ = Frame::decode(&reframe(&buf, &mutated(&mut rng, original)));
         }
     }
+}
+
+/// What the `ExplainReport` decoder accepts is what its encoder writes:
+/// every payload that decodes re-encodes to the bytes it arrived in —
+/// random reports as encoded, and under the mutations above. A changed
+/// retired word (a ring, an ε-cap, a termination other than the scan's)
+/// is refused, never carried.
+#[test]
+fn an_accepted_explain_report_re_encodes_to_its_bytes() {
+    let mut rng = StdRng::seed_from_u64(0xE7);
+    let (mut accepted, mut refused) = (0, 0);
+    for seed in 0..200 {
+        let mut buf = Vec::new();
+        rand_frame(16, &mut StdRng::seed_from_u64(seed)).encode(&mut buf);
+        let original = &buf[PAYLOAD_AT..buf.len() - 4];
+        for round in 0..70 {
+            let payload = if round == 0 { original.to_vec() } else { mutated(&mut rng, original) };
+            let hostile = reframe(&buf, &payload);
+            match Frame::decode(&hostile) {
+                Ok((frame, used)) => {
+                    let mut again = Vec::new();
+                    frame.encode(&mut again);
+                    assert_eq!((used, &again), (hostile.len(), &hostile), "seed {seed} round {round}: {frame:?}");
+                    accepted += 1;
+                }
+                Err(e) => {
+                    assert!(round > 0 && matches!(e, WireError::Malformed), "seed {seed} round {round}: {e:?}");
+                    refused += 1;
+                }
+            }
+        }
+    }
+    assert!(accepted > 200 && refused > 0, "{accepted} accepted, {refused} refused");
 }
 
 // ---------------------------------------------------------------------------
@@ -453,8 +465,7 @@ fn payload_mutation_with_valid_checksum_never_panics() {
 /// One fixed instance of every frame kind (`Matches` / `ApproxMatches`
 /// with and without the optional stage trailer).
 fn golden_frames() -> Vec<(&'static str, Frame)> {
-    use geosir_core::dynamic::{LevelExplain, QueryExplain};
-    use geosir_core::matcher::{RingExplain, Termination};
+    use geosir_core::dynamic::{LevelExplain, QueryExplain, RetrieveStats};
     let shape = || WireShape { closed: true, points: vec![(0.0, 0.5), (3.0, 0.25), (1.5, -2.0)] };
     let open = || WireShape { closed: false, points: vec![(1.0, 2.0), (-4.5, 8.0)] };
     let matches = || {
@@ -464,63 +475,11 @@ fn golden_frames() -> Vec<(&'static str, Frame)> {
         ]
     };
     let trailer = Some(StageTrailer { total_us: 1234, queue_us: 56 });
-    let mut report = QueryExplain { buffer_scored: 11, ..Default::default() };
-    report.stats.levels = 1;
-    report.stats.rings = 2;
-    report.stats.vertices_reported = 300;
-    report.stats.vertices_processed = 280;
-    report.stats.candidates_scored = 40;
-    report.stats.triangles_queried = 24;
-    report.stats.buffer_scored = 11;
-    report.stats.max_eps_fraction = 0.75;
-    report.stats.exhausted_levels = 0;
-    report.stats.last_termination = Termination::Threshold;
-    report.levels.push(LevelExplain {
-        shapes: 1000,
-        termination: Termination::Certified,
-        final_eps: 0.5,
-        eps_cap: 4.0,
-        bound_factor: 0.8125,
-        vertices_reported: 300,
-        vertices_processed: 280,
-        candidates_scored: 40,
-        credit_scored: 5,
-        exhausted: false,
-        rings: vec![
-            RingExplain {
-                ring: 1,
-                eps: 0.25,
-                triangles: 12,
-                vertices_reported: 100,
-                vertices_processed: 90,
-                promotions: 7,
-            },
-            RingExplain {
-                ring: 2,
-                eps: 0.5,
-                triangles: 12,
-                vertices_reported: 200,
-                vertices_processed: 190,
-                promotions: 33,
-            },
-        ],
-    });
-    // the same query answered by a scan: a new value of the termination
-    // byte, no ring, τ where the envelope's ε was — same layout
-    let mut scanned = QueryExplain { buffer_scored: 11, ..Default::default() };
-    scanned.stats.levels = 1;
-    scanned.stats.candidates_scored = 1950;
-    scanned.stats.buffer_scored = 11;
-    scanned.stats.last_termination = Termination::Scan;
-    scanned.levels.push(LevelExplain {
-        shapes: 1000,
-        termination: Termination::Scan,
-        final_eps: 0.0625,
-        bound_factor: 1.0,
-        candidates_scored: 1950,
-        credit_scored: 50,
-        ..Default::default()
-    });
+    // a query answered by a scan of one level, τ where the envelope's ε was
+    let scanned = QueryExplain {
+        levels: vec![LevelExplain { shapes: 1000, cutoff: 0.0625, scored: 1950, settled: 50 }],
+        stats: RetrieveStats { levels: 1, scan_copies: 1950, buffer_scored: 11, ..Default::default() },
+    };
     let stats = {
         let mut w = [0u64; 25];
         for (i, slot) in w.iter_mut().enumerate() {
@@ -581,17 +540,6 @@ fn golden_frames() -> Vec<(&'static str, Frame)> {
         ("deleted", Frame::Deleted { epoch: 20, existed: true }),
         ("stats_report", Frame::StatsReport(stats)),
         ("metrics_report", Frame::MetricsReport { snapshot: (0u8..40).collect() }),
-        (
-            "explain_report",
-            Frame::ExplainReport {
-                epoch: 21,
-                trace: 0xA5,
-                total_us: 900,
-                queue_us: 30,
-                matches: matches(),
-                report,
-            },
-        ),
         (
             "approx_matches",
             Frame::ApproxMatches {
@@ -671,6 +619,8 @@ fn hex(bytes: &[u8]) -> String {
 /// spoke v1–v6, before its version ladders were removed: a byte that
 /// moves here is a wire break, not a refactor. (The last row came later:
 /// a scanned level's report — a new termination code in the same bytes.)
+/// Row `explain_report` is [`ENVELOPE_EXPLAIN_REPORT`], which no longer
+/// decodes.
 const GOLDEN: [(&str, usize, u64); 25] = [
     ("query", 83, 0xc6946f8f1589f3c2),
     ("query_batch", 116, 0x6c463f712b2854e1),
@@ -699,15 +649,36 @@ const GOLDEN: [(&str, usize, u64); 25] = [
     ("explain_report+scan", 245, 0x59060fcb78adaaea),
 ];
 
+/// The `explain_report` row as captured: a level's envelope run of two
+/// rings, certified. No server of this tree can emit one — every level is
+/// scanned — and the decoder refuses its envelope words rather than carry
+/// what a scan cannot have done.
+const ENVELOPE_EXPLAIN_REPORT: &str = "06491b01000011776655443322111500000000000000a50000000000000084030000000000001e00\
+    00000000000002000000070000000000010003000000000000000000c03f0900000000000000ffff\
+    ffff00000000000004400b00000000000000010000000000000002000000000000002c0100000000\
+    00001801000000000000280000000000000018000000000000000b00000000000000000000000000\
+    e83f00000000000000000201000000e80300000000000001000000000000e03f0000000000001040\
+    000000000000ea3f2c01000000000000180100000000000028000000000000000500000000020000\
+    0001000000000000000000d03f0c000000640000005a0000000700000002000000000000000000e0\
+    3f0c000000c8000000be00000021000000a0ddd3c3";
+
 #[test]
 fn v6_golden_bytes() {
     let frames = golden_frames();
-    assert_eq!(frames.len(), GOLDEN.len());
-    for (i, ((name, frame), (want_name, want_len, want_digest))) in
-        frames.iter().zip(GOLDEN).enumerate()
-    {
-        assert_eq!(*name, want_name);
+    assert_eq!(frames.len() + 1, GOLDEN.len());
+    let mut frames_in_order = frames.iter();
+    for (i, (want_name, want_len, want_digest)) in GOLDEN.into_iter().enumerate() {
         let corr = 0x1122_3344_5566_7700 + i as u64;
+        if want_name == "explain_report" {
+            let h = ENVELOPE_EXPLAIN_REPORT;
+            let buf: Vec<u8> =
+                (0..h.len()).step_by(2).map(|at| u8::from_str_radix(&h[at..at + 2], 16).unwrap()).collect();
+            assert_eq!((buf.len(), fnv1a64_ref(&buf), &buf[6..14]), (want_len, want_digest, &corr.to_le_bytes()[..]));
+            assert!(matches!(Frame::decode_corr(&buf), Err(WireError::Malformed)), "an envelope report decoded");
+            continue;
+        }
+        let (name, frame) = frames_in_order.next().unwrap();
+        assert_eq!(*name, want_name);
         let mut buf = Vec::new();
         frame.encode_versioned(PROTOCOL_VERSION, corr, &mut buf);
         assert_eq!(

@@ -43,9 +43,10 @@ fn main() {
 
     // every checkpointed shape is still retrievable, even after cascades
     println!("\nretrieval checks:");
+    let snap = db.snapshot();
     for (id, shape) in &probes {
         let noisy = perturb(shape, &mut rng, 0.01);
-        let hits = db.retrieve(&noisy);
+        let hits = snap.retrieve(&noisy, 0);
         let found = hits.iter().any(|m| m.shape == *id);
         println!("  shape {:?}: best score {:.4} — {}", id, hits[0].score,
             if found { "found" } else { "matched a sibling" });
@@ -54,7 +55,7 @@ fn main() {
     // delete the first probe and confirm it vanishes from results
     let (victim, victim_shape) = probes[0].clone();
     assert!(db.delete(victim));
-    let hits = db.retrieve(&victim_shape);
+    let hits = db.snapshot().retrieve(&victim_shape, 0);
     assert!(hits.iter().all(|m| m.shape != victim), "deleted shape resurfaced");
     println!("\ndeleted {victim:?}; it no longer appears in results");
     println!("amortized rebuild factor: {:.1}× the insert count", db.shapes_rebuilt as f64 / 500.0);

@@ -5,7 +5,8 @@
 # few requests through the wire, then assert the core /metrics series
 # exist and are non-zero, /debug/last_queries answers, /healthz is ok,
 # /readyz goes ready with all four watchdog components, and the
-# /debug/journal recorded recovery.
+# /debug/journal recorded recovery; `geosir explain` against a second,
+# bulk-loaded node must print a scan plan.
 #
 # --cluster mode: boot a 2-shard x 1-replica `geosir cluster` with the
 # router's federated endpoint and assert one scrape answers for the
@@ -35,9 +36,11 @@ PORT=${GEOSIR_SCRAPE_PORT:-7431}
 MPORT=$((PORT + 1))
 DATA=$(mktemp -d "${TMPDIR:-/tmp}/geosir-scrape.XXXXXX")
 SERVER_PID=""
+LOADED_PID=""
 
 cleanup() {
     [ -n "$SERVER_PID" ] && kill "$SERVER_PID" 2>/dev/null || true
+    [ -n "$LOADED_PID" ] && kill "$LOADED_PID" 2>/dev/null || true
     wait 2>/dev/null || true
     rm -rf "$DATA"
 }
@@ -79,7 +82,39 @@ done
 # One exact query (an Explain frame answers it through the same entry a
 # Query does), so the exact tier's own series exist. Node only: the
 # router does not route EXPLAIN.
-[ "$MODE" = single ] && "$BIN" explain "127.0.0.1:$PORT" >/dev/null
+#
+# Its printout is README's EXPLAIN walkthrough: on a second node, whose
+# bulk-loaded corpus fills a level, every level of the plan must read
+# `plan=scan`, and neither node's may name the envelope the scan replaced.
+check_explain() { # printout, whether a level is required
+    case "$1" in
+        *ring* | *triangles* | *ε* | *exhausted*)
+            echo "metrics_scrape: geosir explain prints envelope fields:" >&2
+            printf '%s\n' "$1" >&2
+            exit 1
+            ;;
+    esac
+    case "$2:$1" in
+        no:* | yes:*level\ [0-9]*:\ *plan=scan*) ;;
+        *)
+            echo "metrics_scrape: geosir explain printed no scanned level:" >&2
+            printf '%s\n' "$1" >&2
+            exit 1
+            ;;
+    esac
+}
+if [ "$MODE" = single ]; then
+    check_explain "$("$BIN" explain "127.0.0.1:$PORT")" no
+    "$BIN" serve "127.0.0.1:$((PORT + 2))" --shapes 600 >/dev/null &
+    LOADED_PID=$!
+    for i in $(seq 1 50); do
+        if EXPLAINED=$("$BIN" explain "127.0.0.1:$((PORT + 2))" --k 3 --seed 9 2>/dev/null); then break; fi
+        sleep 0.2
+        if [ "$i" = 50 ]; then echo "metrics_scrape: loaded node never came up" >&2; exit 1; fi
+    done
+    kill "$LOADED_PID"
+    check_explain "$EXPLAINED" yes
+fi
 
 BODY=$(http_get /metrics)
 case "$BODY" in

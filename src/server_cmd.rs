@@ -32,11 +32,11 @@
 //! registry over the wire (`MetricsDump`), and prints the snapshot in
 //! Prometheus text form. `geosir explain` sends one `Explain` frame —
 //! a deterministic synthetic query shape, same family as the benches —
-//! and prints the per-level, per-ring retrieval plan. See `DESIGN.md`
+//! and prints the per-level retrieval plan. See `DESIGN.md`
 //! §7–§9 and the `README.md` quickstart.
 
 use geosir_core::ids::ImageId;
-use geosir_core::matcher::{MatchConfig, Termination};
+use geosir_core::matcher::MatchConfig;
 use geosir_geom::rangesearch::Backend;
 use geosir_geom::{Point, Polyline};
 use geosir_imaging::synth::random_simple_polygon;
@@ -183,9 +183,9 @@ pub fn stats(args: &[String]) -> Result<(), String> {
 /// `geosir explain [ADDR] [--k K] [--seed N] [--verts V]`: send one
 /// `Explain` frame with a deterministic synthetic query shape and
 /// pretty-print the retrieval plan the server captured while answering
-/// it — per-level ring schedule, vertex/candidate counts, and the
-/// termination reason — so a slow query can be diagnosed from a shell
-/// without touching the metrics endpoint.
+/// it — per level, the copies the seed settled, the copies the scan
+/// scored and the cutoff it scored them against — so a slow query can be
+/// diagnosed from a shell without touching the metrics endpoint.
 pub fn explain(args: &[String]) -> Result<(), String> {
     let mut addr = "127.0.0.1:7401".to_string();
     let mut k = 4u32;
@@ -245,65 +245,23 @@ fn print_explain(addr: &str, k: u32, seed: u64, verts: usize, reply: &geosir_ser
         None => println!("matches: 0"),
     }
     println!(
-        "totals:  {} levels, {} rings, {} triangles queried, {} vertices reported \
-         / {} processed, {} candidates scored, {} buffer-scored",
-        s.levels,
-        s.rings,
-        s.triangles_queried,
-        s.vertices_reported,
-        s.vertices_processed,
-        s.candidates_scored,
-        r.buffer_scored
-    );
-    println!(
-        "stop:    {}  (max ε fraction {:.3}, {} level(s) exhausted)",
-        s.last_termination.as_str(),
-        s.max_eps_fraction,
-        s.exhausted_levels
+        "totals:  {} levels scanned, {} copies scored, {} buffer-scored",
+        s.levels, s.scan_copies, s.buffer_scored
     );
     for (i, level) in r.levels.iter().enumerate() {
-        if level.termination == Termination::Scan {
-            // no envelope to describe: the seed settled `credit_scored`
-            // copies, the scan scored the rest against τ — ∞ when the
-            // seed found fewer than k live shapes
-            let tau = level.final_eps * level.bound_factor;
-            println!(
-                "level {i}: {} shapes  plan=scan copies={} scored={} within τ={}",
-                level.shapes,
-                level.candidates_scored + level.credit_scored as u64,
-                level.candidates_scored,
-                if tau.is_finite() { format!("{tau:.4}") } else { "∞ (no seed)".to_string() },
-            );
-            continue;
-        }
+        // the seed settled `settled` copies, the scan scored the rest
+        // against τ — ∞ when the seed found fewer than k live shapes
+        let tau = level.cutoff;
         println!(
-            "level {i}: {} shapes  term={}{}  final ε={:.4} (cap {:.4}, bound ×{:.2})  \
-             verts {}/{}  scored {} (+{} credit)",
+            "level {i}: {} shapes  plan=scan copies={} scored={} within τ={}",
             level.shapes,
-            level.termination.as_str(),
-            if level.exhausted { " [exhausted]" } else { "" },
-            level.final_eps,
-            level.eps_cap,
-            level.bound_factor,
-            level.vertices_reported,
-            level.vertices_processed,
-            level.candidates_scored,
-            level.credit_scored
+            level.scored + level.settled as u64,
+            level.scored,
+            if tau.is_finite() { format!("{tau:.4}") } else { "∞ (no seed)".to_string() },
         );
-        for ring in &level.rings {
-            println!(
-                "    ring {}: ε={:.4}  triangles={}  verts {}/{}  promotions={}",
-                ring.ring,
-                ring.eps,
-                ring.triangles,
-                ring.vertices_reported,
-                ring.vertices_processed,
-                ring.promotions
-            );
-        }
     }
-    if r.buffer_scored > 0 {
-        println!("buffer:  {} unmerged shape(s) brute-force scored", r.buffer_scored);
+    if s.buffer_scored > 0 {
+        println!("buffer:  {} unmerged shape(s) brute-force scored", s.buffer_scored);
     }
 }
 
