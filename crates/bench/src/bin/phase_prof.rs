@@ -18,8 +18,8 @@
 //! §12.5 probe (k = 1 self-queries against the half-corpus shard that
 //! holds the copies and the one that does not); and what a write costs
 //! (`carry_cost`: `churn_durable`'s world and op mix in process — per-op
-//! means, every Bentley–Saxe carry by cost — and the odd queries the
-//! hash tier cannot seed).
+//! means, what the base holds per live shape, every Bentley–Saxe carry by
+//! cost and heap blocks — and the odd queries the hash tier cannot seed).
 //!
 //! ```sh
 //! cargo run --release -p geosir-bench --bin phase_prof [--features simd] [-- n_shapes [large|carry]]
@@ -47,8 +47,41 @@ use geosir_geom::{Point, Polyline, Triangle};
 use geosir_geom::rangesearch::Backend;
 use geosir_imaging::synth::{generate, perturb, Corpus, CorpusConfig};
 use rand::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::hash::{DefaultHasher, Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
+
+/// Counts heap blocks (allocations and reallocations) and live bytes, so
+/// `carry_cost` can say what each carry allocated and what the process
+/// holds.
+struct CountingAlloc;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(new_size as u64, Ordering::Relaxed);
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 const K: usize = 10;
 /// What the server scores with.
@@ -307,7 +340,7 @@ fn main() {
     let t0 = Instant::now();
     for q in &queries {
         slot = None;
-        prepare_into(&mut slot, q);
+        prepare_into(&mut slot, q.points(), q.is_closed());
         slot.as_mut().unwrap().build_grid();
     }
     let prep_us = t0.elapsed().as_micros() as f64 / queries.len() as f64;
@@ -346,7 +379,7 @@ fn main() {
     let mut scored = 0usize;
     for (qi, (q, (_, _, nscored, _))) in queries.iter().zip(&finals).enumerate() {
         slot = None;
-        let prepared = prepare_into(&mut slot, q);
+        let prepared = prepare_into(&mut slot, q.points(), q.is_closed());
         for c in 0..*nscored {
             let cand = &polys[(qi * 31 + c * 7) % polys.len()];
             score_sink += score(KIND, cand, prepared);
@@ -793,7 +826,9 @@ fn spiky_star(rng: &mut StdRng, n: usize) -> Polyline {
 /// does) under its op mix — 45 % insert / 45 % delete / 10 %
 /// `similar_approx_with`, a `snapshot()` after every write as the
 /// server's publish takes one — with every insert that carried listed by
-/// cost. Before the churn, on the same base: 400 odd queries (spiky
+/// cost and by the heap blocks it allocated, and each census row saying
+/// what the base (`Snapshot::heap_bytes`) and the whole process hold per
+/// live shape. Before the churn, on the same base: 400 odd queries (spiky
 /// stars of 3–80 vertices), of which those the hash tier cannot seed
 /// have every level answered from a cutoff of ∞.
 fn carry_cost() {
@@ -809,16 +844,17 @@ fn carry_cost() {
     bulk.bulk_load(corpus.shapes.iter().map(|(image, _, s)| (*image, s.clone())));
     let bulk_ms = us(t0) / 1e3;
     drop(bulk);
-    let t0 = Instant::now();
+    let (t0, held) = (Instant::now(), LIVE.load(Ordering::Relaxed));
     let mut base = DynamicBase::new(0.0, cfg, 512);
     let mut live: Vec<GlobalShapeId> =
         corpus.shapes.iter().map(|(image, _, s)| base.insert(*image, s.clone())).collect();
     let preload_ms = us(t0) / 1e3;
     println!(
         "carry cost, churn_durable's world ({} shapes; bulk_load {bulk_ms:.1} ms, preload by insert \
-         {preload_ms:.1} ms, {} shapes carried so far):",
+         {preload_ms:.1} ms, {} shapes carried so far; heap_bytes {:.0} B a shape):",
         live.len(),
         base.shapes_rebuilt,
+        base.snapshot().heap_bytes() as f64 / live.len() as f64,
     );
 
     let (mut scratch, mut tmp, mut ax) =
@@ -864,7 +900,8 @@ fn carry_cost() {
         *count += 1;
         *worst = worst.max(t);
     };
-    let mut carries: Vec<(f64, u64)> = Vec::new();
+    // (µs, shapes carried, heap blocks the insert allocated)
+    let mut carries: Vec<(f64, u64, u64)> = Vec::new();
     // deletes that rebuilt their level without its dead, and what they took
     let (mut compacting, mut compact_us, mut worst_delete) = (0usize, 0.0f64, 0.0f64);
     let opts = ApproxOptions { k: K, ..ApproxOptions::default() };
@@ -875,13 +912,14 @@ fn carry_cost() {
             if roll < 45 || live.is_empty() {
                 let (image, _, proto) = &corpus.shapes[rng.random_range(0..corpus.shapes.len())];
                 let shape = perturb(proto, &mut rng, 0.02);
-                let rebuilt = base.shapes_rebuilt;
+                let (rebuilt, blocks) = (base.shapes_rebuilt, ALLOCATIONS.load(Ordering::Relaxed));
                 let t0 = Instant::now();
                 live.push(base.insert(*image, shape));
                 let t = us(t0);
                 note(0, t);
                 if base.shapes_rebuilt > rebuilt {
-                    carries.push((t, base.shapes_rebuilt - rebuilt));
+                    let blocks = ALLOCATIONS.load(Ordering::Relaxed) - blocks;
+                    carries.push((t, base.shapes_rebuilt - rebuilt, blocks));
                 }
             } else {
                 let id = live.swap_remove(rng.random_range(0..live.len()));
@@ -909,12 +947,15 @@ fn carry_cost() {
             let (live_copies, stored) = (snap.total_copies(), snap.stored_copies());
             println!(
                 "    {:5} ops: {:4} live + {:4} dead in {} levels; copies {live_copies:5} / {stored:5} \
-                 ({:.2} ×); {compacting:3} compactions, {:5.1} ms; worst delete {:6.1} µs",
+                 ({:.2} ×), {:4.0} B a live shape (process heap {:5.0}); {compacting:3} \
+                 compactions, {:5.1} ms; worst delete {:6.1} µs",
                 i + 1,
                 snap.len(),
                 snap.dead_shapes(),
                 snap.num_levels(),
                 stored as f64 / live_copies as f64,
+                snap.heap_bytes() as f64 / snap.len() as f64,
+                LIVE.load(Ordering::Relaxed).saturating_sub(held) as f64 / snap.len() as f64,
                 compact_us / 1e3,
                 worst_delete,
             );
@@ -933,15 +974,18 @@ fn carry_cost() {
     let total: f64 = carries.iter().map(|c| c.0).sum();
     println!(
         "    {} carries, {:.1} ms in all ({:.1} % of insert time), shapes_rebuilt {} ({} live at \
-         the end); the ten dearest (ms, shapes):",
+         the end); the ten dearest (ms / shapes / heap blocks the insert allocated):",
         carries.len(),
         total / 1e3,
         100.0 * total / cost[0].0,
         base.shapes_rebuilt,
         base.len(),
     );
-    let dearest: Vec<String> =
-        carries.iter().take(10).map(|(t, shapes)| format!("{:.2} / {shapes}", t / 1e3)).collect();
+    let dearest: Vec<String> = carries
+        .iter()
+        .take(10)
+        .map(|(t, shapes, blocks)| format!("{:.2} / {shapes} / {blocks}", t / 1e3))
+        .collect();
     println!("      {}", dearest.join(", "));
 
     // What the delete history costs a query: the churned base against

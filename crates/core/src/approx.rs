@@ -5,7 +5,7 @@
 //! into buckets. One instance rides inside each Bentley-Saxe level (built
 //! with the level, merged on cascade, rebuilt through WAL/checkpoint
 //! recovery for free), and the insert buffer carries per-copy signatures
-//! computed at insert time — writer-pays, like prepared shapes.
+//! computed at insert time — writer-pays, like the copies themselves.
 //!
 //! Serving is a **multi-probe candidate cascade**: buckets are probed in
 //! rings of increasing [`Signature::curve_distance`] until enough
@@ -224,15 +224,16 @@ impl ApproxScratch {
 }
 
 /// The signature index: `Signature → copies` buckets over one immutable
-/// copy set (a Bentley-Saxe level, or a whole [`ShapeBase`]). Buckets are
-/// plain indexed vectors so probe cursors can hold stable `u32` bucket
-/// ids with no lifetimes.
+/// copy set (a Bentley-Saxe level, or a whole [`ShapeBase`]), as one
+/// CSR table. Buckets are numbered in order of first occurrence so probe
+/// cursors can hold stable `u32` bucket ids with no lifetimes.
 #[derive(Debug, Clone, Default)]
 pub struct SigBuckets {
     /// Signature of bucket i.
     sigs: Vec<Signature>,
-    /// Copies of bucket i.
-    copies: Vec<Vec<CopyId>>,
+    /// Bucket i holds `members[starts[i]..starts[i + 1]]`, ascending.
+    starts: Vec<u32>,
+    members: Vec<CopyId>,
     /// Signature → bucket index, for the enumeration strategy.
     index: HashMap<Signature, u32>,
 }
@@ -241,28 +242,63 @@ impl SigBuckets {
     /// Hash every copy of `base`.
     pub fn build(family: &CurveFamily, base: &ShapeBase) -> SigBuckets {
         let mut quarters: [Vec<Point>; 4] = Default::default();
-        Self::from_sigs(
-            base.copies().map(|(_, copy)| signature_of_with(family, &copy.normalized, &mut quarters)),
-        )
+        let sigs: Vec<Signature> = base
+            .copies()
+            .map(|(_, copy)| signature_of_with(family, copy.normalized.points(), &mut quarters))
+            .collect();
+        Self::from_sigs(&sigs)
     }
 
-    /// Group `(CopyId(i), sig)` pairs (i = iteration order) into buckets.
-    pub(crate) fn from_sigs(sigs: impl Iterator<Item = Signature>) -> SigBuckets {
-        let mut b = SigBuckets::default();
-        for (i, sig) in sigs.enumerate() {
-            let cid = CopyId(i as u32);
-            match b.index.entry(sig) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    b.copies[*e.get() as usize].push(cid);
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(b.sigs.len() as u32);
-                    b.sigs.push(sig);
-                    b.copies.push(vec![cid]);
-                }
-            }
+    /// Group copy i (of signature `sigs[i]`) into buckets: a counting
+    /// pass, then a counting sort — six allocations whatever the number
+    /// of copies (a carry allocates per level, not per bucket).
+    pub(crate) fn from_sigs(sigs: &[Signature]) -> SigBuckets {
+        // room for every signature distinct, so the map never regrows;
+        // then shrunk to the buckets it holds
+        let mut index = HashMap::with_capacity(sigs.len());
+        let bucket_of: Vec<u32> = sigs
+            .iter()
+            .map(|s| {
+                let next = index.len() as u32;
+                *index.entry(*s).or_insert(next)
+            })
+            .collect();
+        index.shrink_to_fit();
+        let mut bucket_sigs = vec![Signature::default(); index.len()];
+        for (s, &b) in &index {
+            bucket_sigs[b as usize] = *s;
         }
-        b
+        // sizes, then each bucket's end; filled back to front, a bucket's
+        // members come out ascending and its end becomes its start
+        let mut starts = vec![0u32; index.len() + 1];
+        for &b in &bucket_of {
+            starts[b as usize] += 1;
+        }
+        let mut end = 0;
+        for s in starts.iter_mut() {
+            end += *s;
+            *s = end;
+        }
+        let mut members = vec![CopyId(0); sigs.len()];
+        for (i, &b) in bucket_of.iter().enumerate().rev() {
+            starts[b as usize] -= 1;
+            members[starts[b as usize] as usize] = CopyId(i as u32);
+        }
+        SigBuckets { sigs: bucket_sigs, starts, members, index }
+    }
+
+    /// The copies of bucket `b`.
+    fn bucket(&self, b: u32) -> &[CopyId] {
+        &self.members[self.starts[b as usize] as usize..self.starts[b as usize + 1] as usize]
+    }
+
+    /// Bytes held on the heap (the index's table counted at a control
+    /// byte per entry).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.sigs.capacity() * size_of::<Signature>()
+            + (self.starts.capacity() + self.members.capacity()) * 4
+            + self.index.capacity() * (size_of::<(Signature, u32)>() + 1)
     }
 
     pub fn num_buckets(&self) -> usize {
@@ -271,7 +307,7 @@ impl SigBuckets {
 
     /// Copies across all buckets.
     pub fn total_copies(&self) -> usize {
-        self.copies.iter().map(Vec::len).sum()
+        self.members.len()
     }
 
     /// Average copies per occupied bucket (the paper tunes k so this
@@ -284,13 +320,13 @@ impl SigBuckets {
     }
 
     pub fn get(&self, sig: &Signature) -> Option<&[CopyId]> {
-        self.index.get(sig).map(|&i| self.copies[i as usize].as_slice())
+        self.index.get(sig).map(|&i| self.bucket(i))
     }
 
     /// Iterate (signature, copies) — the §4.1 storage layouts sort
     /// records by these signatures.
     pub fn iter(&self) -> impl Iterator<Item = (&Signature, &[CopyId])> {
-        self.sigs.iter().zip(self.copies.iter().map(Vec::as_slice))
+        self.sigs.iter().zip((0..).map(|b| self.bucket(b)))
     }
 
     /// Emit the copies of every bucket at curve distance **exactly** `r`
@@ -335,7 +371,7 @@ impl SigBuckets {
         }
         if let ProbeCursor::Scan { pos } = &mut probe.cursor {
             while *pos < probe.scan.len() && probe.scan[*pos].0 == r {
-                out.extend_from_slice(&self.copies[probe.scan[*pos].1 as usize]);
+                out.extend_from_slice(self.bucket(probe.scan[*pos].1));
                 *pos += 1;
             }
         }
@@ -425,7 +461,7 @@ impl SigBuckets {
                         debug_assert_eq!(m3.max(od), r);
                         *probed += 1;
                         if let Some(&bi) = self.index.get(&Signature([a, b, c, d])) {
-                            out.extend_from_slice(&self.copies[bi as usize]);
+                            out.extend_from_slice(self.bucket(bi));
                         }
                     }
                 }
@@ -545,7 +581,7 @@ mod tests {
         let k = family.k() as u16;
         let mut quarters: [Vec<Point>; 4] = Default::default();
         for (_, copy) in base.copies().take(16) {
-            let sig = signature_of_with(&family, &copy.normalized, &mut quarters);
+            let sig = signature_of_with(&family, copy.normalized.points(), &mut quarters);
             let mut probe = IndexProbe::default();
             let mut vals = QuarterVals::default();
             let mut probed = 0u64;
@@ -576,7 +612,7 @@ mod tests {
         let k = family.k() as u16;
         let mut quarters: [Vec<Point>; 4] = Default::default();
         let (_, copy) = base.copies().next().unwrap();
-        let sig = signature_of_with(&family, &copy.normalized, &mut quarters);
+        let sig = signature_of_with(&family, copy.normalized.points(), &mut quarters);
         let mut probe = IndexProbe::default();
         let mut vals = QuarterVals::default();
         let mut probed = 0u64;
@@ -619,7 +655,7 @@ mod tests {
         let k = family.k() as u16;
         let mut quarters: [Vec<Point>; 4] = Default::default();
         for (_, copy) in base.copies().take(10) {
-            let sig = signature_of_with(&family, &copy.normalized, &mut quarters);
+            let sig = signature_of_with(&family, copy.normalized.points(), &mut quarters);
             for radius in [0u16, 1, 2, 5] {
                 let mut got = Vec::new();
                 sb.collect_within(k, &sig, radius, &mut got);

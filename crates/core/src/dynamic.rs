@@ -10,11 +10,13 @@
 //! shape of a level, and a level that is more dead than alive is rebuilt
 //! without its dead (`MAX_DEAD_PER_LIVE`) — and a query runs on every
 //! live sub-base with results merged. A sub-base (`Level`) is the
-//! normalized copies of its shapes, their hash signatures bucketed for
-//! the approximate tier, and an id table — no vertex pool and no
-//! range-search index: a level is scanned, never range-searched. A shape
-//! is normalized and hashed once, when it is inserted (or bulk-loaded); a
-//! carry only merges what its inputs hold (`Level::merge`).
+//! normalized copies of its shapes laid end to end in one vertex arena
+//! (`CopyArena`, the layout the insert buffer's shapes share), their hash
+//! signatures bucketed for the approximate tier, and an id table — no
+//! vertex pool and no range-search index: a level is scanned, never
+//! range-searched. A shape is normalized and hashed once, when it is
+//! inserted (or bulk-loaded); a carry only copies what its inputs hold
+//! (`Level::merge`).
 //!
 //! An exact query is *seed-and-verify* (`Snapshot::seed_and_scan`): the
 //! hash tier (§3, [`crate::approx`]) is probed first, and the k-th best of
@@ -38,21 +40,23 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
-use geosir_geom::{Polyline, Similarity};
+use geosir_geom::{Point, Polyline};
 use geosir_obs as obs;
 
 use crate::approx::{
     record_query_metrics, AnswerTier, ApproxOptions, ApproxScratch, ApproxStats, CandRef,
     SigBuckets, BUFFER_LEVEL, DEFAULT_HASH_CURVES,
 };
-use crate::hashing::{signature_of, signature_of_with, CurveFamily, Signature};
+use crate::hashing::{signature_of_with, CurveFamily, Signature};
 use crate::ids::{ImageId, ShapeId};
 use crate::matcher::{MatchConfig, MatchOutcome, MatcherMetrics};
+use crate::normalize::normalizations;
 use crate::scratch::MatcherScratch;
-use crate::shapebase::{normalize_all, CopyRecord};
-use crate::similarity::{score_bounded_with, score_prepared_bounded, PreparedShape, ScoreKind};
+use crate::shapebase::par_map;
+use crate::similarity::{score_slice_bounded, PreparedShape, ScoreKind};
 
 /// A shape registered with the dynamic base (stable across rebuilds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -66,8 +70,10 @@ pub struct DynamicBase {
     /// and all insert-time signatures (§3; k = [`DEFAULT_HASH_CURVES`]).
     family: Arc<CurveFamily>,
     /// Insert buffer: shapes not yet in any level (scored brute force
-    /// against normalized copies prepared — indexed — at insert time).
+    /// against the normalized copies derived at insert time).
     buffer: Vec<Arc<BufferedShape>>,
+    /// Quarter buffers the writer hashes new copies through.
+    quarters: [Vec<Point>; 4],
     buffer_cap: usize,
     /// Binary-carry slots; slot i holds a level of capacity
     /// `buffer_cap · 2^i` (or is empty).
@@ -83,27 +89,81 @@ pub struct DynamicBase {
     pub compactions: u64,
 }
 
-/// One not-yet-leveled insert. The normalized copies are derived — and
-/// their segment indexes built — once at insert time (writer-side), so
-/// brute-force scoring during queries does no index construction at all:
-/// re-deriving copies and re-indexing candidates per query per buffered
-/// shape used to dominate mixed read/write workloads. The buffer holds
-/// each entry behind one `Arc`, so a snapshot capture clones a pointer
-/// per shape and no geometry.
+/// One not-yet-leveled insert. Its normalized copies and their
+/// signatures are derived once at insert time (writer-side): a query
+/// scores them as a level's copies are scored — by the slice scan, the
+/// reverse index built only for a survivor — and probes them without
+/// hashing, and a carry copies them into the level as they are. The
+/// buffer holds each entry behind one `Arc`, so a snapshot capture
+/// clones a pointer per shape and no geometry.
 struct BufferedShape {
     id: GlobalShapeId,
     image: ImageId,
     shape: Polyline,
-    /// Empty only for degenerate geometry, which then simply never
-    /// matches.
-    copies: Vec<PreparedShape>,
-    /// Normalized → original-pose transform of each copy, and its
-    /// geometric-hash signature (both aligned with `copies`), also
-    /// computed writer-side: the approximate tier probes the buffer by
-    /// the signatures without hashing anything at query time, and a carry
-    /// moves all three into the level as they are.
-    inverses: Vec<Similarity>,
+    /// Owner 0; empty only for degenerate geometry, which then simply
+    /// never matches.
+    copies: CopyArena,
+}
+
+/// Normalized copies laid end to end — a level's, or one buffered
+/// shape's: copy i is `verts[ends[i - 1]..ends[i]]`, beside it its
+/// owner (a level-local shape id) and its signature, which the next
+/// carry re-buckets instead of re-hashing. No copy owns an allocation,
+/// so a carry copies vertex ranges.
+#[derive(Default)]
+struct CopyArena {
+    verts: Vec<Point>,
+    ends: Vec<u32>,
+    owner: Vec<ShapeId>,
     sigs: Vec<Signature>,
+}
+
+/// Where entries `items` of a table of cumulative ends lie.
+fn ranged(ends: &[u32], items: Range<usize>) -> Range<usize> {
+    let at = |i: usize| if i == 0 { 0 } else { ends[i - 1] as usize };
+    at(items.start)..at(items.end)
+}
+
+fn bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
+
+impl CopyArena {
+    fn with_capacity(copies: usize, verts: usize) -> CopyArena {
+        let (ends, owner, sigs) =
+            (Vec::with_capacity(copies), Vec::with_capacity(copies), Vec::with_capacity(copies));
+        CopyArena { verts: Vec::with_capacity(verts), ends, owner, sigs }
+    }
+
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn verts(&self, i: usize) -> &[Point] {
+        &self.verts[ranged(&self.ends, i..i + 1)]
+    }
+
+    /// Every copy's owner and vertices, in storage order.
+    fn iter(&self) -> impl Iterator<Item = (ShapeId, &[Point])> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        let spans = starts.zip(&self.ends).map(|(s, &e)| &self.verts[s as usize..e as usize]);
+        self.owner.iter().copied().zip(spans)
+    }
+
+    /// Append copies `copies` of `from` as `owner`'s: their vertices as
+    /// one range, their ends rebased.
+    fn extend_from(&mut self, owner: ShapeId, from: &CopyArena, copies: Range<usize>) {
+        let verts = ranged(&from.ends, copies.clone());
+        let (old, new) = (verts.start as u32, self.verts.len() as u32);
+        self.verts.extend_from_slice(&from.verts[verts]);
+        self.ends.extend(from.ends[copies.clone()].iter().map(|e| e - old + new));
+        self.owner.resize(self.owner.len() + copies.len(), owner);
+        self.sigs.extend_from_slice(&from.sigs[copies]);
+    }
+
+    fn heap_bytes(&self) -> usize {
+        bytes(&self.verts) + bytes(&self.ends) + bytes(&self.owner) + bytes(&self.sigs)
+    }
 }
 
 /// One static sub-base: what its shapes' inserts (or one bulk load)
@@ -111,22 +171,22 @@ struct BufferedShape {
 /// built; a carry that consumes it copies out what is still live.
 #[derive(Default)]
 struct Level {
-    /// Every normalized copy, shape by shape in `ids` order; `shape_id`
-    /// is level-local (an index into `ids` / `images` / `shapes`).
-    copies: Vec<CopyRecord>,
-    /// Hash signature of each copy (aligned with `copies`): what the next
-    /// carry re-buckets instead of re-hashing.
-    sigs: Vec<Signature>,
-    /// `sigs` grouped — the approximate tier's index slice for this
-    /// level.
+    /// Every normalized copy, shape by shape in `ids` order.
+    copies: CopyArena,
+    /// `copies.sigs` grouped — the approximate tier's index slice for
+    /// this level.
     buckets: SigBuckets,
     /// Level-local ShapeId → global id.
     ids: Vec<GlobalShapeId>,
     images: Vec<ImageId>,
-    shapes: Vec<Polyline>,
-    /// Copies each shape has (aligned with `ids`): what a delete takes
-    /// off the live-copy count.
-    copies_of: Vec<u32>,
+    /// Whether each shape — and so each of its copies — is closed.
+    closed: Vec<bool>,
+    /// The source shapes end to end, shape l at `ranged(src_ends, l..l + 1)`.
+    src_verts: Vec<Point>,
+    src_ends: Vec<u32>,
+    /// Copies per shape, cumulative (aligned with `ids`): the range a
+    /// carry copies, and what a delete takes off the live-copy count.
+    copy_ends: Vec<u32>,
     /// `ids` sorted, each with its level-local id: membership (WAL
     /// replay) and the bit a delete sets are a binary search, not a walk
     /// of `ids`.
@@ -146,9 +206,9 @@ struct Level {
 /// at every instant.
 const MAX_DEAD_PER_LIVE: usize = 1;
 
-/// Tombstones of one level: bit `ShapeId` set = deleted. Copied on write
-/// by [`DynamicBase::delete`] when a snapshot shares it (8 bytes per 64
-/// shapes).
+/// Tombstones of one level: bit `ShapeId` set = deleted, words held up
+/// to the highest bit set. Copied on write by [`DynamicBase::delete`]
+/// when a snapshot shares it (8 bytes per 64 shapes).
 #[derive(Clone, Default)]
 struct DeadBits {
     words: Vec<u64>,
@@ -159,14 +219,18 @@ struct DeadBits {
 
 impl DeadBits {
     fn get(&self, local: ShapeId) -> bool {
-        self.words[local.index() / 64] >> (local.index() % 64) & 1 == 1
+        self.words.get(local.index() / 64).is_some_and(|w| w >> (local.index() % 64) & 1 == 1)
     }
 
     /// Tombstone a live shape that has `copies` copies in the level.
-    fn set(&mut self, local: ShapeId, copies: u32) {
-        self.words[local.index() / 64] |= 1 << (local.index() % 64);
+    fn set(&mut self, local: ShapeId, copies: usize) {
+        let word = local.index() / 64;
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        self.words[word] |= 1 << (local.index() % 64);
         self.shapes += 1;
-        self.copies += copies as usize;
+        self.copies += copies;
     }
 }
 
@@ -180,8 +244,7 @@ struct Slot {
 
 impl Slot {
     fn new(level: Level) -> Slot {
-        let dead = DeadBits { words: vec![0; level.ids.len().div_ceil(64)], shapes: 0, copies: 0 };
-        Slot { level: Arc::new(level), dead: Arc::new(dead) }
+        Slot { level: Arc::new(level), dead: Arc::default() }
     }
 
     fn live_shapes(&self) -> usize {
@@ -192,13 +255,16 @@ impl Slot {
         self.level.copies.len() - self.dead.copies
     }
 
-    /// The live shapes' table rows, in level order.
-    fn live(&self) -> impl Iterator<Item = (ShapeId, GlobalShapeId, ImageId, &Polyline)> {
+    /// The live shapes' table rows, in level order, each with the range
+    /// of its copies.
+    fn live(
+        &self,
+    ) -> impl Iterator<Item = (ShapeId, GlobalShapeId, ImageId, Range<usize>)> + Clone + '_ {
         let level = &*self.level;
         (0..level.ids.len() as u32)
             .map(ShapeId)
             .filter(|local| !self.dead.get(*local))
-            .map(|l| (l, level.ids[l.index()], level.images[l.index()], &level.shapes[l.index()]))
+            .map(|l| (l, level.ids[l.index()], level.images[l.index()], level.copies_of(l)))
     }
 }
 
@@ -323,6 +389,7 @@ impl DynamicBase {
             config,
             family: Arc::new(CurveFamily::new(DEFAULT_HASH_CURVES)),
             buffer: Vec::new(),
+            quarters: Default::default(),
             buffer_cap,
             levels: Vec::new(),
             next_id: 0,
@@ -357,10 +424,9 @@ impl DynamicBase {
     }
 
     /// Insert a shape. Its normalized copies and their signatures are
-    /// computed — and the copies indexed — here, once: every query that
-    /// brute-forces the buffer only scores, and every carry the shape
-    /// later takes part in only moves them (writer pays, readers and
-    /// carries don't).
+    /// computed here, once: every query that brute-forces the buffer only
+    /// scores, and every carry the shape later takes part in only copies
+    /// them (writer pays, readers and carries don't).
     pub fn insert(&mut self, image: ImageId, shape: Polyline) -> GlobalShapeId {
         let id = GlobalShapeId(self.next_id);
         self.next_id += 1;
@@ -369,17 +435,12 @@ impl DynamicBase {
         id
     }
 
-    /// Derive everything a buffered shape carries — prepared copies, their
-    /// inverse transforms and hash signatures — once, writer-side; carry
-    /// when the buffer is full.
+    /// Derive everything a buffered shape carries — its normalized copies
+    /// and their hash signatures — once, writer-side; carry when the
+    /// buffer is full.
     fn buffer_insert(&mut self, id: GlobalShapeId, image: ImageId, shape: Polyline) {
-        let (mut copies, mut inverses, mut sigs) = (Vec::new(), Vec::new(), Vec::new());
-        for c in crate::normalize::normalized_copies(&shape, self.alpha) {
-            sigs.push(signature_of(&self.family, &c.shape));
-            inverses.push(c.inverse);
-            copies.push(PreparedShape::new(c.shape));
-        }
-        self.buffer.push(Arc::new(BufferedShape { id, image, shape, copies, inverses, sigs }));
+        let b = BufferedShape::new(id, image, shape, self.alpha, &self.family, &mut self.quarters);
+        self.buffer.push(Arc::new(b));
         if self.buffer.len() >= self.buffer_cap {
             self.cascade();
         }
@@ -460,13 +521,12 @@ impl DynamicBase {
         if pool.is_empty() {
             return;
         }
-        // smallest slot whose capacity `cap · 2^slot` holds the batch
+        // smallest slot whose capacity `cap · 2^slot` holds the batch, or
+        // the next free one above it if that is occupied
         let mut slot = 0usize;
         while self.buffer_cap << slot < pool.len() {
             slot += 1;
         }
-        // if occupied (or any occupied above would break the invariant
-        // loosely), fall back to merging through the cascade machinery
         while slot < self.levels.len() && self.levels[slot].is_some() {
             slot += 1;
         }
@@ -493,7 +553,7 @@ impl DynamicBase {
             return false;
         };
         let slot = self.levels[at].as_mut().expect("found there");
-        Arc::make_mut(&mut slot.dead).set(local, slot.level.copies_of[local.index()]);
+        Arc::make_mut(&mut slot.dead).set(local, slot.level.copies_of(local).len());
         self.epoch += 1;
         if slot.dead.shapes > MAX_DEAD_PER_LIVE * slot.live_shapes() {
             self.compact(at);
@@ -506,7 +566,7 @@ impl DynamicBase {
     /// with it; a level with no live shape frees the slot.
     fn compact(&mut self, at: usize) {
         let old = self.levels[at].take().expect("compacting an occupied slot");
-        let merged = Level::merge(&[], std::slice::from_ref(&old));
+        let merged = Level::merge(&[], std::iter::once(&old));
         let shapes = merged.ids.len();
         self.shapes_rebuilt += shapes as u64;
         self.compactions += 1;
@@ -533,22 +593,14 @@ impl DynamicBase {
     /// the slots that held them.
     fn cascade(&mut self) {
         let buffer = std::mem::take(&mut self.buffer);
-        let mut carried = Vec::new();
-        let mut slot = 0usize;
-        loop {
-            if slot >= self.levels.len() {
-                self.levels.push(None);
-            }
-            match self.levels[slot].take() {
-                None => break,
-                Some(level) => {
-                    carried.push(level);
-                    slot += 1;
-                }
-            }
+        // the first free slot: every level below it joins the carry
+        let slot = self.levels.iter().position(Option::is_none).unwrap_or(self.levels.len());
+        if slot == self.levels.len() {
+            self.levels.push(None);
         }
         // never empty: the buffer is, and holds no dead shape
-        let merged = Level::merge(&buffer, &carried);
+        let merged = Level::merge(&buffer, self.levels[..slot].iter().flatten());
+        self.levels[..slot].fill(None);
         let rebuilt = merged.ids.len();
         self.shapes_rebuilt += rebuilt as u64;
         self.levels[slot] = Some(Slot::new(merged));
@@ -591,77 +643,117 @@ thread_local! {
 }
 
 impl Level {
-    /// Normalize and hash `pool` in bulk — the bulk-load / restore path,
-    /// the only one besides [`DynamicBase::insert`] that does either.
-    fn build(pool: Vec<(GlobalShapeId, ImageId, Polyline)>, alpha: f64, family: &CurveFamily) -> Level {
-        let normalized = normalize_all(&pool, |(_, _, shape)| shape, alpha, 0);
-        let mut level = Level::default();
-        let mut quarters = Default::default();
-        for ((gid, image, shape), copies) in pool.into_iter().zip(normalized) {
-            let local = level.push_shape(gid, image, shape);
-            for c in copies {
-                let sig = signature_of_with(family, &c.shape, &mut quarters);
-                level.push_copy(CopyRecord::new(local, image, c.shape, c.inverse), sig);
-            }
+    /// An empty level sized exactly for `shapes` shapes of `src` source
+    /// vertices with `copies` copies of `verts` vertices.
+    fn with_capacity(shapes: usize, src: usize, copies: usize, verts: usize) -> Level {
+        Level {
+            copies: CopyArena::with_capacity(copies, verts),
+            ids: Vec::with_capacity(shapes),
+            images: Vec::with_capacity(shapes),
+            closed: Vec::with_capacity(shapes),
+            src_verts: Vec::with_capacity(src),
+            src_ends: Vec::with_capacity(shapes),
+            copy_ends: Vec::with_capacity(shapes),
+            ..Level::default()
         }
-        level.finish()
+    }
+
+    /// The bulk-load / restore path, the only one besides
+    /// [`DynamicBase::insert`] that normalizes or hashes: every shape of
+    /// `pool` buffered as an insert would be, on every CPU, then carried
+    /// into one level.
+    fn build(pool: Vec<(GlobalShapeId, ImageId, Polyline)>, alpha: f64, family: &CurveFamily) -> Level {
+        let shapes = par_map(&pool, 0, |(id, image, shape)| {
+            let quarters = &mut Default::default();
+            Arc::new(BufferedShape::new(*id, *image, shape.clone(), alpha, family, quarters))
+        });
+        Level::merge(&shapes, std::iter::empty())
     }
 
     /// What a carry leaves in its target slot: the shapes of `buffer`,
     /// then the live shapes of `slots` in slot order, each with the
     /// copies and signatures it already has — the level [`Level::build`]
     /// would make of the same shapes in the same order, copy for copy,
-    /// with nothing normalized or hashed. A tombstoned shape stays
+    /// with nothing normalized or hashed. Sized exactly from the live
+    /// counts first, then filled range by range: a handful of allocations
+    /// per level, none per shape or copy. A tombstoned shape stays
     /// behind, and its tombstone with the slot that held it.
-    fn merge(buffer: &[Arc<BufferedShape>], slots: &[Slot]) -> Level {
-        let mut out = Level::default();
-        for b in buffer {
-            let local = out.push_shape(b.id, b.image, b.shape.clone());
-            for ((copy, inverse), sig) in b.copies.iter().zip(&b.inverses).zip(&b.sigs) {
-                out.push_copy(CopyRecord::new(local, b.image, copy.shape().clone(), *inverse), *sig);
-            }
+    fn merge<'a>(
+        buffer: &[Arc<BufferedShape>],
+        slots: impl Iterator<Item = &'a Slot> + Clone,
+    ) -> Level {
+        // (id, image, source, closed, copies as a range of an arena)
+        let buffered = buffer.iter().map(|b| {
+            (b.id, b.image, b.shape.points(), b.shape.is_closed(), &b.copies, 0..b.copies.len())
+        });
+        let leveled = slots.flat_map(|slot| {
+            let level = &*slot.level;
+            let row = move |(l, gid, image, range): (ShapeId, _, _, _)| {
+                (gid, image, level.src(l), level.closed[l.index()], &level.copies, range)
+            };
+            slot.live().map(row)
+        });
+        let shapes = buffered.chain(leveled);
+        let (mut n, mut src, mut copies, mut verts) = (0, 0, 0, 0);
+        for (_, _, source, _, arena, range) in shapes.clone() {
+            (n, src, copies) = (n + 1, src + source.len(), copies + range.len());
+            verts += ranged(&arena.ends, range).len();
         }
-        // Snapshots may still hold these levels: their contents are
-        // cloned out, never moved.
-        let mut remap: Vec<Option<ShapeId>> = Vec::new();
-        for slot in slots {
-            // level-local id → id in `out`, `None` for a tombstoned shape
-            remap.clear();
-            remap.resize(slot.level.ids.len(), None);
-            for (local, gid, image, shape) in slot.live() {
-                remap[local.index()] = Some(out.push_shape(gid, image, shape.clone()));
-            }
-            for (copy, sig) in slot.level.copies.iter().zip(&slot.level.sigs) {
-                if let Some(local) = remap[copy.shape_id.index()] {
-                    out.push_copy(CopyRecord { shape_id: local, ..copy.clone() }, *sig);
-                }
-            }
+        let mut out = Level::with_capacity(n, src, copies, verts);
+        // Snapshots may still hold the slots' levels: their contents are
+        // copied out, never moved.
+        for (id, image, source, closed, arena, range) in shapes {
+            out.copies.extend_from(ShapeId(out.ids.len() as u32), arena, range);
+            out.push_shape(id, image, source, closed);
         }
         out.finish()
     }
 
-    fn push_shape(&mut self, id: GlobalShapeId, image: ImageId, shape: Polyline) -> ShapeId {
+    /// Record a shape whose copies were just appended to the arena.
+    fn push_shape(&mut self, id: GlobalShapeId, image: ImageId, src: &[Point], closed: bool) {
         self.ids.push(id);
         self.images.push(image);
-        self.shapes.push(shape);
-        self.copies_of.push(0);
-        ShapeId(self.ids.len() as u32 - 1)
+        self.closed.push(closed);
+        self.src_verts.extend_from_slice(src);
+        self.src_ends.push(self.src_verts.len() as u32);
+        self.copy_ends.push(self.copies.len() as u32);
     }
 
-    fn push_copy(&mut self, copy: CopyRecord, sig: Signature) {
-        self.copies_of[copy.shape_id.index()] += 1;
-        self.copies.push(copy);
-        self.sigs.push(sig);
+    fn copies_of(&self, local: ShapeId) -> Range<usize> {
+        ranged(&self.copy_ends, local.index()..local.index() + 1)
+    }
+
+    fn src(&self, local: ShapeId) -> &[Point] {
+        &self.src_verts[ranged(&self.src_ends, local.index()..local.index() + 1)]
+    }
+
+    /// Copy `verts` of shape `owner` as [`score_onto`] takes it.
+    fn offer<'c>(
+        &'c self,
+        owner: ShapeId,
+        verts: &'c [Point],
+        verdict: Option<&'c mut f64>,
+    ) -> Offer<'c> {
+        let at = owner.index();
+        let (shape, image, closed) = (self.ids[at], self.images[at], self.closed[at]);
+        Offer { shape, image, verts, closed, verdict }
     }
 
     /// Bucket the signatures and sort the id table.
     fn finish(mut self) -> Level {
-        self.buckets = SigBuckets::from_sigs(self.sigs.iter().copied());
+        self.buckets = SigBuckets::from_sigs(&self.copies.sigs);
         self.sorted_ids = self.ids.iter().copied().zip((0..).map(ShapeId)).collect();
-        // stable sort: `ids` is one ascending run per buffer that ever fed
-        // the level, which it merges rather than re-sorts
-        self.sorted_ids.sort();
+        // ids are unique, so no order among equals to keep — and an
+        // unstable sort needs no scratch buffer
+        self.sorted_ids.sort_unstable();
         self
+    }
+
+    fn heap_bytes(&self) -> usize {
+        let ids = bytes(&self.ids) + bytes(&self.sorted_ids) + bytes(&self.images);
+        let shapes = bytes(&self.closed) + bytes(&self.copy_ends);
+        let src = bytes(&self.src_verts) + bytes(&self.src_ends);
+        self.copies.heap_bytes() + self.buckets.heap_bytes() + ids + shapes + src
     }
 
     /// The level-local id under which this level holds `id` (live or
@@ -718,7 +810,11 @@ impl Snapshot {
     pub fn live_shapes(&self) -> Vec<(GlobalShapeId, ImageId, Polyline)> {
         let mut out = Vec::with_capacity(self.live);
         for slot in self.levels.iter().flatten() {
-            out.extend(slot.live().map(|(_, gid, image, shape)| (gid, image, shape.clone())));
+            let level = &*slot.level;
+            out.extend(slot.live().map(|(local, gid, image, _)| {
+                let src = level.src(local).to_vec();
+                (gid, image, Polyline::from_valid(src, level.closed[local.index()]))
+            }));
         }
         out.extend(self.buffer.iter().map(|b| (b.id, b.image, b.shape.clone())));
         out
@@ -811,6 +907,20 @@ impl Snapshot {
     /// live share of it, never under half).
     pub fn stored_copies(&self) -> usize {
         self.copies + self.levels.iter().flatten().map(|s| s.dead.copies).sum::<usize>()
+    }
+
+    /// Bytes the captured base holds on the heap: each level's arena,
+    /// tables, buckets and tombstones, and the buffered shapes — their
+    /// `Vec` capacities, summed (a level two snapshots share counts in
+    /// both).
+    pub fn heap_bytes(&self) -> usize {
+        let levels = self.levels.iter().flatten();
+        let levels = levels.map(|s| s.level.heap_bytes() + bytes(&s.dead.words));
+        let buffered = self.buffer.iter().map(|b| {
+            let src = b.shape.num_vertices() * std::mem::size_of::<Point>();
+            std::mem::size_of::<BufferedShape>() + src + b.copies.heap_bytes()
+        });
+        levels.sum::<usize>() + bytes(&self.buffer) + buffered.sum::<usize>()
     }
 
     /// Occupied signature buckets across all level indexes.
@@ -945,11 +1055,11 @@ impl Snapshot {
         let max_cand = opts.max_candidates.max(1);
         ax.begin(self.levels.len());
         let ApproxScratch { quarters, vals, probes, ring, buffered, cands, .. } = ax;
-        let qsig = signature_of_with(family, qprep.shape(), quarters);
+        let qsig = signature_of_with(family, qprep.shape().points(), quarters);
         // every buffered copy's ring, computed once; sorted, a ring is one
         // run of it in (shape, copy) order
         for (bi, b) in self.buffer.iter().enumerate() {
-            let ringed = b.sigs.iter().enumerate();
+            let ringed = b.copies.sigs.iter().enumerate();
             buffered.extend(ringed.map(|(ci, s)| (qsig.curve_distance(s), bi as u32, ci as u32)));
         }
         buffered.sort_unstable();
@@ -960,7 +1070,7 @@ impl Snapshot {
             for (li, Slot { level, dead }) in self.slots() {
                 ring.clear();
                 level.buckets.collect_ring(kf, &qsig, r, &mut probes[li], vals, ring, &mut probed);
-                let live = ring.iter().filter(|c| !dead.get(level.copies[c.index()].shape_id));
+                let live = ring.iter().filter(|c| !dead.get(level.copies.owner[c.index()]));
                 cands.extend(live.map(|c| CandRef {
                     level: li as u32,
                     a: c.0,
@@ -990,19 +1100,14 @@ impl Snapshot {
         stats: &mut ApproxStats,
     ) {
         let offers = cands.iter_mut().map(|c| {
+            let verdict = Some(&mut c.verdict);
             if c.level == BUFFER_LEVEL {
                 let b = &self.buffer[c.a as usize];
-                let geom = CopyGeom::Indexed(&b.copies[c.b as usize]);
-                return Offer { shape: b.id, image: b.image, geom, verdict: Some(&mut c.verdict) };
+                return b.offer(b.copies.verts(c.b as usize), verdict);
             }
             let level = &self.levels[c.level as usize].as_ref().expect("probed slot").level;
-            let copy = &level.copies[c.a as usize];
-            Offer {
-                shape: level.ids[copy.shape_id.index()],
-                image: copy.image,
-                geom: CopyGeom::Stored(&copy.normalized),
-                verdict: Some(&mut c.verdict),
-            }
+            let i = c.a as usize;
+            level.offer(level.copies.owner[i], level.copies.verts(i), verdict)
         });
         let done = score_onto(self.config.score, qprep, back, board, offers);
         stats.reranked += done.scored;
@@ -1073,13 +1178,8 @@ impl Snapshot {
                 let credit = judged.map(|c| settled[c.a as usize] = stamp).count();
                 let within = board.cutoff;
                 let unsettled = level.copies.iter().zip(&*settled).filter(|(_, at)| **at != stamp);
-                let live = unsettled.filter(|(copy, _)| !dead.get(copy.shape_id));
-                let offers = live.map(|(copy, _)| Offer {
-                    shape: level.ids[copy.shape_id.index()],
-                    image: copy.image,
-                    geom: CopyGeom::Stored(&copy.normalized),
-                    verdict: None,
-                });
+                let live = unsettled.filter(|((owner, _), _)| !dead.get(*owner));
+                let offers = live.map(|((owner, verts), _)| level.offer(owner, verts, None));
                 let qprep = scratch.query.as_ref().expect("prepared above");
                 let done = score_onto(self.config.score, qprep, back, &mut board, offers);
                 stats.scan_copies += done.scored;
@@ -1094,17 +1194,11 @@ impl Snapshot {
                 }
             }
 
-            // Buffered shapes: the copies prepared — indexed — at insert
-            // time, through the same loop (the buffer is small by design,
-            // and symmetric scoring does zero per-call index work).
+            // Buffered shapes: the copies derived at insert time, through
+            // the same loop (the buffer is small by design).
             let qprep = scratch.query.as_ref().expect("prepared above");
             let offers = self.buffer.iter().inspect(|_| stats.buffer_scored += 1).flat_map(|b| {
-                b.copies.iter().map(|c| Offer {
-                    shape: b.id,
-                    image: b.image,
-                    geom: CopyGeom::Indexed(c),
-                    verdict: None,
-                })
+                b.copies.iter().map(|(_, verts)| b.offer(verts, None))
             });
             score_onto(self.config.score, qprep, back, &mut board, offers);
             board.finish(out);
@@ -1138,19 +1232,42 @@ impl Snapshot {
     }
 }
 
-/// A copy's geometry as its store keeps it: a level holds the normalized
-/// polyline (the reverse index is rebuilt per survivor), the insert
-/// buffer a copy indexed once at insert time.
-enum CopyGeom<'c> {
-    Stored(&'c Polyline),
-    Indexed(&'c PreparedShape),
+impl BufferedShape {
+    /// Normalize and hash `shape` straight into an arena of its own (owner
+    /// 0), sized for the one diameter α = 0 usually gives.
+    fn new(
+        id: GlobalShapeId,
+        image: ImageId,
+        shape: Polyline,
+        alpha: f64,
+        family: &CurveFamily,
+        quarters: &mut [Vec<Point>; 4],
+    ) -> BufferedShape {
+        let pts = shape.points();
+        let mut copies = CopyArena::with_capacity(2, 2 * pts.len());
+        for (fwd, ..) in normalizations(pts, alpha) {
+            copies.verts.extend(pts.iter().map(|&p| fwd.apply(p)));
+            let copy = &copies.verts[copies.verts.len() - pts.len()..];
+            copies.sigs.push(signature_of_with(family, copy, quarters));
+            copies.ends.push(copies.verts.len() as u32);
+            copies.owner.push(ShapeId(0));
+        }
+        BufferedShape { id, image, shape, copies }
+    }
+
+    /// Copy `verts` of this shape as [`score_onto`] takes it.
+    fn offer<'c>(&'c self, verts: &'c [Point], verdict: Option<&'c mut f64>) -> Offer<'c> {
+        Offer { shape: self.id, image: self.image, verts, closed: self.shape.is_closed(), verdict }
+    }
 }
 
-/// One stored copy handed to [`score_onto`].
+/// One stored copy handed to [`score_onto`]: its vertices, a slice of an
+/// arena, and whether its shape is closed.
 struct Offer<'c> {
     shape: GlobalShapeId,
     image: ImageId,
-    geom: CopyGeom<'c>,
+    verts: &'c [Point],
+    closed: bool,
     /// Where the caller wants the copy's verdict kept: its exact score,
     /// or `INFINITY` when the bounded scorer abandoned it.
     verdict: Option<&'c mut f64>,
@@ -1217,10 +1334,12 @@ impl Board<'_> {
 
 /// The one bounded-scoring loop — the hash tier's rerank, the exact
 /// tier's level scans and its buffer scan are this, over three sources
-/// of live copies (each source leaves a tombstoned shape's out): score
-/// each against the board's cutoff, drop what the scorer abandons or what
-/// lands past the cutoff anyway (the continuous kinds never abandon), and
-/// offer the survivor to the board.
+/// of live copies (each source leaves a tombstoned shape's out), all
+/// stored alike: score each vertex slice against the board's cutoff —
+/// the reverse index rebuilt into `back` only for a forward survivor —
+/// drop what the scorer abandons or what lands past the cutoff anyway
+/// (the continuous kinds never abandon), and offer the survivor to the
+/// board.
 fn score_onto<'c>(
     kind: ScoreKind,
     qprep: &PreparedShape,
@@ -1229,11 +1348,8 @@ fn score_onto<'c>(
     offers: impl Iterator<Item = Offer<'c>>,
 ) -> Scored {
     let mut done = Scored { scored: 0, abandoned: 0 };
-    for Offer { shape, image, geom, verdict } in offers {
-        let score = match geom {
-            CopyGeom::Stored(copy) => score_bounded_with(kind, copy, qprep, back, board.cutoff),
-            CopyGeom::Indexed(copy) => score_prepared_bounded(kind, copy, qprep, board.cutoff),
-        };
+    for Offer { shape, image, verts, closed, verdict } in offers {
+        let score = score_slice_bounded(kind, verts, closed, qprep, back, board.cutoff);
         done.scored += 1;
         if let Some(verdict) = verdict {
             *verdict = score;
@@ -2169,29 +2285,28 @@ mod tests {
         assert_eq!(db.len(), 1023);
     }
 
-    /// Every field of two levels, geometry compared bit for bit.
+    /// Every field of two levels, the arenas field for field and their
+    /// geometry bit for bit.
     fn assert_same_level(got: &Level, want: &Level, what: &str) {
-        fn bits(p: &Polyline) -> Vec<(u64, u64)> {
-            p.points().iter().map(|q| (q.x.to_bits(), q.y.to_bits())).collect()
+        fn bits(pts: &[Point]) -> Vec<(u64, u64)> {
+            pts.iter().map(|q| (q.x.to_bits(), q.y.to_bits())).collect()
         }
         assert_eq!(got.ids, want.ids, "{what}: ids");
         assert_eq!(got.images, want.images, "{what}: images");
-        assert_eq!(got.copies_of, want.copies_of, "{what}: copies per shape");
+        assert_eq!(got.copy_ends, want.copy_ends, "{what}: copies per shape");
         assert_eq!(got.sorted_ids, want.sorted_ids, "{what}: id table");
         assert!(got.sorted_ids.windows(2).all(|w| w[0].0 < w[1].0), "{what}: id table order");
         assert!(got.sorted_ids.iter().all(|(g, l)| got.ids[l.index()] == *g), "{what}: id table rows");
-        for (g, w) in got.shapes.iter().zip(&want.shapes) {
-            assert_eq!((bits(g), g.is_closed()), (bits(w), w.is_closed()), "{what}: source shape");
-        }
-        assert_eq!(got.copies.len(), want.copies.len(), "{what}: copy count");
-        for (i, (g, w)) in got.copies.iter().zip(&want.copies).enumerate() {
-            assert_eq!((g.shape_id, g.image), (w.shape_id, w.image), "{what}: copy {i} owner");
-            assert_eq!(bits(&g.normalized), bits(&w.normalized), "{what}: copy {i} geometry");
-            let inv = |c: &CopyRecord| [c.inverse.a, c.inverse.b, c.inverse.tx, c.inverse.ty].map(f64::to_bits);
-            assert_eq!(inv(g), inv(w), "{what}: copy {i} inverse");
-            assert_eq!(g.anchor_credit, w.anchor_credit, "{what}: copy {i} anchors");
-        }
-        assert_eq!(got.sigs, want.sigs, "{what}: signatures");
+        assert_eq!(bits(&got.src_verts), bits(&want.src_verts), "{what}: source vertices");
+        assert_eq!(got.src_ends, want.src_ends, "{what}: source ranges");
+        assert_eq!(got.closed, want.closed, "{what}: closed bits");
+        assert_eq!(bits(&got.copies.verts), bits(&want.copies.verts), "{what}: copy vertices");
+        assert_eq!(got.copies.ends, want.copies.ends, "{what}: copy ranges");
+        assert_eq!(got.copies.owner, want.copies.owner, "{what}: copy owners");
+        assert_eq!(got.copies.sigs, want.copies.sigs, "{what}: signatures");
+        // and the exact capacities a merge reserves: no slack to carry
+        assert_eq!(got.copies.verts.capacity(), got.copies.verts.len(), "{what}: arena capacity");
+        assert_eq!(got.src_verts.capacity(), got.src_verts.len(), "{what}: source capacity");
         let buckets = |l: &Level| l.buckets.iter().map(|(s, c)| (*s, c.to_vec())).collect::<Vec<_>>();
         assert_eq!(buckets(got), buckets(want), "{what}: bucket membership");
     }
@@ -2275,7 +2390,7 @@ mod tests {
                         prop_assert_eq!(&got, &want, "{}: tombstones", what);
                         prop_assert_eq!(slot.dead.shapes, want.len(), "{}: dead count", what);
                         prop_assert!(slot.dead.shapes <= slot.live_shapes(), "{}: more dead than alive", what);
-                        let live_copies = slot.level.copies.iter().filter(|c| !slot.dead.get(c.shape_id)).count();
+                        let live_copies = slot.level.copies.owner.iter().filter(|o| !slot.dead.get(**o)).count();
                         prop_assert_eq!(slot.live_copies(), live_copies, "{}: live copies", what);
                     }
                 }

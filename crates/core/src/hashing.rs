@@ -339,8 +339,8 @@ impl GeometricHash {
     ) {
         out.clear();
         let HashScratch { probe, vals, quarters, seen, prepared, back, best } = scratch;
-        let sig = signature_of_with(&self.family, normalized_query, quarters);
-        let prepared = prepare_into(prepared, normalized_query);
+        let sig = signature_of_with(&self.family, normalized_query.points(), quarters);
+        let prepared = prepare_into(prepared, normalized_query.points(), normalized_query.is_closed());
         probe.cursor = ProbeCursor::Fresh;
         probe.scan.clear();
         seen.clear();
@@ -380,7 +380,7 @@ impl GeometricHash {
 /// Signature of a diameter-normalized shape under `family`.
 pub fn signature_of(family: &CurveFamily, normalized: &Polyline) -> Signature {
     let mut per_quarter: [Vec<Point>; 4] = Default::default();
-    signature_of_with(family, normalized, &mut per_quarter)
+    signature_of_with(family, normalized.points(), &mut per_quarter)
 }
 
 /// [`signature_of`] against caller-owned quarter buffers (cleared and
@@ -388,13 +388,13 @@ pub fn signature_of(family: &CurveFamily, normalized: &Polyline) -> Signature {
 /// serve path.
 pub fn signature_of_with(
     family: &CurveFamily,
-    normalized: &Polyline,
+    normalized: &[Point],
     per_quarter: &mut [Vec<Point>; 4],
 ) -> Signature {
     for q in per_quarter.iter_mut() {
         q.clear();
     }
-    for &p in normalized.points() {
+    for &p in normalized {
         let mut p = clamp_to_lune(p);
         // The normalization anchors carry no information: every copy has
         // them, and every hash curve passes through them (each family

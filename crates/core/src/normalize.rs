@@ -13,7 +13,7 @@
 //! on the lune's boundary.
 
 use geosir_geom::diameter::{alpha_diameters, VertexPair};
-use geosir_geom::{Polyline, Similarity};
+use geosir_geom::{Point, Polyline, Similarity};
 
 /// One normalized copy of a shape.
 #[derive(Debug, Clone)]
@@ -39,21 +39,28 @@ pub const LUNE_AREA: f64 = 2.0 * std::f64::consts::FRAC_PI_3 - 0.866_025_403_784
 /// Returns an empty vector only for degenerate geometry (all vertices
 /// coincident), which valid [`Polyline`]s cannot produce.
 pub fn normalized_copies(shape: &Polyline, alpha: f64) -> Vec<NormalizedCopy> {
-    let pts = shape.points();
-    let mut out = Vec::new();
-    for pair in alpha_diameters(pts, alpha) {
-        for swapped in [false, true] {
-            let (src0, src1) = if swapped {
-                (pts[pair.j], pts[pair.i])
-            } else {
-                (pts[pair.i], pts[pair.j])
-            };
-            let Some(fwd) = Similarity::normalizing(src0, src1) else { continue };
-            let Some(inverse) = fwd.inverse() else { continue };
-            out.push(NormalizedCopy { shape: fwd.apply_polyline(shape), inverse, pair, swapped });
-        }
-    }
-    out
+    normalizations(shape.points(), alpha)
+        .map(|(fwd, inverse, pair, swapped)| {
+            NormalizedCopy { shape: fwd.apply_polyline(shape), inverse, pair, swapped }
+        })
+        .collect()
+}
+
+/// The transforms behind [`normalized_copies`], in its order: each maps
+/// one orientation of one α-diameter of `pts` onto ((0,0), (1,0)), with
+/// its inverse — for a store that lays the mapped vertices out itself.
+pub(crate) fn normalizations(
+    pts: &[Point],
+    alpha: f64,
+) -> impl Iterator<Item = (Similarity, Similarity, VertexPair, bool)> + '_ {
+    alpha_diameters(pts, alpha).into_iter().flat_map(move |pair| {
+        [false, true].into_iter().filter_map(move |swapped| {
+            let (src0, src1) =
+                if swapped { (pts[pair.j], pts[pair.i]) } else { (pts[pair.i], pts[pair.j]) };
+            let fwd = Similarity::normalizing(src0, src1)?;
+            Some((fwd, fwd.inverse()?, pair, swapped))
+        })
+    })
 }
 
 /// Normalize about the diameter only (both orientations) — `α = 0` without
@@ -69,7 +76,6 @@ pub fn normalize_about_diameter(shape: &Polyline) -> Option<(NormalizedCopy, Nor
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geosir_geom::Point;
     use proptest::prelude::*;
     use rand::prelude::*;
 

@@ -5,7 +5,7 @@ use geosir_geom::rangesearch::{Backend, DynSimplexIndex, IndexScratch};
 use geosir_geom::{Point, Polyline, Similarity, Triangle};
 
 use crate::ids::{CopyId, ImageId, ShapeId};
-use crate::normalize::{normalized_copies, NormalizedCopy};
+use crate::normalize::normalized_copies;
 use crate::parallel::{resolve_threads, SharedSlots};
 
 /// A shape as extracted from an image, before normalization.
@@ -72,12 +72,12 @@ impl ShapeBaseBuilder {
     /// [`ShapeBaseBuilder::build`] with an explicit worker count
     /// (0 = one per available CPU).
     ///
-    /// Normalization runs on the workers ([`normalize_all`]); the merge
+    /// Normalization runs on the workers ([`par_map`]); the merge
     /// then runs in shape order, so the resulting base — copy order,
     /// pooled-vertex order, and therefore the index built over them — is
     /// byte-identical no matter how many threads ran.
     pub fn build_with_threads(self, alpha: f64, backend: Backend, threads: usize) -> ShapeBase {
-        let per_shape = normalize_all(&self.shapes, |s| &s.shape, alpha, threads);
+        let per_shape = par_map(&self.shapes, threads, |s| normalized_copies(&s.shape, alpha));
         let mut copies = Vec::new();
         let mut vertex_points: Vec<Point> = Vec::new();
         let mut vertex_copy: Vec<u32> = Vec::new();
@@ -110,41 +110,40 @@ impl CopyRecord {
     }
 }
 
-/// [`normalized_copies`] of every item of `shapes`, in order, on `threads`
-/// workers (0 = one per available CPU) — what a bulk build normalizes
-/// with, whether or not it goes on to index the vertices.
+/// `f` of every item of `items`, in order, on `threads` workers (0 = one
+/// per available CPU) — what a bulk build normalizes (and a dynamic
+/// level also hashes) with.
 ///
 /// The per-shape normalization (α-diameter enumeration is quadratic in
 /// the shape's vertex count) dominates build time and is embarrassingly
-/// parallel, so workers claim shapes from an atomic cursor and drop
-/// each shape's copies into its own slot: the result is identical no
-/// matter how many threads ran.
-pub(crate) fn normalize_all<T: Sync>(
-    shapes: &[T],
-    polyline: impl Fn(&T) -> &Polyline + Sync,
-    alpha: f64,
+/// parallel, so workers claim items from an atomic cursor and drop each
+/// result into its own slot: the result is identical no matter how many
+/// threads ran.
+pub(crate) fn par_map<T: Sync, R: Send>(
+    items: &[T],
     threads: usize,
-) -> Vec<Vec<NormalizedCopy>> {
-    let threads = resolve_threads(threads).min(shapes.len().max(1));
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let threads = resolve_threads(threads).min(items.len().max(1));
     if threads <= 1 {
-        return shapes.iter().map(|s| normalized_copies(polyline(s), alpha)).collect();
+        return items.iter().map(f).collect();
     }
-    let mut per_shape: Vec<Option<Vec<NormalizedCopy>>> = (0..shapes.len()).map(|_| None).collect();
-    let slots = SharedSlots::new(&mut per_shape);
+    let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+    let shared = SharedSlots::new(&mut slots);
     let next = std::sync::atomic::AtomicUsize::new(0);
     std::thread::scope(|s| {
         for _ in 0..threads {
             s.spawn(|| loop {
                 let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= shapes.len() {
+                if i >= items.len() {
                     break;
                 }
                 // SAFETY: the cursor hands each index to one worker.
-                unsafe { slots.write(i, normalized_copies(polyline(&shapes[i]), alpha)) };
+                unsafe { shared.write(i, f(&items[i])) };
             });
         }
     });
-    per_shape.into_iter().map(|slot| slot.expect("every shape normalized")).collect()
+    slots.into_iter().map(|slot| slot.expect("every item mapped")).collect()
 }
 
 /// The built shape base: immutable, query-ready.

@@ -14,7 +14,7 @@
 
 use geosir_geom::numeric::integrate;
 use geosir_geom::segindex::SegmentIndex;
-use geosir_geom::Polyline;
+use geosir_geom::{Point, Polyline};
 
 /// How a candidate shape is scored against the query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -50,14 +50,14 @@ impl PreparedShape {
     /// Re-prepare for `shape` in place, reusing the vertex buffer and the
     /// AABB tree's allocations (the matcher's scratch path re-prepares one
     /// candidate after another without touching the heap).
-    fn rebuild_from(&mut self, shape: &Polyline) {
-        self.shape.copy_from(shape);
+    fn rebuild_from(&mut self, verts: &[Point], closed: bool) {
+        self.shape.copy_from(verts, closed);
         self.index.rebuild_of_polyline(&self.shape);
     }
 
     /// [`Self::rebuild_from`] for `shape` mapped point-wise through `f`
     /// (the scratch path normalizes the query straight into its index).
-    pub fn rebuild_mapped_from(&mut self, shape: &Polyline, f: impl FnMut(geosir_geom::Point) -> geosir_geom::Point) {
+    pub fn rebuild_mapped_from(&mut self, shape: &Polyline, f: impl FnMut(Point) -> Point) {
         self.shape.copy_mapped_from(shape, f);
         self.index.rebuild_of_polyline(&self.shape);
     }
@@ -81,7 +81,7 @@ impl PreparedShape {
 
     /// `min_{b ∈ B} d(p, b)` — distance from a point to this shape.
     #[inline]
-    pub fn dist(&self, p: geosir_geom::Point) -> f64 {
+    pub fn dist(&self, p: Point) -> f64 {
         self.index.dist(p)
     }
 }
@@ -89,7 +89,10 @@ impl PreparedShape {
 /// Discrete directed `h_avg`: mean over A's **vertices** of the distance to
 /// B.
 pub fn h_avg_discrete(a: &Polyline, b: &PreparedShape) -> f64 {
-    let pts = a.points();
+    mean_dist(a.points(), b)
+}
+
+fn mean_dist(pts: &[Point], b: &PreparedShape) -> f64 {
     pts.iter().map(|&p| b.dist(p)).sum::<f64>() / pts.len() as f64
 }
 
@@ -132,24 +135,11 @@ pub fn score_with(
     query: &PreparedShape,
     back: &mut Option<PreparedShape>,
 ) -> f64 {
-    match kind {
-        ScoreKind::DiscreteDirected => h_avg_discrete(candidate, query),
-        ScoreKind::ContinuousDirected => h_avg_continuous(candidate, query),
-        ScoreKind::DiscreteSymmetric => {
-            let back = prepare_into(back, candidate);
-            h_avg_discrete(candidate, query).max(h_avg_discrete(query.shape(), back))
-        }
-        ScoreKind::ContinuousSymmetric => {
-            let back = prepare_into(back, candidate);
-            h_avg_continuous(candidate, query).max(h_avg_continuous(query.shape(), back))
-        }
-    }
+    score_bounded_with(kind, candidate, query, back, f64::INFINITY)
 }
 
 /// [`score`] when the candidate is already prepared: no per-call index
-/// build at all. The fast path for scoring against pre-indexed shapes
-/// (e.g. a dynamic base's insert buffer, whose copies are prepared once
-/// at insert time).
+/// build at all (the brute-force oracles prepare every copy once).
 pub fn score_prepared(kind: ScoreKind, candidate: &PreparedShape, query: &PreparedShape) -> f64 {
     match kind {
         ScoreKind::DiscreteDirected => h_avg_discrete(candidate.shape(), query),
@@ -166,8 +156,7 @@ pub fn score_prepared(kind: ScoreKind, candidate: &PreparedShape, query: &Prepar
 /// final average is provably `> cutoff` and the scan stops, returning
 /// `f64::INFINITY`. The comparison carries a relative slack so a result
 /// exactly at the cutoff is never abandoned (callers prune strictly).
-fn h_avg_discrete_abandoning(a: &Polyline, b: &PreparedShape, cutoff: f64) -> f64 {
-    let pts = a.points();
+fn h_avg_discrete_abandoning(pts: &[Point], b: &PreparedShape, cutoff: f64) -> f64 {
     let cutoff_sum = cutoff * pts.len() as f64;
     let limit = cutoff_sum + cutoff_sum.abs() * 1e-9;
     let mut acc = 0.0;
@@ -192,36 +181,10 @@ pub fn score_prepared_bounded(
     query: &PreparedShape,
     cutoff: f64,
 ) -> f64 {
-    if !cutoff.is_finite() {
-        return score_prepared(kind, candidate, query);
-    }
-    match kind {
-        ScoreKind::DiscreteDirected => h_avg_discrete_abandoning(candidate.shape(), query, cutoff),
-        ScoreKind::DiscreteSymmetric => {
-            // max of two averages: either direction exceeding the cutoff
-            // proves the max does
-            let fwd = h_avg_discrete_abandoning(candidate.shape(), query, cutoff);
-            if !fwd.is_finite() {
-                return f64::INFINITY;
-            }
-            let rev = h_avg_discrete_abandoning(query.shape(), candidate, cutoff);
-            fwd.max(rev)
-        }
-        ScoreKind::ContinuousDirected | ScoreKind::ContinuousSymmetric => {
-            score_prepared(kind, candidate, query)
-        }
-    }
+    bounded(kind, candidate.shape().points(), query, cutoff, || candidate)
 }
 
-/// [`score_with`] with a pruning cutoff — the candidate-polyline twin of
-/// [`score_prepared_bounded`], for candidates that are *not* pre-indexed
-/// (e.g. a level's stored normalized copies, which keep only their
-/// geometry). May return `f64::INFINITY` instead of the exact score when
-/// the score is provably **strictly greater** than `cutoff`; exact for
-/// callers that discard candidates above `cutoff` (ties score exactly).
-/// For the symmetric kind the forward (abandoning) direction runs first,
-/// so the reverse index — rebuilt into `back`, reusing its allocations —
-/// is only ever prepared for candidates that survive the forward scan.
+/// [`score_slice_bounded`] of a polyline — the static matcher's entry.
 pub fn score_bounded_with(
     kind: ScoreKind,
     candidate: &Polyline,
@@ -229,35 +192,66 @@ pub fn score_bounded_with(
     back: &mut Option<PreparedShape>,
     cutoff: f64,
 ) -> f64 {
-    if !cutoff.is_finite() {
-        return score_with(kind, candidate, query, back);
-    }
+    score_slice_bounded(kind, candidate.points(), candidate.is_closed(), query, back, cutoff)
+}
+
+/// [`score_prepared_bounded`] of a candidate given as its vertices and
+/// closed bit — the one scoring input of a dynamic base, whose copies are
+/// slices of a vertex arena. The candidate is indexed — rebuilt into
+/// `back`, reusing its allocations — only when a score needs the reverse
+/// direction or the edges: for the symmetric kind, only for candidates
+/// that survive the forward (abandoning) scan.
+pub(crate) fn score_slice_bounded(
+    kind: ScoreKind,
+    verts: &[Point],
+    closed: bool,
+    query: &PreparedShape,
+    back: &mut Option<PreparedShape>,
+    cutoff: f64,
+) -> f64 {
+    bounded(kind, verts, query, cutoff, || prepare_into(back, verts, closed))
+}
+
+/// The bounded score of the candidate `verts`, which `indexed` prepares
+/// when asked.
+fn bounded<'a>(
+    kind: ScoreKind,
+    verts: &[Point],
+    query: &PreparedShape,
+    cutoff: f64,
+    indexed: impl FnOnce() -> &'a PreparedShape,
+) -> f64 {
     match kind {
-        ScoreKind::DiscreteDirected => h_avg_discrete_abandoning(candidate, query, cutoff),
-        ScoreKind::DiscreteSymmetric => {
-            let fwd = h_avg_discrete_abandoning(candidate, query, cutoff);
+        ScoreKind::DiscreteDirected if cutoff.is_finite() => {
+            h_avg_discrete_abandoning(verts, query, cutoff)
+        }
+        ScoreKind::DiscreteSymmetric if cutoff.is_finite() => {
+            // max of two averages: either direction exceeding the cutoff
+            // proves the max does
+            let fwd = h_avg_discrete_abandoning(verts, query, cutoff);
             if !fwd.is_finite() {
                 return f64::INFINITY;
             }
-            let back = prepare_into(back, candidate);
-            let rev = h_avg_discrete_abandoning(query.shape(), back, cutoff);
-            fwd.max(rev)
+            fwd.max(h_avg_discrete_abandoning(query.shape().points(), indexed(), cutoff))
         }
-        ScoreKind::ContinuousDirected | ScoreKind::ContinuousSymmetric => {
-            score_with(kind, candidate, query, back)
-        }
+        ScoreKind::DiscreteDirected => mean_dist(verts, query),
+        _ => score_prepared(kind, indexed(), query),
     }
 }
 
-/// Fill `slot` with an index over `shape`, reusing its allocations when
-/// already occupied.
-pub fn prepare_into<'a>(slot: &'a mut Option<PreparedShape>, shape: &Polyline) -> &'a PreparedShape {
+/// Fill `slot` with an index over the shape `verts` / `closed`, reusing
+/// its allocations when already occupied.
+pub fn prepare_into<'a>(
+    slot: &'a mut Option<PreparedShape>,
+    verts: &[Point],
+    closed: bool,
+) -> &'a PreparedShape {
     match slot {
         Some(p) => {
-            p.rebuild_from(shape);
+            p.rebuild_from(verts, closed);
             p
         }
-        None => slot.insert(PreparedShape::new(shape.clone())),
+        None => slot.insert(PreparedShape::new(Polyline::from_valid(verts.to_vec(), closed))),
     }
 }
 
@@ -406,6 +400,56 @@ mod tests {
     }
 
     proptest! {
+        /// The dynamic base's one scoring input — a vertex slice and a
+        /// closed bit, scored through one warm `back` — is the polyline
+        /// scorer bit for bit, and the prepared-candidate scorer the
+        /// buffer used to run: open and closed copies of varying length
+        /// (a short one after a long one would read a stale tail of a
+        /// `back` rebuilt wrong), cutoffs of ∞, at the score (a tie) and
+        /// anywhere around it, every kind.
+        #[test]
+        fn slice_scorer_is_the_polyline_scorer(seed in 0u64..1_000_000) {
+            use rand::prelude::*;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let shape = |rng: &mut StdRng, n: usize, closed: bool| {
+                let pts = (0..n).map(|_| p(rng.random_range(-0.5..1.5), rng.random_range(-1.0..1.0)));
+                let pts: Vec<Point> = pts.collect();
+                if closed { Polyline::closed(pts) } else { Polyline::open(pts) }.unwrap()
+            };
+            let mut query = PreparedShape::new(shape(&mut rng, 12, true));
+            query.build_grid();
+            let mut warm = None;
+            for i in 0..12 {
+                let n = if i % 2 == 0 { rng.random_range(20..40) } else { rng.random_range(3..8) };
+                let closed = rng.random_bool(0.5);
+                let cand = shape(&mut rng, n, closed);
+                // the continuous kinds integrate (slow) and never abandon:
+                // a short copy after a long one, cutoff ∞
+                let kinds = [
+                    ScoreKind::DiscreteDirected,
+                    ScoreKind::DiscreteSymmetric,
+                    ScoreKind::ContinuousDirected,
+                    ScoreKind::ContinuousSymmetric,
+                ];
+                for kind in kinds.into_iter().take(if i == 1 { 4 } else { 2 }) {
+                    let exact = score(kind, &cand, &query);
+                    let some = exact * rng.random_range(0.3..1.7);
+                    let cutoffs = [f64::INFINITY, exact, some];
+                    let discrete = matches!(kind, ScoreKind::DiscreteDirected | ScoreKind::DiscreteSymmetric);
+                    for cutoff in cutoffs.into_iter().take(if discrete { 3 } else { 1 }) {
+                        let got = score_slice_bounded(kind, cand.points(), cand.is_closed(), &query, &mut warm, cutoff);
+                        let fresh = score_bounded_with(kind, &cand, &query, &mut None, cutoff);
+                        let prepared = score_prepared_bounded(kind, &PreparedShape::new(cand.clone()), &query, cutoff);
+                        prop_assert_eq!(got.to_bits(), fresh.to_bits(), "{:?} n {} cutoff {}", kind, n, cutoff);
+                        prop_assert_eq!(got.to_bits(), prepared.to_bits(), "{:?} n {} cutoff {}", kind, n, cutoff);
+                        if cutoff >= exact {
+                            prop_assert_eq!(got.to_bits(), exact.to_bits(), "{:?}: a score within the cutoff is exact", kind);
+                        }
+                    }
+                }
+            }
+        }
+
         /// §2.2: the measure is invariant when both shapes undergo the same
         /// similarity transform (this is what normalization exploits).
         #[test]

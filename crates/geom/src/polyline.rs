@@ -245,12 +245,18 @@ impl Polyline {
         Polyline { pts: self.pts.iter().map(|&p| f(p)).collect(), closed: self.closed }
     }
 
-    /// Overwrite this polyline with `src`'s geometry, reusing the vertex
-    /// allocation (no validation — `src` is already a valid shape).
-    pub fn copy_from(&mut self, src: &Polyline) {
+    /// A polyline over vertices that already formed one (no validation):
+    /// what a store that laid valid shapes end to end hands back.
+    pub fn from_valid(pts: Vec<Point>, closed: bool) -> Polyline {
+        Polyline { pts, closed }
+    }
+
+    /// Overwrite this polyline with the vertices of a valid shape, reusing
+    /// the vertex allocation (no validation).
+    pub fn copy_from(&mut self, pts: &[Point], closed: bool) {
         self.pts.clear();
-        self.pts.extend_from_slice(&src.pts);
-        self.closed = src.closed;
+        self.pts.extend_from_slice(pts);
+        self.closed = closed;
     }
 
     /// Overwrite with `f` applied to every vertex of `src` — the

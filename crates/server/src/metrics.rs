@@ -90,6 +90,9 @@ pub struct Metrics {
     pub live_shapes: Arc<obs::Gauge>,
     /// Tombstoned shapes the published snapshot's levels still hold.
     pub dead_shapes: Arc<obs::Gauge>,
+    /// What the published snapshot's levels and buffer hold on the heap
+    /// (`Snapshot::heap_bytes`).
+    pub base_heap_bytes: Arc<obs::Gauge>,
 
     pub poll_wakeups: Arc<obs::Counter>,
     pub poll_events: Arc<obs::Histogram>,
@@ -159,6 +162,7 @@ impl Metrics {
             epoch: r.gauge_with_policy("geosir_snapshot_epoch", &[], obs::GaugePolicy::Max),
             live_shapes: r.gauge("geosir_live_shapes", &[]),
             dead_shapes: r.gauge("geosir_dead_shapes", &[]),
+            base_heap_bytes: r.gauge("geosir_base_heap_bytes", &[]),
             poll_wakeups: r.counter("geosir_poll_wakeups_total", &[]),
             poll_events: r.histogram("geosir_poll_events_per_wake", &[]),
             conns_open: r.gauge("geosir_conns_open", &[]),

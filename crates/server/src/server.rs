@@ -516,6 +516,7 @@ impl Shared {
         m.epoch.set(snap.epoch() as i64);
         m.live_shapes.set(snap.len() as i64);
         m.dead_shapes.set(snap.dead_shapes() as i64);
+        m.base_heap_bytes.set(snap.heap_bytes() as i64);
         m.approx_buckets.set(snap.approx_num_buckets() as i64);
         m.approx_avg_bucket_size_x1000.set((snap.approx_avg_bucket_size() * 1000.0) as i64);
     }

@@ -6,7 +6,8 @@
 # exist and are non-zero, /debug/last_queries answers, /healthz is ok,
 # /readyz goes ready with all four watchdog components, and the
 # /debug/journal recorded recovery; `geosir explain` against a second,
-# bulk-loaded node must print a scan plan.
+# bulk-loaded node must print a scan plan, and that node's base must
+# report the bytes it holds.
 #
 # --cluster mode: boot a 2-shard x 1-replica `geosir cluster` with the
 # router's federated endpoint and assert one scrape answers for the
@@ -56,13 +57,13 @@ else
     SERVER_PID=$!
 fi
 
-http_get() { # path -> response on stdout
+http_get() { # path [port] -> response on stdout
     # `|| return 1` is load-bearing: a bare failed `exec 3<>` inside an
     # `if` condition does not stop the function, and the trailing
     # `exec 3<&-` succeeds on a never-opened fd — so without it this
     # function returns 0 for a refused connection and the readiness
     # loop below breaks before the server is up.
-    exec 3<>"/dev/tcp/127.0.0.1/$MPORT" || return 1
+    exec 3<>"/dev/tcp/127.0.0.1/${2:-$MPORT}" || return 1
     printf 'GET %s HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n' "$1" >&3
     cat <&3
     exec 3<&-
@@ -105,10 +106,12 @@ check_explain() { # printout, whether a level is required
 }
 if [ "$MODE" = single ]; then
     check_explain "$("$BIN" explain "127.0.0.1:$PORT")" no
-    "$BIN" serve "127.0.0.1:$((PORT + 2))" --shapes 600 >/dev/null &
+    "$BIN" serve "127.0.0.1:$((PORT + 2))" --shapes 600 \
+        --metrics-addr "127.0.0.1:$((PORT + 3))" >/dev/null &
     LOADED_PID=$!
     for i in $(seq 1 50); do
-        if EXPLAINED=$("$BIN" explain "127.0.0.1:$((PORT + 2))" --k 3 --seed 9 2>/dev/null); then break; fi
+        if EXPLAINED=$("$BIN" explain "127.0.0.1:$((PORT + 2))" --k 3 --seed 9 2>/dev/null) \
+            && LOADED_METRICS=$(http_get /metrics "$((PORT + 3))"); then break; fi
         sleep 0.2
         if [ "$i" = 50 ]; then echo "metrics_scrape: loaded node never came up" >&2; exit 1; fi
     done
@@ -127,8 +130,8 @@ esac
 # still-writing printf dies with SIGPIPE, failing the pipeline — and
 # the check — even though the series IS in the body. awk reading to EOF
 # and bash `case` have no such race.
-require_nonzero() { # series-prefix
-    value=$(printf '%s\n' "$BODY" \
+require_nonzero() { # series-prefix [body]
+    value=$(printf '%s\n' "${2:-$BODY}" \
         | awk -v s="$1 " 'index($0, s) == 1 && !found { v = $NF; found = 1 }
                           END { if (found) print v }')
     if [ -z "$value" ] || [ "$value" = 0 ]; then
@@ -197,6 +200,7 @@ if [ "$MODE" = cluster ]; then
     require_present 'geosir_replication_lag_records{shard='
     require_present 'geosir_replication_lag_ms{shard='
     require_present 'geosir_queue_depth{queue="read",shard='
+    require_present 'geosir_base_heap_bytes{shard='
 
     TOPO=$(http_get /debug/cluster)
     case "$TOPO" in
@@ -261,6 +265,10 @@ require_present 'geosir_matcher_runs_total'
 # nothing was deleted from, but exposed (`health_plane.rs` pins values).
 require_present 'geosir_dead_shapes '
 require_present 'geosir_dynamic_compactions_total'
+# What the base holds on the heap (`Snapshot::heap_bytes`): 0 on this
+# empty base, so presence; the 600-shape node's must be above 0.
+require_present 'geosir_base_heap_bytes '
+require_nonzero 'geosir_base_heap_bytes' "$LOADED_METRICS"
 case "$BODY" in
     *geosir_approx_queries_total*)
         echo "metrics_scrape: an exact query was counted as approx traffic" >&2

@@ -33,10 +33,14 @@ cargo clippy -p geosir-geom -p geosir-core -p geosir-serve --features simd --all
 # the gate (the full `cargo test` above already ran them once). Covers
 # the hashing proptests (clamp/curve-distance/ternary-vs-linear),
 # signature index parity across cascade merges, and the zero-allocation
-# probe/rerank test.
+# probe/rerank test — and beside it the dynamic base's heap budget:
+# `heap_bytes` reconciles with the allocator, bytes per live copy stay
+# under the flat layout's bound, and a carry allocates a constant
+# handful of blocks whatever it moves.
 cargo test -q -p geosir-core hashing
 cargo test -q -p geosir-core approx
 cargo test -q --test alloc_approx
+cargo test -q --test heap_dynamic
 
 # Exact tier: the seed-and-scan differential suite by name, plain and
 # through the AVX2 kernels — served top-k (hash-tier seed, then every
