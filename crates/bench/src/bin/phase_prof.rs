@@ -10,7 +10,8 @@
 //! distance census the nearest-edge grid is judged by (`dist` calls
 //! against the prepared query by site, edges evaluated per call and time
 //! per call with the grid off and on — under `--features simd` "off" is
-//! the AVX2 flat scan — the grid's build cost, and a digest of all top-10
+//! the AVX2 flat scan — the raster's rejects per site, the grid's and the
+//! raster's build cost, and a digest of all top-10
 //! lists to compare builds by; its replay duplicates `View::retrieve`'s
 //! loop — see `distance_census`); the plan sweep (`plan_sweep`: the
 //! paper's index as a verifier, one `retrieve_within(τ)` envelope,
@@ -244,6 +245,7 @@ fn exact_path_phases() {
         tightness += kth / tau;
         let mut prepared = PreparedShape::new(normalize_about_diameter(q).unwrap().0.shape);
         prepared.build_grid();
+        prepared.build_lower_bound();
         finals.push((prepared, kth, hits.clone()));
     }
     let seed = timed(&queries, &mut |_, q| {
@@ -443,12 +445,30 @@ fn main() {
     carry_cost();
 }
 
-/// The vertices of `cand` whose distance to `query` the early-abandoning
-/// forward `h_avg` asks for before it stops — the loop of
-/// `similarity::h_avg_discrete_abandoning`, which keeps no count.
-fn forward_calls(cand: &Polyline, query: &PreparedShape, cutoff: f64, calls: &mut Vec<Point>) {
+/// What the early-abandoning forward `h_avg` does with `cand` — the loops
+/// of `similarity::h_avg_discrete_abandoning`, which keep no count: the
+/// raster cells it reads first (a finite cutoff, a query with a raster)
+/// and whether they alone rejected the copy; if not, the vertices whose
+/// distance to `query` it asks for before it stops, pushed onto `calls`.
+fn forward_calls(
+    cand: &Polyline,
+    query: &PreparedShape,
+    cutoff: f64,
+    calls: &mut Vec<Point>,
+) -> (usize, bool) {
     let sum = cutoff * cand.num_vertices() as f64;
     let limit = sum + sum.abs() * 1e-9;
+    let mut reads = 0;
+    if cutoff.is_finite() && query.index().has_lower_bound() {
+        let mut bound = 0.0;
+        for &p in cand.points() {
+            reads += 1;
+            bound += query.index().lower_bound(p);
+            if bound > limit {
+                return (reads, true);
+            }
+        }
+    }
     let mut acc = 0.0;
     for &p in cand.points() {
         calls.push(p);
@@ -457,6 +477,7 @@ fn forward_calls(cand: &Polyline, query: &PreparedShape, cutoff: f64, calls: &mu
             break;
         }
     }
+    (reads, false)
 }
 
 /// Fold the `(id, score bits)` of one more result list into `hasher`.
@@ -468,7 +489,10 @@ fn digest(hasher: &mut DefaultHasher, hits: &[DynMatch]) {
 
 /// Where the point-to-query distances of a served exact query are asked
 /// for, and what each costs with the query's nearest-edge grid off and
-/// on. The world is the benchmark's `exact_sketch` one
+/// on; per site, how many bounded scorings the query's lower-bound raster
+/// settled from its table alone, after how many cell reads, and how many
+/// distances the rest asked for; and what the grid and the raster cost
+/// to build. The world is the benchmark's `exact_sketch` one
 /// ([`canonical_world`]) with a static twin of the level (same copies,
 /// same ids), so each site can be replayed through the public API; the
 /// replay is checked against the run's own counts and answer.
@@ -516,8 +540,12 @@ fn distance_census() {
     let mut back = None;
     let mut sites: [Vec<Point>; 3] = Default::default();
     let (mut calls, mut edges_off, mut edges_on, mut answered) = ([0usize; 3], 0, 0, 0);
+    // per site: bounded scorings, raster rejects, raster cells read
+    let (mut scorings, mut rejects, mut reads) = ([0usize; 3], [0usize; 3], [0usize; 3]);
     let mut scanned = 0;
-    let (mut ns_off, mut ns_on, mut build_us) = (0.0, 0.0, 0.0);
+    let (mut ns_off, mut ns_on) = (0.0, 0.0);
+    // grid, raster: built once as a query meets them, and best of 20
+    let (mut grid_us, mut raster_us) = ([0.0; 2], [0.0; 2]);
     // (fixed keys: equal lists give equal digests across runs and builds
     // of one toolchain)
     let (mut exact_digest, mut approx_digest) = (DefaultHasher::new(), DefaultHasher::new());
@@ -531,8 +559,14 @@ fn distance_census() {
     for q in &queries {
         let primary = normalize_about_diameter(q).expect("sketches have extent").0.shape;
         let plain = PreparedShape::new(primary.clone());
+        // the query as the served exact path prepares it; "once" is the
+        // first build after the previous query's work, as a server meets
+        // it, "best of 20" the same build repeated in a warm cache
         let mut grid = PreparedShape::new(primary);
-        build_us += best_of(20, &mut || grid.build_grid()) * 1e6;
+        grid_us[0] += best_of(1, &mut || grid.build_grid()) * 1e6;
+        raster_us[0] += best_of(1, &mut || grid.build_lower_bound()) * 1e6;
+        grid_us[1] += best_of(20, &mut || grid.build_grid()) * 1e6;
+        raster_us[1] += best_of(20, &mut || grid.build_lower_bound()) * 1e6;
         snap.similar_approx_with(&mut scratch, &mut tmp, &mut ax, q, &opts, &mut seeds, &mut astats);
         snap.retrieve_with_stats(&mut scratch, &mut tmp, q, K, &mut hits, &mut stats);
         digest(&mut approx_digest, &seeds);
@@ -544,9 +578,13 @@ fn distance_census() {
         // per-shape best, re-derive the k-th; returns "not abandoned"
         let mut board = std::collections::HashMap::new();
         let mut cutoff = f64::INFINITY;
-        let mut offer = |id: u64, cand: &Polyline, site: &mut Vec<Point>| {
-            forward_calls(cand, &grid, cutoff, site);
+        let mut offer = |id: u64, cand: &Polyline, site: usize| {
+            let (read, rejected) = forward_calls(cand, &grid, cutoff, &mut sites[site]);
             let score = score_bounded_with(KIND, cand, &grid, &mut back, cutoff);
+            assert!(!rejected || score == f64::INFINITY, "a raster reject must be abandoned");
+            scorings[site] += 1;
+            rejects[site] += rejected as usize;
+            reads[site] += read;
             if score <= cutoff {
                 let kept = board.entry(id).or_insert(f64::INFINITY);
                 *kept = score.min(*kept);
@@ -578,7 +616,7 @@ fn distance_census() {
             });
             for (id, cand) in level_ring.chain(buffer_ring) {
                 reranked += 1;
-                abandoned += !offer(id, cand, &mut sites[0]) as u64;
+                abandoned += !offer(id, cand, 0) as u64;
             }
             emitted = within.len();
         }
@@ -587,12 +625,12 @@ fn distance_census() {
         let (mut copies, mut survivors) = (0, 0);
         for (_, copy) in twin.copies().filter(|(cid, _)| !judged[cid.index()]) {
             copies += 1;
-            survivors += offer(copy.shape_id.0 as u64, &copy.normalized, &mut sites[1]) as u64;
+            survivors += offer(copy.shape_id.0 as u64, &copy.normalized, 1) as u64;
         }
         assert_eq!((copies, survivors), (stats.scan_copies, stats.scan_survivors), "scan replay diverged");
         assert_eq!(buffer.len() as u64, stats.buffer_scored);
         for (id, copy) in buffer.iter().flat_map(|(id, copies, _)| copies.iter().map(move |c| (*id, c))) {
-            offer(id, copy.shape(), &mut sites[2]);
+            offer(id, copy.shape(), 2);
         }
         let mut replayed: Vec<(f64, u64)> = board.iter().map(|(&id, &s)| (s, id)).collect();
         replayed.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -631,6 +669,18 @@ fn distance_census() {
         print!(" {site} {:.0} ", count as f64 / n);
     }
     println!("), {:.1} copies scored by the level scan", scanned as f64 / n);
+    for (s, site) in SITES.iter().enumerate() {
+        let per_copy = |count: usize| count as f64 / scorings[s].max(1) as f64;
+        println!(
+            "    {site:6} {:6.1} bounded scorings: raster rejects {:6.1}, passes {:5.1}; {:4.1} table \
+             reads and {:4.1} distance lookups per copy",
+            scorings[s] as f64 / n,
+            rejects[s] as f64 / n,
+            (scorings[s] - rejects[s]) as f64 / n,
+            per_copy(reads[s]),
+            per_copy(calls[s]),
+        );
+    }
     println!(
         "  grid off: {:5.2} edges per call, {:5.1} ns per call",
         edges_off as f64 / total as f64,
@@ -638,11 +688,18 @@ fn distance_census() {
     );
     println!(
         "  grid on:  {:5.2} edges per call, {:5.1} ns per call, {:.2} % of calls answered from \
-         the grid, build {:.1} µs per query",
+         the grid",
         edges_on as f64 / total as f64,
         ns_on / total as f64,
         100.0 * answered as f64 / total as f64,
-        build_us / n,
+    );
+    println!(
+        "  build per query: grid {:.1} µs once as a query meets it ({:.1} best of 20 repeats), \
+         raster {:.1} µs once ({:.1} best of 20)",
+        grid_us[0] / n,
+        grid_us[1] / n,
+        raster_us[0] / n,
+        raster_us[1] / n,
     );
     println!(
         "  top-{K} digests over all sketches: exact {:016x}, approx {:016x}",
@@ -658,10 +715,11 @@ fn distance_census() {
 /// tier's k-th score as τ. `envelope` is one `retrieve_within(τ)` run
 /// (cover + simplex report + certificate) on a static twin of the level,
 /// `scan` every copy of the twin through `score_bounded_with` at cutoff
-/// τ; neither has the seed's verdicts handed to it, which the served run
-/// (`Snapshot::retrieve_with_stats`: seed, then the scan `View::retrieve`
-/// does) has. Every row asserts that the served answer and the
-/// envelope's agree bit for bit.
+/// τ against the query as the served scan prepares it (grid and
+/// lower-bound raster); neither has the seed's verdicts handed to it,
+/// which the served run (`Snapshot::retrieve_with_stats`: seed, then the
+/// scan `View::retrieve` does) has. Every row asserts that the served
+/// answer and the envelope's agree bit for bit.
 fn plan_sweep(large: bool) {
     println!(
         "plan sweep, one level, 100 queries a row (µs/query; served = the real call: seed + \
@@ -708,6 +766,7 @@ fn plan_sweep(large: bool) {
                 .map(|q| {
                     let mut p = PreparedShape::new(normalize_about_diameter(q).unwrap().0.shape);
                     p.build_grid();
+                    p.build_lower_bound();
                     p
                 })
                 .collect();

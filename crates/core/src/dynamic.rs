@@ -351,6 +351,9 @@ struct DynMetrics {
     /// short.
     scan_copies: Arc<obs::Counter>,
     scan_survivors: Arc<obs::Counter>,
+    /// Copies the seed, the scans and the buffer pass rejected from the
+    /// query's lower-bound raster alone (a share of the abandoned ones).
+    bound_rejects: Arc<obs::Counter>,
     /// Levels [`DynamicBase::delete`] rebuilt without their dead.
     compactions: Arc<obs::Counter>,
     /// `true k-th ÷ τ` in permille: how tight the seed was (1000 = the
@@ -373,6 +376,7 @@ impl DynMetrics {
             seed_reranked: reg.counter("geosir_exact_seed_reranked_total", &[]),
             scan_copies: reg.counter("geosir_exact_scan_copies_total", &[]),
             scan_survivors: reg.counter("geosir_exact_scan_survivors_total", &[]),
+            bound_rejects: reg.counter("geosir_exact_scan_bound_rejects_total", &[]),
             compactions: reg.counter("geosir_dynamic_compactions_total", &[]),
             seed_tightness: reg.histogram("geosir_exact_seed_tightness_permille", &[]),
         }
@@ -871,7 +875,7 @@ impl Snapshot {
         stats: &mut RetrieveStats,
     ) {
         let k = if k == 0 { self.config.k } else { k };
-        self.seed_and_scan(k, scratch, query, out, stats, None, true);
+        self.seed_and_scan(k, scratch, query, out, stats, None, true, true);
     }
 
     /// [`Self::retrieve_with_stats`] that additionally captures a full
@@ -891,7 +895,7 @@ impl Snapshot {
     ) {
         let k = if k == 0 { self.config.k } else { k };
         explain.clear();
-        self.seed_and_scan(k, scratch, query, out, stats, Some(explain), true);
+        self.seed_and_scan(k, scratch, query, out, stats, Some(explain), true, true);
         explain.stats = *stats;
     }
 
@@ -1091,6 +1095,7 @@ impl Snapshot {
 
     /// Score the probe's candidates onto `board` in ring order, leaving
     /// each one's verdict beside it for the exact tier's hand-off.
+    /// Returns how many of them the query's raster rejected.
     fn rerank(
         &self,
         cands: &mut [CandRef],
@@ -1098,7 +1103,7 @@ impl Snapshot {
         back: &mut Option<PreparedShape>,
         board: &mut Board<'_>,
         stats: &mut ApproxStats,
-    ) {
+    ) -> u64 {
         let offers = cands.iter_mut().map(|c| {
             let verdict = Some(&mut c.verdict);
             if c.level == BUFFER_LEVEL {
@@ -1112,6 +1117,7 @@ impl Snapshot {
         let done = score_onto(self.config.score, qprep, back, board, offers);
         stats.reranked += done.scored;
         stats.abandoned += done.abandoned;
+        done.rejected
     }
 
     /// Exact retrieval, seed → bounded scan per level → buffer → merge:
@@ -1129,9 +1135,15 @@ impl Snapshot {
     /// cutoff is ∞: the scan scores what it meets in full until k live
     /// shapes are on the board, and tightens from there — the same plan,
     /// not another one.
-    /// Allocation-free in steady state. Every caller passes `handoff`;
-    /// without it the levels score the seed's copies over again (the
-    /// differential test's other leg: same answer, more scorings).
+    /// Before the seed, the query gets its lower-bound raster: every
+    /// bounded scoring of the three steps reads it first and rejects most
+    /// copies from the table alone, with the verdicts, scores and counts
+    /// it would have had without (`similarity::h_avg_discrete_abandoning`).
+    /// Allocation-free in steady state. Every caller passes `handoff` and
+    /// `raster`; without the first the levels score the seed's copies over
+    /// again (same answer, more scorings), without the second every
+    /// scoring computes distances (same answer, same counts) — the
+    /// differential tests' other legs.
     #[allow(clippy::too_many_arguments)]
     fn seed_and_scan(
         &self,
@@ -1142,6 +1154,7 @@ impl Snapshot {
         stats: &mut RetrieveStats,
         mut explain: Option<&mut QueryExplain>,
         handoff: bool,
+        raster: bool,
     ) {
         out.clear();
         *stats = RetrieveStats::default();
@@ -1151,8 +1164,12 @@ impl Snapshot {
         let grows_before = scratch.grow_events;
         let mut seed_stats = ApproxStats::default();
         let mut tau = f64::INFINITY;
+        let mut rejected = 0;
         // degenerate geometry normalizes to nothing and matches nothing
         if scratch.prepare_query(query) {
+            if raster {
+                scratch.query.as_mut().expect("prepared above").build_lower_bound();
+            }
             // The seed scratch holds the candidates' verdicts and the
             // board; it is taken out while the query runs so that the
             // scans can stamp copies in the rest of `scratch`.
@@ -1162,7 +1179,7 @@ impl Snapshot {
             self.probe(&mut seed, qprep, &opts, &mut seed_stats);
             let ApproxScratch { cands, back, rows, best, ktmp, .. } = &mut seed;
             let mut board = Board { k, cutoff: f64::INFINITY, rows, slot: best, ktmp };
-            self.rerank(cands, qprep, back, &mut board, &mut seed_stats);
+            rejected += self.rerank(cands, qprep, back, &mut board, &mut seed_stats);
             tau = board.cutoff;
 
             // largest level first
@@ -1184,6 +1201,7 @@ impl Snapshot {
                 let done = score_onto(self.config.score, qprep, back, &mut board, offers);
                 stats.scan_copies += done.scored;
                 stats.scan_survivors += done.scored - done.abandoned;
+                rejected += done.rejected;
                 if let Some(ex) = explain.as_deref_mut() {
                     ex.levels.push(LevelExplain {
                         shapes: slot.live_shapes() as u64,
@@ -1200,7 +1218,7 @@ impl Snapshot {
             let offers = self.buffer.iter().inspect(|_| stats.buffer_scored += 1).flat_map(|b| {
                 b.copies.iter().map(|(_, verts)| b.offer(verts, None))
             });
-            score_onto(self.config.score, qprep, back, &mut board, offers);
+            rejected += score_onto(self.config.score, qprep, back, &mut board, offers).rejected;
             board.finish(out);
             scratch.seed = seed;
         }
@@ -1212,6 +1230,7 @@ impl Snapshot {
             m.seed_reranked.add(seed_stats.reranked);
             m.scan_copies.add(stats.scan_copies);
             m.scan_survivors.add(stats.scan_survivors);
+            m.bound_rejects.add(rejected);
             if tau.is_finite() {
                 m.seeded.inc();
                 if let Some(kth) = out.get(k - 1) {
@@ -1276,8 +1295,10 @@ struct Offer<'c> {
 /// What one [`score_onto`] pass did.
 struct Scored {
     scored: u64,
-    /// Scorings the cutoff cut short.
+    /// Scorings the cutoff cut short, and of those the ones the query's
+    /// lower-bound raster cut short before any distance was computed.
     abandoned: u64,
+    rejected: u64,
 }
 
 /// The per-shape board of one query: every scored live shape's best
@@ -1347,10 +1368,11 @@ fn score_onto<'c>(
     board: &mut Board<'_>,
     offers: impl Iterator<Item = Offer<'c>>,
 ) -> Scored {
-    let mut done = Scored { scored: 0, abandoned: 0 };
+    let mut done = Scored { scored: 0, abandoned: 0, rejected: 0 };
     for Offer { shape, image, verts, closed, verdict } in offers {
-        let score = score_slice_bounded(kind, verts, closed, qprep, back, board.cutoff);
+        let (score, rejected) = score_slice_bounded(kind, verts, closed, qprep, back, board.cutoff);
         done.scored += 1;
+        done.rejected += rejected as u64;
         if let Some(verdict) = verdict {
             *verdict = score;
         }
@@ -2151,11 +2173,11 @@ mod tests {
         hits.iter().map(|m| (m.shape.0, m.score.to_bits())).collect()
     }
 
-    #[test]
-    fn seed_verdicts_change_no_answer() {
+    /// Three levels + a part-filled buffer, a family of near matches
+    /// spread over all of them, every other member tombstoned; 24 queries,
+    /// near the family or near one other shape each.
+    fn near_match_world() -> (Snapshot, Vec<Polyline>) {
         use geosir_imaging::synth::{perturb, random_simple_polygon};
-        // three levels + a part-filled buffer, a family of near matches
-        // spread over all of them, every other member tombstoned
         let mut rng = StdRng::seed_from_u64(61);
         let proto = random_simple_polygon(&mut rng, 11, 0.35);
         let shapes: Vec<Polyline> = (0..59)
@@ -2172,23 +2194,65 @@ mod tests {
         for i in (0..59).step_by(10) {
             assert!(db.delete(GlobalShapeId(i)));
         }
-        let snap = db.snapshot();
+        let queries = shapes.iter().enumerate().take(24);
+        let queries = queries.map(|(i, s)| perturb(if i % 2 == 0 { &proto } else { s }, &mut rng, 0.01));
+        (db.snapshot(), queries.collect())
+    }
+
+    #[test]
+    fn seed_verdicts_change_no_answer() {
+        let (snap, queries) = near_match_world();
         let mut scratch = MatcherScratch::new();
         let mut tmp = MatchOutcome::default();
         let (mut on, mut off) = (Vec::new(), Vec::new());
         let (mut on_stats, mut off_stats) = (RetrieveStats::default(), RetrieveStats::default());
         let (mut scored_on, mut scored_off) = (0, 0);
-        for (i, shape) in shapes.iter().enumerate().take(24) {
-            let q = perturb(if i % 2 == 0 { &proto } else { shape }, &mut rng, 0.01);
+        for (i, q) in queries.iter().enumerate() {
             for k in [1, 4, 10] {
-                snap.retrieve_with_stats(&mut scratch, &mut tmp, &q, k, &mut on, &mut on_stats);
-                snap.seed_and_scan(k, &mut scratch, &q, &mut off, &mut off_stats, None, false);
+                snap.retrieve_with_stats(&mut scratch, &mut tmp, q, k, &mut on, &mut on_stats);
+                snap.seed_and_scan(k, &mut scratch, q, &mut off, &mut off_stats, None, false, true);
                 assert_eq!(id_bits(&on), id_bits(&off), "query {i}, k = {k}");
                 scored_on += on_stats.scan_copies;
                 scored_off += off_stats.scan_copies;
             }
         }
         assert!(scored_on < scored_off, "the hand-off saved no scoring: {scored_on} vs {scored_off}");
+    }
+
+    #[test]
+    fn the_raster_changes_no_verdict_and_no_count() {
+        // with and without the query's lower-bound raster: the same
+        // answer, the same `RetrieveStats`, the same seed candidates with
+        // the same verdict bits (so the seed's `reranked` / `abandoned`) —
+        // and the raster did reject copies, or this proves nothing
+        let (snap, queries) = near_match_world();
+        let mut scratch = MatcherScratch::new();
+        let (mut on, mut off) = (Vec::new(), Vec::new());
+        let (mut on_stats, mut off_stats) = (RetrieveStats::default(), RetrieveStats::default());
+        let verdicts = |s: &MatcherScratch| -> Vec<(u32, u32, u32, u64)> {
+            s.seed.cands.iter().map(|c| (c.level, c.a, c.b, c.verdict.to_bits())).collect()
+        };
+        let (with, without) = (Arc::new(obs::Registry::new()), Arc::new(obs::Registry::new()));
+        for (i, q) in queries.iter().enumerate() {
+            for k in [1, 4, 10] {
+                obs::set_thread_registry(Some(with.clone()));
+                snap.seed_and_scan(k, &mut scratch, q, &mut on, &mut on_stats, None, true, true);
+                let seeded = verdicts(&scratch);
+                obs::set_thread_registry(Some(without.clone()));
+                snap.seed_and_scan(k, &mut scratch, q, &mut off, &mut off_stats, None, true, false);
+                assert_eq!(id_bits(&on), id_bits(&off), "query {i}, k = {k}");
+                assert_eq!(on_stats, off_stats, "query {i}, k = {k}");
+                assert_eq!(seeded, verdicts(&scratch), "query {i}, k = {k}");
+            }
+        }
+        obs::set_thread_registry(None);
+        let (with, without) = (with.snapshot(), without.snapshot());
+        let rejects = |m: &obs::Snapshot| m.counter("geosir_exact_scan_bound_rejects_total", &[]);
+        assert!(rejects(&with) > 0, "the raster rejected nothing");
+        assert_eq!(rejects(&without), 0);
+        for name in ["geosir_exact_seed_reranked_total", "geosir_exact_scan_copies_total"] {
+            assert_eq!(with.counter(name, &[]), without.counter(name, &[]), "{name}");
+        }
     }
 
     #[test]

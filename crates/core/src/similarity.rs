@@ -71,6 +71,15 @@ impl PreparedShape {
         self.index.build_grid();
     }
 
+    /// Lay the lower-bound raster over the grid
+    /// ([`SegmentIndex::build_lower_bound`]): the bounded scorers then
+    /// reject a candidate from the table alone when they can. For the
+    /// exact tier's query, which rejects thousands of copies; verdicts
+    /// and scores are unchanged bit for bit, and any `rebuild_*` drops it.
+    pub fn build_lower_bound(&mut self) {
+        self.index.build_lower_bound();
+    }
+
     pub fn shape(&self) -> &Polyline {
         &self.shape
     }
@@ -156,17 +165,33 @@ pub fn score_prepared(kind: ScoreKind, candidate: &PreparedShape, query: &Prepar
 /// final average is provably `> cutoff` and the scan stops, returning
 /// `f64::INFINITY`. The comparison carries a relative slack so a result
 /// exactly at the cutoff is never abandoned (callers prune strictly).
-fn h_avg_discrete_abandoning(pts: &[Point], b: &PreparedShape, cutoff: f64) -> f64 {
+///
+/// When `b` carries a lower-bound raster, its bounds are added up first,
+/// in the same order, and a sum past the limit abandons before any
+/// distance is computed — the `true` beside the `INFINITY`. That changes
+/// no verdict: each bound is ≤ its distance and rounded addition is
+/// monotone, so the bounds' sum passing the limit means the distances'
+/// would have too; a copy the raster lets through takes the same loop.
+fn h_avg_discrete_abandoning(pts: &[Point], b: &PreparedShape, cutoff: f64) -> (f64, bool) {
     let cutoff_sum = cutoff * pts.len() as f64;
     let limit = cutoff_sum + cutoff_sum.abs() * 1e-9;
+    if b.index.has_lower_bound() {
+        let mut bound = 0.0;
+        for &p in pts {
+            bound += b.index.lower_bound(p);
+            if bound > limit {
+                return (f64::INFINITY, true);
+            }
+        }
+    }
     let mut acc = 0.0;
     for &p in pts {
         acc += b.dist(p);
         if acc > limit {
-            return f64::INFINITY;
+            return (f64::INFINITY, false);
         }
     }
-    acc / pts.len() as f64
+    (acc / pts.len() as f64, false)
 }
 
 /// [`score_prepared`] with a pruning cutoff: may return `f64::INFINITY`
@@ -181,7 +206,7 @@ pub fn score_prepared_bounded(
     query: &PreparedShape,
     cutoff: f64,
 ) -> f64 {
-    bounded(kind, candidate.shape().points(), query, cutoff, || candidate)
+    bounded(kind, candidate.shape().points(), query, cutoff, || candidate).0
 }
 
 /// [`score_slice_bounded`] of a polyline — the static matcher's entry.
@@ -192,7 +217,7 @@ pub fn score_bounded_with(
     back: &mut Option<PreparedShape>,
     cutoff: f64,
 ) -> f64 {
-    score_slice_bounded(kind, candidate.points(), candidate.is_closed(), query, back, cutoff)
+    score_slice_bounded(kind, candidate.points(), candidate.is_closed(), query, back, cutoff).0
 }
 
 /// [`score_prepared_bounded`] of a candidate given as its vertices and
@@ -200,7 +225,8 @@ pub fn score_bounded_with(
 /// slices of a vertex arena. The candidate is indexed — rebuilt into
 /// `back`, reusing its allocations — only when a score needs the reverse
 /// direction or the edges: for the symmetric kind, only for candidates
-/// that survive the forward (abandoning) scan.
+/// that survive the forward (abandoning) scan. Beside the score: whether
+/// the query's lower-bound raster alone abandoned it.
 pub(crate) fn score_slice_bounded(
     kind: ScoreKind,
     verts: &[Point],
@@ -208,19 +234,19 @@ pub(crate) fn score_slice_bounded(
     query: &PreparedShape,
     back: &mut Option<PreparedShape>,
     cutoff: f64,
-) -> f64 {
+) -> (f64, bool) {
     bounded(kind, verts, query, cutoff, || prepare_into(back, verts, closed))
 }
 
 /// The bounded score of the candidate `verts`, which `indexed` prepares
-/// when asked.
+/// when asked, and whether the query's raster alone abandoned it.
 fn bounded<'a>(
     kind: ScoreKind,
     verts: &[Point],
     query: &PreparedShape,
     cutoff: f64,
     indexed: impl FnOnce() -> &'a PreparedShape,
-) -> f64 {
+) -> (f64, bool) {
     match kind {
         ScoreKind::DiscreteDirected if cutoff.is_finite() => {
             h_avg_discrete_abandoning(verts, query, cutoff)
@@ -228,14 +254,15 @@ fn bounded<'a>(
         ScoreKind::DiscreteSymmetric if cutoff.is_finite() => {
             // max of two averages: either direction exceeding the cutoff
             // proves the max does
-            let fwd = h_avg_discrete_abandoning(verts, query, cutoff);
-            if !fwd.is_finite() {
-                return f64::INFINITY;
+            let fwd @ (score, _) = h_avg_discrete_abandoning(verts, query, cutoff);
+            if !score.is_finite() {
+                return fwd;
             }
-            fwd.max(h_avg_discrete_abandoning(query.shape().points(), indexed(), cutoff))
+            let (back, _) = h_avg_discrete_abandoning(query.shape().points(), indexed(), cutoff);
+            (score.max(back), false)
         }
-        ScoreKind::DiscreteDirected => mean_dist(verts, query),
-        _ => score_prepared(kind, indexed(), query),
+        ScoreKind::DiscreteDirected => (mean_dist(verts, query), false),
+        _ => (score_prepared(kind, indexed(), query), false),
     }
 }
 
@@ -260,9 +287,18 @@ mod tests {
     use super::*;
     use geosir_geom::{Point, Similarity, Vec2};
     use proptest::prelude::*;
+    use rand::prelude::*;
+    use std::ops::Range;
 
     fn p(x: f64, y: f64) -> Point {
         Point::new(x, y)
+    }
+
+    /// `n` random vertices over the box `xs × ys`.
+    fn random_shape(rng: &mut StdRng, n: usize, closed: bool, xs: Range<f64>, ys: Range<f64>) -> Polyline {
+        let pts = (0..n).map(|_| p(rng.random_range(xs.clone()), rng.random_range(ys.clone())));
+        let pts: Vec<Point> = pts.collect();
+        if closed { Polyline::closed(pts) } else { Polyline::open(pts) }.unwrap()
     }
 
     fn square(cx: f64, cy: f64, half: f64) -> Polyline {
@@ -368,7 +404,6 @@ mod tests {
 
     #[test]
     fn bounded_score_exact_below_cutoff_pruned_above() {
-        use rand::prelude::*;
         let mut rng = StdRng::seed_from_u64(0x5eed);
         for kind in [ScoreKind::DiscreteDirected, ScoreKind::DiscreteSymmetric] {
             for _ in 0..200 {
@@ -409,13 +444,8 @@ mod tests {
         /// anywhere around it, every kind.
         #[test]
         fn slice_scorer_is_the_polyline_scorer(seed in 0u64..1_000_000) {
-            use rand::prelude::*;
             let mut rng = StdRng::seed_from_u64(seed);
-            let shape = |rng: &mut StdRng, n: usize, closed: bool| {
-                let pts = (0..n).map(|_| p(rng.random_range(-0.5..1.5), rng.random_range(-1.0..1.0)));
-                let pts: Vec<Point> = pts.collect();
-                if closed { Polyline::closed(pts) } else { Polyline::open(pts) }.unwrap()
-            };
+            let shape = |rng: &mut StdRng, n: usize, closed: bool| random_shape(rng, n, closed, -0.5..1.5, -1.0..1.0);
             let mut query = PreparedShape::new(shape(&mut rng, 12, true));
             query.build_grid();
             let mut warm = None;
@@ -437,7 +467,7 @@ mod tests {
                     let cutoffs = [f64::INFINITY, exact, some];
                     let discrete = matches!(kind, ScoreKind::DiscreteDirected | ScoreKind::DiscreteSymmetric);
                     for cutoff in cutoffs.into_iter().take(if discrete { 3 } else { 1 }) {
-                        let got = score_slice_bounded(kind, cand.points(), cand.is_closed(), &query, &mut warm, cutoff);
+                        let (got, _) = score_slice_bounded(kind, cand.points(), cand.is_closed(), &query, &mut warm, cutoff);
                         let fresh = score_bounded_with(kind, &cand, &query, &mut None, cutoff);
                         let prepared = score_prepared_bounded(kind, &PreparedShape::new(cand.clone()), &query, cutoff);
                         prop_assert_eq!(got.to_bits(), fresh.to_bits(), "{:?} n {} cutoff {}", kind, n, cutoff);
@@ -448,6 +478,56 @@ mod tests {
                     }
                 }
             }
+        }
+
+        /// The query's lower-bound raster changes no score: every
+        /// candidate scored against one query with and without it reads
+        /// the same bits — at cutoffs of ∞, 0, at the score (a tie) and
+        /// anywhere around it, both discrete kinds — and only a candidate
+        /// abandoned anyway is said to be the raster's reject. Candidates
+        /// are random shapes over the query's box, whose vertices often
+        /// fall where the raster reads above 0, and near copies of the
+        /// query, which tie.
+        #[test]
+        fn raster_changes_no_score(seed in 0u64..1_000_000) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // (the lune frame's box, and candidates over a little more)
+            let qshape = random_shape(&mut rng, 12, true, 0.0..1.0, -0.25..0.25);
+            let mut plain = PreparedShape::new(qshape.clone());
+            plain.build_grid();
+            let mut rastered = PreparedShape::new(qshape.clone());
+            rastered.build_grid();
+            rastered.build_lower_bound();
+            prop_assert!(rastered.index().has_lower_bound());
+            let (mut warm_plain, mut warm_raster) = (None, None);
+            let mut rejected = 0;
+            for i in 0..12 {
+                let cand = if i % 3 == 0 {
+                    let jiggle = |q: &Point| p(q.x + rng.random_range(-0.01..0.01), q.y + rng.random_range(-0.01..0.01));
+                    Polyline::closed(qshape.points().iter().map(jiggle).collect()).unwrap()
+                } else {
+                    let n = rng.random_range(3..30);
+                    let closed = rng.random_bool(0.5);
+                    random_shape(&mut rng, n, closed, -0.2..1.2, -0.45..0.45)
+                };
+                for kind in [ScoreKind::DiscreteDirected, ScoreKind::DiscreteSymmetric] {
+                    let exact = score(kind, &cand, &plain);
+                    let some = exact * rng.random_range(0.3..1.7);
+                    for cutoff in [f64::INFINITY, 0.0, exact, some] {
+                        let (verts, closed) = (cand.points(), cand.is_closed());
+                        let (without, by_raster) = score_slice_bounded(kind, verts, closed, &plain, &mut warm_plain, cutoff);
+                        prop_assert!(!by_raster, "no raster, no raster rejects");
+                        let (with, by_raster) = score_slice_bounded(kind, verts, closed, &rastered, &mut warm_raster, cutoff);
+                        prop_assert_eq!(with.to_bits(), without.to_bits(), "{:?} candidate {} cutoff {}", kind, i, cutoff);
+                        prop_assert!(!by_raster || with == f64::INFINITY);
+                        rejected += by_raster as usize;
+                        // the public entries are the same scorer
+                        let public = score_bounded_with(kind, &cand, &rastered, &mut None, cutoff);
+                        prop_assert_eq!(public.to_bits(), with.to_bits());
+                    }
+                }
+            }
+            prop_assert!(rejected > 0, "the raster rejected nothing: the test proves nothing");
         }
 
         /// §2.2: the measure is invariant when both shapes undergo the same

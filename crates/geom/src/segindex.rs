@@ -41,6 +41,23 @@
 //! reverse-direction candidate index are probed a few dozen times each and
 //! never pay for one, and a re-used index can never answer from the grid
 //! of its previous shape. Sets larger than `FLAT_MAX` keep the tree alone.
+//!
+//! # The lower-bound raster
+//!
+//! [`SegmentIndex::build_lower_bound`] splits every grid cell in four and
+//! stores, per `RASTER_N × RASTER_N` cell with centre `m` and
+//! half-diagonal `h`, `lb = max(0, D·(1 − s) − h·(1 + s))` with
+//! `D = dist(m)` — the same scan over the list of the grid cell `m` lies
+//! in, which holds every edge nearest to it, or over every edge where
+//! that list overflowed — and `s = GRID_SLACK`. A point `p` of the cell
+//! has `|p − m| ≤ h`, so by the triangle inequality `dist(p) ≥ D − h ≥
+//! lb`; the slack covers the rounding of `D`, of `h` and of the cell
+//! assignment, as it does for the lists. [`SegmentIndex::lower_bound`]
+//! reads it — a subtraction and two multiplies per axis and one load, no
+//! distance — and reads 0 outside the grid, for a
+//! NaN point, and on an index without a raster. It is the envelope rings
+//! of §2.5 rasterized: which band of distance around the shape a point
+//! falls in, known before any exact distance is computed.
 
 use crate::bbox::Aabb;
 use crate::point::Point;
@@ -94,6 +111,8 @@ const GRID_SLACK: f64 = 1e-9;
 /// for which rounding (≈ 1e-16 of that magnitude) stays far inside the
 /// slack.
 const GRID_MIN_CELL: f64 = 1e-5;
+/// Cells per side of the lower-bound raster: each grid cell split in four.
+const RASTER_N: usize = 2 * GRID_N;
 
 /// The nearest-edge grid of a flat set; `cells` empty = not built.
 #[derive(Debug, Default)]
@@ -105,6 +124,9 @@ struct Grid {
     inv_h: f64,
     /// Row-major `[len, edge, edge, …]`, edges ascending.
     cells: Vec<[u8; GRID_CAP + 1]>,
+    /// Row-major lower-bound raster over the same box (module docs);
+    /// empty = not built.
+    lb: Vec<f64>,
 }
 
 impl SegmentIndex {
@@ -138,9 +160,10 @@ impl SegmentIndex {
     /// Rebuild the index over a new segment set in place, reusing every
     /// allocation (node pool, segment store, columns, permutation scratch).
     /// Small sets take the flat-scan layout; larger ones build the tree.
-    /// Drops the nearest-edge grid of the previous set.
+    /// Drops the nearest-edge grid and the raster of the previous set.
     fn rebuild(&mut self, segments: impl IntoIterator<Item = Segment>) {
         self.grid.cells.clear();
+        self.grid.lb.clear();
         self.segs.clear();
         self.segs.extend(segments);
         self.nodes.clear();
@@ -177,6 +200,7 @@ impl SegmentIndex {
     /// small, or not finite enough, to grid soundly.
     pub fn build_grid(&mut self) {
         self.grid.cells.clear();
+        self.grid.lb.clear();
         if !self.flat {
             return;
         }
@@ -235,6 +259,62 @@ impl SegmentIndex {
         }
         (self.grid.x0, self.grid.y0) = (x0, y0);
         (self.grid.inv_w, self.grid.inv_h) = (1.0 / cw, 1.0 / ch);
+    }
+
+    /// Lay the lower-bound raster (module docs) over the grid: `RASTER_N²`
+    /// scans of a cell list, worth it for a set whose callers will reject
+    /// most of what they measure from the table alone. Allocation-free
+    /// once warm; a no-op without a grid, so such an index reads 0
+    /// everywhere.
+    pub fn build_lower_bound(&mut self) {
+        let mut lb = std::mem::take(&mut self.grid.lb);
+        lb.clear();
+        if !self.grid.cells.is_empty() {
+            let g = &self.grid;
+            let (w, h) = (0.5 / g.inv_w, 0.5 / g.inv_h);
+            let half_diag = 0.5 * w.hypot(h) * (1.0 + GRID_SLACK);
+            lb.resize(RASTER_N * RASTER_N, 0.0);
+            // each grid cell's four raster cells, from the cell's list (it
+            // holds every edge nearest to a point of the cell), or from
+            // every edge where it overflowed
+            for (c, cell) in g.cells.iter().enumerate() {
+                let list = cell.get(1..=cell[0] as usize);
+                for (i, j) in [(0, 0), (1, 0), (0, 1), (1, 1)] {
+                    let (i, j) = (2 * (c % GRID_N) + i, 2 * (c / GRID_N) + j);
+                    let m = Point::new(g.x0 + (i as f64 + 0.5) * w, g.y0 + (j as f64 + 0.5) * h);
+                    let (_, d2) = match list {
+                        Some(list) => {
+                            simd::scan_scalar(list.iter().map(|&e| (e as u32, &self.segs[e as usize])), m)
+                        }
+                        None => self.scan_flat(m),
+                    };
+                    // (`max` turns a NaN into 0, as a point outside reads)
+                    lb[j * RASTER_N + i] = (d2.sqrt() * (1.0 - GRID_SLACK) - half_diag).max(0.0);
+                }
+            }
+        }
+        self.grid.lb = lb;
+    }
+
+    /// Whether [`Self::build_lower_bound`] laid a raster over this set.
+    #[inline]
+    pub fn has_lower_bound(&self) -> bool {
+        !self.grid.lb.is_empty()
+    }
+
+    /// A lower bound on [`Self::dist`] at `q` from the raster: 0 without
+    /// one, outside its box, and for a NaN point.
+    #[inline]
+    pub fn lower_bound(&self, q: Point) -> f64 {
+        const N: f64 = RASTER_N as f64;
+        let g = &self.grid;
+        // (doubling is exact: a raster cell lies inside one grid cell)
+        let (fx, fy) = ((q.x - g.x0) * g.inv_w * 2.0, (q.y - g.y0) * g.inv_h * 2.0);
+        // (false for NaN too)
+        if !((0.0..N).contains(&fx) && (0.0..N).contains(&fy)) {
+            return 0.0;
+        }
+        g.lb.get(fy as usize * RASTER_N + fx as usize).copied().unwrap_or(0.0)
     }
 
     /// The edges that can be nearest to `q` according to the grid; `None`
@@ -503,27 +583,7 @@ mod tests {
                 out.push(pt(base.x - 1e-12 * span, base.y + 1e-12 * span));
             }
         }
-        let g = &grid.grid;
-        if !g.cells.is_empty() {
-            let lines = |o: f64, inv: f64| -> Vec<f64> {
-                (0..=GRID_N)
-                    .flat_map(|i| {
-                        let v = o + i as f64 / inv;
-                        [v.next_down(), v, v.next_up()]
-                    })
-                    .collect()
-            };
-            let (xs, ys) = (lines(g.x0, g.inv_w), lines(g.y0, g.inv_h));
-            for &x in &xs {
-                for &y in &ys {
-                    out.push(pt(x, y)); // corners, and borders crossed diagonally
-                }
-                out.push(pt(x, rng.random_range(bbox.min.y..=bbox.max.y)));
-            }
-            for &y in &ys {
-                out.push(pt(rng.random_range(bbox.min.x..=bbox.max.x), y));
-            }
-        }
+        border_probes(rng, &bbox, grid, 1, &mut out);
         for far in [1e3, -1e6, 1e12, 1e300] {
             out.push(pt(far, 0.3));
             out.push(pt(0.2, far));
@@ -535,6 +595,34 @@ mod tests {
             out.push(pt(bad, bad));
         }
         out
+    }
+
+    /// Every corner of `grid`'s cells split `split × split` (1: the grid's
+    /// own, 2: the raster's), one ulp to either side of them too, and
+    /// random points along each border line.
+    fn border_probes(rng: &mut StdRng, bbox: &Aabb, grid: &SegmentIndex, split: usize, out: &mut Vec<Point>) {
+        let g = &grid.grid;
+        if g.cells.is_empty() {
+            return;
+        }
+        let lines = |o: f64, inv: f64| -> Vec<f64> {
+            (0..=GRID_N * split)
+                .flat_map(|i| {
+                    let v = o + i as f64 / (inv * split as f64);
+                    [v.next_down(), v, v.next_up()]
+                })
+                .collect()
+        };
+        let (xs, ys) = (lines(g.x0, g.inv_w), lines(g.y0, g.inv_h));
+        for &x in &xs {
+            for &y in &ys {
+                out.push(pt(x, y)); // corners, and borders crossed diagonally
+            }
+            out.push(pt(x, rng.random_range(bbox.min.y..=bbox.max.y)));
+        }
+        for &y in &ys {
+            out.push(pt(rng.random_range(bbox.min.x..=bbox.max.x), y));
+        }
     }
 
     /// Assert `nearest` with the grid ≡ without, on the stress probes.
@@ -642,7 +730,135 @@ mod tests {
         assert_grid_parity(&mut rng, &big);
     }
 
+    /// Assert `0 ≤ lower_bound(q) ≤ dist(q)` — the distance from the flat
+    /// scan, no grid — on the stress probes plus every raster cell's
+    /// corners and borders; a non-finite probe must read 0.
+    fn assert_lower_bound_sound(rng: &mut StdRng, segs: &[Segment]) -> SegmentIndex {
+        let plain = SegmentIndex::build(segs);
+        let mut idx = SegmentIndex::build(segs);
+        idx.build_grid();
+        idx.build_lower_bound();
+        assert_eq!(idx.has_lower_bound(), !idx.grid.cells.is_empty(), "a raster exactly where a grid is");
+        let bbox = segs.iter().fold(Aabb::EMPTY, |b, s| b.union(&s.bbox()));
+        let mut qs = probes(rng, segs, &idx);
+        border_probes(rng, &bbox, &idx, 2, &mut qs);
+        for q in qs {
+            let (lb, d) = (idx.lower_bound(q), plain.dist(q));
+            assert!(lb >= 0.0 && lb <= d, "q = {q:?}: bound {lb}, distance {d}, {} edges", segs.len());
+            if !(q.x.is_finite() && q.y.is_finite()) {
+                assert_eq!(lb, 0.0, "q = {q:?}");
+            }
+        }
+        idx
+    }
+
+    /// A regular `n`-gon of radius `r` about `(cx, cy)`.
+    fn regular(n: usize, r: f64, cx: f64, cy: f64) -> Vec<Segment> {
+        let pts: Vec<Point> = (0..n)
+            .map(|i| {
+                let t = 2.0 * std::f64::consts::PI * i as f64 / n as f64;
+                pt(cx + r * t.cos(), cy + r * t.sin())
+            })
+            .collect();
+        chain(&pts, true)
+    }
+
+    #[test]
+    fn grid_lower_bound_in_overflowed_cells() {
+        // deep inside a round shape every edge is about equally far: the
+        // grid cells there overflow and their raster cells take `D` from
+        // the flat scan
+        let mut rng = StdRng::seed_from_u64(13);
+        for n in [48, 64] {
+            let circle = regular(n, 0.5, 0.5, 0.0);
+            let idx = assert_lower_bound_sound(&mut rng, &circle);
+            assert!(idx.grid.cells.iter().any(|c| c[0] == GRID_OVERFLOW), "{n}-gon: no cell overflowed");
+            // the centre is 0.5 from every edge: the bound there is tight
+            // to within a raster cell
+            let lb = idx.lower_bound(pt(0.5, 0.0));
+            assert!(lb > 0.4 && lb <= idx.dist(pt(0.5, 0.0)), "{n}-gon centre: {lb}");
+        }
+    }
+
+    #[test]
+    fn grid_lower_bound_degenerate_boxes_read_zero() {
+        let mut rng = StdRng::seed_from_u64(17);
+        // no grid, hence no raster: every probe reads 0
+        let point = vec![Segment::new(pt(2.0, 3.0), pt(2.0, 3.0)); 3];
+        let lost = chain(&[pt(1e6, 1e6), pt(1e6 + 1e-9, 1e6), pt(1e6, 1e6 + 1e-9)], true);
+        let huge = chain(&[pt(0.0, 0.0), pt(f64::MAX, 0.0), pt(0.0, -f64::MAX)], true);
+        let tree = random_edges(&mut rng, 90);
+        for segs in [&point, &lost, &huge, &tree] {
+            let idx = assert_lower_bound_sound(&mut rng, segs);
+            assert!(!idx.has_lower_bound());
+            for q in probes(&mut rng, segs, &idx) {
+                assert_eq!(idx.lower_bound(q), 0.0, "q = {q:?}");
+            }
+        }
+        // thin, flat and NaN-edged boxes do get one, and it holds
+        let flat = chain(&[pt(0.0, 0.0), pt(0.4, 0.0), pt(0.4, 0.0), pt(1.0, 0.0)], false);
+        let thin = chain(&[pt(0.0, 0.0), pt(0.5, 1e-9), pt(1.0, 0.0), pt(0.5, -1e-9)], true);
+        let nan = vec![Segment::new(pt(f64::NAN, 0.0), pt(1.0, 1.0)), Segment::new(pt(0.0, 0.0), pt(1.0, 0.0))];
+        for segs in [&flat, &thin, &nan] {
+            assert!(assert_lower_bound_sound(&mut rng, segs).has_lower_bound());
+        }
+        // a rebuild drops the raster, and a new grid alone does not bring
+        // the old one back
+        let mut idx = assert_lower_bound_sound(&mut rng, &thin);
+        let away = pt(0.5, 0.2);
+        assert!(idx.lower_bound(away) > 0.0);
+        idx.rebuild(flat.iter().copied());
+        assert_eq!(idx.lower_bound(away), 0.0);
+        idx.build_grid();
+        assert!(!idx.has_lower_bound() && idx.lower_bound(away) == 0.0);
+        idx.build_lower_bound();
+        assert!(idx.lower_bound(away) > 0.0);
+    }
+
+    #[test]
+    fn grid_lower_bound_hugs_the_anchors() {
+        // a query in the lune frame passes through (0, 0) and (1, 0):
+        // points on and a hair off the anchors must read no more than
+        // their (tiny) distance
+        let mut rng = StdRng::seed_from_u64(19);
+        let closed = chain(&[pt(0.0, 0.0), pt(1.0, 0.0), pt(0.7, 0.4), pt(0.3, 0.35)], true);
+        let open = chain(&[pt(0.0, 0.0), pt(0.35, -0.3), pt(0.6, 0.2), pt(1.0, 0.0)], false);
+        for segs in [&closed, &open] {
+            let idx = assert_lower_bound_sound(&mut rng, segs);
+            let plain = SegmentIndex::build(segs);
+            for anchor in [pt(0.0, 0.0), pt(1.0, 0.0)] {
+                let mut near = vec![anchor];
+                for off in [1e-300, 1e-12, 1e-6, 1e-3] {
+                    for (dx, dy) in [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (1.0, 1.0), (-1.0, -1.0)] {
+                        near.push(pt(anchor.x + dx * off, anchor.y + dy * off));
+                    }
+                }
+                near.push(pt(anchor.x.next_up(), anchor.y.next_down()));
+                near.push(pt(anchor.x.next_down(), anchor.y.next_up()));
+                for q in near {
+                    let (lb, d) = (idx.lower_bound(q), plain.dist(q));
+                    assert!(lb >= 0.0 && lb <= d, "q = {q:?}: bound {lb}, distance {d}");
+                }
+            }
+            // and away from the shape it is not vacuous
+            let lb = idx.lower_bound(pt(0.5, -0.2));
+            assert!(lb > 0.0 && lb <= plain.dist(pt(0.5, -0.2)), "{lb}");
+        }
+    }
+
     proptest! {
+        /// The raster's contract: `0 ≤ lower_bound ≤ dist` wherever it is
+        /// read — on 2–64 edges (a raster) and beyond (none: 0).
+        #[test]
+        fn grid_lower_bound_on_random_shapes(seed in 0u64..1_000_000, big in 0usize..8) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = if big == 0 { rng.random_range(65..120) } else { rng.random_range(2..=64) };
+            let mut segs = random_edges(&mut rng, n);
+            segs.truncate(if big == 0 { 120 } else { 64 });
+            let idx = assert_lower_bound_sound(&mut rng, &segs);
+            prop_assert!(big != 0 || !idx.has_lower_bound(), "a tree-backed set has no raster");
+        }
+
         /// The tentpole's contract: a grid changes no answer, bit for bit
         /// — index and distance — on 2–64 edges (grid → scan) and beyond
         /// (no grid, tree).

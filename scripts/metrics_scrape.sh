@@ -261,6 +261,12 @@ require_present 'geosir_exact_seed_tightness_permille'
 require_present 'geosir_exact_scan_copies_total'
 require_present 'geosir_exact_scan_survivors_total'
 require_present 'geosir_matcher_runs_total'
+# The query's lower-bound raster rejects copies before any distance: 0
+# here (nothing to reject), but the loaded node's explained query above
+# must have rejected some (`dynamic.rs::the_raster_changes_no_verdict_and_no_count`
+# pins that it changes no answer or count).
+require_present 'geosir_exact_scan_bound_rejects_total'
+require_nonzero 'geosir_exact_scan_bound_rejects_total' "$LOADED_METRICS"
 # What deletes leave behind and what reclaiming it cost: 0 on a base
 # nothing was deleted from, but exposed (`health_plane.rs` pins values).
 require_present 'geosir_dead_shapes '
