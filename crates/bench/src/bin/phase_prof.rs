@@ -10,7 +10,8 @@
 //! distance census the nearest-edge grid is judged by (`dist` calls
 //! against the prepared query by site, edges evaluated per call and time
 //! per call with the grid off and on — under `--features simd` "off" is
-//! the AVX2 flat scan — the raster's rejects per site, the grid's and the
+//! the AVX2 flat scan — per site the quantized raster test's rejects,
+//! table reads and stored bytes read per copy, the grid's and the
 //! raster's build cost, and a digest of all top-10
 //! lists to compare builds by; its replay duplicates `View::retrieve`'s
 //! loop — see `distance_census`); the plan sweep (`plan_sweep`: the
@@ -39,7 +40,8 @@ use geosir_core::normalize::{normalize_about_diameter, normalized_copies};
 use geosir_core::scratch::MatcherScratch;
 use geosir_core::shapebase::{ShapeBase, ShapeBaseBuilder};
 use geosir_core::similarity::{
-    prepare_into, score, score_bounded_with, score_prepared_bounded, PreparedShape, ScoreKind,
+    prepare_into, score, score_bounded_with, score_prepared_bounded, LuneFrame, PreparedShape,
+    QuantRaster, ScoreKind,
 };
 use geosir_core::{ApproxOptions, ApproxScratch, ApproxStats};
 use geosir_geom::envelope::{envelope_cover_into, ring_cover_into};
@@ -87,6 +89,23 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const K: usize = 10;
 /// What the server scores with.
 const KIND: ScoreKind = ScoreKind::DiscreteSymmetric;
+
+/// `pts` as a base stores them in the α = 0 frame: quantized, or (a
+/// vertex outside the frame) not at all.
+fn quantized(frame: &LuneFrame, pts: &[Point]) -> Vec<[u16; 2]> {
+    pts.iter().map(|&p| frame.quantize(p)).collect::<Option<_>>().unwrap_or_default()
+}
+
+/// `query` with its grid and lower-bound raster, and that raster mapped
+/// onto `frame` — the query as the served exact path prepares it.
+fn rastered(query: &Polyline, frame: &LuneFrame) -> (PreparedShape, QuantRaster) {
+    let mut prepared = PreparedShape::new(normalize_about_diameter(query).unwrap().0.shape);
+    prepared.build_grid();
+    prepared.build_lower_bound();
+    let mut raster = QuantRaster::default();
+    raster.build(frame, &prepared);
+    (prepared, raster)
+}
 
 /// The matcher's per-query phase times (µs) and work counts, summed over
 /// a query set by [`Phases::add_run`] from what each run recorded: its
@@ -215,10 +234,12 @@ fn exact_path_phases() {
     let snap = dynamic.snapshot();
     let base = &corpus.build_base(0.0, Backend::RangeTree);
     let matcher = Matcher::new(base, cfg);
-    let buffer: Vec<PreparedShape> = corpus.shapes[1024..]
+    let frame = LuneFrame::new(0.0);
+    let buffer: Vec<(PreparedShape, Vec<[u16; 2]>)> = corpus.shapes[1024..]
         .iter()
         .flat_map(|(_, _, s)| normalized_copies(s, 0.0))
-        .map(|c| PreparedShape::new(c.shape))
+        .map(|c| (quantized(&frame, c.shape.points()), PreparedShape::new(c.shape)))
+        .map(|(q, c)| (c, q))
         .collect();
     let mut scratch = MatcherScratch::new();
     let mut tmp = MatchOutcome::default();
@@ -234,7 +255,7 @@ fn exact_path_phases() {
     });
     let (mut copies, mut survivors, mut tightness) = (0, 0, 0.0);
     // what each query's buffer pass and merge worked on
-    let mut finals: Vec<(PreparedShape, f64, Vec<DynMatch>)> = Vec::new();
+    let mut finals: Vec<((PreparedShape, QuantRaster), f64, Vec<DynMatch>)> = Vec::new();
     for q in &queries {
         snap.similar_approx_with(&mut scratch, &mut tmp, &mut ax, q, &opts, &mut hits, &mut astats);
         let tau = hits.get(K - 1).map_or(f64::INFINITY, |m| m.score);
@@ -243,19 +264,19 @@ fn exact_path_phases() {
         survivors += stats.scan_survivors;
         let kth = hits.last().map_or(f64::INFINITY, |m| m.score);
         tightness += kth / tau;
-        let mut prepared = PreparedShape::new(normalize_about_diameter(q).unwrap().0.shape);
-        prepared.build_grid();
-        prepared.build_lower_bound();
-        finals.push((prepared, kth, hits.clone()));
+        finals.push((rastered(q, &frame), kth, hits.clone()));
     }
     let seed = timed(&queries, &mut |_, q| {
         snap.similar_approx_with(&mut scratch, &mut tmp, &mut ax, q, &opts, &mut hits, &mut astats)
     });
     let buffered = timed(&queries, &mut |i, _| {
-        let (prepared, kth, _) = &finals[i];
+        let ((prepared, raster), kth, _) = &finals[i];
         let sum: f64 = buffer
             .iter()
-            .map(|c| score_prepared_bounded(KIND, c, prepared, *kth).min(9.0))
+            .map(|(c, q)| match raster.rejects_after(q, *kth) {
+                Some(_) => 9.0,
+                None => score_prepared_bounded(KIND, c, prepared, *kth).min(9.0),
+            })
             .sum();
         std::hint::black_box(sum);
     });
@@ -342,7 +363,7 @@ fn main() {
     let t0 = Instant::now();
     for q in &queries {
         slot = None;
-        prepare_into(&mut slot, q.points(), q.is_closed());
+        prepare_into(&mut slot, q.points().iter().copied(), q.is_closed());
         slot.as_mut().unwrap().build_grid();
     }
     let prep_us = t0.elapsed().as_micros() as f64 / queries.len() as f64;
@@ -381,7 +402,7 @@ fn main() {
     let mut scored = 0usize;
     for (qi, (q, (_, _, nscored, _))) in queries.iter().zip(&finals).enumerate() {
         slot = None;
-        let prepared = prepare_into(&mut slot, q.points(), q.is_closed());
+        let prepared = prepare_into(&mut slot, q.points().iter().copied(), q.is_closed());
         for c in 0..*nscored {
             let cand = &polys[(qi * 31 + c * 7) % polys.len()];
             score_sink += score(KIND, cand, prepared);
@@ -445,30 +466,29 @@ fn main() {
     carry_cost();
 }
 
-/// What the early-abandoning forward `h_avg` does with `cand` — the loops
-/// of `similarity::h_avg_discrete_abandoning`, which keep no count: the
-/// raster cells it reads first (a finite cutoff, a query with a raster)
-/// and whether they alone rejected the copy; if not, the vertices whose
-/// distance to `query` it asks for before it stops, pushed onto `calls`.
+/// What the early-abandoning forward `h_avg` does with `cand`, stored as
+/// `quantized` — the raster test of `similarity::score_copy_bounded` (a
+/// finite cutoff) and the loop of `h_avg_discrete_abandoning`, which keep
+/// no count: the quantized vertices the test reads and whether they alone
+/// rejected the copy; if not, the vertices whose distance to `query` the
+/// loop asks for before it stops, pushed onto `calls`.
 fn forward_calls(
     cand: &Polyline,
+    quantized: &[[u16; 2]],
     query: &PreparedShape,
+    raster: &QuantRaster,
     cutoff: f64,
     calls: &mut Vec<Point>,
 ) -> (usize, bool) {
-    let sum = cutoff * cand.num_vertices() as f64;
-    let limit = sum + sum.abs() * 1e-9;
     let mut reads = 0;
-    if cutoff.is_finite() && query.index().has_lower_bound() {
-        let mut bound = 0.0;
-        for &p in cand.points() {
-            reads += 1;
-            bound += query.index().lower_bound(p);
-            if bound > limit {
-                return (reads, true);
-            }
+    if cutoff.is_finite() {
+        match raster.rejects_after(quantized, cutoff) {
+            Some(read) => return (read, true),
+            None => reads = quantized.len(),
         }
     }
+    let sum = cutoff * cand.num_vertices() as f64;
+    let limit = sum + sum.abs() * 1e-9;
     let mut acc = 0.0;
     for &p in cand.points() {
         calls.push(p);
@@ -489,10 +509,11 @@ fn digest(hasher: &mut DefaultHasher, hits: &[DynMatch]) {
 
 /// Where the point-to-query distances of a served exact query are asked
 /// for, and what each costs with the query's nearest-edge grid off and
-/// on; per site, how many bounded scorings the query's lower-bound raster
-/// settled from its table alone, after how many cell reads, and how many
-/// distances the rest asked for; and what the grid and the raster cost
-/// to build. The world is the benchmark's `exact_sketch` one
+/// on; per site, how many bounded scorings the quantized raster test
+/// settled from the query's table alone, after how many cell reads, how
+/// many distances the rest asked for, and how many bytes of the stored
+/// copies all that read; and what the grid and the raster cost to
+/// build. The world is the benchmark's `exact_sketch` one
 /// ([`canonical_world`]) with a static twin of the level (same copies,
 /// same ids), so each site can be replayed through the public API; the
 /// replay is checked against the run's own counts and answer.
@@ -519,16 +540,23 @@ fn distance_census() {
     let snap = dynamic.snapshot();
     let family = snap.hash_family();
     let buckets = SigBuckets::build(family, &twin);
+    let frame = LuneFrame::new(0.0);
+    let mut twin_q = Vec::new();
+    for (cid, copy) in twin.copies() {
+        assert_eq!(cid.index(), twin_q.len());
+        twin_q.push(quantized(&frame, copy.normalized.points()));
+    }
     // a buffered shape as the base holds it: id (the level took 0..1024),
-    // prepared copies, signatures
+    // prepared and quantized copies, signatures
     let buffer: Vec<_> = buffered
         .iter()
         .enumerate()
         .map(|(i, (_, _, s))| {
             let copies: Vec<PreparedShape> =
                 normalized_copies(s, 0.0).into_iter().map(|c| PreparedShape::new(c.shape)).collect();
+            let stored: Vec<_> = copies.iter().map(|c| quantized(&frame, c.shape().points())).collect();
             let sigs: Vec<_> = copies.iter().map(|c| signature_of(family, c.shape())).collect();
-            (1024 + i as u64, copies, sigs)
+            (1024 + i as u64, copies, stored, sigs)
         })
         .collect();
 
@@ -540,8 +568,11 @@ fn distance_census() {
     let mut back = None;
     let mut sites: [Vec<Point>; 3] = Default::default();
     let (mut calls, mut edges_off, mut edges_on, mut answered) = ([0usize; 3], 0, 0, 0);
-    // per site: bounded scorings, raster rejects, raster cells read
+    // per site: bounded scorings, raster rejects, raster cells read, and
+    // stored bytes read — as stored, and as an `f64` arena would have held
+    // the same vertices
     let (mut scorings, mut rejects, mut reads) = ([0usize; 3], [0usize; 3], [0usize; 3]);
+    let (mut bytes, mut f64_bytes) = ([0usize; 3], [0usize; 3]);
     let mut scanned = 0;
     let (mut ns_off, mut ns_on) = (0.0, 0.0);
     // grid, raster: built once as a query meets them, and best of 20
@@ -562,11 +593,15 @@ fn distance_census() {
         // the query as the served exact path prepares it; "once" is the
         // first build after the previous query's work, as a server meets
         // it, "best of 20" the same build repeated in a warm cache
-        let mut grid = PreparedShape::new(primary);
+        let (mut grid, mut raster) = (PreparedShape::new(primary), QuantRaster::default());
+        let lay = |grid: &mut PreparedShape, raster: &mut QuantRaster| {
+            grid.build_lower_bound();
+            raster.build(&frame, grid);
+        };
         grid_us[0] += best_of(1, &mut || grid.build_grid()) * 1e6;
-        raster_us[0] += best_of(1, &mut || grid.build_lower_bound()) * 1e6;
+        raster_us[0] += best_of(1, &mut || lay(&mut grid, &mut raster)) * 1e6;
         grid_us[1] += best_of(20, &mut || grid.build_grid()) * 1e6;
-        raster_us[1] += best_of(20, &mut || grid.build_lower_bound()) * 1e6;
+        raster_us[1] += best_of(20, &mut || lay(&mut grid, &mut raster)) * 1e6;
         snap.similar_approx_with(&mut scratch, &mut tmp, &mut ax, q, &opts, &mut seeds, &mut astats);
         snap.retrieve_with_stats(&mut scratch, &mut tmp, q, K, &mut hits, &mut stats);
         digest(&mut approx_digest, &seeds);
@@ -578,13 +613,19 @@ fn distance_census() {
         // per-shape best, re-derive the k-th; returns "not abandoned"
         let mut board = std::collections::HashMap::new();
         let mut cutoff = f64::INFINITY;
-        let mut offer = |id: u64, cand: &Polyline, site: usize| {
-            let (read, rejected) = forward_calls(cand, &grid, cutoff, &mut sites[site]);
+        let mut offer = |id: u64, cand: &Polyline, stored: &[[u16; 2]], site: usize| {
+            let called = sites[site].len();
+            let (read, rejected) = forward_calls(cand, stored, &grid, &raster, cutoff, &mut sites[site]);
+            let lookups = sites[site].len() - called;
             let score = score_bounded_with(KIND, cand, &grid, &mut back, cutoff);
             assert!(!rejected || score == f64::INFINITY, "a raster reject must be abandoned");
             scorings[site] += 1;
             rejects[site] += rejected as usize;
             reads[site] += read;
+            // a pass reads the copy's similarity and a source vertex a
+            // distance
+            bytes[site] += 4 * read + if rejected { 0 } else { 32 + 16 * lookups };
+            f64_bytes[site] += 16 * read.max(lookups);
             if score <= cutoff {
                 let kept = board.entry(id).or_insert(f64::INFINITY);
                 *kept = score.min(*kept);
@@ -608,29 +649,31 @@ fn distance_census() {
             let level_ring = within[emitted..].iter().map(|&c| {
                 judged[c.index()] = true;
                 let copy = twin.copy(c);
-                (copy.shape_id.0 as u64, &copy.normalized)
+                (copy.shape_id.0 as u64, &copy.normalized, &twin_q[c.index()][..])
             });
-            let buffer_ring = buffer.iter().flat_map(|(id, copies, sigs)| {
+            let buffer_ring = buffer.iter().flat_map(|(id, copies, stored, sigs)| {
                 let at_r = move |s: &&_| qsig.curve_distance(s) == r;
-                copies.iter().zip(sigs).filter(move |(_, s)| at_r(s)).map(|(c, _)| (*id, c.shape()))
+                let copies = copies.iter().zip(stored).zip(sigs);
+                copies.filter(move |(_, s)| at_r(s)).map(|((c, q), _)| (*id, c.shape(), &q[..]))
             });
-            for (id, cand) in level_ring.chain(buffer_ring) {
+            for (id, cand, stored) in level_ring.chain(buffer_ring) {
                 reranked += 1;
-                abandoned += !offer(id, cand, 0) as u64;
+                abandoned += !offer(id, cand, stored, 0) as u64;
             }
             emitted = within.len();
         }
         assert_eq!((reranked, abandoned), (astats.reranked, astats.abandoned), "seed replay diverged");
         // the scan: every copy of the level the seed did not judge
         let (mut copies, mut survivors) = (0, 0);
-        for (_, copy) in twin.copies().filter(|(cid, _)| !judged[cid.index()]) {
+        for (cid, copy) in twin.copies().filter(|(cid, _)| !judged[cid.index()]) {
             copies += 1;
-            survivors += offer(copy.shape_id.0 as u64, &copy.normalized, 1) as u64;
+            survivors += offer(copy.shape_id.0 as u64, &copy.normalized, &twin_q[cid.index()], 1) as u64;
         }
         assert_eq!((copies, survivors), (stats.scan_copies, stats.scan_survivors), "scan replay diverged");
         assert_eq!(buffer.len() as u64, stats.buffer_scored);
-        for (id, copy) in buffer.iter().flat_map(|(id, copies, _)| copies.iter().map(move |c| (*id, c))) {
-            offer(id, copy.shape(), 2);
+        let buffered = buffer.iter().flat_map(|(id, copies, stored, _)| copies.iter().zip(stored).map(move |c| (*id, c)));
+        for (id, (copy, stored)) in buffered {
+            offer(id, copy.shape(), stored, 2);
         }
         let mut replayed: Vec<(f64, u64)> = board.iter().map(|(&id, &s)| (s, id)).collect();
         replayed.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -672,13 +715,16 @@ fn distance_census() {
     for (s, site) in SITES.iter().enumerate() {
         let per_copy = |count: usize| count as f64 / scorings[s].max(1) as f64;
         println!(
-            "    {site:6} {:6.1} bounded scorings: raster rejects {:6.1}, passes {:5.1}; {:4.1} table \
-             reads and {:4.1} distance lookups per copy",
+            "    {site:6} {:6.1} bounded scorings: quantized rejects {:6.1}, passes {:5.1}; {:4.1} table \
+             reads, {:4.1} distance lookups and {:5.1} B of the copy read per copy ({:5.1} B from an \
+             f64 arena)",
             scorings[s] as f64 / n,
             rejects[s] as f64 / n,
             (scorings[s] - rejects[s]) as f64 / n,
             per_copy(reads[s]),
             per_copy(calls[s]),
+            per_copy(bytes[s]),
+            per_copy(f64_bytes[s]),
         );
     }
     println!(
@@ -714,9 +760,11 @@ fn distance_census() {
 /// or sketches of family prototypes at the given distortion — the hash
 /// tier's k-th score as τ. `envelope` is one `retrieve_within(τ)` run
 /// (cover + simplex report + certificate) on a static twin of the level,
-/// `scan` every copy of the twin through `score_bounded_with` at cutoff
-/// τ against the query as the served scan prepares it (grid and
-/// lower-bound raster); neither has the seed's verdicts handed to it,
+/// `scan` every copy of the twin through the quantized raster test and,
+/// past it, `score_bounded_with` at cutoff τ against the query as the
+/// served scan prepares it (grid and lower-bound raster, the copies
+/// quantized as the level stores them); neither has the seed's verdicts
+/// handed to it,
 /// which the served run (`Snapshot::retrieve_with_stats`: seed, then the
 /// scan `View::retrieve` does) has. Every row asserts that the served
 /// answer and the envelope's agree bit for bit.
@@ -738,6 +786,8 @@ fn plan_sweep(large: bool) {
         dynamic.bulk_load(corpus.shapes.iter().map(|(image, _, s)| (*image, s.clone())));
         let snap = dynamic.snapshot();
         let matcher = Matcher::new(&twin, cfg.clone());
+        let frame = LuneFrame::new(0.0);
+        let stored: Vec<_> = twin.copies().map(|(_, c)| quantized(&frame, c.normalized.points())).collect();
         let (mut scratch, mut tmp, mut ax) =
             (MatcherScratch::new(), MatchOutcome::default(), ApproxScratch::new());
         let (mut hits, mut stats, mut astats) =
@@ -761,15 +811,7 @@ fn plan_sweep(large: bool) {
                 snap.similar_approx_with(&mut scratch, &mut tmp, &mut ax, q, &opts, &mut hits, &mut astats);
                 hits.get(k - 1).map(|m| taus.push(m.score)).is_some()
             });
-            let prepared: Vec<PreparedShape> = queries
-                .iter()
-                .map(|q| {
-                    let mut p = PreparedShape::new(normalize_about_diameter(q).unwrap().0.shape);
-                    p.build_grid();
-                    p.build_lower_bound();
-                    p
-                })
-                .collect();
+            let prepared: Vec<(PreparedShape, QuantRaster)> = queries.iter().map(|q| rastered(q, &frame)).collect();
             let n = queries.len() as f64;
             let seed = timed(&queries, &mut |_, q| {
                 snap.similar_approx_with(&mut scratch, &mut tmp, &mut ax, q, &opts, &mut hits, &mut astats)
@@ -779,10 +821,13 @@ fn plan_sweep(large: bool) {
             });
             let mut survivors = 0;
             let scan = timed(&queries, &mut |i, _| {
+                let (query, raster) = &prepared[i];
                 survivors += twin
                     .copies()
-                    .filter(|(_, copy)| {
-                        score_bounded_with(KIND, &copy.normalized, &prepared[i], &mut back, taus[i]).is_finite()
+                    .zip(&stored)
+                    .filter(|((_, copy), q)| {
+                        raster.rejects_after(q, taus[i]).is_none()
+                            && score_bounded_with(KIND, &copy.normalized, query, &mut back, taus[i]).is_finite()
                     })
                     .count();
             });

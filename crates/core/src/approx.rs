@@ -22,6 +22,7 @@
 //! cover it).
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use geosir_geom::Point;
 use geosir_obs as obs;
@@ -42,6 +43,37 @@ use crate::similarity::PreparedShape;
 /// Coarser curves trade bucket selectivity for tolerance to boundary
 /// crossings, and the exact rerank absorbs the extra candidates.
 pub const DEFAULT_HASH_CURVES: usize = 20;
+
+/// A map keyed by something that hashes as one `u64` — a shape id, a
+/// packed [`Signature`] — through a multiply-xorshift instead of SipHash.
+/// The keys are ids the base assigns, and signatures — four curve
+/// indices, each at most the hash family's k, whatever geometry a client
+/// inserts; and no iteration order of these maps is observable.
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// The hasher of [`IdMap`].
+#[derive(Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        // the product's high half reaches the low bits a table indexes by
+        let x = (self.0 ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = x ^ (x >> 32);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Which tier produced an approximate query's answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -194,7 +226,7 @@ pub struct ApproxScratch {
     /// its best score so far (the answer is its k best, copied out).
     pub(crate) rows: Vec<DynMatch>,
     /// shape → index of its row.
-    pub(crate) best: HashMap<GlobalShapeId, u32>,
+    pub(crate) best: IdMap<GlobalShapeId, u32>,
     /// Score scratch for the running kth-best cutoff.
     pub(crate) ktmp: Vec<f64>,
 }
@@ -235,7 +267,7 @@ pub struct SigBuckets {
     starts: Vec<u32>,
     members: Vec<CopyId>,
     /// Signature → bucket index, for the enumeration strategy.
-    index: HashMap<Signature, u32>,
+    index: IdMap<Signature, u32>,
 }
 
 impl SigBuckets {
@@ -255,7 +287,7 @@ impl SigBuckets {
     pub(crate) fn from_sigs(sigs: &[Signature]) -> SigBuckets {
         // room for every signature distinct, so the map never regrows;
         // then shrunk to the buckets it holds
-        let mut index = HashMap::with_capacity(sigs.len());
+        let mut index = IdMap::with_capacity_and_hasher(sigs.len(), Default::default());
         let bucket_of: Vec<u32> = sigs
             .iter()
             .map(|s| {

@@ -9,9 +9,11 @@
 //! amortized O(log N) frequency, deletes are tombstones — one bit per
 //! shape of a level, and a level that is more dead than alive is rebuilt
 //! without its dead (`MAX_DEAD_PER_LIVE`) — and a query runs on every
-//! live sub-base with results merged. A sub-base (`Level`) is the
-//! normalized copies of its shapes laid end to end in one vertex arena
-//! (`CopyArena`, the layout the insert buffer's shapes share), their hash
+//! live sub-base with results merged. A sub-base (`Level`) is its
+//! shapes' source vertices, and their normalized copies laid end to end
+//! in one arena (`CopyArena`, the layout the insert buffer's shapes
+//! share) — each copy its vertices quantized to 4 bytes and the
+//! similarity that recomputes them from the source — their hash
 //! signatures bucketed for the approximate tier, and an id table — no
 //! vertex pool and no range-search index: a level is scanned, never
 //! range-searched. A shape is normalized and hashed once, when it is
@@ -39,15 +41,14 @@
 //! snapshot-isolated live updates.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-use geosir_geom::{Point, Polyline};
+use geosir_geom::{Point, Polyline, Similarity};
 use geosir_obs as obs;
 
 use crate::approx::{
-    record_query_metrics, AnswerTier, ApproxOptions, ApproxScratch, ApproxStats, CandRef,
+    record_query_metrics, AnswerTier, ApproxOptions, ApproxScratch, ApproxStats, CandRef, IdMap,
     SigBuckets, BUFFER_LEVEL, DEFAULT_HASH_CURVES,
 };
 use crate::hashing::{signature_of_with, CurveFamily, Signature};
@@ -56,7 +57,9 @@ use crate::matcher::{MatchConfig, MatchOutcome, MatcherMetrics};
 use crate::normalize::normalizations;
 use crate::scratch::MatcherScratch;
 use crate::shapebase::par_map;
-use crate::similarity::{score_slice_bounded, PreparedShape, ScoreKind};
+use crate::similarity::{
+    score_copy_bounded, LuneFrame, PreparedShape, QuantRaster, ScoreKind, StoredCopy,
+};
 
 /// A shape registered with the dynamic base (stable across rebuilds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -72,8 +75,8 @@ pub struct DynamicBase {
     /// Insert buffer: shapes not yet in any level (scored brute force
     /// against the normalized copies derived at insert time).
     buffer: Vec<Arc<BufferedShape>>,
-    /// Quarter buffers the writer hashes new copies through.
-    quarters: [Vec<Point>; 4],
+    /// What the writer normalizes and hashes new copies through.
+    scratch: InsertScratch,
     buffer_cap: usize,
     /// Binary-carry slots; slot i holds a level of capacity
     /// `buffer_cap · 2^i` (or is empty).
@@ -91,29 +94,44 @@ pub struct DynamicBase {
 
 /// One not-yet-leveled insert. Its normalized copies and their
 /// signatures are derived once at insert time (writer-side): a query
-/// scores them as a level's copies are scored — by the slice scan, the
-/// reverse index built only for a survivor — and probes them without
-/// hashing, and a carry copies them into the level as they are. The
-/// buffer holds each entry behind one `Arc`, so a snapshot capture
+/// scores them as a level's copies are scored — by the same bounded
+/// scorer, the reverse index built only for a survivor — and probes them
+/// without hashing, and a carry copies them into the level as they are.
+/// The buffer holds each entry behind one `Arc`, so a snapshot capture
 /// clones a pointer per shape and no geometry.
 struct BufferedShape {
     id: GlobalShapeId,
     image: ImageId,
+    /// The source shape — what its copies' similarities map.
     shape: Polyline,
-    /// Owner 0; empty only for degenerate geometry, which then simply
-    /// never matches.
+    /// No owners (a carry gives them); empty only for degenerate
+    /// geometry, which then simply never matches.
     copies: CopyArena,
 }
 
+/// The writer's reusable buffers for a new shape: one copy's vertices,
+/// and the quarters its signature is computed through.
+#[derive(Default)]
+struct InsertScratch {
+    copy: Vec<Point>,
+    quarters: [Vec<Point>; 4],
+}
+
 /// Normalized copies laid end to end — a level's, or one buffered
-/// shape's: copy i is `verts[ends[i - 1]..ends[i]]`, beside it its
-/// owner (a level-local shape id) and its signature, which the next
-/// carry re-buckets instead of re-hashing. No copy owns an allocation,
-/// so a carry copies vertex ranges.
+/// shape's (DESIGN §11.7). Copy i is the similarity `fwd[i]` that maps
+/// its shape's source vertices onto it — its `f64` vertices are
+/// recomputed from those, bit for bit as insert time made them, never
+/// stored — and the same vertices quantized in the base's [`LuneFrame`],
+/// `quantized[ends[i - 1]..ends[i]]` (none for a copy that left the
+/// frame), the only geometry a copy the raster test rejects is read for.
+/// Beside them its owner (a level-local shape id) and its signature,
+/// which the next carry re-buckets instead of re-hashing. No copy owns an
+/// allocation, so a carry copies ranges.
 #[derive(Default)]
 struct CopyArena {
-    verts: Vec<Point>,
+    quantized: Vec<[u16; 2]>,
     ends: Vec<u32>,
+    fwd: Vec<Similarity>,
     owner: Vec<ShapeId>,
     sigs: Vec<Signature>,
 }
@@ -129,40 +147,52 @@ fn bytes<T>(v: &Vec<T>) -> usize {
 }
 
 impl CopyArena {
-    fn with_capacity(copies: usize, verts: usize) -> CopyArena {
-        let (ends, owner, sigs) =
+    /// Room for `copies` copies of `verts` quantized vertices, with owners
+    /// when `owned` (a level's arena; a buffered shape's has none).
+    fn with_capacity(copies: usize, verts: usize, owned: bool) -> CopyArena {
+        let (ends, fwd, sigs) =
             (Vec::with_capacity(copies), Vec::with_capacity(copies), Vec::with_capacity(copies));
-        CopyArena { verts: Vec::with_capacity(verts), ends, owner, sigs }
+        let owner = Vec::with_capacity(if owned { copies } else { 0 });
+        CopyArena { quantized: Vec::with_capacity(verts), ends, fwd, owner, sigs }
     }
 
     fn len(&self) -> usize {
         self.ends.len()
     }
 
-    fn verts(&self, i: usize) -> &[Point] {
-        &self.verts[ranged(&self.ends, i..i + 1)]
+    fn quantized(&self, i: usize) -> &[[u16; 2]] {
+        &self.quantized[ranged(&self.ends, i..i + 1)]
     }
 
-    /// Every copy's owner and vertices, in storage order.
-    fn iter(&self) -> impl Iterator<Item = (ShapeId, &[Point])> {
-        let starts = std::iter::once(0).chain(self.ends.iter().copied());
-        let spans = starts.zip(&self.ends).map(|(s, &e)| &self.verts[s as usize..e as usize]);
-        self.owner.iter().copied().zip(spans)
+    /// Append the copy `verts` = `fwd` of its source, hashed to `sig`:
+    /// quantized in `frame`, or with no quantized vertex if one of them
+    /// lies outside it.
+    fn push(&mut self, frame: &LuneFrame, fwd: Similarity, verts: &[Point], sig: Signature) {
+        let start = self.quantized.len();
+        self.quantized.extend(verts.iter().map_while(|&v| frame.quantize(v)));
+        if self.quantized.len() - start < verts.len() {
+            self.quantized.truncate(start);
+        }
+        self.ends.push(self.quantized.len() as u32);
+        self.fwd.push(fwd);
+        self.sigs.push(sig);
     }
 
-    /// Append copies `copies` of `from` as `owner`'s: their vertices as
-    /// one range, their ends rebased.
+    /// Append copies `copies` of `from` as `owner`'s: their quantized
+    /// vertices as one range, their ends rebased.
     fn extend_from(&mut self, owner: ShapeId, from: &CopyArena, copies: Range<usize>) {
         let verts = ranged(&from.ends, copies.clone());
-        let (old, new) = (verts.start as u32, self.verts.len() as u32);
-        self.verts.extend_from_slice(&from.verts[verts]);
+        let (old, new) = (verts.start as u32, self.quantized.len() as u32);
+        self.quantized.extend_from_slice(&from.quantized[verts]);
         self.ends.extend(from.ends[copies.clone()].iter().map(|e| e - old + new));
+        self.fwd.extend_from_slice(&from.fwd[copies.clone()]);
         self.owner.resize(self.owner.len() + copies.len(), owner);
         self.sigs.extend_from_slice(&from.sigs[copies]);
     }
 
     fn heap_bytes(&self) -> usize {
-        bytes(&self.verts) + bytes(&self.ends) + bytes(&self.owner) + bytes(&self.sigs)
+        let per_copy = bytes(&self.ends) + bytes(&self.fwd) + bytes(&self.owner);
+        bytes(&self.quantized) + per_copy + bytes(&self.sigs)
     }
 }
 
@@ -393,7 +423,7 @@ impl DynamicBase {
             config,
             family: Arc::new(CurveFamily::new(DEFAULT_HASH_CURVES)),
             buffer: Vec::new(),
-            quarters: Default::default(),
+            scratch: InsertScratch::default(),
             buffer_cap,
             levels: Vec::new(),
             next_id: 0,
@@ -443,7 +473,7 @@ impl DynamicBase {
     /// and their hash signatures — once, writer-side; carry when the
     /// buffer is full.
     fn buffer_insert(&mut self, id: GlobalShapeId, image: ImageId, shape: Polyline) {
-        let b = BufferedShape::new(id, image, shape, self.alpha, &self.family, &mut self.quarters);
+        let b = BufferedShape::new(id, image, shape, self.alpha, &self.family, &mut self.scratch);
         self.buffer.push(Arc::new(b));
         if self.buffer.len() >= self.buffer_cap {
             self.cascade();
@@ -630,6 +660,7 @@ impl DynamicBase {
             epoch: self.epoch,
             next_id: self.next_id,
             config: self.config.clone(),
+            frame: LuneFrame::new(self.alpha),
             family: self.family.clone(),
             levels: self.levels.clone(),
             buffer: self.buffer.clone(),
@@ -651,7 +682,7 @@ impl Level {
     /// vertices with `copies` copies of `verts` vertices.
     fn with_capacity(shapes: usize, src: usize, copies: usize, verts: usize) -> Level {
         Level {
-            copies: CopyArena::with_capacity(copies, verts),
+            copies: CopyArena::with_capacity(copies, verts, true),
             ids: Vec::with_capacity(shapes),
             images: Vec::with_capacity(shapes),
             closed: Vec::with_capacity(shapes),
@@ -668,8 +699,8 @@ impl Level {
     /// into one level.
     fn build(pool: Vec<(GlobalShapeId, ImageId, Polyline)>, alpha: f64, family: &CurveFamily) -> Level {
         let shapes = par_map(&pool, 0, |(id, image, shape)| {
-            let quarters = &mut Default::default();
-            Arc::new(BufferedShape::new(*id, *image, shape.clone(), alpha, family, quarters))
+            let scratch = &mut InsertScratch::default();
+            Arc::new(BufferedShape::new(*id, *image, shape.clone(), alpha, family, scratch))
         });
         Level::merge(&shapes, std::iter::empty())
     }
@@ -731,18 +762,6 @@ impl Level {
         &self.src_verts[ranged(&self.src_ends, local.index()..local.index() + 1)]
     }
 
-    /// Copy `verts` of shape `owner` as [`score_onto`] takes it.
-    fn offer<'c>(
-        &'c self,
-        owner: ShapeId,
-        verts: &'c [Point],
-        verdict: Option<&'c mut f64>,
-    ) -> Offer<'c> {
-        let at = owner.index();
-        let (shape, image, closed) = (self.ids[at], self.images[at], self.closed[at]);
-        Offer { shape, image, verts, closed, verdict }
-    }
-
     /// Bucket the signatures and sort the id table.
     fn finish(mut self) -> Level {
         self.buckets = SigBuckets::from_sigs(&self.copies.sigs);
@@ -783,6 +802,8 @@ pub struct Snapshot {
     epoch: u64,
     next_id: u64,
     config: MatchConfig,
+    /// The grid the copies' vertices are quantized in.
+    frame: LuneFrame,
     family: Arc<CurveFamily>,
     /// The base's carry slots as captured (empty ones included, so a
     /// slot index means the same level here and there).
@@ -1029,7 +1050,7 @@ impl Snapshot {
         self.probe(ax, qprep, opts, stats);
         let ApproxScratch { cands, back, rows, best, ktmp, .. } = ax;
         let mut board = Board { k, cutoff: f64::INFINITY, rows, slot: best, ktmp };
-        self.rerank(cands, qprep, back, &mut board, stats);
+        self.rerank(cands, qprep, None, back, &mut board, stats);
         board.finish(out);
     }
 
@@ -1095,11 +1116,12 @@ impl Snapshot {
 
     /// Score the probe's candidates onto `board` in ring order, leaving
     /// each one's verdict beside it for the exact tier's hand-off.
-    /// Returns how many of them the query's raster rejected.
+    /// Returns how many of them the query's `raster` rejected.
     fn rerank(
         &self,
         cands: &mut [CandRef],
         qprep: &PreparedShape,
+        raster: Option<&QuantRaster>,
         back: &mut Option<PreparedShape>,
         board: &mut Board<'_>,
         stats: &mut ApproxStats,
@@ -1107,14 +1129,13 @@ impl Snapshot {
         let offers = cands.iter_mut().map(|c| {
             let verdict = Some(&mut c.verdict);
             if c.level == BUFFER_LEVEL {
-                let b = &self.buffer[c.a as usize];
-                return b.offer(b.copies.verts(c.b as usize), verdict);
+                let store = Store::Buffered(&self.buffer[c.a as usize]);
+                return Offer { store, copy: c.b as usize, verdict };
             }
             let level = &self.levels[c.level as usize].as_ref().expect("probed slot").level;
-            let i = c.a as usize;
-            level.offer(level.copies.owner[i], level.copies.verts(i), verdict)
+            Offer { store: Store::Level(level), copy: c.a as usize, verdict }
         });
-        let done = score_onto(self.config.score, qprep, back, board, offers);
+        let done = score_onto(self.config.score, qprep, raster, back, board, offers);
         stats.reranked += done.scored;
         stats.abandoned += done.abandoned;
         done.rejected
@@ -1135,15 +1156,17 @@ impl Snapshot {
     /// cutoff is ∞: the scan scores what it meets in full until k live
     /// shapes are on the board, and tightens from there — the same plan,
     /// not another one.
-    /// Before the seed, the query gets its lower-bound raster: every
-    /// bounded scoring of the three steps reads it first and rejects most
-    /// copies from the table alone, with the verdicts, scores and counts
-    /// it would have had without (`similarity::h_avg_discrete_abandoning`).
-    /// Allocation-free in steady state. Every caller passes `handoff` and
-    /// `raster`; without the first the levels score the seed's copies over
-    /// again (same answer, more scorings), without the second every
-    /// scoring computes distances (same answer, same counts) — the
-    /// differential tests' other legs.
+    /// Before the seed, the query gets its lower-bound raster, mapped onto
+    /// the base's quantized frame ([`QuantRaster`]): every bounded scoring
+    /// of the three steps tests a copy's quantized vertices against it
+    /// first and rejects most copies from the table alone, with the
+    /// verdicts, scores and counts it would have had without
+    /// (`similarity::score_copy_bounded`); only a copy the test passes
+    /// has its vertices recomputed. Allocation-free in steady state.
+    /// Every caller passes `handoff` and `raster`; without the first the
+    /// levels score the seed's copies over again (same answer, more
+    /// scorings), without the second every scoring computes distances
+    /// (same answer, same counts) — the differential tests' other legs.
     #[allow(clippy::too_many_arguments)]
     fn seed_and_scan(
         &self,
@@ -1167,19 +1190,24 @@ impl Snapshot {
         let mut rejected = 0;
         // degenerate geometry normalizes to nothing and matches nothing
         if scratch.prepare_query(query) {
-            if raster {
-                scratch.query.as_mut().expect("prepared above").build_lower_bound();
-            }
             // The seed scratch holds the candidates' verdicts and the
-            // board; it is taken out while the query runs so that the
-            // scans can stamp copies in the rest of `scratch`.
+            // board, the raster the query's bounds; both are taken out
+            // while the query runs so that the scans can stamp copies in
+            // the rest of `scratch`.
             let mut seed = std::mem::take(&mut scratch.seed);
+            let mut quant = std::mem::take(&mut scratch.raster);
+            let qprep = scratch.query.as_mut().expect("prepared above");
+            let raster = raster && {
+                qprep.build_lower_bound();
+                quant.build(&self.frame, qprep)
+            };
+            let raster = raster.then_some(&quant);
             let opts = ApproxOptions { k, ..ApproxOptions::default() };
             let qprep = scratch.query.as_ref().expect("prepared above");
             self.probe(&mut seed, qprep, &opts, &mut seed_stats);
             let ApproxScratch { cands, back, rows, best, ktmp, .. } = &mut seed;
             let mut board = Board { k, cutoff: f64::INFINITY, rows, slot: best, ktmp };
-            rejected += self.rerank(cands, qprep, back, &mut board, &mut seed_stats);
+            rejected += self.rerank(cands, qprep, raster, back, &mut board, &mut seed_stats);
             tau = board.cutoff;
 
             // largest level first
@@ -1194,11 +1222,13 @@ impl Snapshot {
                 let settled = &mut scratch.scored_stamp;
                 let credit = judged.map(|c| settled[c.a as usize] = stamp).count();
                 let within = board.cutoff;
-                let unsettled = level.copies.iter().zip(&*settled).filter(|(_, at)| **at != stamp);
-                let live = unsettled.filter(|((owner, _), _)| !dead.get(*owner));
-                let offers = live.map(|((owner, verts), _)| level.offer(owner, verts, None));
+                let settled = &*settled;
+                let unsettled = (0..level.copies.len()).filter(|&i| settled[i] != stamp);
+                let live = unsettled.filter(|&i| !dead.get(level.copies.owner[i]));
+                let store = Store::Level(level);
+                let offers = live.map(|copy| Offer { store, copy, verdict: None });
                 let qprep = scratch.query.as_ref().expect("prepared above");
-                let done = score_onto(self.config.score, qprep, back, &mut board, offers);
+                let done = score_onto(self.config.score, qprep, raster, back, &mut board, offers);
                 stats.scan_copies += done.scored;
                 stats.scan_survivors += done.scored - done.abandoned;
                 rejected += done.rejected;
@@ -1216,11 +1246,13 @@ impl Snapshot {
             // the same loop (the buffer is small by design).
             let qprep = scratch.query.as_ref().expect("prepared above");
             let offers = self.buffer.iter().inspect(|_| stats.buffer_scored += 1).flat_map(|b| {
-                b.copies.iter().map(|(_, verts)| b.offer(verts, None))
+                let store = Store::Buffered(b);
+                (0..b.copies.len()).map(move |copy| Offer { store, copy, verdict: None })
             });
-            rejected += score_onto(self.config.score, qprep, back, &mut board, offers).rejected;
+            let done = score_onto(self.config.score, qprep, raster, back, &mut board, offers);
+            rejected += done.rejected;
             board.finish(out);
-            scratch.seed = seed;
+            (scratch.seed, scratch.raster) = (seed, quant);
         }
         obs::with_metrics(DynMetrics::build, |m| {
             m.queries.inc();
@@ -1252,41 +1284,71 @@ impl Snapshot {
 }
 
 impl BufferedShape {
-    /// Normalize and hash `shape` straight into an arena of its own (owner
-    /// 0), sized for the one diameter α = 0 usually gives.
+    /// Normalize and hash `shape` straight into an arena of its own (no
+    /// owners), sized for the one diameter α = 0 usually gives: each copy
+    /// made once, into `scratch`, to be hashed and quantized — its `f64`
+    /// vertices are recomputed from `shape` and its similarity whenever a
+    /// scoring needs them.
     fn new(
         id: GlobalShapeId,
         image: ImageId,
         shape: Polyline,
         alpha: f64,
         family: &CurveFamily,
-        quarters: &mut [Vec<Point>; 4],
+        scratch: &mut InsertScratch,
     ) -> BufferedShape {
-        let pts = shape.points();
-        let mut copies = CopyArena::with_capacity(2, 2 * pts.len());
+        let (pts, frame) = (shape.points(), LuneFrame::new(alpha));
+        let mut copies = CopyArena::with_capacity(2, 2 * pts.len(), false);
+        let InsertScratch { copy, quarters } = scratch;
         for (fwd, ..) in normalizations(pts, alpha) {
-            copies.verts.extend(pts.iter().map(|&p| fwd.apply(p)));
-            let copy = &copies.verts[copies.verts.len() - pts.len()..];
-            copies.sigs.push(signature_of_with(family, copy, quarters));
-            copies.ends.push(copies.verts.len() as u32);
-            copies.owner.push(ShapeId(0));
+            copy.clear();
+            copy.extend(pts.iter().map(|&p| fwd.apply(p)));
+            copies.push(&frame, fwd, copy, signature_of_with(family, copy, quarters));
         }
         BufferedShape { id, image, shape, copies }
     }
+}
 
-    /// Copy `verts` of this shape as [`score_onto`] takes it.
-    fn offer<'c>(&'c self, verts: &'c [Point], verdict: Option<&'c mut f64>) -> Offer<'c> {
-        Offer { shape: self.id, image: self.image, verts, closed: self.shape.is_closed(), verdict }
+/// Where a stored copy lies: in a level's arena, or a buffered shape's.
+#[derive(Clone, Copy)]
+enum Store<'c> {
+    Level(&'c Level),
+    Buffered(&'c BufferedShape),
+}
+
+impl<'c> Store<'c> {
+    fn arena(self) -> &'c CopyArena {
+        match self {
+            Store::Level(level) => &level.copies,
+            Store::Buffered(b) => &b.copies,
+        }
+    }
+
+    /// Copy i's shape: its id and image, and its source vertices and closed
+    /// bit, which with the copy's similarity make the copy.
+    fn shape(self, i: usize) -> (GlobalShapeId, ImageId, &'c [Point], bool) {
+        match self {
+            Store::Level(level) => {
+                let owner = level.copies.owner[i];
+                let at = owner.index();
+                (level.ids[at], level.images[at], level.src(owner), level.closed[at])
+            }
+            Store::Buffered(b) => (b.id, b.image, b.shape.points(), b.shape.is_closed()),
+        }
+    }
+
+    /// Copy i as the scorer recomputes it.
+    fn stored(self, i: usize) -> StoredCopy<'c> {
+        let (_, _, src, closed) = self.shape(i);
+        StoredCopy { src, fwd: &self.arena().fwd[i], closed }
     }
 }
 
-/// One stored copy handed to [`score_onto`]: its vertices, a slice of an
-/// arena, and whether its shape is closed.
+/// One stored copy handed to [`score_onto`]: copy `copy` of `store`. Its
+/// shape is looked up only for a copy the raster test passes.
 struct Offer<'c> {
-    shape: GlobalShapeId,
-    image: ImageId,
-    verts: &'c [Point],
-    closed: bool,
+    store: Store<'c>,
+    copy: usize,
     /// Where the caller wants the copy's verdict kept: its exact score,
     /// or `INFINITY` when the bounded scorer abandoned it.
     verdict: Option<&'c mut f64>,
@@ -1313,7 +1375,7 @@ struct Board<'a> {
     cutoff: f64,
     rows: &'a mut Vec<DynMatch>,
     /// shape → its row.
-    slot: &'a mut HashMap<GlobalShapeId, u32>,
+    slot: &'a mut IdMap<GlobalShapeId, u32>,
     /// Score scratch for re-deriving the cutoff.
     ktmp: &'a mut Vec<f64>,
 }
@@ -1356,21 +1418,26 @@ impl Board<'_> {
 /// The one bounded-scoring loop — the hash tier's rerank, the exact
 /// tier's level scans and its buffer scan are this, over three sources
 /// of live copies (each source leaves a tombstoned shape's out), all
-/// stored alike: score each vertex slice against the board's cutoff —
-/// the reverse index rebuilt into `back` only for a forward survivor —
-/// drop what the scorer abandons or what lands past the cutoff anyway
-/// (the continuous kinds never abandon), and offer the survivor to the
-/// board.
+/// stored alike: score each copy against the board's cutoff — its
+/// quantized vertices against `raster` first, when the query has one,
+/// then its recomputed vertices, the reverse index rebuilt into `back`
+/// only for a forward survivor — drop what the scorer abandons or what
+/// lands past the cutoff anyway (the continuous kinds never abandon),
+/// and offer the survivor to the board.
 fn score_onto<'c>(
     kind: ScoreKind,
     qprep: &PreparedShape,
+    raster: Option<&QuantRaster>,
     back: &mut Option<PreparedShape>,
     board: &mut Board<'_>,
     offers: impl Iterator<Item = Offer<'c>>,
 ) -> Scored {
     let mut done = Scored { scored: 0, abandoned: 0, rejected: 0 };
-    for Offer { shape, image, verts, closed, verdict } in offers {
-        let (score, rejected) = score_slice_bounded(kind, verts, closed, qprep, back, board.cutoff);
+    for Offer { store, copy, verdict } in offers {
+        let quantized = store.arena().quantized(copy);
+        let stored = || store.stored(copy);
+        let (score, rejected) =
+            score_copy_bounded(kind, quantized, stored, qprep, raster, back, board.cutoff);
         done.scored += 1;
         done.rejected += rejected as u64;
         if let Some(verdict) = verdict {
@@ -1379,6 +1446,7 @@ fn score_onto<'c>(
         if !score.is_finite() {
             done.abandoned += 1;
         } else if score <= board.cutoff {
+            let (shape, image, ..) = store.shape(copy);
             board.offer(shape, image, score);
         }
     }
@@ -1389,6 +1457,7 @@ fn score_onto<'c>(
 mod tests {
     use super::*;
     use crate::shapebase::ShapeBaseBuilder;
+    use crate::similarity::{score_copy_bounded, StoredCopy};
     use geosir_geom::rangesearch::Backend;
     use geosir_geom::Point;
     use proptest::prelude::*;
@@ -2355,6 +2424,9 @@ mod tests {
         fn bits(pts: &[Point]) -> Vec<(u64, u64)> {
             pts.iter().map(|q| (q.x.to_bits(), q.y.to_bits())).collect()
         }
+        let sims = |l: &Level| -> Vec<[u64; 4]> {
+            l.copies.fwd.iter().map(|f| [f.a, f.b, f.tx, f.ty].map(f64::to_bits)).collect()
+        };
         assert_eq!(got.ids, want.ids, "{what}: ids");
         assert_eq!(got.images, want.images, "{what}: images");
         assert_eq!(got.copy_ends, want.copy_ends, "{what}: copies per shape");
@@ -2364,15 +2436,118 @@ mod tests {
         assert_eq!(bits(&got.src_verts), bits(&want.src_verts), "{what}: source vertices");
         assert_eq!(got.src_ends, want.src_ends, "{what}: source ranges");
         assert_eq!(got.closed, want.closed, "{what}: closed bits");
-        assert_eq!(bits(&got.copies.verts), bits(&want.copies.verts), "{what}: copy vertices");
+        assert_eq!(got.copies.quantized, want.copies.quantized, "{what}: quantized vertices");
         assert_eq!(got.copies.ends, want.copies.ends, "{what}: copy ranges");
+        assert_eq!(sims(got), sims(want), "{what}: similarities");
         assert_eq!(got.copies.owner, want.copies.owner, "{what}: copy owners");
         assert_eq!(got.copies.sigs, want.copies.sigs, "{what}: signatures");
         // and the exact capacities a merge reserves: no slack to carry
-        assert_eq!(got.copies.verts.capacity(), got.copies.verts.len(), "{what}: arena capacity");
+        assert_eq!(got.copies.quantized.capacity(), got.copies.quantized.len(), "{what}: arena capacity");
         assert_eq!(got.src_verts.capacity(), got.src_verts.len(), "{what}: source capacity");
         let buckets = |l: &Level| l.buckets.iter().map(|(s, c)| (*s, c.to_vec())).collect::<Vec<_>>();
         assert_eq!(buckets(got), buckets(want), "{what}: bucket membership");
+    }
+
+    /// Every copy `store` holds, recomputed from its source and similarity
+    /// as a scoring does, against [`normalized_copies`] of that source —
+    /// what insert time normalized — bit for bit; beside it its quantized
+    /// vertices and its signature, against that copy's.
+    ///
+    /// [`normalized_copies`]: crate::normalize::normalized_copies
+    fn assert_recomputes(store: Store<'_>, alpha: f64, family: &CurveFamily, what: &str) {
+        let frame = LuneFrame::new(alpha);
+        let shapes: Vec<(Polyline, Range<usize>)> = match store {
+            Store::Level(level) => (0..level.ids.len() as u32)
+                .map(ShapeId)
+                .map(|l| (Polyline::from_valid(level.src(l).to_vec(), level.closed[l.index()]), level.copies_of(l)))
+                .collect(),
+            Store::Buffered(b) => vec![(b.shape.clone(), 0..b.copies.len())],
+        };
+        for (shape, copies) in shapes {
+            let made = crate::normalize::normalized_copies(&shape, alpha);
+            assert_eq!(made.len(), copies.len(), "{what}: copies of a shape");
+            for (want, i) in made.iter().zip(copies) {
+                let bits = |v: Point| (v.x.to_bits(), v.y.to_bits());
+                let got: Vec<_> = store.stored(i).vertices().map(bits).collect();
+                assert_eq!(got, want.shape.points().iter().map(|&v| bits(v)).collect::<Vec<_>>(), "{what}: copy {i}");
+                let quantized: Option<Vec<[u16; 2]>> = want.shape.points().iter().map(|&v| frame.quantize(v)).collect();
+                assert_eq!(store.arena().quantized(i), quantized.unwrap_or_default(), "{what}: copy {i} quantized");
+                assert_eq!(store.arena().sigs[i], crate::hashing::signature_of(family, &want.shape), "{what}: copy {i} signature");
+            }
+        }
+    }
+
+    /// Every copy the base holds, levels and buffer, recomputes bit for bit.
+    fn assert_base_recomputes(db: &DynamicBase, what: &str) {
+        for (at, slot) in db.levels.iter().enumerate() {
+            if let Some(slot) = slot {
+                assert_recomputes(Store::Level(&slot.level), db.alpha, &db.family, &format!("{what}, slot {at}"));
+            }
+        }
+        for b in &db.buffer {
+            assert_recomputes(Store::Buffered(b), db.alpha, &db.family, &format!("{what}, buffered {:?}", b.id));
+        }
+    }
+
+    #[test]
+    fn quantized_copies_recompute_bit_for_bit() {
+        // what a base stores of a copy — source, similarity, quantized
+        // vertices — gives back the vertices insert time made, after an
+        // insert, a carry, a compaction, a bulk load and a restore
+        for alpha in [0.0, 0.1] {
+            let mut db = DynamicBase::new(alpha, MatchConfig::default(), 4);
+            let ids: Vec<_> = (0..3).map(|i| db.insert(ImageId(i), shape(8000 + i as u64))).collect();
+            assert_eq!((db.num_levels(), db.buffer.len()), (0, 3));
+            assert_base_recomputes(&db, "inserted");
+            for i in 3..22 {
+                db.insert(ImageId(i), shape(8000 + i as u64));
+            }
+            assert!(db.num_levels() >= 2 && !db.buffer.is_empty());
+            assert_base_recomputes(&db, "carried");
+            let doomed: Vec<_> = db.levels.iter().flatten().last().expect("levels").live().map(|(_, g, _, _)| g).collect();
+            for id in doomed {
+                db.delete(id);
+            }
+            assert!(db.compactions >= 1);
+            assert_base_recomputes(&db, "compacted");
+            db.bulk_load((0..9).map(|i| (ImageId(100 + i), shape(8100 + i as u64))));
+            assert_base_recomputes(&db, "bulk-loaded");
+            let snap = db.snapshot();
+            let restored = DynamicBase::restore(alpha, MatchConfig::default(), 4, snap.live_shapes(), snap.next_id(), snap.epoch());
+            assert_base_recomputes(&restored, "restored");
+            let _ = ids;
+        }
+    }
+
+    #[test]
+    fn quantized_copy_off_the_frame_takes_the_distance_loop() {
+        // a copy with a vertex outside the frame keeps no quantized
+        // vertex, so the raster test cannot reject it: the distance loop
+        // scores it as it would without a raster
+        let frame = LuneFrame::new(0.0);
+        let identity = Similarity { a: 1.0, b: 0.0, tx: 0.0, ty: 0.0 };
+        let (inside, outside) = ([p(0.0, 0.0), p(1.0, 0.0), p(0.5, 0.2)], [p(0.0, 0.0), p(1.0, 0.0), p(0.5, 3.0)]);
+        let mut arena = CopyArena::default();
+        arena.push(&frame, identity, &outside, Signature::default());
+        arena.push(&frame, identity, &inside, Signature::default());
+        assert_eq!(arena.ends, [0, 3]);
+        assert!(arena.quantized(0).is_empty() && arena.quantized(1).len() == 3);
+        let mut query = PreparedShape::new(Polyline::closed(vec![p(0.0, 0.0), p(1.0, 0.0), p(0.5, -0.5)]).unwrap());
+        query.build_grid();
+        query.build_lower_bound();
+        let mut raster = QuantRaster::default();
+        assert!(raster.build(&frame, &query));
+        let copy = StoredCopy { src: &outside, fwd: &identity, closed: true };
+        for cutoff in [0.0, 0.01, 0.3] {
+            let kind = ScoreKind::DiscreteSymmetric;
+            let off = score_copy_bounded(kind, arena.quantized(0), || copy, &query, Some(&raster), &mut None, cutoff);
+            let plain = score_copy_bounded(kind, arena.quantized(0), || copy, &query, None, &mut None, cutoff);
+            assert_eq!((off.0.to_bits(), off.1), (plain.0.to_bits(), false), "cutoff {cutoff}");
+        }
+        // the same copy in the frame is the raster's to reject
+        let copy = StoredCopy { src: &inside, fwd: &identity, closed: true };
+        let kind = ScoreKind::DiscreteSymmetric;
+        assert_eq!(score_copy_bounded(kind, arena.quantized(1), || copy, &query, Some(&raster), &mut None, 0.01), (f64::INFINITY, true));
     }
 
     proptest! {
@@ -2446,6 +2621,7 @@ mod tests {
                         let what = format!("seed {seed} step {step} slot {i}");
                         let rebuilt = Level::build(model.clone(), alpha, &db.family);
                         assert_same_level(&slot.level, &rebuilt, &what);
+                        assert_recomputes(Store::Level(&slot.level), alpha, &db.family, &what);
                         // the bits are the model's tombstones, and never
                         // the majority
                         let held: Vec<_> = model.iter().map(|(g, _, _)| *g).collect();

@@ -197,8 +197,17 @@ fn clamp_to_lune(mut p: Point) -> Point {
 
 /// A shape's hash signature: the characteristic curve per quarter
 /// (1-based; 0 = no vertices in that quarter).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Signature(pub [u16; 4]);
+
+/// The four curves packed into one `u64`: a single write, which the
+/// signature index's hasher mixes in one multiply.
+impl std::hash::Hash for Signature {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        let [a, b, c, d] = self.0.map(u64::from);
+        state.write_u64(a | b << 16 | c << 32 | d << 48);
+    }
+}
 
 impl Signature {
     /// Chebyshev distance between signatures over the quarters where both
@@ -340,7 +349,8 @@ impl GeometricHash {
         out.clear();
         let HashScratch { probe, vals, quarters, seen, prepared, back, best } = scratch;
         let sig = signature_of_with(&self.family, normalized_query.points(), quarters);
-        let prepared = prepare_into(prepared, normalized_query.points(), normalized_query.is_closed());
+        let query = normalized_query.points().iter().copied();
+        let prepared = prepare_into(prepared, query, normalized_query.is_closed());
         probe.cursor = ProbeCursor::Fresh;
         probe.scan.clear();
         seen.clear();

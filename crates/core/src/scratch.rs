@@ -16,7 +16,7 @@ use geosir_geom::{Polyline, Similarity, Triangle};
 
 use crate::approx::ApproxScratch;
 use crate::shapebase::ShapeBase;
-use crate::similarity::PreparedShape;
+use crate::similarity::{PreparedShape, QuantRaster};
 
 /// Arena of reusable buffers for [`crate::matcher::Matcher::retrieve_with`].
 ///
@@ -80,6 +80,8 @@ pub struct MatcherScratch {
     /// whole exact query fills. (A level scan marks the copies the seed
     /// settled in `scored_stamp`.)
     pub(crate) seed: ApproxScratch,
+    /// The exact query's lower-bound raster as quantized copies read it.
+    pub(crate) raster: QuantRaster,
 }
 
 impl MatcherScratch {
@@ -169,7 +171,7 @@ impl MatcherScratch {
             return false;
         };
         match &mut self.query {
-            Some(q) => q.rebuild_mapped_from(query, |p| fwd.apply(p)),
+            Some(q) => q.rebuild_from(pts.iter().map(|&p| fwd.apply(p)), query.is_closed()),
             None => self.query = Some(PreparedShape::new(fwd.apply_polyline(query))),
         }
         self.grid_query();

@@ -252,19 +252,12 @@ impl Polyline {
     }
 
     /// Overwrite this polyline with the vertices of a valid shape, reusing
-    /// the vertex allocation (no validation).
-    pub fn copy_from(&mut self, pts: &[Point], closed: bool) {
+    /// the vertex allocation (no validation) — with a mapped iterator,
+    /// the allocation-free counterpart of [`Polyline::map_points`].
+    pub fn copy_from(&mut self, pts: impl IntoIterator<Item = Point>, closed: bool) {
         self.pts.clear();
-        self.pts.extend_from_slice(pts);
+        self.pts.extend(pts);
         self.closed = closed;
-    }
-
-    /// Overwrite with `f` applied to every vertex of `src` — the
-    /// allocation-free counterpart of [`Polyline::map_points`].
-    pub fn copy_mapped_from(&mut self, src: &Polyline, mut f: impl FnMut(Point) -> Point) {
-        self.pts.clear();
-        self.pts.extend(src.pts.iter().map(|&p| f(p)));
-        self.closed = src.closed;
     }
 }
 

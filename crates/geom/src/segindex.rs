@@ -52,12 +52,13 @@
 //! that list overflowed — and `s = GRID_SLACK`. A point `p` of the cell
 //! has `|p − m| ≤ h`, so by the triangle inequality `dist(p) ≥ D − h ≥
 //! lb`; the slack covers the rounding of `D`, of `h` and of the cell
-//! assignment, as it does for the lists. [`SegmentIndex::lower_bound`]
-//! reads it — a subtraction and two multiplies per axis and one load, no
-//! distance — and reads 0 outside the grid, for a
-//! NaN point, and on an index without a raster. It is the envelope rings
-//! of §2.5 rasterized: which band of distance around the shape a point
-//! falls in, known before any exact distance is computed.
+//! assignment, as it does for the lists.
+//! [`SegmentIndex::lower_bound_raster`] hands the table out to a caller
+//! that maps its own points onto it — the dynamic base's quantized copies,
+//! one multiply, add and shift an axis and one load, no distance — which
+//! reads 0 outside the box. It is the envelope rings of §2.5 rasterized:
+//! which band of distance around the shape a point falls in, known before
+//! any exact distance is computed.
 
 use crate::bbox::Aabb;
 use crate::point::Point;
@@ -113,6 +114,18 @@ const GRID_SLACK: f64 = 1e-9;
 const GRID_MIN_CELL: f64 = 1e-5;
 /// Cells per side of the lower-bound raster: each grid cell split in four.
 const RASTER_N: usize = 2 * GRID_N;
+
+/// A built lower-bound raster, as [`SegmentIndex::lower_bound_raster`]
+/// hands it out: `n × n` cells of `w × h` from `(x0, y0)`, row-major.
+#[derive(Debug, Clone, Copy)]
+pub struct LowerBoundRaster<'a> {
+    pub x0: f64,
+    pub y0: f64,
+    pub w: f64,
+    pub h: f64,
+    pub n: usize,
+    pub cells: &'a [f64],
+}
 
 /// The nearest-edge grid of a flat set; `cells` empty = not built.
 #[derive(Debug, Default)]
@@ -296,25 +309,15 @@ impl SegmentIndex {
         self.grid.lb = lb;
     }
 
-    /// Whether [`Self::build_lower_bound`] laid a raster over this set.
-    #[inline]
-    pub fn has_lower_bound(&self) -> bool {
-        !self.grid.lb.is_empty()
-    }
-
-    /// A lower bound on [`Self::dist`] at `q` from the raster: 0 without
-    /// one, outside its box, and for a NaN point.
-    #[inline]
-    pub fn lower_bound(&self, q: Point) -> f64 {
-        const N: f64 = RASTER_N as f64;
+    /// The raster itself, for a caller that maps its own points to cells:
+    /// cell `(i, j)` covers `[x0 + i·w, x0 + (i + 1)·w) × [y0 + j·h, y0 +
+    /// (j + 1)·h)` and bounds every point of it by `cells[j·n + i]`.
+    /// `None` without a raster.
+    pub fn lower_bound_raster(&self) -> Option<LowerBoundRaster<'_>> {
         let g = &self.grid;
-        // (doubling is exact: a raster cell lies inside one grid cell)
-        let (fx, fy) = ((q.x - g.x0) * g.inv_w * 2.0, (q.y - g.y0) * g.inv_h * 2.0);
-        // (false for NaN too)
-        if !((0.0..N).contains(&fx) && (0.0..N).contains(&fy)) {
-            return 0.0;
-        }
-        g.lb.get(fy as usize * RASTER_N + fx as usize).copied().unwrap_or(0.0)
+        let (w, h) = (0.5 / g.inv_w, 0.5 / g.inv_h);
+        let cells = &g.lb[..];
+        (!cells.is_empty()).then_some(LowerBoundRaster { x0: g.x0, y0: g.y0, w, h, n: RASTER_N, cells })
     }
 
     /// The edges that can be nearest to `q` according to the grid; `None`
@@ -730,6 +733,18 @@ mod tests {
         assert_grid_parity(&mut rng, &big);
     }
 
+    /// The raster's bound at `q`, its cell found in `f64`: 0 without a
+    /// raster, outside its box, and for a NaN point.
+    fn lower_bound(idx: &SegmentIndex, q: Point) -> f64 {
+        let Some(r) = idx.lower_bound_raster() else { return 0.0 };
+        let (fx, fy, n) = ((q.x - r.x0) / r.w, (q.y - r.y0) / r.h, r.n as f64);
+        // (false for NaN too)
+        if !((0.0..n).contains(&fx) && (0.0..n).contains(&fy)) {
+            return 0.0;
+        }
+        r.cells[fy as usize * r.n + fx as usize]
+    }
+
     /// Assert `0 ≤ lower_bound(q) ≤ dist(q)` — the distance from the flat
     /// scan, no grid — on the stress probes plus every raster cell's
     /// corners and borders; a non-finite probe must read 0.
@@ -738,12 +753,12 @@ mod tests {
         let mut idx = SegmentIndex::build(segs);
         idx.build_grid();
         idx.build_lower_bound();
-        assert_eq!(idx.has_lower_bound(), !idx.grid.cells.is_empty(), "a raster exactly where a grid is");
+        assert_eq!(idx.lower_bound_raster().is_some(), !idx.grid.cells.is_empty(), "a raster exactly where a grid is");
         let bbox = segs.iter().fold(Aabb::EMPTY, |b, s| b.union(&s.bbox()));
         let mut qs = probes(rng, segs, &idx);
         border_probes(rng, &bbox, &idx, 2, &mut qs);
         for q in qs {
-            let (lb, d) = (idx.lower_bound(q), plain.dist(q));
+            let (lb, d) = (lower_bound(&idx, q), plain.dist(q));
             assert!(lb >= 0.0 && lb <= d, "q = {q:?}: bound {lb}, distance {d}, {} edges", segs.len());
             if !(q.x.is_finite() && q.y.is_finite()) {
                 assert_eq!(lb, 0.0, "q = {q:?}");
@@ -775,7 +790,7 @@ mod tests {
             assert!(idx.grid.cells.iter().any(|c| c[0] == GRID_OVERFLOW), "{n}-gon: no cell overflowed");
             // the centre is 0.5 from every edge: the bound there is tight
             // to within a raster cell
-            let lb = idx.lower_bound(pt(0.5, 0.0));
+            let lb = lower_bound(&idx, pt(0.5, 0.0));
             assert!(lb > 0.4 && lb <= idx.dist(pt(0.5, 0.0)), "{n}-gon centre: {lb}");
         }
     }
@@ -790,9 +805,9 @@ mod tests {
         let tree = random_edges(&mut rng, 90);
         for segs in [&point, &lost, &huge, &tree] {
             let idx = assert_lower_bound_sound(&mut rng, segs);
-            assert!(!idx.has_lower_bound());
+            assert!(idx.lower_bound_raster().is_none());
             for q in probes(&mut rng, segs, &idx) {
-                assert_eq!(idx.lower_bound(q), 0.0, "q = {q:?}");
+                assert_eq!(lower_bound(&idx, q), 0.0, "q = {q:?}");
             }
         }
         // thin, flat and NaN-edged boxes do get one, and it holds
@@ -800,19 +815,19 @@ mod tests {
         let thin = chain(&[pt(0.0, 0.0), pt(0.5, 1e-9), pt(1.0, 0.0), pt(0.5, -1e-9)], true);
         let nan = vec![Segment::new(pt(f64::NAN, 0.0), pt(1.0, 1.0)), Segment::new(pt(0.0, 0.0), pt(1.0, 0.0))];
         for segs in [&flat, &thin, &nan] {
-            assert!(assert_lower_bound_sound(&mut rng, segs).has_lower_bound());
+            assert!(assert_lower_bound_sound(&mut rng, segs).lower_bound_raster().is_some());
         }
         // a rebuild drops the raster, and a new grid alone does not bring
         // the old one back
         let mut idx = assert_lower_bound_sound(&mut rng, &thin);
         let away = pt(0.5, 0.2);
-        assert!(idx.lower_bound(away) > 0.0);
+        assert!(lower_bound(&idx, away) > 0.0);
         idx.rebuild(flat.iter().copied());
-        assert_eq!(idx.lower_bound(away), 0.0);
+        assert_eq!(lower_bound(&idx, away), 0.0);
         idx.build_grid();
-        assert!(!idx.has_lower_bound() && idx.lower_bound(away) == 0.0);
+        assert!(idx.lower_bound_raster().is_none() && lower_bound(&idx, away) == 0.0);
         idx.build_lower_bound();
-        assert!(idx.lower_bound(away) > 0.0);
+        assert!(lower_bound(&idx, away) > 0.0);
     }
 
     #[test]
@@ -836,12 +851,12 @@ mod tests {
                 near.push(pt(anchor.x.next_up(), anchor.y.next_down()));
                 near.push(pt(anchor.x.next_down(), anchor.y.next_up()));
                 for q in near {
-                    let (lb, d) = (idx.lower_bound(q), plain.dist(q));
+                    let (lb, d) = (lower_bound(&idx, q), plain.dist(q));
                     assert!(lb >= 0.0 && lb <= d, "q = {q:?}: bound {lb}, distance {d}");
                 }
             }
             // and away from the shape it is not vacuous
-            let lb = idx.lower_bound(pt(0.5, -0.2));
+            let lb = lower_bound(&idx, pt(0.5, -0.2));
             assert!(lb > 0.0 && lb <= plain.dist(pt(0.5, -0.2)), "{lb}");
         }
     }
@@ -856,7 +871,7 @@ mod tests {
             let mut segs = random_edges(&mut rng, n);
             segs.truncate(if big == 0 { 120 } else { 64 });
             let idx = assert_lower_bound_sound(&mut rng, &segs);
-            prop_assert!(big != 0 || !idx.has_lower_bound(), "a tree-backed set has no raster");
+            prop_assert!(big != 0 || idx.lower_bound_raster().is_none(), "a tree-backed set has no raster");
         }
 
         /// The tentpole's contract: a grid changes no answer, bit for bit

@@ -472,11 +472,13 @@ pub(crate) fn run<H: Handler>(listener: TcpListener, io: &Shared, handler: &mut 
             sp.truncate(256);
         }
 
-        // Exit: every completion that will ever exist is posted. Flush
-        // what remains, briefly.
+        // Exit: every completion that will ever exist is posted. Deliver
+        // and flush what remains, briefly — one posted since this round's
+        // delivery included.
         if handler.exit_ready() {
             let deadline = *exit_deadline.get_or_insert_with(|| Instant::now() + EXIT_GRACE);
-            let unflushed = clients.slots.iter().flatten().any(|c| !c.outbox_empty());
+            let posted = !io.completions.lock().unwrap().is_empty();
+            let unflushed = posted || clients.slots.iter().flatten().any(|c| !c.outbox_empty());
             if !unflushed || Instant::now() >= deadline {
                 break;
             }

@@ -63,6 +63,13 @@ cargo test -q -p geosir-core --features simd --test seeded_exact
 # (`PreparedShape::new`) never builds one.
 cargo test -q -p geosir-geom --lib segindex::tests::grid_
 cargo test -q -p geosir-geom --features simd --lib segindex::tests::grid_
+# ...and the stored side's (`quantized_*` in similarity.rs and dynamic.rs):
+# a quantized vertex's raster bound never exceeds its distance, so a copy
+# the test rejects is one the forward pass abandons; the copy scorer is the
+# polyline scorer bit for bit; recomputed copies equal insert-time ones
+# after insert, carry, compaction, bulk load and restore.
+cargo test -q -p geosir-core --lib quantized_
+cargo test -q -p geosir-core --features simd --lib quantized_
 
 # Router: the pipelined scatter-gather state machine and the cluster
 # suites it must keep green, by name for the same reason (the

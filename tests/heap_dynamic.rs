@@ -6,7 +6,8 @@
 //!     tables, buckets and buffered shapes — agrees with what the
 //!     allocator says the preload left live, within ±10 %;
 //! (b) the base costs at most `MAX_BYTES_PER_COPY` a live copy (the
-//!     per-copy layout before the flat arena cost ≈ 690 B);
+//!     per-copy layout before the flat arena cost ≈ 690 B, the flat
+//!     arena of `f64` vertices 525 B);
 //! (c) the insert that triggers a carry allocates a bounded number of
 //!     heap blocks, however many shapes the carry moves: a carry sizes
 //!     the level exactly, then copies ranges into it.
@@ -50,12 +51,13 @@ use geosir::core::dynamic::DynamicBase;
 use geosir::core::matcher::MatchConfig;
 use geosir::imaging::synth::{generate, CorpusConfig};
 
-/// Measured 525 B a live copy at the preload (3 841 shapes, 7 682
-/// copies: 4.04 MB live), plus under 10 % headroom.
-const MAX_BYTES_PER_COPY: u64 = 570;
-/// Measured 31 blocks for every carry of the preload but the first, 512
+/// Measured 327 B a live copy at the preload (3 841 shapes, 7 682
+/// copies: 2.51 MB live; 525 B before copies were stored as quantized
+/// vertices and a similarity), plus under 10 % headroom.
+const MAX_BYTES_PER_COPY: u64 = 355;
+/// Measured 32 blocks for every carry of the preload but the first, 512
 /// to 2 048 shapes alike: the insert's own normalization and hashing (8),
-/// the level's arena and tables (10), its buckets (6) and id table, its
+/// the level's arena and tables (11), its buckets (6) and id table, its
 /// slot, and the journal line.
 const MAX_CARRY_BLOCKS: u64 = 32;
 
