@@ -11,8 +11,9 @@
 //! against the prepared query by site, edges evaluated per call and time
 //! per call with the grid off and on — under `--features simd` "off" is
 //! the AVX2 flat scan — per site the quantized raster test's rejects,
-//! table reads and stored bytes read per copy, the grid's and the
-//! raster's build cost, and a digest of all top-10
+//! table reads and stored bytes read per copy, beside the same for the
+//! approximate tier's rerank, the grid's and the raster's build cost,
+//! and a digest of all top-10
 //! lists to compare builds by; its replay duplicates `View::retrieve`'s
 //! loop — see `distance_census`); the plan sweep (`plan_sweep`: the
 //! paper's index as a verifier, one `retrieve_within(τ)` envelope,
@@ -51,6 +52,7 @@ use geosir_geom::rangesearch::Backend;
 use geosir_imaging::synth::{generate, perturb, Corpus, CorpusConfig};
 use rand::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -468,20 +470,21 @@ fn main() {
 
 /// What the early-abandoning forward `h_avg` does with `cand`, stored as
 /// `quantized` — the raster test of `similarity::score_copy_bounded` (a
-/// finite cutoff) and the loop of `h_avg_discrete_abandoning`, which keep
-/// no count: the quantized vertices the test reads and whether they alone
-/// rejected the copy; if not, the vertices whose distance to `query` the
-/// loop asks for before it stops, pushed onto `calls`.
+/// raster and a finite cutoff) and the loop of
+/// `h_avg_discrete_abandoning`, which keep no count: the quantized
+/// vertices the test reads and whether they alone rejected the copy; if
+/// not, the vertices whose distance to `query` the loop asks for before
+/// it stops, pushed onto `calls`.
 fn forward_calls(
     cand: &Polyline,
     quantized: &[[u16; 2]],
     query: &PreparedShape,
-    raster: &QuantRaster,
+    raster: Option<&QuantRaster>,
     cutoff: f64,
     calls: &mut Vec<Point>,
 ) -> (usize, bool) {
     let mut reads = 0;
-    if cutoff.is_finite() {
+    if let Some(raster) = raster.filter(|_| cutoff.is_finite()) {
         match raster.rejects_after(quantized, cutoff) {
             Some(read) => return (read, true),
             None => reads = quantized.len(),
@@ -512,11 +515,14 @@ fn digest(hasher: &mut DefaultHasher, hits: &[DynMatch]) {
 /// on; per site, how many bounded scorings the quantized raster test
 /// settled from the query's table alone, after how many cell reads, how
 /// many distances the rest asked for, and how many bytes of the stored
-/// copies all that read; and what the grid and the raster cost to
-/// build. The world is the benchmark's `exact_sketch` one
+/// copies all that read — and the same for a fourth site, the
+/// approximate tier's rerank of the seed's candidates (`QueryApprox`:
+/// through the raster too, laid only past k candidates), whose
+/// distances are not in the exact query's count; and what the grid and
+/// the raster cost to build. The world is the benchmark's `exact_sketch` one
 /// ([`canonical_world`]) with a static twin of the level (same copies,
 /// same ids), so each site can be replayed through the public API; the
-/// replay is checked against the run's own counts and answer.
+/// replay is checked against the runs' own counts and answers.
 ///
 /// The replay below is a second copy of `View::retrieve` — the cascade
 /// (ring-by-ring collection, buffer rings), then one bounded-scoring loop
@@ -528,7 +534,9 @@ fn digest(hasher: &mut DefaultHasher, hits: &[DynMatch]) {
 /// replay with a per-call hook in the library (widen
 /// `SegmentIndex::probe_cost`) instead of growing it.
 fn distance_census() {
-    const SITES: [&str; 3] = ["seed", "scan", "buffer"];
+    // the exact query's three sites, then the approximate tier's rerank
+    const SITES: [&str; 4] = ["seed", "scan", "buffer", "approx rerank"];
+    const EXACT: usize = 3;
     let cfg = MatchConfig { beta: 0.2, k: K, ..Default::default() };
     let (corpus, queries, dynamic) = canonical_world(&cfg);
     let (levelled, buffered) = corpus.shapes.split_at(1024);
@@ -566,13 +574,13 @@ fn distance_census() {
     let (mut stats, mut astats) = (RetrieveStats::default(), ApproxStats::default());
     let opts = ApproxOptions { k: K, ..ApproxOptions::default() };
     let mut back = None;
-    let mut sites: [Vec<Point>; 3] = Default::default();
-    let (mut calls, mut edges_off, mut edges_on, mut answered) = ([0usize; 3], 0, 0, 0);
+    let mut sites: [Vec<Point>; 4] = Default::default();
+    let (mut calls, mut edges_off, mut edges_on, mut answered) = ([0usize; 4], 0, 0, 0);
     // per site: bounded scorings, raster rejects, raster cells read, and
     // stored bytes read — as stored, and as an `f64` arena would have held
     // the same vertices
-    let (mut scorings, mut rejects, mut reads) = ([0usize; 3], [0usize; 3], [0usize; 3]);
-    let (mut bytes, mut f64_bytes) = ([0usize; 3], [0usize; 3]);
+    let (mut scorings, mut rejects, mut reads) = ([0usize; 4], [0usize; 4], [0usize; 4]);
+    let (mut bytes, mut f64_bytes) = ([0usize; 4], [0usize; 4]);
     let mut scanned = 0;
     let (mut ns_off, mut ns_on) = (0.0, 0.0);
     // grid, raster: built once as a query meets them, and best of 20
@@ -609,15 +617,20 @@ fn distance_census() {
         scanned += stats.scan_copies;
         sites.iter_mut().for_each(Vec::clear);
 
-        // the one loop: score against the board's cutoff, keep the
-        // per-shape best, re-derive the k-th; returns "not abandoned"
-        let mut board = std::collections::HashMap::new();
-        let mut cutoff = f64::INFINITY;
-        let mut offer = |id: u64, cand: &Polyline, stored: &[[u16; 2]], site: usize| {
+        // the one loop: score against the board's cutoff (through
+        // `raster`, when the path has one), keep the per-shape best,
+        // re-derive the k-th; returns "not abandoned"
+        type Board = (HashMap<u64, f64>, f64);
+        let mut offer = |(board, cutoff): &mut Board,
+                         raster: Option<&QuantRaster>,
+                         id: u64,
+                         cand: &Polyline,
+                         stored: &[[u16; 2]],
+                         site: usize| {
             let called = sites[site].len();
-            let (read, rejected) = forward_calls(cand, stored, &grid, &raster, cutoff, &mut sites[site]);
+            let (read, rejected) = forward_calls(cand, stored, &grid, raster, *cutoff, &mut sites[site]);
             let lookups = sites[site].len() - called;
-            let score = score_bounded_with(KIND, cand, &grid, &mut back, cutoff);
+            let score = score_bounded_with(KIND, cand, &grid, &mut back, *cutoff);
             assert!(!rejected || score == f64::INFINITY, "a raster reject must be abandoned");
             scorings[site] += 1;
             rejects[site] += rejected as usize;
@@ -626,23 +639,30 @@ fn distance_census() {
             // distance
             bytes[site] += 4 * read + if rejected { 0 } else { 32 + 16 * lookups };
             f64_bytes[site] += 16 * read.max(lookups);
-            if score <= cutoff {
+            if score <= *cutoff {
                 let kept = board.entry(id).or_insert(f64::INFINITY);
                 *kept = score.min(*kept);
                 if board.len() >= K {
                     let mut scores: Vec<f64> = board.values().copied().collect();
                     scores.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                    cutoff = scores[K - 1];
+                    *cutoff = scores[K - 1];
                 }
             }
             score.is_finite()
         };
-        // the seed: the cascade's candidates ring by ring (level, then
-        // buffer)
+        // the board's k best, as an answer lists them
+        let ranked = |(board, _): &Board| {
+            let mut ranked: Vec<(f64, u64)> = board.iter().map(|(&id, &s)| (s, id)).collect();
+            ranked.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            ranked.truncate(K);
+            ranked
+        };
+        let listed = |hits: &[DynMatch]| hits.iter().map(|m| (m.score, m.shape.0)).collect::<Vec<_>>();
+        // the cascade's candidates ring by ring (level, then buffer)
         let qsig = signature_of(family, grid.shape());
         let (mut within, mut emitted) = (Vec::new(), 0);
         let mut judged = vec![false; twin.num_copies()];
-        let (mut reranked, mut abandoned) = (0, 0);
+        let mut cands = Vec::new();
         for r in 0..=astats.radius {
             within.clear();
             buckets.collect_within(family.k() as u16, &qsig, r, &mut within);
@@ -656,32 +676,37 @@ fn distance_census() {
                 let copies = copies.iter().zip(stored).zip(sigs);
                 copies.filter(move |(_, s)| at_r(s)).map(|((c, q), _)| (*id, c.shape(), &q[..]))
             });
-            for (id, cand, stored) in level_ring.chain(buffer_ring) {
-                reranked += 1;
-                abandoned += !offer(id, cand, stored, 0) as u64;
-            }
+            cands.extend(level_ring.chain(buffer_ring));
             emitted = within.len();
         }
-        assert_eq!((reranked, abandoned), (astats.reranked, astats.abandoned), "seed replay diverged");
+        // reranked from an empty board twice: by the approximate tier,
+        // which lays its raster only past k candidates, and as the exact
+        // query's seed, whose board the scan and the buffer then fill
+        let mut rerank = |raster: Option<&QuantRaster>, site: usize| {
+            let mut board = (HashMap::new(), f64::INFINITY);
+            let abandoned = cands.iter().filter(|&&(id, cand, stored)| !offer(&mut board, raster, id, cand, stored, site)).count();
+            let replayed = (cands.len() as u64, abandoned as u64);
+            assert_eq!(replayed, (astats.reranked, astats.abandoned), "{} replay diverged", SITES[site]);
+            board
+        };
+        let approx = rerank((cands.len() > K).then_some(&raster), EXACT);
+        assert_eq!(ranked(&approx), listed(&seeds), "the approximate replay's answer diverged");
+        let mut board = rerank(Some(&raster), 0);
         // the scan: every copy of the level the seed did not judge
         let (mut copies, mut survivors) = (0, 0);
         for (cid, copy) in twin.copies().filter(|(cid, _)| !judged[cid.index()]) {
             copies += 1;
-            survivors += offer(copy.shape_id.0 as u64, &copy.normalized, &twin_q[cid.index()], 1) as u64;
+            survivors += offer(&mut board, Some(&raster), copy.shape_id.0 as u64, &copy.normalized, &twin_q[cid.index()], 1) as u64;
         }
         assert_eq!((copies, survivors), (stats.scan_copies, stats.scan_survivors), "scan replay diverged");
         assert_eq!(buffer.len() as u64, stats.buffer_scored);
         let buffered = buffer.iter().flat_map(|(id, copies, stored, _)| copies.iter().zip(stored).map(move |c| (*id, c)));
         for (id, (copy, stored)) in buffered {
-            offer(id, copy.shape(), stored, 2);
+            offer(&mut board, Some(&raster), id, copy.shape(), stored, 2);
         }
-        let mut replayed: Vec<(f64, u64)> = board.iter().map(|(&id, &s)| (s, id)).collect();
-        replayed.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        replayed.truncate(K);
-        let served: Vec<(f64, u64)> = hits.iter().map(|m| (m.score, m.shape.0)).collect();
-        assert_eq!(replayed, served, "the replay's answer diverged");
+        assert_eq!(ranked(&board), listed(&hits), "the replay's answer diverged");
 
-        let all: Vec<Point> = sites.concat();
+        let all: Vec<Point> = sites[..EXACT].concat();
         for (count, site) in calls.iter_mut().zip(&sites) {
             *count += site.len();
         }
@@ -698,7 +723,7 @@ fn distance_census() {
         }
     }
     let n = queries.len() as f64;
-    let total: usize = calls.iter().sum();
+    let total: usize = calls[..EXACT].iter().sum();
     println!(
         "distance census, canonical corpus (a {}-shape level + {} buffered, {} sketches, k = {K}; \
          flat scan: {}):",
@@ -708,14 +733,18 @@ fn distance_census() {
         if cfg!(feature = "simd") { "AVX2 where the host has it" } else { "scalar" },
     );
     print!("  dist calls per query against the prepared query: {:.0}  (", total as f64 / n);
-    for (site, count) in SITES.iter().zip(calls) {
+    for (site, count) in SITES[..EXACT].iter().zip(calls) {
         print!(" {site} {:.0} ", count as f64 / n);
     }
-    println!("), {:.1} copies scored by the level scan", scanned as f64 / n);
+    println!(
+        "), {:.1} copies scored by the level scan; the approximate tier's rerank asks {:.0}",
+        scanned as f64 / n,
+        calls[EXACT] as f64 / n,
+    );
     for (s, site) in SITES.iter().enumerate() {
         let per_copy = |count: usize| count as f64 / scorings[s].max(1) as f64;
         println!(
-            "    {site:6} {:6.1} bounded scorings: quantized rejects {:6.1}, passes {:5.1}; {:4.1} table \
+            "    {site:13} {:6.1} bounded scorings: quantized rejects {:6.1}, passes {:5.1}; {:4.1} table \
              reads, {:4.1} distance lookups and {:5.1} B of the copy read per copy ({:5.1} B from an \
              f64 arena)",
             scorings[s] as f64 / n,

@@ -527,6 +527,9 @@ impl SigBuckets {
 struct ApproxMetrics {
     queries: std::sync::Arc<obs::Counter>,
     fallbacks: std::sync::Arc<obs::Counter>,
+    /// Rerank candidates the query's lower-bound raster rejected before
+    /// any distance was computed.
+    bound_rejects: std::sync::Arc<obs::Counter>,
     probe_radius: std::sync::Arc<obs::Histogram>,
     candidates: std::sync::Arc<obs::Histogram>,
     buckets_probed: std::sync::Arc<obs::Histogram>,
@@ -538,6 +541,7 @@ impl ApproxMetrics {
         ApproxMetrics {
             queries: reg.counter("geosir_approx_queries_total", &[]),
             fallbacks: reg.counter("geosir_approx_exact_fallbacks_total", &[]),
+            bound_rejects: reg.counter("geosir_approx_bound_rejects_total", &[]),
             probe_radius: reg.histogram("geosir_approx_probe_radius", &[]),
             candidates: reg.histogram("geosir_approx_candidates_per_query", &[]),
             buckets_probed: reg.histogram("geosir_approx_buckets_probed", &[]),
@@ -546,13 +550,16 @@ impl ApproxMetrics {
     }
 }
 
-/// Record one approximate query's stats into the thread registry.
-pub(crate) fn record_query_metrics(stats: &ApproxStats) {
+/// Record one approximate query's stats into the thread registry, and
+/// the candidates its rerank rejected from the query's raster (an exact
+/// fallback's rejects are the exact tier's to count).
+pub(crate) fn record_query_metrics(stats: &ApproxStats, bound_rejects: u64) {
     obs::with_metrics(ApproxMetrics::build, |m| {
         m.queries.inc();
         if stats.tier == AnswerTier::Exact {
             m.fallbacks.inc();
         }
+        m.bound_rejects.add(bound_rejects);
         m.probe_radius.record(stats.radius as u64);
         m.candidates.record(stats.candidates);
         m.buckets_probed.record(stats.buckets_probed);

@@ -896,7 +896,8 @@ impl Snapshot {
         stats: &mut RetrieveStats,
     ) {
         let k = if k == 0 { self.config.k } else { k };
-        self.seed_and_scan(k, scratch, query, out, stats, None, true, true);
+        let prepared = self.prepare(scratch, query, true);
+        self.seed_and_scan(k, scratch, prepared, out, stats, None, true);
     }
 
     /// [`Self::retrieve_with_stats`] that additionally captures a full
@@ -916,7 +917,8 @@ impl Snapshot {
     ) {
         let k = if k == 0 { self.config.k } else { k };
         explain.clear();
-        self.seed_and_scan(k, scratch, query, out, stats, Some(explain), true, true);
+        let prepared = self.prepare(scratch, query, true);
+        self.seed_and_scan(k, scratch, prepared, out, stats, Some(explain), true);
         explain.stats = *stats;
     }
 
@@ -990,36 +992,87 @@ impl Snapshot {
     }
 
     /// [`Self::similar_approx`] through caller-owned scratch —
-    /// allocation-free in steady state: the query is diameter-normalized
-    /// and indexed in place by the exact tier's own routine
-    /// (`MatcherScratch::prepare_query`: same diameter, same frame),
-    /// then probed and reranked by the shared core
+    /// allocation-free in steady state: the query is prepared by the
+    /// exact tier's own routine ([`Self::prepare`]: same diameter, same
+    /// frame, same grid), then probed and reranked by the shared core
     /// ([`Self::probe_rerank`], which the exact tier's seed step also
-    /// runs). A query with degenerate geometry — or one whose cascade
-    /// collects nothing — falls through to the exact tier
-    /// ([`Self::retrieve_with_stats`]), reported as
-    /// [`AnswerTier::Exact`] in `stats`.
+    /// runs), through the query's lower-bound raster as the seed is. A
+    /// query with degenerate geometry — or one whose cascade collects
+    /// nothing — falls through to the exact tier (the seed-and-scan of
+    /// [`Self::retrieve_with_stats`], on the query as prepared here),
+    /// reported as [`AnswerTier::Exact`] in `stats`. `_tmp` is unused,
+    /// kept for `benchmark/` as [`Self::retrieve_with_stats`]'s is.
     #[allow(clippy::too_many_arguments)]
     pub fn similar_approx_with(
         &self,
         scratch: &mut MatcherScratch,
-        tmp: &mut MatchOutcome,
+        _tmp: &mut MatchOutcome,
         ax: &mut ApproxScratch,
         query: &Polyline,
         opts: &ApproxOptions,
         out: &mut Vec<DynMatch>,
         stats: &mut ApproxStats,
     ) {
+        self.approximate(scratch, ax, query, opts, out, stats, true);
+    }
+
+    /// [`Self::similar_approx_with`]. Its only caller passes `raster`;
+    /// without it every scoring computes distances (same answer, same
+    /// counts) — the differential test's other leg, as `seed_and_scan`'s
+    /// is.
+    #[allow(clippy::too_many_arguments)]
+    fn approximate(
+        &self,
+        scratch: &mut MatcherScratch,
+        ax: &mut ApproxScratch,
+        query: &Polyline,
+        opts: &ApproxOptions,
+        out: &mut Vec<DynMatch>,
+        stats: &mut ApproxStats,
+        raster: bool,
+    ) {
         *stats = ApproxStats { corpus_copies: self.copies as u64, ..ApproxStats::default() };
-        if scratch.prepare_query(query) {
-            let qprep = scratch.query.as_ref().expect("prepared above");
-            self.probe_rerank(ax, qprep, opts, out, stats);
+        let prepared = self.prepare(scratch, query, false);
+        let mut rejected = 0;
+        if prepared != Prepared::Nothing {
+            rejected = self.probe_rerank(ax, scratch, opts, raster, out, stats);
         }
         if stats.candidates == 0 {
             stats.tier = AnswerTier::Exact;
-            self.retrieve_with_stats(scratch, tmp, query, opts.k, out, &mut RetrieveStats::default());
+            let prepared = match prepared {
+                Prepared::Query if raster => self.lay_raster(scratch),
+                prepared => prepared,
+            };
+            let k = if opts.k == 0 { self.config.k } else { opts.k };
+            self.seed_and_scan(k, scratch, prepared, out, &mut RetrieveStats::default(), None, true);
         }
-        record_query_metrics(stats);
+        record_query_metrics(stats, rejected);
+    }
+
+    /// The one query preparation of both tiers: `query` normalized about
+    /// its diameter into `scratch.query`, with its nearest-edge grid
+    /// (`MatcherScratch::prepare_query`), then — with `raster` — its
+    /// lower-bound raster ([`Self::lay_raster`]).
+    fn prepare(&self, scratch: &mut MatcherScratch, query: &Polyline, raster: bool) -> Prepared {
+        match scratch.prepare_query(query) {
+            false => Prepared::Nothing,
+            true if raster => self.lay_raster(scratch),
+            true => Prepared::Query,
+        }
+    }
+
+    /// The prepared query's lower-bound raster, laid over its grid
+    /// ([`PreparedShape::build_lower_bound`]) and mapped onto this base's
+    /// quantized frame into `scratch.raster` ([`QuantRaster::build`]):
+    /// [`Prepared::Rastered`], or [`Prepared::Query`] for a query with no
+    /// grid (over 64 edges) or a raster the map does not fit.
+    fn lay_raster(&self, scratch: &mut MatcherScratch) -> Prepared {
+        let qprep = scratch.query.as_mut().expect("prepared");
+        qprep.build_lower_bound();
+        match scratch.raster.build(&self.frame, qprep) {
+            true => Prepared::Rastered,
+            false => Prepared::Query,
+        }
     }
 
     /// Occupied slots with their index, smallest (most recent) first.
@@ -1033,25 +1086,34 @@ impl Snapshot {
     /// `h_avg` against the board's running k-th best ([`score_onto`]),
     /// and leave the k best live shapes in `out` (true scores,
     /// ascending). Fills the funnel fields of `stats`;
-    /// `stats.candidates == 0` means the cascade found nothing. Calls no
-    /// other tier — [`Self::similar_approx_with`] wraps it with the
-    /// exact fallback, [`Self::seed_and_scan`] runs the same two steps as
-    /// its seed and keeps the board.
+    /// `stats.candidates == 0` means the cascade found nothing. With
+    /// `raster`, the prepared query in `scratch` gets its lower-bound
+    /// raster after the probe when the probe collected more than k
+    /// candidates: with k or fewer the cutoff is ∞ until the last of them,
+    /// and a raster rejects nothing against ∞. Returns how many
+    /// candidates the raster rejected. Calls no other tier —
+    /// [`Self::similar_approx_with`] wraps it with the exact fallback,
+    /// [`Self::seed_and_scan`] runs the same two steps as its seed and
+    /// keeps the board.
     fn probe_rerank(
         &self,
         ax: &mut ApproxScratch,
-        qprep: &PreparedShape,
+        scratch: &mut MatcherScratch,
         opts: &ApproxOptions,
+        raster: bool,
         out: &mut Vec<DynMatch>,
         stats: &mut ApproxStats,
-    ) {
+    ) -> u64 {
         out.clear();
         let k = if opts.k == 0 { self.config.k } else { opts.k };
-        self.probe(ax, qprep, opts, stats);
+        self.probe(ax, scratch.query.as_ref().expect("prepared"), opts, stats);
+        let raster = raster && ax.cands.len() > k && self.lay_raster(scratch) == Prepared::Rastered;
         let ApproxScratch { cands, back, rows, best, ktmp, .. } = ax;
         let mut board = Board { k, cutoff: f64::INFINITY, rows, slot: best, ktmp };
-        self.rerank(cands, qprep, None, back, &mut board, stats);
+        let (qprep, raster) = (scratch.query.as_ref().expect("prepared"), raster.then_some(&scratch.raster));
+        let rejected = self.rerank(cands, qprep, raster, back, &mut board, stats);
         board.finish(out);
+        rejected
     }
 
     /// The cascade: rings of increasing curve distance over every level
@@ -1156,28 +1218,29 @@ impl Snapshot {
     /// cutoff is ∞: the scan scores what it meets in full until k live
     /// shapes are on the board, and tightens from there — the same plan,
     /// not another one.
-    /// Before the seed, the query gets its lower-bound raster, mapped onto
-    /// the base's quantized frame ([`QuantRaster`]): every bounded scoring
-    /// of the three steps tests a copy's quantized vertices against it
-    /// first and rejects most copies from the table alone, with the
-    /// verdicts, scores and counts it would have had without
-    /// (`similarity::score_copy_bounded`); only a copy the test passes
-    /// has its vertices recomputed. Allocation-free in steady state.
-    /// Every caller passes `handoff` and `raster`; without the first the
-    /// levels score the seed's copies over again (same answer, more
-    /// scorings), without the second every scoring computes distances
-    /// (same answer, same counts) — the differential tests' other legs.
+    /// The query comes prepared ([`Self::prepare`]) with its lower-bound
+    /// raster mapped onto the base's quantized frame ([`QuantRaster`]):
+    /// every bounded scoring of the three steps tests a copy's quantized
+    /// vertices against it first and rejects most copies from the table
+    /// alone, with the verdicts, scores and counts it would have had
+    /// without (`similarity::score_copy_bounded`); only a copy the test
+    /// passes has its vertices recomputed. Allocation-free in steady
+    /// state. Every caller passes `handoff` and a rastered query (the
+    /// approximate tier's fallback lays the raster its own leg asked
+    /// for); without the first the levels score the seed's copies over
+    /// again (same answer, more scorings), without the second every
+    /// scoring computes distances (same answer, same counts) — the
+    /// differential tests' other legs.
     #[allow(clippy::too_many_arguments)]
     fn seed_and_scan(
         &self,
         k: usize,
         scratch: &mut MatcherScratch,
-        query: &Polyline,
+        prepared: Prepared,
         out: &mut Vec<DynMatch>,
         stats: &mut RetrieveStats,
         mut explain: Option<&mut QueryExplain>,
         handoff: bool,
-        raster: bool,
     ) {
         out.clear();
         *stats = RetrieveStats::default();
@@ -1188,20 +1251,14 @@ impl Snapshot {
         let mut seed_stats = ApproxStats::default();
         let mut tau = f64::INFINITY;
         let mut rejected = 0;
-        // degenerate geometry normalizes to nothing and matches nothing
-        if scratch.prepare_query(query) {
+        if prepared != Prepared::Nothing {
             // The seed scratch holds the candidates' verdicts and the
             // board, the raster the query's bounds; both are taken out
             // while the query runs so that the scans can stamp copies in
             // the rest of `scratch`.
             let mut seed = std::mem::take(&mut scratch.seed);
-            let mut quant = std::mem::take(&mut scratch.raster);
-            let qprep = scratch.query.as_mut().expect("prepared above");
-            let raster = raster && {
-                qprep.build_lower_bound();
-                quant.build(&self.frame, qprep)
-            };
-            let raster = raster.then_some(&quant);
+            let quant = std::mem::take(&mut scratch.raster);
+            let raster = (prepared == Prepared::Rastered).then_some(&quant);
             let opts = ApproxOptions { k, ..ApproxOptions::default() };
             let qprep = scratch.query.as_ref().expect("prepared above");
             self.probe(&mut seed, qprep, &opts, &mut seed_stats);
@@ -1342,6 +1399,20 @@ impl<'c> Store<'c> {
         let (_, _, src, closed) = self.shape(i);
         StoredCopy { src, fwd: &self.arena().fwd[i], closed }
     }
+}
+
+/// What [`Snapshot::prepare`] left in a [`MatcherScratch`] for the query
+/// about to run.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Prepared {
+    /// Degenerate geometry: it normalizes to nothing and matches nothing.
+    Nothing,
+    /// `scratch.query`: the normalized query, gridded when it has ≤ 64
+    /// edges.
+    Query,
+    /// That, and `scratch.raster`: its lower-bound raster on the base's
+    /// quantized frame.
+    Rastered,
 }
 
 /// One stored copy handed to [`score_onto`]: copy `copy` of `store`. Its
@@ -2279,7 +2350,8 @@ mod tests {
         for (i, q) in queries.iter().enumerate() {
             for k in [1, 4, 10] {
                 snap.retrieve_with_stats(&mut scratch, &mut tmp, q, k, &mut on, &mut on_stats);
-                snap.seed_and_scan(k, &mut scratch, q, &mut off, &mut off_stats, None, false, true);
+                let prepared = snap.prepare(&mut scratch, q, true);
+                snap.seed_and_scan(k, &mut scratch, prepared, &mut off, &mut off_stats, None, false);
                 assert_eq!(id_bits(&on), id_bits(&off), "query {i}, k = {k}");
                 scored_on += on_stats.scan_copies;
                 scored_off += off_stats.scan_copies;
@@ -2305,10 +2377,12 @@ mod tests {
         for (i, q) in queries.iter().enumerate() {
             for k in [1, 4, 10] {
                 obs::set_thread_registry(Some(with.clone()));
-                snap.seed_and_scan(k, &mut scratch, q, &mut on, &mut on_stats, None, true, true);
+                let prepared = snap.prepare(&mut scratch, q, true);
+                snap.seed_and_scan(k, &mut scratch, prepared, &mut on, &mut on_stats, None, true);
                 let seeded = verdicts(&scratch);
                 obs::set_thread_registry(Some(without.clone()));
-                snap.seed_and_scan(k, &mut scratch, q, &mut off, &mut off_stats, None, true, false);
+                let prepared = snap.prepare(&mut scratch, q, false);
+                snap.seed_and_scan(k, &mut scratch, prepared, &mut off, &mut off_stats, None, true);
                 assert_eq!(id_bits(&on), id_bits(&off), "query {i}, k = {k}");
                 assert_eq!(on_stats, off_stats, "query {i}, k = {k}");
                 assert_eq!(seeded, verdicts(&scratch), "query {i}, k = {k}");
@@ -2322,6 +2396,58 @@ mod tests {
         for name in ["geosir_exact_seed_reranked_total", "geosir_exact_scan_copies_total"] {
             assert_eq!(with.counter(name, &[]), without.counter(name, &[]), "{name}");
         }
+    }
+
+    #[test]
+    fn quantized_approx_rerank_changes_no_verdict_and_no_count() {
+        // the approximate tier with and without the query's lower-bound
+        // raster: the same answer, the same `ApproxStats`, the same
+        // candidates with the same verdict bits — and the raster did
+        // reject candidates, or this proves nothing. A query of over 64
+        // edges has no grid, hence no raster, and takes the distance loop.
+        let (snap, mut queries) = near_match_world();
+        let pts = queries[0].points();
+        let dense = (0..pts.len()).flat_map(|i| {
+            let (a, b) = (pts[i], pts[(i + 1) % pts.len()]);
+            (0..7).map(move |t| p(a.x + (b.x - a.x) * t as f64 / 7.0, a.y + (b.y - a.y) * t as f64 / 7.0))
+        });
+        let dense = Polyline::closed(dense.collect()).expect("the near-match query, densified");
+        assert!(dense.num_vertices() > 64);
+        let mut scratch = MatcherScratch::new();
+        assert_eq!(snap.prepare(&mut scratch, &dense, true), Prepared::Query, "no grid, no raster");
+        queries.push(dense);
+        let (mut on_ax, mut off_ax) = (ApproxScratch::new(), ApproxScratch::new());
+        let (mut on, mut off) = (Vec::new(), Vec::new());
+        let (mut on_stats, mut off_stats) = (ApproxStats::default(), ApproxStats::default());
+        let verdicts = |ax: &ApproxScratch| -> Vec<(u32, u32, u32, u64)> {
+            ax.cands.iter().map(|c| (c.level, c.a, c.b, c.verdict.to_bits())).collect()
+        };
+        let rejects = |m: &obs::Registry| m.snapshot().counter("geosir_approx_bound_rejects_total", &[]);
+        let (with, without) = (Arc::new(obs::Registry::new()), Arc::new(obs::Registry::new()));
+        for (i, q) in queries.iter().enumerate() {
+            for k in [1, 4, 10] {
+                for max_candidates in [24, 2048] {
+                    let what = format!("query {i}, k = {k}, budget {max_candidates}");
+                    let opts = ApproxOptions { k, max_candidates, ..ApproxOptions::default() };
+                    let before = rejects(&with);
+                    obs::set_thread_registry(Some(with.clone()));
+                    snap.approximate(&mut scratch, &mut on_ax, q, &opts, &mut on, &mut on_stats, true);
+                    obs::set_thread_registry(Some(without.clone()));
+                    snap.approximate(&mut scratch, &mut off_ax, q, &opts, &mut off, &mut off_stats, false);
+                    assert_eq!(id_bits(&on), id_bits(&off), "{what}");
+                    assert_eq!(on_stats, off_stats, "{what}");
+                    assert_eq!(on_stats.tier, AnswerTier::Approx, "{what}");
+                    assert_eq!(verdicts(&on_ax), verdicts(&off_ax), "{what}");
+                    if q.num_vertices() > 64 {
+                        assert!(on_stats.candidates > k as u64, "{what}: a raster would have been laid");
+                        assert_eq!(rejects(&with), before, "{what}: rejected with no raster");
+                    }
+                }
+            }
+        }
+        obs::set_thread_registry(None);
+        assert!(rejects(&with) > 0, "the raster rejected nothing");
+        assert_eq!(rejects(&without), 0);
     }
 
     #[test]

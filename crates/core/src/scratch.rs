@@ -80,7 +80,8 @@ pub struct MatcherScratch {
     /// whole exact query fills. (A level scan marks the copies the seed
     /// settled in `scored_stamp`.)
     pub(crate) seed: ApproxScratch,
-    /// The exact query's lower-bound raster as quantized copies read it.
+    /// The query's lower-bound raster as quantized copies read it —
+    /// laid by either tier, the approximate one past k candidates.
     pub(crate) raster: QuantRaster,
 }
 

@@ -73,9 +73,11 @@ impl PreparedShape {
     /// Lay the lower-bound raster over the grid
     /// ([`SegmentIndex::build_lower_bound`]), which a [`QuantRaster`] maps
     /// onto the stored copies' frame so the bounded scorer can reject a
-    /// copy from the table alone. For the exact tier's query, which
-    /// rejects thousands of copies; verdicts and scores are unchanged bit
-    /// for bit, and any `rebuild_*` drops it.
+    /// copy from the table alone. For the query of either tier — an exact
+    /// query rejects thousands of copies, a `QueryApprox` rerank hundreds
+    /// — once the approximate tier's probe has more than k candidates;
+    /// verdicts and scores are unchanged bit for bit, and any `rebuild_*`
+    /// drops it.
     pub fn build_lower_bound(&mut self) {
         self.index.build_lower_bound();
     }
@@ -315,8 +317,8 @@ const BOUND_ONE: f64 = 16_777_216.0;
 /// the map's own rounding, so a cell still bounds the distance of every
 /// stored vertex the map sends to it. Bounds are kept in integer units of
 /// 2⁻²⁴, rounded down: a copy's sum is then exact, and the same in any
-/// order. Built once per exact query into the scratch; allocation-free
-/// once warm.
+/// order. Built at most once per query of either tier into the scratch;
+/// allocation-free once warm.
 #[derive(Debug, Default)]
 pub struct QuantRaster {
     /// `cell = (step · mul + add) >> 32`, x then y.

@@ -263,6 +263,9 @@ fn query_approx_round_trip_reports_tier_and_funnel() {
     let snap = client.metrics().unwrap();
     assert!(snap.gauge("geosir_approx_buckets", &[]) > 0);
     assert!(snap.counter("geosir_approx_queries_total", &[]) >= 8);
+    // the rerank read the query's lower-bound raster, and it rejected
+    // candidates past the k-th best self-match
+    assert!(snap.counter("geosir_approx_bound_rejects_total", &[]) > 0);
 
     handle.shutdown();
     handle.join();

@@ -6,8 +6,9 @@
 # exist and are non-zero, /debug/last_queries answers, /healthz is ok,
 # /readyz goes ready with all four watchdog components, and the
 # /debug/journal recorded recovery; `geosir explain` against a second,
-# bulk-loaded node must print a scan plan, and that node's base must
-# report the bytes it holds.
+# bulk-loaded node must print a scan plan, that node's base must
+# report the bytes it holds, and its one `geosir similar-approx` must
+# have rejected candidates from the query's lower-bound raster.
 #
 # --cluster mode: boot a 2-shard x 1-replica `geosir cluster` with the
 # router's federated endpoint and assert one scrape answers for the
@@ -111,6 +112,7 @@ if [ "$MODE" = single ]; then
     LOADED_PID=$!
     for i in $(seq 1 50); do
         if EXPLAINED=$("$BIN" explain "127.0.0.1:$((PORT + 2))" --k 3 --seed 9 2>/dev/null) \
+            && "$BIN" similar-approx "127.0.0.1:$((PORT + 2))" --seed 9 >/dev/null 2>&1 \
             && LOADED_METRICS=$(http_get /metrics "$((PORT + 3))"); then break; fi
         sleep 0.2
         if [ "$i" = 50 ]; then echo "metrics_scrape: loaded node never came up" >&2; exit 1; fi
@@ -267,6 +269,11 @@ require_present 'geosir_matcher_runs_total'
 # pins that it changes no answer or count).
 require_present 'geosir_exact_scan_bound_rejects_total'
 require_nonzero 'geosir_exact_scan_bound_rejects_total' "$LOADED_METRICS"
+# ...and so does the loaded node's one `similar-approx`, whose rerank
+# reads the same raster; those rejects count as approx traffic
+# (`dynamic.rs::quantized_approx_rerank_changes_no_verdict_and_no_count`
+# pins that they change no answer or count).
+require_nonzero 'geosir_approx_bound_rejects_total' "$LOADED_METRICS"
 # What deletes leave behind and what reclaiming it cost: 0 on a base
 # nothing was deleted from, but exposed (`health_plane.rs` pins values).
 require_present 'geosir_dead_shapes '

@@ -1,7 +1,9 @@
 //! The zero-allocation claim for the approximate tier: after warm-up,
 //! `Snapshot::similar_approx_with` — what the server worker runs per
 //! `QueryApprox`: in-place normalization, the nearest-edge grid over the
-//! query, the signature probe and the exact rerank — through reused
+//! query, the signature probe, the query's lower-bound raster and its map
+//! onto the stored copies' frame (laid when the probe collects more than
+//! k candidates), and the exact rerank through it — through reused
 //! scratches must not touch the heap.
 //!
 //! Own test binary (one `#[test]`), so no concurrent test can allocate
