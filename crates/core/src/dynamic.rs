@@ -307,8 +307,8 @@ pub struct DynMatch {
 }
 
 /// Per-query totals of one exact retrieval, summed over the levels it
-/// scanned. The server worker feeds these into the query's trace event
-/// and flight profile.
+/// scanned. The server worker copies these, under these names, into the
+/// query's request record.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetrieveStats {
     /// Levels scanned.

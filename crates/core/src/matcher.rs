@@ -234,8 +234,8 @@ pub struct MatchStats {
     /// True when the cap was hit without a provably-best answer — the
     /// caller should fall back to geometric hashing (§3).
     pub exhausted: bool,
-    /// Why the loop stopped. Populated on every run (not just EXPLAIN
-    /// ones) so the flight recorder can attribute cheap queries too.
+    /// Why the loop stopped. Populated on every run, not just EXPLAIN
+    /// ones.
     pub termination: Termination,
 }
 

@@ -5,8 +5,8 @@
 //! HTTP/1.1 for `curl` and a Prometheus scraper: read the request head,
 //! match the path exactly against a route table, write one
 //! `Connection: close` response. [`Routes`] is that table — the stock
-//! `/metrics`, `/debug/last_queries`, `/debug/flight` and
-//! `/debug/journal` of a registry, plus whatever the embedding program
+//! `/metrics`, `/debug/last_queries` and `/debug/journal` of a
+//! registry, plus whatever the embedding program
 //! registers (the retrieval node adds its health probes, the cluster
 //! router its federated view) — and [`MetricsServer`] is the accept
 //! loop and the thread it runs on.
@@ -121,14 +121,12 @@ pub struct Routes {
 
 impl Routes {
     /// The stock plane of `registry`: `/metrics`, `/debug/last_queries`,
-    /// `/debug/flight`, `/debug/journal`.
+    /// `/debug/journal`.
     pub fn new(registry: Arc<Registry>) -> Routes {
-        let (metrics, traces, flight, journal) =
-            (registry.clone(), registry.clone(), registry.clone(), registry);
+        let (metrics, requests, journal) = (registry.clone(), registry.clone(), registry);
         Routes { table: Vec::new() }
             .route("/metrics", move || metrics_reply(&metrics.snapshot()))
-            .route("/debug/last_queries", move || (200, JSON, traces.traces().to_json()))
-            .route("/debug/flight", move || (200, JSON, flight.flight().to_json()))
+            .route("/debug/last_queries", move || (200, JSON, requests.requests_json()))
             .route("/debug/journal", move || (200, JSON, journal.journal().to_json()))
     }
 
@@ -286,7 +284,7 @@ impl Drop for MetricsServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceEvent;
+    use crate::request::{RequestKind, RequestRecord};
 
     fn http_get(addr: SocketAddr, path: &str) -> String {
         let mut s = TcpStream::connect(addr).unwrap();
@@ -317,15 +315,10 @@ mod tests {
     fn http_endpoint_serves_metrics_and_traces() {
         let reg = Arc::new(Registry::new());
         reg.counter("geosir_test_total", &[]).add(9);
-        let mut ev = TraceEvent::new(77, "query");
-        ev.total_us = 10;
-        ev.stages.push(("retrieve", 8));
-        reg.traces().push(ev);
-        reg.flight().push(&crate::flight::QueryProfile {
-            trace_id: 91,
-            total_us: 12,
-            ..Default::default()
-        });
+        let mut rec = RequestRecord::default();
+        rec.begin(RequestKind::Query, 77).stage("retrieve", 8);
+        rec.total_us = 10;
+        reg.record_request(&mut rec);
 
         let routes = Routes::new(reg.clone())
             .route("/down", || (503, "application/json", "{\"ready\":false}".into()))
@@ -347,17 +340,14 @@ mod tests {
         assert!(down.ends_with("{\"ready\":false}"), "{down}");
 
         let traces = http_get(addr, "/debug/last_queries");
+        assert!(traces.starts_with("HTTP/1.1 200"), "{traces}");
         assert!(traces.contains("\"trace_id\":77"), "{traces}");
-
-        let flight = http_get(addr, "/debug/flight");
-        assert!(flight.starts_with("HTTP/1.1 200"), "{flight}");
-        assert!(flight.contains("\"trace_id\":91"), "{flight}");
 
         let missing = http_get(addr, "/nope");
         assert!(missing.starts_with("HTTP/1.1 404 Not Found\r\n"), "{missing}");
         assert!(
             missing.ends_with(
-                "not found; try /metrics, /debug/last_queries, /debug/flight, /debug/journal, /down"
+                "not found; try /metrics, /debug/last_queries, /debug/journal, /down"
             ),
             "the 404 lists every route once, overridden ones in place: {missing}"
         );

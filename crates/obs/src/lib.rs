@@ -1,26 +1,21 @@
 //! geosir-obs: self-contained observability for the retrieval pipeline.
 //!
-//! Four pieces, all std-only:
+//! Three pieces, all std-only:
 //!
 //! 1. **Metrics registry** ([`registry`]) — atomic counters, gauges,
 //!    and log-linear histograms behind named, labeled series; lock-free
 //!    record path; mergeable, wire-encodable [`Snapshot`]s.
-//! 2. **Spans and traces** ([`span`], [`trace`]) — `span!("stage")`
-//!    guards feeding per-stage duration histograms, plus a ring buffer
-//!    of per-query [`TraceEvent`]s whose ids flow client → wire →
-//!    worker → writer → WAL.
-//! 3. **Flight recorder** ([`flight`]) — an always-on lock-free ring
-//!    of the last N compact [`QueryProfile`]s, cheap enough to run
-//!    unconditionally and dumped to disk on a crash.
-//!
-//!    Both rings are fed from one place: whoever answers a request
-//!    describes it once in a [`RequestRecord`] and calls
-//!    [`Registry::record_request`] ([`request`]).
-//! 4. **Exposition** ([`expo`]) — Prometheus text format on
-//!    `/metrics`, a JSON trace log on `/debug/last_queries`, the
-//!    flight-recorder ring on `/debug/flight` and the journal on
-//!    `/debug/journal`, served by the workspace's one HTTP server, whose
-//!    route table the embedding program extends.
+//! 2. **Spans and requests** ([`span`], [`request`]) — `span!("stage")`
+//!    guards feeding per-stage duration histograms, and one ring of the
+//!    last finished requests: whoever answers a request describes it once
+//!    in a [`RequestRecord`] (trace id, timings, stages, work counts) and
+//!    calls [`Registry::record_request`]. The trace ids flow client →
+//!    wire → worker → writer → WAL, and the ring is dumped to disk on a
+//!    crash.
+//! 3. **Exposition** ([`expo`]) — Prometheus text format on
+//!    `/metrics`, the request ring on `/debug/last_queries` and the
+//!    journal on `/debug/journal`, served by the workspace's one HTTP
+//!    server, whose route table the embedding program extends.
 //!
 //! # Registry resolution
 //!
@@ -39,24 +34,20 @@
 //! allocator test in `tests/alloc_obs.rs`.
 
 pub mod expo;
-pub mod flight;
 pub mod journal;
 pub mod registry;
 pub mod request;
 pub mod slo;
 pub mod span;
-pub mod trace;
 
-pub use flight::{FlightRecorder, QueryProfile};
 pub use journal::{Journal, JournalEvent, Severity};
 pub use registry::{
     bucket_index, bucket_upper_bound, merged_quantile, Counter, Gauge, GaugePolicy, Histogram,
     Registry, SnapEntry, SnapHistogram, SnapValue, Snapshot, HISTOGRAM_BUCKETS,
 };
-pub use request::{RequestKind, RequestRecord, Work};
+pub use request::{RequestKind, RequestRecord};
 pub use slo::{alerting, BurnRate, Objective, ObjectiveKind, SloEngine};
 pub use span::SpanGuard;
-pub use trace::{TraceEvent, TraceLog};
 
 use std::any::{Any, TypeId};
 use std::cell::RefCell;

@@ -24,9 +24,8 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
-use crate::flight::FlightRecorder;
 use crate::journal::Journal;
-use crate::trace::TraceLog;
+use crate::request::RequestRing;
 
 /// Number of histogram buckets: values 0..15 exactly, then four
 /// sub-buckets per power of two up to `u64::MAX`.
@@ -241,15 +240,16 @@ type LabelSet = Box<[(String, String)]>;
 
 static REGISTRY_IDS: AtomicU64 = AtomicU64::new(1);
 
-/// A set of named, labeled metric series plus the query trace log.
+/// A set of named, labeled metric series plus the request ring and the
+/// journal.
 ///
 /// Normally accessed through [`crate::global`] or a per-server instance
 /// installed with [`crate::set_thread_registry`].
 pub struct Registry {
     id: u64,
     series: RwLock<HashMap<String, Vec<(LabelSet, Metric)>>>,
-    traces: TraceLog,
-    flight: FlightRecorder,
+    /// The last finished requests (see [`crate::request`]).
+    pub(crate) requests: RequestRing,
     journal: Journal,
 }
 
@@ -275,8 +275,7 @@ impl Registry {
         Self {
             id: REGISTRY_IDS.fetch_add(1, Ordering::Relaxed),
             series: RwLock::new(HashMap::new()),
-            traces: TraceLog::new(128),
-            flight: FlightRecorder::new(256),
+            requests: RequestRing::new(),
             journal: Journal::new(256),
         }
     }
@@ -284,17 +283,6 @@ impl Registry {
     /// Unique per-process id; handle caches key on it.
     pub fn id(&self) -> u64 {
         self.id
-    }
-
-    /// Ring buffer of recent per-query traces backing `/debug/last_queries`.
-    pub fn traces(&self) -> &TraceLog {
-        &self.traces
-    }
-
-    /// The always-on flight recorder backing `/debug/flight` and the
-    /// on-disk crash dump.
-    pub fn flight(&self) -> &FlightRecorder {
-        &self.flight
     }
 
     /// Structured lifecycle-event journal backing `/debug/journal`.

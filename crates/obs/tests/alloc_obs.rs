@@ -2,8 +2,8 @@
 //! exists and the per-thread handle cache is warm, recording — counter
 //! incs, gauge stores, histogram samples, cached-set access through
 //! `with_metrics`, and span enter/exit — must not touch the heap, and
-//! describing a finished request (`Registry::record_request`) costs the
-//! two lists the trace ring keeps and nothing else. A counting global
+//! neither may recording a finished request (`Registry::record_request`)
+//! once the request ring has wrapped. A counting global
 //! allocator wraps the system one, mirroring the workspace-level
 //! `tests/alloc_dynamic.rs`.
 //!
@@ -38,7 +38,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 use geosir_obs::{set_thread_registry, with_metrics, Counter, Gauge, Histogram, Registry, SpanGuard};
-use geosir_obs::{RequestKind, RequestRecord, Work};
+use geosir_obs::{RequestKind, RequestRecord};
 
 /// The kind of cached metric set hot server code builds once per thread.
 #[derive(Clone)]
@@ -121,32 +121,35 @@ fn record_path_makes_zero_allocations_once_warm() {
     assert_eq!(stage.count(), 1 + ROUNDS);
 
     // One finished request: refilling a reused record costs nothing, and
-    // handing it to both rings costs the trace event's two lists — what
-    // a hand-built `TraceEvent` always cost — and not one allocation more.
+    // once the ring has wrapped, copying it into the oldest slot reuses
+    // that slot's lists — not one allocation.
     let mut rec = RequestRecord::default();
     let mut describe = |trace_id: u64| {
         rec.begin(RequestKind::Query, trace_id)
             .stage("queue_wait", 20)
             .stage("retrieve", 100)
-            .note("rings", 1)
+            .note("levels", 2)
+            .note("scan_copies", 40)
             .note("hits", 10);
         (rec.total_us, rec.queue_us, rec.epoch) = (120, 20, 7);
-        rec.work = Work { rings: 1, levels: 2, candidates: 40, scored: 3, termination: 1 };
-        reg.record_request(&rec)
+        reg.record_request(&mut rec)
     };
-    // warm-up: the record's lists grown, the trace ring full
-    for trace_id in 1..=200 {
+    // warm-up: the record's lists grown, every slot of the ring filled
+    for trace_id in 1..=300 {
         assert_eq!(describe(trace_id), trace_id);
     }
     let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let mut last = 0;
     for _ in 0..ROUNDS {
-        describe(0);
+        last = describe(0);
     }
     let after = ALLOCATIONS.load(Ordering::Relaxed);
-    assert!(
-        after - before <= 2 * ROUNDS,
+    assert_eq!(
+        after - before,
+        0,
         "record_request allocated {} time(s) across {ROUNDS} requests",
         after - before
     );
-    assert_eq!(reg.flight().pushed(), 200 + ROUNDS);
+    let newest = &reg.recent_requests()[0];
+    assert_eq!((newest.trace_id, newest.notes.len()), (last, 3), "the last request landed whole");
 }

@@ -194,8 +194,7 @@ pub struct ExplainReply {
     /// Snapshot epoch the query ran against.
     pub epoch: u64,
     /// Trace id (server-assigned when the client sent 0) — joins
-    /// against `/debug/last_queries`, `/debug/flight`, and the
-    /// slow-query log.
+    /// against `/debug/last_queries` and the slow-query log.
     pub trace: u64,
     /// Admission → reply on the server, microseconds.
     pub total_us: u64,

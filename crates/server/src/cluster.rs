@@ -87,8 +87,8 @@
 //!   every shard sub-request; the router records a per-shard
 //!   timeline — submit failovers, hedges, router-clock gather time, and
 //!   the shard's own stage timings echoed in the reply trailer —
-//!   into the router's trace log and flight recorder
-//!   (`/debug/last_queries`, `/debug/flight`, dumped on panic), plus a
+//!   into the router's request ring (`/debug/last_queries`, dumped on
+//!   panic), plus a
 //!   rotating slow-query JSONL when the routed total crosses the
 //!   threshold.
 //! - **`geosir top`** renders the federated endpoint as a live terminal
@@ -204,7 +204,7 @@ pub struct RouterConfig {
     pub breaker_cooldown: Duration,
     /// Bind address for the router's HTTP observability plane
     /// (`/metrics` federated over all shards, `/debug/cluster`,
-    /// `/debug/flight`, `/debug/last_queries`). `None` disables it.
+    /// `/debug/last_queries`). `None` disables it.
     pub metrics_addr: Option<String>,
     /// Directory for the router's rotating slow-query JSONL; `None`
     /// disables slow-query logging.
@@ -213,7 +213,7 @@ pub struct RouterConfig {
     /// written to the slow log. Higher than the single-node default:
     /// a routed query crosses the network and gathers every shard.
     pub slow_query_us: u64,
-    /// Where the router's flight recorder is dumped when the process
+    /// Where the router's request ring is dumped when the process
     /// panics or an armed crash point fires. `None` disables the hook.
     pub flight_dump_path: Option<PathBuf>,
 }
@@ -614,7 +614,7 @@ impl Router {
         });
         // Same two death paths as a shard server (armed crash points
         // abort, panics unwind into the chained hook): both converge on
-        // dumping the router's flight recorder next to its data.
+        // dumping the router's request ring next to its data.
         if let Some(path) = &state.cfg.flight_dump_path {
             if let Some(parent) = path.parent() {
                 let _ = std::fs::create_dir_all(parent);
@@ -623,7 +623,7 @@ impl Router {
             let reg = Arc::downgrade(&state.registry);
             geosir_storage::faults::on_crash(move || {
                 if let Some(reg) = reg.upgrade() {
-                    let _ = std::fs::write(&dump_path, reg.flight().to_json());
+                    let _ = std::fs::write(&dump_path, reg.requests_json());
                 }
             });
             crate::server::install_panic_flight_dump();
@@ -1514,8 +1514,8 @@ mod route {
             let write_to = match &mut frame {
                 // Routed reads get a cluster-wide trace id before the
                 // scatter, so the same key shows up in every shard's
-                // server-side trace log, the router's flight recorder,
-                // and the router's slow log. Client ids pass through
+                // request ring, the router's own, and the router's slow
+                // log. Client ids pass through
                 // untouched; zero means "none", and the router mints
                 // from its key mint so ids never collide across restarts.
                 Frame::Query { trace, .. } | Frame::QueryApprox { trace, .. } => {
@@ -1688,10 +1688,10 @@ static SHARD_SRV_NOTES: [&str; 8] = [
 ];
 
 /// Describe one routed read once and hand the record to the router's
-/// trace log and flight recorder, and to the slow-query log when it
-/// crossed the threshold. This is the router-side half of cross-shard
-/// trace assembly: the shard-side half lives in each server's own trace
-/// log under the same `trace_id`.
+/// request ring, and to the slow-query log when it crossed the
+/// threshold. This is the router-side half of cross-shard trace
+/// assembly: the shard-side half lives in each server's own ring under
+/// the same `trace_id`.
 fn record_routed<'a>(
     state: &RouterState,
     trace_id: u64,
@@ -1702,9 +1702,6 @@ fn record_routed<'a>(
     epoch: u64,
 ) {
     let total_us = started.elapsed().as_micros() as u64;
-    let shards_total = spans.clone().count();
-    let hedges = spans.clone().filter(|s| s.hedged).count() as u32;
-    let failovers: u32 = spans.clone().map(|s| s.failovers).sum();
     // Downstream queueing attribution: the worst queue wait any shard
     // reported for this query.
     let queue_us = spans.clone().filter_map(|s| s.server.map(|t| t.queue_us)).max().unwrap_or(0);
@@ -1718,33 +1715,22 @@ fn record_routed<'a>(
         }
     }
     rec.note("shards_ok", shards_ok as u64)
-        .note("shards_total", shards_total as u64)
-        .note("hedges", hedges as u64)
-        .note("failovers", failovers as u64);
-    // the routed profile's use of the count fields: `flight::KIND_ROUTED`
-    rec.work = obs::Work {
-        rings: hedges,
-        levels: shards_ok as u32,
-        candidates: shards_total as u64,
-        scored: failovers,
-        termination: 0,
-    };
-    state.registry.record_request(&rec);
+        .note("shards_total", spans.clone().count() as u64)
+        .note("hedges", spans.clone().filter(|s| s.hedged).count() as u64)
+        .note("failovers", spans.clone().map(|s| s.failovers as u64).sum());
+    state.registry.record_request(&mut rec);
 
     let Some(sl) = &state.slow_log else { return };
     if total_us < sl.threshold_us {
         return;
     }
     state.slow_queries.inc();
-    // Hand-rolled JSON like the shard slow log: socket addresses are
-    // the only strings and contain no characters needing escapes.
-    let mut line = String::with_capacity(160 + shards_total * 120);
-    line.push_str(&format!(
-        "{{\"trace_id\":{trace_id},\"kind\":\"{}\",\"total_us\":{total_us},\
-         \"shards_ok\":{shards_ok},\"shards_total\":{shards_total},\"hedges\":{hedges},\
-         \"failovers\":{failovers},\"epoch\":{epoch},\"shards\":[",
-        kind.name()
-    ));
+    // The record's own JSON, then the shards one by one; socket
+    // addresses are the only strings and contain no characters needing
+    // escapes.
+    let mut line = String::with_capacity(512);
+    rec.to_json_head(&mut line);
+    line.push_str(",\"shards\":[");
     for (i, span) in spans.enumerate() {
         if i > 0 {
             line.push(',');
@@ -2127,7 +2113,7 @@ pub fn start_cluster(
 ) -> io::Result<Cluster> {
     assert!(cfg.shards >= 1);
     // Router observability artifacts default into the cluster's data
-    // dir: the flight recorder survives a router panic, and slow routed
+    // dir: the request ring survives a router panic, and slow routed
     // queries land in a rotating JSONL next to the shard data.
     if cfg.router.flight_dump_path.is_none() {
         cfg.router.flight_dump_path = Some(cfg.data_dir.join("router-flight.dump.json"));

@@ -25,7 +25,7 @@
 //!   `Stats` frame, the `MetricsDump` frame, and (with
 //!   [`server::ServeConfig::metrics_addr`]) the HTTP plane of
 //!   [`geosir_obs::expo`] — Prometheus text at `/metrics`, the
-//!   per-query trace ring at `/debug/last_queries` — to which the node
+//!   request ring at `/debug/last_queries` — to which the node
 //!   adds `/healthz` and `/readyz`, the router its federated view.
 //! - [`cluster`] — sharded scale-out: the consistent-hash ring,
 //!   the fault-tolerant scatter-gather [`cluster::Router`] with hedged

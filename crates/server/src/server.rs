@@ -55,8 +55,8 @@
 //! for the pop and answers the jobs one by one, each reply leaving the
 //! moment it is ready (`run_read_job`). Whoever finishes a request —
 //! worker or writer — describes it once in an [`obs::RequestRecord`]:
-//! `Registry::record_request` feeds the trace and flight rings from it,
-//! and the reply's stage trailer, the `geosir_request_latency_us` sample
+//! `Registry::record_request` copies it into the request ring, and the
+//! reply's stage trailer, the `geosir_request_latency_us` sample
 //! and the slow-query decision are read off the same record, so what a
 //! reply says it took is what its client waited.
 //!
@@ -96,7 +96,7 @@ use crate::health::{
     self, ComponentHealth, HealthConfig, HealthState, TransitionTracker, Verdict,
 };
 use crate::metrics::Metrics;
-use crate::wire::{error_code, scan_termination, Frame, ServerStats, StageTrailer, WireMatch};
+use crate::wire::{error_code, Frame, ServerStats, StageTrailer, WireMatch};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -110,8 +110,8 @@ pub struct ServeConfig {
     /// it notices shutdown.
     pub poll_interval: Duration,
     /// Bind address for the HTTP plane (`/metrics` Prometheus text,
-    /// `/healthz`, `/readyz`, `/debug/last_queries`, `/debug/flight`,
-    /// `/debug/journal`); `None` disables it.
+    /// `/healthz`, `/readyz`, `/debug/last_queries`, `/debug/journal`);
+    /// `None` disables it.
     pub metrics_addr: Option<String>,
     /// Directory for the structured slow-query log (JSONL segments,
     /// size-rotated); `None` disables slow-query capture entirely —
@@ -766,7 +766,7 @@ fn serve_inner(
         )));
     }
 
-    // The flight recorder must survive to disk when the process dies
+    // The request ring must survive to disk when the process dies
     // abnormally. Two death paths converge on the same dump: armed
     // crash-point crashes abort without unwinding (their hook runs just
     // before the abort), and real panics reach the same hooks through a
@@ -778,7 +778,7 @@ fn serve_inner(
         let reg = Arc::downgrade(&shared.metrics.registry);
         geosir_storage::faults::on_crash(move || {
             if let Some(reg) = reg.upgrade() {
-                let _ = std::fs::write(&dump_path, reg.flight().to_json());
+                let _ = std::fs::write(&dump_path, reg.requests_json());
             }
         });
         install_panic_flight_dump();
@@ -833,11 +833,11 @@ fn serve_inner(
     Ok(ServerHandle { addr: local, shared, threads, http })
 }
 
-/// Chain the flight-recorder dump into the process panic hook, once per
+/// Chain the request-ring dump into the process panic hook, once per
 /// process: a panicking server thread writes the same
 /// `flight.dump.json` an armed crash point would, then the previous
 /// hook (backtrace printing) runs as usual. The cluster router reuses
-/// this for its own flight dump.
+/// this for its own dump.
 pub(crate) fn install_panic_flight_dump() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
@@ -849,35 +849,14 @@ pub(crate) fn install_panic_flight_dump() {
     });
 }
 
-/// Serialize one slow-query record as a single JSON line: identity and
-/// timing up front (join keys for the trace log and flight recorder),
-/// then the query's scan, in total and level by level, under the field
-/// names of `RetrieveStats` / `LevelExplain`. Hand-rolled like the trace
-/// log's JSON — every value is numeric or a static identifier, so no
-/// escaping is needed.
-fn slow_query_json(
-    out: &mut String,
-    trace_id: u64,
-    rec: &obs::RequestRecord,
-    hits: usize,
-    explain: &QueryExplain,
-) {
+/// Serialize one slow-query record as a single JSON line: the record's
+/// own JSON (identity, timing, and the scan's totals among its notes,
+/// under the field names of `RetrieveStats`), then the scan level by level
+/// under those of `LevelExplain`.
+fn slow_query_json(out: &mut String, rec: &obs::RequestRecord, explain: &QueryExplain) {
     use std::fmt::Write as _;
-    let s = &explain.stats;
-    let _ = write!(
-        out,
-        "{{\"trace_id\":{trace_id},\"kind\":\"{}\",\"total_us\":{},\
-         \"queue_us\":{},\"epoch\":{},\"hits\":{hits},\"levels\":{},\
-         \"scan_copies\":{},\"scan_survivors\":{},\"buffer_scored\":{},\"per_level\":[",
-        rec.kind.name(),
-        rec.total_us,
-        rec.queue_us,
-        rec.epoch,
-        s.levels,
-        s.scan_copies,
-        s.scan_survivors,
-        s.buffer_scored,
-    );
+    rec.to_json_head(out);
+    out.push_str(",\"per_level\":[");
     for (i, level) in explain.levels.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -900,20 +879,14 @@ impl Shared {
     /// query that met the threshold is appended to it. Failures are
     /// counted, never retried, and never block the query path —
     /// telemetry must not stall retrievals even on a dead disk.
-    fn log_slow_query(
-        &self,
-        trace_id: u64,
-        rec: &obs::RequestRecord,
-        hits: usize,
-        explain: &QueryExplain,
-    ) {
+    fn log_slow_query(&self, rec: &obs::RequestRecord, explain: &QueryExplain) {
         let Some(slow) = &self.slow_log else { return };
         let planned = matches!(rec.kind, obs::RequestKind::Query | obs::RequestKind::Explain);
         if !planned || rec.total_us < slow.threshold_us {
             return;
         }
         let mut line = String::with_capacity(512);
-        slow_query_json(&mut line, trace_id, rec, hits, explain);
+        slow_query_json(&mut line, rec, explain);
         let result = slow.writer.lock().unwrap().append_line(&line);
         match result {
             Ok(()) => self.metrics.slow_queries.inc(),
@@ -1309,8 +1282,7 @@ fn submit(queue: &BoundedQueue<Job>, shared: &Shared, job: Job) -> Result<(), Fr
 }
 
 /// A worker's long-lived scratch set: after warm-up, answering and
-/// describing a read touches the heap only for the reply frame and the
-/// trace ring's copy of the record.
+/// describing a read touches the heap only for the reply frame.
 #[derive(Default)]
 struct ReadScratch {
     matcher: MatcherScratch,
@@ -1351,7 +1323,7 @@ fn worker_loop(worker: usize, shared: &Arc<Shared>) {
 
 /// The one body of a read: answer `job` against `snap`, describe the
 /// finished request once in `ws.rec`, hand that record to every sink —
-/// rings, latency series, slow-query log, the reply's own timing fields
+/// the request ring, latency series, slow-query log, the reply's own timing fields
 /// — and send the reply.
 fn run_read_job(shared: &Shared, snap: &Snapshot, job: &Job, coalesced: u64, ws: &mut ReadScratch) {
     let queue_us = job.enqueued.elapsed().as_micros() as u64;
@@ -1381,19 +1353,12 @@ fn run_read_job(shared: &Shared, snap: &Snapshot, job: &Job, coalesced: u64, ws:
                     rec.begin(kind, job.trace())
                         .stage("queue_wait", queue_us)
                         .stage("retrieve", retrieve_us)
-                        .note("epoch", snap.epoch())
                         .note("levels", rstats.levels)
-                        .note("candidates", rstats.scan_copies)
-                        .note("scored", rstats.scan_survivors)
+                        .note("scan_copies", rstats.scan_copies)
+                        .note("scan_survivors", rstats.scan_survivors)
+                        .note("buffer_scored", rstats.buffer_scored)
                         .note("coalesced", coalesced)
                         .note("hits", hits.len() as u64);
-                    rec.work = obs::Work {
-                        levels: rstats.levels.min(u32::MAX as u64) as u32,
-                        candidates: rstats.scan_copies,
-                        scored: rstats.scan_survivors.min(u32::MAX as u64) as u32,
-                        termination: scan_termination(rstats.levels),
-                        ..obs::Work::default()
-                    };
                     let (epoch, matches) = (snap.epoch(), to_wire(hits));
                     // a reply's trace id and timings are read off the record, below
                     let reply = if explain {
@@ -1425,7 +1390,6 @@ fn run_read_job(shared: &Shared, snap: &Snapshot, job: &Job, coalesced: u64, ws:
                     rec.begin(obs::RequestKind::QueryApprox, job.trace())
                         .stage("queue_wait", queue_us)
                         .stage("probe_rerank", probe_us)
-                        .note("epoch", snap.epoch())
                         .note("tier", astats.tier.code() as u64)
                         .note("radius", astats.radius as u64)
                         .note("buckets_probed", astats.buckets_probed)
@@ -1433,11 +1397,6 @@ fn run_read_job(shared: &Shared, snap: &Snapshot, job: &Job, coalesced: u64, ws:
                         .note("reranked", astats.reranked)
                         .note("reduction_x100", (astats.reduction() * 100.0) as u64)
                         .note("hits", hits.len() as u64);
-                    rec.work = obs::Work {
-                        candidates: astats.candidates,
-                        scored: astats.reranked.min(u32::MAX as u64) as u32,
-                        ..obs::Work::default()
-                    };
                     let reply = Frame::ApproxMatches {
                         epoch: snap.epoch(),
                         tier: astats.tier.code(),
@@ -1515,7 +1474,7 @@ fn run_read_job(shared: &Shared, snap: &Snapshot, job: &Job, coalesced: u64, ws:
             }
             _ => {}
         }
-        shared.log_slow_query(trace_id, rec, hits.len(), qx);
+        shared.log_slow_query(rec, qx);
     }
     let admin = matches!(job.frame, Frame::Stats | Frame::MetricsDump | Frame::Topology);
     if admin { &m.latency_stats } else { &m.latency_query }.record(total_us);
@@ -1792,7 +1751,7 @@ fn writer_loop(mut base: DynamicBase, mut ctx: WriterCtx, shared: &Arc<Shared>) 
                 .stage("wal", wal_us)
                 .stage("publish", publish_us)
                 .note("batch", batch_len);
-            shared.metrics.registry.record_request(&rec);
+            shared.metrics.registry.record_request(&mut rec);
             shared.metrics.requests.inc();
             shared.metrics.latency_write.record(rec.total_us);
             job.reply.send(reply);

@@ -33,7 +33,6 @@
 use bytes::{Buf, BufMut};
 use geosir_core::dynamic::{LevelExplain, QueryExplain};
 use geosir_geom::Polyline;
-use geosir_obs::flight::{TERM_NONE, TERM_SCAN};
 use std::io::{Read, Write};
 
 /// The protocol version this build speaks — the only one it accepts.
@@ -586,9 +585,15 @@ fn put_explain(out: &mut Vec<u8>, e: &QueryExplain) {
     }
 }
 
-/// The flight / EXPLAIN termination code of an exact query that scanned
-/// `levels` levels: a scan once there was one.
-pub(crate) fn scan_termination(levels: u64) -> u8 {
+/// The EXPLAIN termination byte: `TERM_SCAN` for an exact query that
+/// scanned a level, `TERM_NONE` for one that scanned none. 1–5 named the
+/// exits of the envelope plan the scan replaced.
+const TERM_NONE: u8 = 0;
+const TERM_SCAN: u8 = 6;
+
+/// The termination byte of an exact query that scanned `levels` levels:
+/// a scan once there was one.
+fn scan_termination(levels: u64) -> u8 {
     if levels > 0 {
         TERM_SCAN
     } else {

@@ -1,6 +1,6 @@
 //! Cluster observability plane over real TCP loopback: federated
 //! metrics (merged totals + `shard="N"` series through one endpoint),
-//! cross-shard trace assembly (router flight recorder + slow-query
+//! cross-shard trace assembly (router request ring + slow-query
 //! JSONL under the client's trace id), and hedge attribution to the
 //! shard that actually went silent. See DESIGN §13.
 
@@ -13,6 +13,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use geosir_geom::Polyline;
+use geosir_obs::{Registry, RequestKind, RequestRecord};
 use geosir_serve::cluster::{start_cluster, ClusterConfig, Router, RouterConfig, ShardSpec};
 use geosir_serve::{serve, Client};
 use rand::prelude::*;
@@ -35,6 +36,18 @@ fn black_hole() -> SocketAddr {
         }
     });
     addr
+}
+
+/// The router's record of the routed request `trace`.
+fn routed_record(reg: &Registry, trace: u64) -> RequestRecord {
+    let recent = reg.recent_requests();
+    recent.into_iter().find(|r| r.trace_id == trace).expect("routed query in the router's ring")
+}
+
+/// The value of `rec`'s note `name`.
+fn note(rec: &RequestRecord, name: &str) -> u64 {
+    let found = rec.notes.iter().find(|(n, _)| *n == name);
+    found.unwrap_or_else(|| panic!("no note {name}: {rec:?}")).1
 }
 
 /// One federated endpoint serves merged cluster totals, per-shard
@@ -113,11 +126,12 @@ fn federated_metrics_merge_totals_and_label_shards() {
 }
 
 /// A traced query through a 2-shard router leaves a joined trail: the
-/// client's trace id in the router's flight recorder (KIND_ROUTED) and
-/// trace log, and a slow-log JSONL line with ≥ 2 shard sub-spans
-/// carrying server-side stage timings from the v6 reply trailer.
+/// client's trace id in the router's request ring (a routed kind, its
+/// shard counts and per-shard stages), and a slow-log JSONL line with ≥ 2
+/// shard sub-spans carrying server-side stage timings from the v6 reply
+/// trailer.
 #[test]
-fn routed_trace_joins_flight_trace_log_and_slow_log() {
+fn routed_trace_joins_request_ring_and_slow_log() {
     let dir = tmpdir("trace");
     let cfg = ClusterConfig {
         shards: 2,
@@ -150,16 +164,16 @@ fn routed_trace_joins_flight_trace_log_and_slow_log() {
     let t = dr.server_timings.expect("v6 trailer carries server timings");
     assert!(t.total_us >= t.queue_us, "total includes queue wait");
 
-    // Router flight recorder: same trace id, routed kind, both shards
+    // Router request ring: same trace id, routed kind, both shards
     // asked and both answered.
     let reg = cluster.registry();
-    let prof = reg.flight().find(trace).expect("routed query in the flight recorder");
-    assert_eq!(prof.kind, geosir_obs::flight::KIND_ROUTED);
-    assert_eq!(prof.candidates, 2, "shards asked");
-    assert_eq!(prof.levels, 2, "shards answered");
+    let rec = routed_record(&reg, trace);
+    assert_eq!(rec.kind, RequestKind::RoutedQuery);
+    assert_eq!(note(&rec, "shards_total"), 2, "shards asked");
+    assert_eq!(note(&rec, "shards_ok"), 2, "shards answered");
 
-    // Router trace log: per-shard stages under the same id.
-    let tj = reg.traces().to_json();
+    // ...and its JSON: per-shard stages under the same id.
+    let tj = reg.requests_json();
     assert!(tj.contains(&format!("\"trace_id\":{trace}")), "{tj}");
     assert!(tj.contains("routed_query"), "{tj}");
     assert!(tj.contains("shard0") && tj.contains("shard1"), "{tj}");
@@ -200,7 +214,7 @@ fn forced_hedge_is_attributed_to_the_silent_shard() {
         ShardSpec { primary: healthy.addr(), replicas: Vec::new() },
         ShardSpec { primary: silent, replicas: vec![replica.addr()] },
     ];
-    let registry = Arc::new(geosir_obs::Registry::new());
+    let registry = Arc::new(Registry::new());
     let router = Router::start(
         "127.0.0.1:0",
         specs,
@@ -236,8 +250,9 @@ fn forced_hedge_is_attributed_to_the_silent_shard() {
         "healthy shard never hedged"
     );
 
-    let prof = registry.flight().find(reply.trace).expect("routed profile");
-    assert!(prof.rings >= 1, "hedge visible in the flight profile");
+    let rec = routed_record(&registry, reply.trace);
+    assert!(note(&rec, "hedges") >= 1, "hedge visible in the router's record");
+    assert_eq!((note(&rec, "shards_ok"), note(&rec, "shards_total")), (2, 2));
 
     let text = slow_log_text(&dir.join("router"));
     let line = text

@@ -162,9 +162,9 @@ fn recovers_from_crash_mid_wal_rotation() {
     crash_and_recover("mid-rotate", "wal.mid-rotation");
 }
 
-/// An armed crash point must leave a readable flight-recorder dump in
-/// the data directory: the last-requests ring, flushed by the crash
-/// hook before `abort()`, with the writes the child performed.
+/// An armed crash point must leave a readable dump in the data
+/// directory: the request ring, flushed by the crash hook before
+/// `abort()`, with the writes the child performed, each one whole.
 #[test]
 fn crash_leaves_readable_flight_dump() {
     let dir = tmpdir("flight-dump");
@@ -174,8 +174,10 @@ fn crash_leaves_readable_flight_dump() {
     assert!(dump.starts_with('['), "dump must be a JSON array: {dump}");
     assert!(dump.contains("\"kind\":\"insert\""), "acked inserts must be in the ring: {dump}");
     assert!(dump.contains("\"trace_id\":"), "{dump}");
-    // profiles are complete objects — the seqlock must not publish torn slots
-    assert_eq!(dump.matches("\"trace_id\"").count(), dump.matches("\"termination\"").count());
+    // the whole record: an insert carries its WAL and publish stages
+    assert!(dump.contains("\"wal\":") && dump.contains("\"publish\":"), "{dump}");
+    // one record per object
+    assert_eq!(dump.matches("\"trace_id\"").count(), dump.matches("\"stages\"").count());
     assert!(!acked.is_empty());
     // and the dump does not interfere with normal recovery
     assert_acked_survive(&dir, "wal.post-append:6", &acked);

@@ -2,8 +2,8 @@
 //! request's report must *reconcile* with the registry (the plan is the
 //! same work the counters saw, not a parallel estimate), a zero
 //! threshold must land every query in the slow-query JSONL with the
-//! client-minted trace id, and the flight recorder must surface recent
-//! requests at `/debug/flight`.
+//! client-minted trace id, and the request ring must surface recent
+//! requests at `/debug/last_queries`.
 
 mod common;
 
@@ -221,12 +221,12 @@ fn armed_slow_log_keeps_coalescing_and_changes_no_answer() {
     }
 }
 
-/// The always-on flight recorder: reads and writes both show up at
-/// `/debug/flight` keyed by trace id, without any explain/slow-log
-/// configuration, and an exact query's profile counts its scan.
+/// The always-on request ring: reads and writes both show up at
+/// `/debug/last_queries` keyed by trace id, without any explain/slow-log
+/// configuration, and an exact query's record counts its scan.
 #[test]
-fn flight_recorder_serves_recent_requests() {
-    let dir = tmpdir("flight");
+fn request_ring_serves_recent_requests() {
+    let dir = tmpdir("ring");
     let cfg = ServeConfig {
         workers: 1,
         metrics_addr: Some("127.0.0.1:0".to_string()),
@@ -259,28 +259,29 @@ fn flight_recorder_serves_recent_requests() {
     assert!(copies > 0, "the quad's seed settled every copy: nothing to scan");
     assert_eq!(explained.report.stats.scan_copies, copies);
 
-    let (status, json) = http_get(maddr, "/debug/flight");
+    let (status, json) = http_get(maddr, "/debug/last_queries");
     assert_eq!(status, 200, "{json}");
+    // a record is one object whose last member is its `notes{}`
     let profile_of = |trace: u64| {
         let at = json
-            .find(&format!("\"trace_id\":{trace}"))
-            .unwrap_or_else(|| panic!("trace {trace} not in flight ring:\n{json}"));
-        &json[at..json[at..].find('}').map(|e| at + e + 1).unwrap_or(json.len())]
+            .find(&format!("\"trace_id\":{trace},"))
+            .unwrap_or_else(|| panic!("trace {trace} not in the request ring:\n{json}"));
+        &json[at..json[at..].find("}}").map(|e| at + e + 2).unwrap_or(json.len())]
     };
     let profile = profile_of(reply.trace);
     assert!(profile.contains("\"kind\":\"query\""), "{profile}");
-    assert!(profile.contains("\"termination\":"), "{profile}");
+    assert!(profile.contains("\"retrieve\":"), "{profile}");
     // a hash-tier query is its own kind and carries its funnel
     let profile = profile_of(approx.trace);
     assert!(approx.candidates > 0 && approx.reranked > 0);
     assert!(profile.contains("\"kind\":\"query_approx\""), "{profile}");
     assert!(profile.contains(&format!("\"candidates\":{}", approx.candidates)), "{profile}");
-    assert!(profile.contains(&format!("\"scored\":{}", approx.reranked)), "{profile}");
+    assert!(profile.contains(&format!("\"reranked\":{}", approx.reranked)), "{profile}");
     // an exact one counts the copies its scan scored, and the survivors
     let profile = profile_of(explained.trace);
     assert!(profile.contains("\"kind\":\"explain\"") && profile.contains("\"levels\":1,"), "{profile}");
-    assert!(profile.contains(&format!("\"candidates\":{copies},\"scored\":{survivors},")), "{profile}");
-    assert!(profile.contains("\"termination\":\"scan\""), "{profile}");
+    let scan = format!("\"scan_copies\":{copies},\"scan_survivors\":{survivors},");
+    assert!(profile.contains(&scan), "{profile}");
     // writes are recorded too
     assert!(json.contains("\"kind\":\"insert\""), "{json}");
 

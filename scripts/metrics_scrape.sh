@@ -3,7 +3,8 @@
 #
 # Default mode: boot `geosir serve --data-dir --metrics-addr`, drive a
 # few requests through the wire, then assert the core /metrics series
-# exist and are non-zero, /debug/last_queries answers, /healthz is ok,
+# exist and are non-zero, /debug/last_queries holds the plain query sent
+# below with its stages, /healthz is ok,
 # /readyz goes ready with all four watchdog components, and the
 # /debug/journal recorded recovery; `geosir explain` against a second,
 # bulk-loaded node must print a scan plan, that node's base must
@@ -14,8 +15,9 @@
 # router's federated endpoint and assert one scrape answers for the
 # whole cluster: merged unlabeled totals, `shard="0"`/`shard="1"`
 # labeled series, replication-lag gauges, router scrape telemetry, the
-# /debug/cluster JSON topology, and the federated /healthz + /readyz
-# with per-shard attribution.
+# /debug/cluster JSON topology, the router's record of a routed query
+# with a stage per shard on /debug/last_queries, and the federated
+# /healthz + /readyz with per-shard attribution.
 #
 # Uses an already-built release binary (fast path: no compilation here)
 # and bash /dev/tcp, so it needs neither curl nor extra tooling.
@@ -70,6 +72,25 @@ http_get() { # path [port] -> response on stdout
     exec 3<&-
 }
 
+# One plain Query frame, k = 3, trace 0 (the server assigns one), over
+# the closed triangle (0,0) (1,0) (0,1), in the wire's one layout:
+# `version 6 | type 1 | len u32 = 65 | corr u64 = 1 | k u32 | trace u64 |
+# closed u8 | npts u32 | 3 × (x, y) f64 | fnv1a32 of all of it`, all LE.
+# No subcommand sends a plain Query, so it goes out raw; the script waits
+# for the first byte of the reply, by which time the request is recorded.
+QUERY_FRAME='\x06\x01\x41\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x03\x00\x00\x00'\
+'\x00\x00\x00\x00\x00\x00\x00\x00\x01\x03\x00\x00\x00'\
+'\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00'\
+'\x00\x00\x00\x00\x00\x00\xf0\x3f\x00\x00\x00\x00\x00\x00\x00\x00'\
+'\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\xf0\x3f'\
+'\x0d\x17\xfc\xfc'
+send_query() {
+    exec 4<>"/dev/tcp/127.0.0.1/$PORT" || return 1
+    printf "$QUERY_FRAME" >&4
+    IFS= read -r -n 1 -t 5 -u 4 _ || return 1
+    exec 4<&-
+}
+
 # Wait for both listeners, then drive load through the wire so the
 # series have something to show: each `geosir stats` round-trips a
 # Stats and a MetricsDump frame through the read queue (and, in cluster
@@ -81,6 +102,7 @@ for i in $(seq 1 50); do
 done
 "$BIN" stats "127.0.0.1:$PORT" >/dev/null
 "$BIN" stats "127.0.0.1:$PORT" >/dev/null
+send_query || { echo "metrics_scrape: no reply to a plain Query" >&2; exit 1; }
 # One exact query (an Explain frame answers it through the same entry a
 # Query does), so the exact tier's own series exist. Node only: the
 # router does not route EXPLAIN.
@@ -154,6 +176,24 @@ require_present() { # series-substring
     esac
 }
 
+require_ring() { # fragment... that /debug/last_queries must contain
+    RING=$(http_get /debug/last_queries)
+    case "$RING" in
+        HTTP/1.1\ 200*) ;;
+        *) echo "metrics_scrape: /debug/last_queries not 200:"; echo "$RING"; exit 1 ;;
+    esac
+    for frag in "$@"; do
+        case "$RING" in
+            *"$frag"*) ;;
+            *)
+                echo "metrics_scrape: /debug/last_queries missing $frag" >&2
+                printf '%s\n' "$RING" >&2
+                exit 1
+                ;;
+        esac
+    done
+}
+
 # Health plane: /healthz (liveness) answers immediately; /readyz needs
 # the watchdog's first verdict — federated, every shard's — so poll it
 # briefly before asserting the body fragments.
@@ -220,11 +260,8 @@ if [ "$MODE" = cluster ]; then
         esac
     done
 
-    FLIGHT=$(http_get /debug/flight)
-    case "$FLIGHT" in
-        HTTP/1.1\ 200*) ;;
-        *) echo "metrics_scrape: /debug/flight not 200:"; echo "$FLIGHT"; exit 1 ;;
-    esac
+    # The router's ring: the routed query, with a gather stage per shard.
+    require_ring '"kind":"routed_query"' '"shard0"'
 
     # Federated health: the router is alive, and cluster readiness
     # carries per-shard attribution with component verdicts.
@@ -289,11 +326,8 @@ case "$BODY" in
         ;;
 esac
 
-TRACES=$(http_get /debug/last_queries)
-case "$TRACES" in
-    HTTP/1.1\ 200*) ;;
-    *) echo "metrics_scrape: /debug/last_queries not 200:"; echo "$TRACES"; exit 1 ;;
-esac
+# The node's ring: the plain query, with its stages.
+require_ring '"kind":"query"' '"queue_wait"'
 
 # Node health: live, ready, and all four watchdog components reported.
 check_health '"status":"ok"' \

@@ -88,12 +88,12 @@ cargo test -q -p geosir-serve --test router_pipeline --test cluster_integration 
 # filter must not be able to drop these silently.
 cargo test -q -p geosir-serve --test wire_proptest
 
-# Observability crate: the registry, both rings and the request record
-# every answerer feeds them through (`Registry::record_request`). The
+# Observability crate: the registry, the request ring and the record
+# every answerer feeds it through (`Registry::record_request`). The
 # root `cargo test` above does not reach it, and the server suites only
 # see it from outside. Unit tests plus alloc_obs (zero-allocation record
-# path; describing a request costs the trace event's two lists, no
-# more), quantile_merge_proptest and registry_concurrent; ≈ 7 s.
+# path; recording a request once the ring has wrapped allocates
+# nothing), quantile_merge_proptest and registry_concurrent; ≈ 7 s.
 cargo test -q -p geosir-obs
 
 # Durability hooks: crash-recovery harness (abort-at-failpoint children)
@@ -109,7 +109,8 @@ if [ "$elapsed" -gt 30 ]; then
 fi
 cargo clippy -p geosir-serve --features failpoints --all-targets -- -D warnings
 
-# Observability smoke: scrape /metrics + /debug/last_queries + the
+# Observability smoke: scrape /metrics + /debug/last_queries (a plain
+# query's record on the node, a routed one's on the router) + the
 # health plane (/healthz, /readyz with component verdicts, the
 # /debug/journal) from a live durable server, then the federated
 # endpoint of a 2-shard cluster (merged + shard-labeled series,

@@ -130,7 +130,9 @@ pub fn run(args: &[String]) -> Result<(), String> {
         dir.display()
     );
     if let Some(m) = cluster.router.metrics_addr() {
-        println!("  observability: http://{m}/metrics (federated), /debug/cluster, /debug/flight");
+        println!(
+            "  observability: http://{m}/metrics (federated), /debug/cluster, /debug/last_queries"
+        );
     }
     for (i, spec) in cluster.specs.iter().enumerate() {
         let rep = if spec.replicas.is_empty() {

@@ -22,10 +22,10 @@
 //! WAL-logged before it is acked, the base is checkpointed in the
 //! background, and a restart over the same directory recovers every
 //! acknowledged write. With `--metrics-addr` the server additionally
-//! serves Prometheus text on `GET /metrics`, the recent-query trace
-//! ring on `GET /debug/last_queries`, and the flight recorder on
-//! `GET /debug/flight`. With `--slow-query-log` every query slower than
-//! `--slow-query-us` (default 10 000; 0 logs everything) is appended to
+//! serves Prometheus text on `GET /metrics` and the ring of recent
+//! requests on `GET /debug/last_queries` (a durable server dumps that
+//! ring to `flight.dump.json` in its data dir when it crashes). With
+//! `--slow-query-log` every query slower than `--slow-query-us` (default 10 000; 0 logs everything) is appended to
 //! a rotating JSONL log in that directory with its full plan.
 //!
 //! `geosir stats` connects to a running server, pulls its metrics
@@ -130,10 +130,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
             handle.addr()
         );
         if let Some(m) = handle.metrics_addr() {
-            println!(
-                "metrics: http://{m}/metrics  traces: http://{m}/debug/last_queries  \
-                 flight: http://{m}/debug/flight"
-            );
+            println!("metrics: http://{m}/metrics  requests: http://{m}/debug/last_queries");
         }
         handle.join();
     } else {
@@ -145,10 +142,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         let handle = serve(&addr, base, cfg).map_err(|e| format!("bind {addr}: {e}"))?;
         println!("geosir-serve listening on {} (send a Shutdown frame to stop)", handle.addr());
         if let Some(m) = handle.metrics_addr() {
-            println!(
-                "metrics: http://{m}/metrics  traces: http://{m}/debug/last_queries  \
-                 flight: http://{m}/debug/flight"
-            );
+            println!("metrics: http://{m}/metrics  requests: http://{m}/debug/last_queries");
         }
         handle.join();
     }
