@@ -1989,8 +1989,10 @@ pub struct ClusterConfig {
     pub serve: ServeConfig,
     pub router: RouterConfig,
     /// Checkpoint interval for shard primaries. Kept deliberately huge
-    /// by default so the WAL retains the full history replicas replay
-    /// from LSN 0 (log shipping has no checkpoint-transfer phase yet).
+    /// by default so the WAL retains the full history a replica reads
+    /// from LSN 0 — once, when its replication thread starts; each tick
+    /// after that reads only the bytes appended since the last (log
+    /// shipping has no checkpoint-transfer phase yet).
     pub checkpoint_every: u64,
     /// Replication poll cadence.
     pub repl_interval: Duration,

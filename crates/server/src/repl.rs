@@ -6,13 +6,16 @@
 //! 1. **Ships**: [`geosir_storage::shipping::Shipper::ship_once`]
 //!    mirrors the primary's WAL directory into the replica's ship
 //!    directory (incremental, byte-offset resumable, fault-injectable).
-//! 2. **Replays**: [`geosir_storage::wal::replay`] above the applied
-//!    cursor yields the new records in LSN order.
-//! 3. **Applies**: records are pushed into the replica *through the
-//!    wire protocol* — the replica is a stock `geosir-serve` instance
-//!    whose only writer is this thread. Inserts reuse the record's
-//!    idempotency key, so an apply retried over a replica hiccup can
-//!    never double-insert.
+//! 2. **Tails**: a [`geosir_storage::wal::Tail`] over the ship
+//!    directory reads only the bytes shipped since the last tick and
+//!    queues their records in LSN order. The whole log is read once,
+//!    when the thread starts (the replica's bootstrap), not per tick.
+//! 3. **Applies**: queued records are pushed into the replica *through
+//!    the wire protocol* — the replica is a stock `geosir-serve`
+//!    instance whose only writer is this thread. A failed apply leaves
+//!    its record at the head of the queue for the next tick; inserts
+//!    reuse the record's idempotency key, so an apply retried over a
+//!    replica hiccup can never double-insert.
 //!
 //! **Id parity.** The primary assigned ids by its deterministic
 //! sequential counter while appending these records; the replica,
@@ -23,8 +26,10 @@
 //! records therefore apply by primary id directly.
 //!
 //! **Lag accounting.** After every tick the thread publishes
-//! `geosir_replication_lag_records{shard}` (primary's last LSN minus
-//! the applied cursor) and `geosir_replication_lag_ms{shard}` (how long
+//! `geosir_replication_lag_records{shard}` (the primary's last LSN
+//! minus the applied cursor; the tip is read by a second `Tail`, over
+//! the primary's own WAL directory, so a stalled or torn ship still
+//! shows as lag) and `geosir_replication_lag_ms{shard}` (how long
 //! the replica has continuously been behind) into the shared cluster
 //! registry — the router's `Topology` reply reads them back out.
 
@@ -38,7 +43,7 @@ use geosir_geom::Polyline;
 use geosir_obs as obs;
 use geosir_storage::faults::IoFactory;
 use geosir_storage::shipping::Shipper;
-use geosir_storage::wal::{self, WalRecord};
+use geosir_storage::wal::{Lsn, Tail, WalRecord};
 
 use crate::client::{Client, ClientConfig};
 
@@ -153,32 +158,48 @@ fn repl_loop(spec: ReplSpec, stop: Arc<AtomicBool>) {
     // journaled as stuck; catching back up journals the resume.
     let stuck_after = Duration::from_secs(2).max(spec.interval * 4);
     let mut stuck_reported = false;
+    // the shipped copy, and the primary's own log: the last LSN of the
+    // latter is the lag tip, so a stalled or torn ship still shows as lag
+    let mut shipped = Tail::new(&spec.ship_dir);
+    let mut primary = Tail::new(&spec.src_wal_dir);
+    // records shipped but not yet applied, in LSN order
+    let mut pending: Vec<(Lsn, WalRecord)> = Vec::new();
     // highest LSN applied into the replica so far
     let mut applied = 0u64;
     while !stop.load(Ordering::SeqCst) {
         if let Err(_e) = shipper.ship_once() {
             m.ship_errors.inc();
-            // a torn shipped tail is fine — replay below tolerates it,
-            // the next pass resumes from the destination's true length
+            // a torn shipped tail is fine — the tail below leaves it for
+            // the next pass, which resumes from the destination's length
         }
-        if let Ok((records, _report)) = wal::replay(&spec.ship_dir, applied) {
-            for (lsn, record) in records {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                if apply_record(&spec, &mut client, &m, &record) {
-                    applied = lsn;
-                    m.applied_records.inc();
-                } else {
-                    // leave the cursor: the record re-applies next tick
-                    // (idempotent via its key), the replica just lags
-                    m.apply_errors.inc();
-                    break;
-                }
+        if let Err(_e) = shipped.poll(applied, &mut pending) {
+            // mid-log corruption in the shipped copy: the records before
+            // it are queued, none past it ever will be; the lag below
+            // builds until the drain monitor journals the replica stuck
+            m.ship_errors.inc();
+        }
+        let mut done = 0;
+        for (lsn, record) in &pending {
+            if stop.load(Ordering::SeqCst) {
+                break;
+            }
+            if apply_record(&spec, &mut client, &m, record) {
+                applied = *lsn;
+                done += 1;
+                m.applied_records.inc();
+            } else {
+                // keep the record queued: it re-applies next tick
+                // (idempotent via its key), the replica just lags
+                m.apply_errors.inc();
+                break;
             }
         }
-        // lag: how far the primary's log tip is past our cursor
-        let tip = wal::last_lsn(&spec.src_wal_dir).ok().flatten().unwrap_or(0);
+        pending.drain(..done);
+        // lag: how far the primary's log tip is past our cursor (a
+        // corrupt primary log stalls the tip where the shipped copy's
+        // tail, counted above, stalls too)
+        let _ = primary.poll(Lsn::MAX, &mut Vec::new());
+        let tip = primary.last_lsn().unwrap_or(0);
         let lag = tip.saturating_sub(applied);
         m.lag_records.set(lag as i64);
         if lag == 0 {

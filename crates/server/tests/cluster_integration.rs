@@ -1,19 +1,24 @@
 //! Cluster integration over real TCP loopback: scatter-gather routing
 //! with shard-tagged ids, merge parity against a single-node union
-//! oracle, WAL-shipped replica catch-up with id parity, partial results
-//! when a whole shard pair is down, and replica failover through the
-//! circuit breaker.
+//! oracle, WAL-shipped replica catch-up with id parity, a corrupt
+//! shipped segment surfacing as errors and a stuck replica, partial
+//! results when a whole shard pair is down, and replica failover
+//! through the circuit breaker.
 
 mod common;
 
 use common::{exact_template, poll_until, polygon, serve_cfg, tmpdir};
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use geosir_geom::Polyline;
 use geosir_serve::cluster::{start_cluster, untag_id, ClusterConfig, RouterConfig};
-use geosir_serve::{serve, Client};
+use geosir_serve::{obs, serve, start_replication, Client, ReplSpec};
+use geosir_storage::faults::{FileFactory, Io, IoFactory};
+use geosir_storage::wal::{FsyncPolicy, Wal, WalRecord};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -193,6 +198,83 @@ fn replica_catches_up_with_id_parity() {
         r.matches.iter().map(|m| (m.shape, m.image, m.score.to_bits())).collect();
     assert_eq!(sp, sr, "replica reads must be bit-identical to the primary, ids included");
     cluster.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Ships the first write into segment `wal-…1.log` with its fourth-last
+/// byte flipped: inside the segment's final record.
+struct FlipFirstSegment(AtomicBool);
+
+struct FlipIo(Box<dyn Io>, bool);
+
+impl Io for FlipIo {
+    fn append(&mut self, buf: &[u8]) -> std::io::Result<()> {
+        if !std::mem::take(&mut self.1) {
+            return self.0.append(buf);
+        }
+        let mut flipped = buf.to_vec();
+        let at = flipped.len() - 4;
+        flipped[at] ^= 0x10;
+        self.0.append(&flipped)
+    }
+
+    fn sync(&mut self) -> std::io::Result<()> {
+        self.0.sync()
+    }
+}
+
+impl IoFactory for FlipFirstSegment {
+    fn create(&self, path: &Path) -> std::io::Result<Box<dyn Io>> {
+        let first = path.file_name().is_some_and(|n| n == "wal-00000000000000000001.log");
+        let flip = first && self.0.swap(false, Ordering::SeqCst);
+        Ok(Box::new(FlipIo(FileFactory.create(path)?, flip)))
+    }
+}
+
+/// A shipped segment corrupt mid-log — a newer segment follows it — is
+/// a ship error counted every tick, not a silent stall: the records
+/// before the flipped byte apply, the lag stays at the rest, and the
+/// drain monitor journals the replica stuck.
+#[test]
+fn corrupt_shipped_segment_counts_errors_and_journals_stuck() {
+    let dir = tmpdir("corrupt-ship");
+    let src = dir.join("primary");
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut wal = Wal::open(&src, FsyncPolicy::Never, 1).unwrap();
+    for i in 0..6u64 {
+        if i == 4 {
+            wal.rotate().unwrap();
+        }
+        let points = polygon(&mut rng).points().iter().map(|p| (p.x, p.y)).collect();
+        let rec = WalRecord::Insert { key: 100 + i, id: i, image: i as u32, closed: true, points };
+        wal.append(&rec).unwrap();
+    }
+    wal.sync().unwrap();
+    let replica = serve("127.0.0.1:0", exact_template().empty_base(), serve_cfg()).unwrap();
+    let registry = Arc::new(obs::Registry::new());
+    let repl = start_replication(ReplSpec {
+        shard: 0,
+        src_wal_dir: src,
+        ship_dir: dir.join("replica-0"),
+        replica_addr: replica.addr(),
+        registry: registry.clone(),
+        interval: Duration::from_millis(5),
+        ship_factory: Some(Arc::new(FlipFirstSegment(AtomicBool::new(true)))),
+    });
+    let journaled_stuck = poll_until(Duration::from_secs(20), || {
+        registry.journal().recent().iter().any(|e| e.code == "repl.stuck")
+    });
+    let snap = registry.snapshot();
+    let lbl: &[(&str, &str)] = &[("shard", "0")];
+    assert!(journaled_stuck, "a replica stalled on a corrupt shipped segment must be journaled");
+    assert!(
+        snap.counter("geosir_repl_ship_errors_total", lbl) >= 2,
+        "every tick that reads the corrupt segment is a ship error"
+    );
+    assert_eq!(snap.counter("geosir_repl_applied_records_total", lbl), 3);
+    assert_eq!(snap.gauge("geosir_replication_lag_records", lbl), 3);
+    repl.stop();
+    replica.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -19,7 +19,8 @@
 //!
 //! - [`wal`] — append-only write-ahead log (length-prefixed records,
 //!   per-record CRC-32, monotonic LSNs, configurable fsync policy,
-//!   torn-tail-tolerant replay);
+//!   torn-tail-tolerant replay, and a tail that reads only what was
+//!   appended since its last poll);
 //! - [`checkpoint`] — whole-base snapshots serialized through the same
 //!   1 KB pages, installed by atomic rename;
 //! - [`manifest`] — the crash-safe pointer tying a checkpoint to the

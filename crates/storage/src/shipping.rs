@@ -6,8 +6,9 @@
 //! *file* copier, not a record parser: the WAL's own CRCs and the
 //! replayer's torn-tail tolerance already make the stream
 //! self-validating, so shipping can be dumb, restartable, and cheap —
-//! each [`Shipper::ship_once`] copies only the bytes appended since the
-//! last call.
+//! each [`Shipper::ship_once`] reads and copies only the bytes appended
+//! since the last call, and a segment whose length has not moved is
+//! not opened at all.
 //!
 //! Crash/fault behaviour is anchored on two invariants:
 //!
@@ -32,7 +33,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::faults::{FileFactory, Io, IoFactory};
-use crate::wal::{list_segments, segment_path, Lsn};
+use crate::wal::{list_segments, read_range, segment_path, Lsn};
 
 /// What one [`Shipper::ship_once`] pass did.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -41,6 +42,8 @@ pub struct ShipReport {
     pub segments_seen: usize,
     /// Segments that received new bytes this pass.
     pub segments_advanced: usize,
+    /// Source segment bytes read this pass.
+    pub bytes_read: u64,
     /// Bytes appended to destination segments this pass.
     pub bytes_copied: u64,
 }
@@ -81,9 +84,9 @@ impl Shipper {
         let mut report = ShipReport { segments_seen: firsts.len(), ..Default::default() };
         for &first in &firsts {
             let src_path = segment_path(&self.src, first);
-            let src_bytes = match std::fs::read(&src_path) {
-                Ok(b) => b,
-                // pruned between list and read: the checkpoint already
+            let len = match std::fs::metadata(&src_path) {
+                Ok(m) => m.len(),
+                // pruned between list and stat: the checkpoint already
                 // covers it, nothing left to ship
                 Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
                 Err(e) => return Err(e),
@@ -98,19 +101,26 @@ impl Shipper {
                 self.open.insert(first, (io, 0));
             }
             let (handle, copied) = self.open.get_mut(&first).expect("just inserted");
-            if (src_bytes.len() as u64) < *copied {
+            if len < *copied {
                 // source shrank (its own torn-tail repair): rebuild the copy
                 let io = self.factory.create(&dst_path)?;
                 *handle = io;
                 *copied = 0;
             }
-            let delta = &src_bytes[*copied as usize..];
+            if len == *copied {
+                continue;
+            }
+            let delta = match read_range(&src_path, *copied, len - *copied) {
+                Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
+                r => r?,
+            };
+            report.bytes_read += delta.len() as u64;
             if delta.is_empty() {
                 continue;
             }
-            match handle.append(delta).and_then(|()| handle.sync()) {
+            match handle.append(&delta).and_then(|()| handle.sync()) {
                 Ok(()) => {
-                    *copied = src_bytes.len() as u64;
+                    *copied += delta.len() as u64;
                     report.segments_advanced += 1;
                     report.bytes_copied += delta.len() as u64;
                 }
@@ -130,7 +140,7 @@ impl Shipper {
 mod tests {
     use super::*;
     use crate::faults::{FaultKind, FaultPlan, FaultyFactory};
-    use crate::wal::{last_lsn, replay, FsyncPolicy, Wal, WalRecord};
+    use crate::wal::{replay, FsyncPolicy, Tail, Wal, WalRecord};
 
     fn tmpdir(name: &str) -> PathBuf {
         let p = std::env::temp_dir().join(format!("geosir-ship-{}-{name}", std::process::id()));
@@ -182,7 +192,7 @@ mod tests {
         let r3 = shipper.ship_once().unwrap();
         assert_eq!(r3.segments_seen, 2);
         assert_mirrored(&src, &dst);
-        assert_eq!(last_lsn(&dst).unwrap(), Some(6));
+        assert_eq!(replay(&dst, 0).unwrap().1.last_lsn, Some(6));
         std::fs::remove_dir_all(&src).ok();
         std::fs::remove_dir_all(&dst).ok();
     }
@@ -246,6 +256,50 @@ mod tests {
         let _ = replay(&dst, 0).unwrap();
         shipper.ship_once().unwrap();
         assert_mirrored(&src, &dst);
+        std::fs::remove_dir_all(&src).ok();
+        std::fs::remove_dir_all(&dst).ok();
+    }
+
+    /// Once the backlog is read, an idle pass reads no segment bytes:
+    /// neither the shipper (from the primary's log) nor a tail over the
+    /// shipped copy nor one over the primary's log, however long the
+    /// log is.
+    #[test]
+    fn idle_passes_read_no_segment_bytes() {
+        let src = tmpdir("idle-src");
+        let dst = tmpdir("idle-dst");
+        let mut wal = Wal::open(&src, FsyncPolicy::Never, 1).unwrap();
+        for i in 0..2_000 {
+            wal.append(&insert(i)).unwrap();
+        }
+        wal.sync().unwrap();
+        let log_len = std::fs::metadata(segment_path(&src, 1)).unwrap().len();
+        let mut shipper = Shipper::new(&src, &dst);
+        let (mut shipped, mut primary) = (Tail::new(&dst), Tail::new(&src));
+        let mut out = Vec::new();
+        let backlog = shipper.ship_once().unwrap();
+        assert_eq!((backlog.bytes_read, backlog.bytes_copied), (log_len, log_len));
+        shipped.poll(0, &mut out).unwrap();
+        primary.poll(Lsn::MAX, &mut Vec::new()).unwrap();
+        assert_eq!(out.len(), 2_000);
+        assert_eq!((shipped.bytes_read(), primary.bytes_read()), (log_len, log_len));
+        for _ in 0..100 {
+            let r = shipper.ship_once().unwrap();
+            assert_eq!((r.segments_seen, r.bytes_read, r.bytes_copied), (1, 0, 0));
+            shipped.poll(0, &mut out).unwrap();
+            primary.poll(Lsn::MAX, &mut Vec::new()).unwrap();
+        }
+        assert_eq!(out.len(), 2_000);
+        assert_eq!((shipped.bytes_read(), primary.bytes_read()), (log_len, log_len));
+        assert_eq!(primary.last_lsn(), Some(2_000));
+        // one more record reads that record's bytes, once each
+        wal.append(&insert(2_000)).unwrap();
+        wal.sync().unwrap();
+        let grown = std::fs::metadata(segment_path(&src, 1)).unwrap().len() - log_len;
+        assert_eq!(shipper.ship_once().unwrap().bytes_read, grown);
+        shipped.poll(0, &mut out).unwrap();
+        assert_eq!(out.len(), 2_001);
+        assert_eq!(shipped.bytes_read(), log_len + grown);
         std::fs::remove_dir_all(&src).ok();
         std::fs::remove_dir_all(&dst).ok();
     }

@@ -37,6 +37,12 @@
 //! LSNs are assigned monotonically by [`Wal::append`] and must be
 //! strictly increasing within the replayed stream; a violation is
 //! treated like corruption.
+//!
+//! [`replay`] reads a log whole, once, at recovery. A reader that
+//! follows a log while it is written (a replica following the shipped
+//! copy of its primary's log) holds a [`Tail`] instead: each
+//! [`Tail::poll`] reads only the bytes appended since the last, through
+//! the same record scanner and with the same checks.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -486,21 +492,26 @@ pub struct ReplayReport {
     pub last_lsn: Option<Lsn>,
 }
 
-/// Scan one segment's records, pushing those with `lsn > after_lsn`
-/// onto `out`. Returns `Some(valid_prefix_len)` when the segment ends
+/// Scan a run of whole records — starting with the segment header when
+/// `header` — pushing those with `lsn > after_lsn` onto `out`. LSNs
+/// must strictly increase past `prev_lsn`, which is left at the last
+/// intact record's. Returns `Some(valid_prefix_len)` when the run ends
 /// in a torn or corrupt record (0 when even the header is bad), `None`
 /// when it ends cleanly.
 fn scan_segment(
     bytes: &[u8],
+    header: bool,
     after_lsn: Lsn,
     prev_lsn: &mut Option<Lsn>,
     out: &mut Vec<(Lsn, WalRecord)>,
-    report: &mut ReplayReport,
 ) -> Option<usize> {
-    if bytes.len() < SEG_MAGIC.len() || bytes[..SEG_MAGIC.len()] != SEG_MAGIC {
-        return Some(0); // torn segment creation (or not ours)
+    let mut off = 0;
+    if header {
+        if bytes.len() < SEG_MAGIC.len() || bytes[..SEG_MAGIC.len()] != SEG_MAGIC {
+            return Some(0); // torn segment creation (or not ours)
+        }
+        off = SEG_MAGIC.len();
     }
-    let mut off = SEG_MAGIC.len();
     while off < bytes.len() {
         let rest = &bytes[off..];
         if rest.len() < 8 {
@@ -523,14 +534,24 @@ fn scan_segment(
             return Some(off); // LSN went backwards: corrupt
         }
         *prev_lsn = Some(lsn);
-        report.last_lsn = Some(lsn);
         if lsn > after_lsn {
             out.push((lsn, rec));
-            report.records += 1;
         }
         off += 8 + len;
     }
     None
+}
+
+/// The error for a torn or corrupt record with newer segments behind it.
+fn mid_log_corruption(dir: &Path, first: Lsn, at: u64, newer: usize) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!(
+            "WAL segment {} is corrupt at byte {at} but {newer} newer \
+             segment(s) follow; refusing to recover past mid-log corruption",
+            segment_path(dir, first).display()
+        ),
+    )
 }
 
 /// Replay every record with `lsn > after_lsn` from the segments in
@@ -554,51 +575,139 @@ pub fn replay(dir: &Path, after_lsn: Lsn) -> io::Result<(Vec<(Lsn, WalRecord)>, 
     for (si, &first) in firsts.iter().enumerate() {
         let bytes = std::fs::read(segment_path(dir, first))?;
         report.segments += 1;
-        if let Some(valid_len) = scan_segment(&bytes, after_lsn, &mut prev_lsn, &mut out, &mut report)
-        {
+        if let Some(valid_len) = scan_segment(&bytes, true, after_lsn, &mut prev_lsn, &mut out) {
             let newer = firsts.len() - si - 1;
             if newer > 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "WAL segment {} is corrupt at byte {valid_len} but {newer} newer \
-                         segment(s) follow; refusing to recover past mid-log corruption",
-                        segment_path(dir, first).display()
-                    ),
-                ));
+                return Err(mid_log_corruption(dir, first, valid_len as u64, newer));
             }
             report.truncated = true;
             report.dropped_bytes = bytes.len() - valid_len;
             report.torn = Some(TornSegment { first_lsn: first, valid_len: valid_len as u64 });
         }
     }
+    report.records = out.len();
+    report.last_lsn = prev_lsn;
     Ok((out, report))
 }
 
-/// Highest LSN present in `dir`'s segments, or `None` for an empty log.
-/// Reads only the **final** segment (LSNs are dense and segments are
-/// ordered by first LSN, so a freshly rotated empty segment at F means
-/// the log's last record was F−1). Tolerates a torn tail the way
-/// [`replay`] does — the last intact record wins. This is the shipping
-/// cursor's cheap "how far ahead is the primary" probe.
-pub fn last_lsn(dir: &Path) -> io::Result<Option<Lsn>> {
-    if !dir.exists() {
-        return Ok(None);
+/// Up to `len` bytes of the file at `path` from byte `off` (fewer when
+/// the file is shorter by then). The log readers' one read:
+/// [`Tail::poll`] and the shipper read what was appended since their
+/// last pass, never the prefix before it.
+pub(crate) fn read_range(path: &Path, off: u64, len: u64) -> io::Result<Vec<u8>> {
+    use std::io::{Read, Seek, SeekFrom};
+    let mut f = std::fs::File::open(path)?;
+    f.seek(SeekFrom::Start(off))?;
+    let mut buf = Vec::new();
+    f.take(len).read_to_end(&mut buf)?;
+    Ok(buf)
+}
+
+/// An incremental reader over a WAL directory someone else appends to.
+/// It keeps its place — a segment, the byte offset of the first record
+/// in it not yet read, the last LSN read — so each [`Tail::poll`] reads
+/// only the bytes appended since the last poll, and a poll with nothing
+/// new reads no segment bytes at all (a directory listing, and a `stat`
+/// of each segment from the current one on).
+///
+/// The checks are [`replay`]'s, through the same scanner: every record's
+/// CRC and body are verified and LSNs strictly increase. A torn record
+/// at the end of the final segment is left unconsumed and read again by
+/// the next poll (a writer mid-append, a shipper mid-copy); a bad record
+/// with newer segments behind it is an `InvalidData` error, returned by
+/// every poll from then on. A segment that shrinks below the offset (a
+/// torn-tail repair, a rebuilt copy) is read again from its header, and
+/// only records above the last one read are delivered: nothing twice.
+pub struct Tail {
+    dir: PathBuf,
+    /// First LSN of the segment being read; `None` before any.
+    seg: Option<Lsn>,
+    /// Bytes of `seg` consumed: its header and the whole records after it.
+    off: u64,
+    /// LSN of the last record before `seg` — where a re-read of `seg`
+    /// from its header checks LSNs from.
+    seg_prev: Option<Lsn>,
+    /// LSN of the last record before `off` (across segments).
+    at_off: Option<Lsn>,
+    /// Highest LSN read; nothing at or below it is delivered again.
+    last: Option<Lsn>,
+    bytes_read: u64,
+}
+
+impl Tail {
+    /// A tail positioned before the first record of `dir`'s log. The
+    /// directory need not exist yet.
+    pub fn new(dir: &Path) -> Tail {
+        Tail {
+            dir: dir.to_path_buf(),
+            seg: None,
+            off: 0,
+            seg_prev: None,
+            at_off: None,
+            last: None,
+            bytes_read: 0,
+        }
     }
-    let mut firsts = list_segments(dir)?;
-    firsts.sort_unstable();
-    let Some(&final_first) = firsts.last() else { return Ok(None) };
-    let bytes = std::fs::read(segment_path(dir, final_first))?;
-    let mut report = ReplayReport::default();
-    let mut prev = None;
-    let mut sink = Vec::new();
-    // after_lsn = MAX: count nothing into `sink`, only track last_lsn
-    let _ = scan_segment(&bytes, Lsn::MAX, &mut prev, &mut sink, &mut report);
-    match report.last_lsn {
-        Some(l) => Ok(Some(l)),
-        // empty final segment: its first LSN is one past the last record
-        None if final_first > 1 => Ok(Some(final_first - 1)),
-        None => Ok(None),
+
+    /// Highest LSN read so far (`None` while the log held no records).
+    pub fn last_lsn(&self) -> Option<Lsn> {
+        self.last
+    }
+
+    /// Segment bytes read over this tail's lifetime.
+    pub fn bytes_read(&self) -> u64 {
+        self.bytes_read
+    }
+
+    /// Push every record appended since the last poll with `lsn >
+    /// after_lsn` onto `out`, in LSN order. On an error, the records
+    /// before the bad one are already on `out` and consumed.
+    pub fn poll(&mut self, after_lsn: Lsn, out: &mut Vec<(Lsn, WalRecord)>) -> io::Result<()> {
+        let mut firsts = match list_segments(&self.dir) {
+            Ok(f) => f,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
+            Err(e) => return Err(e),
+        };
+        // segments before the current one are finished
+        firsts.retain(|&f| self.seg.is_none_or(|s| f >= s));
+        firsts.sort_unstable();
+        for (si, &first) in firsts.iter().enumerate() {
+            if self.seg != Some(first) {
+                self.seg = Some(first);
+                self.off = 0;
+                self.seg_prev = self.at_off;
+            }
+            let path = segment_path(&self.dir, first);
+            // a segment pruned since the listing has a newer one after it
+            let len = match std::fs::metadata(&path) {
+                Ok(m) => m.len(),
+                Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
+                Err(e) => return Err(e),
+            };
+            if len < self.off {
+                self.off = 0;
+                self.at_off = self.seg_prev;
+            }
+            if len == self.off {
+                continue;
+            }
+            let bytes = match read_range(&path, self.off, len - self.off) {
+                Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
+                r => r?,
+            };
+            self.bytes_read += bytes.len() as u64;
+            let after = after_lsn.max(self.last.unwrap_or(0));
+            let torn = scan_segment(&bytes, self.off == 0, after, &mut self.at_off, out);
+            self.off += torn.unwrap_or(bytes.len()) as u64;
+            self.last = self.last.max(self.at_off);
+            if torn.is_some() {
+                let newer = firsts.len() - si - 1;
+                if newer > 0 {
+                    return Err(mid_log_corruption(&self.dir, first, self.off, newer));
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -914,24 +1023,174 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    fn poll_all(tail: &mut Tail) -> Vec<(Lsn, WalRecord)> {
+        let mut out = Vec::new();
+        tail.poll(0, &mut out).unwrap();
+        out
+    }
+
     #[test]
-    fn last_lsn_tracks_appends_and_rotation() {
-        let dir = tmpdir("lastlsn");
-        assert_eq!(last_lsn(&dir).unwrap(), None, "missing dir is an empty log");
+    fn tail_tracks_appends_and_rotation() {
+        let dir = tmpdir("tail");
+        let mut tail = Tail::new(&dir.join("nope"));
+        assert!(poll_all(&mut tail).is_empty(), "a missing dir is an empty log");
+        assert_eq!(tail.last_lsn(), None);
+        let mut tail = Tail::new(&dir);
         let mut wal = Wal::open(&dir, FsyncPolicy::Never, 1).unwrap();
-        assert_eq!(last_lsn(&dir).unwrap(), None, "header-only segment, no records");
+        assert!(poll_all(&mut tail).is_empty());
+        assert_eq!(tail.last_lsn(), None, "header-only segment, no records");
         for i in 0..5 {
             wal.append(&insert(i)).unwrap();
         }
         wal.sync().unwrap();
-        assert_eq!(last_lsn(&dir).unwrap(), Some(5));
-        // rotation opens an empty segment at 6: last record is still 5
+        assert_eq!(poll_all(&mut tail), replay(&dir, 0).unwrap().0);
+        assert_eq!(tail.last_lsn(), Some(5));
+        // rotation opens an empty segment at 6: the last record is still 5
         wal.rotate().unwrap();
-        assert_eq!(last_lsn(&dir).unwrap(), Some(5));
+        assert!(poll_all(&mut tail).is_empty());
+        assert_eq!(tail.last_lsn(), Some(5));
         wal.append(&insert(99)).unwrap();
         wal.sync().unwrap();
-        assert_eq!(last_lsn(&dir).unwrap(), Some(6));
+        assert_eq!(poll_all(&mut tail), vec![(6, insert(99))]);
+        assert_eq!(tail.last_lsn(), Some(6));
+        // a poll with nothing new reads nothing
+        let read = tail.bytes_read();
+        assert!(poll_all(&mut tail).is_empty());
+        assert_eq!(tail.bytes_read(), read);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A segment cut back below the tail's offset — mid-record, then to
+    /// a record boundary — and grown again over the same records plus
+    /// new ones is read again from its header, and delivers each record
+    /// once.
+    #[test]
+    fn tail_rereads_a_shrunk_segment_without_redelivering() {
+        let dir = tmpdir("tail-shrink");
+        let mut wal = Wal::open(&dir, FsyncPolicy::Never, 1).unwrap();
+        for i in 0..6 {
+            wal.append(&insert(i)).unwrap();
+        }
+        wal.sync().unwrap();
+        let seg = segment_path(&dir, 1);
+        let full = std::fs::read(&seg).unwrap();
+        let mut tail = Tail::new(&dir);
+        let mut got = poll_all(&mut tail);
+        assert_eq!(got.len(), 6);
+        let rec_len = (full.len() - SEG_MAGIC.len()) / 6;
+        for cut in [full.len() - 10, SEG_MAGIC.len() + 3 * rec_len, 3] {
+            std::fs::write(&seg, &full[..cut]).unwrap();
+            assert!(poll_all(&mut tail).is_empty(), "cut to {cut}: nothing new");
+            assert_eq!(tail.last_lsn(), Some(6));
+            std::fs::write(&seg, &full).unwrap();
+            assert!(poll_all(&mut tail).is_empty(), "regrown to {cut}: nothing twice");
+        }
+        // cut, then regrown past the old end: only the new record
+        std::fs::write(&seg, &full[..SEG_MAGIC.len() + rec_len]).unwrap();
+        assert!(poll_all(&mut tail).is_empty());
+        std::fs::write(&seg, &full).unwrap();
+        wal.append(&insert(6)).unwrap();
+        wal.sync().unwrap();
+        got.extend(poll_all(&mut tail));
+        assert_eq!(got, replay(&dir, 0).unwrap().0, "each record exactly once");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    proptest::proptest! {
+        /// The tail against its oracle: over random schedules of append,
+        /// sync, rotate, prune, a torn write completed after a poll, and
+        /// poll, the records every poll returned, concatenated, are
+        /// `replay(dir, 0)`'s — each exactly once, in LSN order. A prune
+        /// drops only records the tail has read (it is what a checkpoint
+        /// covering the replica would drop), and `replay` is taken before
+        /// each, so the oracle is every record replay ever saw. Then a
+        /// byte flipped in a non-final segment is `InvalidData` for a
+        /// fresh tail, as it is for `replay`.
+        #[test]
+        fn tail_equals_replay_under_random_schedules(seed in 0u64..1_000_000) {
+            use rand::prelude::*;
+            use std::collections::BTreeMap;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let dir = tmpdir(&format!("tail-prop-{seed}"));
+            let mut wal = Wal::open(&dir, FsyncPolicy::Never, 1).unwrap();
+            let mut tail = Tail::new(&dir);
+            let (mut polled, mut appended) = (Vec::new(), Vec::new());
+            let mut oracle: BTreeMap<Lsn, WalRecord> = BTreeMap::new();
+            let see = |oracle: &mut BTreeMap<Lsn, WalRecord>| {
+                for (lsn, rec) in replay(&dir, 0).unwrap().0 {
+                    assert_eq!(oracle.entry(lsn).or_insert_with(|| rec.clone()), &rec);
+                }
+            };
+            let record = |rng: &mut StdRng| {
+                let i = rng.random_range(0..1_000u64);
+                if rng.random_bool(0.2) { WalRecord::Delete { id: i } } else { insert(i) }
+            };
+            for _ in 0..rng.random_range(1..40) {
+                match rng.random_range(0..10) {
+                    0..=3 => {
+                        for _ in 0..rng.random_range(1..4) {
+                            let rec = record(&mut rng);
+                            appended.push((wal.append(&rec).unwrap(), rec));
+                        }
+                    }
+                    4 => wal.sync().unwrap(),
+                    5 => wal.rotate().unwrap(),
+                    6 => {
+                        see(&mut oracle);
+                        let upto = tail.last_lsn().unwrap_or(0);
+                        wal.prune_up_to(rng.random_range(0..=upto)).unwrap();
+                    }
+                    7 => {
+                        // a writer caught mid-append: the poll must leave
+                        // the torn record for the poll after the rest lands
+                        let rec = record(&mut rng);
+                        let lsn = wal.append(&rec).unwrap();
+                        let mut body = Vec::new();
+                        rec.encode_body(&mut body);
+                        appended.push((lsn, rec));
+                        let last_seg = *list_segments(&dir).unwrap().iter().max().unwrap();
+                        let seg = segment_path(&dir, last_seg);
+                        let bytes = std::fs::read(&seg).unwrap();
+                        // len | crc | lsn | body: cut anywhere inside it
+                        let cut = bytes.len() - rng.random_range(1..16 + body.len());
+                        std::fs::OpenOptions::new()
+                            .write(true)
+                            .open(&seg)
+                            .unwrap()
+                            .set_len(cut as u64)
+                            .unwrap();
+                        let before = polled.len();
+                        tail.poll(0, &mut polled).unwrap();
+                        let delivered = polled[before..].iter().map(|(l, _)| *l).max();
+                        assert!(delivered < Some(lsn), "a torn record was delivered");
+                        use std::io::Write;
+                        let mut f = std::fs::OpenOptions::new().append(true).open(&seg).unwrap();
+                        f.write_all(&bytes[cut..]).unwrap();
+                    }
+                    _ => tail.poll(0, &mut polled).unwrap(),
+                }
+            }
+            tail.poll(0, &mut polled).unwrap();
+            see(&mut oracle);
+            let oracle: Vec<(Lsn, WalRecord)> = oracle.into_iter().collect();
+            assert_eq!(polled, oracle, "the tail must deliver replay's records, each once, in order");
+            assert_eq!(polled, appended);
+            // corruption with a newer segment behind it
+            let mut firsts = list_segments(&dir).unwrap();
+            firsts.sort_unstable();
+            if firsts.len() >= 2 {
+                let seg = segment_path(&dir, firsts[rng.random_range(0..firsts.len() - 1)]);
+                let mut bytes = std::fs::read(&seg).unwrap();
+                let at = rng.random_range(0..bytes.len());
+                bytes[at] ^= 1 << rng.random_range(0..8);
+                std::fs::write(&seg, &bytes).unwrap();
+                assert_eq!(replay(&dir, 0).unwrap_err().kind(), io::ErrorKind::InvalidData);
+                let err = Tail::new(&dir).poll(0, &mut Vec::new()).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            }
+            drop(wal);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -96,6 +96,18 @@ cargo test -q -p geosir-serve --test wire_proptest
 # nothing), quantile_merge_proptest and registry_concurrent; ≈ 7 s.
 cargo test -q -p geosir-obs
 
+# Storage crate: the WAL (replay, repair, the tail's oracle proptest and
+# shrink test), checkpoints, the manifest and the shipper (resume from
+# the destination's length, segment order, idle passes that read no
+# segment bytes). The root `cargo test` does not reach it, and the
+# failpoints pass below builds it only as a dependency. Then the one
+# chaos scenario that tears a shipped append and checks the replica
+# still converges — a torn ship resumed at the wrong offset is what an
+# incremental shipper and tail can get wrong (≈ 3 s; CI's cluster-chaos
+# job runs all three).
+cargo test -q -p geosir-storage
+GEOSIR_CHAOS=1 cargo test -q --release -p geosir-serve --test cluster_chaos chaos_torn_and_delayed_shipping_still_converges
+
 # Durability hooks: crash-recovery harness (abort-at-failpoint children)
 # plus the full server suite with the fault hooks compiled in. Budget:
 # the crash tests must stay under 30 s wall — they are child-process
