@@ -885,7 +885,7 @@ impl Snapshot {
     /// long-lived scratches: after a warm-up query the seed probe, level
     /// scans and buffer scan touch the heap zero times. `_tmp` is unused
     /// (no level runs a matcher that would fill it); it stays because
-    /// `benchmark/` compiles against this signature (ROADMAP 5(c)).
+    /// `benchmark/` compiles against this signature (ROADMAP 1(d) / 13).
     pub fn retrieve_with_stats(
         &self,
         scratch: &mut MatcherScratch,

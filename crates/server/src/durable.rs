@@ -92,7 +92,7 @@ pub struct BaseTemplate {
     /// Read by nothing in the product — a dynamic level has no
     /// range-search index to pick a backend for. It stays because
     /// `benchmark/` builds this struct and reads the field for its own
-    /// static twin; ROADMAP 1(d) + 5(b) remove it.
+    /// static twin; ROADMAP 1(d) + 13 remove it.
     pub backend: Backend,
     pub config: MatchConfig,
     pub buffer_cap: usize,
