@@ -89,23 +89,12 @@ impl Drop for ReplHandle {
     }
 }
 
-/// Adapts the shared (`Arc`) fault hook to the `Box<dyn IoFactory>` the
-/// [`Shipper`] owns.
-struct SharedFactory(Arc<dyn IoFactory>);
-
-impl IoFactory for SharedFactory {
-    fn create(&self, path: &std::path::Path) -> std::io::Result<Box<dyn geosir_storage::faults::Io>> {
-        self.0.create(path)
-    }
-}
-
 /// Spawn the replication thread for one replica.
 pub fn start_replication(spec: ReplSpec) -> ReplHandle {
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = stop.clone();
-    let join = std::thread::Builder::new()
-        .name(format!("geosir-repl-{}", spec.shard))
-        .spawn(move || repl_loop(spec, stop2))
+    let name = format!("geosir-repl-{}", spec.shard);
+    let join = crate::server::spawn(name, move || repl_loop(spec, stop2))
         .expect("spawn replication thread");
     ReplHandle { stop, join: Some(join) }
 }
@@ -145,11 +134,7 @@ fn repl_loop(spec: ReplSpec, stop: Arc<AtomicBool>) {
     obs::set_thread_registry(Some(spec.registry.clone()));
     let m = ReplMetrics::build(&spec.registry, spec.shard);
     let mut shipper = match &spec.ship_factory {
-        Some(f) => Shipper::with_factory(
-            &spec.src_wal_dir,
-            &spec.ship_dir,
-            Box::new(SharedFactory(f.clone())),
-        ),
+        Some(f) => Shipper::with_factory(&spec.src_wal_dir, &spec.ship_dir, Box::new(f.clone())),
         None => Shipper::new(&spec.src_wal_dir, &spec.ship_dir),
     };
     let mut client: Option<Client> = None;

@@ -36,6 +36,15 @@ pub trait IoFactory: Send + Sync {
     fn create(&self, path: &Path) -> io::Result<Box<dyn Io>>;
 }
 
+/// A shared factory is a factory: configurations hold their fault hooks
+/// as `Arc<dyn IoFactory>` (they are `Clone`), the writers that open
+/// files own a `Box<dyn IoFactory>`.
+impl<F: IoFactory + ?Sized> IoFactory for std::sync::Arc<F> {
+    fn create(&self, path: &Path) -> io::Result<Box<dyn Io>> {
+        (**self).create(path)
+    }
+}
+
 /// Real files: `write_all` + `sync_data`.
 pub struct FileIo(pub File);
 
