@@ -14,7 +14,8 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use geosir_bench::{arg_usize, row};
-use geosir_geom::rangesearch::Backend;
+use geosir_core::dynamic::DynamicBase;
+use geosir_core::MatchConfig;
 use geosir_imaging::synth::{generate, CorpusConfig};
 use geosir_query::engine::{EngineConfig, QueryEngine, TopoStrategy};
 
@@ -22,8 +23,10 @@ fn main() {
     let images = arg_usize("--images", 300);
     let cfg = CorpusConfig { p_contained: 0.3, p_overlap: 0.3, ..CorpusConfig::small(images, 7) };
     let corpus = generate(&cfg);
-    let base = corpus.build_base(0.05, Backend::KdTree);
-    eprintln!("world: {} images, {} shapes", images, base.num_shapes());
+    let mut db = DynamicBase::new(0.05, MatchConfig::default(), corpus.shapes.len());
+    db.bulk_load(corpus.shapes.iter().map(|(image, _, s)| (*image, s.clone())));
+    let base = db.snapshot();
+    eprintln!("world: {} images, {} shapes", images, base.len());
 
     let mut bindings = HashMap::new();
     bindings.insert("a".to_string(), corpus.prototypes[0].clone());
@@ -79,7 +82,7 @@ fn main() {
         let ms = start.elapsed().as_secs_f64() * 1e3;
         let st = eng.stats();
         println!(
-            "#   {q:<50} → {:>4} images, {} matcher runs, {} cached, {ms:.1} ms",
+            "#   {q:<50} → {:>4} images, {} threshold queries, {} cached, {ms:.1} ms",
             result.len(),
             st.similar_evaluated,
             st.similar_cached

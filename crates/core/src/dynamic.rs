@@ -373,7 +373,8 @@ struct DynMetrics {
     pool_hits: Arc<obs::Counter>,
     pool_misses: Arc<obs::Counter>,
     /// Exact queries whose cutoff the hash tier's k-th score set, and
-    /// those whose scans started from ∞ (fewer than k seeds).
+    /// those whose scans started from ∞ (fewer than k seeds) or from a
+    /// threshold query's τ.
     seeded: Arc<obs::Counter>,
     unseeded: Arc<obs::Counter>,
     seed_reranked: Arc<obs::Counter>,
@@ -884,8 +885,8 @@ impl Snapshot {
     /// query's work in `stats` — the path server workers run with their
     /// long-lived scratches: after a warm-up query the seed probe, level
     /// scans and buffer scan touch the heap zero times. `_tmp` is unused
-    /// (no level runs a matcher that would fill it); it stays because
-    /// `benchmark/` compiles against this signature (ROADMAP 1(d) / 13).
+    /// (no level runs a matcher that would fill it); it stays only because
+    /// the benchmark harness (`benchmark/`) compiles against this signature.
     pub fn retrieve_with_stats(
         &self,
         scratch: &mut MatcherScratch,
@@ -897,7 +898,7 @@ impl Snapshot {
     ) {
         let k = if k == 0 { self.config.k } else { k };
         let prepared = self.prepare(scratch, query, true);
-        self.seed_and_scan(k, scratch, prepared, out, stats, None, true);
+        self.seed_and_scan(k, f64::INFINITY, scratch, prepared, out, stats, None, true);
     }
 
     /// [`Self::retrieve_with_stats`] that additionally captures a full
@@ -918,8 +919,21 @@ impl Snapshot {
         let k = if k == 0 { self.config.k } else { k };
         explain.clear();
         let prepared = self.prepare(scratch, query, true);
-        self.seed_and_scan(k, scratch, prepared, out, stats, Some(explain), true);
+        self.seed_and_scan(k, f64::INFINITY, scratch, prepared, out, stats, Some(explain), true);
         explain.stats = *stats;
+    }
+
+    /// Every live shape scoring within `tau` of `query`, ranked by
+    /// `(score, id)` — §5.2's `shape_similar(Q)`. The exact scan of
+    /// [`Self::retrieve`] with the board's cutoff starting at τ and no k
+    /// to tighten it: a copy abandoned above τ cannot belong, a tie at τ is
+    /// scored exactly, so the set is complete (the scan has no ε-cap).
+    pub fn retrieve_within(&self, query: &Polyline, tau: f64) -> Vec<DynMatch> {
+        let mut scratch = MatcherScratch::new();
+        let (mut out, mut stats) = (Vec::new(), RetrieveStats::default());
+        let prepared = self.prepare(&mut scratch, query, true);
+        self.seed_and_scan(usize::MAX, tau, &mut scratch, prepared, &mut out, &mut stats, None, true);
+        out
     }
 
     /// Normalized copies of the live shapes captured by this snapshot
@@ -1044,7 +1058,8 @@ impl Snapshot {
                 prepared => prepared,
             };
             let k = if opts.k == 0 { self.config.k } else { opts.k };
-            self.seed_and_scan(k, scratch, prepared, out, &mut RetrieveStats::default(), None, true);
+            let scan = &mut RetrieveStats::default();
+            self.seed_and_scan(k, f64::INFINITY, scratch, prepared, out, scan, None, true);
         }
         record_query_metrics(stats, rejected);
     }
@@ -1217,7 +1232,9 @@ impl Snapshot {
     /// While the board is short of k shapes (fewer than k seeds) the
     /// cutoff is ∞: the scan scores what it meets in full until k live
     /// shapes are on the board, and tightens from there — the same plan,
-    /// not another one.
+    /// not another one. A threshold query ([`Self::retrieve_within`])
+    /// starts the board at `within` = τ instead of ∞ and passes no k
+    /// (`usize::MAX`), so the cutoff stays τ and the board is the set.
     /// The query comes prepared ([`Self::prepare`]) with its lower-bound
     /// raster mapped onto the base's quantized frame ([`QuantRaster`]):
     /// every bounded scoring of the three steps tests a copy's quantized
@@ -1235,6 +1252,7 @@ impl Snapshot {
     fn seed_and_scan(
         &self,
         k: usize,
+        within: f64,
         scratch: &mut MatcherScratch,
         prepared: Prepared,
         out: &mut Vec<DynMatch>,
@@ -1249,7 +1267,7 @@ impl Snapshot {
         // scratch.
         let grows_before = scratch.grow_events;
         let mut seed_stats = ApproxStats::default();
-        let mut tau = f64::INFINITY;
+        let mut tau = within;
         let mut rejected = 0;
         if prepared != Prepared::Nothing {
             // The seed scratch holds the candidates' verdicts and the
@@ -1263,7 +1281,7 @@ impl Snapshot {
             let qprep = scratch.query.as_ref().expect("prepared above");
             self.probe(&mut seed, qprep, &opts, &mut seed_stats);
             let ApproxScratch { cands, back, rows, best, ktmp, .. } = &mut seed;
-            let mut board = Board { k, cutoff: f64::INFINITY, rows, slot: best, ktmp };
+            let mut board = Board { k, cutoff: within, rows, slot: best, ktmp };
             rejected += self.rerank(cands, qprep, raster, back, &mut board, &mut seed_stats);
             tau = board.cutoff;
 
@@ -1320,7 +1338,8 @@ impl Snapshot {
             m.scan_copies.add(stats.scan_copies);
             m.scan_survivors.add(stats.scan_survivors);
             m.bound_rejects.add(rejected);
-            if tau.is_finite() {
+            // seeded: the seed's k-th score lowered the starting cutoff
+            if tau < within {
                 m.seeded.inc();
                 if let Some(kth) = out.get(k - 1) {
                     let tight = if tau > 0.0 { kth.score / tau * 1000.0 } else { 1000.0 };
@@ -1442,7 +1461,8 @@ struct Scored {
 /// it allocates nothing once warm.
 struct Board<'a> {
     k: usize,
-    /// `INFINITY` until k shapes are on the board.
+    /// Where the query started it — `INFINITY`, or a threshold query's τ —
+    /// until k shapes are on the board.
     cutoff: f64,
     rows: &'a mut Vec<DynMatch>,
     /// shape → its row.
@@ -2351,7 +2371,7 @@ mod tests {
             for k in [1, 4, 10] {
                 snap.retrieve_with_stats(&mut scratch, &mut tmp, q, k, &mut on, &mut on_stats);
                 let prepared = snap.prepare(&mut scratch, q, true);
-                snap.seed_and_scan(k, &mut scratch, prepared, &mut off, &mut off_stats, None, false);
+                snap.seed_and_scan(k, f64::INFINITY, &mut scratch, prepared, &mut off, &mut off_stats, None, false);
                 assert_eq!(id_bits(&on), id_bits(&off), "query {i}, k = {k}");
                 scored_on += on_stats.scan_copies;
                 scored_off += off_stats.scan_copies;
@@ -2378,11 +2398,11 @@ mod tests {
             for k in [1, 4, 10] {
                 obs::set_thread_registry(Some(with.clone()));
                 let prepared = snap.prepare(&mut scratch, q, true);
-                snap.seed_and_scan(k, &mut scratch, prepared, &mut on, &mut on_stats, None, true);
+                snap.seed_and_scan(k, f64::INFINITY, &mut scratch, prepared, &mut on, &mut on_stats, None, true);
                 let seeded = verdicts(&scratch);
                 obs::set_thread_registry(Some(without.clone()));
                 let prepared = snap.prepare(&mut scratch, q, false);
-                snap.seed_and_scan(k, &mut scratch, prepared, &mut off, &mut off_stats, None, true);
+                snap.seed_and_scan(k, f64::INFINITY, &mut scratch, prepared, &mut off, &mut off_stats, None, true);
                 assert_eq!(id_bits(&on), id_bits(&off), "query {i}, k = {k}");
                 assert_eq!(on_stats, off_stats, "query {i}, k = {k}");
                 assert_eq!(seeded, verdicts(&scratch), "query {i}, k = {k}");

@@ -9,7 +9,8 @@
 //! symmetric discrete `h_avg` scan that touches no index at all. Then
 //! the same on bases built to stress the corners — where the paper's
 //! index (`Matcher::retrieve_within(τ)`, one envelope per level of a
-//! static twin) is the scan's second oracle.
+//! static twin) is the scan's second oracle, for the top-k and for the
+//! threshold query (`Snapshot::retrieve_within`) alike.
 
 use geosir_core::dynamic::{DynamicBase, GlobalShapeId, QueryExplain, RetrieveStats, Snapshot};
 use geosir_core::ids::ImageId;
@@ -417,7 +418,9 @@ proptest! {
     /// of the ranking, so every seed is dead — and k past the live
     /// shapes. The served list must be the brute-force list, and must be
     /// what one `retrieve_within(τ)` envelope per level (static twin, cap
-    /// out of the way) plus the buffer's brute-force set merge to. Three
+    /// out of the way) plus the buffer's brute-force set merge to; the
+    /// served threshold query at the k-th score and at 0 must be both
+    /// oracles' sets within that τ. Three
     /// worlds a case: 288 in all (the vendored runner draws 96 cases).
     #[test]
     fn scan_equals_index_equals_brute_force(seed in 0u64..1_000_000) {
@@ -473,8 +476,20 @@ fn scan_world(seed: u64) -> Result<(), TestCaseError> {
         _ => rng.random_range(1..13),
     };
 
-    let got = served(&world.base.snapshot(), &query, k);
+    let snap = world.base.snapshot();
+    let got = served(&snap, &query, k);
     prop_assert_eq!(&got[..], &want[..k.min(want.len())], "world {}: served vs brute force", seed);
+    // the threshold query at the k-th score (ties included) and at 0: the
+    // brute-force set within τ, and what one envelope per level finds
+    let kth = got.get(k - 1).map(|&(_, score)| score);
+    for tau in kth.into_iter().chain([0.0]) {
+        let within: Vec<(u64, f64)> =
+            snap.retrieve_within(&query, tau).iter().map(|m| (m.shape.0, m.score)).collect();
+        let brute: Vec<(u64, f64)> = want.iter().copied().filter(|&(_, s)| s <= tau).collect();
+        prop_assert_eq!(&within, &brute, "world {}: within {} vs brute force", seed, tau);
+        let envelope = envelope_per_level(&world, &batches, &query, tau);
+        prop_assert_eq!(&within, &envelope, "world {}: within {} vs one envelope per level", seed, tau);
+    }
     if got.len() < k {
         return Ok(()); // fewer live shapes than k: no τ to hand the index
     }

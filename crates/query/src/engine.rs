@@ -1,7 +1,9 @@
 //! Operator evaluation and query execution (§5.3–5.4).
 //!
-//! `similar(Q)` runs the envelope-fattening matcher in threshold mode and
-//! projects shape hits to their images. A topological operator
+//! `similar(Q)` is one threshold query of the shape base's snapshot
+//! (`Snapshot::retrieve_within`: every live shape scoring within τ, by the
+//! exact seed-and-scan the server runs) projected to the hits' images. A
+//! topological operator
 //! `r(Q₁, Q₂, θ)` is evaluated with one of the paper's two strategies:
 //!
 //! 1. **seed-smaller** — compute only the less selective side's
@@ -16,10 +18,9 @@
 
 use std::collections::{HashMap, HashSet};
 
-use geosir_core::ids::{ImageId, ShapeId};
-use geosir_core::matcher::{MatchConfig, Matcher};
+use geosir_core::dynamic::{GlobalShapeId, Snapshot};
+use geosir_core::ids::ImageId;
 use geosir_core::selectivity::{significant_vertices, SelectivityEstimator};
-use geosir_core::shapebase::ShapeBase;
 use geosir_geom::Polyline;
 
 use crate::algebra::{AngleSpec, Dnf, Expr, Literal, Op, TopoRel};
@@ -43,8 +44,6 @@ pub enum TopoStrategy {
 pub struct EngineConfig {
     /// `g_similar` threshold: shapes scoring ≤ τ are "similar".
     pub tau: f64,
-    /// Matcher settings for the underlying retrievals.
-    pub match_config: MatchConfig,
     pub strategy: TopoStrategy,
     /// Prior for the selectivity constant c.
     pub initial_c: f64,
@@ -54,7 +53,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             tau: 0.05,
-            match_config: MatchConfig { beta: 0.3, ..Default::default() },
             strategy: TopoStrategy::default(),
             initial_c: 8.0,
         }
@@ -64,7 +62,7 @@ impl Default for EngineConfig {
 /// Execution counters (the §5 experiments read these).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineStats {
-    /// `shape_similar` evaluations that ran the matcher.
+    /// `shape_similar` evaluations that ran a threshold query.
     pub similar_evaluated: u64,
     /// `shape_similar` evaluations served from the per-query cache.
     pub similar_cached: u64,
@@ -93,10 +91,11 @@ impl std::fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
-/// The similar-set of one query shape, shared across a query's operators.
+/// The similar-set of one query shape (each shape with its image),
+/// shared across a query's operators.
 #[derive(Debug, Clone, Default)]
 struct SimilarResult {
-    shapes: HashSet<ShapeId>,
+    shapes: HashMap<GlobalShapeId, ImageId>,
     images: HashSet<ImageId>,
 }
 
@@ -133,10 +132,9 @@ impl std::fmt::Display for Plan {
     }
 }
 
-/// The query processor over a shape base.
+/// The query processor over a snapshot of a shape base.
 pub struct QueryEngine<'a> {
-    base: &'a ShapeBase,
-    matcher: Matcher<'a>,
+    snapshot: &'a Snapshot,
     graphs: ImageGraphStore,
     config: EngineConfig,
     estimator: SelectivityEstimator,
@@ -145,22 +143,22 @@ pub struct QueryEngine<'a> {
 }
 
 impl<'a> QueryEngine<'a> {
-    pub fn new(base: &'a ShapeBase, config: EngineConfig) -> Self {
-        let graphs = ImageGraphStore::build(base);
-        Self::with_graphs(base, graphs, config)
+    pub fn new(snapshot: &'a Snapshot, config: EngineConfig) -> Self {
+        let graphs = ImageGraphStore::build(snapshot);
+        Self::with_graphs(snapshot, graphs, config)
     }
 
     /// Build with pre-computed image graphs (the façade caches them across
     /// query sessions instead of re-deriving the pairwise relations).
     pub fn with_graphs(
-        base: &'a ShapeBase,
+        snapshot: &'a Snapshot,
         graphs: ImageGraphStore,
         config: EngineConfig,
     ) -> Self {
-        let matcher = Matcher::new(base, config.match_config.clone());
-        let all_images = base.sources().map(|(_, s)| s.image).collect();
+        let all_images = graphs.images().collect();
         let estimator = SelectivityEstimator::new(config.initial_c);
-        QueryEngine { base, matcher, graphs, config, estimator, all_images, stats: EngineStats::default() }
+        let stats = EngineStats::default();
+        QueryEngine { snapshot, graphs, config, estimator, all_images, stats }
     }
 
     pub fn stats(&self) -> EngineStats {
@@ -171,14 +169,14 @@ impl<'a> QueryEngine<'a> {
         &self.estimator
     }
 
-    /// `shape_similar(Q)` (§5.2): all shapes scoring within τ, via the
-    /// envelope-fattening matcher. Feeds the selectivity estimator.
-    fn shape_similar(&mut self, query: &Polyline) -> HashSet<ShapeId> {
-        let out = self.matcher.retrieve_within(query, self.config.tau);
+    /// `shape_similar(Q)` (§5.2): all live shapes scoring within τ, each
+    /// with its image. Feeds the selectivity estimator.
+    fn shape_similar(&mut self, query: &Polyline) -> HashMap<GlobalShapeId, ImageId> {
+        let hits = self.snapshot.retrieve_within(query, self.config.tau);
         self.stats.similar_evaluated += 1;
         let vs = significant_vertices(query);
-        self.estimator.observe(vs, out.matches.len());
-        out.matches.iter().map(|m| m.shape).collect()
+        self.estimator.observe(vs, hits.len());
+        hits.iter().map(|m| (m.shape, m.image)).collect()
     }
 
     /// Parse and execute a text query against `bindings`
@@ -329,7 +327,7 @@ impl<'a> QueryEngine<'a> {
         }
         let shape = &bindings[name];
         let shapes = self.shape_similar(shape);
-        let images = shapes.iter().map(|&sid| self.base.source(sid).image).collect();
+        let images = shapes.values().copied().collect();
         let result = SimilarResult { shapes, images };
         cache.insert(name.to_string(), result.clone());
         result
@@ -404,8 +402,7 @@ impl<'a> QueryEngine<'a> {
         let others = self.similar_cached(other_name, bindings, cache);
 
         let mut result = HashSet::new();
-        for &seed in &seeds.shapes {
-            let image = self.base.source(seed).image;
+        for (&seed, &image) in &seeds.shapes {
             if result.contains(&image) {
                 continue;
             }
@@ -413,7 +410,7 @@ impl<'a> QueryEngine<'a> {
             // the operator's ordered pair is (S1 ∈ sim(q1), S2 ∈ sim(q2))
             let hit = match rel {
                 TopoRel::Disjoint => graph.shapes.iter().any(|&cand| {
-                    if cand == seed || !others.shapes.contains(&cand) || graph.connected(cand, seed)
+                    if cand == seed || !others.shapes.contains_key(&cand) || graph.connected(cand, seed)
                     {
                         return false;
                     }
@@ -439,7 +436,7 @@ impl<'a> QueryEngine<'a> {
                     }
                     let (sim1, sim2) =
                         if seed_is_q2 { (&others.shapes, &seeds.shapes) } else { (&seeds.shapes, &others.shapes) };
-                    if !sim1.contains(&s1) || !sim2.contains(&s2) {
+                    if !sim1.contains_key(&s1) || !sim2.contains_key(&s2) {
                         return false;
                     }
                     self.stats.pairs_tested += 1;
@@ -468,15 +465,14 @@ impl<'a> QueryEngine<'a> {
         let sim2 = self.similar_cached(q2, bindings, cache);
         let si: HashSet<ImageId> = sim1.images.intersection(&sim2.images).copied().collect();
         let mut result = HashSet::new();
-        for &s1 in &sim1.shapes {
-            let image = self.base.source(s1).image;
+        for (&s1, &image) in &sim1.shapes {
             if !si.contains(&image) || result.contains(&image) {
                 continue;
             }
             let Some(graph) = self.graphs.graph(image) else { continue };
             let hit = match rel {
                 TopoRel::Disjoint => graph.shapes.iter().any(|&s2| {
-                    if s2 == s1 || !sim2.shapes.contains(&s2) || graph.connected(s1, s2) {
+                    if s2 == s1 || !sim2.shapes.contains_key(&s2) || graph.connected(s1, s2) {
                         return false;
                     }
                     self.stats.pairs_tested += 1;
@@ -487,7 +483,7 @@ impl<'a> QueryEngine<'a> {
                         TopoRel::Contain => e.label == EdgeLabel::Contain,
                         _ => e.label == EdgeLabel::Overlap,
                     };
-                    if !label_ok || e.from != s1 || !sim2.shapes.contains(&e.to) {
+                    if !label_ok || e.from != s1 || !sim2.shapes.contains_key(&e.to) {
                         return false;
                     }
                     self.stats.pairs_tested += 1;
@@ -505,8 +501,8 @@ impl<'a> QueryEngine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geosir_core::shapebase::ShapeBaseBuilder;
-    use geosir_geom::rangesearch::Backend;
+    use geosir_core::dynamic::DynamicBase;
+    use geosir_core::MatchConfig;
     use geosir_geom::{Point, Polyline};
 
     fn p(x: f64, y: f64) -> Point {
@@ -572,23 +568,34 @@ mod tests {
         }
     }
 
+    /// `shapes` bulk-loaded at α = 0, as the engine reads them.
+    fn snapshot(shapes: Vec<(ImageId, Polyline)>) -> Snapshot {
+        let mut db = DynamicBase::new(0.0, MatchConfig::default(), 64);
+        db.bulk_load(shapes);
+        db.snapshot()
+    }
+
     /// World:
     /// - image 0: big square containing a triangle
     /// - image 1: square overlapping a triangle
     /// - image 2: square and triangle disjoint
     /// - image 3: only a triangle
     /// - image 4: only a square
-    fn world() -> ShapeBase {
-        let mut b = ShapeBaseBuilder::new();
-        b.add_shape(ImageId(0), square(0.0, 0.0, 10.0));
-        b.add_shape(ImageId(0), triangle(-2.0, -2.0, 1.0));
-        b.add_shape(ImageId(1), square(0.0, 0.0, 2.0));
-        b.add_shape(ImageId(1), triangle(1.0, 1.0, 1.0));
-        b.add_shape(ImageId(2), square(0.0, 0.0, 2.0));
-        b.add_shape(ImageId(2), triangle(30.0, 0.0, 1.0));
-        b.add_shape(ImageId(3), triangle(0.0, 0.0, 2.0));
-        b.add_shape(ImageId(4), square(5.0, 5.0, 3.0));
-        b.build(0.0, Backend::RangeTree)
+    fn world_shapes() -> Vec<(ImageId, Polyline)> {
+        vec![
+            (ImageId(0), square(0.0, 0.0, 10.0)),
+            (ImageId(0), triangle(-2.0, -2.0, 1.0)),
+            (ImageId(1), square(0.0, 0.0, 2.0)),
+            (ImageId(1), triangle(1.0, 1.0, 1.0)),
+            (ImageId(2), square(0.0, 0.0, 2.0)),
+            (ImageId(2), triangle(30.0, 0.0, 1.0)),
+            (ImageId(3), triangle(0.0, 0.0, 2.0)),
+            (ImageId(4), square(5.0, 5.0, 3.0)),
+        ]
+    }
+
+    fn world() -> Snapshot {
+        snapshot(world_shapes())
     }
 
     fn bindings() -> HashMap<String, Polyline> {
@@ -808,17 +815,52 @@ mod tests {
     }
 
     #[test]
+    fn similar_is_the_brute_force_set_within_tau() {
+        use geosir_core::normalize::{normalize_about_diameter, normalized_copies};
+        use geosir_core::similarity::{score_prepared, PreparedShape, ScoreKind};
+        use rand::prelude::*;
+        // squares jittered from not at all to well past τ, one per image,
+        // beside the world's shapes
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut shapes = world_shapes();
+        for i in 0..60 {
+            let jitter = 0.015 * i as f64;
+            let mut jittered = square(i as f64, 0.0, 1.0).points().to_vec();
+            for q in &mut jittered {
+                q.x += rng.random_range(-jitter..=jitter);
+                q.y += rng.random_range(-jitter..=jitter);
+            }
+            shapes.push((ImageId(5 + i), Polyline::closed(jittered).unwrap()));
+        }
+        let (primary, _) = normalize_about_diameter(&bindings()["sq"]).unwrap();
+        let q = PreparedShape::new(primary.shape);
+        let tau = EngineConfig::default().tau;
+        let mut want: Vec<u32> = shapes
+            .iter()
+            .filter(|(_, s)| {
+                normalized_copies(s, 0.0).into_iter().any(|c| {
+                    score_prepared(ScoreKind::default(), &PreparedShape::new(c.shape), &q) <= tau
+                })
+            })
+            .map(|(image, _)| image.0)
+            .collect();
+        want.dedup();
+        let base = snapshot(shapes);
+        let mut eng = QueryEngine::new(&base, EngineConfig::default());
+        let got = eng.execute_str("similar(sq)", &bindings()).unwrap();
+        assert_eq!(images(&got), want);
+        assert!(want.len() > 10 && want.len() < 60, "τ must cut the jitter ramp: {want:?}");
+    }
+
+    #[test]
     fn angle_constrained_overlap() {
         // two overlapping flat rectangles at ~90°, queried with the right
         // and the wrong angle
-        let mut b = ShapeBaseBuilder::new();
         let r1 = Polyline::closed(vec![p(0.0, 0.0), p(6.0, 0.0), p(6.0, 1.0), p(0.0, 1.0)])
             .unwrap();
         let r2 = Polyline::closed(vec![p(2.0, -3.0), p(3.0, -3.0), p(3.0, 3.0), p(2.0, 3.0)])
             .unwrap();
-        b.add_shape(ImageId(0), r1.clone());
-        b.add_shape(ImageId(0), r2);
-        let base = b.build(0.0, Backend::RangeTree);
+        let base = snapshot(vec![(ImageId(0), r1.clone()), (ImageId(0), r2)]);
         let mut eng = QueryEngine::new(&base, EngineConfig::default());
         let mut binds = HashMap::new();
         binds.insert("r".to_string(), r1);

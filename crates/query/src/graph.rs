@@ -10,11 +10,11 @@
 
 use std::collections::HashMap;
 
-use geosir_core::ids::{ImageId, ShapeId};
-use geosir_core::shapebase::ShapeBase;
+use geosir_core::dynamic::{GlobalShapeId, Snapshot};
+use geosir_core::ids::ImageId;
 use geosir_geom::diameter::diameter;
 use geosir_geom::topology::{relation, Relation};
-use geosir_geom::Vec2;
+use geosir_geom::{Polyline, Vec2};
 
 /// An edge label (disjoint pairs carry no edge).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -28,8 +28,8 @@ pub enum EdgeLabel {
 /// A directed labeled edge of an image graph.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Edge {
-    pub from: ShapeId,
-    pub to: ShapeId,
+    pub from: GlobalShapeId,
+    pub to: GlobalShapeId,
     pub label: EdgeLabel,
     /// Signed angle between the two shapes' diameters, in (−π, π].
     pub angle: f64,
@@ -38,13 +38,13 @@ pub struct Edge {
 /// One image's graph.
 #[derive(Debug, Clone, Default)]
 pub struct ImageGraph {
-    pub shapes: Vec<ShapeId>,
+    pub shapes: Vec<GlobalShapeId>,
     pub edges: Vec<Edge>,
 }
 
 impl ImageGraph {
     /// Is there any edge between the (unordered) pair?
-    pub fn connected(&self, a: ShapeId, b: ShapeId) -> bool {
+    pub fn connected(&self, a: GlobalShapeId, b: GlobalShapeId) -> bool {
         self.edges
             .iter()
             .any(|e| (e.from == a && e.to == b) || (e.from == b && e.to == a))
@@ -56,28 +56,29 @@ impl ImageGraph {
 pub struct ImageGraphStore {
     graphs: HashMap<ImageId, ImageGraph>,
     /// Canonical diameter direction of each shape in its original pose.
-    diam_dir: HashMap<ShapeId, Vec2>,
+    diam_dir: HashMap<GlobalShapeId, Vec2>,
 }
 
 impl ImageGraphStore {
-    /// Build all image graphs from the source shapes of `base`
-    /// (`O(Σ_I |V_I|²)` relation tests — images carry ~5 shapes).
-    pub fn build(base: &ShapeBase) -> Self {
-        let mut by_image: HashMap<ImageId, Vec<ShapeId>> = HashMap::new();
-        let mut diam_dir: HashMap<ShapeId, Vec2> = HashMap::new();
-        for (sid, src) in base.sources() {
-            by_image.entry(src.image).or_default().push(sid);
-            if let Some(d) = diameter(src.shape.points()) {
-                diam_dir.insert(sid, src.shape.points()[d.j] - src.shape.points()[d.i]);
+    /// Build all image graphs from the live shapes of `snapshot`, in
+    /// their original pose (`O(Σ_I |V_I|²)` relation tests — images carry
+    /// ~5 shapes).
+    pub fn build(snapshot: &Snapshot) -> Self {
+        let live = snapshot.live_shapes();
+        let mut by_image: HashMap<ImageId, Vec<(GlobalShapeId, &Polyline)>> = HashMap::new();
+        let mut diam_dir: HashMap<GlobalShapeId, Vec2> = HashMap::new();
+        for (sid, image, shape) in &live {
+            by_image.entry(*image).or_default().push((*sid, shape));
+            if let Some(d) = diameter(shape.points()) {
+                diam_dir.insert(*sid, shape.points()[d.j] - shape.points()[d.i]);
             }
         }
         let mut graphs = HashMap::with_capacity(by_image.len());
-        for (image, shapes) in by_image {
-            let mut g = ImageGraph { shapes: shapes.clone(), edges: Vec::new() };
-            for i in 0..shapes.len() {
-                for j in (i + 1)..shapes.len() {
-                    let (a, b) = (shapes[i], shapes[j]);
-                    let (sa, sb) = (&base.source(a).shape, &base.source(b).shape);
+        for (image, members) in by_image {
+            let shapes = members.iter().map(|&(sid, _)| sid).collect();
+            let mut g = ImageGraph { shapes, edges: Vec::new() };
+            for (i, &(a, sa)) in members.iter().enumerate() {
+                for &(b, sb) in &members[i + 1..] {
                     let angle = match (diam_dir.get(&a), diam_dir.get(&b)) {
                         (Some(da), Some(db)) => da.angle_to(*db),
                         _ => 0.0,
@@ -120,9 +121,14 @@ impl ImageGraphStore {
         self.graphs.len()
     }
 
+    /// Every image holding a live shape.
+    pub fn images(&self) -> impl Iterator<Item = ImageId> + '_ {
+        self.graphs.keys().copied()
+    }
+
     /// Signed angle between the diameters of two shapes (for disjoint
     /// pairs, which carry no edge).
-    pub fn diameter_angle(&self, a: ShapeId, b: ShapeId) -> f64 {
+    pub fn diameter_angle(&self, a: GlobalShapeId, b: GlobalShapeId) -> f64 {
         match (self.diam_dir.get(&a), self.diam_dir.get(&b)) {
             (Some(da), Some(db)) => da.angle_to(*db),
             _ => 0.0,
@@ -133,9 +139,9 @@ impl ImageGraphStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geosir_core::shapebase::ShapeBaseBuilder;
-    use geosir_geom::rangesearch::Backend;
-    use geosir_geom::{Point, Polyline};
+    use geosir_core::dynamic::DynamicBase;
+    use geosir_core::MatchConfig;
+    use geosir_geom::Point;
 
     fn p(x: f64, y: f64) -> Point {
         Point::new(x, y)
@@ -151,23 +157,28 @@ mod tests {
         .unwrap()
     }
 
+    /// The graphs of `shapes` bulk-loaded, with the ids they were given.
+    fn graphs_of(shapes: Vec<(ImageId, Polyline)>) -> (ImageGraphStore, Vec<GlobalShapeId>) {
+        let mut db = DynamicBase::new(0.0, MatchConfig::default(), 64);
+        let ids = db.bulk_load(shapes);
+        (ImageGraphStore::build(&db.snapshot()), ids)
+    }
+
     /// image 0: big square containing a small one, plus a far disjoint one;
     /// image 1: two overlapping squares.
-    fn build() -> (ShapeBase, ImageGraphStore, Vec<ShapeId>) {
-        let mut b = ShapeBaseBuilder::new();
-        let s0 = b.add_shape(ImageId(0), square(0.0, 0.0, 4.0));
-        let s1 = b.add_shape(ImageId(0), square(0.0, 0.0, 1.0));
-        let s2 = b.add_shape(ImageId(0), square(20.0, 0.0, 1.0));
-        let s3 = b.add_shape(ImageId(1), square(0.0, 0.0, 2.0));
-        let s4 = b.add_shape(ImageId(1), square(2.0, 2.0, 2.0));
-        let base = b.build(0.0, Backend::KdTree);
-        let graphs = ImageGraphStore::build(&base);
-        (base, graphs, vec![s0, s1, s2, s3, s4])
+    fn build() -> (ImageGraphStore, Vec<GlobalShapeId>) {
+        graphs_of(vec![
+            (ImageId(0), square(0.0, 0.0, 4.0)),
+            (ImageId(0), square(0.0, 0.0, 1.0)),
+            (ImageId(0), square(20.0, 0.0, 1.0)),
+            (ImageId(1), square(0.0, 0.0, 2.0)),
+            (ImageId(1), square(2.0, 2.0, 2.0)),
+        ])
     }
 
     #[test]
     fn graph_structure() {
-        let (_, graphs, s) = build();
+        let (graphs, s) = build();
         assert_eq!(graphs.num_images(), 2);
         let g0 = graphs.graph(ImageId(0)).unwrap();
         assert_eq!(g0.shapes.len(), 3);
@@ -189,7 +200,7 @@ mod tests {
 
     #[test]
     fn diameter_angles_antisymmetric() {
-        let (_, graphs, s) = build();
+        let (graphs, s) = build();
         let a01 = graphs.diameter_angle(s[0], s[1]);
         let a10 = graphs.diameter_angle(s[1], s[0]);
         assert!((a01 + a10).abs() < 1e-9 || (a01.abs() - std::f64::consts::PI).abs() < 1e-9);
@@ -197,17 +208,13 @@ mod tests {
 
     #[test]
     fn rotated_shape_pair_angle() {
-        let mut b = ShapeBaseBuilder::new();
         // two thin rectangles, the second rotated 90°
         let r1 = Polyline::closed(vec![p(0.0, 0.0), p(4.0, 0.0), p(4.0, 1.0), p(0.0, 1.0)])
             .unwrap();
         let r2 = Polyline::closed(vec![p(10.0, 0.0), p(11.0, 0.0), p(11.0, 4.0), p(10.0, 4.0)])
             .unwrap();
-        let a = b.add_shape(ImageId(0), r1);
-        let c = b.add_shape(ImageId(0), r2);
-        let base = b.build(0.0, Backend::KdTree);
-        let graphs = ImageGraphStore::build(&base);
-        let angle = graphs.diameter_angle(a, c).abs();
+        let (graphs, s) = graphs_of(vec![(ImageId(0), r1), (ImageId(0), r2)]);
+        let angle = graphs.diameter_angle(s[0], s[1]).abs();
         // diameters are the diagonals; diagonal of a 4×1 box is atan(1/4)
         // off the long axis, so the angle between them is 90° ± 2·atan(1/4)
         let expect1 = std::f64::consts::FRAC_PI_2;

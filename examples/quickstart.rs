@@ -1,5 +1,5 @@
-//! Five-minute tour: build a shape base, retrieve by sketch, fall back to
-//! geometric hashing, run a topological query.
+//! Five-minute tour: load a few images into the `GeoSir` façade, retrieve
+//! by sketch, run a topological query.
 //!
 //! ```sh
 //! cargo run --example quickstart
@@ -7,14 +7,8 @@
 
 use std::collections::HashMap;
 
-use geosir::core::hashing::GeometricHash;
-use geosir::core::ids::ImageId;
-use geosir::core::matcher::{MatchConfig, Matcher};
-use geosir::core::normalize::normalize_about_diameter;
-use geosir::core::shapebase::ShapeBaseBuilder;
-use geosir::geom::rangesearch::Backend;
 use geosir::geom::{Point, Polyline};
-use geosir::query::engine::{EngineConfig, QueryEngine};
+use geosir::system::{GeoSir, GeoSirConfig};
 
 fn p(x: f64, y: f64) -> Point {
     Point::new(x, y)
@@ -22,12 +16,11 @@ fn p(x: f64, y: f64) -> Point {
 
 fn main() {
     // ------------------------------------------------------------------
-    // 1. Populate the shape base (normally shapes come from the imaging
-    //    pipeline; here we add a few object boundaries by hand).
+    // 1. Populate the base (normally shapes come from the imaging
+    //    pipeline — `add_raster`; here we add object boundaries by hand).
+    //    α = 0.1: every vertex pair within 10% of the diameter normalizes
+    //    a copy, both orientations (§2.4).
     // ------------------------------------------------------------------
-    let mut builder = ShapeBaseBuilder::new();
-
-    // image 0: a house with a window inside it
     let house = Polyline::closed(vec![
         p(0.0, 0.0),
         p(4.0, 0.0),
@@ -38,29 +31,18 @@ fn main() {
     .unwrap();
     let window =
         Polyline::closed(vec![p(1.0, 1.0), p(2.0, 1.0), p(2.0, 2.0), p(1.0, 2.0)]).unwrap();
-    builder.add_shape(ImageId(0), house.clone());
-    builder.add_shape(ImageId(0), window);
-
-    // image 1: a lone triangle
     let triangle = Polyline::closed(vec![p(0.0, 0.0), p(5.0, 0.0), p(1.0, 3.0)]).unwrap();
-    builder.add_shape(ImageId(1), triangle);
-
-    // image 2: a flat rectangle
     let bar = Polyline::closed(vec![p(0.0, 0.0), p(6.0, 0.0), p(6.0, 1.0), p(0.0, 1.0)]).unwrap();
-    builder.add_shape(ImageId(2), bar);
 
-    // α = 0.1: normalize about every vertex pair within 10% of the
-    // diameter, both orientations (§2.4)
-    let base = builder.build(0.1, Backend::RangeTree);
-    println!(
-        "shape base: {} shapes → {} normalized copies, {} pooled vertices",
-        base.num_shapes(),
-        base.num_copies(),
-        base.total_vertices()
-    );
+    let mut builder = GeoSir::builder(GeoSirConfig { alpha: 0.1, ..Default::default() });
+    builder.add_scene([house.clone(), window]); // image 0: a house with a window inside
+    builder.add_scene([triangle]); // image 1
+    builder.add_scene([bar]); // image 2
+    let sys = builder.build();
 
     // ------------------------------------------------------------------
-    // 2. Retrieve by sketch: a distorted, rotated, rescaled house.
+    // 2. Retrieve by sketch: a distorted, rotated, rescaled house. The
+    //    answer is exact on every rank (h_avg, §2.2).
     // ------------------------------------------------------------------
     let sketch = Polyline::closed(vec![
         p(10.2, 10.0),
@@ -70,44 +52,25 @@ fn main() {
         p(9.9, 15.8),
     ])
     .unwrap();
-    let matcher = Matcher::new(&base, MatchConfig { k: 2, beta: 0.2, ..Default::default() });
-    let outcome = matcher.retrieve(&sketch);
-    println!("\nsketch retrieval (envelope fattening, §2.5):");
-    for m in &outcome.matches {
-        println!("  {} in {}  score {:.4}", m.shape, m.image, m.score);
+    let hits = sys.find(&sketch, 2);
+    println!("sketch retrieval, k = 2:");
+    for m in &hits {
+        println!("  shape {} in {}  score {:.4}", m.shape.0, m.image, m.score);
     }
-    println!(
-        "  [{} iterations, {} ring vertices, {} candidates scored, ε ended at {:.4}]",
-        outcome.stats.iterations,
-        outcome.stats.vertices_processed,
-        outcome.stats.candidates_scored,
-        outcome.stats.final_eps
-    );
+    assert_eq!(hits[0].shape.0, 0, "the house is the best match");
 
     // ------------------------------------------------------------------
-    // 3. Approximate retrieval by geometric hashing (§3) — the fallback
-    //    when fattening exhausts its ε budget.
-    // ------------------------------------------------------------------
-    let hash = GeometricHash::build(&base, 50);
-    let (normalized, _) = normalize_about_diameter(&sketch).unwrap();
-    let approx = hash.retrieve(&base, &normalized.shape, 2, 3);
-    println!("\ngeometric hashing (k = 50 curves/quarter, {} buckets):", hash.num_buckets());
-    for m in &approx {
-        println!("  {} in {}  score {:.4}", m.shape, m.image, m.score);
-    }
-
-    // ------------------------------------------------------------------
-    // 4. A topological query (§5): images where a house-like shape
+    // 3. A topological query (§5): images where a house-like shape
     //    contains a square-like shape.
     // ------------------------------------------------------------------
-    let mut engine = QueryEngine::new(&base, EngineConfig::default());
+    let mut session = sys.session();
     let mut bindings = HashMap::new();
     bindings.insert("house".to_string(), house);
     bindings.insert(
         "square".to_string(),
         Polyline::closed(vec![p(0.0, 0.0), p(1.0, 0.0), p(1.0, 1.0), p(0.0, 1.0)]).unwrap(),
     );
-    let hits = engine.execute_str("contain(house, square, any)", &bindings).unwrap();
+    let hits = session.execute_str("contain(house, square, any)", &bindings).unwrap();
     let mut ids: Vec<u32> = hits.iter().map(|i| i.0).collect();
     ids.sort_unstable();
     println!("\ncontain(house, square, any) → images {ids:?}");

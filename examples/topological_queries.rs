@@ -8,7 +8,8 @@
 
 use std::collections::HashMap;
 
-use geosir::geom::rangesearch::Backend;
+use geosir::core::dynamic::DynamicBase;
+use geosir::core::MatchConfig;
 use geosir::imaging::synth::{generate, CorpusConfig};
 use geosir::query::engine::{EngineConfig, QueryEngine, TopoStrategy};
 
@@ -16,12 +17,14 @@ fn main() {
     // corpus with contain/overlap pairs planted by the scene composer
     let cfg = CorpusConfig { p_contained: 0.3, p_overlap: 0.3, ..CorpusConfig::small(80, 7) };
     let corpus = generate(&cfg);
-    let base = corpus.build_base(0.05, Backend::RangeTree);
+    let mut db = DynamicBase::new(0.05, MatchConfig::default(), corpus.shapes.len());
+    db.bulk_load(corpus.shapes.iter().map(|(image, _, s)| (*image, s.clone())));
+    let base = db.snapshot();
     println!(
         "corpus: {} images, {} shapes, {} normalized copies",
         corpus.num_images(),
-        base.num_shapes(),
-        base.num_copies()
+        base.len(),
+        base.total_copies()
     );
 
     // bind two family prototypes as the query shapes
@@ -48,7 +51,7 @@ fn main() {
     }
     let stats = engine.stats();
     println!(
-        "\nengine stats: {} matcher runs, {} cache hits, plan1 × {}, plan2 × {}, {} pairs tested",
+        "\nengine stats: {} threshold queries, {} cache hits, plan1 × {}, plan2 × {}, {} pairs tested",
         stats.similar_evaluated,
         stats.similar_cached,
         stats.plan1_used,

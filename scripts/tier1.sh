@@ -12,6 +12,10 @@ cargo build --release
 # wire_proptest, geosir-obs, geosir-storage) all run here, plain.
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
+# The two examples whose asserts drive the façade and the §5 query
+# engine end to end (`cargo test` only compiles examples).
+cargo run -q --release --example quickstart
+cargo run -q --release --example topological_queries
 # `pub` means somebody else uses it: a pub fn/const/static whose name no
 # other .rs file mentions loses its `pub` — and the clippy line above
 # then says whether it lives (dead_code stops at `pub`).

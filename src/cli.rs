@@ -1,8 +1,8 @@
 //! The GeoSIR prototype's interactive loop (§6), as a scriptable command
-//! interpreter: the user "drafts a query sketch", retrieval first runs the
-//! incremental fattening algorithm, falls back to geometric hashing when
-//! no close match exists, and topological queries run over bound sketch
-//! names.
+//! interpreter: the user "drafts a query sketch" and retrieves the k best
+//! matches, the shapes within a threshold, or the images a topological
+//! query over bound sketch names selects — all answered by a snapshot of a
+//! bulk-loaded dynamic base, the exact seed-and-scan the server runs.
 //!
 //! The interpreter is a plain function from command lines to output lines
 //! so it is unit-testable; `src/bin/geosir.rs` wraps it in a stdin loop.
@@ -10,34 +10,31 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use geosir_core::hashing::GeometricHash;
+use geosir_core::dynamic::{DynamicBase, RetrieveStats, Snapshot};
 use geosir_core::ids::ImageId;
-use geosir_core::matcher::{MatchConfig, Matcher};
-use geosir_core::normalize::normalize_about_diameter;
+use geosir_core::MatchConfig;
 use geosir_core::selectivity::significant_vertices;
-use geosir_core::shapebase::{ShapeBase, ShapeBaseBuilder};
-use geosir_geom::rangesearch::Backend;
 use geosir_geom::{Point, Polyline};
 use geosir_imaging::synth::{generate, CorpusConfig};
 use geosir_query::engine::{EngineConfig, QueryEngine};
 
-/// The interpreter's state: an optional shape base plus sketch bindings.
+/// The interpreter's state: an optional loaded base plus sketch bindings.
+#[derive(Default)]
 pub struct Session {
-    base: Option<ShapeBase>,
-    hash: Option<GeometricHash>,
+    base: Option<Loaded>,
     bindings: HashMap<String, Polyline>,
     pending: Vec<(ImageId, Polyline)>,
 }
 
-impl Default for Session {
-    fn default() -> Self {
-        Session::new()
-    }
+/// A loaded base: its snapshot and the α it was normalized at.
+struct Loaded {
+    snapshot: Snapshot,
+    alpha: f64,
 }
 
 impl Session {
     pub fn new() -> Self {
-        Session { base: None, hash: None, bindings: HashMap::new(), pending: Vec::new() }
+        Session::default()
     }
 
     /// Execute one command line; returns the printable response.
@@ -47,6 +44,19 @@ impl Session {
             let _ = writeln!(out, "error: {e}");
         }
         out
+    }
+
+    /// Bulk-load `shapes` as the session's base (replacing any earlier
+    /// one) and return its snapshot.
+    fn load(&mut self, alpha: f64, shapes: Vec<(ImageId, Polyline)>) -> &Snapshot {
+        // nothing is inserted later: one level of the batch's size holds it
+        let mut base = DynamicBase::new(alpha, MatchConfig::default(), shapes.len().max(1));
+        base.bulk_load(shapes);
+        &self.base.insert(Loaded { snapshot: base.snapshot(), alpha }).snapshot
+    }
+
+    fn snapshot(&self) -> Result<&Snapshot, &'static str> {
+        Ok(&self.base.as_ref().ok_or("no shape base (gen/build first)")?.snapshot)
     }
 
     fn dispatch(&mut self, line: &str, out: &mut String) -> Result<(), String> {
@@ -64,18 +74,23 @@ impl Session {
             "gen" => {
                 let images: usize =
                     rest.first().ok_or("usage: gen <images> [seed]")?.parse().map_err(|_| "bad count")?;
-                let seed: u64 = rest.get(1).and_then(|s| s.parse().ok()).unwrap_or(7);
+                if images == 0 {
+                    return Err("gen needs at least one image".into());
+                }
+                let seed: u64 = match rest.get(1) {
+                    Some(s) => s.parse().map_err(|_| "bad seed")?,
+                    None => 7,
+                };
                 let corpus = generate(&CorpusConfig::small(images, seed));
-                let base = corpus.build_base(0.05, Backend::RangeTree);
+                let shapes = corpus.shapes.into_iter().map(|(image, _, s)| (image, s)).collect();
+                let snap = self.load(0.05, shapes);
                 let _ = writeln!(
                     out,
                     "generated {} images, {} shapes, {} normalized copies",
                     images,
-                    base.num_shapes(),
-                    base.num_copies()
+                    snap.len(),
+                    snap.total_copies()
                 );
-                self.hash = Some(GeometricHash::build(&base, 50));
-                self.base = Some(base);
                 Ok(())
             }
             "shape" => {
@@ -93,21 +108,16 @@ impl Session {
                 if self.pending.is_empty() {
                     return Err("no staged shapes (use `shape` or `gen`)".into());
                 }
-                let alpha: f64 = rest.first().and_then(|s| s.parse().ok()).unwrap_or(0.05);
-                let mut b = ShapeBaseBuilder::new();
-                for (img, s) in self.pending.drain(..) {
-                    b.add_shape(img, s);
+                let alpha: f64 = match rest.first() {
+                    Some(s) => s.parse().map_err(|_| "bad alpha")?,
+                    None => 0.05,
+                };
+                if !(0.0..1.0).contains(&alpha) {
+                    return Err(format!("alpha must be in [0, 1), not {alpha}"));
                 }
-                let base = b.build(alpha, Backend::RangeTree);
-                let _ = writeln!(
-                    out,
-                    "built: {} shapes, {} copies, {} vertices",
-                    base.num_shapes(),
-                    base.num_copies(),
-                    base.total_vertices()
-                );
-                self.hash = Some(GeometricHash::build(&base, 50));
-                self.base = Some(base);
+                let pending = std::mem::take(&mut self.pending);
+                let snap = self.load(alpha, pending);
+                let _ = writeln!(out, "built: {} shapes, {} copies", snap.len(), snap.total_copies());
                 Ok(())
             }
             "bind" => {
@@ -118,55 +128,48 @@ impl Session {
                 Ok(())
             }
             "query" => {
-                let base = self.base.as_ref().ok_or("no shape base (gen/build first)")?;
                 let name = rest.first().ok_or("usage: query <name> [k]")?;
                 let sketch = self.bindings.get(*name).ok_or("unknown sketch name")?;
-                let k: usize = rest.get(1).and_then(|s| s.parse().ok()).unwrap_or(3);
-                let matcher =
-                    Matcher::new(base, MatchConfig { k, beta: 0.3, ..Default::default() });
-                let result = matcher.retrieve(sketch);
-                if result.matches.is_empty() || result.stats.exhausted {
-                    // §6: fall back to geometric hashing
-                    let _ = writeln!(out, "no certified match (ε exhausted); hashing fallback:");
-                    let hash = self.hash.as_ref().ok_or("no hash index")?;
-                    let (norm, _) =
-                        normalize_about_diameter(sketch).ok_or("degenerate sketch")?;
-                    for m in hash.retrieve(base, &norm.shape, k, 5) {
-                        let _ = writeln!(out, "  ~ {} in {}  score {:.4}", m.shape, m.image, m.score);
-                    }
-                } else {
-                    for m in &result.matches {
-                        let _ =
-                            writeln!(out, "  {} in {}  score {:.4}", m.shape, m.image, m.score);
-                    }
-                    let _ = writeln!(
-                        out,
-                        "  [{} iterations, {} vertices, {} candidates]",
-                        result.stats.iterations,
-                        result.stats.vertices_processed,
-                        result.stats.candidates_scored
-                    );
+                let k: usize = match rest.get(1) {
+                    Some(s) => s.parse().map_err(|_| "bad k")?,
+                    None => 3,
+                };
+                // the snapshot reads k = 0 as its configured k
+                if k == 0 {
+                    return Err("k must be at least 1".into());
                 }
+                // fresh scratch a query: a shell is not a hot loop
+                let (mut hits, mut stats) = (Vec::new(), RetrieveStats::default());
+                let (scratch, tmp) = (&mut Default::default(), &mut Default::default());
+                self.snapshot()?.retrieve_with_stats(scratch, tmp, sketch, k, &mut hits, &mut stats);
+                for m in &hits {
+                    let _ = writeln!(out, "  shape {} in {}  score {:.4}", m.shape.0, m.image, m.score);
+                }
+                let _ = writeln!(
+                    out,
+                    "  [{} levels, {} copies scanned, {} scored in full, {} buffered]",
+                    stats.levels, stats.scan_copies, stats.scan_survivors, stats.buffer_scored
+                );
                 Ok(())
             }
             "similar" => {
-                let base = self.base.as_ref().ok_or("no shape base")?;
                 let name = rest.first().ok_or("usage: similar <name> <tau>")?;
                 let sketch = self.bindings.get(*name).ok_or("unknown sketch name")?;
                 let tau: f64 =
                     rest.get(1).ok_or("usage: similar <name> <tau>")?.parse().map_err(|_| "bad tau")?;
-                let matcher = Matcher::new(base, MatchConfig { beta: 0.3, ..Default::default() });
-                let result = matcher.retrieve_within(sketch, tau);
-                let _ = writeln!(out, "{} shapes within {tau}", result.matches.len());
+                if tau.is_nan() || tau < 0.0 {
+                    return Err(format!("tau must be a number ≥ 0, not {tau}"));
+                }
+                let hits = self.snapshot()?.retrieve_within(sketch, tau);
+                let _ = writeln!(out, "{} shapes within {tau}", hits.len());
                 Ok(())
             }
             "topo" => {
-                let base = self.base.as_ref().ok_or("no shape base")?;
                 let expr = line["topo".len()..].trim();
                 if expr.is_empty() {
                     return Err("usage: topo <expr>".into());
                 }
-                let mut engine = QueryEngine::new(base, EngineConfig::default());
+                let mut engine = QueryEngine::new(self.snapshot()?, EngineConfig::default());
                 let hits =
                     engine.execute_str(expr, &self.bindings).map_err(|e| e.to_string())?;
                 let mut ids: Vec<u32> = hits.iter().map(|i| i.0).collect();
@@ -182,23 +185,20 @@ impl Session {
             }
             "stats" => {
                 match &self.base {
-                    Some(b) => {
+                    Some(Loaded { snapshot: snap, alpha }) => {
                         let _ = writeln!(
                             out,
-                            "shapes {}  copies {}  vertices {}  alpha {}",
-                            b.num_shapes(),
-                            b.num_copies(),
-                            b.total_vertices(),
-                            b.alpha()
+                            "shapes {}  copies {}  levels {}  alpha {alpha}",
+                            snap.len(),
+                            snap.total_copies(),
+                            snap.num_levels()
                         );
-                        if let Some(h) = &self.hash {
-                            let _ = writeln!(
-                                out,
-                                "hash buckets {}  avg bucket {:.2}",
-                                h.num_buckets(),
-                                h.avg_bucket_size()
-                            );
-                        }
+                        let _ = writeln!(
+                            out,
+                            "hash buckets {}  avg bucket {:.2}",
+                            snap.approx_num_buckets(),
+                            snap.approx_avg_bucket_size()
+                        );
                     }
                     None => {
                         let _ = writeln!(out, "no shape base");
@@ -207,7 +207,7 @@ impl Session {
                 Ok(())
             }
             "metrics" => {
-                // Matcher instrumentation (rings, candidates, h_avg
+                // Retrieval instrumentation (seeds, scanned copies, h_avg
                 // scorings) records against the process-global registry
                 // when no server owns the thread, so interactive queries
                 // show up here.
@@ -285,6 +285,26 @@ mod tests {
         assert!(s.execute("bind p 0,0 1").contains("error"));
         assert!(s.execute("build").contains("error")); // nothing staged
         assert!(s.execute("").is_empty());
+        // out-of-range arguments: each an error the session survives
+        assert!(s.execute("gen 0").starts_with("error: "));
+        s.execute("shape 0 0,0 4,0 4,3 2,4.5 0,3");
+        assert!(s.execute("build 5").starts_with("error: "));
+        assert!(s.execute("build -1").starts_with("error: "));
+        assert!(s.execute("build x").starts_with("error: "));
+        let r = s.execute("build 0.1");
+        assert!(r.contains("built: 1 shapes"), "the staged shape survived: {r}");
+        s.execute("bind a 0,0 4,0 4,3 2,4.5 0,3");
+        // k = 0 would mean the base's configured k; a query asks for k ≥ 1
+        assert!(s.execute("query a 0").starts_with("error: "));
+        assert!(s.execute("query a -2").starts_with("error: "));
+        for tau in ["nan", "NaN", "-0.5", "x"] {
+            let r = s.execute(&format!("similar a {tau}"));
+            assert!(r.starts_with("error: "), "similar a {tau}: {r}");
+        }
+        // a huge k is a bound, not a size: one shape comes back
+        let r = s.execute("query a 100000000000");
+        assert_eq!(r.matches("  shape ").count(), 1, "{r}");
+        assert!(s.execute("similar a 0.01").contains("1 shapes within"));
     }
 
     #[test]
@@ -295,8 +315,8 @@ mod tests {
         // a saw-ish sketch unlike the stored square
         s.execute("bind saw 0,0 1,3 2,0 3,3 4,0 5,3 6,0 6,-1 0,-1");
         let r = s.execute("query saw 1");
-        // either a certified (bad) match or an explicit hashing fallback —
-        // both are valid §6 outcomes; the command must not error
+        // nothing stored is close: the answer is the (bad) best match
         assert!(!r.contains("error"), "{r}");
+        assert_eq!(r.matches("  shape ").count(), 1, "{r}");
     }
 }

@@ -2,11 +2,19 @@
 //!
 //! A Rust reproduction of *"Geometric-Similarity Retrieval in Large Image
 //! Bases"* (Fudos, Palios, Pitoura — ICDE 2002): shape-based image retrieval
-//! built on the average-point-distance similarity criterion `h_avg`, an
-//! incremental envelope-fattening matching algorithm backed by simplex range
-//! search with fractional cascading, a geometric-hashing fallback over the
-//! lune of normalized vertices, external-storage layout policies, and a
+//! built on the average-point-distance similarity criterion `h_avg`, the
+//! paper's incremental envelope-fattening matching algorithm backed by
+//! simplex range search with fractional cascading, geometric hashing over
+//! the lune of normalized vertices, external-storage layout policies, and a
 //! topological query processor.
+//!
+//! One retrieval engine answers every product surface: a dynamic base's
+//! [`Snapshot`](geosir_core::Snapshot) — the hash tier's seed, then every
+//! stored copy scanned against its cutoff, exact on every rank. The
+//! [`system`] façade, the [`cli`] shell, the §5 query engine and the TCP
+//! server all query it; the paper's matcher and static shape base stay as
+//! the §2.5 algorithm the figure harnesses measure and the tests check the
+//! scan against.
 //!
 //! This umbrella crate re-exports the workspace crates:
 //!

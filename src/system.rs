@@ -1,41 +1,29 @@
 //! The integrated GeoSIR system — the object a downstream application
 //! embeds. One façade over the whole pipeline: images (vector scenes or
-//! rasters) in, the shape base / hash index / image graphs / disk store
-//! built once, then sketch retrieval with the §6 two-stage loop
-//! (envelope fattening → hashing fallback) and topological text queries.
+//! rasters) in, loaded once into a dynamic shape base and its image
+//! graphs, then sketch retrieval and topological text queries — both
+//! answered by the base's snapshot, the exact seed-and-scan the server
+//! runs (`geosir_core::dynamic`).
 
-use geosir_core::hashing::GeometricHash;
-use geosir_core::ids::{ImageId, ShapeId};
-use geosir_core::matcher::{MatchConfig, Matcher};
-use geosir_core::normalize::normalize_about_diameter;
-use geosir_core::shapebase::{ShapeBase, ShapeBaseBuilder};
-use geosir_geom::rangesearch::Backend;
+use geosir_core::dynamic::{DynMatch, DynamicBase, Snapshot};
+use geosir_core::ids::ImageId;
+use geosir_core::MatchConfig;
 use geosir_geom::Polyline;
 use geosir_imaging::pipeline::{extract_shapes, ExtractConfig};
 use geosir_imaging::raster::Raster;
 use geosir_query::engine::{EngineConfig, QueryEngine};
 use geosir_query::graph::ImageGraphStore;
-use geosir_storage::{BufferPool, LayoutPolicy, ShapeStore};
 
 /// System-wide configuration.
 #[derive(Debug, Clone)]
 pub struct GeoSirConfig {
     /// α-diameter tolerance for normalization (§2.4).
     pub alpha: f64,
-    /// Simplex range-search backend.
-    pub backend: Backend,
-    /// Hash curves per lune quarter (§3; the paper uses 50).
-    pub hash_curves: usize,
-    /// Matcher parameters.
+    /// Retrieval parameters the snapshot carries (its `k` is what
+    /// [`GeoSir::find`] answers for `k = 0`; `score` the criterion).
     pub match_config: MatchConfig,
     /// Query-engine parameters (τ, planner strategy, selectivity prior).
     pub engine: EngineConfig,
-    /// Disk layout for the persistent shape base (§4).
-    pub layout: LayoutPolicy,
-    /// §6: "if it fails to find a **close** match, geometric hashing is
-    /// used" — a certified best match scoring above this is not close, and
-    /// retrieval falls through to the approximate stage.
-    pub close_threshold: f64,
     /// Raster extraction parameters (§6 front end).
     pub extract: ExtractConfig,
 }
@@ -44,47 +32,30 @@ impl Default for GeoSirConfig {
     fn default() -> Self {
         GeoSirConfig {
             alpha: 0.05,
-            backend: Backend::RangeTree,
-            hash_curves: 50,
             match_config: MatchConfig { k: 3, beta: 0.3, ..Default::default() },
             engine: EngineConfig::default(),
-            layout: LayoutPolicy::MeanCurve,
-            close_threshold: 0.1,
             extract: ExtractConfig::default(),
         }
     }
 }
 
-/// Accumulates images before the indexes are built.
+/// Accumulates images before the base is built.
 pub struct GeoSirBuilder {
     config: GeoSirConfig,
-    builder: ShapeBaseBuilder,
+    shapes: Vec<(ImageId, Polyline)>,
     next_image: u32,
-}
-
-/// One retrieval hit.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Hit {
-    pub image: ImageId,
-    pub shape: ShapeId,
-    pub score: f64,
-    /// True when the hit came from the geometric-hashing fallback rather
-    /// than a certified envelope-fattening match (§6's two-stage loop).
-    pub approximate: bool,
 }
 
 impl GeoSirBuilder {
     pub fn new(config: GeoSirConfig) -> Self {
-        GeoSirBuilder { config, builder: ShapeBaseBuilder::new(), next_image: 0 }
+        GeoSirBuilder { config, shapes: Vec::new(), next_image: 0 }
     }
 
     /// Add an image given directly as object-boundary shapes.
     pub fn add_scene(&mut self, shapes: impl IntoIterator<Item = Polyline>) -> ImageId {
         let id = ImageId(self.next_image);
         self.next_image += 1;
-        for s in shapes {
-            self.builder.add_shape(id, s);
-        }
+        self.shapes.extend(shapes.into_iter().map(|s| (id, s)));
         id
     }
 
@@ -97,25 +68,25 @@ impl GeoSirBuilder {
         (self.add_scene(shapes), n)
     }
 
-    /// Build every index and the disk store.
+    /// Bulk-load every shape as one level, then derive the image graphs
+    /// from the snapshot. Shapes get ids in the order they were added.
     pub fn build(self) -> GeoSir {
-        let base = self.builder.build(self.config.alpha, self.config.backend);
-        let hash = GeometricHash::build(&base, self.config.hash_curves);
-        let signatures: Vec<_> =
-            base.copies().map(|(_, c)| hash.signature(&c.normalized)).collect();
-        let store = ShapeStore::build(&base, &signatures, self.config.layout);
-        let graphs = ImageGraphStore::build(&base);
-        GeoSir { config: self.config, base, hash, store, graphs }
+        let GeoSirConfig { alpha, match_config, engine, .. } = self.config;
+        // nothing is inserted later: the buffer's capacity only has to
+        // place the batch, and one level of its size does
+        let mut base = DynamicBase::new(alpha, match_config, self.shapes.len().max(1));
+        base.bulk_load(self.shapes);
+        let snapshot = base.snapshot();
+        let graphs = ImageGraphStore::build(&snapshot);
+        GeoSir { snapshot, graphs, engine }
     }
 }
 
 /// The built system.
 pub struct GeoSir {
-    config: GeoSirConfig,
-    base: ShapeBase,
-    hash: GeometricHash,
-    store: ShapeStore,
+    snapshot: Snapshot,
     graphs: ImageGraphStore,
+    engine: EngineConfig,
 }
 
 impl GeoSir {
@@ -123,77 +94,15 @@ impl GeoSir {
         GeoSirBuilder::new(config)
     }
 
-    pub fn base(&self) -> &ShapeBase {
-        &self.base
-    }
-
-    pub fn store(&self) -> &ShapeStore {
-        &self.store
-    }
-
-    pub fn hash(&self) -> &GeometricHash {
-        &self.hash
-    }
-
-    /// The §6 retrieval loop: envelope fattening first; if ε exhausts its
-    /// budget without a certified answer, geometric hashing supplies
-    /// approximate hits.
-    pub fn find(&self, sketch: &Polyline, k: usize) -> Vec<Hit> {
-        let matcher = Matcher::new(
-            &self.base,
-            MatchConfig { k, ..self.config.match_config.clone() },
-        );
-        let out = matcher.retrieve(sketch);
-        let close = out
-            .matches
-            .first()
-            .is_some_and(|m| m.score <= self.config.close_threshold);
-        if close && !out.stats.exhausted {
-            return out
-                .matches
-                .iter()
-                .map(|m| Hit { image: m.image, shape: m.shape, score: m.score, approximate: false })
-                .collect();
-        }
-        let Some((norm, _)) = normalize_about_diameter(sketch) else { return Vec::new() };
-        self.hash
-            .retrieve(&self.base, &norm.shape, k, 5)
-            .into_iter()
-            .map(|m| Hit { image: m.image, shape: m.shape, score: m.score, approximate: true })
-            .collect()
+    /// The k best shapes for `sketch` (`k = 0`: the configured k), exact
+    /// on every rank, ranked by `(score, id)`.
+    pub fn find(&self, sketch: &Polyline, k: usize) -> Vec<DynMatch> {
+        self.snapshot.retrieve(sketch, k)
     }
 
     /// Open a query session (the engine carries the adaptive selectivity
     /// estimator, so keep a session across queries to let it learn).
     pub fn session(&self) -> QueryEngine<'_> {
-        QueryEngine::with_graphs(&self.base, self.graphs.clone(), self.config.engine.clone())
-    }
-
-    /// Count the I/Os a retrieval costs against the disk store, through a
-    /// pool of `buffer_blocks` blocks (the §4 measurement).
-    pub fn find_with_io(
-        &self,
-        sketch: &Polyline,
-        k: usize,
-        pool: &mut BufferPool,
-    ) -> (Vec<Hit>, u64) {
-        let matcher = Matcher::new(
-            &self.base,
-            MatchConfig { k, ..self.config.match_config.clone() },
-        );
-        let out = matcher.retrieve(sketch);
-        let io = self.store.replay_trace(pool, &out.access_trace);
-        let hits = out
-            .matches
-            .iter()
-            .map(|m| Hit { image: m.image, shape: m.shape, score: m.score, approximate: false })
-            .collect();
-        (hits, io)
-    }
-
-    /// Persist the disk store's block image to a file
-    /// (restart with [`geosir_storage::file_disk::load`]).
-    pub fn persist(&self, path: &std::path::Path) -> Result<(), geosir_storage::file_disk::PersistError> {
-        geosir_storage::file_disk::dump(self.store.disk(), path)
+        QueryEngine::with_graphs(&self.snapshot, self.graphs.clone(), self.engine.clone())
     }
 }

@@ -4,6 +4,7 @@
 
 use std::collections::HashMap;
 
+use geosir::core::dynamic::DynamicBase;
 use geosir::core::hashing::GeometricHash;
 use geosir::core::ids::ImageId;
 use geosir::core::matcher::{MatchConfig, Matcher};
@@ -111,7 +112,9 @@ fn query_algebra_set_identities() {
         p_overlap: 0.3,
         ..CorpusConfig::small(50, 23)
     });
-    let base = corpus.build_base(0.05, Backend::RangeTree);
+    let mut db = DynamicBase::new(0.05, MatchConfig::default(), corpus.shapes.len());
+    db.bulk_load(corpus.shapes.iter().map(|(image, _, s)| (*image, s.clone())));
+    let base = db.snapshot();
     let mut bindings = HashMap::new();
     bindings.insert("a".to_string(), corpus.prototypes[0].clone());
     bindings.insert("b".to_string(), corpus.prototypes[1].clone());
