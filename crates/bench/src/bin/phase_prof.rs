@@ -9,8 +9,8 @@
 //! incremental top-k loop (cover / report / per-vertex / resolve); the
 //! distance census the nearest-edge grid is judged by (`dist` calls
 //! against the prepared query by site, edges evaluated per call and time
-//! per call with the grid off and on — under `--features simd` "off" is
-//! the AVX2 flat scan — per site the quantized raster test's rejects,
+//! per call with the grid off (the flat scan) and on — per site the
+//! quantized raster test's rejects,
 //! table reads and stored bytes read per copy, beside the same for the
 //! approximate tier's rerank, the grid's and the raster's build cost,
 //! and a digest of all top-10
@@ -25,7 +25,7 @@
 //! cost and heap blocks — and the odd queries the hash tier cannot seed).
 //!
 //! ```sh
-//! cargo run --release -p geosir-bench --bin phase_prof [--features simd] [-- n_shapes [large|carry]]
+//! cargo run --release -p geosir-bench --bin phase_prof [-- n_shapes [large|carry]]
 //! ```
 //!
 //! `large` adds the sweep's 19 000-image row (≈ 105k shapes in one
@@ -725,12 +725,10 @@ fn distance_census() {
     let n = queries.len() as f64;
     let total: usize = calls[..EXACT].iter().sum();
     println!(
-        "distance census, canonical corpus (a {}-shape level + {} buffered, {} sketches, k = {K}; \
-         flat scan: {}):",
+        "distance census, canonical corpus (a {}-shape level + {} buffered, {} sketches, k = {K}):",
         levelled.len(),
         buffer.len(),
         queries.len(),
-        if cfg!(feature = "simd") { "AVX2 where the host has it" } else { "scalar" },
     );
     print!("  dist calls per query against the prepared query: {:.0}  (", total as f64 / n);
     for (site, count) in SITES[..EXACT].iter().zip(calls) {

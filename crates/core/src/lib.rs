@@ -16,6 +16,8 @@
 //!   elastic matching, and the Mehrotra–Gary edge-normalized feature index
 //!   the paper compares against.
 
+#![forbid(unsafe_code)]
+
 pub mod approx;
 pub mod baselines;
 pub mod dynamic;
@@ -23,7 +25,6 @@ pub mod hashing;
 pub mod ids;
 pub mod matcher;
 pub mod normalize;
-pub mod parallel;
 pub mod scratch;
 pub mod selectivity;
 pub mod shapebase;

@@ -3,10 +3,10 @@
 
 use geosir_geom::rangesearch::{Backend, DynSimplexIndex, IndexScratch};
 use geosir_geom::{Point, Polyline, Similarity, Triangle};
+use std::sync::Mutex;
 
 use crate::ids::{CopyId, ImageId, ShapeId};
 use crate::normalize::normalized_copies;
-use crate::parallel::{resolve_threads, SharedSlots};
 
 /// A shape as extracted from an image, before normalization.
 #[derive(Debug, Clone)]
@@ -110,36 +110,49 @@ impl CopyRecord {
     }
 }
 
+/// Resolve a `threads` argument: 0 means one worker per available CPU.
+fn resolve_threads(threads: usize) -> usize {
+    if threads == 0 {
+        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    } else {
+        threads
+    }
+}
+
 /// `f` of every item of `items`, in order, on `threads` workers (0 = one
 /// per available CPU) — what a bulk build normalizes (and a dynamic
 /// level also hashes) with.
 ///
 /// The per-shape normalization (α-diameter enumeration is quadratic in
 /// the shape's vertex count) dominates build time and is embarrassingly
-/// parallel, so workers claim items from an atomic cursor and drop each
-/// result into its own slot: the result is identical no matter how many
-/// threads ran.
+/// parallel, but shape sizes vary, so workers claim work as they go: each
+/// takes the next pair of an items chunk and the output slots of the same
+/// positions from one shared iterator, one lock per chunk, and writes its
+/// results in place. The result is identical no matter how many threads
+/// ran.
 pub(crate) fn par_map<T: Sync, R: Send>(
     items: &[T],
     threads: usize,
     f: impl Fn(&T) -> R + Sync,
 ) -> Vec<R> {
-    let threads = resolve_threads(threads).min(items.len().max(1));
+    let threads = resolve_threads(threads).min(items.len());
     if threads <= 1 {
         return items.iter().map(f).collect();
     }
+    // A shape normalizes in tens of µs, so a lock per 8 costs nothing,
+    // and the last claim idles the other workers for at most 8 items.
+    const CHUNK: usize = 8;
     let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    let shared = SharedSlots::new(&mut slots);
-    let next = std::sync::atomic::AtomicUsize::new(0);
+    let work = Mutex::new(items.chunks(CHUNK).zip(slots.chunks_mut(CHUNK)));
     std::thread::scope(|s| {
         for _ in 0..threads {
             s.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
+                // (the lock is held only for `next`, which cannot panic)
+                let claim = work.lock().expect("claim lock never poisoned").next();
+                let Some((items, slots)) = claim else { break };
+                for (item, slot) in items.iter().zip(slots) {
+                    *slot = Some(f(item));
                 }
-                // SAFETY: the cursor hands each index to one worker.
-                unsafe { shared.write(i, f(&items[i])) };
             });
         }
     });
@@ -307,18 +320,21 @@ mod tests {
 
     #[test]
     fn parallel_build_identical_to_serial() {
-        for threads in [2usize, 4, 0] {
+        // 64 workers on 17 shapes: more threads than items; 0 shapes: empty
+        let cases = [17u32, 0].into_iter().flat_map(|n| [1usize, 2, 4, 0, 64].map(|t| (n, t)));
+        for (shapes, threads) in cases {
             let mut serial = ShapeBaseBuilder::new();
             let mut parallel = ShapeBaseBuilder::new();
             for b in [&mut serial, &mut parallel] {
-                for i in 0..17 {
+                for i in 0..shapes {
                     let f = i as f64;
                     b.add_shape(ImageId(i), tri_at(f * 0.7 - 3.0, f * 1.3, 0.5 + f * 0.21));
                 }
             }
             let a = serial.build_with_threads(0.15, Backend::RangeTree, 1);
             let b = parallel.build_with_threads(0.15, Backend::RangeTree, threads);
-            assert_eq!(a.num_copies(), b.num_copies(), "threads = {threads}");
+            assert_eq!(a.num_shapes(), b.num_shapes());
+            assert_eq!(a.num_copies(), b.num_copies(), "threads = {threads}, shapes = {shapes}");
             assert_eq!(a.total_vertices(), b.total_vertices());
             for vid in 0..a.total_vertices() as u32 {
                 // bit-identical: same shapes normalized by the same code,

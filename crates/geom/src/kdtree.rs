@@ -7,8 +7,7 @@
 //! struct-of-arrays columns (`xs`/`ys`/`ids`), laid out contiguously in
 //! leaf order so any subtree is one contiguous id range — full-containment
 //! reporting is a single `memcpy`, and leaf filters run over flat columns
-//! (4-wide AVX2 under the `simd` feature, bit-identical to the scalar
-//! predicate; see [`crate::simd`]).
+//! with the precomputed predicate every backend shares ([`TriPre`]).
 //!
 //! [`KdTree::report_union`] answers a whole *set* of triangles in one
 //! descent: the matcher's envelope rings are covered by dozens of sliver
@@ -19,10 +18,7 @@
 
 use crate::bbox::Aabb;
 use crate::point::Point;
-use crate::rangesearch::IndexScratch;
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-use crate::simd;
-use crate::simd::TriPre;
+use crate::rangesearch::{IndexScratch, TriPre};
 use crate::triangle::Triangle;
 
 /// Leaf bucket capacity: big enough that descent cost amortizes, small
@@ -160,23 +156,6 @@ impl KdTree {
     /// Exact per-point membership over one leaf's columns: a point is
     /// reported when any active triangle admits it.
     fn leaf_filter(&self, s: usize, e: usize, pre: &[TriPre], active: &[u32], out: &mut Vec<u32>) {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if simd::avx2_available() {
-            // SAFETY: AVX2 was just detected; the three columns are slices
-            // of equal length `e - s`; `active` holds indices below
-            // `tris.len() == pre.len()` (`report_union_with` fills both).
-            unsafe {
-                simd::avx2::tri_union_filter(
-                    &self.xs[s..e],
-                    &self.ys[s..e],
-                    &self.ids[s..e],
-                    pre,
-                    active,
-                    out,
-                );
-            }
-            return;
-        }
         for i in s..e {
             if active.iter().any(|&k| pre[k as usize].admits(self.xs[i], self.ys[i])) {
                 out.push(self.ids[i]);

@@ -9,6 +9,8 @@
 //! query's nearest-edge grid, and the contain/overlap/disjoint topology
 //! predicates of §5.
 
+#![forbid(unsafe_code)]
+
 pub mod bbox;
 pub mod diameter;
 pub mod envelope;
@@ -21,7 +23,6 @@ pub mod rangesearch;
 pub mod rangetree;
 pub mod segindex;
 pub mod segment;
-pub(crate) mod simd;
 pub mod sweep;
 pub mod topology;
 pub mod transform;

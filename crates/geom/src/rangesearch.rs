@@ -25,7 +25,6 @@
 use crate::kdtree::KdTree;
 use crate::point::Point;
 use crate::rangetree::{Clip, Live, RangeTree};
-use crate::simd::TriPre;
 use crate::triangle::Triangle;
 
 /// Reusable buffers of a union report: per-triangle constants and the
@@ -41,6 +40,73 @@ pub struct IndexScratch {
     pub(crate) clips: Vec<Clip>,
     /// Range tree: stack of live-triangle frames.
     pub(crate) live: Vec<Live>,
+}
+
+/// Per-triangle constants of the reporting predicate every range-search
+/// backend shares — `bbox(t).contains(p) && t.contains(p)`: the bounding
+/// box, the three edge origins and deltas of [`Triangle::contains`]'s
+/// `cross3` calls, and its tolerance — precomputed once per triangle so
+/// the per-point work is four compares and three (sub, sub, mul, mul, sub)
+/// chains.
+#[derive(Debug, Clone)]
+pub(crate) struct TriPre {
+    pub min_x: f64,
+    pub min_y: f64,
+    pub max_x: f64,
+    pub max_y: f64,
+    pub ox: [f64; 3],
+    pub oy: [f64; 3],
+    pub ex: [f64; 3],
+    pub ey: [f64; 3],
+    pub tol: f64,
+}
+
+impl TriPre {
+    pub fn of(t: &Triangle) -> TriPre {
+        let v = [t.a, t.b, t.c];
+        let bb = t.bbox();
+        let mut pre = TriPre {
+            min_x: bb.min.x,
+            min_y: bb.min.y,
+            max_x: bb.max.x,
+            max_y: bb.max.y,
+            ox: [0.0; 3],
+            oy: [0.0; 3],
+            ex: [0.0; 3],
+            ey: [0.0; 3],
+            tol: 0.0,
+        };
+        for k in 0..3 {
+            let (o, n) = (v[k], v[(k + 1) % 3]);
+            pre.ox[k] = o.x;
+            pre.oy[k] = o.y;
+            // Same subtraction as `cross3`'s `b - a` (Vec2 components).
+            pre.ex[k] = n.x - o.x;
+            pre.ey[k] = n.y - o.y;
+        }
+        // Exactly `Triangle::contains`'s tolerance expression.
+        let longest = t.a.dist_sq(t.b).max(t.b.dist_sq(t.c)).max(t.c.dist_sq(t.a));
+        pre.tol = crate::EPS * (1.0 + longest);
+        pre
+    }
+
+    /// `bbox(t).contains(p) && t.contains(p)` over the precomputed
+    /// constants, bit-identical to the two calls.
+    #[inline]
+    pub fn admits(&self, x: f64, y: f64) -> bool {
+        if !(x >= self.min_x && x <= self.max_x && y >= self.min_y && y <= self.max_y) {
+            return false;
+        }
+        let mut neg = false;
+        let mut pos = false;
+        for k in 0..3 {
+            // cross3(o, n, p) = (n - o) × (p - o), same op order
+            let d = self.ex[k] * (y - self.oy[k]) - self.ey[k] * (x - self.ox[k]);
+            neg |= d < -self.tol;
+            pos |= d > self.tol;
+        }
+        !(neg && pos)
+    }
 }
 
 /// A static index over a point set answering "which points lie in these

@@ -66,8 +66,7 @@
 //! predicate at the emitting node decides.
 
 use crate::point::Point;
-use crate::rangesearch::IndexScratch;
-use crate::simd::TriPre;
+use crate::rangesearch::{IndexScratch, TriPre};
 use crate::triangle::Triangle;
 
 /// Nodes of at most this many points are not split further. Measured on

@@ -6,9 +6,10 @@
 //! see DESIGN.md (substitutions) for why this is equivalent for our
 //! purposes. Distances are exact; only the search order differs.
 //!
-//! Small segment sets (at most [`crate::simd::FLAT_MAX`]) skip the tree and
-//! use a flat scan — scalar, or 4-wide AVX2 under the `simd` feature — with
-//! bit-identical distances either way (see [`crate::simd`]).
+//! Small segment sets (at most [`FLAT_MAX`]) skip the tree and scan every
+//! edge: for the shapes of the corpus (a dozen to a few dozen edges) that
+//! beats the tree descent — no pointer chasing, no per-node bbox lower
+//! bounds — and it returns the same exact distances.
 //!
 //! # The nearest-edge grid
 //!
@@ -64,7 +65,11 @@ use crate::bbox::Aabb;
 use crate::point::Point;
 use crate::polyline::Polyline;
 use crate::segment::Segment;
-use crate::simd;
+
+/// Largest segment count served by the flat scan; larger sets build the
+/// AABB tree. 64 covers every corpus shape while keeping the scan strictly
+/// cheaper than a tree descent plus its rebuild cost.
+const FLAT_MAX: usize = 64;
 
 /// Static AABB tree over segments supporting exact nearest-segment queries.
 #[derive(Debug)]
@@ -79,9 +84,6 @@ pub struct SegmentIndex {
     flat: bool,
     /// Nearest-edge grid in front of the flat scan (module docs).
     grid: Grid,
-    /// Column layout of `segs` for the vectorized flat kernel.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    cols: simd::SegColumns,
 }
 
 #[derive(Debug)]
@@ -151,8 +153,6 @@ impl SegmentIndex {
             ids: Vec::new(),
             flat: false,
             grid: Grid::default(),
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            cols: simd::SegColumns::default(),
         }
     }
 
@@ -171,7 +171,7 @@ impl SegmentIndex {
     }
 
     /// Rebuild the index over a new segment set in place, reusing every
-    /// allocation (node pool, segment store, columns, permutation scratch).
+    /// allocation (node pool, segment store, permutation scratch).
     /// Small sets take the flat-scan layout; larger ones build the tree.
     /// Drops the nearest-edge grid and the raster of the previous set.
     fn rebuild(&mut self, segments: impl IntoIterator<Item = Segment>) {
@@ -180,15 +180,11 @@ impl SegmentIndex {
         self.segs.clear();
         self.segs.extend(segments);
         self.nodes.clear();
-        self.flat = !self.segs.is_empty() && self.segs.len() <= simd::FLAT_MAX;
+        self.flat = !self.segs.is_empty() && self.segs.len() <= FLAT_MAX;
         if self.flat {
             self.root = None;
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            self.cols.fill(&self.segs);
             return;
         }
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        self.cols.clear();
         self.ids.clear();
         self.ids.extend(0..self.segs.len() as u32);
         self.root = if self.ids.is_empty() {
@@ -233,8 +229,8 @@ impl SegmentIndex {
             let radius = (d2.sqrt() + 2.0 * half_diag) * (1.0 + GRID_SLACK);
             radius * radius
         };
-        let mut boxes = [Aabb::EMPTY; simd::FLAT_MAX];
-        let mut d2 = [0.0f64; simd::FLAT_MAX];
+        let mut boxes = [Aabb::EMPTY; FLAT_MAX];
+        let mut d2 = [0.0f64; FLAT_MAX];
         let (boxes, d2) = (&mut boxes[..self.segs.len()], &mut d2[..self.segs.len()]);
         for (b, s) in boxes.iter_mut().zip(&self.segs) {
             *b = s.bbox();
@@ -297,7 +293,7 @@ impl SegmentIndex {
                     let m = Point::new(g.x0 + (i as f64 + 0.5) * w, g.y0 + (j as f64 + 0.5) * h);
                     let (_, d2) = match list {
                         Some(list) => {
-                            simd::scan_scalar(list.iter().map(|&e| (e as u32, &self.segs[e as usize])), m)
+                            scan_list(list.iter().map(|&e| (e as u32, &self.segs[e as usize])), m)
                         }
                         None => self.scan_flat(m),
                     };
@@ -365,7 +361,7 @@ impl SegmentIndex {
         if self.flat {
             let (i, d2) = match self.grid_list(q) {
                 Some(list) => {
-                    simd::scan_scalar(list.iter().map(|&e| (e as u32, &self.segs[e as usize])), q)
+                    scan_list(list.iter().map(|&e| (e as u32, &self.segs[e as usize])), q)
                 }
                 None => self.scan_flat(q),
             };
@@ -377,16 +373,10 @@ impl SegmentIndex {
         Some((best.0, best.1.sqrt()))
     }
 
-    /// Flat scan dispatch: AVX2 when compiled in and supported, else scalar.
-    /// Both produce bit-identical `(argmin, d²)` — see [`crate::simd`].
+    /// The flat scan over every segment.
     #[inline]
     fn scan_flat(&self, q: Point) -> (u32, f64) {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if simd::avx2_available() {
-            // SAFETY: AVX2 support just verified; `cols` mirrors `segs`.
-            return unsafe { simd::avx2::scan(&self.cols, &self.segs, q) };
-        }
-        simd::scan_scalar(self.segs.iter().enumerate().map(|(i, s)| (i as u32, s)), q)
+        scan_list(self.segs.iter().enumerate().map(|(i, s)| (i as u32, s)), q)
     }
 
     /// Just the distance (the common call in `h_avg` inner loops).
@@ -417,6 +407,22 @@ impl SegmentIndex {
             self.rec(second, q, best);
         }
     }
+}
+
+/// Scan over `(index, segment)` pairs in ascending index order — the
+/// whole set, or a nearest-edge grid cell's list of it: strict `<` keeps
+/// the first (lowest-index) minimum. Returns `(segment index, squared
+/// distance)`, `(0, ∞)` when nothing compares below ∞.
+#[inline]
+fn scan_list<'a>(edges: impl IntoIterator<Item = (u32, &'a Segment)>, q: Point) -> (u32, f64) {
+    let mut best = (0u32, f64::INFINITY);
+    for (i, s) in edges {
+        let d2 = s.dist_sq_to_point(q);
+        if d2 < best.1 {
+            best = (i, d2);
+        }
+    }
+    best
 }
 
 fn build_rec(segs: &[Segment], ids: &mut [u32], nodes: &mut Vec<SNode>) -> u32 {

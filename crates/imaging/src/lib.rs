@@ -15,6 +15,8 @@
 //! - [`pipeline`] — render → extract → simplify, returning shapes ready
 //!   for the shape base.
 
+#![forbid(unsafe_code)]
+
 pub mod approx;
 pub mod pipeline;
 pub mod raster;

@@ -33,6 +33,8 @@
 //! `Arc` clones — no locks, no allocation — verified by the counting
 //! allocator test in `tests/alloc_obs.rs`.
 
+#![forbid(unsafe_code)]
+
 pub mod expo;
 pub mod journal;
 pub mod registry;

@@ -10,6 +10,8 @@
 //! - [`engine`] — operator evaluation with the two physical strategies of
 //!   §5.3 and the selectivity-ordered execution of §5.4.
 
+#![forbid(unsafe_code)]
+
 pub mod algebra;
 pub mod engine;
 pub mod graph;

@@ -22,7 +22,7 @@
 //! starting empty and applying the same records in the same order,
 //! assigns the *same* ids. The thread asserts this on every insert
 //! (`geosir_repl_id_mismatch_total` counts violations — a non-zero
-//! value means the replica diverged and its reads are unsafe). Delete
+//! value means the replica diverged and its reads cannot be trusted). Delete
 //! records therefore apply by primary id directly.
 //!
 //! **Lag accounting.** After every tick the thread publishes

@@ -29,6 +29,8 @@
 //!   (the latter compiled under `--features failpoints`) for the
 //!   crash-recovery and degraded-mode tests.
 
+#![forbid(unsafe_code)]
+
 pub mod buffer;
 pub mod checkpoint;
 pub mod disk;

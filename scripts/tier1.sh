@@ -29,23 +29,10 @@ bash scripts/pub_census.sh
 # `benchmark/run.sh` does; CI's `benchmark` job adds the smoke run.
 (cd benchmark && CARGO_TARGET_DIR="$PWD/../target" cargo test -q --offline)
 
-# SIMD parity: the feature-gated AVX2 kernels (segment scan, triangle
-# leaf filter) must stay bit-identical to the scalar paths — the geom
-# and core suites contain explicit parity asserts and re-run the shared
-# property tests through the vector code when the feature is on. On
-# hosts without AVX2 the runtime dispatch falls back and this reduces
-# to a compile check of the gated code.
-cargo test -q -p geosir-geom -p geosir-core --features simd
-cargo clippy -p geosir-geom -p geosir-core -p geosir-serve --features simd --all-targets -- -D warnings
-
-# Exact tier through the AVX2 kernels: the seed-and-scan differential
-# suite (served top-k = the static matcher's = brute-force h_avg, and the
-# 288-world proptest with the paper's index as the scan's oracle), the
-# nearest-edge grid's parity suite (`grid_*`) and the quantized copies'
-# (`quantized_*`). The plain runs are part of `cargo test` above.
-cargo test -q -p geosir-core --features simd --test seeded_exact
-cargo test -q -p geosir-geom --features simd --lib segindex::tests::grid_
-cargo test -q -p geosir-core --features simd --lib quantized_
+# The figure outputs EXPERIMENTS.md quotes: rerun the nine deterministic
+# harnesses (built by the release build above) and diff each against its
+# file under results/.
+bash scripts/results_check.sh
 
 # The one chaos scenario that tears a shipped append and checks the
 # replica still converges — a torn ship resumed at the wrong offset is

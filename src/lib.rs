@@ -31,6 +31,8 @@
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.
 
+#![forbid(unsafe_code)]
+
 pub mod cli;
 pub mod cluster_cmd;
 pub mod health_cmd;

@@ -1,13 +1,10 @@
-//! Scratch reuse and parallelism must be invisible in the results: a
-//! retrieval through a warm, heavily reused [`MatcherScratch`] returns
-//! exactly what a fresh-allocation retrieval returns, and a parallel batch
-//! returns exactly what the sequential loop returns, at every thread
-//! count. The epoch-stamp design makes this a property, not an accident —
-//! these tests pin it.
+//! Scratch reuse must be invisible in the results: a retrieval through a
+//! warm, heavily reused [`MatcherScratch`] returns exactly what a
+//! fresh-allocation retrieval returns. The epoch-stamp design makes this a
+//! property, not an accident — these tests pin it.
 
-use geosir::core::ids::{ImageId, ShapeId};
+use geosir::core::ids::ImageId;
 use geosir::core::matcher::{MatchConfig, MatchOutcome, Matcher};
-use geosir::core::parallel::retrieve_batch;
 use geosir::core::scratch::MatcherScratch;
 use geosir::core::shapebase::{ShapeBase, ShapeBaseBuilder};
 use geosir::geom::rangesearch::Backend;
@@ -108,22 +105,5 @@ fn scratch_survives_base_change() {
         m_big.retrieve_with(&mut fresh, q, &mut expect);
         m_big.retrieve_with(&mut scratch, q, &mut out);
         assert_same(&out, &expect, &format!("after base change, query {qi}"));
-    }
-}
-
-/// `retrieve_batch` equals the sequential loop at every thread count.
-#[test]
-fn batch_identical_to_sequential() {
-    let (base, _) = world(50, 7);
-    let matcher = Matcher::new(&base, MatchConfig { k: 2, beta: 0.3, ..Default::default() });
-    let queries: Vec<Polyline> =
-        (0..20).map(|i| base.source(ShapeId(i % 50)).shape.clone()).collect();
-    let sequential: Vec<MatchOutcome> = queries.iter().map(|q| matcher.retrieve(q)).collect();
-    for threads in [1usize, 2, 4, 0] {
-        let parallel = retrieve_batch(&matcher, &queries, threads);
-        assert_eq!(parallel.len(), sequential.len());
-        for (i, (p, s)) in parallel.iter().zip(&sequential).enumerate() {
-            assert_same(p, s, &format!("threads {threads}, query {i}"));
-        }
     }
 }
