@@ -829,20 +829,32 @@ impl Snapshot {
         self.next_id
     }
 
-    /// Every live (non-tombstoned) shape with its original geometry —
-    /// the checkpoint serialization entry point. Order is levels (large
-    /// to recent) then the insert buffer; [`DynamicBase::restore`]
-    /// accepts it directly.
+    /// Every live (non-tombstoned) shape as `(id, image, vertices,
+    /// closed)`, borrowed from the levels and the insert buffer — the
+    /// checkpoint writer's entry point, which walks it twice (sizes,
+    /// then bytes) and clones no geometry. Order is levels (large to
+    /// recent) then the insert buffer.
+    pub fn walk_live_shapes(
+        &self,
+    ) -> impl Iterator<Item = (GlobalShapeId, ImageId, &[Point], bool)> + Clone + '_ {
+        let leveled = self.levels.iter().flatten().flat_map(|slot| {
+            let level = &*slot.level;
+            slot.live().map(move |(local, gid, image, _)| {
+                (gid, image, level.src(local), level.closed[local.index()])
+            })
+        });
+        let buffered =
+            self.buffer.iter().map(|b| (b.id, b.image, b.shape.points(), b.shape.is_closed()));
+        leveled.chain(buffered)
+    }
+
+    /// [`Self::walk_live_shapes`] with each shape cloned out, in the same
+    /// order; [`DynamicBase::restore`] accepts it directly.
     pub fn live_shapes(&self) -> Vec<(GlobalShapeId, ImageId, Polyline)> {
         let mut out = Vec::with_capacity(self.live);
-        for slot in self.levels.iter().flatten() {
-            let level = &*slot.level;
-            out.extend(slot.live().map(|(local, gid, image, _)| {
-                let src = level.src(local).to_vec();
-                (gid, image, Polyline::from_valid(src, level.closed[local.index()]))
-            }));
-        }
-        out.extend(self.buffer.iter().map(|b| (b.id, b.image, b.shape.clone())));
+        out.extend(self.walk_live_shapes().map(|(gid, image, src, closed)| {
+            (gid, image, Polyline::from_valid(src.to_vec(), closed))
+        }));
         out
     }
 

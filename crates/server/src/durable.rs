@@ -49,9 +49,9 @@ pub struct DurabilityConfig {
     pub fsync: FsyncPolicy,
     /// WAL records between checkpoints.
     pub checkpoint_every: u64,
-    /// Injectable WAL segment-file factory — the fault-injection tests
-    /// pass a [`geosir_storage::faults::FaultyFactory`]; `None` uses
-    /// real files.
+    /// Injectable factory for WAL segments and checkpoint pages — the
+    /// fault-injection tests pass a
+    /// [`geosir_storage::faults::FaultyFactory`]; `None` uses real files.
     pub io_factory: Option<Arc<dyn IoFactory>>,
     /// Injectable factory for the lifecycle journal's rotating JSONL
     /// (separate from the WAL's so a stalled log never implies a lost
@@ -226,7 +226,7 @@ pub(crate) fn checkpoint_name(lsn: Lsn) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geosir_storage::checkpoint::CheckpointData;
+    use geosir_storage::faults::FileFactory;
 
     fn tmpdir(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -269,15 +269,10 @@ mod tests {
         let dir = tmpdir("ckpt-tail");
         std::fs::create_dir_all(&dir).unwrap();
         // checkpoint covering lsn ≤ 5 with two shapes
-        let data = CheckpointData {
-            epoch: 9,
-            next_id: 2,
-            shapes: vec![
-                (GlobalShapeId(0), ImageId(0), tri(0)),
-                (GlobalShapeId(1), ImageId(1), tri(1)),
-            ],
-        };
-        checkpoint::write(&dir.join(checkpoint_name(5)), &data).unwrap();
+        let (t0, t1) = (tri(0), tri(1));
+        let shapes = [(GlobalShapeId(0), ImageId(0), &t0), (GlobalShapeId(1), ImageId(1), &t1)];
+        let walk = shapes.iter().map(|&(gid, image, s)| (gid, image, s.points(), s.is_closed()));
+        checkpoint::write_shapes(&dir.join(checkpoint_name(5)), &FileFactory, 9, 2, walk).unwrap();
         Manifest { checkpoint: checkpoint_name(5), last_lsn: 5, epoch: 9 }.store(&dir).unwrap();
         // WAL tail: insert id 2 (lsn 6), delete id 0 (lsn 7)
         let mut wal = Wal::open(&dir, FsyncPolicy::Always, 6).unwrap();

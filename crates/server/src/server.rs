@@ -159,6 +159,8 @@ struct DurableState {
     last_ckpt_lsn: AtomicU64,
     /// Injectable factory for the journal's JSONL file (fault tests).
     journal_io: Option<Arc<dyn geosir_storage::faults::IoFactory>>,
+    /// What checkpoint pages are appended through: the WAL's factory.
+    io: Arc<dyn IoFactory>,
 }
 
 struct Shared {
@@ -356,6 +358,7 @@ pub fn serve_durable(
         records_since_ckpt: AtomicU64::new(0),
         last_ckpt_lsn: AtomicU64::new(report.checkpoint_lsn),
         journal_io: dcfg.journal_io.clone(),
+        io: dcfg.io_factory.clone().unwrap_or_else(|| Arc::new(FileFactory)),
     };
     let handle = serve_inner(addr, base, cfg, Some(state), dedup, applied_lsn, registry)?;
     let m = &handle.shared.metrics;

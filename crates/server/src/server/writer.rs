@@ -13,7 +13,7 @@ use geosir_core::dynamic::{DynamicBase, GlobalShapeId};
 use geosir_core::ImageId;
 use geosir_geom::Polyline;
 use geosir_obs as obs;
-use geosir_storage::checkpoint::{self, CheckpointData};
+use geosir_storage::checkpoint;
 use geosir_storage::manifest::Manifest;
 use geosir_storage::wal::WalRecord;
 
@@ -301,7 +301,7 @@ pub(super) fn writer_loop(mut base: DynamicBase, mut ctx: WriterCtx, shared: &Ar
 }
 
 /// Background checkpointer: every `checkpoint_every` logged records,
-/// serialize the published snapshot through the 1 KB page store, point
+/// stream the published snapshot into 1 KB checkpoint pages, point
 /// the manifest at it, then rotate the WAL and prune covered segments.
 /// Persistent failure (3 consecutive) flips the server read-only.
 pub(super) fn checkpointer_loop(shared: &Arc<Shared>) {
@@ -325,17 +325,15 @@ pub(super) fn checkpointer_loop(shared: &Arc<Shared>) {
         if lsn <= d.last_ckpt_lsn.load(Ordering::Relaxed) {
             continue;
         }
-        let data = CheckpointData {
-            epoch: snap.epoch(),
-            next_id: snap.next_id(),
-            shapes: snap.live_shapes(),
-        };
         let name = durable::checkpoint_name(lsn);
         // ordering: checkpoint → manifest → rotate → prune. A crash
         // between any two steps recovers correctly: the old manifest
         // with the old WAL, or the new one with not-yet-pruned segments
-        // whose covered records replay as no-ops.
-        let result = checkpoint::write(&d.data_dir.join(&name), &data)
+        // whose covered records replay as no-ops. The pages stream
+        // straight from the snapshot's shapes, through the WAL's `Io`.
+        let path = d.data_dir.join(&name);
+        let shapes = snap.walk_live_shapes();
+        let result = checkpoint::write_shapes(&path, &*d.io, snap.epoch(), snap.next_id(), shapes)
             .and_then(|()| Manifest { checkpoint: name, last_lsn: lsn, epoch: snap.epoch() }
                 .store(&d.data_dir))
             .map_err(|e| std::io::Error::other(e.to_string()))

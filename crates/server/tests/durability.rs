@@ -15,6 +15,9 @@ use geosir_serve::{serve_durable, Client, DurabilityConfig, ServeConfig};
 use geosir_storage::faults::{FaultKind, FaultPlan, FaultyFactory};
 use geosir_storage::wal::FsyncPolicy;
 
+use common::http_get;
+use geosir_storage::faults::{FaultyIo, FileFactory, Io, IoFactory};
+
 /// Acked writes survive shutdown + restart purely via WAL replay, and a
 /// later restart goes through a checkpoint once enough records accrue.
 #[test]
@@ -312,5 +315,86 @@ fn approx_queries_survive_restart() {
         handle.shutdown();
         handle.join();
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Checkpoint pages go through the same `Io` as the WAL. A disk that
+/// refuses every checkpoint append, and nothing else, must cost three
+/// journaled `checkpoint.fail`s and flip the node read-only — the
+/// checkpointer's three strikes — while reads keep working and a
+/// restart replays every acked write from the WAL.
+#[test]
+fn failing_checkpoint_appends_flip_read_only_after_three_strikes() {
+    /// Real WAL segments; checkpoint pages (`ckpt-….tmp`) through the plan.
+    struct CheckpointsThrough(Arc<FaultPlan>);
+    impl IoFactory for CheckpointsThrough {
+        fn create(&self, path: &std::path::Path) -> std::io::Result<Box<dyn Io>> {
+            let file = FileFactory.create(path)?;
+            Ok(match path.extension() {
+                Some(ext) if ext == "tmp" => Box::new(FaultyIo::new(file, self.0.clone())),
+                _ => file,
+            })
+        }
+    }
+
+    let dir = tmpdir("ckpt-strikes");
+    let plan = FaultPlan::dead_disk_from(0);
+    let mut dcfg = DurabilityConfig::new(&dir);
+    dcfg.checkpoint_every = 4;
+    dcfg.io_factory = Some(Arc::new(CheckpointsThrough(plan.clone())));
+    let cfg = ServeConfig {
+        workers: 1,
+        poll_interval: Duration::from_millis(10),
+        metrics_addr: Some("127.0.0.1:0".to_string()),
+        ..Default::default()
+    };
+    let mut acked = Vec::new();
+    {
+        let (handle, _) = serve_durable("127.0.0.1:0", &template(), dcfg, cfg).unwrap();
+        let mut c = Client::connect(handle.addr()).unwrap();
+        for i in 0..4u64 {
+            acked.push((i, c.insert_retrying(i as u32, &tri(i)).unwrap().1));
+        }
+        assert!(
+            poll_until(Duration::from_secs(30), || handle.is_read_only()),
+            "three failed checkpoints never flipped read-only: {:?}",
+            handle.stats()
+        );
+        let (_, journal) = http_get(handle.metrics_addr().unwrap(), "/debug/journal");
+        assert_eq!(journal.matches("checkpoint.fail").count(), 3, "{journal}");
+        assert!(!journal.contains("checkpoint.done"), "{journal}");
+        assert!(plan.fired() >= 3);
+
+        match c.insert(100, &tri(100)) {
+            Err(WireError::Server { code, .. }) => assert_eq!(code, error_code::READ_ONLY),
+            other => panic!("read-only server accepted a write: {other:?}"),
+        }
+        for &(i, id) in &acked {
+            let reply = c.query(&tri(i), 1).unwrap();
+            assert!(reply.matches.iter().any(|m| m.shape == id), "read of shape {id} failed");
+        }
+        let stats = c.stats().unwrap();
+        assert_eq!((stats.read_only, stats.checkpoints), (1, 0));
+        handle.shutdown();
+        handle.join();
+    }
+
+    // no checkpoint was installed, so the WAL alone restores every ack
+    let (handle, report) = serve_durable(
+        "127.0.0.1:0",
+        &template(),
+        DurabilityConfig::new(&dir),
+        ServeConfig { workers: 1, ..Default::default() },
+    )
+    .unwrap();
+    assert_eq!((report.checkpoint_shapes, report.replayed), (0, acked.len()));
+    let mut c = Client::connect(handle.addr()).unwrap();
+    assert_eq!(c.stats().unwrap().live_shapes, acked.len() as u64);
+    for &(i, id) in &acked {
+        let reply = c.query(&tri(i), 1).unwrap();
+        assert!(reply.matches.iter().any(|m| m.shape == id), "acked shape {id} lost");
+    }
+    handle.shutdown();
+    handle.join();
     std::fs::remove_dir_all(&dir).ok();
 }
