@@ -25,9 +25,8 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use geosir_geom::Point;
-use geosir_obs as obs;
 
-use crate::dynamic::{DynMatch, GlobalShapeId};
+use crate::dynamic::{CandRef, DynMatch, GlobalShapeId};
 use crate::hashing::{signature_of_with, CurveFamily, Signature};
 use crate::ids::CopyId;
 use crate::shapebase::ShapeBase;
@@ -157,22 +156,6 @@ impl ApproxStats {
         self.corpus_copies as f64 / (self.candidates as f64).max(1.0)
     }
 }
-
-/// One candidate copy reference collected by the cascade. `level ==
-/// u32::MAX` marks a buffer entry (`a` = buffer slot, `b` = copy index);
-/// otherwise `a` is the raw [`CopyId`] within level `level`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CandRef {
-    pub level: u32,
-    pub a: u32,
-    pub b: u32,
-    /// What the rerank found: the copy's exact score, `INFINITY` when the
-    /// bounded scorer abandoned it (it scores above the rerank's cutoff
-    /// at that point, hence above the final k-th best), NaN until then.
-    pub verdict: f64,
-}
-
-pub(crate) const BUFFER_LEVEL: u32 = u32::MAX;
 
 /// Incremental ring-probe state for one signature index within one query.
 #[derive(Debug, Clone, Copy, Default)]
@@ -518,55 +501,6 @@ impl SigBuckets {
             self.collect_ring(family_k, sig, r, &mut probe, &mut vals, out, &mut probed);
         }
     }
-}
-
-/// Per-query metric series for the approximate tier, recorded through
-/// the thread-local registry (same pattern as the dynamic-base metrics:
-/// any embedder with a registry installed gets them for free).
-#[derive(Clone)]
-struct ApproxMetrics {
-    queries: std::sync::Arc<obs::Counter>,
-    fallbacks: std::sync::Arc<obs::Counter>,
-    /// Rerank candidates the query's lower-bound raster rejected before
-    /// any distance was computed.
-    bound_rejects: std::sync::Arc<obs::Counter>,
-    probe_radius: std::sync::Arc<obs::Histogram>,
-    candidates: std::sync::Arc<obs::Histogram>,
-    buckets_probed: std::sync::Arc<obs::Histogram>,
-    reduction: std::sync::Arc<obs::Histogram>,
-}
-
-impl ApproxMetrics {
-    fn build(reg: &obs::Registry) -> ApproxMetrics {
-        ApproxMetrics {
-            queries: reg.counter("geosir_approx_queries_total", &[]),
-            fallbacks: reg.counter("geosir_approx_exact_fallbacks_total", &[]),
-            bound_rejects: reg.counter("geosir_approx_bound_rejects_total", &[]),
-            probe_radius: reg.histogram("geosir_approx_probe_radius", &[]),
-            candidates: reg.histogram("geosir_approx_candidates_per_query", &[]),
-            buckets_probed: reg.histogram("geosir_approx_buckets_probed", &[]),
-            reduction: reg.histogram("geosir_approx_reduction_ratio", &[]),
-        }
-    }
-}
-
-/// Record one approximate query's stats into the thread registry, and
-/// the candidates its rerank rejected from the query's raster (an exact
-/// fallback's rejects are the exact tier's to count).
-pub(crate) fn record_query_metrics(stats: &ApproxStats, bound_rejects: u64) {
-    obs::with_metrics(ApproxMetrics::build, |m| {
-        m.queries.inc();
-        if stats.tier == AnswerTier::Exact {
-            m.fallbacks.inc();
-        }
-        m.bound_rejects.add(bound_rejects);
-        m.probe_radius.record(stats.radius as u64);
-        m.candidates.record(stats.candidates);
-        m.buckets_probed.record(stats.buckets_probed);
-        if stats.candidates > 0 {
-            m.reduction.record(stats.reduction() as u64);
-        }
-    });
 }
 
 #[cfg(test)]
