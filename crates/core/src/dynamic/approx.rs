@@ -1,18 +1,21 @@
+//! The served approximate tier (§3, DESIGN §11): probe and rerank
+//! ([`Snapshot::probe_rerank`], also the exact tier's seed), with the
+//! exact tier as its fallback.
+
 use geosir_geom::Polyline;
 use geosir_obs as obs;
 
 use super::exact::{score_onto, Board, Offer, RetrieveStats, Store};
-use super::level::Slot;
 use super::snapshot::{Prepared, Snapshot};
 use super::DynMatch;
 use crate::approx::{AnswerTier, ApproxOptions, ApproxScratch, ApproxStats};
 use crate::hashing::signature_of_with;
 use crate::scratch::MatcherScratch;
-use crate::similarity::{PreparedShape, QuantRaster};
+use crate::similarity::PreparedShape;
 
 /// One candidate copy reference collected by the cascade. `level ==
 /// u32::MAX` marks a buffer entry (`a` = buffer slot, `b` = copy index);
-/// otherwise `a` is the raw [`CopyId`] within level `level`.
+/// otherwise `a` is the raw [`crate::ids::CopyId`] within level `level`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CandRef {
     pub level: u32,
@@ -27,10 +30,8 @@ pub(crate) struct CandRef {
 pub(crate) const BUFFER_LEVEL: u32 = u32::MAX;
 
 impl Snapshot {
-    /// [`Self::similar_approx_with`]. Its only caller passes `raster`;
-    /// without it every scoring computes distances (same answer, same
-    /// counts) — the differential test's other leg, as `seed_and_scan`'s
-    /// is.
+    /// [`Self::similar_approx_with`]; without `raster` every scoring
+    /// computes distances — the differential test's other leg.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn approximate(
         &self,
@@ -42,59 +43,82 @@ impl Snapshot {
         stats: &mut ApproxStats,
         raster: bool,
     ) {
-        *stats = ApproxStats { corpus_copies: self.copies as u64, ..ApproxStats::default() };
+        *stats = ApproxStats { corpus_copies: self.total_copies() as u64, ..ApproxStats::default() };
+        let opts = &ApproxOptions { k: self.k(opts.k), ..*opts };
         let prepared = self.prepare(scratch, query, false);
         let mut rejected = 0;
         if prepared != Prepared::Nothing {
-            rejected = self.probe_rerank(ax, scratch, opts, raster, out, stats);
+            let (board, _, r) = self.probe_rerank(ax, scratch, prepared, raster, opts, f64::INFINITY, stats);
+            board.finish(out);
+            rejected = r;
         }
         if stats.candidates == 0 {
             stats.tier = AnswerTier::Exact;
-            let prepared = match prepared {
-                Prepared::Query if raster => self.lay_raster(scratch),
-                prepared => prepared,
-            };
-            let k = if opts.k == 0 { self.config.k } else { opts.k };
             let scan = &mut RetrieveStats::default();
-            self.seed_and_scan(k, f64::INFINITY, scratch, prepared, out, scan, None, true);
+            self.seed_and_scan(opts.k, f64::INFINITY, scratch, query, raster, out, scan, None, true);
         }
-        record_query_metrics(stats, rejected);
+        // The rerank's raster rejects; an exact fallback's are the exact
+        // tier's to count.
+        obs::with_metrics(ApproxMetrics::build, |m| {
+            m.queries.inc();
+            if stats.tier == AnswerTier::Exact {
+                m.fallbacks.inc();
+            }
+            m.bound_rejects.add(rejected);
+            m.probe_radius.record(stats.radius as u64);
+            m.candidates.record(stats.candidates);
+            m.buckets_probed.record(stats.buckets_probed);
+            if stats.candidates > 0 {
+                m.reduction.record(stats.reduction() as u64);
+            }
+        });
     }
 
-    /// The hash tier's probe + bounded rerank: collect candidate copies
-    /// in rings of increasing curve distance around the query's
-    /// signature ([`Self::probe`]), score them with the early-abandoning
-    /// `h_avg` against the board's running k-th best ([`score_onto`]),
-    /// and leave the k best live shapes in `out` (true scores,
-    /// ascending). Fills the funnel fields of `stats`;
-    /// `stats.candidates == 0` means the cascade found nothing. With
-    /// `raster`, the prepared query in `scratch` gets its lower-bound
-    /// raster after the probe when the probe collected more than k
-    /// candidates: with k or fewer the cutoff is ∞ until the last of them,
-    /// and a raster rejects nothing against ∞. Returns how many
-    /// candidates the raster rejected. Calls no other tier —
-    /// [`Self::similar_approx_with`] wraps it with the exact fallback,
-    /// [`Self::seed_and_scan`] runs the same two steps as its seed and
-    /// keeps the board.
-    fn probe_rerank(
+    /// The hash tier's probe + bounded rerank, the seed of both tiers:
+    /// collect candidate copies in rings of increasing curve distance
+    /// around the query's signature ([`Self::probe`]), then score them in
+    /// ring order with the early-abandoning `h_avg` against a board
+    /// started at `within` ([`score_onto`]), each one's verdict kept
+    /// beside it for the exact tier's hand-off. Returns the board (its
+    /// k = `opts.k`, resolved), the candidates, and how many of them the
+    /// query's raster rejected; fills the funnel fields of `stats`
+    /// (`stats.candidates == 0`: the cascade found nothing). The raster
+    /// is `scratch.raster` when `prepared` is [`Prepared::Rastered`];
+    /// with `lay`, a query prepared without one gets it here when the
+    /// probe collected more than k candidates — with k or fewer the
+    /// cutoff is ∞ until the last of them, and a raster rejects nothing
+    /// against ∞. Calls no other tier: [`Self::approximate`] wraps it
+    /// with the exact fallback, [`Self::seed_and_scan`] keeps the board.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn probe_rerank<'s>(
         &self,
-        ax: &mut ApproxScratch,
+        ax: &'s mut ApproxScratch,
         scratch: &mut MatcherScratch,
+        prepared: Prepared,
+        lay: bool,
         opts: &ApproxOptions,
-        raster: bool,
-        out: &mut Vec<DynMatch>,
+        within: f64,
         stats: &mut ApproxStats,
-    ) -> u64 {
-        out.clear();
-        let k = if opts.k == 0 { self.config.k } else { opts.k };
+    ) -> (Board<'s>, &'s [CandRef], u64) {
         self.probe(ax, scratch.query.as_ref().expect("prepared"), opts, stats);
-        let raster = raster && ax.cands.len() > k && self.lay_raster(scratch) == Prepared::Rastered;
+        let laid = lay && ax.cands.len() > opts.k && self.lay_raster(scratch) == Prepared::Rastered;
+        let raster = (laid || prepared == Prepared::Rastered).then_some(&scratch.raster);
         let ApproxScratch { cands, back, rows, best, ktmp, .. } = ax;
-        let mut board = Board { k, cutoff: f64::INFINITY, rows, slot: best, ktmp };
-        let (qprep, raster) = (scratch.query.as_ref().expect("prepared"), raster.then_some(&scratch.raster));
-        let rejected = self.rerank(cands, qprep, raster, back, &mut board, stats);
-        board.finish(out);
-        rejected
+        let mut board = Board { k: opts.k, cutoff: within, rows, slot: best, ktmp, back };
+        let offers = cands.iter_mut().map(|c| {
+            let verdict = Some(&mut c.verdict);
+            if c.level == BUFFER_LEVEL {
+                let store = Store::Buffered(&self.buffer[c.a as usize]);
+                return Offer { store, copy: c.b as usize, verdict };
+            }
+            let level = &self.levels[c.level as usize].as_ref().expect("probed slot").level;
+            Offer { store: Store::Level(level), copy: c.a as usize, verdict }
+        });
+        let qprep = scratch.query.as_ref().expect("prepared");
+        let done = score_onto(self.config.score, qprep, raster, &mut board, offers);
+        stats.reranked += done.scored;
+        stats.abandoned += done.abandoned;
+        (board, cands, done.rejected)
     }
 
     /// The cascade: rings of increasing curve distance over every level
@@ -135,10 +159,10 @@ impl Snapshot {
         let mut probed = 0u64;
         for r in 0..=kf {
             stats.radius = r;
-            for (li, Slot { level, dead }) in self.slots() {
+            for (li, slot) in self.slots() {
                 ring.clear();
-                level.buckets.collect_ring(kf, &qsig, r, &mut probes[li], vals, ring, &mut probed);
-                let live = ring.iter().filter(|c| !dead.get(level.copies.owner[c.index()]));
+                slot.level.buckets.collect_ring(kf, &qsig, r, &mut probes[li], vals, ring, &mut probed);
+                let live = ring.iter().filter(|c| slot.live_copy(c.index()));
                 cands.extend(live.map(|c| CandRef {
                     level: li as u32,
                     a: c.0,
@@ -156,38 +180,10 @@ impl Snapshot {
         stats.buckets_probed = probed;
         stats.candidates = cands.len() as u64;
     }
-
-    /// Score the probe's candidates onto `board` in ring order, leaving
-    /// each one's verdict beside it for the exact tier's hand-off.
-    /// Returns how many of them the query's `raster` rejected.
-    pub(super) fn rerank(
-        &self,
-        cands: &mut [CandRef],
-        qprep: &PreparedShape,
-        raster: Option<&QuantRaster>,
-        back: &mut Option<PreparedShape>,
-        board: &mut Board<'_>,
-        stats: &mut ApproxStats,
-    ) -> u64 {
-        let offers = cands.iter_mut().map(|c| {
-            let verdict = Some(&mut c.verdict);
-            if c.level == BUFFER_LEVEL {
-                let store = Store::Buffered(&self.buffer[c.a as usize]);
-                return Offer { store, copy: c.b as usize, verdict };
-            }
-            let level = &self.levels[c.level as usize].as_ref().expect("probed slot").level;
-            Offer { store: Store::Level(level), copy: c.a as usize, verdict }
-        });
-        let done = score_onto(self.config.score, qprep, raster, back, board, offers);
-        stats.reranked += done.scored;
-        stats.abandoned += done.abandoned;
-        done.rejected
-    }
 }
 
-/// Per-query metric series for the approximate tier, recorded through
-/// the thread-local registry (same pattern as the dynamic-base metrics:
-/// any embedder with a registry installed gets them for free).
+/// The approximate tier's per-query series, cached per thread as the
+/// exact tier's are.
 #[derive(Clone)]
 struct ApproxMetrics {
     queries: std::sync::Arc<obs::Counter>,
@@ -213,23 +209,4 @@ impl ApproxMetrics {
             reduction: reg.histogram("geosir_approx_reduction_ratio", &[]),
         }
     }
-}
-
-/// Record one approximate query's stats into the thread registry, and
-/// the candidates its rerank rejected from the query's raster (an exact
-/// fallback's rejects are the exact tier's to count).
-pub(crate) fn record_query_metrics(stats: &ApproxStats, bound_rejects: u64) {
-    obs::with_metrics(ApproxMetrics::build, |m| {
-        m.queries.inc();
-        if stats.tier == AnswerTier::Exact {
-            m.fallbacks.inc();
-        }
-        m.bound_rejects.add(bound_rejects);
-        m.probe_radius.record(stats.radius as u64);
-        m.candidates.record(stats.candidates);
-        m.buckets_probed.record(stats.buckets_probed);
-        if stats.candidates > 0 {
-            m.reduction.record(stats.reduction() as u64);
-        }
-    });
 }

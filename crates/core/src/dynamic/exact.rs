@@ -1,13 +1,16 @@
+//! The exact tier, seed-and-verify ([`Snapshot::seed_and_scan`], DESIGN
+//! §11.6), and the board and bounded-scoring loop both tiers fill.
+
 use std::collections::hash_map::Entry;
 
-use geosir_geom::Point;
+use geosir_geom::Polyline;
 use geosir_obs as obs;
 
-use super::arena::{BufferedShape, CopyArena};
+use super::arena::{BufferedShape, CopyArena, Row};
 use super::level::{Level, Slot};
 use super::snapshot::{DynMetrics, Prepared, Snapshot};
 use super::{DynMatch, GlobalShapeId};
-use crate::approx::{ApproxOptions, ApproxScratch, ApproxStats, IdMap};
+use crate::approx::{ApproxOptions, ApproxStats, IdMap};
 use crate::ids::ImageId;
 use crate::scratch::MatcherScratch;
 use crate::similarity::{score_copy_bounded, PreparedShape, QuantRaster, ScoreKind, StoredCopy};
@@ -83,18 +86,19 @@ impl Snapshot {
     /// not another one. A threshold query ([`Self::retrieve_within`])
     /// starts the board at `within` = τ instead of ∞ and passes no k
     /// (`usize::MAX`), so the cutoff stays τ and the board is the set.
-    /// The query comes prepared ([`Self::prepare`]) with its lower-bound
-    /// raster mapped onto the base's quantized frame ([`QuantRaster`]):
-    /// every bounded scoring of the three steps tests a copy's quantized
-    /// vertices against it first and rejects most copies from the table
-    /// alone, with the verdicts, scores and counts it would have had
-    /// without (`similarity::score_copy_bounded`); only a copy the test
-    /// passes has its vertices recomputed. Allocation-free in steady
-    /// state. Every caller passes `handoff` and a rastered query (the
-    /// approximate tier's fallback lays the raster its own leg asked
-    /// for); without the first the levels score the seed's copies over
-    /// again (same answer, more scorings), without the second every
-    /// scoring computes distances (same answer, same counts) — the
+    /// The seed is [`Self::probe_rerank`], as the approximate tier's
+    /// answer is. The query is prepared ([`Self::prepare`]) with
+    /// `raster`, its lower-bound raster mapped onto the base's quantized
+    /// frame ([`QuantRaster`]): every bounded scoring of the three steps
+    /// tests a copy's quantized vertices against it first and rejects
+    /// most copies from the table alone, with the verdicts, scores and
+    /// counts it would have had without (`similarity::score_copy_bounded`);
+    /// only a copy the test passes has its vertices recomputed.
+    /// Allocation-free in steady state. Every caller passes `raster` (the
+    /// approximate tier's fallback, what its own leg asked for) and
+    /// `handoff`; without the first every scoring computes distances
+    /// (same answer, same counts), without the second the levels score
+    /// the seed's copies over again (same answer, more scorings) — the
     /// differential tests' other legs.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn seed_and_scan(
@@ -102,17 +106,16 @@ impl Snapshot {
         k: usize,
         within: f64,
         scratch: &mut MatcherScratch,
-        prepared: Prepared,
+        query: &Polyline,
+        raster: bool,
         out: &mut Vec<DynMatch>,
         stats: &mut RetrieveStats,
         mut explain: Option<&mut QueryExplain>,
         handoff: bool,
     ) {
+        let prepared = self.prepare(scratch, query, raster);
         out.clear();
         *stats = RetrieveStats::default();
-        // Warm-scratch detection for the hit/miss metrics below: a query
-        // that finishes without growing any dense array reused a warm
-        // scratch.
         let grows_before = scratch.grow_events;
         let mut seed_stats = ApproxStats::default();
         let mut tau = within;
@@ -123,18 +126,15 @@ impl Snapshot {
             // while the query runs so that the scans can stamp copies in
             // the rest of `scratch`.
             let mut seed = std::mem::take(&mut scratch.seed);
+            let opts = ApproxOptions { k, ..ApproxOptions::default() };
+            let (mut board, cands, seed_rejects) =
+                self.probe_rerank(&mut seed, scratch, prepared, false, &opts, within, &mut seed_stats);
+            (rejected, tau) = (seed_rejects, board.cutoff);
             let quant = std::mem::take(&mut scratch.raster);
             let raster = (prepared == Prepared::Rastered).then_some(&quant);
-            let opts = ApproxOptions { k, ..ApproxOptions::default() };
-            let qprep = scratch.query.as_ref().expect("prepared above");
-            self.probe(&mut seed, qprep, &opts, &mut seed_stats);
-            let ApproxScratch { cands, back, rows, best, ktmp, .. } = &mut seed;
-            let mut board = Board { k, cutoff: within, rows, slot: best, ktmp };
-            rejected += self.rerank(cands, qprep, raster, back, &mut board, &mut seed_stats);
-            tau = board.cutoff;
 
             // largest level first
-            for (li, slot @ Slot { level, dead }) in self.slots().rev() {
+            for (li, slot @ Slot { level, .. }) in self.slots().rev() {
                 let judged = cands.iter().filter(|c| handoff && c.level == li as u32);
                 stats.levels += 1;
                 // No copy is scored twice: a finite verdict of the seed's
@@ -147,11 +147,11 @@ impl Snapshot {
                 let within = board.cutoff;
                 let settled = &*settled;
                 let unsettled = (0..level.copies.len()).filter(|&i| settled[i] != stamp);
-                let live = unsettled.filter(|&i| !dead.get(level.copies.owner[i]));
+                let live = unsettled.filter(|&i| slot.live_copy(i));
                 let store = Store::Level(level);
                 let offers = live.map(|copy| Offer { store, copy, verdict: None });
                 let qprep = scratch.query.as_ref().expect("prepared above");
-                let done = score_onto(self.config.score, qprep, raster, back, &mut board, offers);
+                let done = score_onto(self.config.score, qprep, raster, &mut board, offers);
                 stats.scan_copies += done.scored;
                 stats.scan_survivors += done.scored - done.abandoned;
                 rejected += done.rejected;
@@ -172,7 +172,7 @@ impl Snapshot {
                 let store = Store::Buffered(b);
                 (0..b.copies.len()).map(move |copy| Offer { store, copy, verdict: None })
             });
-            let done = score_onto(self.config.score, qprep, raster, back, &mut board, offers);
+            let done = score_onto(self.config.score, qprep, raster, &mut board, offers);
             rejected += done.rejected;
             board.finish(out);
             (scratch.seed, scratch.raster) = (seed, quant);
@@ -196,8 +196,6 @@ impl Snapshot {
             } else {
                 m.unseeded.inc();
             }
-            // Scratch reuse: a query that never grew a dense array ran
-            // entirely on warm scratch.
             if scratch.grow_events == grows_before {
                 m.pool_hits.inc();
             } else {
@@ -222,16 +220,11 @@ impl<'c> Store<'c> {
         }
     }
 
-    /// Copy i's shape: its id and image, and its source vertices and closed
-    /// bit, which with the copy's similarity make the copy.
-    pub(super) fn shape(self, i: usize) -> (GlobalShapeId, ImageId, &'c [Point], bool) {
+    /// Copy i's shape's row.
+    pub(super) fn shape(self, i: usize) -> Row<'c> {
         match self {
-            Store::Level(level) => {
-                let owner = level.copies.owner[i];
-                let at = owner.index();
-                (level.ids[at], level.images[at], level.src(owner), level.closed[at])
-            }
-            Store::Buffered(b) => (b.id, b.image, b.shape.points(), b.shape.is_closed()),
+            Store::Level(level) => level.row(level.copies.owner[i]),
+            Store::Buffered(b) => b.row(),
         }
     }
 
@@ -265,8 +258,8 @@ pub(super) struct Scored {
 /// score so far, and the k-th smallest of them — the cutoff the next
 /// scoring is bounded by. Per shape, not per copy: a copy-level top-k
 /// could prune the only copy of a shape whose best score still belongs
-/// in the answer. Borrowed from the query's [`ApproxScratch`], so filling
-/// it allocates nothing once warm.
+/// in the answer. Borrowed from the query's [`crate::approx::ApproxScratch`],
+/// so filling it allocates nothing once warm.
 pub(super) struct Board<'a> {
     pub(super) k: usize,
     /// Where the query started it — `INFINITY`, or a threshold query's τ —
@@ -277,6 +270,8 @@ pub(super) struct Board<'a> {
     pub(super) slot: &'a mut IdMap<GlobalShapeId, u32>,
     /// Score scratch for re-deriving the cutoff.
     pub(super) ktmp: &'a mut Vec<f64>,
+    /// The reverse index the scorer rebuilds for a forward survivor.
+    pub(super) back: &'a mut Option<PreparedShape>,
 }
 
 impl Board<'_> {
@@ -307,6 +302,7 @@ impl Board<'_> {
 
     /// Rank the rows by `(score, id)`; the k best are the answer.
     pub(super) fn finish(self, out: &mut Vec<DynMatch>) {
+        out.clear();
         self.rows.sort_unstable_by(|a, b| {
             a.score.partial_cmp(&b.score).unwrap().then(a.shape.cmp(&b.shape))
         });
@@ -319,15 +315,14 @@ impl Board<'_> {
 /// of live copies (each source leaves a tombstoned shape's out), all
 /// stored alike: score each copy against the board's cutoff — its
 /// quantized vertices against `raster` first, when the query has one,
-/// then its recomputed vertices, the reverse index rebuilt into `back`
-/// only for a forward survivor — drop what the scorer abandons or what
+/// then its recomputed vertices, the reverse index rebuilt into the
+/// board's `back` only for a forward survivor — drop what the scorer abandons or what
 /// lands past the cutoff anyway (the continuous kinds never abandon),
 /// and offer the survivor to the board.
 pub(super) fn score_onto<'c>(
     kind: ScoreKind,
     qprep: &PreparedShape,
     raster: Option<&QuantRaster>,
-    back: &mut Option<PreparedShape>,
     board: &mut Board<'_>,
     offers: impl Iterator<Item = Offer<'c>>,
 ) -> Scored {
@@ -336,7 +331,7 @@ pub(super) fn score_onto<'c>(
         let quantized = store.arena().quantized(copy);
         let stored = || store.stored(copy);
         let (score, rejected) =
-            score_copy_bounded(kind, quantized, stored, qprep, raster, back, board.cutoff);
+            score_copy_bounded(kind, quantized, stored, qprep, raster, board.back, board.cutoff);
         done.scored += 1;
         done.rejected += rejected as u64;
         if let Some(verdict) = verdict {

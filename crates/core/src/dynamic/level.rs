@@ -1,9 +1,13 @@
+//! The static sub-bases. A [`Level`] is made once — by a bulk load, a
+//! carry or a compaction, all one merge ([`Level::merge`]) — and never
+//! changed after; a [`Slot`] holds it beside its tombstones.
+
 use std::ops::Range;
 use std::sync::Arc;
 
 use geosir_geom::{Point, Polyline};
 
-use super::arena::{bytes, ranged, BufferedShape, CopyArena, DeadBits, InsertScratch};
+use super::arena::{bytes, ranged, BufferedShape, CopyArena, DeadBits, InsertScratch, Row};
 use super::GlobalShapeId;
 use crate::approx::SigBuckets;
 use crate::hashing::CurveFamily;
@@ -17,8 +21,7 @@ use crate::shapebase::par_map;
 pub(super) struct Level {
     /// Every normalized copy, shape by shape in `ids` order.
     pub(super) copies: CopyArena,
-    /// `copies.sigs` grouped — the approximate tier's index slice for
-    /// this level.
+    /// `copies.sigs` grouped: this level's slice of the hash tier's index.
     pub(super) buckets: SigBuckets,
     /// Level-local ShapeId → global id.
     pub(super) ids: Vec<GlobalShapeId>,
@@ -58,24 +61,15 @@ impl Slot {
         self.level.copies.len() - self.dead.copies
     }
 
-    /// The live shapes' table rows, in level order, each with the range
-    /// of its copies.
-    pub(super) fn live(
-        &self,
-    ) -> impl Iterator<Item = (ShapeId, GlobalShapeId, ImageId, Range<usize>)> + Clone + '_ {
-        let level = &*self.level;
-        (0..level.ids.len() as u32)
-            .map(ShapeId)
-            .filter(|local| !self.dead.get(*local))
-            .map(|l| (l, level.ids[l.index()], level.images[l.index()], level.copies_of(l)))
+    /// The live shapes, in level order.
+    pub(super) fn live(&self) -> impl Iterator<Item = ShapeId> + Clone + '_ {
+        (0..self.level.ids.len() as u32).map(ShapeId).filter(|local| !self.dead.get(*local))
     }
-}
 
-#[cfg(test)]
-thread_local! {
-    /// Id comparisons made by [`Level::find`] on this thread (test
-    /// probe: a delete must not walk a level's ids).
-    pub(super) static ID_PROBES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Whether copy `i` of the level belongs to a live shape.
+    pub(super) fn live_copy(&self, i: usize) -> bool {
+        !self.dead.get(self.level.copies.owner[i])
+    }
 }
 
 impl Level {
@@ -118,35 +112,30 @@ impl Level {
         buffer: &[Arc<BufferedShape>],
         slots: impl Iterator<Item = &'a Slot> + Clone,
     ) -> Level {
-        // (id, image, source, closed, copies as a range of an arena)
-        let buffered = buffer.iter().map(|b| {
-            (b.id, b.image, b.shape.points(), b.shape.is_closed(), &b.copies, 0..b.copies.len())
-        });
+        // (row, copies as a range of an arena)
+        let buffered = buffer.iter().map(|b| (b.row(), &b.copies, 0..b.copies.len()));
         let leveled = slots.flat_map(|slot| {
             let level = &*slot.level;
-            let row = move |(l, gid, image, range): (ShapeId, _, _, _)| {
-                (gid, image, level.src(l), level.closed[l.index()], &level.copies, range)
-            };
-            slot.live().map(row)
+            slot.live().map(move |l| (level.row(l), &level.copies, level.copies_of(l)))
         });
         let shapes = buffered.chain(leveled);
         let (mut n, mut src, mut copies, mut verts) = (0, 0, 0, 0);
-        for (_, _, source, _, arena, range) in shapes.clone() {
+        for ((_, _, source, _), arena, range) in shapes.clone() {
             (n, src, copies) = (n + 1, src + source.len(), copies + range.len());
             verts += ranged(&arena.ends, range).len();
         }
         let mut out = Level::with_capacity(n, src, copies, verts);
         // Snapshots may still hold the slots' levels: their contents are
         // copied out, never moved.
-        for (id, image, source, closed, arena, range) in shapes {
+        for (row, arena, range) in shapes {
             out.copies.extend_from(ShapeId(out.ids.len() as u32), arena, range);
-            out.push_shape(id, image, source, closed);
+            out.push_shape(row);
         }
         out.finish()
     }
 
     /// Record a shape whose copies were just appended to the arena.
-    fn push_shape(&mut self, id: GlobalShapeId, image: ImageId, src: &[Point], closed: bool) {
+    fn push_shape(&mut self, (id, image, src, closed): Row<'_>) {
         self.ids.push(id);
         self.images.push(image);
         self.closed.push(closed);
@@ -159,8 +148,9 @@ impl Level {
         ranged(&self.copy_ends, local.index()..local.index() + 1)
     }
 
-    pub(super) fn src(&self, local: ShapeId) -> &[Point] {
-        &self.src_verts[ranged(&self.src_ends, local.index()..local.index() + 1)]
+    pub(super) fn row(&self, local: ShapeId) -> Row<'_> {
+        let (at, src) = (local.index(), ranged(&self.src_ends, local.index()..local.index() + 1));
+        (self.ids[at], self.images[at], &self.src_verts[src], self.closed[at])
     }
 
     /// Bucket the signatures and sort the id table.
@@ -185,7 +175,7 @@ impl Level {
     pub(super) fn find(&self, id: GlobalShapeId) -> Option<ShapeId> {
         let at = self.sorted_ids.binary_search_by(|(held, _)| {
             #[cfg(test)]
-            ID_PROBES.with(|c| c.set(c.get() + 1));
+            super::tests::ID_PROBES.with(|c| c.set(c.get() + 1));
             held.cmp(&id)
         });
         at.ok().map(|at| self.sorted_ids[at].1)

@@ -10,35 +10,16 @@
 //! shape of a level, and a level that is more dead than alive is rebuilt
 //! without its dead (`MAX_DEAD_PER_LIVE`) — and a query runs on every
 //! live sub-base with results merged. A sub-base (`Level`) is its
-//! shapes' source vertices, and their normalized copies laid end to end
-//! in one arena (`CopyArena`, the layout the insert buffer's shapes
-//! share) — each copy its vertices quantized to 4 bytes and the
-//! similarity that recomputes them from the source — their hash
-//! signatures bucketed for the approximate tier, and an id table — no
-//! vertex pool and no range-search index: a level is scanned, never
+//! shapes' source vertices, their normalized copies in one arena, their
+//! hash signatures bucketed for the approximate tier, and an id table —
+//! no vertex pool and no range-search index: a level is scanned, never
 //! range-searched. A shape is normalized and hashed once, when it is
 //! inserted (or bulk-loaded); a carry only copies what its inputs hold
 //! (`Level::merge`).
 //!
-//! An exact query is *seed-and-verify* (`Snapshot::seed_and_scan`): the
-//! hash tier (§3, [`crate::approx`]) is probed first, and the k-th best of
-//! the true scores it returns bounds what any sub-base can still
-//! contribute — so each level is scanned, copy by copy, with the
-//! early-abandoning `h_avg` against that cutoff, exact on all k ranks
-//! (DESIGN.md §11.6). With fewer than k seeds the cutoff starts at ∞ and
-//! the same scan fills the board.
-//!
-//! ## Snapshots
-//!
-//! Levels are immutable between cascades and held behind `Arc`, so
-//! [`DynamicBase::snapshot`] can capture the entire queryable state —
-//! levels with their tombstone bitmaps, insert buffer, epoch — in
-//! O(buffer + levels) pointer copies, without copying any index. A
-//! [`Snapshot`] answers queries with no access to the `DynamicBase` it
-//! came from: one writer can keep inserting (mutating levels via
-//! cascades) while any number of reader threads retrieve against earlier
-//! snapshots. This is the foundation of `geosir-serve`'s
-//! snapshot-isolated live updates.
+//! By role: `arena` (what is stored, byte by byte), `level` (sub-bases,
+//! carries), `snapshot` (the read API), `exact` (seed-and-scan), `approx`
+//! (the hash tier); this file is the writer, [`DynamicBase`].
 
 use std::sync::Arc;
 
@@ -70,24 +51,14 @@ pub struct GlobalShapeId(pub u64);
 
 /// Growable, deletable shape base built from static levels.
 pub struct DynamicBase {
+    /// The queryable state — levels, tombstones, buffer, epoch, id
+    /// watermark — which the writer changes in place and
+    /// [`Self::snapshot`] publishes as a clone.
+    state: Snapshot,
     alpha: f64,
-    config: MatchConfig,
-    /// The k-curve hash family shared by every level's signature buckets
-    /// and all insert-time signatures (§3; k = [`DEFAULT_HASH_CURVES`]).
-    family: Arc<CurveFamily>,
-    /// Insert buffer: shapes not yet in any level (scored brute force
-    /// against the normalized copies derived at insert time).
-    buffer: Vec<Arc<BufferedShape>>,
     /// What the writer normalizes and hashes new copies through.
     scratch: InsertScratch,
     buffer_cap: usize,
-    /// Binary-carry slots; slot i holds a level of capacity
-    /// `buffer_cap · 2^i` (or is empty).
-    levels: Vec<Option<Slot>>,
-    next_id: u64,
-    /// Mutation counter: bumped by every applied insert and delete, so
-    /// snapshots are totally ordered.
-    epoch: u64,
     /// Rebuild accounting (for tests and ops visibility): shapes moved
     /// into a level by bulk loads, carries and compactions, and how many
     /// compactions (`MAX_DEAD_PER_LIVE`) there were.
@@ -121,34 +92,32 @@ impl DynamicBase {
     /// granularity); 32–256 is reasonable.
     pub fn new(alpha: f64, config: MatchConfig, buffer_cap: usize) -> Self {
         assert!(buffer_cap >= 1);
-        DynamicBase {
-            alpha,
-            config,
-            family: Arc::new(CurveFamily::new(DEFAULT_HASH_CURVES)),
-            buffer: Vec::new(),
-            scratch: InsertScratch::default(),
-            buffer_cap,
-            levels: Vec::new(),
-            next_id: 0,
+        let state = Snapshot {
             epoch: 0,
-            shapes_rebuilt: 0,
-            compactions: 0,
-        }
+            next_id: 0,
+            config,
+            frame: LuneFrame::new(alpha),
+            family: Arc::new(CurveFamily::new(DEFAULT_HASH_CURVES)),
+            levels: Vec::new(),
+            buffer: Vec::new(),
+        };
+        let scratch = InsertScratch::default();
+        DynamicBase { state, alpha, scratch, buffer_cap, shapes_rebuilt: 0, compactions: 0 }
     }
 
     /// The mutation epoch: bumped by every applied insert and delete.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.state.epoch
     }
 
     /// The retrieval configuration queries run with.
     pub fn config(&self) -> &MatchConfig {
-        &self.config
+        &self.state.config
     }
 
     /// Number of live (non-deleted) shapes.
     pub fn len(&self) -> usize {
-        self.buffer.len() + self.levels.iter().flatten().map(Slot::live_shapes).sum::<usize>()
+        self.state.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -157,7 +126,7 @@ impl DynamicBase {
 
     /// Occupied carry slots.
     pub fn num_levels(&self) -> usize {
-        self.levels.iter().flatten().count()
+        self.state.num_levels()
     }
 
     /// Insert a shape. Its normalized copies and their signatures are
@@ -165,20 +134,25 @@ impl DynamicBase {
     /// scores, and every carry the shape later takes part in only copies
     /// them (writer pays, readers and carries don't).
     pub fn insert(&mut self, image: ImageId, shape: Polyline) -> GlobalShapeId {
-        let id = GlobalShapeId(self.next_id);
-        self.next_id += 1;
-        self.epoch += 1;
+        let id = self.assign_id();
         self.buffer_insert(id, image, shape);
         id
+    }
+
+    /// The next id, for an applied insert (which moves the epoch).
+    fn assign_id(&mut self) -> GlobalShapeId {
+        self.state.next_id += 1;
+        self.state.epoch += 1;
+        GlobalShapeId(self.state.next_id - 1)
     }
 
     /// Derive everything a buffered shape carries — its normalized copies
     /// and their hash signatures — once, writer-side; carry when the
     /// buffer is full.
     fn buffer_insert(&mut self, id: GlobalShapeId, image: ImageId, shape: Polyline) {
-        let b = BufferedShape::new(id, image, shape, self.alpha, &self.family, &mut self.scratch);
-        self.buffer.push(Arc::new(b));
-        if self.buffer.len() >= self.buffer_cap {
+        let b = BufferedShape::new(id, image, shape, self.alpha, &self.state.family, &mut self.scratch);
+        self.state.buffer.push(Arc::new(b));
+        if self.state.buffer.len() >= self.buffer_cap {
             self.cascade();
         }
     }
@@ -191,15 +165,9 @@ impl DynamicBase {
         &mut self,
         shapes: impl IntoIterator<Item = (ImageId, Polyline)>,
     ) -> Vec<GlobalShapeId> {
-        let mut pool: Vec<(GlobalShapeId, ImageId, Polyline)> = Vec::new();
-        let mut assigned = Vec::new();
-        for (image, shape) in shapes {
-            let id = GlobalShapeId(self.next_id);
-            self.next_id += 1;
-            self.epoch += 1;
-            assigned.push(id);
-            pool.push((id, image, shape));
-        }
+        let pool: Vec<_> =
+            shapes.into_iter().map(|(image, shape)| (self.assign_id(), image, shape)).collect();
+        let assigned = pool.iter().map(|(id, ..)| *id).collect();
         self.bulk_load_level(pool);
         assigned
     }
@@ -219,8 +187,8 @@ impl DynamicBase {
         let mut base = DynamicBase::new(alpha, config, buffer_cap);
         let max_id = shapes.iter().map(|(g, _, _)| g.0 + 1).max().unwrap_or(0);
         base.bulk_load_level(shapes);
-        base.next_id = next_id.max(max_id);
-        base.epoch = epoch;
+        base.state.next_id = next_id.max(max_id);
+        base.state.epoch = epoch;
         base
     }
 
@@ -231,8 +199,8 @@ impl DynamicBase {
         if self.contains(id) {
             return false;
         }
-        self.next_id = self.next_id.max(id.0 + 1);
-        self.epoch += 1;
+        self.state.next_id = self.state.next_id.max(id.0 + 1);
+        self.state.epoch += 1;
         self.buffer_insert(id, image, shape);
         true
     }
@@ -240,12 +208,12 @@ impl DynamicBase {
     /// Whether `id` is live (inserted, not tombstoned): a walk of the
     /// buffer, then a binary search per level.
     pub fn contains(&self, id: GlobalShapeId) -> bool {
-        self.buffer.iter().any(|b| b.id == id) || self.find_live(id).is_some()
+        self.state.buffer.iter().any(|b| b.id == id) || self.find_live(id).is_some()
     }
 
     /// The slot holding `id` live, and its level-local id there.
     fn find_live(&self, id: GlobalShapeId) -> Option<(usize, ShapeId)> {
-        self.levels.iter().enumerate().find_map(|(at, slot)| {
+        self.state.levels.iter().enumerate().find_map(|(at, slot)| {
             let slot = slot.as_ref()?;
             let local = slot.level.find(id)?;
             (!slot.dead.get(local)).then_some((at, local))
@@ -264,14 +232,14 @@ impl DynamicBase {
         while self.buffer_cap << slot < pool.len() {
             slot += 1;
         }
-        while slot < self.levels.len() && self.levels[slot].is_some() {
+        while slot < self.state.levels.len() && self.state.levels[slot].is_some() {
             slot += 1;
         }
-        while self.levels.len() <= slot {
-            self.levels.push(None);
+        while self.state.levels.len() <= slot {
+            self.state.levels.push(None);
         }
         self.shapes_rebuilt += pool.len() as u64;
-        self.levels[slot] = Some(Slot::new(Level::build(pool, self.alpha, &self.family)));
+        self.state.levels[slot] = Some(Slot::new(Level::build(pool, self.alpha, &self.state.family)));
     }
 
     /// Delete a shape. A buffered one drops eagerly — it lives nowhere
@@ -280,18 +248,18 @@ impl DynamicBase {
     /// once the level's dead outnumber its live shapes
     /// (`MAX_DEAD_PER_LIVE`) the level is rebuilt without them, here.
     pub fn delete(&mut self, id: GlobalShapeId) -> bool {
-        let before = self.buffer.len();
-        self.buffer.retain(|b| b.id != id);
-        if self.buffer.len() < before {
-            self.epoch += 1;
+        let before = self.state.buffer.len();
+        self.state.buffer.retain(|b| b.id != id);
+        if self.state.buffer.len() < before {
+            self.state.epoch += 1;
             return true;
         }
         let Some((at, local)) = self.find_live(id) else {
             return false;
         };
-        let slot = self.levels[at].as_mut().expect("found there");
+        let slot = self.state.levels[at].as_mut().expect("found there");
         Arc::make_mut(&mut slot.dead).set(local, slot.level.copies_of(local).len());
-        self.epoch += 1;
+        self.state.epoch += 1;
         if slot.dead.shapes > MAX_DEAD_PER_LIVE * slot.live_shapes() {
             self.compact(at);
         }
@@ -302,13 +270,13 @@ impl DynamicBase {
     /// the merge a carry runs, on one input — and drop its tombstones
     /// with it; a level with no live shape frees the slot.
     fn compact(&mut self, at: usize) {
-        let old = self.levels[at].take().expect("compacting an occupied slot");
+        let old = self.state.levels[at].take().expect("compacting an occupied slot");
         let merged = Level::merge(&[], std::iter::once(&old));
         let shapes = merged.ids.len();
         self.shapes_rebuilt += shapes as u64;
         self.compactions += 1;
         if shapes > 0 {
-            self.levels[at] = Some(Slot::new(merged));
+            self.state.levels[at] = Some(Slot::new(merged));
         }
         obs::with_metrics(DynMetrics::build, |m| m.compactions.inc());
         obs::with_current(|r| {
@@ -329,18 +297,18 @@ impl DynamicBase {
     /// Tombstoned shapes are dropped on the way, their tombstones with
     /// the slots that held them.
     fn cascade(&mut self) {
-        let buffer = std::mem::take(&mut self.buffer);
+        let buffer = std::mem::take(&mut self.state.buffer);
         // the first free slot: every level below it joins the carry
-        let slot = self.levels.iter().position(Option::is_none).unwrap_or(self.levels.len());
-        if slot == self.levels.len() {
-            self.levels.push(None);
+        let slot = self.state.levels.iter().position(Option::is_none).unwrap_or(self.state.levels.len());
+        if slot == self.state.levels.len() {
+            self.state.levels.push(None);
         }
         // never empty: the buffer is, and holds no dead shape
-        let merged = Level::merge(&buffer, self.levels[..slot].iter().flatten());
-        self.levels[..slot].fill(None);
+        let merged = Level::merge(&buffer, self.state.levels[..slot].iter().flatten());
+        self.state.levels[..slot].fill(None);
         let rebuilt = merged.ids.len();
         self.shapes_rebuilt += rebuilt as u64;
-        self.levels[slot] = Some(Slot::new(merged));
+        self.state.levels[slot] = Some(Slot::new(merged));
         // Lifecycle journal: large carries (high slots) are the ones
         // worth explaining when someone asks why a write spiked.
         obs::with_current(|r| {
@@ -357,19 +325,7 @@ impl DynamicBase {
     /// levels) pointer copies: levels, their tombstone bitmaps and
     /// buffered shapes are shared, nothing is cloned.
     pub fn snapshot(&self) -> Snapshot {
-        let copies = self.levels.iter().flatten().map(Slot::live_copies).sum::<usize>()
-            + self.buffer.iter().map(|b| b.copies.len()).sum::<usize>();
-        Snapshot {
-            epoch: self.epoch,
-            next_id: self.next_id,
-            config: self.config.clone(),
-            frame: LuneFrame::new(self.alpha),
-            family: self.family.clone(),
-            levels: self.levels.clone(),
-            buffer: self.buffer.clone(),
-            live: self.len(),
-            copies,
-        }
+        self.state.clone()
     }
 }
 

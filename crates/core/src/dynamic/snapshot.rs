@@ -1,3 +1,15 @@
+//! The read side. Levels are immutable between cascades and held behind
+//! `Arc`, so [`DynamicBase::snapshot`] can capture the entire queryable
+//! state — levels with their tombstone bitmaps, insert buffer, epoch — in
+//! O(buffer + levels) pointer copies, without copying any index. A
+//! [`Snapshot`] answers queries with no access to the `DynamicBase` it
+//! came from: one writer can keep inserting (mutating levels via
+//! cascades) while any number of reader threads retrieve against earlier
+//! snapshots. This is the foundation of `geosir-serve`'s
+//! snapshot-isolated live updates.
+//!
+//! [`DynamicBase::snapshot`]: super::DynamicBase::snapshot
+
 use std::sync::Arc;
 
 use geosir_geom::{Point, Polyline};
@@ -77,20 +89,22 @@ impl DynMetrics {
 /// memory is reclaimed when the last snapshot referencing it drops.
 #[derive(Clone)]
 pub struct Snapshot {
+    /// Mutation counter: bumped by every applied insert and delete, so
+    /// snapshots are totally ordered.
     pub(super) epoch: u64,
     pub(super) next_id: u64,
     pub(super) config: MatchConfig,
     /// The grid the copies' vertices are quantized in.
     pub(super) frame: LuneFrame,
+    /// The k-curve hash family shared by every level's signature buckets
+    /// and all insert-time signatures (§3; k = `DEFAULT_HASH_CURVES`).
     pub(super) family: Arc<CurveFamily>,
-    /// The base's carry slots as captured (empty ones included, so a
-    /// slot index means the same level here and there).
+    /// Binary-carry slots; slot i holds a level of capacity
+    /// `buffer_cap · 2^i` (or is empty).
     pub(super) levels: Vec<Option<Slot>>,
+    /// Insert buffer: shapes not yet in any level (scored brute force
+    /// against the normalized copies derived at insert time).
     pub(super) buffer: Vec<Arc<BufferedShape>>,
-    pub(super) live: usize,
-    /// Normalized copies of the live shapes captured (levels + buffer) —
-    /// the denominator of the approximate tier's reduction ratio.
-    pub(super) copies: usize,
 }
 
 impl Snapshot {
@@ -109,26 +123,23 @@ impl Snapshot {
     /// Every live (non-tombstoned) shape as `(id, image, vertices,
     /// closed)`, borrowed from the levels and the insert buffer — the
     /// checkpoint writer's entry point, which walks it twice (sizes,
-    /// then bytes) and clones no geometry. Order is levels (large to
-    /// recent) then the insert buffer.
+    /// then bytes) and clones no geometry. Order is slot by slot from
+    /// slot 0 — the smallest, most recent level — up to the largest, then
+    /// the insert buffer.
     pub fn walk_live_shapes(
         &self,
     ) -> impl Iterator<Item = (GlobalShapeId, ImageId, &[Point], bool)> + Clone + '_ {
         let leveled = self.levels.iter().flatten().flat_map(|slot| {
             let level = &*slot.level;
-            slot.live().map(move |(local, gid, image, _)| {
-                (gid, image, level.src(local), level.closed[local.index()])
-            })
+            slot.live().map(move |local| level.row(local))
         });
-        let buffered =
-            self.buffer.iter().map(|b| (b.id, b.image, b.shape.points(), b.shape.is_closed()));
-        leveled.chain(buffered)
+        leveled.chain(self.buffer.iter().map(|b| b.row()))
     }
 
     /// [`Self::walk_live_shapes`] with each shape cloned out, in the same
     /// order; [`DynamicBase::restore`] accepts it directly.
     pub fn live_shapes(&self) -> Vec<(GlobalShapeId, ImageId, Polyline)> {
-        let mut out = Vec::with_capacity(self.live);
+        let mut out = Vec::with_capacity(self.len());
         out.extend(self.walk_live_shapes().map(|(gid, image, src, closed)| {
             (gid, image, Polyline::from_valid(src.to_vec(), closed))
         }));
@@ -137,11 +148,11 @@ impl Snapshot {
 
     /// Live (non-deleted) shapes visible to queries.
     pub fn len(&self) -> usize {
-        self.live
+        self.buffer.len() + self.levels.iter().flatten().map(Slot::live_shapes).sum::<usize>()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.len() == 0
     }
 
     /// Tombstoned shapes the levels still hold — at most one per live
@@ -185,9 +196,7 @@ impl Snapshot {
         out: &mut Vec<DynMatch>,
         stats: &mut RetrieveStats,
     ) {
-        let k = if k == 0 { self.config.k } else { k };
-        let prepared = self.prepare(scratch, query, true);
-        self.seed_and_scan(k, f64::INFINITY, scratch, prepared, out, stats, None, true);
+        self.seed_and_scan(self.k(k), f64::INFINITY, scratch, query, true, out, stats, None, true);
     }
 
     /// [`Self::retrieve_with_stats`] that additionally captures a full
@@ -205,10 +214,9 @@ impl Snapshot {
         stats: &mut RetrieveStats,
         explain: &mut QueryExplain,
     ) {
-        let k = if k == 0 { self.config.k } else { k };
         explain.clear();
-        let prepared = self.prepare(scratch, query, true);
-        self.seed_and_scan(k, f64::INFINITY, scratch, prepared, out, stats, Some(explain), true);
+        let k = self.k(k);
+        self.seed_and_scan(k, f64::INFINITY, scratch, query, true, out, stats, Some(explain), true);
         explain.stats = *stats;
     }
 
@@ -220,23 +228,23 @@ impl Snapshot {
     pub fn retrieve_within(&self, query: &Polyline, tau: f64) -> Vec<DynMatch> {
         let mut scratch = MatcherScratch::new();
         let (mut out, mut stats) = (Vec::new(), RetrieveStats::default());
-        let prepared = self.prepare(&mut scratch, query, true);
-        self.seed_and_scan(usize::MAX, tau, &mut scratch, prepared, &mut out, &mut stats, None, true);
+        self.seed_and_scan(usize::MAX, tau, &mut scratch, query, true, &mut out, &mut stats, None, true);
         out
     }
 
     /// Normalized copies of the live shapes captured by this snapshot
     /// (levels + buffer) — what an exhaustive approximate scan would have
-    /// to score.
+    /// to score; the denominator of its reduction ratio.
     pub fn total_copies(&self) -> usize {
-        self.copies
+        let leveled = self.levels.iter().flatten().map(Slot::live_copies).sum::<usize>();
+        leveled + self.buffer.iter().map(|b| b.copies.len()).sum::<usize>()
     }
 
     /// Copies the levels and the buffer hold, tombstoned shapes' included:
     /// what memory and bucket sizes track ([`Self::total_copies`] is the
     /// live share of it, never under half).
     pub fn stored_copies(&self) -> usize {
-        self.copies + self.levels.iter().flatten().map(|s| s.dead.copies).sum::<usize>()
+        self.total_copies() + self.levels.iter().flatten().map(|s| s.dead.copies).sum::<usize>()
     }
 
     /// Bytes the captured base holds on the heap: each level's arena,
@@ -301,10 +309,9 @@ impl Snapshot {
     /// ([`Self::probe_rerank`], which the exact tier's seed step also
     /// runs), through the query's lower-bound raster as the seed is. A
     /// query with degenerate geometry — or one whose cascade collects
-    /// nothing — falls through to the exact tier (the seed-and-scan of
-    /// [`Self::retrieve_with_stats`], on the query as prepared here),
-    /// reported as [`AnswerTier::Exact`] in `stats`. `_tmp` is unused,
-    /// kept for `benchmark/` as [`Self::retrieve_with_stats`]'s is.
+    /// nothing — falls through to [`Self::retrieve_with_stats`]'s
+    /// seed-and-scan, reported as [`AnswerTier::Exact`] in `stats`.
+    /// `_tmp` is unused, kept for `benchmark/` as that one's is.
     #[allow(clippy::too_many_arguments)]
     pub fn similar_approx_with(
         &self,
@@ -317,6 +324,11 @@ impl Snapshot {
         stats: &mut ApproxStats,
     ) {
         self.approximate(scratch, ax, query, opts, out, stats, true);
+    }
+
+    /// A query's k: `0` means the base's configured k.
+    pub(super) fn k(&self, k: usize) -> usize {
+        if k == 0 { self.config.k } else { k }
     }
 
     /// The one query preparation of both tiers: `query` normalized about

@@ -1,3 +1,8 @@
+//! The dynamic base's tests, by role: each role file's under `tests/`,
+//! included here beside the helpers they share, so that every test keeps
+//! the one module path `dynamic::tests` (the names CI filters on and the
+//! docs cite).
+
 use std::collections::HashSet;
 use std::ops::Range;
 use std::sync::Arc;
@@ -8,10 +13,9 @@ use geosir_obs as obs;
 use proptest::prelude::*;
 use rand::prelude::*;
 
-use super::arena::CopyArena;
+use super::arena::{BufferedShape, CopyArena, InsertScratch};
 use super::exact::Store;
 use super::level::{Level, Slot};
-use super::level::ID_PROBES;
 use super::snapshot::Prepared;
 use super::*;
 use crate::approx::{AnswerTier, ApproxOptions, ApproxScratch, ApproxStats};
@@ -20,6 +24,12 @@ use crate::matcher::MatchOutcome;
 use crate::scratch::MatcherScratch;
 use crate::shapebase::ShapeBaseBuilder;
 use crate::similarity::{score_copy_bounded, LuneFrame, PreparedShape, QuantRaster, ScoreKind, StoredCopy};
+
+thread_local! {
+    /// Id comparisons made by [`Level::find`] on this thread (test
+    /// probe: a delete must not walk a level's ids).
+    pub(super) static ID_PROBES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 fn p(x: f64, y: f64) -> Point {
     Point::new(x, y)
@@ -124,7 +134,10 @@ fn assert_recomputes(store: Store<'_>, alpha: f64, family: &CurveFamily, what: &
     let shapes: Vec<(Polyline, Range<usize>)> = match store {
         Store::Level(level) => (0..level.ids.len() as u32)
             .map(ShapeId)
-            .map(|l| (Polyline::from_valid(level.src(l).to_vec(), level.closed[l.index()]), level.copies_of(l)))
+            .map(|l| {
+                let (_, _, src, closed) = level.row(l);
+                (Polyline::from_valid(src.to_vec(), closed), level.copies_of(l))
+            })
             .collect(),
         Store::Buffered(b) => vec![(b.shape.clone(), 0..b.copies.len())],
     };
@@ -144,13 +157,13 @@ fn assert_recomputes(store: Store<'_>, alpha: f64, family: &CurveFamily, what: &
 
 /// Every copy the base holds, levels and buffer, recomputes bit for bit.
 fn assert_base_recomputes(db: &DynamicBase, what: &str) {
-    for (at, slot) in db.levels.iter().enumerate() {
+    for (at, slot) in db.state.levels.iter().enumerate() {
         if let Some(slot) = slot {
-            assert_recomputes(Store::Level(&slot.level), db.alpha, &db.family, &format!("{what}, slot {at}"));
+            assert_recomputes(Store::Level(&slot.level), db.alpha, &db.state.family, &format!("{what}, slot {at}"));
         }
     }
-    for b in &db.buffer {
-        assert_recomputes(Store::Buffered(b), db.alpha, &db.family, &format!("{what}, buffered {:?}", b.id));
+    for b in &db.state.buffer {
+        assert_recomputes(Store::Buffered(b), db.alpha, &db.state.family, &format!("{what}, buffered {:?}", b.id));
     }
 }
 

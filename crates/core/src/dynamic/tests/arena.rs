@@ -6,14 +6,15 @@ fn quantized_copies_recompute_bit_for_bit() {
     for alpha in [0.0, 0.1] {
         let mut db = DynamicBase::new(alpha, MatchConfig::default(), 4);
         let ids: Vec<_> = (0..3).map(|i| db.insert(ImageId(i), shape(8000 + i as u64))).collect();
-        assert_eq!((db.num_levels(), db.buffer.len()), (0, 3));
+        assert_eq!((db.num_levels(), db.state.buffer.len()), (0, 3));
         assert_base_recomputes(&db, "inserted");
         for i in 3..22 {
             db.insert(ImageId(i), shape(8000 + i as u64));
         }
-        assert!(db.num_levels() >= 2 && !db.buffer.is_empty());
+        assert!(db.num_levels() >= 2 && !db.state.buffer.is_empty());
         assert_base_recomputes(&db, "carried");
-        let doomed: Vec<_> = db.levels.iter().flatten().last().expect("levels").live().map(|(_, g, _, _)| g).collect();
+        let last = db.state.levels.iter().flatten().last().expect("levels");
+        let doomed: Vec<_> = last.live().map(|l| last.level.ids[l.index()]).collect();
         for id in doomed {
             db.delete(id);
         }

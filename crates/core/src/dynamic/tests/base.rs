@@ -254,8 +254,9 @@ fn churned_base_equals_a_fresh_one() {
         for step in 0..steps + 10 {
             if step == steps {
                 // a level loses its majority, once for certain
-                let occupied: Vec<&Slot> = db.levels.iter().flatten().collect();
-                let doomed: Vec<_> = occupied[occupied.len() / 2].live().map(|(_, g, _, _)| g).collect();
+                let occupied: Vec<&Slot> = db.state.levels.iter().flatten().collect();
+                let half = occupied[occupied.len() / 2];
+                let doomed: Vec<_> = half.live().map(|l| half.level.ids[l.index()]).collect();
                 for id in doomed {
                     if db.compactions == 0 {
                         assert!(db.delete(id));
@@ -275,18 +276,18 @@ fn churned_base_equals_a_fresh_one() {
         }
         // something buffered, and a tombstone in every level the
         // schedule left without
-        if db.buffer.is_empty() {
+        if db.state.buffer.is_empty() {
             db.insert(ImageId(0), perturb(&proto, &mut rng, 0.02));
         }
-        let spared = db.levels.iter().flatten().filter(|s| s.dead.shapes == 0 && s.live_shapes() > 2);
+        let spared = db.state.levels.iter().flatten().filter(|s| s.dead.shapes == 0 && s.live_shapes() > 2);
         for id in spared.map(|s| s.level.ids[0]).collect::<Vec<_>>() {
             assert!(db.delete(id));
         }
-        let tombstoned = db.levels.iter().flatten().filter(|s| s.dead.shapes > 0).count();
+        let tombstoned = db.state.levels.iter().flatten().filter(|s| s.dead.shapes > 0).count();
         assert!(tombstoned >= 3 && db.compactions >= 1, "seed {seed}: {tombstoned} levels, {} compactions", db.compactions);
         let churned = db.snapshot();
         assert!(!churned.buffer.is_empty() && churned.dead_shapes() > 0, "seed {seed}");
-        let fresh = DynamicBase::restore(0.0, db.config.clone(), 4, churned.live_shapes(), churned.next_id(), churned.epoch()).snapshot();
+        let fresh = DynamicBase::restore(0.0, db.state.config.clone(), 4, churned.live_shapes(), churned.next_id(), churned.epoch()).snapshot();
         assert_eq!((fresh.num_levels(), fresh.dead_shapes()), (1, 0));
         assert_eq!((churned.len(), churned.total_copies()), (fresh.len(), fresh.total_copies()), "seed {seed}");
 

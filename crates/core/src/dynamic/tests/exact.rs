@@ -134,7 +134,7 @@ fn dead_copies_are_never_scored() {
             .map(|(s, id)| {
                 let best = crate::normalize::normalized_copies(s, 0.0)
                     .into_iter()
-                    .map(|c| crate::similarity::score(db.config.score, &c.shape, &prep))
+                    .map(|c| crate::similarity::score(db.state.config.score, &c.shape, &prep))
                     .fold(f64::INFINITY, f64::min);
                 (*id, best)
             })
@@ -315,8 +315,7 @@ fn seed_verdicts_change_no_answer() {
     for (i, q) in queries.iter().enumerate() {
         for k in [1, 4, 10] {
             snap.retrieve_with_stats(&mut scratch, &mut tmp, q, k, &mut on, &mut on_stats);
-            let prepared = snap.prepare(&mut scratch, q, true);
-            snap.seed_and_scan(k, f64::INFINITY, &mut scratch, prepared, &mut off, &mut off_stats, None, false);
+            snap.seed_and_scan(k, f64::INFINITY, &mut scratch, q, true, &mut off, &mut off_stats, None, false);
             assert_eq!(id_bits(&on), id_bits(&off), "query {i}, k = {k}");
             scored_on += on_stats.scan_copies;
             scored_off += off_stats.scan_copies;
@@ -342,12 +341,10 @@ fn the_raster_changes_no_verdict_and_no_count() {
     for (i, q) in queries.iter().enumerate() {
         for k in [1, 4, 10] {
             obs::set_thread_registry(Some(with.clone()));
-            let prepared = snap.prepare(&mut scratch, q, true);
-            snap.seed_and_scan(k, f64::INFINITY, &mut scratch, prepared, &mut on, &mut on_stats, None, true);
+            snap.seed_and_scan(k, f64::INFINITY, &mut scratch, q, true, &mut on, &mut on_stats, None, true);
             let seeded = verdicts(&scratch);
             obs::set_thread_registry(Some(without.clone()));
-            let prepared = snap.prepare(&mut scratch, q, false);
-            snap.seed_and_scan(k, f64::INFINITY, &mut scratch, prepared, &mut off, &mut off_stats, None, true);
+            snap.seed_and_scan(k, f64::INFINITY, &mut scratch, q, false, &mut off, &mut off_stats, None, true);
             assert_eq!(id_bits(&on), id_bits(&off), "query {i}, k = {k}");
             assert_eq!(on_stats, off_stats, "query {i}, k = {k}");
             assert_eq!(seeded, verdicts(&scratch), "query {i}, k = {k}");
@@ -361,4 +358,29 @@ fn the_raster_changes_no_verdict_and_no_count() {
     for name in ["geosir_exact_seed_reranked_total", "geosir_exact_scan_copies_total"] {
         assert_eq!(with.counter(name, &[]), without.counter(name, &[]), "{name}");
     }
+}
+
+#[test]
+fn served_scratch_holds_8_bytes_a_copy_of_the_largest_level() {
+    // after warm exact and approximate queries a worker's scratch holds
+    // one copy stamp per copy of the largest level, and none of the §2.5
+    // matcher's other per-copy arrays
+    let (snap, queries) = near_match_world();
+    let largest = snap.slots().map(|(_, s)| s.level.copies.len()).max().expect("levels");
+    let mut scratch = MatcherScratch::new();
+    let (mut tmp, mut ax, mut out) = (MatchOutcome::default(), ApproxScratch::new(), Vec::new());
+    let (mut stats, mut approx_stats) = (RetrieveStats::default(), ApproxStats::default());
+    let opts = ApproxOptions { k: 10, ..ApproxOptions::default() };
+    for q in &queries {
+        snap.retrieve_with_stats(&mut scratch, &mut tmp, q, 10, &mut out, &mut stats);
+        snap.similar_approx_with(&mut scratch, &mut tmp, &mut ax, q, &opts, &mut out, &mut approx_stats);
+    }
+    let per_copy = 8 * scratch.scored_stamp.capacity()
+        + 8 * scratch.counter_stamp.capacity()
+        + 4 * scratch.counters.capacity()
+        + 8 * scratch.dist_sums.capacity();
+    assert!(per_copy <= 8 * largest, "{per_copy} B of per-copy scratch for {largest} copies");
+    assert_eq!(scratch.scored_stamp.len(), largest);
+    let matcher = (scratch.counter_stamp.len(), scratch.counters.len(), scratch.dist_sums.len());
+    assert_eq!(matcher, (0, 0, 0), "the matcher's per-copy arrays");
 }

@@ -56,7 +56,7 @@ proptest! {
                 slots.resize(slots.len().max(slot + 1), None);
                 slots[slot] = (!pool.is_empty()).then_some(pool);
             } else {
-                let id = GlobalShapeId(rng.random_range(0..db.next_id));
+                let id = GlobalShapeId(rng.random_range(0..db.state.next_id));
                 let buffered = buffer.iter().position(|(g, _, _)| *g == id);
                 let leveled = slots.iter().flatten().any(|l| l.iter().any(|(g, _, _)| *g == id));
                 let held = buffered.is_some() || (leveled && !dead.contains(&id));
@@ -84,19 +84,19 @@ proptest! {
             prop_assert_eq!(db.compactions, compactions, "step {}: compactions", step);
             let live = buffer.len() + slots.iter().flatten().map(Vec::len).sum::<usize>() - dead.len();
             prop_assert_eq!((db.len(), db.snapshot().len()), (live, live), "step {}: len", step);
-            prop_assert_eq!(db.levels.len(), slots.len());
-            for (i, (slot, model)) in db.levels.iter().zip(&slots).enumerate() {
+            prop_assert_eq!(db.state.levels.len(), slots.len());
+            for (i, (slot, model)) in db.state.levels.iter().zip(&slots).enumerate() {
                 prop_assert_eq!(slot.is_some(), model.is_some(), "step {}: slot {}", step, i);
                 if let (Some(slot), Some(model)) = (slot, model) {
                     let what = format!("seed {seed} step {step} slot {i}");
-                    let rebuilt = Level::build(model.clone(), alpha, &db.family);
+                    let rebuilt = Level::build(model.clone(), alpha, &db.state.family);
                     assert_same_level(&slot.level, &rebuilt, &what);
-                    assert_recomputes(Store::Level(&slot.level), alpha, &db.family, &what);
+                    assert_recomputes(Store::Level(&slot.level), alpha, &db.state.family, &what);
                     // the bits are the model's tombstones, and never
                     // the majority
                     let held: Vec<_> = model.iter().map(|(g, _, _)| *g).collect();
                     let want: Vec<_> = held.iter().filter(|g| dead.contains(g)).collect();
-                    let got: Vec<_> = held.iter().filter(|g| !slot.live().any(|(_, l, _, _)| l == **g)).collect();
+                    let got: Vec<_> = held.iter().filter(|g| !slot.live().any(|l| slot.level.ids[l.index()] == **g)).collect();
                     prop_assert_eq!(&got, &want, "{}: tombstones", what);
                     prop_assert_eq!(slot.dead.shapes, want.len(), "{}: dead count", what);
                     prop_assert!(slot.dead.shapes <= slot.live_shapes(), "{}: more dead than alive", what);
@@ -106,4 +106,33 @@ proptest! {
             }
         }
     }
+}
+
+#[test]
+fn a_carry_merges_off_the_writer_from_cloned_inputs() {
+    // a base one insert short of a carry into slot 2: slots 0 and 1 hold
+    // levels with tombstones, the buffer holds cap − 1 shapes
+    let mut db = dynbase(4);
+    let ids: Vec<_> = (0..15).map(|i| db.insert(ImageId(i), shape(9100 + i as u64))).collect();
+    for id in [ids[0], ids[5], ids[9], ids[13]] {
+        assert!(db.delete(id));
+    }
+    assert_eq!((db.state.buffer.len(), db.compactions), (2, 0));
+    db.insert(ImageId(15), shape(9115));
+    let target = db.state.levels.iter().position(Option::is_none).unwrap_or(db.state.levels.len());
+    assert_eq!(target, 2);
+    assert!(db.state.levels[..target].iter().flatten().all(|s| s.dead.shapes > 0));
+
+    // what the writer would hand over: the buffer with the next insert
+    // in it, and the slots the carry consumes — `Arc`s, nothing borrowed
+    let (next, id) = (shape(9116), GlobalShapeId(db.state.next_id));
+    let mut buffer = db.state.buffer.clone();
+    let mut scratch = InsertScratch::default();
+    buffer.push(Arc::new(BufferedShape::new(id, ImageId(16), next.clone(), db.alpha, &db.state.family, &mut scratch)));
+    let slots: Vec<Slot> = db.state.levels[..target].iter().flatten().cloned().collect();
+    let merged = std::thread::spawn(move || Level::merge(&buffer, slots.iter())).join().expect("merge thread");
+
+    assert_eq!(db.insert(ImageId(16), next), id);
+    let carried = db.state.levels[target].as_ref().expect("the carry's slot");
+    assert_same_level(&carried.level, &merged, "off-thread merge");
 }

@@ -10,6 +10,10 @@
 //!   (§2.5) with its termination bounds;
 //! - [`hashing`] — geometric hashing over the lune (§3) for approximate
 //!   matching when fattening finds nothing;
+//! - [`dynamic`] — the served base: Bentley–Saxe levels under inserts and
+//!   deletes, snapshots, seed-and-scan exact and hash-tier approximate
+//!   retrieval; [`approx`] its signature index, [`scratch`] its per-query
+//!   buffers;
 //! - [`selectivity`] — the significant-vertices estimator `V_S` and the
 //!   `c / V_S(Q)` selectivity law (§5.2);
 //! - [`baselines`] — Hausdorff, generalized k-th Hausdorff, nonlinear

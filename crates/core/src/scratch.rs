@@ -100,34 +100,27 @@ impl MatcherScratch {
     /// Size the dense arrays for `base`. Growth keeps existing stamps —
     /// they belong to past queries and can never equal a future stamp.
     pub(crate) fn ensure(&mut self, base: &ShapeBase) {
-        self.ensure_sized(base.num_copies(), base.num_shapes(), base.total_vertices());
+        let (copies, shapes) = (base.num_copies(), base.num_shapes());
+        let grew = grow(&mut self.counter_stamp, copies)
+            | grow(&mut self.counters, copies)
+            | grow(&mut self.dist_sums, copies)
+            | grow(&mut self.scored_stamp, copies)
+            | grow(&mut self.best_stamp, shapes)
+            | grow(&mut self.best_score, shapes)
+            | grow(&mut self.best_copy, shapes)
+            | grow(&mut self.seen_stamp, base.total_vertices());
+        self.count_growth(grew);
     }
 
-    /// [`Self::ensure`] for a dynamic-base level, whose scan stamps
-    /// copies and keeps no per-shape or per-vertex state.
+    /// [`Self::ensure`] for a dynamic-base level, whose scan reads only
+    /// the copy stamps: 8 B a copy, the §2.5 matcher's other per-copy,
+    /// per-shape and per-vertex arrays left as they are.
     pub(crate) fn ensure_copies(&mut self, copies: usize) {
-        self.ensure_sized(copies, 0, 0);
+        let grew = grow(&mut self.scored_stamp, copies);
+        self.count_growth(grew);
     }
 
-    fn ensure_sized(&mut self, copies: usize, shapes: usize, vertices: usize) {
-        let mut grew = false;
-        if self.counter_stamp.len() < copies {
-            self.counter_stamp.resize(copies, 0);
-            self.counters.resize(copies, 0);
-            self.dist_sums.resize(copies, 0.0);
-            self.scored_stamp.resize(copies, 0);
-            grew = true;
-        }
-        if self.best_stamp.len() < shapes {
-            self.best_stamp.resize(shapes, 0);
-            self.best_score.resize(shapes, 0.0);
-            self.best_copy.resize(shapes, 0);
-            grew = true;
-        }
-        if self.seen_stamp.len() < vertices {
-            self.seen_stamp.resize(vertices, 0);
-            grew = true;
-        }
+    fn count_growth(&mut self, grew: bool) {
         if grew {
             self.grow_events += 1;
             // A growth event in steady state means scratches are being
@@ -192,4 +185,13 @@ impl MatcherScratch {
     fn grid_query(&mut self) {
         self.query.as_mut().expect("just prepared").build_grid();
     }
+}
+
+/// Lengthen `v` to `len` (never shorten it); whether it grew.
+fn grow<T: Clone + Default>(v: &mut Vec<T>, len: usize) -> bool {
+    let short = v.len() < len;
+    if short {
+        v.resize(len, T::default());
+    }
+    short
 }

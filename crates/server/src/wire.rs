@@ -149,9 +149,20 @@ impl WireShape {
     }
 
     /// Reconstruct the polyline; `None` when the vertex set is not a valid
-    /// open/closed polyline (too few points, non-finite coordinates).
+    /// open/closed polyline (too few points, non-finite coordinates), or
+    /// when the square of its extent is not finite: normalizing divides by
+    /// the squared diameter, which past ≈ 1.34e154 is ∞ and would collapse
+    /// the shape to a point.
     pub fn to_polyline(&self) -> Option<Polyline> {
-        if self.points.iter().any(|(x, y)| !x.is_finite() || !y.is_finite()) {
+        let (mut lo, mut hi) = ((f64::INFINITY, f64::INFINITY), (f64::NEG_INFINITY, f64::NEG_INFINITY));
+        for &(x, y) in &self.points {
+            if !x.is_finite() || !y.is_finite() {
+                return None;
+            }
+            (lo, hi) = ((lo.0.min(x), lo.1.min(y)), (hi.0.max(x), hi.1.max(y)));
+        }
+        let (w, h) = (hi.0 - lo.0, hi.1 - lo.1);
+        if !(w * w + h * h).is_finite() {
             return None;
         }
         let pts: Vec<geosir_geom::Point> =

@@ -12,8 +12,9 @@ use std::time::{Duration, Instant};
 use geosir_core::dynamic::DynamicBase;
 use geosir_core::ids::ImageId;
 use geosir_core::matcher::MatchConfig;
-use geosir_geom::Polyline;
-use geosir_serve::{serve, Client, Frame, PipelinedClient, ServeConfig, WireShape};
+use geosir_geom::{Point, Polyline};
+use geosir_serve::wire::error_code;
+use geosir_serve::{serve, Client, Frame, PipelinedClient, ServeConfig, WireError, WireShape};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -286,6 +287,43 @@ fn query_approx_on_empty_base_reports_exact_tier() {
     let reply = client.similar_approx(&polygon(&mut rng), 3, 0, 0).unwrap();
     assert_eq!(reply.tier, geosir_core::AnswerTier::Exact);
     assert!(reply.matches.is_empty());
+    handle.shutdown();
+    handle.join();
+}
+
+/// Normalizing divides by the squared diameter: a shape whose squared
+/// extent is not a finite f64 (coordinates ≈ 1.34e154 apart) would
+/// collapse to a point and match whatever is nearest one. An insert and a
+/// query at 1e154 get an error reply and change nothing; below that the
+/// answer is scale-free — a query scaled by 1e150 returns the ids it
+/// returns at scale 1.
+#[test]
+fn shapes_whose_squared_extent_overflows_are_refused() {
+    let (base, shapes) = base_with(40, 8, 23);
+    let handle = serve("127.0.0.1:0", base, ServeConfig::default()).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let scaled = |s: &Polyline, by: f64| {
+        Polyline::closed(s.points().iter().map(|p| Point::new(p.x * by, p.y * by)).collect())
+            .expect("a scaled polygon is still simple")
+    };
+    let q = &shapes[7];
+    let mut ids = |shape: &Polyline| -> Vec<u64> {
+        client.query(shape, 3).unwrap().matches.iter().map(|m| m.shape).collect()
+    };
+    let unit = ids(q);
+    assert_eq!(unit.len(), 3);
+    assert_eq!(unit[0], 7, "the query is a stored shape");
+    assert_eq!(ids(&scaled(q, 1e150)), unit);
+
+    let huge = scaled(q, 1e154);
+    let refused = [client.insert(100, &huge).map(|_| ()), client.query(&huge, 3).map(|_| ())];
+    for reply in refused {
+        match reply {
+            Err(WireError::Server { code, .. }) => assert_eq!(code, error_code::BAD_SHAPE),
+            other => panic!("a shape at 1e154 was not refused: {other:?}"),
+        }
+    }
+    assert_eq!(client.stats().unwrap().live_shapes, 40, "the refused insert left no shape");
     handle.shutdown();
     handle.join();
 }

@@ -294,7 +294,7 @@ require_present 'geosir_exact_queries_total{seeded="true"}'
 require_present 'geosir_exact_seed_reranked_total'
 require_present 'geosir_exact_seed_tightness_permille'
 # ...and so does the level scan (an empty base has no copy to scan, so
-# presence; `dynamic.rs::a_scan_scores_every_level_copy_the_seed_did_not`
+# presence; `dynamic::tests::a_scan_scores_every_level_copy_the_seed_did_not`
 # pins the value), beside the matcher's series, which a seeded query
 # leaves at 0 rather than absent.
 require_present 'geosir_exact_scan_copies_total'
@@ -302,13 +302,13 @@ require_present 'geosir_exact_scan_survivors_total'
 require_present 'geosir_matcher_runs_total'
 # The query's lower-bound raster rejects copies before any distance: 0
 # here (nothing to reject), but the loaded node's explained query above
-# must have rejected some (`dynamic.rs::the_raster_changes_no_verdict_and_no_count`
+# must have rejected some (`dynamic::tests::the_raster_changes_no_verdict_and_no_count`
 # pins that it changes no answer or count).
 require_present 'geosir_exact_scan_bound_rejects_total'
 require_nonzero 'geosir_exact_scan_bound_rejects_total' "$LOADED_METRICS"
 # ...and so does the loaded node's one `similar-approx`, whose rerank
 # reads the same raster; those rejects count as approx traffic
-# (`dynamic.rs::quantized_approx_rerank_changes_no_verdict_and_no_count`
+# (`dynamic::tests::quantized_approx_rerank_changes_no_verdict_and_no_count`
 # pins that they change no answer or count).
 require_nonzero 'geosir_approx_bound_rejects_total' "$LOADED_METRICS"
 # What deletes leave behind and what reclaiming it cost: 0 on a base

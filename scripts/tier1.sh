@@ -20,6 +20,10 @@ cargo run -q --release --example topological_queries
 # other .rs file mentions loses its `pub` — and the clippy line above
 # then says whether it lives (dead_code stops at `pub`).
 bash scripts/pub_census.sh
+# Product and test lines per crate, counted one way every time (product =
+# outside `#[cfg(test)] mod tests`); fails when a file of the dynamic base
+# passes 1 000 lines.
+bash scripts/lines.sh
 
 # The canonical benchmark's contract: `benchmark/` is a workspace of its
 # own compiled against these crates' public API and the CLI's
