@@ -261,44 +261,45 @@ impl SigBuckets {
             .copies()
             .map(|(_, copy)| signature_of_with(family, copy.normalized.points(), &mut quarters))
             .collect();
-        Self::from_sigs(&sigs)
+        Self::from_sigs(sigs.len(), sigs.iter().enumerate().map(|(i, s)| (CopyId(i as u32), *s)))
     }
 
-    /// Group copy i (of signature `sigs[i]`) into buckets: a counting
-    /// pass, then a counting sort — six allocations whatever the number
-    /// of copies (a carry allocates per level, not per bucket).
-    pub(crate) fn from_sigs(sigs: &[Signature]) -> SigBuckets {
+    /// Group `n` copies, each given as (its id, its signature), into
+    /// buckets: a counting pass, then a counting sort — six allocations
+    /// whatever the number of copies (a carry allocates per level, not
+    /// per bucket). A bucket's members keep the order `sigs` gives them.
+    pub(crate) fn from_sigs(n: usize, sigs: impl Iterator<Item = (CopyId, Signature)> + Clone) -> SigBuckets {
         // room for every signature distinct, so the map never regrows;
         // then shrunk to the buckets it holds
-        let mut index = IdMap::with_capacity_and_hasher(sigs.len(), Default::default());
-        let bucket_of: Vec<u32> = sigs
-            .iter()
-            .map(|s| {
-                let next = index.len() as u32;
-                *index.entry(*s).or_insert(next)
-            })
-            .collect();
+        let mut index = IdMap::with_capacity_and_hasher(n, Default::default());
+        let mut bucket_of = Vec::with_capacity(n);
+        bucket_of.extend(sigs.clone().map(|(_, s)| {
+            let next = index.len() as u32;
+            *index.entry(s).or_insert(next)
+        }));
         index.shrink_to_fit();
         let mut bucket_sigs = vec![Signature::default(); index.len()];
         for (s, &b) in &index {
             bucket_sigs[b as usize] = *s;
         }
-        // sizes, then each bucket's end; filled back to front, a bucket's
-        // members come out ascending and its end becomes its start
+        // each bucket's start, then filled front to back with the start
+        // as its cursor, which leaves it at the bucket's end — the next
+        // one's start, shifted back into place
         let mut starts = vec![0u32; index.len() + 1];
         for &b in &bucket_of {
             starts[b as usize] += 1;
         }
-        let mut end = 0;
+        let mut start = 0;
         for s in starts.iter_mut() {
-            end += *s;
-            *s = end;
+            (start, *s) = (start + *s, start);
         }
-        let mut members = vec![CopyId(0); sigs.len()];
-        for (i, &b) in bucket_of.iter().enumerate().rev() {
-            starts[b as usize] -= 1;
-            members[starts[b as usize] as usize] = CopyId(i as u32);
+        let mut members = vec![CopyId(0); bucket_of.len()];
+        for ((id, _), &b) in sigs.zip(&bucket_of) {
+            members[starts[b as usize] as usize] = id;
+            starts[b as usize] += 1;
         }
+        starts.copy_within(..index.len(), 1);
+        starts[0] = 0;
         SigBuckets { sigs: bucket_sigs, starts, members, index }
     }
 

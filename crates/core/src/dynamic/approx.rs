@@ -15,7 +15,7 @@ use crate::similarity::PreparedShape;
 
 /// One candidate copy reference collected by the cascade. `level ==
 /// u32::MAX` marks a buffer entry (`a` = buffer slot, `b` = copy index);
-/// otherwise `a` is the raw [`crate::ids::CopyId`] within level `level`.
+/// otherwise `a` is a chunk of level `level` and `b` a copy of it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CandRef {
     pub level: u32,
@@ -45,6 +45,10 @@ impl Snapshot {
     ) {
         *stats = ApproxStats { corpus_copies: self.total_copies() as u64, ..ApproxStats::default() };
         let opts = &ApproxOptions { k: self.k(opts.k), ..*opts };
+        if opts.k == 0 {
+            out.clear();
+            return;
+        }
         let prepared = self.prepare(scratch, query, false);
         let mut rejected = 0;
         if prepared != Prepared::Nothing {
@@ -112,7 +116,7 @@ impl Snapshot {
                 return Offer { store, copy: c.b as usize, verdict };
             }
             let level = &self.levels[c.level as usize].as_ref().expect("probed slot").level;
-            Offer { store: Store::Level(level), copy: c.a as usize, verdict }
+            Offer { store: level.store(c.a as usize), copy: c.b as usize, verdict }
         });
         let qprep = scratch.query.as_ref().expect("prepared");
         let done = score_onto(self.config.score, qprep, raster, &mut board, offers);
@@ -162,11 +166,12 @@ impl Snapshot {
             for (li, slot) in self.slots() {
                 ring.clear();
                 slot.level.buckets.collect_ring(kf, &qsig, r, &mut probes[li], vals, ring, &mut probed);
-                let live = ring.iter().filter(|c| slot.live_copy(c.index()));
-                cands.extend(live.map(|c| CandRef {
+                let copies = ring.iter().map(|&member| slot.level.unpack(member));
+                let live = copies.filter(|&(c, i)| slot.live_copy(c, i));
+                cands.extend(live.map(|(c, i)| CandRef {
                     level: li as u32,
-                    a: c.0,
-                    b: 0,
+                    a: c as u32,
+                    b: i as u32,
                     verdict: f64::NAN,
                 }));
             }

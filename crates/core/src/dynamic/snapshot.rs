@@ -52,7 +52,8 @@ pub(super) struct DynMetrics {
     /// Copies the seed, the scans and the buffer pass rejected from the
     /// query's lower-bound raster alone (a share of the abandoned ones).
     pub(super) bound_rejects: Arc<obs::Counter>,
-    /// Levels [`DynamicBase::delete`] rebuilt without their dead.
+    /// Compactions [`DynamicBase::delete`] ran: chunks rewritten without
+    /// their dead.
     pub(super) compactions: Arc<obs::Counter>,
     /// `true k-th ÷ τ` in permille: how tight the seed was (1000 = the
     /// hash tier already had the answer).
@@ -130,8 +131,7 @@ impl Snapshot {
         &self,
     ) -> impl Iterator<Item = (GlobalShapeId, ImageId, &[Point], bool)> + Clone + '_ {
         let leveled = self.levels.iter().flatten().flat_map(|slot| {
-            let level = &*slot.level;
-            slot.live().map(move |local| level.row(local))
+            (0..slot.level.parts.len()).flat_map(|c| slot.live_rows(c)).map(|(row, ..)| row)
         });
         leveled.chain(self.buffer.iter().map(|b| b.row()))
     }
@@ -247,9 +247,9 @@ impl Snapshot {
         self.total_copies() + self.levels.iter().flatten().map(|s| s.dead.copies).sum::<usize>()
     }
 
-    /// Bytes the captured base holds on the heap: each level's arena,
+    /// Bytes the captured base holds on the heap: each level's chunks,
     /// tables, buckets and tombstones, and the buffered shapes — their
-    /// `Vec` capacities, summed (a level two snapshots share counts in
+    /// `Vec` capacities, summed (a chunk two snapshots share counts in
     /// both).
     pub fn heap_bytes(&self) -> usize {
         let levels = self.levels.iter().flatten();

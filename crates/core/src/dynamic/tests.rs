@@ -93,33 +93,55 @@ fn near_match_world() -> (Snapshot, Vec<Polyline>) {
     (db.snapshot(), queries.collect())
 }
 
-/// Every field of two levels, the arenas field for field and their
-/// geometry bit for bit.
+/// What a query or a checkpoint reads of two levels — row by row and copy
+/// by copy across their chunks, geometry bit for bit — and their id
+/// tables and bucket membership; not where their chunks begin.
 fn assert_same_level(got: &Level, want: &Level, what: &str) {
     fn bits(pts: &[Point]) -> Vec<(u64, u64)> {
         pts.iter().map(|q| (q.x.to_bits(), q.y.to_bits())).collect()
     }
-    let sims = |l: &Level| -> Vec<[u64; 4]> {
-        l.copies.fwd.iter().map(|f| [f.a, f.b, f.tx, f.ty].map(f64::to_bits)).collect()
+    // (id, image, source, closed, per copy: quantized vertices,
+    // similarity, signature) of every shape, in level order
+    type Copy = (Vec<[u16; 2]>, [u64; 4], Signature);
+    type Shape = (GlobalShapeId, ImageId, Vec<(u64, u64)>, bool, Vec<Copy>);
+    let rows = |l: &Level| -> Vec<Shape> {
+        let mut out = Vec::new();
+        for (c, part) in l.parts.iter().enumerate() {
+            let (chunk, ids) = (&part.chunk, &l.ids[l.shapes_of(c)]);
+            for local in (0..chunk.len() as u32).map(ShapeId) {
+                let (id, image, src, closed) = chunk.row(local, ids[local.index()]);
+                let copies = chunk.copies_of(local).map(|i| {
+                    let f = &chunk.copies.fwd[i];
+                    (chunk.copies.quantized(i).to_vec(), [f.a, f.b, f.tx, f.ty].map(f64::to_bits), chunk.copies.sigs[i])
+                });
+                out.push((id, image, bits(src), closed, copies.collect()));
+            }
+        }
+        out
     };
     assert_eq!(got.ids, want.ids, "{what}: ids");
-    assert_eq!(got.images, want.images, "{what}: images");
-    assert_eq!(got.copy_ends, want.copy_ends, "{what}: copies per shape");
     assert_eq!(got.sorted_ids, want.sorted_ids, "{what}: id table");
     assert!(got.sorted_ids.windows(2).all(|w| w[0].0 < w[1].0), "{what}: id table order");
     assert!(got.sorted_ids.iter().all(|(g, l)| got.ids[l.index()] == *g), "{what}: id table rows");
-    assert_eq!(bits(&got.src_verts), bits(&want.src_verts), "{what}: source vertices");
-    assert_eq!(got.src_ends, want.src_ends, "{what}: source ranges");
-    assert_eq!(got.closed, want.closed, "{what}: closed bits");
-    assert_eq!(got.copies.quantized, want.copies.quantized, "{what}: quantized vertices");
-    assert_eq!(got.copies.ends, want.copies.ends, "{what}: copy ranges");
-    assert_eq!(sims(got), sims(want), "{what}: similarities");
-    assert_eq!(got.copies.owner, want.copies.owner, "{what}: copy owners");
-    assert_eq!(got.copies.sigs, want.copies.sigs, "{what}: signatures");
-    // and the exact capacities a merge reserves: no slack to carry
-    assert_eq!(got.copies.quantized.capacity(), got.copies.quantized.len(), "{what}: arena capacity");
-    assert_eq!(got.src_verts.capacity(), got.src_verts.len(), "{what}: source capacity");
-    let buckets = |l: &Level| l.buckets.iter().map(|(s, c)| (*s, c.to_vec())).collect::<Vec<_>>();
+    assert_eq!(rows(got), rows(want), "{what}: rows and copies");
+    for (c, part) in got.parts.iter().enumerate() {
+        let chunk = &part.chunk;
+        let owners: Vec<ShapeId> = (0..chunk.len() as u32).map(ShapeId).flat_map(|l| chunk.copies_of(l).map(move |_| l)).collect();
+        assert_eq!(chunk.copies.owner, owners, "{what}: chunk {c} copy owners");
+        // the exact capacities a pack reserves: no slack to carry
+        assert_eq!(chunk.copies.quantized.capacity(), chunk.copies.quantized.len(), "{what}: chunk {c} arena capacity");
+        assert_eq!(chunk.src_verts.capacity(), chunk.src_verts.len(), "{what}: chunk {c} source capacity");
+        assert_eq!(part.shapes as usize, got.shapes_of(c).start, "{what}: chunk {c} shape offset");
+        assert_eq!(part.copies as usize, got.parts[..c].iter().map(|p| p.chunk.copies.len()).sum::<usize>(), "{what}: chunk {c} copy offset");
+    }
+    // members as copies of the level, whichever chunk holds them
+    let buckets = |l: &Level| {
+        let member = |m: &crate::ids::CopyId| {
+            let (c, i) = l.unpack(*m);
+            l.copy_at(c, i)
+        };
+        l.buckets.iter().map(|(s, c)| (*s, c.iter().map(member).collect::<Vec<_>>())).collect::<Vec<_>>()
+    };
     assert_eq!(buckets(got), buckets(want), "{what}: bucket membership");
 }
 
@@ -132,11 +154,11 @@ fn assert_same_level(got: &Level, want: &Level, what: &str) {
 fn assert_recomputes(store: Store<'_>, alpha: f64, family: &CurveFamily, what: &str) {
     let frame = LuneFrame::new(alpha);
     let shapes: Vec<(Polyline, Range<usize>)> = match store {
-        Store::Level(level) => (0..level.ids.len() as u32)
+        Store::Chunk(chunk, ids) => (0..chunk.len() as u32)
             .map(ShapeId)
             .map(|l| {
-                let (_, _, src, closed) = level.row(l);
-                (Polyline::from_valid(src.to_vec(), closed), level.copies_of(l))
+                let (_, _, src, closed) = chunk.row(l, ids[l.index()]);
+                (Polyline::from_valid(src.to_vec(), closed), chunk.copies_of(l))
             })
             .collect(),
         Store::Buffered(b) => vec![(b.shape.clone(), 0..b.copies.len())],
@@ -155,11 +177,18 @@ fn assert_recomputes(store: Store<'_>, alpha: f64, family: &CurveFamily, what: &
     }
 }
 
+/// Every copy of every chunk of `level` recomputes bit for bit.
+fn assert_level_recomputes(level: &Level, alpha: f64, family: &CurveFamily, what: &str) {
+    for c in 0..level.parts.len() {
+        assert_recomputes(level.store(c), alpha, family, &format!("{what}, chunk {c}"));
+    }
+}
+
 /// Every copy the base holds, levels and buffer, recomputes bit for bit.
 fn assert_base_recomputes(db: &DynamicBase, what: &str) {
     for (at, slot) in db.state.levels.iter().enumerate() {
         if let Some(slot) = slot {
-            assert_recomputes(Store::Level(&slot.level), db.alpha, &db.state.family, &format!("{what}, slot {at}"));
+            assert_level_recomputes(&slot.level, db.alpha, &db.state.family, &format!("{what}, slot {at}"));
         }
     }
     for b in &db.state.buffer {

@@ -190,7 +190,7 @@ fn explain_reconciles_with_plain_retrieval() {
     assert_eq!(db.num_levels(), 2);
     let snap = db.snapshot();
     let level_copies: Vec<u64> =
-        snap.slots().rev().map(|(_, s)| s.level.copies.len() as u64).collect();
+        snap.slots().rev().map(|(_, s)| s.level.num_copies() as u64).collect();
 
     let mut scratch = MatcherScratch::new();
     let mut tmp = MatchOutcome::default();
@@ -366,7 +366,7 @@ fn served_scratch_holds_8_bytes_a_copy_of_the_largest_level() {
     // one copy stamp per copy of the largest level, and none of the §2.5
     // matcher's other per-copy arrays
     let (snap, queries) = near_match_world();
-    let largest = snap.slots().map(|(_, s)| s.level.copies.len()).max().expect("levels");
+    let largest = snap.slots().map(|(_, s)| s.level.num_copies()).max().expect("levels");
     let mut scratch = MatcherScratch::new();
     let (mut tmp, mut ax, mut out) = (MatchOutcome::default(), ApproxScratch::new(), Vec::new());
     let (mut stats, mut approx_stats) = (RetrieveStats::default(), ApproxStats::default());
@@ -383,4 +383,25 @@ fn served_scratch_holds_8_bytes_a_copy_of_the_largest_level() {
     assert_eq!(scratch.scored_stamp.len(), largest);
     let matcher = (scratch.counter_stamp.len(), scratch.counters.len(), scratch.dist_sums.len());
     assert_eq!(matcher, (0, 0, 0), "the matcher's per-copy arrays");
+}
+
+#[test]
+fn a_k_of_zero_answers_empty() {
+    // k = 0 asks for the base's k, and a base configured with k = 0
+    // answers every path empty instead of partitioning at k − 1
+    let mut db = DynamicBase::new(0.0, MatchConfig { k: 0, ..Default::default() }, 64);
+    for i in 0..20 {
+        db.insert(ImageId(i), shape(i as u64 + 900));
+    }
+    let (snap, q) = (db.snapshot(), shape(905));
+    assert!(snap.retrieve(&q, 0).is_empty());
+    assert_eq!(snap.retrieve(&q, 3).len(), 3);
+    let (hits, _) = snap.similar_approx(&q, &ApproxOptions::default());
+    assert!(hits.is_empty());
+    let (mut scratch, mut tmp) = (MatcherScratch::new(), MatchOutcome::default());
+    let (mut out, mut stats, mut explain) = (Vec::new(), RetrieveStats::default(), QueryExplain::default());
+    snap.explain_with_stats(&mut scratch, &mut tmp, &q, 0, &mut out, &mut stats, &mut explain);
+    assert!(out.is_empty() && explain.levels.is_empty());
+    assert_eq!(explain.stats, RetrieveStats::default());
+    assert_eq!(snap.retrieve_within(&q, f64::INFINITY).len(), 20);
 }
