@@ -176,12 +176,11 @@ impl MatcherScratch {
     /// resolve, seed rerank, buffer scan — is measured against
     /// `self.query`: thousands of lookups, so it alone gets the
     /// nearest-edge grid (§2.5's Voronoi lookup). Built unconditionally
-    /// for a query of ≤ 64 edges, nothing above that: 36–39 µs once per
-    /// query as a server meets it on a shared 2-vCPU x86-64 host (≈ 14 µs
-    /// only when one query's build is repeated in a warm cache), a gain
-    /// from about a thousand lookups
-    /// up, which every measured base gives; unmeasured on a base too
-    /// small for that (DESIGN §11.6).
+    /// for a query of ≤ 64 edges, nothing above that: ≈ 32 µs once per
+    /// query as a server meets it on a shared 2-vCPU x86-64 host (≈ 24 µs
+    /// when one query's build is repeated in a warm cache), a gain from
+    /// about a thousand lookups up, which every measured base gives;
+    /// unmeasured on a base too small for that (DESIGN §11.6).
     fn grid_query(&mut self) {
         self.query.as_mut().expect("just prepared").build_grid();
     }

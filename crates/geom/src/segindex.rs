@@ -60,11 +60,31 @@
 //! reads 0 outside the box. It is the envelope rings of §2.5 rasterized:
 //! which band of distance around the shape a point falls in, known before
 //! any exact distance is computed.
+//!
+//! # Build distances and lookup distances
+//!
+//! The two builds measure `GRID_N² + RASTER_N²` distances from fixed
+//! centres, so they lay the edges out as columns first (`EdgeColumns`:
+//! `a`, `d = b − a` and `1/|d|²`) and project with a multiply where
+//! [`Segment::dist_sq_to_point`] divides by `|d|²`. A build distance may
+//! therefore differ from the lookup's in its last bits — a few ulps of
+//! the coordinates' magnitude, as each formula's own rounding already
+//! is. Nothing a caller reads takes those bits: the build distances only
+//! decide which edges a list holds and how low a raster cell reads, and
+//! every lookup still applies `dist_sq_to_point` to the edges of its
+//! list. Both decisions already carry `GRID_SLACK`, which is at least
+//! `GRID_SLACK · 2h` ≥ 1.4 × 10⁻¹⁴ of the coordinates' magnitude
+//! (`GRID_MIN_CELL`) and so dwarfs a few ulps of it: a list still holds
+//! every edge within `D + 2h` of its centre, and a raster cell still
+//! reads no more than any point of it measures. A division-free
+//! projection also makes a degenerate edge (`|d|² ≤ EPS²`) a point, as
+//! `dist_sq_to_point` does, by a reciprocal of 0.
 
 use crate::bbox::Aabb;
 use crate::point::Point;
 use crate::polyline::Polyline;
 use crate::segment::Segment;
+use crate::EPS;
 
 /// Largest segment count served by the flat scan; larger sets build the
 /// AABB tree. 64 covers every corpus shape while keeping the scan strictly
@@ -229,40 +249,33 @@ impl SegmentIndex {
             let radius = (d2.sqrt() + 2.0 * half_diag) * (1.0 + GRID_SLACK);
             radius * radius
         };
-        let mut boxes = [Aabb::EMPTY; FLAT_MAX];
+        let cols = EdgeColumns::of(&self.segs);
         let mut d2 = [0.0f64; FLAT_MAX];
-        let (boxes, d2) = (&mut boxes[..self.segs.len()], &mut d2[..self.segs.len()]);
-        for (b, s) in boxes.iter_mut().zip(&self.segs) {
-            *b = s.bbox();
-        }
-        // The previous cell's nearest edge is evaluated first: it is close
-        // to this cell too, so `reach2` — the squared list radius for the
-        // nearest edge found so far, which only shrinks — starts tight,
-        // and an edge whose bounding box is already farther is neither
-        // listed nor nearest and skips the exact evaluation.
-        let mut hint = 0;
+        let d2 = &mut d2[..self.segs.len()];
         for j in 0..GRID_N {
             for i in 0..GRID_N {
                 let m = Point::new(x0 + (i as f64 + 0.5) * cw, y0 + (j as f64 + 0.5) * ch);
-                // (`min` drops a NaN distance, as the scan's `<` does)
-                let mut nearest = self.segs[hint].dist_sq_to_point(m).min(f64::INFINITY);
-                let mut reach2 = reach_of(nearest);
-                for (e, ((d, s), b)) in d2.iter_mut().zip(&self.segs).zip(boxes.iter()).enumerate() {
-                    *d = if b.dist_sq(m) > reach2 { f64::INFINITY } else { s.dist_sq_to_point(m) };
-                    if *d < nearest {
-                        (nearest, hint) = (*d, e);
-                        reach2 = reach_of(nearest);
-                    }
+                for (e, d) in d2.iter_mut().enumerate() {
+                    *d = cols.dist_sq(e, m);
                 }
+                // (`<` skips a NaN distance, as the scan does)
+                let nearest = d2.iter().fold(f64::INFINITY, |n, &d| if d < n { d } else { n });
+                let reach2 = reach_of(nearest);
+                // bit e: edge e is listed (a u64 holds FLAT_MAX edges)
+                let listed = d2.iter().enumerate().fold(0u64, |bits, (e, &d)| bits | ((d <= reach2) as u64) << e);
+                // the first GRID_CAP listed edges, ascending; more marks
+                // the cell overflowed
                 let mut cell = [0u8; GRID_CAP + 1];
-                for e in (0..d2.len()).filter(|&e| d2[e] <= reach2) {
-                    if cell[0] as usize == GRID_CAP {
-                        cell[0] = GRID_OVERFLOW;
+                let mut rest = listed;
+                for slot in &mut cell[1..] {
+                    if rest == 0 {
                         break;
                     }
-                    cell[0] += 1;
-                    cell[cell[0] as usize] = e as u8;
+                    *slot = rest.trailing_zeros() as u8;
+                    rest &= rest - 1;
                 }
+                let len = listed.count_ones() as usize;
+                cell[0] = if len > GRID_CAP { GRID_OVERFLOW } else { len as u8 };
                 self.grid.cells.push(cell);
             }
         }
@@ -283,22 +296,33 @@ impl SegmentIndex {
             let (w, h) = (0.5 / g.inv_w, 0.5 / g.inv_h);
             let half_diag = 0.5 * w.hypot(h) * (1.0 + GRID_SLACK);
             lb.resize(RASTER_N * RASTER_N, 0.0);
+            let cols = EdgeColumns::of(&self.segs);
             // each grid cell's four raster cells, from the cell's list (it
             // holds every edge nearest to a point of the cell), or from
             // every edge where it overflowed
             for (c, cell) in g.cells.iter().enumerate() {
-                let list = cell.get(1..=cell[0] as usize);
-                for (i, j) in [(0, 0), (1, 0), (0, 1), (1, 1)] {
-                    let (i, j) = (2 * (c % GRID_N) + i, 2 * (c / GRID_N) + j);
-                    let m = Point::new(g.x0 + (i as f64 + 0.5) * w, g.y0 + (j as f64 + 0.5) * h);
-                    let (_, d2) = match list {
-                        Some(list) => {
-                            scan_list(list.iter().map(|&e| (e as u32, &self.segs[e as usize])), m)
+                let (i, j) = (2 * (c % GRID_N), 2 * (c / GRID_N));
+                let centre = |di: usize, dj: usize| {
+                    Point::new(g.x0 + ((i + di) as f64 + 0.5) * w, g.y0 + ((j + dj) as f64 + 0.5) * h)
+                };
+                let ms = [centre(0, 0), centre(1, 0), centre(0, 1), centre(1, 1)];
+                let mut nearest = [f64::INFINITY; 4];
+                let mut offer = |e: usize| {
+                    for (n, &m) in nearest.iter_mut().zip(&ms) {
+                        let d = cols.dist_sq(e, m);
+                        // (`<` skips a NaN distance, as the scan does)
+                        if d < *n {
+                            *n = d;
                         }
-                        None => self.scan_flat(m),
-                    };
+                    }
+                };
+                match cell.get(1..=cell[0] as usize) {
+                    Some(list) => list.iter().for_each(|&e| offer(e as usize)),
+                    None => (0..self.segs.len()).for_each(offer),
+                }
+                for (k, d2) in nearest.into_iter().enumerate() {
                     // (`max` turns a NaN into 0, as a point outside reads)
-                    lb[j * RASTER_N + i] = (d2.sqrt() * (1.0 - GRID_SLACK) - half_diag).max(0.0);
+                    lb[(j + k / 2) * RASTER_N + i + k % 2] = (d2.sqrt() * (1.0 - GRID_SLACK) - half_diag).max(0.0);
                 }
             }
         }
@@ -423,6 +447,48 @@ fn scan_list<'a>(edges: impl IntoIterator<Item = (u32, &'a Segment)>, q: Point) 
         }
     }
     best
+}
+
+/// A flat set's edges as columns — start `a`, direction `d = b − a` and
+/// `1/|d|²` (0 for an edge [`Segment::dist_sq_to_point`] treats as a
+/// point) — on the stack, for the grid and raster builds (module docs,
+/// "Build distances and lookup distances").
+struct EdgeColumns {
+    ax: [f64; FLAT_MAX],
+    ay: [f64; FLAT_MAX],
+    dx: [f64; FLAT_MAX],
+    dy: [f64; FLAT_MAX],
+    inv: [f64; FLAT_MAX],
+}
+
+impl EdgeColumns {
+    /// Columns of at most [`FLAT_MAX`] edges.
+    fn of(segs: &[Segment]) -> Self {
+        let mut cols = EdgeColumns {
+            ax: [0.0; FLAT_MAX],
+            ay: [0.0; FLAT_MAX],
+            dx: [0.0; FLAT_MAX],
+            dy: [0.0; FLAT_MAX],
+            inv: [0.0; FLAT_MAX],
+        };
+        for (e, s) in segs.iter().enumerate() {
+            let d = s.dir();
+            let l2 = d.norm_sq();
+            (cols.ax[e], cols.ay[e], cols.dx[e], cols.dy[e]) = (s.a.x, s.a.y, d.x, d.y);
+            cols.inv[e] = if l2 <= EPS * EPS { 0.0 } else { 1.0 / l2 };
+        }
+        cols
+    }
+
+    /// [`Segment::dist_sq_to_point`] from `m` to edge `e`, its division
+    /// by `|d|²` a multiply by the reciprocal.
+    #[inline]
+    fn dist_sq(&self, e: usize, m: Point) -> f64 {
+        let (ax, ay, dx, dy) = (self.ax[e], self.ay[e], self.dx[e], self.dy[e]);
+        let t = (((m.x - ax) * dx + (m.y - ay) * dy) * self.inv[e]).clamp(0.0, 1.0);
+        let (ex, ey) = (ax + dx * t - m.x, ay + dy * t - m.y);
+        ex * ex + ey * ey
+    }
 }
 
 fn build_rec(segs: &[Segment], ids: &mut [u32], nodes: &mut Vec<SNode>) -> u32 {
@@ -867,6 +933,95 @@ mod tests {
         }
     }
 
+    /// The grid and raster as the builds made them before they measured
+    /// from [`EdgeColumns`]: every distance by [`Segment::dist_sq_to_point`],
+    /// a bounding-box cull and the previous cell's nearest edge first.
+    /// `(cells, raster)`, both empty where no grid is built.
+    fn reference_build(segs: &[Segment]) -> (Vec<[u8; GRID_CAP + 1]>, Vec<f64>) {
+        let idx = SegmentIndex::build(segs);
+        let mut cells = Vec::new();
+        if !idx.flat {
+            return (cells, Vec::new());
+        }
+        let bbox = segs.iter().fold(Aabb::EMPTY, |b, s| b.union(&s.bbox()));
+        let margin = GRID_MARGIN * bbox.width().max(bbox.height());
+        let (x0, y0) = (bbox.min.x - margin, bbox.min.y - margin);
+        let (x1, y1) = (bbox.max.x + margin, bbox.max.y + margin);
+        let (cw, ch) = ((x1 - x0) / GRID_N as f64, (y1 - y0) / GRID_N as f64);
+        let reach = x0.abs().max(x1.abs()).max(y0.abs()).max(y1.abs());
+        if !(reach.is_finite() && cw.min(ch) >= GRID_MIN_CELL * reach.max(1e-100)) {
+            return (cells, Vec::new());
+        }
+        let half_diag = 0.5 * cw.hypot(ch);
+        let reach_of = |d2: f64| {
+            let radius = (d2.sqrt() + 2.0 * half_diag) * (1.0 + GRID_SLACK);
+            radius * radius
+        };
+        let boxes: Vec<Aabb> = segs.iter().map(Segment::bbox).collect();
+        let mut d2 = vec![0.0f64; segs.len()];
+        let mut hint = 0;
+        for j in 0..GRID_N {
+            for i in 0..GRID_N {
+                let m = Point::new(x0 + (i as f64 + 0.5) * cw, y0 + (j as f64 + 0.5) * ch);
+                let mut nearest = segs[hint].dist_sq_to_point(m).min(f64::INFINITY);
+                let mut reach2 = reach_of(nearest);
+                for (e, ((d, s), b)) in d2.iter_mut().zip(segs).zip(&boxes).enumerate() {
+                    *d = if b.dist_sq(m) > reach2 { f64::INFINITY } else { s.dist_sq_to_point(m) };
+                    if *d < nearest {
+                        (nearest, hint) = (*d, e);
+                        reach2 = reach_of(nearest);
+                    }
+                }
+                // bit e: edge e is listed (a u64 holds FLAT_MAX edges)
+                let listed = d2.iter().enumerate().fold(0u64, |bits, (e, &d)| bits | ((d <= reach2) as u64) << e);
+                // the first GRID_CAP listed edges, ascending; more marks
+                // the cell overflowed
+                let mut cell = [0u8; GRID_CAP + 1];
+                let mut rest = listed;
+                for slot in &mut cell[1..] {
+                    if rest == 0 {
+                        break;
+                    }
+                    *slot = rest.trailing_zeros() as u8;
+                    rest &= rest - 1;
+                }
+                let len = listed.count_ones() as usize;
+                cell[0] = if len > GRID_CAP { GRID_OVERFLOW } else { len as u8 };
+                cells.push(cell);
+            }
+        }
+        let (w, h) = (0.5 / (1.0 / cw), 0.5 / (1.0 / ch));
+        let half_diag = 0.5 * w.hypot(h) * (1.0 + GRID_SLACK);
+        let mut lb = vec![0.0; RASTER_N * RASTER_N];
+        for (c, cell) in cells.iter().enumerate() {
+            let list = cell.get(1..=cell[0] as usize);
+            for (i, j) in [(0, 0), (1, 0), (0, 1), (1, 1)] {
+                let (i, j) = (2 * (c % GRID_N) + i, 2 * (c / GRID_N) + j);
+                let m = Point::new(x0 + (i as f64 + 0.5) * w, y0 + (j as f64 + 0.5) * h);
+                let (_, d2) = match list {
+                    Some(list) => scan_list(list.iter().map(|&e| (e as u32, &segs[e as usize])), m),
+                    None => idx.scan_flat(m),
+                };
+                lb[j * RASTER_N + i] = (d2.sqrt() * (1.0 - GRID_SLACK) - half_diag).max(0.0);
+            }
+        }
+        (cells, lb)
+    }
+
+    /// Assert the grid's cells — lists and overflow marks — equal the
+    /// reference build's, and every raster cell within 1e-12 of its.
+    fn assert_reference_build(segs: &[Segment]) {
+        let mut idx = SegmentIndex::build(segs);
+        idx.build_grid();
+        idx.build_lower_bound();
+        let (cells, lb) = reference_build(segs);
+        assert_eq!(idx.grid.cells, cells, "{} edges", segs.len());
+        assert_eq!(idx.grid.lb.len(), lb.len());
+        for (c, (&got, &want)) in idx.grid.lb.iter().zip(&lb).enumerate() {
+            assert!(got == want || (got - want).abs() <= 1e-12, "raster cell {c}: {got} vs {want}, {} edges", segs.len());
+        }
+    }
+
     proptest! {
         /// The raster's contract: `0 ≤ lower_bound ≤ dist` wherever it is
         /// read — on 2–64 edges (a raster) and beyond (none: 0).
@@ -878,6 +1033,33 @@ mod tests {
             segs.truncate(if big == 0 { 120 } else { 64 });
             let idx = assert_lower_bound_sound(&mut rng, &segs);
             prop_assert!(big != 0 || idx.lower_bound_raster().is_none(), "a tree-backed set has no raster");
+        }
+
+        /// The column builds make today's lists and overflow marks, and a
+        /// raster within 1e-12 of today's: on 3–64 edges, on a 64-edge
+        /// set ([`FLAT_MAX`]) every case, and on the degenerate boxes of
+        /// `grid_lower_bound_degenerate_boxes_read_zero` (no grid, or a
+        /// thin, flat or NaN-edged one).
+        #[test]
+        fn grid_columns_build_the_reference_lists(seed in 0u64..1_000_000, n in 3usize..=64) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut segs = random_edges(&mut rng, n);
+            segs.truncate(n);
+            assert_reference_build(&segs);
+            let mut full = random_edges(&mut rng, FLAT_MAX);
+            full.truncate(FLAT_MAX);
+            assert_eq!(full.len(), FLAT_MAX);
+            assert_reference_build(&full);
+            assert_reference_build(&regular(FLAT_MAX, 0.5, 0.5, 0.0));
+            let point = vec![Segment::new(pt(2.0, 3.0), pt(2.0, 3.0)); 3];
+            let lost = chain(&[pt(1e6, 1e6), pt(1e6 + 1e-9, 1e6), pt(1e6, 1e6 + 1e-9)], true);
+            let huge = chain(&[pt(0.0, 0.0), pt(f64::MAX, 0.0), pt(0.0, -f64::MAX)], true);
+            let flat = chain(&[pt(0.0, 0.0), pt(0.4, 0.0), pt(0.4, 0.0), pt(1.0, 0.0)], false);
+            let thin = chain(&[pt(0.0, 0.0), pt(0.5, 1e-9), pt(1.0, 0.0), pt(0.5, -1e-9)], true);
+            let nan = vec![Segment::new(pt(f64::NAN, 0.0), pt(1.0, 1.0)), Segment::new(pt(0.0, 0.0), pt(1.0, 0.0))];
+            for segs in [&point, &lost, &huge, &flat, &thin, &nan] {
+                assert_reference_build(segs);
+            }
         }
 
         /// The tentpole's contract: a grid changes no answer, bit for bit
