@@ -35,7 +35,7 @@
 use geosir_bench::scaling_corpus;
 use geosir_core::approx::SigBuckets;
 use geosir_core::dynamic::{DynMatch, DynamicBase, GlobalShapeId, QueryExplain, RetrieveStats};
-use geosir_core::hashing::signature_of;
+use geosir_core::hashing::{signature_of, Signature};
 use geosir_core::matcher::{MatchConfig, MatchOutcome, Matcher, RingExplain};
 use geosir_core::normalize::{normalize_about_diameter, normalized_copies};
 use geosir_core::scratch::MatcherScratch;
@@ -227,7 +227,8 @@ fn timed(queries: &[Polyline], f: &mut dyn FnMut(usize, &Polyline)) -> f64 {
 /// world (k = [`K`]) beside the unseeded top-k loop over one static base
 /// of the same shapes: wall time per query, and the phases re-timed in
 /// isolation — for the served path the seed (the hash tier's own call),
-/// the buffer (its prepared copies against the final k-th score) and the
+/// the buffer (its prepared copies the seed did not judge, against the
+/// final k-th score) and the
 /// merge (a sort of the board, which by then is little more than the
 /// answer); the scan is what is left of the total.
 fn exact_path_phases() {
@@ -237,11 +238,12 @@ fn exact_path_phases() {
     let base = &corpus.build_base(0.0, Backend::RangeTree);
     let matcher = Matcher::new(base, cfg);
     let frame = LuneFrame::new(0.0);
-    let buffer: Vec<(PreparedShape, Vec<[u16; 2]>)> = corpus.shapes[1024..]
+    let family = snap.hash_family();
+    let buffer: Vec<(PreparedShape, Vec<[u16; 2]>, Signature)> = corpus.shapes[1024..]
         .iter()
         .flat_map(|(_, _, s)| normalized_copies(s, 0.0))
-        .map(|c| (quantized(&frame, c.shape.points()), PreparedShape::new(c.shape)))
-        .map(|(q, c)| (c, q))
+        .map(|c| (quantized(&frame, c.shape.points()), signature_of(family, &c.shape), PreparedShape::new(c.shape)))
+        .map(|(q, sig, c)| (c, q, sig))
         .collect();
     let mut scratch = MatcherScratch::new();
     let mut tmp = MatchOutcome::default();
@@ -256,10 +258,15 @@ fn exact_path_phases() {
         snap.retrieve_with_stats(&mut scratch, &mut tmp, q, K, &mut hits, &mut stats)
     });
     let (mut copies, mut survivors, mut tightness) = (0, 0, 0.0);
-    // what each query's buffer pass and merge worked on
+    // what each query's buffer pass and merge worked on: the buffered
+    // copies the seed did not judge (past its last ring), the final k-th
+    // score, the board
     let mut finals: Vec<((PreparedShape, QuantRaster), f64, Vec<DynMatch>)> = Vec::new();
+    let mut unjudged: Vec<Vec<bool>> = Vec::new();
     for q in &queries {
         snap.similar_approx_with(&mut scratch, &mut tmp, &mut ax, q, &opts, &mut hits, &mut astats);
+        let qsig = signature_of(family, rastered(q, &frame).0.shape());
+        unjudged.push(buffer.iter().map(|(.., sig)| qsig.curve_distance(sig) > astats.radius).collect());
         let tau = hits.get(K - 1).map_or(f64::INFINITY, |m| m.score);
         snap.retrieve_with_stats(&mut scratch, &mut tmp, q, K, &mut hits, &mut stats);
         copies += stats.scan_copies;
@@ -275,7 +282,9 @@ fn exact_path_phases() {
         let ((prepared, raster), kth, _) = &finals[i];
         let sum: f64 = buffer
             .iter()
-            .map(|(c, q)| match raster.rejects_after(q, *kth) {
+            .zip(&unjudged[i])
+            .filter(|(_, unjudged)| **unjudged)
+            .map(|((c, q, _), _)| match raster.rejects_under(q, QuantRaster::limit(q.len(), *kth)) {
                 Some(_) => 9.0,
                 None => score_prepared_bounded(KIND, c, prepared, *kth).min(9.0),
             })
@@ -485,7 +494,7 @@ fn forward_calls(
 ) -> (usize, bool) {
     let mut reads = 0;
     if let Some(raster) = raster.filter(|_| cutoff.is_finite()) {
-        match raster.rejects_after(quantized, cutoff) {
+        match raster.rejects_under(quantized, QuantRaster::limit(quantized.len(), cutoff)) {
             Some(read) => return (read, true),
             None => reads = quantized.len(),
         }
@@ -700,8 +709,12 @@ fn distance_census() {
         }
         assert_eq!((copies, survivors), (stats.scan_copies, stats.scan_survivors), "scan replay diverged");
         assert_eq!(buffer.len() as u64, stats.buffer_scored);
-        let buffered = buffer.iter().flat_map(|(id, copies, stored, _)| copies.iter().zip(stored).map(move |c| (*id, c)));
-        for (id, (copy, stored)) in buffered {
+        // the buffer: every copy the seed did not judge (past its last ring)
+        let buffered = buffer.iter().flat_map(|(id, copies, stored, sigs)| {
+            let unjudged = copies.iter().zip(stored).zip(sigs).filter(|(_, s)| qsig.curve_distance(s) > astats.radius);
+            unjudged.map(move |((copy, stored), _)| (*id, copy, stored))
+        });
+        for (id, copy, stored) in buffered {
             offer(&mut board, Some(&raster), id, copy.shape(), stored, 2);
         }
         assert_eq!(ranked(&board), listed(&hits), "the replay's answer diverged");
@@ -853,7 +866,7 @@ fn plan_sweep(large: bool) {
                     .copies()
                     .zip(&stored)
                     .filter(|((_, copy), q)| {
-                        raster.rejects_after(q, taus[i]).is_none()
+                        raster.rejects_under(q, QuantRaster::limit(q.len(), taus[i])).is_none()
                             && score_bounded_with(KIND, &copy.normalized, query, &mut back, taus[i]).is_finite()
                     })
                     .count();

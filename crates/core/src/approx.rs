@@ -199,8 +199,12 @@ pub struct ApproxScratch {
     /// Per-(level, ring) copy output, drained into `cands`.
     pub(crate) ring: Vec<CopyId>,
     /// The insert buffer's copies as `(ring, buffer slot, copy index)`,
-    /// sorted: each is measured against the query once, not once a ring.
+    /// in buffer order: each is measured against the query once, not once
+    /// a ring. Then counted by ring (`ring_at`) into `ringed` — the same
+    /// triples in ring order, each ring one run in buffer order.
     pub(crate) buffered: Vec<(u16, u32, u32)>,
+    pub(crate) ring_at: Vec<u32>,
+    pub(crate) ringed: Vec<(u16, u32, u32)>,
     /// All candidates collected this query.
     pub(crate) cands: Vec<CandRef>,
     /// Prepared candidate (reverse direction), rebuilt per survivor.

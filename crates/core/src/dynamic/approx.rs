@@ -150,16 +150,33 @@ impl Snapshot {
         let max_radius = opts.max_radius.min(kf);
         let max_cand = opts.max_candidates.max(1);
         ax.begin(self.levels.len());
-        let ApproxScratch { quarters, vals, probes, ring, buffered, cands, .. } = ax;
+        let ApproxScratch { quarters, vals, probes, ring, buffered, ring_at, ringed, cands, .. } = ax;
         let qsig = signature_of_with(family, qprep.shape().points(), quarters);
-        // every buffered copy's ring, computed once; sorted, a ring is one
-        // run of it in (shape, copy) order
+        // every buffered copy's ring, computed once, then counted into
+        // ring order — a stable counting sort, so a ring is one run of
+        // `ringed` in (shape, copy) order: the sorted triples
         for (bi, b) in self.buffer.iter().enumerate() {
-            let ringed = b.copies.sigs.iter().enumerate();
-            buffered.extend(ringed.map(|(ci, s)| (qsig.curve_distance(s), bi as u32, ci as u32)));
+            let copies = b.copies.sigs.iter().enumerate();
+            buffered.extend(copies.map(|(ci, s)| (qsig.curve_distance(s), bi as u32, ci as u32)));
         }
-        buffered.sort_unstable();
-        let mut by_ring = buffered.iter().peekable();
+        let rings = buffered.iter().map(|b| b.0 as usize + 1).max().unwrap_or(0);
+        ring_at.clear();
+        ring_at.resize(rings + 1, 0);
+        for &(r, ..) in buffered.iter() {
+            ring_at[r as usize + 1] += 1;
+        }
+        for r in 1..ring_at.len() {
+            ring_at[r] += ring_at[r - 1];
+        }
+        // (ring_at[r]: where ring r's next entry goes)
+        ringed.clear();
+        ringed.resize(buffered.len(), (0, 0, 0));
+        for &entry in buffered.iter() {
+            let at = &mut ring_at[entry.0 as usize];
+            ringed[*at as usize] = entry;
+            *at += 1;
+        }
+        let mut by_ring = ringed.iter().peekable();
         let mut probed = 0u64;
         for r in 0..=kf {
             stats.radius = r;

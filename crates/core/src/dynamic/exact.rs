@@ -6,12 +6,13 @@ use std::collections::hash_map::Entry;
 use geosir_geom::Polyline;
 use geosir_obs as obs;
 
+use super::approx::BUFFER_LEVEL;
 use super::arena::{BufferedShape, Chunk, CopyArena, Row};
 use super::level::Slot;
 use super::snapshot::{DynMetrics, Prepared, Snapshot};
 use super::{DynMatch, GlobalShapeId};
 use crate::approx::{ApproxOptions, ApproxStats, IdMap};
-use crate::ids::ImageId;
+use crate::ids::{ImageId, ShapeId};
 use crate::scratch::MatcherScratch;
 use crate::similarity::{score_copy_bounded, PreparedShape, QuantRaster, ScoreKind, StoredCopy};
 
@@ -73,9 +74,10 @@ impl Snapshot {
     /// the hash tier's probe is reranked onto the board first, and its
     /// k-th best — a true score of a live stored shape, hence an upper
     /// bound τ on the true k-th best — is the cutoff every remaining live
-    /// copy is then scored against by the same loop ([`score_onto`]):
-    /// each level's copies in storage order — a tombstoned shape's
-    /// skipped on its bit, unscored — then the buffer's. A copy the
+    /// copy is then scored against: each level's copies in storage order,
+    /// chunk by chunk ([`scan_chunk`]) — a tombstoned shape's skipped on
+    /// its bit, unscored — then the buffer's ([`score_onto`], which also
+    /// scores what a chunk scan lets through). A copy the
     /// bounded scorer abandons is provably above the cutoff, a tie is
     /// scored exactly, the cutoff only tightens (to the board's per-shape
     /// k-th best) — so the board sorted by `(score, id)` and truncated to
@@ -97,9 +99,9 @@ impl Snapshot {
     /// Allocation-free in steady state. Every caller passes `raster` (the
     /// approximate tier's fallback, what its own leg asked for) and
     /// `handoff`; without the first every scoring computes distances
-    /// (same answer, same counts), without the second the levels score
-    /// the seed's copies over again (same answer, more scorings) — the
-    /// differential tests' other legs.
+    /// (same answer, same counts), without the second the levels and the
+    /// buffer score the seed's copies over again (same answer, more
+    /// scorings) — the differential tests' other legs.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn seed_and_scan(
         &self,
@@ -135,9 +137,11 @@ impl Snapshot {
             (rejected, tau) = (seed_rejects, board.cutoff);
             let quant = std::mem::take(&mut scratch.raster);
             let raster = (prepared == Prepared::Rastered).then_some(&quant);
+            let kind = self.config.score;
+            let mut limits = Limits::default();
 
             // largest level first
-            for (li, slot @ Slot { level, .. }) in self.slots().rev() {
+            for (li, slot @ Slot { level, dead }) in self.slots().rev() {
                 let judged = cands.iter().filter(|c| handoff && c.level == li as u32);
                 stats.levels += 1;
                 // No copy is scored twice: a finite verdict of the seed's
@@ -148,15 +152,14 @@ impl Snapshot {
                 let settled = &mut scratch.scored_stamp;
                 let credit = judged.map(|c| settled[level.copy_at(c.a as usize, c.b as usize)] = stamp).count();
                 let within = board.cutoff;
-                let settled = &*settled;
-                let offers = level.parts.iter().enumerate().flat_map(|(c, part)| {
-                    let store = level.store(c);
-                    let unsettled = (0..part.chunk.copies.len()).filter(move |&i| settled[level.copy_at(c, i)] != stamp);
-                    let live = unsettled.filter(move |&i| slot.live_copy(c, i));
-                    live.map(move |copy| Offer { store, copy, verdict: None })
-                });
                 let qprep = scratch.query.as_ref().expect("prepared above");
-                let done = score_onto(self.config.score, qprep, raster, &mut board, offers);
+                let mut done = Scored::default();
+                for (c, part) in level.parts.iter().enumerate() {
+                    let stamps = &scratch.scored_stamp[part.copies as usize..];
+                    let skip = |i: usize, owner: ShapeId| stamps[i] == stamp || dead.get(ShapeId(part.shapes + owner.0));
+                    let ids = &level.ids[level.shapes_of(c)];
+                    done.add(scan_chunk(kind, qprep, raster, &mut board, &mut limits, &part.chunk, ids, skip));
+                }
                 stats.scan_copies += done.scored;
                 stats.scan_survivors += done.scored - done.abandoned;
                 rejected += done.rejected;
@@ -171,13 +174,25 @@ impl Snapshot {
             }
 
             // Buffered shapes: the copies derived at insert time, through
-            // the same loop (the buffer is small by design).
+            // the one loop (the buffer is small by design), but for those
+            // the seed judged — handed over as the levels' are, in
+            // (shape, copy) order.
+            let handed = &mut scratch.handed;
+            handed.clear();
+            handed.extend(cands.iter().filter(|c| handoff && c.level == BUFFER_LEVEL).map(|c| (c.a, c.b)));
+            handed.sort_unstable();
+            let mut handed = handed.iter().copied().peekable();
             let qprep = scratch.query.as_ref().expect("prepared above");
-            let offers = self.buffer.iter().inspect(|_| stats.buffer_scored += 1).flat_map(|b| {
+            let mut done = Scored::default();
+            for (bi, b) in self.buffer.iter().enumerate() {
+                stats.buffer_scored += 1;
                 let store = Store::Buffered(b);
-                (0..b.copies.len()).map(move |copy| Offer { store, copy, verdict: None })
-            });
-            let done = score_onto(self.config.score, qprep, raster, &mut board, offers);
+                let unjudged = (0..b.copies.len()).filter(|&ci| handed.next_if_eq(&(bi as u32, ci as u32)).is_none());
+                let offers = unjudged.map(|copy| Offer { store, copy, verdict: None });
+                done.add(score_onto(kind, qprep, raster, &mut board, offers));
+            }
+            #[cfg(test)]
+            super::tests::BUFFER_SCORINGS.with(|n| n.set(n.get() + done.scored));
             rejected += done.rejected;
             board.finish(out);
             (scratch.seed, scratch.raster) = (seed, quant);
@@ -254,13 +269,22 @@ pub(super) struct Offer<'c> {
     pub(super) verdict: Option<&'c mut f64>,
 }
 
-/// What one [`score_onto`] pass did.
+/// What one [`score_onto`] or [`scan_chunk`] pass did.
+#[derive(Debug, Default, PartialEq, Eq)]
 pub(super) struct Scored {
     pub(super) scored: u64,
     /// Scorings the cutoff cut short, and of those the ones the query's
     /// lower-bound raster cut short before any distance was computed.
     pub(super) abandoned: u64,
     pub(super) rejected: u64,
+}
+
+impl Scored {
+    fn add(&mut self, other: Scored) {
+        self.scored += other.scored;
+        self.abandoned += other.abandoned;
+        self.rejected += other.rejected;
+    }
 }
 
 /// The per-shape board of one query: every scored live shape's best
@@ -319,15 +343,17 @@ impl Board<'_> {
     }
 }
 
-/// The one bounded-scoring loop — the hash tier's rerank, the exact
-/// tier's level scans and its buffer scan are this, over three sources
-/// of live copies (each source leaves a tombstoned shape's out), all
-/// stored alike: score each copy against the board's cutoff — its
-/// quantized vertices against `raster` first, when the query has one,
-/// then its recomputed vertices, the reverse index rebuilt into the
-/// board's `back` only for a forward survivor — drop what the scorer abandons or what
-/// lands past the cutoff anyway (the continuous kinds never abandon),
-/// and offer the survivor to the board.
+/// The one bounded-scoring loop — the hash tier's rerank and the exact
+/// tier's buffer scan are this, and a level scan ([`scan_chunk`]) hands
+/// it every copy its raster test lets through; each source leaves a
+/// tombstoned shape's copies out, and all are stored alike: score each
+/// copy against the board's cutoff — its quantized vertices against
+/// `raster` first, when the query has one, then its recomputed vertices,
+/// and for a forward survivor the reverse half
+/// (`similarity::score_copy_bounded`) — drop what the scorer abandons or
+/// what lands past the cutoff anyway (the continuous kinds never
+/// abandon), and offer the survivor to the board. The only place a
+/// stored copy is scored and offered.
 pub(super) fn score_onto<'c>(
     kind: ScoreKind,
     qprep: &PreparedShape,
@@ -352,6 +378,81 @@ pub(super) fn score_onto<'c>(
             let (shape, image, ..) = store.shape(copy);
             board.offer(shape, image, score);
         }
+    }
+    done
+}
+
+/// The raster test's limit ([`QuantRaster::limit`]) per quantized vertex
+/// count under the cutoff it was last asked for: a scan computes each
+/// once per (cutoff, count), and again only after the board's cutoff
+/// moves. Counts past the table compute theirs every time.
+pub(super) struct Limits {
+    cutoff: f64,
+    by_len: [Option<u64>; 64],
+}
+
+impl Default for Limits {
+    fn default() -> Limits {
+        Limits { cutoff: f64::NAN, by_len: [None; 64] }
+    }
+}
+
+impl Limits {
+    fn get(&mut self, n: usize, cutoff: f64) -> u64 {
+        if cutoff.to_bits() != self.cutoff.to_bits() {
+            *self = Limits { cutoff, ..Limits::default() };
+        }
+        match self.by_len.get_mut(n) {
+            Some(limit) => *limit.get_or_insert_with(|| QuantRaster::limit(n, cutoff)),
+            None => QuantRaster::limit(n, cutoff),
+        }
+    }
+}
+
+/// The exact tier's scan of one chunk of a level: its copies in storage
+/// order, read as columns — each copy's quantized run ends where the
+/// arena's `ends` says and the next starts there, its shape is its
+/// `owner` — with no per-copy lookup of where it lies. `skip(copy,
+/// owner)` leaves out what the seed settled and what is tombstoned,
+/// unscored. With `raster` and a discrete kind, each other copy's
+/// quantized vertices are tested against the limit for the board's
+/// cutoff first ([`QuantRaster::rejects_under`], the test
+/// `similarity::score_copy_bounded` runs); a copy the test rejects counts
+/// as scored, abandoned and rejected, and one it lets through — or every
+/// copy, without a raster — goes to [`score_onto`] as it is. The counts
+/// and the board are [`score_onto`]'s over the same copies.
+#[allow(clippy::too_many_arguments)]
+pub(super) fn scan_chunk(
+    kind: ScoreKind,
+    qprep: &PreparedShape,
+    raster: Option<&QuantRaster>,
+    board: &mut Board<'_>,
+    limits: &mut Limits,
+    chunk: &Chunk,
+    ids: &[GlobalShapeId],
+    skip: impl Fn(usize, ShapeId) -> bool,
+) -> Scored {
+    let discrete = matches!(kind, ScoreKind::DiscreteDirected | ScoreKind::DiscreteSymmetric);
+    let raster = raster.filter(|_| discrete);
+    let arena = &chunk.copies;
+    let mut done = Scored::default();
+    let mut start = 0;
+    for (copy, (&end, &owner)) in arena.ends.iter().zip(&arena.owner).enumerate() {
+        let quantized = &arena.quantized[start..end as usize];
+        start = end as usize;
+        if skip(copy, owner) {
+            continue;
+        }
+        if let Some(raster) = raster {
+            // (against ∞ — the limit `u64::MAX` — nothing is rejected)
+            let limit = limits.get(quantized.len(), board.cutoff);
+            if limit < u64::MAX && raster.rejects_under(quantized, limit).is_some() {
+                done.add(Scored { scored: 1, abandoned: 1, rejected: 1 });
+                continue;
+            }
+        }
+        let offer = Offer { store: Store::Chunk(chunk, ids), copy, verdict: None };
+        done.add(score_onto(kind, qprep, None, board, std::iter::once(offer)));
     }
     done
 }

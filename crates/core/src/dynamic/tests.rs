@@ -29,6 +29,9 @@ thread_local! {
     /// Id comparisons made by [`Level::find`] on this thread (test
     /// probe: a delete must not walk a level's ids).
     pub(super) static ID_PROBES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Buffered copies the exact tier's buffer pass scored on this thread
+    /// (test probe: the seed's hand-off must spare some).
+    pub(super) static BUFFER_SCORINGS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 fn p(x: f64, y: f64) -> Point {

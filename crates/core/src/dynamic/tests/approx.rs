@@ -245,3 +245,26 @@ fn quantized_approx_rerank_changes_no_verdict_and_no_count() {
     assert!(rejects(&with) > 0, "the raster rejected nothing");
     assert_eq!(rejects(&without), 0);
 }
+
+#[test]
+fn quantized_buffer_rings_count_into_sorted_order() {
+    // the probe counts the buffered copies into ring order: on a base
+    // whose buffer is one shape short of a carry, the counted list is
+    // the sorted (ring, slot, copy) list, query after query
+    let db = shipped(64, (0..64 + 63).map(|i| shape(i as u64 + 4000)));
+    let snap = db.snapshot();
+    assert_eq!((snap.num_levels(), snap.buffer.len()), (1, 63));
+    let (mut scratch, mut ax, mut stats) = (MatcherScratch::new(), ApproxScratch::new(), ApproxStats::default());
+    let mut rings = HashSet::new();
+    for i in 0..12 {
+        assert!(scratch.prepare_query(&shape(i + 4000)));
+        let qprep = scratch.query.as_ref().expect("prepared");
+        snap.probe(&mut ax, qprep, &ApproxOptions::default(), &mut stats);
+        let mut sorted = ax.buffered.clone();
+        sorted.sort_unstable();
+        assert_eq!(ax.ringed, sorted, "query {i}");
+        assert_eq!(ax.buffered.len(), snap.buffer.iter().map(|b| b.copies.len()).sum::<usize>());
+        rings.extend(ax.buffered.iter().map(|b| b.0));
+    }
+    assert!(rings.len() >= 4, "rings {rings:?}: the order proves little");
+}

@@ -405,3 +405,128 @@ fn a_k_of_zero_answers_empty() {
     assert_eq!(explain.stats, RetrieveStats::default());
     assert_eq!(snap.retrieve_within(&q, f64::INFINITY).len(), 20);
 }
+
+#[test]
+fn quantized_scan_loop_counts() {
+    // a level scan's chunk loop and `score_onto` over the same copies —
+    // what the loop does not skip — count the same scorings, abandons
+    // and raster rejects and leave the same board: one chunk of 48
+    // shapes (near matches of the query among them, so the cutoff
+    // tightens mid-chunk), one of 70 vertices, every fifth stored with
+    // no quantized vertex, some tombstoned, some copies settled; k of
+    // 1, 3 and 10 from ∞ and a threshold board, with and without the
+    // raster, every kind
+    use super::arena::Chunk;
+    use super::exact::{scan_chunk, score_onto, Board, Limits, Offer};
+    use crate::normalize::normalizations;
+    use geosir_imaging::synth::{perturb, random_simple_polygon};
+
+    let mut rng = StdRng::seed_from_u64(83);
+    let (frame, off_frame) = (LuneFrame::new(0.0), LuneFrame::new(-1000.0));
+    let proto = random_simple_polygon(&mut rng, 11, 0.35);
+    let mut shapes: Vec<Polyline> = (0..47)
+        .map(|i| match i % 3 {
+            0 => perturb(&proto, &mut rng, 0.02),
+            _ => random_simple_polygon(&mut rng, 7 + i % 9, 0.35),
+        })
+        .collect();
+    shapes.insert(20, random_simple_polygon(&mut rng, 70, 0.2));
+    let arenas: Vec<CopyArena> = shapes
+        .iter()
+        .enumerate()
+        .map(|(i, s)| {
+            let mut arena = CopyArena::default();
+            for (fwd, ..) in normalizations(s.points(), 0.0) {
+                let verts: Vec<Point> = s.points().iter().map(|&v| fwd.apply(v)).collect();
+                arena.push(if i % 5 == 4 { &off_frame } else { &frame }, fwd, &verts, Signature::default());
+            }
+            arena
+        })
+        .collect();
+    let ids: Vec<GlobalShapeId> = (0..shapes.len() as u64).map(|i| GlobalShapeId(100 + i)).collect();
+    let packed = shapes.iter().zip(&arenas).zip(&ids).enumerate().map(|(i, ((s, arena), &id))| {
+        ((id, ImageId(i as u32), s.points(), s.is_closed()), arena, 0..arena.len())
+    });
+    let chunk = Chunk::pack(packed);
+    assert!((0..chunk.copies.len()).any(|i| chunk.copies.quantized(i).is_empty()));
+    assert!((0..chunk.copies.len()).any(|i| chunk.copies.quantized(i).len() == 70));
+    let dead = |owner: ShapeId| owner.0 % 7 == 2;
+    let settled = |copy: usize| copy % 11 == 5;
+    let skip = |copy: usize, owner: ShapeId| settled(copy) || dead(owner);
+
+    let mut query = PreparedShape::new(crate::normalize::normalize_about_diameter(&perturb(&proto, &mut rng, 0.01)).unwrap().0.shape);
+    query.build_grid();
+    query.build_lower_bound();
+    let mut raster = QuantRaster::default();
+    assert!(raster.build(&frame, &query));
+
+    let (mut rejected, mut tightened) = (0, 0);
+    let kinds = [ScoreKind::DiscreteSymmetric, ScoreKind::DiscreteDirected, ScoreKind::ContinuousDirected];
+    for kind in kinds {
+        for (k, within) in [(1, f64::INFINITY), (3, f64::INFINITY), (10, f64::INFINITY), (usize::MAX, 0.05)] {
+            for raster in [Some(&raster), None] {
+                let what = format!("{kind:?}, k = {k}, within {within}, raster {}", raster.is_some());
+                // two boards, filled the two ways
+                let mut ax = [ApproxScratch::new(), ApproxScratch::new()];
+                let mut boards = ax.each_mut().map(|ApproxScratch { rows, best, ktmp, back, .. }| {
+                    Board { k, cutoff: within, rows, slot: best, ktmp, back }
+                });
+                let [by_loop, by_offers] = &mut boards;
+                let looped = scan_chunk(kind, &query, raster, by_loop, &mut Limits::default(), &chunk, &ids, skip);
+                let offers = (0..chunk.copies.len()).filter(|&i| !skip(i, chunk.copies.owner[i]));
+                let offers = offers.map(|copy| Offer { store: Store::Chunk(&chunk, &ids), copy, verdict: None });
+                let offered = score_onto(kind, &query, raster, by_offers, offers);
+                assert_eq!(looped, offered, "{what}");
+                assert!(looped.scored > 0 && looped.scored < chunk.copies.len() as u64, "{what}");
+                assert_eq!(by_loop.cutoff.to_bits(), by_offers.cutoff.to_bits(), "{what}");
+                let rows = |b: &Board| b.rows.iter().map(|m| (m.shape, m.image, m.score.to_bits())).collect::<Vec<_>>();
+                assert_eq!(rows(by_loop), rows(by_offers), "{what}");
+                assert!(by_loop.rows.iter().all(|m| !dead(ShapeId((m.shape.0 - 100) as u32))), "{what}: a tombstoned shape on the board");
+                rejected += looped.rejected;
+                tightened += (k <= 3 && by_loop.cutoff < within) as u64;
+            }
+        }
+    }
+    assert!(rejected > 0, "the raster rejected nothing");
+    assert!(tightened >= 6, "the cutoff tightened in {tightened} scans");
+}
+
+#[test]
+fn quantized_seed_handoff_spares_buffered_copies() {
+    // the `handoff = false` leg on a base with 300 buffered shapes
+    // beside a 512-shape level: the same answers, the same buffered
+    // shapes counted, and fewer buffered copies scored with the hand-off
+    // (the seed's buffered candidates are not scored again)
+    use geosir_imaging::synth::{perturb, random_simple_polygon};
+    let mut rng = StdRng::seed_from_u64(29);
+    let protos: Vec<Polyline> = (0..4).map(|_| random_simple_polygon(&mut rng, 11, 0.35)).collect();
+    let shapes: Vec<Polyline> = (0..812)
+        .map(|i| match i % 6 {
+            0 => perturb(&protos[i % 4], &mut rng, 0.02),
+            _ => random_simple_polygon(&mut rng, 7 + i % 8, 0.35),
+        })
+        .collect();
+    let db = shipped(512, shapes.iter().cloned());
+    let snap = db.snapshot();
+    assert_eq!((snap.num_levels(), snap.buffer.len()), (1, 300));
+    let mut scratch = MatcherScratch::new();
+    let (mut on, mut off) = (Vec::new(), Vec::new());
+    let (mut on_stats, mut off_stats) = (RetrieveStats::default(), RetrieveStats::default());
+    let scorings = || BUFFER_SCORINGS.with(|n| n.get());
+    let (mut with, mut without) = (0, 0);
+    for (i, proto) in protos.iter().cycle().take(12).enumerate() {
+        let q = perturb(proto, &mut rng, 0.01);
+        for k in [1, 4, 10] {
+            let before = scorings();
+            snap.seed_and_scan(k, f64::INFINITY, &mut scratch, &q, true, &mut on, &mut on_stats, None, true);
+            let between = scorings();
+            snap.seed_and_scan(k, f64::INFINITY, &mut scratch, &q, true, &mut off, &mut off_stats, None, false);
+            assert_eq!(id_bits(&on), id_bits(&off), "query {i}, k = {k}");
+            assert_eq!((on_stats.buffer_scored, off_stats.buffer_scored), (300, 300));
+            (with, without) = (with + between - before, without + scorings() - between);
+        }
+    }
+    let copies = snap.buffer.iter().map(|b| b.copies.len() as u64).sum::<u64>();
+    assert_eq!(without, 36 * copies, "without the hand-off every buffered copy is scored");
+    assert!(with < without, "the hand-off spared no buffered scoring: {with} vs {without}");
+}

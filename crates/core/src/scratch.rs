@@ -83,6 +83,9 @@ pub struct MatcherScratch {
     /// The query's lower-bound raster as quantized copies read it —
     /// laid by either tier, the approximate one past k candidates.
     pub(crate) raster: QuantRaster,
+    /// The buffered copies the seed judged, as (buffer slot, copy)
+    /// sorted: what the exact tier's buffer pass leaves out.
+    pub(crate) handed: Vec<(u32, u32)>,
 }
 
 impl MatcherScratch {

@@ -18,8 +18,8 @@
 //! the query's lower-bound raster ([`QuantRaster`], DESIGN.md §11.7).
 
 use geosir_geom::numeric::integrate;
-use geosir_geom::segindex::SegmentIndex;
-use geosir_geom::{Point, Polyline, Similarity};
+use geosir_geom::segindex::{SegmentIndex, FLAT_MAX};
+use geosir_geom::{Point, Polyline, Similarity, EPS};
 
 /// How a candidate shape is scored against the query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -139,8 +139,9 @@ pub fn score(kind: ScoreKind, candidate: &Polyline, query: &PreparedShape) -> f6
 }
 
 /// [`score`] with a reusable slot for the reverse-direction index: the
-/// symmetric kinds re-prepare the candidate into `back` instead of
-/// allocating a fresh [`PreparedShape`] per call.
+/// continuous kinds, and the discrete symmetric one for a candidate of
+/// over [`FLAT_MAX`] edges, re-prepare the candidate into `back` instead
+/// of allocating a fresh [`PreparedShape`] per call.
 pub fn score_with(
     kind: ScoreKind,
     candidate: &Polyline,
@@ -204,14 +205,16 @@ pub fn score_prepared_bounded(
     query: &PreparedShape,
     cutoff: f64,
 ) -> f64 {
-    bounded(kind, candidate.shape().points().iter().copied(), query, cutoff, || candidate)
+    let (pts, closed) = (candidate.shape().points(), candidate.shape().is_closed());
+    bounded(kind, || pts.iter().copied(), closed, query, cutoff, || candidate)
 }
 
 /// [`score_prepared_bounded`] of a candidate polyline — the static
 /// matcher's entry. The candidate is indexed — rebuilt into `back`,
-/// reusing its allocations — only when a score needs the reverse
-/// direction or the edges: for the symmetric kind, only for candidates
-/// that survive the forward (abandoning) scan.
+/// reusing its allocations — only when a score needs the edges of a
+/// candidate over [`FLAT_MAX`] edges or a continuous kind; the discrete
+/// symmetric kind measures the reverse half of a candidate that survives
+/// the forward (abandoning) scan without an index ([`reverse_half`]).
 pub fn score_bounded_with(
     kind: ScoreKind,
     candidate: &Polyline,
@@ -220,35 +223,121 @@ pub fn score_bounded_with(
     cutoff: f64,
 ) -> f64 {
     let (verts, closed) = (|| candidate.points().iter().copied(), candidate.is_closed());
-    bounded(kind, verts(), query, cutoff, move || prepare_into(back, verts(), closed))
+    bounded(kind, verts, closed, query, cutoff, move || prepare_into(back, verts(), closed))
 }
 
-/// The bounded score of the candidate `verts`, which `indexed` prepares
-/// when asked.
-fn bounded<'a>(
+/// The bounded score of the candidate `verts` / `closed`, which `indexed`
+/// prepares when asked. For the discrete symmetric kind the forward half
+/// is [`h_avg_discrete_abandoning`] at any cutoff (at ∞ it abandons
+/// nothing and sums as [`mean_dist`] does), and the reverse half of a
+/// candidate of at most [`FLAT_MAX`] edges is [`reverse_half`] — the value
+/// [`SegmentIndex`]'s flat scan gives, with no index built; past that the
+/// index's tree answers, as it always has.
+fn bounded<'a, I: ExactSizeIterator<Item = Point>>(
     kind: ScoreKind,
-    verts: impl ExactSizeIterator<Item = Point>,
+    verts: impl Fn() -> I,
+    closed: bool,
     query: &PreparedShape,
     cutoff: f64,
     indexed: impl FnOnce() -> &'a PreparedShape,
 ) -> f64 {
     match kind {
         ScoreKind::DiscreteDirected if cutoff.is_finite() => {
-            h_avg_discrete_abandoning(verts, query, cutoff)
+            h_avg_discrete_abandoning(verts(), query, cutoff)
         }
-        ScoreKind::DiscreteSymmetric if cutoff.is_finite() => {
+        ScoreKind::DiscreteDirected => mean_dist(verts(), query),
+        ScoreKind::DiscreteSymmetric => {
             // max of two averages: either direction exceeding the cutoff
             // proves the max does
-            let score = h_avg_discrete_abandoning(verts, query, cutoff);
-            if !score.is_finite() {
+            let score = h_avg_discrete_abandoning(verts(), query, cutoff);
+            if cutoff.is_finite() && !score.is_finite() {
                 return score;
             }
-            let q = query.shape().points().iter().copied();
-            score.max(h_avg_discrete_abandoning(q, indexed(), cutoff))
+            let q = query.shape().points();
+            let n = verts().len();
+            let edges = if closed { n } else { n.saturating_sub(1) };
+            let reverse = match edges <= FLAT_MAX {
+                true => reverse_half(q, verts(), closed, cutoff),
+                false => h_avg_discrete_abandoning(q.iter().copied(), indexed(), cutoff),
+            };
+            score.max(reverse)
         }
-        ScoreKind::DiscreteDirected => mean_dist(verts, query),
         _ => score_prepared(kind, indexed(), query),
     }
+}
+
+/// The reverse half of the discrete symmetric score: `h_avg` from the
+/// query's vertices `q` to the candidate `verts` / `closed` of at most
+/// [`FLAT_MAX`] edges, abandoning past `cutoff` as
+/// [`h_avg_discrete_abandoning`] does, with no index built. The
+/// candidate's vertices are made once, into a stack array of its edges —
+/// each edge's start, `d` and `|d|²` — and four query vertices are
+/// measured against an edge at a time (lane by lane as arrays, which the
+/// compiler packs into vector registers). Each lane runs
+/// [`geosir_geom::Segment::dist_sq_to_point`]'s operations in its order —
+/// `t = 0` for a degenerate edge, else the division by `|d|²` and the
+/// clamp, then `lerp` and the squared distance — and keeps its minimum by
+/// strict `<`, as the flat scan does (a NaN never wins). The square roots
+/// are then summed in vertex order with the abandon check after each: the
+/// flat scan's value bit for bit, and the same verdict. (A first form that
+/// kept the vertices and branched per lane compiled to scalar code and ran
+/// slower than the flat scan; EXPERIMENTS "Where a query's time goes, by
+/// doubling".)
+fn reverse_half(q: &[Point], verts: impl ExactSizeIterator<Item = Point>, closed: bool, cutoff: f64) -> f64 {
+    const LANES: usize = 4;
+    // the edges as (a.x, a.y, d.x, d.y, |d|²), in the polyline's order
+    let mut edges = [[0.0f64; 5]; FLAT_MAX];
+    let mut count = 0;
+    let mut push = |a: Point, b: Point| {
+        let (dx, dy) = (b.x - a.x, b.y - a.y);
+        edges[count] = [a.x, a.y, dx, dy, dx * dx + dy * dy];
+        count += 1;
+    };
+    let (mut first, mut prev) = (None, None);
+    for b in verts {
+        match prev {
+            Some(a) => push(a, b),
+            None => first = Some(b),
+        }
+        prev = Some(b);
+    }
+    if let (true, Some(a), Some(b)) = (closed, prev, first) {
+        push(a, b);
+    }
+    let limit = abandon_limit(cutoff, q.len());
+    let mut acc = 0.0;
+    for block in q.chunks(LANES) {
+        // (a short last block repeats its last vertex in the spare lanes,
+        // which are never summed)
+        let lane = |l: usize| block[l.min(block.len() - 1)];
+        let px: [f64; LANES] = std::array::from_fn(|l| lane(l).x);
+        let py: [f64; LANES] = std::array::from_fn(|l| lane(l).y);
+        let mut best = [f64::INFINITY; LANES];
+        for &[ax, ay, dx, dy, l2] in &edges[..count] {
+            // (`dist_sq_to_point`'s test: a NaN `|d|²` is not degenerate)
+            let degenerate = l2 <= EPS * EPS;
+            let mut t = [0.0; LANES];
+            if !degenerate {
+                for l in 0..LANES {
+                    t[l] = (((px[l] - ax) * dx + (py[l] - ay) * dy) / l2).clamp(0.0, 1.0);
+                }
+            }
+            for l in 0..LANES {
+                let (ex, ey) = (ax + dx * t[l] - px[l], ay + dy * t[l] - py[l]);
+                let d2 = ex * ex + ey * ey;
+                if d2 < best[l] {
+                    best[l] = d2;
+                }
+            }
+        }
+        for d2 in &best[..block.len()] {
+            acc += d2.sqrt();
+            if acc > limit {
+                return f64::INFINITY;
+            }
+        }
+    }
+    acc / q.len() as f64
 }
 
 /// Fill `slot` with an index over the shape `verts` / `closed`, reusing
@@ -374,25 +463,33 @@ impl QuantRaster {
         })
     }
 
-    /// After how many of the quantized vertices `q` — read four at a time
-    /// — the sum of their bounds passes the limit the forward pass under
-    /// `cutoff` abandons at; `None` when it never does, when the raster is
-    /// off, and for a copy stored without quantized vertices. The limit is
-    /// widened by 10⁻⁹ and 2n ulps: the bounds' sum is exact, the forward
-    /// pass's rounds, by under n · 2⁻⁵³ of itself over n terms.
+    /// The integer limit a copy of `n` quantized vertices is tested
+    /// against under `cutoff`: the sum the forward pass abandons past, in
+    /// units of 2⁻²⁴, widened by 10⁻⁹ and 2n ulps — the bounds' sum is
+    /// exact, the forward pass's rounds, by under n · 2⁻⁵³ of itself over
+    /// n terms. `u64::MAX`, which no sum passes, where the test can reject
+    /// nothing. A scan computes it once per vertex count and cutoff.
     #[inline]
-    pub fn rejects_after(&self, q: &[[u16; 2]], cutoff: f64) -> Option<usize> {
-        let bound = self.bounds()?;
-        let widen = 1.0 + 1e-9 + q.len() as f64 * 2.3e-16;
-        let limit = abandon_limit(cutoff, q.len()) * widen * BOUND_ONE;
+    pub fn limit(n: usize, cutoff: f64) -> u64 {
+        let widen = 1.0 + 1e-9 + n as f64 * 2.3e-16;
+        let limit = abandon_limit(cutoff, n) * widen * BOUND_ONE;
         // (a negative limit rejects nothing here and everything in the
         // forward pass; a NaN one nothing in either)
         if limit.is_nan() || limit < 0.0 {
-            return None;
+            return u64::MAX;
         }
         // an integer sum passes the limit iff it passes the limit's floor
         // (a limit past u64 saturates: nothing is rejected)
-        let limit = limit as u64;
+        limit as u64
+    }
+
+    /// After how many of the quantized vertices `q` — read four at a time
+    /// — the sum of their bounds passes `limit` ([`Self::limit`]); `None`
+    /// when it never does, when the raster is off, and for a copy stored
+    /// without quantized vertices (an empty sum passes no limit).
+    #[inline]
+    pub fn rejects_under(&self, q: &[[u16; 2]], limit: u64) -> Option<usize> {
+        let bound = self.bounds()?;
         let mut quads = q.chunks_exact(4);
         let mut sum = 0;
         for (at, four) in quads.by_ref().enumerate() {
@@ -428,14 +525,17 @@ impl<'c> StoredCopy<'c> {
 /// [`score_bounded_with`] of a stored copy, given as its vertices
 /// quantized in the [`LuneFrame`] (none for a copy that left the frame)
 /// and, asked for only when they are needed, its [`StoredCopy`]: its
-/// vertices recomputed as the forward pass reads them, and materialized
-/// into `back` only when a score needs the reverse direction or the
-/// edges. With `raster` (the query's, [`QuantRaster`]), a discrete kind
-/// and a finite cutoff, the quantized vertices are tested first: a sum of
-/// bounds past the forward pass's limit abandons the copy before any
-/// distance — the `true` beside the `INFINITY`. That changes no verdict:
-/// each bound is ≤ its vertex's distance, so the distances' sum would pass
-/// the limit too, and a copy the test lets through takes the same loop.
+/// vertices recomputed as the forward pass reads them, and again for the
+/// reverse half of a forward survivor ([`reverse_half`]; materialized
+/// into `back` only for a candidate over [`FLAT_MAX`] edges or a
+/// continuous kind). With `raster` (the query's, [`QuantRaster`]), a
+/// discrete kind and a finite cutoff, the quantized vertices are tested
+/// first — [`QuantRaster::rejects_under`] its [`QuantRaster::limit`], the
+/// one test the exact tier's level scan also runs: a sum of bounds past
+/// the forward pass's limit abandons the copy before any distance — the
+/// `true` beside the `INFINITY`. That changes no verdict: each bound is ≤
+/// its vertex's distance, so the distances' sum would pass the limit too,
+/// and a copy the test lets through takes the same loop.
 pub(crate) fn score_copy_bounded<'c>(
     kind: ScoreKind,
     quantized: &[[u16; 2]],
@@ -447,12 +547,12 @@ pub(crate) fn score_copy_bounded<'c>(
 ) -> (f64, bool) {
     let discrete = matches!(kind, ScoreKind::DiscreteDirected | ScoreKind::DiscreteSymmetric);
     if let Some(raster) = raster.filter(|_| discrete && cutoff.is_finite()) {
-        if raster.rejects_after(quantized, cutoff).is_some() {
+        if raster.rejects_under(quantized, QuantRaster::limit(quantized.len(), cutoff)).is_some() {
             return (f64::INFINITY, true);
         }
     }
     let copy = copy();
-    let score = bounded(kind, copy.vertices(), query, cutoff, move || {
+    let score = bounded(kind, || copy.vertices(), copy.closed, query, cutoff, move || {
         prepare_into(back, copy.vertices(), copy.closed)
     });
     (score, false)
@@ -611,7 +711,167 @@ mod tests {
         }
     }
 
+    impl QuantRaster {
+        /// The raster test as one call, as it was before the scan computed
+        /// its limit once per vertex count: the reference
+        /// [`QuantRaster::limit`] + [`QuantRaster::rejects_under`] must
+        /// decide as.
+        fn rejects_after(&self, q: &[[u16; 2]], cutoff: f64) -> Option<usize> {
+            let bound = self.bounds()?;
+            let widen = 1.0 + 1e-9 + q.len() as f64 * 2.3e-16;
+            let limit = abandon_limit(cutoff, q.len()) * widen * BOUND_ONE;
+            if limit.is_nan() || limit < 0.0 {
+                return None;
+            }
+            let limit = limit as u64;
+            let mut quads = q.chunks_exact(4);
+            let mut sum = 0;
+            for (at, four) in quads.by_ref().enumerate() {
+                sum += bound(&four[0]) + bound(&four[1]) + bound(&four[2]) + bound(&four[3]);
+                if sum > limit {
+                    return Some(4 * at + 4);
+                }
+            }
+            sum += quads.remainder().iter().map(&bound).sum::<u64>();
+            (sum > limit).then_some(q.len())
+        }
+    }
+
+    /// The scan's two-step raster test decides as the one-call test did:
+    /// for every vertex count 0..=70 — the test's quads, their remainders,
+    /// past the scan's table of limits — and cutoffs of 0, negative, NaN,
+    /// ∞, past `u64` and `f64::MAX`, random, and at and a few ulps either
+    /// side of the cutoff whose limit is the copy's exact bound sum (a
+    /// tie), `limit` + `rejects_under` give `rejects_after`'s answer, and
+    /// both answers occur. A raster that is off rejects nothing.
+    #[test]
+    fn quantized_limit_is_rejects_after() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let frame = LuneFrame::new(0.0);
+        let qshape = random_shape(&mut rng, 12, true, -1.0..1.0, -1.0..1.0);
+        let mut query = PreparedShape::new(normalized_copies(&qshape, 0.0).swap_remove(0).shape);
+        query.build_grid();
+        query.build_lower_bound();
+        let mut raster = QuantRaster::default();
+        assert!(raster.build(&frame, &query));
+        let bound = raster.bounds().expect("built");
+        let (mut rejects, mut passes) = (0, 0);
+        for n in 0..=70 {
+            for trial in 0..12 {
+                // vertices near the query's (low bounds, ties) or anywhere
+                let near = query.shape().points();
+                let q: Vec<[u16; 2]> = (0..n)
+                    .map(|_| match trial % 2 {
+                        0 => {
+                            let v = near[rng.random_range(0..near.len())];
+                            let (dx, dy) = (rng.random_range(-0.05..0.05), rng.random_range(-0.05..0.05));
+                            frame.quantize(p(v.x + dx, v.y + dy)).expect("in the frame")
+                        }
+                        _ => [rng.random(), rng.random()],
+                    })
+                    .collect();
+                let sum = q.iter().map(&bound).sum::<u64>() as f64 / BOUND_ONE;
+                let widen = (1.0 + 1e-9 + n as f64 * 2.3e-16) * (1.0 + 1e-9);
+                let tie = sum / n.max(1) as f64 / widen;
+                let mut cutoffs = vec![0.0, -1.0, f64::NAN, f64::INFINITY, 1e300, f64::MAX, rng.random_range(0.0..0.5)];
+                let mut at = tie;
+                for _ in 0..4 {
+                    cutoffs.extend([at, tie - (at - tie)]);
+                    at = at.next_up();
+                }
+                for cutoff in cutoffs {
+                    let got = raster.rejects_under(&q, QuantRaster::limit(n, cutoff));
+                    assert_eq!(got, raster.rejects_after(&q, cutoff), "n = {n}, cutoff {cutoff}, bound sum {sum}");
+                    rejects += got.is_some() as usize;
+                    passes += got.is_none() as usize;
+                    assert_eq!(QuantRaster::default().rejects_under(&q, QuantRaster::limit(n, cutoff)), None);
+                }
+            }
+        }
+        assert!(rejects > 1000 && passes > 1000, "{rejects} rejects, {passes} passes");
+    }
+
     proptest! {
+        /// The reverse half of the discrete symmetric score, measured with
+        /// no index, is the flat scan's: candidates of 2..=64 vertices,
+        /// open and closed, with repeated vertices (degenerate edges, one
+        /// candidate sometimes a single point repeated); queries of
+        /// 1..=80 vertices (a block of four and every remainder, past 64),
+        /// some on the candidate's vertices and edges; cutoffs of ∞, the
+        /// score (a tie), a hair under it, 0 and anywhere around it — the
+        /// same bits as `prepare_into` + `h_avg_discrete_abandoning`, so
+        /// the same abandon verdict. And the symmetric scorers that reach
+        /// it give the score the indexed reverse half gave them.
+        #[test]
+        fn quantized_reverse_half_is_the_flat_scan(seed in 0u64..1_000_000) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut slot = None;
+            for _ in 0..6 {
+                let n = rng.random_range(2..=64);
+                let closed = rng.random_bool(0.5);
+                let mut cand: Vec<Point> = (0..n).map(|_| p(rng.random_range(-0.5..1.5), rng.random_range(-1.0..1.0))).collect();
+                for _ in 0..rng.random_range(0..6) {
+                    let (i, j) = (rng.random_range(0..n), rng.random_range(0..n));
+                    cand[i] = cand[j];
+                }
+                if rng.random_bool(0.05) {
+                    cand.iter_mut().for_each(|v| *v = p(0.25, 0.5));
+                }
+                let m = rng.random_range(1..=80);
+                let q: Vec<Point> = (0..m)
+                    .map(|_| match rng.random_range(0..4) {
+                        0 => cand[rng.random_range(0..n)],
+                        1 => {
+                            let e = rng.random_range(0..n - 1);
+                            cand[e].lerp(cand[e + 1], rng.random_range(0.0..1.0))
+                        }
+                        _ => p(rng.random_range(-1.0..2.0), rng.random_range(-1.5..1.5)),
+                    })
+                    .collect();
+                let indexed = |slot: &mut Option<PreparedShape>, cutoff: f64| {
+                    let flat = prepare_into(slot, cand.iter().copied(), closed);
+                    h_avg_discrete_abandoning(q.iter().copied(), flat, cutoff)
+                };
+                let exact = indexed(&mut slot, f64::INFINITY);
+                let cutoffs = [f64::INFINITY, exact, exact.next_down(), exact * 0.999, 0.0, exact * rng.random_range(0.3..1.7)];
+                for cutoff in cutoffs {
+                    let got = reverse_half(&q, cand.iter().copied(), closed, cutoff);
+                    let want = indexed(&mut slot, cutoff);
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "n {} closed {} m {} cutoff {}", n, closed, m, cutoff);
+                }
+                prop_assert!(exact.is_finite());
+                prop_assert_eq!(reverse_half(&q, cand.iter().copied(), closed, exact), exact, "a tie is scored exactly");
+
+                // through the scorers: the indexed reverse half's score
+                if m < 2 {
+                    continue;
+                }
+                let mut query = PreparedShape::new(Polyline::from_valid(q.clone(), rng.random_bool(0.5)));
+                if rng.random_bool(0.5) {
+                    query.build_grid();
+                }
+                let cand_line = Polyline::from_valid(cand.clone(), closed);
+                let forward = h_avg_discrete_abandoning(cand.iter().copied(), &query, f64::INFINITY);
+                let kind = ScoreKind::DiscreteSymmetric;
+                for cutoff in [f64::INFINITY, forward.max(exact), forward, exact, 0.5 * exact] {
+                    let got = score_bounded_with(kind, &cand_line, &query, &mut None, cutoff);
+                    let fwd = h_avg_discrete_abandoning(cand.iter().copied(), &query, cutoff);
+                    let want = match cutoff.is_finite() && !fwd.is_finite() {
+                        true => fwd,
+                        false => {
+                            let back = prepare_into(&mut slot, cand.iter().copied(), closed);
+                            fwd.max(h_avg_discrete_abandoning(query.shape().points().iter().copied(), back, cutoff))
+                        }
+                    };
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "scorer, cutoff {}", cutoff);
+                }
+                let prepared = PreparedShape::new(cand_line.clone());
+                let at_inf = score_prepared(kind, &prepared, &query);
+                prop_assert_eq!(score_bounded_with(kind, &cand_line, &query, &mut None, f64::INFINITY).to_bits(), at_inf.to_bits());
+                prop_assert_eq!(score_prepared_bounded(kind, &prepared, &query, f64::INFINITY).to_bits(), at_inf.to_bits());
+            }
+        }
+
         /// A stored copy — source vertices, a similarity, a closed bit,
         /// scored through one warm `back` — is the polyline scorer of the
         /// mapped polyline bit for bit, and the prepared-candidate scorer:

@@ -88,8 +88,10 @@ use crate::EPS;
 
 /// Largest segment count served by the flat scan; larger sets build the
 /// AABB tree. 64 covers every corpus shape while keeping the scan strictly
-/// cheaper than a tree descent plus its rebuild cost.
-const FLAT_MAX: usize = 64;
+/// cheaper than a tree descent plus its rebuild cost. (A caller that
+/// reproduces the flat scan without an index — the reverse half of the
+/// symmetric score — takes the same split.)
+pub const FLAT_MAX: usize = 64;
 
 /// Static AABB tree over segments supporting exact nearest-segment queries.
 #[derive(Debug)]
