@@ -12,7 +12,6 @@
 
 use geosir_bench::{arg_usize, row};
 use geosir_core::matcher::{MatchConfig, Matcher};
-use geosir_geom::rangesearch::Backend;
 use geosir_imaging::synth::{generate, perturb, CorpusConfig};
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -45,7 +44,7 @@ fn main() {
         )
     );
     for alpha in [0.0, 0.05, 0.1] {
-        let base = corpus.build_base(alpha, Backend::KdTree);
+        let base = corpus.build_base(alpha);
         let blowup = base.num_copies() as f64 / base.num_shapes() as f64;
         for beta in [0.0, 0.1, 0.2, 0.4] {
             let matcher = Matcher::new(&base, MatchConfig { beta, ..Default::default() });

@@ -23,11 +23,11 @@ use std::time::Instant;
 use geosir_bench::{arg_usize, row};
 use geosir_core::dynamic::{DynMatch, DynamicBase};
 use geosir_core::matcher::{MatchConfig, MatchOutcome};
-use geosir_core::normalize::normalize_about_diameter;
+use geosir_core::normalize::{normalize_about_diameter, normalized_copies};
 use geosir_core::scratch::MatcherScratch;
 use geosir_core::similarity::{score_with, PreparedShape, ScoreKind};
 use geosir_core::{ApproxOptions, ApproxScratch, ApproxStats};
-use geosir_geom::rangesearch::Backend;
+use geosir_geom::Polyline;
 use geosir_imaging::synth::{generate, CorpusConfig};
 
 const ALPHA: f64 = 0.05;
@@ -59,15 +59,14 @@ fn main() {
         t0.elapsed().as_secs_f64()
     );
 
-    // build the static oracle table once: bulk_load assigned GlobalShapeId
-    // 0..n in iteration order, so shape j's copies are findable by index
-    let sbase = {
-        let mut b = geosir_core::ShapeBaseBuilder::new();
-        for (img, s) in &shapes {
-            b.add_shape(*img, s.clone());
-        }
-        b.build(ALPHA, Backend::KdTree)
-    };
+    // the exhaustive oracle's table, built once: bulk_load assigned
+    // GlobalShapeId 0..n in iteration order, so a copy carries its
+    // shape's index
+    let oracle_copies: Vec<(usize, Polyline)> = shapes
+        .iter()
+        .enumerate()
+        .flat_map(|(j, (_, s))| normalized_copies(s, ALPHA).into_iter().map(move |c| (j, c.shape)))
+        .collect();
 
     // query-by-example at the corpus's own similarity scale: a stored
     // shape, re-extracted with a small fresh distortion — the "find the
@@ -96,9 +95,9 @@ fn main() {
         let prep = PreparedShape::new(qn.shape);
         best.iter_mut().for_each(|b| *b = f64::INFINITY);
         let t = Instant::now();
-        for (_, c) in sbase.copies() {
-            let s = score_with(ScoreKind::DiscreteSymmetric, &c.normalized, &prep, &mut back);
-            let slot = &mut best[c.shape_id.index()];
+        for (j, copy) in &oracle_copies {
+            let s = score_with(ScoreKind::DiscreteSymmetric, copy, &prep, &mut back);
+            let slot = &mut best[*j];
             if s < *slot {
                 *slot = s;
             }

@@ -58,7 +58,7 @@ fn main() {
             }
             builder.add_shape(ImageId(i as u32), s);
         }
-        let base = builder.build(0.0, Backend::KdTree);
+        let base = builder.build(0.0, Backend::RangeTree);
         let matcher = Matcher::new(&base, MatchConfig { beta: 0.3, ..Default::default() });
 
         let mut samples: Vec<(f64, usize)> = Vec::new();

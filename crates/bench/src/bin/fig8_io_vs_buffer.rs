@@ -7,12 +7,11 @@
 //! ```
 
 use geosir_bench::{arg_usize, build_world, row};
-use geosir_geom::rangesearch::Backend;
 use geosir_storage::LayoutPolicy;
 
 fn main() {
     let images = arg_usize("--images", 2000);
-    let world = build_world(images, 7, Backend::KdTree);
+    let world = build_world(images, 7);
     eprintln!(
         "world: {} images, {} copies, {} queries",
         images,

@@ -12,7 +12,6 @@ use geosir_bench::{arg_usize, row};
 use geosir_core::hashing::GeometricHash;
 use geosir_core::normalize::normalize_about_diameter;
 use geosir_core::similarity::{score, PreparedShape, ScoreKind};
-use geosir_geom::rangesearch::Backend;
 use geosir_imaging::synth::{generate, perturb, CorpusConfig};
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -21,7 +20,7 @@ use std::time::Instant;
 fn main() {
     let images = arg_usize("--images", 300);
     let corpus = generate(&CorpusConfig::small(images, 7));
-    let base = corpus.build_base(0.05, Backend::KdTree);
+    let base = corpus.build_base(0.05);
     eprintln!("world: {} images, {} copies", images, base.num_copies());
     let mut rng = StdRng::seed_from_u64(3);
     let queries: Vec<_> = (0..20)

@@ -13,12 +13,11 @@
 
 use geosir_bench::{arg_usize, build_world, row};
 use geosir_core::matcher::{MatchConfig, Matcher};
-use geosir_geom::rangesearch::Backend;
 use geosir_storage::{BufferPool, ExternalVertexIndex, LayoutPolicy};
 
 fn main() {
     let images = arg_usize("--images", 500);
-    let world = build_world(images, 7, Backend::KdTree);
+    let world = build_world(images, 7);
     // the external index over the same pooled vertices the matcher sees
     let pts: Vec<geosir_geom::Point> =
         (0..world.base.total_vertices() as u32).map(|v| world.base.vertex_point(v)).collect();

@@ -89,6 +89,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 const K: usize = 10;
+/// Rounds of the served line's back-to-back phase timings.
+const ROUNDS: usize = 9;
 /// What the server scores with.
 const KIND: ScoreKind = ScoreKind::DiscreteSymmetric;
 
@@ -230,12 +232,15 @@ fn timed(queries: &[Polyline], f: &mut dyn FnMut(usize, &Polyline)) -> f64 {
 /// the buffer (its prepared copies the seed did not judge, against the
 /// final k-th score) and the
 /// merge (a sort of the board, which by then is little more than the
-/// answer); the scan is what is left of the total.
+/// answer); the scan is what is left of the total. The four are timed
+/// back to back in each of [`ROUNDS`] rounds, so each round's scan is a
+/// difference of passes taken together: host drift between rounds moves
+/// the scan's range, not its median.
 fn exact_path_phases() {
     let cfg = MatchConfig { beta: 0.2, k: K, ..Default::default() };
     let (corpus, queries, dynamic) = canonical_world(&cfg);
     let snap = dynamic.snapshot();
-    let base = &corpus.build_base(0.0, Backend::RangeTree);
+    let base = &corpus.build_base(0.0);
     let matcher = Matcher::new(base, cfg);
     let frame = LuneFrame::new(0.0);
     let family = snap.hash_family();
@@ -252,11 +257,6 @@ fn exact_path_phases() {
         (Vec::new(), RetrieveStats::default(), ApproxStats::default());
     let opts = ApproxOptions { k: K, ..ApproxOptions::default() };
     let n = queries.len() as f64;
-    // each path timed over the whole query set on its own, so one path's
-    // working set never evicts another's
-    let total = timed(&queries, &mut |_, q| {
-        snap.retrieve_with_stats(&mut scratch, &mut tmp, q, K, &mut hits, &mut stats)
-    });
     let (mut copies, mut survivors, mut tightness) = (0, 0, 0.0);
     // what each query's buffer pass and merge worked on: the buffered
     // copies the seed did not judge (past its last ring), the final k-th
@@ -275,28 +275,45 @@ fn exact_path_phases() {
         tightness += kth / tau;
         finals.push((rastered(q, &frame), kth, hits.clone()));
     }
-    let seed = timed(&queries, &mut |_, q| {
-        snap.similar_approx_with(&mut scratch, &mut tmp, &mut ax, q, &opts, &mut hits, &mut astats)
-    });
-    let buffered = timed(&queries, &mut |i, _| {
-        let ((prepared, raster), kth, _) = &finals[i];
-        let sum: f64 = buffer
-            .iter()
-            .zip(&unjudged[i])
-            .filter(|(_, unjudged)| **unjudged)
-            .map(|((c, q, _), _)| match raster.rejects_under(q, QuantRaster::limit(q.len(), *kth)) {
-                Some(_) => 9.0,
-                None => score_prepared_bounded(KIND, c, prepared, *kth).min(9.0),
-            })
-            .sum();
-        std::hint::black_box(sum);
-    });
-    let merge = timed(&queries, &mut |i, _| {
-        let mut board = finals[i].2.clone();
-        board.sort_unstable_by(|a, b| a.score.partial_cmp(&b.score).unwrap().then(a.shape.cmp(&b.shape)));
-        board.truncate(K);
-        std::hint::black_box(board);
-    });
+    // each phase timed over the whole query set on its own, so one
+    // phase's working set never evicts another's; per round: total,
+    // seed, buffer, merge, and the scan they leave, in µs per query
+    let mut rounds: Vec<[f64; 5]> = Vec::with_capacity(ROUNDS);
+    for _ in 0..ROUNDS {
+        let total = timed(&queries, &mut |_, q| {
+            snap.retrieve_with_stats(&mut scratch, &mut tmp, q, K, &mut hits, &mut stats)
+        });
+        let seed = timed(&queries, &mut |_, q| {
+            snap.similar_approx_with(&mut scratch, &mut tmp, &mut ax, q, &opts, &mut hits, &mut astats)
+        });
+        let buffered = timed(&queries, &mut |i, _| {
+            let ((prepared, raster), kth, _) = &finals[i];
+            let sum: f64 = buffer
+                .iter()
+                .zip(&unjudged[i])
+                .filter(|(_, unjudged)| **unjudged)
+                .map(|((c, q, _), _)| match raster.rejects_under(q, QuantRaster::limit(q.len(), *kth)) {
+                    Some(_) => 9.0,
+                    None => score_prepared_bounded(KIND, c, prepared, *kth).min(9.0),
+                })
+                .sum();
+            std::hint::black_box(sum);
+        });
+        let merge = timed(&queries, &mut |i, _| {
+            let mut board = finals[i].2.clone();
+            board.sort_unstable_by(|a, b| a.score.partial_cmp(&b.score).unwrap().then(a.shape.cmp(&b.shape)));
+            board.truncate(K);
+            std::hint::black_box(board);
+        });
+        rounds.push([total, seed, buffered, merge, total - seed - buffered - merge].map(|us| us / n));
+    }
+    let sorted = |phase: usize| {
+        let mut v: Vec<f64> = rounds.iter().map(|r| r[phase]).collect();
+        v.sort_by(f64::total_cmp);
+        v
+    };
+    let [total, seed, buffered, merge, scan] = [0, 1, 2, 3, 4].map(sorted);
+    let mid = ROUNDS / 2;
     let mut unseeded = Phases {
         total: timed(&queries, &mut |_, q| matcher.retrieve_with(&mut scratch, q, &mut tmp)),
         ..Phases::default()
@@ -316,14 +333,16 @@ fn exact_path_phases() {
         queries.len()
     );
     println!(
-        "  served   (Snapshot):     total {:7.1} | seed {:6.1}  scan {:6.1}  buffer {:6.1}  merge \
-         {:4.1} µs/query  (scan = total − the rest; copies scored {:.0}, survivors {:.1}, k-th/τ \
-         {:.3})",
-        total / n,
-        seed / n,
-        (total - seed - buffered - merge) / n,
-        buffered / n,
-        merge / n,
+        "  served   (Snapshot):     total {:7.1} | seed {:6.1}  scan {:6.1} [{:.1}, {:.1}]  buffer \
+         {:6.1}  merge {:4.1} µs/query  (medians of {ROUNDS} rounds; scan = total − the rest per \
+         round, [min, max]; copies scored {:.0}, survivors {:.1}, k-th/τ {:.3})",
+        total[mid],
+        seed[mid],
+        scan[mid],
+        scan[0],
+        scan[ROUNDS - 1],
+        buffered[mid],
+        merge[mid],
         copies as f64 / n,
         survivors as f64 / n,
         tightness / n,
@@ -343,7 +362,7 @@ fn main() {
     for (image, shape) in shapes {
         builder.add_shape(image, shape);
     }
-    let base = builder.build_with_threads(0.0, geosir_geom::rangesearch::Backend::RangeTree, 0);
+    let base = builder.build_with_threads(0.0, Backend::RangeTree, 0);
     let cfg = MatchConfig { beta: 0.2, ..Default::default() };
     let matcher = Matcher::new(&base, cfg);
 
@@ -422,54 +441,18 @@ fn main() {
     }
     let score_us = t0.elapsed().as_micros() as f64 / queries.len() as f64;
 
-    // full retrieve against a kd-tree-backed base (same corpus)
-    let mut builder2 = ShapeBaseBuilder::new();
-    for (i, s) in polys.iter().enumerate() {
-        builder2.add_shape(geosir_core::ids::ImageId(i as u32), s.clone());
-    }
-    let base_kd = builder2.build_with_threads(0.0, geosir_geom::rangesearch::Backend::KdTree, 0);
-    let matcher_kd = Matcher::new(&base_kd, MatchConfig { beta: 0.2, ..Default::default() });
-    let mut scratch_kd = MatcherScratch::for_base(&base_kd);
-    for q in &queries {
-        matcher_kd.retrieve_with(&mut scratch_kd, q, &mut out);
-    }
-    let t0 = Instant::now();
-    for q in &queries {
-        matcher_kd.retrieve_with(&mut scratch_kd, q, &mut out);
-    }
-    let total_kd_us = t0.elapsed().as_micros() as f64 / queries.len() as f64;
-
-    // backend comparison: the same final covers against a kd-tree index
-    let pts: Vec<geosir_geom::Point> =
-        (0..base.total_vertices()).map(|v| base.vertex_point(v as u32)).collect();
-    use geosir_geom::rangesearch::{KdTreeIndex, SimplexIndex};
-    let kd = KdTreeIndex::build(&pts);
-    let t0 = Instant::now();
-    let mut kd_sink = 0usize;
-    for (q, (eps, _, _, _)) in queries.iter().zip(&finals) {
-        envelope_cover_into(q, *eps, &mut cover);
-        for tri in &cover {
-            reported.clear();
-            kd.report(tri, &mut reported);
-            kd_sink += reported.len();
-        }
-    }
-    let kd_us = t0.elapsed().as_micros() as f64 / queries.len() as f64;
-
     let avg_scored = finals.iter().map(|f| f.2).sum::<usize>() as f64 / finals.len() as f64;
     let avg_iters = finals.iter().map(|f| f.1).sum::<usize>() as f64 / finals.len() as f64;
     let avg_tris = finals.iter().map(|f| f.3).sum::<usize>() as f64 / finals.len() as f64;
     println!("# phase_prof — {n_shapes} shapes, {} queries", queries.len());
     println!("avg per query: iters {avg_iters:.1}, tris {avg_tris:.1}, scored {avg_scored:.1}");
-    println!("retrieve total:   {total_us:8.1} µs/query (RangeTree base)");
-    println!("retrieve total:   {total_kd_us:8.1} µs/query (KdTree base)");
+    println!("retrieve total:   {total_us:8.1} µs/query");
     println!("  prepare query:  {prep_us:8.1} µs/query");
     println!("  cover gen:      {cover_us:8.1} µs/query (upper bound, final ring x iters)");
     println!("  simplex report: {report_us:8.1} µs/query (final ring only; incl cover regen)");
     println!("  scoring h_avg:  {score_us:8.1} µs/query ({:.1} µs/candidate)",
         score_us / (avg_scored.max(1e-9)));
-    println!("  kd-tree report: {kd_us:8.1} µs/query (same covers)");
-    println!("(sinks: tris {tri_sink}, verts {vert_sink}, kd {kd_sink}, score {score_sink:.3}, scored {scored})");
+    println!("(sinks: tris {tri_sink}, verts {vert_sink}, score {score_sink:.3}, scored {scored})");
     exact_path_phases();
     distance_census();
     plan_sweep(large);
@@ -821,7 +804,7 @@ fn plan_sweep(large: bool) {
     let cfg = MatchConfig { beta: 0.2, k: K, ..Default::default() };
     for images in [200, 700, 2000, 6000].into_iter().chain(large.then_some(19_000)) {
         let corpus = generate(&CorpusConfig::small(images, 1));
-        let twin = corpus.build_base(0.0, Backend::RangeTree);
+        let twin = corpus.build_base(0.0);
         let mut dynamic = DynamicBase::new(0.0, cfg.clone(), 512);
         dynamic.bulk_load(corpus.shapes.iter().map(|(image, _, s)| (*image, s.clone())));
         let snap = dynamic.snapshot();

@@ -27,17 +27,15 @@ use std::time::Instant;
 
 fn main() {
     println!("# §2.5 — matcher work vs base size (near-exact queries)");
-    let widths = [9, 10, 8, 8, 10, 10, 9, 9, 11];
+    let widths = [9, 10, 8, 8, 10, 10, 9, 9];
     println!(
         "{}",
         row(
-            &["n_vert", "copies", "iters", "K", "reported", "µs/query", "log2n", "log2^4n", "backend"]
-                .map(String::from),
+            &["n_vert", "copies", "iters", "K", "reported", "µs/query", "log2n", "log2^4n"].map(String::from),
             &widths
         )
     );
     for &n_shapes in &[100usize, 400, 1600, 6400, 25600] {
-      for backend in [Backend::RangeTree, Backend::KdTree] {
         let mut rng = StdRng::seed_from_u64(5);
         let mut builder = ShapeBaseBuilder::new();
         let mut queries: Vec<Polyline> = Vec::new();
@@ -51,7 +49,7 @@ fn main() {
             }
             builder.add_shape(ImageId(i as u32), shape);
         }
-        let base = builder.build(0.0, backend);
+        let base = builder.build(0.0, Backend::RangeTree);
         let matcher = Matcher::new(&base, MatchConfig { beta: 0.2, ..Default::default() });
         let mut iters = 0usize;
         let mut k_total = 0usize;
@@ -79,12 +77,10 @@ fn main() {
                     format!("{us:.0}"),
                     format!("{:.1}", n.log2()),
                     format!("{:.0}", n.log2().powi(4)),
-                    format!("{backend:?}"),
                 ],
                 &widths
             )
         );
-      }
     }
     canonical_corpus();
     println!("# paper: expected time ≤ O(log⁴ n) — under the *near-quadratic-space*");
@@ -99,9 +95,9 @@ fn main() {
 /// distorted queries, so the final envelope holds a large share of the
 /// pool — the regime where cost per *reported* vertex decides, not
 /// pruning. The static matcher's incremental top-k loop (rank 1
-/// certified) per backend, then the served path once (`Snapshot`: the
+/// certified) over the range tree, then the served path (`Snapshot`: the
 /// hash tier's k-th score is the cutoff every copy is scanned against,
-/// all k ranks exact — no index, so no backend). Warm scratch, best of
+/// all k ranks exact — no index). Warm scratch, best of
 /// four passes.
 fn canonical_corpus() {
     println!("# canonical exact_sketch corpus (k = 10, 100 sketches, warm scratch)");
@@ -120,18 +116,16 @@ fn canonical_corpus() {
         }
         (best_ms, count / sketches.len())
     };
-    for backend in [Backend::RangeTree, Backend::KdTree] {
-        let base = corpus.build_base(0.0, backend);
-        let matcher = Matcher::new(&base, config.clone());
-        let (ms, reported) = best_of_four(&mut |q| {
-            matcher.retrieve_with(&mut scratch, q, &mut out);
-            out.stats.vertices_reported
-        });
-        println!(
-            "{:>9} vertices  {reported:>6} reported/query  {ms:>7.2} ms/query  {backend:?}  Matcher top-k",
-            base.total_vertices(),
-        );
-    }
+    let base = corpus.build_base(0.0);
+    let matcher = Matcher::new(&base, config.clone());
+    let (ms, reported) = best_of_four(&mut |q| {
+        matcher.retrieve_with(&mut scratch, q, &mut out);
+        out.stats.vertices_reported
+    });
+    println!(
+        "{:>9} vertices  {reported:>6} reported/query  {ms:>7.2} ms/query  Matcher top-k",
+        base.total_vertices(),
+    );
     let mut dynamic = DynamicBase::new(0.0, config, 512);
     dynamic.bulk_load(corpus.shapes.iter().map(|(image, _, s)| (*image, s.clone())));
     let snapshot = dynamic.snapshot();

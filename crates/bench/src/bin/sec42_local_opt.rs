@@ -10,13 +10,12 @@
 //! ```
 
 use geosir_bench::{arg_usize, build_world, row};
-use geosir_geom::rangesearch::Backend;
 use geosir_storage::layout::rehash_cost;
 use geosir_storage::LayoutPolicy;
 
 fn main() {
     let images = arg_usize("--images", 400);
-    let world = build_world(images, 7, Backend::KdTree);
+    let world = build_world(images, 7);
     eprintln!("world: {} images, {} copies", images, world.base.num_copies());
     let queries = world.query_set();
 

@@ -8,7 +8,6 @@ use geosir_core::hashing::{GeometricHash, Signature};
 use geosir_core::ids::ImageId;
 use geosir_core::matcher::{MatchConfig, Matcher};
 use geosir_core::shapebase::ShapeBase;
-use geosir_geom::rangesearch::Backend;
 use geosir_geom::{Point, Polyline};
 use geosir_imaging::synth::{generate, random_simple_polygon, Corpus, CorpusConfig};
 use geosir_storage::{BufferPool, LayoutPolicy, ShapeStore};
@@ -48,10 +47,10 @@ pub struct World {
 /// same object boundary extracted from different photographs" — so each
 /// query has matches at graded distances and similar shapes hash to
 /// nearby curve quadruples, the correlation the §4 layouts exploit.
-pub fn build_world(num_images: usize, seed: u64, backend: Backend) -> World {
+pub fn build_world(num_images: usize, seed: u64) -> World {
     let cfg = CorpusConfig { member_jitter: 0.04, ..CorpusConfig::small(num_images, seed) };
     let corpus = generate(&cfg);
-    let base = corpus.build_base(0.05, backend);
+    let base = corpus.build_base(0.05);
     let hash = GeometricHash::build(&base, 50);
     let signatures = base.copies().map(|(_, c)| hash.signature(&c.normalized)).collect();
     World { corpus, base, signatures }
@@ -150,7 +149,7 @@ mod tests {
 
     #[test]
     fn world_builds_and_replays() {
-        let world = build_world(30, 9, Backend::KdTree);
+        let world = build_world(30, 9);
         assert!(world.base.num_copies() > 0);
         assert_eq!(world.signatures.len(), world.base.num_copies());
         let queries = world.query_set();

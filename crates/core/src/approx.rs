@@ -535,7 +535,7 @@ mod tests {
                 .collect();
             b.add_shape(ImageId(i), Polyline::closed(pts).unwrap());
         }
-        b.build(0.05, Backend::KdTree)
+        b.build(0.05, Backend::RangeTree)
     }
 
     fn scan_oracle(sb: &SigBuckets, sig: &Signature, radius: u16) -> Vec<CopyId> {

@@ -40,7 +40,7 @@ fn approx_with_full_budget_matches_exhaustive_havg_scan() {
     for (i, s) in shapes.iter().enumerate() {
         b.add_shape(ImageId(i as u32), s.clone());
     }
-    let base = b.build(0.05, Backend::KdTree);
+    let base = b.build(0.05, Backend::RangeTree);
     let opts = ApproxOptions { k: 5, max_radius: u16::MAX, max_candidates: usize::MAX };
     for (i, q) in shapes.iter().enumerate() {
         let (qn, _) = crate::normalize::normalize_about_diameter(q).unwrap();

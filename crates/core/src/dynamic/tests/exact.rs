@@ -10,7 +10,7 @@ fn matches_static_base_results() {
     for (i, s) in shapes.iter().enumerate() {
         builder.add_shape(ImageId(i as u32), s.clone());
     }
-    let static_base = builder.build(0.05, Backend::KdTree);
+    let static_base = builder.build(0.05, Backend::RangeTree);
     let matcher = crate::matcher::Matcher::new(
         &static_base,
         MatchConfig { k: 3, beta: 0.3, ..Default::default() },
@@ -62,7 +62,7 @@ fn best_match_in_smaller_later_level_survives_cutoff() {
     for i in 17..20 {
         builder.add_shape(ImageId(i), shape(i as u64 + 500));
     }
-    let static_base = builder.build(0.05, Backend::KdTree);
+    let static_base = builder.build(0.05, Backend::RangeTree);
     let matcher = crate::matcher::Matcher::new(
         &static_base,
         MatchConfig { k: 3, beta: 0.3, ..Default::default() },

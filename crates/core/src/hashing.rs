@@ -239,7 +239,7 @@ impl Signature {
 ///     Point::new(0.0, 0.0), Point::new(4.0, 0.0), Point::new(0.0, 3.0),
 /// ]).unwrap();
 /// b.add_shape(ImageId(0), tri.clone());
-/// let base = b.build(0.1, Backend::KdTree);
+/// let base = b.build(0.1, Backend::RangeTree);
 ///
 /// // the paper's k = 50 curves per lune quarter
 /// let hash = GeometricHash::build(&base, 50);
@@ -638,7 +638,7 @@ mod tests {
                 .collect();
             b.add_shape(ImageId(i), Polyline::closed(pts).unwrap());
         }
-        let base = b.build(0.05, Backend::KdTree);
+        let base = b.build(0.05, Backend::RangeTree);
         let gh = GeometricHash::build(&base, 50);
         let kf = gh.family().k() as u16;
         for (_, copy) in base.copies().take(20) {

@@ -5,9 +5,8 @@
 //! convex hulls and rotating-calipers diameters, α-diameter enumeration,
 //! similarity transforms, ε-envelopes and their ring decompositions,
 //! simplex (triangle) range searching with a fractional-cascading layered
-//! range tree and a kd-tree backend, a nearest-segment AABB tree with the
-//! query's nearest-edge grid, and the contain/overlap/disjoint topology
-//! predicates of §5.
+//! range tree, a nearest-segment AABB tree with the query's nearest-edge
+//! grid, and the contain/overlap/disjoint topology predicates of §5.
 
 #![forbid(unsafe_code)]
 
@@ -15,7 +14,6 @@ pub mod bbox;
 pub mod diameter;
 pub mod envelope;
 pub mod hull;
-pub mod kdtree;
 pub mod numeric;
 pub mod point;
 pub mod polyline;

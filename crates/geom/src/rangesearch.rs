@@ -2,7 +2,7 @@
 //! (§2.5, step 2).
 //!
 //! The matcher needs, per iteration, the shape-base vertices falling in
-//! the triangles of the envelope-ring cover. All backends implement
+//! the triangles of the envelope-ring cover. Both indexes implement
 //! [`SimplexIndex`] and report the same set — every point `p` with
 //! `bbox(t).contains(p) && t.contains(p)` for some triangle `t` of the
 //! query, each once:
@@ -12,17 +12,14 @@
 //!   triangle's y-range down one x-slab descent for the whole cover, with
 //!   the exact predicate at the bottom ([`crate::rangetree`]).
 //!   `O(n log n)` space, 8 B per vertex per level.
-//! - [`KdTreeIndex`] — kd-tree descent with triangle/box pruning, `O(n)`
-//!   space, `O(√n + k)` typical query; also one descent per cover.
 //! - [`BruteForceIndex`] — the oracle the property tests compare against:
 //!   a linear scan per triangle, then a sort-dedup.
 //!
-//! Both tree backends answer [`SimplexIndex::report_union_with`] without
+//! The range tree answers [`SimplexIndex::report_union_with`] without
 //! touching the heap once the caller's [`IndexScratch`] is warm, and a
 //! single-triangle [`SimplexIndex::report`] is the same descent over a
 //! one-element cover.
 
-use crate::kdtree::KdTree;
 use crate::point::Point;
 use crate::rangetree::{Clip, Live, RangeTree};
 use crate::triangle::Triangle;
@@ -34,16 +31,13 @@ use crate::triangle::Triangle;
 pub struct IndexScratch {
     /// Reporting-predicate constants, one per query triangle.
     pub(crate) pre: Vec<TriPre>,
-    /// kd-tree: stack of active-triangle lists.
-    pub(crate) active: Vec<u32>,
-    /// Range tree: slab-clip constants, one per query triangle.
+    /// Slab-clip constants, one per query triangle.
     pub(crate) clips: Vec<Clip>,
-    /// Range tree: stack of live-triangle frames.
+    /// Stack of live-triangle frames.
     pub(crate) live: Vec<Live>,
 }
 
-/// Per-triangle constants of the reporting predicate every range-search
-/// backend shares — `bbox(t).contains(p) && t.contains(p)`: the bounding
+/// Per-triangle constants of the range tree's reporting predicate — `bbox(t).contains(p) && t.contains(p)`: the bounding
 /// box, the three edge origins and deltas of [`Triangle::contains`]'s
 /// `cross3` calls, and its tolerance — precomputed once per triangle so
 /// the per-point work is four compares and three (sub, sub, mul, mul, sub)
@@ -120,7 +114,7 @@ pub trait SimplexIndex {
     /// Append the ids of all points inside **any** triangle of `tris`
     /// (bounding box and boundary inclusive), without duplicates. The
     /// matcher's ring covers are dozens of slivers tiling one annulus;
-    /// the tree backends answer the whole set in one traversal.
+    /// the range tree answers the whole set in one traversal.
     fn report_union_with(&self, scratch: &mut IndexScratch, tris: &[Triangle], out: &mut Vec<u32>);
 
     /// [`SimplexIndex::report_union_with`] on a scratch of its own.
@@ -149,25 +143,6 @@ pub struct RangeTreeIndex {
 impl SimplexIndex for RangeTreeIndex {
     fn build(points: &[Point]) -> Self {
         RangeTreeIndex { tree: RangeTree::build(points) }
-    }
-
-    fn report_union_with(&self, scratch: &mut IndexScratch, tris: &[Triangle], out: &mut Vec<u32>) {
-        self.tree.report_union_with(scratch, tris, out);
-    }
-
-    fn len(&self) -> usize {
-        self.tree.len()
-    }
-}
-
-/// kd-tree with triangle pruning.
-pub struct KdTreeIndex {
-    tree: KdTree,
-}
-
-impl SimplexIndex for KdTreeIndex {
-    fn build(points: &[Point]) -> Self {
-        KdTreeIndex { tree: KdTree::build(points) }
     }
 
     fn report_union_with(&self, scratch: &mut IndexScratch, tris: &[Triangle], out: &mut Vec<u32>) {
@@ -218,23 +193,22 @@ impl SimplexIndex for BruteForceIndex {
     }
 }
 
-/// Which backend to build — lets callers pick at run time (the matcher's
-/// configuration and the ablation benches use this).
+/// Which index to build. `RangeTree` is the default and the only value
+/// product code passes; `BruteForce` is the oracle tests select. The
+/// enum, [`DynSimplexIndex`] and the `backend` arguments that carry it
+/// stay only while the canonical benchmark's sources name them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// Fractional-cascading range tree (default; the paper's structure).
+    /// Fractional-cascading range tree (the paper's structure).
     #[default]
     RangeTree,
-    /// kd-tree (linear space; for very large bases).
-    KdTree,
     /// Linear scan (testing only).
     BruteForce,
 }
 
-/// A backend chosen at run time.
+/// An index chosen at run time.
 pub enum DynSimplexIndex {
     RangeTree(RangeTreeIndex),
-    KdTree(KdTreeIndex),
     BruteForce(BruteForceIndex),
 }
 
@@ -242,7 +216,6 @@ impl DynSimplexIndex {
     pub fn build(backend: Backend, points: &[Point]) -> Self {
         match backend {
             Backend::RangeTree => DynSimplexIndex::RangeTree(RangeTreeIndex::build(points)),
-            Backend::KdTree => DynSimplexIndex::KdTree(KdTreeIndex::build(points)),
             Backend::BruteForce => DynSimplexIndex::BruteForce(BruteForceIndex::build(points)),
         }
     }
@@ -250,7 +223,6 @@ impl DynSimplexIndex {
     fn index(&self) -> &dyn SimplexIndex {
         match self {
             DynSimplexIndex::RangeTree(i) => i,
-            DynSimplexIndex::KdTree(i) => i,
             DynSimplexIndex::BruteForce(i) => i,
         }
     }
@@ -308,24 +280,21 @@ mod tests {
     fn backends_agree_on_random_workload() {
         let pts = random_points(3, 800);
         let rt = RangeTreeIndex::build(&pts);
-        let kd = KdTreeIndex::build(&pts);
         let bf = BruteForceIndex::build(&pts);
         let mut rng = StdRng::seed_from_u64(4);
         for _ in 0..150 {
             let tri = random_triangle(&mut rng);
             let want = sorted_report(&bf, &tri);
             assert_eq!(sorted_report(&rt, &tri), want, "range tree disagrees");
-            assert_eq!(sorted_report(&kd, &tri), want, "kd-tree disagrees");
         }
     }
 
-    /// All backends agree on `report_union` — override and default impl
-    /// alike — and report no duplicates.
+    /// The range tree agrees with brute force on `report_union` and
+    /// reports no duplicates.
     #[test]
     fn backends_agree_on_union_report() {
         let pts = random_points(13, 700);
         let rt = RangeTreeIndex::build(&pts);
-        let kd = KdTreeIndex::build(&pts);
         let bf = BruteForceIndex::build(&pts);
         let mut rng = StdRng::seed_from_u64(14);
         for round in 0..60 {
@@ -334,20 +303,12 @@ mod tests {
             let mut want = Vec::new();
             bf.report_union(&tris, &mut want);
             want.sort_unstable();
-            for (name, got) in [("rt", {
-                let mut v = Vec::new();
-                rt.report_union(&tris, &mut v);
-                v
-            }), ("kd", {
-                let mut v = Vec::new();
-                kd.report_union(&tris, &mut v);
-                v
-            })] {
-                let mut sorted = got.clone();
-                sorted.sort_unstable();
-                assert_eq!(sorted.len(), got.len(), "round {round}: {name} union had duplicates");
-                assert_eq!(sorted, want, "round {round}: {name} union disagrees");
-            }
+            let mut got = Vec::new();
+            rt.report_union(&tris, &mut got);
+            let mut sorted = got.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted.len(), got.len(), "round {round}: union had duplicates");
+            assert_eq!(sorted, want, "round {round}: union disagrees");
         }
     }
 
@@ -365,7 +326,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(10);
         let tri = random_triangle(&mut rng);
         let mut results = Vec::new();
-        for b in [Backend::RangeTree, Backend::KdTree, Backend::BruteForce] {
+        for b in [Backend::RangeTree, Backend::BruteForce] {
             let idx = DynSimplexIndex::build(b, &pts);
             let mut out = Vec::new();
             idx.report(&tri, &mut out);
@@ -373,7 +334,6 @@ mod tests {
             results.push(out);
         }
         assert_eq!(results[0], results[1]);
-        assert_eq!(results[1], results[2]);
     }
 
     proptest! {
@@ -381,13 +341,11 @@ mod tests {
         fn agreement_property(seed in 0u64..200, n in 0usize..200) {
             let pts = random_points(seed, n);
             let rt = RangeTreeIndex::build(&pts);
-            let kd = KdTreeIndex::build(&pts);
             let bf = BruteForceIndex::build(&pts);
             let mut rng = StdRng::seed_from_u64(seed ^ 0xabcd);
             let tri = random_triangle(&mut rng);
             let want = sorted_report(&bf, &tri);
-            prop_assert_eq!(sorted_report(&rt, &tri), want.clone());
-            prop_assert_eq!(sorted_report(&kd, &tri), want);
+            prop_assert_eq!(sorted_report(&rt, &tri), want);
         }
 
         /// Degenerate (collinear) triangles must not report interior-less

@@ -50,7 +50,7 @@ impl Triangle {
     /// Can the box hold a point that [`Triangle::contains`] accepts?
     /// Separating-axis test over the box axes (exact: callers pair
     /// `contains` with the bounding box) and the three edge normals — the
-    /// kd-tree backend's pruning predicate. The edge-normal projections
+    /// on-disk vertex index's pruning predicate. The edge-normal projections
     /// are in `contains`' own units (a cross product with the edge), and a
     /// point it accepts lies at most `tol` outside its edge and `2·tol`
     /// beyond the opposite vertex, so an axis separates only by more than

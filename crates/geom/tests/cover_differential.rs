@@ -1,13 +1,13 @@
-//! Differential test of the range-search backends on the covers the
-//! matcher really issues: for seeded shapes, the `envelope_cover_into` /
+//! Differential test of the range tree on the covers the matcher really
+//! issues: for seeded shapes, the `envelope_cover_into` /
 //! `ring_cover_into` triangles of a geometric ε schedule must select the
-//! same pool vertices from the range tree, the kd-tree and the brute-force
-//! oracle — as sets, with no duplicates — for the whole-cover union, each
-//! ring's union and every single triangle; then the same on pools and
-//! triangles built to sit on the predicates' boundaries.
+//! same pool vertices from the range tree and the brute-force oracle — as
+//! sets, with no duplicates — for the whole-cover union, each ring's union
+//! and every single triangle; then the same on pools and triangles built
+//! to sit on the predicates' boundaries.
 
 use geosir_geom::envelope::{envelope_cover_into, ring_cover_into};
-use geosir_geom::rangesearch::{BruteForceIndex, IndexScratch, KdTreeIndex, RangeTreeIndex, SimplexIndex};
+use geosir_geom::rangesearch::{BruteForceIndex, IndexScratch, RangeTreeIndex, SimplexIndex};
 use geosir_geom::{Point, Polyline, Triangle};
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -49,7 +49,6 @@ fn covers(query: &Polyline, eps0: f64, growth: f64, rings: usize) -> Vec<Vec<Tri
 
 struct Backends {
     rt: RangeTreeIndex,
-    kd: KdTreeIndex,
     bf: BruteForceIndex,
     /// Reused across calls, as the matcher does: stale constants of an
     /// earlier, longer cover must not leak into a later one.
@@ -60,31 +59,24 @@ impl Backends {
     fn build(pool: &[Point]) -> Backends {
         Backends {
             rt: RangeTreeIndex::build(pool),
-            kd: KdTreeIndex::build(pool),
             bf: BruteForceIndex::build(pool),
             scratch: IndexScratch::default(),
         }
     }
 
-    /// `report_union` of `tris` agrees on all three backends and holds no
+    /// `report_union` of `tris` agrees with brute force and holds no
     /// duplicate; returns the set.
     fn union(&mut self, tris: &[Triangle], what: &str) -> Vec<u32> {
         let mut want = Vec::new();
         self.bf.report_union(tris, &mut want);
         assert!(want.windows(2).all(|w| w[0] < w[1]), "{what}: oracle not a sorted set");
         let mut got = Vec::new();
-        for name in ["range tree", "kd-tree"] {
-            got.clear();
-            match name {
-                "range tree" => self.rt.report_union_with(&mut self.scratch, tris, &mut got),
-                _ => self.kd.report_union_with(&mut self.scratch, tris, &mut got),
-            }
-            let reported = got.len();
-            got.sort_unstable();
-            got.dedup();
-            assert_eq!(got.len(), reported, "{what}: {name} reported duplicates");
-            assert_eq!(got, want, "{what}: {name} disagrees with brute force");
-        }
+        self.rt.report_union_with(&mut self.scratch, tris, &mut got);
+        let reported = got.len();
+        got.sort_unstable();
+        got.dedup();
+        assert_eq!(got.len(), reported, "{what}: range tree reported duplicates");
+        assert_eq!(got, want, "{what}: range tree disagrees with brute force");
         want
     }
 
@@ -102,10 +94,6 @@ impl Backends {
                 self.rt.report(tri, &mut got);
                 got.sort_unstable();
                 assert_eq!(got, single, "{what}: range tree report != report_union(&[tri])");
-                got.clear();
-                self.kd.report(tri, &mut got);
-                got.sort_unstable();
-                assert_eq!(got, single, "{what}: kd-tree report != report_union(&[tri])");
             }
         }
         by_ring.sort_unstable();
@@ -232,9 +220,8 @@ fn non_finite_coordinates_do_not_panic() {
     let everything = Triangle::new(p(-10.0, -10.0), p(10.0, -10.0), p(0.0, 20.0));
 
     let rt = RangeTreeIndex::build(&pool);
-    let kd = KdTreeIndex::build(&pool);
     let bf = BruteForceIndex::build(&pool);
-    for (name, index) in [("range tree", &rt as &dyn SimplexIndex), ("kd-tree", &kd), ("brute force", &bf)] {
+    for (name, index) in [("range tree", &rt as &dyn SimplexIndex), ("brute force", &bf)] {
         assert_eq!(index.len(), pool.len());
         let mut out = Vec::new();
         index.report_union(&tris, &mut out);

@@ -69,13 +69,13 @@ impl Corpus {
         self.shapes.iter().map(|(i, _, _)| i.0 as usize + 1).max().unwrap_or(0)
     }
 
-    /// Feed every shape into a [`ShapeBase`].
-    pub fn build_base(&self, alpha: f64, backend: Backend) -> ShapeBase {
+    /// Feed every shape into a [`ShapeBase`] over the range tree.
+    pub fn build_base(&self, alpha: f64) -> ShapeBase {
         let mut b = ShapeBaseBuilder::new();
         for (image, _, shape) in &self.shapes {
             b.add_shape(*image, shape.clone());
         }
-        b.build(alpha, backend)
+        b.build(alpha, Backend::RangeTree)
     }
 
     /// A query set in the style of the paper's "representative experiment
@@ -288,7 +288,7 @@ mod tests {
         // reports ~10 (α-diameters × 2 orientations)
         let cfg = CorpusConfig::small(40, 3);
         let corpus = generate(&cfg);
-        let base = corpus.build_base(0.05, Backend::KdTree);
+        let base = corpus.build_base(0.05);
         let multiplicity = base.num_copies() as f64 / base.num_shapes() as f64;
         assert!(
             (2.0..=30.0).contains(&multiplicity),

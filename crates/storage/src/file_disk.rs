@@ -394,7 +394,7 @@ mod tests {
             ];
             b.add_shape(ImageId(i), Polyline::closed(pts).unwrap());
         }
-        let base = b.build(0.0, Backend::KdTree);
+        let base = b.build(0.0, Backend::RangeTree);
         let gh = GeometricHash::build(&base, 50);
         let sigs: Vec<_> = base.copies().map(|(_, c)| gh.signature(&c.normalized)).collect();
         let store =

@@ -267,7 +267,7 @@ mod tests {
                 .collect();
             b.add_shape(ImageId(i as u32), geosir_geom::Polyline::closed(pts).unwrap());
         }
-        let base = b.build(0.05, Backend::KdTree);
+        let base = b.build(0.05, Backend::RangeTree);
         let gh = GeometricHash::build(&base, 50);
         let sigs: Vec<Signature> =
             base.copies().map(|(_, c)| gh.signature(&c.normalized)).collect();
@@ -338,7 +338,7 @@ mod tests {
             };
             b.add_shape(ImageId(i as u32), shape);
         }
-        let base = b.build(0.0, Backend::KdTree);
+        let base = b.build(0.0, Backend::RangeTree);
         let gh = GeometricHash::build(&base, 50);
         let sigs: Vec<Signature> =
             base.copies().map(|(_, c)| gh.signature(&c.normalized)).collect();

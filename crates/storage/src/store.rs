@@ -135,7 +135,7 @@ mod tests {
                 .collect();
             b.add_shape(ImageId(i as u32), Polyline::closed(pts).unwrap());
         }
-        let base = b.build(0.05, Backend::KdTree);
+        let base = b.build(0.05, Backend::RangeTree);
         let gh = GeometricHash::build(&base, 50);
         let sigs: Vec<Signature> =
             base.copies().map(|(_, c)| gh.signature(&c.normalized)).collect();

@@ -7,13 +7,12 @@
 
 use geosir::core::hashing::GeometricHash;
 use geosir::core::matcher::{MatchConfig, Matcher};
-use geosir::geom::rangesearch::Backend;
 use geosir::imaging::synth::{generate, CorpusConfig};
 use geosir::storage::{BufferPool, LayoutPolicy, ShapeStore};
 
 fn main() {
     let corpus = generate(&CorpusConfig::small(150, 11));
-    let base = corpus.build_base(0.05, Backend::RangeTree);
+    let base = corpus.build_base(0.05);
     let hash = GeometricHash::build(&base, 50);
     let signatures: Vec<_> = base.copies().map(|(_, c)| hash.signature(&c.normalized)).collect();
     println!(

@@ -9,7 +9,6 @@
 use geosir::core::hashing::GeometricHash;
 use geosir::core::matcher::{MatchConfig, Matcher};
 use geosir::core::normalize::normalize_about_diameter;
-use geosir::geom::rangesearch::Backend;
 use geosir::geom::{Point, Polyline};
 use geosir::imaging::synth::{generate, perturb, CorpusConfig};
 use rand::prelude::*;
@@ -17,7 +16,7 @@ use rand::rngs::StdRng;
 
 fn main() {
     let corpus = generate(&CorpusConfig::small(100, 21));
-    let base = corpus.build_base(0.05, Backend::RangeTree);
+    let base = corpus.build_base(0.05);
     let matcher = Matcher::new(&base, MatchConfig { beta: 0.1, ..Default::default() });
     let hash = GeometricHash::build(&base, 50);
     println!(

@@ -47,7 +47,9 @@ GEOSIR_CHAOS=1 cargo test -q --release -p geosir-serve --test cluster_chaos chao
 # Durability hooks: crash-recovery harness (abort-at-failpoint children)
 # plus the full server suite with the fault hooks compiled in. Budget:
 # the crash tests must stay under 30 s wall — they are child-process
-# spawns, not sleeps — so a blowup here is a regression by itself.
+# spawns, not sleeps — so a blowup here is a regression by itself. The
+# feature build is compiled first, so the budget times the tests alone.
+cargo test -q -p geosir-serve --features failpoints --no-run
 start=$(date +%s)
 cargo test -q -p geosir-serve --features failpoints
 elapsed=$(( $(date +%s) - start ))

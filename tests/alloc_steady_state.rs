@@ -1,9 +1,8 @@
 //! The zero-allocation claim, enforced: after a warm-up pass over the
 //! query set, `Matcher::retrieve_with` through a reused scratch and
-//! out-parameter must not touch the heap at all, on a range-tree base and
-//! on a kd-tree base (the two backends that serve). A counting global
-//! allocator wraps the system one; the steady-state pass asserts the
-//! counter does not move.
+//! out-parameter must not touch the heap at all, on a range-tree base. A
+//! counting global allocator wraps the system one; the steady-state pass
+//! asserts the counter does not move.
 //!
 //! This file is its own test binary with a single `#[test]`, so no
 //! concurrent test can allocate while the steady-state window is open.
@@ -57,37 +56,35 @@ fn retrieve_with_steady_state_makes_zero_allocations() {
         }
         shapes.push(shape);
     }
-    for backend in [Backend::RangeTree, Backend::KdTree] {
-        let mut b = ShapeBaseBuilder::new();
-        for (i, shape) in shapes.iter().enumerate() {
-            b.add_shape(ImageId(i as u32), shape.clone());
-        }
-        let base = b.build(0.1, backend);
-        let matcher = Matcher::new(&base, MatchConfig { k: 3, beta: 0.25, ..Default::default() });
+    let mut b = ShapeBaseBuilder::new();
+    for (i, shape) in shapes.iter().enumerate() {
+        b.add_shape(ImageId(i as u32), shape.clone());
+    }
+    let base = b.build(0.1, Backend::RangeTree);
+    let matcher = Matcher::new(&base, MatchConfig { k: 3, beta: 0.25, ..Default::default() });
 
-        let mut scratch = MatcherScratch::for_base(&base);
-        let mut out = MatchOutcome::default();
-        // warm-up: every buffer reaches the high-water capacity this query
-        // set needs (two passes, in case a first-pass growth pattern differs)
-        for _ in 0..2 {
-            for q in &queries {
-                matcher.retrieve_with(&mut scratch, q, &mut out);
-            }
-        }
-        assert!(out.best().is_some(), "warm-up produced no matches");
-
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let mut scratch = MatcherScratch::for_base(&base);
+    let mut out = MatchOutcome::default();
+    // warm-up: every buffer reaches the high-water capacity this query
+    // set needs (two passes, in case a first-pass growth pattern differs)
+    for _ in 0..2 {
         for q in &queries {
             matcher.retrieve_with(&mut scratch, q, &mut out);
         }
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
-        assert_eq!(
-            after - before,
-            0,
-            "{backend:?}: steady-state retrieve_with allocated {} time(s) across {} queries",
-            after - before,
-            queries.len()
-        );
-        assert!(out.best().is_some());
     }
+    assert!(out.best().is_some(), "warm-up produced no matches");
+
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for q in &queries {
+        matcher.retrieve_with(&mut scratch, q, &mut out);
+    }
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state retrieve_with allocated {} time(s) across {} queries",
+        after - before,
+        queries.len()
+    );
+    assert!(out.best().is_some());
 }

@@ -65,7 +65,7 @@ fn raster_to_retrieval() {
 #[test]
 fn retrieval_traces_replay_through_storage() {
     let corpus = generate(&CorpusConfig::small(60, 17));
-    let base = corpus.build_base(0.05, Backend::KdTree);
+    let base = corpus.build_base(0.05);
     let gh = GeometricHash::build(&base, 50);
     let sigs: Vec<_> = base.copies().map(|(_, c)| gh.signature(&c.normalized)).collect();
     let matcher = Matcher::new(&base, MatchConfig { k: 2, beta: 0.3, ..Default::default() });
@@ -151,7 +151,7 @@ fn query_algebra_set_identities() {
 #[test]
 fn hashing_agrees_with_matcher_on_easy_queries() {
     let corpus = generate(&CorpusConfig::small(40, 31));
-    let base = corpus.build_base(0.05, Backend::RangeTree);
+    let base = corpus.build_base(0.05);
     let matcher = Matcher::new(&base, MatchConfig::default());
     let gh = GeometricHash::build(&base, 50);
     let mut rng = StdRng::seed_from_u64(4);
@@ -172,12 +172,16 @@ fn hashing_agrees_with_matcher_on_easy_queries() {
 }
 
 /// Determinism: the same corpus, base and query give identical outcomes
-/// across runs and backends.
+/// across runs, and the range tree's equal the brute-force index's.
 #[test]
 fn full_stack_determinism() {
     let run = |backend| {
         let corpus = generate(&CorpusConfig::small(30, 77));
-        let base = corpus.build_base(0.05, backend);
+        let mut builder = ShapeBaseBuilder::new();
+        for (image, _, shape) in &corpus.shapes {
+            builder.add_shape(*image, shape.clone());
+        }
+        let base = builder.build(0.05, backend);
         let matcher = Matcher::new(&base, MatchConfig { k: 3, ..Default::default() });
         let q = corpus.queries(1, 0.02, 9).pop().unwrap();
         matcher
@@ -189,7 +193,7 @@ fn full_stack_determinism() {
     };
     let a = run(Backend::RangeTree);
     let b = run(Backend::RangeTree);
-    let c = run(Backend::KdTree);
+    let c = run(Backend::BruteForce);
     assert_eq!(a, b, "same backend must be deterministic");
     assert_eq!(a, c, "backends must agree");
 }

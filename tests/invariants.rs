@@ -67,7 +67,7 @@ fn hash_signature_pose_invariance() {
         let n = rng.random_range(5usize..12);
         builder.add_shape(ImageId(i), random_simple_polygon(&mut rng, n, 0.3));
     }
-    let base = builder.build(0.0, Backend::KdTree);
+    let base = builder.build(0.0, Backend::RangeTree);
     let gh = GeometricHash::build(&base, 50);
     let mut tested = 0;
     while tested < 20 {
@@ -107,7 +107,7 @@ fn storage_determinism() {
             let n = rng.random_range(5usize..12);
             builder.add_shape(ImageId(i), random_simple_polygon(&mut rng, n, 0.3));
         }
-        let base = builder.build(0.05, Backend::KdTree);
+        let base = builder.build(0.05, Backend::RangeTree);
         let gh = GeometricHash::build(&base, 50);
         let sigs: Vec<_> = base.copies().map(|(_, c)| gh.signature(&c.normalized)).collect();
         (base, sigs)

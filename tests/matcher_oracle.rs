@@ -111,12 +111,12 @@ fn schedules_and_backends_agree_with_oracle() {
     for (i, s) in shapes.iter().enumerate() {
         builder.add_shape(ImageId(i as u32), s.clone());
     }
-    let base_kd = builder.build(0.0, Backend::KdTree);
+    let base_bf = builder.build(0.0, Backend::BruteForce);
     let query = shapes[3].clone();
     let (want_shape, want_score) = oracle_best(&base_rt, &query).unwrap();
     for schedule in [EpsSchedule::Geometric(1.5), EpsSchedule::Geometric(3.0), EpsSchedule::Linear]
     {
-        for base in [&base_rt, &base_kd] {
+        for base in [&base_rt, &base_bf] {
             let matcher = Matcher::new(
                 base,
                 MatchConfig { beta: 0.2, schedule, ..Default::default() },

@@ -170,7 +170,7 @@ fn significant_vertices_structural_properties() {
 #[test]
 fn schedules_converge_to_same_answer() {
     let corpus = generate(&CorpusConfig::small(60, 13));
-    let base = corpus.build_base(0.05, Backend::RangeTree);
+    let base = corpus.build_base(0.05);
     let mut rng = StdRng::seed_from_u64(2);
     for proto_idx in 0..3 {
         let q = perturb(&corpus.prototypes[proto_idx], &mut rng, 0.02);
@@ -202,7 +202,7 @@ fn alpha_copies_improve_distorted_recall() {
     let queries: Vec<Polyline> =
         (0..6).map(|i| perturb(&corpus.prototypes[i % corpus.prototypes.len()], &mut rng, 0.05)).collect();
     let recall = |alpha: f64| {
-        let base = corpus.build_base(alpha, Backend::KdTree);
+        let base = corpus.build_base(alpha);
         let matcher = Matcher::new(&base, MatchConfig { beta: 0.3, ..Default::default() });
         queries
             .iter()
