@@ -37,7 +37,8 @@ pub struct IndexScratch {
     pub(crate) live: Vec<Live>,
 }
 
-/// Per-triangle constants of the range tree's reporting predicate — `bbox(t).contains(p) && t.contains(p)`: the bounding
+/// Per-triangle constants of the range tree's reporting predicate —
+/// `bbox(t).contains(p) && t.contains(p)`: the bounding
 /// box, the three edge origins and deltas of [`Triangle::contains`]'s
 /// `cross3` calls, and its tolerance — precomputed once per triangle so
 /// the per-point work is four compares and three (sub, sub, mul, mul, sub)

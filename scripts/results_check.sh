@@ -7,7 +7,7 @@
 # EXPERIMENTS.md), or this fails.
 #
 # usage: scripts/results_check.sh   (after `cargo build --release`;
-#        ≈ 60 s on one core, two thirds of it in fig7)
+#        ≈ 95 s on one core, ≈ 60 s of it in fig7)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
