@@ -608,6 +608,7 @@ fn distance_census() {
         digest(&mut exact_digest, &hits);
         scanned += stats.scan_copies;
         sites.iter_mut().for_each(Vec::clear);
+        let rejected_before = rejects;
 
         // the one loop: score against the board's cutoff (through
         // `raster`, when the path has one), keep the per-shape best,
@@ -701,6 +702,11 @@ fn distance_census() {
             offer(&mut board, Some(&raster), id, copy.shape(), stored, 2);
         }
         assert_eq!(ranked(&board), listed(&hits), "the replay's answer diverged");
+        // the raster's rejects: seed + scan + buffer on the exact tier,
+        // the rerank on the approximate one, as the library reports them
+        let rejected: Vec<u64> = (0..SITES.len()).map(|s| (rejects[s] - rejected_before[s]) as u64).collect();
+        assert_eq!(rejected[..EXACT].iter().sum::<u64>(), stats.bound_rejects, "exact rejects diverged");
+        assert_eq!(rejected[EXACT], astats.bound_rejects, "approximate rejects diverged");
 
         let all: Vec<Point> = sites[..EXACT].concat();
         for (count, site) in calls.iter_mut().zip(&sites) {

@@ -26,7 +26,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use geosir_geom::Point;
 
-use crate::dynamic::{CandRef, DynMatch, GlobalShapeId};
+use crate::dynamic::{CandRef, DynMatch, GlobalShapeId, RetrieveStats};
 use crate::hashing::{signature_of_with, CurveFamily, Signature};
 use crate::ids::CopyId;
 use crate::shapebase::ShapeBase;
@@ -147,6 +147,12 @@ pub struct ApproxStats {
     pub reranked: u64,
     /// Rerank scorings cut short by the early-abandon cutoff.
     pub abandoned: u64,
+    /// Rerank candidates the query's lower-bound raster rejected before
+    /// any distance was computed. In-process only, as is the field below.
+    pub bound_rejects: u64,
+    /// The exact tier's scan, when it answered instead
+    /// ([`AnswerTier::Exact`]: the cascade collected nothing).
+    pub fallback: Option<RetrieveStats>,
 }
 
 impl ApproxStats {

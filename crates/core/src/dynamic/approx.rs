@@ -3,7 +3,6 @@
 //! exact tier as its fallback.
 
 use geosir_geom::Polyline;
-use geosir_obs as obs;
 
 use super::exact::{score_onto, Board, Offer, RetrieveStats, Store};
 use super::snapshot::{Prepared, Snapshot};
@@ -50,32 +49,15 @@ impl Snapshot {
             return;
         }
         let prepared = self.prepare(scratch, query, false);
-        let mut rejected = 0;
         if prepared != Prepared::Nothing {
-            let (board, _, r) = self.probe_rerank(ax, scratch, prepared, raster, opts, f64::INFINITY, stats);
+            let (board, _) = self.probe_rerank(ax, scratch, prepared, raster, opts, f64::INFINITY, stats);
             board.finish(out);
-            rejected = r;
         }
         if stats.candidates == 0 {
             stats.tier = AnswerTier::Exact;
-            let scan = &mut RetrieveStats::default();
+            let scan = stats.fallback.insert(RetrieveStats::default());
             self.seed_and_scan(opts.k, f64::INFINITY, scratch, query, raster, out, scan, None, true);
         }
-        // The rerank's raster rejects; an exact fallback's are the exact
-        // tier's to count.
-        obs::with_metrics(ApproxMetrics::build, |m| {
-            m.queries.inc();
-            if stats.tier == AnswerTier::Exact {
-                m.fallbacks.inc();
-            }
-            m.bound_rejects.add(rejected);
-            m.probe_radius.record(stats.radius as u64);
-            m.candidates.record(stats.candidates);
-            m.buckets_probed.record(stats.buckets_probed);
-            if stats.candidates > 0 {
-                m.reduction.record(stats.reduction() as u64);
-            }
-        });
     }
 
     /// The hash tier's probe + bounded rerank, the seed of both tiers:
@@ -84,8 +66,8 @@ impl Snapshot {
     /// ring order with the early-abandoning `h_avg` against a board
     /// started at `within` ([`score_onto`]), each one's verdict kept
     /// beside it for the exact tier's hand-off. Returns the board (its
-    /// k = `opts.k`, resolved), the candidates, and how many of them the
-    /// query's raster rejected; fills the funnel fields of `stats`
+    /// k = `opts.k`, resolved) and the candidates; fills the funnel fields
+    /// of `stats` and how many candidates the query's raster rejected
     /// (`stats.candidates == 0`: the cascade found nothing). The raster
     /// is `scratch.raster` when `prepared` is [`Prepared::Rastered`];
     /// with `lay`, a query prepared without one gets it here when the
@@ -103,7 +85,7 @@ impl Snapshot {
         opts: &ApproxOptions,
         within: f64,
         stats: &mut ApproxStats,
-    ) -> (Board<'s>, &'s [CandRef], u64) {
+    ) -> (Board<'s>, &'s [CandRef]) {
         self.probe(ax, scratch.query.as_ref().expect("prepared"), opts, stats);
         let laid = lay && ax.cands.len() > opts.k && self.lay_raster(scratch) == Prepared::Rastered;
         let raster = (laid || prepared == Prepared::Rastered).then_some(&scratch.raster);
@@ -122,7 +104,8 @@ impl Snapshot {
         let done = score_onto(self.config.score, qprep, raster, &mut board, offers);
         stats.reranked += done.scored;
         stats.abandoned += done.abandoned;
-        (board, cands, done.rejected)
+        stats.bound_rejects += done.rejected;
+        (board, cands)
     }
 
     /// The cascade: rings of increasing curve distance over every level
@@ -201,34 +184,5 @@ impl Snapshot {
         }
         stats.buckets_probed = probed;
         stats.candidates = cands.len() as u64;
-    }
-}
-
-/// The approximate tier's per-query series, cached per thread as the
-/// exact tier's are.
-#[derive(Clone)]
-struct ApproxMetrics {
-    queries: std::sync::Arc<obs::Counter>,
-    fallbacks: std::sync::Arc<obs::Counter>,
-    /// Rerank candidates the query's lower-bound raster rejected before
-    /// any distance was computed.
-    bound_rejects: std::sync::Arc<obs::Counter>,
-    probe_radius: std::sync::Arc<obs::Histogram>,
-    candidates: std::sync::Arc<obs::Histogram>,
-    buckets_probed: std::sync::Arc<obs::Histogram>,
-    reduction: std::sync::Arc<obs::Histogram>,
-}
-
-impl ApproxMetrics {
-    fn build(reg: &obs::Registry) -> ApproxMetrics {
-        ApproxMetrics {
-            queries: reg.counter("geosir_approx_queries_total", &[]),
-            fallbacks: reg.counter("geosir_approx_exact_fallbacks_total", &[]),
-            bound_rejects: reg.counter("geosir_approx_bound_rejects_total", &[]),
-            probe_radius: reg.histogram("geosir_approx_probe_radius", &[]),
-            candidates: reg.histogram("geosir_approx_candidates_per_query", &[]),
-            buckets_probed: reg.histogram("geosir_approx_buckets_probed", &[]),
-            reduction: reg.histogram("geosir_approx_reduction_ratio", &[]),
-        }
     }
 }

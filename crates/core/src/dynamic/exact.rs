@@ -4,12 +4,11 @@
 use std::collections::hash_map::Entry;
 
 use geosir_geom::Polyline;
-use geosir_obs as obs;
 
 use super::approx::BUFFER_LEVEL;
 use super::arena::{BufferedShape, Chunk, CopyArena, Row};
 use super::level::Slot;
-use super::snapshot::{DynMetrics, Prepared, Snapshot};
+use super::snapshot::{Prepared, Snapshot};
 use super::{DynMatch, GlobalShapeId};
 use crate::approx::{ApproxOptions, ApproxStats, IdMap};
 use crate::ids::{ImageId, ShapeId};
@@ -17,20 +16,33 @@ use crate::scratch::MatcherScratch;
 use crate::similarity::{score_copy_bounded, PreparedShape, QuantRaster, ScoreKind, StoredCopy};
 
 /// Per-query totals of one exact retrieval, summed over the levels it
-/// scanned. The server worker copies these, under these names, into the
-/// query's request record.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// scanned. The server worker copies the first four, under these names,
+/// into the query's request record, and records every field on its
+/// `/metrics` series.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RetrieveStats {
     /// Levels scanned.
     pub levels: u64,
     /// Level copies the scans scored (a level's live copies minus what
     /// the seed had settled), and how many of them the cutoff did not cut
-    /// short. `scan_survivors` is in-process only: the EXPLAIN wire
-    /// encoding does not carry it, so a remote report reads 0 there.
+    /// short. `scan_survivors` and every field below it are in-process
+    /// only: the EXPLAIN wire encoding does not carry them, so a remote
+    /// report reads 0 (`None`) there.
     pub scan_copies: u64,
     pub scan_survivors: u64,
     /// Buffered shapes scored brute force.
     pub buffer_scored: u64,
+    /// Candidates the seed reranked: the hash tier's probe, scored as
+    /// exact-tier work.
+    pub seed_reranked: u64,
+    /// Copies the seed, the scans and the buffer pass rejected from the
+    /// query's lower-bound raster alone (a share of the abandoned ones).
+    pub bound_rejects: u64,
+    /// The cutoff the seed handed the scans, when its k-th score lowered
+    /// the one the query started from — the answer then holds k shapes.
+    /// `None`: the scans started from ∞ (fewer than k seeds) or from a
+    /// threshold query's τ.
+    pub seed_cutoff: Option<f64>,
 }
 
 /// One level's share of an EXPLAIN'd query: its live copies split into
@@ -121,10 +133,8 @@ impl Snapshot {
             return;
         }
         let prepared = self.prepare(scratch, query, raster);
-        let grows_before = scratch.grow_events;
         let mut seed_stats = ApproxStats::default();
         let mut tau = within;
-        let mut rejected = 0;
         if prepared != Prepared::Nothing {
             // The seed scratch holds the candidates' verdicts and the
             // board, the raster the query's bounds; both are taken out
@@ -132,9 +142,9 @@ impl Snapshot {
             // the rest of `scratch`.
             let mut seed = std::mem::take(&mut scratch.seed);
             let opts = ApproxOptions { k, ..ApproxOptions::default() };
-            let (mut board, cands, seed_rejects) =
+            let (mut board, cands) =
                 self.probe_rerank(&mut seed, scratch, prepared, false, &opts, within, &mut seed_stats);
-            (rejected, tau) = (seed_rejects, board.cutoff);
+            tau = board.cutoff;
             let quant = std::mem::take(&mut scratch.raster);
             let raster = (prepared == Prepared::Rastered).then_some(&quant);
             let kind = self.config.score;
@@ -162,7 +172,7 @@ impl Snapshot {
                 }
                 stats.scan_copies += done.scored;
                 stats.scan_survivors += done.scored - done.abandoned;
-                rejected += done.rejected;
+                stats.bound_rejects += done.rejected;
                 if let Some(ex) = explain.as_deref_mut() {
                     ex.levels.push(LevelExplain {
                         shapes: slot.live_shapes() as u64,
@@ -193,35 +203,15 @@ impl Snapshot {
             }
             #[cfg(test)]
             super::tests::BUFFER_SCORINGS.with(|n| n.set(n.get() + done.scored));
-            rejected += done.rejected;
+            stats.bound_rejects += done.rejected;
             board.finish(out);
             (scratch.seed, scratch.raster) = (seed, quant);
         }
-        obs::with_metrics(DynMetrics::build, |m| {
-            m.queries.inc();
-            m.buffer_scored.add(stats.buffer_scored);
-            // The seed is exact-tier work, counted here — never under the
-            // approximate tier's `QueryApprox` series.
-            m.seed_reranked.add(seed_stats.reranked);
-            m.scan_copies.add(stats.scan_copies);
-            m.scan_survivors.add(stats.scan_survivors);
-            m.bound_rejects.add(rejected);
-            // seeded: the seed's k-th score lowered the starting cutoff
-            if tau < within {
-                m.seeded.inc();
-                if let Some(kth) = out.get(k - 1) {
-                    let tight = if tau > 0.0 { kth.score / tau * 1000.0 } else { 1000.0 };
-                    m.seed_tightness.record(tight.round() as u64);
-                }
-            } else {
-                m.unseeded.inc();
-            }
-            if scratch.grow_events == grows_before {
-                m.pool_hits.inc();
-            } else {
-                m.pool_misses.inc();
-            }
-        });
+        // The seed is exact-tier work, reported here — never in the
+        // approximate tier's stats.
+        stats.seed_reranked = seed_stats.reranked;
+        stats.bound_rejects += seed_stats.bound_rejects;
+        stats.seed_cutoff = (tau < within).then_some(tau);
     }
 }
 

@@ -27,7 +27,6 @@
 use std::sync::Arc;
 
 use geosir_geom::Polyline;
-use geosir_obs as obs;
 
 use crate::approx::DEFAULT_HASH_CURVES;
 use crate::hashing::CurveFamily;
@@ -46,7 +45,6 @@ use arena::{BufferedShape, InsertScratch};
 pub use exact::{LevelExplain, QueryExplain, RetrieveStats};
 use level::{Part, Slot};
 pub use snapshot::Snapshot;
-use snapshot::DynMetrics;
 
 /// A shape registered with the dynamic base (stable across rebuilds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -67,6 +65,18 @@ pub struct DynamicBase {
     /// compactions (`MAX_DEAD_PER_LIVE`) there were.
     pub shapes_rebuilt: u64,
     pub compactions: u64,
+    /// The carry or compaction the last insert or delete ran (`None`:
+    /// neither), for its caller to report — the server journals it.
+    pub last_rebuild: Option<Rebuild>,
+}
+
+/// A level an insert's carry built, or a delete's compaction rewrote.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rebuild {
+    /// The carry left a level of `shapes` shapes in `slot`.
+    Carry { slot: usize, shapes: usize },
+    /// The compaction left `shapes` shapes in `slot`, shedding `shed` dead.
+    Compact { slot: usize, shapes: usize, shed: usize },
 }
 
 /// Dead shapes a level, or a chunk, may hold per live one; one more and
@@ -118,7 +128,7 @@ impl DynamicBase {
             buffer: Vec::new(),
         };
         let scratch = InsertScratch::default();
-        DynamicBase { state, alpha, scratch, buffer_cap, shapes_rebuilt: 0, compactions: 0 }
+        DynamicBase { state, alpha, scratch, buffer_cap, shapes_rebuilt: 0, compactions: 0, last_rebuild: None }
     }
 
     /// The mutation epoch: bumped by every applied insert and delete.
@@ -150,6 +160,7 @@ impl DynamicBase {
     /// scores, and every carry the shape later takes part in only copies
     /// them (writer pays, readers and carries don't).
     pub fn insert(&mut self, image: ImageId, shape: Polyline) -> GlobalShapeId {
+        self.last_rebuild = None;
         let id = self.assign_id();
         self.buffer_insert(id, image, shape);
         id
@@ -212,6 +223,7 @@ impl DynamicBase {
     /// an id already present (or ahead of `next_id` bookkeeping from a
     /// later checkpoint) is skipped and reported as `false`.
     pub fn insert_with_id(&mut self, id: GlobalShapeId, image: ImageId, shape: Polyline) -> bool {
+        self.last_rebuild = None;
         if self.contains(id) {
             return false;
         }
@@ -266,6 +278,7 @@ impl DynamicBase {
     /// them, here; once they do in its chunk, and are enough to pay for the
     /// level's index (`REBUILT_PER_SHED`), that chunk alone is.
     pub fn delete(&mut self, id: GlobalShapeId) -> bool {
+        self.last_rebuild = None;
         let before = self.state.buffer.len();
         self.state.buffer.retain(|b| b.id != id);
         if self.state.buffer.len() < before {
@@ -303,15 +316,7 @@ impl DynamicBase {
         self.shapes_rebuilt += shapes as u64;
         self.compactions += 1;
         self.state.levels[at] = new;
-        obs::with_metrics(DynMetrics::build, |m| m.compactions.inc());
-        obs::with_current(|r| {
-            r.journal().emit(
-                obs::JournalEvent::new(obs::Severity::Info, "compact.level")
-                    .with("slot", at)
-                    .with("shapes", shapes)
-                    .with("shed", old.dead.shapes - dead),
-            );
-        });
+        self.last_rebuild = Some(Rebuild::Compact { slot: at, shapes, shed: old.dead.shapes - dead });
     }
 
     /// Binary-carry cascade (Bentley–Saxe): the buffer becomes a block of
@@ -336,15 +341,7 @@ impl DynamicBase {
         let rebuilt = carried.level.ids.len();
         self.shapes_rebuilt += rebuilt as u64;
         self.state.levels[slot] = Some(carried);
-        // Lifecycle journal: large carries (high slots) are the ones
-        // worth explaining when someone asks why a write spiked.
-        obs::with_current(|r| {
-            r.journal().emit(
-                obs::JournalEvent::new(obs::Severity::Info, "cascade.level")
-                    .with("slot", slot)
-                    .with("shapes", rebuilt),
-            );
-        });
+        self.last_rebuild = Some(Rebuild::Carry { slot, shapes: rebuilt });
     }
 
     /// Capture the queryable state — levels, tombstones, buffer, epoch —

@@ -13,7 +13,6 @@
 use std::sync::Arc;
 
 use geosir_geom::{Point, Polyline};
-use geosir_obs as obs;
 
 use super::arena::{bytes, BufferedShape};
 use super::exact::{QueryExplain, RetrieveStats};
@@ -22,65 +21,9 @@ use super::{DynMatch, GlobalShapeId};
 use crate::approx::{ApproxOptions, ApproxScratch, ApproxStats};
 use crate::hashing::CurveFamily;
 use crate::ids::ImageId;
-use crate::matcher::{MatchConfig, MatchOutcome, MatcherMetrics};
+use crate::matcher::{MatchConfig, MatchOutcome};
 use crate::scratch::MatcherScratch;
 use crate::similarity::LuneFrame;
-
-/// Registry handles for the per-query dynamic-retrieval distributions;
-/// cached per thread, recorded once per query.
-///
-/// `pool_hits`/`pool_misses` count warm-scratch reuse per query: a hit
-/// is a query that completed without growing any scratch array (a
-/// worker's long-lived one, on the serve path). A miss is a cold or
-/// outgrown scratch paying dense-array (re)allocation.
-#[derive(Clone)]
-pub(super) struct DynMetrics {
-    pub(super) queries: Arc<obs::Counter>,
-    pub(super) buffer_scored: Arc<obs::Counter>,
-    pub(super) pool_hits: Arc<obs::Counter>,
-    pub(super) pool_misses: Arc<obs::Counter>,
-    /// Exact queries whose cutoff the hash tier's k-th score set, and
-    /// those whose scans started from ∞ (fewer than k seeds) or from a
-    /// threshold query's τ.
-    pub(super) seeded: Arc<obs::Counter>,
-    pub(super) unseeded: Arc<obs::Counter>,
-    pub(super) seed_reranked: Arc<obs::Counter>,
-    /// Copies the level scans scored, and those the cutoff did not cut
-    /// short.
-    pub(super) scan_copies: Arc<obs::Counter>,
-    pub(super) scan_survivors: Arc<obs::Counter>,
-    /// Copies the seed, the scans and the buffer pass rejected from the
-    /// query's lower-bound raster alone (a share of the abandoned ones).
-    pub(super) bound_rejects: Arc<obs::Counter>,
-    /// Compactions [`DynamicBase::delete`] ran: chunks rewritten without
-    /// their dead.
-    pub(super) compactions: Arc<obs::Counter>,
-    /// `true k-th ÷ τ` in permille: how tight the seed was (1000 = the
-    /// hash tier already had the answer).
-    pub(super) seed_tightness: Arc<obs::Histogram>,
-}
-
-impl DynMetrics {
-    pub(super) fn build(reg: &obs::Registry) -> DynMetrics {
-        // No level runs the matcher; its series stay exposed all the
-        // same (reading 0, not absent, to a scraper).
-        MatcherMetrics::build(reg);
-        DynMetrics {
-            queries: reg.counter("geosir_dynamic_queries_total", &[]),
-            buffer_scored: reg.counter("geosir_dynamic_buffer_scored_total", &[]),
-            pool_hits: reg.counter("geosir_dynamic_scratch_pool_hits_total", &[]),
-            pool_misses: reg.counter("geosir_dynamic_scratch_pool_misses_total", &[]),
-            seeded: reg.counter("geosir_exact_queries_total", &[("seeded", "true")]),
-            unseeded: reg.counter("geosir_exact_queries_total", &[("seeded", "false")]),
-            seed_reranked: reg.counter("geosir_exact_seed_reranked_total", &[]),
-            scan_copies: reg.counter("geosir_exact_scan_copies_total", &[]),
-            scan_survivors: reg.counter("geosir_exact_scan_survivors_total", &[]),
-            bound_rejects: reg.counter("geosir_exact_scan_bound_rejects_total", &[]),
-            compactions: reg.counter("geosir_dynamic_compactions_total", &[]),
-            seed_tightness: reg.histogram("geosir_exact_seed_tightness_permille", &[]),
-        }
-    }
-}
 
 /// An immutable, consistent view of a [`DynamicBase`] at one epoch.
 ///

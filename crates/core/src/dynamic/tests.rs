@@ -9,7 +9,6 @@ use std::sync::Arc;
 
 use geosir_geom::rangesearch::Backend;
 use geosir_geom::{Point, Polyline, Similarity};
-use geosir_obs as obs;
 use proptest::prelude::*;
 use rand::prelude::*;
 

@@ -94,6 +94,9 @@ fn approx_empty_base_falls_back_to_exact_tier() {
     assert!(hits.is_empty());
     assert_eq!(stats.tier, AnswerTier::Exact);
     assert_eq!(stats.candidates, 0);
+    // the exact tier's scan, reported beside the probe that found nothing
+    let scan = stats.fallback.expect("the fallback's scan");
+    assert_eq!((scan.levels, scan.seed_cutoff), (0, None));
 }
 
 #[test]
@@ -218,32 +221,28 @@ fn quantized_approx_rerank_changes_no_verdict_and_no_count() {
     let verdicts = |ax: &ApproxScratch| -> Vec<(u32, u32, u32, u64)> {
         ax.cands.iter().map(|c| (c.level, c.a, c.b, c.verdict.to_bits())).collect()
     };
-    let rejects = |m: &obs::Registry| m.snapshot().counter("geosir_approx_bound_rejects_total", &[]);
-    let (with, without) = (Arc::new(obs::Registry::new()), Arc::new(obs::Registry::new()));
+    let mut rejects = 0;
     for (i, q) in queries.iter().enumerate() {
         for k in [1, 4, 10] {
             for max_candidates in [24, 2048] {
                 let what = format!("query {i}, k = {k}, budget {max_candidates}");
                 let opts = ApproxOptions { k, max_candidates, ..ApproxOptions::default() };
-                let before = rejects(&with);
-                obs::set_thread_registry(Some(with.clone()));
                 snap.approximate(&mut scratch, &mut on_ax, q, &opts, &mut on, &mut on_stats, true);
-                obs::set_thread_registry(Some(without.clone()));
                 snap.approximate(&mut scratch, &mut off_ax, q, &opts, &mut off, &mut off_stats, false);
                 assert_eq!(id_bits(&on), id_bits(&off), "{what}");
-                assert_eq!(on_stats, off_stats, "{what}");
+                assert_eq!(off_stats.bound_rejects, 0, "{what}");
+                assert_eq!(ApproxStats { bound_rejects: 0, ..on_stats }, off_stats, "{what}");
                 assert_eq!(on_stats.tier, AnswerTier::Approx, "{what}");
                 assert_eq!(verdicts(&on_ax), verdicts(&off_ax), "{what}");
                 if q.num_vertices() > 64 {
                     assert!(on_stats.candidates > k as u64, "{what}: a raster would have been laid");
-                    assert_eq!(rejects(&with), before, "{what}: rejected with no raster");
+                    assert_eq!(on_stats.bound_rejects, 0, "{what}: rejected with no raster");
                 }
+                rejects += on_stats.bound_rejects;
             }
         }
     }
-    obs::set_thread_registry(None);
-    assert!(rejects(&with) > 0, "the raster rejected nothing");
-    assert_eq!(rejects(&without), 0);
+    assert!(rejects > 0, "the raster rejected nothing");
 }
 
 #[test]

@@ -228,3 +228,19 @@ fn a_carry_merges_off_the_writer_from_cloned_inputs() {
     let dead = |s: &Slot| (s.dead.words.clone(), s.dead.shapes, s.dead.copies);
     assert_eq!(dead(carried), dead(&merged), "off-thread merge: tombstones");
 }
+
+#[test]
+fn each_mutation_reports_the_level_it_rebuilt() {
+    // a buffer of 4: the 4th insert carries into slot 0, and the 3rd
+    // delete of its shapes leaves it more dead than alive
+    let mut db = dynbase(4);
+    let ids: Vec<GlobalShapeId> = (0..4).map(|i| db.insert(ImageId(i), shape(i as u64 + 700))).collect();
+    assert_eq!(db.last_rebuild, Some(Rebuild::Carry { slot: 0, shapes: 4 }));
+    db.insert(ImageId(9), shape(709));
+    assert_eq!(db.last_rebuild, None, "a buffered insert rebuilt nothing");
+    assert!(db.delete(ids[0]) && db.delete(ids[1]));
+    assert_eq!(db.last_rebuild, None, "two dead of four stay tombstoned");
+    assert!(db.delete(ids[2]));
+    assert_eq!(db.last_rebuild, Some(Rebuild::Compact { slot: 0, shapes: 1, shed: 3 }));
+    assert_eq!(db.compactions, 1);
+}

@@ -38,7 +38,6 @@
 
 use geosir_geom::envelope::{envelope_cover_into, ring_cover_into};
 use geosir_geom::Polyline;
-use geosir_obs as obs;
 
 use crate::ids::{CopyId, ImageId, ShapeId};
 use crate::normalize::LUNE_AREA;
@@ -97,45 +96,6 @@ impl Default for MatchConfig {
             log_power: 3,
             max_iterations: 10_000,
             certify_all: false,
-        }
-    }
-}
-
-/// Registry handles for the matcher's per-run recording, resolved
-/// through [`obs::with_metrics`]' thread-local cache: steady state is a
-/// map hit plus a handful of relaxed atomic adds per retrieval, so the
-/// instrumentation stays invisible next to the retrieval itself.
-#[derive(Clone)]
-pub(crate) struct MatcherMetrics {
-    runs: std::sync::Arc<obs::Counter>,
-    rings: std::sync::Arc<obs::Counter>,
-    triangles: std::sync::Arc<obs::Counter>,
-    reported: std::sync::Arc<obs::Counter>,
-    processed: std::sync::Arc<obs::Counter>,
-    scores: std::sync::Arc<obs::Counter>,
-    promotions: std::sync::Arc<obs::Counter>,
-    resolves: std::sync::Arc<obs::Counter>,
-    exhausted: std::sync::Arc<obs::Counter>,
-    final_eps_permille: std::sync::Arc<obs::Histogram>,
-    pool_hits: std::sync::Arc<obs::Counter>,
-    pool_misses: std::sync::Arc<obs::Counter>,
-}
-
-impl MatcherMetrics {
-    pub(crate) fn build(reg: &obs::Registry) -> MatcherMetrics {
-        MatcherMetrics {
-            runs: reg.counter("geosir_matcher_runs_total", &[]),
-            rings: reg.counter("geosir_matcher_rings_total", &[]),
-            triangles: reg.counter("geosir_matcher_triangles_total", &[]),
-            reported: reg.counter("geosir_matcher_candidates_reported_total", &[]),
-            processed: reg.counter("geosir_matcher_vertices_processed_total", &[]),
-            scores: reg.counter("geosir_matcher_havg_evals_total", &[]),
-            promotions: reg.counter("geosir_matcher_counter_promotions_total", &[]),
-            resolves: reg.counter("geosir_matcher_resolves_total", &[]),
-            exhausted: reg.counter("geosir_matcher_exhausted_total", &[]),
-            final_eps_permille: reg.histogram("geosir_matcher_final_eps_permille", &[]),
-            pool_hits: reg.counter("geosir_matcher_scratch_pool_hits_total", &[]),
-            pool_misses: reg.counter("geosir_matcher_scratch_pool_misses_total", &[]),
         }
     }
 }
@@ -381,15 +341,7 @@ impl<'a> Matcher<'a> {
     }
 
     fn pooled_scratch(&self) -> MatcherScratch {
-        let pooled = self.scratch_pool.lock().unwrap().pop();
-        obs::with_metrics(MatcherMetrics::build, |m| {
-            if pooled.is_some() {
-                m.pool_hits.inc();
-            } else {
-                m.pool_misses.inc();
-            }
-        });
-        pooled.unwrap_or_default()
+        self.scratch_pool.lock().unwrap().pop().unwrap_or_default()
     }
 
     fn return_scratch(&self, scratch: MatcherScratch) {
@@ -465,11 +417,6 @@ impl<'a> Matcher<'a> {
             outcome.stats.termination = Termination::EmptyBase;
             return;
         }
-        // Resolve the cached metric handles once per run: counters that
-        // count *events* (rings, promotions) are bumped at their event
-        // sites below, so a dashboard watching a long-running query sees
-        // them move ring by ring instead of jumping at the end.
-        let metrics = obs::with_metrics(MatcherMetrics::build, |m| m.clone());
         let f_u = self.plan.bound_factor;
         let explain_on = outcome.explain.enabled;
         scratch.ensure(base);
@@ -544,7 +491,6 @@ impl<'a> Matcher<'a> {
         for iter in 1usize.. {
             outcome.stats.iterations = iter;
             outcome.stats.final_eps = eps;
-            metrics.rings.inc();
             // Ring-start watermarks, so the ring's EXPLAIN record can
             // report deltas of the per-run totals (stack-only; unused
             // and branch-predicted away when explain is off).
@@ -607,7 +553,6 @@ impl<'a> Matcher<'a> {
                 dist_sums[oi] += d;
                 if promote && counters[oi] >= self.plan.net_thresholds[oi] && scored_stamp[oi] != qstamp {
                     scored_stamp[oi] = qstamp;
-                    metrics.promotions.inc();
                     self.score_candidate(owner, f64::INFINITY, prepared, back, &mut best, outcome);
                 }
             }
@@ -644,12 +589,10 @@ impl<'a> Matcher<'a> {
                 // or resolved. Also done on an uncertified exit, so what
                 // a best-effort answer reports is exact among the copies
                 // the envelope reached.
-                let before = outcome.stats.candidates_scored;
                 self.resolve(
                     mode, eps, qstamp, touched_copies, counters, dist_sums, scored_stamp,
                     prepared, back, &mut best, score_buf, outcome,
                 );
-                metrics.resolves.add((outcome.stats.candidates_scored - before) as u64);
             }
 
             if explain_on {
@@ -674,7 +617,7 @@ impl<'a> Matcher<'a> {
                 // certificate ⇒ the caller is told the answer is
                 // best-effort.
                 outcome.stats.exhausted = !certified;
-                self.finish(&best, ranked, mode, outcome, &metrics);
+                self.finish(&best, ranked, mode, outcome);
                 return;
             }
             prev_eps = eps;
@@ -758,7 +701,6 @@ impl<'a> Matcher<'a> {
         ranked: &mut Vec<(u32, f64, u32)>,
         mode: RunMode,
         outcome: &mut MatchOutcome,
-        metrics: &MatcherMetrics,
     ) {
         ranked.clear();
         for &sid in best.touched.iter() {
@@ -781,21 +723,6 @@ impl<'a> Matcher<'a> {
                 copy,
                 score: s,
             });
-        }
-        let stats = &outcome.stats;
-        // Rings, counter promotions and resolves were already counted at
-        // their event sites in `run`; the rest are per-run totals.
-        metrics.runs.inc();
-        metrics.triangles.add(stats.triangles_queried as u64);
-        metrics.reported.add(stats.vertices_reported as u64);
-        metrics.processed.add(stats.vertices_processed as u64);
-        metrics.scores.add(stats.candidates_scored as u64);
-        if stats.exhausted {
-            metrics.exhausted.inc();
-        }
-        if stats.eps_cap > 0.0 {
-            let permille = (stats.final_eps / stats.eps_cap * 1000.0).round();
-            metrics.final_eps_permille.record(permille.clamp(0.0, 1000.0) as u64);
         }
     }
 }
@@ -1176,37 +1103,30 @@ mod tests {
 
     #[test]
     fn ring_and_promotion_counters_count_events() {
-        // Regression: rings_total and counter_promotions_total were
-        // per-run aggregate adds in finish(), so a dashboard could not
-        // tell a 1-ring query from a 12-ring one mid-flight — and a
-        // BENCH workload of 1-ring queries showed both frozen exactly
-        // at runs_total. They must now count events.
-        let reg = std::sync::Arc::new(obs::Registry::new());
-        obs::set_thread_registry(Some(reg.clone()));
+        // Every envelope iteration is one ring of the run, and every
+        // `h_avg` scoring happens in one: a multi-ring run's per-ring
+        // records spread its scorings over its rings, and sum to the run's.
         let shapes = gallery();
         let base = build_base(&shapes, 0.0);
         let matcher = Matcher::new(&base, MatchConfig { beta: 0.0, ..Default::default() });
-
-        let multi = matcher.retrieve(&saw_query());
-        let exact = matcher.retrieve(&shapes[0]);
-        obs::set_thread_registry(None);
+        let run = |q: &Polyline| {
+            let mut out = MatchOutcome::default();
+            out.explain.enabled = true;
+            matcher.retrieve_with(&mut MatcherScratch::new(), q, &mut out);
+            out
+        };
+        let (multi, exact) = (run(&saw_query()), run(&shapes[0]));
 
         assert!(multi.stats.iterations > 1, "saw query must take several rings");
-        let snap = reg.snapshot();
-        let runs = snap.counter("geosir_matcher_runs_total", &[]);
-        let rings = snap.counter("geosir_matcher_rings_total", &[]);
-        let promotions = snap.counter("geosir_matcher_counter_promotions_total", &[]);
-        assert_eq!(runs, 2);
-        assert_eq!(rings, (multi.stats.iterations + exact.stats.iterations) as u64);
-        assert!(rings > runs, "multi-ring run must push rings_total past runs_total");
-        // this base has no credit candidates, so every h_avg eval was a
-        // counter promotion or one of the certificate's resolve scorings
-        let resolves = snap.counter("geosir_matcher_resolves_total", &[]);
-        assert_eq!(
-            promotions + resolves,
-            (multi.stats.candidates_scored + exact.stats.candidates_scored) as u64
-        );
-        assert!(promotions >= 1, "the exact query must have promoted its source shape");
+        for out in [&multi, &exact] {
+            assert_eq!(out.explain.rings.len(), out.stats.iterations);
+            // this base has no credit candidates, so every h_avg eval was a
+            // counter promotion or one of the certificate's resolve scorings
+            assert_eq!(out.explain.credit_scored, 0);
+            let scored: u32 = out.explain.rings.iter().map(|r| r.promotions).sum();
+            assert_eq!(scored as usize, out.stats.candidates_scored);
+        }
+        assert!(exact.stats.candidates_scored >= 1, "the exact query must have promoted its source shape");
     }
 
     #[test]

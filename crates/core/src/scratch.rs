@@ -33,7 +33,7 @@ pub struct MatcherScratch {
     pub(crate) iter_clock: u64,
     /// Times [`Self::ensure`] grew an array — 0 growths across a query
     /// means the scratch was warm for every base it touched, which is
-    /// what the dynamic layer counts as a scratch-reuse "hit".
+    /// what a server counts as a scratch-reuse "hit".
     pub(crate) grow_events: u64,
 
     // --- per-copy dense state, indexed by CopyId ---
@@ -123,16 +123,14 @@ impl MatcherScratch {
         self.count_growth(grew);
     }
 
+    /// Times the scratch grew an array so far: a query that leaves the
+    /// count where it was found the scratch warm.
+    pub fn grow_events(&self) -> u64 {
+        self.grow_events
+    }
+
     fn count_growth(&mut self, grew: bool) {
-        if grew {
-            self.grow_events += 1;
-            // A growth event in steady state means scratches are being
-            // created cold or the base outgrew every pooled scratch —
-            // the zero-allocation claim depends on this staying flat.
-            geosir_obs::with_current(|reg| {
-                reg.counter("geosir_matcher_scratch_grows_total", &[]).inc()
-            });
-        }
+        self.grow_events += grew as u64;
     }
 
     /// Start a new query: returns the stamp identifying this query's

@@ -10,9 +10,8 @@
 //! The *record* path is lock-free: callers hold `Arc` handles and every
 //! observation is a relaxed atomic add. The *lookup* path
 //! ([`Registry::counter`] etc.) takes a read lock and allocates only on
-//! first registration, so hot code caches handles — see
-//! [`crate::with_metrics`] for the thread-local cache that makes steady
-//! state allocation-free.
+//! first registration, so hot code resolves its handles once and keeps
+//! them.
 //!
 //! [`Registry::snapshot`] captures every series into a [`Snapshot`]
 //! that merges ([`Snapshot::merge`]) and round-trips through a compact
@@ -238,15 +237,9 @@ enum Metric {
 
 type LabelSet = Box<[(String, String)]>;
 
-static REGISTRY_IDS: AtomicU64 = AtomicU64::new(1);
-
 /// A set of named, labeled metric series plus the request ring and the
-/// journal.
-///
-/// Normally accessed through [`crate::global`] or a per-server instance
-/// installed with [`crate::set_thread_registry`].
+/// journal. Each server owns one; so does the shell.
 pub struct Registry {
-    id: u64,
     series: RwLock<HashMap<String, Vec<(LabelSet, Metric)>>>,
     /// The last finished requests (see [`crate::request`]).
     pub(crate) requests: RequestRing,
@@ -261,7 +254,7 @@ impl Default for Registry {
 
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Registry").field("id", &self.id).finish_non_exhaustive()
+        f.debug_struct("Registry").finish_non_exhaustive()
     }
 }
 
@@ -273,16 +266,10 @@ fn labels_eq(stored: &[(String, String)], wanted: &[(&str, &str)]) -> bool {
 impl Registry {
     pub fn new() -> Self {
         Self {
-            id: REGISTRY_IDS.fetch_add(1, Ordering::Relaxed),
             series: RwLock::new(HashMap::new()),
             requests: RequestRing::new(),
             journal: Journal::new(256),
         }
-    }
-
-    /// Unique per-process id; handle caches key on it.
-    pub fn id(&self) -> u64 {
-        self.id
     }
 
     /// Structured lifecycle-event journal backing `/debug/journal`.

@@ -1,8 +1,8 @@
 //! The zero-allocation claim for the metric record path: once a series
-//! exists and the per-thread handle cache is warm, recording — counter
-//! incs, gauge stores, histogram samples, cached-set access through
-//! `with_metrics`, and span enter/exit — must not touch the heap, and
-//! neither may recording a finished request (`Registry::record_request`)
+//! exists, recording through its handle — counter incs, gauge stores,
+//! histogram samples — and looking it up again by name must not touch
+//! the heap, and neither may recording a finished request
+//! (`Registry::record_request`)
 //! once the request ring has wrapped. A counting global
 //! allocator wraps the system one, mirroring the workspace-level
 //! `tests/alloc_dynamic.rs`.
@@ -37,44 +37,20 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-use geosir_obs::{set_thread_registry, with_metrics, Counter, Gauge, Histogram, Registry, SpanGuard};
+use geosir_obs::Registry;
 use geosir_obs::{RequestKind, RequestRecord};
-
-/// The kind of cached metric set hot server code builds once per thread.
-#[derive(Clone)]
-struct HotSet {
-    hits: Arc<Counter>,
-    depth: Arc<Gauge>,
-    lat: Arc<Histogram>,
-}
-
-fn build(reg: &Registry) -> HotSet {
-    HotSet {
-        hits: reg.counter("alloc_test_hits_total", &[("path", "hot")]),
-        depth: reg.gauge("alloc_test_depth", &[]),
-        lat: reg.histogram("alloc_test_latency_us", &[("type", "query")]),
-    }
-}
 
 #[test]
 fn record_path_makes_zero_allocations_once_warm() {
     let reg = Arc::new(Registry::new());
-    set_thread_registry(Some(reg.clone()));
 
-    // Warm-up: register every series, populate the thread-local set
-    // cache, resolve the span histogram, and fault in any lazy lock /
-    // TLS state.
+    // Warm-up: register every series, and fault in any lazy lock state.
     let counter = reg.counter("alloc_test_hits_total", &[("path", "hot")]);
     let gauge = reg.gauge("alloc_test_depth", &[]);
     let hist = reg.histogram("alloc_test_latency_us", &[("type", "query")]);
-    with_metrics(build, |m| {
-        m.hits.inc();
-        m.depth.set(1);
-        m.lat.record(10);
-    });
-    {
-        let _g = SpanGuard::enter("alloc_test_stage");
-    }
+    counter.inc();
+    gauge.set(1);
+    hist.record(10);
 
     const ROUNDS: u64 = 1000;
     let before = ALLOCATIONS.load(Ordering::Relaxed);
@@ -88,17 +64,8 @@ fn record_path_makes_zero_allocations_once_warm() {
         // repeat lookup of an existing series (read lock, no insert)
         let again = reg.counter("alloc_test_hits_total", &[("path", "hot")]);
         again.inc();
-        // the cached-set path every worker iteration goes through
-        with_metrics(build, |m| {
-            m.hits.inc();
-            m.lat.record(i % 100);
-        });
-        // span enter/exit: two Instant reads plus one record
-        let g = SpanGuard::enter("alloc_test_stage");
-        drop(g);
     }
     let after = ALLOCATIONS.load(Ordering::Relaxed);
-    set_thread_registry(None);
 
     assert_eq!(
         after - before,
@@ -111,14 +78,10 @@ fn record_path_makes_zero_allocations_once_warm() {
     let snap = reg.snapshot();
     assert_eq!(
         snap.counter("alloc_test_hits_total", &[("path", "hot")]),
-        1 + ROUNDS * 5,
+        1 + ROUNDS * 4,
     );
     let lat = snap.histogram("alloc_test_latency_us", &[("type", "query")]).unwrap();
-    assert_eq!(lat.count(), 1 + 2 * ROUNDS);
-    let stage = snap
-        .histogram("geosir_stage_duration_us", &[("stage", "alloc_test_stage")])
-        .unwrap();
-    assert_eq!(stage.count(), 1 + ROUNDS);
+    assert_eq!(lat.count(), 1 + ROUNDS);
 
     // One finished request: refilling a reused record costs nothing, and
     // once the ring has wrapped, copying it into the oldest slot reuses

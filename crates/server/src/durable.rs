@@ -40,6 +40,8 @@ use geosir_storage::faults::IoFactory;
 use geosir_storage::manifest::Manifest;
 use geosir_storage::wal::{self, FsyncPolicy, Lsn, Wal, WalRecord};
 
+use crate::metrics::Metrics;
+
 /// Where and how hard to persist.
 #[derive(Clone)]
 pub struct DurabilityConfig {
@@ -143,8 +145,13 @@ fn persist_err(e: geosir_storage::file_disk::PersistError) -> io::Error {
 }
 
 /// Rebuild the base from `cfg.data_dir`: manifest → checkpoint → WAL
-/// tail, then open a fresh WAL segment for new writes.
-pub(crate) fn recover(template: &BaseTemplate, cfg: &DurabilityConfig) -> io::Result<Recovered> {
+/// tail, then open a fresh WAL segment for new writes. A repaired tear
+/// and the replay's carries and compactions are recorded on `metrics`.
+pub(crate) fn recover(
+    template: &BaseTemplate,
+    cfg: &DurabilityConfig,
+    metrics: &Metrics,
+) -> io::Result<Recovered> {
     let t0 = Instant::now();
     std::fs::create_dir_all(&cfg.data_dir)?;
     let mut report = RecoveryReport::default();
@@ -172,7 +179,9 @@ pub(crate) fn recover(template: &BaseTemplate, cfg: &DurabilityConfig) -> io::Re
     // Truncate the tear on disk NOW, before the fresh segment opens:
     // a later restart must walk this segment cleanly and continue into
     // everything appended after it, or acked writes get skipped.
-    wal::repair(&cfg.data_dir, &tail)?;
+    if wal::repair(&cfg.data_dir, &tail)? {
+        metrics.wal().repairs.inc();
+    }
     report.truncated_tail = tail.truncated;
     report.dropped_bytes = tail.dropped_bytes;
     let mut dedup = HashMap::new();
@@ -204,6 +213,9 @@ pub(crate) fn recover(template: &BaseTemplate, cfg: &DurabilityConfig) -> io::Re
             WalRecord::Delete { id } => {
                 base.delete(GlobalShapeId(id));
             }
+        }
+        if let Some(rebuild) = base.last_rebuild.take() {
+            metrics.record_rebuild(rebuild);
         }
         report.replayed += 1;
         last_lsn = lsn;
@@ -257,7 +269,7 @@ mod tests {
     fn recover_from_empty_dir_starts_fresh() {
         let dir = tmpdir("fresh");
         let cfg = DurabilityConfig::new(&dir);
-        let r = recover(&template(), &cfg).unwrap();
+        let r = recover(&template(), &cfg, &Metrics::default()).unwrap();
         assert!(r.base.is_empty());
         assert_eq!(r.applied_lsn, 0);
         assert_eq!(r.report.replayed, 0);
@@ -288,7 +300,7 @@ mod tests {
         wal.sync().unwrap();
         drop(wal);
 
-        let r = recover(&template(), &DurabilityConfig::new(&dir)).unwrap();
+        let r = recover(&template(), &DurabilityConfig::new(&dir), &Metrics::default()).unwrap();
         assert_eq!(r.report.checkpoint_shapes, 2);
         assert_eq!(r.report.replayed, 2);
         assert_eq!(r.applied_lsn, 7);
@@ -330,8 +342,10 @@ mod tests {
 
         // restart 1: truncated to 3 records, tear repaired, 2 new acks
         let cfg = DurabilityConfig::new(&dir);
-        let r = recover(&template(), &cfg).unwrap();
+        let m = Metrics::default();
+        let r = recover(&template(), &cfg, &m).unwrap();
         assert!(r.report.truncated_tail);
+        assert_eq!(m.registry.snapshot().counter("geosir_wal_repairs_total", &[]), 1);
         assert_eq!(r.base.len(), 3);
         assert_eq!(r.applied_lsn, 3);
         let mut wal = r.wal;
@@ -341,7 +355,7 @@ mod tests {
         drop(wal);
 
         // restart 2: the 3 pre-tear and 2 post-recovery acks all survive
-        let r = recover(&template(), &cfg).unwrap();
+        let r = recover(&template(), &cfg, &Metrics::default()).unwrap();
         assert!(!r.report.truncated_tail, "repaired tear must not resurface");
         assert_eq!(r.base.len(), 5, "acked writes lost across the second restart");
         assert!(r.base.contains(GlobalShapeId(10)));
@@ -374,9 +388,14 @@ mod tests {
         // the kill: no checkpoint, no shutdown, the log as it stands
         drop(wal);
 
-        let r = recover(&template(), &DurabilityConfig::new(&dir)).unwrap();
+        let m = Metrics::default();
+        let r = recover(&template(), &DurabilityConfig::new(&dir), &m).unwrap();
         assert_eq!((r.report.checkpoint_shapes, r.report.replayed), (0, 25));
         assert_eq!((r.base.num_levels(), r.base.len(), r.base.compactions), (1, 7, 1));
+        // the replay's carries and its compaction, recorded as the writer's are
+        assert_eq!(m.registry.snapshot().counter("geosir_dynamic_compactions_total", &[]), 1);
+        let codes: Vec<&str> = m.registry.journal().recent().iter().map(|e| e.code).collect();
+        assert!(codes.contains(&"cascade.level") && codes.contains(&"compact.level"), "{codes:?}");
         assert_eq!(r.base.snapshot().dead_shapes(), 0);
         for i in 0..16 {
             let answer = |b: &DynamicBase| -> Vec<(u64, u64)> {
@@ -407,7 +426,7 @@ mod tests {
         .unwrap();
         wal.commit().unwrap();
         drop(wal);
-        let err = recover(&template(), &DurabilityConfig::new(&dir))
+        let err = recover(&template(), &DurabilityConfig::new(&dir), &Metrics::default())
             .err()
             .expect("recovery must refuse an acked insert with an invalid shape");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);

@@ -1,15 +1,15 @@
-//! Server metrics, registered on a per-server [`geosir_obs::Registry`].
+//! A node's metrics, registered on its own [`geosir_obs::Registry`].
 //!
-//! Earlier versions kept a private power-of-two histogram here; it has
-//! been folded into the shared `geosir-obs` registry, whose log-linear
-//! buckets (four sub-buckets per octave) resolve sub-millisecond
-//! latencies instead of collapsing 600 µs and 1 ms into one bucket.
-//! Every series below is also visible on the `--metrics-addr`
-//! Prometheus endpoint and in the [`crate::wire::Frame::MetricsReport`]
-//! snapshot; [`crate::wire::ServerStats`] is now just a fixed-layout
-//! projection of the registry for the `Stats` frame.
-//!
-//! Series registered here:
+//! The libraries below the server record nothing: a query reports its
+//! work in its [`RetrieveStats`] / [`ApproxStats`], the WAL, checkpoint,
+//! manifest and repair calls in what they return, the base its carries
+//! and compactions in [`DynamicBase::last_rebuild`]. The worker, writer,
+//! checkpointer and recovery record each of those once, here, where they
+//! already describe the request or the event. This table is the one
+//! catalogue of a node's series (DESIGN §9.1 adds the router's). Every
+//! series is also in the [`crate::wire::Frame::MetricsReport`] snapshot;
+//! [`crate::wire::ServerStats`] is a fixed-layout projection of some of
+//! them for the `Stats` frame.
 //!
 //! | name | kind | meaning |
 //! |------|------|---------|
@@ -22,37 +22,64 @@
 //! | `geosir_busy_rejects_total` | counter | requests shed with `Busy` |
 //! | `geosir_protocol_errors_total` | counter | connections dropped on bad frames |
 //! | `geosir_request_latency_us{type=…}` | histogram | admission → reply per request type: the `total_us` of the request's record, the number its reply trailer carries |
+//! | `geosir_stage_duration_us{stage=…}` | histogram | a stage's µs as its request's record holds them: `retrieve`, `similar_approx`, `retrieve_batch` (workers), `wal`, `publish` (writer) |
 //! | `geosir_snapshot_publishes_total` | counter | snapshot swaps |
 //! | `geosir_snapshot_publish_us` | histogram | snapshot build + swap time |
 //! | `geosir_snapshot_age_us` | gauge | age of the published snapshot |
 //! | `geosir_queue_depth{queue=…}` | gauge | read / write queue depth |
 //! | `geosir_worker_busy_us_total{worker=…}` | counter | per-worker time spent on jobs |
+//! | `geosir_dynamic_queries_total` | counter | exact retrievals (an approximate query's exact fallback included) |
+//! | `geosir_exact_queries_total{seeded=…}` | counter | those whose cutoff the seed's k-th score set, and the rest |
+//! | `geosir_exact_seed_reranked_total` | counter | candidates the seeds reranked |
+//! | `geosir_exact_seed_tightness_permille` | histogram | a seeded query's k-th score ÷ its seed's cutoff, ‰ |
+//! | `geosir_exact_scan_copies_total` / `geosir_exact_scan_survivors_total` | counter | level copies the scans scored, and those the cutoff did not cut short |
+//! | `geosir_exact_scan_bound_rejects_total` | counter | copies the seed, scans and buffer pass rejected from the raster alone |
+//! | `geosir_dynamic_buffer_scored_total` | counter | buffered shapes scored brute force |
+//! | `geosir_dynamic_scratch_pool_hits_total` / `…_misses_total` | counter | exact retrievals that found their worker's scratch warm / grew it |
+//! | `geosir_dynamic_compactions_total` | counter | levels (or chunks) rewritten without their dead |
+//! | `geosir_approx_queries_total` / `geosir_approx_exact_fallbacks_total` | counter | `QueryApprox` answered, and those the exact tier answered |
+//! | `geosir_approx_bound_rejects_total` | counter | rerank candidates the raster rejected |
+//! | `geosir_approx_probe_radius`, `…_candidates_per_query`, `…_buckets_probed`, `…_reduction_ratio` | histogram | the probe's funnel per `QueryApprox` |
+//! | `geosir_approx_buckets` | gauge | occupied signature buckets across level indexes |
+//! | `geosir_approx_avg_bucket_size_x1000` | gauge | mean copies per occupied bucket, ×1000 |
+//! | `geosir_wal_appends_total` / `geosir_wal_append_us` | counter / histogram | records the writer appended, and each append's time |
+//! | `geosir_wal_syncs_total` / `geosir_wal_fsync_us` | counter / histogram | commit and shutdown fsyncs, and their time |
+//! | `geosir_wal_rotations_total` / `geosir_wal_pruned_segments_total` | counter | the checkpointer's segment rotations and removals |
+//! | `geosir_wal_repairs_total` | counter | torn segments recovery truncated |
 //! | `geosir_wal_appended_records` / `geosir_wal_synced_batches` | gauge | WAL absolute positions |
 //! | `geosir_fsync_wait_us` | histogram | writer-observed commit fsync latency |
 //! | `geosir_checkpoints_total` / `geosir_checkpoint_failures_total` | counter | checkpointer outcomes |
+//! | `geosir_checkpoint_writes_total` / `geosir_checkpoint_write_us` / `geosir_checkpoint_last_shapes` | counter / histogram / gauge | checkpoint files written, their time, the last one's shapes |
+//! | `geosir_manifest_stores_total` / `geosir_manifest_last_lsn` | counter / gauge | manifests installed, the last one's LSN |
 //! | `geosir_recovery_us` | gauge | wall time of the last startup recovery |
+//! | `geosir_recovery_{replayed_records,checkpoint_shapes,truncated_tail,dropped_bytes}` | gauge | what it found |
 //! | `geosir_io_errors_total` | counter | persistent-path I/O errors |
 //! | `geosir_poll_wakeups_total` | counter | event-loop epoll returns |
 //! | `geosir_poll_events_per_wake` | histogram | readiness events delivered per wakeup |
 //! | `geosir_conns_open` | gauge | connections currently registered with the event loop |
 //! | `geosir_coalesced_batch` | histogram | read-queue jobs per worker pop (answered one by one; a trace's `coalesced` note is its pop's size) |
-//! | `geosir_approx_buckets` | gauge | occupied signature buckets across level indexes |
-//! | `geosir_approx_avg_bucket_size_x1000` | gauge | mean copies per occupied bucket, ×1000 |
+//! | `geosir_read_only`, `geosir_snapshot_epoch`, `geosir_live_shapes`, `geosir_dead_shapes`, `geosir_base_heap_bytes` | gauge | the published snapshot and the degraded-mode flag |
+//! | `geosir_journal_errors_total` | counter | journal lines that missed the rotating file |
+//! | `geosir_ready`, `geosir_health_status{component=…}` | gauge | `/readyz`'s verdict and the watchdogs' |
+//! | `geosir_slo_burn_milli{objective=…,window=…}` | gauge | the watchdog's SLO burn rates, ×1000 |
 //!
-//! The per-query approximate-tier series (`geosir_approx_queries_total`,
-//! probe radius / candidate histograms, …) are recorded inside
-//! `geosir-core` through the worker threads' registry binding and need
-//! no handles here.
+//! A series of the per-query, WAL, checkpoint, manifest and stage
+//! families is registered when it is first recorded, so a node exposes
+//! the series its traffic has moved — an exact-only node no
+//! `geosir_approx_*`, an in-memory one no `geosir_wal_*`.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
+use geosir_core::dynamic::{DynMatch, Rebuild, RetrieveStats};
+use geosir_core::ApproxStats;
 use geosir_obs as obs;
 
-/// Handles into the server's registry, resolved once at startup so the
-/// hot path is plain relaxed atomics — no name lookups, no locks.
+/// Handles into the server's registry, resolved once (at startup, or at
+/// their family's first record) so the hot path is plain relaxed
+/// atomics — no name lookups, no locks.
 pub struct Metrics {
-    /// The registry every handle lives in; server threads install it as
-    /// their thread registry so core/storage instrumentation lands here.
+    /// The registry every handle lives in.
     pub registry: Arc<obs::Registry>,
 
     pub requests: Arc<obs::Counter>,
@@ -117,6 +144,10 @@ pub struct Metrics {
     pub health_loop: Arc<obs::Gauge>,
     pub health_queues: Arc<obs::Gauge>,
     pub health_slo: Arc<obs::Gauge>,
+
+    exact: OnceLock<ExactSeries>,
+    approx: OnceLock<ApproxSeries>,
+    wal: OnceLock<WalSeries>,
 }
 
 impl Metrics {
@@ -196,14 +227,202 @@ impl Metrics {
                 &[("component", "slo")],
                 obs::GaugePolicy::Max,
             ),
+            exact: OnceLock::new(),
+            approx: OnceLock::new(),
+            wal: OnceLock::new(),
             registry,
         }
+    }
+
+    /// The exact tier's series (and the compaction count).
+    pub fn exact(&self) -> &ExactSeries {
+        self.exact.get_or_init(|| ExactSeries::new(&self.registry))
+    }
+
+    /// The WAL's series: the writer's appends and fsyncs, the
+    /// checkpointer's rotations and prunes, recovery's repairs.
+    pub fn wal(&self) -> &WalSeries {
+        self.wal.get_or_init(|| WalSeries::new(&self.registry))
+    }
+
+    /// One `QueryApprox`: its funnel, and the exact tier's scan when that
+    /// answered instead (an exact query like any other). `grew`: the
+    /// query grew its worker's scratch.
+    pub fn record_approx(&self, stats: &ApproxStats, hits: &[DynMatch], grew: bool) {
+        let a = self.approx.get_or_init(|| ApproxSeries::new(&self.registry));
+        a.queries.inc();
+        a.bound_rejects.add(stats.bound_rejects);
+        a.probe_radius.record(stats.radius as u64);
+        a.candidates.record(stats.candidates);
+        a.buckets_probed.record(stats.buckets_probed);
+        if stats.candidates > 0 {
+            a.reduction.record(stats.reduction() as u64);
+        }
+        if let Some(scan) = &stats.fallback {
+            a.fallbacks.inc();
+            self.exact().record(scan, hits, grew);
+        }
+    }
+
+    /// A stage's µs, as its request's record holds them.
+    pub fn record_stage(&self, stage: &'static str, us: u64) {
+        self.registry.histogram("geosir_stage_duration_us", &[("stage", stage)]).record(us);
+    }
+
+    /// A carry or compaction the writer (or recovery's replay) ran: a
+    /// journal line, and a compaction counted.
+    pub fn record_rebuild(&self, rebuild: Rebuild) {
+        let event = match rebuild {
+            Rebuild::Carry { slot, shapes } => obs::JournalEvent::new(obs::Severity::Info, "cascade.level")
+                .with("slot", slot)
+                .with("shapes", shapes),
+            Rebuild::Compact { slot, shapes, shed } => {
+                self.exact().compactions.inc();
+                obs::JournalEvent::new(obs::Severity::Info, "compact.level")
+                    .with("slot", slot)
+                    .with("shapes", shapes)
+                    .with("shed", shed)
+            }
+        };
+        self.registry.journal().emit(event);
+    }
+
+    /// One checkpoint file written: `shapes` of them, in `took`.
+    pub fn record_checkpoint(&self, shapes: u64, took: Duration) {
+        let r = &self.registry;
+        r.counter("geosir_checkpoint_writes_total", &[]).inc();
+        r.histogram("geosir_checkpoint_write_us", &[]).record_duration(took);
+        r.gauge("geosir_checkpoint_last_shapes", &[]).set(shapes as i64);
+    }
+
+    /// One manifest installed, naming a checkpoint through `last_lsn`.
+    pub fn record_manifest(&self, last_lsn: u64) {
+        let r = &self.registry;
+        r.counter("geosir_manifest_stores_total", &[]).inc();
+        r.gauge("geosir_manifest_last_lsn", &[]).set(last_lsn as i64);
     }
 
     /// Quantile over *all* request types merged — what `ServerStats`
     /// reports as overall request latency.
     pub fn latency_quantile(&self, q: f64) -> u64 {
         obs::merged_quantile(&[&self.latency_query, &self.latency_write, &self.latency_stats], q)
+    }
+}
+
+/// The exact tier's per-query series — one [`RetrieveStats`] each — and
+/// the base's compactions, registered together at the first of either.
+/// The shell records its queries through the same handles.
+pub struct ExactSeries {
+    queries: Arc<obs::Counter>,
+    buffer_scored: Arc<obs::Counter>,
+    pool_hits: Arc<obs::Counter>,
+    pool_misses: Arc<obs::Counter>,
+    seeded: Arc<obs::Counter>,
+    unseeded: Arc<obs::Counter>,
+    seed_reranked: Arc<obs::Counter>,
+    scan_copies: Arc<obs::Counter>,
+    scan_survivors: Arc<obs::Counter>,
+    bound_rejects: Arc<obs::Counter>,
+    compactions: Arc<obs::Counter>,
+    seed_tightness: Arc<obs::Histogram>,
+}
+
+impl ExactSeries {
+    pub fn new(reg: &obs::Registry) -> ExactSeries {
+        ExactSeries {
+            queries: reg.counter("geosir_dynamic_queries_total", &[]),
+            buffer_scored: reg.counter("geosir_dynamic_buffer_scored_total", &[]),
+            pool_hits: reg.counter("geosir_dynamic_scratch_pool_hits_total", &[]),
+            pool_misses: reg.counter("geosir_dynamic_scratch_pool_misses_total", &[]),
+            seeded: reg.counter("geosir_exact_queries_total", &[("seeded", "true")]),
+            unseeded: reg.counter("geosir_exact_queries_total", &[("seeded", "false")]),
+            seed_reranked: reg.counter("geosir_exact_seed_reranked_total", &[]),
+            scan_copies: reg.counter("geosir_exact_scan_copies_total", &[]),
+            scan_survivors: reg.counter("geosir_exact_scan_survivors_total", &[]),
+            bound_rejects: reg.counter("geosir_exact_scan_bound_rejects_total", &[]),
+            compactions: reg.counter("geosir_dynamic_compactions_total", &[]),
+            seed_tightness: reg.histogram("geosir_exact_seed_tightness_permille", &[]),
+        }
+    }
+
+    /// One exact retrieval: its stats, its answer (a seeded query's holds
+    /// k shapes, the last of them its k-th best), and whether it grew its
+    /// scratch (a pool miss: a cold or outgrown scratch).
+    pub fn record(&self, stats: &RetrieveStats, hits: &[DynMatch], grew: bool) {
+        self.queries.inc();
+        self.buffer_scored.add(stats.buffer_scored);
+        self.seed_reranked.add(stats.seed_reranked);
+        self.scan_copies.add(stats.scan_copies);
+        self.scan_survivors.add(stats.scan_survivors);
+        self.bound_rejects.add(stats.bound_rejects);
+        match stats.seed_cutoff {
+            Some(tau) => {
+                self.seeded.inc();
+                if let Some(kth) = hits.last() {
+                    let tight = if tau > 0.0 { kth.score / tau * 1000.0 } else { 1000.0 };
+                    self.seed_tightness.record(tight.round() as u64);
+                }
+            }
+            None => self.unseeded.inc(),
+        }
+        if grew { &self.pool_misses } else { &self.pool_hits }.inc();
+    }
+}
+
+/// The approximate tier's per-query series, registered at the first
+/// `QueryApprox`.
+struct ApproxSeries {
+    queries: Arc<obs::Counter>,
+    fallbacks: Arc<obs::Counter>,
+    bound_rejects: Arc<obs::Counter>,
+    probe_radius: Arc<obs::Histogram>,
+    candidates: Arc<obs::Histogram>,
+    buckets_probed: Arc<obs::Histogram>,
+    reduction: Arc<obs::Histogram>,
+}
+
+impl ApproxSeries {
+    fn new(reg: &obs::Registry) -> ApproxSeries {
+        ApproxSeries {
+            queries: reg.counter("geosir_approx_queries_total", &[]),
+            fallbacks: reg.counter("geosir_approx_exact_fallbacks_total", &[]),
+            bound_rejects: reg.counter("geosir_approx_bound_rejects_total", &[]),
+            probe_radius: reg.histogram("geosir_approx_probe_radius", &[]),
+            candidates: reg.histogram("geosir_approx_candidates_per_query", &[]),
+            buckets_probed: reg.histogram("geosir_approx_buckets_probed", &[]),
+            reduction: reg.histogram("geosir_approx_reduction_ratio", &[]),
+        }
+    }
+}
+
+/// The WAL's series, registered at the first WAL event.
+pub struct WalSeries {
+    pub appends: Arc<obs::Counter>,
+    pub append_us: Arc<obs::Histogram>,
+    pub syncs: Arc<obs::Counter>,
+    pub fsync_us: Arc<obs::Histogram>,
+    pub rotations: Arc<obs::Counter>,
+    pub pruned_segments: Arc<obs::Counter>,
+    pub repairs: Arc<obs::Counter>,
+}
+
+impl WalSeries {
+    fn new(reg: &obs::Registry) -> WalSeries {
+        WalSeries {
+            appends: reg.counter("geosir_wal_appends_total", &[]),
+            append_us: reg.histogram("geosir_wal_append_us", &[]),
+            syncs: reg.counter("geosir_wal_syncs_total", &[]),
+            fsync_us: reg.histogram("geosir_wal_fsync_us", &[]),
+            rotations: reg.counter("geosir_wal_rotations_total", &[]),
+            pruned_segments: reg.counter("geosir_wal_pruned_segments_total", &[]),
+            repairs: reg.counter("geosir_wal_repairs_total", &[]),
+        }
+    }
+
+    /// One fsync of `took`.
+    pub fn synced(&self, took: Duration) {
+        self.syncs.inc();
+        self.fsync_us.record_duration(took);
     }
 }
 

@@ -131,7 +131,6 @@ impl ReplMetrics {
 }
 
 fn repl_loop(spec: ReplSpec, stop: Arc<AtomicBool>) {
-    obs::set_thread_registry(Some(spec.registry.clone()));
     let m = ReplMetrics::build(&spec.registry, spec.shard);
     let mut shipper = match &spec.ship_factory {
         Some(f) => Shipper::with_factory(&spec.src_wal_dir, &spec.ship_dir, Box::new(f.clone())),
@@ -214,7 +213,6 @@ fn repl_loop(spec: ReplSpec, stop: Arc<AtomicBool>) {
         }
         std::thread::sleep(spec.interval);
     }
-    obs::set_thread_registry(None);
 }
 
 /// Push one WAL record into the replica over the wire. Returns false on

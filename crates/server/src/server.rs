@@ -318,8 +318,7 @@ impl ServerHandle {
 /// Publishes the initial snapshot before returning, so the first query
 /// cannot race an empty slot.
 pub fn serve(addr: &str, base: DynamicBase, cfg: ServeConfig) -> std::io::Result<ServerHandle> {
-    let registry = Arc::new(obs::Registry::new());
-    serve_inner(addr, base, cfg, None, HashMap::new(), 0, registry)
+    serve_inner(addr, base, cfg, None, HashMap::new(), 0, Metrics::default())
 }
 
 /// Start a **durable** server: recover the base from `dcfg.data_dir`
@@ -332,18 +331,15 @@ pub fn serve_durable(
     dcfg: DurabilityConfig,
     cfg: ServeConfig,
 ) -> std::io::Result<(ServerHandle, RecoveryReport)> {
-    let registry = Arc::new(obs::Registry::new());
-    // route the WAL-replay / checkpoint-read instrumentation inside
-    // recovery to this server's registry, not the process global
-    obs::set_thread_registry(Some(registry.clone()));
-    registry.journal().emit(
+    let metrics = Metrics::default();
+    let journal = metrics.registry.journal();
+    journal.emit(
         obs::JournalEvent::new(obs::Severity::Info, "recovery.start")
             .with("dir", dcfg.data_dir.display()),
     );
-    let recovered = durable::recover(template, &dcfg);
-    obs::set_thread_registry(None);
-    let Recovered { base, wal, applied_lsn, dedup, report } = recovered?;
-    registry.journal().emit(
+    let Recovered { base, wal, applied_lsn, dedup, report } =
+        durable::recover(template, &dcfg, &metrics)?;
+    journal.emit(
         obs::JournalEvent::new(obs::Severity::Info, "recovery.done")
             .with("replayed", report.replayed)
             .with("checkpoint_shapes", report.checkpoint_shapes)
@@ -360,7 +356,7 @@ pub fn serve_durable(
         journal_io: dcfg.journal_io.clone(),
         io: dcfg.io_factory.clone().unwrap_or_else(|| Arc::new(FileFactory)),
     };
-    let handle = serve_inner(addr, base, cfg, Some(state), dedup, applied_lsn, registry)?;
+    let handle = serve_inner(addr, base, cfg, Some(state), dedup, applied_lsn, metrics)?;
     let m = &handle.shared.metrics;
     m.last_recovery_us.set(report.recovery_us as i64);
     let r = &m.registry;
@@ -378,7 +374,7 @@ fn serve_inner(
     durable: Option<DurableState>,
     dedup: HashMap<u64, u64>,
     applied_lsn: Lsn,
-    registry: Arc<obs::Registry>,
+    metrics: Metrics,
 ) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
@@ -389,7 +385,6 @@ fn serve_inner(
     };
     let snap0 = Arc::new(base.snapshot());
     let next_id = snap0.next_id();
-    let metrics = Metrics::new(registry);
     let slow_log = SlowLog::open(
         cfg.slow_query_log.as_deref(),
         "slow",

@@ -78,7 +78,6 @@ fn readyz_reply(shared: &Shared) -> obs::expo::Reply {
 /// component transitions, drive the health gauges, and publish the
 /// verdict `/readyz` serves.
 pub(super) fn watchdog_loop(shared: &Arc<Shared>) {
-    obs::set_thread_registry(Some(shared.metrics.registry.clone()));
     let hc = shared.cfg.health.clone();
     let mut engine = obs::SloEngine::new(hc.objectives(), hc.slo_windows.clone());
     let mut transitions = TransitionTracker::new();

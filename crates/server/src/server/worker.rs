@@ -6,7 +6,9 @@
 //! `Registry::record_request` copies it into the request ring, and the
 //! reply's stage trailer, the `geosir_request_latency_us` sample
 //! and the slow-query decision are read off the same record, so what a
-//! reply says it took is what its client waited.
+//! reply says it took is what its client waited. The stats and the stage
+//! time the record is filled from are what the node's per-query series
+//! and stage histograms record (`metrics.rs`).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -55,9 +57,6 @@ struct ReadScratch {
 }
 
 pub(super) fn worker_loop(worker: usize, shared: &Arc<Shared>) {
-    // Route the matcher/dynamic-base instrumentation recorded deep in
-    // geosir-core to this server's registry for the thread's lifetime.
-    obs::set_thread_registry(Some(shared.metrics.registry.clone()));
     let worker_label = worker.to_string();
     let busy_us = shared
         .metrics
@@ -95,7 +94,7 @@ fn run_read_job(shared: &Shared, snap: &Snapshot, job: &Job, coalesced: u64, ws:
                 Some(query) => {
                     let explain = matches!(job.frame, Frame::Explain { .. });
                     if explain { &m.explains } else { &m.queries }.inc();
-                    let span = obs::SpanGuard::enter("retrieve");
+                    let (started, grows) = (Instant::now(), matcher.grow_events());
                     // With a slow-query log armed every query captures
                     // its plan: the report must already exist by the
                     // time the query turns out to be slow.
@@ -105,8 +104,9 @@ fn run_read_job(shared: &Shared, snap: &Snapshot, job: &Job, coalesced: u64, ws:
                     } else {
                         snap.retrieve_with_stats(matcher, tmp, &query, k, hits, rstats);
                     }
-                    let retrieve_us = span.elapsed_us();
-                    drop(span);
+                    let retrieve_us = started.elapsed().as_micros() as u64;
+                    m.exact().record(rstats, hits, matcher.grow_events() != grows);
+                    m.record_stage("retrieve", retrieve_us);
                     let kind =
                         if explain { obs::RequestKind::Explain } else { obs::RequestKind::Query };
                     rec.begin(kind, job.trace())
@@ -142,10 +142,11 @@ fn run_read_job(shared: &Shared, snap: &Snapshot, job: &Job, coalesced: u64, ws:
                     if *max_candidates != 0 {
                         opts.max_candidates = *max_candidates as usize;
                     }
-                    let span = obs::SpanGuard::enter("similar_approx");
+                    let (started, grows) = (Instant::now(), matcher.grow_events());
                     snap.similar_approx_with(matcher, tmp, ax, &query, &opts, hits, astats);
-                    let probe_us = span.elapsed_us();
-                    drop(span);
+                    let probe_us = started.elapsed().as_micros() as u64;
+                    m.record_approx(astats, hits, matcher.grow_events() != grows);
+                    m.record_stage("similar_approx", probe_us);
                     rec.begin(obs::RequestKind::QueryApprox, job.trace())
                         .stage("queue_wait", queue_us)
                         .stage("probe_rerank", probe_us)
@@ -174,20 +175,22 @@ fn run_read_job(shared: &Shared, snap: &Snapshot, job: &Job, coalesced: u64, ws:
             }
         }
         Frame::QueryBatch { k, shapes } => {
-            let span = obs::SpanGuard::enter("retrieve_batch");
+            let started = Instant::now();
             let mut results = Vec::with_capacity(shapes.len());
             for shape in shapes {
                 match shape.to_polyline() {
                     Some(query) => {
                         m.queries.inc();
+                        let grows = matcher.grow_events();
                         snap.retrieve_with_stats(matcher, tmp, &query, *k as usize, hits, rstats);
+                        m.exact().record(rstats, hits, matcher.grow_events() != grows);
                         results.push(to_wire(hits));
                     }
                     None => results.push(Vec::new()),
                 }
             }
-            let batch_us = span.elapsed_us();
-            drop(span);
+            let batch_us = started.elapsed().as_micros() as u64;
+            m.record_stage("retrieve_batch", batch_us);
             rec.begin(obs::RequestKind::Batch, 0)
                 .stage("queue_wait", queue_us)
                 .stage("retrieve", batch_us)

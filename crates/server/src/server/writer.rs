@@ -146,9 +146,7 @@ fn read_only_reply() -> Frame {
 }
 
 pub(super) fn writer_loop(mut base: DynamicBase, mut ctx: WriterCtx, shared: &Arc<Shared>) {
-    // WAL append/fsync instrumentation inside geosir-storage lands on
-    // this server's registry for the thread's lifetime.
-    obs::set_thread_registry(Some(shared.metrics.registry.clone()));
+    let m = &shared.metrics;
     const MAX_BATCH: usize = 64;
     let mut rec = obs::RequestRecord::default();
     let mut batch: Vec<Job> = Vec::with_capacity(MAX_BATCH);
@@ -176,39 +174,39 @@ pub(super) fn writer_loop(mut base: DynamicBase, mut ctx: WriterCtx, shared: &Ar
             let has_mutation =
                 acts.iter().any(|a| matches!(a, Act::Insert { .. } | Act::Delete { .. }));
             if has_mutation {
-                let span = obs::SpanGuard::enter("wal");
+                let started = Instant::now();
                 let mut wal = d.wal.lock().unwrap();
                 let res = (|| {
                     for act in &acts {
-                        match act {
-                            Act::Insert { key, id, image, poly } => {
-                                wal.append(&WalRecord::Insert {
-                                    key: *key,
-                                    id: *id,
-                                    image: *image,
-                                    closed: poly.is_closed(),
-                                    points: poly.points().iter().map(|p| (p.x, p.y)).collect(),
-                                })?;
-                                logged += 1;
-                            }
-                            Act::Delete { id } => {
-                                wal.append(&WalRecord::Delete { id: *id })?;
-                                logged += 1;
-                            }
-                            Act::Reply(_) | Act::DupInsert { .. } => {}
-                        }
+                        let rec = match act {
+                            Act::Insert { key, id, image, poly } => WalRecord::Insert {
+                                key: *key,
+                                id: *id,
+                                image: *image,
+                                closed: poly.is_closed(),
+                                points: poly.points().iter().map(|p| (p.x, p.y)).collect(),
+                            },
+                            Act::Delete { id } => WalRecord::Delete { id: *id },
+                            Act::Reply(_) | Act::DupInsert { .. } => continue,
+                        };
+                        let appended = Instant::now();
+                        wal.append(&rec)?;
+                        m.wal().append_us.record_duration(appended.elapsed());
+                        m.wal().appends.inc();
+                        logged += 1;
                     }
                     wal.commit()
                 })();
-                shared.metrics.wal_appends.set(wal.appends as i64);
-                shared.metrics.wal_syncs.set(wal.syncs as i64);
+                m.wal_appends.set(wal.appends as i64);
+                m.wal_syncs.set(wal.syncs as i64);
                 drop(wal);
-                wal_us = span.elapsed_us();
-                drop(span);
+                wal_us = started.elapsed().as_micros() as u64;
+                m.record_stage("wal", wal_us);
                 match res {
                     Ok(fsync) => {
                         if let Some(dur) = fsync {
-                            shared.metrics.fsync.record_duration(dur);
+                            m.wal().synced(dur);
+                            m.fsync.record_duration(dur);
                         }
                         d.records_since_ckpt.fetch_add(logged, Ordering::Relaxed);
                     }
@@ -250,11 +248,14 @@ pub(super) fn writer_loop(mut base: DynamicBase, mut ctx: WriterCtx, shared: &Ar
                     Frame::Deleted { epoch: base.epoch(), existed }
                 }
             };
+            if let Some(rebuild) = base.last_rebuild.take() {
+                m.record_rebuild(rebuild);
+            }
             replies.push(reply);
         }
         let mut publish_us = 0u64;
         if applied {
-            let span = obs::SpanGuard::enter("publish");
+            let started = Instant::now();
             let snap = Arc::new(base.snapshot());
             let wal_lsn = shared
                 .durable
@@ -263,8 +264,8 @@ pub(super) fn writer_loop(mut base: DynamicBase, mut ctx: WriterCtx, shared: &Ar
                 .unwrap_or(0);
             *shared.published.write().unwrap() = Published { snap, wal_lsn };
             *shared.last_publish.lock().unwrap() = Instant::now();
-            publish_us = span.elapsed_us();
-            drop(span);
+            publish_us = started.elapsed().as_micros() as u64;
+            m.record_stage("publish", publish_us);
             shared.metrics.publish.record(publish_us);
             shared.metrics.snapshots_published.inc();
         }
@@ -295,8 +296,11 @@ pub(super) fn writer_loop(mut base: DynamicBase, mut ctx: WriterCtx, shared: &Ar
     // graceful shutdown: force the tail to disk whatever the policy
     if let Some(d) = &shared.durable {
         let mut wal = d.wal.lock().unwrap();
-        let _ = wal.sync();
-        shared.metrics.wal_syncs.set(wal.syncs as i64);
+        let started = Instant::now();
+        if wal.sync().is_ok() {
+            m.wal().synced(started.elapsed());
+        }
+        m.wal_syncs.set(wal.syncs as i64);
     }
 }
 
@@ -305,9 +309,7 @@ pub(super) fn writer_loop(mut base: DynamicBase, mut ctx: WriterCtx, shared: &Ar
 /// the manifest at it, then rotate the WAL and prune covered segments.
 /// Persistent failure (3 consecutive) flips the server read-only.
 pub(super) fn checkpointer_loop(shared: &Arc<Shared>) {
-    // checkpoint/manifest instrumentation inside geosir-storage lands
-    // on this server's registry
-    obs::set_thread_registry(Some(shared.metrics.registry.clone()));
+    let m = &shared.metrics;
     let Some(d) = &shared.durable else { return };
     let mut consecutive_failures = 0u32;
     while !shared.is_shutdown() {
@@ -333,15 +335,21 @@ pub(super) fn checkpointer_loop(shared: &Arc<Shared>) {
         // straight from the snapshot's shapes, through the WAL's `Io`.
         let path = d.data_dir.join(&name);
         let shapes = snap.walk_live_shapes();
+        let started = Instant::now();
         let result = checkpoint::write_shapes(&path, &*d.io, snap.epoch(), snap.next_id(), shapes)
-            .and_then(|()| Manifest { checkpoint: name, last_lsn: lsn, epoch: snap.epoch() }
-                .store(&d.data_dir))
+            .and_then(|written| {
+                m.record_checkpoint(written, started.elapsed());
+                Manifest { checkpoint: name, last_lsn: lsn, epoch: snap.epoch() }.store(&d.data_dir)
+            })
             .map_err(|e| std::io::Error::other(e.to_string()))
             .and_then(|()| {
+                m.record_manifest(lsn);
                 let mut wal = d.wal.lock().unwrap();
                 wal.rotate()?;
-                wal.prune_up_to(lsn)?;
-                shared.metrics.wal_syncs.set(wal.syncs as i64);
+                m.wal().rotations.inc();
+                let pruned = wal.prune_up_to(lsn)?;
+                m.wal().pruned_segments.add(pruned as u64);
+                m.wal_syncs.set(wal.syncs as i64);
                 Ok(())
             });
         let journal = shared.metrics.registry.journal();

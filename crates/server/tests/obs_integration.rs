@@ -7,10 +7,16 @@
 
 mod common;
 
-use common::{http_get, series_value, template, tmpdir, tri};
+use common::{http_get, polygon, series_value, template, tmpdir, tri};
 
+use geosir_core::dynamic::{GlobalShapeId, RetrieveStats, Snapshot};
+use geosir_core::matcher::MatchOutcome;
+use geosir_core::scratch::MatcherScratch;
+use geosir_core::{AnswerTier, ApproxOptions, ApproxScratch, ApproxStats, ImageId};
 use geosir_geom::{Point, Polyline};
-use geosir_serve::{serve_durable, Client, DurabilityConfig, ServeConfig};
+use geosir_serve::{serve, serve_durable, Client, DurabilityConfig, ServeConfig};
+use rand::prelude::*;
+use rand::rngs::StdRng;
 
 #[test]
 fn live_metrics_and_trace_ids_under_mixed_load() {
@@ -64,10 +70,6 @@ fn live_metrics_and_trace_ids_under_mixed_load() {
         // both counters must move under this load
         ("geosir_exact_seed_reranked_total", 12.0),
         ("geosir_exact_scan_copies_total", 1.0),
-        // every query here is seeded, so no level ran the paper's
-        // matcher: its series read 0 — exposed, not absent
-        ("geosir_matcher_runs_total", 0.0),
-        ("geosir_matcher_rings_total", 0.0),
         ("geosir_wal_appends_total", 16.0),
         ("geosir_wal_fsync_us_count", 1.0),
         ("geosir_fsync_wait_us_count", 1.0),
@@ -82,6 +84,9 @@ fn live_metrics_and_trace_ids_under_mixed_load() {
             .unwrap_or_else(|| panic!("series `{series}` missing from /metrics:\n{body}"));
         assert!(v >= at_least, "series `{series}` = {v}, want >= {at_least}");
     }
+    // no served query runs the paper's matcher, and nothing exposes a
+    // series for it that could only read 0
+    assert!(!body.contains("geosir_matcher_"), "{body}");
     // gauges must at least be exported (0 is fine for a drained queue)
     assert!(body.contains("geosir_queue_depth{queue=\"read\"}"), "{body}");
     assert!(body.contains("geosir_queue_depth{queue=\"write\"}"), "{body}");
@@ -155,4 +160,126 @@ fn per_server_registries_stay_isolated() {
     b.join();
     std::fs::remove_dir_all(&dir_a).ok();
     std::fs::remove_dir_all(&dir_b).ok();
+}
+
+/// `/metrics` and the request ring agree: on a node run through a fixed
+/// mix — a `QueryApprox` on the empty node, which the exact tier
+/// answers, then inserts, `Query`, `QueryBatch`, `Explain` and
+/// `QueryApprox` — each per-query series is the sum of its field over
+/// what the queries reported. An in-process replica of the node's base,
+/// fed the same inserts, says what each query reported; the ring's notes
+/// and the explain reports say it too.
+#[test]
+fn metrics_agree_with_the_request_ring() {
+    let tpl = template();
+    let cfg = ServeConfig {
+        workers: 1,
+        metrics_addr: Some("127.0.0.1:0".to_string()),
+        ..Default::default()
+    };
+    let handle = serve("127.0.0.1:0", tpl.empty_base(), cfg).unwrap();
+    let maddr = handle.metrics_addr().unwrap();
+    let mut c = Client::connect(handle.addr()).unwrap();
+    let mut replica = tpl.empty_base();
+    let mut rng = StdRng::seed_from_u64(43);
+    let (mut scratch, mut tmp, mut ax) =
+        (MatcherScratch::new(), MatchOutcome::default(), ApproxScratch::new());
+    let mut hits = Vec::new();
+    // what the replica's queries reported, by the series they feed
+    let (mut exact, mut approx) = (Vec::<RetrieveStats>::new(), Vec::<ApproxStats>::new());
+    let mut run_approx = |snap: &Snapshot, q: &Polyline, approx: &mut Vec<ApproxStats>| {
+        let mut stats = ApproxStats::default();
+        let opts = ApproxOptions { k: 3, ..ApproxOptions::default() };
+        snap.similar_approx_with(&mut scratch, &mut tmp, &mut ax, q, &opts, &mut hits, &mut stats);
+        approx.push(stats);
+    };
+
+    let q0 = polygon(&mut rng);
+    let reply = c.similar_approx(&q0, 3, 0, 0).unwrap();
+    assert_eq!(reply.tier, AnswerTier::Exact);
+    run_approx(&replica.snapshot(), &q0, &mut approx);
+
+    // 44 shapes over a buffer of 8: levels and 4 buffered shapes
+    for i in 0..44u32 {
+        let shape = if i % 2 == 0 { polygon(&mut rng) } else { tri(i as u64) };
+        let (_, id) = c.insert_retrying(i, &shape).unwrap();
+        assert!(replica.insert_with_id(GlobalShapeId(id), ImageId(i), shape));
+    }
+    let snap = replica.snapshot();
+    let queries: Vec<Polyline> = (0..8).map(|_| polygon(&mut rng)).collect();
+    let retrieve = |q: &Polyline, k: usize| {
+        let (mut scratch, mut out) = (MatcherScratch::new(), Vec::new());
+        let mut stats = RetrieveStats::default();
+        snap.retrieve_with_stats(&mut scratch, &mut MatchOutcome::default(), q, k, &mut out, &mut stats);
+        stats
+    };
+    let mut ringed = Vec::new();
+    for q in &queries[..3] {
+        assert!(!c.query(q, 3).unwrap().rejected);
+        ringed.push(retrieve(q, 3));
+    }
+    let batch = c.query_batch(&queries[3..6], 2).unwrap();
+    assert_eq!(batch.results.len(), 3);
+    exact.extend(queries[3..6].iter().map(|q| retrieve(q, 2)));
+    for q in &queries[6..] {
+        let reply = c.explain(q, 4).unwrap();
+        let stats = retrieve(q, 4);
+        let remote = reply.report.stats;
+        assert_eq!((remote.levels, remote.scan_copies, remote.buffer_scored), (stats.levels, stats.scan_copies, stats.buffer_scored));
+        ringed.push(stats);
+    }
+    for q in &queries[..3] {
+        assert_eq!(c.similar_approx(q, 3, 0, 0).unwrap().tier, AnswerTier::Approx);
+        run_approx(&snap, q, &mut approx);
+    }
+    exact.extend(&ringed);
+    exact.extend(approx.iter().filter_map(|a| a.fallback));
+    assert_eq!((exact.len(), approx.len()), (9, 4), "the fallback counts once as an exact query");
+
+    // the ring's notes: one per Query / Explain, one per QueryApprox
+    let (_, ring) = http_get(maddr, "/debug/last_queries");
+    let noted = |name: &str| -> u64 {
+        let key = format!("\"{name}\":");
+        ring.split(&key).skip(1).map(|rest| {
+            let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+            digits.parse::<u64>().unwrap()
+        }).sum()
+    };
+    let sum = |f: fn(&RetrieveStats) -> u64, of: &[RetrieveStats]| of.iter().map(f).sum::<u64>();
+    let asum = |f: fn(&ApproxStats) -> u64| approx.iter().map(f).sum::<u64>();
+    assert_eq!(noted("scan_copies"), sum(|s| s.scan_copies, &ringed), "{ring}");
+    assert_eq!(noted("buffer_scored"), sum(|s| s.buffer_scored, &ringed), "{ring}");
+    assert_eq!(noted("candidates"), asum(|a| a.candidates), "{ring}");
+    assert_eq!(noted("reranked"), asum(|a| a.reranked), "{ring}");
+
+    let (_, body) = http_get(maddr, "/metrics");
+    let series = |name: &str| -> u64 {
+        series_value(&body, name).unwrap_or_else(|| panic!("`{name}` missing:\n{body}")) as u64
+    };
+    let seeded = exact.iter().filter(|s| s.seed_cutoff.is_some()).count() as u64;
+    for (name, want) in [
+        ("geosir_dynamic_queries_total", exact.len() as u64),
+        ("geosir_exact_queries_total{seeded=\"true\"}", seeded),
+        ("geosir_exact_queries_total{seeded=\"false\"}", exact.len() as u64 - seeded),
+        ("geosir_exact_seed_tightness_permille_count", seeded),
+        ("geosir_exact_seed_reranked_total", sum(|s| s.seed_reranked, &exact)),
+        ("geosir_exact_scan_copies_total", sum(|s| s.scan_copies, &exact)),
+        ("geosir_exact_scan_survivors_total", sum(|s| s.scan_survivors, &exact)),
+        ("geosir_exact_scan_bound_rejects_total", sum(|s| s.bound_rejects, &exact)),
+        ("geosir_dynamic_buffer_scored_total", sum(|s| s.buffer_scored, &exact)),
+        ("geosir_approx_queries_total", approx.len() as u64),
+        ("geosir_approx_exact_fallbacks_total", 1),
+        ("geosir_approx_bound_rejects_total", asum(|a| a.bound_rejects)),
+        ("geosir_approx_candidates_per_query_sum", asum(|a| a.candidates)),
+        ("geosir_approx_buckets_probed_sum", asum(|a| a.buckets_probed)),
+    ] {
+        assert_eq!(series(name), want, "{name}");
+    }
+    let pooled = series("geosir_dynamic_scratch_pool_hits_total")
+        + series("geosir_dynamic_scratch_pool_misses_total");
+    assert_eq!(pooled, exact.len() as u64, "every exact query is a pool hit or miss");
+    assert!(series("geosir_exact_scan_copies_total") > 0 && seeded > 0, "the mix proves little");
+
+    handle.shutdown();
+    handle.join();
 }

@@ -60,15 +60,14 @@ pub struct CheckpointData {
 /// Stream `epoch`, `next_id` and `shapes` — `(id, image, vertices,
 /// closed)`, walked twice — into 1 KB pages appended through `io`, and
 /// atomically install them at `path` (via `path.tmp` + rename + dir
-/// fsync).
+/// fsync). Returns how many shapes it wrote.
 pub fn write_shapes<'a>(
     path: &Path,
     io: &dyn IoFactory,
     epoch: u64,
     next_id: u64,
     shapes: impl Iterator<Item = (GlobalShapeId, ImageId, &'a [Point], bool)> + Clone,
-) -> Result<(), PersistError> {
-    let t = std::time::Instant::now();
+) -> Result<u64, PersistError> {
     let (count, len) = shapes.clone().fold((0u64, HEADER as u64), |(n, len), (.., pts, _)| {
         (n + 1, len + record_len(pts.len()) as u64)
     });
@@ -99,16 +98,11 @@ pub fn write_shapes<'a>(
     if let Some(dir) = path.parent() {
         sync_dir(dir);
     }
-    geosir_obs::with_current(|reg| {
-        reg.counter("geosir_checkpoint_writes_total", &[]).inc();
-        reg.histogram("geosir_checkpoint_write_us", &[]).record_duration(t.elapsed());
-        reg.gauge("geosir_checkpoint_last_shapes", &[]).set(count as i64);
-    });
-    Ok(())
+    Ok(count)
 }
 
 /// [`write_shapes`] over owned shapes, through real files.
-pub fn write(path: &Path, data: &CheckpointData) -> Result<(), PersistError> {
+pub fn write(path: &Path, data: &CheckpointData) -> Result<u64, PersistError> {
     let shapes =
         data.shapes.iter().map(|(gid, image, s)| (*gid, *image, s.points(), s.is_closed()));
     write_shapes(path, &FileFactory, data.epoch, data.next_id, shapes)

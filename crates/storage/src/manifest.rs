@@ -94,10 +94,6 @@ impl Manifest {
         }
         std::fs::rename(&tmp, &target)?;
         sync_dir(dir);
-        geosir_obs::with_current(|reg| {
-            reg.counter("geosir_manifest_stores_total", &[]).inc();
-            reg.gauge("geosir_manifest_last_lsn", &[]).set(self.last_lsn as i64);
-        });
         Ok(())
     }
 

@@ -50,37 +50,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::{Buf, BufMut};
-use geosir_obs as obs;
 
 use crate::faults::{FileFactory, Io, IoFactory};
-
-/// Registry handles for WAL I/O latency and volume, cached per thread.
-/// Append is the writer's hot path; recording is one map hit plus
-/// atomic adds, dwarfed by the file write itself.
-#[derive(Clone)]
-struct WalMetrics {
-    appends: Arc<obs::Counter>,
-    append_us: Arc<obs::Histogram>,
-    syncs: Arc<obs::Counter>,
-    fsync_us: Arc<obs::Histogram>,
-    rotations: Arc<obs::Counter>,
-    pruned_segments: Arc<obs::Counter>,
-    repairs: Arc<obs::Counter>,
-}
-
-impl WalMetrics {
-    fn build(reg: &obs::Registry) -> WalMetrics {
-        WalMetrics {
-            appends: reg.counter("geosir_wal_appends_total", &[]),
-            append_us: reg.histogram("geosir_wal_append_us", &[]),
-            syncs: reg.counter("geosir_wal_syncs_total", &[]),
-            fsync_us: reg.histogram("geosir_wal_fsync_us", &[]),
-            rotations: reg.counter("geosir_wal_rotations_total", &[]),
-            pruned_segments: reg.counter("geosir_wal_pruned_segments_total", &[]),
-            repairs: reg.counter("geosir_wal_repairs_total", &[]),
-        }
-    }
-}
 
 /// Log sequence number: a global, monotonically increasing record id.
 pub type Lsn = u64;
@@ -349,12 +320,7 @@ impl Wal {
         let crc = crc32(&self.buf[8..]);
         self.buf[0..4].copy_from_slice(&payload_len.to_le_bytes());
         self.buf[4..8].copy_from_slice(&crc.to_le_bytes());
-        let t = Instant::now();
         self.seg.append(&self.buf)?;
-        obs::with_metrics(WalMetrics::build, |m| {
-            m.appends.inc();
-            m.append_us.record_duration(t.elapsed());
-        });
         self.next_lsn = lsn + 1;
         self.appends += 1;
         self.unsynced = true;
@@ -379,10 +345,6 @@ impl Wal {
         let t = Instant::now();
         self.seg.sync()?;
         let took = t.elapsed();
-        obs::with_metrics(WalMetrics::build, |m| {
-            m.syncs.inc();
-            m.fsync_us.record_duration(took);
-        });
         self.syncs += 1;
         self.last_sync = Instant::now();
         self.unsynced = false;
@@ -391,12 +353,7 @@ impl Wal {
 
     /// Force an fsync regardless of policy.
     pub fn sync(&mut self) -> io::Result<()> {
-        let t = Instant::now();
         self.seg.sync()?;
-        obs::with_metrics(WalMetrics::build, |m| {
-            m.syncs.inc();
-            m.fsync_us.record_duration(t.elapsed());
-        });
         self.syncs += 1;
         self.last_sync = Instant::now();
         self.unsynced = false;
@@ -415,7 +372,6 @@ impl Wal {
         self.seg_first_lsn = self.next_lsn;
         self.unsynced = false;
         self.last_sync = Instant::now();
-        obs::with_metrics(WalMetrics::build, |m| m.rotations.inc());
         Ok(())
     }
 
@@ -437,7 +393,6 @@ impl Wal {
         }
         if removed > 0 {
             sync_dir(&self.dir);
-            obs::with_metrics(WalMetrics::build, |m| m.pruned_segments.add(removed as u64));
         }
         Ok(removed)
     }
@@ -714,9 +669,9 @@ impl Tail {
 /// One line of the repair audit trail, written beside the WAL in
 /// `repair_audit/` whenever [`repair`] touches a segment. Truncating
 /// acked bytes is the single most consequential thing this storage
-/// layer ever does silently — the JSONL entry plus the
-/// `geosir_wal_repairs_total` counter make it observable after the
-/// fact (which file, how much was cut, when).
+/// layer ever does silently — the JSONL entry plus [`repair`]'s `true`,
+/// which a server counts as `geosir_wal_repairs_total`, make it
+/// observable after the fact (which file, how much was cut, when).
 fn audit_repair(dir: &Path, torn: &TornSegment, report: &ReplayReport, removed: bool) {
     let unix_ms = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -746,7 +701,6 @@ fn audit_repair(dir: &Path, torn: &TornSegment, report: &ReplayReport, removed: 
         log.append_line(&line)?;
         log.sync()
     });
-    obs::with_metrics(WalMetrics::build, |m| m.repairs.inc());
 }
 
 /// Physically repair the tear [`replay`] reported: truncate the torn
@@ -758,7 +712,7 @@ fn audit_repair(dir: &Path, torn: &TornSegment, report: &ReplayReport, removed: 
 /// early, newer segments full of acked records would be skipped, and
 /// reopening at the stale LSN would truncate them. Returns true when a
 /// repair was performed. Every performed repair leaves a JSONL line in
-/// `<dir>/repair_audit/` and bumps `geosir_wal_repairs_total`.
+/// `<dir>/repair_audit/`.
 pub fn repair(dir: &Path, report: &ReplayReport) -> io::Result<bool> {
     let Some(torn) = report.torn else { return Ok(false) };
     let path = segment_path(dir, torn.first_lsn);
@@ -1195,8 +1149,6 @@ mod tests {
 
     #[test]
     fn repair_writes_audit_line_and_bumps_counter() {
-        let reg = Arc::new(obs::Registry::new());
-        obs::set_thread_registry(Some(reg.clone()));
         let dir = tmpdir("repair-audit");
         let mut wal = Wal::open(&dir, FsyncPolicy::Never, 1).unwrap();
         for i in 0..4 {
@@ -1209,13 +1161,8 @@ mod tests {
         std::fs::write(&seg, &bytes[..bytes.len() - 7]).unwrap();
         let (_, report) = replay(&dir, 0).unwrap();
         assert!(report.truncated);
-        let before = reg.counter("geosir_wal_repairs_total", &[]).get();
+        // every performed repair says so, for its caller to count
         assert!(repair(&dir, &report).unwrap());
-        assert_eq!(
-            reg.counter("geosir_wal_repairs_total", &[]).get(),
-            before + 1,
-            "every performed repair must be counted"
-        );
         // exactly one JSONL line naming the torn segment and the cut
         let audit_dir = dir.join("repair_audit");
         let mut lines = String::new();
@@ -1236,8 +1183,6 @@ mod tests {
         // a no-op repair (clean log) leaves no trace
         let (_, clean) = replay(&dir, 0).unwrap();
         assert!(!repair(&dir, &clean).unwrap());
-        assert_eq!(reg.counter("geosir_wal_repairs_total", &[]).get(), before + 1);
-        obs::set_thread_registry(None);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -295,11 +295,16 @@ require_present 'geosir_exact_seed_reranked_total'
 require_present 'geosir_exact_seed_tightness_permille'
 # ...and so does the level scan (an empty base has no copy to scan, so
 # presence; `dynamic::tests::a_scan_scores_every_level_copy_the_seed_did_not`
-# pins the value), beside the matcher's series, which a seeded query
-# leaves at 0 rather than absent.
+# pins the value). No served query runs the paper's matcher, and no
+# series for it is exposed.
 require_present 'geosir_exact_scan_copies_total'
 require_present 'geosir_exact_scan_survivors_total'
-require_present 'geosir_matcher_runs_total'
+case "$BODY" in
+    *geosir_matcher_*)
+        echo "metrics_scrape: a geosir_matcher_ series is exposed" >&2
+        exit 1
+        ;;
+esac
 # The query's lower-bound raster rejects copies before any distance: 0
 # here (nothing to reject), but the loaded node's explained query above
 # must have rejected some (`dynamic::tests::the_raster_changes_no_verdict_and_no_count`

@@ -24,6 +24,15 @@ bash scripts/pub_census.sh
 # outside `#[cfg(test)] mod tests`); fails when a file of the dynamic base
 # passes 1 000 lines.
 bash scripts/lines.sh
+# The libraries report, the server records: only the serving crate and
+# the root package (the shell's `metrics` command) may depend on
+# geosir-obs. Its direct dependents, one per line, must be those two.
+dependents=$(cargo tree --offline -e normal -i geosir-obs --depth 1 --prefix none \
+    | awk 'NR > 1 && NF { print $1 }' | sort -u | tr '\n' ' ')
+if [ "$dependents" != "geosir geosir-serve " ]; then
+    echo "tier1: FAIL — geosir-obs has dependents beyond geosir-serve and geosir: $dependents" >&2
+    exit 1
+fi
 
 # The canonical benchmark's contract: `benchmark/` is a workspace of its
 # own compiled against these crates' public API and the CLI's

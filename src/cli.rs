@@ -12,18 +12,25 @@ use std::fmt::Write as _;
 
 use geosir_core::dynamic::{DynamicBase, RetrieveStats, Snapshot};
 use geosir_core::ids::ImageId;
+use geosir_core::scratch::MatcherScratch;
 use geosir_core::MatchConfig;
 use geosir_core::selectivity::significant_vertices;
 use geosir_geom::{Point, Polyline};
 use geosir_imaging::synth::{generate, CorpusConfig};
+use geosir_obs::Registry;
 use geosir_query::engine::{EngineConfig, QueryEngine};
+use geosir_serve::metrics::ExactSeries;
 
-/// The interpreter's state: an optional loaded base plus sketch bindings.
+/// The interpreter's state: an optional loaded base plus sketch bindings,
+/// and the registry its queries are recorded on.
 #[derive(Default)]
 pub struct Session {
     base: Option<Loaded>,
     bindings: HashMap<String, Polyline>,
     pending: Vec<(ImageId, Polyline)>,
+    registry: Registry,
+    /// The exact tier's series, registered at the first `query`.
+    exact: Option<ExactSeries>,
 }
 
 /// A loaded base: its snapshot and the α it was normalized at.
@@ -67,7 +74,7 @@ impl Session {
             "help" => {
                 let _ = writeln!(
                     out,
-                    "commands:\n  gen <images> [seed]      generate a synthetic image base\n  shape <image#> <pts>     stage a shape (pts: x,y x,y ...)\n  build [alpha]            build the shape base from staged shapes\n  bind <name> <pts>        name a sketch for queries\n  query <name> [k]         retrieve the k best matches for a sketch\n  similar <name> <tau>     all shapes scoring within tau\n  topo <expr>              topological query over bound names\n  vs <name>                significant-vertices estimate V_S\n  stats                    base statistics\n  metrics                  dump the in-process metrics registry\n  quit"
+                    "commands:\n  gen <images> [seed]      generate a synthetic image base\n  shape <image#> <pts>     stage a shape (pts: x,y x,y ...)\n  build [alpha]            build the shape base from staged shapes\n  bind <name> <pts>        name a sketch for queries\n  query <name> [k]         retrieve the k best matches for a sketch\n  similar <name> <tau>     all shapes scoring within tau\n  topo <expr>              topological query over bound names\n  vs <name>                significant-vertices estimate V_S\n  stats                    base statistics\n  metrics                  dump the exact-query series of this session\n  quit"
                 );
                 Ok(())
             }
@@ -140,8 +147,10 @@ impl Session {
                 }
                 // fresh scratch a query: a shell is not a hot loop
                 let (mut hits, mut stats) = (Vec::new(), RetrieveStats::default());
-                let (scratch, tmp) = (&mut Default::default(), &mut Default::default());
+                let (scratch, tmp) = (&mut MatcherScratch::new(), &mut Default::default());
                 self.snapshot()?.retrieve_with_stats(scratch, tmp, sketch, k, &mut hits, &mut stats);
+                let exact = self.exact.get_or_insert_with(|| ExactSeries::new(&self.registry));
+                exact.record(&stats, &hits, scratch.grow_events() > 0);
                 for m in &hits {
                     let _ = writeln!(out, "  shape {} in {}  score {:.4}", m.shape.0, m.image, m.score);
                 }
@@ -207,11 +216,9 @@ impl Session {
                 Ok(())
             }
             "metrics" => {
-                // Retrieval instrumentation (seeds, scanned copies, h_avg
-                // scorings) records against the process-global registry
-                // when no server owns the thread, so interactive queries
-                // show up here.
-                let snap = geosir_obs::current().snapshot();
+                // Each `query` is recorded as a node's worker records one
+                // (`similar` and `topo` are not).
+                let snap = self.registry.snapshot();
                 if snap.entries.is_empty() {
                     let _ = writeln!(out, "no metrics recorded yet (run a query first)");
                 } else {
@@ -305,6 +312,22 @@ mod tests {
         let r = s.execute("query a 100000000000");
         assert_eq!(r.matches("  shape ").count(), 1, "{r}");
         assert!(s.execute("similar a 0.01").contains("1 shapes within"));
+    }
+
+    #[test]
+    fn metrics_lists_the_queries_run() {
+        let mut s = Session::new();
+        assert!(s.execute("metrics").contains("no metrics recorded yet"));
+        s.execute("shape 0 0,0 4,0 4,3 2,4.5 0,3");
+        s.execute("shape 1 0,0 5,0 1,3");
+        s.execute("build 0.1");
+        s.execute("bind house 0,0 4,0 4,3 2,4.5 0,3");
+        s.execute("query house 1");
+        s.execute("query house 2");
+        let r = s.execute("metrics");
+        // the house seeds its own k = 1 and 2 best: two seeded queries
+        assert!(r.contains("geosir_exact_queries_total{seeded=\"true\"} 2"), "{r}");
+        assert!(r.contains("geosir_dynamic_queries_total 2"), "{r}");
     }
 
     #[test]
