@@ -25,6 +25,28 @@ use crate::matcher::{MatchConfig, MatchOutcome};
 use crate::scratch::MatcherScratch;
 use crate::similarity::LuneFrame;
 
+/// A walk that knows how many items it has left (one per `next`).
+struct Counted<I> {
+    walk: I,
+    left: usize,
+}
+
+impl<I: Iterator> Iterator for Counted<I> {
+    type Item = I::Item;
+
+    fn next(&mut self) -> Option<I::Item> {
+        let item = self.walk.next()?;
+        self.left = self.left.saturating_sub(1);
+        Some(item)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl<I: Iterator> ExactSizeIterator for Counted<I> {}
+
 /// An immutable, consistent view of a [`DynamicBase`] at one epoch.
 ///
 /// Queries against a snapshot touch no shared mutable state: the writer
@@ -66,17 +88,17 @@ impl Snapshot {
 
     /// Every live (non-tombstoned) shape as `(id, image, vertices,
     /// closed)`, borrowed from the levels and the insert buffer — the
-    /// checkpoint writer's entry point, which walks it twice (sizes,
-    /// then bytes) and clones no geometry. Order is slot by slot from
-    /// slot 0 — the smallest, most recent level — up to the largest, then
-    /// the insert buffer.
+    /// checkpoint writer's entry point, which walks it once, clones no
+    /// geometry, and heads the file with its length ([`Self::len`]).
+    /// Order is slot by slot from slot 0 — the smallest, most recent
+    /// level — up to the largest, then the insert buffer.
     pub fn walk_live_shapes(
         &self,
-    ) -> impl Iterator<Item = (GlobalShapeId, ImageId, &[Point], bool)> + Clone + '_ {
+    ) -> impl ExactSizeIterator<Item = (GlobalShapeId, ImageId, &[Point], bool)> + '_ {
         let leveled = self.levels.iter().flatten().flat_map(|slot| {
             (0..slot.level.parts.len()).flat_map(|c| slot.live_rows(c)).map(|(row, ..)| row)
         });
-        leveled.chain(self.buffer.iter().map(|b| b.row()))
+        Counted { walk: leveled.chain(self.buffer.iter().map(|b| b.row())), left: self.len() }
     }
 
     /// [`Self::walk_live_shapes`] with each shape cloned out, in the same

@@ -1,28 +1,29 @@
 //! Durability configuration and startup recovery.
 //!
-//! The durable server keeps three kinds of state in one data directory:
+//! The durable server keeps two kinds of state in one data directory,
+//! both in one framing (`len | crc32 | payload` records):
 //!
 //! - `wal-<lsn>.log` segments — every acked Insert/Delete, appended (and
 //!   fsynced, per policy) **before** the ack ([`geosir_storage::wal`]);
-//! - `ckpt-<lsn>.gsir` — whole-base checkpoints through the 1 KB page
-//!   store ([`geosir_storage::checkpoint`]);
-//! - `MANIFEST` — the crash-safe pointer naming the checkpoint and the
-//!   last LSN it covers ([`geosir_storage::manifest`]).
+//! - `ckpt-<lsn>.gsir` — the newest whole-base checkpoint, named by the
+//!   last LSN it covers ([`geosir_storage::checkpoint`]). Its name is the
+//!   pointer: no other file says which checkpoint is current.
 //!
-//! [`recover`] inverts that: load the manifest's checkpoint (if any),
-//! rebuild the base with one bulk load, replay the WAL tail with
-//! `lsn > manifest.last_lsn` idempotently, and open a fresh segment for
-//! new writes. A torn WAL tail truncates (the records past the tear were
+//! [`recover`] inverts that: load the highest-LSN checkpoint (if any),
+//! rebuild the base with one bulk load, delete what a crash left beside
+//! it (an older checkpoint, a `.tmp`), replay the WAL tail with `lsn >`
+//! the checkpoint's idempotently, and open a fresh segment for new
+//! writes. A torn WAL tail truncates (the records past the tear were
 //! never acked under `fsync=always`) and is then **repaired on disk**
 //! ([`wal::repair`]) before the fresh segment opens — otherwise the next
 //! restart would stop at the same tear and skip the newer segment's
-//! acked records. A corrupt checkpoint, a tear anywhere but the final
+//! acked records. A bad newest checkpoint, a tear anywhere but the final
 //! segment, or a replayed insert that no longer reconstructs a valid
-//! shape are real errors — the manifest only ever names fully-fsynced
-//! checkpoints and the writer only logs validated shapes, so damage
-//! there is bit rot or a logic bug, never a crash artifact, and
-//! starting up with silently missing acked data would break the
-//! durability contract.
+//! shape are real errors — a checkpoint is renamed into place only once
+//! fsynced, the WAL it covers may be pruned so no older one can stand
+//! in, and the writer only logs validated shapes, so damage there is bit
+//! rot or a logic bug, never a crash artifact, and starting up with
+//! silently missing acked data would break the durability contract.
 
 use std::collections::HashMap;
 use std::io;
@@ -37,7 +38,6 @@ use geosir_geom::rangesearch::Backend;
 use geosir_geom::{Point, Polyline};
 use geosir_storage::checkpoint;
 use geosir_storage::faults::IoFactory;
-use geosir_storage::manifest::Manifest;
 use geosir_storage::wal::{self, FsyncPolicy, Lsn, Wal, WalRecord};
 
 use crate::metrics::Metrics;
@@ -45,13 +45,13 @@ use crate::metrics::Metrics;
 /// Where and how hard to persist.
 #[derive(Clone)]
 pub struct DurabilityConfig {
-    /// Directory holding WAL segments, checkpoints, and the manifest.
+    /// Directory holding WAL segments and the checkpoint.
     pub data_dir: PathBuf,
     /// When acked records are forced to stable storage.
     pub fsync: FsyncPolicy,
     /// WAL records between checkpoints.
     pub checkpoint_every: u64,
-    /// Injectable factory for WAL segments and checkpoint pages — the
+    /// Injectable factory for WAL segments and checkpoint files — the
     /// fault-injection tests pass a
     /// [`geosir_storage::faults::FaultyFactory`]; `None` uses real files.
     pub io_factory: Option<Arc<dyn IoFactory>>,
@@ -137,16 +137,9 @@ pub(crate) struct Recovered {
     pub report: RecoveryReport,
 }
 
-fn persist_err(e: geosir_storage::file_disk::PersistError) -> io::Error {
-    match e {
-        geosir_storage::file_disk::PersistError::Io(e) => e,
-        other => io::Error::other(other),
-    }
-}
-
-/// Rebuild the base from `cfg.data_dir`: manifest → checkpoint → WAL
-/// tail, then open a fresh WAL segment for new writes. A repaired tear
-/// and the replay's carries and compactions are recorded on `metrics`.
+/// Rebuild the base from `cfg.data_dir`: newest checkpoint → WAL tail,
+/// then open a fresh WAL segment for new writes. A repaired tear and the
+/// replay's carries and compactions are recorded on `metrics`.
 pub(crate) fn recover(
     template: &BaseTemplate,
     cfg: &DurabilityConfig,
@@ -156,11 +149,10 @@ pub(crate) fn recover(
     std::fs::create_dir_all(&cfg.data_dir)?;
     let mut report = RecoveryReport::default();
 
-    let manifest = Manifest::load(&cfg.data_dir).map_err(persist_err)?;
-    let (mut base, after_lsn) = match &manifest {
-        Some(m) => {
-            let data = checkpoint::read(&cfg.data_dir.join(&m.checkpoint)).map_err(persist_err)?;
-            report.checkpoint_lsn = m.last_lsn;
+    let (mut base, after_lsn) = match checkpoint::newest(&cfg.data_dir)? {
+        Some((lsn, path)) => {
+            let data = checkpoint::read(&path)?;
+            report.checkpoint_lsn = lsn;
             report.checkpoint_shapes = data.shapes.len();
             let base = DynamicBase::restore(
                 template.alpha,
@@ -170,10 +162,13 @@ pub(crate) fn recover(
                 data.next_id,
                 data.epoch,
             );
-            (base, m.last_lsn)
+            (base, lsn)
         }
         None => (template.empty_base(), 0),
     };
+    // what a crash left beside it: an older checkpoint not yet retired,
+    // a `.tmp` never renamed
+    checkpoint::retire(&cfg.data_dir, after_lsn)?;
 
     let (records, tail) = wal::replay(&cfg.data_dir, after_lsn)?;
     // Truncate the tear on disk NOW, before the fresh segment opens:
@@ -230,11 +225,6 @@ pub(crate) fn recover(
     Ok(Recovered { base, wal, applied_lsn: last_lsn, dedup, report })
 }
 
-/// Checkpoint file name for the state up to `lsn`.
-pub(crate) fn checkpoint_name(lsn: Lsn) -> String {
-    format!("ckpt-{lsn:020}.gsir")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,8 +274,7 @@ mod tests {
         let (t0, t1) = (tri(0), tri(1));
         let shapes = [(GlobalShapeId(0), ImageId(0), &t0), (GlobalShapeId(1), ImageId(1), &t1)];
         let walk = shapes.iter().map(|&(gid, image, s)| (gid, image, s.points(), s.is_closed()));
-        checkpoint::write_shapes(&dir.join(checkpoint_name(5)), &FileFactory, 9, 2, walk).unwrap();
-        Manifest { checkpoint: checkpoint_name(5), last_lsn: 5, epoch: 9 }.store(&dir).unwrap();
+        checkpoint::write_shapes(&checkpoint::path(&dir, 5), &FileFactory, 9, 2, walk).unwrap();
         // WAL tail: insert id 2 (lsn 6), delete id 0 (lsn 7)
         let mut wal = Wal::open(&dir, FsyncPolicy::Always, 6).unwrap();
         wal.append(&WalRecord::Insert {
@@ -309,6 +298,85 @@ mod tests {
         assert!(r.base.contains(GlobalShapeId(2)));
         assert!(!r.base.contains(GlobalShapeId(0)));
         assert_eq!(r.dedup.get(&77), Some(&2), "dedup map re-seeded from the WAL");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A checkpoint through `lsn` holding `tri(i)` for each of `ids`.
+    fn checkpoint_at(dir: &std::path::Path, lsn: Lsn, ids: std::ops::Range<u64>) {
+        let shapes = ids.map(|i| (GlobalShapeId(i), ImageId(i as u32), tri(i))).collect();
+        let data = checkpoint::CheckpointData { epoch: lsn, next_id: lsn, shapes };
+        checkpoint::write(&checkpoint::path(dir, lsn), &data).unwrap();
+    }
+
+    fn checkpoints_in(dir: &std::path::Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|n| n.starts_with("ckpt-"))
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// Two checkpoints on disk, as a crash between installing the newer
+    /// and retiring the older leaves them: recovery loads the newer,
+    /// replays only above it, and retires the older and any `.tmp`.
+    #[test]
+    fn recovery_takes_the_newest_of_two_checkpoints() {
+        let dir = tmpdir("two-ckpts");
+        std::fs::create_dir_all(&dir).unwrap();
+        checkpoint_at(&dir, 3, 0..3);
+        checkpoint_at(&dir, 6, 0..5);
+        std::fs::write(checkpoint::path(&dir, 9).with_extension("tmp"), b"torn").unwrap();
+        let mut wal = Wal::open(&dir, FsyncPolicy::Always, 4).unwrap();
+        for i in 3..8 {
+            wal.append(&insert_rec(i)).unwrap();
+        }
+        wal.sync().unwrap();
+        drop(wal);
+
+        let r = recover(&template(), &DurabilityConfig::new(&dir), &Metrics::default()).unwrap();
+        assert_eq!((r.report.checkpoint_lsn, r.report.checkpoint_shapes), (6, 5));
+        assert_eq!((r.report.replayed, r.applied_lsn), (2, 8), "lsn 7 and 8 replayed");
+        assert_eq!(r.base.len(), 7);
+        assert_eq!(checkpoints_in(&dir), ["ckpt-00000000000000000006.gsir"]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A corrupt newest checkpoint is an error — never a fallback to an
+    /// older one, whose WAL may already be pruned — and recovery deletes
+    /// nothing it found.
+    #[test]
+    fn a_corrupt_newest_checkpoint_is_an_error_beside_a_valid_older_one() {
+        let dir = tmpdir("bad-newest");
+        std::fs::create_dir_all(&dir).unwrap();
+        checkpoint_at(&dir, 3, 0..3);
+        checkpoint_at(&dir, 6, 0..5);
+        let newest = checkpoint::path(&dir, 6);
+        let mut bytes = std::fs::read(&newest).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x04;
+        std::fs::write(&newest, &bytes).unwrap();
+        let err = recover(&template(), &DurabilityConfig::new(&dir), &Metrics::default())
+            .err()
+            .expect("a corrupt newest checkpoint must fail recovery");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert_eq!(checkpoints_in(&dir).len(), 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The file name is the LSN replay starts above: a checkpoint whose
+    /// header LSN disagrees with its name is refused.
+    #[test]
+    fn a_checkpoint_whose_header_lsn_disagrees_with_its_name_is_refused() {
+        let dir = tmpdir("renamed");
+        std::fs::create_dir_all(&dir).unwrap();
+        checkpoint_at(&dir, 5, 0..2);
+        std::fs::rename(checkpoint::path(&dir, 5), checkpoint::path(&dir, 7)).unwrap();
+        let err = recover(&template(), &DurabilityConfig::new(&dir), &Metrics::default())
+            .err()
+            .expect("a checkpoint under another LSN's name must fail recovery");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

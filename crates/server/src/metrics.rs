@@ -1,8 +1,8 @@
 //! A node's metrics, registered on its own [`geosir_obs::Registry`].
 //!
 //! The libraries below the server record nothing: a query reports its
-//! work in its [`RetrieveStats`] / [`ApproxStats`], the WAL, checkpoint,
-//! manifest and repair calls in what they return, the base its carries
+//! work in its [`RetrieveStats`] / [`ApproxStats`], the WAL, checkpoint
+//! and repair calls in what they return, the base its carries
 //! and compactions in [`DynamicBase::last_rebuild`]. The worker, writer,
 //! checkpointer and recovery record each of those once, here, where they
 //! already describe the request or the event. This table is the one
@@ -44,13 +44,10 @@
 //! | `geosir_approx_avg_bucket_size_x1000` | gauge | mean copies per occupied bucket, ×1000 |
 //! | `geosir_wal_appends_total` / `geosir_wal_append_us` | counter / histogram | records the writer appended, and each append's time |
 //! | `geosir_wal_syncs_total` / `geosir_wal_fsync_us` | counter / histogram | commit and shutdown fsyncs, and their time |
-//! | `geosir_wal_rotations_total` / `geosir_wal_pruned_segments_total` | counter | the checkpointer's segment rotations and removals |
+//! | `geosir_wal_rotations_total` / `geosir_wal_pruned_segments_total` | counter | the checkpointer's segment rotations (each fsyncs the closing segment) and removals |
 //! | `geosir_wal_repairs_total` | counter | torn segments recovery truncated |
-//! | `geosir_wal_appended_records` / `geosir_wal_synced_batches` | gauge | WAL absolute positions |
-//! | `geosir_fsync_wait_us` | histogram | writer-observed commit fsync latency |
 //! | `geosir_checkpoints_total` / `geosir_checkpoint_failures_total` | counter | checkpointer outcomes |
 //! | `geosir_checkpoint_writes_total` / `geosir_checkpoint_write_us` / `geosir_checkpoint_last_shapes` | counter / histogram / gauge | checkpoint files written, their time, the last one's shapes |
-//! | `geosir_manifest_stores_total` / `geosir_manifest_last_lsn` | counter / gauge | manifests installed, the last one's LSN |
 //! | `geosir_recovery_us` | gauge | wall time of the last startup recovery |
 //! | `geosir_recovery_{replayed_records,checkpoint_shapes,truncated_tail,dropped_bytes}` | gauge | what it found |
 //! | `geosir_io_errors_total` | counter | persistent-path I/O errors |
@@ -63,10 +60,11 @@
 //! | `geosir_ready`, `geosir_health_status{component=…}` | gauge | `/readyz`'s verdict and the watchdogs' |
 //! | `geosir_slo_burn_milli{objective=…,window=…}` | gauge | the watchdog's SLO burn rates, ×1000 |
 //!
-//! A series of the per-query, WAL, checkpoint, manifest and stage
-//! families is registered when it is first recorded, so a node exposes
-//! the series its traffic has moved — an exact-only node no
-//! `geosir_approx_*`, an in-memory one no `geosir_wal_*`.
+//! A series of the per-query, WAL, checkpoint and stage families is
+//! registered when it is first recorded, so a node exposes the series
+//! its traffic has moved — an exact-only node no `geosir_approx_*`, an
+//! in-memory one no `geosir_wal_*` (a `Stats` request reads the WAL's
+//! series only once they exist).
 
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -105,9 +103,6 @@ pub struct Metrics {
     pub read_queue_depth: Arc<obs::Gauge>,
     pub write_queue_depth: Arc<obs::Gauge>,
 
-    pub wal_appends: Arc<obs::Gauge>,
-    pub wal_syncs: Arc<obs::Gauge>,
-    pub fsync: Arc<obs::Histogram>,
     pub checkpoints: Arc<obs::Counter>,
     pub checkpoint_failures: Arc<obs::Counter>,
     pub last_recovery_us: Arc<obs::Gauge>,
@@ -179,9 +174,6 @@ impl Metrics {
             ),
             read_queue_depth: r.gauge("geosir_queue_depth", &[("queue", "read")]),
             write_queue_depth: r.gauge("geosir_queue_depth", &[("queue", "write")]),
-            wal_appends: r.gauge("geosir_wal_appended_records", &[]),
-            wal_syncs: r.gauge("geosir_wal_synced_batches", &[]),
-            fsync: r.histogram("geosir_fsync_wait_us", &[]),
             checkpoints: r.counter("geosir_checkpoints_total", &[]),
             checkpoint_failures: r.counter("geosir_checkpoint_failures_total", &[]),
             last_recovery_us: r.gauge_with_policy(
@@ -245,6 +237,12 @@ impl Metrics {
         self.wal.get_or_init(|| WalSeries::new(&self.registry))
     }
 
+    /// The WAL's series if anything has recorded one — what a `Stats`
+    /// request reads, without registering them on an in-memory node.
+    pub fn wal_recorded(&self) -> Option<&WalSeries> {
+        self.wal.get()
+    }
+
     /// One `QueryApprox`: its funnel, and the exact tier's scan when that
     /// answered instead (an exact query like any other). `grew`: the
     /// query grew its worker's scratch.
@@ -293,13 +291,6 @@ impl Metrics {
         r.counter("geosir_checkpoint_writes_total", &[]).inc();
         r.histogram("geosir_checkpoint_write_us", &[]).record_duration(took);
         r.gauge("geosir_checkpoint_last_shapes", &[]).set(shapes as i64);
-    }
-
-    /// One manifest installed, naming a checkpoint through `last_lsn`.
-    pub fn record_manifest(&self, last_lsn: u64) {
-        let r = &self.registry;
-        r.counter("geosir_manifest_stores_total", &[]).inc();
-        r.gauge("geosir_manifest_last_lsn", &[]).set(last_lsn as i64);
     }
 
     /// Quantile over *all* request types merged — what `ServerStats`

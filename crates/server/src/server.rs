@@ -224,12 +224,13 @@ impl Shared {
         self.refresh_gauges();
         let snap = self.current_snapshot();
         let m = &self.metrics;
+        let wal = m.wal_recorded();
         ServerStats {
             read_only: self.is_read_only() as u64,
-            wal_appends: m.wal_appends.get() as u64,
-            wal_syncs: m.wal_syncs.get() as u64,
-            fsync_p50_us: m.fsync.quantile(0.5),
-            fsync_p99_us: m.fsync.quantile(0.99),
+            wal_appends: wal.map_or(0, |w| w.appends.get()),
+            wal_syncs: wal.map_or(0, |w| w.syncs.get()),
+            fsync_p50_us: wal.map_or(0, |w| w.fsync_us.quantile(0.5)),
+            fsync_p99_us: wal.map_or(0, |w| w.fsync_us.quantile(0.99)),
             checkpoints: m.checkpoints.get(),
             checkpoint_failures: m.checkpoint_failures.get(),
             last_recovery_us: m.last_recovery_us.get() as u64,

@@ -14,11 +14,9 @@ use geosir_core::ImageId;
 use geosir_geom::Polyline;
 use geosir_obs as obs;
 use geosir_storage::checkpoint;
-use geosir_storage::manifest::Manifest;
 use geosir_storage::wal::WalRecord;
 
 use super::{bad_shape, Job, Published, Shared};
-use crate::durable;
 use crate::metrics::Metrics;
 use crate::wire::{error_code, Frame};
 
@@ -197,8 +195,6 @@ pub(super) fn writer_loop(mut base: DynamicBase, mut ctx: WriterCtx, shared: &Ar
                     }
                     wal.commit()
                 })();
-                m.wal_appends.set(wal.appends as i64);
-                m.wal_syncs.set(wal.syncs as i64);
                 drop(wal);
                 wal_us = started.elapsed().as_micros() as u64;
                 m.record_stage("wal", wal_us);
@@ -206,7 +202,6 @@ pub(super) fn writer_loop(mut base: DynamicBase, mut ctx: WriterCtx, shared: &Ar
                     Ok(fsync) => {
                         if let Some(dur) = fsync {
                             m.wal().synced(dur);
-                            m.fsync.record_duration(dur);
                         }
                         d.records_since_ckpt.fetch_add(logged, Ordering::Relaxed);
                     }
@@ -300,13 +295,12 @@ pub(super) fn writer_loop(mut base: DynamicBase, mut ctx: WriterCtx, shared: &Ar
         if wal.sync().is_ok() {
             m.wal().synced(started.elapsed());
         }
-        m.wal_syncs.set(wal.syncs as i64);
     }
 }
 
 /// Background checkpointer: every `checkpoint_every` logged records,
-/// stream the published snapshot into 1 KB checkpoint pages, point
-/// the manifest at it, then rotate the WAL and prune covered segments.
+/// stream the published snapshot into `ckpt-<lsn>.gsir`, retire every
+/// other checkpoint, then rotate the WAL and prune covered segments.
 /// Persistent failure (3 consecutive) flips the server read-only.
 pub(super) fn checkpointer_loop(shared: &Arc<Shared>) {
     let m = &shared.metrics;
@@ -327,29 +321,25 @@ pub(super) fn checkpointer_loop(shared: &Arc<Shared>) {
         if lsn <= d.last_ckpt_lsn.load(Ordering::Relaxed) {
             continue;
         }
-        let name = durable::checkpoint_name(lsn);
-        // ordering: checkpoint → manifest → rotate → prune. A crash
-        // between any two steps recovers correctly: the old manifest
-        // with the old WAL, or the new one with not-yet-pruned segments
-        // whose covered records replay as no-ops. The pages stream
-        // straight from the snapshot's shapes, through the WAL's `Io`.
-        let path = d.data_dir.join(&name);
+        // ordering: install → retire → rotate → prune. A crash between
+        // any two steps recovers correctly: before the rename the old
+        // checkpoint with the whole WAL; after it the new one (the
+        // highest LSN on disk) with not-yet-pruned segments whose covered
+        // records replay as no-ops. The frames stream straight from the
+        // snapshot's shapes, through the WAL's `Io`.
         let shapes = snap.walk_live_shapes();
         let started = Instant::now();
+        let path = checkpoint::path(&d.data_dir, lsn);
         let result = checkpoint::write_shapes(&path, &*d.io, snap.epoch(), snap.next_id(), shapes)
             .and_then(|written| {
                 m.record_checkpoint(written, started.elapsed());
-                Manifest { checkpoint: name, last_lsn: lsn, epoch: snap.epoch() }.store(&d.data_dir)
-            })
-            .map_err(|e| std::io::Error::other(e.to_string()))
-            .and_then(|()| {
-                m.record_manifest(lsn);
+                geosir_storage::faults::crash_if_armed("checkpoint.retire");
+                checkpoint::retire(&d.data_dir, lsn)?;
                 let mut wal = d.wal.lock().unwrap();
                 wal.rotate()?;
                 m.wal().rotations.inc();
                 let pruned = wal.prune_up_to(lsn)?;
                 m.wal().pruned_segments.add(pruned as u64);
-                m.wal_syncs.set(wal.syncs as i64);
                 Ok(())
             });
         let journal = shared.metrics.registry.journal();

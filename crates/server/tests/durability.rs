@@ -388,6 +388,73 @@ fn failing_checkpoint_appends_flip_read_only_after_three_strikes() {
     )
     .unwrap();
     assert_eq!((report.checkpoint_shapes, report.replayed), (0, acked.len()));
+    // each failed write removed its `.tmp`, and recovery removes any left
+    let names = dir_names(&dir);
+    assert!(names.iter().all(|n| !n.starts_with("ckpt-")), "{names:?}");
+    let mut c = Client::connect(handle.addr()).unwrap();
+    assert_eq!(c.stats().unwrap().live_shapes, acked.len() as u64);
+    for &(i, id) in &acked {
+        let reply = c.query(&tri(i), 1).unwrap();
+        assert!(reply.matches.iter().any(|m| m.shape == id), "acked shape {id} lost");
+    }
+    handle.shutdown();
+    handle.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every name in `dir`, sorted.
+fn dir_names(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
+/// Only the newest checkpoint is kept: after six checkpoints the data
+/// dir holds one `ckpt-*.gsir` beside the WAL and the journal (no older
+/// checkpoint, no `.tmp`, no pointer file), and a restart from it
+/// recovers every acked write.
+#[test]
+fn checkpoints_retire_their_predecessors() {
+    let dir = tmpdir("retire");
+    let cfg =
+        ServeConfig { workers: 1, poll_interval: Duration::from_millis(5), ..Default::default() };
+    let mut dcfg = DurabilityConfig::new(&dir);
+    dcfg.checkpoint_every = 4;
+    let mut acked = Vec::new();
+    {
+        let (handle, _) =
+            serve_durable("127.0.0.1:0", &template(), dcfg.clone(), cfg.clone()).unwrap();
+        let mut c = Client::connect(handle.addr()).unwrap();
+        for round in 1..=6u64 {
+            for i in (round - 1) * 5..round * 5 {
+                acked.push((i, c.insert_retrying(i as u32, &tri(i)).unwrap().1));
+            }
+            assert!(
+                poll_until(Duration::from_secs(30), || handle.stats().checkpoints >= round),
+                "checkpoint {round} never ran: {:?}",
+                handle.stats()
+            );
+        }
+        let gone = acked.remove(7).1;
+        assert_eq!(c.delete(gone).unwrap().map(|(_, e)| e), Some(true));
+        let names = dir_names(&dir);
+        let checkpoints: Vec<_> = names.iter().filter(|n| n.starts_with("ckpt-")).collect();
+        assert!(
+            checkpoints.len() == 1 && checkpoints[0].ends_with(".gsir"),
+            "six checkpoints left {names:?}"
+        );
+        assert!(
+            names.iter().all(|n| n.starts_with("ckpt-") || n.starts_with("wal-") || n == "journal"),
+            "{names:?}"
+        );
+        handle.shutdown();
+        handle.join();
+    }
+    let (handle, report) = serve_durable("127.0.0.1:0", &template(), dcfg, cfg).unwrap();
+    assert!(report.checkpoint_shapes >= 25, "{report:?}");
     let mut c = Client::connect(handle.addr()).unwrap();
     assert_eq!(c.stats().unwrap().live_shapes, acked.len() as u64);
     for &(i, id) in &acked {

@@ -72,7 +72,6 @@ fn live_metrics_and_trace_ids_under_mixed_load() {
         ("geosir_exact_scan_copies_total", 1.0),
         ("geosir_wal_appends_total", 16.0),
         ("geosir_wal_fsync_us_count", 1.0),
-        ("geosir_fsync_wait_us_count", 1.0),
         ("geosir_live_shapes", 16.0),
         ("geosir_request_latency_us_count{type=\"query\"}", 12.0),
         ("geosir_request_latency_us_count{type=\"write\"}", 16.0),

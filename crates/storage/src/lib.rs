@@ -21,10 +21,9 @@
 //!   per-record CRC-32, monotonic LSNs, configurable fsync policy,
 //!   torn-tail-tolerant replay, and a tail that reads only what was
 //!   appended since its last poll);
-//! - [`checkpoint`] — whole-base snapshots serialized through the same
-//!   1 KB pages, installed by atomic rename;
-//! - [`manifest`] — the crash-safe pointer tying a checkpoint to the
-//!   WAL position replay resumes from;
+//! - [`checkpoint`] — whole-base snapshots in the WAL's own framing (a
+//!   header frame, then one insert record per live shape), named by the
+//!   LSN they cover, installed by atomic rename; only the newest is kept;
 //! - [`faults`] — I/O fault injection and `crash_if_armed` crash hooks
 //!   (the latter compiled under `--features failpoints`) for the
 //!   crash-recovery and degraded-mode tests.
@@ -36,9 +35,7 @@ pub mod checkpoint;
 pub mod disk;
 pub mod extindex;
 pub mod faults;
-pub mod file_disk;
 pub mod layout;
-pub mod manifest;
 pub mod record;
 pub mod shipping;
 pub mod slowlog;
@@ -50,7 +47,6 @@ pub use checkpoint::CheckpointData;
 pub use disk::{DiskSim, BLOCK_SIZE};
 pub use extindex::ExternalVertexIndex;
 pub use layout::LayoutPolicy;
-pub use manifest::Manifest;
 pub use record::ShapeRecord;
 pub use store::ShapeStore;
 pub use wal::{FsyncPolicy, Lsn, Wal, WalRecord};

@@ -1,9 +1,12 @@
 //! The checkpoint format is pinned: the files under `tests/checkpoints/`
-//! were written by the whole-stream writer that preceded the streaming
-//! one, from the bases built below. The streaming writer must reproduce
-//! each byte for byte, and the reader must load each back to the same
-//! shapes, epoch and id watermark.
+//! were written by the framed writer from the bases built below. The
+//! writer must reproduce each byte for byte, and the reader must load
+//! each back to the same shapes, epoch and id watermark. The files under
+//! `tests/checkpoints/paged/` are checkpoints of the paged format that
+//! came before (1 KB pages, an FNV-1a checksum each); each must be
+//! refused as `InvalidData`, never misread.
 
+use std::io;
 use std::path::{Path, PathBuf};
 
 use geosir_core::dynamic::{DynamicBase, GlobalShapeId, RetrieveStats};
@@ -11,7 +14,6 @@ use geosir_core::{ImageId, MatchConfig, MatchOutcome, MatcherScratch};
 use geosir_geom::{Point, Polyline};
 use geosir_storage::checkpoint;
 use geosir_storage::faults::FileFactory;
-use geosir_storage::BLOCK_SIZE;
 
 /// Shape `i` with `n` vertices, on coordinates exact in binary (no
 /// trigonometry, so every platform builds the same bits); every third
@@ -35,29 +37,9 @@ fn base(cap: usize) -> DynamicBase {
     DynamicBase::new(0.0, MatchConfig::default(), cap)
 }
 
-/// No shapes: the 40-byte header alone, one page.
+/// No shapes: the magic and the header frame alone.
 fn empty() -> DynamicBase {
     base(4)
-}
-
-/// Twelve 7-vertex shapes in one bulk-loaded level: 1 588 stream bytes,
-/// and the ninth record spans bytes 943..1 072, across the first page
-/// boundary.
-fn straddle() -> DynamicBase {
-    let mut b = base(4);
-    b.bulk_load((0..12).map(|i| (ImageId(i as u32), shape(i, 7))));
-    b
-}
-
-/// Eight shapes of 117 vertices in all, inserted one at a time:
-/// 40 + 8 · 17 + 117 · 16 = 2 048 stream bytes, two whole pages and no
-/// padding.
-fn page_aligned() -> DynamicBase {
-    let mut b = base(4);
-    for (i, n) in [15, 15, 15, 15, 15, 15, 15, 12].into_iter().enumerate() {
-        b.insert(ImageId(i as u32), shape(i as u64, n));
-    }
-    b
 }
 
 /// Thirty inserts into a buffer of 4 (levels of 4, 8 and 16, and 2
@@ -73,13 +55,9 @@ fn churned() -> DynamicBase {
     b
 }
 
+/// A checked-in checkpoint (cargo runs a package's tests from its root).
 fn fixture(name: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/checkpoints").join(format!("{name}.gsir"))
-}
-
-/// The stream length the file's first page declares.
-fn stream_len(file: &[u8]) -> usize {
-    u64::from_le_bytes(file[14 + 8 + 8..14 + 8 + 16].try_into().unwrap()) as usize
+    Path::new("tests/checkpoints").join(format!("{name}.gsir"))
 }
 
 fn check(name: &str, base: DynamicBase) -> Vec<u8> {
@@ -101,23 +79,19 @@ fn check(name: &str, base: DynamicBase) -> Vec<u8> {
 }
 
 #[test]
-fn empty_base_is_one_page_of_header() {
+fn empty_base_is_the_header_frame_alone() {
     let file = check("empty", empty());
-    assert_eq!((stream_len(&file), file.len()), (40, 14 + 8 + BLOCK_SIZE));
+    // magic, frame head, LSN | epoch | next id | count
+    assert_eq!(file.len(), 8 + 8 + 32);
 }
 
 #[test]
-fn a_record_straddling_a_page_round_trips() {
-    let file = check("straddle", straddle());
-    assert_eq!(stream_len(&file), 1588);
-    assert_eq!(file.len(), 14 + 2 * (8 + BLOCK_SIZE));
-}
-
-#[test]
-fn a_stream_ending_on_a_page_boundary_has_no_padding_page() {
-    let file = check("page_aligned", page_aligned());
-    assert_eq!(stream_len(&file), 2 * BLOCK_SIZE);
-    assert_eq!(file.len(), 14 + 2 * (8 + BLOCK_SIZE));
+fn paged_checkpoints_are_refused_not_misread() {
+    for name in ["empty", "churned", "straddle", "page_aligned"] {
+        let err = checkpoint::read(&fixture(&format!("paged/{name}")))
+            .expect_err("a paged checkpoint must not load");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{name}: {err}");
+    }
 }
 
 #[test]

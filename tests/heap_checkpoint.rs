@@ -8,8 +8,8 @@
 //!     shapes: the writer streams from the live base, it holds no copy;
 //! (b) reading it back peaks at the shape pool it returns (what
 //!     `DynamicBase::restore` takes) plus at most `MAX_READ_EXTRA_BYTES`;
-//! (c) a stream header claiming 2⁴⁰ shapes is `Truncated` under the same
-//!     bound: the pool's reservation is capped by the stream's length.
+//! (c) a header frame claiming 2⁴⁰ shapes is `InvalidData` under the
+//!     same bound: the pool's reservation is capped by the file's length.
 //!
 //! A counting global allocator wraps the system one and tracks the peak
 //! of live bytes. Own test binary (one `#[test]`), so no concurrent test
@@ -58,12 +58,12 @@ use geosir::core::matcher::MatchConfig;
 use geosir::imaging::synth::{generate, CorpusConfig};
 use geosir::storage::checkpoint;
 use geosir::storage::faults::FileFactory;
-use geosir::storage::file_disk::{PageWriter, PersistError};
+use geosir::storage::wal::crc32;
 
 /// The write buffer (64 KiB), a record (a few hundred bytes at this
 /// world's vertex counts), the path and file handle, with room to spare.
 const MAX_WRITE_BYTES: u64 = 128 * 1024;
-/// The read buffer (64 KiB) and a page, with room to spare.
+/// The read buffer (64 KiB) and a frame, with room to spare.
 const MAX_READ_EXTRA_BYTES: u64 = 96 * 1024;
 
 /// Run `f`, returning its result and how far the live heap peaked above
@@ -124,16 +124,18 @@ fn a_checkpoint_streams_in_bounded_heap() {
     );
     drop(data);
 
-    // (c) a hostile shape count reserves nothing it cannot fill
-    let mut stream = b"GSCKPT\x00\x01".to_vec();
-    for field in [40, 0, 0, 1u64 << 40] {
-        stream.extend_from_slice(&field.to_le_bytes());
-    }
-    let mut pages = PageWriter::create(&FileFactory, &path, stream.len() as u64).unwrap();
-    pages.write(&stream).unwrap();
-    pages.finish().unwrap();
+    // (c) a hostile shape count reserves nothing it cannot fill: an empty
+    // checkpoint whose header frame (magic, len | crc, LSN | epoch |
+    // next id | count) is re-sealed around a count of 2⁴⁰
+    checkpoint::write_shapes(&path, &FileFactory, 0, 0, std::iter::empty()).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    assert_eq!(bytes.len(), 48);
+    bytes[40..48].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    let crc = crc32(&bytes[16..48]);
+    bytes[12..16].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
     let (r, peak) = peak_above(|| checkpoint::read(&path));
-    assert!(matches!(r, Err(PersistError::Truncated)), "{r:?}");
+    assert_eq!(r.unwrap_err().kind(), std::io::ErrorKind::InvalidData);
     assert!(peak <= MAX_WRITE_BYTES, "a hostile count cost {peak} B");
     std::fs::remove_dir_all(&dir).ok();
 }
