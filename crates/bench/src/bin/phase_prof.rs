@@ -22,15 +22,18 @@
 //! holds the copies and the one that does not); and what a write costs
 //! (`carry_cost`: `churn_durable`'s world and op mix in process — per-op
 //! means, what the base holds per live shape, every Bentley–Saxe carry by
-//! cost and heap blocks — and the odd queries the hash tier cannot seed).
+//! cost and heap blocks — and the odd queries the hash tier cannot seed);
+//! and what a query costs by how its base was built (`probe_plan`: the
+//! same shapes inserted against bulk-loaded, and a churned base against
+//! a fresh one).
 //!
 //! ```sh
-//! cargo run --release -p geosir-bench --bin phase_prof [-- n_shapes [large|carry]]
+//! cargo run --release -p geosir-bench --bin phase_prof [-- n_shapes [large|carry|probe]]
 //! ```
 //!
 //! `large` adds the sweep's 19 000-image row (≈ 105k shapes in one
 //! level, ≈ 75 s and over a GB resident); `carry` runs the `carry_cost`
-//! section alone (≈ 10 s).
+//! section alone (≈ 2 min), `probe` the `probe_plan` one (≈ 1 min).
 
 use geosir_bench::scaling_corpus;
 use geosir_core::approx::SigBuckets;
@@ -91,6 +94,8 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const K: usize = 10;
 /// Rounds of the served line's back-to-back phase timings.
 const ROUNDS: usize = 9;
+/// Interleaved passes of [`probe_plan`]'s pairs.
+const PROBE_PASSES: usize = 15;
 /// What the server scores with.
 const KIND: ScoreKind = ScoreKind::DiscreteSymmetric;
 
@@ -356,6 +361,9 @@ fn main() {
     if std::env::args().any(|a| a == "carry") {
         return carry_cost();
     }
+    if std::env::args().any(|a| a == "probe") {
+        return probe_plan();
+    }
     let (shapes, queries) = scaling_corpus(n_shapes);
     let mut builder = ShapeBaseBuilder::new();
     let polys: Vec<_> = shapes.iter().map(|(_, s)| s.clone()).collect();
@@ -458,6 +466,7 @@ fn main() {
     plan_sweep(large);
     no_near_match_probe();
     carry_cost();
+    probe_plan();
 }
 
 /// What the early-abandoning forward `h_avg` does with `cand`, stored as
@@ -540,6 +549,10 @@ fn distance_census() {
     let snap = dynamic.snapshot();
     let family = snap.hash_family();
     let buckets = SigBuckets::build(family, &twin);
+    let mut twin_sigs = vec![Signature::default(); twin.num_copies()];
+    for (sig, copies) in buckets.iter() {
+        copies.iter().for_each(|c| twin_sigs[c.index()] = *sig);
+    }
     let frame = LuneFrame::new(0.0);
     let mut twin_q = Vec::new();
     for (cid, copy) in twin.copies() {
@@ -651,26 +664,26 @@ fn distance_census() {
             ranked
         };
         let listed = |hits: &[DynMatch]| hits.iter().map(|m| (m.score, m.shape.0)).collect::<Vec<_>>();
-        // the cascade's candidates ring by ring (level, then buffer)
+        // the cascade's candidates ring by ring (level, then buffer), the
+        // level's rings in the order its probe plan emits them
         let qsig = signature_of(family, grid.shape());
-        let (mut within, mut emitted) = (Vec::new(), 0);
+        let kf = family.k() as u16;
+        let mut within = Vec::new();
+        buckets.collect_within(kf, &qsig, astats.radius, opts.max_radius.min(kf), &mut within);
         let mut judged = vec![false; twin.num_copies()];
         let mut cands = Vec::new();
         for r in 0..=astats.radius {
-            within.clear();
-            buckets.collect_within(family.k() as u16, &qsig, r, &mut within);
-            let level_ring = within[emitted..].iter().map(|&c| {
+            let at_r = move |s: &Signature| qsig.curve_distance(s) == r;
+            let level_ring = within.iter().filter(|c| at_r(&twin_sigs[c.index()])).map(|&c| {
                 judged[c.index()] = true;
                 let copy = twin.copy(c);
                 (copy.shape_id.0 as u64, &copy.normalized, &twin_q[c.index()][..])
             });
             let buffer_ring = buffer.iter().flat_map(|(id, copies, stored, sigs)| {
-                let at_r = move |s: &&_| qsig.curve_distance(s) == r;
                 let copies = copies.iter().zip(stored).zip(sigs);
                 copies.filter(move |(_, s)| at_r(s)).map(|((c, q), _)| (*id, c.shape(), &q[..]))
             });
             cands.extend(level_ring.chain(buffer_ring));
-            emitted = within.len();
         }
         // reranked from an empty board twice: by the approximate tier,
         // which lays its raster only past k candidates, and as the exact
@@ -1170,5 +1183,124 @@ fn carry_cost() {
             approx_us / ns,
             alists.finish(),
         );
+    }
+}
+
+/// What a query costs by how its base was built, through the public
+/// calls a server makes (`similar_approx_with` for `QueryApprox`,
+/// `retrieve_with_stats` for `Query`, k = [`K`], 100 sketches): the
+/// shapes of `small(200 | 350 | 700, 1)` inserted one at a time, as a
+/// node that took them by `Insert` holds them (Bentley–Saxe levels and a
+/// buffer), against the same shapes bulk-loaded into one level, as a
+/// restart leaves them; then the 3 841-shape base after 20 000 more
+/// inserts and deletes by turns against one restored from its live
+/// shapes. Each pair is timed in [`PROBE_PASSES`] interleaved passes,
+/// the order alternating; the gap is the median of the per-pass
+/// differences, with its quartiles. The two bases of a pair must give
+/// the same answers.
+fn probe_plan() {
+    let cfg = MatchConfig { beta: 0.2, k: K, ..Default::default() };
+    let opts = ApproxOptions { k: K, ..ApproxOptions::default() };
+    let (mut scratch, mut tmp, mut ax) = (MatcherScratch::new(), MatchOutcome::default(), ApproxScratch::new());
+    let (mut hits, mut stats, mut astats) = (Vec::new(), RetrieveStats::default(), ApproxStats::default());
+    println!(
+        "probe plan: inserted − bulk-loaded bases, 100 sketches, k = {K}, {PROBE_PASSES} interleaved passes \
+         (µs/query, medians; gap = median per-pass difference [quartiles]):"
+    );
+    println!(
+        "  {:>6} {:9} {:>6} {:>7} {:>7} | {:>8} {:>22} | {:>8} {:>22}",
+        "shapes", "base", "levels", "buckets", "probed", "approx", "gap", "exact", "gap"
+    );
+    let mut worlds = Vec::new();
+    let mut corpus = None;
+    for images in [200, 350, 700] {
+        let world = generate(&CorpusConfig::small(images, 1));
+        let mut inserted = DynamicBase::new(0.0, cfg.clone(), 512);
+        for (image, _, s) in &world.shapes {
+            inserted.insert(*image, s.clone());
+        }
+        let mut bulk = DynamicBase::new(0.0, cfg.clone(), 512);
+        bulk.bulk_load(world.shapes.iter().map(|(image, _, s)| (*image, s.clone())));
+        worlds.push((["inserted", "bulk"], world.queries(100, 0.02, 1), inserted.snapshot(), bulk.snapshot()));
+        corpus = Some(world);
+    }
+    // churn_durable's world after churn: the last pair, a churned base
+    // against a fresh one of its live shapes
+    let corpus = corpus.expect("three worlds");
+    let mut rng = StdRng::seed_from_u64(1);
+    let mut churned = DynamicBase::new(0.0, cfg.clone(), 512);
+    let mut live: Vec<GlobalShapeId> =
+        corpus.shapes.iter().map(|(image, _, s)| churned.insert(*image, s.clone())).collect();
+    for i in 0..20_000 {
+        if i % 2 == 0 || live.is_empty() {
+            let (image, _, proto) = &corpus.shapes[rng.random_range(0..corpus.shapes.len())];
+            live.push(churned.insert(*image, perturb(proto, &mut rng, 0.02)));
+        } else {
+            assert!(churned.delete(live.swap_remove(rng.random_range(0..live.len()))));
+        }
+    }
+    let churned = churned.snapshot();
+    let fresh = DynamicBase::restore(0.0, cfg, 512, churned.live_shapes(), churned.next_id(), churned.epoch());
+    worlds.push((["churned", "fresh"], corpus.queries(100, 0.02, 1), churned, fresh.snapshot()));
+
+    for (names, queries, a, b) in &worlds {
+        let n = queries.len() as f64;
+        // per base: the approx tier's probe count, then both tiers' answers
+        let mut probed = [0u64; 2];
+        let mut answers: [Vec<(u64, u64)>; 2] = Default::default();
+        for (side, snap) in [a, b].into_iter().enumerate() {
+            for q in queries {
+                snap.similar_approx_with(&mut scratch, &mut tmp, &mut ax, q, &opts, &mut hits, &mut astats);
+                probed[side] += astats.buckets_probed;
+                answers[side].extend(hits.iter().map(|m| (m.shape.0, m.score.to_bits())));
+                snap.retrieve_with_stats(&mut scratch, &mut tmp, q, K, &mut hits, &mut stats);
+                answers[side].extend(hits.iter().map(|m| (m.shape.0, m.score.to_bits())));
+            }
+        }
+        assert!(answers[0] == answers[1], "{} and {} bases answer differently", names[0], names[1]);
+        // per pass: [approx a, approx b, exact a, exact b] in µs/query
+        let mut passes: Vec<[f64; 4]> = Vec::with_capacity(PROBE_PASSES);
+        for pass in 0..PROBE_PASSES {
+            let mut row = [0.0; 4];
+            let order = if pass % 2 == 0 { [0, 1] } else { [1, 0] };
+            for side in order {
+                let snap = [a, b][side];
+                row[side] = timed(queries, &mut |_, q| {
+                    snap.similar_approx_with(&mut scratch, &mut tmp, &mut ax, q, &opts, &mut hits, &mut astats)
+                }) / n;
+            }
+            for side in order {
+                let snap = [a, b][side];
+                row[2 + side] = timed(queries, &mut |_, q| {
+                    snap.retrieve_with_stats(&mut scratch, &mut tmp, q, K, &mut hits, &mut stats)
+                }) / n;
+            }
+            passes.push(row);
+        }
+        // median and quartiles of `f` over the passes
+        let spread = |f: &dyn Fn(&[f64; 4]) -> f64| {
+            let mut v: Vec<f64> = passes.iter().map(f).collect();
+            v.sort_by(f64::total_cmp);
+            let at = |q: usize| v[(v.len() - 1) * q / 4];
+            (at(2), at(1), at(3))
+        };
+        for side in 0..2 {
+            let snap = [a, b][side];
+            let (approx, exact) = (spread(&|r| r[side]).0, spread(&|r| r[2 + side]).0);
+            let gap = |tier: usize| {
+                let (mid, lo, hi) = spread(&|r| r[tier] - r[tier + 1]);
+                if side == 0 { format!("{mid:+7.1} [{lo:+6.1}, {hi:+6.1}]") } else { String::new() }
+            };
+            println!(
+                "  {:>6} {:9} {:>6} {:>7} {:>7.0} | {approx:8.1} {:>22} | {exact:8.1} {:>22}",
+                snap.len(),
+                names[side],
+                snap.num_levels(),
+                snap.approx_num_buckets(),
+                probed[side] as f64 / n,
+                gap(0),
+                gap(2),
+            );
+        }
     }
 }

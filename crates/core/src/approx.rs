@@ -10,24 +10,31 @@
 //! Serving is a **multi-probe candidate cascade**: buckets are probed in
 //! rings of increasing [`Signature::curve_distance`] until enough
 //! candidates are collected, then the candidates are reranked with the
-//! exact early-abandoning `h_avg`. The ring probe is *incremental* — a
-//! [`ProbeCursor`] per index remembers what radius ≤ r already produced,
-//! so expanding from radius r to r+1 costs only the new shell (the old
-//! `GeometricHash::retrieve` re-collected 0..=r from scratch each step).
-//! Two probe strategies, switched per query by cost: enumerate the
-//! neighboring signatures with hash lookups while the shell is small, or
-//! sort the bucket table by distance once and walk it (`Enumerate` →
-//! `Scan` transition; a query signature with an empty quarter starts in
-//! `Scan`, since a 0 matches every stored value and enumeration cannot
-//! cover it).
+//! exact early-abandoning `h_avg`. Each index makes **one probe plan per
+//! query**, at ring 0, from the preferred radius R and its own size
+//! ([`SigBuckets::collect_ring`]):
+//!
+//! - `Scan` when the query has an empty quarter (a 0 matches every stored
+//!   value there, which enumeration cannot cover) or when the box of
+//!   signatures within R, (2R + 2)⁴, outnumbers the table's buckets: one
+//!   distance pass over the table (`QuerySig::distances`), the
+//!   buckets within R counted into ring order, and the rest of the table
+//!   listed only if the cascade goes past R;
+//! - `Enumerate` otherwise: each ring's shell of neighbouring signatures
+//!   looked up in the hash index, until a shell past R outgrows the table
+//!   (then the rest is scanned).
+//!
+//! A [`ProbeCursor`] per index remembers what the rings below r produced,
+//! so expanding from r to r + 1 costs only the new ring.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 use geosir_geom::Point;
 
 use crate::dynamic::{CandRef, DynMatch, GlobalShapeId, RetrieveStats};
-use crate::hashing::{signature_of_with, CurveFamily, Signature};
+use crate::hashing::{signature_of_with, CurveFamily, QuerySig, Signature};
 use crate::ids::CopyId;
 use crate::shapebase::ShapeBase;
 use crate::similarity::PreparedShape;
@@ -136,7 +143,10 @@ pub struct ApproxStats {
     pub tier: AnswerTier,
     /// Final probe radius reached.
     pub radius: u16,
-    /// Signature buckets examined (hash probes or table-scan entries).
+    /// Signature buckets examined, summed over the levels: a level whose
+    /// probe plan scans counts its table once (however many rings), one
+    /// that enumerates counts its hash lookups (and its table once more
+    /// if the cascade went past `max_radius` far enough to scan the rest).
     pub buckets_probed: u64,
     /// Candidate copies collected by the cascade (of live shapes: a
     /// tombstoned shape's copy is never collected).
@@ -163,32 +173,37 @@ impl ApproxStats {
     }
 }
 
-/// Incremental ring-probe state for one signature index within one query.
-#[derive(Debug, Clone, Copy, Default)]
-pub enum ProbeCursor {
-    /// Strategy not picked yet (before ring 0).
+/// Where one signature index is in a query's rings: its plan, made at
+/// ring 0 ([`SigBuckets::collect_ring`]), and how far it has listed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) enum ProbeCursor {
+    /// No ring asked for yet.
     #[default]
     Fresh,
-    /// Enumerating neighbor signatures shell by shell with hash lookups.
+    /// Each ring's shell of neighbouring signatures looked up in the
+    /// hash index.
     Enumerate,
-    /// Walking a distance-sorted bucket list; `pos` is the first entry
-    /// not yet emitted (entries before it had distance < the next ring).
-    Scan { pos: usize },
+    /// The table measured once; its buckets of rings `..= listed` are in
+    /// [`IndexProbe`]'s ring order.
+    Scan { listed: u16 },
 }
 
 /// Per-quarter probe value lists — `(curve value, distance contribution)`
 /// in ascending contribution order. Scratch for the enumeration strategy.
 pub(crate) type QuarterVals = [Vec<(u16, u16)>; 4];
 
-/// Probe state + scan list for one signature index, reused across queries.
+/// Probe state and scan lists for one signature index, reused across
+/// queries.
 #[derive(Debug, Default)]
 pub(crate) struct IndexProbe {
     pub cursor: ProbeCursor,
-    /// `(distance, bucket)` in ascending order.
-    pub scan: Vec<(u16, u32)>,
-    /// Counting-sort scratch of [`SigBuckets::build_scan`]: the pairs in
-    /// bucket order, and per distance the next free slot of `scan`.
-    unsorted: Vec<(u16, u32)>,
+    /// Scan: each bucket's curve distance from the query, by bucket.
+    dists: Vec<u8>,
+    /// Scan: the listed buckets in ring order, each ring in bucket order —
+    /// ring r is `scan[ring_at[r]..ring_at[r + 1]]`.
+    scan: Vec<u32>,
+    ring_at: Vec<u32>,
+    /// Counting-sort scratch: per ring, the next free slot of `scan`.
     slots: Vec<u32>,
 }
 
@@ -202,15 +217,17 @@ pub struct ApproxScratch {
     pub(crate) vals: QuarterVals,
     /// One probe state per level.
     pub(crate) probes: Vec<IndexProbe>,
-    /// Per-(level, ring) copy output, drained into `cands`.
-    pub(crate) ring: Vec<CopyId>,
-    /// The insert buffer's copies as `(ring, buffer slot, copy index)`,
-    /// in buffer order: each is measured against the query once, not once
-    /// a ring. Then counted by ring (`ring_at`) into `ringed` — the same
-    /// triples in ring order, each ring one run in buffer order.
-    pub(crate) buffered: Vec<(u16, u32, u32)>,
+    /// Per-(level, ring) bucket output, drained into `cands`.
+    pub(crate) ring: Vec<u32>,
+    /// The insert buffer's copies as `(buffer slot, copy index)` and
+    /// their curve distances from the query, in buffer order: each is
+    /// measured once, not once a ring. Then counted by ring into `ringed`
+    /// — the same copies in ring order, each ring one run in buffer order,
+    /// ring r ending at index `ring_at[r]`.
+    pub(crate) buffered: Vec<(u32, u32)>,
+    pub(crate) dists: Vec<u8>,
     pub(crate) ring_at: Vec<u32>,
-    pub(crate) ringed: Vec<(u16, u32, u32)>,
+    pub(crate) ringed: Vec<(u32, u32)>,
     /// All candidates collected this query.
     pub(crate) cands: Vec<CandRef>,
     /// Prepared candidate (reverse direction), rebuilt per survivor.
@@ -237,10 +254,10 @@ impl ApproxScratch {
         }
         for p in &mut self.probes[..nlevels] {
             p.cursor = ProbeCursor::Fresh;
-            p.scan.clear();
         }
         self.ring.clear();
         self.buffered.clear();
+        self.dists.clear();
         self.cands.clear();
         self.rows.clear();
         self.best.clear();
@@ -313,9 +330,26 @@ impl SigBuckets {
         SigBuckets { sigs: bucket_sigs, starts, members, index }
     }
 
+    /// Where bucket `b`'s copies lie in [`Self::members`].
+    pub(crate) fn span(&self, b: u32) -> Range<usize> {
+        self.starts[b as usize] as usize..self.starts[b as usize + 1] as usize
+    }
+
     /// The copies of bucket `b`.
     fn bucket(&self, b: u32) -> &[CopyId] {
-        &self.members[self.starts[b as usize] as usize..self.starts[b as usize + 1] as usize]
+        &self.members[self.span(b)]
+    }
+
+    /// Every bucket's copies, bucket after bucket.
+    pub(crate) fn members(&self) -> &[CopyId] {
+        &self.members
+    }
+
+    /// Append the copies of `buckets` to `out`, bucket by bucket.
+    pub(crate) fn copies_of(&self, buckets: &[u32], out: &mut Vec<CopyId>) {
+        for &b in buckets {
+            out.extend_from_slice(self.bucket(b));
+        }
     }
 
     /// Bytes held on the heap (the index's table counted at a control
@@ -355,88 +389,104 @@ impl SigBuckets {
         self.sigs.iter().zip((0..).map(|b| self.bucket(b)))
     }
 
-    /// Emit the copies of every bucket at curve distance **exactly** `r`
-    /// from `qsig` into `out`, advancing `probe`. Rings must be requested
-    /// in increasing order from a `Fresh` cursor; `probed` accumulates
-    /// buckets examined (hash probes, or table entries on a scan build).
+    /// Push every bucket at curve distance **exactly** `r` from `query`
+    /// onto `out`, advancing `probe`. Rings must be asked for in
+    /// increasing order from a `Fresh` cursor; `probed` accumulates
+    /// buckets examined (hash lookups, or table entries measured).
+    ///
+    /// The plan is made at ring 0, once: with R = max(`r`, `max_radius`),
+    /// the cascade's preferred radius, a query with an empty quarter, or
+    /// one whose box of signatures within R outnumbers the table, scans
+    /// ([`Self::measure`], [`Self::list`] rings 0..=R); any other
+    /// enumerates shells ([`Self::enumerate_shell`]). Past R, where the
+    /// cascade goes only while it has no candidate, a scan lists the rest
+    /// of the table once, and an enumeration turns to a scan of the rest
+    /// at the first shell whose box outnumbers the table. A ring's buckets
+    /// are the same under either plan; only their order differs.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn collect_ring(
         &self,
         family_k: u16,
-        qsig: &Signature,
+        query: &QuerySig,
         r: u16,
+        max_radius: u16,
         probe: &mut IndexProbe,
         vals: &mut QuarterVals,
-        out: &mut Vec<CopyId>,
+        out: &mut Vec<u32>,
         probed: &mut u64,
     ) {
-        if matches!(probe.cursor, ProbeCursor::Fresh) {
-            // A query-side 0 matches every stored value in that quarter:
-            // enumeration cannot cover the wildcard, so scan from the
-            // start. Stored-side 0s are fine — the enumeration probes
-            // value 0 in every quarter.
-            probe.cursor = if qsig.0.contains(&0) {
-                self.build_scan(probe, qsig, r, probed);
-                ProbeCursor::Scan { pos: 0 }
+        // a curve distance fits one byte (`CurveFamily::new`)
+        const FARTHEST: u16 = u8::MAX as u16;
+        // the neighbour box of radius r: the wildcard and 2r + 1 values a
+        // quarter
+        let outgrows = |r: u16| (2 * r.min(FARTHEST) as u64 + 2).pow(4) > self.sigs.len() as u64;
+        if probe.cursor == ProbeCursor::Fresh {
+            // A query-side 0 matches every stored value in that quarter,
+            // which enumeration cannot cover. Stored-side 0s are fine: it
+            // probes value 0 in every quarter.
+            let plan = r.max(max_radius).min(FARTHEST);
+            probe.cursor = if query.sig.0.contains(&0) || outgrows(plan) {
+                self.measure(probe, query, probed);
+                self.list(probe, 0, plan)
             } else {
                 ProbeCursor::Enumerate
             };
         }
-        if matches!(probe.cursor, ProbeCursor::Enumerate) {
-            // Neighbor-box cost heuristic (same as the offline index
-            // used): once the box outgrows the table, sort the remaining
-            // buckets by distance once and walk them ring by ring.
-            let box_probes = (2u64 * r as u64 + 2).pow(4);
-            if box_probes > self.sigs.len() as u64 {
-                self.build_scan(probe, qsig, r, probed);
-                probe.cursor = ProbeCursor::Scan { pos: 0 };
-            } else {
-                self.enumerate_shell(family_k, qsig, r, vals, out, probed);
-                return;
+        if probe.cursor == ProbeCursor::Enumerate {
+            if !outgrows(r) {
+                return self.enumerate_shell(family_k, &query.sig, r, vals, out, probed);
             }
+            self.measure(probe, query, probed);
+            probe.ring_at.resize(r.min(FARTHEST) as usize + 1, 0);
+            probe.cursor = self.list(probe, r.min(FARTHEST), FARTHEST);
         }
-        if let ProbeCursor::Scan { pos } = &mut probe.cursor {
-            while *pos < probe.scan.len() && probe.scan[*pos].0 == r {
-                out.extend_from_slice(self.bucket(probe.scan[*pos].1));
-                *pos += 1;
+        if let ProbeCursor::Scan { listed } = probe.cursor {
+            if r > listed && listed < FARTHEST {
+                probe.cursor = self.list(probe, listed + 1, FARTHEST);
+            }
+            if let Some(&[from, to]) = probe.ring_at.get(r as usize..r as usize + 2) {
+                out.extend_from_slice(&probe.scan[from as usize..to as usize]);
             }
         }
     }
 
-    /// Build the distance-sorted scan list of every bucket at distance
-    /// ≥ `min_dist` from `qsig` (rings below were already emitted by the
-    /// enumeration strategy). One pass over the table, then a counting
-    /// sort by distance — a curve distance is below the family's k, and
-    /// placing the pairs in bucket order within each distance is exactly
-    /// the ascending `(distance, bucket)` order.
-    fn build_scan(&self, probe: &mut IndexProbe, qsig: &Signature, min_dist: u16, probed: &mut u64) {
-        let IndexProbe { scan, unsorted, slots, .. } = probe;
-        unsorted.clear();
-        slots.clear();
-        for (i, s) in self.sigs.iter().enumerate() {
-            let d = qsig.curve_distance(s);
-            if d >= min_dist {
-                unsorted.push((d, i as u32));
-                if slots.len() <= d as usize {
-                    slots.resize(d as usize + 1, 0);
-                }
-                slots[d as usize] += 1;
+    /// The scan's one pass over the table: every bucket's curve distance
+    /// from `query`, by bucket. Starts the ring order empty.
+    fn measure(&self, probe: &mut IndexProbe, query: &QuerySig, probed: &mut u64) {
+        probe.dists.clear();
+        query.distances(&self.sigs, &mut probe.dists);
+        *probed += self.sigs.len() as u64;
+        probe.scan.clear();
+        probe.ring_at.clear();
+        probe.ring_at.push(0);
+    }
+
+    /// Append the buckets of rings `lo..=hi` to the ring order, which holds
+    /// rings below `lo` (some maybe empty): a counting sort of the measured
+    /// distances, so each ring keeps bucket order.
+    fn list(&self, probe: &mut IndexProbe, lo: u16, hi: u16) -> ProbeCursor {
+        let IndexProbe { dists, scan, ring_at, slots, .. } = probe;
+        let (lo, hi) = (lo as usize, hi as usize);
+        debug_assert_eq!((ring_at.len(), ring_at[lo] as usize), (lo + 1, scan.len()));
+        ring_at.resize(hi + 2, 0);
+        for &d in dists.iter() {
+            if (lo..=hi).contains(&(d as usize)) {
+                ring_at[d as usize + 1] += 1;
             }
         }
-        *probed += self.sigs.len() as u64;
-        // counts → first slot of each distance
-        let mut next = 0;
-        for slot in slots.iter_mut() {
-            let count = *slot;
-            *slot = next;
-            next += count;
+        for r in lo + 1..ring_at.len() {
+            ring_at[r] += ring_at[r - 1];
         }
-        scan.clear();
-        scan.resize(unsorted.len(), (0, 0));
-        for &(d, i) in unsorted.iter() {
-            scan[slots[d as usize] as usize] = (d, i);
-            slots[d as usize] += 1;
+        slots.clear();
+        slots.extend_from_slice(&ring_at[lo..=hi]);
+        scan.resize(ring_at[hi + 1] as usize, 0);
+        for (b, &d) in dists.iter().enumerate() {
+            if let Some(slot) = (d as usize).checked_sub(lo).and_then(|at| slots.get_mut(at)) {
+                scan[*slot as usize] = b as u32;
+                *slot += 1;
+            }
         }
+        ProbeCursor::Scan { listed: hi as u16 }
     }
 
     /// Enumeration strategy: probe exactly the signatures at curve
@@ -450,7 +500,7 @@ impl SigBuckets {
         qsig: &Signature,
         r: u16,
         vals: &mut QuarterVals,
-        out: &mut Vec<CopyId>,
+        out: &mut Vec<u32>,
         probed: &mut u64,
     ) {
         for (q, list) in vals.iter_mut().enumerate() {
@@ -486,30 +536,31 @@ impl SigBuckets {
                     for &(d, od) in tail {
                         debug_assert_eq!(m3.max(od), r);
                         *probed += 1;
-                        if let Some(&bi) = self.index.get(&Signature([a, b, c, d])) {
-                            out.extend_from_slice(self.bucket(bi));
-                        }
+                        out.extend(self.index.get(&Signature([a, b, c, d])));
                     }
                 }
             }
         }
     }
 
-    /// All copies within curve distance `radius` — the ring machinery
-    /// driven 0..=radius from a fresh cursor. Oracle/test convenience and
-    /// the engine under `GeometricHash::retrieve`.
+    /// The copies of rings 0..=`radius`, ring after ring, each in the
+    /// order a cascade preferring `max_radius` emits it — the ring
+    /// machinery driven from a fresh cursor. Oracle/test convenience.
     pub fn collect_within(
         &self,
         family_k: u16,
         sig: &Signature,
         radius: u16,
+        max_radius: u16,
         out: &mut Vec<CopyId>,
     ) {
         let mut probe = IndexProbe::default();
-        let mut vals = QuarterVals::default();
-        let mut probed = 0u64;
+        let (mut vals, mut ring) = (QuarterVals::default(), Vec::new());
+        let (query, mut probed) = (QuerySig::new(*sig), 0u64);
         for r in 0..=radius {
-            self.collect_ring(family_k, sig, r, &mut probe, &mut vals, out, &mut probed);
+            ring.clear();
+            self.collect_ring(family_k, &query, r, max_radius, &mut probe, &mut vals, &mut ring, &mut probed);
+            self.copies_of(&ring, out);
         }
     }
 }
@@ -555,6 +606,40 @@ mod tests {
         want
     }
 
+    /// Rings 0..=`last` of `sig` through one cursor planned for
+    /// `max_radius`, each checked against the oracle's ring — the same
+    /// copies, none emitted twice — and the cursor after ring 0.
+    fn assert_rings_partition(
+        sb: &SigBuckets,
+        family_k: u16,
+        sig: &Signature,
+        max_radius: u16,
+        last: u16,
+    ) -> ProbeCursor {
+        let (mut probe, mut vals, mut ring) = (IndexProbe::default(), QuarterVals::default(), Vec::new());
+        let (mut probed, mut planned) = (0u64, ProbeCursor::Fresh);
+        let mut seen = vec![false; sb.total_copies()];
+        let query = QuerySig::new(*sig);
+        for r in 0..=last {
+            ring.clear();
+            sb.collect_ring(family_k, &query, r, max_radius, &mut probe, &mut vals, &mut ring, &mut probed);
+            if r == 0 {
+                planned = probe.cursor;
+            }
+            let mut got = Vec::new();
+            sb.copies_of(&ring, &mut got);
+            for c in &got {
+                assert!(!std::mem::replace(&mut seen[c.index()], true), "ring {r} re-emitted {c:?} (sig {sig:?}, R {max_radius})");
+            }
+            got.sort();
+            let mut want = scan_oracle(sb, sig, r);
+            let inner = if r == 0 { Vec::new() } else { scan_oracle(sb, sig, r - 1) };
+            want.retain(|c| inner.binary_search(c).is_err());
+            assert_eq!(got, want, "ring {r}, sig {sig:?}, R {max_radius}");
+        }
+        planned
+    }
+
     #[test]
     fn rings_partition_the_ball() {
         // Accumulating rings 0..=r must equal the ≤ r scan oracle, and
@@ -566,45 +651,66 @@ mod tests {
         let mut quarters: [Vec<Point>; 4] = Default::default();
         for (_, copy) in base.copies().take(16) {
             let sig = signature_of_with(&family, copy.normalized.points(), &mut quarters);
-            let mut probe = IndexProbe::default();
-            let mut vals = QuarterVals::default();
-            let mut probed = 0u64;
-            let mut acc: Vec<CopyId> = Vec::new();
-            for r in 0..=4u16 {
-                let before = acc.len();
-                sb.collect_ring(k, &sig, r, &mut probe, &mut vals, &mut acc, &mut probed);
-                // ring disjointness: nothing re-emitted
-                let mut seen = acc.clone();
-                seen.sort();
-                let dup = seen.windows(2).any(|w| w[0] == w[1]);
-                assert!(!dup, "ring {r} re-emitted a copy (sig {sig:?})");
-                let _ = before;
-                let mut got = acc.clone();
-                got.sort();
-                assert_eq!(got, scan_oracle(&sb, &sig, r), "radius {r}, sig {sig:?}");
+            for max_radius in [0, 2, 4] {
+                assert_rings_partition(&sb, k, &sig, max_radius, 4);
+            }
+        }
+    }
+
+    #[test]
+    fn one_plan_per_table_size_partitions_every_ring() {
+        // Tables of random signatures: tiny, smaller than the box at R
+        // for R ≥ 1 (but not R = 0), and larger than the box at R = 3.
+        // Every ring up to the family's k, past R too — where a scan
+        // lists the rest of its table and an enumeration turns to one —
+        // must be the oracle's, queries with an empty quarter included.
+        let k = 50u16;
+        let mut rng = StdRng::seed_from_u64(46);
+        let sig = |rng: &mut StdRng| Signature([(); 4].map(|_| if rng.random_bool(0.1) { 0 } else { rng.random_range(1..=k) }));
+        let box_at = |r: u64| (2 * r + 2).pow(4) as usize;
+        for n in [6, 200, 6_000] {
+            let sigs: Vec<Signature> = (0..n).map(|_| sig(&mut rng)).collect();
+            let sb = SigBuckets::from_sigs(n, sigs.iter().enumerate().map(|(i, s)| (CopyId(i as u32), *s)));
+            let mut queries: Vec<Signature> = sigs.iter().take(4).copied().collect();
+            queries.extend((0..4).map(|_| sig(&mut rng)));
+            queries.push(Signature([0, 12, 3, 7]));
+            queries.push(Signature([25, 25, 0, 0]));
+            for q in &queries {
+                for max_radius in [0u16, 1, 3] {
+                    let planned = assert_rings_partition(&sb, k, q, max_radius, k);
+                    let scans = q.0.contains(&0) || box_at(max_radius as u64) > sb.num_buckets();
+                    let want = if scans { ProbeCursor::Scan { listed: max_radius } } else { ProbeCursor::Enumerate };
+                    assert_eq!(planned, want, "{n} signatures, {} buckets, R {max_radius}, query {q:?}", sb.num_buckets());
+                }
             }
         }
     }
 
     #[test]
     fn small_table_forces_scan_strategy_early() {
-        // A tiny table makes the box heuristic switch to Scan almost
-        // immediately; rings must still partition correctly.
+        // A table smaller than the box at R is scanned from ring 0,
+        // rings 0..=R listed at once, and the rest only when a ring
+        // past R is asked for.
         let base = world(6, 7);
         let family = CurveFamily::new(50);
         let sb = SigBuckets::build(&family, &base);
+        assert!(sb.num_buckets() < 8usize.pow(4));
         let k = family.k() as u16;
         let mut quarters: [Vec<Point>; 4] = Default::default();
         let (_, copy) = base.copies().next().unwrap();
         let sig = signature_of_with(&family, copy.normalized.points(), &mut quarters);
-        let mut probe = IndexProbe::default();
-        let mut vals = QuarterVals::default();
-        let mut probed = 0u64;
+        let (mut probe, mut vals, mut ring) = (IndexProbe::default(), QuarterVals::default(), Vec::new());
+        let (query, mut probed) = (QuerySig::new(sig), 0u64);
         let mut acc: Vec<CopyId> = Vec::new();
         for r in 0..=6u16 {
-            sb.collect_ring(k, &sig, r, &mut probe, &mut vals, &mut acc, &mut probed);
+            ring.clear();
+            sb.collect_ring(k, &query, r, 3, &mut probe, &mut vals, &mut ring, &mut probed);
+            sb.copies_of(&ring, &mut acc);
+            let listed = if r <= 3 { 3 } else { u8::MAX as u16 };
+            assert_eq!(probe.cursor, ProbeCursor::Scan { listed }, "ring {r}");
+            // one pass over the table, whatever the rings
+            assert_eq!(probed, sb.num_buckets() as u64, "ring {r}");
         }
-        assert!(matches!(probe.cursor, ProbeCursor::Scan { .. }));
         let mut got = acc;
         got.sort();
         assert_eq!(got, scan_oracle(&sb, &sig, 6));
@@ -612,23 +718,20 @@ mod tests {
 
     #[test]
     fn wildcard_query_signature_scans() {
-        // A query with an empty quarter must start (and stay) in Scan.
+        // A query with an empty quarter scans from ring 0 even where the
+        // box at R is smaller than the table, which a query without one
+        // enumerates.
         let base = world(100, 11);
         let family = CurveFamily::new(50);
         let sb = SigBuckets::build(&family, &base);
+        assert!(sb.num_buckets() > 16, "the box at R = 0 must be smaller than the table");
         let k = family.k() as u16;
-        let sig = Signature([0, 12, 3, 7]);
-        let mut probe = IndexProbe::default();
-        let mut vals = QuarterVals::default();
-        let mut probed = 0u64;
-        let mut acc: Vec<CopyId> = Vec::new();
-        for r in 0..=3u16 {
-            sb.collect_ring(k, &sig, r, &mut probe, &mut vals, &mut acc, &mut probed);
-            assert!(matches!(probe.cursor, ProbeCursor::Scan { .. }));
+        for (sig, plan) in [
+            (Signature([0, 12, 3, 7]), ProbeCursor::Scan { listed: 0 }),
+            (Signature([5, 12, 3, 7]), ProbeCursor::Enumerate),
+        ] {
+            assert_eq!(assert_rings_partition(&sb, k, &sig, 0, 3), plan, "{sig:?}");
         }
-        let mut got = acc;
-        got.sort();
-        assert_eq!(got, scan_oracle(&sb, &sig, 3));
     }
 
     #[test]
@@ -642,7 +745,7 @@ mod tests {
             let sig = signature_of_with(&family, copy.normalized.points(), &mut quarters);
             for radius in [0u16, 1, 2, 5] {
                 let mut got = Vec::new();
-                sb.collect_within(k, &sig, radius, &mut got);
+                sb.collect_within(k, &sig, radius, radius, &mut got);
                 got.sort();
                 assert_eq!(got, scan_oracle(&sb, &sig, radius), "radius {radius}");
             }

@@ -8,7 +8,7 @@ use super::exact::{score_onto, Board, Offer, RetrieveStats, Store};
 use super::snapshot::{Prepared, Snapshot};
 use super::DynMatch;
 use crate::approx::{AnswerTier, ApproxOptions, ApproxScratch, ApproxStats};
-use crate::hashing::signature_of_with;
+use crate::hashing::{signature_of_with, QuerySig};
 use crate::scratch::MatcherScratch;
 use crate::similarity::PreparedShape;
 
@@ -110,17 +110,20 @@ impl Snapshot {
 
     /// The cascade: rings of increasing curve distance over every level
     /// index plus the buffer signatures, into `ax.cands` — live copies
-    /// only: a tombstoned shape's copy is dropped as its bucket is read,
-    /// before it counts against the budget. Stops at the end of the first
-    /// ring that fills the candidate budget; `max_radius` is a soft
-    /// preference — expansion continues past it while the candidate set
-    /// is still empty, so the tier returns *something* whenever live
-    /// shapes exist.
+    /// only: a tombstoned shape's copy is dropped as its bucket is read
+    /// (through the level's owner table, not its chunks), before it counts
+    /// against the budget. Stops at the end of the first ring that fills
+    /// the candidate budget; `max_radius` is a soft preference — expansion
+    /// continues past it while the candidate set is still empty, so the
+    /// tier returns *something* whenever live shapes exist. Each level
+    /// makes its own probe plan at ring 0 ([`SigBuckets::collect_ring`]).
     ///
     /// Probing uses only the primary normalized copy: the base stores
     /// *both* orientations of every shape per α-diameter, so a stored
     /// copy in the query's orientation exists whenever the shape is
     /// similar at all.
+    ///
+    /// [`SigBuckets::collect_ring`]: crate::approx::SigBuckets::collect_ring
     pub(super) fn probe(
         &self,
         ax: &mut ApproxScratch,
@@ -133,51 +136,54 @@ impl Snapshot {
         let max_radius = opts.max_radius.min(kf);
         let max_cand = opts.max_candidates.max(1);
         ax.begin(self.levels.len());
-        let ApproxScratch { quarters, vals, probes, ring, buffered, ring_at, ringed, cands, .. } = ax;
-        let qsig = signature_of_with(family, qprep.shape().points(), quarters);
-        // every buffered copy's ring, computed once, then counted into
+        let ApproxScratch { quarters, vals, probes, ring, dists, buffered, ring_at, ringed, cands, .. } = ax;
+        let query = QuerySig::new(signature_of_with(family, qprep.shape().points(), quarters));
+        // every buffered copy's ring, measured once, then counted into
         // ring order — a stable counting sort, so a ring is one run of
-        // `ringed` in (shape, copy) order: the sorted triples
+        // `ringed` in (shape, copy) order
         for (bi, b) in self.buffer.iter().enumerate() {
-            let copies = b.copies.sigs.iter().enumerate();
-            buffered.extend(copies.map(|(ci, s)| (qsig.curve_distance(s), bi as u32, ci as u32)));
+            query.distances(&b.copies.sigs, dists);
+            buffered.extend((0..b.copies.len() as u32).map(|ci| (bi as u32, ci)));
         }
-        let rings = buffered.iter().map(|b| b.0 as usize + 1).max().unwrap_or(0);
+        let rings = dists.iter().map(|&d| d as usize + 1).max().unwrap_or(0);
         ring_at.clear();
         ring_at.resize(rings + 1, 0);
-        for &(r, ..) in buffered.iter() {
-            ring_at[r as usize + 1] += 1;
+        for &d in dists.iter() {
+            ring_at[d as usize + 1] += 1;
         }
         for r in 1..ring_at.len() {
             ring_at[r] += ring_at[r - 1];
         }
-        // (ring_at[r]: where ring r's next entry goes)
+        // (ring_at[r]: where ring r's next entry goes, and then its end)
         ringed.clear();
-        ringed.resize(buffered.len(), (0, 0, 0));
-        for &entry in buffered.iter() {
-            let at = &mut ring_at[entry.0 as usize];
-            ringed[*at as usize] = entry;
+        ringed.resize(dists.len(), (0, 0));
+        for (&d, &copy) in dists.iter().zip(buffered.iter()) {
+            let at = &mut ring_at[d as usize];
+            ringed[*at as usize] = copy;
             *at += 1;
         }
-        let mut by_ring = ringed.iter().peekable();
+        let mut emitted = 0;
         let mut probed = 0u64;
         for r in 0..=kf {
             stats.radius = r;
             for (li, slot) in self.slots() {
+                let (level, dead) = (&*slot.level, &*slot.dead);
                 ring.clear();
-                slot.level.buckets.collect_ring(kf, &qsig, r, &mut probes[li], vals, ring, &mut probed);
-                let copies = ring.iter().map(|&member| slot.level.unpack(member));
-                let live = copies.filter(|&(c, i)| slot.live_copy(c, i));
-                cands.extend(live.map(|(c, i)| CandRef {
-                    level: li as u32,
-                    a: c as u32,
-                    b: i as u32,
-                    verdict: f64::NAN,
-                }));
+                level.buckets.collect_ring(kf, &query, r, max_radius, &mut probes[li], vals, ring, &mut probed);
+                for &b in ring.iter() {
+                    let span = level.buckets.span(b);
+                    let members = level.buckets.members()[span.clone()].iter().zip(&level.owners[span]);
+                    for (&member, _) in members.filter(|&(_, &owner)| !dead.get(owner)) {
+                        let (c, i) = level.unpack(member);
+                        cands.push(CandRef { level: li as u32, a: c as u32, b: i as u32, verdict: f64::NAN });
+                    }
+                }
             }
-            while let Some(&(_, a, b)) = by_ring.next_if(|at| at.0 == r) {
+            let end = ring_at.get(r as usize).map_or(ringed.len(), |&end| end as usize);
+            for &(a, b) in &ringed[emitted..end] {
                 cands.push(CandRef { level: BUFFER_LEVEL, a, b, verdict: f64::NAN });
             }
+            emitted = end;
             if cands.len() >= max_cand || (r >= max_radius && !cands.is_empty()) {
                 break;
             }

@@ -21,6 +21,7 @@
 //! | `Level::parts` | chunk | 16: the `Arc` and where its shapes and copies start in the level |
 //! | `Level::{ids, sorted_ids}` | shape | 8 and 16 |
 //! | `Level::buckets` | copy | 4 (chunk and copy in one `u32`) and the bucket table |
+//! | `Level::owners` | copy | 4: each bucket member's level-local shape, for the probe's live test |
 //! | [`DeadBits`] | shape | 1 bit |
 //!
 //! `tests/heap_dynamic.rs` measures ≈ 327 B a live copy in

@@ -28,6 +28,9 @@ pub(super) struct Level {
     /// tier's index. A member is its chunk and its copy there in one
     /// `u32`, split at `shift` ([`Self::unpack`]).
     pub(super) buckets: SigBuckets,
+    /// The level-local shape of each of `buckets`' members, beside it:
+    /// the probe's live test reads it, not the member's chunk.
+    pub(super) owners: Vec<ShapeId>,
     shift: u32,
     /// Level-local ShapeId → global id.
     pub(super) ids: Vec<GlobalShapeId>,
@@ -90,7 +93,7 @@ impl Level {
     pub(super) fn heap_bytes(&self) -> usize {
         use super::arena::bytes;
         let chunks = self.parts.iter().map(|p| p.chunk.heap_bytes()).sum::<usize>();
-        let own = bytes(&self.parts) + bytes(&self.ids) + bytes(&self.sorted_ids);
+        let own = bytes(&self.parts) + bytes(&self.ids) + bytes(&self.sorted_ids) + bytes(&self.owners);
         chunks + own + self.buckets.heap_bytes()
     }
 
@@ -124,12 +127,6 @@ impl Slot {
     /// Tombstoned shapes of chunk `c`.
     pub(super) fn dead_in(&self, c: usize) -> usize {
         self.dead.count(self.level.shapes_of(c))
-    }
-
-    /// Whether copy `i` of chunk `c` belongs to a live shape.
-    pub(super) fn live_copy(&self, c: usize, i: usize) -> bool {
-        let Part { chunk, shapes, .. } = &self.level.parts[c];
-        !self.dead.get(ShapeId(shapes + chunk.copies.owner[i].0))
     }
 
     /// The live shapes of chunk `c`, in order, each with its copies as a
@@ -284,7 +281,7 @@ impl Assembly {
         run.clear();
     }
 
-    /// Bucket the signatures and sort the id table.
+    /// Bucket the signatures, list their owners and sort the id table.
     fn finish(self) -> Slot {
         let Assembly { mut level, dead } = self;
         let widest = level.parts.iter().map(|p| p.chunk.copies.len()).max().unwrap_or(0);
@@ -297,6 +294,11 @@ impl Assembly {
             p.chunk.copies.sigs.iter().enumerate().map(move |(i, s)| (at(i), *s))
         });
         level.buckets = SigBuckets::from_sigs(level.num_copies(), sigs);
+        let owner = |(c, i): (usize, usize)| {
+            let Part { chunk, shapes, .. } = &level.parts[c];
+            ShapeId(shapes + chunk.copies.owner[i].0)
+        };
+        level.owners = level.buckets.members().iter().map(|&m| owner(level.unpack(m))).collect();
         level.sorted_ids = level.ids.iter().copied().zip((0..).map(ShapeId)).collect();
         // ids are unique, so no order among equals to keep — and an
         // unstable sort needs no scratch buffer

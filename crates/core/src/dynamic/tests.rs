@@ -145,6 +145,13 @@ fn assert_same_level(got: &Level, want: &Level, what: &str) {
         l.buckets.iter().map(|(s, c)| (*s, c.iter().map(member).collect::<Vec<_>>())).collect::<Vec<_>>()
     };
     assert_eq!(buckets(got), buckets(want), "{what}: bucket membership");
+    // each member's owner beside it, as its chunk says
+    let owner = |m: &crate::ids::CopyId| {
+        let (c, i) = got.unpack(*m);
+        ShapeId(got.parts[c].shapes + got.parts[c].chunk.copies.owner[i].0)
+    };
+    assert_eq!(got.owners, got.buckets.members().iter().map(owner).collect::<Vec<_>>(), "{what}: member owners");
+    assert_eq!(got.owners, want.owners, "{what}: member owners");
 }
 
 /// Every copy `store` holds, recomputed from its source and similarity

@@ -249,7 +249,8 @@ fn quantized_approx_rerank_changes_no_verdict_and_no_count() {
 fn quantized_buffer_rings_count_into_sorted_order() {
     // the probe counts the buffered copies into ring order: on a base
     // whose buffer is one shape short of a carry, the counted list is
-    // the sorted (ring, slot, copy) list, query after query
+    // the sorted (ring, slot, copy) list, query after query, each ring
+    // ending where `ring_at` says
     let db = shipped(64, (0..64 + 63).map(|i| shape(i as u64 + 4000)));
     let snap = db.snapshot();
     assert_eq!((snap.num_levels(), snap.buffer.len()), (1, 63));
@@ -259,11 +260,56 @@ fn quantized_buffer_rings_count_into_sorted_order() {
         assert!(scratch.prepare_query(&shape(i + 4000)));
         let qprep = scratch.query.as_ref().expect("prepared");
         snap.probe(&mut ax, qprep, &ApproxOptions::default(), &mut stats);
-        let mut sorted = ax.buffered.clone();
-        sorted.sort_unstable();
-        assert_eq!(ax.ringed, sorted, "query {i}");
-        assert_eq!(ax.buffered.len(), snap.buffer.iter().map(|b| b.copies.len()).sum::<usize>());
-        rings.extend(ax.buffered.iter().map(|b| b.0));
+        let qsig = crate::hashing::signature_of(&snap.family, qprep.shape());
+        let mut want: Vec<(u16, u32, u32)> = Vec::new();
+        for (bi, b) in snap.buffer.iter().enumerate() {
+            let copies = b.copies.sigs.iter().enumerate();
+            want.extend(copies.map(|(ci, s)| (qsig.curve_distance(s), bi as u32, ci as u32)));
+        }
+        want.sort_unstable();
+        let ring_of = |at: usize| ax.ring_at.iter().position(|&end| at < end as usize).expect("within a ring") as u16;
+        let got: Vec<(u16, u32, u32)> = ax.ringed.iter().enumerate().map(|(at, &(a, b))| (ring_of(at), a, b)).collect();
+        assert_eq!(got, want, "query {i}");
+        rings.extend(want.iter().map(|b| b.0));
     }
     assert!(rings.len() >= 4, "rings {rings:?}: the order proves little");
+}
+
+#[test]
+fn a_query_with_nothing_within_the_radius_expands_past_it() {
+    // No stored signature within `max_radius` of a spiky star's: every
+    // level runs its plan past R — a scan lists the rest of its table,
+    // an enumeration turns to a scan — and the churned base answers as
+    // the fresh one does.
+    use geosir_imaging::synth::random_simple_polygon;
+    let mut rng = StdRng::seed_from_u64(46);
+    let mut db = shipped(8, (0..120).map(|i| random_simple_polygon(&mut rng, 6 + i % 9, 0.35)));
+    for id in (0..120).step_by(3) {
+        assert!(db.delete(GlobalShapeId(id)));
+    }
+    let churned = db.snapshot();
+    assert!(churned.num_levels() >= 3 && churned.dead_shapes() > 0);
+    let fresh = DynamicBase::restore(0.0, db.state.config.clone(), 8, churned.live_shapes(), churned.next_id(), churned.epoch()).snapshot();
+    let star = |n: usize, rng: &mut StdRng| {
+        let pts = (0..n).map(|i| {
+            let t = 2.0 * std::f64::consts::PI * i as f64 / n as f64;
+            let r = if i % 2 == 0 { rng.random_range(0.7..1.0) } else { rng.random_range(0.05..0.3) };
+            p(r * t.cos(), r * t.sin())
+        });
+        Polyline::closed(pts.collect()).expect("a star is simple")
+    };
+    let mut past = 0;
+    for n in 3..40 {
+        let q = star(n, &mut rng);
+        for max_radius in [0, 1] {
+            let opts = ApproxOptions { k: 5, max_radius, ..ApproxOptions::default() };
+            let (a, sa) = churned.similar_approx(&q, &opts);
+            let (b, sb) = fresh.similar_approx(&q, &opts);
+            assert_eq!(id_bits(&a), id_bits(&b), "star {n}, R {max_radius}");
+            assert_eq!((sa.candidates, sa.radius, sa.tier), (sb.candidates, sb.radius, sb.tier), "star {n}, R {max_radius}");
+            assert_eq!(sa.tier, AnswerTier::Approx, "star {n}, R {max_radius}");
+            past += (sa.radius > max_radius) as usize;
+        }
+    }
+    assert!(past >= 10, "{past} queries went past R: the rest of a table was hardly listed");
 }

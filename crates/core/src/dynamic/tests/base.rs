@@ -290,6 +290,13 @@ fn churned_base_equals_a_fresh_one() {
         let fresh = DynamicBase::restore(0.0, db.state.config.clone(), 4, churned.live_shapes(), churned.next_id(), churned.epoch()).snapshot();
         assert_eq!((fresh.num_levels(), fresh.dead_shapes()), (1, 0));
         assert_eq!((churned.len(), churned.total_copies()), (fresh.len(), fresh.total_copies()), "seed {seed}");
+        // what a probe that stops by R may examine per level: its table,
+        // measured once, or — only where the table is larger than the
+        // box of signatures within R — at most that box in hash lookups
+        let probe_bound = |snap: &Snapshot, max_radius: u64| -> u64 {
+            let boxed = (2 * max_radius + 2).pow(4);
+            snap.slots().map(|(_, s)| (s.level.buckets.num_buckets() as u64).min(boxed)).sum()
+        };
 
         for (qi, (_, _, stored)) in churned.live_shapes().iter().enumerate().take(12) {
             let q = perturb(if qi % 2 == 0 { &proto } else { stored }, &mut rng, 0.01);
@@ -305,6 +312,10 @@ fn churned_base_equals_a_fresh_one() {
                     assert_eq!(id_bits(&a), id_bits(&b), "{what}: approximate answer");
                     assert_eq!((sa.candidates, sa.reranked, sa.radius), (sb.candidates, sb.reranked, sb.radius), "{what}");
                     assert_eq!(sa.corpus_copies, sb.corpus_copies, "{what}");
+                    if sa.radius <= opts.max_radius {
+                        let bound = probe_bound(&churned, opts.max_radius as u64);
+                        assert!(sa.buckets_probed <= bound, "{what}: {} buckets probed, bound {bound}", sa.buckets_probed);
+                    }
                 }
             }
         }

@@ -187,10 +187,7 @@ proptest! {
                     prop_assert_eq!(slot.dead.shapes, want.len(), "{}: dead count", what);
                     prop_assert!(slot.dead.shapes <= slot.live_shapes(), "{}: more dead than alive", what);
                     prop_assert!(slot.level.parts.iter().all(|p| p.chunk.len() <= cap), "{}: a chunk over the cap", what);
-                    let parts = &slot.level.parts;
-                    let live_copies: usize = (0..parts.len())
-                        .map(|c| (0..parts[c].chunk.copies.len()).filter(|&i| slot.live_copy(c, i)).count())
-                        .sum();
+                    let live_copies = slot.level.owners.iter().filter(|&&o| !slot.dead.get(o)).count();
                     prop_assert_eq!(slot.live_copies(), live_copies, "{}: live copies", what);
                 }
             }

@@ -106,9 +106,10 @@ pub struct CurveFamily {
 }
 
 impl CurveFamily {
-    /// Solve the k placement equations. Panics for `k = 0`.
+    /// Solve the k placement equations. Panics for `k = 0` and for
+    /// `k > 255` (a curve distance, below k, is held in one byte).
     pub fn new(k: usize) -> Self {
-        assert!(k >= 1, "need at least one curve");
+        assert!((1..=255).contains(&k), "need 1 to 255 curves, not {k}");
         let quarter_area = LUNE_AREA / 4.0;
         let xs = (1..=k)
             .map(|i| {
@@ -224,6 +225,43 @@ impl Signature {
     }
 }
 
+/// A query's signature beside, per quarter, the curve distance each
+/// stored curve value contributes (0 where either side is empty): a
+/// stored signature's [`Signature::curve_distance`] from it is four table
+/// reads and three maxima, with no branch. Built once a query.
+pub(crate) struct QuerySig {
+    pub(crate) sig: Signature,
+    table: [[u8; 256]; 4],
+}
+
+impl QuerySig {
+    pub(crate) fn new(sig: Signature) -> QuerySig {
+        let mut table = [[0u8; 256]; 4];
+        for (row, &q) in table.iter_mut().zip(&sig.0) {
+            if q != 0 {
+                for (v, d) in row.iter_mut().enumerate().skip(1) {
+                    *d = q.abs_diff(v as u16) as u8;
+                }
+            }
+        }
+        QuerySig { sig, table }
+    }
+
+    /// The curve distance to each of `sigs`, appended to `out` in order —
+    /// a byte each, as a family has at most 255 curves, so a curve value
+    /// indexes the table as it is. The probe's one distance loop: a
+    /// level's bucket table and the insert buffer's copies are measured
+    /// through it.
+    pub(crate) fn distances(&self, sigs: &[Signature], out: &mut Vec<u8>) {
+        let [t0, t1, t2, t3] = &self.table;
+        out.extend(sigs.iter().map(|s| {
+            debug_assert!(s.0.iter().all(|&v| v <= u8::MAX as u16), "{s:?} is no family's");
+            let [a, b, c, d] = s.0.map(|v| v as u8 as usize);
+            t0[a].max(t1[b]).max(t2[c].max(t3[d]))
+        }));
+    }
+}
+
 /// The hash index over a shape base.
 ///
 /// ```
@@ -259,6 +297,7 @@ pub struct GeometricHash {
 pub struct HashScratch {
     probe: IndexProbe,
     vals: QuarterVals,
+    ring: Vec<u32>,
     quarters: [Vec<Point>; 4],
     seen: Vec<CopyId>,
     prepared: Option<PreparedShape>,
@@ -347,12 +386,11 @@ impl GeometricHash {
         out: &mut Vec<HashMatch>,
     ) {
         out.clear();
-        let HashScratch { probe, vals, quarters, seen, prepared, back, best } = scratch;
-        let sig = signature_of_with(&self.family, normalized_query.points(), quarters);
+        let HashScratch { probe, vals, ring, quarters, seen, prepared, back, best } = scratch;
+        let sig = QuerySig::new(signature_of_with(&self.family, normalized_query.points(), quarters));
         let query = normalized_query.points().iter().copied();
         let prepared = prepare_into(prepared, query, normalized_query.is_closed());
         probe.cursor = ProbeCursor::Fresh;
-        probe.scan.clear();
         seen.clear();
         let kf = self.family.k() as u16;
         let mut probed = 0u64;
@@ -362,7 +400,9 @@ impl GeometricHash {
         // expansion continues past it while the candidate set is still
         // empty (up to the whole family).
         for radius in 0..=kf {
-            self.buckets.collect_ring(kf, &sig, radius, probe, vals, seen, &mut probed);
+            ring.clear();
+            self.buckets.collect_ring(kf, &sig, radius, max_radius, probe, vals, ring, &mut probed);
+            self.buckets.copies_of(ring, seen);
             if seen.len() >= k_best || (radius >= max_radius && !seen.is_empty()) {
                 break;
             }
@@ -653,7 +693,7 @@ mod tests {
                 }
                 want.sort();
                 let mut got = Vec::new();
-                gh.index().collect_within(kf, &sig, radius, &mut got);
+                gh.index().collect_within(kf, &sig, radius, radius, &mut got);
                 got.sort();
                 assert_eq!(got, want, "radius {radius}, sig {sig:?}");
             }
@@ -720,7 +760,8 @@ mod tests {
             prop_assert!(cc.dist(c) < 1e-9, "not idempotent: {c:?} -> {cc:?}");
         }
 
-        /// `curve_distance` is symmetric and zero on the diagonal.
+        /// `curve_distance` is symmetric and zero on the diagonal, and the
+        /// probe's table agrees with it.
         #[test]
         fn curve_distance_symmetric_and_self_zero(
             a in (0u16..60, 0u16..60, 0u16..60, 0u16..60),
@@ -731,6 +772,10 @@ mod tests {
             prop_assert_eq!(sa.curve_distance(&sb), sb.curve_distance(&sa));
             prop_assert_eq!(sa.curve_distance(&sa), 0);
             prop_assert_eq!(sb.curve_distance(&sb), 0);
+            // the probe's table measures the same distances
+            let mut by_table = Vec::new();
+            QuerySig::new(sa).distances(&[sb, sa], &mut by_table);
+            prop_assert_eq!(by_table, vec![sa.curve_distance(&sb) as u8, 0]);
         }
 
         /// Signature stability: perturbing vertices slightly moves the

@@ -39,7 +39,8 @@
 //! | `geosir_dynamic_compactions_total` | counter | levels (or chunks) rewritten without their dead |
 //! | `geosir_approx_queries_total` / `geosir_approx_exact_fallbacks_total` | counter | `QueryApprox` answered, and those the exact tier answered |
 //! | `geosir_approx_bound_rejects_total` | counter | rerank candidates the raster rejected |
-//! | `geosir_approx_probe_radius`, `…_candidates_per_query`, `…_buckets_probed`, `…_reduction_ratio` | histogram | the probe's funnel per `QueryApprox` |
+//! | `geosir_approx_probe_radius`, `…_candidates_per_query`, `…_reduction_ratio` | histogram | the probe's funnel per `QueryApprox` |
+//! | `geosir_approx_buckets_probed` | histogram | buckets a `QueryApprox`'s probe examined: each level's table once where its plan scans, its hash lookups where it enumerates |
 //! | `geosir_approx_buckets` | gauge | occupied signature buckets across level indexes |
 //! | `geosir_approx_avg_bucket_size_x1000` | gauge | mean copies per occupied bucket, ×1000 |
 //! | `geosir_wal_appends_total` / `geosir_wal_append_us` | counter / histogram | records the writer appended, and each append's time |

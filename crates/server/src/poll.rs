@@ -13,6 +13,13 @@
 //! Linux-only by construction (`target_os = "linux"` gate in `lib.rs`);
 //! there is no serve path for other platforms: node and router both
 //! refuse to start there with `Unsupported`.
+//!
+//! Every `unsafe` block here states under `// SAFETY:` why the syscall's
+//! requirements hold, and clippy enforces that (below). The invariant
+//! they share: a syscall is handed only an fd this module owns (or one
+//! just created), and only a pointer to memory that outlives the call
+//! and holds the length passed beside it.
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use std::io;
 use std::net::{SocketAddr, TcpStream};
@@ -61,6 +68,12 @@ mod sys {
 
     /// x86_64 syscall ABI: nr in rax, args in rdi/rsi/rdx/r10; the
     /// kernel clobbers rcx and r11; the result (or -errno) is in rax.
+    ///
+    /// # Safety
+    ///
+    /// The arguments must be what syscall `nr` requires: any pointer
+    /// among them valid for the length the call reads or writes through
+    /// it, any fd one the caller may use that way.
     #[inline]
     unsafe fn syscall4(nr: usize, a1: usize, a2: usize, a3: usize, a4: usize) -> isize {
         let ret: isize;
@@ -78,30 +91,57 @@ mod sys {
         ret
     }
 
+    /// # Safety
+    ///
+    /// No pointer, no fd: always sound; the caller owns the fd it returns.
     pub(super) unsafe fn epoll_create1() -> isize {
         syscall4(SYS_EPOLL_CREATE1, super::EPOLL_CLOEXEC, 0, 0, 0)
     }
+    /// # Safety
+    ///
+    /// `epfd` must be an epoll fd the caller owns, and `ev` the address of an `EpollEvent` live for the call.
     pub(super) unsafe fn epoll_ctl(epfd: usize, op: usize, fd: usize, ev: usize) -> isize {
         syscall4(SYS_EPOLL_CTL, epfd, op, fd, ev)
     }
+    /// # Safety
+    ///
+    /// `epfd` must be an epoll fd the caller owns, and `events` the address of `max` writable `EpollEvent`s.
     pub(super) unsafe fn epoll_wait(epfd: usize, events: usize, max: usize, timeout_ms: isize) -> isize {
         syscall4(SYS_EPOLL_WAIT, epfd, events, max, timeout_ms as usize)
     }
+    /// # Safety
+    ///
+    /// No pointer, no fd: always sound; the caller owns the fd it returns.
     pub(super) unsafe fn eventfd2(initval: usize, flags: usize) -> isize {
         syscall4(SYS_EVENTFD2, initval, flags, 0, 0)
     }
+    /// # Safety
+    ///
+    /// `fd` must be one the caller owns, and `buf` the address of `len` writable bytes.
     pub(super) unsafe fn read(fd: usize, buf: usize, len: usize) -> isize {
         syscall4(SYS_READ, fd, buf, len, 0)
     }
+    /// # Safety
+    ///
+    /// `fd` must be one the caller owns, and `buf` the address of `len` readable bytes.
     pub(super) unsafe fn write(fd: usize, buf: usize, len: usize) -> isize {
         syscall4(SYS_WRITE, fd, buf, len, 0)
     }
+    /// # Safety
+    ///
+    /// `fd` must be one the caller owns and never uses again.
     pub(super) unsafe fn close(fd: usize) -> isize {
         syscall4(SYS_CLOSE, fd, 0, 0, 0)
     }
+    /// # Safety
+    ///
+    /// No pointer, no fd: always sound; the caller owns the fd it returns.
     pub(super) unsafe fn socket(family: usize, kind: usize) -> isize {
         syscall4(SYS_SOCKET, family, kind, 0, 0)
     }
+    /// # Safety
+    ///
+    /// `fd` must be a socket the caller owns, and `addr` the address of `len` readable bytes of a `sockaddr`.
     pub(super) unsafe fn connect(fd: usize, addr: usize, len: usize) -> isize {
         syscall4(SYS_CONNECT, fd, addr, len, 0)
     }
@@ -120,6 +160,11 @@ mod sys {
     const SYS_CONNECT: usize = 203;
 
     /// aarch64 syscall ABI: nr in x8, args in x0..x5, result in x0.
+    ///
+    /// # Safety
+    ///
+    /// As the x86_64 `syscall4`: the arguments must be what syscall `nr`
+    /// requires.
     #[inline]
     unsafe fn syscall6(
         nr: usize,
@@ -145,32 +190,60 @@ mod sys {
         ret
     }
 
+    /// # Safety
+    ///
+    /// No pointer, no fd: always sound; the caller owns the fd it returns.
     pub(super) unsafe fn epoll_create1() -> isize {
         syscall6(SYS_EPOLL_CREATE1, super::EPOLL_CLOEXEC, 0, 0, 0, 0, 0)
     }
+    /// # Safety
+    ///
+    /// `epfd` must be an epoll fd the caller owns, and `ev` the address of an `EpollEvent` live for the call.
     pub(super) unsafe fn epoll_ctl(epfd: usize, op: usize, fd: usize, ev: usize) -> isize {
         syscall6(SYS_EPOLL_CTL, epfd, op, fd, ev, 0, 0)
     }
     /// aarch64 has no plain `epoll_wait`; `epoll_pwait` with a null
     /// sigmask is identical.
+    ///
+    /// # Safety
+    ///
+    /// `epfd` must be an epoll fd the caller owns, and `events` the address of `max` writable `EpollEvent`s.
     pub(super) unsafe fn epoll_wait(epfd: usize, events: usize, max: usize, timeout_ms: isize) -> isize {
         syscall6(SYS_EPOLL_PWAIT, epfd, events, max, timeout_ms as usize, 0, 8)
     }
+    /// # Safety
+    ///
+    /// No pointer, no fd: always sound; the caller owns the fd it returns.
     pub(super) unsafe fn eventfd2(initval: usize, flags: usize) -> isize {
         syscall6(SYS_EVENTFD2, initval, flags, 0, 0, 0, 0)
     }
+    /// # Safety
+    ///
+    /// `fd` must be one the caller owns, and `buf` the address of `len` writable bytes.
     pub(super) unsafe fn read(fd: usize, buf: usize, len: usize) -> isize {
         syscall6(SYS_READ, fd, buf, len, 0, 0, 0)
     }
+    /// # Safety
+    ///
+    /// `fd` must be one the caller owns, and `buf` the address of `len` readable bytes.
     pub(super) unsafe fn write(fd: usize, buf: usize, len: usize) -> isize {
         syscall6(SYS_WRITE, fd, buf, len, 0, 0, 0)
     }
+    /// # Safety
+    ///
+    /// `fd` must be one the caller owns and never uses again.
     pub(super) unsafe fn close(fd: usize) -> isize {
         syscall6(SYS_CLOSE, fd, 0, 0, 0, 0, 0)
     }
+    /// # Safety
+    ///
+    /// No pointer, no fd: always sound; the caller owns the fd it returns.
     pub(super) unsafe fn socket(family: usize, kind: usize) -> isize {
         syscall6(SYS_SOCKET, family, kind, 0, 0, 0, 0)
     }
+    /// # Safety
+    ///
+    /// `fd` must be a socket the caller owns, and `addr` the address of `len` readable bytes of a `sockaddr`.
     pub(super) unsafe fn connect(fd: usize, addr: usize, len: usize) -> isize {
         syscall6(SYS_CONNECT, fd, addr, len, 0, 0, 0)
     }
@@ -197,6 +270,7 @@ pub struct Poller {
 
 impl Poller {
     pub fn new() -> io::Result<Poller> {
+        // SAFETY: epoll_create1 takes no pointer and no fd.
         let epfd = check(unsafe { sys::epoll_create1() })? as RawFd;
         Ok(Poller { epfd })
     }
@@ -219,6 +293,9 @@ impl Poller {
 
     fn ctl(&self, op: usize, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
         let ev = EpollEvent { events, data: token };
+        // SAFETY: `epfd` is this poller's own, open until it drops, and
+        // `ev` lives on this frame for the whole call; the kernel copies
+        // it and keeps no pointer. A bad `fd` is the kernel's EBADF.
         check(unsafe {
             sys::epoll_ctl(self.epfd as usize, op, fd as usize, &ev as *const EpollEvent as usize)
         })?;
@@ -229,6 +306,9 @@ impl Poller {
     /// `events` and returns how many fired. A signal interruption
     /// reports as zero events, not an error.
     pub fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
+        // SAFETY: `epfd` is this poller's own, and the kernel writes at
+        // most `events.len()` entries into `events`, which the `&mut`
+        // borrow keeps alive and unaliased for the call.
         let ret = unsafe {
             sys::epoll_wait(
                 self.epfd as usize,
@@ -247,14 +327,17 @@ impl Poller {
 
 impl Drop for Poller {
     fn drop(&mut self) {
+        // SAFETY: the poller owns `epfd`, and this is its one close.
         unsafe { sys::close(self.epfd as usize) };
     }
 }
 
 // The poller is only ever *used* by the event-loop thread, but worker
-// threads hold it inside the shared I/O state; epoll fds are safe to
-// share.
+// threads hold it inside the shared I/O state.
+// SAFETY: its one field is an fd number; epoll_ctl and epoll_wait on one
+// epoll fd are thread-safe in the kernel, and no method mutates `epfd`.
 unsafe impl Send for Poller {}
+// SAFETY: as for `Send`: `&Poller` only passes `epfd` to the kernel.
 unsafe impl Sync for Poller {}
 
 /// Cross-thread wakeup for the event loop: an eventfd registered with
@@ -266,6 +349,7 @@ pub struct Waker {
 
 impl Waker {
     pub fn new() -> io::Result<Waker> {
+        // SAFETY: eventfd2 takes no pointer and no fd.
         let fd = check(unsafe { sys::eventfd2(0, EFD_CLOEXEC | EFD_NONBLOCK) })? as RawFd;
         Ok(Waker { fd })
     }
@@ -280,6 +364,8 @@ impl Waker {
         let one = 1u64.to_ne_bytes();
         // An EAGAIN here means the counter is already saturated — the
         // loop is guaranteed to wake, so dropping the increment is fine.
+        // SAFETY: `fd` is this waker's own eventfd, open until it drops,
+        // and `one` is 8 readable bytes on this frame.
         unsafe { sys::write(self.fd as usize, one.as_ptr() as usize, 8) };
     }
 
@@ -287,6 +373,8 @@ impl Waker {
     pub fn drain(&self) {
         let mut buf = [0u8; 8];
         loop {
+            // SAFETY: `fd` is this waker's own eventfd, and `buf` is 8
+            // writable bytes on this frame.
             let ret = unsafe { sys::read(self.fd as usize, buf.as_mut_ptr() as usize, 8) };
             if ret < 0 {
                 let errno = -ret as i32;
@@ -305,11 +393,15 @@ impl Waker {
 
 impl Drop for Waker {
     fn drop(&mut self) {
+        // SAFETY: the waker owns `fd`, and this is its one close.
         unsafe { sys::close(self.fd as usize) };
     }
 }
 
+// SAFETY: its one field is an fd number; eventfd reads and writes are
+// atomic in the kernel, so any thread may wake or drain it.
 unsafe impl Send for Waker {}
+// SAFETY: as for `Send`: `&Waker` only passes `fd` to the kernel.
 unsafe impl Sync for Waker {}
 
 /// Start a TCP connect without waiting for it: the returned stream is
@@ -341,7 +433,7 @@ pub fn connect_nonblocking(addr: &SocketAddr) -> io::Result<TcpStream> {
     };
     sa[0..2].copy_from_slice(&family.to_ne_bytes());
     sa[2..4].copy_from_slice(&addr.port().to_be_bytes());
-    // SAFETY: socket(2) takes no pointers.
+    // SAFETY: socket(2) takes no pointer and no fd.
     let fd = check(unsafe {
         sys::socket(family as usize, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC)
     })? as RawFd;
