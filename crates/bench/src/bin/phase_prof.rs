@@ -12,10 +12,10 @@
 //! per call with the grid off (the flat scan) and on — per site the
 //! quantized raster test's rejects,
 //! table reads and stored bytes read per copy, beside the same for the
-//! approximate tier's rerank, the grid's and the raster's build cost,
-//! and a digest of all top-10
-//! lists to compare builds by; its replay duplicates `View::retrieve`'s
-//! loop — see `distance_census`); the plan sweep (`plan_sweep`: the
+//! approximate tier's rerank, the grid lists and raster quads each site
+//! filled on first read and what filling them cost, and a digest of all
+//! top-10 lists to compare builds by; its replay duplicates
+//! `View::retrieve`'s loop — see `distance_census`); the plan sweep (`plan_sweep`: the
 //! paper's index as a verifier, one `retrieve_within(τ)` envelope,
 //! against the scan, by level size, k and query kind); the DESIGN
 //! §12.5 probe (k = 1 self-queries against the half-corpus shard that
@@ -28,12 +28,14 @@
 //! a fresh one).
 //!
 //! ```sh
-//! cargo run --release -p geosir-bench --bin phase_prof [-- n_shapes [large|carry|probe]]
+//! cargo run --release -p geosir-bench --bin phase_prof [-- n_shapes [large|carry|probe|census]]
 //! ```
 //!
 //! `large` adds the sweep's 19 000-image row (≈ 105k shapes in one
 //! level, ≈ 75 s and over a GB resident); `carry` runs the `carry_cost`
-//! section alone (≈ 2 min), `probe` the `probe_plan` one (≈ 1 min).
+//! section alone (≈ 2 min), `probe` the `probe_plan` one (≈ 1 min),
+//! `census` the `distance_census` one (≈ 1 s; `scripts/results_check.sh`
+//! pins its lines that carry no time).
 
 use geosir_bench::scaling_corpus;
 use geosir_core::approx::SigBuckets;
@@ -50,6 +52,7 @@ use geosir_core::similarity::{
 use geosir_core::{ApproxOptions, ApproxScratch, ApproxStats};
 use geosir_geom::envelope::{envelope_cover_into, ring_cover_into};
 use geosir_geom::rangesearch::IndexScratch;
+use geosir_geom::segindex::GRID_N;
 use geosir_geom::{Point, Polyline, Triangle};
 use geosir_geom::rangesearch::Backend;
 use geosir_imaging::synth::{generate, perturb, Corpus, CorpusConfig};
@@ -108,9 +111,14 @@ fn quantized(frame: &LuneFrame, pts: &[Point]) -> Vec<[u16; 2]> {
 /// `query` with its grid and lower-bound raster, and that raster mapped
 /// onto `frame` — the query as the served exact path prepares it.
 fn rastered(query: &Polyline, frame: &LuneFrame) -> (PreparedShape, QuantRaster) {
-    let mut prepared = PreparedShape::new(normalize_about_diameter(query).unwrap().0.shape);
+    laid(normalize_about_diameter(query).unwrap().0.shape, frame)
+}
+
+/// The normalized query `primary` prepared as [`rastered`] does: its grid
+/// and raster laid, every cell unfilled.
+fn laid(primary: Polyline, frame: &LuneFrame) -> (PreparedShape, QuantRaster) {
+    let mut prepared = PreparedShape::new(primary);
     prepared.build_grid();
-    prepared.build_lower_bound();
     let mut raster = QuantRaster::default();
     raster.build(frame, &prepared);
     (prepared, raster)
@@ -297,7 +305,7 @@ fn exact_path_phases() {
                 .iter()
                 .zip(&unjudged[i])
                 .filter(|(_, unjudged)| **unjudged)
-                .map(|((c, q, _), _)| match raster.rejects_under(q, QuantRaster::limit(q.len(), *kth)) {
+                .map(|((c, q, _), _)| match raster.rejects_under(prepared.index(), q, QuantRaster::limit(q.len(), *kth)) {
                     Some(_) => 9.0,
                     None => score_prepared_bounded(KIND, c, prepared, *kth).min(9.0),
                 })
@@ -363,6 +371,9 @@ fn main() {
     }
     if std::env::args().any(|a| a == "probe") {
         return probe_plan();
+    }
+    if std::env::args().any(|a| a == "census") {
+        return distance_census();
     }
     let (shapes, queries) = scaling_corpus(n_shapes);
     let mut builder = ShapeBaseBuilder::new();
@@ -486,7 +497,7 @@ fn forward_calls(
 ) -> (usize, bool) {
     let mut reads = 0;
     if let Some(raster) = raster.filter(|_| cutoff.is_finite()) {
-        match raster.rejects_under(quantized, QuantRaster::limit(quantized.len(), cutoff)) {
+        match raster.rejects_under(query.index(), quantized, QuantRaster::limit(quantized.len(), cutoff)) {
             Some(read) => return (read, true),
             None => reads = quantized.len(),
         }
@@ -518,9 +529,10 @@ fn digest(hasher: &mut DefaultHasher, hits: &[DynMatch]) {
 /// many distances the rest asked for, and how many bytes of the stored
 /// copies all that read — and the same for a fourth site, the
 /// approximate tier's rerank of the seed's candidates (`QueryApprox`:
-/// through the raster too, laid only past k candidates), whose
-/// distances are not in the exact query's count; and what the grid and
-/// the raster cost to build. The world is the benchmark's `exact_sketch` one
+/// through the raster too), whose distances are not in the exact query's
+/// count; per site, how many grid lists and raster quads its reads
+/// filled (a query pays for those cells alone), and what filling them
+/// cost. The world is the benchmark's `exact_sketch` one
 /// ([`canonical_world`]) with a static twin of the level (same copies,
 /// same ids), so each site can be replayed through the public API; the
 /// replay is checked against the runs' own counts and answers.
@@ -551,7 +563,7 @@ fn distance_census() {
     let buckets = SigBuckets::build(family, &twin);
     let mut twin_sigs = vec![Signature::default(); twin.num_copies()];
     for (sig, copies) in buckets.iter() {
-        copies.iter().for_each(|c| twin_sigs[c.index()] = *sig);
+        copies.iter().for_each(|c| twin_sigs[c.index()] = sig);
     }
     let frame = LuneFrame::new(0.0);
     let mut twin_q = Vec::new();
@@ -583,13 +595,16 @@ fn distance_census() {
     let (mut calls, mut edges_off, mut edges_on, mut answered) = ([0usize; 4], 0, 0, 0);
     // per site: bounded scorings, raster rejects, raster cells read, and
     // stored bytes read — as stored, and as an `f64` arena would have held
-    // the same vertices
+    // the same vertices — and the grid lists and raster quads its reads
+    // filled
     let (mut scorings, mut rejects, mut reads) = ([0usize; 4], [0usize; 4], [0usize; 4]);
     let (mut bytes, mut f64_bytes) = ([0usize; 4], [0usize; 4]);
+    let (mut lists, mut quads) = ([0usize; 4], [0usize; 4]);
     let mut scanned = 0;
     let (mut ns_off, mut ns_on) = (0.0, 0.0);
-    // grid, raster: built once as a query meets them, and best of 20
-    let (mut grid_us, mut raster_us) = ([0.0; 2], [0.0; 2]);
+    // filling what the approximate and the exact query filled, and every
+    // cell: once as a query meets it, and best of 20
+    let (mut fill_approx, mut fill_exact, mut fill_all) = ([0.0; 2], [0.0; 2], [0.0; 2]);
     // (fixed keys: equal lists give equal digests across runs and builds
     // of one toolchain)
     let (mut exact_digest, mut approx_digest) = (DefaultHasher::new(), DefaultHasher::new());
@@ -600,43 +615,51 @@ fn distance_census() {
             best.min(t0.elapsed().as_secs_f64())
         })
     };
+    // the cells `filled` names filled in a freshly laid `primary`: µs once,
+    // and best of 20 (each on a fresh lay, which is not timed)
+    let time_fills = |primary: &Polyline, (lists, quads): &(Vec<usize>, Vec<usize>)| {
+        let mut us = [0.0; 2];
+        for (at, reps) in [(0, 1), (1, 20)] {
+            us[at] = 1e6 * (0..reps).fold(f64::INFINITY, |best: f64, _| {
+                let (prepared, raster) = laid(primary.clone(), &frame);
+                let t0 = Instant::now();
+                prepared.index().fill_lists(lists.iter().copied());
+                raster.fill_quads(prepared.index(), quads.iter().copied());
+                best.min(t0.elapsed().as_secs_f64())
+            });
+        }
+        us
+    };
     for q in &queries {
         let primary = normalize_about_diameter(q).expect("sketches have extent").0.shape;
         let plain = PreparedShape::new(primary.clone());
-        // the query as the served exact path prepares it; "once" is the
-        // first build after the previous query's work, as a server meets
-        // it, "best of 20" the same build repeated in a warm cache
-        let (mut grid, mut raster) = (PreparedShape::new(primary), QuantRaster::default());
-        let lay = |grid: &mut PreparedShape, raster: &mut QuantRaster| {
-            grid.build_lower_bound();
-            raster.build(&frame, grid);
-        };
-        grid_us[0] += best_of(1, &mut || grid.build_grid()) * 1e6;
-        raster_us[0] += best_of(1, &mut || lay(&mut grid, &mut raster)) * 1e6;
-        grid_us[1] += best_of(20, &mut || grid.build_grid()) * 1e6;
-        raster_us[1] += best_of(20, &mut || lay(&mut grid, &mut raster)) * 1e6;
         snap.similar_approx_with(&mut scratch, &mut tmp, &mut ax, q, &opts, &mut seeds, &mut astats);
+        let approx_filled = scratch.filled_cells();
         snap.retrieve_with_stats(&mut scratch, &mut tmp, q, K, &mut hits, &mut stats);
+        let exact_filled = scratch.filled_cells();
         digest(&mut approx_digest, &seeds);
         digest(&mut exact_digest, &hits);
         scanned += stats.scan_copies;
         sites.iter_mut().for_each(Vec::clear);
         let rejected_before = rejects;
+        // the query as each tier prepares it, every cell unfilled
+        let (approx_q, exact_q) = (laid(primary.clone(), &frame), laid(primary.clone(), &frame));
+        let grid = &exact_q.0;
 
-        // the one loop: score against the board's cutoff (through
-        // `raster`, when the path has one), keep the per-shape best,
-        // re-derive the k-th; returns "not abandoned"
+        // the one loop: score against the board's cutoff (through the
+        // query's raster), keep the per-shape best, re-derive the k-th;
+        // returns "not abandoned"
         type Board = (HashMap<u64, f64>, f64);
         let mut offer = |(board, cutoff): &mut Board,
-                         raster: Option<&QuantRaster>,
+                         (query, raster): &(PreparedShape, QuantRaster),
                          id: u64,
                          cand: &Polyline,
                          stored: &[[u16; 2]],
                          site: usize| {
             let called = sites[site].len();
-            let (read, rejected) = forward_calls(cand, stored, &grid, raster, *cutoff, &mut sites[site]);
+            let (read, rejected) = forward_calls(cand, stored, query, Some(raster), *cutoff, &mut sites[site]);
             let lookups = sites[site].len() - called;
-            let score = score_bounded_with(KIND, cand, &grid, &mut back, *cutoff);
+            let score = score_bounded_with(KIND, cand, query, &mut back, *cutoff);
             assert!(!rejected || score == f64::INFINITY, "a raster reject must be abandoned");
             scorings[site] += 1;
             rejects[site] += rejected as usize;
@@ -664,6 +687,14 @@ fn distance_census() {
             ranked
         };
         let listed = |hits: &[DynMatch]| hits.iter().map(|m| (m.score, m.shape.0)).collect::<Vec<_>>();
+        // what a prepared query's reads have filled so far
+        let filled = |(query, raster): &(PreparedShape, QuantRaster)| {
+            (query.index().filled_lists().collect::<Vec<_>>(), raster.filled_quads().collect::<Vec<_>>())
+        };
+        let mut count_fills = |site: usize, now: &(Vec<usize>, Vec<usize>), before: &(Vec<usize>, Vec<usize>)| {
+            lists[site] += now.0.len() - before.0.len();
+            quads[site] += now.1.len() - before.1.len();
+        };
         // the cascade's candidates ring by ring (level, then buffer), the
         // level's rings in the order its probe plan emits them
         let qsig = signature_of(family, grid.shape());
@@ -685,36 +716,44 @@ fn distance_census() {
             });
             cands.extend(level_ring.chain(buffer_ring));
         }
-        // reranked from an empty board twice: by the approximate tier,
-        // which lays its raster only past k candidates, and as the exact
-        // query's seed, whose board the scan and the buffer then fill
-        let mut rerank = |raster: Option<&QuantRaster>, site: usize| {
+        // reranked from an empty board twice: by the approximate tier, and
+        // as the exact query's seed, whose board the scan and the buffer
+        // then fill
+        let mut rerank = |prepared: &(PreparedShape, QuantRaster), site: usize| {
             let mut board = (HashMap::new(), f64::INFINITY);
-            let abandoned = cands.iter().filter(|&&(id, cand, stored)| !offer(&mut board, raster, id, cand, stored, site)).count();
+            let abandoned = cands.iter().filter(|&&(id, cand, stored)| !offer(&mut board, prepared, id, cand, stored, site)).count();
             let replayed = (cands.len() as u64, abandoned as u64);
             assert_eq!(replayed, (astats.reranked, astats.abandoned), "{} replay diverged", SITES[site]);
             board
         };
-        let approx = rerank((cands.len() > K).then_some(&raster), EXACT);
+        let approx = rerank(&approx_q, EXACT);
         assert_eq!(ranked(&approx), listed(&seeds), "the approximate replay's answer diverged");
-        let mut board = rerank(Some(&raster), 0);
+        assert_eq!(filled(&approx_q), approx_filled, "the approximate replay filled other cells");
+        count_fills(EXACT, &approx_filled, &Default::default());
+        let mut board = rerank(&exact_q, 0);
+        let seeded = filled(&exact_q);
+        count_fills(0, &seeded, &Default::default());
         // the scan: every copy of the level the seed did not judge
         let (mut copies, mut survivors) = (0, 0);
         for (cid, copy) in twin.copies().filter(|(cid, _)| !judged[cid.index()]) {
             copies += 1;
-            survivors += offer(&mut board, Some(&raster), copy.shape_id.0 as u64, &copy.normalized, &twin_q[cid.index()], 1) as u64;
+            survivors += offer(&mut board, &exact_q, copy.shape_id.0 as u64, &copy.normalized, &twin_q[cid.index()], 1) as u64;
         }
         assert_eq!((copies, survivors), (stats.scan_copies, stats.scan_survivors), "scan replay diverged");
         assert_eq!(buffer.len() as u64, stats.buffer_scored);
+        let scanned_filled = filled(&exact_q);
+        count_fills(1, &scanned_filled, &seeded);
         // the buffer: every copy the seed did not judge (past its last ring)
         let buffered = buffer.iter().flat_map(|(id, copies, stored, sigs)| {
             let unjudged = copies.iter().zip(stored).zip(sigs).filter(|(_, s)| qsig.curve_distance(s) > astats.radius);
             unjudged.map(move |((copy, stored), _)| (*id, copy, stored))
         });
         for (id, copy, stored) in buffered {
-            offer(&mut board, Some(&raster), id, copy.shape(), stored, 2);
+            offer(&mut board, &exact_q, id, copy.shape(), stored, 2);
         }
         assert_eq!(ranked(&board), listed(&hits), "the replay's answer diverged");
+        assert_eq!(filled(&exact_q), exact_filled, "the exact replay filled other cells");
+        count_fills(2, &exact_filled, &scanned_filled);
         // the raster's rejects: seed + scan + buffer on the exact tier,
         // the rerank on the approximate one, as the library reports them
         let rejected: Vec<u64> = (0..SITES.len()).map(|s| (rejects[s] - rejected_before[s]) as u64).collect();
@@ -731,10 +770,15 @@ fn distance_census() {
             edges_on += edges;
             answered += hit as usize;
         }
-        for (ns, prepared) in [(&mut ns_off, &plain), (&mut ns_on, &grid)] {
+        for (ns, prepared) in [(&mut ns_off, &plain), (&mut ns_on, grid)] {
             *ns += 1e9 * best_of(5, &mut || {
                 std::hint::black_box(all.iter().map(|&p| prepared.dist(p)).sum::<f64>());
             });
+        }
+        let every = ((0..GRID_N * GRID_N).collect(), (0..GRID_N * GRID_N).collect());
+        for (sum, cells) in [(&mut fill_approx, &approx_filled), (&mut fill_exact, &exact_filled), (&mut fill_all, &every)] {
+            let us = time_fills(&primary, cells);
+            sum.iter_mut().zip(us).for_each(|(s, us)| *s += us);
         }
     }
     let n = queries.len() as f64;
@@ -769,25 +813,38 @@ fn distance_census() {
             per_copy(f64_bytes[s]),
         );
     }
+    println!("  cells filled per query, of 256 grid lists and 256 raster quads (each on its first read):");
+    for (s, site) in SITES.iter().enumerate() {
+        let more = if s == 0 || s == EXACT { "" } else { "+" };
+        println!("    {site:13} {more}{:5.1} lists, {more}{:5.1} quads", lists[s] as f64 / n, quads[s] as f64 / n);
+    }
     println!(
-        "  grid off: {:5.2} edges per call, {:5.1} ns per call",
-        edges_off as f64 / total as f64,
-        ns_off / total as f64,
+        "    exact query   {:5.1} lists, {:5.1} quads",
+        lists[..EXACT].iter().sum::<usize>() as f64 / n,
+        quads[..EXACT].iter().sum::<usize>() as f64 / n,
     );
     println!(
-        "  grid on:  {:5.2} edges per call, {:5.1} ns per call, {:.2} % of calls answered from \
-         the grid",
+        "  grid off: {:5.2} edges per call; grid on: {:5.2} edges per call, {:.2} % of calls answered \
+         from the grid",
+        edges_off as f64 / total as f64,
         edges_on as f64 / total as f64,
-        ns_on / total as f64,
         100.0 * answered as f64 / total as f64,
     );
     println!(
-        "  build per query: grid {:.1} µs once as a query meets it ({:.1} best of 20 repeats), \
-         raster {:.1} µs once ({:.1} best of 20)",
-        grid_us[0] / n,
-        grid_us[1] / n,
-        raster_us[0] / n,
-        raster_us[1] / n,
+        "  lookup time: grid off {:5.1} ns per call, grid on {:5.1} ns per call (its lists filled)",
+        ns_off / total as f64,
+        ns_on / total as f64,
+    );
+    println!(
+        "  fill per query: exact query {:.1} µs once as a query meets it ({:.1} best of 20 repeats), \
+         approx rerank {:.1} µs once ({:.1} best of 20); every list and quad {:.1} µs once ({:.1} best \
+         of 20)",
+        fill_exact[0] / n,
+        fill_exact[1] / n,
+        fill_approx[0] / n,
+        fill_approx[1] / n,
+        fill_all[0] / n,
+        fill_all[1] / n,
     );
     println!(
         "  top-{K} digests over all sketches: exact {:016x}, approx {:016x}",
@@ -868,7 +925,7 @@ fn plan_sweep(large: bool) {
                     .copies()
                     .zip(&stored)
                     .filter(|((_, copy), q)| {
-                        raster.rejects_under(q, QuantRaster::limit(q.len(), taus[i])).is_none()
+                        raster.rejects_under(query.index(), q, QuantRaster::limit(q.len(), taus[i])).is_none()
                             && score_bounded_with(KIND, &copy.normalized, query, &mut back, taus[i]).is_finite()
                     })
                     .count();

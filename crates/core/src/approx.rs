@@ -271,8 +271,9 @@ impl ApproxScratch {
 /// cursors can hold stable `u32` bucket ids with no lifetimes.
 #[derive(Debug, Clone, Default)]
 pub struct SigBuckets {
-    /// Signature of bucket i.
-    sigs: Vec<Signature>,
+    /// Signature of bucket i, packed ([`Signature::packed`]): the table
+    /// the scan plan reads whole.
+    sigs: Vec<[u8; 4]>,
     /// Bucket i holds `members[starts[i]..starts[i + 1]]`, ascending.
     starts: Vec<u32>,
     members: Vec<CopyId>,
@@ -305,9 +306,9 @@ impl SigBuckets {
             *index.entry(s).or_insert(next)
         }));
         index.shrink_to_fit();
-        let mut bucket_sigs = vec![Signature::default(); index.len()];
+        let mut bucket_sigs = vec![[0u8; 4]; index.len()];
         for (s, &b) in &index {
-            bucket_sigs[b as usize] = *s;
+            bucket_sigs[b as usize] = s.packed();
         }
         // each bucket's start, then filled front to back with the start
         // as its cursor, which leaves it at the bucket's end — the next
@@ -356,7 +357,7 @@ impl SigBuckets {
     /// byte per entry).
     pub(crate) fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.sigs.capacity() * size_of::<Signature>()
+        self.sigs.capacity() * size_of::<[u8; 4]>()
             + (self.starts.capacity() + self.members.capacity()) * 4
             + self.index.capacity() * (size_of::<(Signature, u32)>() + 1)
     }
@@ -385,8 +386,8 @@ impl SigBuckets {
 
     /// Iterate (signature, copies) — the §4.1 storage layouts sort
     /// records by these signatures.
-    pub fn iter(&self) -> impl Iterator<Item = (&Signature, &[CopyId])> {
-        self.sigs.iter().zip((0..).map(|b| self.bucket(b)))
+    pub fn iter(&self) -> impl Iterator<Item = (Signature, &[CopyId])> {
+        self.sigs.iter().map(|s| Signature(s.map(u16::from))).zip((0..).map(|b| self.bucket(b)))
     }
 
     /// Push every bucket at curve distance **exactly** `r` from `query`
@@ -454,7 +455,7 @@ impl SigBuckets {
     /// from `query`, by bucket. Starts the ring order empty.
     fn measure(&self, probe: &mut IndexProbe, query: &QuerySig, probed: &mut u64) {
         probe.dists.clear();
-        query.distances(&self.sigs, &mut probe.dists);
+        query.distances(self.sigs.iter().copied(), &mut probe.dists);
         *probed += self.sigs.len() as u64;
         probe.scan.clear();
         probe.ring_at.clear();
@@ -598,7 +599,7 @@ mod tests {
     fn scan_oracle(sb: &SigBuckets, sig: &Signature, radius: u16) -> Vec<CopyId> {
         let mut want: Vec<CopyId> = Vec::new();
         for (s, copies) in sb.iter() {
-            if sig.curve_distance(s) <= radius {
+            if sig.curve_distance(&s) <= radius {
                 want.extend_from_slice(copies);
             }
         }
@@ -761,7 +762,7 @@ mod tests {
         assert!(sb.num_buckets() >= 1);
         assert!(sb.avg_bucket_size() >= 1.0);
         for (sig, copies) in sb.iter().take(5) {
-            assert_eq!(sb.get(sig), Some(copies));
+            assert_eq!(sb.get(&sig), Some(copies));
         }
         assert_eq!(sb.get(&Signature([u16::MAX, 1, 1, 1])), None);
     }

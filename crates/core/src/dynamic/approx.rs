@@ -8,7 +8,7 @@ use super::exact::{score_onto, Board, Offer, RetrieveStats, Store};
 use super::snapshot::{Prepared, Snapshot};
 use super::DynMatch;
 use crate::approx::{AnswerTier, ApproxOptions, ApproxScratch, ApproxStats};
-use crate::hashing::{signature_of_with, QuerySig};
+use crate::hashing::{signature_of_with, QuerySig, Signature};
 use crate::scratch::MatcherScratch;
 use crate::similarity::PreparedShape;
 
@@ -48,9 +48,9 @@ impl Snapshot {
             out.clear();
             return;
         }
-        let prepared = self.prepare(scratch, query, false);
+        let prepared = self.prepare(scratch, query, raster);
         if prepared != Prepared::Nothing {
-            let (board, _) = self.probe_rerank(ax, scratch, prepared, raster, opts, f64::INFINITY, stats);
+            let (board, _) = self.probe_rerank(ax, scratch, prepared, opts, f64::INFINITY, stats);
             board.finish(out);
         }
         if stats.candidates == 0 {
@@ -69,26 +69,22 @@ impl Snapshot {
     /// k = `opts.k`, resolved) and the candidates; fills the funnel fields
     /// of `stats` and how many candidates the query's raster rejected
     /// (`stats.candidates == 0`: the cascade found nothing). The raster
-    /// is `scratch.raster` when `prepared` is [`Prepared::Rastered`];
-    /// with `lay`, a query prepared without one gets it here when the
-    /// probe collected more than k candidates — with k or fewer the
-    /// cutoff is ∞ until the last of them, and a raster rejects nothing
-    /// against ∞. Calls no other tier: [`Self::approximate`] wraps it
+    /// is `scratch.raster` when `prepared` is [`Prepared::Rastered`]; the
+    /// rerank fills the cells it reads (with k or fewer candidates the
+    /// cutoff is ∞ until the last of them, and a raster reads nothing
+    /// against ∞). Calls no other tier: [`Self::approximate`] wraps it
     /// with the exact fallback, [`Self::seed_and_scan`] keeps the board.
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn probe_rerank<'s>(
         &self,
         ax: &'s mut ApproxScratch,
         scratch: &mut MatcherScratch,
         prepared: Prepared,
-        lay: bool,
         opts: &ApproxOptions,
         within: f64,
         stats: &mut ApproxStats,
     ) -> (Board<'s>, &'s [CandRef]) {
         self.probe(ax, scratch.query.as_ref().expect("prepared"), opts, stats);
-        let laid = lay && ax.cands.len() > opts.k && self.lay_raster(scratch) == Prepared::Rastered;
-        let raster = (laid || prepared == Prepared::Rastered).then_some(&scratch.raster);
+        let raster = (prepared == Prepared::Rastered).then_some(&scratch.raster);
         let ApproxScratch { cands, back, rows, best, ktmp, .. } = ax;
         let mut board = Board { k: opts.k, cutoff: within, rows, slot: best, ktmp, back };
         let offers = cands.iter_mut().map(|c| {
@@ -142,7 +138,7 @@ impl Snapshot {
         // ring order — a stable counting sort, so a ring is one run of
         // `ringed` in (shape, copy) order
         for (bi, b) in self.buffer.iter().enumerate() {
-            query.distances(&b.copies.sigs, dists);
+            query.distances(b.copies.sigs.iter().map(Signature::packed), dists);
             buffered.extend((0..b.copies.len() as u32).map(|ci| (bi as u32, ci)));
         }
         let rings = dists.iter().map(|&d| d as usize + 1).max().unwrap_or(0);

@@ -103,11 +103,12 @@ impl Snapshot {
     /// The seed is [`Self::probe_rerank`], as the approximate tier's
     /// answer is. The query is prepared ([`Self::prepare`]) with
     /// `raster`, its lower-bound raster mapped onto the base's quantized
-    /// frame ([`QuantRaster`]): every bounded scoring of the three steps
-    /// tests a copy's quantized vertices against it first and rejects
-    /// most copies from the table alone, with the verdicts, scores and
-    /// counts it would have had without (`similarity::score_copy_bounded`);
-    /// only a copy the test passes has its vertices recomputed.
+    /// frame ([`QuantRaster`], each cell filled on first read): every
+    /// bounded scoring of the three steps tests a copy's quantized
+    /// vertices against it first and rejects most copies from the table
+    /// alone, with the verdicts, scores and counts it would have had
+    /// without (`similarity::score_copy_bounded`); only a copy the test
+    /// passes has its vertices recomputed.
     /// Allocation-free in steady state. Every caller passes `raster` (the
     /// approximate tier's fallback, what its own leg asked for) and
     /// `handoff`; without the first every scoring computes distances
@@ -142,8 +143,7 @@ impl Snapshot {
             // the rest of `scratch`.
             let mut seed = std::mem::take(&mut scratch.seed);
             let opts = ApproxOptions { k, ..ApproxOptions::default() };
-            let (mut board, cands) =
-                self.probe_rerank(&mut seed, scratch, prepared, false, &opts, within, &mut seed_stats);
+            let (mut board, cands) = self.probe_rerank(&mut seed, scratch, prepared, &opts, within, &mut seed_stats);
             tau = board.cutoff;
             let quant = std::mem::take(&mut scratch.raster);
             let raster = (prepared == Prepared::Rastered).then_some(&quant);
@@ -436,7 +436,7 @@ pub(super) fn scan_chunk(
         if let Some(raster) = raster {
             // (against ∞ — the limit `u64::MAX` — nothing is rejected)
             let limit = limits.get(quantized.len(), board.cutoff);
-            if limit < u64::MAX && raster.rejects_under(quantized, limit).is_some() {
+            if limit < u64::MAX && raster.rejects_under(qprep.index(), quantized, limit).is_some() {
                 done.add(Scored { scored: 1, abandoned: 1, rejected: 1 });
                 continue;
             }

@@ -297,29 +297,33 @@ impl Snapshot {
     }
 
     /// The one query preparation of both tiers: `query` normalized about
-    /// its diameter into `scratch.query`, with its nearest-edge grid
+    /// its diameter into `scratch.query`, with its nearest-edge grid laid
     /// (`MatcherScratch::prepare_query`), then — with `raster` — its
-    /// lower-bound raster ([`Self::lay_raster`]).
+    /// lower-bound raster mapped onto this base's quantized frame into
+    /// `scratch.raster` ([`crate::similarity::QuantRaster::build`]). Both
+    /// are laid empty, in O(1): the query fills the cells it reads, on
+    /// first read. [`Prepared::Rastered`], or [`Prepared::Query`] without
+    /// `raster`, for a query with no grid (over 64 edges) and for a
+    /// raster the map does not fit.
     pub(super) fn prepare(&self, scratch: &mut MatcherScratch, query: &Polyline, raster: bool) -> Prepared {
-        match scratch.prepare_query(query) {
-            false => Prepared::Nothing,
-            true if raster => self.lay_raster(scratch),
-            true => Prepared::Query,
+        if !scratch.prepare_query(query) {
+            return Prepared::Nothing;
         }
-    }
-
-    /// The prepared query's lower-bound raster, laid over its grid
-    /// ([`PreparedShape::build_lower_bound`]) and mapped onto this base's
-    /// quantized frame into `scratch.raster` ([`QuantRaster::build`]):
-    /// [`Prepared::Rastered`], or [`Prepared::Query`] for a query with no
-    /// grid (over 64 edges) or a raster the map does not fit.
-    pub(super) fn lay_raster(&self, scratch: &mut MatcherScratch) -> Prepared {
-        let qprep = scratch.query.as_mut().expect("prepared");
-        qprep.build_lower_bound();
-        match scratch.raster.build(&self.frame, qprep) {
+        let qprep = scratch.query.as_ref().expect("just prepared");
+        let prepared = match raster && scratch.raster.build(&self.frame, qprep) {
             true => Prepared::Rastered,
             false => Prepared::Query,
+        };
+        #[cfg(test)]
+        if super::tests::FILL_AHEAD.with(std::cell::Cell::get) {
+            // (test probe: every cell filled before the query reads one)
+            let cells = 0..geosir_geom::segindex::GRID_N * geosir_geom::segindex::GRID_N;
+            qprep.index().fill_lists(cells.clone());
+            if prepared == Prepared::Rastered {
+                scratch.raster.fill_quads(qprep.index(), cells);
+            }
         }
+        prepared
     }
 
     /// Occupied slots with their index, smallest (most recent) first.

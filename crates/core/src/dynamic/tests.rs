@@ -31,6 +31,10 @@ thread_local! {
     /// Buffered copies the exact tier's buffer pass scored on this thread
     /// (test probe: the seed's hand-off must spare some).
     pub(super) static BUFFER_SCORINGS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Whether [`Snapshot::prepare`] fills every grid list and raster
+    /// quad of the query before the query reads one (test probe: the
+    /// lazy fill must change no answer and no count).
+    pub(super) static FILL_AHEAD: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 fn p(x: f64, y: f64) -> Point {
@@ -142,7 +146,7 @@ fn assert_same_level(got: &Level, want: &Level, what: &str) {
             let (c, i) = l.unpack(*m);
             l.copy_at(c, i)
         };
-        l.buckets.iter().map(|(s, c)| (*s, c.iter().map(member).collect::<Vec<_>>())).collect::<Vec<_>>()
+        l.buckets.iter().map(|(s, c)| (s, c.iter().map(member).collect::<Vec<_>>())).collect::<Vec<_>>()
     };
     assert_eq!(buckets(got), buckets(want), "{what}: bucket membership");
     // each member's owner beside it, as its chunk says

@@ -44,7 +44,6 @@ fn quantized_copy_off_the_frame_takes_the_distance_loop() {
     assert!(arena.quantized(0).is_empty() && arena.quantized(1).len() == 3);
     let mut query = PreparedShape::new(Polyline::closed(vec![p(0.0, 0.0), p(1.0, 0.0), p(0.5, -0.5)]).unwrap());
     query.build_grid();
-    query.build_lower_bound();
     let mut raster = QuantRaster::default();
     assert!(raster.build(&frame, &query));
     let copy = StoredCopy { src: &outside, fwd: &identity, closed: true };

@@ -337,6 +337,84 @@ fn the_raster_changes_no_verdict_and_no_count() {
 }
 
 #[test]
+fn quantized_cells_filled_ahead_change_no_answer_and_no_count() {
+    // every grid list and raster quad filled before the query reads one,
+    // against each filled on its first read: the same answers, the same
+    // `RetrieveStats` and `ApproxStats`, the same seed verdicts, on both
+    // tiers and a threshold query — and the lazy runs did leave cells
+    // unfilled, or this proves nothing
+    let (snap, queries) = near_match_world();
+    let mut scratch = MatcherScratch::new();
+    let mut ax = ApproxScratch::new();
+    let mut unfilled = 0;
+    for (i, q) in queries.iter().enumerate() {
+        for (k, within) in [(1, f64::INFINITY), (4, f64::INFINITY), (10, f64::INFINITY), (usize::MAX, 0.05)] {
+            let mut run = |ahead: bool| {
+                FILL_AHEAD.with(|f| f.set(ahead));
+                let (mut exact, mut stats) = (Vec::new(), RetrieveStats::default());
+                snap.seed_and_scan(k, within, &mut scratch, q, true, &mut exact, &mut stats, None, true);
+                let seeded: Vec<_> = scratch.seed.cands.iter().map(|c| (c.level, c.a, c.b, c.verdict.to_bits())).collect();
+                let filled = scratch.filled_cells();
+                let (mut approx, mut approx_stats) = (Vec::new(), ApproxStats::default());
+                let opts = ApproxOptions { k: k.min(10), ..ApproxOptions::default() };
+                snap.approximate(&mut scratch, &mut ax, q, &opts, &mut approx, &mut approx_stats, true);
+                let reranked: Vec<_> = ax.cands.iter().map(|c| (c.level, c.a, c.b, c.verdict.to_bits())).collect();
+                FILL_AHEAD.with(|f| f.set(false));
+                let answers = (id_bits(&exact), stats, seeded, id_bits(&approx), approx_stats, reranked);
+                (answers, filled.0.len() + filled.1.len())
+            };
+            let (ahead, all) = run(true);
+            let (lazy, some) = run(false);
+            assert_eq!(all, 2 * 256, "query {i}, k = {k}: filled ahead");
+            assert_eq!(lazy, ahead, "query {i}, k = {k}, within {within}");
+            unfilled += all - some;
+        }
+    }
+    assert!(unfilled > 0, "every lazy run filled every cell");
+}
+
+#[test]
+fn quantized_cells_are_the_prepared_querys_own() {
+    // query A fills some of its grid lists and raster quads; B, prepared
+    // next in the same scratch, is laid empty and reads its own cells —
+    // every lookup and every raster bound that of B prepared in a fresh
+    // scratch. An index whose rebuild kept A's filled cells, or a raster
+    // whose lay kept A's bounds, would serve them to B.
+    let (snap, queries) = near_match_world();
+    let mut scratch = MatcherScratch::new();
+    let (mut out, mut stats) = (Vec::new(), RetrieveStats::default());
+    let mut rng = StdRng::seed_from_u64(67);
+    let mut compared = 0;
+    for pair in queries.windows(2) {
+        let [a, b] = pair else { unreachable!() };
+        snap.seed_and_scan(3, f64::INFINITY, &mut scratch, a, true, &mut out, &mut stats, None, true);
+        let (lists, quads) = scratch.filled_cells();
+        assert!(!lists.is_empty() && !quads.is_empty(), "A filled nothing");
+        assert_eq!(snap.prepare(&mut scratch, b, true), Prepared::Rastered);
+        assert_eq!(scratch.filled_cells(), (Vec::new(), Vec::new()), "B is laid empty");
+        let mut fresh = MatcherScratch::new();
+        assert_eq!(snap.prepare(&mut fresh, b, true), Prepared::Rastered);
+        let (got, want) = (scratch.query.as_ref().expect("B"), fresh.query.as_ref().expect("B"));
+        let [x0, y0, w, h] = got.index().lower_bound_box().expect("a grid");
+        assert_eq!(Some([x0, y0, w, h]), want.index().lower_bound_box());
+        // a few points in every raster cell, A's filled ones among them
+        for c in 0..32 * 32 {
+            let (i, j) = ((c % 32) as f64, (c / 32) as f64);
+            for _ in 0..3 {
+                let v = p(x0 + (i + rng.random_range(0.0..1.0)) * w, y0 + (j + rng.random_range(0.0..1.0)) * h);
+                assert_eq!(got.dist(v).to_bits(), want.dist(v).to_bits(), "lookup at {v:?}");
+                if let Some(step) = snap.frame.quantize(v) {
+                    let bound = scratch.raster.bound_at(got.index(), step);
+                    assert_eq!(bound, fresh.raster.bound_at(want.index(), step), "bound at {v:?}");
+                    compared += 1;
+                }
+            }
+        }
+    }
+    assert!(compared > 10_000, "{compared} bounds compared");
+}
+
+#[test]
 fn served_scratch_holds_8_bytes_a_copy_of_the_largest_level() {
     // after warm exact and approximate queries a worker's scratch holds
     // one copy stamp per copy of the largest level, and none of the §2.5
@@ -432,7 +510,6 @@ fn quantized_scan_loop_counts() {
 
     let mut query = PreparedShape::new(crate::normalize::normalize_about_diameter(&perturb(&proto, &mut rng, 0.01)).unwrap().0.shape);
     query.build_grid();
-    query.build_lower_bound();
     let mut raster = QuantRaster::default();
     assert!(raster.build(&frame, &query));
 

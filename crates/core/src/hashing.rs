@@ -211,6 +211,14 @@ impl std::hash::Hash for Signature {
 }
 
 impl Signature {
+    /// The four curves a byte each, as the signature index keeps them: a
+    /// family has at most 255 curves (`CurveFamily::new`), so each value
+    /// fits.
+    pub(crate) fn packed(&self) -> [u8; 4] {
+        debug_assert!(self.0.iter().all(|&v| v <= u8::MAX as u16), "{self:?} is no family's");
+        self.0.map(|v| v as u8)
+    }
+
     /// Chebyshev distance between signatures over the quarters where both
     /// sides have vertices (0 = empty quarter is ignored).
     pub fn curve_distance(&self, other: &Signature) -> u16 {
@@ -247,16 +255,16 @@ impl QuerySig {
         QuerySig { sig, table }
     }
 
-    /// The curve distance to each of `sigs`, appended to `out` in order —
-    /// a byte each, as a family has at most 255 curves, so a curve value
-    /// indexes the table as it is. The probe's one distance loop: a
-    /// level's bucket table and the insert buffer's copies are measured
+    /// The curve distance to each of `sigs`, packed
+    /// ([`Signature::packed`]), appended to `out` in order — a byte each,
+    /// as a family has at most 255 curves, so a curve value indexes the
+    /// table as it is. The probe's one distance loop: a level's bucket
+    /// table (4 B a bucket) and the insert buffer's copies are measured
     /// through it.
-    pub(crate) fn distances(&self, sigs: &[Signature], out: &mut Vec<u8>) {
+    pub(crate) fn distances(&self, sigs: impl IntoIterator<Item = [u8; 4]>, out: &mut Vec<u8>) {
         let [t0, t1, t2, t3] = &self.table;
-        out.extend(sigs.iter().map(|s| {
-            debug_assert!(s.0.iter().all(|&v| v <= u8::MAX as u16), "{s:?} is no family's");
-            let [a, b, c, d] = s.0.map(|v| v as u8 as usize);
+        out.extend(sigs.into_iter().map(|[a, b, c, d]| {
+            let [a, b, c, d] = [a, b, c, d].map(usize::from);
             t0[a].max(t1[b]).max(t2[c].max(t3[d]))
         }));
     }
@@ -343,7 +351,7 @@ impl GeometricHash {
 
     /// Iterate over (signature, copies) buckets — the storage layouts sort
     /// records by these signatures (§4.1).
-    pub fn buckets(&self) -> impl Iterator<Item = (&Signature, &[CopyId])> {
+    pub fn buckets(&self) -> impl Iterator<Item = (Signature, &[CopyId])> {
         self.buckets.iter()
     }
 
@@ -687,7 +695,7 @@ mod tests {
                 // scan oracle
                 let mut want: Vec<CopyId> = Vec::new();
                 for (s, copies) in gh.buckets() {
-                    if sig.curve_distance(s) <= radius {
+                    if sig.curve_distance(&s) <= radius {
                         want.extend_from_slice(copies);
                     }
                 }
@@ -774,7 +782,7 @@ mod tests {
             prop_assert_eq!(sb.curve_distance(&sb), 0);
             // the probe's table measures the same distances
             let mut by_table = Vec::new();
-            QuerySig::new(sa).distances(&[sb, sa], &mut by_table);
+            QuerySig::new(sa).distances([sb, sa].map(|s| s.packed()), &mut by_table);
             prop_assert_eq!(by_table, vec![sa.curve_distance(&sb) as u8, 0]);
         }
 

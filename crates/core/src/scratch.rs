@@ -80,8 +80,8 @@ pub struct MatcherScratch {
     /// whole exact query fills. (A level scan marks the copies the seed
     /// settled in `scored_stamp`.)
     pub(crate) seed: ApproxScratch,
-    /// The query's lower-bound raster as quantized copies read it —
-    /// laid by either tier, the approximate one past k candidates.
+    /// The query's lower-bound raster as quantized copies read it — laid
+    /// by either tier's preparation, filled by its reads.
     pub(crate) raster: QuantRaster,
     /// The buffered copies the seed judged, as (buffer slot, copy)
     /// sorted: what the exact tier's buffer pass leaves out.
@@ -176,14 +176,22 @@ impl MatcherScratch {
     /// Every distance of the query about to run — ring membership,
     /// resolve, seed rerank, buffer scan — is measured against
     /// `self.query`: thousands of lookups, so it alone gets the
-    /// nearest-edge grid (§2.5's Voronoi lookup). Built unconditionally
-    /// for a query of ≤ 64 edges, nothing above that: ≈ 32 µs once per
-    /// query as a server meets it on a shared 2-vCPU x86-64 host (≈ 24 µs
-    /// when one query's build is repeated in a warm cache), a gain from
-    /// about a thousand lookups up, which every measured base gives;
-    /// unmeasured on a base too small for that (DESIGN §11.6).
+    /// nearest-edge grid (§2.5's Voronoi lookup). Laid unconditionally
+    /// for a query of ≤ 64 edges, nothing above that, in O(1): a cell's
+    /// list is filled by the first lookup that lands in it, so a query
+    /// pays for the cells it reads and no more (DESIGN §11.6).
     fn grid_query(&mut self) {
         self.query.as_mut().expect("just prepared").build_grid();
+    }
+
+    /// The grid lists and raster quads the query prepared last has
+    /// filled so far, as grid cells — the census `phase_prof` prints.
+    #[doc(hidden)]
+    pub fn filled_cells(&self) -> (Vec<usize>, Vec<usize>) {
+        let Some(index) = self.query.as_ref().map(PreparedShape::index) else { return Default::default() };
+        // (a query with no grid has no raster; the table is the last one's)
+        let quads = index.lower_bound_box().map(|_| self.raster.filled_quads().collect());
+        (index.filled_lists().collect(), quads.unwrap_or_default())
     }
 }
 

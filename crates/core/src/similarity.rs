@@ -18,7 +18,9 @@
 //! the query's lower-bound raster ([`QuantRaster`], DESIGN.md §11.7).
 
 use geosir_geom::numeric::integrate;
-use geosir_geom::segindex::{SegmentIndex, FLAT_MAX};
+use std::cell::Cell;
+
+use geosir_geom::segindex::{SegmentIndex, FLAT_MAX, GRID_N, RASTER_N};
 use geosir_geom::{Point, Polyline, Similarity, EPS};
 
 /// How a candidate shape is scored against the query.
@@ -61,25 +63,17 @@ impl PreparedShape {
         self.index.rebuild_of_polyline(&self.shape);
     }
 
-    /// Put the nearest-edge grid in front of this shape's index
-    /// ([`SegmentIndex::build_grid`]) — for the one shape of a query that
-    /// every distance is measured against, not for stored copies or the
-    /// reverse-direction candidate, which are probed a few dozen times
-    /// each. Distances are unchanged bit for bit; any `rebuild_*` drops it.
+    /// Lay the nearest-edge grid in front of this shape's index
+    /// ([`SegmentIndex::build_grid`]): its box and an empty cell table,
+    /// each cell's list filled on first read, and the lower-bound raster
+    /// a [`QuantRaster`] maps onto the stored copies' frame, filled the
+    /// same way. For the one shape of a query that every distance is
+    /// measured against, not for stored copies or the reverse-direction
+    /// candidate, which are probed a few dozen times each. Distances are
+    /// unchanged bit for bit; any `rebuild_*` drops the grid with every
+    /// cell it filled.
     pub fn build_grid(&mut self) {
         self.index.build_grid();
-    }
-
-    /// Lay the lower-bound raster over the grid
-    /// ([`SegmentIndex::build_lower_bound`]), which a [`QuantRaster`] maps
-    /// onto the stored copies' frame so the bounded scorer can reject a
-    /// copy from the table alone. For the query of either tier — an exact
-    /// query rejects thousands of copies, a `QueryApprox` rerank hundreds
-    /// — once the approximate tier's probe has more than k candidates;
-    /// verdicts and scores are unchanged bit for bit, and any `rebuild_*`
-    /// drops it.
-    pub fn build_lower_bound(&mut self) {
-        self.index.build_lower_bound();
     }
 
     pub fn shape(&self) -> &Polyline {
@@ -392,12 +386,16 @@ impl LuneFrame {
     }
 }
 
-/// Cells a side of the query's lower-bound raster the quantized test
-/// reads (`SegmentIndex::build_lower_bound`'s; any other size is not
-/// mapped).
-const CELLS: usize = 32;
 /// A cell's bound as an integer: units of 2⁻²⁴.
 const BOUND_ONE: f64 = 16_777_216.0;
+/// A raster cell not filled yet. A filled cell holds at most one less: a
+/// bound that would reach it is lowered, which keeps it a bound.
+const NOT_YET: u32 = u32::MAX;
+
+/// The raster cell at grid cell `c`'s lower-left, where its quad begins.
+fn corner(c: usize) -> usize {
+    c / GRID_N * 2 * RASTER_N + c % GRID_N * 2
+}
 
 /// A query's lower-bound raster as quantized copies read it (DESIGN
 /// §11.7): per axis a 32.32 fixed-point map from a frame step to a raster
@@ -406,30 +404,35 @@ const BOUND_ONE: f64 = 16_777_216.0;
 /// the map's own rounding, so a cell still bounds the distance of every
 /// stored vertex the map sends to it. Bounds are kept in integer units of
 /// 2⁻²⁴, rounded down: a copy's sum is then exact, and the same in any
-/// order. Built at most once per query of either tier into the scratch;
-/// allocation-free once warm.
+/// order. Laid at most once per query of either tier into the scratch, in
+/// O(1) and allocation-free once warm: the table starts empty, and the
+/// first read of a cell fills its quad — the four cells of one grid cell —
+/// from the query's [`SegmentIndex::lower_bound_quad`].
 #[derive(Debug, Default)]
 pub struct QuantRaster {
     /// `cell = (step · mul + add) >> 32`, x then y.
     mul: [i64; 2],
     add: [i64; 2],
-    /// `CELLS²` bounds less δ, row-major; empty = off.
-    cells: Vec<u32>,
+    /// δ, in the query's units.
+    delta: f64,
+    /// `RASTER_N²` bounds less δ, row-major, [`NOT_YET`] until read;
+    /// empty = off.
+    cells: Vec<Cell<u32>>,
 }
 
 impl QuantRaster {
     /// Lay it over `query`'s lower-bound raster for copies stored in
-    /// `frame`. `false` — and off — when the query has no raster, or when
-    /// its raster lies so far from the frame, or is so fine against it,
-    /// that the map would not fit 64-bit arithmetic.
+    /// `frame`, every cell unfilled. `false` — and off — when the query has
+    /// no grid, or when its raster lies so far from the frame, or is so
+    /// fine against it, that the map would not fit 64-bit arithmetic.
     pub fn build(&mut self, frame: &LuneFrame, query: &PreparedShape) -> bool {
         self.cells.clear();
-        let Some(r) = query.index().lower_bound_raster().filter(|r| r.n == CELLS) else {
+        let Some([x0, y0, w, h]) = query.index().lower_bound_box() else {
             return false;
         };
         let fixed = |v: f64| (v * 4_294_967_296.0).round();
-        let mul = [fixed(frame.step / r.w), fixed(frame.step / r.h)];
-        let add = [fixed((frame.x0 - r.x0) / r.w), fixed((frame.y0 - r.y0) / r.h)];
+        let mul = [fixed(frame.step / w), fixed(frame.step / h)];
+        let add = [fixed((frame.x0 - x0) / w), fixed((frame.y0 - y0) / h)];
         // |step · mul + add| < 2¹⁶ · 2⁴⁶ + 2⁴⁶ < 2⁶³ (written so that NaN
         // fails)
         if !mul.iter().chain(&add).all(|v| v.abs() < 70_368_744_177_664.0) {
@@ -438,29 +441,70 @@ impl QuantRaster {
         (self.mul, self.add) = (mul.map(|v| v as i64), add.map(|v| v as i64));
         // |v − p| for a stored vertex v and the point p the map places in
         // its cell: under √2 · (a step + the map's error, < 10⁻⁵ of a cell)
-        let delta = 2.0 * frame.step + 1e-4 * r.w.max(r.h);
-        // (the scaling is exact, the cast rounds down and saturates)
-        let fixed_bound = |lb: f64| ((lb - delta).max(0.0) * BOUND_ONE) as u32;
-        self.cells.extend(r.cells.iter().map(|&lb| fixed_bound(lb)));
+        self.delta = 2.0 * frame.step + 1e-4 * w.max(h);
+        self.cells.resize(RASTER_N * RASTER_N, Cell::new(NOT_YET));
         true
     }
 
-    /// The bound under a stored vertex, in units of 2⁻²⁴ — its cell's, 0
-    /// outside the raster; `None` when the raster is off.
+    /// The bound under a stored vertex, in units of 2⁻²⁴ — its cell's,
+    /// filled from `query` on first read, 0 outside the raster; `None`
+    /// when the raster is off.
     #[inline]
-    fn bounds(&self) -> Option<impl Fn(&[u16; 2]) -> u64 + '_> {
-        let cells: &[u32; CELLS * CELLS] = self.cells.as_slice().try_into().ok()?;
+    fn bounds<'a>(&'a self, query: &'a SegmentIndex) -> Option<impl Fn(&[u16; 2]) -> u64 + 'a> {
+        let cells: &[Cell<u32>; RASTER_N * RASTER_N] = self.cells.as_slice().try_into().ok()?;
         let ([mx, my], [ax, ay]) = (self.mul, self.add);
         Some(move |&[x, y]: &[u16; 2]| {
             let i = ((x as i64 * mx + ax) >> 32) as u64;
             let j = ((y as i64 * my + ay) >> 32) as u64;
-            // (a negative column wraps far past CELLS: outside reads 0)
-            if (i | j) < CELLS as u64 {
-                cells[(j as usize * CELLS + i as usize) % (CELLS * CELLS)] as u64
-            } else {
-                0
+            // (a negative column wraps far past RASTER_N: outside reads 0)
+            if (i | j) >= RASTER_N as u64 {
+                return 0;
+            }
+            let at = (j as usize * RASTER_N + i as usize) % (RASTER_N * RASTER_N);
+            match cells[at].get() {
+                NOT_YET => self.fill(query, at) as u64,
+                bound => bound as u64,
             }
         })
+    }
+
+    /// The bound under one stored vertex at `step`, as the raster test
+    /// reads it (0 when the raster is off).
+    #[cfg(test)]
+    pub(crate) fn bound_at(&self, query: &SegmentIndex, step: [u16; 2]) -> u64 {
+        self.bounds(query).map_or(0, |bound| bound(&step))
+    }
+
+    /// Fill the quad raster cell `at` lies in — the four cells of one
+    /// grid cell — from `query`'s [`SegmentIndex::lower_bound_quad`],
+    /// each less δ; returns `at`'s.
+    #[cold]
+    #[inline(never)]
+    fn fill(&self, query: &SegmentIndex, at: usize) -> u32 {
+        let c = at / RASTER_N / 2 * GRID_N + at % RASTER_N / 2;
+        for (k, lb) in query.lower_bound_quad(c).into_iter().enumerate() {
+            // (the scaling is exact, the cast rounds down and saturates)
+            let bound = ((lb - self.delta).max(0.0) * BOUND_ONE) as u32;
+            self.cells[corner(c) + k / 2 * RASTER_N + k % 2].set(bound.min(NOT_YET - 1));
+        }
+        self.cells[at].get()
+    }
+
+    /// The grid cells whose quad is filled, ascending — the census
+    /// `phase_prof` prints.
+    #[doc(hidden)]
+    pub fn filled_quads(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..GRID_N * GRID_N).filter(|&c| self.cells.get(corner(c)).is_some_and(|b| b.get() != NOT_YET))
+    }
+
+    /// Fill the quads of grid cells `quads` now from `query`, as reads
+    /// there would: how the census times a query's fills, and how a test
+    /// fills every cell before a query reads one.
+    #[doc(hidden)]
+    pub fn fill_quads(&self, query: &SegmentIndex, quads: impl IntoIterator<Item = usize>) {
+        if !self.cells.is_empty() {
+            quads.into_iter().for_each(|c| _ = self.fill(query, corner(c)));
+        }
     }
 
     /// The integer limit a copy of `n` quantized vertices is tested
@@ -486,10 +530,12 @@ impl QuantRaster {
     /// After how many of the quantized vertices `q` — read four at a time
     /// — the sum of their bounds passes `limit` ([`Self::limit`]); `None`
     /// when it never does, when the raster is off, and for a copy stored
-    /// without quantized vertices (an empty sum passes no limit).
+    /// without quantized vertices (an empty sum passes no limit). `query`
+    /// is the index the raster was laid over, which fills what is read
+    /// first.
     #[inline]
-    pub fn rejects_under(&self, q: &[[u16; 2]], limit: u64) -> Option<usize> {
-        let bound = self.bounds()?;
+    pub fn rejects_under(&self, query: &SegmentIndex, q: &[[u16; 2]], limit: u64) -> Option<usize> {
+        let bound = self.bounds(query)?;
         let mut quads = q.chunks_exact(4);
         let mut sum = 0;
         for (at, four) in quads.by_ref().enumerate() {
@@ -547,7 +593,7 @@ pub(crate) fn score_copy_bounded<'c>(
 ) -> (f64, bool) {
     let discrete = matches!(kind, ScoreKind::DiscreteDirected | ScoreKind::DiscreteSymmetric);
     if let Some(raster) = raster.filter(|_| discrete && cutoff.is_finite()) {
-        if raster.rejects_under(quantized, QuantRaster::limit(quantized.len(), cutoff)).is_some() {
+        if raster.rejects_under(query.index(), quantized, QuantRaster::limit(quantized.len(), cutoff)).is_some() {
             return (f64::INFINITY, true);
         }
     }
@@ -716,8 +762,8 @@ mod tests {
         /// its limit once per vertex count: the reference
         /// [`QuantRaster::limit`] + [`QuantRaster::rejects_under`] must
         /// decide as.
-        fn rejects_after(&self, q: &[[u16; 2]], cutoff: f64) -> Option<usize> {
-            let bound = self.bounds()?;
+        fn rejects_after(&self, query: &SegmentIndex, q: &[[u16; 2]], cutoff: f64) -> Option<usize> {
+            let bound = self.bounds(query)?;
             let widen = 1.0 + 1e-9 + q.len() as f64 * 2.3e-16;
             let limit = abandon_limit(cutoff, q.len()) * widen * BOUND_ONE;
             if limit.is_nan() || limit < 0.0 {
@@ -737,6 +783,31 @@ mod tests {
         }
     }
 
+    /// A query's lower-bound raster as the eager lay once held it, every
+    /// cell's `f64` bound from [`SegmentIndex::lower_bound_quad`]: cell
+    /// `(i, j)` covers `[x0 + i·w, …) × [y0 + j·h, …)`, row-major.
+    struct EagerRaster {
+        x0: f64,
+        y0: f64,
+        w: f64,
+        h: f64,
+        n: usize,
+        cells: Vec<f64>,
+    }
+
+    impl EagerRaster {
+        fn of(query: &SegmentIndex) -> Option<EagerRaster> {
+            let [x0, y0, w, h] = query.lower_bound_box()?;
+            let mut cells = vec![0.0; RASTER_N * RASTER_N];
+            for c in 0..GRID_N * GRID_N {
+                for (k, lb) in query.lower_bound_quad(c).into_iter().enumerate() {
+                    cells[(2 * (c / GRID_N) + k / 2) * RASTER_N + 2 * (c % GRID_N) + k % 2] = lb;
+                }
+            }
+            Some(EagerRaster { x0, y0, w, h, n: RASTER_N, cells })
+        }
+    }
+
     /// The scan's two-step raster test decides as the one-call test did:
     /// for every vertex count 0..=70 — the test's quads, their remainders,
     /// past the scan's table of limits — and cutoffs of 0, negative, NaN,
@@ -751,10 +822,9 @@ mod tests {
         let qshape = random_shape(&mut rng, 12, true, -1.0..1.0, -1.0..1.0);
         let mut query = PreparedShape::new(normalized_copies(&qshape, 0.0).swap_remove(0).shape);
         query.build_grid();
-        query.build_lower_bound();
         let mut raster = QuantRaster::default();
         assert!(raster.build(&frame, &query));
-        let bound = raster.bounds().expect("built");
+        let bound = raster.bounds(query.index()).expect("built");
         let (mut rejects, mut passes) = (0, 0);
         for n in 0..=70 {
             for trial in 0..12 {
@@ -780,11 +850,11 @@ mod tests {
                     at = at.next_up();
                 }
                 for cutoff in cutoffs {
-                    let got = raster.rejects_under(&q, QuantRaster::limit(n, cutoff));
-                    assert_eq!(got, raster.rejects_after(&q, cutoff), "n = {n}, cutoff {cutoff}, bound sum {sum}");
+                    let got = raster.rejects_under(query.index(), &q, QuantRaster::limit(n, cutoff));
+                    assert_eq!(got, raster.rejects_after(query.index(), &q, cutoff), "n = {n}, cutoff {cutoff}, bound sum {sum}");
                     rejects += got.is_some() as usize;
                     passes += got.is_none() as usize;
-                    assert_eq!(QuantRaster::default().rejects_under(&q, QuantRaster::limit(n, cutoff)), None);
+                    assert_eq!(QuantRaster::default().rejects_under(query.index(), &q, QuantRaster::limit(n, cutoff)), None);
                 }
             }
         }
@@ -938,7 +1008,6 @@ mod tests {
             let qshape = random_shape(&mut rng, 12, true, -1.0..1.0, -1.0..1.0);
             let mut query = PreparedShape::new(normalized_copies(&qshape, 0.0).swap_remove(0).shape);
             query.build_grid();
-            query.build_lower_bound();
             let mut raster = QuantRaster::default();
             prop_assert!(raster.build(&frame, &query));
             let identity = Similarity { a: 1.0, b: 0.0, tx: 0.0, ty: 0.0 };
@@ -1000,11 +1069,10 @@ mod tests {
             };
             let mut query = PreparedShape::new(qshape);
             query.build_grid();
-            query.build_lower_bound();
             let mut raster = QuantRaster::default();
             prop_assert!(raster.build(&frame, &query));
-            let bound = raster.bounds().expect("built");
-            let cells = query.index().lower_bound_raster().expect("built");
+            let bound = raster.bounds(query.index()).expect("built");
+            let cells = EagerRaster::of(query.index()).expect("a grid");
 
             let (x0, y0, step) = (frame.x0, frame.y0, frame.step);
             let (x1, y1) = (x0 + 2.0 * r, y0 + 2.0 * r);
@@ -1043,12 +1111,10 @@ mod tests {
                 }
             }
             // the two halves of the argument: each cell holds its bound
-            // less δ, and the map sends a stored vertex to a cell less
-            // than δ away — a step to round it and 10⁻⁵ of a cell to map it
+            // less δ (checked below, once the reads have filled what they
+            // fill), and the map sends a stored vertex to a cell less than
+            // δ away — a step to round it and 10⁻⁵ of a cell to map it
             let delta = 2.0 * step + 1e-4 * cells.w.max(cells.h);
-            for (held, lb) in raster.cells.iter().zip(cells.cells) {
-                prop_assert!(*held as f64 / BOUND_ONE <= (lb - delta).max(0.0), "cell {} for bound {}", held, lb);
-            }
             let reach = 2f64.sqrt() * (1.000_001 * step + 1e-5 * cells.w.max(cells.h));
             prop_assert!(reach < delta);
             for &v in &probes {
@@ -1078,12 +1144,17 @@ mod tests {
                 prop_assert!(sum as f64 / BOUND_ONE <= forward, "bounds {} over distances {}", sum as f64 / BOUND_ONE, forward);
                 let mean = forward / verts.len() as f64;
                 for cutoff in [0.0, mean, mean * 0.999, mean * rng.random_range(0.2..1.0), mean * 1.001] {
-                    if raster.rejects_after(&q, cutoff).is_some() {
+                    if raster.rejects_after(query.index(), &q, cutoff).is_some() {
                         let abandoned = h_avg_discrete_abandoning(verts.iter().copied(), &query, cutoff);
                         prop_assert_eq!(abandoned, f64::INFINITY, "rejected at cutoff {} (mean {})", cutoff, mean);
                     }
                 }
-                prop_assert_eq!(raster.rejects_after(&[], mean), None);
+                prop_assert_eq!(raster.rejects_after(query.index(), &[], mean), None);
+            }
+            raster.fill_quads(query.index(), 0..GRID_N * GRID_N);
+            for (held, &lb) in raster.cells.iter().zip(&cells.cells) {
+                let held = held.get();
+                prop_assert!(held != NOT_YET && held as f64 / BOUND_ONE <= (lb - delta).max(0.0), "cell {} for bound {}", held, lb);
             }
         }
 

@@ -16,10 +16,12 @@
 //! A flat set that is about to answer thousands of lookups — a *query*
 //! shape — can put the bucketed form of §2.5's Voronoi diagram in front of
 //! the scan: [`SegmentIndex::build_grid`] lays `GRID_N × GRID_N` cells over
-//! the edges' bounding box (grown by `GRID_MARGIN` of its longer side) and
-//! gives each cell the list of edges that can be nearest to *any* of its
-//! points. For a cell with centre `m`, half-diagonal `h` and
-//! `D = min_s d(m, s)`, the list is every edge with `d(m, s) ≤ D + 2h`:
+//! the edges' bounding box (grown by `GRID_MARGIN` of its longer side),
+//! and each cell holds the list of edges that can be nearest to *any* of
+//! its points, filled on first read — the first lookup that lands in the
+//! cell computes it, every later one reads it. For a cell with centre `m`,
+//! half-diagonal `h` and `D = min_s d(m, s)`, the list is every edge with
+//! `d(m, s) ≤ D + 2h`:
 //!
 //! 1. a point `p` of the cell has `|p − m| ≤ h`, so `d(p, s_D) ≤ D + h` for
 //!    the edge `s_D` nearest to `m`;
@@ -31,45 +33,50 @@
 //! flat scan's `(index, d²)` bit for bit — the grid narrows which edges the
 //! one distance formula is applied to, nothing else. The list radius
 //! carries a relative slack (`GRID_SLACK`) that dwarfs the rounding of the
-//! cell assignment and of the distances, which is why no grid is built
+//! cell assignment and of the distances, which is why no grid is laid
 //! when a cell would be smaller than `GRID_MIN_CELL` of the coordinates'
 //! magnitude (that also rejects non-finite and zero-extent boxes). A point
 //! outside the grid, a cell whose list exceeds `GRID_CAP` edges, and an
 //! index without a grid all fall through to the flat scan.
 //!
-//! The grid is built **only** by an explicit `build_grid` call, and every
-//! `rebuild` drops it (keeping its allocation): stored copies and the
-//! reverse-direction candidate index are probed a few dozen times each and
-//! never pay for one, and a re-used index can never answer from the grid
-//! of its previous shape. Sets larger than `FLAT_MAX` keep the tree alone.
+//! The grid is laid **only** by an explicit `build_grid` call, and every
+//! `rebuild` drops it with every list it filled (keeping its allocation):
+//! stored copies and the reverse-direction candidate index are probed a
+//! few dozen times each and never pay for one, and a re-used index can
+//! never answer from a list of its previous shape. Sets larger than
+//! `FLAT_MAX` keep the tree alone. A cell's list is a function of the
+//! edges and the cell alone, so the moment it is filled changes nothing
+//! any caller reads.
 //!
 //! # The lower-bound raster
 //!
-//! [`SegmentIndex::build_lower_bound`] splits every grid cell in four and
-//! stores, per `RASTER_N × RASTER_N` cell with centre `m` and
-//! half-diagonal `h`, `lb = max(0, D·(1 − s) − h·(1 + s))` with
-//! `D = dist(m)` — the same scan over the list of the grid cell `m` lies
-//! in, which holds every edge nearest to it, or over every edge where
-//! that list overflowed — and `s = GRID_SLACK`. A point `p` of the cell
-//! has `|p − m| ≤ h`, so by the triangle inequality `dist(p) ≥ D − h ≥
-//! lb`; the slack covers the rounding of `D`, of `h` and of the cell
-//! assignment, as it does for the lists.
-//! [`SegmentIndex::lower_bound_raster`] hands the table out to a caller
-//! that maps its own points onto it — the dynamic base's quantized copies,
-//! one multiply, add and shift an axis and one load, no distance — which
-//! reads 0 outside the box. It is the envelope rings of §2.5 rasterized:
-//! which band of distance around the shape a point falls in, known before
-//! any exact distance is computed.
+//! The grid also bounds the distance from below, at twice its resolution:
+//! [`SegmentIndex::lower_bound_quad`] splits grid cell `c` in four and
+//! gives, per quarter (a cell of the `RASTER_N × RASTER_N` raster) with
+//! centre `m` and half-diagonal `h`, `lb = max(0, D·(1 − s) − h·(1 + s))`
+//! with `D = dist(m)` — the same scan over the list of `c`, which holds
+//! every edge nearest to it, or over every edge where that list
+//! overflowed — and `s = GRID_SLACK`. A point `p` of the quarter has
+//! `|p − m| ≤ h`, so by the triangle inequality `dist(p) ≥ D − h ≥ lb`;
+//! the slack covers the rounding of `D`, of `h` and of the cell
+//! assignment, as it does for the lists. Nothing here keeps the bounds: a
+//! caller that maps its own points onto the raster
+//! ([`SegmentIndex::lower_bound_box`]) — the dynamic base's quantized
+//! copies, one multiply, add and shift an axis and one load, no distance —
+//! fills its own table a quad at a time, on first read, and reads 0
+//! outside the box. It is the envelope rings of §2.5 rasterized: which
+//! band of distance around the shape a point falls in, known before any
+//! exact distance is computed.
 //!
-//! # Build distances and lookup distances
+//! # Fill distances and lookup distances
 //!
-//! The two builds measure `GRID_N² + RASTER_N²` distances from fixed
-//! centres, so they lay the edges out as columns first (`EdgeColumns`:
-//! `a`, `d = b − a` and `1/|d|²`) and project with a multiply where
-//! [`Segment::dist_sq_to_point`] divides by `|d|²`. A build distance may
+//! A list and a quad are filled by distances from fixed centres, so the
+//! grid lays the edges out as columns first (`EdgeColumns`: `a`,
+//! `d = b − a` and `1/|d|²`) and projects with a multiply where
+//! [`Segment::dist_sq_to_point`] divides by `|d|²`. A fill distance may
 //! therefore differ from the lookup's in its last bits — a few ulps of
 //! the coordinates' magnitude, as each formula's own rounding already
-//! is. Nothing a caller reads takes those bits: the build distances only
+//! is. Nothing a caller reads takes those bits: the fill distances only
 //! decide which edges a list holds and how low a raster cell reads, and
 //! every lookup still applies `dist_sq_to_point` to the edges of its
 //! list. Both decisions already carry `GRID_SLACK`, which is at least
@@ -79,6 +86,8 @@
 //! reads no more than any point of it measures. A division-free
 //! projection also makes a degenerate edge (`|d|² ≤ EPS²`) a point, as
 //! `dist_sq_to_point` does, by a reciprocal of 0.
+
+use std::cell::OnceCell;
 
 use crate::bbox::Aabb;
 use crate::point::Point;
@@ -120,7 +129,7 @@ struct SNode {
 const NONE: u32 = u32::MAX;
 
 /// Cells per side of the nearest-edge grid.
-const GRID_N: usize = 16;
+pub const GRID_N: usize = 16;
 /// The grid covers the edges' bounding box grown on every side by this
 /// share of its longer side, so the points just outside a shape — where
 /// envelope rings and near matches put their vertices — are inside it.
@@ -137,33 +146,32 @@ const GRID_SLACK: f64 = 1e-9;
 /// slack.
 const GRID_MIN_CELL: f64 = 1e-5;
 /// Cells per side of the lower-bound raster: each grid cell split in four.
-const RASTER_N: usize = 2 * GRID_N;
+pub const RASTER_N: usize = 2 * GRID_N;
 
-/// A built lower-bound raster, as [`SegmentIndex::lower_bound_raster`]
-/// hands it out: `n × n` cells of `w × h` from `(x0, y0)`, row-major.
-#[derive(Debug, Clone, Copy)]
-pub struct LowerBoundRaster<'a> {
-    pub x0: f64,
-    pub y0: f64,
-    pub w: f64,
-    pub h: f64,
-    pub n: usize,
-    pub cells: &'a [f64],
-}
-
-/// The nearest-edge grid of a flat set; `cells` empty = not built.
+/// The nearest-edge grid of a flat set; `cells` empty = not laid.
 #[derive(Debug, Default)]
 struct Grid {
-    /// Lower-left corner of cell (0, 0) and reciprocal cell sides.
+    /// Lower-left corner of cell (0, 0), the cell sides and their
+    /// reciprocals.
     x0: f64,
     y0: f64,
+    cw: f64,
+    ch: f64,
     inv_w: f64,
     inv_h: f64,
-    /// Row-major `[len, edge, edge, …]`, edges ascending.
-    cells: Vec<[u8; GRID_CAP + 1]>,
-    /// Row-major lower-bound raster over the same box (module docs);
-    /// empty = not built.
-    lb: Vec<f64>,
+    /// What every fill reads, computed once a lay: a cell's
+    /// half-diagonal, and a raster cell's sides and slack-widened
+    /// half-diagonal.
+    half_diag: f64,
+    rw: f64,
+    rh: f64,
+    raster_half_diag: f64,
+    /// Row-major `[len, edge, edge, …]`, edges ascending, each filled on
+    /// first read.
+    cells: Vec<OnceCell<[u8; GRID_CAP + 1]>>,
+    /// The edges as the fills read them; allocated by the first grid laid
+    /// and rewritten by every later one.
+    cols: Option<Box<EdgeColumns>>,
 }
 
 impl SegmentIndex {
@@ -195,10 +203,10 @@ impl SegmentIndex {
     /// Rebuild the index over a new segment set in place, reusing every
     /// allocation (node pool, segment store, permutation scratch).
     /// Small sets take the flat-scan layout; larger ones build the tree.
-    /// Drops the nearest-edge grid and the raster of the previous set.
+    /// Drops the nearest-edge grid of the previous set, with every list
+    /// it filled.
     fn rebuild(&mut self, segments: impl IntoIterator<Item = Segment>) {
         self.grid.cells.clear();
-        self.grid.lb.clear();
         self.segs.clear();
         self.segs.extend(segments);
         self.nodes.clear();
@@ -224,15 +232,15 @@ impl SegmentIndex {
         self.rebuild((0..n).map(|i| pl.edge(i)));
     }
 
-    /// Put the nearest-edge grid (module docs) in front of the flat scan:
-    /// `GRID_N²` × `len` distance evaluations, worth it for a set that
-    /// will answer thousands of lookups. Allocation-free once the cell
-    /// array is warm; a no-op for tree-backed sets and for boxes too
-    /// small, or not finite enough, to grid soundly.
+    /// Lay the nearest-edge grid (module docs) in front of the flat scan:
+    /// the box, the edge columns and `GRID_N²` empty cells, each of which
+    /// the first lookup to land in it fills with `len` distance
+    /// evaluations — worth it for a set that will answer thousands of
+    /// lookups. Allocation-free once the cell table is warm; a no-op for a
+    /// set whose grid is laid already, for tree-backed sets and for boxes
+    /// too small, or not finite enough, to grid soundly.
     pub fn build_grid(&mut self) {
-        self.grid.cells.clear();
-        self.grid.lb.clear();
-        if !self.flat {
+        if !self.flat || !self.grid.cells.is_empty() {
             return;
         }
         let bbox = self.segs.iter().fold(Aabb::EMPTY, |b, s| b.union(&s.bbox()));
@@ -245,101 +253,118 @@ impl SegmentIndex {
         if !(reach.is_finite() && cw.min(ch) >= GRID_MIN_CELL * reach.max(1e-100)) {
             return;
         }
-        let half_diag = 0.5 * cw.hypot(ch);
-        // squared list radius of a cell whose nearest edge is at `d2`
-        let reach_of = |d2: f64| {
-            let radius = (d2.sqrt() + 2.0 * half_diag) * (1.0 + GRID_SLACK);
-            radius * radius
-        };
-        let cols = EdgeColumns::of(&self.segs);
+        let g = &mut self.grid;
+        (g.x0, g.y0, g.cw, g.ch) = (x0, y0, cw, ch);
+        (g.inv_w, g.inv_h) = (1.0 / cw, 1.0 / ch);
+        g.half_diag = 0.5 * cw.hypot(ch);
+        (g.rw, g.rh) = (0.5 / g.inv_w, 0.5 / g.inv_h);
+        g.raster_half_diag = 0.5 * g.rw.hypot(g.rh) * (1.0 + GRID_SLACK);
+        g.cols.get_or_insert_with(|| Box::new(EdgeColumns::ZERO)).lay(&self.segs);
+        g.cells.resize_with(GRID_N * GRID_N, OnceCell::new);
+    }
+
+    /// Grid cell `c`'s list — `[len, edge, …]`, [`GRID_OVERFLOW`] for a
+    /// cell scanned flat — filled on first read.
+    #[inline]
+    fn list(&self, c: usize) -> Option<&[u8; GRID_CAP + 1]> {
+        Some(self.grid.cells.get(c)?.get_or_init(|| self.fill_list(c)))
+    }
+
+    /// Compute grid cell `c`'s list: every edge within `D + 2h` of its
+    /// centre, ascending, from the edge columns (module docs).
+    #[cold]
+    #[inline(never)]
+    fn fill_list(&self, c: usize) -> [u8; GRID_CAP + 1] {
+        let g = &self.grid;
+        let cols = g.cols.as_deref().expect("a laid grid has its columns");
+        let (i, j) = (c % GRID_N, c / GRID_N);
+        let m = Point::new(g.x0 + (i as f64 + 0.5) * g.cw, g.y0 + (j as f64 + 0.5) * g.ch);
         let mut d2 = [0.0f64; FLAT_MAX];
         let d2 = &mut d2[..self.segs.len()];
-        for j in 0..GRID_N {
-            for i in 0..GRID_N {
-                let m = Point::new(x0 + (i as f64 + 0.5) * cw, y0 + (j as f64 + 0.5) * ch);
-                for (e, d) in d2.iter_mut().enumerate() {
-                    *d = cols.dist_sq(e, m);
-                }
-                // (`<` skips a NaN distance, as the scan does)
-                let nearest = d2.iter().fold(f64::INFINITY, |n, &d| if d < n { d } else { n });
-                let reach2 = reach_of(nearest);
-                // bit e: edge e is listed (a u64 holds FLAT_MAX edges)
-                let listed = d2.iter().enumerate().fold(0u64, |bits, (e, &d)| bits | ((d <= reach2) as u64) << e);
-                // the first GRID_CAP listed edges, ascending; more marks
-                // the cell overflowed
-                let mut cell = [0u8; GRID_CAP + 1];
-                let mut rest = listed;
-                for slot in &mut cell[1..] {
-                    if rest == 0 {
-                        break;
-                    }
-                    *slot = rest.trailing_zeros() as u8;
-                    rest &= rest - 1;
-                }
-                let len = listed.count_ones() as usize;
-                cell[0] = if len > GRID_CAP { GRID_OVERFLOW } else { len as u8 };
-                self.grid.cells.push(cell);
-            }
+        for (e, d) in d2.iter_mut().enumerate() {
+            *d = cols.dist_sq(e, m);
         }
-        (self.grid.x0, self.grid.y0) = (x0, y0);
-        (self.grid.inv_w, self.grid.inv_h) = (1.0 / cw, 1.0 / ch);
+        // (`<` skips a NaN distance, as the scan does)
+        let nearest = d2.iter().fold(f64::INFINITY, |n, &d| if d < n { d } else { n });
+        let radius = (nearest.sqrt() + 2.0 * g.half_diag) * (1.0 + GRID_SLACK);
+        let reach2 = radius * radius;
+        // bit e: edge e is listed (a u64 holds FLAT_MAX edges)
+        let listed = d2.iter().enumerate().fold(0u64, |bits, (e, &d)| bits | ((d <= reach2) as u64) << e);
+        // the first GRID_CAP listed edges, ascending; more marks the cell
+        // overflowed
+        let mut cell = [0u8; GRID_CAP + 1];
+        let mut rest = listed;
+        for slot in &mut cell[1..] {
+            if rest == 0 {
+                break;
+            }
+            *slot = rest.trailing_zeros() as u8;
+            rest &= rest - 1;
+        }
+        let len = listed.count_ones() as usize;
+        cell[0] = if len > GRID_CAP { GRID_OVERFLOW } else { len as u8 };
+        cell
     }
 
-    /// Lay the lower-bound raster (module docs) over the grid: `RASTER_N²`
-    /// scans of a cell list, worth it for a set whose callers will reject
-    /// most of what they measure from the table alone. Allocation-free
-    /// once warm; a no-op without a grid, so such an index reads 0
-    /// everywhere.
-    pub fn build_lower_bound(&mut self) {
-        let mut lb = std::mem::take(&mut self.grid.lb);
-        lb.clear();
-        if !self.grid.cells.is_empty() {
-            let g = &self.grid;
-            let (w, h) = (0.5 / g.inv_w, 0.5 / g.inv_h);
-            let half_diag = 0.5 * w.hypot(h) * (1.0 + GRID_SLACK);
-            lb.resize(RASTER_N * RASTER_N, 0.0);
-            let cols = EdgeColumns::of(&self.segs);
-            // each grid cell's four raster cells, from the cell's list (it
-            // holds every edge nearest to a point of the cell), or from
-            // every edge where it overflowed
-            for (c, cell) in g.cells.iter().enumerate() {
-                let (i, j) = (2 * (c % GRID_N), 2 * (c / GRID_N));
-                let centre = |di: usize, dj: usize| {
-                    Point::new(g.x0 + ((i + di) as f64 + 0.5) * w, g.y0 + ((j + dj) as f64 + 0.5) * h)
-                };
-                let ms = [centre(0, 0), centre(1, 0), centre(0, 1), centre(1, 1)];
-                let mut nearest = [f64::INFINITY; 4];
-                let mut offer = |e: usize| {
-                    for (n, &m) in nearest.iter_mut().zip(&ms) {
-                        let d = cols.dist_sq(e, m);
-                        // (`<` skips a NaN distance, as the scan does)
-                        if d < *n {
-                            *n = d;
-                        }
-                    }
-                };
-                match cell.get(1..=cell[0] as usize) {
-                    Some(list) => list.iter().for_each(|&e| offer(e as usize)),
-                    None => (0..self.segs.len()).for_each(offer),
-                }
-                for (k, d2) in nearest.into_iter().enumerate() {
-                    // (`max` turns a NaN into 0, as a point outside reads)
-                    lb[(j + k / 2) * RASTER_N + i + k % 2] = (d2.sqrt() * (1.0 - GRID_SLACK) - half_diag).max(0.0);
-                }
-            }
-        }
-        self.grid.lb = lb;
-    }
-
-    /// The raster itself, for a caller that maps its own points to cells:
-    /// cell `(i, j)` covers `[x0 + i·w, x0 + (i + 1)·w) × [y0 + j·h, y0 +
-    /// (j + 1)·h)` and bounds every point of it by `cells[j·n + i]`.
-    /// `None` without a raster.
-    pub fn lower_bound_raster(&self) -> Option<LowerBoundRaster<'_>> {
+    /// Where the lower-bound raster lies, for a caller that maps its own
+    /// points onto it: `[x0, y0, w, h]`, raster cell `(i, j)` (`i, j <`
+    /// [`RASTER_N`]) covering `[x0 + i·w, x0 + (i + 1)·w) × [y0 + j·h, y0 +
+    /// (j + 1)·h)`. `None` without a grid.
+    pub fn lower_bound_box(&self) -> Option<[f64; 4]> {
         let g = &self.grid;
-        let (w, h) = (0.5 / g.inv_w, 0.5 / g.inv_h);
-        let cells = &g.lb[..];
-        (!cells.is_empty()).then_some(LowerBoundRaster { x0: g.x0, y0: g.y0, w, h, n: RASTER_N, cells })
+        (!g.cells.is_empty()).then_some([g.x0, g.y0, g.rw, g.rh])
+    }
+
+    /// The lower bounds (module docs) of grid cell `c`'s four quarters —
+    /// raster cells `(2·(c mod GRID_N) + k mod 2, 2·(c div GRID_N) + k div
+    /// 2)` for k = 0..4 — each of which bounds the distance of every point
+    /// of its raster cell from below. Fills the cell's list if no lookup
+    /// has; zeros without a grid.
+    pub fn lower_bound_quad(&self, c: usize) -> [f64; 4] {
+        let Some(cell) = self.list(c) else { return [0.0; 4] };
+        let g = &self.grid;
+        let cols = g.cols.as_deref().expect("a laid grid has its columns");
+        let (w, h) = (g.rw, g.rh);
+        let (i, j) = (2 * (c % GRID_N), 2 * (c / GRID_N));
+        let centre = |di: usize, dj: usize| {
+            Point::new(g.x0 + ((i + di) as f64 + 0.5) * w, g.y0 + ((j + dj) as f64 + 0.5) * h)
+        };
+        let ms = [centre(0, 0), centre(1, 0), centre(0, 1), centre(1, 1)];
+        let mut nearest = [f64::INFINITY; 4];
+        let mut offer = |e: usize| {
+            for (n, &m) in nearest.iter_mut().zip(&ms) {
+                let d = cols.dist_sq(e, m);
+                // (`<` skips a NaN distance, as the scan does)
+                if d < *n {
+                    *n = d;
+                }
+            }
+        };
+        // the cell's list holds every edge nearest to a point of the cell;
+        // where it overflowed, every edge
+        match cell.get(1..=cell[0] as usize) {
+            Some(list) => list.iter().for_each(|&e| offer(e as usize)),
+            None => (0..self.segs.len()).for_each(offer),
+        }
+        // (`max` turns a NaN into 0, as a point outside reads)
+        nearest.map(|d2| (d2.sqrt() * (1.0 - GRID_SLACK) - g.raster_half_diag).max(0.0))
+    }
+
+    /// The grid cells whose list is filled, ascending — the census
+    /// `phase_prof` prints.
+    #[doc(hidden)]
+    pub fn filled_lists(&self) -> impl Iterator<Item = usize> + '_ {
+        self.grid.cells.iter().enumerate().filter_map(|(c, cell)| cell.get().map(|_| c))
+    }
+
+    /// Fill the lists of `cells` now, as lookups there would: how the
+    /// census times a query's fills, and how a test fills every cell
+    /// before a query reads one.
+    #[doc(hidden)]
+    pub fn fill_lists(&self, cells: impl IntoIterator<Item = usize>) {
+        for c in cells {
+            self.list(c);
+        }
     }
 
     /// The edges that can be nearest to `q` according to the grid; `None`
@@ -354,7 +379,7 @@ impl SegmentIndex {
         if !((0.0..N).contains(&fx) && (0.0..N).contains(&fy)) {
             return None;
         }
-        let cell = g.cells.get(fy as usize * GRID_N + fx as usize)?;
+        let cell = self.list(fy as usize * GRID_N + fx as usize)?;
         cell.get(1..=cell[0] as usize)
     }
 
@@ -453,8 +478,9 @@ fn scan_list<'a>(edges: impl IntoIterator<Item = (u32, &'a Segment)>, q: Point) 
 
 /// A flat set's edges as columns — start `a`, direction `d = b − a` and
 /// `1/|d|²` (0 for an edge [`Segment::dist_sq_to_point`] treats as a
-/// point) — on the stack, for the grid and raster builds (module docs,
-/// "Build distances and lookup distances").
+/// point) — for the grid's fills (module docs, "Fill distances and
+/// lookup distances"). Entries past the set's edges are never read.
+#[derive(Debug)]
 struct EdgeColumns {
     ax: [f64; FLAT_MAX],
     ay: [f64; FLAT_MAX],
@@ -464,22 +490,22 @@ struct EdgeColumns {
 }
 
 impl EdgeColumns {
-    /// Columns of at most [`FLAT_MAX`] edges.
-    fn of(segs: &[Segment]) -> Self {
-        let mut cols = EdgeColumns {
-            ax: [0.0; FLAT_MAX],
-            ay: [0.0; FLAT_MAX],
-            dx: [0.0; FLAT_MAX],
-            dy: [0.0; FLAT_MAX],
-            inv: [0.0; FLAT_MAX],
-        };
+    const ZERO: EdgeColumns = EdgeColumns {
+        ax: [0.0; FLAT_MAX],
+        ay: [0.0; FLAT_MAX],
+        dx: [0.0; FLAT_MAX],
+        dy: [0.0; FLAT_MAX],
+        inv: [0.0; FLAT_MAX],
+    };
+
+    /// Lay out at most [`FLAT_MAX`] edges.
+    fn lay(&mut self, segs: &[Segment]) {
         for (e, s) in segs.iter().enumerate() {
             let d = s.dir();
             let l2 = d.norm_sq();
-            (cols.ax[e], cols.ay[e], cols.dx[e], cols.dy[e]) = (s.a.x, s.a.y, d.x, d.y);
-            cols.inv[e] = if l2 <= EPS * EPS { 0.0 } else { 1.0 / l2 };
+            (self.ax[e], self.ay[e], self.dx[e], self.dy[e]) = (s.a.x, s.a.y, d.x, d.y);
+            self.inv[e] = if l2 <= EPS * EPS { 0.0 } else { 1.0 / l2 };
         }
-        cols
     }
 
     /// [`Segment::dist_sq_to_point`] from `m` to edge `e`, its division
@@ -810,13 +836,14 @@ mod tests {
     /// The raster's bound at `q`, its cell found in `f64`: 0 without a
     /// raster, outside its box, and for a NaN point.
     fn lower_bound(idx: &SegmentIndex, q: Point) -> f64 {
-        let Some(r) = idx.lower_bound_raster() else { return 0.0 };
-        let (fx, fy, n) = ((q.x - r.x0) / r.w, (q.y - r.y0) / r.h, r.n as f64);
+        let Some([x0, y0, w, h]) = idx.lower_bound_box() else { return 0.0 };
+        let (fx, fy, n) = ((q.x - x0) / w, (q.y - y0) / h, RASTER_N as f64);
         // (false for NaN too)
         if !((0.0..n).contains(&fx) && (0.0..n).contains(&fy)) {
             return 0.0;
         }
-        r.cells[fy as usize * r.n + fx as usize]
+        let (i, j) = (fx as usize, fy as usize);
+        idx.lower_bound_quad(j / 2 * GRID_N + i / 2)[j % 2 * 2 + i % 2]
     }
 
     /// Assert `0 ≤ lower_bound(q) ≤ dist(q)` — the distance from the flat
@@ -826,8 +853,7 @@ mod tests {
         let plain = SegmentIndex::build(segs);
         let mut idx = SegmentIndex::build(segs);
         idx.build_grid();
-        idx.build_lower_bound();
-        assert_eq!(idx.lower_bound_raster().is_some(), !idx.grid.cells.is_empty(), "a raster exactly where a grid is");
+        assert_eq!(idx.lower_bound_box().is_some(), !idx.grid.cells.is_empty(), "a raster exactly where a grid is");
         let bbox = segs.iter().fold(Aabb::EMPTY, |b, s| b.union(&s.bbox()));
         let mut qs = probes(rng, segs, &idx);
         border_probes(rng, &bbox, &idx, 2, &mut qs);
@@ -861,7 +887,8 @@ mod tests {
         for n in [48, 64] {
             let circle = regular(n, 0.5, 0.5, 0.0);
             let idx = assert_lower_bound_sound(&mut rng, &circle);
-            assert!(idx.grid.cells.iter().any(|c| c[0] == GRID_OVERFLOW), "{n}-gon: no cell overflowed");
+            let overflowed = (0..GRID_N * GRID_N).filter_map(|c| idx.list(c)).any(|cell| cell[0] == GRID_OVERFLOW);
+            assert!(overflowed, "{n}-gon: no cell overflowed");
             // the centre is 0.5 from every edge: the bound there is tight
             // to within a raster cell
             let lb = lower_bound(&idx, pt(0.5, 0.0));
@@ -879,7 +906,7 @@ mod tests {
         let tree = random_edges(&mut rng, 90);
         for segs in [&point, &lost, &huge, &tree] {
             let idx = assert_lower_bound_sound(&mut rng, segs);
-            assert!(idx.lower_bound_raster().is_none());
+            assert!(idx.lower_bound_box().is_none() && idx.lower_bound_quad(0) == [0.0; 4]);
             for q in probes(&mut rng, segs, &idx) {
                 assert_eq!(lower_bound(&idx, q), 0.0, "q = {q:?}");
             }
@@ -889,19 +916,21 @@ mod tests {
         let thin = chain(&[pt(0.0, 0.0), pt(0.5, 1e-9), pt(1.0, 0.0), pt(0.5, -1e-9)], true);
         let nan = vec![Segment::new(pt(f64::NAN, 0.0), pt(1.0, 1.0)), Segment::new(pt(0.0, 0.0), pt(1.0, 0.0))];
         for segs in [&flat, &thin, &nan] {
-            assert!(assert_lower_bound_sound(&mut rng, segs).lower_bound_raster().is_some());
+            assert!(assert_lower_bound_sound(&mut rng, segs).lower_bound_box().is_some());
         }
-        // a rebuild drops the raster, and a new grid alone does not bring
-        // the old one back
+        // a rebuild drops the raster with the grid, and a new grid reads
+        // the new shape's bounds, not the old one's
         let mut idx = assert_lower_bound_sound(&mut rng, &thin);
         let away = pt(0.5, 0.2);
-        assert!(lower_bound(&idx, away) > 0.0);
+        let thin_bound = lower_bound(&idx, away);
+        assert!(thin_bound > 0.0);
         idx.rebuild(flat.iter().copied());
         assert_eq!(lower_bound(&idx, away), 0.0);
         idx.build_grid();
-        assert!(idx.lower_bound_raster().is_none() && lower_bound(&idx, away) == 0.0);
-        idx.build_lower_bound();
-        assert!(lower_bound(&idx, away) > 0.0);
+        let mut fresh = SegmentIndex::build(&flat);
+        fresh.build_grid();
+        assert_eq!(lower_bound(&idx, away).to_bits(), lower_bound(&fresh, away).to_bits());
+        assert_ne!(lower_bound(&idx, away).to_bits(), thin_bound.to_bits());
     }
 
     #[test]
@@ -1010,18 +1039,167 @@ mod tests {
         (cells, lb)
     }
 
-    /// Assert the grid's cells — lists and overflow marks — equal the
-    /// reference build's, and every raster cell within 1e-12 of its.
-    fn assert_reference_build(segs: &[Segment]) {
+    /// The grid and raster as the eager builds made them before a cell
+    /// was filled on first read: every list, then every quad, in cell
+    /// order, from the same edge columns. `(cells, raster)`, both empty
+    /// where no grid is laid — the reference the lazy fill is held to bit
+    /// for bit.
+    fn eager_build(segs: &[Segment]) -> (Vec<[u8; GRID_CAP + 1]>, Vec<f64>) {
+        let mut cells = Vec::new();
+        if !SegmentIndex::build(segs).flat {
+            return (cells, Vec::new());
+        }
+        let bbox = segs.iter().fold(Aabb::EMPTY, |b, s| b.union(&s.bbox()));
+        let margin = GRID_MARGIN * bbox.width().max(bbox.height());
+        let (x0, y0) = (bbox.min.x - margin, bbox.min.y - margin);
+        let (x1, y1) = (bbox.max.x + margin, bbox.max.y + margin);
+        let (cw, ch) = ((x1 - x0) / GRID_N as f64, (y1 - y0) / GRID_N as f64);
+        let reach = x0.abs().max(x1.abs()).max(y0.abs()).max(y1.abs());
+        if !(reach.is_finite() && cw.min(ch) >= GRID_MIN_CELL * reach.max(1e-100)) {
+            return (cells, Vec::new());
+        }
+        let half_diag = 0.5 * cw.hypot(ch);
+        let reach_of = |d2: f64| {
+            let radius = (d2.sqrt() + 2.0 * half_diag) * (1.0 + GRID_SLACK);
+            radius * radius
+        };
+        let mut cols = EdgeColumns::ZERO;
+        cols.lay(segs);
+        let mut d2 = [0.0f64; FLAT_MAX];
+        let d2 = &mut d2[..segs.len()];
+        for j in 0..GRID_N {
+            for i in 0..GRID_N {
+                let m = Point::new(x0 + (i as f64 + 0.5) * cw, y0 + (j as f64 + 0.5) * ch);
+                for (e, d) in d2.iter_mut().enumerate() {
+                    *d = cols.dist_sq(e, m);
+                }
+                let nearest = d2.iter().fold(f64::INFINITY, |n, &d| if d < n { d } else { n });
+                let reach2 = reach_of(nearest);
+                let listed = d2.iter().enumerate().fold(0u64, |bits, (e, &d)| bits | ((d <= reach2) as u64) << e);
+                let mut cell = [0u8; GRID_CAP + 1];
+                let mut rest = listed;
+                for slot in &mut cell[1..] {
+                    if rest == 0 {
+                        break;
+                    }
+                    *slot = rest.trailing_zeros() as u8;
+                    rest &= rest - 1;
+                }
+                let len = listed.count_ones() as usize;
+                cell[0] = if len > GRID_CAP { GRID_OVERFLOW } else { len as u8 };
+                cells.push(cell);
+            }
+        }
+        let (w, h) = (0.5 / (1.0 / cw), 0.5 / (1.0 / ch));
+        let half_diag = 0.5 * w.hypot(h) * (1.0 + GRID_SLACK);
+        let mut lb = vec![0.0; RASTER_N * RASTER_N];
+        for (c, cell) in cells.iter().enumerate() {
+            let (i, j) = (2 * (c % GRID_N), 2 * (c / GRID_N));
+            let centre = |di: usize, dj: usize| Point::new(x0 + ((i + di) as f64 + 0.5) * w, y0 + ((j + dj) as f64 + 0.5) * h);
+            let ms = [centre(0, 0), centre(1, 0), centre(0, 1), centre(1, 1)];
+            let mut nearest = [f64::INFINITY; 4];
+            let mut offer = |e: usize| {
+                for (n, &m) in nearest.iter_mut().zip(&ms) {
+                    let d = cols.dist_sq(e, m);
+                    if d < *n {
+                        *n = d;
+                    }
+                }
+            };
+            match cell.get(1..=cell[0] as usize) {
+                Some(list) => list.iter().for_each(|&e| offer(e as usize)),
+                None => (0..segs.len()).for_each(offer),
+            }
+            for (k, d2) in nearest.into_iter().enumerate() {
+                lb[(j + k / 2) * RASTER_N + i + k % 2] = (d2.sqrt() * (1.0 - GRID_SLACK) - half_diag).max(0.0);
+            }
+        }
+        (cells, lb)
+    }
+
+    /// `segs`' grid filled on first read, every list and quad of it in a
+    /// random order — a few lists by a lookup in them first — gathered
+    /// as the eager build's `(cells, raster)`.
+    fn lazy_fill(rng: &mut StdRng, segs: &[Segment]) -> (Vec<[u8; GRID_CAP + 1]>, Vec<f64>) {
         let mut idx = SegmentIndex::build(segs);
         idx.build_grid();
-        idx.build_lower_bound();
-        let (cells, lb) = reference_build(segs);
-        assert_eq!(idx.grid.cells, cells, "{} edges", segs.len());
-        assert_eq!(idx.grid.lb.len(), lb.len());
-        for (c, (&got, &want)) in idx.grid.lb.iter().zip(&lb).enumerate() {
+        let Some([x0, y0, w, h]) = idx.lower_bound_box() else {
+            assert_eq!(idx.lower_bound_quad(0), [0.0; 4], "no grid reads 0");
+            return (Vec::new(), Vec::new());
+        };
+        assert_eq!(idx.filled_lists().count(), 0, "a grid is laid empty");
+        let span = RASTER_N as f64;
+        for _ in 0..rng.random_range(0..16) {
+            idx.probe_cost(pt(x0 + rng.random_range(0.0..span) * w, y0 + rng.random_range(0.0..span) * h));
+        }
+        // (list or quad, grid cell), shuffled
+        let mut order: Vec<(bool, usize)> = (0..GRID_N * GRID_N).flat_map(|c| [(false, c), (true, c)]).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.random_range(0..=i));
+        }
+        let mut lb = vec![f64::NAN; RASTER_N * RASTER_N];
+        for (quad, c) in order {
+            if !quad {
+                idx.fill_lists([c]);
+                continue;
+            }
+            for (k, bound) in idx.lower_bound_quad(c).into_iter().enumerate() {
+                lb[(2 * (c / GRID_N) + k / 2) * RASTER_N + 2 * (c % GRID_N) + k % 2] = bound;
+            }
+        }
+        assert!(idx.filled_lists().eq(0..GRID_N * GRID_N));
+        (idx.grid.cells.iter().map(|c| *c.get().expect("filled")).collect(), lb)
+    }
+
+    /// Assert that lists and bounds filled on first read, in a random
+    /// order, are the eager build's bit for bit, and that the eager
+    /// build's lists and overflow marks are the reference build's, its
+    /// raster within 1e-12 of the reference's.
+    fn assert_reference_build(rng: &mut StdRng, segs: &[Segment]) {
+        let (cells, lb) = eager_build(segs);
+        let (lazy_cells, lazy_lb) = lazy_fill(rng, segs);
+        assert_eq!(lazy_cells, cells, "{} edges", segs.len());
+        let bits = |lb: &[f64]| lb.iter().map(|b| b.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&lazy_lb), bits(&lb), "{} edges", segs.len());
+        let (ref_cells, ref_lb) = reference_build(segs);
+        assert_eq!(cells, ref_cells, "{} edges", segs.len());
+        assert_eq!(lb.len(), ref_lb.len());
+        for (c, (&got, &want)) in lb.iter().zip(&ref_lb).enumerate() {
             assert!(got == want || (got - want).abs() <= 1e-12, "raster cell {c}: {got} vs {want}, {} edges", segs.len());
         }
+    }
+
+    #[test]
+    fn grid_fills_a_list_on_its_first_lookup_and_a_rebuild_drops_it() {
+        // one lookup fills its cell's list and no other; a quad fills its
+        // cell's list too; a rebuild onto another shape drops every
+        // filled list, so the new shape's lookups are its own
+        let mut rng = StdRng::seed_from_u64(23);
+        let a = random_edges(&mut rng, 19);
+        let b: Vec<Segment> =
+            random_edges(&mut rng, 12).iter().map(|s| Segment::new(pt(s.a.y, s.a.x), pt(s.b.y, s.b.x))).collect();
+        let mut idx = SegmentIndex::build(&a);
+        idx.build_grid();
+        let [x0, y0, w, h] = idx.lower_bound_box().expect("a grid");
+        let (cost, hit) = idx.probe_cost(pt(x0 + 8.5 * w, y0 + 3.5 * h));
+        assert!(hit && cost > 0);
+        assert!(idx.filled_lists().eq([GRID_N + 4]), "one lookup, one list");
+        idx.lower_bound_quad(200);
+        assert!(idx.filled_lists().eq([GRID_N + 4, 200]));
+        idx.build_grid();
+        assert_eq!(idx.filled_lists().count(), 2, "laying the grid again keeps what this shape filled");
+        idx.fill_lists(0..GRID_N * GRID_N);
+        idx.rebuild(b.iter().copied());
+        assert_eq!(idx.filled_lists().count(), 0);
+        idx.build_grid();
+        assert_eq!(idx.filled_lists().count(), 0, "the new shape's grid is laid empty");
+        let mut fresh = SegmentIndex::build(&b);
+        fresh.build_grid();
+        for q in probes(&mut rng, &b, &fresh) {
+            assert_eq!(bits(&idx, q), bits(&fresh, q), "q = {q:?}");
+        }
+        assert!((0..GRID_N * GRID_N).all(|c| idx.lower_bound_quad(c) == fresh.lower_bound_quad(c)));
+        assert_eq!(lazy_fill(&mut rng, &b), eager_build(&b));
     }
 
     proptest! {
@@ -1034,12 +1212,15 @@ mod tests {
             let mut segs = random_edges(&mut rng, n);
             segs.truncate(if big == 0 { 120 } else { 64 });
             let idx = assert_lower_bound_sound(&mut rng, &segs);
-            prop_assert!(big != 0 || idx.lower_bound_raster().is_none(), "a tree-backed set has no raster");
+            prop_assert!(big != 0 || idx.lower_bound_box().is_none(), "a tree-backed set has no raster");
         }
 
-        /// The column builds make today's lists and overflow marks, and a
-        /// raster within 1e-12 of today's: on 3–64 edges, on a 64-edge
-        /// set ([`FLAT_MAX`]) every case, and on the degenerate boxes of
+        /// Lists and bounds filled on first read, in a random order, are
+        /// the eager build's bit for bit, and the column fills make the
+        /// reference lists and overflow marks, and a raster within 1e-12
+        /// of the reference's: on 3–64 edges (degenerate edges among
+        /// them), on a 64-edge set ([`FLAT_MAX`]) every case, on a 64-gon
+        /// whose inner cells overflow, and on the degenerate boxes of
         /// `grid_lower_bound_degenerate_boxes_read_zero` (no grid, or a
         /// thin, flat or NaN-edged one).
         #[test]
@@ -1047,12 +1228,14 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut segs = random_edges(&mut rng, n);
             segs.truncate(n);
-            assert_reference_build(&segs);
+            assert_reference_build(&mut rng, &segs);
             let mut full = random_edges(&mut rng, FLAT_MAX);
             full.truncate(FLAT_MAX);
             assert_eq!(full.len(), FLAT_MAX);
-            assert_reference_build(&full);
-            assert_reference_build(&regular(FLAT_MAX, 0.5, 0.5, 0.0));
+            assert_reference_build(&mut rng, &full);
+            let round = regular(FLAT_MAX, 0.5, 0.5, 0.0);
+            prop_assert!(eager_build(&round).0.iter().any(|c| c[0] == GRID_OVERFLOW));
+            assert_reference_build(&mut rng, &round);
             let point = vec![Segment::new(pt(2.0, 3.0), pt(2.0, 3.0)); 3];
             let lost = chain(&[pt(1e6, 1e6), pt(1e6 + 1e-9, 1e6), pt(1e6, 1e6 + 1e-9)], true);
             let huge = chain(&[pt(0.0, 0.0), pt(f64::MAX, 0.0), pt(0.0, -f64::MAX)], true);
@@ -1060,7 +1243,7 @@ mod tests {
             let thin = chain(&[pt(0.0, 0.0), pt(0.5, 1e-9), pt(1.0, 0.0), pt(0.5, -1e-9)], true);
             let nan = vec![Segment::new(pt(f64::NAN, 0.0), pt(1.0, 1.0)), Segment::new(pt(0.0, 0.0), pt(1.0, 0.0))];
             for segs in [&point, &lost, &huge, &flat, &thin, &nan] {
-                assert_reference_build(segs);
+                assert_reference_build(&mut rng, segs);
             }
         }
 

@@ -4,7 +4,11 @@
 # pure function of the code: rerun each with the flags `results/README.md`
 # gives and fail on any byte that differs from its file. A change that
 # moves a figure regenerates the file in the same commit (and restates
-# EXPERIMENTS.md), or this fails.
+# EXPERIMENTS.md), or this fails. The tenth output is the served query's
+# census (`phase_prof census`) with its timing lines left out: per site the
+# raster's rejects and passes, table reads, distance lookups, the grid
+# lists and raster quads filled, and the two top-10 digests — it moves
+# whenever a change moves a served answer or count.
 #
 # usage: scripts/results_check.sh   (after `cargo build --release`;
 #        ≈ 95 s on one core, ≈ 60 s of it in fig7)
@@ -16,10 +20,17 @@ out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
 failed=0
+# check FILE BIN ARGS...: BIN's output must be FILE's. With `untimed` set,
+# every line that carries a time (µs or ns) is left out first.
+untimed=0
 check() {
     local file=$1
     shift
     "$bins/$@" >"$out/$file" 2>&1
+    if [ "$untimed" = 1 ]; then
+        grep -v -e 'µs' -e ' ns ' "$out/$file" >"$out/$file.kept" || true
+        mv "$out/$file.kept" "$out/$file"
+    fi
     if ! diff -u "results/$file" "$out/$file" >"$out/$file.diff"; then
         echo "results_check: results/$file differs from \`$*\`:" >&2
         head -40 "$out/$file.diff" >&2
@@ -36,9 +47,10 @@ check sec42.txt sec42_local_opt --images 400
 check fig10.txt fig10_selectivity --shapes 3000
 check index_io.txt index_io --images 500
 check ablation_alpha_beta.txt ablation_alpha_beta --images 200
+untimed=1 check served_census.txt phase_prof 4000 census
 
 if [ "$failed" != 0 ]; then
     echo "results_check: FAIL — regenerate the file(s) above with the same command and restate EXPERIMENTS.md" >&2
     exit 1
 fi
-echo "results_check: OK (9 figure outputs)"
+echo "results_check: OK (9 figure outputs and the served census)"
