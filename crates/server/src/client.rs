@@ -571,8 +571,8 @@ impl Client {
 
     /// [`Client::insert_retrying`] with a caller-chosen idempotency key.
     /// The replication applier uses this to preserve the key a record
-    /// carried on the primary, so re-applying a shipped WAL segment
-    /// after a replica restart cannot double-insert.
+    /// carried on the primary, so re-applying a WAL record after a
+    /// replica hiccup cannot double-insert.
     pub fn insert_retrying_keyed(
         &mut self,
         image: u32,

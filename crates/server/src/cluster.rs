@@ -4,7 +4,7 @@
 //! A cluster is N independent `geosir-serve` shard primaries (each a
 //! durable single-node server owning a disjoint slice of the base, its
 //! slice chosen by a consistent-hash ring over the insert payload) plus
-//! M WAL-shipped read replicas per shard (see [`crate::repl`]), fronted
+//! M log-tailing read replicas per shard (see [`crate::repl`]), fronted
 //! by a [`Router`] speaking the same wire protocol.
 //!
 //! ## Failure handling

@@ -1,12 +1,12 @@
 //! In-process cluster boot: N durable primaries, M replicas each fed by
-//! WAL shipping, and the router in front, all on one registry. The CLI,
-//! the benchmark and the integration tests boot clusters through here.
+//! a thread tailing its primary's WAL, and the router in front, all on
+//! one registry. The CLI, the benchmark and the integration tests boot
+//! clusters through here.
 
 use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 use geosir_obs as obs;
 
@@ -14,34 +14,24 @@ use super::{Router, RouterConfig, RouterHandle, ShardSpec};
 use crate::durable::{BaseTemplate, DurabilityConfig, RecoveryReport};
 use crate::server::{serve, serve_durable, ServeConfig, ServerHandle};
 
-// ---------------------------------------------------------------------------
-// In-process cluster boot: N durable primaries + M replicas each +
-// replication threads + router, all wired to one registry. The CLI,
-// bench harness, and integration tests all boot through here.
-// ---------------------------------------------------------------------------
+/// Checkpoint interval for shard primaries. Kept deliberately huge so
+/// the WAL retains the full history a replica reads from LSN 0 — once,
+/// when its replication thread starts; each tick after that reads only
+/// the bytes appended since the last. A lower value would let a primary
+/// prune WAL a replica has not read yet: replication has no
+/// checkpoint-transfer phase (ROADMAP item 12).
+const CHECKPOINT_EVERY: u64 = u64::MAX / 2;
 
 /// Knobs for [`start_cluster`].
 pub struct ClusterConfig {
     pub shards: usize,
     pub replicas: usize,
-    /// Root data directory; shard `i` persists under `shard-i/`, its
-    /// replica `j` ships into `shard-i/replica-j/`.
+    /// Root data directory; shard `i` persists under `shard-i/`.
     pub data_dir: PathBuf,
     pub fsync: geosir_storage::FsyncPolicy,
     /// Per-backend server config (workers, queue caps, ...).
     pub serve: ServeConfig,
     pub router: RouterConfig,
-    /// Checkpoint interval for shard primaries. Kept deliberately huge
-    /// by default so the WAL retains the full history a replica reads
-    /// from LSN 0 — once, when its replication thread starts; each tick
-    /// after that reads only the bytes appended since the last (log
-    /// shipping has no checkpoint-transfer phase yet).
-    pub checkpoint_every: u64,
-    /// Replication poll cadence.
-    pub repl_interval: Duration,
-    /// Fault-injection hook for the *shipping* destination files (the
-    /// chaos harness delays/tears the shipped stream here).
-    pub ship_factory: Option<Arc<dyn geosir_storage::faults::IoFactory>>,
     /// Per-shard fault-injection hook for a primary's own WAL files:
     /// `(shard, factory)` — the chaos harness stalls shard `shard`'s
     /// writer here to watch federated readiness degrade.
@@ -57,9 +47,6 @@ impl ClusterConfig {
             fsync: geosir_storage::FsyncPolicy::Never,
             serve: ServeConfig::default(),
             router: RouterConfig::default(),
-            checkpoint_every: u64::MAX / 2,
-            repl_interval: Duration::from_millis(10),
-            ship_factory: None,
             shard_wal_factory: None,
         }
     }
@@ -99,9 +86,9 @@ impl Cluster {
     }
 
     /// Retire replica `r` of shard `s`'s *server* while its replication
-    /// thread keeps shipping — the in-process stand-in for a SIGKILLed
-    /// replica: applies start failing, lag builds, and the drain
-    /// monitor journals `repl.stuck`.
+    /// thread keeps tailing the primary's log — the in-process stand-in
+    /// for a SIGKILLed replica: applies start failing, lag builds, and
+    /// the drain monitor journals `repl.stuck`.
     pub fn kill_replica_server(&mut self, s: usize, r: usize) {
         if let Some((server, _repl)) = &self.replicas[s][r] {
             server.shutdown();
@@ -149,8 +136,8 @@ impl Cluster {
     }
 }
 
-/// Boot a full cluster: durable primaries, in-memory replicas fed by
-/// WAL shipping, and the router in front.
+/// Boot a full cluster: durable primaries, in-memory replicas that tail
+/// their primary's WAL, and the router in front.
 pub fn start_cluster(
     addr: &str,
     template: &BaseTemplate,
@@ -179,23 +166,20 @@ pub fn start_cluster(
         };
         let dcfg = DurabilityConfig {
             fsync: cfg.fsync,
-            checkpoint_every: cfg.checkpoint_every,
+            checkpoint_every: CHECKPOINT_EVERY,
             io_factory: wal_factory,
             ..DurabilityConfig::new(&shard_dir)
         };
         let (primary, report) = serve_durable("127.0.0.1:0", template, dcfg, cfg.serve.clone())?;
         let mut spec = ShardSpec { primary: primary.addr(), replicas: Vec::new() };
         let mut row = Vec::with_capacity(cfg.replicas);
-        for r in 0..cfg.replicas {
+        for _ in 0..cfg.replicas {
             let server = serve("127.0.0.1:0", template.empty_base(), cfg.serve.clone())?;
             let repl = crate::repl::start_replication(crate::repl::ReplSpec {
                 shard: s as u16,
                 src_wal_dir: shard_dir.clone(),
-                ship_dir: shard_dir.join(format!("replica-{r}")),
                 replica_addr: server.addr(),
                 registry: registry.clone(),
-                interval: cfg.repl_interval,
-                ship_factory: cfg.ship_factory.clone(),
             });
             spec.replicas.push(server.addr());
             row.push(Some((server, repl)));

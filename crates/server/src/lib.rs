@@ -40,8 +40,8 @@
 //!   `cluster/placement.rs` (ring, id tags, merge), `cluster/plane.rs`
 //!   (records, federation, readiness, topology), `cluster/boot.rs` (the
 //!   in-process [`cluster::start_cluster`]).
-//! - [`repl`] — WAL-shipped replication: per-replica threads that
-//!   mirror the primary's log and replay it into read replicas,
+//! - [`repl`] — log-tailing replication: per-replica threads that
+//!   tail the primary's WAL and apply it into read replicas,
 //!   publishing `geosir_replication_lag_*` gauges.
 //!
 //! See `DESIGN.md` §6 (file map), §7 (serving), §8 (durability &

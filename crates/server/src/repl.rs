@@ -1,16 +1,14 @@
-//! WAL-shipped replication: the per-replica thread that keeps a read
+//! Log-tailing replication: the per-replica thread that keeps a read
 //! replica converged with its shard primary.
 //!
 //! Each replica gets one replication thread. Per tick it:
 //!
-//! 1. **Ships**: [`geosir_storage::shipping::Shipper::ship_once`]
-//!    mirrors the primary's WAL directory into the replica's ship
-//!    directory (incremental, byte-offset resumable, fault-injectable).
-//! 2. **Tails**: a [`geosir_storage::wal::Tail`] over the ship
-//!    directory reads only the bytes shipped since the last tick and
-//!    queues their records in LSN order. The whole log is read once,
-//!    when the thread starts (the replica's bootstrap), not per tick.
-//! 3. **Applies**: queued records are pushed into the replica *through
+//! 1. **Tails**: one [`geosir_storage::wal::Tail`] over the primary's
+//!    own WAL directory reads only the bytes appended since the last
+//!    tick and queues their records in LSN order. The whole log is read
+//!    once, when the thread starts (the replica's bootstrap), not per
+//!    tick.
+//! 2. **Applies**: queued records are pushed into the replica *through
 //!    the wire protocol* — the replica is a stock `geosir-serve`
 //!    instance whose only writer is this thread. A failed apply leaves
 //!    its record at the head of the queue for the next tick; inserts
@@ -26,12 +24,13 @@
 //! records therefore apply by primary id directly.
 //!
 //! **Lag accounting.** After every tick the thread publishes
-//! `geosir_replication_lag_records{shard}` (the primary's last LSN
-//! minus the applied cursor; the tip is read by a second `Tail`, over
-//! the primary's own WAL directory, so a stalled or torn ship still
-//! shows as lag) and `geosir_replication_lag_ms{shard}` (how long
+//! `geosir_replication_lag_records{shard}` (the tail's last LSN minus
+//! the applied cursor) and `geosir_replication_lag_ms{shard}` (how long
 //! the replica has continuously been behind) into the shared cluster
-//! registry — the router's `Topology` reply reads them back out.
+//! registry — the router's `Topology` reply reads them back out. A tick
+//! whose read fails counts as behind: mid-log corruption stops the
+//! records and the tip at the same point, so the record lag alone would
+//! read 0 while nothing past the corruption ever applies.
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -41,27 +40,26 @@ use std::time::{Duration, Instant};
 
 use geosir_geom::Polyline;
 use geosir_obs as obs;
-use geosir_storage::faults::IoFactory;
-use geosir_storage::shipping::Shipper;
 use geosir_storage::wal::{Lsn, Tail, WalRecord};
 
 use crate::client::{Client, ClientConfig};
+
+/// Poll cadence between tail/apply ticks.
+const INTERVAL: Duration = Duration::from_millis(10);
+
+/// Drain monitor: a replica continuously behind for this long is
+/// journaled as stuck; catching back up journals the resume.
+const STUCK_AFTER: Duration = Duration::from_secs(2);
 
 /// What to replicate and where; see [`start_replication`].
 pub struct ReplSpec {
     pub shard: u16,
     /// The primary's WAL directory (its durability `data_dir`).
     pub src_wal_dir: PathBuf,
-    /// Where shipped segments land for this replica.
-    pub ship_dir: PathBuf,
     /// The replica server this thread applies into.
     pub replica_addr: SocketAddr,
     /// Cluster-shared registry the lag gauges are published into.
     pub registry: Arc<obs::Registry>,
-    /// Poll cadence between ship/replay/apply ticks.
-    pub interval: Duration,
-    /// Optional fault hook for the shipped segment files.
-    pub ship_factory: Option<Arc<dyn IoFactory>>,
 }
 
 /// A running replication thread.
@@ -103,7 +101,7 @@ struct ReplMetrics {
     lag_records: Arc<obs::Gauge>,
     lag_ms: Arc<obs::Gauge>,
     applied_records: Arc<obs::Counter>,
-    ship_errors: Arc<obs::Counter>,
+    read_errors: Arc<obs::Counter>,
     apply_errors: Arc<obs::Counter>,
     id_mismatch: Arc<obs::Counter>,
 }
@@ -123,7 +121,7 @@ impl ReplMetrics {
             ),
             lag_ms: reg.gauge_with_policy("geosir_replication_lag_ms", lbl, obs::GaugePolicy::Max),
             applied_records: reg.counter("geosir_repl_applied_records_total", lbl),
-            ship_errors: reg.counter("geosir_repl_ship_errors_total", lbl),
+            read_errors: reg.counter("geosir_repl_read_errors_total", lbl),
             apply_errors: reg.counter("geosir_repl_apply_errors_total", lbl),
             id_mismatch: reg.counter("geosir_repl_id_mismatch_total", lbl),
         }
@@ -132,35 +130,20 @@ impl ReplMetrics {
 
 fn repl_loop(spec: ReplSpec, stop: Arc<AtomicBool>) {
     let m = ReplMetrics::build(&spec.registry, spec.shard);
-    let mut shipper = match &spec.ship_factory {
-        Some(f) => Shipper::with_factory(&spec.src_wal_dir, &spec.ship_dir, Box::new(f.clone())),
-        None => Shipper::new(&spec.src_wal_dir, &spec.ship_dir),
-    };
     let mut client: Option<Client> = None;
     let mut behind_since: Option<Instant> = None;
-    // Drain monitor: a replica continuously behind for this long is
-    // journaled as stuck; catching back up journals the resume.
-    let stuck_after = Duration::from_secs(2).max(spec.interval * 4);
     let mut stuck_reported = false;
-    // the shipped copy, and the primary's own log: the last LSN of the
-    // latter is the lag tip, so a stalled or torn ship still shows as lag
-    let mut shipped = Tail::new(&spec.ship_dir);
-    let mut primary = Tail::new(&spec.src_wal_dir);
-    // records shipped but not yet applied, in LSN order
+    let mut tail = Tail::new(&spec.src_wal_dir);
+    // records read but not yet applied, in LSN order
     let mut pending: Vec<(Lsn, WalRecord)> = Vec::new();
     // highest LSN applied into the replica so far
     let mut applied = 0u64;
     while !stop.load(Ordering::SeqCst) {
-        if let Err(_e) = shipper.ship_once() {
-            m.ship_errors.inc();
-            // a torn shipped tail is fine — the tail below leaves it for
-            // the next pass, which resumes from the destination's length
-        }
-        if let Err(_e) = shipped.poll(applied, &mut pending) {
-            // mid-log corruption in the shipped copy: the records before
-            // it are queued, none past it ever will be; the lag below
-            // builds until the drain monitor journals the replica stuck
-            m.ship_errors.inc();
+        // mid-log corruption: the records before it are queued, none
+        // past it ever will be; the tick counts as behind below
+        let read_ok = tail.poll(applied, &mut pending).is_ok();
+        if !read_ok {
+            m.read_errors.inc();
         }
         let mut done = 0;
         for (lsn, record) in &pending {
@@ -179,14 +162,9 @@ fn repl_loop(spec: ReplSpec, stop: Arc<AtomicBool>) {
             }
         }
         pending.drain(..done);
-        // lag: how far the primary's log tip is past our cursor (a
-        // corrupt primary log stalls the tip where the shipped copy's
-        // tail, counted above, stalls too)
-        let _ = primary.poll(Lsn::MAX, &mut Vec::new());
-        let tip = primary.last_lsn().unwrap_or(0);
-        let lag = tip.saturating_sub(applied);
+        let lag = tail.last_lsn().unwrap_or(0).saturating_sub(applied);
         m.lag_records.set(lag as i64);
-        if lag == 0 {
+        if lag == 0 && read_ok {
             behind_since = None;
             m.lag_ms.set(0);
             if stuck_reported {
@@ -200,7 +178,7 @@ fn repl_loop(spec: ReplSpec, stop: Arc<AtomicBool>) {
         } else {
             let since = *behind_since.get_or_insert_with(Instant::now);
             m.lag_ms.set(since.elapsed().as_millis() as i64);
-            if !stuck_reported && since.elapsed() > stuck_after {
+            if !stuck_reported && since.elapsed() > STUCK_AFTER {
                 stuck_reported = true;
                 spec.registry.journal().emit(
                     obs::JournalEvent::new(obs::Severity::Warn, "repl.stuck")
@@ -211,7 +189,7 @@ fn repl_loop(spec: ReplSpec, stop: Arc<AtomicBool>) {
                 );
             }
         }
-        std::thread::sleep(spec.interval);
+        std::thread::sleep(INTERVAL);
     }
 }
 

@@ -1,23 +1,23 @@
 //! Cluster integration over real TCP loopback: scatter-gather routing
 //! with shard-tagged ids, merge parity against a single-node union
-//! oracle, WAL-shipped replica catch-up with id parity, a corrupt
-//! shipped segment surfacing as errors and a stuck replica, partial
-//! results when a whole shard pair is down, and replica failover
-//! through the circuit breaker.
+//! oracle, replica catch-up with id parity, a torn final record applied
+//! once when its writer completes it, a corrupt primary segment
+//! surfacing as errors and a stuck replica, partial results when a
+//! whole shard pair is down, and replica failover through the circuit
+//! breaker.
 
 mod common;
 
 use common::{exact_template, poll_until, polygon, serve_cfg, tmpdir};
 
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use geosir_geom::Polyline;
 use geosir_serve::cluster::{start_cluster, untag_id, ClusterConfig, RouterConfig};
-use geosir_serve::{obs, serve, start_replication, Client, ReplSpec};
-use geosir_storage::faults::{FileFactory, Io, IoFactory};
+use geosir_serve::{obs, serve, start_replication, Client, ReplHandle, ReplSpec};
 use geosir_storage::wal::{FsyncPolicy, Wal, WalRecord};
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -148,7 +148,7 @@ fn router_merge_matches_single_node_union_oracle() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A WAL-shipped replica converges to the primary's exact id space:
+/// A replica converges to the primary's exact id space:
 /// same shapes, same ids, zero lag once the insert burst drains.
 #[test]
 fn replica_catches_up_with_id_parity() {
@@ -201,48 +201,17 @@ fn replica_catches_up_with_id_parity() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Ships the first write into segment `wal-…1.log` with its fourth-last
-/// byte flipped: inside the segment's final record.
-struct FlipFirstSegment(AtomicBool);
+/// The primary's first WAL segment.
+const FIRST_SEGMENT: &str = "wal-00000000000000000001.log";
 
-struct FlipIo(Box<dyn Io>, bool);
-
-impl Io for FlipIo {
-    fn append(&mut self, buf: &[u8]) -> std::io::Result<()> {
-        if !std::mem::take(&mut self.1) {
-            return self.0.append(buf);
-        }
-        let mut flipped = buf.to_vec();
-        let at = flipped.len() - 4;
-        flipped[at] ^= 0x10;
-        self.0.append(&flipped)
-    }
-
-    fn sync(&mut self) -> std::io::Result<()> {
-        self.0.sync()
-    }
-}
-
-impl IoFactory for FlipFirstSegment {
-    fn create(&self, path: &Path) -> std::io::Result<Box<dyn Io>> {
-        let first = path.file_name().is_some_and(|n| n == "wal-00000000000000000001.log");
-        let flip = first && self.0.swap(false, Ordering::SeqCst);
-        Ok(Box::new(FlipIo(FileFactory.create(path)?, flip)))
-    }
-}
-
-/// A shipped segment corrupt mid-log — a newer segment follows it — is
-/// a ship error counted every tick, not a silent stall: the records
-/// before the flipped byte apply, the lag stays at the rest, and the
-/// drain monitor journals the replica stuck.
-#[test]
-fn corrupt_shipped_segment_counts_errors_and_journals_stuck() {
-    let dir = tmpdir("corrupt-ship");
-    let src = dir.join("primary");
+/// A primary log in `dir` of `n` inserts with ids `0..n` (the ids a
+/// fresh replica assigns in turn); a rotation opens a new segment
+/// before LSN `rotate_at`.
+fn write_primary_log(dir: &Path, n: u64, rotate_at: u64) {
     let mut rng = StdRng::seed_from_u64(5);
-    let mut wal = Wal::open(&src, FsyncPolicy::Never, 1).unwrap();
-    for i in 0..6u64 {
-        if i == 4 {
+    let mut wal = Wal::open(dir, FsyncPolicy::Never, 1).unwrap();
+    for i in 0..n {
+        if i + 1 == rotate_at {
             wal.rotate().unwrap();
         }
         let points = polygon(&mut rng).points().iter().map(|p| (p.x, p.y)).collect();
@@ -250,29 +219,105 @@ fn corrupt_shipped_segment_counts_errors_and_journals_stuck() {
         wal.append(&rec).unwrap();
     }
     wal.sync().unwrap();
-    let replica = serve("127.0.0.1:0", exact_template().empty_base(), serve_cfg()).unwrap();
+}
+
+fn replicate(src: PathBuf, replica: std::net::SocketAddr) -> (Arc<obs::Registry>, ReplHandle) {
     let registry = Arc::new(obs::Registry::new());
     let repl = start_replication(ReplSpec {
         shard: 0,
         src_wal_dir: src,
-        ship_dir: dir.join("replica-0"),
-        replica_addr: replica.addr(),
+        replica_addr: replica,
         registry: registry.clone(),
-        interval: Duration::from_millis(5),
-        ship_factory: Some(Arc::new(FlipFirstSegment(AtomicBool::new(true)))),
     });
+    (registry, repl)
+}
+
+const SHARD0: &[(&str, &str)] = &[("shard", "0")];
+
+/// The replica's tail over a primary whose final record is half
+/// written — a writer mid-append — applies the five whole records and
+/// drains its lag; once the writer completes the frame, the sixth record
+/// applies exactly once, with the primary's id.
+#[test]
+fn torn_final_record_applies_once_completed() {
+    let dir = tmpdir("torn-tail");
+    let src = dir.join("primary");
+    write_primary_log(&src, 6, 0);
+    let seg = src.join(FIRST_SEGMENT);
+    let whole = std::fs::read(&seg).unwrap();
+    write_primary_log(&dir.join("five"), 5, 0);
+    let five = std::fs::metadata(dir.join("five").join(FIRST_SEGMENT)).unwrap().len() as usize;
+    let cut = five + (whole.len() - five) / 2;
+    std::fs::OpenOptions::new().write(true).open(&seg).unwrap().set_len(cut as u64).unwrap();
+
+    let replica = serve("127.0.0.1:0", exact_template().empty_base(), serve_cfg()).unwrap();
+    let (registry, repl) = replicate(src, replica.addr());
+    let drained = |applied: u64| {
+        poll_until(Duration::from_secs(20), || {
+            let snap = registry.snapshot();
+            snap.counter("geosir_repl_applied_records_total", SHARD0) == applied
+                && snap.gauge("geosir_replication_lag_records", SHARD0) == 0
+                && snap.gauge("geosir_replication_lag_ms", SHARD0) == 0
+        })
+    };
+    assert!(drained(5), "the five whole records must apply and the lag drain");
+    // a few more ticks over the torn frame deliver nothing and err nothing
+    std::thread::sleep(Duration::from_millis(100));
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("geosir_repl_applied_records_total", SHARD0), 5);
+    assert_eq!(snap.counter("geosir_repl_read_errors_total", SHARD0), 0);
+
+    let mut f = std::fs::OpenOptions::new().append(true).open(&seg).unwrap();
+    f.write_all(&whole[cut..]).unwrap();
+    drop(f);
+    assert!(drained(6), "the completed sixth record must apply");
+    std::thread::sleep(Duration::from_millis(100));
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("geosir_repl_applied_records_total", SHARD0), 6, "applied once");
+    assert_eq!(snap.counter("geosir_repl_id_mismatch_total", SHARD0), 0, "id parity");
+    assert_eq!(snap.counter("geosir_repl_apply_errors_total", SHARD0), 0);
+    let stats = Client::connect(replica.addr()).unwrap().stats().unwrap();
+    assert_eq!((stats.live_shapes, stats.inserts), (6, 6));
+    repl.stop();
+    replica.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A primary segment corrupt mid-log — a newer segment follows it — is
+/// a read error counted every tick, not a silent stall: the records
+/// before the flipped byte apply, and since nothing past it ever will,
+/// the replica counts as behind until the drain monitor journals it
+/// stuck. (The one reader stops its records and its tip at the same
+/// place, so the record lag reads 0.)
+#[test]
+fn corrupt_primary_segment_counts_errors_and_journals_stuck() {
+    let dir = tmpdir("corrupt-primary");
+    let src = dir.join("primary");
+    write_primary_log(&src, 6, 5);
+    // the fourth-last byte of segment 1: inside its final record, LSN 4
+    let seg = src.join(FIRST_SEGMENT);
+    let mut bytes = std::fs::read(&seg).unwrap();
+    let at = bytes.len() - 4;
+    bytes[at] ^= 0x10;
+    std::fs::write(&seg, &bytes).unwrap();
+
+    let replica = serve("127.0.0.1:0", exact_template().empty_base(), serve_cfg()).unwrap();
+    let (registry, repl) = replicate(src, replica.addr());
     let journaled_stuck = poll_until(Duration::from_secs(20), || {
         registry.journal().recent().iter().any(|e| e.code == "repl.stuck")
     });
+    assert!(journaled_stuck, "a replica stalled on a corrupt primary segment must be journaled");
     let snap = registry.snapshot();
-    let lbl: &[(&str, &str)] = &[("shard", "0")];
-    assert!(journaled_stuck, "a replica stalled on a corrupt shipped segment must be journaled");
+    let errors = snap.counter("geosir_repl_read_errors_total", SHARD0);
+    assert!(errors >= 2, "every tick that reads the corrupt segment is a read error");
+    assert_eq!(snap.counter("geosir_repl_applied_records_total", SHARD0), 3);
+    assert!(snap.gauge("geosir_replication_lag_ms", SHARD0) > 0, "a failing read is behind");
     assert!(
-        snap.counter("geosir_repl_ship_errors_total", lbl) >= 2,
-        "every tick that reads the corrupt segment is a ship error"
+        poll_until(Duration::from_secs(5), || {
+            registry.snapshot().counter("geosir_repl_read_errors_total", SHARD0) > errors
+        }),
+        "the read errors keep rising, tick by tick"
     );
-    assert_eq!(snap.counter("geosir_repl_applied_records_total", lbl), 3);
-    assert_eq!(snap.gauge("geosir_replication_lag_records", lbl), 3);
     repl.stop();
     replica.shutdown();
     std::fs::remove_dir_all(&dir).ok();

@@ -37,7 +37,6 @@ pub mod extindex;
 pub mod faults;
 pub mod layout;
 pub mod record;
-pub mod shipping;
 pub mod slowlog;
 pub mod store;
 pub mod wal;

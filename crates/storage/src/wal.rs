@@ -43,10 +43,10 @@
 //! treated like corruption.
 //!
 //! [`replay`] reads a log whole, once, at recovery. A reader that
-//! follows a log while it is written (a replica following the shipped
-//! copy of its primary's log) holds a [`Tail`] instead: each
-//! [`Tail::poll`] reads only the bytes appended since the last, through
-//! the same record scanner and with the same checks.
+//! follows a log while it is written (a replica following its primary's
+//! log) holds a [`Tail`] instead: each [`Tail::poll`] reads only the
+//! bytes appended since the last, through the same record scanner and
+//! with the same checks.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -270,9 +270,8 @@ pub struct Wal {
     buf: Vec<u8>,
 }
 
-/// Path of the segment whose first record carries `first_lsn`. Public
-/// for the log-shipping layer (it mirrors segments path-for-path).
-pub fn segment_path(dir: &Path, first_lsn: Lsn) -> PathBuf {
+/// Path of the segment whose first record carries `first_lsn`.
+fn segment_path(dir: &Path, first_lsn: Lsn) -> PathBuf {
     dir.join(format!("wal-{first_lsn:020}.log"))
 }
 
@@ -431,10 +430,8 @@ impl Wal {
     }
 }
 
-/// `wal-<lsn>.log` first-LSNs present in `dir`, unsorted. Public so the
-/// log-shipping layer can mirror segments file-by-file without knowing
-/// the naming scheme.
-pub fn list_segments(dir: &Path) -> io::Result<Vec<Lsn>> {
+/// `wal-<lsn>.log` first-LSNs present in `dir`, unsorted.
+fn list_segments(dir: &Path) -> io::Result<Vec<Lsn>> {
     let mut firsts = Vec::new();
     for entry in std::fs::read_dir(dir)? {
         let name = entry?.file_name();
@@ -570,10 +567,9 @@ pub fn replay(dir: &Path, after_lsn: Lsn) -> io::Result<(Vec<(Lsn, WalRecord)>, 
 }
 
 /// Up to `len` bytes of the file at `path` from byte `off` (fewer when
-/// the file is shorter by then). The log readers' one read:
-/// [`Tail::poll`] and the shipper read what was appended since their
-/// last pass, never the prefix before it.
-pub(crate) fn read_range(path: &Path, off: u64, len: u64) -> io::Result<Vec<u8>> {
+/// the file is shorter by then): what [`Tail::poll`] reads, the bytes
+/// appended since its last pass, never the prefix before it.
+fn read_range(path: &Path, off: u64, len: u64) -> io::Result<Vec<u8>> {
     use std::io::{Read, Seek, SeekFrom};
     let mut f = std::fs::File::open(path)?;
     f.seek(SeekFrom::Start(off))?;
@@ -592,11 +588,11 @@ pub(crate) fn read_range(path: &Path, off: u64, len: u64) -> io::Result<Vec<u8>>
 /// The checks are [`replay`]'s, through the same scanner: every record's
 /// CRC and body are verified and LSNs strictly increase. A torn record
 /// at the end of the final segment is left unconsumed and read again by
-/// the next poll (a writer mid-append, a shipper mid-copy); a bad record
-/// with newer segments behind it is an `InvalidData` error, returned by
-/// every poll from then on. A segment that shrinks below the offset (a
-/// torn-tail repair, a rebuilt copy) is read again from its header, and
-/// only records above the last one read are delivered: nothing twice.
+/// the next poll (a writer mid-append); a bad record with newer segments
+/// behind it is an `InvalidData` error, returned by every poll from then
+/// on. A segment that shrinks below the offset (a torn-tail repair) is
+/// read again from its header, and only records above the last one read
+/// are delivered: nothing twice.
 pub struct Tail {
     dir: PathBuf,
     /// First LSN of the segment being read; `None` before any.
@@ -634,7 +630,8 @@ impl Tail {
     }
 
     /// Segment bytes read over this tail's lifetime.
-    pub fn bytes_read(&self) -> u64 {
+    #[cfg(test)]
+    fn bytes_read(&self) -> u64 {
         self.bytes_read
     }
 

@@ -47,12 +47,6 @@ fi
 # file under results/.
 bash scripts/results_check.sh
 
-# The one chaos scenario that tears a shipped append and checks the
-# replica still converges — a torn ship resumed at the wrong offset is
-# what an incremental shipper and tail can get wrong (≈ 3 s; CI's
-# cluster-chaos job runs all three).
-GEOSIR_CHAOS=1 cargo test -q --release -p geosir-serve --test cluster_chaos chaos_torn_and_delayed_shipping_still_converges
-
 # Durability hooks: crash-recovery harness (abort-at-failpoint children)
 # plus the full server suite with the fault hooks compiled in. Budget:
 # the crash tests must stay under 30 s wall — they are child-process

@@ -10,7 +10,7 @@
 //! ```
 //!
 //! `geosir cluster` starts `N` durable shard primaries (each persisting
-//! under `DIR/shard-i/`), `M` WAL-shipped read replicas per shard, and
+//! under `DIR/shard-i/`), `M` log-tailing read replicas per shard, and
 //! the scatter-gather router bound to `ADDR` (default `127.0.0.1:7410`;
 //! port 0 picks an ephemeral port, printed on startup). The router
 //! speaks the same wire protocol as a single `geosir serve`, so every
