@@ -5,8 +5,9 @@
 //! to be shared — open one per thread (the load generator does exactly
 //! that).
 //!
-//! Every connection carries deadlines ([`ClientConfig`]): connect,
-//! read, and write timeouts, so a hung server surfaces as a timed-out
+//! Every connection carries deadlines: a connect timeout
+//! ([`ClientConfig::connect_timeout`]) and 30 s read and write
+//! timeouts, so a hung server surfaces as a timed-out
 //! [`WireError::Io`] instead of a thread parked forever. On top of
 //! that, [`Client::insert_retrying`] offers bounded
 //! exponential-backoff retries that are *safe*: each insert carries a
@@ -24,15 +25,23 @@ use crate::wire::{
     Frame, ServerStats, StageTrailer, WireError, WireMatch, WireShape, WireShardStatus,
 };
 
-/// Connection deadlines and retry tuning.
+/// Deadline for each blocking read (reply wait).
+const READ_TIMEOUT: Duration = Duration::from_secs(30);
+/// Deadline for each blocking write.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+/// Total sleep budget across one retrying call. Once the cumulative
+/// backoff reaches this, the call fails instead of sleeping again — the
+/// cap that keeps a fleet of retrying clients from camping on a
+/// recovering shard forever.
+const RETRY_DEADLINE: Duration = Duration::from_secs(10);
+
+/// Connect deadline and retry tuning. Every connection also carries 30 s
+/// read and write deadlines, and a retrying call sleeps at most 10 s in
+/// total.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
     /// Deadline for establishing the TCP connection.
     pub connect_timeout: Option<Duration>,
-    /// Deadline for each blocking read (reply wait).
-    pub read_timeout: Option<Duration>,
-    /// Deadline for each blocking write.
-    pub write_timeout: Option<Duration>,
     /// Retry attempts for [`Client::insert_retrying`] (beyond the first).
     pub retries: u32,
     /// Backoff floor: every retry sleeps at least this long.
@@ -40,23 +49,15 @@ pub struct ClientConfig {
     /// Backoff ceiling for the jittered schedule (a larger server
     /// `Busy` hint still wins — the server knows its own drain rate).
     pub retry_cap: Duration,
-    /// Total sleep budget across one retrying call. Once the cumulative
-    /// backoff reaches this, the call fails instead of sleeping again —
-    /// the cap that keeps a fleet of retrying clients from camping on a
-    /// recovering shard forever.
-    pub retry_deadline: Duration,
 }
 
 impl Default for ClientConfig {
     fn default() -> Self {
         ClientConfig {
             connect_timeout: Some(Duration::from_secs(5)),
-            read_timeout: Some(Duration::from_secs(30)),
-            write_timeout: Some(Duration::from_secs(30)),
             retries: 4,
             retry_base: Duration::from_millis(10),
             retry_cap: Duration::from_secs(1),
-            retry_deadline: Duration::from_secs(10),
         }
     }
 }
@@ -99,7 +100,7 @@ impl Backoff {
 
     /// Schedule from a [`ClientConfig`]'s retry knobs.
     fn from_config(cfg: &ClientConfig) -> Backoff {
-        Backoff::new(cfg.retry_base, cfg.retry_cap, cfg.retry_deadline, key_seed())
+        Backoff::new(cfg.retry_base, cfg.retry_cap, RETRY_DEADLINE, key_seed())
     }
 
     fn next_u64(&mut self) -> u64 {
@@ -276,8 +277,8 @@ fn connect_stream(addrs: &[SocketAddr], cfg: &ClientConfig) -> Result<TcpStream,
         match attempt {
             Ok(s) => {
                 s.set_nodelay(true).map_err(WireError::Io)?;
-                s.set_read_timeout(cfg.read_timeout).map_err(WireError::Io)?;
-                s.set_write_timeout(cfg.write_timeout).map_err(WireError::Io)?;
+                s.set_read_timeout(Some(READ_TIMEOUT)).map_err(WireError::Io)?;
+                s.set_write_timeout(Some(WRITE_TIMEOUT)).map_err(WireError::Io)?;
                 return Ok(s);
             }
             Err(e) => last = Some(e),
@@ -558,8 +559,8 @@ impl Client {
     /// backoff); an I/O error (timeout, reset) reconnects and resends
     /// the *same* idempotency key, so an insert that actually landed
     /// before the error is acked, not duplicated. Fails after
-    /// `cfg.retries` attempts, when the `cfg.retry_deadline` sleep
-    /// budget is spent, or on any protocol/server error.
+    /// `cfg.retries` attempts, when the 10 s sleep budget
+    /// (`RETRY_DEADLINE`) is spent, or on any protocol/server error.
     pub fn insert_retrying(
         &mut self,
         image: u32,

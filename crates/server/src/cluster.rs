@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use geosir_obs as obs;
 
-use crate::sinks::{arm_crash_dump, SlowLog};
+use crate::sinks::SlowLog;
 use crate::wire::Frame;
 
 mod boot;
@@ -69,9 +69,6 @@ pub struct RouterConfig {
     /// written to the slow log. Higher than the single-node default:
     /// a routed query crosses the network and gathers every shard.
     pub slow_query_us: u64,
-    /// Where the router's request ring is dumped when the process
-    /// panics or an armed crash point fires. `None` disables the hook.
-    pub flight_dump_path: Option<PathBuf>,
 }
 
 impl Default for RouterConfig {
@@ -84,7 +81,6 @@ impl Default for RouterConfig {
             metrics_addr: None,
             slow_query_log: None,
             slow_query_us: 100_000,
-            flight_dump_path: None,
         }
     }
 }
@@ -416,9 +412,6 @@ impl Router {
             cfg,
             registry,
         });
-        if let Some(path) = &state.cfg.flight_dump_path {
-            arm_crash_dump(path.clone(), &state.registry);
-        }
         let http = match &state.cfg.metrics_addr {
             Some(a) => Some(obs::expo::MetricsServer::bind(a, http_routes(&state))?),
             None => None,

@@ -13,6 +13,7 @@ use geosir_obs as obs;
 use super::{Router, RouterConfig, RouterHandle, ShardSpec};
 use crate::durable::{BaseTemplate, DurabilityConfig, RecoveryReport};
 use crate::server::{serve, serve_durable, ServeConfig, ServerHandle};
+use crate::sinks::arm_crash_dump;
 
 /// Checkpoint interval for shard primaries. Kept deliberately huge so
 /// the WAL retains the full history a replica reads from LSN 0 — once,
@@ -144,12 +145,8 @@ pub fn start_cluster(
     mut cfg: ClusterConfig,
 ) -> io::Result<Cluster> {
     assert!(cfg.shards >= 1);
-    // Router observability artifacts default into the cluster's data
-    // dir: the request ring survives a router panic, and slow routed
-    // queries land in a rotating JSONL next to the shard data.
-    if cfg.router.flight_dump_path.is_none() {
-        cfg.router.flight_dump_path = Some(cfg.data_dir.join("router-flight.dump.json"));
-    }
+    // Slow routed queries default into a rotating JSONL next to the
+    // shard data.
     if cfg.router.slow_query_log.is_none() {
         cfg.router.slow_query_log = Some(cfg.data_dir.join("router"));
     }
@@ -189,6 +186,9 @@ pub fn start_cluster(
         replicas.push(row);
         recovery.push(report);
     }
+    // The router's request ring survives a panic or an armed crash
+    // point in the cluster's data dir, as each primary's does in its own.
+    arm_crash_dump(cfg.data_dir.join("router-flight.dump.json"), &registry);
     let router = Router::start(addr, specs.clone(), cfg.router, registry)?;
     Ok(Cluster { router, specs, recovery, primaries, replicas })
 }

@@ -49,8 +49,10 @@ pub(crate) const SLO_MAX_BURN: f64 = 10.0;
 /// traffic must stay under `1 - AVAILABILITY_TARGET`.
 const AVAILABILITY_TARGET: f64 = 0.999;
 /// Latency objective: this fraction of requests must finish under
-/// [`HealthConfig::latency_slo_us`].
+/// [`LATENCY_SLO_US`].
 const LATENCY_TARGET: f64 = 0.95;
+/// The latency objective's threshold: 100 ms.
+const LATENCY_SLO_US: u64 = 100_000;
 /// Approx-funnel objective: this fraction of approx queries must emit
 /// at most [`APPROX_CANDIDATE_CEILING`] candidates (the calibrated
 /// reduction frontier — drift past it means the signature funnel has
@@ -58,9 +60,11 @@ const LATENCY_TARGET: f64 = 0.95;
 const APPROX_TARGET: f64 = 0.9;
 const APPROX_CANDIDATE_CEILING: u64 = 100_000;
 
-/// Watchdog deadlines and SLO objectives. All deadlines are generous
-/// multiples of [`HealthConfig::interval`] by default; tests shrink
-/// them to observe flips quickly.
+/// Whether the watchdog runs, and its cadence. The WAL stall and the
+/// SLO windows are multiples of [`HealthConfig::interval`] (at the
+/// default 250 ms: 2 s, and 10 s / 60 s), the loop-lag and watchdog
+/// deadlines multiples with a floor, so a test that shrinks the cadence
+/// shrinks them all.
 #[derive(Debug, Clone)]
 pub struct HealthConfig {
     /// Run the watchdog and serve live verdicts. When false,
@@ -68,61 +72,59 @@ pub struct HealthConfig {
     pub enabled: bool,
     /// Watchdog evaluation cadence.
     pub interval: Duration,
-    /// A WAL-writer batch older than this flips the `wal_writer`
-    /// component unhealthy.
-    pub wal_stall: Duration,
-    /// Sliding burn-rate windows, short → long.
-    pub slo_windows: Vec<Duration>,
-    /// The latency objective's threshold.
-    pub latency_slo_us: u64,
 }
 
 impl Default for HealthConfig {
     fn default() -> HealthConfig {
-        HealthConfig {
-            enabled: true,
-            interval: Duration::from_millis(250),
-            wal_stall: Duration::from_secs(2),
-            slo_windows: vec![Duration::from_secs(10), Duration::from_secs(60)],
-            latency_slo_us: 100_000,
-        }
+        HealthConfig { enabled: true, interval: Duration::from_millis(250) }
     }
 }
 
+/// The SLO objectives evaluated against this server's registry.
+pub(crate) fn objectives() -> Vec<obs::Objective> {
+    vec![
+        // Shed traffic is unavailability: bad = Busy rejects,
+        // total ≈ admitted requests (rejects are not admitted, so
+        // the bad fraction slightly overestimates — conservative).
+        obs::Objective {
+            name: "availability".into(),
+            target: AVAILABILITY_TARGET,
+            kind: obs::ObjectiveKind::Availability {
+                total: "geosir_requests_total".into(),
+                errors: "geosir_busy_rejects_total".into(),
+            },
+        },
+        obs::Objective {
+            name: "latency".into(),
+            target: LATENCY_TARGET,
+            kind: obs::ObjectiveKind::LatencyUnder {
+                histogram: "geosir_request_latency_us".into(),
+                threshold_us: LATENCY_SLO_US,
+            },
+        },
+        // The approx funnel's reduction floor, expressed as its
+        // dual: candidates-per-query must stay under the ceiling.
+        obs::Objective {
+            name: "approx_funnel".into(),
+            target: APPROX_TARGET,
+            kind: obs::ObjectiveKind::LatencyUnder {
+                histogram: "geosir_approx_candidates_per_query".into(),
+                threshold_us: APPROX_CANDIDATE_CEILING,
+            },
+        },
+    ]
+}
+
 impl HealthConfig {
-    /// The SLO objectives evaluated against this server's registry.
-    pub fn objectives(&self) -> Vec<obs::Objective> {
-        vec![
-            // Shed traffic is unavailability: bad = Busy rejects,
-            // total ≈ admitted requests (rejects are not admitted, so
-            // the bad fraction slightly overestimates — conservative).
-            obs::Objective {
-                name: "availability".into(),
-                target: AVAILABILITY_TARGET,
-                kind: obs::ObjectiveKind::Availability {
-                    total: "geosir_requests_total".into(),
-                    errors: "geosir_busy_rejects_total".into(),
-                },
-            },
-            obs::Objective {
-                name: "latency".into(),
-                target: LATENCY_TARGET,
-                kind: obs::ObjectiveKind::LatencyUnder {
-                    histogram: "geosir_request_latency_us".into(),
-                    threshold_us: self.latency_slo_us,
-                },
-            },
-            // The approx funnel's reduction floor, expressed as its
-            // dual: candidates-per-query must stay under the ceiling.
-            obs::Objective {
-                name: "approx_funnel".into(),
-                target: APPROX_TARGET,
-                kind: obs::ObjectiveKind::LatencyUnder {
-                    histogram: "geosir_approx_candidates_per_query".into(),
-                    threshold_us: APPROX_CANDIDATE_CEILING,
-                },
-            },
-        ]
+    /// A WAL-writer batch in flight longer than this (8 × interval)
+    /// flips the `wal_writer` component unhealthy.
+    pub fn wal_stall(&self) -> Duration {
+        self.interval * 8
+    }
+
+    /// Sliding burn-rate windows, short → long: 40 and 240 × interval.
+    pub fn slo_windows(&self) -> Vec<Duration> {
+        vec![self.interval * 40, self.interval * 240]
     }
 
     /// Loop-lag deadline with the 2×interval floor applied.
@@ -436,8 +438,11 @@ mod tests {
         assert_eq!(hc.effective_loop_lag(), LOOP_LAG, "the default cadence keeps the constant");
         let slow = HealthConfig { interval: Duration::from_secs(1), ..HealthConfig::default() };
         assert_eq!(slow.effective_loop_lag(), Duration::from_secs(2), "never under 2 × interval");
-        assert!(QUEUE_SAT >= hc.interval * 2 && hc.wal_stall >= hc.interval * 2);
-        let targets: Vec<f64> = hc.objectives().iter().map(|o| o.target).collect();
+        assert!(QUEUE_SAT >= hc.interval * 2 && hc.wal_stall() >= hc.interval * 2);
+        // the derived deadlines are the fixed ones they replaced
+        assert_eq!(hc.wal_stall(), Duration::from_secs(2));
+        assert_eq!(hc.slo_windows(), [Duration::from_secs(10), Duration::from_secs(60)]);
+        let targets: Vec<f64> = objectives().iter().map(|o| o.target).collect();
         assert_eq!(targets, [AVAILABILITY_TARGET, LATENCY_TARGET, APPROX_TARGET]);
         assert!(targets.iter().all(|t| *t > 0.0 && *t < 1.0));
         assert!(hc.watchdog_deadline() >= Duration::from_secs(2));

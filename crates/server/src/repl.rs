@@ -162,7 +162,7 @@ fn repl_loop(spec: ReplSpec, stop: Arc<AtomicBool>) {
             }
         }
         pending.drain(..done);
-        let lag = tail.last_lsn().unwrap_or(0).saturating_sub(applied);
+        let lag = tail.tip().unwrap_or(0).saturating_sub(applied);
         m.lag_records.set(lag as i64);
         if lag == 0 && read_ok {
             behind_since = None;

@@ -63,7 +63,7 @@ use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use geosir_core::dynamic::{DynamicBase, Snapshot};
 use geosir_obs as obs;
@@ -86,17 +86,15 @@ use watchdog::{http_routes, watchdog_loop};
 use worker::worker_loop;
 use writer::{checkpointer_loop, writer_loop, WriterCtx};
 
-/// Server tuning knobs.
+/// Server tuning knobs. What no caller tunes is a constant beside the
+/// code that uses it: the checkpointer's 50 ms tick (`writer.rs`), the
+/// write queue's capacity (`admission.rs`).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker threads answering queries (0 = one per available CPU).
     pub workers: usize,
     /// Bounded read-queue capacity; beyond it, queries get `Busy`.
     pub queue_cap: usize,
-    /// The background checkpointer's tick: how often it looks at the
-    /// count of WAL records since the last checkpoint, and how quickly
-    /// it notices shutdown.
-    pub poll_interval: Duration,
     /// Bind address for the HTTP plane (`/metrics` Prometheus text,
     /// `/healthz`, `/readyz`, `/debug/last_queries`, `/debug/journal`);
     /// `None` disables it.
@@ -115,8 +113,9 @@ pub struct ServeConfig {
     /// then are answered one by one. 1 disables coalescing (each job
     /// pops alone).
     pub coalesce_max: usize,
-    /// Watchdog deadlines and SLO objectives behind `/healthz`,
-    /// `/readyz`, and the `geosir_health_status` gauges.
+    /// The watchdog behind `/healthz`, `/readyz`, and the
+    /// `geosir_health_status` gauges: on or off, and the cadence its
+    /// deadlines and SLO windows derive from.
     pub health: HealthConfig,
 }
 
@@ -125,7 +124,6 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 0,
             queue_cap: 128,
-            poll_interval: Duration::from_millis(50),
             metrics_addr: None,
             slow_query_log: None,
             slow_query_us: 10_000,

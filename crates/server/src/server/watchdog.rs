@@ -79,7 +79,7 @@ fn readyz_reply(shared: &Shared) -> obs::expo::Reply {
 /// verdict `/readyz` serves.
 pub(super) fn watchdog_loop(shared: &Arc<Shared>) {
     let hc = shared.cfg.health.clone();
-    let mut engine = obs::SloEngine::new(hc.objectives(), hc.slo_windows.clone());
+    let mut engine = obs::SloEngine::new(health::objectives(), hc.slo_windows());
     let mut transitions = TransitionTracker::new();
     let mut read_sat_since: Option<Instant> = None;
     let mut write_sat_since: Option<Instant> = None;
@@ -95,7 +95,7 @@ pub(super) fn watchdog_loop(shared: &Arc<Shared>) {
         // and cleared when its replies go out; the writer blocking idle on
         // an empty queue is healthy by construction (marker = 0).
         let (wal_status, wal_detail) = match shared.health.wal_busy_for() {
-            Some(busy) if busy > hc.wal_stall => {
+            Some(busy) if busy > hc.wal_stall() => {
                 (health::STATUS_UNHEALTHY, format!("batch in flight for {}ms", busy.as_millis()))
             }
             Some(busy) => {

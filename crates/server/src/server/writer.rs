@@ -7,7 +7,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use geosir_core::dynamic::{DynamicBase, GlobalShapeId};
 use geosir_core::ImageId;
@@ -298,6 +298,11 @@ pub(super) fn writer_loop(mut base: DynamicBase, mut ctx: WriterCtx, shared: &Ar
     }
 }
 
+/// The checkpointer's tick: how often it looks at the count of WAL
+/// records since the last checkpoint, and how quickly it notices
+/// shutdown.
+const CHECKPOINT_POLL: Duration = Duration::from_millis(50);
+
 /// Background checkpointer: every `checkpoint_every` logged records,
 /// stream the published snapshot into `ckpt-<lsn>.gsir`, retire every
 /// other checkpoint, then rotate the WAL and prune covered segments.
@@ -307,7 +312,7 @@ pub(super) fn checkpointer_loop(shared: &Arc<Shared>) {
     let Some(d) = &shared.durable else { return };
     let mut consecutive_failures = 0u32;
     while !shared.is_shutdown() {
-        std::thread::sleep(shared.cfg.poll_interval);
+        std::thread::sleep(CHECKPOINT_POLL);
         let pending = d.records_since_ckpt.load(Ordering::Relaxed);
         if pending < d.checkpoint_every || shared.is_read_only() {
             continue;

@@ -235,7 +235,7 @@ fn chaos_health_plane_attributes_stall_and_dead_replica() {
     }
     let dir = tmpdir("health-plane");
     // Shard 0's own WAL disk sleeps 900ms on every op — any write batch
-    // stays busy far past the 300ms stall deadline; an idle writer is
+    // stays busy far past the 400ms stall deadline; an idle writer is
     // healthy (the fault only fires on ops).
     let stall = FaultPlan::new(FaultKind::Delay(Duration::from_millis(900)), 0, true);
     let mut cfg = ClusterConfig::new(&dir);
@@ -243,17 +243,10 @@ fn chaos_health_plane_attributes_stall_and_dead_replica() {
     cfg.replicas = 1;
     cfg.serve = ServeConfig {
         metrics_addr: Some("127.0.0.1:0".to_string()),
-        health: HealthConfig {
-            interval: Duration::from_millis(50),
-            wal_stall: Duration::from_millis(300),
-            // The demo's recovery assertion is about the WAL watchdog;
-            // keep the latency objective out of the way so the storm's
-            // fault-delayed writes cannot hold `slo` degraded (and
-            // readiness 503) for a window-length after the stall ends.
-            latency_slo_us: 60_000_000,
-            slo_windows: vec![Duration::from_secs(1), Duration::from_secs(5)],
-            ..HealthConfig::default()
-        },
+        // a 50 ms watchdog: a 400 ms WAL-stall deadline, and SLO burn
+        // windows of 2 s / 12 s that the storm's fault-delayed writes
+        // leave seconds after the stall ends
+        health: HealthConfig { interval: Duration::from_millis(50), ..HealthConfig::default() },
         ..serve_cfg()
     };
     cfg.router = RouterConfig {

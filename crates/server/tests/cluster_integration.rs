@@ -287,8 +287,8 @@ fn torn_final_record_applies_once_completed() {
 /// a read error counted every tick, not a silent stall: the records
 /// before the flipped byte apply, and since nothing past it ever will,
 /// the replica counts as behind until the drain monitor journals it
-/// stuck. (The one reader stops its records and its tip at the same
-/// place, so the record lag reads 0.)
+/// stuck. Its record lag is not 0: the tip reaches the record before the
+/// newest segment's first, past the one the reader stopped at.
 #[test]
 fn corrupt_primary_segment_counts_errors_and_journals_stuck() {
     let dir = tmpdir("corrupt-primary");
@@ -312,6 +312,10 @@ fn corrupt_primary_segment_counts_errors_and_journals_stuck() {
     assert!(errors >= 2, "every tick that reads the corrupt segment is a read error");
     assert_eq!(snap.counter("geosir_repl_applied_records_total", SHARD0), 3);
     assert!(snap.gauge("geosir_replication_lag_ms", SHARD0) > 0, "a failing read is behind");
+    assert!(
+        snap.gauge("geosir_replication_lag_records", SHARD0) > 0,
+        "a replica stuck short of the newest segment lags by records too"
+    );
     assert!(
         poll_until(Duration::from_secs(5), || {
             registry.snapshot().counter("geosir_repl_read_errors_total", SHARD0) > errors

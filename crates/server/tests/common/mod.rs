@@ -47,10 +47,9 @@ pub fn exact_template() -> BaseTemplate {
     t
 }
 
-/// One worker and a checkpointer that looks (and notices shutdown)
-/// every 5 ms.
+/// One worker.
 pub fn serve_cfg() -> ServeConfig {
-    ServeConfig { workers: 1, poll_interval: Duration::from_millis(5), ..Default::default() }
+    ServeConfig { workers: 1, ..Default::default() }
 }
 
 /// The `i`-th of a family of distinct triangles.

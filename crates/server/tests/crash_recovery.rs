@@ -4,7 +4,9 @@
 //! server in-process and prints one `ACKED <tri> <id>` line (flushed)
 //! per acknowledged write until the armed point `abort()`s it. The
 //! parent then recovers from the same data directory and verifies the
-//! invariant the WAL exists for: **every acked write survives**.
+//! invariant the WAL exists for: **every acked write survives**. A
+//! second child boots a cluster instead, so that the router's crash
+//! dump is checked where the cluster arms it.
 //!
 //! Only built with `--features failpoints`; the hooks are compiled out
 //! of production binaries entirely.
@@ -20,6 +22,7 @@ use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
+use geosir_serve::cluster::{start_cluster, ClusterConfig};
 use geosir_serve::{serve_durable, Client, DurabilityConfig};
 use geosir_storage::wal::FsyncPolicy;
 
@@ -59,12 +62,42 @@ fn crash_child_workload() {
     std::thread::sleep(Duration::from_secs(3));
 }
 
+/// The cluster's crashing workload, a no-op unless spawned with
+/// [`CHILD_DIR_ENV`] set: two shards with no replicas, in-process
+/// behind their router; four writes routed through it (the armed point
+/// lets four WAL appends pass), three routed reads, then a fifth write
+/// whose append aborts the process.
+#[test]
+fn crash_child_cluster_workload() {
+    let Ok(dir) = std::env::var(CHILD_DIR_ENV) else { return };
+    let cfg = ClusterConfig { replicas: 0, serve: serve_cfg(), ..ClusterConfig::new(dir) };
+    let cluster = start_cluster("127.0.0.1:0", &template(), cfg).expect("child: start_cluster");
+    let mut c = Client::connect(cluster.addr()).expect("child: connect");
+    let out = std::io::stdout();
+    for i in 0..4u64 {
+        let (_, id) = c.insert_retrying(i as u32, &tri(i)).expect("child: routed insert");
+        let mut o = out.lock();
+        writeln!(o, "ACKED {i} {id}").unwrap();
+        o.flush().unwrap();
+    }
+    for i in 0..3u64 {
+        assert!(!c.query(&tri(i), 1).expect("child: routed query").rejected);
+    }
+    let _ = c.insert(4, &tri(4));
+    std::thread::sleep(Duration::from_secs(3));
+}
+
 /// Spawn the child with `point` armed, wait for it to abort, and return
 /// the `(tri index, id)` pairs it acked before dying.
 fn run_crashing_child(dir: &PathBuf, point: &str) -> Vec<(u64, u64)> {
+    crashing_child("crash_child_workload", dir, point)
+}
+
+/// [`run_crashing_child`] with the child test `test`.
+fn crashing_child(test: &str, dir: &PathBuf, point: &str) -> Vec<(u64, u64)> {
     let exe = std::env::current_exe().unwrap();
     let mut child = Command::new(exe)
-        .args(["crash_child_workload", "--exact", "--nocapture", "--test-threads=1"])
+        .args([test, "--exact", "--nocapture", "--test-threads=1"])
         .env(CHILD_DIR_ENV, dir)
         .env("GEOSIR_CRASHPOINT", point)
         .stdout(Stdio::piped())
@@ -94,11 +127,10 @@ fn run_crashing_child(dir: &PathBuf, point: &str) -> Vec<(u64, u64)> {
     let acked: Vec<(u64, u64)> = out
         .lines()
         .filter_map(|l| {
-            let mut f = l.split_whitespace();
-            match (f.next(), f.next(), f.next()) {
-                (Some("ACKED"), Some(i), Some(id)) => Some((i.parse().ok()?, id.parse().ok()?)),
-                _ => None,
-            }
+            // the harness's `test NAME ... ` shares the first ack's line
+            let (_, ack) = l.split_once("ACKED ")?;
+            let (i, id) = ack.split_once(' ')?;
+            Some((i.parse().ok()?, id.trim().parse().ok()?))
         })
         .collect();
     assert!(!acked.is_empty(), "child acked nothing before `{point}` fired");
@@ -203,4 +235,111 @@ fn crash_leaves_readable_flight_dump() {
     // and the dump does not interfere with normal recovery
     assert_acked_survive(&dir, "wal.post-append:6", &acked);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The router's request ring survives an armed crash point as well: the
+/// cluster arms its dump in its data directory at boot, so the child's
+/// three routed reads are in `router-flight.dump.json`, each a whole
+/// record with a stage per shard and both shards answering.
+#[test]
+fn cluster_crash_leaves_readable_router_flight_dump() {
+    let dir = tmpdir("router-flight-dump");
+    let point = "wal.post-append:4";
+    let acked = crashing_child("crash_child_cluster_workload", &dir, point);
+    assert_eq!(acked.len(), 4, "four routed writes ack before the fifth aborts");
+    let dump = std::fs::read_to_string(dir.join("router-flight.dump.json"))
+        .expect("crash must write router-flight.dump.json to the cluster's data dir");
+    let Json::Arr(records) = parse_json(&dump) else { panic!("dump must be a JSON array: {dump}") };
+    assert_eq!(records.len(), 3, "the router records its routed reads: {dump}");
+    for r in &records {
+        assert_eq!(r.get("kind"), Some(&Json::Str("routed_query".into())), "{dump}");
+        let stages = r.get("stages").expect("a routed record has stages");
+        assert!(stages.get("shard0").is_some() && stages.get("shard1").is_some(), "{dump}");
+        let notes = r.get("notes").expect("a routed record has notes");
+        assert_eq!(notes.get("shards_ok"), Some(&Json::Num(2.0)), "{dump}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A JSON value, as much of JSON as a request record uses: numbers,
+/// strings without escapes, arrays and objects, no whitespace.
+#[derive(Debug, PartialEq)]
+enum Json {
+    Num(f64),
+    Str(String),
+    Arr(Vec<Json>),
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+}
+
+/// `text` as one [`Json`] value; panics at the first byte that is not.
+fn parse_json(text: &str) -> Json {
+    fn list(b: &[u8], i: &mut usize, close: u8, mut item: impl FnMut(&mut usize)) {
+        *i += 1;
+        if b.get(*i) == Some(&close) {
+            *i += 1;
+            return;
+        }
+        loop {
+            item(i);
+            match b.get(*i) {
+                Some(b',') => *i += 1,
+                Some(c) if *c == close => {
+                    *i += 1;
+                    break;
+                }
+                c => panic!("byte {i}: want ',' or '{}', got {c:?}", close as char),
+            }
+        }
+    }
+    fn string(b: &[u8], i: &mut usize) -> String {
+        assert_eq!(b.get(*i), Some(&b'"'), "byte {i}: want a string");
+        let len = b[*i + 1..].iter().position(|&c| c == b'"').expect("unterminated string");
+        let s = String::from_utf8(b[*i + 1..*i + 1 + len].to_vec()).unwrap();
+        assert!(!s.contains('\\'), "escapes are not expected: {s}");
+        *i += len + 2;
+        s
+    }
+    fn value(b: &[u8], i: &mut usize) -> Json {
+        match b.get(*i) {
+            Some(b'[') => {
+                let mut items = Vec::new();
+                list(b, i, b']', |i| items.push(value(b, i)));
+                Json::Arr(items)
+            }
+            Some(b'{') => {
+                let mut fields = Vec::new();
+                list(b, i, b'}', |i| {
+                    let key = string(b, i);
+                    assert_eq!(b.get(*i), Some(&b':'), "byte {i}: want ':'");
+                    *i += 1;
+                    fields.push((key, value(b, i)));
+                });
+                Json::Obj(fields)
+            }
+            Some(b'"') => Json::Str(string(b, i)),
+            _ => {
+                let len = b[*i..]
+                    .iter()
+                    .position(|c| !(c.is_ascii_digit() || b"-+.eE".contains(c)))
+                    .unwrap_or(b.len() - *i);
+                let num = std::str::from_utf8(&b[*i..*i + len]).unwrap();
+                *i += len;
+                Json::Num(num.parse().unwrap_or_else(|_| panic!("byte {i}: not a number: {num:?}")))
+            }
+        }
+    }
+    let b = text.as_bytes();
+    let mut i = 0;
+    let v = value(b, &mut i);
+    assert_eq!(i, b.len(), "trailing bytes after the value");
+    v
 }

@@ -23,7 +23,7 @@ use geosir_storage::faults::{FaultyIo, FileFactory, Io, IoFactory};
 #[test]
 fn acked_writes_survive_restart_via_wal_and_checkpoint() {
     let dir = tmpdir("restart");
-    let cfg = ServeConfig { workers: 1, poll_interval: Duration::from_millis(10), ..Default::default() };
+    let cfg = ServeConfig { workers: 1, ..Default::default() };
     let mut dcfg = DurabilityConfig::new(&dir);
     dcfg.fsync = FsyncPolicy::Always;
     dcfg.checkpoint_every = 20;
@@ -344,7 +344,6 @@ fn failing_checkpoint_appends_flip_read_only_after_three_strikes() {
     dcfg.io_factory = Some(Arc::new(CheckpointsThrough(plan.clone())));
     let cfg = ServeConfig {
         workers: 1,
-        poll_interval: Duration::from_millis(10),
         metrics_addr: Some("127.0.0.1:0".to_string()),
         ..Default::default()
     };
@@ -419,8 +418,7 @@ fn dir_names(dir: &std::path::Path) -> Vec<String> {
 #[test]
 fn checkpoints_retire_their_predecessors() {
     let dir = tmpdir("retire");
-    let cfg =
-        ServeConfig { workers: 1, poll_interval: Duration::from_millis(5), ..Default::default() };
+    let cfg = ServeConfig { workers: 1, ..Default::default() };
     let mut dcfg = DurabilityConfig::new(&dir);
     dcfg.checkpoint_every = 4;
     let mut acked = Vec::new();

@@ -12,20 +12,12 @@ use std::time::Duration;
 use geosir_serve::{serve_durable, Client, DurabilityConfig, HealthConfig, ServeConfig};
 use geosir_storage::faults::{FaultKind, FaultPlan, FaultyFactory};
 
+/// A 50 ms watchdog: the WAL-stall deadline is 8 × that (400 ms) and
+/// the SLO burn windows 40 and 240 × (2 s, 12 s), so a burn from the
+/// fault-delayed writes drains from the short window seconds after the
+/// stall clears.
 fn fast_health() -> HealthConfig {
-    HealthConfig {
-        interval: Duration::from_millis(50),
-        wal_stall: Duration::from_millis(300),
-        // These tests exercise the watchdogs, not SLO window dynamics:
-        // a latency objective tight enough to trip on the fault-delayed
-        // (or debug-profile) writes would keep `slo` degraded — and
-        // readiness 503 — for a full short-window length after the
-        // stall clears. Give latency a generous ceiling and shrink the
-        // windows so any incidental burn drains in seconds.
-        latency_slo_us: 60_000_000,
-        slo_windows: vec![Duration::from_secs(1), Duration::from_secs(5)],
-        ..HealthConfig::default()
-    }
+    HealthConfig { interval: Duration::from_millis(50), ..HealthConfig::default() }
 }
 
 #[test]
@@ -108,7 +100,7 @@ fn healthy_server_reports_ready_and_journals_lifecycle() {
 fn wal_writer_stall_flips_readyz_and_recovers_without_restart() {
     let dir = tmpdir("stall");
     // Every WAL op sleeps 700ms — any write batch is busy far past the
-    // 300ms stall deadline, and an idle writer (no ops) is healthy.
+    // 400ms stall deadline, and an idle writer (no ops) is healthy.
     let plan = FaultPlan::new(FaultKind::Delay(Duration::from_millis(700)), 0, true);
     let dcfg = DurabilityConfig {
         io_factory: Some(std::sync::Arc::new(FaultyFactory { plan: plan.clone() })),

@@ -606,6 +606,8 @@ pub struct Tail {
     at_off: Option<Lsn>,
     /// Highest LSN read; nothing at or below it is delivered again.
     last: Option<Lsn>,
+    /// First LSN of the newest segment listed.
+    newest_first: Option<Lsn>,
     bytes_read: u64,
 }
 
@@ -620,12 +622,24 @@ impl Tail {
             seg_prev: None,
             at_off: None,
             last: None,
+            newest_first: None,
             bytes_read: 0,
         }
     }
 
+    /// The highest LSN the log is known to hold: the last one read, or,
+    /// when a bad record stops the reading short of newer segments, the
+    /// last one before the newest segment. A segment is named by the LSN
+    /// of its first record, so every record up to that name − 1 exists;
+    /// a freshly rotated, empty segment adds nothing above the last one.
+    pub fn tip(&self) -> Option<Lsn> {
+        let before_newest = self.newest_first.map(|f| f.saturating_sub(1));
+        self.last.max(before_newest)
+    }
+
     /// Highest LSN read so far (`None` while the log held no records).
-    pub fn last_lsn(&self) -> Option<Lsn> {
+    #[cfg(test)]
+    fn last_lsn(&self) -> Option<Lsn> {
         self.last
     }
 
@@ -644,6 +658,7 @@ impl Tail {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
             Err(e) => return Err(e),
         };
+        self.newest_first = self.newest_first.max(firsts.iter().copied().max());
         // segments before the current one are finished
         firsts.retain(|&f| self.seg.is_none_or(|s| f >= s));
         firsts.sort_unstable();
@@ -1016,10 +1031,12 @@ mod tests {
         wal.sync().unwrap();
         assert_eq!(poll_all(&mut tail), replay(&dir, 0).unwrap().0);
         assert_eq!(tail.last_lsn(), Some(5));
-        // rotation opens an empty segment at 6: the last record is still 5
+        // rotation opens an empty segment at 6: the last record is still
+        // 5, and so is the tip (an idle reader after a rotation has no lag)
         wal.rotate().unwrap();
         assert!(poll_all(&mut tail).is_empty());
         assert_eq!(tail.last_lsn(), Some(5));
+        assert_eq!(tail.tip(), Some(5));
         wal.append(&insert(99)).unwrap();
         wal.sync().unwrap();
         assert_eq!(poll_all(&mut tail), vec![(6, insert(99))]);
@@ -1146,6 +1163,10 @@ mod tests {
             let oracle: Vec<(Lsn, WalRecord)> = oracle.into_iter().collect();
             assert_eq!(polled, oracle, "the tail must deliver replay's records, each once, in order");
             assert_eq!(polled, appended);
+            // caught up, the tip is the last record, whatever rotations
+            // left empty segments behind it
+            let last = appended.last().map_or(0, |(lsn, _)| *lsn);
+            assert_eq!(tail.tip().unwrap_or(0), last);
             // corruption with a newer segment behind it
             let mut firsts = list_segments(&dir).unwrap();
             firsts.sort_unstable();
@@ -1156,8 +1177,11 @@ mod tests {
                 bytes[at] ^= 1 << rng.random_range(0..8);
                 std::fs::write(&seg, &bytes).unwrap();
                 assert_eq!(replay(&dir, 0).unwrap_err().kind(), io::ErrorKind::InvalidData);
-                let err = Tail::new(&dir).poll(0, &mut Vec::new()).unwrap_err();
+                let mut stuck = Tail::new(&dir);
+                let err = stuck.poll(0, &mut Vec::new()).unwrap_err();
                 assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                // stopped short, the tip still reaches the newest segment
+                assert!(stuck.tip() >= Some(firsts[firsts.len() - 1] - 1));
             }
             drop(wal);
             std::fs::remove_dir_all(&dir).ok();

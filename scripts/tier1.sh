@@ -20,6 +20,11 @@ cargo run -q --release --example topological_queries
 # other .rs file mentions loses its `pub` — and the clippy line above
 # then says whether it lives (dead_code stops at `pub`).
 bash scripts/pub_census.sh
+# A knob that nobody turns is a constant: every public field of the six
+# serving config structs must be set by something outside the file that
+# defines it (the CLI, a test or benchmark/); the table it prints says by
+# whom, and which `geosir serve` / `geosir cluster` flags are passed.
+bash scripts/knob_census.sh
 # Product and test lines per crate, counted one way every time (product =
 # outside `#[cfg(test)] mod tests`); fails when a file of the dynamic base
 # passes 1 000 lines.
