@@ -5,9 +5,8 @@
 //! to be shared — open one per thread (the load generator does exactly
 //! that).
 //!
-//! Every connection carries deadlines: a connect timeout
-//! ([`ClientConfig::connect_timeout`]) and 30 s read and write
-//! timeouts, so a hung server surfaces as a timed-out
+//! Every connection carries deadlines: a 5 s connect timeout and 30 s
+//! read and write timeouts, so a hung server surfaces as a timed-out
 //! [`WireError::Io`] instead of a thread parked forever. On top of
 //! that, [`Client::insert_retrying`] offers bounded
 //! exponential-backoff retries that are *safe*: each insert carries a
@@ -25,6 +24,8 @@ use crate::wire::{
     Frame, ServerStats, StageTrailer, WireError, WireMatch, WireShape, WireShardStatus,
 };
 
+/// Deadline for establishing the TCP connection.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 /// Deadline for each blocking read (reply wait).
 const READ_TIMEOUT: Duration = Duration::from_secs(30);
 /// Deadline for each blocking write.
@@ -35,13 +36,11 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 /// recovering shard forever.
 const RETRY_DEADLINE: Duration = Duration::from_secs(10);
 
-/// Connect deadline and retry tuning. Every connection also carries 30 s
-/// read and write deadlines, and a retrying call sleeps at most 10 s in
-/// total.
+/// Retry tuning. Every connection carries a 5 s connect deadline and
+/// 30 s read and write deadlines, and a retrying call sleeps at most
+/// 10 s in total.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
-    /// Deadline for establishing the TCP connection.
-    pub connect_timeout: Option<Duration>,
     /// Retry attempts for [`Client::insert_retrying`] (beyond the first).
     pub retries: u32,
     /// Backoff floor: every retry sleeps at least this long.
@@ -54,7 +53,6 @@ pub struct ClientConfig {
 impl Default for ClientConfig {
     fn default() -> Self {
         ClientConfig {
-            connect_timeout: Some(Duration::from_secs(5)),
             retries: 4,
             retry_base: Duration::from_millis(10),
             retry_cap: Duration::from_secs(1),
@@ -267,14 +265,11 @@ fn key_seed() -> u64 {
     h.finish() | 1
 }
 
-fn connect_stream(addrs: &[SocketAddr], cfg: &ClientConfig) -> Result<TcpStream, WireError> {
+/// Dial the first of `addrs` that answers within `deadline` each.
+fn connect_stream(addrs: &[SocketAddr], deadline: Duration) -> Result<TcpStream, WireError> {
     let mut last: Option<std::io::Error> = None;
     for addr in addrs {
-        let attempt = match cfg.connect_timeout {
-            Some(t) => TcpStream::connect_timeout(addr, t),
-            None => TcpStream::connect(addr),
-        };
-        match attempt {
+        match TcpStream::connect_timeout(addr, deadline) {
             Ok(s) => {
                 s.set_nodelay(true).map_err(WireError::Io)?;
                 s.set_read_timeout(Some(READ_TIMEOUT)).map_err(WireError::Io)?;
@@ -290,15 +285,15 @@ fn connect_stream(addrs: &[SocketAddr], cfg: &ClientConfig) -> Result<TcpStream,
 }
 
 impl Client {
-    /// Connect with default deadlines ([`ClientConfig::default`]).
+    /// Connect with the default retry tuning ([`ClientConfig::default`]).
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Client, WireError> {
         Client::connect_with(addr, ClientConfig::default())
     }
 
-    /// Connect with explicit deadlines and retry tuning.
+    /// Connect with explicit retry tuning.
     pub fn connect_with<A: ToSocketAddrs>(addr: A, cfg: ClientConfig) -> Result<Client, WireError> {
         let addrs: Vec<SocketAddr> = addr.to_socket_addrs().map_err(WireError::Io)?.collect();
-        let stream = connect_stream(&addrs, &cfg)?;
+        let stream = connect_stream(&addrs, CONNECT_TIMEOUT)?;
         let reader = stream.try_clone().map_err(WireError::Io)?;
         Ok(Client {
             reader,
@@ -313,7 +308,7 @@ impl Client {
     /// Drop the current connection and dial again (used between retry
     /// attempts after an I/O error, when the old socket is suspect).
     fn reconnect(&mut self) -> Result<(), WireError> {
-        let stream = connect_stream(&self.addrs, &self.cfg)?;
+        let stream = connect_stream(&self.addrs, CONNECT_TIMEOUT)?;
         self.reader = stream.try_clone().map_err(WireError::Io)?;
         self.writer = BufWriter::new(stream);
         Ok(())
@@ -567,19 +562,6 @@ impl Client {
         shape: &Polyline,
     ) -> Result<(u64, u64), WireError> {
         let key = self.fresh_key();
-        self.insert_retrying_keyed(image, key, shape)
-    }
-
-    /// [`Client::insert_retrying`] with a caller-chosen idempotency key.
-    /// The replication applier uses this to preserve the key a record
-    /// carried on the primary, so re-applying a WAL record after a
-    /// replica hiccup cannot double-insert.
-    pub fn insert_retrying_keyed(
-        &mut self,
-        image: u32,
-        key: u64,
-        shape: &Polyline,
-    ) -> Result<(u64, u64), WireError> {
         let mut backoff = Backoff::from_config(&self.cfg);
         let mut last_err: Option<WireError> = None;
         for attempt in 0..=self.cfg.retries {
@@ -712,18 +694,10 @@ pub struct PipelinedClient {
 }
 
 impl PipelinedClient {
-    /// Connect with default deadlines ([`ClientConfig::default`]).
+    /// Connect, with the same deadlines as a [`Client`].
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<PipelinedClient, WireError> {
-        PipelinedClient::connect_with(addr, ClientConfig::default())
-    }
-
-    /// Connect with explicit deadlines.
-    pub fn connect_with<A: ToSocketAddrs>(
-        addr: A,
-        cfg: ClientConfig,
-    ) -> Result<PipelinedClient, WireError> {
         let addrs: Vec<SocketAddr> = addr.to_socket_addrs().map_err(WireError::Io)?.collect();
-        let stream = connect_stream(&addrs, &cfg)?;
+        let stream = connect_stream(&addrs, CONNECT_TIMEOUT)?;
         let reader = stream.try_clone().map_err(WireError::Io)?;
         Ok(PipelinedClient {
             reader,
@@ -915,22 +889,32 @@ mod tests {
         assert_ne!(mk(1), mk(2));
     }
 
+    /// A listener nobody accepts from, its accept queue filled one
+    /// connection at a time: the kernel drops the next SYN, so the next
+    /// dial must give up at its deadline (the OS default is minutes of
+    /// SYN retries). All on loopback, one thread.
     #[test]
-    fn connect_timeout_fires_on_unroutable_peer() {
-        // RFC 5737 TEST-NET-1 address: guaranteed unroutable, so connect
-        // must fail by deadline rather than hang
-        let cfg = ClientConfig {
-            connect_timeout: Some(Duration::from_millis(200)),
-            ..ClientConfig::default()
+    fn connect_timeout_fires_on_a_full_accept_queue() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let deadline = Duration::from_millis(200);
+        let mut queued = Vec::new();
+        let (err, took) = loop {
+            assert!(queued.len() < 512, "512 connections and the accept queue is not full");
+            let t0 = std::time::Instant::now();
+            match connect_stream(&[addr], deadline) {
+                Ok(stream) => queued.push(stream),
+                Err(e) => break (e, t0.elapsed()),
+            }
         };
-        let t0 = std::time::Instant::now();
-        // whatever the network does (unreachable, filtered, or a proxy
-        // that answers), the call must return within the deadline — the
-        // OS default connect timeout is minutes
-        let _ = Client::connect_with("192.0.2.1:9", cfg);
         assert!(
-            t0.elapsed() < Duration::from_secs(5),
-            "connect must respect the deadline, not the OS default"
+            matches!(&err, WireError::Io(e) if e.kind() == std::io::ErrorKind::TimedOut),
+            "a full accept queue times the dial out: {err:?}"
         );
+        assert!(
+            took >= deadline && took < deadline * 5,
+            "connect must end at its {deadline:?} deadline, took {took:?}"
+        );
+        assert!(!queued.is_empty(), "the queue took connections before it filled");
     }
 }

@@ -4,7 +4,8 @@
 //! A cluster is N independent `geosir-serve` shard primaries (each a
 //! durable single-node server owning a disjoint slice of the base, its
 //! slice chosen by a consistent-hash ring over the insert payload) plus
-//! M log-tailing read replicas per shard (see [`crate::repl`]), fronted
+//! M read replicas per shard, each following its primary's checkpoint
+//! and log (`repl.rs`, [`crate::server::serve_follower`]), fronted
 //! by a [`Router`] speaking the same wire protocol.
 //!
 //! ## Failure handling
@@ -16,7 +17,7 @@
 //! once per cooldown, not per query. `Busy { retry_after_ms }` replies are honored as a
 //! floor under the jittered backoff. All of it is observable:
 //! per-shard `geosir_router_*` counters plus the replication-lag gauges
-//! the repl threads publish into the same registry.
+//! the replicas publish into the same registry.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -294,7 +295,7 @@ impl RouterHandle {
     }
 
     /// The router's own metrics registry (per-shard counters plus
-    /// whatever the replication threads publish into it).
+    /// whatever the replicas publish into it).
     pub fn registry(&self) -> Arc<obs::Registry> {
         self.state.registry.clone()
     }

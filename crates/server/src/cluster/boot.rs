@@ -1,7 +1,8 @@
-//! In-process cluster boot: N durable primaries, M replicas each fed by
-//! a thread tailing its primary's WAL, and the router in front, all on
-//! one registry. The CLI, the benchmark and the integration tests boot
-//! clusters through here.
+//! In-process cluster boot: N durable primaries, M replicas each
+//! following its primary's checkpoint and WAL from the primary's own
+//! data directory, and the router in front, all on one registry. The
+//! CLI, the benchmark and the integration tests boot clusters through
+//! here.
 
 use std::io;
 use std::net::SocketAddr;
@@ -12,16 +13,8 @@ use geosir_obs as obs;
 
 use super::{Router, RouterConfig, RouterHandle, ShardSpec};
 use crate::durable::{BaseTemplate, DurabilityConfig, RecoveryReport};
-use crate::server::{serve, serve_durable, ServeConfig, ServerHandle};
+use crate::server::{serve_durable, serve_follower, ServeConfig, ServerHandle};
 use crate::sinks::arm_crash_dump;
-
-/// Checkpoint interval for shard primaries. Kept deliberately huge so
-/// the WAL retains the full history a replica reads from LSN 0 — once,
-/// when its replication thread starts; each tick after that reads only
-/// the bytes appended since the last. A lower value would let a primary
-/// prune WAL a replica has not read yet: replication has no
-/// checkpoint-transfer phase (ROADMAP item 12).
-const CHECKPOINT_EVERY: u64 = u64::MAX / 2;
 
 /// Knobs for [`start_cluster`].
 pub struct ClusterConfig {
@@ -60,7 +53,7 @@ pub struct Cluster {
     pub specs: Vec<ShardSpec>,
     pub recovery: Vec<RecoveryReport>,
     primaries: Vec<Option<ServerHandle>>,
-    replicas: Vec<Vec<Option<(ServerHandle, crate::repl::ReplHandle)>>>,
+    replicas: Vec<Vec<Option<ServerHandle>>>,
 }
 
 impl Cluster {
@@ -80,18 +73,7 @@ impl Cluster {
     /// Gracefully stop replica `r` of shard `s` (the failover tests' kill
     /// switch; the chaos harness SIGKILLs real processes instead).
     pub fn stop_replica(&mut self, s: usize, r: usize) {
-        if let Some((server, repl)) = self.replicas[s][r].take() {
-            repl.stop();
-            server.shutdown();
-        }
-    }
-
-    /// Retire replica `r` of shard `s`'s *server* while its replication
-    /// thread keeps tailing the primary's log — the in-process stand-in
-    /// for a SIGKILLed replica: applies start failing, lag builds, and
-    /// the drain monitor journals `repl.stuck`.
-    pub fn kill_replica_server(&mut self, s: usize, r: usize) {
-        if let Some((server, _repl)) = &self.replicas[s][r] {
+        if let Some(server) = self.replicas[s][r].take() {
             server.shutdown();
         }
     }
@@ -122,8 +104,7 @@ impl Cluster {
     pub fn shutdown(mut self) {
         for row in &mut self.replicas {
             for slot in row.iter_mut() {
-                if let Some((server, repl)) = slot.take() {
-                    repl.stop();
+                if let Some(server) = slot.take() {
                     server.shutdown();
                 }
             }
@@ -137,8 +118,8 @@ impl Cluster {
     }
 }
 
-/// Boot a full cluster: durable primaries, in-memory replicas that tail
-/// their primary's WAL, and the router in front.
+/// Boot a full cluster: durable primaries, replicas that follow their
+/// primary's checkpoint and WAL, and the router in front.
 pub fn start_cluster(
     addr: &str,
     template: &BaseTemplate,
@@ -163,7 +144,6 @@ pub fn start_cluster(
         };
         let dcfg = DurabilityConfig {
             fsync: cfg.fsync,
-            checkpoint_every: CHECKPOINT_EVERY,
             io_factory: wal_factory,
             ..DurabilityConfig::new(&shard_dir)
         };
@@ -171,15 +151,11 @@ pub fn start_cluster(
         let mut spec = ShardSpec { primary: primary.addr(), replicas: Vec::new() };
         let mut row = Vec::with_capacity(cfg.replicas);
         for _ in 0..cfg.replicas {
-            let server = serve("127.0.0.1:0", template.empty_base(), cfg.serve.clone())?;
-            let repl = crate::repl::start_replication(crate::repl::ReplSpec {
-                shard: s as u16,
-                src_wal_dir: shard_dir.clone(),
-                replica_addr: server.addr(),
-                registry: registry.clone(),
-            });
+            let (shard, reg) = (s as u16, registry.clone());
+            let server =
+                serve_follower("127.0.0.1:0", template, &shard_dir, shard, reg, cfg.serve.clone())?;
             spec.replicas.push(server.addr());
-            row.push(Some((server, repl)));
+            row.push(Some(server));
         }
         specs.push(spec);
         primaries.push(Some(primary));

@@ -321,7 +321,7 @@ fn cluster_json(state: &RouterState) -> String {
 }
 
 /// Build the [`Frame::TopologyReport`] payload from breaker states and
-/// the replication-lag gauges the repl threads publish into the shared
+/// the replication-lag gauges the replicas publish into the shared
 /// registry.
 pub(super) fn topology(state: &RouterState) -> Vec<WireShardStatus> {
     let snap = state.registry.snapshot();

@@ -12,8 +12,8 @@
 //! node whose queue is.
 //!
 //! - **Inserts** hash their payload onto the ring and go to the owning
-//!   shard's *primary* (replicas are read-only by convention: the
-//!   replication applier is their only writer). The router retries
+//!   shard's *primary* (replicas are read-only by construction: a
+//!   replica refuses writes at admission). The router retries
 //!   through `Busy` load-shed with decorrelated-jitter backoff
 //!   ([`crate::client::Backoff`]) and once more after a lost
 //!   connection (it mints an idempotency key when the client sent

@@ -27,7 +27,7 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -149,23 +149,9 @@ pub(crate) fn recover(
     std::fs::create_dir_all(&cfg.data_dir)?;
     let mut report = RecoveryReport::default();
 
-    let (mut base, after_lsn) = match checkpoint::newest(&cfg.data_dir)? {
-        Some((lsn, path)) => {
-            let data = checkpoint::read(&path)?;
-            report.checkpoint_lsn = lsn;
-            report.checkpoint_shapes = data.shapes.len();
-            let base = DynamicBase::restore(
-                template.alpha,
-                template.config.clone(),
-                template.buffer_cap,
-                data.shapes,
-                data.next_id,
-                data.epoch,
-            );
-            (base, lsn)
-        }
-        None => (template.empty_base(), 0),
-    };
+    let (mut base, after_lsn) = load_newest(template, &cfg.data_dir)?;
+    report.checkpoint_lsn = after_lsn;
+    report.checkpoint_shapes = base.len();
     // what a crash left beside it: an older checkpoint not yet retired,
     // a `.tmp` never renamed
     checkpoint::retire(&cfg.data_dir, after_lsn)?;
@@ -181,39 +167,18 @@ pub(crate) fn recover(
     report.dropped_bytes = tail.dropped_bytes;
     let mut dedup = HashMap::new();
     let mut last_lsn = tail.last_lsn.unwrap_or(after_lsn).max(after_lsn);
-    for (lsn, rec) in records {
-        match rec {
-            WalRecord::Insert { key, id, image, closed, points } => {
-                let pts: Vec<Point> = points.iter().map(|&(x, y)| Point::new(x, y)).collect();
-                // The writer validated this shape before logging it and
-                // the record's CRC matched, so a construction failure is
-                // corruption or a logic bug — refuse to start rather
-                // than ack-then-vanish (a retry of `key` would be
-                // deduplicated to an id that exists nowhere).
-                let shape = if closed { Polyline::closed(pts) } else { Polyline::open(pts) };
-                let shape = shape.map_err(|e| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "WAL lsn {lsn}: acked insert (id {id}) does not reconstruct \
-                             a valid shape ({e}); refusing to recover with missing acked data"
-                        ),
-                    )
-                })?;
-                base.insert_with_id(GlobalShapeId(id), ImageId(image), shape);
-                if key != 0 {
-                    dedup.insert(key, id);
-                }
+    for (lsn, rec) in &records {
+        // a shape that no longer reconstructs refuses the start rather
+        // than ack-then-vanish (a retry of its key would be deduplicated
+        // to an id that exists nowhere)
+        replay_record(&mut base, *lsn, rec, metrics)?;
+        if let WalRecord::Insert { key, id, .. } = rec {
+            if *key != 0 {
+                dedup.insert(*key, *id);
             }
-            WalRecord::Delete { id } => {
-                base.delete(GlobalShapeId(id));
-            }
-        }
-        if let Some(rebuild) = base.last_rebuild.take() {
-            metrics.record_rebuild(rebuild);
         }
         report.replayed += 1;
-        last_lsn = lsn;
+        last_lsn = *lsn;
     }
 
     let wal = match &cfg.io_factory {
@@ -223,6 +188,55 @@ pub(crate) fn recover(
     report.last_lsn = last_lsn;
     report.recovery_us = t0.elapsed().as_micros() as u64;
     Ok(Recovered { base, wal, applied_lsn: last_lsn, dedup, report })
+}
+
+/// The base `dir`'s newest checkpoint holds and the LSN it covers (an
+/// empty base at 0 without one): where recovery starts, and a replica.
+pub(crate) fn load_newest(template: &BaseTemplate, dir: &Path) -> io::Result<(DynamicBase, Lsn)> {
+    let Some((lsn, path)) = checkpoint::newest(dir)? else {
+        return Ok((template.empty_base(), 0));
+    };
+    let checkpoint::CheckpointData { epoch, next_id, shapes } = checkpoint::read(&path)?;
+    let t = template;
+    let base = DynamicBase::restore(t.alpha, t.config.clone(), t.buffer_cap, shapes, next_id, epoch);
+    Ok((base, lsn))
+}
+
+/// Apply one logged record to `base`, as recovery's replay and a
+/// replica's follower do: an insert under the id its writer assigned, a
+/// delete by id; carries and compactions are recorded on `metrics`. The
+/// writer logs only validated shapes and the CRC matched, so an insert
+/// whose points make no shape is corruption or a bug: `InvalidData`,
+/// and `base` is left as it was.
+pub(crate) fn replay_record(
+    base: &mut DynamicBase,
+    lsn: Lsn,
+    rec: &WalRecord,
+    metrics: &Metrics,
+) -> io::Result<()> {
+    match rec {
+        WalRecord::Insert { id, image, closed, points, .. } => {
+            let pts: Vec<Point> = points.iter().map(|&(x, y)| Point::new(x, y)).collect();
+            let shape = if *closed { Polyline::closed(pts) } else { Polyline::open(pts) };
+            let shape = shape.map_err(|e| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "WAL lsn {lsn}: acked insert (id {id}) does not reconstruct \
+                         a valid shape ({e})"
+                    ),
+                )
+            })?;
+            base.insert_with_id(GlobalShapeId(*id), ImageId(*image), shape);
+        }
+        WalRecord::Delete { id } => {
+            base.delete(GlobalShapeId(*id));
+        }
+    }
+    if let Some(rebuild) = base.last_rebuild.take() {
+        metrics.record_rebuild(rebuild);
+    }
+    Ok(())
 }
 
 #[cfg(test)]

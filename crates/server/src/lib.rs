@@ -15,10 +15,12 @@
 //!   backpressure ([`server::serve`]), plus the durable variant
 //!   ([`server::serve_durable`]): WAL-before-ack writes, background
 //!   checkpoints, crash recovery, and read-only degradation on
-//!   persistent I/O failure. By role: `server.rs` (config, shared state,
+//!   persistent I/O failure, and the replica
+//!   ([`server::serve_follower`]). By role: `server.rs` (config, shared state,
 //!   assembly), `server/admission.rs` (queues, `Busy` hint, the engine
 //!   handler), `server/worker.rs` (read workers), `server/writer.rs`
-//!   (writer, checkpointer), `server/watchdog.rs` (health routes).
+//!   (writer, follower slot, checkpointer), `server/watchdog.rs`
+//!   (health routes).
 //! - [`health`] — probes, verdicts and the watchdog's configuration.
 //! - `sinks` (private) — what node and router write to disk: rotating
 //!   JSONL logs (slow queries, the journal) and the request-ring dump.
@@ -40,8 +42,8 @@
 //!   `cluster/placement.rs` (ring, id tags, merge), `cluster/plane.rs`
 //!   (records, federation, readiness, topology), `cluster/boot.rs` (the
 //!   in-process [`cluster::start_cluster`]).
-//! - [`repl`] — log-tailing replication: per-replica threads that
-//!   tail the primary's WAL and apply it into read replicas,
+//! - `repl` (private) — the replica's follower: the primary's newest
+//!   checkpoint, then its WAL, applied as recovery applies it,
 //!   publishing `geosir_replication_lag_*` gauges.
 //!
 //! See `DESIGN.md` §6 (file map), §7 (serving), §8 (durability &
@@ -58,7 +60,7 @@ pub mod health;
 pub mod metrics;
 #[cfg(target_os = "linux")]
 mod poll;
-pub mod repl;
+mod repl;
 pub mod server;
 mod sinks;
 pub mod wire;
@@ -76,8 +78,7 @@ pub use durable::{BaseTemplate, DurabilityConfig, RecoveryReport};
 pub use engine::MAX_IN_FLIGHT;
 pub use geosir_obs as obs;
 pub use health::{HealthConfig, Verdict};
-pub use repl::{start_replication, ReplHandle, ReplSpec};
-pub use server::{serve, serve_durable, ServeConfig, ServerHandle};
+pub use server::{serve, serve_durable, serve_follower, ServeConfig, ServerHandle};
 pub use wire::{
     Frame, ServerStats, ShardInfo, WireError, WireMatch, WireShape, WireShardStatus,
     PROTOCOL_VERSION,

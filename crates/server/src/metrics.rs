@@ -18,7 +18,7 @@
 //! | `geosir_explains_total` | counter | `Explain` requests served |
 //! | `geosir_slow_queries_total` | counter | queries landed in the slow-query log |
 //! | `geosir_slow_query_log_errors_total` | counter | slow-query log append failures |
-//! | `geosir_inserts_total` / `geosir_deletes_total` | counter | write frames seen |
+//! | `geosir_inserts_total` / `geosir_deletes_total` | counter | write frames seen (a replica: records applied) |
 //! | `geosir_busy_rejects_total` | counter | requests shed with `Busy` |
 //! | `geosir_protocol_errors_total` | counter | connections dropped on bad frames |
 //! | `geosir_request_latency_us{type=…}` | histogram | admission → reply per request type: the `total_us` of the request's record, the number its reply trailer carries |

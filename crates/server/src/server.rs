@@ -60,7 +60,7 @@
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
@@ -73,6 +73,7 @@ use geosir_storage::wal::{Lsn, Wal};
 use crate::durable::{self, BaseTemplate, DurabilityConfig, RecoveryReport, Recovered};
 use crate::health::{HealthConfig, HealthState};
 use crate::metrics::Metrics;
+use crate::repl::Follower;
 use crate::sinks::{arm_crash_dump, JsonlLog, SlowLog};
 use crate::wire::{error_code, Frame, ServerStats};
 
@@ -84,7 +85,7 @@ mod writer;
 use admission::{spawn_serve_path, BoundedQueue, Job, WRITE_QUEUE_CAP};
 use watchdog::{http_routes, watchdog_loop};
 use worker::worker_loop;
-use writer::{checkpointer_loop, writer_loop, WriterCtx};
+use writer::{checkpointer_loop, follow_loop, writer_loop, WriterCtx};
 
 /// Server tuning knobs. What no caller tunes is a constant beside the
 /// code that uses it: the checkpointer's 50 ms tick (`writer.rs`), the
@@ -161,6 +162,13 @@ struct DurableState {
     io: Arc<dyn IoFactory>,
 }
 
+/// What a node's writer slot applies: clients' writes, deduplicated at
+/// first by these idempotency keys (key → id), or a primary's log.
+enum Writer {
+    Clients(HashMap<u64, u64>),
+    Follows(Box<Follower>),
+}
+
 struct Shared {
     published: RwLock<Published>,
     last_publish: Mutex<Instant>,
@@ -171,6 +179,8 @@ struct Shared {
     addr: SocketAddr,
     cfg: ServeConfig,
     durable: Option<DurableState>,
+    /// A replica refuses clients' writes at admission.
+    replica: bool,
     slow_log: Option<SlowLog>,
     health: HealthState,
 }
@@ -317,7 +327,9 @@ impl ServerHandle {
 /// Publishes the initial snapshot before returning, so the first query
 /// cannot race an empty slot.
 pub fn serve(addr: &str, base: DynamicBase, cfg: ServeConfig) -> std::io::Result<ServerHandle> {
-    serve_inner(addr, base, cfg, None, HashMap::new(), 0, Metrics::default())
+    let listener = TcpListener::bind(addr)?;
+    let writer = Writer::Clients(HashMap::new());
+    serve_inner(listener, base, cfg, None, writer, 0, Metrics::default())
 }
 
 /// Start a **durable** server: recover the base from `dcfg.data_dir`
@@ -355,7 +367,9 @@ pub fn serve_durable(
         journal_io: dcfg.journal_io.clone(),
         io: dcfg.io_factory.clone().unwrap_or_else(|| Arc::new(FileFactory)),
     };
-    let handle = serve_inner(addr, base, cfg, Some(state), dedup, applied_lsn, metrics)?;
+    let listener = TcpListener::bind(addr)?;
+    let writer = Writer::Clients(dedup);
+    let handle = serve_inner(listener, base, cfg, Some(state), writer, applied_lsn, metrics)?;
     let m = &handle.shared.metrics;
     m.last_recovery_us.set(report.recovery_us as i64);
     let r = &m.registry;
@@ -366,16 +380,35 @@ pub fn serve_durable(
     Ok((handle, report))
 }
 
-fn serve_inner(
+/// Start a **replica** of the durable primary whose data directory is
+/// `primary_dir`: its newest checkpoint, then its WAL, followed every
+/// 10 ms (`repl.rs`). Writes are refused with `READ_ONLY`; the lag
+/// series of `shard` and the `repl.*` journal go to `registry`.
+pub fn serve_follower(
     addr: &str,
+    template: &BaseTemplate,
+    primary_dir: &Path,
+    shard: u16,
+    registry: Arc<obs::Registry>,
+    cfg: ServeConfig,
+) -> std::io::Result<ServerHandle> {
+    let listener = TcpListener::bind(addr)?;
+    let local = listener.local_addr()?;
+    let (follower, base) = Follower::boot(template, primary_dir, shard, local, registry)?;
+    let applied = follower.applied;
+    let writer = Writer::Follows(Box::new(follower));
+    serve_inner(listener, base, cfg, None, writer, applied, Metrics::default())
+}
+
+fn serve_inner(
+    listener: TcpListener,
     base: DynamicBase,
     cfg: ServeConfig,
     durable: Option<DurableState>,
-    dedup: HashMap<u64, u64>,
+    writer: Writer,
     applied_lsn: Lsn,
     metrics: Metrics,
 ) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
     let workers = if cfg.workers == 0 {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
@@ -401,6 +434,7 @@ fn serve_inner(
         addr: local,
         cfg: cfg.clone(),
         durable,
+        replica: matches!(writer, Writer::Follows(_)),
         slow_log,
         health: HealthState::new(),
     });
@@ -447,11 +481,16 @@ fn serve_inner(
         let shared = shared.clone();
         core.push(spawn(format!("geosir-worker-{i}"), move || worker_loop(i, &shared))?);
     }
-    {
-        let shared = shared.clone();
-        let ctx = WriterCtx { next_id, dedup_order: dedup.keys().copied().collect(), dedup };
-        core.push(spawn("geosir-writer", move || writer_loop(base, ctx, &shared))?);
-    }
+    let shared2 = shared.clone();
+    core.push(match writer {
+        Writer::Clients(dedup) => {
+            let ctx = WriterCtx { next_id, dedup_order: dedup.keys().copied().collect(), dedup };
+            spawn("geosir-writer", move || writer_loop(base, ctx, &shared2))?
+        }
+        Writer::Follows(follower) => {
+            spawn("geosir-follower", move || follow_loop(base, *follower, &shared2))?
+        }
+    });
     let mut threads = Vec::new();
     if shared.durable.is_some() {
         let shared = shared.clone();

@@ -288,6 +288,10 @@ impl crate::engine::Handler for NodeHandler {
             | Frame::Stats
             | Frame::MetricsDump
             | Frame::Topology => &shared.read_queue,
+            Frame::Insert { .. } | Frame::Delete { .. } if shared.replica => {
+                let message = "a replica applies its primary's log, not writes".into();
+                return Admit::Reply(Frame::Error { code: error_code::READ_ONLY, message });
+            }
             Frame::Insert { .. } | Frame::Delete { .. } => &shared.write_queue,
             Frame::Shutdown => {
                 shared.begin_shutdown();

@@ -1,7 +1,7 @@
-//! The single writer and the checkpointer. The writer pops a batch of
-//! write jobs, plans it without touching state, logs it (durable nodes),
-//! applies it, publishes one snapshot, and only then replies. The
-//! checkpointer serializes the published snapshot every
+//! The single writer (a replica's follower) and the checkpointer. The
+//! writer pops a batch of write jobs, plans it without touching state,
+//! logs it (durable nodes), applies it, publishes one snapshot, and only
+//! then replies. The checkpointer serializes the published snapshot every
 //! `checkpoint_every` logged records and rotates and prunes the log.
 
 use std::collections::{HashMap, VecDeque};
@@ -14,10 +14,11 @@ use geosir_core::ImageId;
 use geosir_geom::Polyline;
 use geosir_obs as obs;
 use geosir_storage::checkpoint;
-use geosir_storage::wal::WalRecord;
+use geosir_storage::wal::{Lsn, WalRecord};
 
 use super::{bad_shape, Job, Published, Shared};
 use crate::metrics::Metrics;
+use crate::repl::{self, Follower};
 use crate::wire::{error_code, Frame};
 
 /// Writer-thread state beyond the base itself.
@@ -250,19 +251,12 @@ pub(super) fn writer_loop(mut base: DynamicBase, mut ctx: WriterCtx, shared: &Ar
         }
         let mut publish_us = 0u64;
         if applied {
-            let started = Instant::now();
-            let snap = Arc::new(base.snapshot());
             let wal_lsn = shared
                 .durable
                 .as_ref()
                 .map(|d| d.wal.lock().unwrap().next_lsn().saturating_sub(1))
                 .unwrap_or(0);
-            *shared.published.write().unwrap() = Published { snap, wal_lsn };
-            *shared.last_publish.lock().unwrap() = Instant::now();
-            publish_us = started.elapsed().as_micros() as u64;
-            m.record_stage("publish", publish_us);
-            shared.metrics.publish.record(publish_us);
-            shared.metrics.snapshots_published.inc();
+            publish_us = publish(shared, &base, wal_lsn);
         }
         let batch_len = batch.len() as u64;
         for (job, reply) in batch.drain(..).zip(replies) {
@@ -295,6 +289,29 @@ pub(super) fn writer_loop(mut base: DynamicBase, mut ctx: WriterCtx, shared: &Ar
         if wal.sync().is_ok() {
             m.wal().synced(started.elapsed());
         }
+    }
+}
+
+/// Publish `base`, which holds the log through `wal_lsn`; returns µs.
+fn publish(shared: &Shared, base: &DynamicBase, wal_lsn: Lsn) -> u64 {
+    let started = Instant::now();
+    let snap = Arc::new(base.snapshot());
+    *shared.published.write().unwrap() = Published { snap, wal_lsn };
+    *shared.last_publish.lock().unwrap() = Instant::now();
+    let us = started.elapsed().as_micros() as u64;
+    shared.metrics.record_stage("publish", us);
+    shared.metrics.publish.record(us);
+    shared.metrics.snapshots_published.inc();
+    us
+}
+
+/// A replica's writer slot: a follower tick and a publish every 10 ms.
+pub(super) fn follow_loop(mut base: DynamicBase, mut follower: Follower, shared: &Arc<Shared>) {
+    while !shared.is_shutdown() {
+        if let Some(lsn) = follower.tick(&mut base, &shared.metrics) {
+            publish(shared, &base, lsn);
+        }
+        std::thread::sleep(repl::INTERVAL);
     }
 }
 

@@ -15,15 +15,15 @@
 //!    - recovering shard 0's data directory shows every insert the
 //!      router acked for that shard — acked ⊆ recovered, the same WAL
 //!      contract the single-node crash harness enforces.
-//! 2. **Health-plane chaos demo** (DESIGN §14). Kill a replica's server
-//!    (its replication thread keeps tailing the primary's log and
-//!    applying into the void — the in-process stand-in for SIGKILL) and
+//! 2. **Health-plane chaos demo** (DESIGN §14). Stop a replica at a
+//!    record it refuses (a CRC-valid insert whose points make no shape,
+//!    appended to its primary's log — recovery would refuse it too) and
 //!    stall a primary's WAL with a persistent delay fault, under a write
 //!    load. Invariants: the cluster `/readyz` degrades to 503 with
 //!    per-shard attribution (the stalled shard not-ready with
 //!    `wal_writer` unhealthy, the other shard still ready), the journals
 //!    explain both events (`watchdog.stall` naming `wal_writer` on the
-//!    shard, `repl.stuck` naming the dead replica on the router), and
+//!    shard, `repl.stuck` naming the stopped replica on the router), and
 //!    once the load stops and the stall drains, readiness flips back
 //!    with no restart.
 //!
@@ -45,7 +45,7 @@ use geosir_geom::{Point, Polyline};
 use geosir_serve::cluster::{start_cluster, untag_id, ClusterConfig, Router, RouterConfig, ShardSpec};
 use geosir_serve::{serve_durable, Client, DurabilityConfig, HealthConfig, ServeConfig};
 use geosir_storage::faults::{FaultKind, FaultPlan, FaultyFactory};
-use geosir_storage::wal::FsyncPolicy;
+use geosir_storage::wal::{FsyncPolicy, Wal, WalRecord};
 
 const CHILD_DIR_ENV: &str = "GEOSIR_CHAOS_DIR";
 
@@ -74,9 +74,6 @@ fn chaos_child_shard() {
     let Ok(dir) = std::env::var(CHILD_DIR_ENV) else { return };
     let mut durability = DurabilityConfig::new(PathBuf::from(dir));
     durability.fsync = FsyncPolicy::Always;
-    // never checkpoint: the WAL stays the full history, as in-process
-    // cluster primaries are configured
-    durability.checkpoint_every = u64::MAX / 2;
     let (handle, _) = serve_durable("127.0.0.1:0", &template(), durability, serve_cfg())
         .expect("child: serve_durable");
     let out = std::io::stdout();
@@ -130,7 +127,6 @@ fn chaos_sigkill_primary_partial_answers_and_acked_writes_survive() {
 
     let mut durability = DurabilityConfig::new(&dir1);
     durability.fsync = FsyncPolicy::Always;
-    durability.checkpoint_every = u64::MAX / 2;
     let (local, _) = serve_durable("127.0.0.1:0", &template(), durability, serve_cfg())
         .expect("local shard");
     let specs = vec![
@@ -203,7 +199,6 @@ fn chaos_sigkill_primary_partial_answers_and_acked_writes_survive() {
     // --- recovery: acked ⊆ recovered for the killed shard
     let mut durability = DurabilityConfig::new(&dir0);
     durability.fsync = FsyncPolicy::Always;
-    durability.checkpoint_every = u64::MAX / 2;
     let (recovered, _report) = serve_durable("127.0.0.1:0", &template(), durability, serve_cfg())
         .expect("recovery of killed shard");
     let mut rc = Client::connect(recovered.addr()).expect("connect recovered");
@@ -255,7 +250,7 @@ fn chaos_health_plane_attributes_stall_and_dead_replica() {
         ..RouterConfig::default()
     };
     cfg.shard_wal_factory = Some((0, Arc::new(FaultyFactory { plan: stall.clone() })));
-    let mut cluster = start_cluster("127.0.0.1:0", &template(), cfg).expect("cluster");
+    let cluster = start_cluster("127.0.0.1:0", &template(), cfg).expect("cluster");
     let fed = cluster.metrics_addr().expect("router health plane must be bound");
     let shard0 = cluster.primary_metrics_addr(0).expect("shard 0 health plane must be bound");
 
@@ -266,14 +261,18 @@ fn chaos_health_plane_attributes_stall_and_dead_replica() {
         http_get(fed, "/readyz").1
     );
 
-    // Chaos, part 1: retire shard 1's replica *server* while its
-    // replication thread keeps tailing — the drain monitor must notice.
-    cluster.kill_replica_server(1, 0);
-    // A few writes to shard 1 so its dead replica visibly falls behind.
+    // Chaos, part 1: a few writes to shard 1, then a record behind them
+    // that its replica refuses — it stops there, and the drain monitor
+    // must notice.
     let mut c1 = Client::connect(cluster.specs[1].primary).expect("connect shard 1 primary");
     for i in 0..8u64 {
         c1.insert_retrying(i as u32, &shape(i)).expect("shard 1 insert");
     }
+    let next = c1.stats().expect("shard 1 stats").wal_appends + 1;
+    let mut wal = Wal::open(&dir.join("shard-1"), FsyncPolicy::Always, next).expect("shard 1 log");
+    let bad = WalRecord::Insert { key: 0, id: next, image: 0, closed: true, points: vec![] };
+    wal.append(&bad).expect("append the refused record");
+    wal.sync().expect("sync the refused record");
 
     // Chaos, part 2: a write storm against shard 0 keeps its delayed WAL
     // writer permanently mid-batch.

@@ -1,24 +1,33 @@
 //! Cluster integration over real TCP loopback: scatter-gather routing
 //! with shard-tagged ids, merge parity against a single-node union
-//! oracle, replica catch-up with id parity, a torn final record applied
+//! oracle, replica catch-up with id parity, a replica of a primary that
+//! has checkpointed and pruned its log, a replica left behind a prune
+//! that restarts from the newest checkpoint, a torn final record applied
 //! once when its writer completes it, a corrupt primary segment
-//! surfacing as errors and a stuck replica, partial results when a
-//! whole shard pair is down, and replica failover through the circuit
-//! breaker.
+//! surfacing as errors and a stuck replica, a record the replica refuses
+//! as recovery does, partial results when a whole shard pair is down,
+//! and replica failover through the circuit breaker.
 
 mod common;
 
-use common::{exact_template, poll_until, polygon, serve_cfg, tmpdir};
+use common::{exact_template, http_get, poll_until, polygon, serve_cfg, tmpdir};
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use geosir_core::dynamic::GlobalShapeId;
+use geosir_core::ImageId;
 use geosir_geom::Polyline;
 use geosir_serve::cluster::{start_cluster, untag_id, ClusterConfig, RouterConfig};
-use geosir_serve::{obs, serve, start_replication, Client, ReplHandle, ReplSpec};
-use geosir_storage::wal::{FsyncPolicy, Wal, WalRecord};
+use geosir_serve::wire::error_code;
+use geosir_serve::{
+    obs, serve, serve_durable, serve_follower, Client, DurabilityConfig, ServeConfig, ServerHandle,
+    WireError,
+};
+use geosir_storage::checkpoint::{self, CheckpointData};
+use geosir_storage::wal::{FsyncPolicy, Lsn, Wal, WalRecord};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -175,12 +184,6 @@ fn replica_catches_up_with_id_parity() {
         }),
         "replica must drain the replication lag"
     );
-    let snap = reg.snapshot();
-    assert_eq!(
-        snap.counter("geosir_repl_id_mismatch_total", &[("shard", "0")]),
-        0,
-        "replaying the WAL in LSN order must reproduce the primary's ids"
-    );
     // replica serves the same surviving shapes as the primary
     let mut primary = Client::connect(cluster.specs[0].primary).unwrap();
     let mut replica = Client::connect(cluster.specs[0].replicas[0]).unwrap();
@@ -204,32 +207,54 @@ fn replica_catches_up_with_id_parity() {
 /// The primary's first WAL segment.
 const FIRST_SEGMENT: &str = "wal-00000000000000000001.log";
 
-/// A primary log in `dir` of `n` inserts with ids `0..n` (the ids a
-/// fresh replica assigns in turn); a rotation opens a new segment
-/// before LSN `rotate_at`.
+/// The `i`-th shape of the primary logs these tests write.
+fn logged_shape(i: u64) -> Polyline {
+    polygon(&mut StdRng::seed_from_u64(500 + i))
+}
+
+/// The record of a primary that inserted [`logged_shape`]`(i)` as id `i`.
+fn logged_insert(i: u64) -> WalRecord {
+    let points = logged_shape(i).points().iter().map(|p| (p.x, p.y)).collect();
+    WalRecord::Insert { key: 100 + i, id: i, image: i as u32, closed: true, points }
+}
+
+/// `records` appended to a log in `dir` from LSN `first`.
+fn append_log(dir: &Path, first: Lsn, records: &[WalRecord]) {
+    let mut wal = Wal::open(dir, FsyncPolicy::Never, first).unwrap();
+    for rec in records {
+        wal.append(rec).unwrap();
+    }
+    wal.sync().unwrap();
+}
+
+/// A primary log in `dir` of `n` inserts with ids `0..n`; a rotation
+/// opens a new segment before LSN `rotate_at`.
 fn write_primary_log(dir: &Path, n: u64, rotate_at: u64) {
-    let mut rng = StdRng::seed_from_u64(5);
     let mut wal = Wal::open(dir, FsyncPolicy::Never, 1).unwrap();
     for i in 0..n {
         if i + 1 == rotate_at {
             wal.rotate().unwrap();
         }
-        let points = polygon(&mut rng).points().iter().map(|p| (p.x, p.y)).collect();
-        let rec = WalRecord::Insert { key: 100 + i, id: i, image: i as u32, closed: true, points };
-        wal.append(&rec).unwrap();
+        wal.append(&logged_insert(i)).unwrap();
     }
     wal.sync().unwrap();
 }
 
-fn replicate(src: PathBuf, replica: std::net::SocketAddr) -> (Arc<obs::Registry>, ReplHandle) {
+/// A replica of the primary whose data directory is `src`, as shard 0
+/// of its own registry.
+fn follow(src: &Path) -> (Arc<obs::Registry>, ServerHandle) {
     let registry = Arc::new(obs::Registry::new());
-    let repl = start_replication(ReplSpec {
-        shard: 0,
-        src_wal_dir: src,
-        replica_addr: replica,
-        registry: registry.clone(),
-    });
-    (registry, repl)
+    let replica =
+        serve_follower("127.0.0.1:0", &exact_template(), src, 0, registry.clone(), serve_cfg())
+            .unwrap();
+    (registry, replica)
+}
+
+/// Every shape `c` holds, as the exact top-k for `probe` lists them:
+/// (id, image, score bits).
+fn answers(c: &mut Client, probe: &Polyline, k: u32) -> Vec<(u64, u32, u64)> {
+    let r = c.query(probe, k).unwrap();
+    r.matches.iter().map(|m| (m.shape, m.image, m.score.to_bits())).collect()
 }
 
 const SHARD0: &[(&str, &str)] = &[("shard", "0")];
@@ -250,8 +275,7 @@ fn torn_final_record_applies_once_completed() {
     let cut = five + (whole.len() - five) / 2;
     std::fs::OpenOptions::new().write(true).open(&seg).unwrap().set_len(cut as u64).unwrap();
 
-    let replica = serve("127.0.0.1:0", exact_template().empty_base(), serve_cfg()).unwrap();
-    let (registry, repl) = replicate(src, replica.addr());
+    let (registry, replica) = follow(&src);
     let drained = |applied: u64| {
         poll_until(Duration::from_secs(20), || {
             let snap = registry.snapshot();
@@ -274,11 +298,14 @@ fn torn_final_record_applies_once_completed() {
     std::thread::sleep(Duration::from_millis(100));
     let snap = registry.snapshot();
     assert_eq!(snap.counter("geosir_repl_applied_records_total", SHARD0), 6, "applied once");
-    assert_eq!(snap.counter("geosir_repl_id_mismatch_total", SHARD0), 0, "id parity");
     assert_eq!(snap.counter("geosir_repl_apply_errors_total", SHARD0), 0);
-    let stats = Client::connect(replica.addr()).unwrap().stats().unwrap();
+    let mut c = Client::connect(replica.addr()).unwrap();
+    let stats = c.stats().unwrap();
     assert_eq!((stats.live_shapes, stats.inserts), (6, 6));
-    repl.stop();
+    // id parity: each shape answers to the id its record carried
+    for i in 0..6 {
+        assert_eq!(answers(&mut c, &logged_shape(i), 1)[0].0, i, "id of record {}", i + 1);
+    }
     replica.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -301,8 +328,7 @@ fn corrupt_primary_segment_counts_errors_and_journals_stuck() {
     bytes[at] ^= 0x10;
     std::fs::write(&seg, &bytes).unwrap();
 
-    let replica = serve("127.0.0.1:0", exact_template().empty_base(), serve_cfg()).unwrap();
-    let (registry, repl) = replicate(src, replica.addr());
+    let (registry, replica) = follow(&src);
     let journaled_stuck = poll_until(Duration::from_secs(20), || {
         registry.journal().recent().iter().any(|e| e.code == "repl.stuck")
     });
@@ -322,7 +348,203 @@ fn corrupt_primary_segment_counts_errors_and_journals_stuck() {
         }),
         "the read errors keep rising, tick by tick"
     );
-    repl.stop();
+    replica.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A CRC-valid insert whose points make no shape — a record recovery
+/// refuses — stops the replica at its LSN: the records before it apply,
+/// it and the one after it never do, every tick that retries it is an
+/// apply error, and the drain monitor journals the replica stuck.
+#[test]
+fn replica_stops_at_a_record_recovery_refuses() {
+    let dir = tmpdir("refused-record");
+    let src = dir.join("primary");
+    let bad = WalRecord::Insert { key: 0, id: 3, image: 3, closed: true, points: vec![(0.0, 0.0)] };
+    append_log(&src, 1, &[logged_insert(0), logged_insert(1), logged_insert(2), bad]);
+    append_log(&src, 5, &[logged_insert(4)]);
+    let (registry, replica) = follow(&src);
+    assert!(
+        poll_until(Duration::from_secs(20), || {
+            registry.journal().recent().iter().any(|e| e.code == "repl.stuck")
+        }),
+        "a replica stopped at a refused record must be journaled stuck"
+    );
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("geosir_repl_applied_records_total", SHARD0), 3);
+    assert!(snap.counter("geosir_repl_apply_errors_total", SHARD0) >= 2, "retried, tick by tick");
+    assert_eq!(snap.counter("geosir_repl_read_errors_total", SHARD0), 0);
+    assert_eq!(snap.gauge("geosir_replication_lag_records", SHARD0), 2, "LSN 4 and 5 wait");
+    let stats = Client::connect(replica.addr()).unwrap().stats().unwrap();
+    assert_eq!(stats.live_shapes, 3, "nothing past the refused record applies");
+    replica.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A replica started after its primary checkpointed and pruned the head
+/// of its log starts from the checkpoint, follows the primary through
+/// more checkpoints, and converges: the same live shapes, bit-identical
+/// exact answers with the primary's ids, lag 0. It refuses writes at
+/// admission and stays ready.
+#[test]
+fn replica_of_a_pruned_primary_converges() {
+    let dir = tmpdir("pruned-primary");
+    let src = dir.join("primary");
+    let dcfg = DurabilityConfig {
+        fsync: FsyncPolicy::Never,
+        checkpoint_every: 8,
+        ..DurabilityConfig::new(&src)
+    };
+    let (primary, _) = serve_durable("127.0.0.1:0", &exact_template(), dcfg, serve_cfg()).unwrap();
+    let mut pc = Client::connect(primary.addr()).unwrap();
+    let mut rng = StdRng::seed_from_u64(17);
+    let mut shapes = Vec::new();
+    let mut insert = |pc: &mut Client, rng: &mut StdRng| {
+        let s = polygon(rng);
+        let id = pc.insert_retrying(shapes.len() as u32, &s).unwrap().1;
+        shapes.push((id, s));
+    };
+    // batches of 8 until a checkpoint has pruned the first segment
+    for _ in 0..50 {
+        if !src.join(FIRST_SEGMENT).exists() {
+            break;
+        }
+        for _ in 0..8 {
+            insert(&mut pc, &mut rng);
+        }
+        std::thread::sleep(Duration::from_millis(60));
+    }
+    assert!(!src.join(FIRST_SEGMENT).exists(), "the primary never pruned its first segment");
+
+    let registry = Arc::new(obs::Registry::new());
+    let cfg = ServeConfig { metrics_addr: Some("127.0.0.1:0".into()), ..serve_cfg() };
+    let replica =
+        serve_follower("127.0.0.1:0", &exact_template(), &src, 0, registry.clone(), cfg).unwrap();
+    // more writes, through another checkpoint and prune, while it follows
+    let checkpoints = pc.stats().unwrap().checkpoints;
+    for _ in 0..24 {
+        insert(&mut pc, &mut rng);
+    }
+    let gone: Vec<u64> = shapes.iter().step_by(3).map(|(id, _)| *id).collect();
+    for &id in &gone {
+        pc.delete(id).unwrap();
+    }
+    let live = (shapes.len() - gone.len()) as u64;
+    assert!(
+        poll_until(Duration::from_secs(10), || pc.stats().unwrap().checkpoints > checkpoints),
+        "the primary checkpoints as it goes"
+    );
+
+    let mut rc = Client::connect(replica.addr()).unwrap();
+    assert!(
+        poll_until(Duration::from_secs(20), || {
+            let snap = registry.snapshot();
+            snap.gauge("geosir_replication_lag_records", SHARD0) == 0
+                && snap.gauge("geosir_replication_lag_ms", SHARD0) == 0
+                && rc.stats().map(|s| s.live_shapes == live).unwrap_or(false)
+        }),
+        "the replica must converge: live {:?} of {live}",
+        rc.stats().map(|s| s.live_shapes)
+    );
+    assert_eq!(pc.stats().unwrap().live_shapes, live);
+    for (_, probe) in shapes.iter().step_by(5) {
+        let k = live as u32;
+        assert_eq!(answers(&mut rc, probe, k), answers(&mut pc, probe, k), "ids included");
+    }
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("geosir_repl_read_errors_total", SHARD0), 0);
+    assert_eq!(snap.counter("geosir_repl_apply_errors_total", SHARD0), 0);
+
+    // a replica is read-only by construction, and that is not a fault
+    match rc.insert(0, &shapes[0].1) {
+        Err(WireError::Server { code, .. }) => assert_eq!(code, error_code::READ_ONLY),
+        other => panic!("a write to a replica must answer READ_ONLY, got {other:?}"),
+    }
+    match rc.delete(shapes[1].0) {
+        Err(WireError::Server { code, .. }) => assert_eq!(code, error_code::READ_ONLY),
+        other => panic!("a delete on a replica must answer READ_ONLY, got {other:?}"),
+    }
+    assert_eq!(rc.stats().unwrap().live_shapes, live);
+    let http = replica.metrics_addr().unwrap();
+    assert!(
+        poll_until(Duration::from_secs(10), || http_get(http, "/readyz").0 == 200),
+        "a replica stays ready: {}",
+        http_get(http, "/readyz").1
+    );
+    replica.shutdown();
+    primary.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A replica left behind a prune — the primary checkpoints through LSN
+/// 11 and drops the segment the replica was reading, records 6..11
+/// unread — restarts from the newest checkpoint, journals it and
+/// converges; it never applies across the gap. The checkpoint it first
+/// lists is gone when it reads it (retired: a newer one was installed),
+/// and it reads the newest instead, without a read error.
+#[test]
+fn replica_left_behind_a_prune_restarts_from_the_newest_checkpoint() {
+    let dir = tmpdir("behind-prune");
+    let src = dir.join("primary");
+    append_log(&src, 1, &(0..5).map(logged_insert).collect::<Vec<_>>());
+    let (registry, replica) = follow(&src);
+    let applied = |n: u64| {
+        poll_until(Duration::from_secs(20), || {
+            let snap = registry.snapshot();
+            snap.counter("geosir_repl_applied_records_total", SHARD0) == n
+                && snap.gauge("geosir_replication_lag_records", SHARD0) == 0
+        })
+    };
+    assert!(applied(5));
+
+    // LSN 6..9 insert ids 5..8, 10 deletes id 0, 11 inserts id 9: the
+    // replica never sees them in the log. The checkpoint through 10 is
+    // listed but unreadable; then the next segment, from LSN 12, and
+    // the prune of the first.
+    let ckpt10 = checkpoint::path(&src, 10);
+    std::os::unix::fs::symlink(dir.join("retired"), &ckpt10).unwrap();
+    append_log(&src, 12, &[logged_insert(10)]);
+    std::fs::remove_file(src.join(FIRST_SEGMENT)).unwrap();
+    std::thread::sleep(Duration::from_millis(200));
+    let shapes = (1..10).map(|i| (GlobalShapeId(i), ImageId(i as u32), logged_shape(i))).collect();
+    let data = CheckpointData { epoch: 11, next_id: 10, shapes };
+    checkpoint::write(&checkpoint::path(&src, 11), &data).unwrap();
+    std::fs::remove_file(&ckpt10).unwrap();
+
+    assert!(applied(6), "the replica must converge past the gap");
+    let events = registry.journal().recent();
+    let restart = events
+        .iter()
+        .find(|e| e.code == "repl.bootstrap" && e.fields.iter().any(|(k, _)| *k == "gap_from"))
+        .expect("the restart from a checkpoint must be journaled");
+    let field = |k: &str| restart.fields.iter().find(|(f, _)| *f == k).map(|(_, v)| v.as_str());
+    assert_eq!(field("gap_from"), Some("6"));
+    assert_eq!(field("gap_to"), Some("12"));
+    assert_eq!(field("checkpoint_lsn"), Some("11"), "the newest checkpoint");
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("geosir_repl_applied_records_total", SHARD0), 6, "5, then LSN 12");
+    assert_eq!(snap.counter("geosir_repl_read_errors_total", SHARD0), 0, "the vanished one retried");
+    assert_eq!(snap.counter("geosir_repl_apply_errors_total", SHARD0), 0);
+
+    // what recovery makes of the same files
+    let copy = dir.join("copy");
+    std::fs::create_dir_all(&copy).unwrap();
+    for name in ["ckpt-00000000000000000011.gsir", "wal-00000000000000000012.log"] {
+        std::fs::copy(src.join(name), copy.join(name)).unwrap();
+    }
+    let (recovered, report) =
+        serve_durable("127.0.0.1:0", &exact_template(), DurabilityConfig::new(&copy), serve_cfg())
+            .unwrap();
+    assert_eq!((report.checkpoint_lsn, report.replayed), (11, 1));
+    let (mut rc, mut oc) =
+        (Client::connect(replica.addr()).unwrap(), Client::connect(recovered.addr()).unwrap());
+    assert_eq!(rc.stats().unwrap().live_shapes, 10);
+    assert_eq!(oc.stats().unwrap().live_shapes, 10);
+    for i in 0..11 {
+        let probe = logged_shape(i);
+        assert_eq!(answers(&mut rc, &probe, 10), answers(&mut oc, &probe, 10), "probe {i}");
+    }
+    recovered.shutdown();
     replica.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -266,7 +266,6 @@ fn query_batch_surfaces_busy_hint_and_retries() {
         retries: 200,
         retry_base: Duration::from_millis(20),
         retry_cap: Duration::from_millis(250),
-        ..ClientConfig::default()
     };
     let mut retrier = Client::connect_with(addr, cfg).unwrap();
     let served = retrier.query_batch_retrying(&probe, 1).unwrap();

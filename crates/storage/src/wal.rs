@@ -46,7 +46,8 @@
 //! follows a log while it is written (a replica following its primary's
 //! log) holds a [`Tail`] instead: each [`Tail::poll`] reads only the
 //! bytes appended since the last, through the same record scanner and
-//! with the same checks.
+//! with the same checks, and reports a [`Gap`] where the writer pruned
+//! records it had not read yet.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -593,6 +594,8 @@ fn read_range(path: &Path, off: u64, len: u64) -> io::Result<Vec<u8>> {
 /// on. A segment that shrinks below the offset (a torn-tail repair) is
 /// read again from its header, and only records above the last one read
 /// are delivered: nothing twice.
+/// The records delivered are contiguous: where the writer pruned records
+/// not yet read (a checkpoint covers them), the poll reports a [`Gap`].
 pub struct Tail {
     dir: PathBuf,
     /// First LSN of the segment being read; `None` before any.
@@ -604,11 +607,21 @@ pub struct Tail {
     seg_prev: Option<Lsn>,
     /// LSN of the last record before `off` (across segments).
     at_off: Option<Lsn>,
-    /// Highest LSN read; nothing at or below it is delivered again.
+    /// Highest LSN read (`None` while the log held no records); nothing
+    /// at or below it is delivered again.
     last: Option<Lsn>,
     /// First LSN of the newest segment listed.
     newest_first: Option<Lsn>,
+    /// Segment bytes read over this tail's lifetime.
     bytes_read: u64,
+}
+
+/// Records from `expected` up to `found`, where the log resumes, were
+/// pruned before a [`Tail`] read them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Gap {
+    pub expected: Lsn,
+    pub found: Lsn,
 }
 
 impl Tail {
@@ -637,25 +650,18 @@ impl Tail {
         self.last.max(before_newest)
     }
 
-    /// Highest LSN read so far (`None` while the log held no records).
-    #[cfg(test)]
-    fn last_lsn(&self) -> Option<Lsn> {
-        self.last
-    }
-
-    /// Segment bytes read over this tail's lifetime.
-    #[cfg(test)]
-    fn bytes_read(&self) -> u64 {
-        self.bytes_read
-    }
-
     /// Push every record appended since the last poll with `lsn >
-    /// after_lsn` onto `out`, in LSN order. On an error, the records
-    /// before the bad one are already on `out` and consumed.
-    pub fn poll(&mut self, after_lsn: Lsn, out: &mut Vec<(Lsn, WalRecord)>) -> io::Result<()> {
+    /// after_lsn` onto `out`, in LSN order, up to a [`Gap`] (returned by
+    /// every poll from then on). On an error, the records before the bad
+    /// one are already on `out` and consumed.
+    pub fn poll(
+        &mut self,
+        after_lsn: Lsn,
+        out: &mut Vec<(Lsn, WalRecord)>,
+    ) -> io::Result<Option<Gap>> {
         let mut firsts = match list_segments(&self.dir) {
             Ok(f) => f,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e),
         };
         self.newest_first = self.newest_first.max(firsts.iter().copied().max());
@@ -664,12 +670,17 @@ impl Tail {
         firsts.sort_unstable();
         for (si, &first) in firsts.iter().enumerate() {
             if self.seg != Some(first) {
+                // a segment's name is its first record's LSN
+                let expected = self.at_off.unwrap_or(0).max(after_lsn) + 1;
+                if first > expected {
+                    return Ok(Some(Gap { expected, found: first }));
+                }
                 self.seg = Some(first);
                 self.off = 0;
                 self.seg_prev = self.at_off;
             }
             let path = segment_path(&self.dir, first);
-            // a segment pruned since the listing has a newer one after it
+            // pruned since the listing: the next segment checks the gap
             let len = match std::fs::metadata(&path) {
                 Ok(m) => m.len(),
                 Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
@@ -698,7 +709,7 @@ impl Tail {
                 }
             }
         }
-        Ok(())
+        Ok(None)
     }
 }
 
@@ -1011,7 +1022,7 @@ mod tests {
 
     fn poll_all(tail: &mut Tail) -> Vec<(Lsn, WalRecord)> {
         let mut out = Vec::new();
-        tail.poll(0, &mut out).unwrap();
+        assert_eq!(tail.poll(0, &mut out).unwrap(), None);
         out
     }
 
@@ -1020,31 +1031,31 @@ mod tests {
         let dir = tmpdir("tail");
         let mut tail = Tail::new(&dir.join("nope"));
         assert!(poll_all(&mut tail).is_empty(), "a missing dir is an empty log");
-        assert_eq!(tail.last_lsn(), None);
+        assert_eq!(tail.last, None);
         let mut tail = Tail::new(&dir);
         let mut wal = Wal::open(&dir, FsyncPolicy::Never, 1).unwrap();
         assert!(poll_all(&mut tail).is_empty());
-        assert_eq!(tail.last_lsn(), None, "header-only segment, no records");
+        assert_eq!(tail.last, None, "header-only segment, no records");
         for i in 0..5 {
             wal.append(&insert(i)).unwrap();
         }
         wal.sync().unwrap();
         assert_eq!(poll_all(&mut tail), replay(&dir, 0).unwrap().0);
-        assert_eq!(tail.last_lsn(), Some(5));
+        assert_eq!(tail.last, Some(5));
         // rotation opens an empty segment at 6: the last record is still
         // 5, and so is the tip (an idle reader after a rotation has no lag)
         wal.rotate().unwrap();
         assert!(poll_all(&mut tail).is_empty());
-        assert_eq!(tail.last_lsn(), Some(5));
+        assert_eq!(tail.last, Some(5));
         assert_eq!(tail.tip(), Some(5));
         wal.append(&insert(99)).unwrap();
         wal.sync().unwrap();
         assert_eq!(poll_all(&mut tail), vec![(6, insert(99))]);
-        assert_eq!(tail.last_lsn(), Some(6));
+        assert_eq!(tail.last, Some(6));
         // a poll with nothing new reads nothing
-        let read = tail.bytes_read();
+        let read = tail.bytes_read;
         assert!(poll_all(&mut tail).is_empty());
-        assert_eq!(tail.bytes_read(), read);
+        assert_eq!(tail.bytes_read, read);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1069,7 +1080,7 @@ mod tests {
         for cut in [full.len() - 10, SEG_MAGIC.len() + 3 * rec_len, 3] {
             std::fs::write(&seg, &full[..cut]).unwrap();
             assert!(poll_all(&mut tail).is_empty(), "cut to {cut}: nothing new");
-            assert_eq!(tail.last_lsn(), Some(6));
+            assert_eq!(tail.last, Some(6));
             std::fs::write(&seg, &full).unwrap();
             assert!(poll_all(&mut tail).is_empty(), "regrown to {cut}: nothing twice");
         }
@@ -1084,16 +1095,47 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// One poll of a reader that holds every record up to `state.len()`
+    /// (LSNs start at 1): each record delivered must be the next one due,
+    /// as appended. A gap must lie at or below the newest checkpoint,
+    /// `ckpt`; the reader then restarts from that checkpoint — the
+    /// appended records up to it — with a fresh tail, and polls again.
+    fn follow(
+        tail: &mut Tail,
+        dir: &Path,
+        state: &mut Vec<(Lsn, WalRecord)>,
+        ckpt: Lsn,
+        appended: &[(Lsn, WalRecord)],
+    ) {
+        let mut got = Vec::new();
+        let gap = tail.poll(state.len() as Lsn, &mut got).unwrap();
+        for (lsn, rec) in got {
+            assert_eq!(lsn, state.len() as Lsn + 1, "a record delivered past a gap");
+            assert_eq!(&appended[state.len()], &(lsn, rec.clone()));
+            state.push((lsn, rec));
+        }
+        if let Some(gap) = gap {
+            assert_eq!(gap.expected, state.len() as Lsn + 1);
+            assert!(gap.found > gap.expected, "{gap:?}");
+            assert!(gap.expected <= ckpt, "{gap:?}: records pruned above the checkpoint {ckpt}");
+            *state = appended[..ckpt as usize].to_vec();
+            *tail = Tail::new(dir);
+            follow(tail, dir, state, ckpt, appended);
+        }
+    }
+
     proptest::proptest! {
         /// The tail against its oracle: over random schedules of append,
-        /// sync, rotate, prune, a torn write completed after a poll, and
-        /// poll, the records every poll returned, concatenated, are
-        /// `replay(dir, 0)`'s — each exactly once, in LSN order. A prune
-        /// drops only records the tail has read (it is what a checkpoint
-        /// covering the replica would drop), and `replay` is taken before
-        /// each, so the oracle is every record replay ever saw. Then a
-        /// byte flipped in a non-final segment is `InvalidData` for a
-        /// fresh tail, as it is for `replay`.
+        /// sync, rotate, a prune of what the tail has read, a checkpoint
+        /// at any LSN that rotates and prunes up to it (as the
+        /// checkpointer does, read or not), a torn write completed after
+        /// a poll, and poll, the tail delivers contiguous records, each
+        /// as appended, or reports a gap that a checkpoint covers; a
+        /// reader that restarts from that checkpoint ends holding every
+        /// record appended. `replay`, taken before each prune, saw every
+        /// record appended too. Then a byte flipped in a non-final
+        /// segment is `InvalidData` for a fresh tail, as it is for
+        /// `replay`.
         #[test]
         fn tail_equals_replay_under_random_schedules(seed in 0u64..1_000_000) {
             use rand::prelude::*;
@@ -1102,7 +1144,8 @@ mod tests {
             let dir = tmpdir(&format!("tail-prop-{seed}"));
             let mut wal = Wal::open(&dir, FsyncPolicy::Never, 1).unwrap();
             let mut tail = Tail::new(&dir);
-            let (mut polled, mut appended) = (Vec::new(), Vec::new());
+            let (mut state, mut appended) = (Vec::new(), Vec::new());
+            let mut ckpt: Lsn = 0;
             let mut oracle: BTreeMap<Lsn, WalRecord> = BTreeMap::new();
             let see = |oracle: &mut BTreeMap<Lsn, WalRecord>| {
                 for (lsn, rec) in replay(&dir, 0).unwrap().0 {
@@ -1114,7 +1157,7 @@ mod tests {
                 if rng.random_bool(0.2) { WalRecord::Delete { id: i } } else { insert(i) }
             };
             for _ in 0..rng.random_range(1..40) {
-                match rng.random_range(0..10) {
+                match rng.random_range(0..11) {
                     0..=3 => {
                         for _ in 0..rng.random_range(1..4) {
                             let rec = record(&mut rng);
@@ -1125,10 +1168,16 @@ mod tests {
                     5 => wal.rotate().unwrap(),
                     6 => {
                         see(&mut oracle);
-                        let upto = tail.last_lsn().unwrap_or(0);
+                        let upto = tail.last.unwrap_or(0);
                         wal.prune_up_to(rng.random_range(0..=upto)).unwrap();
                     }
                     7 => {
+                        see(&mut oracle);
+                        ckpt = rng.random_range(ckpt..=appended.len() as Lsn);
+                        wal.rotate().unwrap();
+                        wal.prune_up_to(ckpt).unwrap();
+                    }
+                    8 => {
                         // a writer caught mid-append: the poll must leave
                         // the torn record for the poll after the rest lands
                         let rec = record(&mut rng);
@@ -1147,27 +1196,26 @@ mod tests {
                             .unwrap()
                             .set_len(cut as u64)
                             .unwrap();
-                        let before = polled.len();
-                        tail.poll(0, &mut polled).unwrap();
-                        let delivered = polled[before..].iter().map(|(l, _)| *l).max();
-                        assert!(delivered < Some(lsn), "a torn record was delivered");
+                        follow(&mut tail, &dir, &mut state, ckpt, &appended);
+                        assert!(state.len() < lsn as usize, "a torn record was delivered");
                         use std::io::Write;
                         let mut f = std::fs::OpenOptions::new().append(true).open(&seg).unwrap();
                         f.write_all(&bytes[cut..]).unwrap();
                     }
-                    _ => tail.poll(0, &mut polled).unwrap(),
+                    _ => follow(&mut tail, &dir, &mut state, ckpt, &appended),
                 }
             }
-            tail.poll(0, &mut polled).unwrap();
+            follow(&mut tail, &dir, &mut state, ckpt, &appended);
             see(&mut oracle);
             let oracle: Vec<(Lsn, WalRecord)> = oracle.into_iter().collect();
-            assert_eq!(polled, oracle, "the tail must deliver replay's records, each once, in order");
-            assert_eq!(polled, appended);
+            assert_eq!(oracle, appended, "replay saw every record appended");
+            assert_eq!(state, appended, "the reader must end holding every record, each once");
             // caught up, the tip is the last record, whatever rotations
             // left empty segments behind it
             let last = appended.last().map_or(0, |(lsn, _)| *lsn);
             assert_eq!(tail.tip().unwrap_or(0), last);
-            // corruption with a newer segment behind it
+            // corruption with a newer segment behind it, read by a tail
+            // placed before the oldest segment left
             let mut firsts = list_segments(&dir).unwrap();
             firsts.sort_unstable();
             if firsts.len() >= 2 {
@@ -1178,7 +1226,7 @@ mod tests {
                 std::fs::write(&seg, &bytes).unwrap();
                 assert_eq!(replay(&dir, 0).unwrap_err().kind(), io::ErrorKind::InvalidData);
                 let mut stuck = Tail::new(&dir);
-                let err = stuck.poll(0, &mut Vec::new()).unwrap_err();
+                let err = stuck.poll(firsts[0] - 1, &mut Vec::new()).unwrap_err();
                 assert_eq!(err.kind(), io::ErrorKind::InvalidData);
                 // stopped short, the tip still reaches the newest segment
                 assert!(stuck.tip() >= Some(firsts[firsts.len() - 1] - 1));
