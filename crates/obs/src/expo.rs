@@ -126,7 +126,7 @@ impl Routes {
         let (metrics, requests, journal) = (registry.clone(), registry.clone(), registry);
         Routes { table: Vec::new() }
             .route("/metrics", move || metrics_reply(&metrics.snapshot()))
-            .route("/debug/last_queries", move || (200, JSON, requests.requests_json()))
+            .route("/debug/last_queries", move || (200, JSON, requests.requests().to_json()))
             .route("/debug/journal", move || (200, JSON, journal.journal().to_json()))
     }
 

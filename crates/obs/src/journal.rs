@@ -6,23 +6,16 @@
 //! missed. Each event is a severity, a dotted code, optional key/value
 //! fields, and a trace id when one applies.
 //!
-//! Storage is two-tier:
-//!
-//! 1. an in-memory ring of the last N events, served at
-//!    `/debug/journal` — the push path takes one atomic ticket plus a
-//!    per-slot lock that is only ever contended when a reader is
-//!    copying that very slot (lifecycle events are rare: no global
-//!    lock, no allocation beyond the event itself);
-//! 2. an optional line sink: the server installs a closure appending
-//!    the rendered JSONL line to a rotating file over the
-//!    fault-injectable `Io` layer. Sink failures are the *sink's*
-//!    problem — it counts and drops; the journal never panics and
-//!    never blocks an emitter on a dead disk beyond the one failed
-//!    write.
+//! The journal is a [`Ring`] of the last 256 events, served at
+//! `/debug/journal`. A durable node installs its one sink, a rotating
+//! JSONL file next to the WAL (`sinks.rs` in the serving crate); sink
+//! failures are the sink's problem — it counts and drops, and the
+//! journal never panics or blocks an emitter on a dead disk beyond the
+//! one failed write.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
 use std::time::{SystemTime, UNIX_EPOCH};
+
+use crate::ring::{Entry, Ring};
 
 /// Event severity, ordered: `Info < Warn < Error`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -76,11 +69,13 @@ impl JournalEvent {
         self.trace_id = trace_id;
         self
     }
+}
 
+impl Entry for JournalEvent {
     /// Render as a single-line JSON object. Field values are escaped
     /// (they may carry paths or peer addresses); everything else is a
     /// static identifier or a number.
-    pub fn to_json(&self, out: &mut String) {
+    fn to_json(&self, out: &mut String) {
         use std::fmt::Write;
         let _ = write!(
             out,
@@ -123,119 +118,21 @@ pub fn escape_json_into(s: &str, out: &mut String) {
     }
 }
 
-/// The line sink: receives each event's rendered JSONL line. The sink
-/// owns its error handling (count and drop — never panic).
-pub type JournalSink = dyn Fn(&JournalEvent, &str) + Send + Sync;
-
-struct Slot {
-    /// `(ticket, event)` — the ticket detects lapped slots on read.
-    cell: Mutex<Option<(u64, JournalEvent)>>,
-}
-
-/// Fixed-capacity ring of recent [`JournalEvent`]s plus an optional
-/// durable line sink.
-pub struct Journal {
-    cap: usize,
-    /// Total events ever emitted; `head % cap` is the next slot.
-    head: AtomicU64,
-    slots: Box<[Slot]>,
-    sink: RwLock<Option<Arc<JournalSink>>>,
-}
-
-impl std::fmt::Debug for Journal {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Journal")
-            .field("cap", &self.cap)
-            .field("emitted", &self.head.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
-impl Journal {
-    pub fn new(cap: usize) -> Journal {
-        let cap = cap.max(1);
-        Journal {
-            cap,
-            head: AtomicU64::new(0),
-            slots: (0..cap).map(|_| Slot { cell: Mutex::new(None) }).collect(),
-            sink: RwLock::new(None),
-        }
-    }
-
-    /// Ring capacity (last N events retained in memory).
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Install (or with `None`, remove) the durable line sink.
-    pub fn set_sink(&self, sink: Option<Arc<JournalSink>>) {
-        *self.sink.write().unwrap() = sink;
-    }
-
-    /// Record one event: render the line once, store the event in the
-    /// ring, hand the line to the sink if one is installed. A poisoned
-    /// slot lock (a reader panicked mid-copy) drops the ring store
-    /// rather than propagating the panic — the journal must never take
-    /// the server down.
+impl Ring<JournalEvent> {
+    /// Record one event.
     pub fn emit(&self, event: JournalEvent) {
-        let mut line = String::with_capacity(96 + event.fields.len() * 32);
-        event.to_json(&mut line);
-        let sink = self.sink.read().ok().and_then(|s| s.clone());
-        if let Some(sink) = sink {
-            sink(&event, &line);
-        }
-        let ticket = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(ticket % self.cap as u64) as usize];
-        if let Ok(mut cell) = slot.cell.lock() {
-            *cell = Some((ticket, event));
-        }
-    }
-
-    /// Recent events, newest first. Slots lapped between the head read
-    /// and the slot read are skipped.
-    pub fn recent(&self) -> Vec<JournalEvent> {
-        let head = self.head.load(Ordering::Acquire);
-        let oldest = head.saturating_sub(self.cap as u64);
-        let mut out = Vec::with_capacity((head - oldest) as usize);
-        let mut ticket = head;
-        while ticket > oldest {
-            ticket -= 1;
-            let slot = &self.slots[(ticket % self.cap as u64) as usize];
-            let Ok(cell) = slot.cell.lock() else { continue };
-            if let Some((t, ev)) = cell.as_ref() {
-                if *t == ticket {
-                    out.push(ev.clone());
-                }
-            }
-        }
-        out
-    }
-
-    /// Render the ring as a JSON array, newest first — the body of
-    /// `/debug/journal`.
-    pub fn to_json(&self) -> String {
-        let events = self.recent();
-        let mut out = String::with_capacity(64 + events.len() * 128);
-        out.push('[');
-        for (i, ev) in events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            ev.to_json(&mut out);
-        }
-        out.push(']');
-        out
+        self.push(&event);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::{Arc, Mutex};
 
     #[test]
     fn ring_keeps_last_n_newest_first() {
-        let j = Journal::new(3);
+        let j = Ring::new(3);
         for i in 0..5u64 {
             j.emit(JournalEvent::new(Severity::Info, "test.tick").with("i", i));
         }
@@ -243,12 +140,12 @@ mod tests {
         assert_eq!(recent.len(), 3);
         assert_eq!(recent[0].fields[0].1, "4");
         assert_eq!(recent[2].fields[0].1, "2");
-        assert_eq!(j.head.load(Ordering::Relaxed), 5);
+        assert_eq!(j.pushed(), 5);
     }
 
     #[test]
     fn json_shape_and_escaping() {
-        let j = Journal::new(4);
+        let j = Ring::new(4);
         j.emit(
             JournalEvent::new(Severity::Warn, "wal.read_only_enter")
                 .with("reason", "disk \"full\"\nretry")
@@ -264,12 +161,14 @@ mod tests {
 
     #[test]
     fn sink_receives_rendered_lines() {
-        let j = Journal::new(4);
+        let j = Ring::new(4);
         let lines = Arc::new(Mutex::new(Vec::<String>::new()));
         let lines2 = lines.clone();
-        j.set_sink(Some(Arc::new(move |_ev, line| {
-            lines2.lock().unwrap().push(line.to_string());
-        })));
+        assert!(j.set_sink(move |ev: &JournalEvent| {
+            let mut line = String::new();
+            ev.to_json(&mut line);
+            lines2.lock().unwrap().push(line);
+        }));
         j.emit(JournalEvent::new(Severity::Info, "recovery.start"));
         j.emit(JournalEvent::new(Severity::Info, "recovery.done").with("records", 7));
         let lines = lines.lock().unwrap();
@@ -279,24 +178,26 @@ mod tests {
         assert!(!lines[1].contains('\n'), "JSONL lines must be single-line");
     }
 
+    /// A sink installed late first sees what the ring already holds,
+    /// oldest first; a ring takes one sink.
     #[test]
-    fn sink_removal_stops_delivery() {
-        let j = Journal::new(4);
-        let n = Arc::new(AtomicUsize::new(0));
-        let n2 = n.clone();
-        j.set_sink(Some(Arc::new(move |_, _| {
-            n2.fetch_add(1, Ordering::SeqCst);
-        })));
+    fn a_late_sink_is_backfilled_and_a_second_refused() {
+        let j = Ring::new(4);
         j.emit(JournalEvent::new(Severity::Info, "a"));
-        j.set_sink(None);
         j.emit(JournalEvent::new(Severity::Info, "b"));
-        assert_eq!(n.load(Ordering::SeqCst), 1);
-        assert_eq!(j.recent().len(), 2, "ring keeps recording without a sink");
+        let codes = Arc::new(Mutex::new(Vec::new()));
+        let codes2 = codes.clone();
+        assert!(j.set_sink(move |ev: &JournalEvent| codes2.lock().unwrap().push(ev.code)));
+        j.emit(JournalEvent::new(Severity::Info, "c"));
+        assert!(!j.set_sink(|_: &JournalEvent| panic!("a second sink must not run")));
+        j.emit(JournalEvent::new(Severity::Info, "d"));
+        assert_eq!(*codes.lock().unwrap(), ["a", "b", "c", "d"]);
+        assert_eq!(j.recent().len(), 4);
     }
 
     #[test]
     fn concurrent_emitters_and_readers() {
-        let j = Arc::new(Journal::new(16));
+        let j = Arc::new(Ring::new(16));
         std::thread::scope(|s| {
             for t in 0..4u64 {
                 let j = j.clone();
@@ -318,7 +219,7 @@ mod tests {
                 }
             });
         });
-        assert_eq!(j.head.load(Ordering::Relaxed), 800);
+        assert_eq!(j.pushed(), 800);
         assert_eq!(j.recent().len(), 16);
     }
 }

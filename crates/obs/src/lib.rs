@@ -5,12 +5,14 @@
 //! 1. **Metrics registry** ([`registry`]) — atomic counters, gauges,
 //!    and log-linear histograms behind named, labeled series; lock-free
 //!    record path; mergeable, wire-encodable [`Snapshot`]s.
-//! 2. **Requests** ([`request`]) — one ring of the last finished
-//!    requests: whoever answers a request describes it once in a
-//!    [`RequestRecord`] (trace id, timings, stages, work counts) and
-//!    calls [`Registry::record_request`]. The trace ids flow client →
-//!    wire → worker → writer → WAL, and the ring is dumped to disk on a
-//!    crash.
+//! 2. **Rings** ([`ring`]) — one bounded ring type, the last 256
+//!    entries with at most one line sink, used twice by every registry:
+//!    the request ring ([`request`]: whoever answers a request describes
+//!    it once in a [`RequestRecord`] — trace id, timings, stages, work
+//!    counts — and calls [`Registry::record_request`]) and the lifecycle
+//!    [`journal`]. The trace ids flow client → wire → worker → writer →
+//!    WAL; the request ring is dumped to disk on a crash, and its sink,
+//!    when the server arms one, is the slow-query log.
 //! 3. **Exposition** ([`expo`]) — Prometheus text format on
 //!    `/metrics`, the request ring on `/debug/last_queries` and the
 //!    journal on `/debug/journal`, served by the workspace's one HTTP
@@ -27,12 +29,14 @@ pub mod expo;
 pub mod journal;
 pub mod registry;
 pub mod request;
+pub mod ring;
 pub mod slo;
 
-pub use journal::{Journal, JournalEvent, Severity};
+pub use journal::{JournalEvent, Severity};
 pub use registry::{
     bucket_index, bucket_upper_bound, merged_quantile, Counter, Gauge, GaugePolicy, Histogram,
     Registry, SnapEntry, SnapHistogram, SnapValue, Snapshot, HISTOGRAM_BUCKETS,
 };
 pub use request::{RequestKind, RequestRecord};
+pub use ring::{Entry, Ring, RING_CAP};
 pub use slo::{alerting, BurnRate, Objective, ObjectiveKind, SloEngine};

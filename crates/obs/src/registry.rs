@@ -23,8 +23,9 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
-use crate::journal::Journal;
-use crate::request::RequestRing;
+use crate::journal::JournalEvent;
+use crate::request::RequestRecord;
+use crate::ring::{Ring, RING_CAP};
 
 /// Number of histogram buckets: values 0..15 exactly, then four
 /// sub-buckets per power of two up to `u64::MAX`.
@@ -242,8 +243,11 @@ type LabelSet = Box<[(String, String)]>;
 pub struct Registry {
     series: RwLock<HashMap<String, Vec<(LabelSet, Metric)>>>,
     /// The last finished requests (see [`crate::request`]).
-    pub(crate) requests: RequestRing,
-    journal: Journal,
+    requests: Ring<RequestRecord>,
+    /// Next server-assigned trace id, for requests that arrived without
+    /// one.
+    pub(crate) next_trace_id: AtomicU64,
+    journal: Ring<JournalEvent>,
 }
 
 impl Default for Registry {
@@ -267,13 +271,19 @@ impl Registry {
     pub fn new() -> Self {
         Self {
             series: RwLock::new(HashMap::new()),
-            requests: RequestRing::new(),
-            journal: Journal::new(256),
+            requests: Ring::new(RING_CAP),
+            next_trace_id: AtomicU64::new(1),
+            journal: Ring::new(RING_CAP),
         }
     }
 
+    /// The request ring: `/debug/last_queries` and the crash dump.
+    pub fn requests(&self) -> &Ring<RequestRecord> {
+        &self.requests
+    }
+
     /// Structured lifecycle-event journal backing `/debug/journal`.
-    pub fn journal(&self) -> &Journal {
+    pub fn journal(&self) -> &Ring<JournalEvent> {
         &self.journal
     }
 

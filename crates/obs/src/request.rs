@@ -1,26 +1,21 @@
-//! One finished request, described once, and the one ring that keeps
-//! the last 256 of them.
+//! One finished request, described once, in the registry's request
+//! ring.
 //!
 //! Whoever answers a request — a node's read worker, its writer, the
 //! cluster router — fills one [`RequestRecord`] and hands it to
-//! [`Registry::record_request`], which copies it into the registry's
-//! request ring: the body of `/debug/last_queries` and of the crash
-//! dump. What else the answerer reports about the request (the reply's
-//! stage trailer, its latency sample, a slow-query line) it reads off the
-//! same record, and every JSON view of a request is
-//! [`RequestRecord::to_json`] — a slow-query line is its
-//! [head](RequestRecord::to_json_head) plus one array — so the views
-//! cannot disagree.
+//! [`Registry::record_request`], which copies it into the request
+//! [`Ring`](crate::Ring): the body of `/debug/last_queries` and of the
+//! crash dump. What else the answerer reports about the request (the
+//! reply's stage trailer, its latency sample) it reads off the same
+//! record, and the ring's one sink, a slow-query log, writes a slow read
+//! as the same [`Entry::to_json`] object — so no two views of a request
+//! can disagree.
 
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::Ordering;
 
 use crate::registry::Registry;
-
-/// Requests the ring keeps: the depth of `/debug/last_queries` and of a
-/// crash dump.
-const RING_CAP: usize = 256;
+use crate::ring::Entry;
 
 /// What kind of request a [`RequestRecord`] describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -53,12 +48,17 @@ impl RequestKind {
             RequestKind::RoutedBatch => "routed_batch",
         }
     }
+
+    /// A read: what a slow-query log writes when it took long enough.
+    pub fn is_read(self) -> bool {
+        !matches!(self, RequestKind::Insert | RequestKind::Delete)
+    }
 }
 
 /// One finished request. Long-lived answerers keep one and
 /// [`begin`](Self::begin) it again per request, so describing a request
 /// allocates nothing once the two lists have grown.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct RequestRecord {
     /// Client-minted id; 0 = none, [`Registry::record_request`] assigns one.
     pub trace_id: u64,
@@ -96,18 +96,13 @@ impl RequestRecord {
         self.notes.push((name, value));
         self
     }
+}
 
+impl Entry for RequestRecord {
     /// The record as one JSON object: `trace_id`, `kind`, `total_us`,
     /// `queue_us`, `epoch`, `stages{}`, `notes{}`. Hand-rolled; every
     /// value is numeric or a static identifier, so nothing needs escaping.
-    pub fn to_json(&self, out: &mut String) {
-        self.to_json_head(out);
-        out.push('}');
-    }
-
-    /// [`to_json`](Self::to_json) without its closing brace: the head of
-    /// a slow-query line, which appends its own array and closes it.
-    pub fn to_json_head(&self, out: &mut String) {
+    fn to_json(&self, out: &mut String) {
         let _ = write!(
             out,
             "{{\"trace_id\":{},\"kind\":\"{}\",\"total_us\":{},\"queue_us\":{},\"epoch\":{}",
@@ -127,12 +122,21 @@ impl RequestRecord {
             }
             out.push('}');
         }
+        out.push('}');
+    }
+}
+
+impl Clone for RequestRecord {
+    fn clone(&self) -> Self {
+        let mut out = RequestRecord::default();
+        out.clone_from(self);
+        out
     }
 
-    /// Overwrite `self` with `src` field by field, reusing the lists'
-    /// capacity (a derived `clone_from` builds a new record and drops
-    /// the old one's lists).
-    fn copy_from(&mut self, src: &RequestRecord) {
+    /// Field by field, reusing the lists' capacity (a derived
+    /// `clone_from` builds a new record and drops the old one's lists):
+    /// how the ring overwrites its oldest slot without allocating.
+    fn clone_from(&mut self, src: &RequestRecord) {
         let RequestRecord { trace_id, kind, total_us, queue_us, epoch, stages, notes } = src;
         (self.trace_id, self.kind, self.total_us, self.queue_us, self.epoch) =
             (*trace_id, *kind, *total_us, *queue_us, *epoch);
@@ -141,98 +145,35 @@ impl RequestRecord {
     }
 }
 
-/// The last [`RING_CAP`] records, oldest overwritten first.
-#[derive(Debug, Default)]
-struct Slots {
-    records: Vec<RequestRecord>,
-    /// The slot the next record goes to; the newest is the one before it.
-    head: usize,
-}
-
-impl Slots {
-    fn push(&mut self, rec: &RequestRecord) {
-        if self.records.len() < RING_CAP {
-            self.records.push(rec.clone());
-        } else {
-            self.records[self.head].copy_from(rec);
-        }
-        self.head = (self.head + 1) % RING_CAP;
-    }
-
-    fn newest_first(&self) -> impl Iterator<Item = &RequestRecord> {
-        let (newer, older) = self.records.split_at(self.head);
-        newer.iter().rev().chain(older.iter().rev())
-    }
-}
-
-/// The registry's one per-request store.
-#[derive(Debug)]
-pub(crate) struct RequestRing {
-    /// Next server-assigned id, for requests that arrived without one.
-    next_id: AtomicU64,
-    /// Invariant: nothing done under this lock can unwind — it copies
-    /// numbers and lists of them, or renders numbers into a `String` — so
-    /// a panic hook, which runs on the panicking thread, never finds it
-    /// held by its own thread. The crash dump still reads through a
-    /// poisoned lock, as every other reader does.
-    slots: Mutex<Slots>,
-}
-
-impl RequestRing {
-    pub(crate) fn new() -> RequestRing {
-        RequestRing { next_id: AtomicU64::new(1), slots: Mutex::default() }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, Slots> {
-        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
 impl Registry {
     /// Record one finished request in the request ring, under its own id
     /// or, when it arrived without one, a server-assigned one written
     /// back into `rec` — and return that id. Once the ring has wrapped
-    /// and its slots' lists have grown, this allocates nothing.
+    /// and its slots' lists have grown, this allocates nothing (a slow
+    /// line, when the ring's sink writes one, is the sink's).
     pub fn record_request(&self, rec: &mut RequestRecord) -> u64 {
-        let ring = &self.requests;
         if rec.trace_id == 0 {
-            rec.trace_id = ring.next_id.fetch_add(1, Ordering::Relaxed);
+            rec.trace_id = self.next_trace_id.fetch_add(1, Ordering::Relaxed);
         }
-        ring.lock().push(rec);
+        self.requests().push(rec);
         rec.trace_id
     }
 
     /// The recorded requests, newest first.
     pub fn recent_requests(&self) -> Vec<RequestRecord> {
-        self.requests.lock().newest_first().cloned().collect()
-    }
-
-    /// The ring as a JSON array of [`RequestRecord::to_json`] objects,
-    /// newest first — the body of `/debug/last_queries` and of the crash
-    /// dump.
-    pub fn requests_json(&self) -> String {
-        let slots = self.requests.lock();
-        let mut out = String::with_capacity(2 + slots.records.len() * 256);
-        out.push('[');
-        for (i, rec) in slots.newest_first().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            rec.to_json(&mut out);
-        }
-        out.push(']');
-        out
+        self.requests().recent()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ring::RING_CAP;
 
     #[test]
     fn ring_keeps_the_newest_records_under_one_id_each() {
         let reg = Registry::new();
-        assert_eq!(reg.requests_json(), "[]");
+        assert_eq!(reg.requests().to_json(), "[]");
         let mut rec = RequestRecord::default();
         rec.begin(RequestKind::QueryApprox, 0).stage("queue_wait", 5).note("hits", 3);
         (rec.total_us, rec.queue_us, rec.epoch) = (40, 5, 9);
@@ -240,7 +181,7 @@ mod tests {
         assert_ne!(id, 0, "an untraced request gets a server-assigned id");
         assert_eq!(rec.trace_id, id, "and carries it from then on");
         assert_eq!(
-            reg.requests_json(),
+            reg.requests().to_json(),
             format!(
                 "[{{\"trace_id\":{id},\"kind\":\"query_approx\",\"total_us\":40,\"queue_us\":5,\
                  \"epoch\":9,\"stages\":{{\"queue_wait\":5}},\"notes\":{{\"hits\":3}}}}]"

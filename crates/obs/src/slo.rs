@@ -3,9 +3,8 @@
 //!
 //! An [`Objective`] reduces a [`Snapshot`] to a cumulative
 //! `(good, total)` event pair — availability from a pair of counters,
-//! latency-under-threshold from a histogram's bucket prefix, a ratio
-//! floor (the approx tier's candidate-reduction funnel) from two
-//! counters. The [`SloEngine`] keeps a short history of these reduced
+//! latency-under-threshold from a histogram's bucket prefix. The
+//! [`SloEngine`] keeps a short history of these reduced
 //! samples and, for each configured window, compares the window's bad
 //! fraction against the objective's error budget:
 //!
@@ -36,12 +35,6 @@ pub enum ObjectiveKind {
     /// (bucket-prefix count, so the threshold snaps to the containing
     /// bucket's upper bound); total = all observations.
     LatencyUnder { histogram: String, threshold_us: u64 },
-    /// The ratio `num / den` (both counters, summed across label
-    /// sets) must stay ≥ `floor` over the window. Bad fraction is the
-    /// graded shortfall `max(0, 1 − ratio/floor)` applied to the
-    /// window's `den` events — a funnel at half its floor burns half
-    /// the window's events.
-    RatioFloor { num: String, den: String, floor: f64 },
 }
 
 /// One service-level objective: a name (label value on the exported
@@ -182,19 +175,6 @@ fn reduce(kind: &ObjectiveKind, snap: &Snapshot) -> Cumulative {
             }
             Cumulative { good, total }
         }
-        ObjectiveKind::RatioFloor { num, den, floor } => {
-            let n = sum_counter(snap, num);
-            let d = sum_counter(snap, den);
-            // Graded shortfall: a window at ratio r < floor counts
-            // (1 - r/floor) of its den events as bad. Encoding it in
-            // cumulative (good, total) keeps window deltas exact.
-            let ratio_good = if d > 0.0 && *floor > 0.0 {
-                d * ((n / d) / floor).min(1.0)
-            } else {
-                d
-            };
-            Cumulative { good: ratio_good, total: d }
-        }
     }
 }
 
@@ -304,34 +284,6 @@ mod tests {
         let reports = eng.observe(t0 + Duration::from_secs(1), &reg.snapshot());
         // 10% over threshold against a 10% budget → burn ≈ 1.
         assert!((reports[0].burn - 1.0).abs() < 0.05, "burn={}", reports[0].burn);
-    }
-
-    #[test]
-    fn ratio_floor_grades_the_shortfall() {
-        let reg = Registry::new();
-        let obj = Objective {
-            name: "funnel".into(),
-            target: 0.5,
-            kind: ObjectiveKind::RatioFloor {
-                num: "scanned_total".into(),
-                den: "queries_total".into(),
-                floor: 10.0,
-            },
-        };
-        let mut eng = SloEngine::new(vec![obj], vec![Duration::from_secs(5)]);
-        let t0 = Instant::now();
-        eng.observe(t0, &reg.snapshot());
-        // ratio 5 against floor 10 → half the events bad → bad
-        // fraction 0.5 → burn 1.0 against the 0.5 budget.
-        reg.counter("queries_total", &[]).add(100);
-        reg.counter("scanned_total", &[]).add(500);
-        let reports = eng.observe(t0 + Duration::from_secs(1), &reg.snapshot());
-        assert!((reports[0].burn - 1.0).abs() < 1e-6, "burn={}", reports[0].burn);
-        // ratio well above the floor → clean.
-        reg.counter("queries_total", &[]).add(100);
-        reg.counter("scanned_total", &[]).add(5_000);
-        let reports = eng.observe(t0 + Duration::from_secs(2), &reg.snapshot());
-        assert!(reports[0].burn < 0.6, "burn={}", reports[0].burn);
     }
 
     #[test]

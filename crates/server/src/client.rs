@@ -35,30 +35,11 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 /// cap that keeps a fleet of retrying clients from camping on a
 /// recovering shard forever.
 const RETRY_DEADLINE: Duration = Duration::from_secs(10);
-
-/// Retry tuning. Every connection carries a 5 s connect deadline and
-/// 30 s read and write deadlines, and a retrying call sleeps at most
-/// 10 s in total.
-#[derive(Debug, Clone)]
-pub struct ClientConfig {
-    /// Retry attempts for [`Client::insert_retrying`] (beyond the first).
-    pub retries: u32,
-    /// Backoff floor: every retry sleeps at least this long.
-    pub retry_base: Duration,
-    /// Backoff ceiling for the jittered schedule (a larger server
-    /// `Busy` hint still wins — the server knows its own drain rate).
-    pub retry_cap: Duration,
-}
-
-impl Default for ClientConfig {
-    fn default() -> Self {
-        ClientConfig {
-            retries: 4,
-            retry_base: Duration::from_millis(10),
-            retry_cap: Duration::from_secs(1),
-        }
-    }
-}
+/// Backoff floor: every retry sleeps at least this long.
+const RETRY_BASE: Duration = Duration::from_millis(10);
+/// Backoff ceiling for the jittered schedule (a larger server `Busy`
+/// hint still wins — the server knows its own drain rate).
+const RETRY_CAP: Duration = Duration::from_secs(1);
 
 /// Decorrelated-jitter retry schedule with a total sleep budget.
 ///
@@ -94,11 +75,6 @@ impl Backoff {
     pub fn new(base: Duration, cap: Duration, deadline: Duration, seed: u64) -> Backoff {
         let base = base.max(Duration::from_micros(1));
         Backoff { base, cap: cap.max(base), budget: deadline, prev: base, rng: seed | 1 }
-    }
-
-    /// Schedule from a [`ClientConfig`]'s retry knobs.
-    fn from_config(cfg: &ClientConfig) -> Backoff {
-        Backoff::new(cfg.retry_base, cfg.retry_cap, RETRY_DEADLINE, key_seed())
     }
 
     fn next_u64(&mut self) -> u64 {
@@ -138,7 +114,6 @@ impl Backoff {
 pub struct Client {
     reader: TcpStream,
     writer: BufWriter<TcpStream>,
-    cfg: ClientConfig,
     /// Resolved peer addresses, kept for reconnect-on-retry.
     addrs: Vec<SocketAddr>,
     /// Next idempotency key: odd, stepping by 2, randomly seeded per
@@ -285,20 +260,13 @@ fn connect_stream(addrs: &[SocketAddr], deadline: Duration) -> Result<TcpStream,
 }
 
 impl Client {
-    /// Connect with the default retry tuning ([`ClientConfig::default`]).
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Client, WireError> {
-        Client::connect_with(addr, ClientConfig::default())
-    }
-
-    /// Connect with explicit retry tuning.
-    pub fn connect_with<A: ToSocketAddrs>(addr: A, cfg: ClientConfig) -> Result<Client, WireError> {
         let addrs: Vec<SocketAddr> = addr.to_socket_addrs().map_err(WireError::Io)?.collect();
         let stream = connect_stream(&addrs, CONNECT_TIMEOUT)?;
         let reader = stream.try_clone().map_err(WireError::Io)?;
         Ok(Client {
             reader,
             writer: BufWriter::new(stream),
-            cfg,
             addrs,
             next_key: key_seed(),
             next_trace: key_seed(),
@@ -497,45 +465,10 @@ impl Client {
         queries: &[Polyline],
         k: u32,
     ) -> Result<BatchReply, WireError> {
-        let mut backoff = Backoff::from_config(&self.cfg);
-        let mut last_err: Option<WireError> = None;
-        for attempt in 0..=self.cfg.retries {
-            if attempt > 0 && last_err.is_some() {
-                if let Err(e) = self.reconnect() {
-                    last_err = Some(e);
-                    match backoff.next_delay(Duration::ZERO) {
-                        Some(d) => std::thread::sleep(d),
-                        None => break,
-                    }
-                    continue;
-                }
-            }
-            match self.query_batch(queries, k) {
-                Ok(reply) if !reply.rejected => return Ok(reply),
-                Ok(reply) => {
-                    last_err = None;
-                    let hint = Duration::from_millis(reply.retry_after_ms as u64);
-                    match backoff.next_delay(hint) {
-                        Some(d) => std::thread::sleep(d),
-                        None => break,
-                    }
-                }
-                Err(WireError::Io(e)) => {
-                    last_err = Some(WireError::Io(e));
-                    match backoff.next_delay(Duration::ZERO) {
-                        Some(d) => std::thread::sleep(d),
-                        None => break,
-                    }
-                }
-                Err(other) => return Err(other), // protocol error: no retry
-            }
-        }
-        Err(last_err.unwrap_or_else(|| {
-            WireError::Io(std::io::Error::new(
-                std::io::ErrorKind::TimedOut,
-                "batch retries exhausted (server busy)",
-            ))
-        }))
+        self.retrying("batch", |c| {
+            let reply = c.query_batch(queries, k)?;
+            Ok(if reply.rejected { Err(reply.retry_after_ms) } else { Ok(reply) })
+        })
     }
 
     /// Insert a shape; returns `(epoch, id)` once the new snapshot is
@@ -553,53 +486,63 @@ impl Client {
     /// for the server's retry-after hint (at least the jittered
     /// backoff); an I/O error (timeout, reset) reconnects and resends
     /// the *same* idempotency key, so an insert that actually landed
-    /// before the error is acked, not duplicated. Fails after
-    /// `cfg.retries` attempts, when the 10 s sleep budget
-    /// (`RETRY_DEADLINE`) is spent, or on any protocol/server error.
+    /// before the error is acked, not duplicated. Fails when the 10 s
+    /// sleep budget (`RETRY_DEADLINE`) is spent, or on any
+    /// protocol/server error.
     pub fn insert_retrying(
         &mut self,
         image: u32,
         shape: &Polyline,
     ) -> Result<(u64, u64), WireError> {
         let key = self.fresh_key();
-        let mut backoff = Backoff::from_config(&self.cfg);
+        self.retrying("insert", |c| {
+            Ok(match c.insert_keyed(image, key, shape)? {
+                InsertReply::Done(epoch, id) => Ok((epoch, id)),
+                InsertReply::Busy(hint_ms) => Err(hint_ms),
+            })
+        })
+    }
+
+    /// The one retry loop: run `attempt` until it answers. `Ok(Err(hint))`
+    /// is a `Busy` reply, waited out for the hint (at least the jittered
+    /// backoff, [`Backoff`]); an I/O error (timeout, reset) sleeps the
+    /// backoff and dials a fresh connection before the next attempt; any
+    /// other error fails at once. Gives up when the 10 s sleep budget
+    /// (`RETRY_DEADLINE`) is spent.
+    fn retrying<T>(
+        &mut self,
+        what: &str,
+        mut attempt: impl FnMut(&mut Client) -> Result<Result<T, u32>, WireError>,
+    ) -> Result<T, WireError> {
+        let mut backoff = Backoff::new(RETRY_BASE, RETRY_CAP, RETRY_DEADLINE, key_seed());
         let mut last_err: Option<WireError> = None;
-        for attempt in 0..=self.cfg.retries {
-            if attempt > 0 && last_err.is_some() {
-                // the connection died mid-round-trip: dial a fresh one
-                if let Err(e) = self.reconnect() {
-                    last_err = Some(e);
-                    match backoff.next_delay(Duration::ZERO) {
-                        Some(d) => std::thread::sleep(d),
-                        None => break,
-                    }
-                    continue;
-                }
-            }
-            match self.insert_keyed(image, key, shape) {
-                Ok(InsertReply::Done(epoch, id)) => return Ok((epoch, id)),
-                Ok(InsertReply::Busy(hint_ms)) => {
+        loop {
+            // the connection died mid-round-trip: dial a fresh one first
+            let outcome = match last_err {
+                Some(_) => self.reconnect().and_then(|()| attempt(self)),
+                None => attempt(self),
+            };
+            let hint_ms = match outcome {
+                Ok(Ok(answer)) => return Ok(answer),
+                Ok(Err(hint_ms)) => {
                     last_err = None;
-                    let hint = Duration::from_millis(hint_ms as u64);
-                    match backoff.next_delay(hint) {
-                        Some(d) => std::thread::sleep(d),
-                        None => break,
-                    }
+                    hint_ms
                 }
                 Err(WireError::Io(e)) => {
                     last_err = Some(WireError::Io(e));
-                    match backoff.next_delay(Duration::ZERO) {
-                        Some(d) => std::thread::sleep(d),
-                        None => break,
-                    }
+                    0
                 }
                 Err(other) => return Err(other), // protocol error: no retry
+            };
+            match backoff.next_delay(Duration::from_millis(hint_ms as u64)) {
+                Some(d) => std::thread::sleep(d),
+                None => break,
             }
         }
         Err(last_err.unwrap_or_else(|| {
             WireError::Io(std::io::Error::new(
                 std::io::ErrorKind::TimedOut,
-                "insert retries exhausted (server busy)",
+                format!("{what} retries exhausted (server busy)"),
             ))
         }))
     }

@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use geosir_obs as obs;
 
-use crate::sinks::SlowLog;
+use crate::sinks::arm_slow_log;
 use crate::wire::Frame;
 
 mod boot;
@@ -241,8 +241,6 @@ struct RouterState {
     scrapes: Arc<obs::Counter>,
     scrape_misses: Arc<obs::Counter>,
     scrape_us: Arc<obs::Histogram>,
-    /// Routed reads at or over `slow_query_us`, with their shards.
-    slow_log: Option<SlowLog>,
     key_mint: AtomicU64,
     stop: AtomicBool,
     /// Scatters posted by other threads; `None` once the loop is gone
@@ -357,7 +355,8 @@ impl Router {
         );
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let slow_log = SlowLog::open(
+        arm_slow_log(
+            &registry,
             cfg.slow_query_log.as_deref(),
             "router-slow",
             cfg.slow_query_us,
@@ -402,7 +401,6 @@ impl Router {
             scrapes: registry.counter("geosir_router_scrapes_total", &[]),
             scrape_misses: registry.counter("geosir_router_scrape_misses_total", &[]),
             scrape_us: registry.histogram("geosir_router_scrape_us", &[]),
-            slow_log,
             key_mint: AtomicU64::new(
                 fnv1a64(&[addr.as_bytes(), &std::process::id().to_le_bytes()]) | 1,
             ),

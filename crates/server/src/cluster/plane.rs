@@ -13,14 +13,13 @@
 //!   every shard sub-request; the router records a per-shard
 //!   timeline — submit failovers, hedges, router-clock gather time, and
 //!   the shard's own stage timings echoed in the reply trailer —
-//!   into the router's request ring (`/debug/last_queries`, dumped on
-//!   panic), plus a
-//!   rotating slow-query JSONL when the routed total crosses the
-//!   threshold.
+//!   and which backend answered it, hedged or not — into the router's
+//!   request ring (`/debug/last_queries`, dumped on panic), whose sink
+//!   writes a routed read that crossed the threshold to the rotating
+//!   slow-query JSONL as that same record.
 //! - **`geosir top`** renders the federated endpoint as a live terminal
 //!   dashboard (`src/top_cmd.rs` in the CLI crate).
 
-use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -32,9 +31,10 @@ use crate::wire::{Frame, StageTrailer, WireShardStatus};
 /// One shard's timeline inside a routed query, on the router's clock.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct ShardSpan {
-    /// Backend that produced the accepted reply; `None` if the shard
-    /// was dropped from the result.
-    pub(super) addr: Option<SocketAddr>,
+    /// Backend that produced the accepted reply (its index in
+    /// `RouterState::backend_addrs`); `None` if the shard was dropped
+    /// from the result.
+    pub(super) backend: Option<usize>,
     /// Request admitted → this shard's reply accepted (or given up on),
     /// µs: when the shard stopped holding the merge up.
     pub(super) gather_us: u64,
@@ -54,28 +54,32 @@ pub(super) fn reply_trailer(f: &Frame) -> Option<StageTrailer> {
 }
 
 /// Stage and note names are `&'static str` by design (zero allocation
-/// on the hot path), so per-shard stages draw from fixed tables;
-/// clusters wider than the tables pool the overflow into the last name.
-/// `*_srv_us` notes carry each shard's own reply-trailer total next to
-/// the router-clock gather stage of the same index.
+/// on the hot path), so per-shard stages and notes draw from fixed
+/// tables; clusters wider than the tables pool the overflow into the
+/// last row.
 static SHARD_STAGES: [&str; 8] =
     ["shard0", "shard1", "shard2", "shard3", "shard4", "shard5", "shard6", "shard7"];
-static SHARD_SRV_NOTES: [&str; 8] = [
-    "shard0_srv_us",
-    "shard1_srv_us",
-    "shard2_srv_us",
-    "shard3_srv_us",
-    "shard4_srv_us",
-    "shard5_srv_us",
-    "shard6_srv_us",
-    "shard7_srv_us",
+/// One row per shard, beside the router-clock gather stage of the same
+/// index: the total and queue wait its reply's trailer echoed, the
+/// backend that answered (its index within the shard, 0 = primary),
+/// whether the shard was hedged, and its failovers.
+#[rustfmt::skip]
+static SHARD_NOTES: [[&str; 5]; 8] = [
+    ["shard0_srv_us", "shard0_srv_queue_us", "shard0_backend", "shard0_hedged", "shard0_failovers"],
+    ["shard1_srv_us", "shard1_srv_queue_us", "shard1_backend", "shard1_hedged", "shard1_failovers"],
+    ["shard2_srv_us", "shard2_srv_queue_us", "shard2_backend", "shard2_hedged", "shard2_failovers"],
+    ["shard3_srv_us", "shard3_srv_queue_us", "shard3_backend", "shard3_hedged", "shard3_failovers"],
+    ["shard4_srv_us", "shard4_srv_queue_us", "shard4_backend", "shard4_hedged", "shard4_failovers"],
+    ["shard5_srv_us", "shard5_srv_queue_us", "shard5_backend", "shard5_hedged", "shard5_failovers"],
+    ["shard6_srv_us", "shard6_srv_queue_us", "shard6_backend", "shard6_hedged", "shard6_failovers"],
+    ["shard7_srv_us", "shard7_srv_queue_us", "shard7_backend", "shard7_hedged", "shard7_failovers"],
 ];
 
 /// Describe one routed read once and hand the record to the router's
-/// request ring, and to the slow-query log when it crossed the
-/// threshold. This is the router-side half of cross-shard trace
-/// assembly: the shard-side half lives in each server's own ring under
-/// the same `trace_id`.
+/// request ring — and so to its sink, the router's slow-query log. This
+/// is the router-side half of cross-shard trace assembly: the
+/// shard-side half lives in each server's own ring under the same
+/// `trace_id`.
 pub(super) fn record_routed<'a>(
     state: &RouterState,
     trace_id: u64,
@@ -94,46 +98,21 @@ pub(super) fn record_routed<'a>(
         obs::RequestRecord { trace_id, kind, total_us, queue_us, epoch, ..Default::default() };
     for (i, span) in spans.clone().enumerate() {
         rec.stage(SHARD_STAGES[i.min(SHARD_STAGES.len() - 1)], span.gather_us);
+        let [srv_us, srv_queue_us, backend, hedged, failovers] =
+            SHARD_NOTES[i.min(SHARD_NOTES.len() - 1)];
         if let Some(t) = span.server {
-            rec.note(SHARD_SRV_NOTES[i.min(SHARD_SRV_NOTES.len() - 1)], t.total_us);
+            rec.note(srv_us, t.total_us).note(srv_queue_us, t.queue_us);
         }
+        if let Some(b) = span.backend {
+            rec.note(backend, (b - state.base[i]) as u64);
+        }
+        rec.note(hedged, span.hedged as u64).note(failovers, span.failovers as u64);
     }
     rec.note("shards_ok", shards_ok as u64)
         .note("shards_total", spans.clone().count() as u64)
         .note("hedges", spans.clone().filter(|s| s.hedged).count() as u64)
         .note("failovers", spans.clone().map(|s| s.failovers as u64).sum());
     state.registry.record_request(&mut rec);
-
-    let Some(slow) = &state.slow_log else { return };
-    // the shards one by one; socket addresses are the only strings and
-    // contain no characters needing escapes
-    slow.append(&rec, "shards", |line| shards_json(line, spans));
-}
-
-/// The router's slow-query detail: each shard's backend, gather time,
-/// hedge and failovers, and the server-side timings its reply echoed.
-fn shards_json<'a>(line: &mut String, spans: impl Iterator<Item = &'a ShardSpan>) {
-    for (i, span) in spans.enumerate() {
-        if i > 0 {
-            line.push(',');
-        }
-        line.push_str(&format!("{{\"shard\":{i},\"addr\":"));
-        match span.addr {
-            Some(a) => line.push_str(&format!("\"{a}\"")),
-            None => line.push_str("null"),
-        }
-        line.push_str(&format!(
-            ",\"gather_us\":{},\"hedged\":{},\"failovers\":{}",
-            span.gather_us, span.hedged, span.failovers
-        ));
-        if let Some(t) = span.server {
-            line.push_str(&format!(
-                ",\"server_total_us\":{},\"server_queue_us\":{}",
-                t.total_us, t.queue_us
-            ));
-        }
-        line.push('}');
-    }
 }
 
 /// Merge every shard's `MetricsDump` reply (`replies`, in shard order;

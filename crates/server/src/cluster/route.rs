@@ -289,7 +289,7 @@ impl RouterLoop {
             hedge_until: None,
             deadline: now,
             backoff: None,
-            span: ShardSpan { addr: None, gather_us: 0, hedged: false, failovers: 0, server: None },
+            span: ShardSpan { backend: None, gather_us: 0, hedged: false, failovers: 0, server: None },
             reply: None,
         };
         let subs: Vec<Sub> = shards.map(new_sub).collect();
@@ -422,7 +422,7 @@ impl RouterLoop {
             }
             sub.span.gather_us = now.duration_since(started).as_micros() as u64;
             if sub.reply.is_none() {
-                sub.span.addr = None;
+                sub.span.backend = None;
                 m.dropped.inc();
             }
         }
@@ -632,7 +632,10 @@ impl RouterLoop {
         self.st.in_flight.set(self.table.len() as i64);
         match entry.reply {
             ReplyTo::Chan(ref tx) => {
-                let _ = tx.send(entry.subs.drain(..).map(|s| (s.span.addr, s.reply)).collect());
+                let addr = |b: usize| self.st.backend_addrs[b];
+                let _ = tx.send(
+                    entry.subs.drain(..).map(|s| (s.span.backend.map(addr), s.reply)).collect(),
+                );
             }
             ReplyTo::Client { token, corr } => {
                 let reply = self.merged_reply(&entry);
@@ -958,11 +961,10 @@ impl engine::Handler for RouterLoop {
         let Some((req, si)) = self.backends[b].sent.remove(&corr) else { return };
         self.dirty.push(b); // a window slot freed
         self.st.breakers[b].record(true, &self.st.cfg);
-        let addr = self.st.backend_addrs[b];
         if let Frame::Busy { retry_after_ms } = frame {
             self.on_busy(req, si, retry_after_ms);
         } else if let Some(sub) = self.sub(req, si) {
-            sub.span.addr = Some(addr);
+            sub.span.backend = Some(b);
             sub.span.server = reply_trailer(&frame);
             sub.reply = Some(frame);
             self.sub_done(req, si, Instant::now());

@@ -66,8 +66,7 @@ mod sinks;
 pub mod wire;
 
 pub use client::{
-    ApproxReply, Backoff, BatchReply, Client, ClientConfig, ExplainReply, PipelinedClient,
-    QueryReply,
+    ApproxReply, Backoff, BatchReply, Client, ExplainReply, PipelinedClient, QueryReply,
 };
 pub use cluster::{
     merge_topk, start_cluster, tag_id, untag_id, Cluster, ClusterConfig, Router, RouterConfig,

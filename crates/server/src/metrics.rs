@@ -16,7 +16,7 @@
 //! | `geosir_requests_total` | counter | requests admitted and answered |
 //! | `geosir_queries_total` | counter | query shapes evaluated |
 //! | `geosir_explains_total` | counter | `Explain` requests served |
-//! | `geosir_slow_queries_total` | counter | queries landed in the slow-query log |
+//! | `geosir_slow_queries_total` | counter | reads whose record the slow-query log (the request ring's sink) wrote out |
 //! | `geosir_slow_query_log_errors_total` | counter | slow-query log append failures |
 //! | `geosir_inserts_total` / `geosir_deletes_total` | counter | write frames seen (a replica: records applied) |
 //! | `geosir_busy_rejects_total` | counter | requests shed with `Busy` |

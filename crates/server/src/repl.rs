@@ -11,10 +11,11 @@
 //! its record carries — and publishes one snapshot, whose `wal_lsn` is
 //! the applied LSN. It never writes to the primary's directory.
 //!
-//! A primary prunes the log its checkpoint covers, read or not: where
-//! the tail reports the next record pruned, the follower loads the
-//! newest checkpoint again and journals `repl.bootstrap`; it never
-//! applies across a gap. A checkpoint retired between the listing and
+//! A primary prunes the log its checkpoint covers, read or not. The tail
+//! holds the segment it is reading open, so a prune under it cuts
+//! nothing short; where the tail reports the next record in a segment
+//! pruned before it got there, the follower loads the newest checkpoint
+//! again and journals `repl.bootstrap`; it never applies across a gap. A checkpoint retired between the listing and
 //! the read is retried from the newest. A record recovery would refuse
 //! (its points make no shape) stops the follower at its LSN, retried and
 //! counted in `geosir_repl_apply_errors_total` every tick.

@@ -74,7 +74,7 @@ use crate::durable::{self, BaseTemplate, DurabilityConfig, RecoveryReport, Recov
 use crate::health::{HealthConfig, HealthState};
 use crate::metrics::Metrics;
 use crate::repl::Follower;
-use crate::sinks::{arm_crash_dump, JsonlLog, SlowLog};
+use crate::sinks::{arm_crash_dump, arm_slow_log, attach, JsonlLog};
 use crate::wire::{error_code, Frame, ServerStats};
 
 mod admission;
@@ -100,14 +100,14 @@ pub struct ServeConfig {
     /// `/healthz`, `/readyz`, `/debug/last_queries`, `/debug/journal`);
     /// `None` disables it.
     pub metrics_addr: Option<String>,
-    /// Directory for the structured slow-query log (JSONL segments,
-    /// size-rotated); `None` disables slow-query capture entirely —
-    /// queries then run the plain, capture-free retrieval path.
+    /// Directory for the slow-query log (JSONL segments, size-rotated),
+    /// the request ring's sink; `None` leaves it off. The log changes
+    /// no query's path: it only writes records out.
     pub slow_query_log: Option<PathBuf>,
-    /// Queries whose admission → reply time meets or exceeds this many
-    /// microseconds land in the slow-query log with their full
-    /// EXPLAIN report. 0 logs every query (useful for tests and
-    /// short traffic captures).
+    /// Reads whose admission → reply time meets or exceeds this many
+    /// microseconds land in the slow-query log, one line each: the
+    /// request's record, as `/debug/last_queries` shows it. 0 logs
+    /// every read (useful for tests and short traffic captures).
     pub slow_query_us: u64,
     /// Most read-queue jobs a worker coalesces into one pop: jobs that
     /// arrived concurrently cost one queue lock and one snapshot pin,
@@ -181,7 +181,6 @@ struct Shared {
     durable: Option<DurableState>,
     /// A replica refuses clients' writes at admission.
     replica: bool,
-    slow_log: Option<SlowLog>,
     health: HealthState,
 }
 
@@ -417,7 +416,8 @@ fn serve_inner(
     };
     let snap0 = Arc::new(base.snapshot());
     let next_id = snap0.next_id();
-    let slow_log = SlowLog::open(
+    arm_slow_log(
+        &metrics.registry,
         cfg.slow_query_log.as_deref(),
         "slow",
         cfg.slow_query_us,
@@ -435,14 +435,16 @@ fn serve_inner(
         cfg: cfg.clone(),
         durable,
         replica: matches!(writer, Writer::Follows(_)),
-        slow_log,
         health: HealthState::new(),
     });
 
     // Durable journal: lifecycle events also land in a rotating JSONL
     // file next to the WAL, through the same fault-injectable Io layer.
     // Append failures are counted and dropped — the journal never
-    // blocks or panics an emitter on a dead disk.
+    // blocks or panics an emitter on a dead disk. Recovery ran before
+    // this sink existed; the ring backfills its events (recovery.start
+    // /done, replay instrumentation) so the on-disk journal explains
+    // this boot, not just what happened after it.
     if let Some(d) = &shared.durable {
         let io: Box<dyn IoFactory> = match &d.journal_io {
             Some(f) => Box::new(f.clone()),
@@ -450,21 +452,7 @@ fn serve_inner(
         };
         let errors = shared.metrics.journal_errors.clone();
         let log = JsonlLog::open(&d.data_dir.join("journal"), "journal", io, errors)?;
-        // Recovery ran before this sink existed, so its events
-        // (recovery.start/done, replay instrumentation) are ring-only
-        // at this point — backfill them so the on-disk journal explains
-        // this boot, not just what happened after it. Nothing else
-        // emits concurrently yet: workers and the watchdog start below.
-        let journal = shared.metrics.registry.journal();
-        let mut line = String::new();
-        for ev in journal.recent().into_iter().rev() {
-            line.clear();
-            ev.to_json(&mut line);
-            log.append(&line);
-        }
-        journal.set_sink(Some(Arc::new(move |_ev: &obs::JournalEvent, line: &str| {
-            log.append(line);
-        })));
+        attach(shared.metrics.registry.journal(), log, |_| true, None)?;
     }
 
     // The request ring survives an abnormal death next to the data.

@@ -3,10 +3,11 @@
 //! for the pop and answers the jobs one by one, each reply leaving the
 //! moment it is ready (`run_read_job`). Whoever finishes a request —
 //! worker or writer — describes it once in an [`obs::RequestRecord`]:
-//! `Registry::record_request` copies it into the request ring, and the
-//! reply's stage trailer, the `geosir_request_latency_us` sample
-//! and the slow-query decision are read off the same record, so what a
-//! reply says it took is what its client waited. The stats and the stage
+//! `Registry::record_request` copies it into the request ring (and
+//! hands it to the ring's sink, if the node armed one), and the reply's
+//! stage trailer and the `geosir_request_latency_us`
+//! sample are read off the same record, so what a reply says it took is
+//! what its client waited. The stats and the stage
 //! time the record is filled from are what the node's per-query series
 //! and stage histograms record (`metrics.rs`).
 
@@ -21,26 +22,6 @@ use geosir_obs as obs;
 
 use super::{bad_shape, Job, Shared};
 use crate::wire::{error_code, Frame, StageTrailer, WireMatch};
-
-/// A node's slow-query detail: the scan level by level, under the field
-/// names of `LevelExplain` (the record's head already carries the scan's
-/// totals among its notes, under those of `RetrieveStats`).
-fn per_level_json(out: &mut String, explain: &QueryExplain) {
-    use std::fmt::Write as _;
-    for (i, level) in explain.levels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        // an unseeded scan starts from a cutoff of ∞, which JSON cannot spell
-        let cutoff =
-            if level.cutoff.is_finite() { level.cutoff.to_string() } else { "null".to_string() };
-        let _ = write!(
-            out,
-            "{{\"shapes\":{},\"cutoff\":{cutoff},\"scored\":{},\"settled\":{}}}",
-            level.shapes, level.scored, level.settled,
-        );
-    }
-}
 
 /// A worker's long-lived scratch set: after warm-up, answering and
 /// describing a read touches the heap only for the reply frame.
@@ -80,9 +61,9 @@ pub(super) fn worker_loop(worker: usize, shared: &Arc<Shared>) {
 }
 
 /// The one body of a read: answer `job` against `snap`, describe the
-/// finished request once in `ws.rec`, hand that record to every sink —
-/// the request ring, latency series, slow-query log, the reply's own timing fields
-/// — and send the reply.
+/// finished request once in `ws.rec`, hand that record to the request
+/// ring, read the reply's own timing fields off it, record the latency,
+/// and send the reply.
 fn run_read_job(shared: &Shared, snap: &Snapshot, job: &Job, coalesced: u64, ws: &mut ReadScratch) {
     let queue_us = job.enqueued.elapsed().as_micros() as u64;
     let ReadScratch { matcher, tmp, ax, astats, hits, rstats, qx, rec } = ws;
@@ -95,11 +76,9 @@ fn run_read_job(shared: &Shared, snap: &Snapshot, job: &Job, coalesced: u64, ws:
                     let explain = matches!(job.frame, Frame::Explain { .. });
                     if explain { &m.explains } else { &m.queries }.inc();
                     let (started, grows) = (Instant::now(), matcher.grow_events());
-                    // With a slow-query log armed every query captures
-                    // its plan: the report must already exist by the
-                    // time the query turns out to be slow.
+                    // only an Explain frame captures its plan
                     let k = *k as usize;
-                    if explain || shared.slow_log.is_some() {
+                    if explain {
                         snap.explain_with_stats(matcher, tmp, &query, k, hits, rstats, qx);
                     } else {
                         snap.retrieve_with_stats(matcher, tmp, &query, k, hits, rstats);
@@ -116,6 +95,9 @@ fn run_read_job(shared: &Shared, snap: &Snapshot, job: &Job, coalesced: u64, ws:
                         .note("scan_copies", rstats.scan_copies)
                         .note("scan_survivors", rstats.scan_survivors)
                         .note("buffer_scored", rstats.buffer_scored)
+                        .note("seed_reranked", rstats.seed_reranked)
+                        .note("bound_rejects", rstats.bound_rejects)
+                        .note("seeded", rstats.seed_cutoff.is_some() as u64)
                         .note("coalesced", coalesced)
                         .note("hits", hits.len() as u64);
                     let (epoch, matches) = (snap.epoch(), to_wire(hits));
@@ -222,7 +204,7 @@ fn run_read_job(shared: &Shared, snap: &Snapshot, job: &Job, coalesced: u64, ws:
             (false, Frame::Error { code: error_code::UNEXPECTED_FRAME, message })
         }
     };
-    // One stopwatch reading is what the client waited, for every sink.
+    // One stopwatch reading is what the client waited, for every view.
     let total_us = job.enqueued.elapsed().as_micros() as u64;
     if described {
         (rec.total_us, rec.queue_us, rec.epoch) = (total_us, queue_us, snap.epoch());
@@ -235,12 +217,6 @@ fn run_read_job(shared: &Shared, snap: &Snapshot, job: &Job, coalesced: u64, ws:
                 (*trace, *total, *queue) = (trace_id, total_us, queue_us);
             }
             _ => {}
-        }
-        // with a log armed (only then does `qx` hold the plan), an
-        // exact query that met the threshold is logged with its plan
-        let planned = matches!(rec.kind, obs::RequestKind::Query | obs::RequestKind::Explain);
-        if let Some(slow) = shared.slow_log.as_ref().filter(|_| planned) {
-            slow.append(rec, "per_level", |out| per_level_json(out, qx));
         }
     }
     let admin = matches!(job.frame, Frame::Stats | Frame::MetricsDump | Frame::Topology);

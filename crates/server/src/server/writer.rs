@@ -1,15 +1,16 @@
 //! The single writer (a replica's follower) and the checkpointer. The
 //! writer pops a batch of write jobs, plans it without touching state,
 //! logs it (durable nodes), applies it, publishes one snapshot, and only
-//! then replies. The checkpointer serializes the published snapshot every
-//! `checkpoint_every` logged records and rotates and prunes the log.
+//! then replies. The checkpointer rotates the log every
+//! `checkpoint_every` logged records, serializes the published snapshot
+//! that covers the closed segments, and prunes them.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use geosir_core::dynamic::{DynamicBase, GlobalShapeId};
+use geosir_core::dynamic::{DynamicBase, GlobalShapeId, Snapshot};
 use geosir_core::ImageId;
 use geosir_geom::Polyline;
 use geosir_obs as obs;
@@ -320,9 +321,32 @@ pub(super) fn follow_loop(mut base: DynamicBase, mut follower: Follower, shared:
 /// shutdown.
 const CHECKPOINT_POLL: Duration = Duration::from_millis(50);
 
+/// How long the checkpointer waits for the writer to publish the LSN it
+/// rotated the WAL at; a writer that has not by then (stalled, or gone
+/// read-only) gets the newest published snapshot checkpointed instead.
+const ROTATION_WAIT: Duration = Duration::from_millis(500);
+
+/// The published snapshot and the LSN it holds the log through, once
+/// that LSN reaches `lsn` — or whatever is published when the writer has
+/// not got there within [`ROTATION_WAIT`].
+fn published_through(shared: &Shared, lsn: Lsn) -> (Arc<Snapshot>, Lsn) {
+    let waited = Instant::now();
+    loop {
+        {
+            let p = shared.published.read().unwrap();
+            let gave_up = waited.elapsed() >= ROTATION_WAIT || shared.is_read_only();
+            if p.wal_lsn >= lsn || gave_up || shared.is_shutdown() {
+                return (p.snap.clone(), p.wal_lsn);
+            }
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 /// Background checkpointer: every `checkpoint_every` logged records,
-/// stream the published snapshot into `ckpt-<lsn>.gsir`, retire every
-/// other checkpoint, then rotate the WAL and prune covered segments.
+/// rotate the WAL, stream the published snapshot that covers the closed
+/// segments into `ckpt-<lsn>.gsir`, retire every other checkpoint and
+/// prune the covered segments, so only the active one is left.
 /// Persistent failure (3 consecutive) flips the server read-only.
 pub(super) fn checkpointer_loop(shared: &Arc<Shared>) {
     let m = &shared.metrics;
@@ -334,39 +358,46 @@ pub(super) fn checkpointer_loop(shared: &Arc<Shared>) {
         if pending < d.checkpoint_every || shared.is_read_only() {
             continue;
         }
-        // consistent pair: this snapshot contains exactly the effects of
-        // records ≤ wal_lsn, so replay after it starts at wal_lsn + 1
-        let (snap, lsn) = {
-            let p = shared.published.read().unwrap();
-            (p.snap.clone(), p.wal_lsn)
+        // ordering: rotate → install → retire → prune. Rotating first
+        // closes the segments at `rotated`, so the records appended while
+        // the checkpoint is written land in the active segment and the
+        // prune can delete every closed one. A crash between any two
+        // steps recovers correctly: before the rename the old checkpoint
+        // with the whole WAL; after it the new one (the highest LSN on
+        // disk) with not-yet-pruned segments whose covered records replay
+        // as no-ops.
+        let rotated = {
+            let mut wal = d.wal.lock().unwrap();
+            wal.rotate().map(|()| wal.next_lsn().saturating_sub(1))
         };
-        if lsn <= d.last_ckpt_lsn.load(Ordering::Relaxed) {
-            continue;
-        }
-        // ordering: install → retire → rotate → prune. A crash between
-        // any two steps recovers correctly: before the rename the old
-        // checkpoint with the whole WAL; after it the new one (the
-        // highest LSN on disk) with not-yet-pruned segments whose covered
-        // records replay as no-ops. The frames stream straight from the
-        // snapshot's shapes, through the WAL's `Io`.
-        let shapes = snap.walk_live_shapes();
-        let started = Instant::now();
-        let path = checkpoint::path(&d.data_dir, lsn);
-        let result = checkpoint::write_shapes(&path, &*d.io, snap.epoch(), snap.next_id(), shapes)
-            .and_then(|written| {
-                m.record_checkpoint(written, started.elapsed());
-                geosir_storage::faults::crash_if_armed("checkpoint.retire");
-                checkpoint::retire(&d.data_dir, lsn)?;
-                let mut wal = d.wal.lock().unwrap();
-                wal.rotate()?;
-                m.wal().rotations.inc();
-                let pruned = wal.prune_up_to(lsn)?;
-                m.wal().pruned_segments.add(pruned as u64);
-                Ok(())
-            });
+        let mut lsn = 0;
+        let result = rotated.and_then(|rotated| {
+            m.wal().rotations.inc();
+            // consistent pair: this snapshot contains exactly the effects
+            // of records ≤ lsn, so replay after it starts at lsn + 1
+            let snap;
+            (snap, lsn) = published_through(shared, rotated);
+            if lsn <= d.last_ckpt_lsn.load(Ordering::Relaxed) {
+                return Ok(None);
+            }
+            // The frames stream straight from the snapshot's shapes,
+            // through the WAL's `Io`.
+            let shapes = snap.walk_live_shapes();
+            let started = Instant::now();
+            let path = checkpoint::path(&d.data_dir, lsn);
+            let written =
+                checkpoint::write_shapes(&path, &*d.io, snap.epoch(), snap.next_id(), shapes)?;
+            m.record_checkpoint(written, started.elapsed());
+            geosir_storage::faults::crash_if_armed("checkpoint.retire");
+            checkpoint::retire(&d.data_dir, lsn)?;
+            let pruned = d.wal.lock().unwrap().prune_up_to(lsn)?;
+            m.wal().pruned_segments.add(pruned as u64);
+            Ok(Some(rotated))
+        });
         let journal = shared.metrics.registry.journal();
         match result {
-            Ok(()) => {
+            Ok(None) => {}
+            Ok(Some(rotated)) => {
                 shared.metrics.checkpoints.inc();
                 d.records_since_ckpt.fetch_sub(pending, Ordering::Relaxed);
                 d.last_ckpt_lsn.store(lsn, Ordering::Relaxed);
@@ -377,7 +408,8 @@ pub(super) fn checkpointer_loop(shared: &Arc<Shared>) {
                         .with("records", pending),
                 );
                 journal.emit(
-                    obs::JournalEvent::new(obs::Severity::Info, "wal.rotate").with("through", lsn),
+                    obs::JournalEvent::new(obs::Severity::Info, "wal.rotate")
+                        .with("through", rotated),
                 );
             }
             Err(e) => {

@@ -1,7 +1,8 @@
 //! What a node and a router write to disk about themselves: rotating
-//! JSONL logs (the slow-query logs, the lifecycle journal) and the dump
-//! of the request ring when the process dies. Both roles use the same
-//! mechanisms; each passes its own file names, threshold and detail.
+//! JSONL logs, each the one sink of a registry ring (the slow-query logs
+//! of the request ring, the lifecycle journal's file), and the dump of
+//! the request ring when the process dies. Both roles use the same
+//! mechanisms; each passes its own file names and threshold.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -19,7 +20,9 @@ const LOG_SEGMENTS_KEPT: usize = 4;
 /// A size-rotated JSONL file that never stalls or fails its writer: a
 /// line that cannot be appended is counted in `errors` and dropped —
 /// telemetry must not stop a request or an emitter on a dead disk. The
-/// lifecycle journal's file and each slow-query log is one.
+/// lifecycle journal's file and each slow-query log is one. Appends are
+/// rare (only slow requests and lifecycle events reach one), so the
+/// log's one mutex is enough.
 pub(crate) struct JsonlLog {
     writer: Mutex<RotatingJsonl>,
     errors: Arc<obs::Counter>,
@@ -47,56 +50,53 @@ impl JsonlLog {
     }
 }
 
-/// A slow-query log: a request whose total meets the threshold becomes
-/// one JSON line — its record's head, then the site's own detail array
-/// (`per_level` on a node, `shards` on the router). A request counts as
-/// slow once its line is written; a dropped line counts as an error
-/// instead. Appends are rare (only slow requests reach the writer), so
-/// the log's one mutex is enough.
-pub(crate) struct SlowLog {
-    threshold_us: u64,
+/// Make `log` the one sink of `ring`: every entry `keep` admits,
+/// those the ring already holds first, becomes the line its
+/// [`obs::Entry::to_json`] renders — byte for byte the object the
+/// ring's `/debug/*` route shows. `written` counts the lines appended.
+/// The journal's file and both roles' slow-query logs are attached here.
+pub(crate) fn attach<T: obs::Entry + 'static>(
+    ring: &obs::Ring<T>,
     log: JsonlLog,
-    logged: Arc<obs::Counter>,
-}
-
-impl SlowLog {
-    /// Open `<prefix>.*.jsonl` under `dir`; `None` when no directory is
-    /// configured (the log is off). The counters are taken either way, so
-    /// their series exist whether or not the log is armed.
-    pub(crate) fn open(
-        dir: Option<&Path>,
-        prefix: &str,
-        threshold_us: u64,
-        logged: Arc<obs::Counter>,
-        errors: Arc<obs::Counter>,
-    ) -> std::io::Result<Option<SlowLog>> {
-        let Some(dir) = dir else { return Ok(None) };
-        let log = JsonlLog::open(dir, prefix, Box::new(FileFactory), errors)?;
-        Ok(Some(SlowLog { threshold_us, log, logged }))
-    }
-
-    /// Append `rec` if it met the threshold: `rec`'s JSON head, then
-    /// `"<key>":[`, the items `items` writes, and `]}`.
-    pub(crate) fn append(
-        &self,
-        rec: &obs::RequestRecord,
-        key: &str,
-        items: impl FnOnce(&mut String),
-    ) {
-        if rec.total_us < self.threshold_us {
+    keep: impl Fn(&T) -> bool + Send + Sync + 'static,
+    written: Option<Arc<obs::Counter>>,
+) -> std::io::Result<()> {
+    let sink = move |entry: &T| {
+        if !keep(entry) {
             return;
         }
         let mut line = String::with_capacity(512);
-        rec.to_json_head(&mut line);
-        line.push_str(",\"");
-        line.push_str(key);
-        line.push_str("\":[");
-        items(&mut line);
-        line.push_str("]}");
-        if self.log.append(&line) {
-            self.logged.inc();
+        entry.to_json(&mut line);
+        if log.append(&line) {
+            if let Some(written) = &written {
+                written.inc();
+            }
         }
+    };
+    if ring.set_sink(sink) {
+        Ok(())
+    } else {
+        Err(std::io::Error::new(std::io::ErrorKind::AlreadyExists, "the ring has a sink already"))
     }
+}
+
+/// Arm a slow-query log, `<prefix>.*.jsonl` under `dir`, as the sink of
+/// `registry`'s request ring: a read whose total met `threshold_us`
+/// becomes one line, its record. A request counts as slow once its line
+/// is written; a dropped line counts as an error instead. Nothing is
+/// armed without a directory; the counters exist either way.
+pub(crate) fn arm_slow_log(
+    registry: &obs::Registry,
+    dir: Option<&Path>,
+    prefix: &str,
+    threshold_us: u64,
+    logged: Arc<obs::Counter>,
+    errors: Arc<obs::Counter>,
+) -> std::io::Result<()> {
+    let Some(dir) = dir else { return Ok(()) };
+    let log = JsonlLog::open(dir, prefix, Box::new(FileFactory), errors)?;
+    let slow = move |rec: &obs::RequestRecord| rec.kind.is_read() && rec.total_us >= threshold_us;
+    attach(registry.requests(), log, slow, Some(logged))
 }
 
 /// Write `registry`'s request ring to `path` when the process dies
@@ -114,7 +114,7 @@ pub(crate) fn arm_crash_dump(path: PathBuf, registry: &Arc<obs::Registry>) {
     let reg = Arc::downgrade(registry);
     geosir_storage::faults::on_crash(move || {
         if let Some(reg) = reg.upgrade() {
-            let _ = std::fs::write(&path, reg.requests_json());
+            let _ = std::fs::write(&path, reg.requests().to_json());
         }
     });
     static ONCE: std::sync::Once = std::sync::Once::new();

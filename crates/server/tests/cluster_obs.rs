@@ -6,7 +6,10 @@
 
 mod common;
 
-use common::{http_get, poll_until, polygon, serve_cfg, slow_log_text, template, tmpdir};
+use common::{
+    http_get, poll_until, polygon, ring_object, serve_cfg, slow_line, slow_log_text, template,
+    tmpdir,
+};
 
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
@@ -173,13 +176,13 @@ fn routed_trace_joins_request_ring_and_slow_log() {
     assert_eq!(note(&rec, "shards_ok"), 2, "shards answered");
 
     // ...and its JSON: per-shard stages under the same id.
-    let tj = reg.requests_json();
+    let tj = reg.requests().to_json();
     assert!(tj.contains(&format!("\"trace_id\":{trace}")), "{tj}");
     assert!(tj.contains("routed_query"), "{tj}");
     assert!(tj.contains("shard0") && tj.contains("shard1"), "{tj}");
 
     // Slow log: one JSONL record keyed by the client's trace id with a
-    // sub-span per shard including server-side attribution.
+    // backend per shard and each shard's server-side attribution.
     let slow_dir = dir.join("router");
     assert!(
         poll_until(Duration::from_secs(5), || {
@@ -193,8 +196,10 @@ fn routed_trace_joins_request_ring_and_slow_log() {
         .find(|l| l.contains(&format!("\"trace_id\":{trace}")))
         .expect("slow-log line for the traced query");
     assert!(line.contains("\"kind\":\"routed_query\""), "{line}");
-    assert!(line.contains("\"shard\":0") && line.contains("\"shard\":1"), "{line}");
-    assert!(line.contains("\"server_total_us\":"), "shard trailer joined in: {line}");
+    // no replicas: each shard answers from its primary
+    assert!(line.contains("\"shard0_backend\":0,"), "{line}");
+    assert!(line.contains("\"shard1_backend\":0,"), "{line}");
+    assert!(line.contains("\"shard0_srv_us\":"), "shard trailer joined in: {line}");
     assert!(line.contains("\"shards_ok\":2"), "{line}");
 
     cluster.shutdown();
@@ -202,8 +207,10 @@ fn routed_trace_joins_request_ring_and_slow_log() {
 }
 
 /// When one shard's primary accepts but never replies, the router
-/// hedges to that shard's replica — and the timeline pins the hedge on
-/// the silent shard, not its healthy neighbour.
+/// hedges to that shard's replica — and the record pins the hedge on
+/// the silent shard, not its healthy neighbour, and the answer on the
+/// replica (backend 1 of its shard). Its slow line is byte for byte the
+/// object `/debug/last_queries` shows for the trace.
 #[test]
 fn forced_hedge_is_attributed_to_the_silent_shard() {
     let dir = tmpdir("hedge");
@@ -221,6 +228,7 @@ fn forced_hedge_is_attributed_to_the_silent_shard() {
         RouterConfig {
             hedge_after: Duration::from_millis(50),
             shard_deadline: Duration::from_millis(3_000),
+            metrics_addr: Some("127.0.0.1:0".to_string()),
             slow_query_log: Some(dir.join("router")),
             slow_query_us: 0,
             ..RouterConfig::default()
@@ -254,19 +262,18 @@ fn forced_hedge_is_attributed_to_the_silent_shard() {
     assert!(note(&rec, "hedges") >= 1, "hedge visible in the router's record");
     assert_eq!((note(&rec, "shards_ok"), note(&rec, "shards_total")), (2, 2));
 
+    assert_eq!((note(&rec, "shard0_hedged"), note(&rec, "shard1_hedged")), (0, 1));
+    assert_eq!(note(&rec, "shard0_backend"), 0, "the healthy primary answered shard 0");
+    assert_eq!(note(&rec, "shard1_backend"), 1, "hedged answer attributed to the replica");
+
+    let (_, ring) = http_get(router.metrics_addr().unwrap(), "/debug/last_queries");
+    assert!(poll_until(Duration::from_secs(5), || {
+        slow_log_text(&dir.join("router")).contains(&format!("\"trace_id\":{},", reply.trace))
+    }));
     let text = slow_log_text(&dir.join("router"));
-    let line = text
-        .lines()
-        .find(|l| l.contains(&format!("\"trace_id\":{}", reply.trace)))
-        .expect("slow-log line");
-    let i0 = line.find("\"shard\":0").expect("shard 0 span");
-    let i1 = line.find("\"shard\":1").expect("shard 1 span");
-    assert!(!line[i0..i1].contains("\"hedged\":true"), "shard 0 did not hedge: {line}");
-    assert!(line[i1..].contains("\"hedged\":true"), "shard 1 hedged: {line}");
-    assert!(
-        line[i1..].contains(&replica.addr().to_string()),
-        "hedged answer attributed to the replica: {line}"
-    );
+    let line = slow_line(&text, reply.trace);
+    assert_eq!(line, ring_object(&ring, reply.trace), "the slow line is the record");
+    assert!(line.contains("\"shard1_backend\":1,\"shard1_hedged\":1"), "{line}");
 
     router.shutdown();
     healthy.shutdown();

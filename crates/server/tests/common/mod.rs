@@ -119,6 +119,33 @@ pub fn slow_log_text(dir: &Path) -> String {
     out
 }
 
+/// The object of `json` (a request ring's `/debug/last_queries` array)
+/// whose `trace_id` is `trace`, as the ring rendered it.
+pub fn ring_object(json: &str, trace: u64) -> &str {
+    let start = json
+        .find(&format!("{{\"trace_id\":{trace},"))
+        .unwrap_or_else(|| panic!("trace {trace} not in the ring: {json}"));
+    let mut depth = 0;
+    for (i, c) in json[start..].char_indices() {
+        match c {
+            '{' => depth += 1,
+            '}' if depth == 1 => return &json[start..=start + i],
+            '}' => depth -= 1,
+            _ => {}
+        }
+    }
+    panic!("unterminated record of trace {trace}: {json}")
+}
+
+/// The line of a slow-query log whose `trace_id` is `trace`.
+pub fn slow_line(text: &str, trace: u64) -> &str {
+    let key = format!("{{\"trace_id\":{trace},");
+    let mut lines = text.lines().filter(|l| l.starts_with(&key));
+    let line = lines.next().unwrap_or_else(|| panic!("trace {trace} not in the log:\n{text}"));
+    assert!(lines.next().is_none(), "trace {trace} logged twice:\n{text}");
+    line
+}
+
 /// Header + correlation word before the payload, checksum after it.
 pub const PAYLOAD_AT: usize = 14;
 

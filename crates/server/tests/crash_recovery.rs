@@ -207,9 +207,11 @@ fn recovers_from_crash_before_checkpoint_retirement() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Crash mid-rotation: the new checkpoint is installed but the WAL was
-/// not yet rotated/pruned. Replay of the stale covered records
-/// must be a no-op (idempotent apply), not a double-insert.
+/// Crash mid-rotation, the checkpointer's first step: the active segment
+/// is synced, no new one is started yet and this round's checkpoint is
+/// not written. Recovery replays the log above whatever checkpoint is
+/// installed; a replayed record it already covers must be a no-op
+/// (idempotent apply), not a double-insert.
 #[test]
 fn recovers_from_crash_mid_wal_rotation() {
     crash_and_recover("mid-rotate", "wal.mid-rotation");

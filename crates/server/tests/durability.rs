@@ -7,6 +7,7 @@ mod common;
 
 use common::{poll_until, template, tmpdir, tri};
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -411,30 +412,56 @@ fn dir_names(dir: &std::path::Path) -> Vec<String> {
     names
 }
 
-/// Only the newest checkpoint is kept: after six checkpoints the data
-/// dir holds one `ckpt-*.gsir` beside the WAL and the journal (no older
-/// checkpoint, no `.tmp`, no pointer file), and a restart from it
-/// recovers every acked write.
+/// Only the newest checkpoint is kept, and it covers every closed WAL
+/// segment: each of six checkpoints is written while a write lands, and
+/// once it is done the data dir holds one WAL segment, the active one
+/// that write went to. After the six, it holds one `ckpt-*.gsir` beside
+/// the WAL and the journal (no older checkpoint, no `.tmp`, no pointer
+/// file), and a restart from it recovers every acked write.
 #[test]
 fn checkpoints_retire_their_predecessors() {
+    /// Real files; each checkpoint's `.tmp` is counted when it is
+    /// created and held there 100 ms, so a write sent meanwhile lands
+    /// while the checkpoint is being written.
+    struct SlowCheckpoints(AtomicU64);
+    impl IoFactory for SlowCheckpoints {
+        fn create(&self, path: &std::path::Path) -> std::io::Result<Box<dyn Io>> {
+            if path.extension().is_some_and(|ext| ext == "tmp") {
+                self.0.fetch_add(1, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(100));
+            }
+            FileFactory.create(path)
+        }
+    }
+
     let dir = tmpdir("retire");
     let cfg = ServeConfig { workers: 1, ..Default::default() };
     let mut dcfg = DurabilityConfig::new(&dir);
     dcfg.checkpoint_every = 4;
     let mut acked = Vec::new();
     {
-        let (handle, _) =
-            serve_durable("127.0.0.1:0", &template(), dcfg.clone(), cfg.clone()).unwrap();
+        let writing = Arc::new(SlowCheckpoints(AtomicU64::new(0)));
+        let mut dcfg = dcfg.clone();
+        dcfg.io_factory = Some(writing.clone());
+        let (handle, _) = serve_durable("127.0.0.1:0", &template(), dcfg, cfg.clone()).unwrap();
         let mut c = Client::connect(handle.addr()).unwrap();
         for round in 1..=6u64 {
-            for i in (round - 1) * 5..round * 5 {
-                acked.push((i, c.insert_retrying(i as u32, &tri(i)).unwrap().1));
-            }
+            let mut insert = |i: u64| acked.push((i, c.insert_retrying(i as u32, &tri(i)).unwrap().1));
+            (round * 5 - 5..round * 5 - 1).for_each(&mut insert);
+            assert!(
+                poll_until(Duration::from_secs(30), || writing.0.load(Ordering::SeqCst) >= round),
+                "checkpoint {round} never started: {:?}",
+                handle.stats()
+            );
+            insert(round * 5 - 1);
             assert!(
                 poll_until(Duration::from_secs(30), || handle.stats().checkpoints >= round),
                 "checkpoint {round} never ran: {:?}",
                 handle.stats()
             );
+            let names = dir_names(&dir);
+            let wal: Vec<_> = names.iter().filter(|n| n.starts_with("wal-")).collect();
+            assert_eq!(wal.len(), 1, "checkpoint {round} left a covered segment: {names:?}");
         }
         let gone = acked.remove(7).1;
         assert_eq!(c.delete(gone).unwrap().map(|(_, e)| e), Some(true));

@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::{http_get, template, tmpdir, tri};
+use common::{http_get, ring_object, slow_line, slow_log_text, template, tmpdir, tri};
 
 use geosir_geom::{Point, Polyline};
 use geosir_serve::{serve_durable, Client, DurabilityConfig, ServeConfig};
@@ -141,7 +141,7 @@ fn threshold_zero_logs_every_query_with_its_trace_id() {
     for line in body.lines() {
         assert!(line.starts_with('{') && line.ends_with('}'), "not one-object-per-line: {line}");
         assert!(line.contains("\"scan_copies\":"), "{line}");
-        assert!(line.contains("\"per_level\":["), "{line}");
+        assert!(line.contains("\"seeded\":"), "{line}");
     }
     assert!(body.contains("\"kind\":\"query\""), "{body}");
     assert!(body.contains("\"kind\":\"explain\""), "{body}");
@@ -151,8 +151,8 @@ fn threshold_zero_logs_every_query_with_its_trace_id() {
 
 /// Arming the slow-query log changes neither how the worker pops nor
 /// what it answers: a pipelined burst at one worker still rides
-/// coalesced pops, every query of it is journaled under its trace id
-/// with its plan, and the `(id, score)` lists equal those of a server
+/// coalesced pops, every query of it is logged under its trace id with
+/// its record, and the `(id, score)` lists equal those of a server
 /// without the log.
 #[test]
 fn armed_slow_log_keeps_coalescing_and_changes_no_answer() {
@@ -211,8 +211,52 @@ fn armed_slow_log_keeps_coalescing_and_changes_no_answer() {
             .lines()
             .find(|l| l.contains(&format!("\"trace_id\":{trace},")))
             .unwrap_or_else(|| panic!("trace {trace} missing from the slow-query log:\n{journal}"));
-        assert!(line.contains("\"kind\":\"query\"") && line.contains("\"per_level\":[{"), "{line}");
+        assert!(line.contains("\"kind\":\"query\"") && line.contains("\"seeded\":"), "{line}");
     }
+}
+
+/// A slow line is the request's record: at threshold 0, the line of an
+/// exact query, an approximate one and an explain is byte for byte the
+/// object `/debug/last_queries` shows for the same trace, and the exact
+/// record says whether its scan was seeded.
+#[test]
+fn slow_lines_equal_the_ring_records() {
+    let dir = tmpdir("slow-equals-ring");
+    let log_dir = dir.join("slow-queries");
+    let cfg = ServeConfig {
+        workers: 1,
+        metrics_addr: Some("127.0.0.1:0".to_string()),
+        slow_query_log: Some(log_dir.clone()),
+        slow_query_us: 0,
+        ..Default::default()
+    };
+    let (handle, _) =
+        serve_durable("127.0.0.1:0", &template(), DurabilityConfig::new(&dir), cfg).unwrap();
+    let mut c = Client::connect(handle.addr()).unwrap();
+    for i in 0..12u64 {
+        c.insert_retrying(i as u32, &tri(i)).unwrap();
+    }
+    let query = c.query(&tri(3), 2).unwrap();
+    let approx = c.similar_approx(&tri(3), 2, 0, 0).unwrap();
+    let explained = c.explain(&tri(3), 2).unwrap();
+    let (_, ring) = http_get(handle.metrics_addr().unwrap(), "/debug/last_queries");
+    handle.shutdown();
+    handle.join();
+
+    let text = slow_log_text(&log_dir);
+    let kinds = [(query.trace, "query"), (approx.trace, "query_approx"), (explained.trace, "explain")];
+    for (trace, kind) in kinds {
+        let line = slow_line(&text, trace);
+        assert_eq!(line, ring_object(&ring, trace), "the slow line is the record");
+        assert!(line.contains(&format!("\"kind\":\"{kind}\"")), "{line}");
+    }
+    // a shape of the base is its own nearest: the seed finds k copies
+    let exact = slow_line(&text, query.trace);
+    assert!(exact.contains("\"seeded\":1") && exact.contains("\"seed_reranked\":"), "{exact}");
+    assert!(exact.contains("\"bound_rejects\":"), "{exact}");
+    // writes are not reads: no insert reaches the slow log
+    assert!(!text.contains("\"kind\":\"insert\""), "{text}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The always-on request ring: reads and writes both show up at

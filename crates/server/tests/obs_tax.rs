@@ -3,9 +3,9 @@
 //! real loopback TCP, each with a budget of [`BUDGET_PCT`] % fewer
 //! requests per second on the watched side:
 //!
-//! - `plan_capture_tax` — two in-memory nodes, B with the slow-query log
-//!   armed at its default threshold, so every query captures its plan
-//!   (`explain_with_stats`) and only a slow one is written out;
+//! - `slow_log_tax` — two in-memory nodes, B with the slow-query log
+//!   armed at its default threshold: every request passes the request
+//!   ring's sink, and only a slow read is written out;
 //! - `federated_scrape_tax` — one 2-shard × 1-replica cluster, idle vs
 //!   its router's `/metrics` scraped at `geosir top`'s 1 Hz (each scrape
 //!   scatter-gathers a `MetricsDump` through the queues the queries use);
@@ -205,11 +205,11 @@ impl Scenario {
 }
 
 /// Two in-memory nodes on one corpus; B's slow-query log is armed in
-/// `dir`, so B captures the plan of every query and writes out those
-/// that took `slow_query_us` or longer.
-fn plan_capture(n: usize, slow_query_us: u64) -> Scenario {
+/// `dir`, so B writes out the record of every read that took
+/// `slow_query_us` or longer.
+fn slow_log(n: usize, slow_query_us: u64) -> Scenario {
     let (shapes, queries) = corpus(n);
-    let dir = tmpdir("plan-capture");
+    let dir = tmpdir("slow-log");
     let armed = ServeConfig { slow_query_log: Some(dir.clone()), slow_query_us, ..Default::default() };
     let nodes: Vec<ServerHandle> = [ServeConfig::default(), armed]
         .into_iter()
@@ -217,7 +217,7 @@ fn plan_capture(n: usize, slow_query_us: u64) -> Scenario {
         .collect();
     nodes.iter().for_each(|node| load(node.addr(), &shapes));
     let (a, b) = (nodes[0].addr(), nodes[1].addr());
-    Scenario { name: "plan_capture", a, b, poll: None, queries, dir, nodes, cluster: None }
+    Scenario { name: "slow_log", a, b, poll: None, queries, dir, nodes, cluster: None }
 }
 
 /// One 2 × 1 cluster, both sides: the scrape of the router's federated
@@ -262,11 +262,11 @@ fn health_plane(n: usize) -> Scenario {
 
 #[test]
 #[ignore = "a throughput A/B: wants a quiet release build (CI job obs-tax)"]
-fn plan_capture_tax() {
-    let s = plan_capture(SHAPES, ServeConfig::default().slow_query_us);
+fn slow_log_tax() {
+    let s = slow_log(SHAPES, ServeConfig::default().slow_query_us);
     let overhead_pct = s.run(ROUNDS, WINDOW).overhead_pct();
     s.stop();
-    assert!(overhead_pct <= BUDGET_PCT, "plan capture costs {overhead_pct:.2} % req/s");
+    assert!(overhead_pct <= BUDGET_PCT, "an armed slow log costs {overhead_pct:.2} % req/s");
 }
 
 #[test]
@@ -294,19 +294,19 @@ fn health_plane_tax() {
 }
 
 /// The three scenarios scaled down: both orders of a round run, both
-/// sides serve, B's plans reach the slow log (threshold 0 here, so every
-/// query is "slow"; 600 shapes, so the 512-shape buffer has spilled into
-/// a level for a plan to describe), the scraper and the prober get
-/// answers.
+/// sides serve, B's records reach the slow log (threshold 0 here, so
+/// every query is "slow"; 600 shapes, so the 512-shape buffer has
+/// spilled into a level for the record to count), the scraper and the
+/// prober get answers.
 #[test]
 fn smoke() {
     let (rounds, len) = (2, Duration::from_millis(150));
     let served = |t: &Tax| t.a.iter().chain(&t.b).all(|&per_s| per_s > 0.0);
 
-    let s = plan_capture(600, 0);
+    let s = slow_log(600, 0);
     assert!(served(&s.run(rounds, len)), "a window served nothing");
     let logged = slow_log_text(&s.dir);
-    assert!(logged.contains("\"per_level\":[{"), "no captured plan in B's slow log: {logged:.300}");
+    assert!(logged.contains("\"levels\":1,"), "no exact record in B's slow log: {logged:.300}");
     s.stop();
 
     for polled in [federated_scrape as fn(usize) -> Scenario, health_plane] {

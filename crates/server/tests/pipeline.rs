@@ -18,7 +18,7 @@ use geosir_core::dynamic::DynamicBase;
 use geosir_core::ids::ImageId;
 use geosir_core::matcher::MatchConfig;
 use geosir_geom::Polyline;
-use geosir_serve::{serve, Client, ClientConfig, PipelinedClient, ServeConfig};
+use geosir_serve::{serve, Client, PipelinedClient, ServeConfig};
 use geosir_serve::{Frame, WireShape, PROTOCOL_VERSION};
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -262,12 +262,7 @@ fn query_batch_surfaces_busy_hint_and_retries() {
     shed_seen.store(true, Ordering::SeqCst);
 
     // the retrying variant waits the hint out and eventually lands
-    let cfg = ClientConfig {
-        retries: 200,
-        retry_base: Duration::from_millis(20),
-        retry_cap: Duration::from_millis(250),
-    };
-    let mut retrier = Client::connect_with(addr, cfg).unwrap();
+    let mut retrier = Client::connect(addr).unwrap();
     let served = retrier.query_batch_retrying(&probe, 1).unwrap();
     assert!(!served.rejected);
     assert_eq!(served.results.len(), 2);

@@ -577,9 +577,8 @@ fn shard_latency_is_each_shards_own() {
     let text = slow_log_text(&dir.join("router"));
     let mut server_side = 0u64;
     for line in text.lines().filter(|l| l.contains("\"kind\":\"routed_query\"")) {
-        let shard1 = &line[line.find("\"shard\":1").expect("shard 1 span")..];
-        let at = shard1.find("\"server_total_us\":").expect("trailer joined in") + 18;
-        let digits: String = shard1[at..].chars().take_while(|c| c.is_ascii_digit()).collect();
+        let at = line.find("\"shard1_srv_us\":").expect("trailer joined in") + 16;
+        let digits: String = line[at..].chars().take_while(|c| c.is_ascii_digit()).collect();
         server_side += digits.parse::<u64>().unwrap();
     }
     let router_side = (quick.mean() * quick.count() as f64).round() as u64;

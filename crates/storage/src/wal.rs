@@ -46,8 +46,9 @@
 //! follows a log while it is written (a replica following its primary's
 //! log) holds a [`Tail`] instead: each [`Tail::poll`] reads only the
 //! bytes appended since the last, through the same record scanner and
-//! with the same checks, and reports a [`Gap`] where the writer pruned
-//! records it had not read yet.
+//! with the same checks. It holds the segment it is reading open, so a
+//! prune under it does not cut that segment short; it reports a [`Gap`]
+//! where the writer pruned a segment it had not opened yet.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -570,9 +571,8 @@ pub fn replay(dir: &Path, after_lsn: Lsn) -> io::Result<(Vec<(Lsn, WalRecord)>, 
 /// Up to `len` bytes of the file at `path` from byte `off` (fewer when
 /// the file is shorter by then): what [`Tail::poll`] reads, the bytes
 /// appended since its last pass, never the prefix before it.
-fn read_range(path: &Path, off: u64, len: u64) -> io::Result<Vec<u8>> {
+fn read_range(mut f: &std::fs::File, off: u64, len: u64) -> io::Result<Vec<u8>> {
     use std::io::{Read, Seek, SeekFrom};
-    let mut f = std::fs::File::open(path)?;
     f.seek(SeekFrom::Start(off))?;
     let mut buf = Vec::new();
     f.take(len).read_to_end(&mut buf)?;
@@ -583,8 +583,8 @@ fn read_range(path: &Path, off: u64, len: u64) -> io::Result<Vec<u8>> {
 /// It keeps its place — a segment, the byte offset of the first record
 /// in it not yet read, the last LSN read — so each [`Tail::poll`] reads
 /// only the bytes appended since the last poll, and a poll with nothing
-/// new reads no segment bytes at all (a directory listing, and a `stat`
-/// of each segment from the current one on).
+/// new reads no segment bytes at all (a directory listing, and an open
+/// and `fstat` of each segment from the current one on).
 ///
 /// The checks are [`replay`]'s, through the same scanner: every record's
 /// CRC and body are verified and LSNs strictly increase. A torn record
@@ -594,12 +594,19 @@ fn read_range(path: &Path, off: u64, len: u64) -> io::Result<Vec<u8>> {
 /// on. A segment that shrinks below the offset (a torn-tail repair) is
 /// read again from its header, and only records above the last one read
 /// are delivered: nothing twice.
-/// The records delivered are contiguous: where the writer pruned records
-/// not yet read (a checkpoint covers them), the poll reports a [`Gap`].
+/// The records delivered are contiguous. The segment being read stays
+/// open between polls, so one the writer prunes (a checkpoint covers it)
+/// while the tail is in it is still read to its end; where the writer
+/// pruned a segment the tail had not opened yet, the poll reports a
+/// [`Gap`].
 pub struct Tail {
     dir: PathBuf,
     /// First LSN of the segment being read; `None` before any.
     seg: Option<Lsn>,
+    /// `seg`, open; reopened by name each poll (a segment re-created
+    /// under its name is read from the new file), kept when the name is
+    /// gone (pruned).
+    file: Option<std::fs::File>,
     /// Bytes of `seg` consumed: its header and the whole records after it.
     off: u64,
     /// LSN of the last record before `seg` — where a re-read of `seg`
@@ -631,6 +638,7 @@ impl Tail {
         Tail {
             dir: dir.to_path_buf(),
             seg: None,
+            file: None,
             off: 0,
             seg_prev: None,
             at_off: None,
@@ -668,6 +676,12 @@ impl Tail {
         // segments before the current one are finished
         firsts.retain(|&f| self.seg.is_none_or(|s| f >= s));
         firsts.sort_unstable();
+        // the current one is read on from its open file even once pruned
+        if let (Some(s), Some(_)) = (self.seg, &self.file) {
+            if firsts.first() != Some(&s) {
+                firsts.insert(0, s);
+            }
+        }
         for (si, &first) in firsts.iter().enumerate() {
             if self.seg != Some(first) {
                 // a segment's name is its first record's LSN
@@ -675,17 +689,17 @@ impl Tail {
                 if first > expected {
                     return Ok(Some(Gap { expected, found: first }));
                 }
-                self.seg = Some(first);
-                self.off = 0;
+                (self.seg, self.file, self.off) = (Some(first), None, 0);
                 self.seg_prev = self.at_off;
             }
-            let path = segment_path(&self.dir, first);
-            // pruned since the listing: the next segment checks the gap
-            let len = match std::fs::metadata(&path) {
-                Ok(m) => m.len(),
-                Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
+            match std::fs::File::open(segment_path(&self.dir, first)) {
+                Ok(f) => self.file = Some(f),
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
                 Err(e) => return Err(e),
-            };
+            }
+            // pruned before it was opened: the next segment checks the gap
+            let Some(file) = &self.file else { continue };
+            let len = file.metadata()?.len();
             if len < self.off {
                 self.off = 0;
                 self.at_off = self.seg_prev;
@@ -693,10 +707,7 @@ impl Tail {
             if len == self.off {
                 continue;
             }
-            let bytes = match read_range(&path, self.off, len - self.off) {
-                Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
-                r => r?,
-            };
+            let bytes = read_range(file, self.off, len - self.off)?;
             self.bytes_read += bytes.len() as u64;
             let after = after_lsn.max(self.last.unwrap_or(0));
             let torn = scan_segment(&bytes, self.off == 0, after, &mut self.at_off, out);
@@ -1056,6 +1067,40 @@ mod tests {
         let read = tail.bytes_read;
         assert!(poll_all(&mut tail).is_empty());
         assert_eq!(tail.bytes_read, read);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A checkpoint that prunes the segment the tail is in does not cut
+    /// it short: the records appended to it before the rotation are read
+    /// through the file the tail holds open. A segment pruned before the
+    /// tail opened it is a gap.
+    #[test]
+    fn tail_finishes_a_segment_pruned_under_it() {
+        let dir = tmpdir("tail-pruned");
+        let mut wal = Wal::open(&dir, FsyncPolicy::Never, 1).unwrap();
+        let mut tail = Tail::new(&dir);
+        wal.append(&insert(0)).unwrap();
+        wal.sync().unwrap();
+        assert_eq!(poll_all(&mut tail).len(), 1);
+        for i in 1..4 {
+            wal.append(&insert(i)).unwrap();
+        }
+        wal.rotate().unwrap();
+        wal.append(&insert(4)).unwrap();
+        wal.sync().unwrap();
+        assert_eq!(wal.prune_up_to(4).unwrap(), 1);
+        assert_eq!(list_segments(&dir).unwrap(), vec![5]);
+        let got: Vec<Lsn> = poll_all(&mut tail).into_iter().map(|(lsn, _)| lsn).collect();
+        assert_eq!(got, [2, 3, 4, 5], "the pruned segment read to its end, then the next");
+        // a segment it never opened: rotated past and pruned between polls
+        wal.rotate().unwrap();
+        wal.append(&insert(5)).unwrap();
+        wal.rotate().unwrap();
+        wal.append(&insert(6)).unwrap();
+        wal.sync().unwrap();
+        wal.prune_up_to(6).unwrap();
+        let mut late = Tail::new(&dir);
+        assert_eq!(late.poll(5, &mut Vec::new()).unwrap(), Some(Gap { expected: 6, found: 7 }));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # A knob that nobody turns is a constant. For every public field of the
-# six serving config structs, count who sets it outside the file that
+# five serving config structs, count who sets it outside the file that
 # defines the struct — product code (the CLI and the libraries), tests
 # (integration tests and `#[cfg(test)] mod tests` blocks) or
 # `benchmark/` — and how many distinct values they set; then, for every
@@ -12,7 +12,7 @@
 # 1, .. }`, shorthand included) or an assignment `recv.field = value`.
 # An assignment is attributed by its receiver: `.serve` / `.router` /
 # `.health` name their struct, a variable its latest `let` of one of the
-# six in that file; otherwise by the field name when no other struct in
+# five in that file; otherwise by the field name when no other struct in
 # the tree declares it. A field name that another struct also declares
 # (`shards`, `metrics_addr`, ...) and that has no attributed setter is
 # reported ambiguous, not unset.
@@ -24,7 +24,7 @@ cd "${1:-$(dirname "$0")/..}"
 idx=
 git rev-parse --git-dir >/dev/null 2>&1 || idx=--no-index
 
-structs="ServeConfig HealthConfig RouterConfig DurabilityConfig ClusterConfig ClientConfig"
+structs="ServeConfig HealthConfig RouterConfig DurabilityConfig ClusterConfig"
 rs=('src/*.rs' 'crates/*.rs' 'tests/*.rs' 'benchmark/src/*.rs' 'examples/*.rs')
 # every named field of every top-level struct in the tree: "Struct field"
 # shellcheck disable=SC2046
@@ -187,7 +187,7 @@ BEGIN {
     }
     m = split(defs, D, "\n")
     for (i = 1; i <= m; i++) { split(D[i], p, " "); deffile[p[1]] = p[2] }
-    # the six structs fields, in declaration order
+    # the five structs fields, in declaration order
     for (i = 1; i <= n; i++) {
         file = deffile[S[i]]
         inside = 0

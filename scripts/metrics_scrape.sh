@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Smoke-scrape the observability endpoints of a live server.
 #
-# Default mode: boot `geosir serve --data-dir --metrics-addr`, drive a
-# few requests through the wire, then assert the core /metrics series
-# exist and are non-zero, /debug/last_queries holds the plain query sent
-# below with its stages, /healthz is ok,
+# Default mode: boot `geosir serve --data-dir --metrics-addr` with its
+# slow-query log armed at 0 µs, drive a few requests through the wire,
+# then assert the core /metrics series exist and are non-zero,
+# /debug/last_queries holds the plain query sent below with its stages
+# and the slow-query log holds that record byte for byte, /healthz is ok,
 # /readyz goes ready with all four watchdog components, and the
 # /debug/journal recorded recovery; `geosir explain` against a second,
 # bulk-loaded node must print a scan plan, that node's base must
@@ -16,8 +17,10 @@
 # whole cluster: merged unlabeled totals, `shard="0"`/`shard="1"`
 # labeled series, replication-lag gauges, router scrape telemetry, the
 # /debug/cluster JSON topology, the router's record of a routed query
-# with a stage per shard on /debug/last_queries, and the federated
-# /healthz + /readyz with per-shard attribution.
+# with a stage per shard on /debug/last_queries — and, with the router's
+# slow-query threshold at 0 µs, the same record as a line of its
+# `router-slow.*.jsonl` — and the federated /healthz + /readyz with
+# per-shard attribution.
 #
 # Uses an already-built release binary (fast path: no compilation here)
 # and bash /dev/tcp, so it needs neither curl nor extra tooling.
@@ -51,13 +54,17 @@ cleanup() {
 trap cleanup EXIT
 
 if [ "$MODE" = cluster ]; then
+    # the router logs to <data-dir>/router unless told otherwise
     "$BIN" cluster "127.0.0.1:$PORT" --shards 2 --replicas 1 \
-        --data-dir "$DATA" --metrics-addr "127.0.0.1:$MPORT" &
+        --data-dir "$DATA" --metrics-addr "127.0.0.1:$MPORT" --slow-query-us 0 &
     SERVER_PID=$!
+    SLOW_LOG="$DATA/router/router-slow"
 else
     "$BIN" serve "127.0.0.1:$PORT" --data-dir "$DATA" \
-        --metrics-addr "127.0.0.1:$MPORT" &
+        --metrics-addr "127.0.0.1:$MPORT" \
+        --slow-query-log "$DATA/slow" --slow-query-us 0 &
     SERVER_PID=$!
+    SLOW_LOG="$DATA/slow/slow"
 fi
 
 http_get() { # path [port] -> response on stdout
@@ -194,6 +201,32 @@ require_ring() { # fragment... that /debug/last_queries must contain
     done
 }
 
+# The slow-query log is the request ring's sink: at a threshold of 0 the
+# newest record of `kind` on /debug/last_queries must be a line of the
+# log, byte for byte. The ring's array splits into one record per line at
+# each `},{"trace_id":`; a record is flat but for its stages and notes.
+require_slow_line() { # kind
+    record="" line=""
+    for i in $(seq 1 25); do
+        record=$(http_get /debug/last_queries | awk -v k="\"kind\":\"$1\"" '
+            index($0, "[{") == 1 {
+                s = substr($0, 2, length($0) - 2)
+                gsub(/\},\{"trace_id":/, "}\n{\"trace_id\":", s)
+                n = split(s, recs, "\n")
+                for (j = 1; j <= n; j++) if (index(recs[j], k) && !found) { print recs[j]; found = 1 }
+            }')
+        trace=${record#\{\"trace_id\":}
+        trace=${trace%%,*}
+        line=$(cat "$SLOW_LOG".*.jsonl 2>/dev/null \
+            | awk -v t="{\"trace_id\":$trace," 'index($0, t) == 1')
+        if [ -n "$record" ] && [ "$line" = "$record" ]; then return 0; fi
+        sleep 0.2
+    done
+    echo "metrics_scrape: the $1 record and its slow-query line differ:" >&2
+    printf 'ring: %s\nline: %s\n' "$record" "$line" >&2
+    exit 1
+}
+
 # Health plane: /healthz (liveness) answers immediately; /readyz needs
 # the watchdog's first verdict — federated, every shard's — so poll it
 # briefly before asserting the body fragments.
@@ -260,8 +293,10 @@ if [ "$MODE" = cluster ]; then
         esac
     done
 
-    # The router's ring: the routed query, with a gather stage per shard.
-    require_ring '"kind":"routed_query"' '"shard0"'
+    # The router's ring: the routed query, with a gather stage per shard,
+    # which backend answered each shard — and its slow-query line.
+    require_ring '"kind":"routed_query"' '"shard0"' '"shard0_backend":'
+    require_slow_line routed_query
 
     # Federated health: the router is alive, and cluster readiness
     # carries per-shard attribution with component verdicts.
@@ -331,8 +366,10 @@ case "$BODY" in
         ;;
 esac
 
-# The node's ring: the plain query, with its stages.
-require_ring '"kind":"query"' '"queue_wait"'
+# The node's ring: the plain query, with its stages, whether its scan was
+# seeded — and its slow-query line.
+require_ring '"kind":"query"' '"queue_wait"' '"seeded":'
+require_slow_line query
 
 # Node health: live, ready, and all four watchdog components reported.
 check_health '"status":"ok"' \
