@@ -39,7 +39,7 @@
 
 use geosir_bench::scaling_corpus;
 use geosir_core::approx::SigBuckets;
-use geosir_core::dynamic::{DynMatch, DynamicBase, GlobalShapeId, QueryExplain, RetrieveStats};
+use geosir_core::dynamic::{DynMatch, DynamicBase, GlobalShapeId, QueryExplain, RetrieveStats, Snapshot};
 use geosir_core::hashing::{signature_of, Signature};
 use geosir_core::matcher::{MatchConfig, MatchOutcome, Matcher, RingExplain};
 use geosir_core::normalize::{normalize_about_diameter, normalized_copies};
@@ -230,6 +230,23 @@ fn canonical_world(cfg: &MatchConfig) -> (Corpus, Vec<Polyline>, DynamicBase) {
     (corpus, queries, dynamic)
 }
 
+/// Per query, the approximate tier's options that rerank exactly what
+/// the exact query's seed reranks at top-`k`: the seed reads rings until
+/// its cutoff is finite at ring 1 or later, so a budget of its candidate
+/// count stops the approximate tier's cascade (same probe plan, same
+/// order, same board) at the end of the seed's last ring. The seed alone
+/// is timed, and its τ and last ring read, through this call.
+fn seed_options(snap: &Snapshot, queries: &[Polyline], k: usize) -> Vec<ApproxOptions> {
+    let (mut scratch, mut tmp) = (MatcherScratch::new(), MatchOutcome::default());
+    let (mut hits, mut stats) = (Vec::new(), RetrieveStats::default());
+    let seed = |q| {
+        snap.retrieve_with_stats(&mut scratch, &mut tmp, q, k, &mut hits, &mut stats);
+        let max_candidates = stats.seed_reranked.max(1) as usize;
+        ApproxOptions { k, max_candidates, ..ApproxOptions::default() }
+    };
+    queries.iter().map(seed).collect()
+}
+
 /// Wall time of `f` over `queries`, µs in all, after one warm-up pass.
 fn timed(queries: &[Polyline], f: &mut dyn FnMut(usize, &Polyline)) -> f64 {
     queries.iter().enumerate().for_each(|(i, q)| f(i, q));
@@ -241,7 +258,8 @@ fn timed(queries: &[Polyline], f: &mut dyn FnMut(usize, &Polyline)) -> f64 {
 /// The served exact path on the canonical benchmark's `exact_sketch`
 /// world (k = [`K`]) beside the unseeded top-k loop over one static base
 /// of the same shapes: wall time per query, and the phases re-timed in
-/// isolation — for the served path the seed (the hash tier's own call),
+/// isolation — for the served path the seed (the hash tier's own call,
+/// cut to the seed's rings by [`seed_options`]),
 /// the buffer (its prepared copies the seed did not judge, against the
 /// final k-th score) and the
 /// merge (a sort of the board, which by then is little more than the
@@ -268,7 +286,6 @@ fn exact_path_phases() {
     let mut ax = ApproxScratch::new();
     let (mut hits, mut stats, mut astats) =
         (Vec::new(), RetrieveStats::default(), ApproxStats::default());
-    let opts = ApproxOptions { k: K, ..ApproxOptions::default() };
     let n = queries.len() as f64;
     let (mut copies, mut survivors, mut tightness) = (0, 0, 0.0);
     // what each query's buffer pass and merge worked on: the buffered
@@ -276,8 +293,9 @@ fn exact_path_phases() {
     // score, the board
     let mut finals: Vec<((PreparedShape, QuantRaster), f64, Vec<DynMatch>)> = Vec::new();
     let mut unjudged: Vec<Vec<bool>> = Vec::new();
-    for q in &queries {
-        snap.similar_approx_with(&mut scratch, &mut tmp, &mut ax, q, &opts, &mut hits, &mut astats);
+    let seeds = seed_options(&snap, &queries, K);
+    for (q, opts) in queries.iter().zip(&seeds) {
+        snap.similar_approx_with(&mut scratch, &mut tmp, &mut ax, q, opts, &mut hits, &mut astats);
         let qsig = signature_of(family, rastered(q, &frame).0.shape());
         unjudged.push(buffer.iter().map(|(.., sig)| qsig.curve_distance(sig) > astats.radius).collect());
         let tau = hits.get(K - 1).map_or(f64::INFINITY, |m| m.score);
@@ -296,8 +314,8 @@ fn exact_path_phases() {
         let total = timed(&queries, &mut |_, q| {
             snap.retrieve_with_stats(&mut scratch, &mut tmp, q, K, &mut hits, &mut stats)
         });
-        let seed = timed(&queries, &mut |_, q| {
-            snap.similar_approx_with(&mut scratch, &mut tmp, &mut ax, q, &opts, &mut hits, &mut astats)
+        let seed = timed(&queries, &mut |i, q| {
+            snap.similar_approx_with(&mut scratch, &mut tmp, &mut ax, q, &seeds[i], &mut hits, &mut astats)
         });
         let buffered = timed(&queries, &mut |i, _| {
             let ((prepared, raster), kth, _) = &finals[i];
@@ -528,9 +546,9 @@ fn digest(hasher: &mut DefaultHasher, hits: &[DynMatch]) {
 /// settled from the query's table alone, after how many cell reads, how
 /// many distances the rest asked for, and how many bytes of the stored
 /// copies all that read — and the same for a fourth site, the
-/// approximate tier's rerank of the seed's candidates (`QueryApprox`:
-/// through the raster too), whose distances are not in the exact query's
-/// count; per site, how many grid lists and raster quads its reads
+/// approximate tier's rerank (`QueryApprox`: through the raster too, the
+/// rings its probe reads, of which the seed reads a prefix), whose
+/// distances are not in the exact query's count; per site, how many grid lists and raster quads its reads
 /// filled (a query pays for those cells alone), and what filling them
 /// cost. The world is the benchmark's `exact_sketch` one
 /// ([`canonical_world`]) with a static twin of the level (same copies,
@@ -701,36 +719,47 @@ fn distance_census() {
         let kf = family.k() as u16;
         let mut within = Vec::new();
         buckets.collect_within(kf, &qsig, astats.radius, opts.max_radius.min(kf), &mut within);
-        let mut judged = vec![false; twin.num_copies()];
-        let mut cands = Vec::new();
+        // (a level copy's candidate keeps its index in the twin; ring r
+        // ends at `ends[r]`)
+        let (mut cands, mut ends) = (Vec::new(), Vec::new());
         for r in 0..=astats.radius {
             let at_r = move |s: &Signature| qsig.curve_distance(s) == r;
             let level_ring = within.iter().filter(|c| at_r(&twin_sigs[c.index()])).map(|&c| {
-                judged[c.index()] = true;
                 let copy = twin.copy(c);
-                (copy.shape_id.0 as u64, &copy.normalized, &twin_q[c.index()][..])
+                (copy.shape_id.0 as u64, &copy.normalized, &twin_q[c.index()][..], Some(c.index()))
             });
             let buffer_ring = buffer.iter().flat_map(|(id, copies, stored, sigs)| {
                 let copies = copies.iter().zip(stored).zip(sigs);
-                copies.filter(move |(_, s)| at_r(s)).map(|((c, q), _)| (*id, c.shape(), &q[..]))
+                copies.filter(move |(_, s)| at_r(s)).map(|((c, q), _)| (*id, c.shape(), &q[..], None))
             });
             cands.extend(level_ring.chain(buffer_ring));
+            ends.push(cands.len());
         }
-        // reranked from an empty board twice: by the approximate tier, and
-        // as the exact query's seed, whose board the scan and the buffer
-        // then fill
-        let mut rerank = |prepared: &(PreparedShape, QuantRaster), site: usize| {
-            let mut board = (HashMap::new(), f64::INFINITY);
-            let abandoned = cands.iter().filter(|&&(id, cand, stored)| !offer(&mut board, prepared, id, cand, stored, site)).count();
-            let replayed = (cands.len() as u64, abandoned as u64);
-            assert_eq!(replayed, (astats.reranked, astats.abandoned), "{} replay diverged", SITES[site]);
-            board
-        };
-        let approx = rerank(&approx_q, EXACT);
+        // reranked from an empty board twice: by the approximate tier,
+        // every ring its probe read, and as the exact query's seed, whose
+        // board the scan and the buffer then fill: ring by ring, until its
+        // cutoff is finite at ring 1 or later (`dynamic::approx::Until`)
+        let mut approx = (HashMap::new(), f64::INFINITY);
+        let abandoned = cands.iter().filter(|&&(id, cand, stored, _)| !offer(&mut approx, &approx_q, id, cand, stored, EXACT)).count();
+        let replayed = (cands.len() as u64, abandoned as u64);
+        assert_eq!(replayed, (astats.reranked, astats.abandoned), "approx rerank replay diverged");
         assert_eq!(ranked(&approx), listed(&seeds), "the approximate replay's answer diverged");
         assert_eq!(filled(&approx_q), approx_filled, "the approximate replay filled other cells");
         count_fills(EXACT, &approx_filled, &Default::default());
-        let mut board = rerank(&exact_q, 0);
+        let mut board = (HashMap::new(), f64::INFINITY);
+        let mut judged = vec![false; twin.num_copies()];
+        let (mut from, mut seed_radius) = (0, 0);
+        for (r, &end) in ends.iter().enumerate() {
+            for &(id, cand, stored, twin_copy) in &cands[from..end] {
+                offer(&mut board, &exact_q, id, cand, stored, 0);
+                twin_copy.inspect(|&c| judged[c] = true);
+            }
+            (from, seed_radius) = (end, r as u16);
+            if r >= 1 && board.1 < f64::INFINITY {
+                break;
+            }
+        }
+        assert_eq!(from as u64, stats.seed_reranked, "seed replay diverged");
         let seeded = filled(&exact_q);
         count_fills(0, &seeded, &Default::default());
         // the scan: every copy of the level the seed did not judge
@@ -745,7 +774,7 @@ fn distance_census() {
         count_fills(1, &scanned_filled, &seeded);
         // the buffer: every copy the seed did not judge (past its last ring)
         let buffered = buffer.iter().flat_map(|(id, copies, stored, sigs)| {
-            let unjudged = copies.iter().zip(stored).zip(sigs).filter(|(_, s)| qsig.curve_distance(s) > astats.radius);
+            let unjudged = copies.iter().zip(stored).zip(sigs).filter(|(_, s)| qsig.curve_distance(s) > seed_radius);
             unjudged.map(move |((copy, stored), _)| (*id, copy, stored))
         });
         for (id, copy, stored) in buffered {
@@ -856,8 +885,8 @@ fn distance_census() {
 /// The two verifiers of a level with a cutoff, side by side:
 /// `small(images, 1)` bulk-loaded into one level, 100 queries a row —
 /// stored shapes verbatim (`self`: τ = 0, the smallest envelope there is)
-/// or sketches of family prototypes at the given distortion — the hash
-/// tier's k-th score as τ. `envelope` is one `retrieve_within(τ)` run
+/// or sketches of family prototypes at the given distortion — the exact
+/// seed's k-th score as τ ([`seed_options`]). `envelope` is one `retrieve_within(τ)` run
 /// (cover + simplex report + certificate) on a static twin of the level,
 /// `scan` every copy of the twin through the quantized raster test and,
 /// past it, `score_bounded_with` at cutoff τ against the query as the
@@ -866,16 +895,19 @@ fn distance_census() {
 /// handed to it,
 /// which the served run (`Snapshot::retrieve_with_stats`: seed, then the
 /// scan `View::retrieve` does) has. Every row asserts that the served
-/// answer and the envelope's agree bit for bit.
+/// answer and the envelope's agree bit for bit. `seeds` and `scanned` are
+/// what the served call's seed reranked and its scan scored a query,
+/// `seeded` the share of the 100 queries whose seed held k shapes (the
+/// row keeps only those).
 fn plan_sweep(large: bool) {
     println!(
         "plan sweep, one level, 100 queries a row (µs/query; served = the real call: seed + \
          scan with the seed's verdicts handed over):"
     );
     println!(
-        "  {:>7} {:>7} {:>3} {:>5} | {:>7} {:>9} {:>8} | {:>9} | {:>7} {:>8} {:>9}",
+        "  {:>7} {:>7} {:>3} {:>5} | {:>7} {:>9} {:>8} | {:>9} | {:>7} {:>8} {:>9} | {:>6} {:>7} {:>6}",
         "shapes", "copies", "k", "query", "seed", "envelope", "scan", "served", "τ mean", "reported",
-        "survivors",
+        "survivors", "seeds", "scanned", "seeded",
     );
     let cfg = MatchConfig { beta: 0.2, k: K, ..Default::default() };
     for images in [200, 700, 2000, 6000].into_iter().chain(large.then_some(19_000)) {
@@ -895,7 +927,6 @@ fn plan_sweep(large: bool) {
         for (k, distortion) in
             [(1, None), (1, Some(0.0)), (1, Some(0.02)), (K, Some(0.0)), (K, Some(0.02))]
         {
-            let opts = ApproxOptions { k, ..ApproxOptions::default() };
             let mut queries = match distortion {
                 Some(d) => corpus.queries(100, d, 1),
                 None => {
@@ -903,17 +934,19 @@ fn plan_sweep(large: bool) {
                     corpus.shapes.iter().step_by(step).take(100).map(|(_, _, s)| s.clone()).collect()
                 }
             };
-            // τ per query; one the hash tier cannot seed has no τ to hand
-            // either verifier
-            let mut taus = Vec::new();
+            // τ per query, the exact seed's; one the seed cannot fill has
+            // no τ to hand either verifier
+            let mut seeds = seed_options(&snap, &queries, k).into_iter();
+            let (mut taus, mut seeded) = (Vec::new(), Vec::new());
             queries.retain(|q| {
+                let opts = seeds.next().expect("one a query");
                 snap.similar_approx_with(&mut scratch, &mut tmp, &mut ax, q, &opts, &mut hits, &mut astats);
-                hits.get(k - 1).map(|m| taus.push(m.score)).is_some()
+                hits.get(k - 1).map(|m| (taus.push(m.score), seeded.push(opts))).is_some()
             });
             let prepared: Vec<(PreparedShape, QuantRaster)> = queries.iter().map(|q| rastered(q, &frame)).collect();
             let n = queries.len() as f64;
-            let seed = timed(&queries, &mut |_, q| {
-                snap.similar_approx_with(&mut scratch, &mut tmp, &mut ax, q, &opts, &mut hits, &mut astats)
+            let seed = timed(&queries, &mut |i, q| {
+                snap.similar_approx_with(&mut scratch, &mut tmp, &mut ax, q, &seeded[i], &mut hits, &mut astats)
             });
             let envelope = timed(&queries, &mut |i, q| {
                 matcher.retrieve_within_with(&mut scratch, q, taus[i], &mut tmp)
@@ -933,9 +966,12 @@ fn plan_sweep(large: bool) {
             let served = timed(&queries, &mut |_, q| {
                 snap.retrieve_with_stats(&mut scratch, &mut tmp, q, k, &mut hits, &mut stats)
             });
-            let (mut reported, mut capped) = (0, 0);
+            // and per served call: what the seed reranked, the copies the
+            // scan scored
+            let (mut reported, mut capped, mut seeds, mut scanned) = (0, 0, 0, 0);
             for (q, &tau) in queries.iter().zip(&taus) {
                 snap.retrieve_with_stats(&mut scratch, &mut tmp, q, k, &mut hits, &mut stats);
+                (seeds, scanned) = (seeds + stats.seed_reranked, scanned + stats.scan_copies);
                 matcher.retrieve_within_with(&mut scratch, q, tau, &mut tmp);
                 reported += tmp.stats.vertices_reported;
                 if tmp.stats.exhausted {
@@ -949,7 +985,7 @@ fn plan_sweep(large: bool) {
                 assert_eq!(got, want, "the two verifiers disagree");
             }
             println!(
-                "  {:7} {:7} {:3} {:>5} | {:7.1} {:9.1} {:8.1} | {:9.1} | {:7.4} {:7.1}% {:9.1}{}",
+                "  {:7} {:7} {:3} {:>5} | {:7.1} {:9.1} {:8.1} | {:9.1} | {:7.4} {:7.1}% {:9.1} | {:6.1} {:7.1} {:5.0}%{}",
                 corpus.shapes.len(),
                 twin.num_copies(),
                 k,
@@ -962,6 +998,9 @@ fn plan_sweep(large: bool) {
                 100.0 * reported as f64 / (n * twin.total_vertices() as f64),
                 // (two timed passes)
                 survivors as f64 / (2.0 * n),
+                seeds as f64 / n,
+                scanned as f64 / n,
+                n,
                 if capped > 0 { format!("  ({capped} envelopes stopped at the ε-cap)") } else { String::new() },
             );
         }

@@ -1,11 +1,14 @@
 //! The exact tier, seed-and-verify ([`Snapshot::seed_and_scan`], DESIGN
-//! §11.6), and the board and bounded-scoring loop both tiers fill.
+//! §11.6): the hash tier's cascade reads rings 0 and 1 — more only while
+//! fewer than k shapes are on its board — and hands its k-th score to a
+//! scan of every copy it left unjudged; and the board and bounded-scoring
+//! loop both tiers fill.
 
 use std::collections::hash_map::Entry;
 
 use geosir_geom::Polyline;
 
-use super::approx::BUFFER_LEVEL;
+use super::approx::{Until, BUFFER_LEVEL};
 use super::arena::{BufferedShape, Chunk, CopyArena, Row};
 use super::level::Slot;
 use super::snapshot::{Prepared, Snapshot};
@@ -83,10 +86,13 @@ impl QueryExplain {
 
 impl Snapshot {
     /// Exact retrieval, seed → bounded scan per level → buffer → merge:
-    /// the hash tier's probe is reranked onto the board first, and its
-    /// k-th best — a true score of a live stored shape, hence an upper
-    /// bound τ on the true k-th best — is the cutoff every remaining live
-    /// copy is then scored against: each level's copies in storage order,
+    /// the hash tier's cascade is reranked onto the board first, ring by
+    /// ring until the board's cutoff is finite at ring 1 or later
+    /// ([`Until::Cutoff`]: rings past 1 only while fewer than k shapes
+    /// are on it, and never past where the approximate tier would stop),
+    /// and its k-th best — a true score of a live stored shape, hence an
+    /// upper bound τ on the true k-th best — is the cutoff every remaining
+    /// live copy is then scored against: each level's copies in storage order,
     /// chunk by chunk ([`scan_chunk`]) — a tombstoned shape's skipped on
     /// its bit, unscored — then the buffer's ([`score_onto`], which also
     /// scores what a chunk scan lets through). A copy the
@@ -101,7 +107,8 @@ impl Snapshot {
     /// starts the board at `within` = τ instead of ∞ and passes no k
     /// (`usize::MAX`), so the cutoff stays τ and the board is the set.
     /// The seed is [`Self::probe_rerank`], as the approximate tier's
-    /// answer is. The query is prepared ([`Self::prepare`]) with
+    /// answer is, under its own stop rule; a threshold query's board
+    /// starts at a finite τ, so its seed never reads past ring 1. The query is prepared ([`Self::prepare`]) with
     /// `raster`, its lower-bound raster mapped onto the base's quantized
     /// frame ([`QuantRaster`], each cell filled on first read): every
     /// bounded scoring of the three steps tests a copy's quantized
@@ -143,7 +150,8 @@ impl Snapshot {
             // the rest of `scratch`.
             let mut seed = std::mem::take(&mut scratch.seed);
             let opts = ApproxOptions { k, ..ApproxOptions::default() };
-            let (mut board, cands) = self.probe_rerank(&mut seed, scratch, prepared, &opts, within, &mut seed_stats);
+            let until = Until::Cutoff;
+            let (mut board, cands) = self.probe_rerank(&mut seed, scratch, prepared, &opts, until, within, &mut seed_stats);
             tau = board.cutoff;
             let quant = std::mem::take(&mut scratch.raster);
             let raster = (prepared == Prepared::Rastered).then_some(&quant);

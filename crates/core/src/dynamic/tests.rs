@@ -12,6 +12,7 @@ use geosir_geom::{Point, Polyline, Similarity};
 use proptest::prelude::*;
 use rand::prelude::*;
 
+use super::approx::Until;
 use super::arena::{BufferedShape, CopyArena, InsertScratch};
 use super::exact::Store;
 use super::level::{Level, Slot};

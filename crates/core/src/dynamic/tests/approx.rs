@@ -254,12 +254,12 @@ fn quantized_buffer_rings_count_into_sorted_order() {
     let db = shipped(64, (0..64 + 63).map(|i| shape(i as u64 + 4000)));
     let snap = db.snapshot();
     assert_eq!((snap.num_levels(), snap.buffer.len()), (1, 63));
-    let (mut scratch, mut ax, mut stats) = (MatcherScratch::new(), ApproxScratch::new(), ApproxStats::default());
+    let (mut scratch, mut ax) = (MatcherScratch::new(), ApproxScratch::new());
     let mut rings = HashSet::new();
     for i in 0..12 {
         assert!(scratch.prepare_query(&shape(i + 4000)));
         let qprep = scratch.query.as_ref().expect("prepared");
-        snap.probe(&mut ax, qprep, &ApproxOptions::default(), &mut stats);
+        snap.probe_begin(&mut ax, qprep);
         let qsig = crate::hashing::signature_of(&snap.family, qprep.shape());
         let mut want: Vec<(u16, u32, u32)> = Vec::new();
         for (bi, b) in snap.buffer.iter().enumerate() {
@@ -312,4 +312,109 @@ fn a_query_with_nothing_within_the_radius_expands_past_it() {
         }
     }
     assert!(past >= 10, "{past} queries went past R: the rest of a table was hardly listed");
+}
+
+/// The cascade in the order it ran before it reranked ring by ring:
+/// probe every ring the approximate tier's stop rule reads, then rerank
+/// the whole candidate list — otherwise [`Snapshot::approximate`] with
+/// its raster, fallback included. The reference of
+/// `ring_by_ring_rerank_is_probe_then_rerank`.
+fn probe_then_rerank(
+    snap: &Snapshot,
+    scratch: &mut MatcherScratch,
+    ax: &mut ApproxScratch,
+    query: &Polyline,
+    opts: &ApproxOptions,
+    out: &mut Vec<DynMatch>,
+    stats: &mut ApproxStats,
+) {
+    *stats = ApproxStats { corpus_copies: snap.total_copies() as u64, ..ApproxStats::default() };
+    let opts = &ApproxOptions { k: snap.k(opts.k), ..*opts };
+    if opts.k == 0 {
+        out.clear();
+        return;
+    }
+    let prepared = snap.prepare(scratch, query, true);
+    if prepared != Prepared::Nothing {
+        let qprep = scratch.query.as_ref().expect("prepared");
+        let qsig = snap.probe_begin(ax, qprep);
+        let kf = snap.family.k() as u16;
+        let max_radius = opts.max_radius.min(kf);
+        let mut probed = 0;
+        for r in 0..=kf {
+            stats.radius = r;
+            snap.probe_ring(ax, &qsig, r, max_radius, &mut probed);
+            if ax.cands.len() >= opts.max_candidates.max(1) || (r >= max_radius && !ax.cands.is_empty()) {
+                break;
+            }
+        }
+        stats.buckets_probed = probed;
+        stats.candidates = ax.cands.len() as u64;
+        let raster = (prepared == Prepared::Rastered).then_some(&scratch.raster);
+        let (mut board, cands) = super::approx::board(ax, opts.k, f64::INFINITY);
+        let done = super::exact::score_onto(snap.config.score, qprep, raster, &mut board, snap.offers(cands));
+        (stats.reranked, stats.abandoned, stats.bound_rejects) = (done.scored, done.abandoned, done.rejected);
+        board.finish(out);
+    }
+    if stats.candidates == 0 {
+        stats.tier = AnswerTier::Exact;
+        let scan = stats.fallback.insert(RetrieveStats::default());
+        snap.seed_and_scan(opts.k, f64::INFINITY, scratch, query, true, out, scan, None, true);
+    }
+}
+
+proptest! {
+    /// Reranking each ring before the next is probed moves no answer,
+    /// no `ApproxStats` field and no candidate's verdict: over random
+    /// worlds — levels, a part-filled buffer, tombstones, families of
+    /// near matches — and random options, the served approximate tier
+    /// equals [`probe_then_rerank`], query after query on warm scratch.
+    #[test]
+    fn ring_by_ring_rerank_is_probe_then_rerank(seed in 0u64..1_000_000) {
+        use geosir_imaging::synth::{perturb, random_simple_polygon};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let polygon = |rng: &mut StdRng, irregularity| {
+            let n = rng.random_range(4..14);
+            random_simple_polygon(rng, n, irregularity)
+        };
+        let protos: Vec<Polyline> = (0..3).map(|_| polygon(&mut rng, 0.35)).collect();
+        let n = rng.random_range(8..80u64);
+        let shapes: Vec<Polyline> = (0..n)
+            .map(|i| match rng.random_range(0..3) {
+                0 => perturb(&protos[i as usize % 3], &mut rng, 0.02),
+                _ => polygon(&mut rng, 0.35),
+            })
+            .collect();
+        let mut db = shipped(rng.random_range(2..=16), shapes.iter().cloned());
+        for id in 0..n {
+            if rng.random_bool(0.3) {
+                prop_assert!(db.delete(GlobalShapeId(id)));
+            }
+        }
+        let snap = db.snapshot();
+        let (mut scratch, mut ax, mut ref_ax) = (MatcherScratch::new(), ApproxScratch::new(), ApproxScratch::new());
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let (mut got_stats, mut want_stats) = (ApproxStats::default(), ApproxStats::default());
+        let mut tmp = MatchOutcome::default();
+        let verdicts = |ax: &ApproxScratch| -> Vec<(u32, u32, u32, u64)> {
+            ax.cands.iter().map(|c| (c.level, c.a, c.b, c.verdict.to_bits())).collect()
+        };
+        for i in 0..8 {
+            let q = match i % 3 {
+                0 => perturb(&protos[rng.random_range(0..3)], &mut rng, 0.01),
+                1 => perturb(&shapes[rng.random_range(0..shapes.len())], &mut rng, 0.01),
+                _ => polygon(&mut rng, 0.5),
+            };
+            let k = rng.random_range(0..12);
+            let max_radius = rng.random_range(0..5);
+            let max_candidates = [1, 4, 16, 64, 2048, usize::MAX][rng.random_range(0..6)];
+            let opts = ApproxOptions { k, max_radius, max_candidates };
+            let what = format!("query {i}, {opts:?}");
+            snap.similar_approx_with(&mut scratch, &mut tmp, &mut ax, &q, &opts, &mut got, &mut got_stats);
+            probe_then_rerank(&snap, &mut scratch, &mut ref_ax, &q, &opts, &mut want, &mut want_stats);
+            prop_assert_eq!(id_bits(&got), id_bits(&want), "{}", what);
+            prop_assert_eq!(got_stats, want_stats, "{}", what);
+            prop_assert_eq!(verdicts(&ax), verdicts(&ref_ax), "{}", what);
+        }
+    }
 }

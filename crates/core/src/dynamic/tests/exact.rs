@@ -583,3 +583,81 @@ fn quantized_seed_handoff_spares_buffered_copies() {
     assert_eq!(without, 36 * copies, "without the hand-off every buffered copy is scored");
     assert!(with < without, "the hand-off spared no buffered scoring: {with} vs {without}");
 }
+
+#[test]
+fn a_seed_short_of_k_after_ring_1_reads_on() {
+    // Odd polygons and spiky stars against a churned base: where rings 0
+    // and 1 hold fewer than k live shapes and rings up to `max_radius`
+    // hold k, the seed reads on past ring 1 until k are on its board —
+    // its cutoff is finite, `seed_cutoff` is `Some` — and the answer is
+    // the brute-force scan's, bit for bit. Where even those rings hold
+    // fewer, it reads no further than the approximate tier would.
+    use geosir_imaging::synth::random_simple_polygon;
+    let k = 10;
+    let mut rng = StdRng::seed_from_u64(46);
+    let mut db = shipped(8, (0..123).map(|i| random_simple_polygon(&mut rng, 6 + i % 9, 0.35)));
+    for id in (0..123).step_by(3) {
+        assert!(db.delete(GlobalShapeId(id)));
+    }
+    let snap = db.snapshot();
+    assert!(snap.num_levels() >= 3 && !snap.buffer.is_empty());
+    let live: Vec<(GlobalShapeId, Vec<PreparedShape>)> = snap
+        .live_shapes()
+        .into_iter()
+        .map(|(id, _, s)| (id, crate::normalize::normalized_copies(&s, 0.0).into_iter().map(|c| PreparedShape::new(c.shape)).collect()))
+        .collect();
+    let brute = |q: &Polyline| {
+        let qprep = PreparedShape::new(crate::normalize::normalize_about_diameter(q).unwrap().0.shape);
+        let mut all: Vec<DynMatch> = live
+            .iter()
+            .map(|(id, copies)| {
+                let score = copies.iter().map(|c| crate::similarity::score_prepared(snap.config.score, c, &qprep)).fold(f64::INFINITY, f64::min);
+                DynMatch { shape: *id, image: ImageId(id.0 as u32), score }
+            })
+            .collect();
+        all.sort_by(|a, b| a.score.partial_cmp(&b.score).unwrap().then(a.shape.cmp(&b.shape)));
+        all.truncate(k);
+        all
+    };
+    let star = |n: usize, rng: &mut StdRng| {
+        let pts = (0..n).map(|i| {
+            let t = 2.0 * std::f64::consts::PI * i as f64 / n as f64;
+            let r = if i % 2 == 0 { rng.random_range(0.7..1.0) } else { rng.random_range(0.05..0.3) };
+            p(r * t.cos(), r * t.sin())
+        });
+        Polyline::closed(pts.collect()).expect("a star is simple")
+    };
+    let opts = ApproxOptions { k, ..ApproxOptions::default() };
+    let (mut scratch, mut ax, mut tmp) = (MatcherScratch::new(), ApproxScratch::new(), MatchOutcome::default());
+    let (mut out, mut stats) = (Vec::new(), RetrieveStats::default());
+    let mut short = [0; 2];
+    for n in 3..60 {
+        let q = if n % 2 == 0 { star(n, &mut rng) } else { random_simple_polygon(&mut rng, n, 0.6) };
+        // the live shapes of rings ≤ 1, and of rings ≤ `max_radius`
+        assert!(scratch.prepare_query(&q));
+        let qsig = snap.probe_begin(&mut ax, scratch.query.as_ref().expect("prepared"));
+        let mut near = [0; 2];
+        for r in 0..=opts.max_radius {
+            snap.probe_ring(&mut ax, &qsig, r, opts.max_radius, &mut 0);
+            let mut cands = std::mem::take(&mut ax.cands);
+            let shapes: HashSet<GlobalShapeId> = snap.offers(&mut cands).map(|o| o.store.shape(o.copy).0).collect();
+            near[(r > super::approx::SEED_RADIUS) as usize] = shapes.len();
+            ax.cands = cands;
+        }
+        if near[0] >= k {
+            continue;
+        }
+        // the seed alone
+        let prepared = snap.prepare(&mut scratch, &q, true);
+        let mut seed_stats = ApproxStats::default();
+        let (board, _) = snap.probe_rerank(&mut ax, &mut scratch, prepared, &opts, Until::Cutoff, f64::INFINITY, &mut seed_stats);
+        assert!(seed_stats.radius > super::approx::SEED_RADIUS, "query {n}: the seed stopped at ring {}", seed_stats.radius);
+        assert!(seed_stats.radius <= opts.max_radius || near[1] == 0, "query {n}: read past the probe");
+        assert_eq!(board.cutoff < f64::INFINITY, near[1] >= k, "query {n}: {near:?} shapes near");
+        snap.retrieve_with_stats(&mut scratch, &mut tmp, &q, k, &mut out, &mut stats);
+        assert_eq!(stats.seed_cutoff.is_some(), near[1] >= k, "query {n}: {near:?} shapes near");
+        assert_eq!(id_bits(&out), id_bits(&brute(&q)), "query {n}");
+        short[(near[1] >= k) as usize] += 1;
+    }
+    assert!(short[1] >= 5, "{short:?} queries short of k after ring 1 / after the probe: this proves little");
+}

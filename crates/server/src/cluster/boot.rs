@@ -1,8 +1,9 @@
 //! In-process cluster boot: N durable primaries, M replicas each
 //! following its primary's checkpoint and WAL from the primary's own
-//! data directory, and the router in front, all on one registry. The
-//! CLI, the benchmark and the integration tests boot clusters through
-//! here.
+//! data directory, and the router in front, all on one registry, whose
+//! journal is also kept in a rotating JSONL under the cluster's data
+//! directory. The CLI, the benchmark and the integration tests boot
+//! clusters through here.
 
 use std::io;
 use std::net::SocketAddr;
@@ -10,11 +11,12 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use geosir_obs as obs;
+use geosir_storage::faults::FileFactory;
 
 use super::{Router, RouterConfig, RouterHandle, ShardSpec};
 use crate::durable::{BaseTemplate, DurabilityConfig, RecoveryReport};
 use crate::server::{serve_durable, serve_follower, ServeConfig, ServerHandle};
-use crate::sinks::arm_crash_dump;
+use crate::sinks::{arm_crash_dump, attach, JsonlLog};
 
 /// Knobs for [`start_cluster`].
 pub struct ClusterConfig {
@@ -132,6 +134,12 @@ pub fn start_cluster(
         cfg.router.slow_query_log = Some(cfg.data_dir.join("router"));
     }
     let registry = Arc::new(obs::Registry::new());
+    // The shared journal — each follower's `repl.*` events, the router's
+    // breaker transitions and scrape misses — lands in a rotating JSONL
+    // under the cluster's data dir, as a durable node's does in its own.
+    let errors = registry.counter("geosir_router_journal_errors_total", &[]);
+    let log = JsonlLog::open(&cfg.data_dir.join("journal"), "journal", Box::new(FileFactory), errors)?;
+    attach(registry.journal(), log, |_| true, None)?;
     let mut specs = Vec::with_capacity(cfg.shards);
     let mut primaries = Vec::with_capacity(cfg.shards);
     let mut replicas = Vec::with_capacity(cfg.shards);

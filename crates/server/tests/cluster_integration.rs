@@ -5,8 +5,9 @@
 //! that restarts from the newest checkpoint, a torn final record applied
 //! once when its writer completes it, a corrupt primary segment
 //! surfacing as errors and a stuck replica, a record the replica refuses
-//! as recovery does, partial results when a whole shard pair is down,
-//! and replica failover through the circuit breaker.
+//! as recovery does, the cluster's journal kept on disk, partial results
+//! when a whole shard pair is down, and replica failover through the
+//! circuit breaker.
 
 mod common;
 
@@ -378,6 +379,37 @@ fn replica_stops_at_a_record_recovery_refuses() {
     let stats = Client::connect(replica.addr()).unwrap().stats().unwrap();
     assert_eq!(stats.live_shapes, 3, "nothing past the refused record applies");
     replica.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The cluster's shared journal, where its followers report, is kept on
+/// disk under `<data_dir>/journal` as well as in memory: a replica
+/// stopped at a record it refuses is found journaled `repl.stuck` in that
+/// file, with no HTTP plane bound.
+#[test]
+fn cluster_journal_keeps_follower_events_on_disk() {
+    let dir = tmpdir("cluster-journal");
+    let cluster =
+        start_cluster("127.0.0.1:0", &exact_template(), cluster_cfg(&dir, 1, 1)).unwrap();
+    assert!(cluster.metrics_addr().is_none());
+    let mut primary = Client::connect(cluster.specs[0].primary).unwrap();
+    let mut rng = StdRng::seed_from_u64(9);
+    for i in 0..4 {
+        primary.insert_retrying(i, &polygon(&mut rng)).unwrap();
+    }
+    let next = primary.stats().unwrap().wal_appends + 1;
+    let bad = WalRecord::Insert { key: 0, id: next, image: 0, closed: true, points: vec![] };
+    append_log(&dir.join("shard-0"), next, &[bad]);
+    let on_disk = || -> String {
+        let files = std::fs::read_dir(dir.join("journal")).into_iter().flatten().flatten();
+        files.map(|f| std::fs::read_to_string(f.path()).unwrap_or_default()).collect()
+    };
+    assert!(
+        poll_until(Duration::from_secs(20), || on_disk().contains("repl.stuck")),
+        "the stuck replica is not in the cluster's journal file: {:?}",
+        on_disk()
+    );
+    cluster.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
 
